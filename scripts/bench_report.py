@@ -53,7 +53,7 @@ ISSUE = 5
 #: the issue number of the wall-clock track (BENCH_wallclock.json).
 WALLCLOCK_ISSUE = 6
 
-#: the issue number of the server observability track (BENCH_server.json).
+#: the issue number of the server observability track.
 SERVER_ISSUE = 10
 
 #: quick experiments CI can afford on every push.
@@ -148,13 +148,12 @@ def run_wallclock(fast: bool, out_path: str | None,
     return 0
 
 
-def run_server_bench(sessions: int, seed: int,
-                     out_path: str | None) -> int:
+def run_server_bench(sessions: int, seed: int, out_path: str) -> int:
     """Run the multi-tenant server demo through the bench pipeline.
 
     The server run's *merged* counters (substrate + every session)
     become one bench experiment record, so the schema-validated
-    ``BENCH_server.json`` document carries the same key counters the
+    document written to ``out_path`` carries the same key counters the
     simulated-time experiments report — plus every ``server/`` counter
     — and CI can gate on it like any other report.
     """
@@ -196,11 +195,10 @@ def run_server_bench(sessions: int, seed: int,
             print(f"  schema: {p}")
         print("FAIL: generated server bench report does not validate")
         return 1
-    out = out_path or os.path.join(REPO, "BENCH_server.json")
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"[server bench report -> {out}]")
+    print(f"[server bench report -> {out_path}]")
     return 0 if report.ok else 1
 
 
@@ -353,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
                         help=f"run the CI subset only: {', '.join(FAST_SUBSET)}")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help=f"output path (default: BENCH_{ISSUE}.json "
-                             f"in the repo root)")
+                             f"in the repo root; required with --server)")
     parser.add_argument("--validate", metavar="PATH", default=None,
                         help="validate an existing report and exit")
     parser.add_argument("--wallclock", action="store_true",
@@ -374,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--server", metavar="N", type=int, default=None,
                         help="run the multi-tenant server demo with N "
                              "sessions and emit its merged counters as a "
-                             "schema-validated BENCH_server.json")
+                             "schema-validated bench report (needs --out)")
     parser.add_argument("--server-seed", metavar="SEED", type=int, default=0,
                         help="with --server: deterministic interleave seed")
     args = parser.parse_args(argv)
@@ -383,6 +381,8 @@ def main(argv: list[str] | None = None) -> int:
         return run_fusion_gate()
 
     if args.server is not None:
+        if args.out is None:
+            parser.error("--server writes no default file: pass --out PATH")
         return run_server_bench(args.server, args.server_seed, args.out)
 
     if args.validate_wallclock is not None:

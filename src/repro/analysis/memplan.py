@@ -190,12 +190,6 @@ class BlockMemPlan:
         return out
 
 
-def _put_enabled(mode: ReuseMode) -> bool:
-    """Mirror of ``Interpreter._put_enabled`` (kept in sync by tests)."""
-    return mode in (ReuseMode.FULL, ReuseMode.LOCAL_ONLY,
-                    ReuseMode.OPERATOR_ONLY)
-
-
 def plan_block(roots: list[Hop], order: list[Hop],
                config: MemphisConfig) -> BlockMemPlan:
     """Derive the per-region charge set and peak footprint of one block.
@@ -235,7 +229,7 @@ def plan_block(roots: list[Hop], order: list[Hop],
     """
     budgets = region_capacities(config)
     mode = config.reuse_mode
-    put_on = _put_enabled(mode)
+    put_on = mode.puts
     multi = put_on and mode is not ReuseMode.LOCAL_ONLY
     func_reuse = mode in (ReuseMode.FULL, ReuseMode.COARSE_ONLY)
     alignment = config.gpu.alignment

@@ -6,8 +6,8 @@ cell-wise operations (``relu(X * 2.0 + 1.0)``-style pipelines) all of
 that is loop-invariant: the ufunc, the scalar operand, and the operand
 layout are known at plan time.  This module compiles one hop into a
 :class:`CompiledStep` — a closure from input ndarray to output ndarray —
-so the fast dispatch loop (``repro.runtime.dispatch``) can execute a
-whole run as successive ufunc applications on raw arrays.
+so the dispatch loop's chain batching (``repro.runtime.dispatch``) can
+execute a whole run as successive ufunc applications on raw arrays.
 
 Byte-equality contract: every step closure applies the *same* numpy
 callable the generic kernel registry uses (the tables are shared via

@@ -33,6 +33,22 @@ class ReuseMode(enum.Enum):
     COARSE_ONLY = "coarse"  #: HELIX — function-level (coarse) reuse only.
     OPERATOR_ONLY = "fine"  #: MPH-F — fine-grained only, no function reuse.
 
+    @property
+    def probes(self) -> bool:
+        """Whether REUSE probes run in this mode (ablation axis, §6.2)."""
+        return self in _PROBE_MODES
+
+    @property
+    def puts(self) -> bool:
+        """Whether PUT admission runs in this mode (ablation axis, §6.2)."""
+        return self in _PUT_MODES
+
+
+_PUT_MODES = frozenset({
+    ReuseMode.FULL, ReuseMode.LOCAL_ONLY, ReuseMode.OPERATOR_ONLY,
+})
+_PROBE_MODES = _PUT_MODES | {ReuseMode.PROBE_ONLY}
+
 
 class EvictionPolicyName(enum.Enum):
     """Cache eviction policy selector (Eq. 1 plus ablation baselines)."""

@@ -528,26 +528,30 @@ class Session:
             spill_map = plan.executable_spills()
             if spill_map:
                 planned_spills = spill_map
-        env = self.interpreter.run(order, planned_spills=planned_spills)
-        for hop in order:
-            if hop.kind != KIND_OP:
-                continue
-            slot = env[hop.id]
-            if slot.fused_from is not None:
-                continue
-            handle = hop.handle
-            if handle is None and not extra.get(hop.id):
-                continue
-            if slot.future is not None and BACKEND_CP not in slot.payloads:
-                # an asynchronous action whose value escapes this block:
-                # resolve the future so the handle carries the prefetched
-                # driver copy (and the cache its action-reuse entry)
-                self.interpreter._to_cp(slot)
-            if handle is not None:
-                self._rebind(handle, slot)
-            for extra_handle in extra.get(hop.id, ()):  # CSE-merged handles
-                self._rebind(extra_handle, slot)
-        self.interpreter.release_acquired()
+        try:
+            env = self.interpreter.run(order, planned_spills=planned_spills)
+            for hop in order:
+                if hop.kind != KIND_OP:
+                    continue
+                slot = env[hop.id]
+                if slot.fused_from is not None:
+                    continue
+                handle = hop.handle
+                if handle is None and not extra.get(hop.id):
+                    continue
+                if slot.future is not None and BACKEND_CP not in slot.payloads:
+                    # an asynchronous action whose value escapes this block:
+                    # resolve the future so the handle carries the prefetched
+                    # driver copy (and the cache its action-reuse entry)
+                    self.interpreter._to_cp(slot)
+                if handle is not None:
+                    self._rebind(handle, slot)
+                for extra_handle in extra.get(hop.id, ()):  # CSE-merged handles
+                    self._rebind(extra_handle, slot)
+        finally:
+            # also on the error path: a failed run must not leave its
+            # frame (and the GPU references in it) on the stack
+            self.interpreter.release_acquired()
         if self.memplanner is not None:
             # record the runtime's per-region peak watermarks so the
             # static prediction stays comparable (explain / --memplan)
@@ -565,7 +569,7 @@ class Session:
         if BACKEND_CP not in handle.payloads and handle.lineage is not None:
             entry = (
                 self.cache.probe(handle.lineage)
-                if self.interpreter._probe_enabled(self.config.reuse_mode)
+                if self.config.reuse_mode.probes
                 else self.cache.get_entry(handle.lineage)
             )
             if entry is not None and BACKEND_CP in entry.payloads:

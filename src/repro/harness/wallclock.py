@@ -135,9 +135,9 @@ def run_quickstart(repeats: int = 5, iters: int = 300,
     """Steady-state quickstart training loop, full MEMPHIS config.
 
     Observability and fault injection are disabled (the
-    ``MemphisConfig.memphis()`` default), so the interpreter selects the
-    fast dispatch loop; lineage interning and cache probes/puts are
-    fully engaged.  This is the track's primary workload.
+    ``MemphisConfig.memphis()`` default), so every hook of the dispatch
+    loop is off; lineage interning and cache probes/puts are fully
+    engaged.  This is the track's primary workload.
     """
     session, step = _training_session(MemphisConfig.memphis())
     return _measure("quickstart", session, step, repeats, iters, warmup)
@@ -161,7 +161,7 @@ def run_cellwise_chain(repeats: int = 5, iters: int = 120,
                        warmup: int = 10) -> WallclockResult:
     """Cell-wise ufunc chains under ``ReuseMode.NONE``.
 
-    With probes and puts disabled the fast loop batch-dispatches the
+    With probes and puts disabled the loop batch-dispatches the
     maximal ``*,+,sigmoid,*,relu`` run through the vectorized kernel
     layer — this workload regresses if chain planning or the compiled
     ufunc closures do.

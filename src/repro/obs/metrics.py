@@ -301,7 +301,7 @@ class NullMetrics:
 
     One of the three null singletons of the zero-overhead pattern
     (docs/ARCHITECTURE.md "Zero overhead when disabled"); with all
-    three installed the interpreter selects the fast dispatch loop.
+    three installed the dispatch loop may batch cell-wise chains.
     """
 
     enabled = False

@@ -190,9 +190,8 @@ class NullTracer:
 
     Hot paths check :attr:`enabled` (a plain attribute load) before
     constructing event arguments, so a session without tracing pays no
-    measurable cost per instruction — and when metrics and fault
-    injection are also off, the interpreter drops the checks entirely
-    by selecting the fast dispatch loop (``repro.runtime.dispatch``).
+    measurable cost per instruction — the dispatch loop reads the flag
+    once per run, so there it is one local-boolean test.
     See docs/ARCHITECTURE.md "Zero overhead when disabled".
     """
 

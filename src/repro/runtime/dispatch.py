@@ -1,29 +1,27 @@
-"""Specialized instruction-dispatch loops for the interpreter hot path.
+"""Data the interpreter's dispatch loop runs on: slots and chain batching.
 
-The interpreter's main loop (paper Fig. 4) is wrapped in three
-observability layers — tracer spans, metrics sampling, fault-injection
-draws — each guarded by an ``enabled`` attribute check *per
-instruction*.  All three flags are fixed when the session is
-constructed (``NULL_TRACER`` / ``NULL_METRICS`` / ``NULL_INJECTOR`` are
-installed once, see docs/ARCHITECTURE.md "Zero overhead when
-disabled"), so the checks are loop-invariant.  This module hoists the
-branch to loop-selection time:
+The loop itself — the paper's Fig. 4 stage sequence — is defined once,
+in :meth:`repro.runtime.interpreter.Interpreter.run`.  This module holds
+what it binds and what it can batch:
 
-* :func:`run_instrumented` — the fully-guarded loop, chosen whenever
-  any of tracing, metrics, or fault injection is live.  Byte-identical
-  to the historical per-instruction path.
-* :func:`run_fast` — chosen when all three are disabled.  The dead
-  guard branches are simply absent; TRACE is inlined with the
-  session's lineage interner; and, when reuse probes/puts are also off
-  (``ReuseMode.NONE``), maximal runs of cell-wise instructions with no
-  intervening control flow are batch-dispatched through the vectorized
-  ufunc-chain layer (``repro.backends.cpu.vectorized``).
+* :class:`Slot` — the runtime binding of one hop (lineage item plus the
+  per-backend payloads), and :func:`_attr_data`, the deterministic
+  flattening of hop attributes into lineage data.
+* Chain batching — :func:`plan_chains` segments a linearized order into
+  maximal straight-line runs of cell-wise instructions, and
+  :func:`_run_chain` executes one through the vectorized ufunc-chain
+  layer (``repro.backends.cpu.vectorized``).  The loop engages it only
+  under ``ReuseMode.NONE`` with tracing, metrics, fault injection and
+  planned spills all off: a chain's interior values are never probed
+  for, admitted to the cache, or wrapped in an instruction span.
+* :func:`step_lineage_inputs` — the lineage-input rule of one cell-wise
+  step, shared by chain batching and the compile-time fused
+  instruction (``Interpreter._exec_fused``).
 
-Both loops produce bit-identical results, stats counters, and simulated
-clock readings — ``tests/test_dispatch_equivalence.py`` asserts this on
-the quickstart and fig12 workloads.  The fast path changes only *real*
-wall-clock cost, which the ``BENCH_wallclock`` telemetry track measures
-(docs/PERFORMANCE.md).
+Batched and per-instruction execution produce bit-identical results,
+stats counters, and simulated clock readings
+(``tests/test_dispatch_equivalence.py``); batching changes only *real*
+wall-clock cost (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -31,14 +29,10 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from repro.backends.cpu.vectorized import CompiledStep, compile_step
-from repro.common.config import ReuseMode
-from repro.compiler.rewrites.fusion import FUSED_OPCODE
-from repro.common.simclock import HOST, SimFuture
-from repro.common.stats import CHECKPOINTS_PLACED, LINEAGE_TRACED
-from repro.compiler.ir import KIND_DATA, KIND_LITERAL, Hop
-from repro.core.entry import BACKEND_CP, BACKEND_SP
-from repro.lineage.item import LineageItem, literal
-from repro.runtime.values import ScalarValue
+from repro.common.simclock import SimFuture
+from repro.compiler.ir import Hop
+from repro.core.entry import BACKEND_CP
+from repro.lineage.item import LineageItem
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.backends.spark.broadcast import Broadcast
@@ -82,158 +76,6 @@ def _attr_data(attrs: dict) -> tuple:
         else:
             out.append(str(value))
     return tuple(out)
-
-
-# --------------------------------------------------------------- loop selection
-
-def select_loop(interp: "Interpreter"):
-    """Pick the dispatch loop for one run: instrumented iff any layer is live.
-
-    The three flags are class attributes of the null/real tracer,
-    metrics registry, and fault injector, fixed at session
-    construction, so the selection is stable across a session's
-    lifetime; re-checking per run (three attribute loads) keeps the
-    choice robust for tests that hand-wire sessions.
-    """
-    if interp.tracer.enabled or interp.metrics.enabled \
-            or interp.faults.enabled:
-        return run_instrumented
-    return run_fast
-
-
-def run_instrumented(interp: "Interpreter", order: list[Hop],
-                     env: dict[int, Slot], acquired: list) -> None:
-    """Fully-guarded loop: per-instruction tracing/metrics/fault hooks."""
-    metrics = interp.metrics
-    session = interp.session
-    execute_one = interp._execute_one
-    tick = metrics.enabled
-    for hop in order:
-        env[hop.id] = execute_one(hop, env, acquired)
-        if tick:
-            # time-series sampling hook (repro.obs.metrics): reads
-            # region ledgers and counters every N instructions; never
-            # advances the sim clock, so metered runs stay identical
-            metrics.tick(session)
-
-
-def run_fast(interp: "Interpreter", order: list[Hop],
-             env: dict[int, Slot], acquired: list) -> None:
-    """Specialized loop for sessions with obs + faults disabled.
-
-    Semantics are those of :func:`run_instrumented` with every
-    ``enabled`` branch constant-folded to ``False``: same TRACE clock
-    charge and counter, same probe/execute/put sequence, same payloads.
-    Loop-invariant lookups (config, clock, interner) are hoisted out of
-    the instruction loop, and eligible cell-wise runs are batched
-    through :func:`_run_chain`.
-    """
-    config = interp.config
-    mode = config.reuse_mode
-    trace_on = mode is not ReuseMode.NONE
-    clock = interp.clock
-    stats = interp.stats
-    intern = interp.interner.intern
-    data_slot = interp._data_slot
-    trace_overhead = config.cpu.trace_overhead_s
-
-    # REUSE/EXECUTE/PUT enablement is a pure function of the (fixed)
-    # reuse mode, so the per-instruction ``_probe_enabled``/
-    # ``_put_enabled`` calls of ``Interpreter._reuse_or_execute`` are
-    # hoisted here and the stage sequence is inlined below — same
-    # probes, same clock charges, same admission calls, minus three
-    # method frames per instruction.
-    probe_on = interp._probe_enabled(mode)
-    put_on = interp._put_enabled(mode)
-    local_only = mode is ReuseMode.LOCAL_ONLY
-    probe_overhead = config.cpu.probe_overhead_s
-    cache_probe = interp.cache.probe
-    apply_reuse = interp._apply_reuse
-    exec_cpu = interp._exec_cpu
-    exec_spark = interp._exec_spark
-    exec_gpu = interp._exec_gpu
-    put = interp._put
-    enable_async = config.enable_async_ops
-
-    # batch dispatch requires probe *and* put disabled: a chain's
-    # interior values are never probed for or admitted to the cache,
-    # which is exactly the ReuseMode.NONE contract.
-    chains = plan_chains(order) if mode is ReuseMode.NONE else None
-
-    i = 0
-    n = len(order)
-    while i < n:
-        hop = order[i]
-        if chains is not None:
-            chain = chains.get(hop.id)
-            if chain is not None:
-                _run_chain(interp, chain, env, intern)
-                i += len(chain.steps)
-                continue
-        kind = hop.kind
-        if kind == KIND_LITERAL:
-            slot = Slot(literal(hop.value))
-            slot.payloads[BACKEND_CP] = ScalarValue(hop.value)
-        elif kind == KIND_DATA:
-            slot = data_slot(hop)
-        elif hop.opcode == FUSED_OPCODE:
-            # fused cell-wise chain (compile-time fusion rewrite):
-            # TRACE + single-instruction EXECUTE, never probed or put
-            slot = interp._exec_fused(hop, env)
-        else:
-            # TRACE (Fig. 4): intern the lineage item for this hop
-            in_slots = [env[h.id] for h in hop.inputs]
-            attrs = hop.attrs
-            item = intern(
-                hop.opcode,
-                _attr_data(attrs) if attrs else (),
-                tuple(s.lineage for s in in_slots),
-            )
-            if trace_on:
-                clock.advance(trace_overhead, HOST)
-                stats.inc(LINEAGE_TRACED)
-            slot = Slot(item)
-            if hop.fused:
-                # transpose fused into tsmm/cpmm: pass through the input
-                slot.fused_from = in_slots[0]
-            else:
-                # REUSE probe (LIMA traces/reuses only local CPU
-                # instructions in LOCAL_ONLY mode)
-                placement = hop.placement
-                if probe_on and (not local_only
-                                 or placement == BACKEND_CP):
-                    clock.advance(probe_overhead, HOST)
-                    entry = cache_probe(item)
-                    if entry is not None:
-                        apply_reuse(hop, slot, entry)
-                        env[hop.id] = slot
-                        i += 1
-                        continue
-                # EXECUTE
-                backend = placement or BACKEND_CP
-                if backend == BACKEND_CP:
-                    exec_cpu(hop, slot, in_slots)
-                elif backend == BACKEND_SP:
-                    exec_spark(hop, slot, in_slots)
-                else:
-                    exec_gpu(hop, slot, in_slots, acquired)
-                # compiler-placed RDD checkpoint (§5.2)
-                if hop.checkpoint and BACKEND_SP in slot.payloads:
-                    dm = slot.payloads[BACKEND_SP]
-                    if not dm.rdd.is_persisted:
-                        dm.rdd.persist(
-                            interp.session.spark_mgr.storage_level)
-                        stats.inc(CHECKPOINTS_PLACED)
-                # asynchronous prefetch / broadcast (§5.1)
-                if hop.prefetch and enable_async:
-                    interp._issue_prefetch(hop, slot)
-                if hop.async_broadcast and BACKEND_CP in slot.payloads:
-                    interp._issue_broadcast(slot)
-                # PUT
-                if put_on:
-                    put(hop, slot)
-        env[hop.id] = slot
-        i += 1
 
 
 # ------------------------------------------------------------- batch dispatch
@@ -291,6 +133,21 @@ def plan_chains(order: list[Hop]) -> dict[int, Chain]:
     return plan
 
 
+def step_lineage_inputs(step: CompiledStep, prev: LineageItem,
+                        env: dict[int, Slot]) -> tuple:
+    """Lineage inputs of one cell-wise step whose matrix operand is ``prev``.
+
+    A unary step has the spine item alone; a scalar-operand step adds
+    the literal's item on the side it occupies in ``hop.inputs`` — the
+    tuple per-instruction TRACE builds from the same hop.
+    """
+    index = step.scalar_index
+    if index is None:
+        return (prev,)
+    scalar = env[step.hop.inputs[index].id].lineage
+    return (scalar, prev) if index == 0 else (prev, scalar)
+
+
 def _run_chain(interp: "Interpreter", chain: Chain,
                env: dict[int, Slot], intern) -> None:
     """Execute one precompiled chain; bind a slot per interior hop.
@@ -300,19 +157,12 @@ def _run_chain(interp: "Interpreter", chain: Chain,
     and lineage serialization observe exactly what the per-instruction
     path produces.
     """
-    src_slot = env[chain.source_id]
-    value = interp._to_cp(src_slot)
-    outs = interp.session.cpu.execute_chain(chain.steps, value)
-    prev = src_slot
+    prev = env[chain.source_id]
+    outs = interp.session.cpu.execute_chain(chain.steps, interp._to_cp(prev))
     for step, out in zip(chain.steps, outs):
         hop = step.hop
-        if step.scalar_index is None:
-            inputs = (prev.lineage,)
-        elif step.scalar_index == 0:
-            inputs = (env[hop.inputs[0].id].lineage, prev.lineage)
-        else:
-            inputs = (prev.lineage, env[hop.inputs[1].id].lineage)
-        slot = Slot(intern(hop.opcode, (), inputs))
+        slot = Slot(intern(hop.opcode, (),
+                           step_lineage_inputs(step, prev.lineage, env)))
         slot.payloads[BACKEND_CP] = out
         env[hop.id] = slot
         prev = slot

@@ -13,28 +13,30 @@ and handles all inter-backend data exchange (collect, broadcast,
 parallelize, H2D/D2H), asynchronous prefetch futures, checkpoint
 persisting, and GPU pointer lifetimes.
 
-Stage map (MEMPHIS paper section -> code):
+Stage map (MEMPHIS paper section -> code).  The loop is written once,
+in :meth:`Interpreter.run`; the stages it sequences are:
 
-* **TRACE** (§3.2, fine-grained lineage): :meth:`Interpreter._trace` —
-  interned lineage-item construction plus the per-instruction tracing
-  overhead charge the paper measures in Fig. 2(c).
-* **REUSE** (§4.1, probe + multi-backend hit application):
-  :meth:`Interpreter._probe` / :meth:`Interpreter._apply_reuse`.
+* **TRACE** (§3.2, fine-grained lineage): inline in the loop — interned
+  lineage-item construction plus the per-instruction tracing overhead
+  charge the paper measures in Fig. 2(c).
+* **REUSE** (§4.1, probe + multi-backend hit application): the probe
+  is inline (``cache.probe`` after the probe-overhead charge); a hit is
+  bound by :meth:`Interpreter._apply_reuse`.
 * **EXECUTE** (Table 2 operator set): ``_exec_cpu`` / ``_exec_gpu`` /
   ``_exec_spark`` plus the exchange helpers (``_to_cp`` et al.)
   implementing the paper's collect/broadcast/H2D/D2H edges.
 * **PUT** (§4.2, admission with delayed caching):
   :meth:`Interpreter._put`.
 * Async rewrites (§5.1): ``_issue_prefetch`` / ``_issue_broadcast``;
-  checkpoints (§5.2) persist inside :meth:`_reuse_or_execute`.
+  checkpoints (§5.2): ``_persist_checkpoint``.
 
-The per-instruction loop itself lives in ``repro.runtime.dispatch``,
-which specializes it at run start: a fully-guarded instrumented loop
-when tracing/metrics/faults are live, and a fast loop — with the
-disabled-layer guards constant-folded away and cell-wise runs batched
-through the vectorized CPU layer — when they are not.  Both loops call
-back into the stage methods above; docs/PERFORMANCE.md covers the
-architecture and the wall-clock benchmarks gating it.
+Tracer spans, metrics ticks, fault draws and planned spills are hooks
+of that same loop, each behind a boolean read once per run; which modes
+probe and put is :class:`~repro.common.config.ReuseMode`'s own
+``probes`` / ``puts``.  ``repro.runtime.dispatch`` holds the slot type
+and the chain batching the loop engages when nothing observes
+individual instructions; docs/PERFORMANCE.md covers the wall-clock
+benchmarks gating it.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from repro.core.entry import (
     BACKEND_SP,
     CacheEntry,
 )
-from repro.lineage.item import LineageItem, dataset, literal
+from repro.lineage.item import dataset, literal
 from repro.obs.events import (
     EV_BROADCAST,
     EV_INSTR,
@@ -78,7 +80,13 @@ from repro.obs.events import (
     LANE_CP,
     LANE_GPU,
 )
-from repro.runtime.dispatch import Slot, _attr_data, select_loop
+from repro.runtime.dispatch import (
+    Slot,
+    _attr_data,
+    _run_chain,
+    plan_chains,
+    step_lineage_inputs,
+)
 from repro.runtime.placement import (
     SPARK_AGG_ACTION,
     SPARK_AGG_MAP,
@@ -121,44 +129,181 @@ class Interpreter:
             ) -> dict[int, Slot]:
         """Execute a linearized instruction stream; returns hop id -> slot.
 
+        This is the one definition of the paper's main loop (Fig. 4):
+        per instruction TRACE, REUSE probe and, on a miss, EXECUTE, the
+        compiler-placed checkpoint / prefetch / broadcast, and PUT.
+        Everything fixed for a run — which observability layers are
+        live, what the :class:`ReuseMode` probes and puts, the config
+        overheads, the stage callables — is read into locals before the
+        loop, so a layer that is off costs one test of a local boolean
+        per instruction.  The stage callables are looked up on ``self``
+        here, per run, so instance-level wrappers installed after
+        construction are honoured.
+
         GPU pointers acquired during the run (allocations, uploads, and
         cache-hit reuses) each hold one reference; the session binds
         surviving handles (adding their own references) and then calls
-        :meth:`release_acquired` to drop the execution references, moving
-        unreferenced pointers to the Free list (Fig. 8(b)).
+        :meth:`release_acquired` — also when the run raised — to drop
+        the execution references, moving unreferenced pointers to the
+        Free list (Fig. 8(b)).
 
         ``planned_spills`` maps stream positions to the compile-time
         spill points the static memory planner scheduled for this block
         (``repro.analysis.memplan``); each is executed *before* the
         instruction at its position, freeing device memory a block that
-        over-peaks the GPU budget needs to stay feasible.  ``None`` (the
-        overwhelmingly common case — any block whose plan fits its
-        budgets) keeps the specialized dispatch loops untouched.
+        over-peaks the GPU budget needs to stay feasible.
         """
         env: dict[int, Slot] = {}
         acquired: list[GpuData] = []
         self._acquired_stack.append(acquired)
-        if planned_spills:
-            self._run_with_spills(order, env, acquired, planned_spills)
-            return env
-        # dispatch specialization: pick the fast or instrumented loop
-        # once per run instead of re-checking tracer/metrics/faults
-        # guards on every instruction (see repro.runtime.dispatch)
-        loop = select_loop(self)
-        loop(self, order, env, acquired)
-        return env
 
-    def _run_with_spills(self, order: list[Hop], env: dict[int, Slot],
-                         acquired: list[GpuData],
-                         planned_spills: dict[int, list]) -> None:
-        """Instrumented-equivalent loop honouring pre-scheduled spills."""
-        tick = self.metrics.enabled
-        for pos, hop in enumerate(order):
-            for spill in planned_spills.get(pos, ()):
-                self._planned_spill(spill, env, acquired)
-            env[hop.id] = self._execute_one(hop, env, acquired)
+        config = self.config
+        session = self.session
+        clock = self.clock
+        stats = self.stats
+        tracer = self.tracer
+        metrics = self.metrics
+        faults = self.faults
+        tracing = tracer.enabled
+        tick = metrics.enabled
+        fault_draws = faults.enabled
+        spills = planned_spills or None
+
+        mode = config.reuse_mode
+        trace_on = mode is not ReuseMode.NONE
+        probe_on = mode.probes
+        put_on = mode.puts
+        local_only = mode is ReuseMode.LOCAL_ONLY
+        trace_overhead = config.cpu.trace_overhead_s
+        probe_overhead = config.cpu.probe_overhead_s
+        enable_async = config.enable_async_ops
+
+        intern = self.interner.intern
+        cache_probe = self.cache.probe
+        exec_cpu = self._exec_cpu
+        exec_spark = self._exec_spark
+        exec_gpu = self._exec_gpu
+        data_slot = self._data_slot
+        apply_reuse = self._apply_reuse
+        put = self._put
+
+        # chain batching: maximal runs of cell-wise instructions go
+        # through the vectorized ufunc-chain layer in one call.  A
+        # chain's interior values are never probed for or admitted (the
+        # ReuseMode.NONE contract), and no per-instruction hook may be
+        # waiting to observe them.
+        chains = None
+        if not (trace_on or tracing or tick or fault_draws or spills):
+            chains = plan_chains(order)
+
+        pos = 0
+        n = len(order)
+        while pos < n:
+            hop = order[pos]
+            if spills is not None:
+                for spill in spills.get(pos, ()):
+                    self._planned_spill(spill, env, acquired)
+            if chains:
+                chain = chains.get(hop.id)
+                if chain is not None:
+                    _run_chain(self, chain, env, intern)
+                    pos += len(chain.steps)
+                    continue
+            pos += 1
+            kind = hop.kind
+            if kind == KIND_LITERAL:
+                slot = Slot(literal(hop.value))
+                slot.payloads[BACKEND_CP] = ScalarValue(hop.value)
+            elif kind == KIND_DATA:
+                slot = data_slot(hop)
+            else:
+                # a fused cell-wise chain (compile-time fusion rewrite)
+                # TRACEs inside _exec_fused, under its span
+                fused_chain = hop.opcode == FUSED_OPCODE
+                if not fused_chain:
+                    # TRACE (§3.2): items are interned, so a re-traced
+                    # instruction gets the canonical object and probes
+                    # compare by identity; with lineage active, the
+                    # per-instruction overhead of Fig. 2(c) is charged
+                    in_slots = [env[h.id] for h in hop.inputs]
+                    attrs = hop.attrs
+                    item = intern(
+                        hop.opcode,
+                        _attr_data(attrs) if attrs else (),
+                        tuple(s.lineage for s in in_slots),
+                    )
+                    if trace_on:
+                        clock.advance(trace_overhead, HOST)
+                        stats.inc(LINEAGE_TRACED)
+                    slot = Slot(item)
+                if hop.fused:
+                    # transpose fused into tsmm/cpmm: pass through the input
+                    slot.fused_from = in_slots[0]
+                else:
+                    # fault-injection draw point: each op instruction may
+                    # lose cached intermediates, exercising
+                    # recompute-from-lineage downstream
+                    if fault_draws:
+                        faults.lost_cache_entries(session)
+                    # the instruction span covers REUSE + EXECUTE + PUT on
+                    # the driver lane, so every cache/backend event emitted
+                    # underneath carries this instruction's label
+                    # (opcode#hop) for attribution.  Entered by hand, not
+                    # with ``with``: an untraced instruction must pay one
+                    # boolean test, not a null context manager's calls
+                    span = None
+                    if tracing:
+                        args = {"opcode": hop.opcode, "hop": hop.id,
+                                "backend": hop.placement or BACKEND_CP}
+                        if not fused_chain:
+                            args["lineage"] = item.id
+                        span = tracer.span(EV_INSTR, LANE_CP, **args)
+                        span.__enter__()
+                    try:
+                        # REUSE probe (LIMA traces and reuses only local
+                        # CPU instructions in LOCAL_ONLY mode; fusion
+                        # only fires in modes that never probe or put)
+                        entry = None
+                        placement = hop.placement
+                        if probe_on and not fused_chain and (
+                                not local_only or placement == BACKEND_CP):
+                            clock.advance(probe_overhead, HOST)
+                            entry = cache_probe(item)
+                        if entry is not None:
+                            apply_reuse(hop, slot, entry)
+                        elif fused_chain:
+                            slot = self._exec_fused(hop, env)
+                        else:
+                            # EXECUTE
+                            backend = placement or BACKEND_CP
+                            if backend == BACKEND_CP:
+                                exec_cpu(hop, slot, in_slots)
+                            elif backend == BACKEND_SP:
+                                exec_spark(hop, slot, in_slots)
+                            else:
+                                exec_gpu(hop, slot, in_slots, acquired)
+                            payloads = slot.payloads
+                            # compiler-placed RDD checkpoint (§5.2)
+                            if hop.checkpoint and BACKEND_SP in payloads:
+                                self._persist_checkpoint(payloads[BACKEND_SP])
+                            # asynchronous prefetch / broadcast (§5.1)
+                            if hop.prefetch and enable_async:
+                                self._issue_prefetch(hop, slot)
+                            if hop.async_broadcast and BACKEND_CP in payloads:
+                                self._issue_broadcast(slot)
+                            # PUT
+                            if put_on:
+                                put(hop, slot)
+                    finally:
+                        if span is not None:
+                            span.__exit__(None, None, None)
+            env[hop.id] = slot
             if tick:
-                self.metrics.tick(self.session)
+                # time-series sampling hook (repro.obs.metrics): reads
+                # region ledgers and counters every N instructions; never
+                # advances the sim clock, so metered runs stay identical
+                metrics.tick(session)
+        return env
 
     def _planned_spill(self, spill, env: dict[int, Slot],
                        acquired: list[GpuData]) -> None:
@@ -202,113 +347,6 @@ class Interpreter:
 
     # --------------------------------------------------------------- per instruction
 
-    def _execute_one(self, hop: Hop, env: dict[int, Slot],
-                     gpu_created: list[GpuData]) -> Slot:
-        """One Fig. 4 iteration on the instrumented path.
-
-        Stages, in order: leaf binding (literals / data hops), TRACE
-        (§3.2), the fault-injection draw point, and — under the
-        instruction's tracer span — REUSE / EXECUTE / PUT via
-        :meth:`_reuse_or_execute`.  The fast dispatch loop
-        (``repro.runtime.dispatch.run_fast``) inlines the same stages
-        with the disabled observability branches removed.
-        """
-        mode = self.config.reuse_mode
-
-        if hop.kind == KIND_LITERAL:
-            slot = Slot(literal(hop.value))
-            slot.payloads[BACKEND_CP] = ScalarValue(hop.value)
-            return slot
-
-        if hop.kind == KIND_DATA:
-            return self._data_slot(hop)
-
-        if hop.opcode == FUSED_OPCODE:
-            # fused cell-wise chain (repro.compiler.rewrites.fusion):
-            # TRACE + EXECUTE happen inside _exec_fused; fused chains
-            # never probe or put (fusion only fires in modes without
-            # retention, enforced by the FUS analysis rules)
-            if self.faults.enabled:
-                self.faults.lost_cache_entries(self.session)
-            if self.tracer.enabled:
-                with self.tracer.span(
-                    EV_INSTR, LANE_CP,
-                    opcode=hop.opcode, hop=hop.id, backend=BACKEND_CP,
-                ):
-                    return self._exec_fused(hop, env)
-            return self._exec_fused(hop, env)
-
-        # TRACE
-        in_slots = [env[h.id] for h in hop.inputs]
-        item = self._trace(hop, in_slots)
-        slot = Slot(item)
-
-        if hop.fused:
-            # transpose fused into tsmm/cpmm: pass through the input slot
-            slot.fused_from = in_slots[0]
-            return slot
-
-        # fault-injection draw point: each op instruction may lose cached
-        # intermediates, exercising recompute-from-lineage downstream
-        if self.faults.enabled:
-            self.faults.lost_cache_entries(self.session)
-
-        # the instruction span covers REUSE + EXECUTE + PUT on the driver
-        # lane, so every cache/backend event emitted underneath carries
-        # this instruction's label (opcode#hop) for attribution
-        if self.tracer.enabled:
-            with self.tracer.span(
-                EV_INSTR, LANE_CP,
-                opcode=hop.opcode, hop=hop.id,
-                backend=hop.placement or BACKEND_CP, lineage=item.id,
-            ):
-                self._reuse_or_execute(hop, slot, in_slots, gpu_created, mode)
-        else:
-            self._reuse_or_execute(hop, slot, in_slots, gpu_created, mode)
-        return slot
-
-    def _reuse_or_execute(self, hop: Hop, slot: Slot, in_slots: list[Slot],
-                          gpu_created: list[GpuData],
-                          mode: ReuseMode) -> None:
-        """REUSE probe, backend execution, async rewrites, and PUT."""
-        # REUSE (LIMA traces and reuses only local CPU instructions)
-        local_only_skip = (
-            mode is ReuseMode.LOCAL_ONLY and hop.placement != BACKEND_CP
-        )
-        if self._probe_enabled(mode) and not local_only_skip:
-            entry = self._probe(hop, slot.lineage)
-            if entry is not None:
-                self._apply_reuse(hop, slot, entry)
-                return
-
-        # EXECUTE
-        backend = hop.placement or BACKEND_CP
-        if backend == BACKEND_SP:
-            self._exec_spark(hop, slot, in_slots)
-        elif backend == BACKEND_GPU:
-            self._exec_gpu(hop, slot, in_slots, gpu_created)
-        else:
-            self._exec_cpu(hop, slot, in_slots)
-
-        # compiler-placed RDD checkpoint (§5.2)
-        if hop.checkpoint and BACKEND_SP in slot.payloads:
-            dm: DistributedMatrix = slot.payloads[BACKEND_SP]
-            if not dm.rdd.is_persisted:
-                dm.rdd.persist(self.session.spark_mgr.storage_level)
-                self.stats.inc(CHECKPOINTS_PLACED)
-
-        # asynchronous prefetch of remote results (§5.1)
-        if hop.prefetch and self.config.enable_async_ops:
-            self._issue_prefetch(hop, slot)
-
-        # asynchronous broadcast of local results (§5.1)
-        if hop.async_broadcast and BACKEND_CP in slot.payloads:
-            self._issue_broadcast(slot)
-
-        # PUT
-        if self._put_enabled(mode):
-            self._put(hop, slot)
-
     def _exec_fused(self, hop: Hop, env: dict[int, Slot]) -> Slot:
         """TRACE + EXECUTE one fused chain as a single instruction.
 
@@ -337,14 +375,8 @@ class Interpreter:
             prev_item = src_slot.lineage
             values = [self._to_cp(src_slot)]
         for step in hop.steps:
-            shop = step.hop
-            if step.scalar_index is None:
-                inputs = (prev_item,)
-            elif step.scalar_index == 0:
-                inputs = (env[shop.inputs[0].id].lineage, prev_item)
-            else:
-                inputs = (prev_item, env[shop.inputs[1].id].lineage)
-            prev_item = intern(shop.opcode, (), inputs)
+            prev_item = intern(step.hop.opcode, (),
+                               step_lineage_inputs(step, prev_item, env))
             traced += 1
         if self.config.reuse_mode is not ReuseMode.NONE:
             self.clock.advance(self.config.cpu.trace_overhead_s, HOST)
@@ -355,51 +387,6 @@ class Interpreter:
         return slot
 
     # ----------------------------------------------------------------- trace / reuse
-
-    def _trace(self, hop: Hop, in_slots: list[Slot]) -> LineageItem:
-        """TRACE stage (paper §3.2): build the instruction's lineage item.
-
-        Items are *interned* through the session's hash-consing table,
-        so re-traced instructions (every iteration of a loop re-traces
-        the same expression) return the canonical object and later
-        cache probes compare by identity.  When lineage is active
-        (every mode but NONE) the paper's per-instruction tracing
-        overhead is charged to the host timeline — the cost Fig. 2(c)
-        bounds at ~5% end-to-end.
-        """
-        mode = self.config.reuse_mode
-        inputs = tuple(s.lineage for s in in_slots)
-        attrs = hop.attrs
-        item = self.interner.intern(
-            hop.opcode, _attr_data(attrs) if attrs else (), inputs
-        )
-        if mode is not ReuseMode.NONE:
-            self.clock.advance(self.config.cpu.trace_overhead_s, HOST)
-            self.stats.inc(LINEAGE_TRACED)
-        return item
-
-    def _probe_enabled(self, mode: ReuseMode) -> bool:
-        """Whether REUSE probes run in ``mode`` (ablation axis, §6.2)."""
-        return mode in (
-            ReuseMode.PROBE_ONLY, ReuseMode.FULL,
-            ReuseMode.LOCAL_ONLY, ReuseMode.OPERATOR_ONLY,
-        )
-
-    def _put_enabled(self, mode: ReuseMode) -> bool:
-        """Whether PUT admission runs in ``mode`` (ablation axis, §6.2)."""
-        return mode in (
-            ReuseMode.FULL, ReuseMode.LOCAL_ONLY, ReuseMode.OPERATOR_ONLY,
-        )
-
-    def _probe(self, hop: Hop, item: LineageItem) -> Optional[CacheEntry]:
-        """REUSE probe (§4.1): look the lineage key up in the cache.
-
-        Charges the constant probe overhead to the host timeline;
-        interned keys make the dictionary lookup an identity comparison
-        for re-traced instructions.
-        """
-        self.clock.advance(self.config.cpu.probe_overhead_s, HOST)
-        return self.cache.probe(item)
 
     def _apply_reuse(self, hop: Hop, slot: Slot, entry: CacheEntry) -> None:
         """Bind a cache hit: skip the instruction entirely."""
@@ -538,7 +525,7 @@ class Interpreter:
         collected results of distributed operations are not cached there.
         """
         mode = self.config.reuse_mode
-        if not self._put_enabled(mode) or mode is ReuseMode.LOCAL_ONLY:
+        if not mode.puts or mode is ReuseMode.LOCAL_ONLY:
             return
         entry = self.cache.get_entry(slot.lineage)
         if entry is not None and entry.is_cached:
@@ -867,6 +854,12 @@ class Interpreter:
         return float(value.data.reshape(-1)[0])
 
     # --------------------------------------------------------------------- async ops
+
+    def _persist_checkpoint(self, dm: DistributedMatrix) -> None:
+        """Persist a compiler-placed RDD checkpoint (§5.2), once."""
+        if not dm.rdd.is_persisted:
+            dm.rdd.persist(self.session.spark_mgr.storage_level)
+            self.stats.inc(CHECKPOINTS_PLACED)
 
     def _issue_prefetch(self, hop: Hop, slot: Slot) -> None:
         """Trigger the remote job now and return a future (§5.1)."""

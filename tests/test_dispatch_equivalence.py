@@ -1,27 +1,27 @@
-"""Fast-path / instrumented-path dispatch equivalence guards.
+"""Instrumentation-invariance guards for the one dispatch loop.
 
-The interpreter selects one of two dispatch loops per run
-(:func:`repro.runtime.dispatch.select_loop`): ``run_fast`` when
-tracing, metrics, and fault injection are all disabled, otherwise the
-fully-guarded ``run_instrumented``.  The contract — asserted here on
-the quickstart and Fig. 12(b) workloads — is that both loops produce
-**byte-identical** results, identical stats counters, and identical
-simulated-clock readings.  The fast path may only change real
-wall-clock cost (measured by the ``BENCH_wallclock`` track, see
-docs/PERFORMANCE.md), never a single observable value.
+``Interpreter.run`` is the only definition of the Fig. 4 loop; tracer
+spans, metrics ticks, fault draws, planned spills and chain batching
+are hooks of it, each behind a boolean read once per run.  The contract
+— asserted here on the quickstart, cell-wise, fused, planned-spill,
+server and Fig. 12(b) workloads — is that turning any hook on or off
+leaves results **byte-identical**, stats counters identical, and
+simulated-clock readings identical.  Instrumentation may only change
+real wall-clock cost (measured by ``bench/``, see docs/PERFORMANCE.md),
+never a single observable value.
 
-Forcing the instrumented loop without changing semantics uses two
-existing zero-overhead guarantees:
+Each layer is switched on without changing semantics through an
+existing zero-overhead guarantee:
 
 * an **empty fault plan** enables the injector (``faults.enabled``)
   but injects nothing — byte-identical by ``tests/test_faults.py``;
 * an ambient **metrics collector** enables sampling, which reads
-  counters/ledgers but never advances the sim clock.
+  counters/ledgers but never advances the sim clock;
+* an ambient **trace collector** opens a span per instruction, stamped
+  with the sim clock it never advances.
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,36 +29,21 @@ import pytest
 from repro import MemphisConfig, Session
 from repro.common.config import ReuseMode
 from repro.faults import FaultPlan, reset_global_ids
-from repro.obs import MetricsCollector, disable_metrics, enable_metrics
-from repro.runtime.dispatch import run_fast, run_instrumented, select_loop
+from repro.obs import metering, tracing
 from repro.workloads.micro import run_fig12b
+from tests.test_memplan import _gpu_chain_session
+
+LAYERS = ("faults", "metrics", "tracer")
 
 
-def _flag_interp(tracer: bool, metrics: bool, faults: bool):
-    return SimpleNamespace(
-        tracer=SimpleNamespace(enabled=tracer),
-        metrics=SimpleNamespace(enabled=metrics),
-        faults=SimpleNamespace(enabled=faults),
-    )
-
-
-class TestLoopSelection:
-    def test_fast_loop_when_all_layers_disabled(self):
-        assert select_loop(_flag_interp(False, False, False)) is run_fast
-
-    @pytest.mark.parametrize("flags", [
-        (True, False, False),
-        (False, True, False),
-        (False, False, True),
-        (True, True, True),
-    ])
-    def test_instrumented_loop_when_any_layer_live(self, flags):
-        assert select_loop(_flag_interp(*flags)) is run_instrumented
-
-    def test_default_session_selects_fast_loop(self):
-        session = Session(MemphisConfig.memphis())
-        assert not (session.tracer.enabled or session.metrics.enabled
-                    or session.faults.enabled)
+def _under(layer: str, workload, config: MemphisConfig):
+    """``workload(config)`` with one instrumentation layer live."""
+    if layer == "faults":
+        # enables the injector's per-instruction draw without injecting
+        config.faults = FaultPlan(specs=[])
+        return workload(config)
+    with {"metrics": metering, "tracer": tracing}[layer]():
+        return workload(config)
 
 
 # ------------------------------------------------------------------ workloads
@@ -93,18 +78,19 @@ def _cellwise(config: MemphisConfig, iters: int = 3):
     return out, session.stats.counters(), dict(session.clock.timelines)
 
 
-def _with_empty_fault_plan(config: MemphisConfig) -> MemphisConfig:
-    # enables the injector (forcing run_instrumented) without injecting
-    config.faults = FaultPlan(specs=[])
-    return config
-
-
-def _assert_equivalent(fast, instrumented):
-    out_f, counters_f, clock_f = fast
+def _assert_equivalent(plain, instrumented):
+    out_p, counters_p, clock_p = plain
     out_i, counters_i, clock_i = instrumented
-    assert out_f.tobytes() == out_i.tobytes()
-    assert counters_f == counters_i
-    assert clock_f == clock_i
+    assert out_p.tobytes() == out_i.tobytes()
+    assert counters_p == counters_i
+    assert clock_p == clock_i
+
+
+def _no_reuse(fusion: bool = False) -> MemphisConfig:
+    config = MemphisConfig.memphis()
+    config.reuse_mode = ReuseMode.NONE
+    config.enable_fusion = fusion
+    return config
 
 
 class TestQuickstartEquivalence:
@@ -114,31 +100,34 @@ class TestQuickstartEquivalence:
     def test_byte_identical_under_empty_fault_plan(self, make_config):
         _assert_equivalent(
             _quickstart(make_config()),
-            _quickstart(_with_empty_fault_plan(make_config())),
+            _under("faults", _quickstart, make_config()),
         )
 
-    def test_byte_identical_under_metrics_collector(self):
-        fast = _quickstart(MemphisConfig.memphis())
-        enable_metrics(MetricsCollector())
-        try:
-            instrumented = _quickstart(MemphisConfig.memphis())
-        finally:
-            disable_metrics()
-        _assert_equivalent(fast, instrumented)
+    @pytest.mark.parametrize("layer", ["metrics", "tracer"])
+    def test_byte_identical_under_collector(self, layer):
+        _assert_equivalent(
+            _quickstart(MemphisConfig.memphis()),
+            _under(layer, _quickstart, MemphisConfig.memphis()),
+        )
 
 
 class TestChainEquivalence:
     def test_batch_dispatch_byte_identical(self):
-        """ReuseMode.NONE engages chain batching on the fast path only;
-        the instrumented loop runs the same plan per-instruction."""
-        def config():
-            cfg = MemphisConfig.memphis()
-            cfg.reuse_mode = ReuseMode.NONE
-            return cfg
+        """ReuseMode.NONE engages chain batching only with every hook
+        off; with one live the same plan runs per-instruction."""
         _assert_equivalent(
-            _cellwise(config()),
-            _cellwise(_with_empty_fault_plan(config())),
+            _cellwise(_no_reuse()),
+            _under("faults", _cellwise, _no_reuse()),
         )
+
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_fused_instruction_byte_identical(self, layer):
+        """``_exec_fused`` under the fault draw / tick / span equals
+        fusion with instrumentation off."""
+        plain = _cellwise(_no_reuse(fusion=True))
+        assert plain[1]["fusion/instructions_executed"] > 0
+        _assert_equivalent(
+            plain, _under(layer, _cellwise, _no_reuse(fusion=True)))
 
     def test_chain_interior_not_cached(self):
         cfg = MemphisConfig.memphis()
@@ -150,6 +139,26 @@ class TestChainEquivalence:
         assert len(session.cache) == 0
 
 
+class TestPlannedSpillEquivalence:
+    """Compile-time spill points ride the same loop as every other hook."""
+
+    @staticmethod
+    def _spill_chain(_config=None):
+        session, handle = _gpu_chain_session(64 * 1024, spills=True,
+                                             enforce=True)
+        out = session.compute(handle)
+        return out, session.stats.counters(), dict(session.clock.timelines)
+
+    def test_plain_run_executes_spills(self):
+        counters = self._spill_chain()[1]
+        assert counters["memplan/planned_spills_executed"] > 0
+
+    @pytest.mark.parametrize("layer", ["tracer", "metrics"])
+    def test_byte_identical_under_collector(self, layer):
+        _assert_equivalent(self._spill_chain(),
+                           _under(layer, self._spill_chain, None))
+
+
 class TestServerZeroOverhead:
     """The request-observability layer must cost nothing when disabled.
 
@@ -158,7 +167,7 @@ class TestServerZeroOverhead:
     same demo run today — request contexts minted, flight recorder on,
     attribution matrix maintained — must reproduce it byte-for-byte:
     identical merged counters, request outcomes, tenant occupancy, and
-    result values, with every session still on the fast dispatch loop.
+    result values, with every session's hooks still the null singletons.
     """
 
     BASELINE = "benchmarks/baselines/server_mixed_counters.json"
@@ -189,7 +198,9 @@ class TestServerZeroOverhead:
             for key in ("tenant", "ok", "steps", "retries", "error"):
                 assert got[key] == rec[key], (rec["name"], key)
 
-    def test_fast_loop_selected_with_request_layer_disabled(self, baseline):
+    def test_null_singletons_with_request_layer_disabled(self, baseline):
+        from repro.faults.injector import NULL_INJECTOR
+        from repro.obs.metrics import NULL_METRICS
         from repro.obs.tracer import NULL_TRACER
         from repro.server import run_server_demo
 
@@ -197,23 +208,20 @@ class TestServerZeroOverhead:
                                  seed=baseline["seed"])
         for session in report.sessions:
             assert session.tracer is NULL_TRACER
-            assert select_loop(session.interpreter) is run_fast
+            assert session.metrics is NULL_METRICS
+            assert session.faults is NULL_INJECTOR
 
 
 class TestFig12Equivalence:
     @pytest.mark.parametrize("setting", ["Base", "MPH"])
     def test_byte_identical_under_metrics_collector(self, setting):
-        reset_global_ids()
-        fast = run_fig12b(setting, batch_size=64, num_images=128,
-                          reuse_fraction=0.5, hw=12)
-        reset_global_ids()
-        enable_metrics(MetricsCollector())
-        try:
-            instrumented = run_fig12b(setting, batch_size=64,
-                                      num_images=128,
-                                      reuse_fraction=0.5, hw=12)
-        finally:
-            disable_metrics()
-        assert fast.metric == instrumented.metric
-        assert fast.counters == instrumented.counters
-        assert fast.elapsed == instrumented.elapsed
+        def fig12b(_config=None):
+            reset_global_ids()
+            return run_fig12b(setting, batch_size=64, num_images=128,
+                              reuse_fraction=0.5, hw=12)
+
+        plain = fig12b()
+        metered = _under("metrics", fig12b, None)
+        assert plain.metric == metered.metric
+        assert plain.counters == metered.counters
+        assert plain.elapsed == metered.elapsed

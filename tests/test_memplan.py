@@ -29,7 +29,6 @@ from repro.analysis.memplan import (
     REGION_SPARK_CACHE,
     REGION_SPARK_STORAGE,
     STICKY_REGIONS,
-    _put_enabled,
 )
 from repro.common.config import MemphisConfig, ReuseMode
 from repro.common.errors import VerificationError
@@ -141,13 +140,6 @@ class TestPlanBlock:
         assert gpu, "chain should place ops on the GPU"
         assert all(c.nbytes % alignment == 0 for c in gpu)
         assert {c.reason for c in gpu} <= {"alloc", "upload"}
-
-    def test_put_enabled_mirror_stays_in_sync(self):
-        """memplan._put_enabled must mirror Interpreter._put_enabled."""
-        sess = Session(MemphisConfig())
-        for mode in ReuseMode:
-            assert _put_enabled(mode) == \
-                sess.interpreter._put_enabled(mode), mode
 
     def test_footprint_table_renders(self):
         sess = _planned_session()

@@ -170,6 +170,42 @@ class TestExchangePaths:
         assert sess.stats.get("spark/broadcasts") == bcasts
 
 
+class TestFailedRun:
+    def test_mid_block_error_releases_gpu_references(self):
+        """A run that raises must not leave its acquired-pointer frame
+        (and the execution references in it) behind."""
+        cfg = MemphisConfig.memphis()
+        cfg.gpu_enabled = True
+        cfg.spark_enabled = False
+        sess = Session(cfg)
+        interp = sess.interpreter
+        X = sess.read(RNG.random((64, 64)), "X")
+        out = ((X @ X) + 1.0).relu()
+
+        frames = []
+        exec_gpu = interp._exec_gpu
+
+        def failing_exec_gpu(hop, slot, in_slots, acquired):
+            if frames:
+                raise RuntimeError("injected kernel failure")
+            frames.append(acquired)
+            exec_gpu(hop, slot, in_slots, acquired)
+
+        interp._exec_gpu = failing_exec_gpu
+        with pytest.raises(RuntimeError, match="injected kernel failure"):
+            out.compute()
+        del interp._exec_gpu
+
+        assert interp._acquired_stack == []
+        acquired = frames[0]
+        assert acquired, "the first GPU instruction acquired pointers"
+        assert all(d.ptr.freed or d.ptr.ref_count == 0 for d in acquired)
+        sess.arbiter.check()
+        # the next block runs on a clean stack and leaves it clean
+        assert np.isfinite(((X @ X) + 1.0).sum().item())
+        assert interp._acquired_stack == []
+
+
 class TestFusedTranspose:
     def test_tsmm_does_not_execute_standalone_transpose(self):
         sess = big_session()
