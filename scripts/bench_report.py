@@ -4,12 +4,8 @@
 Runs harness experiments under an ambient metrics collector and writes
 one schema-validated record per experiment (simulated time, wall-clock,
 key counters, metric-series digests).  CI runs the fast subset and
-gates on the schema; the full run regenerates the committed report.
-
-The ``--wallclock`` mode instead runs the wall-clock dispatch track
-(``repro.harness.wallclock``): real ``perf_counter`` throughput and
-latency of the interpreter hot path, written as a schema-validated
-``BENCH_wallclock.json`` and optionally gated against a baseline.
+gates on the schema; the report is an output (git-ignored), not a
+committed contract — real wall-clock is measured by ``bench/run.py``.
 
 Usage::
 
@@ -17,12 +13,7 @@ Usage::
     python scripts/bench_report.py --fast           # CI subset
     python scripts/bench_report.py fig11a fig2c     # selected
     python scripts/bench_report.py --validate BENCH_5.json
-    python scripts/bench_report.py --wallclock [--fast]
-    python scripts/bench_report.py --wallclock \
-        --baseline benchmarks/baselines/wallclock_baseline.json
-    python scripts/bench_report.py --validate-wallclock BENCH_wallclock.json
     python scripts/bench_report.py --fusion-gate   # fused-vs-unfused gate
-    python scripts/bench_report.py --server 8 --server-seed 7
 """
 
 from __future__ import annotations
@@ -39,22 +30,13 @@ sys.path.insert(0, os.path.join(REPO, "src"))
 from repro.harness.__main__ import EXPERIMENTS  # noqa: E402
 from repro.harness.telemetry import (  # noqa: E402
     build_bench_report,
-    build_wallclock_report,
-    compare_wallclock_reports,
     experiment_record,
     validate_bench_report,
-    validate_wallclock_report,
 )
 from repro.obs import MetricsCollector, disable_metrics, enable_metrics  # noqa: E402
 
 #: the issue number this report belongs to (BENCH_<ISSUE>.json).
 ISSUE = 5
-
-#: the issue number of the wall-clock track (BENCH_wallclock.json).
-WALLCLOCK_ISSUE = 6
-
-#: the issue number of the server observability track.
-SERVER_ISSUE = 10
 
 #: quick experiments CI can afford on every push.
 FAST_SUBSET = ("fig2c", "fig2d", "fig11a", "fig12b")
@@ -102,106 +84,6 @@ def write_report(records: list[dict], out: str) -> int:
     return 0
 
 
-def run_wallclock(fast: bool, out_path: str | None,
-                  baseline_path: str | None, tolerance: float) -> int:
-    """Run the wall-clock track; optionally gate against a baseline."""
-    from repro.harness.wallclock import run_track
-
-    results = run_track(fast=fast)
-    records = [r.as_record() for r in results]
-    for rec in records:
-        print(f"[{rec['name']}: {rec['items_per_s']:.0f} items/s, "
-              f"p50 {rec['p50_ms']:.3f} ms, p99 {rec['p99_ms']:.3f} ms "
-              f"({rec['repeats']}x{rec['iters_per_repeat']} iters)]")
-    doc = build_wallclock_report(records, issue=WALLCLOCK_ISSUE)
-    problems = validate_wallclock_report(doc)
-    if problems:
-        for p in problems:
-            print(f"  schema: {p}")
-        print("FAIL: generated wall-clock report does not validate")
-        return 1
-
-    out = out_path or os.path.join(REPO, "BENCH_wallclock.json")
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"[wall-clock report: {len(records)} workload(s) -> {out}]")
-
-    if baseline_path is not None:
-        with open(baseline_path, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        problems = validate_wallclock_report(baseline)
-        if problems:
-            for p in problems:
-                print(f"  baseline schema: {p}")
-            print(f"FAIL: baseline {baseline_path} does not validate")
-            return 1
-        regressions = compare_wallclock_reports(doc, baseline, tolerance)
-        if regressions:
-            for r in regressions:
-                print(f"  regression: {r}")
-            print(f"FAIL: {len(regressions)} wall-clock regression(s) "
-                  f"vs {baseline_path}")
-            return 1
-        print(f"OK: no wall-clock regressions vs {baseline_path} "
-              f"(tolerance {tolerance:.0%})")
-    return 0
-
-
-def run_server_bench(sessions: int, seed: int, out_path: str) -> int:
-    """Run the multi-tenant server demo through the bench pipeline.
-
-    The server run's *merged* counters (substrate + every session)
-    become one bench experiment record, so the schema-validated
-    document written to ``out_path`` carries the same key counters the
-    simulated-time experiments report — plus every ``server/`` counter
-    — and CI can gate on it like any other report.
-    """
-    from repro.common.simclock import HOST
-    from repro.harness.telemetry import (
-        server_report_records,
-        validate_server_records,
-    )
-    from repro.server import run_server_demo
-
-    start = time.time()
-    report = run_server_demo(sessions, seed=seed)
-    wall = time.time() - start
-    merged = report.merged.counters()
-    sim_time = sum(s.clock.now(HOST) for s in report.sessions)
-    record = {
-        "name": f"server_demo[{sessions}s,seed{seed}]",
-        "wall_s": float(wall),
-        "sim_time_s": float(sim_time),
-        "workloads": len(report.results),
-        "counters": {name: int(count)
-                     for name, count in sorted(merged.items())},
-        "metric_series": {},
-    }
-    print(f"[server: {len(report.results)} request(s), "
-          f"{record['counters'].get('server/cross_session_hits', 0)} "
-          f"cross-session hit(s), wall {wall:.1f}s]")
-    problems = validate_server_records(
-        server_report_records(report, sessions, seed))
-    if problems:
-        for p in problems:
-            print(f"  server schema: {p}")
-        print("FAIL: server SLO records do not validate")
-        return 1
-    doc = build_bench_report([record], issue=SERVER_ISSUE)
-    problems = validate_bench_report(doc)
-    if problems:
-        for p in problems:
-            print(f"  schema: {p}")
-        print("FAIL: generated server bench report does not validate")
-        return 1
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"[server bench report -> {out_path}]")
-    return 0 if report.ok else 1
-
-
 #: gate workloads where fusion must fire: instruction count AND
 #: cpu-allocated bytes must *strictly* drop fused vs unfused.
 FUSION_MUST_DROP = ("cellwise_chain", "matmul_epilogue")
@@ -234,8 +116,8 @@ def _fusion_gate_workloads() -> dict:
         }
 
     def cellwise_chain():
-        # the wall-clock track's cell-wise pipeline (ReuseMode.NONE):
-        # the maximal *,+,sigmoid,*,relu run must fuse to 1 instruction
+        # a straight-line cell-wise pipeline (ReuseMode.NONE): the
+        # maximal *,+,sigmoid,*,relu run must fuse to 1 instruction
         config = MemphisConfig.memphis()
         config.reuse_mode = ReuseMode.NONE
         session = Session(config)
@@ -351,57 +233,17 @@ def main(argv: list[str] | None = None) -> int:
                         help=f"run the CI subset only: {', '.join(FAST_SUBSET)}")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help=f"output path (default: BENCH_{ISSUE}.json "
-                             f"in the repo root; required with --server)")
+                             f"in the repo root)")
     parser.add_argument("--validate", metavar="PATH", default=None,
                         help="validate an existing report and exit")
-    parser.add_argument("--wallclock", action="store_true",
-                        help="run the wall-clock dispatch track instead of "
-                             "the simulated-time experiments")
-    parser.add_argument("--baseline", metavar="PATH", default=None,
-                        help="with --wallclock: compare against a baseline "
-                             "report and exit 1 on regression")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="with --baseline: allowed fractional "
-                             "items/s drop (default 0.25)")
-    parser.add_argument("--validate-wallclock", metavar="PATH", default=None,
-                        help="validate an existing wall-clock report and exit")
     parser.add_argument("--fusion-gate", action="store_true",
                         help="run the fused-vs-unfused instruction-count "
                              "gate: instcount must strictly drop on "
                              "cell-wise chains and never rise elsewhere")
-    parser.add_argument("--server", metavar="N", type=int, default=None,
-                        help="run the multi-tenant server demo with N "
-                             "sessions and emit its merged counters as a "
-                             "schema-validated bench report (needs --out)")
-    parser.add_argument("--server-seed", metavar="SEED", type=int, default=0,
-                        help="with --server: deterministic interleave seed")
     args = parser.parse_args(argv)
 
     if args.fusion_gate:
         return run_fusion_gate()
-
-    if args.server is not None:
-        if args.out is None:
-            parser.error("--server writes no default file: pass --out PATH")
-        return run_server_bench(args.server, args.server_seed, args.out)
-
-    if args.validate_wallclock is not None:
-        with open(args.validate_wallclock, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        problems = validate_wallclock_report(doc)
-        if problems:
-            for p in problems:
-                print(f"  schema: {p}")
-            print(f"FAIL: {len(problems)} problem(s) in "
-                  f"{args.validate_wallclock}")
-            return 1
-        print(f"OK: {args.validate_wallclock} is a valid wall-clock report "
-              f"({len(doc['workloads'])} workload(s))")
-        return 0
-
-    if args.wallclock:
-        return run_wallclock(args.fast, args.out, args.baseline,
-                             args.tolerance)
 
     if args.validate is not None:
         with open(args.validate, "r", encoding="utf-8") as fh:

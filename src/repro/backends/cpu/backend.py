@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backends.cpu import kernels
-from repro.backends.cpu.vectorized import CompiledStep
 from repro.common.config import CpuConfig
 from repro.common.costs import op_flops
 from repro.common.simclock import HOST, SimClock
@@ -32,12 +31,10 @@ class CpuBackend:
                in_nbytes: int, out: Value) -> None:
         """Charge simulated host time + count one executed instruction.
 
-        Shared by the generic :meth:`execute` path and the vectorized
-        chain path so both advance the clock with the identical
-        ``overhead + max(compute, memory)`` roofline term per
-        instruction — a precondition for dispatch-path byte equality.
-        Every charge also accounts the output allocation
-        (``cpu/bytes_allocated``), which is what fused chains reduce.
+        The ``overhead + max(compute, memory)`` roofline term of one
+        unfused instruction.  Every charge also accounts the output
+        allocation (``cpu/bytes_allocated``), which is what fused
+        chains reduce.
         """
         cfg = self.config
         flops = op_flops(opcode, in_shapes, out.shape)
@@ -65,29 +62,6 @@ class CpuBackend:
         self.charge(opcode, in_shapes, in_nbytes, out)
         return out
 
-    def execute_chain(self, steps: list[CompiledStep],
-                      value: MatrixValue) -> list[MatrixValue]:
-        """Run a precompiled cell-wise ufunc chain on ``value``.
-
-        Returns one :class:`MatrixValue` per step, in order.  Each step
-        is applied to the *normalized* output array of its predecessor
-        and charged through :meth:`charge` individually, so results,
-        counters, and clock advances match ``len(steps)`` successive
-        :meth:`execute` calls bit for bit — only the per-instruction
-        dispatch overhead (registry lookup, operand unpacking) is gone.
-        """
-        outs: list[MatrixValue] = []
-        arr = value.data
-        in_nbytes = value.nbytes
-        for step in steps:
-            out = MatrixValue(step.apply(arr))
-            self.charge(step.hop.opcode, step.in_shapes(arr.shape),
-                        in_nbytes + step.extra_in_nbytes, out)
-            outs.append(out)
-            arr = out.data
-            in_nbytes = out.nbytes
-        return outs
-
     def execute_fused(self, hop, inputs: list[Value]) -> MatrixValue:
         """Run one fused chain (``repro.compiler.rewrites.fusion``).
 
@@ -96,11 +70,11 @@ class CpuBackend:
         the chain's scalar literals (already baked into the step
         closures, present only for lineage/cost bookkeeping).
 
-        Unlike :meth:`execute_chain`, interior step outputs are *not*
-        wrapped in :class:`MatrixValue`; each step output feeds the next
-        directly after the same float64 normalization ``MatrixValue``
-        would apply (comparison ufuncs emit bool arrays), so the final
-        value is byte-identical to the unfused chain's tail.  The whole
+        Interior step outputs are *not* wrapped in
+        :class:`MatrixValue`; each step output feeds the next directly
+        after the same float64 normalization ``MatrixValue`` would
+        apply (comparison ufuncs emit bool arrays), so the final value
+        is byte-identical to the unfused chain's tail.  The whole
         chain is charged as ONE instruction: one interpretation
         overhead, the summed FLOPs against the roofline, and only the
         external input plus final output bytes of memory traffic — the

@@ -67,8 +67,8 @@ def _make_binary(op):
 
 
 #: cell-wise binary opcodes -> numpy ufuncs.  Shared with the vectorized
-#: chain layer (``repro.backends.cpu.vectorized``) so both dispatch paths
-#: execute the exact same ufunc object.
+#: chain layer (``repro.backends.cpu.vectorized``) so fused and unfused
+#: instructions execute the exact same ufunc object.
 BINARY_UFUNCS: dict[str, Callable] = {
     "+": np.add,
     "-": np.subtract,

@@ -1,22 +1,23 @@
-"""Vectorized CPU kernel layer: precompiled cell-wise ufunc chains.
+"""Vectorized CPU kernel layer: precompiled cell-wise ufunc steps.
 
 The generic dispatch path pays per instruction for a kernel-registry
 lookup, operand unpacking, and value re-wrapping.  For *runs* of
 cell-wise operations (``relu(X * 2.0 + 1.0)``-style pipelines) all of
 that is loop-invariant: the ufunc, the scalar operand, and the operand
-layout are known at plan time.  This module compiles one hop into a
+layout are known at compile time.  This module compiles one hop into a
 :class:`CompiledStep` — a closure from input ndarray to output ndarray —
-so the dispatch loop's chain batching (``repro.runtime.dispatch``) can
-execute a whole run as successive ufunc applications on raw arrays.
+so the fusion rewrite (``repro.compiler.rewrites.fusion``) can lower a
+whole run to one instruction that applies the steps back to back on raw
+arrays (``CpuBackend.execute_fused``).
 
 Byte-equality contract: every step closure applies the *same* numpy
 callable the generic kernel registry uses (the tables are shared via
 :data:`~repro.backends.cpu.kernels.UNARY_UFUNCS` /
-:data:`~repro.backends.cpu.kernels.BINARY_UFUNCS`), and results are
-re-wrapped in :class:`~repro.runtime.values.MatrixValue`, which performs
-the identical float64 normalization.  Chains therefore produce bit-for-
-bit the results of the one-instruction-at-a-time path; the dispatch
-equivalence tests assert this.
+:data:`~repro.backends.cpu.kernels.BINARY_UFUNCS`), and the fused
+instruction applies the identical float64 normalization
+:class:`~repro.runtime.values.MatrixValue` performs.  A fused chain
+therefore produces bit-for-bit the result of the
+one-instruction-at-a-time path; ``tests/test_fusion.py`` asserts this.
 
 Eligibility is deliberately narrow — a hop compiles only when:
 
@@ -27,7 +28,7 @@ Eligibility is deliberately narrow — a hop compiles only when:
 * any second operand is a scalar *literal* hop, matching the generic
   path's python-float broadcasting.
 
-Everything else falls back to the generic per-instruction kernels.
+Everything else stays on the generic per-instruction kernels.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ UNARY_CHAIN_OPS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 #: every opcode that can appear in a chain — used as the first, cheapest
-#: rejection test so chain planning costs one set probe per non-cell-wise
-#: instruction.
+#: rejection test so fusion planning costs one set probe per
+#: non-cell-wise hop.
 CHAINABLE_OPCODES: frozenset = frozenset(UNARY_CHAIN_OPS) | frozenset(BINARY_UFUNCS)
 
 
@@ -72,8 +73,8 @@ class CompiledStep:
     Attributes
     ----------
     hop:
-        The source hop (the dispatch loop needs its id, inputs, and
-        opcode for lineage tracing and environment binding).
+        The source hop (``_exec_fused`` needs its opcode and inputs to
+        re-intern the lineage item the unfused instruction would trace).
     apply:
         ``ndarray -> ndarray`` closure with operands baked in.
     matrix_index:
@@ -94,14 +95,6 @@ class CompiledStep:
         self.apply = apply
         self.matrix_index = matrix_index
         self.scalar_index = scalar_index
-
-    def in_shapes(self, shape: tuple[int, int]) -> list[tuple[int, int]]:
-        """Input-shape list for cost accounting, in hop operand order."""
-        if self.scalar_index is None:
-            return [shape]
-        if self.scalar_index == 0:
-            return [(1, 1), shape]
-        return [shape, (1, 1)]
 
     @property
     def extra_in_nbytes(self) -> int:

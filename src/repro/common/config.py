@@ -142,7 +142,6 @@ class SparkConfig:
     broadcast_chunk_bytes: int = 4 * MB
     #: effective per-core executor compute throughput.
     executor_flops_per_s: float = 60e9
-    executor_mem_bandwidth_bytes_per_s: float = 100 * GB
 
     @property
     def storage_memory(self) -> int:

@@ -192,147 +192,6 @@ def assert_valid_bench_report(doc: object,
         )
 
 
-# -------------------------------------------------- wall-clock track (issue 6)
-
-#: format tag of the wall-clock benchmark document.
-WALLCLOCK_FORMAT = "BENCH_wallclock"
-
-#: wall-clock document version (bump on breaking record changes).
-WALLCLOCK_VERSION = 1
-
-#: fields every wall-clock workload record carries.
-WALLCLOCK_RECORD_KEYS = (
-    "name", "repeats", "iters_per_repeat", "items",
-    "items_per_s", "p50_ms", "p99_ms",
-)
-
-#: JSON-Schema (draft-07 subset) describing a BENCH_wallclock.json document.
-WALLCLOCK_SCHEMA: dict = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "repro.harness wall-clock bench report",
-    "type": "object",
-    "required": ["format", "version", "issue", "workloads"],
-    "properties": {
-        "format": {"const": WALLCLOCK_FORMAT},
-        "version": {"const": WALLCLOCK_VERSION},
-        "issue": {"type": "integer", "minimum": 1},
-        "workloads": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": list(WALLCLOCK_RECORD_KEYS),
-                "properties": {
-                    "name": {"type": "string", "minLength": 1},
-                    "repeats": {"type": "integer", "minimum": 1},
-                    "iters_per_repeat": {"type": "integer", "minimum": 1},
-                    "items": {"type": "integer", "minimum": 0},
-                    "items_per_s": {"type": "number", "minimum": 0},
-                    "p50_ms": {"type": "number", "minimum": 0},
-                    "p99_ms": {"type": "number", "minimum": 0},
-                },
-            },
-        },
-    },
-}
-
-
-def build_wallclock_report(records: list[dict], issue: int) -> dict:
-    """Assemble the top-level BENCH_wallclock document."""
-    return {
-        "format": WALLCLOCK_FORMAT,
-        "version": WALLCLOCK_VERSION,
-        "issue": issue,
-        "workloads": records,
-    }
-
-
-def validate_wallclock_report(doc: object) -> list[str]:
-    """Validate ``doc`` against :data:`WALLCLOCK_SCHEMA` semantics.
-
-    Hand-rolled like :func:`validate_bench_report` (no ``jsonschema``
-    dependency); returns human-readable problems, empty when valid.
-    """
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return ["top-level document is not a JSON object"]
-    if doc.get("format") != WALLCLOCK_FORMAT:
-        problems.append(f"bad 'format' {doc.get('format')!r} "
-                        f"(expected {WALLCLOCK_FORMAT!r})")
-    if doc.get("version") != WALLCLOCK_VERSION:
-        problems.append(f"bad 'version' {doc.get('version')!r} "
-                        f"(expected {WALLCLOCK_VERSION})")
-    issue = doc.get("issue")
-    if not isinstance(issue, int) or issue < 1:
-        problems.append(f"bad 'issue' {issue!r}")
-    workloads = doc.get("workloads")
-    if not isinstance(workloads, list) or not workloads:
-        return problems + ["missing/empty 'workloads' array"]
-    for i, rec in enumerate(workloads):
-        prefix = f"workloads[{i}]"
-        if not isinstance(rec, dict):
-            problems.append(f"{prefix}: not an object")
-            continue
-        name = rec.get("name")
-        if not isinstance(name, str) or not name:
-            problems.append(f"{prefix}: missing/empty 'name'")
-        for key in ("repeats", "iters_per_repeat", "items"):
-            value = rec.get(key)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 0:
-                problems.append(f"{prefix}: bad {key!r} {value!r}")
-        for key in ("items_per_s", "p50_ms", "p99_ms"):
-            value = rec.get(key)
-            if not isinstance(value, (int, float)) \
-                    or isinstance(value, bool) or value < 0:
-                problems.append(f"{prefix}: bad {key!r} {value!r}")
-    return problems
-
-
-def assert_valid_wallclock_report(doc: object,
-                                  context: Optional[str] = None) -> None:
-    """Raise ``ValueError`` with all problems if ``doc`` is invalid."""
-    problems = validate_wallclock_report(doc)
-    if problems:
-        where = f" ({context})" if context else ""
-        raise ValueError(
-            f"invalid wall-clock report{where}:\n  " + "\n  ".join(problems)
-        )
-
-
-def compare_wallclock_reports(current: dict, baseline: dict,
-                              tolerance: float = 0.25) -> list[str]:
-    """Throughput regressions of ``current`` against ``baseline``.
-
-    A workload regresses when its ``items_per_s`` falls more than
-    ``tolerance`` (fraction) below the baseline's.  Workloads present
-    only on one side are reported too — a silently dropped workload
-    must fail the gate, a new one must be baselined deliberately.
-    Latency percentiles are informational only: they are far noisier
-    than best-batch throughput on shared CI machines.
-    """
-    problems: list[str] = []
-    base_by_name = {r["name"]: r for r in baseline.get("workloads", [])}
-    cur_by_name = {r["name"]: r for r in current.get("workloads", [])}
-    for name, base in base_by_name.items():
-        cur = cur_by_name.get(name)
-        if cur is None:
-            problems.append(f"workload {name!r} missing from current report")
-            continue
-        floor = base["items_per_s"] * (1.0 - tolerance)
-        if cur["items_per_s"] < floor:
-            problems.append(
-                f"workload {name!r} regressed: {cur['items_per_s']:.0f} "
-                f"items/s < {floor:.0f} (baseline "
-                f"{base['items_per_s']:.0f} - {tolerance:.0%})"
-            )
-    for name in cur_by_name:
-        if name not in base_by_name:
-            problems.append(f"workload {name!r} not in baseline "
-                            f"(re-baseline to add it)")
-    return problems
-
-
 # ------------------------------------------------- server SLO track (issue 10)
 
 #: format tag of the server observability JSONL stream.

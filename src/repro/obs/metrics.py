@@ -300,8 +300,7 @@ class NullMetrics:
     """Disabled registry: the per-instruction cost is one attribute load.
 
     One of the three null singletons of the zero-overhead pattern
-    (docs/ARCHITECTURE.md "Zero overhead when disabled"); with all
-    three installed the dispatch loop may batch cell-wise chains.
+    (docs/ARCHITECTURE.md "Zero overhead when disabled").
     """
 
     enabled = False

@@ -33,10 +33,10 @@ in :meth:`Interpreter.run`; the stages it sequences are:
 Tracer spans, metrics ticks, fault draws and planned spills are hooks
 of that same loop, each behind a boolean read once per run; which modes
 probe and put is :class:`~repro.common.config.ReuseMode`'s own
-``probes`` / ``puts``.  ``repro.runtime.dispatch`` holds the slot type
-and the chain batching the loop engages when nothing observes
-individual instructions; docs/PERFORMANCE.md covers the wall-clock
-benchmarks gating it.
+``probes`` / ``puts``.  A cell-wise chain becomes one instruction only
+through the compile-time fusion rewrite (:meth:`Interpreter._exec_fused`);
+``bench/`` measures the loop's real wall-clock cost
+(docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from repro.core.entry import (
     BACKEND_SP,
     CacheEntry,
 )
-from repro.lineage.item import dataset, literal
+from repro.lineage.item import LineageItem, dataset, literal
 from repro.obs.events import (
     EV_BROADCAST,
     EV_INSTR,
@@ -79,13 +79,6 @@ from repro.obs.events import (
     EV_PREFETCH_DONE,
     LANE_CP,
     LANE_GPU,
-)
-from repro.runtime.dispatch import (
-    Slot,
-    _attr_data,
-    _run_chain,
-    plan_chains,
-    step_lineage_inputs,
 )
 from repro.runtime.placement import (
     SPARK_AGG_ACTION,
@@ -100,6 +93,45 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.session import Session
 
 __all__ = ["Interpreter", "Slot"]
+
+
+class Slot:
+    """Runtime binding of one hop: lineage + multi-backend payloads."""
+
+    __slots__ = ("lineage", "payloads", "future", "broadcast", "fused_from")
+
+    def __init__(self, lineage: LineageItem) -> None:
+        self.lineage = lineage
+        self.payloads: dict[str, object] = {}
+        #: pending asynchronous fetch (prefetch rewrite).
+        self.future: Optional[SimFuture] = None
+        #: broadcast variable created for this value (if any).
+        self.broadcast: Optional[Broadcast] = None
+        #: for fused transposes: the slot of the underlying input.
+        self.fused_from: Optional["Slot"] = None
+
+
+def _attr_data(attrs: dict) -> tuple:
+    """Flatten attributes into a deterministic lineage data tuple.
+
+    NaN floats are encoded as a sentinel string: Python hashes NaN by
+    object identity and ``nan != nan``, which would make structurally
+    identical lineage items unequal (breaking all reuse of e.g.
+    ``replace(NaN, v)``).
+    """
+    if not attrs:
+        return ()
+    out: list = []
+    for key in sorted(attrs):
+        out.append(key)
+        value = attrs[key]
+        if isinstance(value, float) and value != value:
+            out.append("__nan__")
+        elif isinstance(value, (int, float, bool, str)):
+            out.append(value)
+        else:
+            out.append(str(value))
+    return tuple(out)
 
 
 class Interpreter:
@@ -187,29 +219,10 @@ class Interpreter:
         apply_reuse = self._apply_reuse
         put = self._put
 
-        # chain batching: maximal runs of cell-wise instructions go
-        # through the vectorized ufunc-chain layer in one call.  A
-        # chain's interior values are never probed for or admitted (the
-        # ReuseMode.NONE contract), and no per-instruction hook may be
-        # waiting to observe them.
-        chains = None
-        if not (trace_on or tracing or tick or fault_draws or spills):
-            chains = plan_chains(order)
-
-        pos = 0
-        n = len(order)
-        while pos < n:
-            hop = order[pos]
+        for pos, hop in enumerate(order):
             if spills is not None:
                 for spill in spills.get(pos, ()):
                     self._planned_spill(spill, env, acquired)
-            if chains:
-                chain = chains.get(hop.id)
-                if chain is not None:
-                    _run_chain(self, chain, env, intern)
-                    pos += len(chain.steps)
-                    continue
-            pos += 1
             kind = hop.kind
             if kind == KIND_LITERAL:
                 slot = Slot(literal(hop.value))
@@ -375,8 +388,17 @@ class Interpreter:
             prev_item = src_slot.lineage
             values = [self._to_cp(src_slot)]
         for step in hop.steps:
-            prev_item = intern(step.hop.opcode, (),
-                               step_lineage_inputs(step, prev_item, env))
+            # the input tuple per-instruction TRACE builds from the same
+            # hop: the spine item alone for a unary step, plus the scalar
+            # literal's item on the side it occupies in ``hop.inputs``
+            index = step.scalar_index
+            if index is None:
+                inputs = (prev_item,)
+            else:
+                scalar = env[step.hop.inputs[index].id].lineage
+                inputs = (scalar, prev_item) if index == 0 \
+                    else (prev_item, scalar)
+            prev_item = intern(step.hop.opcode, (), inputs)
             traced += 1
         if self.config.reuse_mode is not ReuseMode.NONE:
             self.clock.advance(self.config.cpu.trace_overhead_s, HOST)

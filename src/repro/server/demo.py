@@ -1,12 +1,12 @@
 """Canonical multi-tenant workload for the reuse server.
 
-Deterministic programs used by the harness ``--server`` mode, the CI
-smoke (``scripts/server_smoke.py``), and the wallclock benchmark track:
-several sessions across two tenants run an *identical* pure ridge
-pipeline over the same datasets — every session after the first should
-hit the shared substrate (``server/cross_session_hits``) — while the
-impure variants draw unseeded random matrices and therefore stay
-session-scoped (zero cross-session hits, by the namespacing rules in
+Deterministic programs used by the harness ``--server`` mode and the
+CI smoke (``scripts/server_smoke.py``): several sessions across two
+tenants run an *identical* pure ridge pipeline over the same datasets —
+every session after the first should hit the shared substrate
+(``server/cross_session_hits``) — while the impure variants draw
+unseeded random matrices and therefore stay session-scoped (zero
+cross-session hits, by the namespacing rules in
 ``repro.core.substrate``).
 """
 

@@ -1,8 +1,8 @@
 """Instrumentation-invariance guards for the one dispatch loop.
 
 ``Interpreter.run`` is the only definition of the Fig. 4 loop; tracer
-spans, metrics ticks, fault draws, planned spills and chain batching
-are hooks of it, each behind a boolean read once per run.  The contract
+spans, metrics ticks, fault draws and planned spills are hooks of it,
+each behind a boolean read once per run.  The contract
 — asserted here on the quickstart, cell-wise, fused, planned-spill,
 server and Fig. 12(b) workloads — is that turning any hook on or off
 leaves results **byte-identical**, stats counters identical, and
@@ -66,8 +66,9 @@ def _quickstart(config: MemphisConfig, iters: int = 4):
 
 
 def _cellwise(config: MemphisConfig, iters: int = 3):
-    """Straight-line ufunc chains (batch-dispatch eligible under
-    ``ReuseMode.NONE``); same observation triple as :func:`_quickstart`."""
+    """Straight-line ufunc chains (one fused instruction each when the
+    config enables fusion); same observation triple as
+    :func:`_quickstart`."""
     reset_global_ids()
     session = Session(config)
     data = (np.arange(64.0 * 64).reshape(64, 64) % 23.0) / 23.0 - 0.5
@@ -112,12 +113,13 @@ class TestQuickstartEquivalence:
 
 
 class TestChainEquivalence:
-    def test_batch_dispatch_byte_identical(self):
-        """ReuseMode.NONE engages chain batching only with every hook
-        off; with one live the same plan runs per-instruction."""
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_unfused_chain_byte_identical(self, layer):
+        """Reuse off, fusion off: every chain step is its own
+        instruction through the loop, whichever hook is live."""
         _assert_equivalent(
             _cellwise(_no_reuse()),
-            _under("faults", _cellwise, _no_reuse()),
+            _under(layer, _cellwise, _no_reuse()),
         )
 
     @pytest.mark.parametrize("layer", LAYERS)
