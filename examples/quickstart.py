@@ -17,7 +17,9 @@ import argparse
 import numpy as np
 
 from repro import MemphisConfig, Session
+from repro.common.runtime import scope
 from repro.ml import lin_reg_ds, lin_reg_predict, r2_score
+from repro.obs import TraceCollector, export_chrome_trace, format_summary
 
 
 def grid_search(session: Session, X_data: np.ndarray,
@@ -41,38 +43,32 @@ def main() -> None:
                         help="write a Chrome/Perfetto trace of both runs")
     args = parser.parse_args()
 
-    collector = None
-    if args.trace is not None:
-        from repro.obs import TraceCollector, enable_tracing
-
-        collector = TraceCollector()
-        enable_tracing(collector)
-
     rng = np.random.default_rng(42)
     X_data = rng.random((60_000, 32))
     beta_true = rng.standard_normal((32, 1))
     y_data = X_data @ beta_true + 0.1 * rng.standard_normal((60_000, 1))
     regs = [10.0 ** (i / 2 - 3) for i in range(10)]
 
-    for label, config in [
-        ("Base (no reuse)", MemphisConfig.base()),
-        ("MEMPHIS", MemphisConfig.memphis()),
-    ]:
-        session = Session(config)
-        best_reg, best_r2 = grid_search(session, X_data, y_data, regs)
-        stats = session.stats
-        print(f"{label:18s} best reg={best_reg:<8g} R^2={best_r2:.4f}")
-        print(f"{'':18s} simulated time  : {session.elapsed() * 1000:9.2f} ms")
-        print(f"{'':18s} spark jobs      : {stats.get('spark/jobs')}")
-        print(f"{'':18s} cache hits      : {stats.get('cache/hits')}")
-        print(f"{'':18s} RDDs reused     : {stats.get('spark/rdds_reused')}")
-        print(f"{'':18s} actions reused  : {stats.get('spark/actions_reused')}")
-        print()
+    # sessions built inside the scope trace into its collector (with no
+    # collector, ``scope(trace=None)`` changes nothing)
+    collector = TraceCollector() if args.trace is not None else None
+    with scope(trace=collector):
+        for label, config in [
+            ("Base (no reuse)", MemphisConfig.base()),
+            ("MEMPHIS", MemphisConfig.memphis()),
+        ]:
+            session = Session(config)
+            best_reg, best_r2 = grid_search(session, X_data, y_data, regs)
+            stats = session.stats
+            print(f"{label:18s} best reg={best_reg:<8g} R^2={best_r2:.4f}")
+            print(f"{'':18s} simulated time  : {session.elapsed() * 1000:9.2f} ms")
+            print(f"{'':18s} spark jobs      : {stats.get('spark/jobs')}")
+            print(f"{'':18s} cache hits      : {stats.get('cache/hits')}")
+            print(f"{'':18s} RDDs reused     : {stats.get('spark/rdds_reused')}")
+            print(f"{'':18s} actions reused  : {stats.get('spark/actions_reused')}")
+            print()
 
     if collector is not None:
-        from repro.obs import disable_tracing, export_chrome_trace, format_summary
-
-        disable_tracing()
         events = collector.events()
         export_chrome_trace(events, args.trace, collector.session_labels)
         print(f"[trace: {len(events)} events -> {args.trace}]")

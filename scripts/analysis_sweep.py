@@ -12,11 +12,10 @@ This is the repository's self-lint gate (run by
 ``.github/workflows/lint.yml``): the analyzer must report zero errors
 over all programs the repo itself compiles.
 
-With ``--fusion`` the sweep installs the ambient fusion override
-(``repro.common.config.install_fusion_override``), so every session
-compiles with the reuse-aware fusion rewrite enabled and the FUS rule
-family (``repro.analysis.fusion_rules``) self-lints every fused chain
-the repo's own workloads produce.
+With ``--fusion`` the sweep runs under ``runtime.scope(fusion=True)``,
+so every session compiles with the reuse-aware fusion rewrite enabled
+and the FUS rule family (``repro.analysis.fusion_rules``) self-lints
+every fused chain the repo's own workloads produce.
 
 Usage::
 
@@ -37,8 +36,9 @@ sys.path.insert(0, os.path.join(REPO, "examples"))
 import numpy as np  # noqa: E402
 
 from repro import MemphisConfig, Session  # noqa: E402
-from repro.analysis import collecting, planning  # noqa: E402
+from repro.analysis import AnalysisCollector, MemplanCollector  # noqa: E402
 from repro.analysis.targets import TARGETS  # noqa: E402
+from repro.common.runtime import scope  # noqa: E402
 
 
 def sweep_quickstart() -> None:
@@ -64,18 +64,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.fusion:
-        from repro.common.config import install_fusion_override
-
-        install_fusion_override(True)
         print("[compiler: reuse-aware operator fusion enabled]")
-
-    try:
+    with scope(fusion=args.fusion or None):
         return _sweep_all()
-    finally:
-        if args.fusion:
-            from repro.common.config import clear_fusion_override
-
-            clear_fusion_override()
 
 
 def _sweep_all() -> int:
@@ -85,7 +76,8 @@ def _sweep_all() -> int:
     failed = 0
     bound_violations = 0
     for name, thunk in sweeps:
-        with collecting() as collector, planning() as memplan:
+        collector, memplan = AnalysisCollector(), MemplanCollector()
+        with scope(analysis=collector, memplan=memplan):
             thunk()
         report = collector.merged()
         errors = report.errors()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Benchmark telemetry pipeline: run experiments, emit BENCH_<n>.json.
 
-Runs harness experiments under an ambient metrics collector and writes
+Runs harness experiments under a scoped metrics collector and writes
 one schema-validated record per experiment (simulated time, wall-clock,
 key counters, metric-series digests).  CI runs the fast subset and
 gates on the schema; the report is an output (git-ignored), not a
@@ -33,7 +33,8 @@ from repro.harness.telemetry import (  # noqa: E402
     experiment_record,
     validate_bench_report,
 )
-from repro.obs import MetricsCollector, disable_metrics, enable_metrics  # noqa: E402
+from repro.common.runtime import scope  # noqa: E402
+from repro.obs import MetricsCollector  # noqa: E402
 
 #: the issue number this report belongs to (BENCH_<ISSUE>.json).
 ISSUE = 5
@@ -53,12 +54,9 @@ def run_experiments(names: list[str]) -> list[dict]:
     records = []
     for name in names:
         collector = MetricsCollector()
-        enable_metrics(collector)
         start = time.time()
-        try:
+        with scope(metrics=collector):
             result = EXPERIMENTS[name]()
-        finally:
-            disable_metrics()
         wall = time.time() - start
         record = experiment_record(name, result, wall, collector)
         records.append(record)
@@ -96,8 +94,8 @@ FUSION_MUST_HOLD = ("quickstart_reuse", "fig11b_reuse")
 def _fusion_gate_workloads() -> dict:
     """Deterministic sim-counter workloads for the fusion gate.
 
-    Each thunk builds its own sessions (so the ambient fusion override
-    set by the caller lands in ``MemphisConfig.__post_init__``) and
+    Each thunk builds its own sessions (so the caller's
+    ``scope(fusion=True)`` lands in ``MemphisConfig.__post_init__``) and
     returns ``{counter_name: value}``.
     """
     import numpy as np
@@ -169,8 +167,8 @@ def _fusion_gate_workloads() -> dict:
 def run_fusion_gate() -> int:
     """Fused-vs-unfused instruction-count gate (CI).
 
-    Runs every gate workload twice — baseline, then with the ambient
-    fusion override installed — and compares the sim counters:
+    Runs every gate workload twice — baseline, then under
+    ``scope(fusion=True)`` — and compares the sim counters:
 
     * ``runtime/instructions_executed`` must never rise under fusion;
     * on :data:`FUSION_MUST_DROP` workloads both the instruction count
@@ -179,22 +177,14 @@ def run_fusion_gate() -> int:
       lineage cache retains intermediates) all counters must be
       identical — the reuse-aware gate refused to fuse.
     """
-    from repro.common.config import (
-        clear_fusion_override,
-        install_fusion_override,
-    )
     from repro.common.stats import CPU_BYTES_ALLOCATED, INSTRUCTIONS_EXECUTED
 
     workloads = _fusion_gate_workloads()
     failures: list[str] = []
     for name, thunk in workloads.items():
-        clear_fusion_override()
         base = thunk()
-        install_fusion_override(True)
-        try:
+        with scope(fusion=True):
             fused = thunk()
-        finally:
-            clear_fusion_override()
         bi, fi = base[INSTRUCTIONS_EXECUTED], fused[INSTRUCTIONS_EXECUTED]
         bb, fb = base[CPU_BYTES_ALLOCATED], fused[CPU_BYTES_ALLOCATED]
         print(f"[{name}: instructions {bi} -> {fi}, "

@@ -28,7 +28,8 @@ import numpy as np  # noqa: E402
 
 from repro import MemphisConfig, Session  # noqa: E402
 from repro.common.stats import FAULTS_INJECTED, FAULTS_RECOVERED  # noqa: E402
-from repro.faults import FaultPlan, reset_global_ids  # noqa: E402
+from repro.common.runtime import RuntimeContext  # noqa: E402
+from repro.faults import FaultPlan  # noqa: E402
 
 DATA = (np.arange(2000.0 * 8).reshape(2000, 8) % 23.0) / 23.0
 TARGET = (np.arange(2000.0).reshape(2000, 1) % 7.0) / 7.0
@@ -45,17 +46,19 @@ def make_config(kind: str) -> MemphisConfig:
 
 
 def run(kind: str, plan: FaultPlan | None):
-    reset_global_ids()
-    cfg = make_config(kind)
-    cfg.faults = plan
-    sess = Session(cfg)
-    X = sess.read(DATA, "X")
-    y = sess.read(TARGET, "y")
-    w = sess.read(np.zeros((8, 1)), "w0")
-    for _ in range(3):
-        grad = X.t() @ (X @ w) - X.t() @ y
-        w = w - 0.01 * grad
-    return sess, w.compute()
+    # a fresh id space per compared run: faulted and fault-free runs
+    # must number hops / lineage items / pointers identically
+    with RuntimeContext():
+        cfg = make_config(kind)
+        cfg.faults = plan
+        sess = Session(cfg)
+        X = sess.read(DATA, "X")
+        y = sess.read(TARGET, "y")
+        w = sess.read(np.zeros((8, 1)), "w0")
+        for _ in range(3):
+            grad = X.t() @ (X @ w) - X.t() @ y
+            w = w - 0.01 * grad
+        return sess, w.compute()
 
 
 def check_invariants(sess: Session, label: str) -> list[str]:

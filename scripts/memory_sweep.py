@@ -41,11 +41,8 @@ sys.path.insert(0, os.path.join(REPO, "examples"))
 import numpy as np  # noqa: E402
 
 from repro import MemphisConfig, Session  # noqa: E402
-from repro.common.config import (  # noqa: E402
-    EvictionPolicyName,
-    clear_policy_overrides,
-    install_policy_overrides,
-)
+from repro.common.config import EvictionPolicyName  # noqa: E402
+from repro.common.runtime import scope  # noqa: E402
 from repro.harness import runner  # noqa: E402
 
 BASELINE = os.path.join(REPO, "benchmarks", "baselines",
@@ -100,27 +97,18 @@ def baseline_hit_rates() -> dict[str, float]:
 
 
 def run_policy(policy: EvictionPolicyName) -> dict[str, float]:
-    install_policy_overrides(policy=policy, gpu_policy=policy,
-                             spark_policy=policy)
-    try:
+    with scope(policy=policy, gpu_policy=policy, spark_policy=policy):
         run_quickstart()
-        rates = {
+        return {
             "fig12a": hit_rate(runner.run_experiment_fig12a().grid),
             "fig12b": hit_rate(runner.run_experiment_fig12b().grid),
         }
-    finally:
-        clear_policy_overrides()
-    return rates
 
 
 def run_policy_counters(policy: EvictionPolicyName) -> dict:
     """One fig12a run reduced to its counters (determinism check)."""
-    install_policy_overrides(policy=policy, gpu_policy=policy,
-                             spark_policy=policy)
-    try:
+    with scope(policy=policy, gpu_policy=policy, spark_policy=policy):
         grid = runner.run_experiment_fig12a().grid
-    finally:
-        clear_policy_overrides()
     return {
         str(x): {label: dict(sorted(res.counters.items()))
                  for label, res in row.items()}

@@ -13,7 +13,8 @@ Three entry points:
   inside :meth:`Session.evaluate`; error-severity findings raise
   :class:`~repro.common.errors.VerificationError` before execution;
 * ``python -m repro.analysis [workload ...]`` — run registered
-  workloads under an ambient collector and report all findings;
+  workloads under ``runtime.scope(analysis=AnalysisCollector())`` and
+  report all findings;
 * ``python -m repro.harness ... --verify-ir`` — same collector wired
   into the experiment harness.
 
@@ -32,13 +33,7 @@ from repro.analysis.diagnostics import (
     DiagnosticReport,
     Severity,
 )
-from repro.analysis.hook import (
-    AnalysisCollector,
-    collecting,
-    current_collector,
-    install_collector,
-    uninstall_collector,
-)
+from repro.analysis.hook import AnalysisCollector
 from repro.analysis.manager import (
     DEFAULT_PASS_ORDER,
     PassManager,
@@ -51,15 +46,11 @@ from repro.analysis.memplan import (
     MemplanCollector,
     SessionMemPlanner,
     SpillPoint,
-    current_memplan_collector,
     format_footprint_table,
     format_region_peaks,
-    install_memplan_collector,
     plan_block,
     plan_diagnostics,
-    planning,
     schedule_gpu_spills,
-    uninstall_memplan_collector,
 )
 
 __all__ = [
@@ -78,21 +69,14 @@ __all__ = [
     "StreamDefUse",
     "analyze",
     "check_linearization",
-    "collecting",
     "consumers_of",
-    "current_collector",
-    "current_memplan_collector",
     "format_footprint_table",
     "format_region_peaks",
-    "install_collector",
-    "install_memplan_collector",
     "plan_block",
     "plan_diagnostics",
-    "planning",
     "register_pass",
     "registered_passes",
     "schedule_gpu_spills",
-    "uninstall_memplan_collector",
     "verify_ir",
     "walk_dag",
 ]

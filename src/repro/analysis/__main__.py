@@ -20,8 +20,10 @@ import sys
 import time
 
 from repro.analysis.diagnostics import Severity
-from repro.analysis.hook import collecting
+from repro.analysis.hook import AnalysisCollector
 from repro.analysis.manager import DEFAULT_PASS_ORDER
+from repro.analysis.memplan import MemplanCollector, format_region_peaks
+from repro.common.runtime import scope
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -81,15 +83,10 @@ def main(argv: list[str] | None = None) -> int:
     total_errors = 0
     for name, thunk in selected.items():
         start = time.perf_counter()
-        memplan = None
-        with collecting() as collector:
-            if args.memplan:
-                from repro.analysis.memplan import planning
-
-                with planning() as memplan:
-                    thunk()
-            else:
-                thunk()
+        collector = AnalysisCollector()
+        memplan = MemplanCollector() if args.memplan else None
+        with scope(analysis=collector, memplan=memplan):
+            thunk()
         elapsed = time.perf_counter() - start
         report = collector.merged()
         total_errors += len(report.errors())
@@ -127,8 +124,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"   ({hidden} finding(s) below "
                   f"{min_sev.label!r} hidden; use --min-severity info)")
         if memplan is not None:
-            from repro.analysis.memplan import format_region_peaks
-
             for label, planner in memplan.planners():
                 peaks = format_region_peaks(planner.predicted,
                                             planner.observed,

@@ -1,19 +1,20 @@
-"""Ambient diagnostic collection across sessions.
+"""Diagnostic collection across sessions.
 
-Mirrors ``repro.obs``'s ambient-collector pattern: installing an
-:class:`AnalysisCollector` makes every subsequently created
-:class:`~repro.core.session.Session` verify each compiled block and
-deposit the resulting diagnostics here — without flipping
+An :class:`AnalysisCollector` on the runtime context
+(``runtime.scope(analysis=AnalysisCollector())``) makes every
+:class:`~repro.core.session.Session` built under it verify each compiled
+block and deposit the resulting diagnostics here — without flipping
 ``config.verify_ir`` (so nothing raises and partially broken programs
 still run to completion).  This is what powers
 ``python -m repro.analysis`` and the harness ``--verify-ir`` flag, both
-of which analyze whole workloads made of many sessions.
+of which analyze whole workloads made of many sessions::
+
+    with runtime.scope(analysis=AnalysisCollector()) as rt:
+        run_workload(...)
+    assert not rt.analysis.errors()
 """
 
 from __future__ import annotations
-
-import contextlib
-from typing import Iterator, Optional
 
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
 
@@ -50,38 +51,3 @@ class AnalysisCollector:
 
     def errors(self) -> list[Diagnostic]:
         return self.merged().errors()
-
-
-_current: Optional[AnalysisCollector] = None
-
-
-def install_collector(collector: AnalysisCollector) -> None:
-    """Make ``collector`` ambient for sessions created from now on."""
-    global _current
-    _current = collector
-
-
-def uninstall_collector() -> None:
-    global _current
-    _current = None
-
-
-def current_collector() -> Optional[AnalysisCollector]:
-    """The ambient collector, if one is installed."""
-    return _current
-
-
-@contextlib.contextmanager
-def collecting() -> Iterator[AnalysisCollector]:
-    """Scope with an ambient collector installed::
-
-        with analysis.collecting() as found:
-            run_workload(...)
-        assert not found.errors()
-    """
-    collector = AnalysisCollector()
-    install_collector(collector)
-    try:
-        yield collector
-    finally:
-        uninstall_collector()

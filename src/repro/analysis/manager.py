@@ -4,8 +4,8 @@
 :func:`verify_ir` is the compiler-pipeline entry point wired into
 ``Session.evaluate`` behind ``config.verify_ir``: it additionally emits
 every diagnostic as a structured trace event (``analysis/diagnostic``),
-bumps the stats counters, feeds an ambient collector when one is
-installed, and raises :class:`~repro.common.errors.VerificationError`
+bumps the stats counters, feeds the runtime context's collector when it
+has one, and raises :class:`~repro.common.errors.VerificationError`
 on error-severity findings.
 """
 
@@ -102,7 +102,7 @@ def verify_ir(roots: Sequence[Hop], order: Sequence[Hop],
     """Compiler-pipeline verification gate (``config.verify_ir``).
 
     Runs the full pipeline, publishes diagnostics to the tracer / stats
-    / ambient collector, and — when ``raise_on_error`` — aborts the
+    / context collector, and — when ``raise_on_error`` — aborts the
     block with a :class:`VerificationError` carrying the report.
     """
     report = analyze(roots, order, config)

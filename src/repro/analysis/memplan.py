@@ -55,9 +55,8 @@ that fits its budgets is a net-zero reserve/commit pair.
 from __future__ import annotations
 
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # layering: runtime types are type-only imports here
     from repro.core.session import Session
@@ -605,14 +604,14 @@ class SessionMemPlanner:
         ]
 
 
-# ------------------------------------------------------------ ambient collector
+# -------------------------------------------------------------------- collector
 
 class MemplanCollector:
-    """Ambient collector activating planning for every session in scope.
+    """Collector activating planning for every session in scope.
 
-    Mirrors the ``AnalysisCollector`` pattern: installing one makes
-    every subsequently constructed :class:`~repro.core.session.Session`
-    plan its blocks (as if ``config.memplan`` were set) and register
+    Mirrors the ``AnalysisCollector`` pattern: every
+    :class:`~repro.core.session.Session` built under
+    ``runtime.scope(memplan=MemplanCollector())`` plans its blocks (as if ``config.memplan`` were set) and register
     its :class:`SessionMemPlanner` here, keyed by a session label, so
     tools can compare predicted vs observed peaks across a whole
     workload run.
@@ -637,34 +636,6 @@ class MemplanCollector:
             for name, pred, obs, ok in planner.check_bounds():
                 out.append((label, name, pred, obs, ok))
         return out
-
-
-_COLLECTOR: Optional[MemplanCollector] = None
-
-
-def install_memplan_collector(collector: MemplanCollector) -> None:
-    global _COLLECTOR
-    _COLLECTOR = collector
-
-
-def uninstall_memplan_collector() -> None:
-    global _COLLECTOR
-    _COLLECTOR = None
-
-
-def current_memplan_collector() -> Optional[MemplanCollector]:
-    return _COLLECTOR
-
-
-@contextmanager
-def planning() -> Iterator[MemplanCollector]:
-    """Ambient scope: sessions created inside plan every block."""
-    collector = MemplanCollector()
-    install_memplan_collector(collector)
-    try:
-        yield collector
-    finally:
-        uninstall_memplan_collector()
 
 
 # -------------------------------------------------------------------- rendering

@@ -1,8 +1,8 @@
 """Registry of analyzable workload targets for the CLI.
 
 Each target is a small, fast configuration of one of the paper's
-workloads (§6).  The CLI runs a target under an ambient
-:class:`~repro.analysis.hook.AnalysisCollector`, so every compiled
+workloads (§6).  The CLI runs a target under a runtime scope carrying
+an :class:`~repro.analysis.hook.AnalysisCollector`, so every compiled
 block that flows through :meth:`Session.evaluate` is verified by the
 full pass pipeline and its diagnostics are gathered for the report.
 

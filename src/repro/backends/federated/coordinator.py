@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.backends.federated.worker import FederatedConfig, FederatedWorker
 from repro.common.errors import FaultInjectionError
+from repro.common.runtime import RuntimeContext, current as current_runtime
 from repro.common.simclock import HOST, SimClock
 from repro.common.stats import (
     FAULT_FED_RETRIES,
@@ -26,7 +27,7 @@ from repro.faults.injector import NULL_INJECTOR, FaultInjector
 from repro.faults.plan import KIND_FED_TIMEOUT, FaultPlan
 from repro.lineage.item import LineageItem, dataset, literal
 from repro.obs.events import EV_FED_REQUEST, LANE_FED
-from repro.obs.tracer import NULL_TRACER, current_collector
+from repro.obs.tracer import NULL_TRACER
 from repro.runtime.values import MatrixValue, ScalarValue
 
 FED_REQUESTS = "federated/requests"
@@ -62,7 +63,11 @@ class FederatedCoordinator:
                  clock: SimClock | None = None,
                  reuse: bool = True,
                  tracer=None,
-                 faults: FaultPlan | None = None) -> None:
+                 faults: FaultPlan | None = None,
+                 runtime: RuntimeContext | None = None) -> None:
+        rt = self.runtime = (runtime if runtime is not None
+                             else current_runtime())
+        self._ids = rt.ids
         self.workers = workers
         self.config = config or (
             workers[0].config if workers else FederatedConfig()
@@ -71,11 +76,10 @@ class FederatedCoordinator:
         self.stats = Stats()
         self.reuse = reuse
         if tracer is None:
-            collector = current_collector()
             tracer = (
-                collector.tracer(self.clock, label="federated",
-                                 stats=self.stats)
-                if collector is not None else NULL_TRACER
+                rt.trace.tracer(self.clock, label="federated",
+                                stats=self.stats)
+                if rt.trace is not None else NULL_TRACER
             )
         self.tracer = tracer
         self.faults = (
@@ -102,7 +106,7 @@ class FederatedCoordinator:
             shard_name = f"{name}@w{worker.worker_id}"
             worker.put_shard(shard_name, matrix[offset:stop])
             placement.append((worker.worker_id, shard_name, stop - offset))
-            lineages.append(dataset(shard_name))
+            lineages.append(dataset(shard_name, self._ids))
             offset = stop
             if offset >= rows:
                 break
@@ -133,11 +137,12 @@ class FederatedCoordinator:
 
     def matvec(self, fm: FederatedMatrix, vector: np.ndarray) -> np.ndarray:
         """``X %*% v`` with coordinator-shipped ``v``; partials return."""
-        v_lineage = literal(_digest(vector))
+        v_lineage = literal(_digest(vector), self._ids)
         parts = self._round(
             fm,
             lambda shard, lin: (
-                "ba+*", LineageItem("ba+*", (), (lin, v_lineage)),
+                "ba+*",
+                LineageItem("ba+*", (), (lin, v_lineage), self._ids),
                 [shard, vector], {},
             ),
             ship_bytes=vector.nbytes,
@@ -149,7 +154,7 @@ class FederatedCoordinator:
         parts = self._round(
             fm,
             lambda shard, lin: (
-                "fed_tsmm", LineageItem("fed_tsmm", (), (lin,)),
+                "fed_tsmm", LineageItem("fed_tsmm", (), (lin,), self._ids),
                 [shard], {},
             ),
         )
@@ -160,7 +165,8 @@ class FederatedCoordinator:
         parts = self._round(
             fm,
             lambda shard, lin: (
-                "uack+", LineageItem("uack+", (), (lin,)), [shard], {},
+                "uack+", LineageItem("uack+", (), (lin,), self._ids),
+                [shard], {},
             ),
         )
         return np.add.reduce([p.data for p in parts])

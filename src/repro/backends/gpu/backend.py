@@ -59,7 +59,7 @@ class GpuBackend:
 
     def __init__(self, config: GpuConfig, clock: SimClock, stats: Stats,
                  mode: str = MODE_MEMPHIS, tracer=None, faults=None,
-                 arbiter=None) -> None:
+                 arbiter=None, ids=None) -> None:
         self.config = config
         self.clock = clock
         self.stats = stats
@@ -67,7 +67,7 @@ class GpuBackend:
         self.stream = GpuStream(config, clock, stats, tracer=tracer)
         self.memory = GpuMemoryManager(
             self.device, self.stream, clock, stats, mode, tracer=tracer,
-            faults=faults, arbiter=arbiter,
+            faults=faults, arbiter=arbiter, ids=ids,
         )
 
     def supports(self, opcode: str) -> bool:

@@ -33,6 +33,7 @@ from repro.backends.gpu.pointers import GpuPointer
 from repro.backends.gpu.stream import GpuStream
 from repro.common.config import GpuConfig
 from repro.common.errors import GpuOutOfMemoryError
+from repro.common.runtime import IdSpace, current as current_runtime
 from repro.common.simclock import DEVICE, HOST, SimClock
 from repro.common.stats import (
     FAULT_GPU_ALLOC_RETRIES,
@@ -75,7 +76,8 @@ class GpuMemoryManager:
     def __init__(self, device: GpuDevice, stream: GpuStream, clock: SimClock,
                  stats: Stats, mode: str = MODE_MEMPHIS,
                  on_invalidate: Optional[Callable[[GpuPointer], None]] = None,
-                 tracer=None, faults=None, arbiter=None) -> None:
+                 tracer=None, faults=None, arbiter=None,
+                 ids: Optional[IdSpace] = None) -> None:
         self.device = device
         self.stream = stream
         self.clock = clock
@@ -93,6 +95,10 @@ class GpuMemoryManager:
         #: called before a free pointer's contents are destroyed, so the
         #: lineage cache can drop or host-save the entry backed by it.
         self.on_invalidate = on_invalidate or (lambda ptr: None)
+        #: pointer-id allocator (the owning session's id space; default:
+        #: the current runtime context's).
+        self._ptr_ids = (ids if ids is not None
+                         else current_runtime().ids).pointer
         self.live: dict[int, GpuPointer] = {}
         self.free_lists: dict[int, list[GpuPointer]] = {}
         self.free_bytes_pooled = 0
@@ -172,7 +178,7 @@ class GpuMemoryManager:
             raise GpuOutOfMemoryError(
                 size, self.device.free_bytes, self.device.largest_free_block
             )
-        ptr = GpuPointer(offset, size, shape)
+        ptr = GpuPointer(next(self._ptr_ids), offset, size, shape)
         ptr.retain()
         ptr.last_access = self.clock.now(DEVICE)
         self.live[ptr.id] = ptr
@@ -285,7 +291,8 @@ class GpuMemoryManager:
             victim = self._pop_victim(queue, size)
         self.on_invalidate(victim)
         # reuse the allocation in place: same offset, new identity
-        ptr = GpuPointer(victim.offset, victim.size, shape)
+        ptr = GpuPointer(next(self._ptr_ids), victim.offset, victim.size,
+                         shape)
         ptr.retain()
         ptr.last_access = self.clock.now(DEVICE)
         victim.freed = True

@@ -8,12 +8,9 @@ of the producing lineage trace, and the analytical compute cost.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 import numpy as np
-
-_ptr_ids = itertools.count(1)
 
 
 class GpuPointer:
@@ -30,9 +27,10 @@ class GpuPointer:
         "cached",
     )
 
-    def __init__(self, offset: int, size: int,
+    def __init__(self, ptr_id: int, offset: int, size: int,
                  shape: tuple[int, int] = (0, 0)) -> None:
-        self.id = next(_ptr_ids)
+        #: handed out by the owning memory manager's id space.
+        self.id = ptr_id
         self.offset = offset
         self.size = size
         self.shape = shape

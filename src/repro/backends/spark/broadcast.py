@@ -9,7 +9,6 @@ lazy garbage collection addresses (§4.1, Fig. 2(b)).
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import TYPE_CHECKING
 
@@ -21,8 +20,6 @@ from repro.common.stats import SPARK_BROADCASTS, Stats
 if TYPE_CHECKING:  # pragma: no cover
     from repro.backends.spark.context import SparkContext
 
-_bc_ids = itertools.count(1)
-
 
 class Broadcast:
     """A broadcast variable with torrent-style lazy chunk transfer.
@@ -33,7 +30,7 @@ class Broadcast:
     """
 
     def __init__(self, context: "SparkContext", value: np.ndarray) -> None:
-        self.id = next(_bc_ids)
+        self.id = next(context.ids.broadcast)
         self.context = context
         self._value = value
         self.nbytes = int(value.nbytes)

@@ -18,6 +18,7 @@ from repro.backends.spark.broadcast import Broadcast
 from repro.backends.spark.rdd import RDD, ParallelizedRDD, ShuffleDependency
 from repro.backends.spark.scheduler import DAGScheduler, JobResult
 from repro.common.config import SparkConfig
+from repro.common.runtime import IdSpace, current as current_runtime
 from repro.common.simclock import CLUSTER, HOST, SimClock, SimFuture
 from repro.common.stats import (
     FAULT_EXECUTORS_LOST,
@@ -41,10 +42,14 @@ class SparkContext:
     """
 
     def __init__(self, config: SparkConfig, clock: SimClock, stats: Stats,
-                 tracer=None, faults=None, arbiter=None) -> None:
+                 tracer=None, faults=None, arbiter=None,
+                 ids: Optional[IdSpace] = None) -> None:
         self.config = config
         self.clock = clock
         self.stats = stats
+        #: numbers this context's RDDs and broadcasts (the owning
+        #: session's id space; default: the current runtime context's).
+        self.ids = ids if ids is not None else current_runtime().ids
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.faults = faults if faults is not None else NULL_INJECTOR
         self.block_manager = BlockManager(config, stats, tracer=self.tracer,

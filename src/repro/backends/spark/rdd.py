@@ -17,7 +17,6 @@ Two dependency types drive stage splitting:
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Optional, TYPE_CHECKING
 
 import numpy as np
@@ -27,8 +26,6 @@ from repro.common.config import StorageLevel
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backends.spark.broadcast import Broadcast
     from repro.backends.spark.context import SparkContext
-
-_rdd_ids = itertools.count(1)
 
 
 class TaskMetrics:
@@ -93,7 +90,7 @@ class RDD:
 
     def __init__(self, context: "SparkContext", deps: list,
                  num_partitions: int, name: str) -> None:
-        self.id = next(_rdd_ids)
+        self.id = next(context.ids.rdd)
         self.context = context
         self.deps = deps
         self.num_partitions = num_partitions

@@ -10,6 +10,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.common.runtime import current as current_runtime
+
 
 GB = 1024**3
 MB = 1024**2
@@ -57,50 +59,6 @@ class EvictionPolicyName(enum.Enum):
     LRU = "lru"
     LRC = "lrc"  #: least reference count (DAG-aware Spark baseline).
     MRD = "mrd"  #: most reference distance.
-
-
-#: ambient per-region policy overrides installed by the harness CLI
-#: (``--policy`` / ``--gpu-policy`` / ``--spark-policy``); applied to
-#: every :class:`MemphisConfig` constructed while installed, so the
-#: experiment drivers (which build their configs internally) pick the
-#: selected policies up without plumbing.
-_POLICY_OVERRIDES: dict[str, "EvictionPolicyName"] = {}
-
-
-def install_policy_overrides(policy: "EvictionPolicyName | None" = None,
-                             gpu_policy: "EvictionPolicyName | None" = None,
-                             spark_policy: "EvictionPolicyName | None" = None,
-                             ) -> None:
-    """Install ambient eviction-policy selections (harness CLI)."""
-    if policy is not None:
-        _POLICY_OVERRIDES["policy"] = policy
-    if gpu_policy is not None:
-        _POLICY_OVERRIDES["gpu_policy"] = gpu_policy
-    if spark_policy is not None:
-        _POLICY_OVERRIDES["spark_policy"] = spark_policy
-
-
-def clear_policy_overrides() -> None:
-    """Remove all ambient policy overrides."""
-    _POLICY_OVERRIDES.clear()
-
-
-#: ambient fusion switch installed by the harness CLI (``--fusion``) and
-#: the benchmark gates; like the policy overrides it is applied to every
-#: :class:`MemphisConfig` constructed while installed, so experiment
-#: drivers that build their configs internally pick it up.
-_FUSION_OVERRIDE: list[bool] = []
-
-
-def install_fusion_override(enabled: bool = True) -> None:
-    """Ambiently force ``enable_fusion`` on every new config."""
-    _FUSION_OVERRIDE.clear()
-    _FUSION_OVERRIDE.append(enabled)
-
-
-def clear_fusion_override() -> None:
-    """Remove the ambient fusion override."""
-    _FUSION_OVERRIDE.clear()
 
 
 class StorageLevel(enum.Enum):
@@ -324,29 +282,26 @@ class MemphisConfig:
     #: fault injection (``repro.faults``): a ``FaultPlan`` scheduling
     #: deterministic failures (task loss, GPU alloc failure, federated
     #: timeouts, spill I/O errors, ...) that the recovery machinery must
-    #: absorb.  ``None`` (default) falls back to the ambient plan
-    #: installed by the harness ``--faults`` flag, else no injection;
-    #: typed as ``object`` to keep this module import-light.
+    #: absorb.  ``None`` (default) falls back to the runtime context's
+    #: plan (harness ``--faults``), else no injection; typed as
+    #: ``object`` to keep this module import-light.
     faults: object | None = None
-    #: RNG seed for the framework's own randomized choices.
-    seed: int = 42
 
     def __post_init__(self) -> None:
-        # Ambient policy overrides reach configs the experiment drivers
-        # build internally, without threading a parameter through every
-        # classmethod constructor.
-        policy = _POLICY_OVERRIDES.get("policy")
-        if policy is not None:
-            self.cache.policy = policy
-        gpu_policy = _POLICY_OVERRIDES.get("gpu_policy")
-        if gpu_policy is not None:
-            self.gpu.policy = gpu_policy
-        spark_policy = _POLICY_OVERRIDES.get("spark_policy")
-        if spark_policy is not None:
-            self.cache.spark_policy = spark_policy
-            self.spark.policy = spark_policy
-        if _FUSION_OVERRIDE:
-            self.enable_fusion = _FUSION_OVERRIDE[0]
+        # The current runtime context's policy / fusion overrides
+        # (harness --policy / --fusion, the sweep scripts) reach configs
+        # the experiment drivers build internally, without threading a
+        # parameter through every classmethod constructor.
+        rt = current_runtime()
+        if rt.policy is not None:
+            self.cache.policy = rt.policy
+        if rt.gpu_policy is not None:
+            self.gpu.policy = rt.gpu_policy
+        if rt.spark_policy is not None:
+            self.cache.spark_policy = rt.spark_policy
+            self.spark.policy = rt.spark_policy
+        if rt.fusion is not None:
+            self.enable_fusion = rt.fusion
 
     @classmethod
     def base(cls, **kw) -> "MemphisConfig":

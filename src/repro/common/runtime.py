@@ -1,0 +1,149 @@
+"""The runtime context: every process-wide collaborator in one object.
+
+MEMPHIS manages reuse and memory *holistically* — one lineage cache and
+one arbiter seen by every backend.  The same holds for what a run is
+observed and perturbed by: a :class:`RuntimeContext` carries the trace /
+metrics / explain / analysis / memplan collectors, the fault plan, the
+shared substrate, the eviction-policy and fusion overrides, and the one
+:class:`IdSpace` that numbers HOPs, lineage items, RDDs, broadcasts and
+GPU pointers.
+
+``Session``, ``Substrate`` and ``FederatedCoordinator`` take an explicit
+``runtime=`` (default: :func:`current`), capture it once at construction
+and hand it down; nothing re-reads the current context afterwards, so a
+session keeps working — with the same collaborators and the same id
+space — after the scope that built it has exited, and two servers under
+two contexts can interleave in one process.
+
+There is one process-current context and one way to change it::
+
+    with runtime.scope(trace=TraceCollector(), faults=plan) as rt:
+        run_workload()              # sessions built here pick rt up
+    rt.trace.events()
+
+    with RuntimeContext():          # fresh id space: ids restart at 1
+        run_workload()
+
+:func:`scope` *derives* from the enclosing context: the named
+collaborators are replaced, everything else — the id space included — is
+shared.  Sharing the ids is what keeps a DAG's hop ids unique when a
+session built inside a scope builds more handles after it exits.  Only
+an explicit ``RuntimeContext()`` starts a new id space.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - keeps repro.common import-light
+    from repro.analysis.hook import AnalysisCollector
+    from repro.analysis.memplan import MemplanCollector
+    from repro.common.config import EvictionPolicyName
+    from repro.core.substrate import Substrate
+    from repro.faults.plan import FaultPlan
+    from repro.obs.explain import ExplainCollector
+    from repro.obs.metrics import MetricsCollector
+    from repro.obs.tracer import TraceCollector
+
+
+class IdSpace:
+    """The five id allocators of one runtime (each counts from 1).
+
+    Ids are continuous across the sessions of one space — the second
+    session's first hop is not id 1 — which is what makes hop ids usable
+    as dictionary keys across DAGs and multi-session traces stable.
+    """
+
+    __slots__ = ("hop", "lineage", "rdd", "broadcast", "pointer")
+
+    def __init__(self) -> None:
+        self.hop = itertools.count(1)
+        self.lineage = itertools.count(1)
+        self.rdd = itertools.count(1)
+        self.broadcast = itertools.count(1)
+        self.pointer = itertools.count(1)
+
+
+class RuntimeContext:
+    """What a run is observed, perturbed and numbered by.
+
+    Every collaborator is ``None`` unless supplied; ``None`` means "the
+    context has none", and a session then falls back to its config flag
+    (``trace_enabled``, ``metrics_enabled``, ``explain_capture``,
+    ``faults``, ...) and finally to the NULL singleton.  Use as a context
+    manager to make it the process-current context; exiting restores the
+    one it displaced, also on exceptions.
+    """
+
+    __slots__ = ("trace", "metrics", "explain", "analysis", "memplan",
+                 "faults", "substrate", "policy", "gpu_policy",
+                 "spark_policy", "fusion", "ids")
+
+    def __init__(self, *,
+                 trace: Optional["TraceCollector"] = None,
+                 metrics: Optional["MetricsCollector"] = None,
+                 explain: Optional["ExplainCollector"] = None,
+                 analysis: Optional["AnalysisCollector"] = None,
+                 memplan: Optional["MemplanCollector"] = None,
+                 faults: Optional["FaultPlan"] = None,
+                 substrate: Optional["Substrate"] = None,
+                 policy: Optional["EvictionPolicyName"] = None,
+                 gpu_policy: Optional["EvictionPolicyName"] = None,
+                 spark_policy: Optional["EvictionPolicyName"] = None,
+                 fusion: Optional[bool] = None,
+                 ids: Optional[IdSpace] = None) -> None:
+        #: sessions (and shared substrates, coordinators) trace into it.
+        self.trace = trace
+        #: sessions sample their gauge series into it.
+        self.metrics = metrics
+        #: sessions snapshot every compiled block into it.
+        self.explain = explain
+        #: sessions verify every compiled block (without raising) into it.
+        self.analysis = analysis
+        #: sessions plan every block and register their planner with it.
+        self.memplan = memplan
+        #: fault plan for sessions whose config carries none.
+        self.faults = faults
+        #: shared substrate sessions attach to when given none.
+        self.substrate = substrate
+        #: eviction-policy overrides applied to every new
+        #: :class:`~repro.common.config.MemphisConfig` (CP / GPU / Spark).
+        self.policy = policy
+        self.gpu_policy = gpu_policy
+        self.spark_policy = spark_policy
+        #: forces ``enable_fusion`` on every new ``MemphisConfig``.
+        self.fusion = fusion
+        self.ids = ids if ids is not None else IdSpace()
+
+    def __enter__(self) -> "RuntimeContext":
+        _ACTIVE.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _ACTIVE.pop()
+
+
+#: the one process-current slot: the top of this stack.  The bottom entry
+#: is the process-default context code runs against when nothing was
+#: activated; ``with`` blocks push and pop above it.
+_ACTIVE: list[RuntimeContext] = [RuntimeContext()]
+
+
+def current() -> RuntimeContext:
+    """The process-current context (the innermost active ``with``)."""
+    return _ACTIVE[-1]
+
+
+def scope(**overrides) -> RuntimeContext:
+    """A context derived from the current one, to be entered with ``with``.
+
+    ``with scope(trace=tc, policy=LRU) as rt:`` replaces the named
+    collaborators for the block and shares everything else, the id
+    space included, with the enclosing context.
+    """
+    enclosing = current()
+    fields = {name: getattr(enclosing, name)
+              for name in RuntimeContext.__slots__}
+    fields.update(overrides)
+    return RuntimeContext(**fields)

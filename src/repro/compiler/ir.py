@@ -9,16 +9,14 @@ placement (ops above the operation-memory budget go to Spark).
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, TYPE_CHECKING
 
 from repro.common.costs import matrix_bytes, op_flops
 from repro.common.errors import CompilationError
+from repro.common.runtime import IdSpace, current as current_runtime
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.handles import MatrixHandle
-
-_hop_ids = itertools.count(1)
 
 KIND_OP = "op"
 KIND_DATA = "data"
@@ -120,8 +118,11 @@ class Hop:
                  attrs: Optional[dict] = None,
                  shape: Optional[tuple[int, int]] = None,
                  handle: Optional["MatrixHandle"] = None,
-                 value: object = None) -> None:
-        self.id = next(_hop_ids)
+                 value: object = None,
+                 ids: Optional[IdSpace] = None) -> None:
+        # sessions and handles pass their runtime's id space; hops built
+        # by hand (tests, tools) number from the current context
+        self.id = next((ids if ids is not None else current_runtime().ids).hop)
         self.kind = kind
         self.opcode = opcode
         self.inputs = inputs
@@ -270,14 +271,16 @@ class Hop:
 
 def data_hop(handle: "MatrixHandle", shape: tuple[int, int]) -> Hop:
     """Leaf hop bound to an already-evaluated handle."""
-    return Hop(KIND_DATA, "data", [], shape=shape, handle=handle)
+    return Hop(KIND_DATA, "data", [], shape=shape, handle=handle,
+               ids=handle.session.ids)
 
 
-def literal_hop(value: object) -> Hop:
+def literal_hop(value: object, ids: Optional[IdSpace] = None) -> Hop:
     """Leaf hop for a scalar literal."""
-    return Hop(KIND_LITERAL, "lit", [], value=value)
+    return Hop(KIND_LITERAL, "lit", [], value=value, ids=ids)
 
 
-def op_hop(opcode: str, inputs: list[Hop], attrs: Optional[dict] = None) -> Hop:
+def op_hop(opcode: str, inputs: list[Hop], attrs: Optional[dict] = None,
+           ids: Optional[IdSpace] = None) -> Hop:
     """Operator hop with inferred shape."""
-    return Hop(KIND_OP, opcode, inputs, attrs=attrs)
+    return Hop(KIND_OP, opcode, inputs, attrs=attrs, ids=ids)

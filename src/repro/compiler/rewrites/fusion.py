@@ -27,6 +27,7 @@ from __future__ import annotations
 from repro.backends.cpu.vectorized import CompiledStep, compile_step
 from repro.common.config import MemphisConfig, ReuseMode
 from repro.common.costs import op_flops
+from repro.common.runtime import IdSpace
 from repro.common.stats import (
     FUSION_BYTES_SAVED,
     FUSION_CHAINS,
@@ -83,7 +84,8 @@ class FusedHop(Hop):
     __slots__ = ("prologue", "chain", "steps")
 
     def __init__(self, chain: list[Hop], steps: list[CompiledStep],
-                 prologue: Hop | None = None) -> None:
+                 prologue: Hop | None = None,
+                 ids: IdSpace | None = None) -> None:
         tail = chain[-1]
         source = prologue if prologue is not None else chain[0].inputs[
             steps[0].matrix_index]
@@ -106,7 +108,7 @@ class FusedHop(Hop):
             spec = f"{prologue.opcode}>" + spec
         attrs = {"steps": spec, "rows": tail.shape[0], "cols": tail.shape[1]}
         super().__init__(KIND_OP, FUSED_OPCODE, inputs, attrs=attrs,
-                         shape=tail.shape)
+                         shape=tail.shape, ids=ids)
         self.prologue = prologue
         self.chain = chain
         self.steps = steps
@@ -166,7 +168,8 @@ def _absorbable_matmul(hop: Hop, root_ids: set[int], protected: set[int],
 
 def plan_fusion(root_hops: list[Hop], nodes: list[Hop],
                 consumers: dict[int, list[Hop]], config: MemphisConfig,
-                protected: set[int] | None = None) -> list[FusedHop]:
+                protected: set[int] | None = None,
+                ids: IdSpace | None = None) -> list[FusedHop]:
     """Explore the DAG for fusable chains and build their FusedHops.
 
     A chain is a maximal run of cell-wise compilable hops linked through
@@ -231,7 +234,7 @@ def plan_fusion(root_hops: list[Hop], nodes: list[Hop],
         if _cells(source) <= 1:
             continue
         fused.append(FusedHop(chain, [steps_by_id[h.id] for h in chain],
-                              prologue))
+                              prologue, ids))
     return fused
 
 
@@ -239,6 +242,7 @@ def apply_fusion(root_hops: list[Hop], nodes: list[Hop],
                  consumers: dict[int, list[Hop]], config: MemphisConfig,
                  stats: Stats | None = None,
                  protected: set[int] | None = None,
+                 ids: IdSpace | None = None,
                  ) -> tuple[list[Hop], list[FusedHop], dict[int, Hop]]:
     """Plan fusion and splice the FusedHops into the DAG.
 
@@ -249,7 +253,7 @@ def apply_fusion(root_hops: list[Hop], nodes: list[Hop],
     the fused nodes, and a ``{old_tail_id: fused_hop}`` remap for the
     caller's auxiliary tables (CSE ``extra`` handles).
     """
-    fused = plan_fusion(root_hops, nodes, consumers, config, protected)
+    fused = plan_fusion(root_hops, nodes, consumers, config, protected, ids)
     if not fused:
         return root_hops, [], {}
     replaced: dict[int, Hop] = {}

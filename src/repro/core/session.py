@@ -27,11 +27,9 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.analysis.hook import current_collector as current_analysis_collector
 from repro.analysis.manager import verify_ir
 from repro.analysis.memplan import (
     SessionMemPlanner,
-    current_memplan_collector,
     format_footprint_table,
     format_region_peaks,
     plan_block,
@@ -44,6 +42,7 @@ from repro.backends.spark.backend import SparkBackend
 from repro.backends.spark.context import SparkContext
 from repro.common.config import MemphisConfig, ReuseMode
 from repro.common.errors import RecomputationError, VerificationError
+from repro.common.runtime import RuntimeContext, current as current_runtime
 from repro.common.simclock import HOST, SimClock
 from repro.common.stats import (
     EVICT_INSTRUCTIONS,
@@ -51,13 +50,7 @@ from repro.common.stats import (
     MEMPLAN_BLOCKS_PLANNED,
     Stats,
 )
-from repro.compiler.ir import (
-    KIND_OP,
-    Hop,
-    data_hop,
-    literal_hop,
-    op_hop,
-)
+from repro.compiler.ir import KIND_OP, Hop, data_hop, literal_hop
 from repro.compiler.linearize import depth_first, max_parallelize
 from repro.compiler.rewrites.async_ops import (
     consumers_map,
@@ -73,15 +66,11 @@ from repro.compiler.rewrites.fusion import apply_fusion
 from repro.compiler.rewrites.tuning import ProgramBlock, tune_block
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 from repro.core.spark_cache import SparkCacheManager
-from repro.core.substrate import (
-    SessionContext,
-    Substrate,
-    current_substrate,
-)
+from repro.core.substrate import SessionContext, Substrate
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
-from repro.faults.plan import current_plan
 from repro.lineage.item import (
     LineageItem,
+    dataset,
     function_item,
     literal,
 )
@@ -91,16 +80,24 @@ from repro.lineage.serialize import deserialize, serialize
 from repro.obs.explain import (
     LEVEL_FULL,
     ExplainCollector,
-    current_explain,
     render_plan,
     snapshot_plan,
 )
-from repro.obs.metrics import NULL_METRICS, MetricsCollector, current_metrics
-from repro.obs.tracer import NULL_TRACER, TraceCollector, current_collector
+from repro.obs.metrics import NULL_METRICS, MetricsCollector
+from repro.obs.tracer import NULL_TRACER, TraceCollector
 from repro.runtime.handles import MatrixHandle
 from repro.runtime.interpreter import Interpreter, Slot
 from repro.runtime.placement import assign_placements, matmul_pattern
 from repro.runtime.values import MatrixValue, ScalarValue, Value
+
+
+def _or_private(supplied, wanted: bool, factory, *args):
+    """``supplied`` (the runtime context's collaborator) when there is
+    one, else a private ``factory(*args)`` when the config flag wants
+    one, else ``None``."""
+    if supplied is None and wanted:
+        return factory(*args)
+    return supplied
 
 
 class Session:
@@ -108,148 +105,102 @@ class Session:
 
     def __init__(self, config: Optional[MemphisConfig] = None, *,
                  substrate: Optional[Substrate] = None,
-                 tenant: Optional[str] = None) -> None:
-        self.config = config or MemphisConfig.memphis()
+                 tenant: Optional[str] = None,
+                 runtime: Optional[RuntimeContext] = None) -> None:
+        #: captured once: this session's collaborators and id space stay
+        #: those of the context it was built in, whatever is current later.
+        rt = self.runtime = (runtime if runtime is not None
+                             else current_runtime())
+        cfg = self.config = config or MemphisConfig.memphis()
+        self.ids = rt.ids
         self.clock = SimClock()
         self.stats = Stats()
-        # structured tracing (repro.obs): an ambient collector (harness
-        # --trace) wins; otherwise the config flag creates a private one.
-        collector = current_collector()
-        if collector is None and self.config.trace_enabled:
-            collector = TraceCollector(self.config.trace_buffer)
-        self.trace_collector = collector
+        # One resolution step per collaborator: the runtime context's
+        # (how harness --trace/--metrics/--explain reach sessions created
+        # deep inside workload drivers); else a private one if the config
+        # flag asks; else the NULL singleton (one ``enabled`` check/guard).
+        label = cfg.reuse_mode.value
+        trace = self.trace_collector = _or_private(
+            rt.trace, cfg.trace_enabled, TraceCollector, cfg.trace_buffer)
         self.tracer = (
-            collector.tracer(
-                self.clock,
-                label=f"{self.config.reuse_mode.value}",
-                stats=self.stats,
-            )
-            if collector is not None else NULL_TRACER
-        )
-        # metrics time-series (repro.obs.metrics): same ambient-wins
-        # pattern as tracing; without either source, NULL_METRICS keeps
-        # the interpreter's per-instruction cost a single attribute check.
-        mcollector = current_metrics()
-        if mcollector is None and self.config.metrics_enabled:
-            mcollector = MetricsCollector(self.config.metrics_interval)
-        self.metrics_collector = mcollector
+            trace.tracer(self.clock, label=label, stats=self.stats)
+            if trace is not None else NULL_TRACER)
+        metrics = self.metrics_collector = _or_private(
+            rt.metrics, cfg.metrics_enabled, MetricsCollector,
+            cfg.metrics_interval)
         self.metrics = (
-            mcollector.registry(
-                self.clock,
-                label=f"{self.config.reuse_mode.value}",
-                stats=self.stats,
-                interval=self.config.metrics_interval,
-            )
-            if mcollector is not None else NULL_METRICS
-        )
-        # plan-level EXPLAIN (repro.obs.explain): an ambient collector
-        # (harness --explain) wins; the config flag creates a private
-        # one whose plans Session.explain() renders without arguments.
-        explain = current_explain()
-        if explain is None and self.config.explain_capture:
-            explain = ExplainCollector()
-        self.explain_collector = explain
-        # fault injection (repro.faults): an explicit plan on the config
-        # wins; otherwise an ambient plan (harness --faults) applies.
-        # With neither, NULL_INJECTOR keeps every hot-path guard a single
-        # ``enabled`` attribute check.
-        plan = self.config.faults
-        if plan is None:
-            plan = current_plan()
+            metrics.registry(self.clock, label=label, stats=self.stats,
+                             interval=cfg.metrics_interval)
+            if metrics is not None else NULL_METRICS)
+        self.explain_collector = _or_private(
+            rt.explain, cfg.explain_capture, ExplainCollector)
+        # faults invert the order: an explicit plan on the config beats
+        # the context's (harness --faults).
+        plan = cfg.faults if cfg.faults is not None else rt.faults
         self.faults = (
             FaultInjector(plan, self.clock, self.stats, tracer=self.tracer)
-            if plan is not None else NULL_INJECTOR
-        )
-        # reuse substrate (repro.core.substrate): the arbiter with the
-        # CP/DISK ledgers, the lineage cache, and the interner.  The
-        # default is a *private* substrate built from this session's own
-        # stats/clock/tracer — exactly the object graph sessions owned
-        # before the substrate layer existed, so single-session
-        # behaviour is byte-identical.  An injected (or ambient) shared
-        # substrate is attached instead: lineage keys are namespaced per
-        # the determinism rules and CP/DISK admission goes through the
-        # tenant's fair share (see docs/SERVER.md).
+            if plan is not None else NULL_INJECTOR)
+        # the verify_ir / memplan flags act per session (verify raises); a
+        # context collector verifies without raising, across sessions.
+        self.ir_collector = rt.analysis
+        self._verify_ir = bool(cfg.verify_ir or rt.analysis is not None)
+        self.memplan_collector = rt.memplan
+        self.memplanner: Optional[SessionMemPlanner] = None
+        if cfg.memplan or rt.memplan is not None:
+            self.memplanner = SessionMemPlanner(cfg)
+            if rt.memplan is not None:
+                rt.memplan.register(self, self.memplanner)
+        # reuse substrate (CP/DISK arbiter, lineage cache, interner): a
+        # shared one — injected, or the context's — is attached, with
+        # namespaced lineage keys and fair-share CP/DISK admission
+        # (docs/SERVER.md); the default is private to this session.
         if substrate is None:
-            substrate = current_substrate()
+            substrate = rt.substrate
         if substrate is not None and substrate.shared:
             self.substrate = substrate
             self._ctx: Optional[SessionContext] = substrate.attach(
-                self, tenant
-            )
-            self.cache = substrate.cache
-            self.lineage_interner = substrate.interner
+                self, tenant)
             # backend regions (buffer pool, Spark tiers, GPU) stay
             # session-private: only CP/DISK live on the shared arbiter.
             self.arbiter = MemoryArbiter(
-                self.stats, tracer=self.tracer, faults=self.faults
-            )
+                self.stats, tracer=self.tracer, faults=self.faults)
             # holistic eviction still consults driver-cache residency:
             # the session's GPU manager asks the *shared* cache.
             self.arbiter.register_residency(
-                REGION_CP, substrate.cache.has_host_copy_for
-            )
+                REGION_CP, substrate.cache.has_host_copy_for)
         else:
             self.substrate = Substrate(
-                self.config, stats=self.stats, clock=self.clock,
-                tracer=self.tracer, faults=self.faults,
-            )
+                cfg, stats=self.stats, clock=self.clock,
+                tracer=self.tracer, faults=self.faults, runtime=rt)
             self._ctx = None
             self.arbiter = self.substrate.arbiter
-            self.cache = self.substrate.cache
-            # hash-consing table for lineage keys: the interpreter's
-            # TRACE step interns every op item, so re-traced
-            # instructions return the canonical object and cache probes
-            # hit the dict's identity fast path instead of structural
-            # DAG comparison.
-            self.lineage_interner = self.substrate.interner
-        self.cpu = CpuBackend(self.config.cpu, self.clock, self.stats)
+        self.cache = self.substrate.cache
+        #: hash-consing table: TRACE interns every op item, so re-traced
+        #: instructions probe the cache by identity, not DAG comparison.
+        self.lineage_interner = self.substrate.interner
+        self.cpu = CpuBackend(cfg.cpu, self.clock, self.stats)
         self.spark_context = SparkContext(
-            self.config.spark, self.clock, self.stats, tracer=self.tracer,
-            faults=self.faults, arbiter=self.arbiter,
-        )
+            cfg.spark, self.clock, self.stats, tracer=self.tracer,
+            faults=self.faults, arbiter=self.arbiter, ids=rt.ids)
         self.spark = SparkBackend(self.spark_context)
         self.spark_mgr = SparkCacheManager(
-            self.cache, self.spark_context, self.config.cache, self.stats,
-            arbiter=self.arbiter,
-        )
+            self.cache, self.spark_context, cfg.cache, self.stats,
+            arbiter=self.arbiter)
         self.gpu = GpuBackend(
-            self.config.gpu, self.clock, self.stats,
+            cfg.gpu, self.clock, self.stats,
             mode=self._gpu_mode(), tracer=self.tracer, faults=self.faults,
-            arbiter=self.arbiter,
-        )
+            arbiter=self.arbiter, ids=rt.ids)
         self.gpu.memory.on_invalidate = self.cache.on_gpu_invalidate
         self.interpreter = Interpreter(self)
-        self.delay_factor = self.config.cache.delay_factor
-        #: bound server request (``repro.obs.request``): set by the
-        #: scheduler via :meth:`bind_request`; ``None`` for standalone
-        #: sessions, at zero hot-path cost.
+        self.delay_factor = cfg.cache.delay_factor
+        #: bound server request (``repro.obs.request``), set by the
+        #: scheduler via :meth:`bind_request`; ``None`` when standalone.
         self.request = None
-        #: named input datasets, kept for lineage-based recovery: when a
-        #: cached intermediate is lost to a fault, RECOMPUTE replays its
-        #: trace from these roots (§3.2).
+        #: named input datasets: when a fault loses a cached intermediate,
+        #: RECOMPUTE replays its trace from these roots (§3.2).
         self._datasets: dict[str, Union[np.ndarray, float]] = {}
         self._seed_counter = 10_000_000
         self._last_loop_name: Optional[str] = None
-        # static IR verification (repro.analysis): the config flag makes
-        # every compiled block raise on error-severity diagnostics; an
-        # ambient collector (python -m repro.analysis, harness
-        # --verify-ir) verifies without raising and accumulates findings.
-        self.ir_collector = current_analysis_collector()
-        self._verify_ir = bool(
-            self.config.verify_ir or self.ir_collector is not None
-        )
-        # static memory planning (repro.analysis.memplan): the config
-        # flag or an ambient MemplanCollector (python -m repro.analysis
-        # --memplan) activates a per-session planner that predicts each
-        # block's per-region peak, bulk-reserves it via reserve_plan,
-        # and records observed watermarks for predicted-vs-observed
-        # comparison.  None keeps evaluate's planning cost at one check.
-        self.memplan_collector = current_memplan_collector()
-        self.memplanner: Optional[SessionMemPlanner] = None
-        if self.config.memplan or self.memplan_collector is not None:
-            self.memplanner = SessionMemPlanner(self.config)
-            if self.memplan_collector is not None:
-                self.memplan_collector.register(self, self.memplanner)
 
     def _gpu_mode(self) -> str:
         if self.config.gpu_memory_mode is not None:
@@ -270,12 +221,10 @@ class Session:
             value: Value = ScalarValue(float(data))
         else:
             value = MatrixValue(np.asarray(data, dtype=np.float64))
-        handle = MatrixHandle(self, literal_hop(0.0), name=name)
+        handle = MatrixHandle(self, literal_hop(0.0, self.ids), name=name)
         handle.hop = data_hop(handle, value.shape)
-        handle.lineage = (
-            LineageItem("data", (name,)) if name else
-            LineageItem("data", (f"anon_{handle.hop.id}",))
-        )
+        handle.lineage = dataset(
+            name if name else f"anon_{handle.hop.id}", self.ids)
         handle.payloads = {BACKEND_CP: value}
         handle.hop.bundle = (handle.lineage, handle.payloads)
         if name is not None:
@@ -292,9 +241,20 @@ class Session:
                 )
         return handle
 
+    def op(self, opcode: str, inputs: list[Hop],
+           attrs: Optional[dict] = None) -> MatrixHandle:
+        """A lazy handle for ``opcode`` over ``inputs``.
+
+        The one place operator hops are built for this session — the
+        handle operators route here too — so every hop of its DAGs is
+        numbered from the session's own id space.
+        """
+        return MatrixHandle(
+            self, Hop(KIND_OP, opcode, inputs, attrs, ids=self.ids))
+
     def scalar(self, value: float) -> MatrixHandle:
         """A literal scalar handle."""
-        return MatrixHandle(self, literal_hop(float(value)))
+        return MatrixHandle(self, literal_hop(float(value), self.ids))
 
     def rand(self, rows: int, cols: int, min: float = 0.0, max: float = 1.0,
              sparsity: float = 1.0, pdf: str = "uniform",
@@ -308,16 +268,14 @@ class Session:
         if seed is None:
             self._seed_counter += 1
             seed = self._seed_counter
-        return MatrixHandle(self, op_hop("rand", [], {
+        return self.op("rand", [], {
             "rows": rows, "cols": cols, "min": min, "max": max,
             "sparsity": sparsity, "pdf": pdf, "seed": int(seed),
-        }))
+        })
 
     def seq(self, start: float, stop: float, step: float = 1.0) -> MatrixHandle:
         """Column vector ``start, start+step, ..., <= stop``."""
-        return MatrixHandle(self, op_hop("seq", [], {
-            "from": start, "to": stop, "incr": step,
-        }))
+        return self.op("seq", [], {"from": start, "to": stop, "incr": step})
 
     def fill(self, rows: int, cols: int, value: float) -> MatrixHandle:
         """Constant matrix (via rand with min == max)."""
@@ -328,36 +286,30 @@ class Session:
         return self.diag(self.fill(n, 1, 1.0))
 
     def diag(self, handle: MatrixHandle) -> MatrixHandle:
-        return MatrixHandle(self, op_hop("diag", [handle.hop]))
+        return self.op("diag", [handle.hop])
 
     # ------------------------------------------------------------------ operators
 
     def solve(self, a: MatrixHandle, b: MatrixHandle) -> MatrixHandle:
         """Solve the linear system ``A x = b``."""
-        return MatrixHandle(self, op_hop("solve", [a.hop, b.hop]))
+        return self.op("solve", [a.hop, b.hop])
 
     def cbind(self, *handles: MatrixHandle) -> MatrixHandle:
-        return MatrixHandle(
-            self, op_hop("cbind", [h.hop for h in handles])
-        )
+        return self.op("cbind", [h.hop for h in handles])
 
     def rbind(self, *handles: MatrixHandle) -> MatrixHandle:
-        return MatrixHandle(
-            self, op_hop("rbind", [h.hop for h in handles])
-        )
+        return self.op("rbind", [h.hop for h in handles])
 
     def table(self, rows: MatrixHandle, cols: MatrixHandle,
               nrow: int, ncol: int) -> MatrixHandle:
         """Contingency table (used for one-hot encoding)."""
-        return MatrixHandle(self, op_hop(
-            "table", [rows.hop, cols.hop], {"rows": nrow, "cols": ncol}
-        ))
+        return self.op("table", [rows.hop, cols.hop],
+                       {"rows": nrow, "cols": ncol})
 
     def order(self, handle: MatrixHandle, by: int = 1,
               decreasing: bool = False) -> MatrixHandle:
-        return MatrixHandle(self, op_hop(
-            "order", [handle.hop], {"by": by, "decreasing": decreasing}
-        ))
+        return self.op("order", [handle.hop],
+                       {"by": by, "decreasing": decreasing})
 
     def conv2d(self, images: MatrixHandle, filters: MatrixHandle,
                shape: dict) -> MatrixHandle:
@@ -365,34 +317,29 @@ class Session:
 
         ``shape`` holds N/C/H/W/K/R/S plus optional stride and pad.
         """
-        return MatrixHandle(self, op_hop(
-            "conv2d", [images.hop, filters.hop], dict(shape)
-        ))
+        return self.op("conv2d", [images.hop, filters.hop], dict(shape))
 
     def maxpool(self, images: MatrixHandle, shape: dict) -> MatrixHandle:
         """Max pooling over linearized NCHW matrices."""
-        return MatrixHandle(self, op_hop("maxpool", [images.hop], dict(shape)))
+        return self.op("maxpool", [images.hop], dict(shape))
 
     def bias_add(self, x: MatrixHandle, bias: MatrixHandle) -> MatrixHandle:
-        return MatrixHandle(self, op_hop("bias_add", [x.hop, bias.hop]))
+        return self.op("bias_add", [x.hop, bias.hop])
 
     def reshape(self, x: MatrixHandle, rows: int, cols: int) -> MatrixHandle:
-        return MatrixHandle(self, op_hop(
-            "reshape", [x.hop], {"rows": rows, "cols": cols}
-        ))
+        return self.op("reshape", [x.hop], {"rows": rows, "cols": cols})
 
     def recode(self, x: MatrixHandle) -> MatrixHandle:
         """Dictionary-encode categorical columns to dense 1-based codes."""
-        return MatrixHandle(self, op_hop("recode", [x.hop]))
+        return self.op("recode", [x.hop])
 
     def bin(self, x: MatrixHandle, num_bins: int = 10) -> MatrixHandle:
         """Equi-width binning of numerical columns."""
-        return MatrixHandle(self, op_hop("bin", [x.hop],
-                                         {"num_bins": num_bins}))
+        return self.op("bin", [x.hop], {"num_bins": num_bins})
 
     def quantile(self, x: MatrixHandle, p: float) -> MatrixHandle:
         """Column-wise quantile at probability ``p``."""
-        return MatrixHandle(self, op_hop("quantile", [x.hop], {"p": p}))
+        return self.op("quantile", [x.hop], {"p": p})
 
     # ------------------------------------------------------------------ evaluation
 
@@ -431,7 +378,7 @@ class Session:
             # placement (those passes must see the fused stream).
             root_hops, fused, replaced = apply_fusion(
                 root_hops, nodes, consumers, self.config, self.stats,
-                protected=set(extra),
+                protected=set(extra), ids=self.ids,
             )
             if fused:
                 for handle, hop in zip(roots, root_hops):
@@ -670,8 +617,8 @@ class Session:
                     self.evaluate([arg])
                 items.append(arg.lineage)
             else:
-                items.append(literal(arg))
-        return function_item(fname, tuple(items))
+                items.append(literal(arg, self.ids))
+        return function_item(fname, tuple(items), ids=self.ids)
 
     def _cache_function_outputs(self, key: LineageItem, result,
                                 t0: float) -> None:
@@ -717,7 +664,7 @@ class Session:
                 payloads.pop(BACKEND_GPU)
             if not payloads:
                 return None  # all copies lost: treat as a miss
-            handle = MatrixHandle(self, literal_hop(0.0))
+            handle = MatrixHandle(self, literal_hop(0.0, self.ids))
             handle.hop = data_hop(handle, shape)
             gpu_payload = payloads.get(BACKEND_GPU)
             handle.bind(lineage, payloads)
@@ -828,7 +775,7 @@ class Session:
         from the one that produced the trace.  ``inputs`` supplies the
         named datasets referenced by ``data`` leaves.
         """
-        root_item = deserialize(log)
+        root_item = deserialize(log, self.ids)
         inputs = inputs or {}
         anchors: list[MatrixHandle] = []
 
@@ -841,7 +788,7 @@ class Session:
             anchors.append(handle)
             return handle.hop
 
-        root = hops_from_item(root_item, read_dataset)
+        root = hops_from_item(root_item, read_dataset, self.ids)
         handle = MatrixHandle(self, root)
         return self.compute(handle)
 
@@ -878,7 +825,7 @@ class Session:
             anchors.append(handle)
             return handle.hop
 
-        root = hops_from_item(item, read_dataset)
+        root = hops_from_item(item, read_dataset, self.ids)
         handle = MatrixHandle(self, root)
         self.compute(handle)
         value = handle.payloads.get(BACKEND_CP)
@@ -903,8 +850,8 @@ class Session:
         ``repro.analysis`` diagnostics and trace spans reference.
 
         Without ``handles``, renders every plan captured so far (needs
-        ``MemphisConfig(explain_capture=True)`` or an ambient
-        :func:`repro.obs.explain.install_explain` scope).
+        ``MemphisConfig(explain_capture=True)`` or a session built under
+        ``runtime.scope(explain=ExplainCollector())``).
 
         ``level`` is one of ``"hops"``, ``"runtime"``, ``"full"``.
         """
@@ -973,8 +920,8 @@ class Session:
         """Structured trace events recorded so far (see ``repro.obs``).
 
         Empty unless the session was created with
-        ``MemphisConfig(trace_enabled=True)`` or inside an ambient
-        ``repro.obs.tracing()`` scope.
+        ``MemphisConfig(trace_enabled=True)`` or under
+        ``runtime.scope(trace=TraceCollector())``.
         """
         if self.trace_collector is not None:
             return [e for e in self.trace_collector.events()

@@ -13,9 +13,11 @@ substrate ownership out of :class:`~repro.core.session.Session`:
   *private* substrate built from the session's own stats/clock/tracer —
   exactly the object graph sessions constructed before this layer
   existed, so single-session behaviour is byte-identical;
-* a *shared* substrate (``Substrate.shared()``) is attached by many
-  sessions.  Each attachment yields a :class:`SessionContext` that
-  namespaces lineage keys and enforces the tenant's fair share.
+* a *shared* substrate (``Substrate.shared_substrate()``) is attached
+  by many sessions (``Session(cfg, substrate=sub)``, or every session
+  built under ``runtime.scope(substrate=sub)``).  Each attachment
+  yields a :class:`SessionContext` that namespaces lineage keys and
+  enforces the tenant's fair share.
 
 Namespacing rules (cross-session deduplication)
 -----------------------------------------------
@@ -53,6 +55,7 @@ import numpy as np
 
 from repro.common.config import MemphisConfig
 from repro.common.errors import AdmissionError
+from repro.common.runtime import RuntimeContext, current as current_runtime
 from repro.common.simclock import SimClock
 from repro.common.stats import (
     SERVER_ADMITTED,
@@ -79,7 +82,7 @@ from repro.obs.events import (
     EV_SERVER_BACKPRESSURE,
     EV_SERVER_CROSS_HIT,
 )
-from repro.obs.tracer import NULL_TRACER, current_collector
+from repro.obs.tracer import NULL_TRACER
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.session import Session
@@ -279,21 +282,23 @@ class Substrate:
 
     def __init__(self, config: Optional[MemphisConfig] = None, *,
                  stats: Optional[Stats] = None, clock=None,
-                 tracer=None, faults=None, shared: bool = False) -> None:
+                 tracer=None, faults=None, shared: bool = False,
+                 runtime: Optional[RuntimeContext] = None) -> None:
+        #: captured once; a scheduler builds its sessions under it.
+        rt = self.runtime = (runtime if runtime is not None
+                             else current_runtime())
         self.config = config or MemphisConfig.memphis()
         self.shared = shared
         self.stats = stats if stats is not None else Stats()
         self.clock = clock if clock is not None else SimClock()
-        if tracer is None and shared:
-            # ambient-wins, like Session: a shared substrate created
-            # under ``obs.tracing()`` (harness --trace, tests) traces
-            # its cross-hit/backpressure/attribution events into the
-            # collector instead of silently dropping them.  Private
-            # substrates always receive the owning session's tracer.
-            collector = current_collector()
-            if collector is not None:
-                tracer = collector.tracer(self.clock, label="substrate",
-                                          stats=self.stats)
+        if tracer is None and shared and rt.trace is not None:
+            # like Session: a shared substrate built under a context
+            # with a trace collector (harness --trace, tests) traces its
+            # cross-hit/backpressure/attribution events into it instead
+            # of silently dropping them.  Private substrates always
+            # receive the owning session's tracer.
+            tracer = rt.trace.tracer(self.clock, label="substrate",
+                                     stats=self.stats)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.arbiter = MemoryArbiter(
             self.stats, tracer=self.tracer, faults=faults
@@ -304,7 +309,7 @@ class Substrate:
             flops_per_s=self.config.cpu.flops_per_s,
             tracer=self.tracer, faults=faults, arbiter=self.arbiter,
         )
-        self.interner = LineageInterner()
+        self.interner = LineageInterner(rt.ids)
         #: tenant name -> CP quota bytes (None = registered, no cap).
         self.tenants: dict[str, Optional[int]] = {}
         #: (producer tenant, consumer tenant) -> dedup benefit tallies
@@ -485,32 +490,3 @@ class Substrate:
                 float(nbytes)
         out["server/sessions"] = float(self._next_uid - 1)
         return out
-
-
-# ------------------------------------------------------------ ambient install
-
-#: ambient shared substrate: ``Session(...)`` with no explicit substrate
-#: attaches here when installed (harness --server, tests).  Same
-#: module-global pattern as the ambient tracer/metrics/fault plan.
-_AMBIENT: list[Substrate] = []
-
-
-def install_substrate(substrate: Substrate) -> None:
-    """Sessions constructed from now on attach to ``substrate``."""
-    _AMBIENT.clear()
-    _AMBIENT.append(substrate)
-
-
-def current_substrate() -> Optional[Substrate]:
-    return _AMBIENT[0] if _AMBIENT else None
-
-
-def clear_ambient_substrate() -> None:
-    """Uninstall the ambient substrate and its tenant registry."""
-    if _AMBIENT:
-        substrate = _AMBIENT[0]
-        substrate.activate(None)
-        substrate.tenants.clear()
-        substrate.attribution.clear()
-        substrate.tenant_events.clear()
-    _AMBIENT.clear()

@@ -22,7 +22,6 @@ See ``docs/FAULTS.md`` for the fault taxonomy, schedule spec format,
 and per-backend recovery semantics.
 """
 
-from repro.faults.determinism import reset_ambient_state, reset_global_ids
 from repro.faults.injector import (
     NULL_INJECTOR,
     ArmedFault,
@@ -42,9 +41,6 @@ from repro.faults.plan import (
     KINDS,
     FaultPlan,
     FaultSpec,
-    current_plan,
-    install_plan,
-    uninstall_plan,
 )
 
 __all__ = [
@@ -64,9 +60,4 @@ __all__ = [
     "KIND_SPILL_IO",
     "NULL_INJECTOR",
     "NullInjector",
-    "current_plan",
-    "install_plan",
-    "reset_ambient_state",
-    "reset_global_ids",
-    "uninstall_plan",
 ]

@@ -270,33 +270,3 @@ def _set_plan_field(plan: FaultPlan, token: str) -> None:
     if current is None or key == "specs":
         raise ValueError(f"unknown fault plan field {key!r}")
     setattr(plan, key, type(current)(float(value)))
-
-
-# ------------------------------------------------- ambient plan (harness)
-
-_active_plan: Optional[FaultPlan] = None
-
-
-def install_plan(plan: FaultPlan) -> FaultPlan:
-    """Install an ambient fault plan (harness ``--faults``).
-
-    Mirrors ``repro.obs.enable_tracing``: sessions created while a plan
-    is installed pick it up when their config carries no explicit
-    ``faults`` field, so the flag reaches sessions constructed deep
-    inside workload drivers.
-    """
-    global _active_plan
-    _active_plan = plan
-    return plan
-
-
-def uninstall_plan() -> Optional[FaultPlan]:
-    """Remove the ambient plan; returns it for inspection."""
-    global _active_plan
-    plan, _active_plan = _active_plan, None
-    return plan
-
-
-def current_plan() -> Optional[FaultPlan]:
-    """The ambient fault plan, if one is installed."""
-    return _active_plan

@@ -15,14 +15,27 @@ import argparse
 import sys
 import time
 
-from repro.common.config import (
-    EvictionPolicyName,
-    clear_fusion_override,
-    clear_policy_overrides,
-    install_fusion_override,
-    install_policy_overrides,
-)
+from repro.analysis import AnalysisCollector, Severity
+from repro.common.config import EvictionPolicyName
+from repro.common.runtime import RuntimeContext, scope
+from repro.faults import FaultPlan
 from repro.harness import runner
+from repro.harness.telemetry import (
+    assert_valid_server_records,
+    server_report_records,
+    write_server_jsonl,
+)
+from repro.obs import (
+    ExplainCollector,
+    MetricsCollector,
+    TraceCollector,
+    counter_tracks,
+    export_chrome_trace,
+    format_metrics,
+    format_summary,
+    write_metrics_jsonl,
+)
+from repro.server import run_server_demo
 
 EXPERIMENTS = {
     "fig2c": runner.run_experiment_fig2c,
@@ -42,6 +55,11 @@ EXPERIMENTS = {
     "ablation-policies": runner.run_ablation_policies,
     "ablation-ordering": runner.run_ablation_ordering,
 }
+
+#: flags that change what sessions compute; ``--server`` runs its own
+#: fixed demo, so combining them is refused rather than silently dropped.
+_EXPERIMENT_ONLY_FLAGS = ("faults", "policy", "gpu_policy", "spark_policy",
+                          "fusion")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -120,166 +138,127 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.server is not None:
-        from repro.server import run_server_demo
-
-        start = time.time()
-        report = run_server_demo(args.server, seed=args.server_seed)
-        print(report.format())
-        if args.server_report:
-            from repro.harness.telemetry import (
-                assert_valid_server_records,
-                server_report_records,
-                write_server_jsonl,
-            )
-
-            records = server_report_records(report, args.server,
-                                            args.server_seed)
-            assert_valid_server_records(records, context=args.server_report)
-            write_server_jsonl(args.server_report, records)
-            print(f"[server report: {len(records)} records -> "
-                  f"{args.server_report}]")
-        print(f"[server: {args.server} session(s), seed {args.server_seed}, "
-              f"{time.time() - start:.1f}s wall]")
-        return 0 if report.ok else 1
-
+        dropped = [f"--{flag.replace('_', '-')}"
+                   for flag in _EXPERIMENT_ONLY_FLAGS if getattr(args, flag)]
+        if dropped:
+            parser.error(f"{', '.join(dropped)} cannot be combined with "
+                         f"--server (the server demo fixes its own "
+                         f"configuration)")
     selected = args.experiments or list(EXPERIMENTS)
     unknown = [name for name in selected if name not in EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiments: {', '.join(unknown)} "
                      f"(see --list)")
 
-    collector = None
-    if args.trace is not None or args.trace_summary:
-        # --trace-summary without --trace still needs events: collect
-        # in memory only and skip the file export below.
-        from repro.obs import TraceCollector, enable_tracing
-
-        collector = TraceCollector()
-        enable_tracing(collector)
-
-    metrics_collector = None
-    if args.metrics is not None:
-        from repro.obs import MetricsCollector, enable_metrics
-
-        metrics_collector = MetricsCollector()
-        enable_metrics(metrics_collector)
-
-    explain_collector = None
-    if args.explain:
-        from repro.obs import ExplainCollector, install_explain
-
-        explain_collector = ExplainCollector()
-        install_explain(explain_collector)
-
-    ir_collector = None
-    if args.verify_ir:
-        from repro.analysis import AnalysisCollector, install_collector
-
-        ir_collector = AnalysisCollector()
-        install_collector(ir_collector)
-
-    fault_plan = None
-    if args.faults is not None:
-        from repro.faults import FaultPlan, install_plan
-
-        fault_plan = FaultPlan.parse(args.faults)
-        install_plan(fault_plan)
-        print(f"[faults: injecting {len(fault_plan.specs)} fault spec(s), "
-              f"seed {fault_plan.seed}]")
-
-    if args.policy or args.gpu_policy or args.spark_policy:
-        install_policy_overrides(
-            policy=EvictionPolicyName(args.policy) if args.policy else None,
-            gpu_policy=(EvictionPolicyName(args.gpu_policy)
-                        if args.gpu_policy else None),
-            spark_policy=(EvictionPolicyName(args.spark_policy)
-                          if args.spark_policy else None),
-        )
-        chosen = {k: v for k, v in (("policy", args.policy),
-                                    ("gpu", args.gpu_policy),
-                                    ("spark", args.spark_policy)) if v}
-        print(f"[memory: eviction policy overrides {chosen}]")
-
-    if args.fusion:
-        install_fusion_override(True)
-        print("[compiler: reuse-aware operator fusion enabled]")
-
+    rt = _context_from_args(args)
+    ok = True
     try:
-        for name in selected:
-            start = time.time()
-            result = EXPERIMENTS[name]()
-            print(result.table)
-            print(f"[{name}: regenerated in {time.time() - start:.1f}s wall]\n")
+        with rt:
+            if args.server is not None:
+                ok = _run_server(args)
+            else:
+                for name in selected:
+                    start = time.time()
+                    result = EXPERIMENTS[name]()
+                    print(result.table)
+                    print(f"[{name}: regenerated in "
+                          f"{time.time() - start:.1f}s wall]\n")
     finally:
-        clear_policy_overrides()
-        clear_fusion_override()
-        if fault_plan is not None:
-            from repro.faults import uninstall_plan
-
-            uninstall_plan()
-        counters = None
-        if metrics_collector is not None:
-            from repro.obs import (
-                counter_tracks,
-                disable_metrics,
-                format_metrics,
-                write_metrics_jsonl,
-            )
-
-            disable_metrics()
-            counters = counter_tracks(metrics_collector)
-            written = write_metrics_jsonl(metrics_collector, args.metrics)
-            print(f"[metrics: {written} series from "
-                  f"{metrics_collector.num_sessions} sessions -> "
-                  f"{args.metrics}]")
-            for registry in metrics_collector.registries:
-                if registry.num_samples():
-                    print()
-                    print(format_metrics(registry))
-                    break
-        if collector is not None:
-            from repro.obs import disable_tracing, export_chrome_trace
-
-            disable_tracing()
-            events = collector.events()
-            if args.trace is not None:
-                export_chrome_trace(events, args.trace,
-                                    collector.session_labels,
-                                    counters=counters)
-                print(f"[trace: {len(events)} events from "
-                      f"{collector.num_sessions} sessions -> {args.trace}]")
-            if collector.ring.dropped:
-                print(f"[trace: ring buffer dropped "
-                      f"{collector.ring.dropped} oldest events]")
-            if args.trace_summary:
-                from repro.obs import format_summary
-
-                print()
-                print(format_summary(events))
-        if explain_collector is not None:
-            from repro.obs import uninstall_explain
-
-            uninstall_explain()
-            diagnostics = (ir_collector.merged().diagnostics
-                           if ir_collector is not None else None)
-            print()
-            print(explain_collector.render(diagnostics=diagnostics))
-        if ir_collector is not None:
-            from repro.analysis import uninstall_collector
-
-            uninstall_collector()
-    if ir_collector is not None:
-        from repro.analysis import Severity
-
-        report = ir_collector.merged()
-        print(f"[verify-ir: {ir_collector.blocks_verified} block(s) "
+        # also after a failed experiment: what was collected is exported
+        _report_collected(args, rt)
+    if rt.analysis is not None:
+        report = rt.analysis.merged()
+        print(f"[verify-ir: {rt.analysis.blocks_verified} block(s) "
               f"verified -- {report.summary()}]")
         shown = report.format(min_severity=Severity.WARNING)
         if shown:
             print(shown)
         if report.errors():
             return 1
-    return 0
+    return 0 if ok else 1
+
+
+def _context_from_args(args: argparse.Namespace) -> RuntimeContext:
+    """The runtime context the command line asks for (not yet entered)."""
+    fields: dict = {}
+    if args.trace is not None or args.trace_summary:
+        # --trace-summary without --trace still needs events: collect
+        # in memory only and skip the file export.
+        fields["trace"] = TraceCollector()
+    if args.metrics is not None:
+        fields["metrics"] = MetricsCollector()
+    if args.explain:
+        fields["explain"] = ExplainCollector()
+    if args.verify_ir:
+        fields["analysis"] = AnalysisCollector()
+    if args.faults is not None:
+        plan = fields["faults"] = FaultPlan.parse(args.faults)
+        print(f"[faults: injecting {len(plan.specs)} fault spec(s), "
+              f"seed {plan.seed}]")
+    chosen = {}
+    for label, flag in (("policy", "policy"), ("gpu", "gpu_policy"),
+                        ("spark", "spark_policy")):
+        value = getattr(args, flag)
+        if value:
+            fields[flag] = EvictionPolicyName(value)
+            chosen[label] = value
+    if chosen:
+        print(f"[memory: eviction policy overrides {chosen}]")
+    if args.fusion:
+        fields["fusion"] = True
+        print("[compiler: reuse-aware operator fusion enabled]")
+    return scope(**fields)
+
+
+def _run_server(args: argparse.Namespace) -> bool:
+    """``--server N``: the multi-tenant demo; True iff every request ran."""
+    start = time.time()
+    report = run_server_demo(args.server, seed=args.server_seed)
+    print(report.format())
+    if args.server_report:
+        records = server_report_records(report, args.server,
+                                        args.server_seed)
+        assert_valid_server_records(records, context=args.server_report)
+        write_server_jsonl(args.server_report, records)
+        print(f"[server report: {len(records)} records -> "
+              f"{args.server_report}]")
+    print(f"[server: {args.server} session(s), seed {args.server_seed}, "
+          f"{time.time() - start:.1f}s wall]")
+    return report.ok
+
+
+def _report_collected(args: argparse.Namespace, rt: RuntimeContext) -> None:
+    """Export / print whatever the context's collectors gathered."""
+    counters = None
+    if rt.metrics is not None:
+        counters = counter_tracks(rt.metrics)
+        written = write_metrics_jsonl(rt.metrics, args.metrics)
+        print(f"[metrics: {written} series from "
+              f"{rt.metrics.num_sessions} sessions -> {args.metrics}]")
+        for registry in rt.metrics.registries:
+            if registry.num_samples():
+                print()
+                print(format_metrics(registry))
+                break
+    if rt.trace is not None:
+        events = rt.trace.events()
+        if args.trace is not None:
+            export_chrome_trace(events, args.trace,
+                                rt.trace.session_labels,
+                                counters=counters)
+            print(f"[trace: {len(events)} events from "
+                  f"{rt.trace.num_sessions} sessions -> {args.trace}]")
+        if rt.trace.ring.dropped:
+            print(f"[trace: ring buffer dropped "
+                  f"{rt.trace.ring.dropped} oldest events]")
+        if args.trace_summary:
+            print()
+            print(format_summary(events))
+    if rt.explain is not None:
+        diagnostics = (rt.analysis.merged()
+                       if rt.analysis is not None else None)
+        print()
+        print(rt.explain.render(diagnostics=diagnostics))
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Benchmark telemetry: schema-validated machine-readable bench reports.
 
 The harness experiments print human tables; CI and regression tooling
-need numbers.  ``scripts/bench_report.py`` runs experiments under an
-ambient :class:`~repro.obs.metrics.MetricsCollector` and serializes one
+need numbers.  ``scripts/bench_report.py`` runs experiments under a
+scoped :class:`~repro.obs.metrics.MetricsCollector` and serializes one
 record per experiment — simulated time, wall-clock, key stats counters,
 and per-series metric digests — into a ``BENCH_<n>.json`` document
 validated against :data:`BENCH_SCHEMA`.
@@ -96,7 +96,7 @@ def experiment_record(name: str, result, wall_s: float,
     ``sim_time_s`` sums the simulated elapsed time of every workload
     cell of the grid; ``counters`` sums their stats counters (restricted
     to :data:`KEY_COUNTERS`); ``metric_series`` digests come from the
-    run's ambient metrics collector (empty when metering was off).
+    run's metrics collector (empty when metering was off).
     """
     workloads = _workload_results(result.grid)
     sim_time = sum(w.elapsed for w in workloads)

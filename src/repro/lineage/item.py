@@ -17,10 +17,9 @@ Hashing and equality follow the paper exactly:
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Optional
 
-_ids = itertools.count(1)
+from repro.common.runtime import IdSpace, current as current_runtime
 
 #: opcode used for leaf items that name an input dataset.
 OP_DATA = "data"
@@ -48,13 +47,20 @@ class LineageItem:
         identifiers) that parameterize the operation.
     inputs:
         Input lineage items, in argument order.
+    ids:
+        The id space numbering this item (default: the current runtime
+        context's).
     """
 
     __slots__ = ("id", "opcode", "data", "inputs", "height", "_hash")
 
     def __init__(self, opcode: str, data: tuple = (),
-                 inputs: tuple["LineageItem", ...] = ()) -> None:
-        self.id: int = next(_ids)
+                 inputs: tuple["LineageItem", ...] = (),
+                 ids: Optional[IdSpace] = None) -> None:
+        # the TRACE path (interner, session, interpreter) passes its
+        # runtime's id space; hand-built items number from the current one
+        self.id: int = next(
+            (ids if ids is not None else current_runtime().ids).lineage)
         self.opcode = opcode
         self.data = data if type(data) is tuple else tuple(data)
         inputs = inputs if type(inputs) is tuple else tuple(inputs)
@@ -151,10 +157,11 @@ class LineageInterner:
     the lineage cache it accelerates.
     """
 
-    __slots__ = ("_table",)
+    __slots__ = ("_table", "_ids")
 
-    def __init__(self) -> None:
+    def __init__(self, ids: Optional[IdSpace] = None) -> None:
         self._table: dict[tuple, LineageItem] = {}
+        self._ids = ids if ids is not None else current_runtime().ids
 
     def __len__(self) -> int:
         return len(self._table)
@@ -165,7 +172,7 @@ class LineageInterner:
         key = (opcode, data, tuple(map(id, inputs)))
         item = self._table.get(key)
         if item is None:
-            item = LineageItem(opcode, data, inputs)
+            item = LineageItem(opcode, data, inputs, self._ids)
             self._table[key] = item
         return item
 
@@ -173,24 +180,26 @@ class LineageInterner:
         self._table.clear()
 
 
-def literal(value: object) -> LineageItem:
+def literal(value: object, ids: Optional[IdSpace] = None) -> LineageItem:
     """Lineage leaf for a scalar/string literal."""
-    return LineageItem(OP_LITERAL, (value,))
+    return LineageItem(OP_LITERAL, (value,), (), ids)
 
 
-def dataset(name: str) -> LineageItem:
+def dataset(name: str, ids: Optional[IdSpace] = None) -> LineageItem:
     """Lineage leaf for a named input dataset."""
-    return LineageItem(OP_DATA, (name,))
+    return LineageItem(OP_DATA, (name,), (), ids)
 
 
 def function_item(fname: str, inputs: tuple[LineageItem, ...],
-                  output_index: int = 0) -> LineageItem:
+                  output_index: int = 0,
+                  ids: Optional[IdSpace] = None) -> LineageItem:
     """Coarse-grained item for one output of a deterministic function.
 
     The paper uses a special lineage item containing the function name and
     the inputs for each function output (§3.3, multi-level reuse).
     """
-    return LineageItem(f"{OP_FUNCTION}:{fname}", (output_index,), inputs)
+    return LineageItem(f"{OP_FUNCTION}:{fname}", (output_index,), inputs,
+                       ids)
 
 
 def dags_equal(a: LineageItem, b: LineageItem,

@@ -11,8 +11,9 @@ environment may differ from the one that produced the trace.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
+from repro.common.runtime import IdSpace
 from repro.compiler.ir import Hop, literal_hop, op_hop
 from repro.lineage.item import LineageItem
 
@@ -30,7 +31,8 @@ def attrs_from_data(data: tuple) -> dict:
 
 
 def hops_from_item(root: LineageItem,
-                   read_dataset: Callable[[str], Hop]) -> Hop:
+                   read_dataset: Callable[[str], Hop],
+                   ids: Optional[IdSpace] = None) -> Hop:
     """Rebuild the expression DAG of a lineage trace (memoized walk).
 
     ``read_dataset(name)`` resolves a ``data`` leaf to a data hop —
@@ -38,7 +40,8 @@ def hops_from_item(root: LineageItem,
     raise :class:`~repro.common.errors.RecomputationError` when the
     dataset is unavailable.  Shared sub-traces become shared hops, so
     the replayed DAG preserves the original sharing structure (and the
-    compiler's CSE/reuse machinery applies to the replay too).
+    compiler's CSE/reuse machinery applies to the replay too).  ``ids``
+    is the replaying session's id space (default: the current context's).
     """
     hops: dict[int, Hop] = {}
 
@@ -46,12 +49,13 @@ def hops_from_item(root: LineageItem,
         if item.id in hops:
             return hops[item.id]
         if item.opcode == "lit":
-            hop = literal_hop(item.data[0])
+            hop = literal_hop(item.data[0], ids)
         elif item.opcode == "data":
             hop = read_dataset(str(item.data[0]))
         else:
             child_hops = [build(child) for child in item.inputs]
-            hop = op_hop(item.opcode, child_hops, attrs_from_data(item.data))
+            hop = op_hop(item.opcode, child_hops,
+                         attrs_from_data(item.data), ids)
         hops[item.id] = hop
         return hop
 

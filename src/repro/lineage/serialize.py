@@ -13,7 +13,10 @@ traces and exact recomputation in a different environment (§3.2).
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.common.errors import LineageError
+from repro.common.runtime import IdSpace
 from repro.lineage.item import LineageItem
 
 
@@ -80,8 +83,11 @@ def serialize(root: LineageItem) -> str:
     return "\n".join(lines)
 
 
-def deserialize(log: str) -> LineageItem:
-    """Parse a lineage log back into an in-memory lineage DAG root."""
+def deserialize(log: str, ids: Optional[IdSpace] = None) -> LineageItem:
+    """Parse a lineage log back into an in-memory lineage DAG root.
+
+    ``ids`` numbers the rebuilt items (default: the current context's).
+    """
     nodes: dict[int, LineageItem] = {}
     last: LineageItem | None = None
     for lineno, raw in enumerate(log.splitlines()):
@@ -105,7 +111,7 @@ def deserialize(log: str) -> LineageItem:
             raise LineageError(
                 f"lineage log line {lineno} references undefined node"
             ) from exc
-        node = LineageItem(opcode.strip(), data, inputs)
+        node = LineageItem(opcode.strip(), data, inputs, ids)
         nodes[idx] = node
         last = node
     if last is None:

@@ -7,8 +7,9 @@ over the simulated clock, with three sinks: a bounded in-memory ring
 buffer, a JSONL writer, and a Chrome-trace/Perfetto exporter that
 renders a whole run as a timeline with one lane per backend.
 
-Enable per session (``MemphisConfig(trace_enabled=True)``), ambiently
-(``with obs.tracing() as tc: ...``), or from the CLI
+Enable per session (``MemphisConfig(trace_enabled=True)``), for every
+session built in a scope (``with runtime.scope(trace=TraceCollector())
+as rt: ...``, see ``repro.common.runtime``), or from the CLI
 (``python -m repro.harness fig11a --trace out.json``).  See
 ``docs/OBSERVABILITY.md`` for the event taxonomy and a worked example.
 
@@ -35,14 +36,10 @@ from repro.obs.explain import (
     LEVEL_HOPS,
     LEVEL_RUNTIME,
     LEVELS,
-    current_explain,
-    explaining,
-    install_explain,
     plan_to_dot,
     render_dot,
     render_plan,
     snapshot_plan,
-    uninstall_explain,
 )
 from repro.obs.metrics import (
     Histogram,
@@ -54,11 +51,7 @@ from repro.obs.metrics import (
     NULL_METRICS,
     NullMetrics,
     counter_tracks,
-    current_metrics,
-    disable_metrics,
-    enable_metrics,
     format_metrics,
-    metering,
     read_metrics_jsonl,
     sparkline,
     write_metrics_jsonl,
@@ -123,10 +116,6 @@ from repro.obs.tracer import (
     Span,
     TraceCollector,
     Tracer,
-    current_collector,
-    disable_tracing,
-    enable_tracing,
-    tracing,
 )
 
 __all__ = [
@@ -197,20 +186,10 @@ __all__ = [
     "assert_valid_chrome_trace",
     "chrome_trace_dict",
     "counter_tracks",
-    "current_collector",
-    "current_explain",
-    "current_metrics",
-    "disable_metrics",
-    "disable_tracing",
-    "enable_metrics",
-    "enable_tracing",
-    "explaining",
     "export_chrome_trace",
     "format_metrics",
     "format_summary",
-    "install_explain",
     "load_chrome_trace",
-    "metering",
     "percentile",
     "plan_to_dot",
     "read_jsonl",
@@ -220,8 +199,6 @@ __all__ = [
     "snapshot_plan",
     "sparkline",
     "summarize",
-    "tracing",
-    "uninstall_explain",
     "validate_chrome_trace",
     "write_jsonl",
     "write_metrics_jsonl",

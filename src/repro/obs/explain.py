@@ -25,9 +25,8 @@ single plan-printing code path shared with ``repro.lineage.query``.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.compiler.ir import KIND_OP, Hop
 
@@ -270,7 +269,7 @@ def _render_stream(plan: ExplainPlan, diags: dict[int, list]) -> list[str]:
     return lines
 
 
-# -- ambient collector -------------------------------------------------------
+# -- collector ---------------------------------------------------------------
 
 class ExplainCollector:
     """Accumulates compiled-block plans across sessions (harness --explain).
@@ -315,38 +314,6 @@ class ExplainCollector:
         if max_plans is not None and len(self.plans) > max_plans:
             lines.append(f"... ({len(self.plans) - max_plans} more plans)")
         return "\n".join(lines)
-
-
-_active_explain: Optional[ExplainCollector] = None
-
-
-def install_explain(collector: Optional[ExplainCollector] = None) -> ExplainCollector:
-    """Install an ambient explain collector (harness ``--explain``)."""
-    global _active_explain
-    _active_explain = collector or ExplainCollector()
-    return _active_explain
-
-
-def uninstall_explain() -> Optional[ExplainCollector]:
-    """Clear the ambient explain collector; returns it for rendering."""
-    global _active_explain
-    collector, _active_explain = _active_explain, None
-    return collector
-
-
-def current_explain() -> Optional[ExplainCollector]:
-    """The ambient explain collector, or ``None``."""
-    return _active_explain
-
-
-@contextlib.contextmanager
-def explaining(collector: Optional[ExplainCollector] = None) -> Iterator[ExplainCollector]:
-    """Scoped ambient explain capture: ``with explaining() as ec: ...``."""
-    ec = install_explain(collector)
-    try:
-        yield ec
-    finally:
-        uninstall_explain()
 
 
 # -- generic DOT rendering (shared with repro.lineage.query) -----------------

@@ -30,10 +30,9 @@ Three renderings are supported:
 
 from __future__ import annotations
 
-import contextlib
 import json
 from collections import deque
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.common.simclock import HOST, SimClock
 from repro.common.stats import (
@@ -345,10 +344,10 @@ NULL_METRICS = NullMetrics()
 class MetricsCollector:
     """Shared metric store for one metered run (possibly many sessions).
 
-    Mirrors :class:`~repro.obs.tracer.TraceCollector`: sessions created
-    while a collector is ambient (see :func:`enable_metrics`) register a
-    fresh :class:`MetricsRegistry` here, and contribute their ``Stats``
-    for aggregate reporting.
+    Mirrors :class:`~repro.obs.tracer.TraceCollector`: sessions built
+    under ``runtime.scope(metrics=MetricsCollector())`` register a fresh
+    :class:`MetricsRegistry` here, and contribute their ``Stats`` for
+    aggregate reporting.
     """
 
     def __init__(self, interval: int = DEFAULT_INTERVAL,
@@ -413,45 +412,6 @@ class MetricsCollector:
             for name, hist in registry.histograms().items():
                 digests.setdefault(name, hist.digest())
         return digests
-
-
-# -- ambient (process-wide) metrics state ------------------------------------
-
-_active_metrics: Optional[MetricsCollector] = None
-
-
-def enable_metrics(collector: Optional[MetricsCollector] = None) -> MetricsCollector:
-    """Install ``collector`` (or a fresh one) as the ambient collector.
-
-    Sessions constructed while a collector is active sample into it
-    regardless of their config flag — how ``python -m repro.harness
-    --metrics`` meters sessions created deep inside workload drivers.
-    """
-    global _active_metrics
-    _active_metrics = collector or MetricsCollector()
-    return _active_metrics
-
-
-def disable_metrics() -> Optional[MetricsCollector]:
-    """Clear the ambient collector; returns it for export."""
-    global _active_metrics
-    collector, _active_metrics = _active_metrics, None
-    return collector
-
-
-def current_metrics() -> Optional[MetricsCollector]:
-    """The ambient collector, or ``None`` when metrics are off."""
-    return _active_metrics
-
-
-@contextlib.contextmanager
-def metering(collector: Optional[MetricsCollector] = None) -> Iterator[MetricsCollector]:
-    """Scoped ambient metrics: ``with metering() as mc: ...``."""
-    mc = enable_metrics(collector)
-    try:
-        yield mc
-    finally:
-        disable_metrics()
 
 
 # -- renderings --------------------------------------------------------------

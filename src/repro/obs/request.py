@@ -17,7 +17,7 @@ the request-scoped layer that answers them:
   *which request caused this eviction*.
 * :class:`FlightRecorder` — an always-on bounded ring of recent
   request-level events (scheduler steps, backpressure, retries,
-  completions; plus full spans whenever ambient tracing is active).
+  completions; plus full spans whenever the run is traced).
   It reuses the :class:`~repro.obs.sinks.RingBufferSink` and costs one
   deque append per scheduler quantum — cheap enough to stay on even
   when tracing is off, which is the point: when an
@@ -73,13 +73,14 @@ class RequestContext:
 class FlightRecorder:
     """Always-on bounded window of recent server events, dumped on faults.
 
-    The scheduler records one instant per scheduling quantum (and, when
-    ambient tracing is active, receives every traced event as an extra
-    collector sink).  :meth:`dump` snapshots the window with a reason —
-    ``admission_error``, the escaping exception type, or
-    ``fault_recovery`` — giving a post-mortem view without full tracing
-    enabled.  Dumps are plain JSON-friendly dicts, deterministic on the
-    sim clock, and accumulate on :attr:`dumps` for the server report.
+    The scheduler records one instant per scheduling quantum (and, for
+    the duration of a traced ``Scheduler.run``, receives every traced
+    event as an extra collector sink).  :meth:`dump` snapshots the
+    window with a reason — ``admission_error``, the escaping exception
+    type, or ``fault_recovery`` — giving a post-mortem view without full
+    tracing enabled.  Dumps are plain JSON-friendly dicts, deterministic
+    on the sim clock, and accumulate on :attr:`dumps` for the server
+    report.
     """
 
     #: sink-protocol flag: recorders may be attached as collector sinks.

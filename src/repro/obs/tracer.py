@@ -20,8 +20,7 @@ experiment grids into one timeline, one Perfetto process per session.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.common.simclock import CLUSTER, DEVICE, HOST, SimClock
 from repro.common.stats import Stats
@@ -250,8 +249,10 @@ NULL_TRACER = NullTracer()
 class TraceCollector:
     """Shared event store for one traced run (possibly many sessions).
 
-    Sessions created while a collector is active (see
-    :func:`enable_tracing`) register here: each gets a fresh
+    Sessions built under a runtime context carrying a collector
+    (``runtime.scope(trace=TraceCollector())`` — how ``python -m
+    repro.harness --trace`` captures sessions created deep inside
+    workload drivers) register here: each gets a fresh
     :class:`Tracer` with a distinct session id writing into the
     collector's sinks, and contributes its :class:`Stats` registry to
     the aggregate the harness summary reports.
@@ -292,43 +293,3 @@ class TraceCollector:
     @property
     def num_sessions(self) -> int:
         return self._next_session
-
-
-# -- ambient (process-wide) tracing state -----------------------------------
-
-_active_collector: Optional[TraceCollector] = None
-
-
-def enable_tracing(collector: Optional[TraceCollector] = None) -> TraceCollector:
-    """Install ``collector`` (or a fresh one) as the ambient collector.
-
-    Every :class:`~repro.core.session.Session` constructed while a
-    collector is active traces into it, regardless of its config flag —
-    this is how ``python -m repro.harness --trace`` captures sessions
-    created deep inside workload drivers.
-    """
-    global _active_collector
-    _active_collector = collector or TraceCollector()
-    return _active_collector
-
-
-def disable_tracing() -> Optional[TraceCollector]:
-    """Clear the ambient collector; returns it for export."""
-    global _active_collector
-    collector, _active_collector = _active_collector, None
-    return collector
-
-
-def current_collector() -> Optional[TraceCollector]:
-    """The ambient collector, or ``None`` when tracing is off."""
-    return _active_collector
-
-
-@contextlib.contextmanager
-def tracing(collector: Optional[TraceCollector] = None) -> Iterator[TraceCollector]:
-    """Scoped ambient tracing: ``with tracing() as tc: ...``."""
-    tc = enable_tracing(collector)
-    try:
-        yield tc
-    finally:
-        disable_tracing()

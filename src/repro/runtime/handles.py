@@ -15,7 +15,7 @@ from typing import Optional, TYPE_CHECKING, Union
 
 import numpy as np
 
-from repro.compiler.ir import Hop, data_hop, literal_hop, op_hop
+from repro.compiler.ir import Hop, data_hop, literal_hop
 from repro.lineage.item import LineageItem
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -28,7 +28,7 @@ def _as_hop(session: "Session", operand: Operand) -> Hop:
     if isinstance(operand, MatrixHandle):
         return operand.hop
     if isinstance(operand, (int, float, bool, np.floating, np.integer)):
-        return literal_hop(float(operand))
+        return literal_hop(float(operand), session.ids)
     raise TypeError(f"unsupported operand type {type(operand)!r}")
 
 
@@ -92,7 +92,7 @@ class MatrixHandle:
                 reverse: bool = False) -> "MatrixHandle":
         other_hop = _as_hop(self.session, other)
         inputs = [other_hop, self.hop] if reverse else [self.hop, other_hop]
-        return MatrixHandle(self.session, op_hop(opcode, inputs))
+        return self.session.op(opcode, inputs)
 
     def __add__(self, other: Operand) -> "MatrixHandle":
         return self._binary("+", other)
@@ -156,7 +156,7 @@ class MatrixHandle:
     # -- unary / reorg -------------------------------------------------------------
 
     def _unary(self, opcode: str, attrs: Optional[dict] = None) -> "MatrixHandle":
-        return MatrixHandle(self.session, op_hop(opcode, [self.hop], attrs))
+        return self.session.op(opcode, [self.hop], attrs)
 
     def t(self) -> "MatrixHandle":
         """Transpose."""

@@ -211,6 +211,7 @@ class Interpreter:
         enable_async = config.enable_async_ops
 
         intern = self.interner.intern
+        ids = session.ids
         cache_probe = self.cache.probe
         exec_cpu = self._exec_cpu
         exec_spark = self._exec_spark
@@ -225,7 +226,7 @@ class Interpreter:
                     self._planned_spill(spill, env, acquired)
             kind = hop.kind
             if kind == KIND_LITERAL:
-                slot = Slot(literal(hop.value))
+                slot = Slot(literal(hop.value, ids))
                 slot.payloads[BACKEND_CP] = ScalarValue(hop.value)
             elif kind == KIND_DATA:
                 slot = data_slot(hop)
@@ -478,7 +479,8 @@ class Interpreter:
             if handle is None:
                 raise PlacementError(f"data hop {hop} has no handle")
             if handle.lineage is None:
-                handle.lineage = dataset(handle.name or f"data_{hop.id}")
+                handle.lineage = dataset(handle.name or f"data_{hop.id}",
+                                         self.session.ids)
             lineage, payloads = handle.lineage, handle.payloads
         slot = Slot(lineage)
         slot.payloads = dict(payloads)

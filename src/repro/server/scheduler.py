@@ -55,7 +55,6 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import percentile
 from repro.obs.request import FlightRecorder, RequestContext
-from repro.obs.tracer import current_collector
 
 
 class Request:
@@ -285,6 +284,11 @@ class Scheduler:
     runnable request from a ``random.Random(seed)``, so two runs with
     the same seed and submissions execute identically (same hit/miss
     sequence, same counters, same results).
+
+    A scheduler runs under its substrate's runtime context
+    (``substrate.runtime``, captured when the substrate was built): its
+    sessions are created with it, so a scheduler built under one context
+    can be run while another is current.
     """
 
     def __init__(self, substrate: Optional[Substrate] = None, *,
@@ -327,18 +331,28 @@ class Scheduler:
 
     def run(self) -> ServerReport:
         """Drain the request queue; returns the aggregated report."""
+        collector = self.substrate.runtime.trace
+        if collector is None:
+            return self._run()
+        # traced run: the post-mortem window also sees full spans, for
+        # exactly as long as this run lasts
+        collector.add_sink(self.flight)
+        try:
+            return self._run()
+        finally:
+            collector.sinks.remove(self.flight)
+
+    def _run(self) -> ServerReport:
+        """The driver loop proper (``run`` brackets it for traced runs)."""
         rng = random.Random(self.seed)
-        collector = current_collector()
-        if collector is not None and self.flight not in collector.sinks:
-            # traced run: the post-mortem window also sees full spans
-            collector.add_sink(self.flight)
+        runtime = self.substrate.runtime
         tasks = []
         for index, request in enumerate(self._requests):
             # sessions attach in submit order, so uids — and therefore
             # key namespaces — are deterministic
             session = Session(
                 self._config_factory(), substrate=self.substrate,
-                tenant=request.tenant,
+                tenant=request.tenant, runtime=runtime,
             )
             ctx = RequestContext(
                 f"req-{index:03d}-{request.name}", request.tenant,

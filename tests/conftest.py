@@ -1,33 +1,22 @@
-"""Shared test fixtures: cross-test isolation for global state.
+"""Shared test fixture: a fresh runtime context per test.
 
-``Stats`` itself is per-instance (each :class:`~repro.core.session.Session`
-owns one), but the repository does hold real module-level mutable state
-that bleeds between tests and breaks determinism assertions:
-
-* five global id generators (``itertools.count``): HOP ids, lineage item
-  ids, RDD ids, broadcast ids, GPU pointer ids — tests comparing trace
-  event sequences or serialized lineage across two runs need both runs
-  to start from id 1;
-* ambient collectors/plans installed via module globals: the trace
-  collector (``repro.obs``), the analysis collector (``repro.analysis``),
-  and the fault plan (``repro.faults``) — a test that installs one and
-  fails before its cleanup would silently alter every later test.
-
-The autouse fixture below resets all of it around every test, so each
-test observes a process-fresh world.
+Everything process-wide a test could leak — trace / metrics / explain /
+analysis / memplan collectors, a fault plan, a shared substrate, policy
+and fusion overrides — and the id space numbering HOPs, lineage items,
+RDDs, broadcasts and GPU pointers lives on one
+:class:`~repro.common.runtime.RuntimeContext`.  Running each test inside
+its own fresh context gives it ids from 1 and no collaborators, and
+leaving the ``with`` drops whatever the test activated, however it ended.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.faults.determinism import reset_ambient_state, reset_global_ids
+from repro.common.runtime import RuntimeContext
 
 
 @pytest.fixture(autouse=True)
-def _fresh_global_state():
-    """Reset global id counters and ambient collectors around each test."""
-    reset_global_ids()
-    reset_ambient_state()
-    yield
-    reset_ambient_state()
+def _fresh_runtime():
+    with RuntimeContext():
+        yield

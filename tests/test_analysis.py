@@ -18,14 +18,13 @@ from repro.analysis import (
     StreamDefUse,
     analyze,
     check_linearization,
-    collecting,
-    current_collector,
     registered_passes,
     verify_ir,
     walk_dag,
 )
 from repro.common.config import MemphisConfig
 from repro.common.errors import CompilationError, VerificationError
+from repro.common.runtime import current, scope
 from repro.compiler.ir import Hop, literal_hop, op_hop
 from repro.compiler.linearize import depth_first
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
@@ -583,11 +582,12 @@ class TestSessionIntegration:
         assert np.isfinite(self._run_grid())
 
     def test_ambient_collector_sees_blocks(self):
-        with collecting() as collector:
+        collector = AnalysisCollector()
+        with scope(analysis=collector):
             self._run_grid()
         assert collector.blocks_verified > 0
         assert not collector.errors()
-        assert current_collector() is None  # uninstalled on exit
+        assert current().analysis is None  # the scope has exited
 
     def test_collector_merge_dedups(self):
         collector = AnalysisCollector()

@@ -36,7 +36,8 @@ from repro.common.stats import (
 )
 from repro.core.cache import BACKEND_DISK, LineageCache
 from repro.core.entry import BACKEND_CP
-from repro.faults import FaultInjector, FaultPlan, FaultSpec, reset_global_ids
+from repro.common.runtime import RuntimeContext
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.lineage.item import LineageItem
 
 pytestmark = pytest.mark.tier2_chaos
@@ -65,22 +66,25 @@ def gpu_config() -> MemphisConfig:
 
 def run_workload(cfg: MemphisConfig, plan: FaultPlan | None = None,
                  iters: int = 3):
-    """Iterative linear-regression workload; returns (session, ndarray)."""
+    """Iterative linear-regression workload; returns (session, ndarray).
+
+    Each run gets a fresh runtime context, so compared runs (faulted vs
+    fault-free) number hops, lineage items and pointers identically.
+    """
     cfg.faults = plan
-    sess = Session(cfg)
-    X = sess.read(RNG_DATA, "X")
-    y = sess.read(RNG_TARGET, "y")
-    w = sess.read(np.zeros((8, 1)), "w0")
-    for _ in range(iters):
-        grad = X.t() @ (X @ w) - X.t() @ y
-        w = w - 0.01 * grad
-    return sess, w.compute()
+    with RuntimeContext():
+        sess = Session(cfg)
+        X = sess.read(RNG_DATA, "X")
+        y = sess.read(RNG_TARGET, "y")
+        w = sess.read(np.zeros((8, 1)), "w0")
+        for _ in range(iters):
+            grad = X.t() @ (X @ w) - X.t() @ y
+            w = w - 0.01 * grad
+        return sess, w.compute()
 
 
 def baseline(cfg_factory) -> np.ndarray:
-    reset_global_ids()
     _, out = run_workload(cfg_factory())
-    reset_global_ids()
     return out
 
 
@@ -110,10 +114,8 @@ class TestSparkRecovery:
             cfg.spark.cores_per_executor = 1
             return cfg
 
-        reset_global_ids()
         sess, _ = run_workload(serial_config())
         fault_free_elapsed = sess.elapsed()
-        reset_global_ids()
         sess, _ = run_workload(serial_config(),
                                FaultPlan.parse("spark_task@0,count=2"))
         assert sess.elapsed() > fault_free_elapsed
@@ -162,9 +164,7 @@ class TestGpuRecovery:
             == cfg.faults.max_alloc_retries + 1
 
     def test_retry_costs_device_time(self):
-        reset_global_ids()
         sess_a, _ = run_workload(gpu_config())
-        reset_global_ids()
         sess_b, _ = run_workload(gpu_config(),
                                  FaultPlan.parse("gpu_alloc@0,count=2"))
         assert sess_b.elapsed() > sess_a.elapsed()
@@ -335,10 +335,8 @@ class TestDifferential:
     def test_reuse_on_off_bit_equal_under_faults(self):
         from repro.common.config import ReuseMode
 
-        reset_global_ids()
         cfg_full = sp_config()
         _, out_full = run_workload(cfg_full, FaultPlan.parse(self.PLAN))
-        reset_global_ids()
         cfg_none = sp_config()
         cfg_none.reuse_mode = ReuseMode.NONE
         _, out_none = run_workload(cfg_none, FaultPlan.parse(self.PLAN))
@@ -355,7 +353,6 @@ class TestDifferential:
         outs = []
         for factory in (cp_config, sp_config, gpu_config):
             expected = baseline(factory)
-            reset_global_ids()
             _, out = run_workload(factory(), FaultPlan.parse(self.PLAN))
             assert np.array_equal(out, expected)
             outs.append(out)
@@ -370,7 +367,6 @@ class TestChaosSweepProperties:
         expected = baseline(sp_config)
         for seed in range(5):
             plan = FaultPlan.randomize(seed)
-            reset_global_ids()
             sess, out = run_workload(sp_config(), plan)
             assert np.array_equal(out, expected), f"diverged at seed {seed}"
             # retry budgets respected
@@ -396,7 +392,6 @@ class TestChaosSweepProperties:
             plan = FaultPlan.randomize(
                 seed, kinds=("cache_lost", "spill_io", "restore_io"))
             assert FaultPlan.loads(plan.dumps()) == plan
-            reset_global_ids()
             _, out = run_workload(cp_config(), plan)
             assert np.array_equal(out, expected)
 

@@ -84,3 +84,43 @@ class TestObservabilityFlags:
         assert "=== explain" in out
         assert "-- HOP DAG (post-rewrite) --" in out
         assert "-- instruction stream (linearized) --" in out
+
+
+class TestServerFlags:
+    """``--server`` runs inside the same context as the experiments."""
+
+    def test_observability_flags_apply_to_server(self, capsys, tmp_path):
+        # regression: --server returned before any collector was
+        # installed, silently ignoring --trace/--metrics/--explain/...
+        import json
+
+        trace = str(tmp_path / "trace.json")
+        metrics = str(tmp_path / "metrics.jsonl")
+        assert main(["--server", "2", "--trace", trace, "--trace-summary",
+                     "--metrics", metrics, "--explain",
+                     "--verify-ir"]) == 0
+        out = capsys.readouterr().out
+        assert "=== server report ===" in out
+        assert "[trace:" in out and "=== trace summary ===" in out
+        assert "[metrics:" in out and "=== explain" in out
+        assert "[verify-ir:" in out
+        with open(trace) as fh:
+            doc = json.load(fh)
+        stamped = [e for e in doc["traceEvents"]
+                   if "request_id" in e.get("args", {})]
+        assert stamped, "server spans must carry their request id"
+        with open(metrics) as fh:
+            series = {json.loads(line)["series"] for line in fh}
+        assert any(name.startswith("server/tenant/") for name in series)
+
+    @pytest.mark.parametrize("flags", [
+        ["--faults", "cache_lost@6"], ["--policy", "lru"],
+        ["--gpu-policy", "lrc"], ["--spark-policy", "mrd"], ["--fusion"],
+    ], ids=lambda flags: flags[0])
+    def test_experiment_only_flags_rejected_with_server(self, flags,
+                                                        capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--server", "2", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flags[0] in err and "--server" in err

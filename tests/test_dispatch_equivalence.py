@@ -15,10 +15,14 @@ existing zero-overhead guarantee:
 
 * an **empty fault plan** enables the injector (``faults.enabled``)
   but injects nothing — byte-identical by ``tests/test_faults.py``;
-* an ambient **metrics collector** enables sampling, which reads
+* a scoped **metrics collector** enables sampling, which reads
   counters/ledgers but never advances the sim clock;
-* an ambient **trace collector** opens a span per instruction, stamped
+* a scoped **trace collector** opens a span per instruction, stamped
   with the sim clock it never advances.
+
+Every workload runs under ``scope(ids=IdSpace())`` — the enclosing
+scope's collaborators, a fresh id space — so the compared runs number
+hops, lineage items and pointers identically.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ import pytest
 
 from repro import MemphisConfig, Session
 from repro.common.config import ReuseMode
-from repro.faults import FaultPlan, reset_global_ids
-from repro.obs import metering, tracing
+from repro.common.runtime import IdSpace, scope
+from repro.faults import FaultPlan
+from repro.obs import MetricsCollector, TraceCollector
 from repro.workloads.micro import run_fig12b
 from tests.test_memplan import _gpu_chain_session
 
@@ -42,7 +47,9 @@ def _under(layer: str, workload, config: MemphisConfig):
         # enables the injector's per-instruction draw without injecting
         config.faults = FaultPlan(specs=[])
         return workload(config)
-    with {"metrics": metering, "tracer": tracing}[layer]():
+    field, collector = {"metrics": ("metrics", MetricsCollector),
+                        "tracer": ("trace", TraceCollector)}[layer]
+    with scope(**{field: collector()}):
         return workload(config)
 
 
@@ -51,17 +58,17 @@ def _under(layer: str, workload, config: MemphisConfig):
 def _quickstart(config: MemphisConfig, iters: int = 4):
     """Ridge-regression steps with cross-iteration reuse; returns a
     ``(final ndarray, counters, timelines)`` observation triple."""
-    reset_global_ids()
-    session = Session(config)
-    data = (np.arange(200.0 * 8).reshape(200, 8) % 17.0) / 17.0
-    target = (np.arange(200.0).reshape(200, 1) % 5.0) / 5.0
-    X = session.read(data, "X")
-    y = session.read(target, "y")
-    w = session.read(np.zeros((8, 1)), "w0")
-    for _ in range(iters):
-        grad = X.t() @ (X @ w) - X.t() @ y
-        w = w - 0.002 * grad
-    out = w.compute()
+    with scope(ids=IdSpace()):
+        session = Session(config)
+        data = (np.arange(200.0 * 8).reshape(200, 8) % 17.0) / 17.0
+        target = (np.arange(200.0).reshape(200, 1) % 5.0) / 5.0
+        X = session.read(data, "X")
+        y = session.read(target, "y")
+        w = session.read(np.zeros((8, 1)), "w0")
+        for _ in range(iters):
+            grad = X.t() @ (X @ w) - X.t() @ y
+            w = w - 0.002 * grad
+        out = w.compute()
     return out, session.stats.counters(), dict(session.clock.timelines)
 
 
@@ -69,13 +76,13 @@ def _cellwise(config: MemphisConfig, iters: int = 3):
     """Straight-line ufunc chains (one fused instruction each when the
     config enables fusion); same observation triple as
     :func:`_quickstart`."""
-    reset_global_ids()
-    session = Session(config)
-    data = (np.arange(64.0 * 64).reshape(64, 64) % 23.0) / 23.0 - 0.5
-    X = session.read(data, "X")
-    out = None
-    for _ in range(iters):
-        out = (((X * 2.0) + 1.0).sigmoid() * 0.5).relu().compute()
+    with scope(ids=IdSpace()):
+        session = Session(config)
+        data = (np.arange(64.0 * 64).reshape(64, 64) % 23.0) / 23.0 - 0.5
+        X = session.read(data, "X")
+        out = None
+        for _ in range(iters):
+            out = (((X * 2.0) + 1.0).sigmoid() * 0.5).relu().compute()
     return out, session.stats.counters(), dict(session.clock.timelines)
 
 
@@ -134,7 +141,6 @@ class TestChainEquivalence:
     def test_chain_interior_not_cached(self):
         cfg = MemphisConfig.memphis()
         cfg.reuse_mode = ReuseMode.NONE
-        reset_global_ids()
         session = Session(cfg)
         X = session.read(np.ones((16, 16)), "X")
         (((X * 2.0) + 1.0).sigmoid() * 0.5).relu().compute()
@@ -218,9 +224,9 @@ class TestFig12Equivalence:
     @pytest.mark.parametrize("setting", ["Base", "MPH"])
     def test_byte_identical_under_metrics_collector(self, setting):
         def fig12b(_config=None):
-            reset_global_ids()
-            return run_fig12b(setting, batch_size=64, num_images=128,
-                              reuse_fraction=0.5, hw=12)
+            with scope(ids=IdSpace()):
+                return run_fig12b(setting, batch_size=64, num_images=128,
+                                  reuse_fraction=0.5, hw=12)
 
         plain = fig12b()
         metered = _under("metrics", fig12b, None)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport, Severity
 from repro.common.config import MemphisConfig
+from repro.common.runtime import current, scope
 from repro.core.session import Session
 from repro.lineage.query import to_dot
 from repro.obs import (
@@ -12,12 +13,8 @@ from repro.obs import (
     LEVEL_FULL,
     LEVEL_HOPS,
     LEVEL_RUNTIME,
-    current_explain,
-    explaining,
-    install_explain,
     plan_to_dot,
     render_plan,
-    uninstall_explain,
 )
 
 
@@ -28,7 +25,8 @@ def _pending(sess: Session):
 
 
 def _captured_plan():
-    with explaining() as collector:
+    collector = ExplainCollector()
+    with scope(explain=collector):
         sess = Session(MemphisConfig())
         sess.evaluate([_pending(sess)])
     assert collector.plans
@@ -52,21 +50,17 @@ class TestCapture:
         assert "explain capture is off" in sess.explain()
 
     def test_ambient_collector(self):
-        with explaining() as collector:
-            assert current_explain() is collector
+        collector = ExplainCollector()
+        with scope(explain=collector):
+            assert current().explain is collector
             sess = Session(MemphisConfig())
             sess.evaluate([_pending(sess)])
-        assert current_explain() is None
+        assert current().explain is None
         assert collector.blocks_captured == 1
 
-    def test_install_uninstall_round_trip(self):
-        collector = install_explain()
-        assert current_explain() is collector
-        assert uninstall_explain() is collector
-        assert current_explain() is None
-
     def test_dedup_counts_executions(self):
-        with explaining() as collector:
+        collector = ExplainCollector()
+        with scope(explain=collector):
             sess = Session(MemphisConfig())
             x = sess.read(np.ones((4, 4)))
             for _ in range(3):
@@ -133,7 +127,7 @@ class TestRenderPlan:
 
     def test_evicts_rendered(self):
         collector = ExplainCollector()
-        with explaining(collector):
+        with scope(explain=collector):
             sess = Session(MemphisConfig(explain_capture=False))
             sess.evaluate([_pending(sess)])
             sess.evict_gpu(50.0)

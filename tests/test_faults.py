@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import MemphisConfig, Session
+from repro.common.runtime import RuntimeContext, current, scope
 from repro.common.simclock import HOST, SimClock
 from repro.common.stats import Stats
 from repro.faults import (
@@ -28,10 +29,6 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    current_plan,
-    install_plan,
-    reset_global_ids,
-    uninstall_plan,
 )
 
 
@@ -129,17 +126,14 @@ class TestFaultPlan:
 
     def test_ambient_install_uninstall(self):
         plan = FaultPlan(specs=[FaultSpec(KIND_SPARK_TASK, at=0)])
-        assert current_plan() is None
-        install_plan(plan)
-        try:
-            assert current_plan() is plan
-            # a session created under an ambient plan picks it up
+        assert current().faults is None
+        with scope(faults=plan):
+            assert current().faults is plan
+            # a session created under a context plan picks it up
             sess = Session(MemphisConfig.memphis())
             assert sess.faults.enabled
             assert sess.faults.plan is plan
-        finally:
-            assert uninstall_plan() is plan
-        assert current_plan() is None
+        assert current().faults is None
 
 
 class TestInjector:
@@ -207,9 +201,10 @@ class TestZeroOverheadWhenDisabled:
 
     def test_empty_plan_changes_nothing(self):
         """Empty plan == no plan: stats, durations, outputs identical."""
-        sess_a, out_a = quickstart()
-        reset_global_ids()
-        sess_b, out_b = quickstart(plan=FaultPlan())
+        with RuntimeContext():
+            sess_a, out_a = quickstart()
+        with RuntimeContext():
+            sess_b, out_b = quickstart(plan=FaultPlan())
         assert sess_b.faults is not NULL_INJECTOR  # machinery armed
         assert np.array_equal(out_a, out_b)
         assert sess_a.elapsed() == sess_b.elapsed()
@@ -237,11 +232,12 @@ class TestRecoveryDeterminism:
 
     def test_round_tripped_plan_replays_identically(self):
         plan = FaultPlan.parse("cache_lost@4;spark_task@0,count=2;seed=11")
-        out_a, events_a, stats_a = self._traced_run(plan)
-        reset_global_ids()
-        out_b, events_b, stats_b = self._traced_run(
-            FaultPlan.loads(plan.dumps())
-        )
+        with RuntimeContext():
+            out_a, events_a, stats_a = self._traced_run(plan)
+        with RuntimeContext():
+            out_b, events_b, stats_b = self._traced_run(
+                FaultPlan.loads(plan.dumps())
+            )
         assert np.array_equal(out_a, out_b)
         assert events_a == events_b
         assert stats_a == stats_b
@@ -254,7 +250,7 @@ class TestHarnessFlag:
 
         code = main(["fig11a", "--faults", "cache_lost@6;seed=3"])
         assert code == 0
-        assert current_plan() is None  # uninstalled on exit
+        assert current().faults is None  # the harness scope has exited
         captured = capsys.readouterr().out
         assert "[faults: injecting 1 fault spec(s), seed 3]" in captured
 

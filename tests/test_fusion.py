@@ -29,9 +29,8 @@ from repro.analysis import analyze
 from repro.common.config import (
     MemphisConfig,
     ReuseMode,
-    clear_fusion_override,
-    install_fusion_override,
 )
+from repro.common.runtime import RuntimeContext, scope
 from repro.common.stats import (
     CACHE_HITS,
     CACHE_PUTS,
@@ -52,7 +51,6 @@ from repro.compiler.rewrites.fusion import (
     retention_candidate,
 )
 from repro.core.session import Session
-from repro.faults.determinism import reset_global_ids
 from repro.harness.__main__ import EXPERIMENTS
 from repro.harness.telemetry import _workload_results
 from repro.lineage.item import LineageItem
@@ -197,12 +195,8 @@ class TestReuseAwareness:
                                MemphisConfig.memphis())
 
     def test_ambient_override_enables_fusion(self):
-        install_fusion_override(True)
-        try:
-            config = MemphisConfig.base()
-            assert config.enable_fusion
-        finally:
-            clear_fusion_override()
+        with scope(fusion=True):
+            assert MemphisConfig.base().enable_fusion
         assert not MemphisConfig.base().enable_fusion
 
 
@@ -346,14 +340,10 @@ def test_experiment_differential(name):
     """Every experiment produces identical results fused vs unfused."""
     if name in SLOW_EXPERIMENTS and not _FULL:
         pytest.skip("slow experiment: set MEMPHIS_FULL_DIFFERENTIAL=1")
-    reset_global_ids()
-    base = EXPERIMENTS[name]()
-    reset_global_ids()
-    install_fusion_override(True)
-    try:
+    with RuntimeContext():
+        base = EXPERIMENTS[name]()
+    with RuntimeContext(fusion=True):
         fused = EXPERIMENTS[name]()
-    finally:
-        clear_fusion_override()
     base_runs = _workload_results(base.grid)
     fused_runs = _workload_results(fused.grid)
     assert len(base_runs) == len(fused_runs)

@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
+    MemplanCollector,
     SessionMemPlanner,
-    current_memplan_collector,
     format_footprint_table,
     format_region_peaks,
     plan_block,
     plan_diagnostics,
-    planning,
     schedule_gpu_spills,
 )
 from repro.analysis.memplan import (
@@ -34,7 +33,7 @@ from repro.common.config import MemphisConfig, ReuseMode
 from repro.common.errors import VerificationError
 from repro.core.entry import BACKEND_CP, BACKEND_GPU
 from repro.core.session import Session
-from repro.faults.determinism import reset_global_ids
+from repro.common.runtime import IdSpace, RuntimeContext, current, scope
 from repro.memory import MemoryArbiter, region_capacities
 from repro.memory.budget import RegionBudget
 from repro.runtime.placement import gpu_working_set
@@ -62,31 +61,33 @@ def _gpu_chain_session(device_bytes: int, *, spills: bool, enforce: bool,
     Each link is three GPU ops (~20 KB each aligned) over a 50x50
     matrix (2500 cells, above ``gpu.min_cells``); the chain total far
     exceeds ``device_bytes`` while any single instruction's working set
-    fits — exactly the MEM002 regime.
+    fits — exactly the MEM002 regime.  Built under a fresh id space
+    that keeps the caller's collectors (the dispatch-equivalence tests
+    compare a traced against a plain build of this session).
     """
-    reset_global_ids()
-    cfg = MemphisConfig.memphis()
-    cfg.gpu_enabled = True
-    cfg.gpu.device_memory = device_bytes
-    cfg.memplan = True
-    cfg.memplan_enforce = enforce
-    cfg.memplan_spills = spills
-    sess = Session(cfg)
-    rng = np.random.default_rng(3)
-    h = sess.read(rng.random((50, 50)), "X")
-    for _ in range(links):
-        h = (h * 1.001 + 0.5).relu()
-    return sess, h
+    with scope(ids=IdSpace()):
+        cfg = MemphisConfig.memphis()
+        cfg.gpu_enabled = True
+        cfg.gpu.device_memory = device_bytes
+        cfg.memplan = True
+        cfg.memplan_enforce = enforce
+        cfg.memplan_spills = spills
+        sess = Session(cfg)
+        rng = np.random.default_rng(3)
+        h = sess.read(rng.random((50, 50)), "X")
+        for _ in range(links):
+            h = (h * 1.001 + 0.5).relu()
+        return sess, h
 
 
 def _cpu_reference(links: int = 10) -> np.ndarray:
-    reset_global_ids()
-    sess = Session(MemphisConfig.memphis())
-    rng = np.random.default_rng(3)
-    h = sess.read(rng.random((50, 50)), "X")
-    for _ in range(links):
-        h = (h * 1.001 + 0.5).relu()
-    return sess.compute(h)
+    with RuntimeContext():
+        sess = Session(MemphisConfig.memphis())
+        rng = np.random.default_rng(3)
+        h = sess.read(rng.random((50, 50)), "X")
+        for _ in range(links):
+            h = (h * 1.001 + 0.5).relu()
+        return sess.compute(h)
 
 
 # ------------------------------------------------------- charge model
@@ -333,18 +334,18 @@ class TestRejectAccept:
     def test_planned_spills_keep_results_identical(self):
         """memplan on vs off must be byte-identical on a fitting block."""
         def run(memplan: bool):
-            reset_global_ids()
-            cfg = MemphisConfig.memphis()
-            cfg.memplan = memplan
-            sess = Session(cfg)
-            rng = np.random.default_rng(7)
-            w = sess.read(rng.random((24, 24)), "w")
-            x = sess.read(rng.random((24, 24)), "x")
-            for _ in range(3):
-                w = (w - (w @ x) * 0.01).relu()
-                sess.evaluate([w])
-            return (sess.compute(w).tobytes(), sess.elapsed(),
-                    sess.stats.get("runtime/instructions_executed"))
+            with RuntimeContext():
+                cfg = MemphisConfig.memphis()
+                cfg.memplan = memplan
+                sess = Session(cfg)
+                rng = np.random.default_rng(7)
+                w = sess.read(rng.random((24, 24)), "w")
+                x = sess.read(rng.random((24, 24)), "x")
+                for _ in range(3):
+                    w = (w - (w @ x) * 0.01).relu()
+                    sess.evaluate([w])
+                return (sess.compute(w).tobytes(), sess.elapsed(),
+                        sess.stats.get("runtime/instructions_executed"))
 
         assert run(True) == run(False)
 
@@ -404,23 +405,16 @@ class TestSessionPlanner:
             assert ok, f"{name}: predicted {pred} < observed {obs}"
 
     def test_ambient_collector_registers_sessions(self):
-        with planning() as collector:
+        collector = MemplanCollector()
+        with scope(memplan=collector):
             sess = Session(MemphisConfig.memphis())
             assert sess.memplanner is not None
             a = sess.read(np.ones((16, 16)))
             sess.evaluate([a + a])
-        assert current_memplan_collector() is None
+        assert current().memplan is None
         assert len(collector.entries) == 1
         rows = collector.check_bounds()
         assert rows and all(ok for *_, ok in rows)
-
-    def test_determinism_reset_uninstalls_collector(self):
-        from repro.analysis import install_memplan_collector, MemplanCollector
-        from repro.faults.determinism import reset_ambient_state
-
-        install_memplan_collector(MemplanCollector())
-        reset_ambient_state()
-        assert current_memplan_collector() is None
 
     def test_explain_runtime_includes_watermarks(self):
         cfg = MemphisConfig(explain_capture=True)
@@ -493,7 +487,8 @@ def test_predicted_peak_bounds_observed(label, thunk):
     """Soundness on every tier-1 experiment: for each session the
     workload creates, the static per-region predicted peak must be an
     upper bound on the runtime's observed ``peak_used`` watermark."""
-    with planning() as collector:
+    collector = MemplanCollector()
+    with scope(memplan=collector):
         thunk()
     rows = collector.check_bounds()
     assert rows, f"{label}: no sessions registered with the collector"
@@ -521,7 +516,6 @@ def test_random_cellwise_chain_plan_is_sound(links, side, budget_kb, seed):
     that keeps resident bytes under capacity, or (b) reports an
     unfixable MEM001/MEM002 error — and executing a certified block
     reproduces the CPU result and never trips the device allocator."""
-    reset_global_ids()
     cfg = MemphisConfig.memphis()
     cfg.gpu_enabled = True
     cfg.gpu.device_memory = budget_kb * 1024

@@ -9,7 +9,7 @@ from repro.common.config import MemphisConfig
 from repro.common.simclock import HOST, SimClock
 from repro.common.stats import Stats
 from repro.core.session import Session
-from repro.faults.determinism import reset_global_ids
+from repro.common.runtime import IdSpace, current, scope
 from repro.obs import (
     Histogram,
     MetricSeries,
@@ -18,11 +18,7 @@ from repro.obs import (
     NULL_METRICS,
     chrome_trace_dict,
     counter_tracks,
-    current_metrics,
-    disable_metrics,
-    enable_metrics,
     format_metrics,
-    metering,
     read_metrics_jsonl,
     sparkline,
     validate_chrome_trace,
@@ -97,14 +93,15 @@ class TestMetricsRegistry:
 
 
 def _run_workload(cfg: MemphisConfig) -> Session:
-    reset_global_ids()
-    sess = Session(cfg)
-    a = sess.read(np.arange(256.0).reshape(16, 16))
-    w = sess.read(np.ones((16, 1)))
-    for _ in range(4):
-        w = (a @ w) * 0.5
-        sess.evaluate([w])
-    return sess
+    # fresh ids, the caller's collectors: metered and plain runs compare
+    with scope(ids=IdSpace()):
+        sess = Session(cfg)
+        a = sess.read(np.arange(256.0).reshape(16, 16))
+        w = sess.read(np.ones((16, 1)))
+        for _ in range(4):
+            w = (a @ w) * 0.5
+            sess.evaluate([w])
+        return sess
 
 
 class TestSessionSampling:
@@ -130,21 +127,19 @@ class TestSessionSampling:
         assert series["memory/CP/used"].last > 0
 
     def test_ambient_collector_registers_sessions(self):
-        collector = enable_metrics()
-        try:
+        collector = MetricsCollector()
+        with scope(metrics=collector):
             _run_workload(MemphisConfig())
             _run_workload(MemphisConfig())
-        finally:
-            disable_metrics()
         assert collector.num_sessions == 2
         assert collector.num_samples() > 0
-        assert current_metrics() is None
 
     def test_metering_contextmanager(self):
-        with metering() as collector:
-            assert current_metrics() is collector
+        collector = MetricsCollector()
+        with scope(metrics=collector):
+            assert current().metrics is collector
             _run_workload(MemphisConfig())
-        assert current_metrics() is None
+        assert current().metrics is None
         assert collector.num_sessions == 1
 
 
@@ -174,7 +169,8 @@ class TestZeroOverhead:
 
 class TestJsonlExport:
     def test_round_trip(self, tmp_path):
-        with metering() as collector:
+        collector = MetricsCollector()
+        with scope(metrics=collector):
             _run_workload(MemphisConfig())
         path = str(tmp_path / "metrics.jsonl")
         written = write_metrics_jsonl(collector, path)
@@ -189,7 +185,8 @@ class TestJsonlExport:
         assert "memory/CP/used" in names
 
     def test_lines_are_json_objects(self, tmp_path):
-        with metering() as collector:
+        collector = MetricsCollector()
+        with scope(metrics=collector):
             _run_workload(MemphisConfig())
         path = str(tmp_path / "metrics.jsonl")
         write_metrics_jsonl(collector, path)
@@ -200,7 +197,8 @@ class TestJsonlExport:
 
 class TestCounterTracks:
     def test_tracks_and_chrome_export(self):
-        with metering() as collector:
+        collector = MetricsCollector()
+        with scope(metrics=collector):
             _run_workload(MemphisConfig())
         tracks = counter_tracks(collector)
         assert tracks
@@ -215,7 +213,8 @@ class TestCounterTracks:
 
 class TestFormatMetrics:
     def test_sparkline_summary(self):
-        with metering() as collector:
+        collector = MetricsCollector()
+        with scope(metrics=collector):
             _run_workload(MemphisConfig())
         registry = collector.registries[0]
         text = format_metrics(registry)

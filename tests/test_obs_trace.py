@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import MemphisConfig, Session
+from repro.common.runtime import current, scope
 from repro.common.simclock import CLUSTER, DEVICE, HOST, SimClock
 from repro.common.stats import Stats
 from repro.obs import (
@@ -24,15 +25,11 @@ from repro.obs import (
     TraceCollector,
     Tracer,
     chrome_trace_dict,
-    current_collector,
-    disable_tracing,
-    enable_tracing,
     export_chrome_trace,
     format_summary,
     load_chrome_trace,
     read_jsonl,
     summarize,
-    tracing,
     validate_chrome_trace,
     write_jsonl,
 )
@@ -207,7 +204,7 @@ class TestDisabledTracing:
         assert NULL_TRACER.events() == []
 
     def test_disabled_session_emits_nothing(self):
-        assert current_collector() is None
+        assert current().trace is None
         sess = Session(MemphisConfig.memphis())
         assert sess.tracer is NULL_TRACER
         assert sess.trace_collector is None
@@ -250,10 +247,11 @@ class TestSessionIntegration:
         assert all(e.session == sess.tracer.session_id for e in events)
 
     def test_ambient_collector_captures_multiple_sessions(self):
-        with tracing() as collector:
+        collector = TraceCollector()
+        with scope(trace=collector):
             for config in (MemphisConfig.base(), MemphisConfig.memphis()):
                 self._run_workload(Session(config))
-        assert current_collector() is None
+        assert current().trace is None
         assert collector.num_sessions == 2
         sessions = {e.session for e in collector.events()}
         assert sessions == {0, 1}
@@ -276,12 +274,6 @@ class TestSessionIntegration:
         path = str(tmp_path / "session.json")
         sess.export_trace(path)
         assert validate_chrome_trace(load_chrome_trace(path)) == []
-
-    def test_enable_disable_round_trip(self):
-        collector = enable_tracing()
-        assert current_collector() is collector
-        assert disable_tracing() is collector
-        assert current_collector() is None
 
 
 # --------------------------------------------------------------------- summary

@@ -1,0 +1,232 @@
+"""Tests for ``repro.common.runtime``: the one runtime context.
+
+Covers what the nine ambient slots and five module-level id counters it
+replaced could not give: two servers in one process, scopes that restore
+themselves, sessions that outlive the scope that built them — and a
+structural guard that the old pattern does not come back.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from repro import MemphisConfig, Session
+from repro.common.config import EvictionPolicyName
+from repro.common.runtime import RuntimeContext, current, scope
+from repro.harness.telemetry import server_report_records, write_server_jsonl
+from repro.obs import TraceCollector
+from repro.server import Scheduler, impure_program, pure_program, run_server_demo
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(REPO, "src")
+
+
+# ------------------------------------------------ (a) two servers, one process
+
+def _records_bytes(report, tmp_path, name: str) -> bytes:
+    path = str(tmp_path / name)
+    write_server_jsonl(path, server_report_records(report, 4, 0))
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _intruded(program):
+    """``program`` with a whole second server — its own context, its own
+    id space — run between the program's first and second quantum."""
+
+    def wrapped(session):
+        gen = program(session)
+        next(gen)
+        with RuntimeContext():
+            assert run_server_demo(2, seed=3).ok
+        yield
+        return (yield from gen)
+
+    return wrapped
+
+
+def _interleaved_demo():
+    """``run_server_demo(4, seed=0)``, except that request ``pure1`` has
+    another context's scheduler run to completion in its middle, and the
+    scheduler itself runs after its own context has exited."""
+    with RuntimeContext():
+        scheduler = Scheduler(config=MemphisConfig.server_session(), seed=0)
+    scheduler.add_tenant("alpha", None)
+    scheduler.add_tenant("beta", None)
+    for i in range(4):
+        program = pure_program()
+        scheduler.submit("alpha" if i % 2 == 0 else "beta",
+                         _intruded(program) if i == 1 else program,
+                         name=f"pure{i}")
+    scheduler.submit("alpha", impure_program(), name="impure0")
+    scheduler.submit("beta", impure_program(), name="impure1")
+    return scheduler.run()
+
+
+class TestTwoServersOneProcess:
+    def test_reports_identical_to_each_other_and_a_fresh_process(
+            self, tmp_path):
+        runs = {}
+        for name in ("first", "second"):
+            with RuntimeContext():
+                runs[name] = run_server_demo(4, seed=0)
+        runs["interleaved"] = _interleaved_demo()
+        got = {name: _records_bytes(report, tmp_path, name + ".jsonl")
+               for name, report in runs.items()}
+        assert got["first"] == got["second"] == got["interleaved"]
+
+        fresh = str(tmp_path / "fresh.jsonl")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        subprocess.run(
+            [sys.executable, "-m", "repro.harness", "--server", "4",
+             "--server-report", fresh],
+            check=True, env=env, capture_output=True, timeout=300,
+        )
+        with open(fresh, "rb") as fh:
+            assert fh.read() == got["first"]
+
+    def test_traces_identical_under_separate_contexts(self):
+        """Every id a trace mentions (hops, lineage keys, pointers)
+        restarts with the context: two traced servers emit equal events."""
+        streams = []
+        for _ in range(2):
+            with RuntimeContext(trace=TraceCollector()) as rt:
+                assert run_server_demo(4, seed=0).ok
+            streams.append([e.to_json() for e in rt.trace.events()])
+        assert streams[0] and streams[0] == streams[1]
+
+
+# ------------------------------------------------------ (b) scoping guarantees
+
+class TestScopes:
+    def test_nested_scope_restores_outer_after_exception(self):
+        outer_tc, inner_tc = TraceCollector(), TraceCollector()
+        base = current()
+        with scope(trace=outer_tc) as outer:
+            with pytest.raises(RuntimeError):
+                with scope(trace=inner_tc, fusion=True) as inner:
+                    assert current() is inner
+                    assert inner.trace is inner_tc and inner.fusion is True
+                    raise RuntimeError("boom")
+            assert current() is outer
+            assert outer.trace is outer_tc and outer.fusion is None
+        assert current() is base
+        assert base.trace is None
+
+    def test_derived_scope_shares_ids_fresh_context_does_not(self):
+        with scope(fusion=True) as derived:
+            assert derived.ids is current().ids
+        assert derived.ids is current().ids
+        with RuntimeContext() as fresh:
+            assert fresh.ids is not derived.ids
+            assert next(fresh.ids.hop) == 1
+
+    def test_unknown_collaborator_rejected(self):
+        with pytest.raises(TypeError):
+            scope(tracer=TraceCollector())
+
+    def test_works_with_nothing_activated(self):
+        # the process-default context: no collaborators, sessions run
+        assert current().trace is None and current().substrate is None
+        sess = Session(MemphisConfig.memphis())
+        assert sess.runtime is current()
+        X = sess.read(np.ones((4, 3)), "X")
+        assert float((X.t() @ X).compute().sum()) == 36.0
+
+    @pytest.mark.parametrize("leave", ["normally", "by_exception"])
+    def test_policy_override_ends_with_its_scope(self, leave):
+        """Regression: an installed ``--policy`` used to survive
+        ``reset_ambient_state()`` — every later config stayed on LRU."""
+        try:
+            with scope(policy=EvictionPolicyName.LRU,
+                       gpu_policy=EvictionPolicyName.LRC):
+                cfg = MemphisConfig.memphis()
+                assert cfg.cache.policy is EvictionPolicyName.LRU
+                assert cfg.gpu.policy is EvictionPolicyName.LRC
+                if leave == "by_exception":
+                    raise KeyError("boom")
+        except KeyError:
+            pass
+        after = MemphisConfig.memphis()
+        assert after.cache.policy is EvictionPolicyName.COST_SIZE
+        assert after.gpu.policy is EvictionPolicyName.COST_SIZE
+
+
+# --------------------------------------- (c) sessions outlive their scope
+
+class TestSessionOutlivesScope:
+    def test_handles_built_after_scope_exit_keep_unique_hop_ids(self):
+        data = (np.arange(48.0).reshape(12, 4) % 7.0) / 7.0
+
+        def pipeline(sess: Session, X):
+            gram = X.t() @ X
+            return (gram + gram * 0.5).relu()
+
+        with RuntimeContext():
+            plain = Session(MemphisConfig.memphis())
+            expected = pipeline(plain, plain.read(data, "X")).compute()
+
+        tc = TraceCollector()
+        with scope(trace=tc):
+            sess = Session(MemphisConfig.memphis())
+            X = sess.read(data, "X")          # built inside the scope
+        out = pipeline(sess, X)               # built after it exited
+        compiled = sess._compile([out])
+        ids = [hop.id for hop in compiled[2]]
+        assert len(ids) == len(set(ids))
+        assert X.hop.id in ids and out.hop.id in ids
+        assert np.array_equal(out.compute(), expected)
+        # still traced into the scope's collector, after the scope
+        assert any(e.session == sess.tracer.session_id for e in tc.events())
+
+    def test_session_under_fresh_context_numbers_from_its_own_space(self):
+        with RuntimeContext() as rt:
+            sess = Session(MemphisConfig.memphis())
+        X = sess.read(np.ones((3, 3)), "X")   # after exit: rt's ids, not ours
+        assert sess.ids is rt.ids is not current().ids
+        assert (X + X).hop.id == next(rt.ids.hop) - 1
+
+
+# ------------------------------------------------------ (d) structural guard
+
+def _python_files(root: str):
+    for dirpath, _dirnames, filenames in os.walk(root):
+        for filename in filenames:
+            if filename.endswith(".py"):
+                yield os.path.join(dirpath, filename)
+
+
+def test_no_global_statements_or_module_level_counters_outside_runtime():
+    """One process-current slot, one id space: ``src/repro`` holds no
+    ``global`` statement and no module-level ``itertools.count(`` outside
+    ``common/runtime.py`` (12 and 5 before the runtime context)."""
+    runtime_module = os.path.join(SRC, "repro", "common", "runtime.py")
+    offenders = []
+    for path in _python_files(os.path.join(SRC, "repro")):
+        if path == runtime_module:
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                offenders.append(f"{path}:{node.lineno}: global statement")
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                continue
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "count"
+                        and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id == "itertools"):
+                    offenders.append(
+                        f"{path}:{node.lineno}: module-level "
+                        f"itertools.count")
+    assert offenders == []

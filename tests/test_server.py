@@ -11,6 +11,7 @@ import pytest
 
 from repro.common.config import MemphisConfig
 from repro.common.errors import AdmissionError
+from repro.common.runtime import current, scope
 from repro.common.stats import (
     SERVER_BACKPRESSURE,
     SERVER_CROSS_HITS,
@@ -20,14 +21,7 @@ from repro.common.stats import (
     SERVER_SESSIONS,
 )
 from repro.core.session import Session
-from repro.core.substrate import (
-    Substrate,
-    clear_ambient_substrate,
-    current_substrate,
-    fingerprint,
-    install_substrate,
-)
-from repro.faults.determinism import reset_ambient_state
+from repro.core.substrate import Substrate, fingerprint
 from repro.lineage.item import LineageItem
 from repro.memory import REGION_CP
 from repro.server import Scheduler, run_server_demo
@@ -341,29 +335,17 @@ class TestScheduler:
             assert 0 <= occ["used"] <= occ["quota"]
 
 
-# ----------------------------------------------------------- ambient install
+# ----------------------------------------------------- context substrate
 
 
 class TestAmbientSubstrate:
     def test_install_makes_sessions_attach(self):
         sub = _shared()
-        install_substrate(sub)
-        try:
+        with scope(substrate=sub):
             session = Session(MemphisConfig.server_session())
             assert session.cache is sub.cache
             assert session._ctx is not None
-        finally:
-            clear_ambient_substrate()
-        assert current_substrate() is None
-
-    def test_reset_ambient_state_clears_substrate(self):
-        sub = _shared()
-        sub.set_quota("t", 123)
-        install_substrate(sub)
-        reset_ambient_state()
-        assert current_substrate() is None
-        assert sub.tenants == {}
-        assert sub.cache._scope is None
+        assert current().substrate is None
 
 
 # ------------------------------------------------------------- namespacing unit

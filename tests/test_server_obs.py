@@ -17,6 +17,7 @@ import pytest
 pytestmark = pytest.mark.tier2_server
 
 from repro.common.config import MemphisConfig
+from repro.common.runtime import scope
 from repro.harness.telemetry import (
     SERVER_SLO_KEYS,
     assert_valid_server_records,
@@ -30,7 +31,7 @@ from repro.obs import (
     RequestContext,
     chrome_trace_dict,
     percentile,
-    tracing,
+    TraceCollector,
 )
 from repro.server import Scheduler, pure_program, run_server_demo
 from repro.server.demo import impure_program
@@ -51,7 +52,8 @@ def three_tenant_scheduler(seed: int = 7, quota=None,
 
 class TestRequestPropagation:
     def test_every_event_carries_request_id_and_tenant(self):
-        with tracing() as tc:
+        tc = TraceCollector()
+        with scope(trace=tc):
             report = three_tenant_scheduler().run()
         assert report.ok
         events = tc.events()
@@ -76,7 +78,8 @@ class TestRequestPropagation:
         """Cross-session hits fire on the substrate tracer mid-quantum;
         the stamp must name the *consuming* request, the attribution
         args the *producing* tenant."""
-        with tracing() as tc:
+        tc = TraceCollector()
+        with scope(trace=tc):
             report = three_tenant_scheduler().run()
         by_id = {r.request_id: r.tenant for r in report.results}
         attributions = [e for e in tc.events()
@@ -87,13 +90,14 @@ class TestRequestPropagation:
             assert event.args["producer"] in ("alpha", "beta", "gamma")
 
     def test_binding_cleared_after_run(self):
-        with tracing():
+        with scope(trace=TraceCollector()):
             scheduler = three_tenant_scheduler()
             scheduler.run()
             assert scheduler.substrate.tracer.request is None
 
     def test_tenant_lanes_in_chrome_export(self):
-        with tracing() as tc:
+        tc = TraceCollector()
+        with scope(trace=tc):
             three_tenant_scheduler().run()
         doc = chrome_trace_dict(tc.events(), tc.session_labels)
         thread_names = {e["args"]["name"] for e in doc["traceEvents"]
@@ -179,6 +183,33 @@ class TestFlightRecorder:
     def test_no_dumps_on_clean_run(self):
         report = three_tenant_scheduler(seed=7).run()
         assert report.flight_dumps == []
+
+    def test_recorder_detached_from_collector_after_run(self):
+        """Regression: ``run`` used to leave its recorder on the
+        collector's sinks (1 -> 2 -> 3 over two demos), so a finished
+        scheduler's window kept filling with later servers' events."""
+        tc = TraceCollector()
+        with scope(trace=tc):
+            before = len(tc.sinks)
+            assert run_server_demo(2, seed=0).ok
+            assert run_server_demo(2, seed=0).ok
+            assert len(tc.sinks) == before
+            first = three_tenant_scheduler()
+            first.run()
+            window = (len(first.flight), first.flight.ring.dropped)
+            assert window[0] > 0
+            three_tenant_scheduler().run()
+            assert (len(first.flight), first.flight.ring.dropped) == window
+            assert len(tc.sinks) == before
+
+    def test_recorder_detached_when_run_raises(self):
+        tc = TraceCollector()
+        with scope(trace=tc):
+            scheduler = three_tenant_scheduler()
+            scheduler._config_factory = lambda: 1 / 0
+            with pytest.raises(ZeroDivisionError):
+                scheduler.run()
+        assert scheduler.flight not in tc.sinks
 
     def test_ring_is_bounded(self):
         recorder = FlightRecorder(capacity=4)
