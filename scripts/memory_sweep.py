@@ -19,7 +19,11 @@ applied to every region via the config override hook the harness
   compares the default against its own history, not against the other
   policies;
 * the default-policy run is deterministic (two runs, identical
-  counters).
+  counters);
+* every substrate built by a run passes ``Substrate.audit()`` when the
+  run is over: byte ledgers equal what the entries charged, and the
+  driver cache's victim index agrees with its full-scan oracle under
+  each policy.
 
 Run by ``.github/workflows/memory.yml``; exits 1 on any violation.
 
@@ -30,6 +34,7 @@ Usage::
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -43,6 +48,7 @@ import numpy as np  # noqa: E402
 from repro import MemphisConfig, Session  # noqa: E402
 from repro.common.config import EvictionPolicyName  # noqa: E402
 from repro.common.runtime import scope  # noqa: E402
+from repro.core.substrate import Substrate  # noqa: E402
 from repro.harness import runner  # noqa: E402
 
 BASELINE = os.path.join(REPO, "benchmarks", "baselines",
@@ -96,8 +102,35 @@ def baseline_hit_rates() -> dict[str, float]:
     return rates
 
 
+@contextlib.contextmanager
+def audited():
+    """Audit every substrate built inside, once its run is over.
+
+    The workloads run their sessions one after another, so a substrate
+    is audited (and let go) when the next one is built, the last one on
+    exit; an ``AssertionError`` names the violated law.
+    """
+    init = Substrate.__init__
+    last: list[Substrate] = []
+
+    def recording_init(self, *args, **kwargs):
+        while last:
+            last.pop().audit()
+        init(self, *args, **kwargs)
+        last.append(self)
+
+    Substrate.__init__ = recording_init
+    try:
+        yield
+        while last:
+            last.pop().audit()
+    finally:
+        Substrate.__init__ = init
+
+
 def run_policy(policy: EvictionPolicyName) -> dict[str, float]:
-    with scope(policy=policy, gpu_policy=policy, spark_policy=policy):
+    with scope(policy=policy, gpu_policy=policy, spark_policy=policy), \
+            audited():
         run_quickstart()
         return {
             "fig12a": hit_rate(runner.run_experiment_fig12a().grid),

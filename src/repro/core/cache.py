@@ -31,10 +31,19 @@ from repro.common.stats import (
     CACHE_RESTORES,
     CACHE_SPILLS,
     LINEAGE_PROBES,
+    SERVER_QUOTA_REFUSALS,
     Stats,
 )
-from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP, CacheEntry, EntryStatus
+from repro.core.entry import (
+    BACKEND_CP,
+    BACKEND_GPU,
+    BACKEND_SP,
+    VICTIM_DIRTY,
+    CacheEntry,
+    EntryStatus,
+)
 from repro.core.policies import EvictionPolicy, make_policy
+from repro.core.victim_index import VictimIndex
 from repro.lineage.item import LineageItem
 from repro.memory import REGION_CP, REGION_DISK, MemoryArbiter
 from repro.obs.events import (
@@ -94,6 +103,10 @@ class LineageCache:
         )
         arbiter.register_residency(REGION_CP, self.has_host_copy_for)
         self._entries: dict[LineageItem, CacheEntry] = {}
+        #: victim order of the CP region, for policies that allow one;
+        #: ``None`` (MRD) falls back to scanning ``_entries`` per victim.
+        self._index: Optional[VictimIndex] = \
+            VictimIndex(self.policy) if self.policy.indexable else None
         self._logical_time = 0
         #: GPU pointer id -> entry, for invalidation callbacks.
         self._gpu_index: dict[int, CacheEntry] = {}
@@ -158,6 +171,8 @@ class LineageCache:
             self._trace_probe(key, hit=False)
             return None
         entry.last_access = self._logical_time
+        if entry.victim_rec is not VICTIM_DIRTY:  # else: nothing to call
+            self.touch(entry)
         if scope is not None and not scope.usable(entry):
             # another session's entry without a host-side copy: its
             # Spark/GPU payloads are bound to the owner's backends
@@ -212,6 +227,7 @@ class LineageCache:
         entry = entries.get(key)
         if entry is None:
             entry = CacheEntry(key, compute_cost, size)
+            entry.seq = now  # one tick per put: unique, creation-ordered
             if scope is not None:
                 entry.owner = scope.uid
                 entry.tenant = scope.tenant
@@ -219,6 +235,8 @@ class LineageCache:
                 if request is not None:
                     entry.request = request.request_id
             entries[key] = entry
+        elif entry.victim_rec is not VICTIM_DIRTY:
+            self.touch(entry)  # ``last_access`` moves on every exit below
         entry.seen_count += 1
         entry.last_access = now
         if not self.arbiter.admit(REGION_CP, entry.seen_count, n):
@@ -242,7 +260,15 @@ class LineageCache:
             entry.cp_accounted = size
             if entry.tenant is not None:
                 self.arbiter.charge_tenant(REGION_CP, entry.tenant, size)
+        if BACKEND_DISK in entry.payloads:
+            # the fresh copy supersedes a spilled one nothing could read
+            # once the entry is CACHED again; release it at the size it
+            # was charged, before ``put_payload`` can grow ``size``
+            self.arbiter.release(REGION_DISK, entry.size)
+            entry.drop_payload(BACKEND_DISK)
         entry.put_payload(backend, payload, size, compute_cost)
+        if entry.victim_rec is not VICTIM_DIRTY:
+            self.touch(entry)
         if backend == BACKEND_GPU:
             ptr = getattr(payload, "ptr", None)
             if ptr is not None:
@@ -270,21 +296,57 @@ class LineageCache:
             evict=self.evict_cp, now=self._logical_time,
         )
 
+    def touch(self, entry: CacheEntry) -> None:
+        """Tell the victim index a score input or CP residency of
+        ``entry`` moved.
+
+        The one notification every mutator calls: ``probe``/``put``/
+        restore here, and the three sites that change an entry behind
+        the cache's back (``Interpreter._cache_exchange``,
+        ``SparkCacheManager.cache_rdd``/``_async_materialize``).  Losing
+        residency (evict, spill, invalidate) needs no call.
+        """
+        if self._index is not None:
+            self._index.touch(entry)
+
     def _cp_candidates(self) -> list[CacheEntry]:
+        """What ``select_victim`` examines for the next CP victim."""
+        index = self._index
+        if index is None:
+            return self._scan_candidates()
         scope = self._scope
-        if scope is None:
-            return [
-                e for e in self._entries.values()
-                if BACKEND_CP in e.payloads and e.is_cached
-            ]
-        # fair-share victim filter: pinned entries are never victims,
-        # and another tenant's entries are protected while that tenant
-        # is within its quota
+        return index.candidates(
+            self._logical_time, None if scope is None else scope.evictable
+        )
+
+    def _scan_resident(self) -> list[CacheEntry]:
         return [
             e for e in self._entries.values()
             if BACKEND_CP in e.payloads and e.is_cached
-            and not e.pinned and scope.evictable(e)
         ]
+
+    def _scan_candidates(self, own: Optional[str] = None,
+                         skip: Optional[CacheEntry] = None
+                         ) -> list[CacheEntry]:
+        """Victim candidates by a full scan of ``_entries``.
+
+        The definition the index must agree with: MRD (whose score
+        moves with ``now``) selects through it, and :meth:`audit` uses
+        it as the oracle.  ``own`` gives a tenant's quota-shrink view
+        instead of the active scope's.
+        """
+        resident = self._scan_resident()
+        if own is not None:
+            return [e for e in resident
+                    if e.tenant == own and e is not skip and not e.pinned]
+        scope = self._scope
+        if scope is None:
+            return resident
+        # fair-share victim filter: pinned entries are never victims,
+        # and another tenant's entries are protected while that tenant
+        # is within its quota
+        return [e for e in resident
+                if not e.pinned and scope.evictable(e)]
 
     def _release_cp(self, entry: CacheEntry) -> None:
         """Release the entry's CP charge (+ tenant ledger and pin)."""
@@ -312,34 +374,23 @@ class LineageCache:
         headroom = self.arbiter.quota_headroom(REGION_CP, tenant)
         if headroom is None or size <= headroom:
             return True
+        index = self._index
+        now = self._logical_time
         while True:
-            own = [
-                e for e in self._entries.values()
-                if e.tenant == tenant and e is not entry
-                and BACKEND_CP in e.payloads and e.is_cached
-                and not e.pinned
-            ]
-            victim = self.arbiter.select_victim(
-                REGION_CP, own, now=self._logical_time
-            )
+            own = self._scan_candidates(tenant, entry) if index is None \
+                else index.own_candidates(tenant, now, entry)
+            victim = self.arbiter.select_victim(REGION_CP, own, now=now)
             if victim is None:
                 break
             self.evict_cp(victim)
             headroom = self.arbiter.quota_headroom(REGION_CP, tenant)
             if headroom is None or size <= headroom:
                 return True
-        from repro.common.stats import SERVER_QUOTA_REFUSALS
-
         self.stats.inc(SERVER_QUOTA_REFUSALS)
         scope = self._scope
         if scope is not None:
             scope.substrate.note_tenant_event(tenant, "quota_refusals")
         return False
-
-    def _cp_victim(self) -> Optional[CacheEntry]:
-        return self.arbiter.select_victim(
-            REGION_CP, self._cp_candidates(), now=self._logical_time
-        )
 
     def evict_cp(self, entry: CacheEntry) -> None:
         """Evict the driver-local payload of ``entry``.
@@ -378,11 +429,6 @@ class LineageCache:
             self.tracer.instant(EV_CACHE_EVICT, backend=BACKEND_CP,
                                 size=entry.size, opcode=entry.key.opcode,
                                 key=entry.key.id)
-
-    def _should_spill(self, entry: CacheEntry) -> bool:
-        """Spill only when recomputation costs more than a disk round trip."""
-        return self.arbiter.should_spill(REGION_CP, entry.size,
-                                         entry.compute_cost)
 
     def _spill_faulted(self, entry: CacheEntry) -> bool:
         """Injected spill-I/O error: the write fails, the payload is lost.
@@ -424,6 +470,7 @@ class LineageCache:
         entry.cp_accounted = entry.size
         if entry.tenant is not None:
             self.arbiter.charge_tenant(REGION_CP, entry.tenant, entry.size)
+        self.touch(entry)
         self.stats.inc(CACHE_RESTORES)
         self.arbiter.record_restore(REGION_CP, entry.size,
                                     key=entry.key.id)
@@ -475,11 +522,7 @@ class LineageCache:
                 entry.drop_payload(BACKEND_SP)
             dropped.append(BACKEND_SP)
         if BACKEND_GPU in entry.payloads:
-            payload = entry.payloads[BACKEND_GPU]
-            ptr = getattr(payload, "ptr", None)
-            if ptr is not None:
-                ptr.cached = False
-                self._gpu_index.pop(ptr.id, None)
+            self._forget_gpu_pointer(entry)
             entry.drop_payload(BACKEND_GPU)
             dropped.append(BACKEND_GPU)
         if dropped:
@@ -531,13 +574,82 @@ class LineageCache:
         if scope is not None:
             key = scope.namespaced(key)
         entry = self._entries.pop(key, None)
-        if entry is not None:
-            self._release_cp(entry)
+        if entry is None:
+            return
+        self._release_cp(entry)
+        if BACKEND_DISK in entry.payloads:
+            self.arbiter.release(REGION_DISK, entry.size)
+        self._forget_gpu_pointer(entry)
+        if self._index is not None:
+            self._index.forget(entry)
 
     def clear(self) -> None:
-        self._entries.clear()
+        for entry in list(self._gpu_index.values()):
+            self._forget_gpu_pointer(entry)
         self._gpu_index.clear()
+        self._entries.clear()
         self._cp_region.reset()
+        self._disk_region.reset()
+        if self._index is not None:
+            self._index.clear()
+
+    def _forget_gpu_pointer(self, entry: CacheEntry) -> None:
+        """The GPU pointer behind ``entry`` is no longer cache-owned."""
+        ptr = getattr(entry.payloads.get(BACKEND_GPU), "ptr", None)
+        if ptr is not None:
+            ptr.cached = False
+            self._gpu_index.pop(ptr.id, None)
+
+    def audit(self) -> None:
+        """Assert the cache's conservation laws (tests, sweeps).
+
+        The byte ledgers equal what the entries say they charged — CP
+        ``used`` (and each tenant's share, and ``pinned``) against
+        ``cp_accounted``, DISK ``used`` against the spilled entries'
+        sizes — and the victim index is redundant state that agrees with
+        its oracle: every CP-resident entry is reachable in it, and the
+        victim it yields *is* the full scan's, for the active scope and
+        for every tenant's quota-shrink view.
+        """
+        entries = list(self._entries.values())
+        cp = self._cp_region
+        charged = sum(e.cp_accounted for e in entries)
+        assert cp.used == charged, \
+            f"CP ledger {cp.used} != charged bytes {charged}"
+        spilled = sum(e.size for e in entries if BACKEND_DISK in e.payloads)
+        assert self._disk_region.used == spilled, \
+            f"DISK ledger {self._disk_region.used} != spilled bytes {spilled}"
+        by_tenant: dict[str, int] = {}
+        for e in entries:
+            if e.tenant is not None and e.cp_accounted:
+                by_tenant[e.tenant] = \
+                    by_tenant.get(e.tenant, 0) + e.cp_accounted
+        ledger = {t: n for t, n in (cp.tenant_used or {}).items() if n}
+        assert ledger == by_tenant, \
+            f"tenant ledgers {ledger} != charged bytes {by_tenant}"
+        pinned = sum(e.cp_accounted for e in entries if e.pinned)
+        assert cp.pinned == pinned, \
+            f"CP pinned {cp.pinned} != pinned entries' bytes {pinned}"
+        index = self._index
+        if index is None:
+            return
+        now = self._logical_time
+        index.check(self._scan_resident(), now)
+
+        def victim(candidates):
+            return self.arbiter.select_victim(REGION_CP, candidates, now=now)
+
+        indexed, oracle = victim(self._cp_candidates()), \
+            victim(self._scan_candidates())
+        assert indexed is oracle, \
+            f"index victim {indexed!r} is not the scan's {oracle!r}"
+        for tenant in {e.tenant for e in entries} - {None}:
+            indexed = victim(index.own_candidates(tenant, now, None))
+            oracle = victim(self._scan_candidates(tenant))
+            assert indexed is oracle, (
+                f"tenant {tenant!r}: index victim {indexed!r} is not "
+                f"the scan's {oracle!r}"
+            )
 
     def cached_count(self, backend: Optional[str] = None) -> int:
         """Number of CACHED entries, optionally restricted to a backend."""

@@ -19,6 +19,9 @@ BACKEND_CP = "CP"
 BACKEND_SP = "SP"
 BACKEND_GPU = "GPU"
 
+#: ``CacheEntry.victim_rec`` of an entry touched since it was last scored.
+VICTIM_DIRTY = object()
+
 
 class EntryStatus(enum.Enum):
     """Lifecycle of a cache entry (delayed caching, §5.2)."""
@@ -37,7 +40,7 @@ class CacheEntry:
         "key", "status", "payloads", "size", "compute_cost", "height",
         "hits", "misses", "jobs", "last_access", "seen_count",
         "is_function", "rdd_materialized", "outputs", "cp_accounted",
-        "owner", "tenant", "request", "pinned",
+        "owner", "tenant", "request", "pinned", "seq", "victim_rec",
     )
 
     def __init__(self, key: LineageItem, compute_cost: float = 0.0,
@@ -77,6 +80,15 @@ class CacheEntry:
         self.request: Optional[str] = None
         #: tenant-pinned entries are never offered as eviction victims.
         self.pinned = False
+        #: creation sequence number, stamped by the owning cache: equal
+        #: eviction scores tie-break on it, which is the cache's dict
+        #: order (``repro.core.victim_index``).
+        self.seq = 0
+        #: the entry's latest ``(score, seq, entry)`` record in the
+        #: cache's victim index; ``VICTIM_DIRTY`` once a score input or
+        #: CP residency moved since (``LineageCache.touch``), ``None``
+        #: while it has none.
+        self.victim_rec: object = None
 
     # -- payload management ----------------------------------------------------
 

@@ -35,6 +35,11 @@ class EvictionPolicy(Protocol):
     """Score function: LOWER score = evicted earlier."""
 
     name: str
+    #: ``score(entry, now)`` moves only when *that entry* is touched
+    #: (never with ``now`` or with other entries), so the entry's place
+    #: in the victim order can be kept in a heap between touches
+    #: (``repro.core.victim_index``).  Policies without it are scanned.
+    indexable: bool
 
     def score(self, entry: CacheEntry, now: float) -> float:
         """Eviction priority of ``entry`` at logical time ``now``."""
@@ -49,6 +54,7 @@ class CostSizePolicy:
     """Paper Eq. 1: preserve high compute-cost-to-memory objects."""
 
     name = "cost_size"
+    indexable = True
 
     def score(self, entry: CacheEntry, now: float) -> float:
         refs = entry.hits + entry.misses + entry.jobs
@@ -66,6 +72,7 @@ class LruPolicy:
     """Classic least-recently-used."""
 
     name = "lru"
+    indexable = True
 
     def score(self, entry: CacheEntry, now: float) -> float:
         return entry.last_access
@@ -78,6 +85,7 @@ class LrcPolicy:
     """Least reference count (DAG-aware Spark baseline [127])."""
 
     name = "lrc"
+    indexable = True
 
     def score(self, entry: CacheEntry, now: float) -> float:
         return float(entry.hits + entry.jobs)
@@ -91,6 +99,7 @@ class MrdPolicy:
     longest logical distance, weighted by reference count."""
 
     name = "mrd"
+    indexable = False  # the score reads ``now``: every tick reorders
 
     def score(self, entry: CacheEntry, now: float) -> float:
         distance = max(now - entry.last_access, 0.0)

@@ -96,6 +96,7 @@ class SparkCacheManager:
             return False
         dm.rdd.persist(self.storage_level)
         entry.put_payload(BACKEND_SP, dm, size, entry.compute_cost)
+        self.cache.touch(entry)  # a larger SP copy grows ``size`` (Eq. 1)
         entry.rdd_materialized = False
         self.arbiter.commit(REGION_SPARK_CACHE, size)
         self.stats.inc(SPARK_RDD_PERSISTED)
@@ -146,11 +147,6 @@ class SparkCacheManager:
             if e.is_cached and BACKEND_SP in e.payloads
         ]
 
-    def _victim(self) -> Optional[CacheEntry]:
-        return self.arbiter.select_victim(
-            REGION_SPARK_CACHE, self._candidates(), now=0.0
-        )
-
     # -- lazy GC and async materialization -------------------------------------------
 
     def lazy_gc(self, entry: CacheEntry, dm: DistributedMatrix) -> None:
@@ -170,6 +166,7 @@ class SparkCacheManager:
         future = self.sc.count_async(dm.rdd)
         self._pending_counts.append(future)
         entry.jobs += 1
+        self.cache.touch(entry)
         self.stats.inc(SPARK_ASYNC_MATERIALIZE)
         self._refresh_materialization(entry, dm)
 

@@ -458,17 +458,25 @@ class Substrate:
     def tenant_occupancy(self) -> dict[str, dict[str, int]]:
         """Per-tenant CP usage/quota snapshot (``server/`` namespace)."""
         region = self.arbiter.region(REGION_CP)
-        out: dict[str, dict[str, int]] = {}
-        for tenant in sorted(self.tenants):
-            out[tenant] = {
+        pins: dict[Optional[str], int] = {}
+        for e in self.cache.entries():
+            if e.pinned:
+                pins[e.tenant] = pins.get(e.tenant, 0) + 1
+        return {
+            tenant: {
                 "used": region.tenant_usage(tenant),
                 "quota": self.tenants[tenant],
-                "pinned_entries": sum(
-                    1 for e in self.cache.entries()
-                    if e.pinned and e.tenant == tenant
-                ),
+                "pinned_entries": pins.get(tenant, 0),
             }
-        return out
+            for tenant in sorted(self.tenants)
+        }
+
+    def audit(self) -> None:
+        """Assert the substrate's conservation laws (tests, sweeps):
+        the cache's ledgers and victim index against its entries
+        (:meth:`LineageCache.audit`) and every region's invariants."""
+        self.cache.audit()
+        self.arbiter.check()
 
     def metrics_gauges(self) -> dict[str, float]:
         """Gauge snapshot for the metrics sampler (shared mode only)."""

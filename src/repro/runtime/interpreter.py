@@ -557,6 +557,7 @@ class Interpreter:
                               entry.compute_cost)
             if count_job:
                 entry.jobs += 1
+            self.cache.touch(entry)
             return
         self.cache.put(slot.lineage, value, BACKEND_CP, value.nbytes,
                        1.0, delay_factor=1)

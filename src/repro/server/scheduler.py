@@ -135,7 +135,7 @@ class ServerReport:
         #: producer→consumer dedup benefit matrix (Eq. 2 accounting).
         self.attribution = substrate.attribution_matrix()
         #: per-tenant SLO metrics (latency percentiles, hit rate, ...).
-        self.slo = self._build_slo(substrate, results)
+        self.slo = self._build_slo(substrate, results, self.tenants)
         #: flight-recorder post-mortem dumps taken during the run.
         self.flight_dumps = list(flight.dumps) if flight is not None else []
         #: merged counters across the substrate and every session.
@@ -145,8 +145,8 @@ class ServerReport:
         self.merged = merged
 
     @staticmethod
-    def _build_slo(substrate: Substrate,
-                   results: list[RequestResult]) -> dict[str, dict]:
+    def _build_slo(substrate: Substrate, results: list[RequestResult],
+                   occupancy: dict[str, dict]) -> dict[str, dict]:
         """Per-tenant SLO record: one row per registered tenant."""
         consumed: dict[str, dict[str, float]] = {}
         produced: dict[str, int] = {}
@@ -157,7 +157,6 @@ class ServerReport:
             produced[cell["producer"]] = (
                 produced.get(cell["producer"], 0) + cell["bytes"]
             )
-        occupancy = substrate.tenant_occupancy()
         out: dict[str, dict] = {}
         for tenant in sorted(substrate.tenants):
             rs = [r for r in results if r.tenant == tenant]

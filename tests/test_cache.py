@@ -283,3 +283,24 @@ class TestGpuInvalidation:
         cache.on_gpu_invalidate(data.ptr)
         assert "GPU" not in entry.payloads
         assert entry.status is EntryStatus.EVICTED
+
+    def test_remove_and_clear_give_the_pointer_back(self):
+        class FakePtr:
+            def __init__(self, ptr_id):
+                self.id = ptr_id
+                self.cached = False
+
+        class FakeData:
+            def __init__(self, ptr_id):
+                self.ptr = FakePtr(ptr_id)
+
+        cache = make_cache()
+        removed, cleared = FakeData(7), FakeData(8)
+        cache.put(key("g"), removed, "GPU", 1024, 5.0)
+        cache.put(key("h"), cleared, "GPU", 1024, 5.0)
+        assert removed.ptr.cached and cache.has_host_copy_for(removed.ptr) \
+            is False
+        cache.remove(key("g"))
+        assert not removed.ptr.cached and 7 not in cache._gpu_index
+        cache.clear()
+        assert not cleared.ptr.cached and not cache._gpu_index

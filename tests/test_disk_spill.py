@@ -93,6 +93,44 @@ class TestDiskSpill:
         assert entry.get_payload(BACKEND_CP) is not None
 
 
+class TestDiskLedger:
+    """``REGION_DISK`` is charged exactly the spilled entries' bytes."""
+
+    def spill_one(self):
+        cache, _ = make_cache(budget=1000)
+        cache.put(key("a"), value(), BACKEND_CP, 800, 1e12)
+        cache.put(key("b"), value(), BACKEND_CP, 800, 1e12)  # spills a
+        assert (cache.cp_bytes, cache.disk_bytes) == (800, 800)
+        return cache
+
+    def test_clear_resets_the_disk_ledger(self):
+        cache = self.spill_one()
+        cache.clear()
+        assert (len(cache), cache.cp_bytes, cache.disk_bytes) == (0, 0, 0)
+        cache.put(key("a"), value(), BACKEND_CP, 800, 1e12)
+        cache.put(key("b"), value(), BACKEND_CP, 800, 1e12)
+        assert cache.disk_bytes == 800  # not 1600: nothing leaked
+        cache.audit()
+
+    def test_remove_releases_a_spilled_entrys_disk_bytes(self):
+        cache = self.spill_one()
+        spilled = cache.get_entry(key("a"))
+        assert spilled.status is EntryStatus.SPILLED
+        cache.remove(key("a"))
+        assert cache.disk_bytes == 0
+        cache.audit()
+
+    def test_put_over_a_spilled_entry_supersedes_the_disk_copy(self):
+        cache = self.spill_one()
+        # a put that did not come through a restoring probe: the entry
+        # is CACHED again, so its disk copy is unreachable — drop it
+        # rather than leave its bytes (at a since-grown ``size``) charged
+        entry = cache.put(key("a"), object(), "SP", 1200, 1e12)
+        assert entry.is_cached and BACKEND_DISK not in entry.payloads
+        assert cache.disk_bytes == 0
+        cache.audit()
+
+
 class TestSpillEndToEnd:
     def test_session_spills_under_pressure_and_reuses(self):
         cfg = MemphisConfig.memphis()

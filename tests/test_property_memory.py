@@ -19,15 +19,21 @@ from repro.backends.gpu import (
 from repro.backends.cpu.bufferpool import BufferPool
 from repro.backends.spark import BlockManager
 from repro.common.config import (
+    CacheConfig,
     CpuConfig,
     EvictionPolicyName,
     GpuConfig,
+    MemphisConfig,
     SparkConfig,
     StorageLevel,
 )
 from repro.common.errors import BufferPoolError, GpuOutOfMemoryError
 from repro.common.simclock import SimClock
 from repro.common.stats import Stats
+from repro.core.cache import BACKEND_DISK
+from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
+from repro.core.substrate import Substrate
+from repro.lineage.item import LineageItem, dataset
 from repro.memory import MemoryArbiter
 from repro.runtime.values import MatrixValue
 
@@ -446,3 +452,182 @@ TestBufferPoolStateful = BufferPoolMachine.TestCase
 TestBufferPoolStateful.settings = settings(
     max_examples=30, stateful_step_count=40, deadline=None
 )
+
+
+class _Ptr:
+    """Stand-in for a GPU pointer: what the cache reads of one."""
+
+    def __init__(self, ptr_id):
+        self.id = ptr_id
+        self.cached = False
+
+
+class _GpuPayload:
+    def __init__(self, ptr):
+        self.ptr = ptr
+
+
+class LineageCacheMachine(RuleBasedStateMachine):
+    """Random op sequences over a small shared lineage cache keep
+    ``Substrate.audit()`` true: the CP / DISK / tenant / pinned ledgers
+    equal what the entries charged, and the victim the index yields is
+    the full scan's, for the active scope and every tenant's own view.
+
+    Covers every way a score input or CP residency moves: probes, puts
+    on three backends (re-puts grow ``size``), evictions with spill and
+    restore, invalidation, the mutate-then-``touch`` sites outside the
+    cache, pins, scope switches between two quota'd tenants, ``remove``
+    and ``clear``.
+    """
+
+    POLICY = EvictionPolicyName.COST_SIZE
+    TAGS = st.integers(min_value=0, max_value=11)
+    SIZES = st.sampled_from([200, 500, 800, 1200])
+    #: below / above the spill break-even of an 800-byte payload
+    COSTS = st.sampled_from([1.0, 1e3, 1e9])
+
+    def __init__(self):
+        super().__init__()
+        cfg = MemphisConfig.memphis()
+        cfg.cache = CacheConfig(driver_cache_bytes=4000, policy=self.POLICY,
+                                disk_cache_bytes=3000)
+        self.sub = Substrate.shared_substrate(cfg)
+        self.cache = self.sub.cache
+        self.scopes = [None]
+        for tenant in ("alpha", "beta"):
+            self.sub.set_quota(tenant, 2000)
+            ctx = self.sub.attach(None, tenant)
+            # same content under the same name: keys are shared globally
+            self.sub.register_dataset(ctx, "X", np.ones((2, 2)))
+            self.scopes.append(ctx)
+        self.next_ptr = 1
+
+    @staticmethod
+    def key(tag):
+        return LineageItem("exp", (str(tag),), (dataset("X"),))
+
+    def entry(self, tag):
+        return self.cache.get_entry(self.key(tag))
+
+    @rule(which=st.integers(min_value=0, max_value=2))
+    def switch_scope(self, which):
+        self.sub.activate(self.scopes[which])
+
+    @rule(tag=TAGS)
+    def probe(self, tag):
+        self.cache.probe(self.key(tag))
+
+    @rule(data=st.data())
+    def probe_spilled(self, data):
+        # restores through ``_restore_from_disk`` when the bytes fit
+        spilled = [e for e in self.cache.entries()
+                   if BACKEND_DISK in e.payloads]
+        if spilled:
+            self.cache.probe(data.draw(st.sampled_from(spilled)).key)
+
+    @rule(tag=TAGS, size=SIZES, cost=COSTS,
+          delay=st.integers(min_value=1, max_value=2))
+    def put_cp(self, tag, size, cost, delay):
+        self.cache.put(self.key(tag), MatrixValue(np.ones((2, 2))),
+                       BACKEND_CP, size, cost, delay_factor=delay)
+
+    @rule(tag=TAGS, size=SIZES, cost=COSTS)
+    def put_sp(self, tag, size, cost):
+        self.cache.put(self.key(tag), object(), BACKEND_SP, size, cost)
+
+    @rule(tag=TAGS, size=SIZES)
+    def put_gpu(self, tag, size):
+        payload = _GpuPayload(_Ptr(self.next_ptr))
+        self.next_ptr += 1
+        self.cache.put(self.key(tag), payload, BACKEND_GPU, size, 1e3)
+
+    @rule(tag=TAGS, size=SIZES, count_job=st.booleans())
+    def ride_along_cp_copy(self, tag, size, count_job):
+        # Interpreter._cache_exchange: an uncharged CP copy + a job count
+        entry = self.entry(tag)
+        if entry is not None and entry.is_cached:
+            entry.put_payload(BACKEND_CP, MatrixValue(np.ones((2, 2))),
+                              size, entry.compute_cost)
+            if count_job:
+                entry.jobs += 1
+            self.cache.touch(entry)
+
+    @rule(tag=TAGS, size=SIZES)
+    def attach_sp_copy(self, tag, size):
+        # SparkCacheManager.cache_rdd: a larger SP copy grows ``size``
+        entry = self.entry(tag)
+        if entry is not None and entry.is_cached:
+            entry.put_payload(BACKEND_SP, object(), size, entry.compute_cost)
+            self.cache.touch(entry)
+
+    @rule(size=st.integers(min_value=1, max_value=4500))
+    def make_space(self, size):
+        self.cache.make_space(BACKEND_CP, size)
+
+    @rule(tag=TAGS)
+    def evict(self, tag):
+        entry = self.entry(tag)
+        if entry is not None:
+            self.cache.evict_cp(entry)
+
+    @rule(tag=TAGS)
+    def invalidate(self, tag):
+        entry = self.entry(tag)
+        if entry is not None:
+            self.cache.invalidate_entry(entry)
+
+    @rule(tag=TAGS,
+          backend=st.sampled_from([BACKEND_CP, BACKEND_SP, BACKEND_GPU]))
+    def drop_backend_payload(self, tag, backend):
+        entry = self.entry(tag)
+        if entry is not None and backend in entry.payloads:
+            self.cache.drop_backend_payload(entry, backend)
+
+    @rule(tag=TAGS)
+    def gpu_pointer_recycled(self, tag):
+        entry = self.entry(tag)
+        payload = entry.payloads.get(BACKEND_GPU) if entry else None
+        if payload is not None:
+            self.cache.on_gpu_invalidate(payload.ptr)
+
+    @rule(data=st.data(), pin=st.booleans())
+    def pin_or_unpin(self, data, pin):
+        scope = self.cache._scope
+        charged = [e for e in self.cache.entries() if e.cp_accounted]
+        if scope is not None and charged:
+            entry = data.draw(st.sampled_from(charged))
+            (scope.pin if pin else scope.unpin)(entry.key)
+
+    @rule(tag=TAGS)
+    def remove(self, tag):
+        self.cache.remove(self.key(tag))
+
+    @rule()
+    def clear(self):
+        self.cache.clear()
+
+    @invariant()
+    def audit_holds(self):
+        self.sub.audit()
+
+    @invariant()
+    def spilled_entries_hold_no_driver_copy(self):
+        for entry in self.cache.entries():
+            if BACKEND_DISK in entry.payloads:
+                assert BACKEND_CP not in entry.payloads
+
+
+def _cache_machine(policy):
+    machine = type(f"LineageCacheMachine_{policy.value}",
+                   (LineageCacheMachine,), {"POLICY": policy})
+    case = machine.TestCase
+    case.settings = settings(max_examples=100, stateful_step_count=80,
+                             deadline=None)
+    return case
+
+
+TestLineageCacheStatefulCostSize = _cache_machine(
+    EvictionPolicyName.COST_SIZE)
+TestLineageCacheStatefulLru = _cache_machine(EvictionPolicyName.LRU)
+TestLineageCacheStatefulLrc = _cache_machine(EvictionPolicyName.LRC)
+TestLineageCacheStatefulMrd = _cache_machine(EvictionPolicyName.MRD)
