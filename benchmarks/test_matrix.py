@@ -1,0 +1,190 @@
+"""The cross-feature matrix: every program under every feature combination.
+
+A cell is one setting of four :class:`~repro.common.runtime.RuntimeContext`
+fields — ``fusion`` off/on, ``memplan`` collector off/on, ``faults``
+none / ``FaultPlan.randomize(0)`` / ``(1)``, and ``policy`` =
+``gpu_policy`` = ``spark_policy`` at the region defaults or one
+``EvictionPolicyName``.  A program is one of the nine ``repro.analysis``
+targets (private substrates) or the four-session server demo (one
+shared substrate: the combinations ``--server`` refuses on the command
+line).  Every cell runs under an ``AnalysisCollector`` in a fresh
+context and must complete with the plain cell's results
+(``WorkloadResult.metric`` exactly; the server's per-request values),
+no error-severity diagnostic, every memory-plan bound (predicted peak >=
+observed), and a passing ``Substrate.audit()`` on every substrate built.
+
+``quickstart`` and ``micro`` get the full cross; the other programs the
+named cells below plus enough cells that every pair of axis values
+occurs.  Fig. 12(a)/(b) run in the policy-only cells, where every
+policy must still reuse and the Eq. 1 default must be deterministic
+(``test_memory_guard.py`` holds its counters to the recorded baseline).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+import itertools
+from typing import NamedTuple, Optional
+
+import pytest
+
+from repro.analysis import AnalysisCollector, MemplanCollector
+from repro.analysis.targets import TARGETS
+from repro.common.config import EvictionPolicyName
+from repro.common.runtime import RuntimeContext
+from repro.common.stats import CACHE_HITS, CACHE_MISSES
+from repro.core.substrate import Substrate
+from repro.faults import FaultPlan
+from repro.harness import runner
+from repro.harness.telemetry import _workload_results
+from repro.server import ServerReport, run_server_demo
+from repro.workloads.base import WorkloadResult
+
+
+class Cell(NamedTuple):
+    fusion: bool
+    memplan: bool
+    faults: Optional[int]                    # FaultPlan.randomize seed
+    policy: Optional[EvictionPolicyName]
+
+    def __str__(self) -> str:
+        return (f"fusion{int(self.fusion)}-memplan{int(self.memplan)}-"
+                f"faults{'-' if self.faults is None else self.faults}-"
+                f"{self.policy.value if self.policy else 'default'}")
+
+
+AXES = ((False, True), (False, True), (None, 0, 1),
+        (None, *EvictionPolicyName))
+CROSS = [Cell(*values) for values in itertools.product(*AXES)]
+PLAIN = CROSS[0]
+
+#: the cells the per-feature sweep scripts used to run, by name.
+MEMPLAN_ONLY = PLAIN._replace(memplan=True)
+FUSION_MEMPLAN = MEMPLAN_ONLY._replace(fusion=True)
+POLICY_ONLY = [PLAIN._replace(policy=policy) for policy in EvictionPolicyName]
+
+
+def _pairs(cell: Cell) -> set:
+    return set(itertools.combinations(enumerate(cell), 2))
+
+
+def _pairwise(seed: list[Cell]) -> list[Cell]:
+    """``seed`` plus, greedily, the cells that cover every pair of axis
+    values at least once."""
+    cells = list(seed)
+    missing = set().union(*map(_pairs, CROSS)).difference(
+        *map(_pairs, cells))
+    while missing:
+        best = max(CROSS, key=lambda cell: len(_pairs(cell) & missing))
+        cells.append(best)
+        missing -= _pairs(best)
+    return cells
+
+
+COVERING = _pairwise([PLAIN, MEMPLAN_ONLY, FUSION_MEMPLAN, *POLICY_ONLY])
+
+PROGRAMS = {name: thunk for name, (_, thunk) in TARGETS.items()}
+PROGRAMS["server"] = lambda: run_server_demo(4, seed=11)
+FIG12 = {"fig12a": runner.run_experiment_fig12a,
+         "fig12b": runner.run_experiment_fig12b}
+PROGRAMS.update(FIG12)
+
+
+def _cells(program: str) -> list[Cell]:
+    if program in FIG12:
+        return POLICY_ONLY
+    return CROSS if program in ("quickstart", "micro") else COVERING
+
+
+@contextlib.contextmanager
+def audited():
+    """Audit every substrate built inside, once its run is over.
+
+    The programs run their sessions one after another, so a substrate
+    is audited (and let go) when the next one is built, the last one on
+    exit; an ``AssertionError`` names the violated law.
+    """
+    init = Substrate.__init__
+    last: list[Substrate] = []
+
+    def recording_init(self, *args, **kwargs):
+        while last:
+            last.pop().audit()
+        init(self, *args, **kwargs)
+        last.append(self)
+
+    Substrate.__init__ = recording_init
+    try:
+        yield
+        while last:
+            last.pop().audit()
+    finally:
+        Substrate.__init__ = init
+
+
+def run_cell(program: str, cell: Cell):
+    """Run ``program`` in ``cell``; returns (result, analysis, memplan)."""
+    analysis = AnalysisCollector()
+    memplan = MemplanCollector() if cell.memplan else None
+    faults = None if cell.faults is None else FaultPlan.randomize(cell.faults)
+    with RuntimeContext(
+            analysis=analysis, memplan=memplan, faults=faults,
+            fusion=cell.fusion or None, policy=cell.policy,
+            gpu_policy=cell.policy, spark_policy=cell.policy), audited():
+        return PROGRAMS[program](), analysis, memplan
+
+
+def outcome(result):
+    """What a program computed, reduced to comparable values."""
+    if isinstance(result, WorkloadResult):
+        return result.metric
+    if isinstance(result, (tuple, list)):
+        return [outcome(item) for item in result]
+    if isinstance(result, runner.ExperimentResult):
+        return [w.metric for w in _workload_results(result.grid)]
+    if isinstance(result, ServerReport):
+        assert result.ok, [r.error for r in result.results if not r.ok]
+        return {r.name: r.value for r in result.results}
+    return result
+
+
+@functools.lru_cache(maxsize=None)
+def plain_outcome(program: str):
+    return outcome(run_cell(program, PLAIN)[0])
+
+
+def hit_rate(grid: dict) -> float:
+    """Aggregate lineage-cache hit rate over one experiment grid
+    (the no-reuse ``Base`` column has nothing to hit)."""
+    cells = [result for row in grid.values()
+             for label, result in row.items() if label != "Base"]
+    hits = sum(r.counter(CACHE_HITS) for r in cells)
+    return hits / max(hits + sum(r.counter(CACHE_MISSES) for r in cells), 1)
+
+
+@pytest.mark.parametrize("program,cell", [
+    pytest.param(program, cell, id=f"{program}-{cell}")
+    for program in PROGRAMS for cell in _cells(program)
+])
+def test_cell(program, cell):
+    result, analysis, memplan = run_cell(program, cell)
+    assert outcome(result) == plain_outcome(program)
+    errors = analysis.merged().errors()
+    assert not errors, "\n".join(diag.format() for diag in errors)
+    if memplan is not None:
+        rows = memplan.check_bounds()
+        assert rows, "no session registered with the memplan collector"
+        bad = [row for row in rows if not row[-1]]
+        assert not bad, f"predicted peak < observed: {bad}"
+    if program in FIG12:
+        # raw hit count is the wrong axis to rank policies on (Eq. 1
+        # maximises compute cost saved), so the only cross-policy
+        # demand is that each one still reuses
+        rate = hit_rate(result.grid)
+        print(f"[matrix] {program} {cell.policy.value}: hit rate {rate:.3f}")
+        assert rate > 0.0
+        if cell.policy is EvictionPolicyName.COST_SIZE:
+            again = run_cell(program, cell)[0]
+            assert [w.counters for w in _workload_results(again.grid)] \
+                == [w.counters for w in _workload_results(result.grid)]

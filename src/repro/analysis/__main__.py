@@ -8,8 +8,9 @@ Usage::
     python -m repro.analysis --list-passes    # list analysis passes
     python -m repro.analysis --min-severity info --format json
 
-Exit status is 1 iff any error-severity diagnostic was produced (the
-CI lint gate runs this over all targets).
+Exit status is 1 iff any error-severity diagnostic was produced or,
+with ``--memplan``, any region's predicted peak fell below the observed
+one (the CI lint job runs ``--memplan`` over all targets).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
 
     min_sev = Severity.parse(args.min_severity)
     results = []
-    total_errors = 0
+    total_errors = bound_violations = 0
     for name, thunk in selected.items():
         start = time.perf_counter()
         collector = AnalysisCollector()
@@ -90,7 +91,9 @@ def main(argv: list[str] | None = None) -> int:
         elapsed = time.perf_counter() - start
         report = collector.merged()
         total_errors += len(report.errors())
-        results.append((name, collector, report, elapsed, memplan))
+        bounds = memplan.check_bounds() if memplan is not None else []
+        bound_violations += sum(not ok for *_, ok in bounds)
+        results.append((name, collector, report, elapsed, memplan, bounds))
 
     if args.format == "json":
         payload = {
@@ -102,18 +105,18 @@ def main(argv: list[str] | None = None) -> int:
                     **({"memplan": [
                         {"session": label, "region": region,
                          "predicted": pred, "observed": obs, "ok": ok}
-                        for label, region, pred, obs, ok
-                        in memplan.check_bounds()
+                        for label, region, pred, obs, ok in bounds
                     ]} if memplan is not None else {}),
                 }
-                for name, collector, report, _, memplan in results
+                for name, collector, report, _, memplan, bounds in results
             },
             "total_errors": total_errors,
+            "bound_violations": bound_violations,
         }
         print(json.dumps(payload, indent=2))
-        return 1 if total_errors else 0
+        return 1 if total_errors or bound_violations else 0
 
-    for name, collector, report, elapsed, memplan in results:
+    for name, collector, report, elapsed, memplan, _ in results:
         print(f"== {name}: {collector.blocks_verified} block(s) verified "
               f"in {elapsed:.2f}s -- {report.summary()}")
         shown = report.format(min_severity=min_sev)
@@ -131,9 +134,11 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"   session {label} ({planner.blocks} block(s)) "
                       + peaks.replace("\n", "\n   "))
     print(f"-- {len(results)} target(s), "
-          f"{sum(c for _, _, r, _, _ in results for c in [len(r)])} "
-          f"finding(s), {total_errors} error(s)")
-    return 1 if total_errors else 0
+          f"{sum(len(report) for _, _, report, *_ in results)} "
+          f"finding(s), {total_errors} error(s)"
+          + (f", {bound_violations} memplan bound violation(s)"
+             if args.memplan else ""))
+    return 1 if total_errors or bound_violations else 0
 
 
 if __name__ == "__main__":

@@ -8,14 +8,19 @@ full pass pipeline and its diagnostics are gathered for the report.
 
 This module imports the workload package (which pulls in
 ``repro.core.session``) and must therefore only be imported from entry
-points (``repro.analysis.__main__``, ``scripts/``), never from the
-analysis core modules.
+points (``repro.analysis.__main__``, ``benchmarks/test_matrix.py``),
+never from the analysis core modules.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
+from repro.common.config import MemphisConfig
+from repro.core.session import Session
+from repro.ml import lin_reg_ds, lin_reg_predict, r2_score
 from repro.workloads.clean import run_clean
 from repro.workloads.en2de import run_en2de
 from repro.workloads.hband import run_hband
@@ -25,10 +30,30 @@ from repro.workloads.micro import run_fig2c, run_reuse_overhead
 from repro.workloads.pnmf_wl import run_pnmf
 from repro.workloads.tlvis import run_tlvis
 
+
+def run_quickstart() -> list[float]:
+    """The README's grid search (``examples/quickstart.py``) at a small
+    size; returns the R^2 of every grid point."""
+    rng = np.random.default_rng(1)
+    X_data = rng.random((256, 16))
+    y_data = X_data @ rng.random((16, 1)) + 0.01 * rng.random((256, 1))
+    session = Session(MemphisConfig.memphis())
+    X, y = session.read(X_data, "X"), session.read(y_data, "y")
+    return [
+        r2_score(session, y, lin_reg_predict(
+            session, X, lin_reg_ds(session, X, y, reg))).item()
+        for reg in (0.01, 0.1, 1.0)
+    ]
+
+
 #: name -> (description, thunk).  Thunks use deliberately small
 #: problem sizes: the analyzer checks compiled IR, not performance, so
 #: each target only needs to exercise its workload's DAG shapes.
 TARGETS: dict[str, tuple[str, Callable[[], object]]] = {
+    "quickstart": (
+        "the README's ridge grid search (direct solve, MPH)",
+        run_quickstart,
+    ),
     "hcv": (
         "hyper-parameter tuned cross-validation (lmCG, MPH)",
         lambda: run_hcv("MPH", 5.0),
@@ -65,10 +90,6 @@ TARGETS: dict[str, tuple[str, Callable[[], object]]] = {
         ),
     ),
 }
-
-
-def target_names() -> list[str]:
-    return list(TARGETS)
 
 
 def resolve(names: list[str]) -> dict[str, Callable[[], object]]:

@@ -289,7 +289,7 @@ class MemphisConfig:
 
     def __post_init__(self) -> None:
         # The current runtime context's policy / fusion overrides
-        # (harness --policy / --fusion, the sweep scripts) reach configs
+        # (harness --policy / --fusion, the feature matrix) reach configs
         # the experiment drivers build internally, without threading a
         # parameter through every classmethod constructor.
         rt = current_runtime()

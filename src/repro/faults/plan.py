@@ -239,7 +239,8 @@ class FaultPlan:
     @classmethod
     def randomize(cls, seed: int, n_faults: int = 4, max_index: int = 24,
                   kinds: Optional[tuple] = None) -> "FaultPlan":
-        """A small random plan for the seed-sweep (``scripts/chaos_sweep.py``).
+        """A small random plan for the seed sweeps
+        (``tests/test_chaos.py``, ``benchmarks/test_matrix.py``).
 
         Fault counts stay within the default retry budgets so every
         generated plan is recoverable; the plan itself is a pure function

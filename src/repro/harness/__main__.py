@@ -7,6 +7,8 @@ Usage::
     python -m repro.harness --list          # list experiment names
     python -m repro.harness fig11a --trace out.json
                                             # + Chrome/Perfetto trace
+    python -m repro.harness fig2c fig2d --bench-report out.json
+                                            # + BENCH_SCHEMA telemetry
 """
 
 from __future__ import annotations
@@ -18,11 +20,14 @@ import time
 from repro.analysis import AnalysisCollector, Severity
 from repro.common.config import EvictionPolicyName
 from repro.common.runtime import RuntimeContext, scope
+from repro.common.schema import assert_valid
 from repro.faults import FaultPlan
 from repro.harness import runner
 from repro.harness.telemetry import (
-    assert_valid_server_records,
+    experiment_record,
     server_report_records,
+    validate_server_records,
+    write_bench_report,
     write_server_jsonl,
 )
 from repro.obs import (
@@ -59,7 +64,7 @@ EXPERIMENTS = {
 #: flags that change what sessions compute; ``--server`` runs its own
 #: fixed demo, so combining them is refused rather than silently dropped.
 _EXPERIMENT_ONLY_FLAGS = ("faults", "policy", "gpu_policy", "spark_policy",
-                          "fusion")
+                          "fusion", "bench_report")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -124,6 +129,10 @@ def main(argv: list[str] | None = None) -> int:
                              "readable per-tenant SLO / attribution "
                              "stream (SERVER_SCHEMA JSONL, byte-"
                              "reproducible for a fixed --server-seed)")
+    parser.add_argument("--bench-report", metavar="OUT.json", default=None,
+                        help="also write one BENCH_SCHEMA record per "
+                             "experiment (sim/wall time, key counters, "
+                             "metric digests); not with --metrics")
     parser.add_argument("--fusion", action="store_true",
                         help="enable the reuse-aware operator fusion "
                              "rewrite on every session (chains of "
@@ -144,6 +153,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{', '.join(dropped)} cannot be combined with "
                          f"--server (the server demo fixes its own "
                          f"configuration)")
+    if args.bench_report and args.metrics:
+        parser.error("--bench-report meters every experiment separately "
+                     "and cannot be combined with --metrics")
     selected = args.experiments or list(EXPERIMENTS)
     unknown = [name for name in selected if name not in EXPERIMENTS]
     if unknown:
@@ -152,17 +164,30 @@ def main(argv: list[str] | None = None) -> int:
 
     rt = _context_from_args(args)
     ok = True
+    records = []
     try:
         with rt:
             if args.server is not None:
                 ok = _run_server(args)
             else:
                 for name in selected:
+                    # a bench record digests the metric series of its
+                    # own experiment only: one collector per experiment
+                    meter = ({"metrics": MetricsCollector()}
+                             if args.bench_report else {})
                     start = time.time()
-                    result = EXPERIMENTS[name]()
+                    with scope(**meter) as inner:
+                        result = EXPERIMENTS[name]()
+                    wall = time.time() - start
                     print(result.table)
-                    print(f"[{name}: regenerated in "
-                          f"{time.time() - start:.1f}s wall]\n")
+                    print(f"[{name}: regenerated in {wall:.1f}s wall]\n")
+                    if args.bench_report:
+                        records.append(experiment_record(
+                            name, result, wall, inner.metrics))
+        if args.bench_report:
+            write_bench_report(args.bench_report, records)
+            print(f"[bench report: {len(records)} experiment(s) -> "
+                  f"{args.bench_report}]")
     finally:
         # also after a failed experiment: what was collected is exported
         _report_collected(args, rt)
@@ -218,7 +243,8 @@ def _run_server(args: argparse.Namespace) -> bool:
     if args.server_report:
         records = server_report_records(report, args.server,
                                         args.server_seed)
-        assert_valid_server_records(records, context=args.server_report)
+        assert_valid(validate_server_records(records), "server report",
+                     context=args.server_report)
         write_server_jsonl(args.server_report, records)
         print(f"[server report: {len(records)} records -> "
               f"{args.server_report}]")

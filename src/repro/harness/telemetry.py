@@ -1,20 +1,20 @@
 """Benchmark telemetry: schema-validated machine-readable bench reports.
 
 The harness experiments print human tables; CI and regression tooling
-need numbers.  ``scripts/bench_report.py`` runs experiments under a
-scoped :class:`~repro.obs.metrics.MetricsCollector` and serializes one
-record per experiment — simulated time, wall-clock, key stats counters,
-and per-series metric digests — into a ``BENCH_<n>.json`` document
-validated against :data:`BENCH_SCHEMA`.
-
-The validator is hand-rolled (like ``repro.obs.schema``) so the
-repository needs no ``jsonschema`` dependency.
+need numbers.  ``python -m repro.harness [NAMES...] --bench-report
+OUT.json`` runs each experiment under its own scoped
+:class:`~repro.obs.metrics.MetricsCollector` and serializes one record
+per experiment — simulated time, wall-clock, key stats counters, and
+per-series metric digests — into a document validated against
+:data:`BENCH_SCHEMA` (interpreted by :func:`repro.common.schema.check`,
+like :data:`SERVER_SCHEMA` for ``--server N --server-report``).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import json
 
+from repro.common.schema import assert_valid, check
 from repro.common.stats import (
     CACHE_HITS,
     GPU_MALLOCS,
@@ -27,6 +27,9 @@ from repro.workloads.base import WorkloadResult
 
 #: the bench-report format version (bump on breaking record changes).
 BENCH_FORMAT = 1
+
+#: the issue that introduced the report; its documents carry the number.
+BENCH_ISSUE = 5
 
 #: counters every experiment record carries (0 when never incremented).
 KEY_COUNTERS = (
@@ -127,69 +130,18 @@ def build_bench_report(records: list[dict], issue: int) -> dict:
 
 
 def validate_bench_report(doc: object) -> list[str]:
-    """Validate ``doc`` against :data:`BENCH_SCHEMA` semantics.
-
-    Returns human-readable problems; empty means the document is a
-    well-formed bench report as ``scripts/bench_report.py`` emits it.
-    """
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return ["top-level document is not a JSON object"]
-    if doc.get("format") != BENCH_FORMAT:
-        problems.append(f"bad 'format' {doc.get('format')!r} "
-                        f"(expected {BENCH_FORMAT})")
-    issue = doc.get("issue")
-    if not isinstance(issue, int) or issue < 1:
-        problems.append(f"bad 'issue' {issue!r}")
-    experiments = doc.get("experiments")
-    if not isinstance(experiments, list) or not experiments:
-        return problems + ["missing/empty 'experiments' array"]
-    for i, rec in enumerate(experiments):
-        prefix = f"experiments[{i}]"
-        if not isinstance(rec, dict):
-            problems.append(f"{prefix}: not an object")
-            continue
-        name = rec.get("name")
-        if not isinstance(name, str) or not name:
-            problems.append(f"{prefix}: missing/empty 'name'")
-        for key in ("wall_s", "sim_time_s"):
-            value = rec.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                problems.append(f"{prefix}: bad {key!r} {value!r}")
-        counters = rec.get("counters")
-        if not isinstance(counters, dict):
-            problems.append(f"{prefix}: missing 'counters'")
-        else:
-            for cname, cvalue in counters.items():
-                if not isinstance(cvalue, int):
-                    problems.append(
-                        f"{prefix}: counter {cname!r} not an integer"
-                    )
-        series = rec.get("metric_series")
-        if not isinstance(series, dict):
-            problems.append(f"{prefix}: missing 'metric_series'")
-        else:
-            for sname, digest in series.items():
-                if not isinstance(digest, dict) or not (
-                        {"n", "min", "max", "mean", "last"} <= set(digest)):
-                    problems.append(
-                        f"{prefix}: bad digest for series {sname!r}"
-                    )
-        if len(problems) > 50:
-            problems.append("... (truncated)")
-            break
-    return problems
+    """Problems of ``doc`` against :data:`BENCH_SCHEMA`; empty means a
+    well-formed bench report as ``--bench-report`` emits it."""
+    return check(doc, BENCH_SCHEMA)
 
 
-def assert_valid_bench_report(doc: object,
-                              context: Optional[str] = None) -> None:
-    """Raise ``ValueError`` with all problems if ``doc`` is invalid."""
-    problems = validate_bench_report(doc)
-    if problems:
-        where = f" ({context})" if context else ""
-        raise ValueError(
-            f"invalid bench report{where}:\n  " + "\n  ".join(problems)
-        )
+def write_bench_report(path: str, records: list[dict]) -> None:
+    """Assemble the report, validate it (once), and write it."""
+    doc = build_bench_report(records, issue=BENCH_ISSUE)
+    assert_valid(validate_bench_report(doc), "bench report", context=path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ------------------------------------------------- server SLO track (issue 10)
@@ -213,9 +165,8 @@ SERVER_SLO_KEYS = (
     "cp_used", "cp_quota", "quota_headroom",
 )
 
-#: JSON-Schema (draft-07 subset) describing one line of the server
-#: JSONL stream (``scripts/server_report.py`` /
-#: ``python -m repro.harness --server N --server-report OUT.jsonl``).
+#: JSON-Schema (draft-07 subset) describing one line of the JSONL stream
+#: ``python -m repro.harness --server N --server-report OUT.jsonl`` writes.
 SERVER_SCHEMA: dict = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "repro.server observability record",
@@ -234,7 +185,7 @@ SERVER_SCHEMA: dict = {
                 "seed": {"type": "integer"},
                 "ok": {"type": "boolean"},
                 "tenants": {"type": "array",
-                            "items": {"type": "string"},
+                            "items": {"type": "string", "minLength": 1},
                             "minItems": 1},
                 "flight_dumps": {"type": "integer", "minimum": 0},
             },
@@ -256,7 +207,13 @@ SERVER_SCHEMA: dict = {
                          "retries", "sim_latency_s"],
         },
         {
-            "properties": {"kind": {"const": "tenant_slo"}},
+            "properties": {
+                "kind": {"const": "tenant_slo"},
+                "tenant": {"type": "string", "minLength": 1},
+                "latency_p50_s": {"type": "number", "minimum": 0},
+                "latency_p99_s": {"type": "number", "minimum": 0},
+                "hit_rate": {"type": "number", "minimum": 0, "maximum": 1},
+            },
             "required": list(SERVER_SLO_KEYS),
         },
         {
@@ -283,6 +240,10 @@ SERVER_SCHEMA: dict = {
         },
     ],
 }
+
+
+#: the stream as one document: a non-empty list of such records.
+_SERVER_STREAM = {"type": "array", "minItems": 1, "items": SERVER_SCHEMA}
 
 
 def server_report_records(report, sessions: int, seed: int) -> list[dict]:
@@ -319,133 +280,23 @@ def server_report_records(report, sessions: int, seed: int) -> list[dict]:
 
 
 def validate_server_records(records: object) -> list[str]:
-    """Validate a server JSONL stream against :data:`SERVER_SCHEMA`.
-
-    Hand-rolled like :func:`validate_bench_report`.  Beyond per-record
-    shape it checks stream structure: the first record must be the only
-    ``header``, and at least one ``tenant_slo`` and one ``counters``
-    record must be present.
-    """
-    problems: list[str] = []
+    """Problems of a server JSONL stream: every record against
+    :data:`SERVER_SCHEMA`, plus the stream structure no per-record
+    schema can state — the first record is the only ``header``, and at
+    least one ``tenant_slo`` and one ``counters`` record are present."""
+    problems = check(records, _SERVER_STREAM, "records")
     if not isinstance(records, list) or not records:
-        return ["stream is not a non-empty list of records"]
-    kinds: list[str] = []
-    for i, rec in enumerate(records):
-        prefix = f"records[{i}]"
-        if not isinstance(rec, dict):
-            problems.append(f"{prefix}: not an object")
-            continue
-        kind = rec.get("kind")
-        kinds.append(kind)
-        if kind == "header":
-            if rec.get("format") != SERVER_FORMAT:
-                problems.append(f"{prefix}: bad 'format' "
-                                f"{rec.get('format')!r}")
-            if rec.get("version") != SERVER_VERSION:
-                problems.append(f"{prefix}: bad 'version' "
-                                f"{rec.get('version')!r}")
-            sessions = rec.get("sessions")
-            if not isinstance(sessions, int) or isinstance(sessions, bool) \
-                    or sessions < 1:
-                problems.append(f"{prefix}: bad 'sessions' {sessions!r}")
-            if not isinstance(rec.get("seed"), int):
-                problems.append(f"{prefix}: bad 'seed' {rec.get('seed')!r}")
-            if not isinstance(rec.get("ok"), bool):
-                problems.append(f"{prefix}: bad 'ok' {rec.get('ok')!r}")
-            tenants = rec.get("tenants")
-            if not isinstance(tenants, list) or not tenants or not all(
-                    isinstance(t, str) and t for t in tenants):
-                problems.append(f"{prefix}: bad 'tenants' {tenants!r}")
-            dumps = rec.get("flight_dumps")
-            if not isinstance(dumps, int) or isinstance(dumps, bool) \
-                    or dumps < 0:
-                problems.append(f"{prefix}: bad 'flight_dumps' {dumps!r}")
-        elif kind == "request":
-            for key in ("name", "tenant", "request_id"):
-                value = rec.get(key)
-                if not isinstance(value, str) or not value:
-                    problems.append(f"{prefix}: bad {key!r} {value!r}")
-            if not isinstance(rec.get("ok"), bool):
-                problems.append(f"{prefix}: bad 'ok' {rec.get('ok')!r}")
-            for key in ("steps", "retries"):
-                value = rec.get(key)
-                if not isinstance(value, int) or isinstance(value, bool) \
-                        or value < 0:
-                    problems.append(f"{prefix}: bad {key!r} {value!r}")
-            latency = rec.get("sim_latency_s")
-            if not isinstance(latency, (int, float)) \
-                    or isinstance(latency, bool) or latency < 0:
-                problems.append(f"{prefix}: bad 'sim_latency_s' {latency!r}")
-        elif kind == "tenant_slo":
-            missing = [k for k in SERVER_SLO_KEYS if k not in rec]
-            if missing:
-                problems.append(f"{prefix}: missing SLO fields {missing}")
-                continue
-            if not isinstance(rec["tenant"], str) or not rec["tenant"]:
-                problems.append(f"{prefix}: bad 'tenant' {rec['tenant']!r}")
-            for key in ("latency_p50_s", "latency_p99_s", "hit_rate"):
-                value = rec.get(key)
-                if not isinstance(value, (int, float)) \
-                        or isinstance(value, bool) or value < 0:
-                    problems.append(f"{prefix}: bad {key!r} {value!r}")
-            if isinstance(rec.get("hit_rate"), (int, float)) \
-                    and rec["hit_rate"] > 1:
-                problems.append(f"{prefix}: 'hit_rate' {rec['hit_rate']!r} "
-                                f"> 1")
-        elif kind == "attribution":
-            for key in ("producer", "consumer"):
-                value = rec.get(key)
-                if not isinstance(value, str) or not value:
-                    problems.append(f"{prefix}: bad {key!r} {value!r}")
-            hits = rec.get("hits")
-            if not isinstance(hits, int) or isinstance(hits, bool) \
-                    or hits < 1:
-                problems.append(f"{prefix}: bad 'hits' {hits!r}")
-            for key in ("bytes", "cost_avoided"):
-                value = rec.get(key)
-                if not isinstance(value, (int, float)) \
-                        or isinstance(value, bool) or value < 0:
-                    problems.append(f"{prefix}: bad {key!r} {value!r}")
-        elif kind == "counters":
-            counters = rec.get("counters")
-            if not isinstance(counters, dict):
-                problems.append(f"{prefix}: missing 'counters'")
-            else:
-                for cname, cvalue in counters.items():
-                    if not isinstance(cvalue, int) \
-                            or isinstance(cvalue, bool):
-                        problems.append(
-                            f"{prefix}: counter {cname!r} not an integer"
-                        )
-        else:
-            problems.append(f"{prefix}: unknown kind {kind!r}")
-        if len(problems) > 50:
-            problems.append("... (truncated)")
-            break
-    if kinds[:1] != ["header"] or kinds.count("header") != 1:
+        return problems
+    kinds = [r.get("kind") if isinstance(r, dict) else None for r in records]
+    if kinds[0] != "header" or kinds.count("header") != 1:
         problems.append("stream must start with exactly one 'header' record")
-    if "tenant_slo" not in kinds:
-        problems.append("stream has no 'tenant_slo' record")
-    if "counters" not in kinds:
-        problems.append("stream has no 'counters' record")
+    problems += [f"stream has no {kind!r} record"
+                 for kind in ("tenant_slo", "counters") if kind not in kinds]
     return problems
-
-
-def assert_valid_server_records(records: object,
-                                context: Optional[str] = None) -> None:
-    """Raise ``ValueError`` with all problems if the stream is invalid."""
-    problems = validate_server_records(records)
-    if problems:
-        where = f" ({context})" if context else ""
-        raise ValueError(
-            f"invalid server report{where}:\n  " + "\n  ".join(problems)
-        )
 
 
 def write_server_jsonl(path: str, records: list[dict]) -> None:
     """Write records one-per-line with sorted keys (byte-reproducible)."""
-    import json
-
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -453,7 +304,5 @@ def write_server_jsonl(path: str, records: list[dict]) -> None:
 
 def read_server_jsonl(path: str) -> list[dict]:
     """Load a server JSONL stream back into a list of records."""
-    import json
-
     with open(path, "r", encoding="utf-8") as fh:
         return [json.loads(line) for line in fh if line.strip()]

@@ -98,7 +98,6 @@ from repro.obs.events import (
 )
 from repro.obs.schema import (
     TRACE_SCHEMA,
-    assert_valid_chrome_trace,
     validate_chrome_trace,
 )
 from repro.obs.sinks import (
@@ -183,7 +182,6 @@ __all__ = [
     "TraceCollector",
     "TraceSummary",
     "Tracer",
-    "assert_valid_chrome_trace",
     "chrome_trace_dict",
     "counter_tracks",
     "export_chrome_trace",

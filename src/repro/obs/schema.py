@@ -1,15 +1,20 @@
-"""A small JSON schema for exported Chrome traces, plus a validator.
+"""The JSON schema of exported Chrome traces, plus its validator.
 
-The schema pins down exactly what the smoke job (``scripts/
-trace_smoke.py``) and the round-trip tests rely on; the validator is
-hand-rolled so the repository needs no ``jsonschema`` dependency.
+The schema pins down what the end-to-end trace case
+(``tests/test_cli.py::TestQuickstartTrace``) and the round-trip tests
+rely on; :func:`repro.common.schema.check` interprets it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from repro.common.schema import check
+
+_TS = {"type": "number", "minimum": 0}
 
 #: JSON-Schema (draft-07 subset) describing an exported trace document.
+#: Which fields a phase needs is the ``oneOf`` on ``ph``: complete spans
+#: (``X``) carry ``ts`` + ``dur``, instants (``i``) ``ts``, counter
+#: samples (``C``) ``ts`` + ``args``, metadata (``M``) neither.
 TRACE_SCHEMA: dict = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "repro.obs Chrome trace",
@@ -26,12 +31,22 @@ TRACE_SCHEMA: dict = {
                     "ph": {"enum": ["X", "i", "M", "C"]},
                     "pid": {"type": "integer", "minimum": 0},
                     "tid": {"type": "integer", "minimum": 0},
-                    "ts": {"type": "number", "minimum": 0},
-                    "dur": {"type": "number", "minimum": 0},
+                    "ts": _TS,
+                    "dur": _TS,
                     "cat": {"type": "string"},
                     "s": {"enum": ["t", "p", "g"]},
                     "args": {"type": "object"},
                 },
+                "oneOf": [
+                    {"properties": {"ph": {"const": "X"}},
+                     "required": ["ph", "ts", "dur"]},
+                    {"properties": {"ph": {"const": "i"}},
+                     "required": ["ph", "ts"]},
+                    {"properties": {"ph": {"const": "C"}},
+                     "required": ["ph", "ts", "args"]},
+                    {"properties": {"ph": {"const": "M"}},
+                     "required": ["ph"]},
+                ],
             },
         },
         "displayTimeUnit": {"enum": ["ms", "ns"]},
@@ -40,56 +55,9 @@ TRACE_SCHEMA: dict = {
 
 
 def validate_chrome_trace(doc: object) -> list[str]:
-    """Validate ``doc`` against :data:`TRACE_SCHEMA` semantics.
+    """Problems of ``doc`` against :data:`TRACE_SCHEMA`.
 
-    Returns a list of human-readable problems; an empty list means the
-    document is a loadable Chrome/Perfetto trace as this repo emits it.
+    An empty list means the document is a loadable Chrome/Perfetto
+    trace as this repo emits it.
     """
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return ["top-level document is not a JSON object"]
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        return ["missing or non-array 'traceEvents'"]
-    for i, ev in enumerate(events):
-        prefix = f"traceEvents[{i}]"
-        if not isinstance(ev, dict):
-            problems.append(f"{prefix}: not an object")
-            continue
-        name = ev.get("name")
-        if not isinstance(name, str) or not name:
-            problems.append(f"{prefix}: missing/empty 'name'")
-        ph = ev.get("ph")
-        if ph not in ("X", "i", "M", "C"):
-            problems.append(f"{prefix}: bad phase {ph!r}")
-        for key in ("pid", "tid"):
-            if not isinstance(ev.get(key), int) or ev.get(key, 0) < 0:
-                problems.append(f"{prefix}: bad {key!r}")
-        if ph in ("X", "i", "C"):
-            ts = ev.get("ts")
-            if not isinstance(ts, (int, float)) or ts < 0:
-                problems.append(f"{prefix}: bad 'ts' {ts!r}")
-        if ph == "X":
-            dur = ev.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                problems.append(f"{prefix}: bad 'dur' {dur!r}")
-        args = ev.get("args")
-        if args is not None and not isinstance(args, dict):
-            problems.append(f"{prefix}: 'args' is not an object")
-        if ph == "C" and not isinstance(args, dict):
-            problems.append(f"{prefix}: counter event without 'args'")
-        if len(problems) > 50:
-            problems.append("... (truncated)")
-            break
-    return problems
-
-
-def assert_valid_chrome_trace(doc: object,
-                              context: Optional[str] = None) -> None:
-    """Raise ``ValueError`` with all problems if ``doc`` is invalid."""
-    problems = validate_chrome_trace(doc)
-    if problems:
-        where = f" ({context})" if context else ""
-        raise ValueError(
-            f"invalid Chrome trace{where}:\n  " + "\n  ".join(problems)
-        )
+    return check(doc, TRACE_SCHEMA)

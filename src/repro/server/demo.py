@@ -1,7 +1,7 @@
 """Canonical multi-tenant workload for the reuse server.
 
 Deterministic programs used by the harness ``--server`` mode and the
-CI smoke (``scripts/server_smoke.py``): several sessions across two
+server tests (``tests/test_server.py``): several sessions across two
 tenants run an *identical* pure ridge pipeline over the same datasets —
 every session after the first should hit the shared substrate
 (``server/cross_session_hits``) — while the impure variants draw

@@ -364,20 +364,26 @@ class TestChaosSweepProperties:
     """Randomized plans (pure functions of the seed) all converge."""
 
     def test_random_plans_converge_and_account_exactly(self):
-        expected = baseline(sp_config)
-        for seed in range(5):
-            plan = FaultPlan.randomize(seed)
-            sess, out = run_workload(sp_config(), plan)
-            assert np.array_equal(out, expected), f"diverged at seed {seed}"
-            # retry budgets respected
-            assert sess.stats.get(FAULT_SPARK_TASK_RETRIES) \
-                <= plan.max_task_retries * max(
-                    1, sum(s.count for s in plan.specs))
-            # buffer accounting exact: the budget holds exactly the sum
-            # of per-entry charges, and never drifts negative
-            assert sess.cache.cp_bytes >= 0
-            assert sess.cache.cp_bytes == sum(
-                e.cp_accounted for e in sess.cache.entries())
+        for factory in (cp_config, sp_config):
+            expected = baseline(factory)
+            for seed in range(16):
+                where = f"{factory.__name__}, seed {seed}"
+                plan = FaultPlan.randomize(seed)
+                sess, out = run_workload(factory(), plan)
+                assert np.array_equal(out, expected), f"diverged: {where}"
+                # retry budgets respected
+                assert sess.stats.get(FAULT_SPARK_TASK_RETRIES) \
+                    <= plan.max_task_retries * max(
+                        1, sum(s.count for s in plan.specs)), where
+                # buffer accounting exact: the budget holds exactly the
+                # sum of per-entry charges, and never drifts negative
+                assert sess.cache.cp_bytes >= 0, where
+                assert sess.cache.cp_bytes == sum(
+                    e.cp_accounted for e in sess.cache.entries()), where
+                # the GPU address space is whole: nothing leaked,
+                # nothing freed twice
+                report = sess.gpu.memory.device.allocation_report()
+                assert report["consistent"], f"{where}: {report}"
 
     def test_hypothesis_plan_round_trip_and_convergence(self):
         hypothesis = pytest.importorskip("hypothesis")

@@ -1,8 +1,29 @@
 """Tests for the harness CLI (`python -m repro.harness`)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.harness.__main__ import EXPERIMENTS, main
+from repro.obs import load_chrome_trace, validate_chrome_trace
+from repro.obs.chrome import LANE_TIDS
+from repro.obs.events import EV_INSTR, EV_PROBE, LANE_CP, LANE_SP
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _run(*argv: str) -> str:
+    """Run ``python ARGV`` from the repo root as a real subprocess (the
+    way CI and the docs invoke it); returns stdout, asserts exit 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(REPO, "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, *argv], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
 
 
 class TestCli:
@@ -30,6 +51,12 @@ class TestCli:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["nonsense"])
+
+    def test_policy_flags_override_every_region(self, capsys):
+        assert main(["fig12b", "--policy", "lru", "--gpu-policy", "mrd",
+                     "--spark-policy", "lrc"]) == 0
+        assert ("[memory: eviction policy overrides {'policy': 'lru', "
+                "'gpu': 'mrd', 'spark': 'lrc'}]") in capsys.readouterr().out
 
 
 class TestObservabilityFlags:
@@ -74,8 +101,6 @@ class TestObservabilityFlags:
             doc = json.load(fh)
         counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
         assert counters
-        from repro.obs import validate_chrome_trace
-
         assert validate_chrome_trace(doc) == []
 
     def test_explain_flag_prints_plans(self, capsys):
@@ -124,3 +149,30 @@ class TestServerFlags:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert flags[0] in err and "--server" in err
+
+    def test_server_mode_as_subprocess(self):
+        out = _run("-m", "repro.harness", "--server", "3",
+                   "--server-seed", "5")
+        assert "=== server report ===" in out
+
+
+class TestQuickstartTrace:
+    """``examples/quickstart.py --trace`` end to end: what
+    docs/OBSERVABILITY.md promises about the exported file."""
+
+    def test_trace_file_is_valid_and_attributed(self, tmp_path):
+        path = str(tmp_path / "trace.json")
+        out = _run(os.path.join("examples", "quickstart.py"),
+                   "--trace", path)
+        assert "=== trace summary ===" in out
+        doc = load_chrome_trace(path)
+        assert validate_chrome_trace(doc) == []
+        payload = [e for e in doc["traceEvents"] if e["ph"] != "M"]
+        # distinct backend lanes, instruction spans, and every cache
+        # probe attributed to the instruction that issued it
+        assert {LANE_TIDS[LANE_CP], LANE_TIDS[LANE_SP]} \
+            <= {e["tid"] for e in payload}
+        assert any(e["name"] == EV_INSTR for e in payload)
+        probes = [e for e in payload if e["name"] == EV_PROBE]
+        assert probes and all("instr" in e.get("args", {}) for e in probes)
+        assert any(e["args"].get("hit") for e in probes)

@@ -54,6 +54,7 @@ from repro.core.session import Session
 from repro.harness.__main__ import EXPERIMENTS
 from repro.harness.telemetry import _workload_results
 from repro.lineage.item import LineageItem
+from repro.workloads.micro import run_reuse_overhead
 
 # ------------------------------------------------------------- helpers
 
@@ -108,6 +109,8 @@ class TestFusedExecution:
         assert out_fused.compute().tobytes() == out_base.compute().tobytes()
         assert fused.stats.get(INSTRUCTIONS_EXECUTED) == 1
         assert base.stats.get(INSTRUCTIONS_EXECUTED) == 3
+        assert (fused.stats.get(CPU_BYTES_ALLOCATED)
+                < base.stats.get(CPU_BYTES_ALLOCATED))
 
     def test_comparison_chain_stays_float64(self):
         base = _session()
@@ -198,6 +201,17 @@ class TestReuseAwareness:
         with scope(fusion=True):
             assert MemphisConfig.base().enable_fusion
         assert not MemphisConfig.base().enable_fusion
+
+    def test_reuse_overhead_micro_unchanged_by_fusion(self):
+        # fig11b's L2SVM reuse-overhead micro under the full reuse
+        # config: --fusion must leave every counter as it was
+        counters = []
+        for fusion in (None, True):
+            with RuntimeContext(fusion=fusion):
+                counters.append(
+                    run_reuse_overhead("Reuse", 800, 30, 0.4).counters)
+        assert counters[0] == counters[1]
+        assert counters[0][INSTRUCTIONS_EXECUTED] > 0
 
 
 # ------------------------------------------------- hypothesis property

@@ -446,6 +446,28 @@ class TestPassIntegration:
         assert "region peaks" in out
         assert "predicted" in out and "observed" in out
 
+    def test_cli_memplan_bound_violation_fails(self, capsys, monkeypatch):
+        # regression: a predicted peak below the observed one used to be
+        # computed for --format json only and never reached the exit code
+        import json
+
+        from repro.analysis import __main__ as cli
+
+        class UnderPredicting(MemplanCollector):
+            def check_bounds(self):
+                for _, planner in self.planners():
+                    planner.predicted["CP"] = 0
+                return super().check_bounds()
+
+        monkeypatch.setattr(cli, "MemplanCollector", UnderPredicting)
+        assert cli.main(["quickstart", "--memplan"]) == 1
+        out = capsys.readouterr().out
+        assert "LOW" in out and "1 memplan bound violation(s)" in out
+        assert cli.main(["quickstart", "--memplan", "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["bound_violations"] == 1
+        assert payload["total_errors"] == 0
+
 
 # ----------------------------------------- predicted >= observed (16 runs)
 

@@ -185,12 +185,31 @@ class TestChromeExport:
         assert names == {0: "full", 1: "base"}
 
     def test_validator_flags_malformed_documents(self):
+        assert validate_chrome_trace([]) != []
         assert validate_chrome_trace({}) != []
         assert validate_chrome_trace({"traceEvents": [{"ph": "X"}]}) != []
-        bad_phase = {"traceEvents": [
-            {"name": "e", "ph": "Q", "pid": 0, "tid": 1, "ts": 0.0}
-        ]}
-        assert any("ph" in p for p in validate_chrome_trace(bad_phase))
+        span = {"name": "e", "ph": "X", "pid": 0, "tid": 1, "ts": 0.0,
+                "dur": 1.0}
+        assert validate_chrome_trace({"traceEvents": [span]}) == []
+        # one field broken (None: dropped) at a time; the problem names it
+        for field, bad in [
+            ("ph", "Q"), ("name", ""), ("pid", -1), ("tid", "1"),
+            ("pid", True),              # a boolean is not an integer
+            ("ts", -1.0), ("ts", None), ("dur", None), ("dur", "1"),
+            ("args", [1]), ("s", "zzz"), ("cat", 5),
+        ]:
+            event = {**span, field: bad}
+            if bad is None:
+                del event[field]
+            problems = validate_chrome_trace({"traceEvents": [event]})
+            assert any(field in p for p in problems), (field, bad)
+        # phase-conditional fields: instants need ts, counters ts + args
+        for event in [{**span, "ph": "i", "ts": None},
+                      {**span, "ph": "C"}]:
+            event = {k: v for k, v in event.items() if v is not None}
+            assert validate_chrome_trace({"traceEvents": [event]}) != []
+        assert any("displayTimeUnit" in p for p in validate_chrome_trace(
+            {"traceEvents": [span], "displayTimeUnit": "weeks"}))
 
 
 # ------------------------------------------------------ disabled == no events

@@ -281,6 +281,10 @@ class TestScheduler:
         assert first.server_counter(SERVER_CROSS_HITS) > 0
         assert first.server_counter(SERVER_DEDUP_BYTES) > 0
         assert first.as_record() == second.as_record()
+        # one cached result served to every session running the pure
+        # pipeline: they all computed the same answer
+        pure = {r.value for r in first.results if r.name.startswith("pure")}
+        assert len(pure) == 1
 
     @pytest.mark.tier2_server
     def test_different_seeds_same_results(self):

@@ -20,7 +20,6 @@ from repro.common.config import MemphisConfig
 from repro.common.runtime import scope
 from repro.harness.telemetry import (
     SERVER_SLO_KEYS,
-    assert_valid_server_records,
     read_server_jsonl,
     server_report_records,
     validate_server_records,
@@ -226,7 +225,10 @@ class TestServerSchema:
     def test_records_round_trip_and_validate(self, tmp_path):
         report = run_server_demo(4, seed=11)
         records = server_report_records(report, 4, 11)
-        assert_valid_server_records(records)
+        assert validate_server_records(records) == []
+        # the pure pipelines must credit a producer tenant: an empty
+        # attribution matrix means cross-session hits went unattributed
+        assert any(r["kind"] == "attribution" for r in records)
         path = tmp_path / "server.jsonl"
         write_server_jsonl(str(path), records)
         assert read_server_jsonl(str(path)) == records
@@ -244,15 +246,33 @@ class TestServerSchema:
     def test_validator_rejects_malformed_streams(self):
         report = run_server_demo(3, seed=0)
         records = server_report_records(report, 3, 0)
+        assert validate_server_records(records) == []
         assert validate_server_records([]) != []
-        assert validate_server_records(records[1:]) != []  # no header
-        broken = [dict(r) for r in records]
-        broken[0]["format"] = "WRONG"
-        assert any("format" in p for p in validate_server_records(broken))
-        broken = [dict(r) for r in records]
-        slo = next(r for r in broken if r["kind"] == "tenant_slo")
-        slo["hit_rate"] = 1.5
-        assert any("hit_rate" in p for p in validate_server_records(broken))
+        # stream structure: first and only header, >= 1 SLO row, counters
+        assert validate_server_records(records[1:]) != []
+        assert validate_server_records(records[:1] + records) != []
+        for kind in ("tenant_slo", "counters"):
+            assert any(kind in p for p in validate_server_records(
+                [r for r in records if r["kind"] != kind]))
+        assert validate_server_records(records + [{"kind": "bogus"}]) != []
+        # one field broken at a time; the problem names the field
+        for kind, field, bad in [
+            ("header", "format", "WRONG"),
+            ("header", "seed", True),       # a boolean is not an integer
+            ("header", "sessions", 0),
+            ("header", "tenants", [""]),
+            ("request", "steps", 0),        # every request ran a quantum
+            ("request", "sim_latency_s", True),
+            ("tenant_slo", "hit_rate", 1.5),
+            ("tenant_slo", "tenant", ""),
+            ("tenant_slo", "latency_p99_s", -1.0),
+            ("attribution", "hits", 0),
+            ("counters", "counters", {"cache/hits": True}),
+        ]:
+            broken = [dict(r) for r in records]
+            next(r for r in broken if r["kind"] == kind)[field] = bad
+            assert any(field in p for p in validate_server_records(broken)), \
+                (kind, field, bad)
 
     def test_percentile_nearest_rank(self):
         values = [5.0, 1.0, 3.0, 2.0, 4.0]

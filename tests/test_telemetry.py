@@ -1,18 +1,18 @@
 """Tests for the benchmark telemetry pipeline (repro.harness.telemetry)."""
 
-import importlib.util
 import json
-import os
-import subprocess
-import sys
+
+import pytest
 
 from repro.common.stats import CACHE_HITS, LINEAGE_PROBES
+from repro.common.schema import assert_valid
+from repro.harness import telemetry
+from repro.harness.__main__ import EXPERIMENTS, main
 from repro.harness.runner import ExperimentResult
 from repro.harness.telemetry import (
     BENCH_FORMAT,
     BENCH_SCHEMA,
     KEY_COUNTERS,
-    assert_valid_bench_report,
     build_bench_report,
     experiment_record,
     validate_bench_report,
@@ -20,8 +20,6 @@ from repro.harness.telemetry import (
 from repro.obs import MetricsCollector
 from repro.common.simclock import SimClock
 from repro.workloads.base import WorkloadResult
-
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _result(elapsed=1.5, hits=4, probes=8) -> WorkloadResult:
@@ -72,7 +70,7 @@ class TestValidation:
     def test_valid_round_trip(self):
         doc = self._valid_doc()
         assert validate_bench_report(doc) == []
-        assert_valid_bench_report(doc)
+        assert_valid(validate_bench_report(doc), "bench report")
         # and survives JSON serialization
         assert validate_bench_report(json.loads(json.dumps(doc))) == []
 
@@ -80,14 +78,19 @@ class TestValidation:
         doc = self._valid_doc()
         assert doc["format"] == BENCH_FORMAT
         assert BENCH_SCHEMA["properties"]["format"]["const"] == BENCH_FORMAT
+        doc["format"] = BENCH_FORMAT + 1
+        assert any("format" in p for p in validate_bench_report(doc))
 
     def test_rejects_non_object(self):
-        assert validate_bench_report([]) == \
-            ["top-level document is not a JSON object"]
+        problems = validate_bench_report([])
+        assert len(problems) == 1 and "object" in problems[0]
+        with pytest.raises(ValueError, match="bench report \\(x.json\\)"):
+            assert_valid(problems, "bench report", context="x.json")
 
     def test_rejects_missing_experiments(self):
-        problems = validate_bench_report({"format": BENCH_FORMAT, "issue": 5})
-        assert any("experiments" in p for p in problems)
+        for doc in ({"format": BENCH_FORMAT, "issue": 5},
+                    {"format": BENCH_FORMAT, "issue": 5, "experiments": []}):
+            assert any("experiments" in p for p in validate_bench_report(doc))
 
     def test_rejects_bad_record_fields(self):
         doc = self._valid_doc()
@@ -96,89 +99,82 @@ class TestValidation:
         problems = validate_bench_report(doc)
         assert any("wall_s" in p for p in problems)
         assert any("name" in p for p in problems)
+        # one field broken at a time; the problem names the field
+        for where, field, bad in [
+            ("doc", "issue", 0), ("doc", "issue", True),
+            ("record", "wall_s", True),     # a boolean is not a number
+            ("record", "sim_time_s", "1"),
+            ("record", "workloads", -3),
+        ]:
+            doc = self._valid_doc()
+            (doc if where == "doc" else doc["experiments"][0])[field] = bad
+            assert any(field in p for p in validate_bench_report(doc)), \
+                (field, bad)
 
     def test_rejects_non_integer_counters(self):
-        doc = self._valid_doc()
-        doc["experiments"][0]["counters"] = {"cache/hits": 1.5}
-        assert any("not an integer" in p
-                   for p in validate_bench_report(doc))
+        for bad in (1.5, True, "1"):
+            doc = self._valid_doc()
+            doc["experiments"][0]["counters"] = {"cache/hits": bad}
+            assert any("counters.cache/hits" in p and "integer" in p
+                       for p in validate_bench_report(doc)), bad
 
     def test_rejects_bad_digest(self):
         doc = self._valid_doc()
         doc["experiments"][0]["metric_series"] = {"cache/x": {"n": 1}}
-        assert any("bad digest" in p for p in validate_bench_report(doc))
+        assert any("metric_series.cache/x" in p
+                   for p in validate_bench_report(doc))
+
+    def test_problem_list_is_truncated(self):
+        doc = self._valid_doc()
+        doc["experiments"] = [{"name": ""}] * 40
+        problems = validate_bench_report(doc)
+        assert len(problems) == 51 and problems[-1] == "... (truncated)"
 
 
-class TestBenchReportScript:
-    def test_validate_mode_accepts_valid_file(self, tmp_path):
-        record = experiment_record("fake", _experiment({0: {"m": _result()}}),
-                                   wall_s=0.5)
-        doc = build_bench_report([record], issue=5)
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(doc))
-        proc = subprocess.run(
-            [sys.executable, os.path.join(REPO, "scripts", "bench_report.py"),
-             "--validate", str(path)],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "OK" in proc.stdout
+class TestBenchReportFlag:
+    """``python -m repro.harness NAMES --bench-report OUT.json``."""
 
-    def test_validate_mode_rejects_invalid_file(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format": 0}))
-        proc = subprocess.run(
-            [sys.executable, os.path.join(REPO, "scripts", "bench_report.py"),
-             "--validate", str(path)],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 1
-        assert "FAIL" in proc.stdout
-
-
-def _load_bench_report_module():
-    spec = importlib.util.spec_from_file_location(
-        "bench_report", os.path.join(REPO, "scripts", "bench_report.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestValidationHoisted:
-    """Regression: schema validation runs once per report, not once per
-    experiment — the ``--fast`` path used to re-validate per record."""
-
-    def test_write_report_validates_exactly_once(self, tmp_path,
-                                                 monkeypatch):
-        mod = _load_bench_report_module()
+    def test_writes_one_validated_record_per_experiment(
+            self, tmp_path, monkeypatch, capsys):
         calls = []
-        real = mod.validate_bench_report
+        real = telemetry.validate_bench_report
 
         def counting(doc):
             calls.append(1)
             return real(doc)
 
-        monkeypatch.setattr(mod, "validate_bench_report", counting)
-        records = [
-            experiment_record(f"fake{i}",
-                              _experiment({0: {"m": _result()}}), wall_s=0.5)
-            for i in range(4)
-        ]
-        out = tmp_path / "bench.json"
-        assert mod.write_report(records, str(out)) == 0
-        assert len(calls) == 1  # once per report, not per experiment
-        assert validate_bench_report(json.loads(out.read_text())) == []
-
-    def test_experiment_loop_never_validates(self, monkeypatch):
-        mod = _load_bench_report_module()
-
-        def forbidden(doc):  # pragma: no cover - failure path
-            raise AssertionError("validation ran inside the "
-                                 "per-experiment loop")
-
-        monkeypatch.setattr(mod, "validate_bench_report", forbidden)
-        monkeypatch.setitem(mod.EXPERIMENTS, "tiny",
+        monkeypatch.setattr(telemetry, "validate_bench_report", counting)
+        monkeypatch.setitem(EXPERIMENTS, "tiny",
                             lambda: _experiment({0: {"m": _result()}}))
-        records = mod.run_experiments(["tiny"])
-        assert len(records) == 1
-        assert records[0]["name"] == "tiny"
+        out = tmp_path / "bench.json"
+        assert main(["tiny", "fig2c", "tiny", "--bench-report",
+                     str(out)]) == 0
+        # validated once per report, not once per experiment
+        assert len(calls) == 1
+        assert "[bench report: 3 experiment(s)" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert validate_bench_report(doc) == []
+        assert [r["name"] for r in doc["experiments"]] == \
+            ["tiny", "fig2c", "tiny"]
+        # each experiment is metered by a collector of its own
+        tiny, fig2c, _ = doc["experiments"]
+        assert tiny["metric_series"] == {} and tiny["workloads"] == 1
+        assert fig2c["metric_series"] and fig2c["counters"][CACHE_HITS] > 0
+
+    def test_invalid_report_is_not_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(telemetry, "BENCH_ISSUE", 0)
+        monkeypatch.setitem(EXPERIMENTS, "tiny",
+                            lambda: _experiment({0: {"m": _result()}}))
+        out = tmp_path / "bench.json"
+        with pytest.raises(ValueError, match="issue"):
+            main(["tiny", "--bench-report", str(out)])
+        assert not out.exists()
+
+    def test_refused_with_metrics_and_with_server(self, tmp_path, capsys):
+        out = str(tmp_path / "bench.json")
+        for extra in (["--metrics", str(tmp_path / "m.jsonl")],
+                      ["--server", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["fig2c", "--bench-report", out, *extra])
+            assert exc.value.code == 2
+            assert "--bench-report" in capsys.readouterr().err
