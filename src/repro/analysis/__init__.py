@@ -27,7 +27,7 @@ from repro.analysis.base import (
     register_pass,
     registered_passes,
 )
-from repro.analysis.dataflow import StreamDefUse, consumers_of, walk_dag
+from repro.analysis.dataflow import StreamDefUse, walk_dag
 from repro.analysis.diagnostics import (
     Diagnostic,
     DiagnosticReport,
@@ -69,7 +69,6 @@ __all__ = [
     "StreamDefUse",
     "analyze",
     "check_linearization",
-    "consumers_of",
     "format_footprint_table",
     "format_region_peaks",
     "plan_block",

@@ -7,8 +7,8 @@ Two views of a compiled program are analyzed:
   graphs and reports the back edges it found, so the verifier can
   diagnose a broken rewrite instead of hanging;
 * the **instruction stream** (the linearized order), summarized into
-  def/use chains by :class:`StreamDefUse` — definition position, use
-  positions, and live ranges per value, the classic input to liveness
+  def/use chains by :class:`StreamDefUse` — definition position and use
+  positions per value, the classic input to liveness
   and soundness checks (red-dragon-style iterative dataflow collapses
   to a single pass here because the stream of one basic block is a
   straight line).
@@ -56,15 +56,6 @@ def walk_dag(roots: Iterable[Hop]) -> tuple[list[Hop], list[tuple[Hop, Hop]]]:
     return nodes, back_edges
 
 
-def consumers_of(nodes: Iterable[Hop]) -> dict[int, list[Hop]]:
-    """hop id -> consumer hops, over an already-collected node set."""
-    out: dict[int, list[Hop]] = {}
-    for node in nodes:
-        for inp in node.inputs:
-            out.setdefault(inp.id, []).append(node)
-    return out
-
-
 class StreamDefUse:
     """Def-use chains over one linearized instruction stream.
 
@@ -102,10 +93,6 @@ class StreamDefUse:
         uses = self.use_pos.get(hop.id)
         return uses[0] if uses else None
 
-    def last_use(self, hop: Hop) -> Optional[int]:
-        uses = self.use_pos.get(hop.id)
-        return uses[-1] if uses else None
-
     def is_dead(self, hop: Hop) -> bool:
         """Defined in the stream, never used, and not a program output."""
         return (
@@ -113,11 +100,3 @@ class StreamDefUse:
             and not self.use_pos.get(hop.id)
             and hop.id not in self.root_ids
         )
-
-    def live_range(self, hop: Hop) -> Optional[tuple[int, int]]:
-        """``(def, last_use)`` positions; ``None`` if not defined."""
-        pos = self.def_pos.get(hop.id)
-        if pos is None:
-            return None
-        last = self.last_use(hop)
-        return (pos, last if last is not None else pos)

@@ -8,9 +8,9 @@ DAG, the way SystemML-style compilers budget intermediates ahead of
 execution.  For one linearized instruction stream the planner:
 
 * derives, from ``Hop.output_bytes`` and the stream's def-use chains,
-  every byte charge the runtime can make against the six canonical
+  every byte charge the runtime can make against the five canonical
   :class:`~repro.memory.region.MemoryRegion` ledgers (``CP``, ``DISK``,
-  ``CPU_BP``, ``SP_BLOCKS``, ``SP_CACHE``, ``GPU``) — see
+  ``SP_BLOCKS``, ``SP_CACHE``, ``GPU``) — see
   :func:`plan_block` for the charge model and its soundness argument;
 * computes per-region liveness intervals and the block's peak resident
   footprint per region (in this runtime a value stays resident until
@@ -74,23 +74,22 @@ from repro.memory.budget import RegionBudget, region_capacities
 #: importing the runtime package into the analysis layer).
 REGION_CP = "CP"
 REGION_DISK = "DISK"
-REGION_BUFFERPOOL = "CPU_BP"
 REGION_SPARK_STORAGE = "SP_BLOCKS"
 REGION_SPARK_CACHE = "SP_CACHE"
 REGION_GPU = "GPU"
 
-#: all regions a plan reports, in display order.
-PLAN_REGIONS = (REGION_CP, REGION_DISK, REGION_BUFFERPOOL,
-                REGION_SPARK_STORAGE, REGION_SPARK_CACHE, REGION_GPU)
+#: all regions a plan reports, in display order — exactly the regions a
+#: session's arbiter registers (``memory.budget.region_capacities``).
+PLAN_REGIONS = (REGION_CP, REGION_DISK, REGION_SPARK_STORAGE,
+                REGION_SPARK_CACHE, REGION_GPU)
 
-#: regions whose residency is *sticky across blocks* in this runtime:
+#: every region's residency is *sticky across blocks* in this runtime:
 #: cache tiers retain entries between blocks, and the GPU pool keeps
 #: ``used`` charged until actual frees (release only moves pointers to
 #: the free lists, Fig. 8(b)) — so session-level predictions accumulate.
-STICKY_REGIONS = (REGION_CP, REGION_DISK, REGION_SPARK_STORAGE,
-                  REGION_SPARK_CACHE, REGION_GPU)
+STICKY_REGIONS = PLAN_REGIONS
 
-#: default pressure watermark for MEM004 (matches the region default).
+#: pressure watermark for MEM004, as a fraction of the region's capacity.
 PRESSURE_WATERMARK = 0.9
 
 
@@ -208,9 +207,6 @@ def plan_block(roots: list[Hop], order: list[Hop],
       root-output allowance per block.
     * ``DISK`` — receives only CP spills; each entry is on disk at most
       once concurrently, so CP demand bounds it (0 when spilling off).
-    * ``CPU_BP`` — the interpreter executes CP ops directly on driver
-      memory without engaging the buffer pool, so a block charges it
-      nothing (the region exists for standalone tools).
     * ``SP_BLOCKS`` — only *persisted* memory-resident partitions are
       charged (shuffles never are): every SP-placed op hop's output is
       an upper bound over cache/checkpoint/explicit persists.
@@ -511,7 +507,7 @@ def plan_diagnostics(plan: BlockMemPlan, config: MemphisConfig,
 class MemoryPlanPass(AnalysisPass):
     """Static memory planner: peak footprint vs region budgets (MEM001+).
 
-    Derives every byte charge one block can make against the six
+    Derives every byte charge one block can make against the five
     memory regions, checks single-instruction working sets and block
     liveness peaks against the configured capacities, and — when a
     region overflows — computes the compile-time spill schedule that
@@ -576,11 +572,7 @@ class SessionMemPlanner:
         self.blocks += 1
         self.last_plan = plan
         for name in PLAN_REGIONS:
-            if name in STICKY_REGIONS:
-                self.cumulative[name] += plan.demand[name]
-            else:
-                self.cumulative[name] = max(self.cumulative[name],
-                                            plan.demand[name])
+            self.cumulative[name] += plan.demand[name]
             budget = self.budgets[name]
             raw = self.cumulative[name]
             self.predicted[name] = (
@@ -717,3 +709,36 @@ def format_region_peaks(predicted: Optional[dict[str, int]],
                         else f"{_fmt_bytes(budget.capacity):>14}")
         lines.append(row)
     return "\n".join(lines)
+
+
+def explain_memory(session: "Session", root_hops: Optional[list[Hop]],
+                   order: Optional[list[Hop]]) -> str:
+    """Static footprint table + observed region watermarks.
+
+    The ``runtime``/``full`` levels of ``Session.explain`` append (a)
+    the static memory plan of the block being explained (per-hop /
+    per-region charges; skipped when rendering captured plans, where
+    ``root_hops``/``order`` are ``None``) and (b) the session's observed
+    ``MemoryRegion.peak_used`` watermarks, so predicted vs observed
+    peaks are comparable in one place.
+    """
+    sections: list[str] = []
+    if root_hops is not None and order is not None:
+        block_plan = plan_block(root_hops, order, session.config)
+        plan_diagnostics(block_plan, session.config)
+        sections.append(format_footprint_table(block_plan))
+    observed = {
+        snap["region"]: int(snap["peak_used"])
+        for snap in session.arbiter.snapshot()
+    }
+    planner = session.memplanner
+    sections.append(
+        "memory regions (observed peak watermarks"
+        + (" vs session prediction" if planner is not None else "")
+        + "):\n"
+        + format_region_peaks(
+            planner.predicted if planner is not None else None,
+            observed,
+            planner.budgets if planner is not None else None)
+    )
+    return "\n\n".join(sections)

@@ -88,7 +88,7 @@ class LivenessLeakPass(AnalysisPass):
 
     The analog of SystemDS's ``rmvar`` discipline: every computed value
     should either be consumed by a later instruction or escape as a
-    program output.  Dead values waste compute, pin buffer-pool memory,
+    program output.  Dead values waste compute, hold driver memory,
     and — on the GPU — hold device allocations until the post-run
     ``release_acquired`` sweep.
     """

@@ -1,6 +1,5 @@
-"""Local CPU backend: numpy kernels and a buffer pool."""
+"""Local CPU backend: numpy kernels."""
 
 from repro.backends.cpu.backend import CpuBackend
-from repro.backends.cpu.bufferpool import BufferPool
 
-__all__ = ["CpuBackend", "BufferPool"]
+__all__ = ["CpuBackend"]

@@ -65,9 +65,6 @@ class FederatedWorker:
         """Register (or replace) a local data shard."""
         self._shards[name] = np.asarray(shard, dtype=np.float64)
 
-    def get_shard(self, name: str) -> np.ndarray:
-        return self._shards[name]
-
     def execute(self, opcode: str, lineage: LineageItem,
                 inputs: list[object], attrs: dict,
                 start_time: float, reuse: bool = True,

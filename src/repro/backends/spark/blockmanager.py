@@ -202,10 +202,6 @@ class BlockManager:
             "disk_bytes": disk_bytes,
         }
 
-    def cached_rdd_ids(self) -> set[int]:
-        """Ids of all RDDs with at least one cached partition."""
-        return {k[0] for k in self._partitions}
-
     # -- eviction ------------------------------------------------------------
 
     def _candidates(self, protect_rdd: int) -> list[_CachedPartition]:

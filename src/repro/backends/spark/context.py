@@ -73,9 +73,6 @@ class SparkContext:
         """Track an RDD for storage info queries and GC bookkeeping."""
         self._rdds[rdd.id] = rdd
 
-    def get_rdd(self, rdd_id: int) -> Optional[RDD]:
-        return self._rdds.get(rdd_id)
-
     def note_partition_recomputed(self) -> None:
         self.stats.inc(SPARK_PART_RECOMPUTED)
 

@@ -15,8 +15,6 @@ from repro.common.config import (
 )
 from repro.common.errors import (
     BackendError,
-    BufferPoolError,
-    CacheError,
     CompilationError,
     GpuError,
     GpuOutOfMemoryError,
@@ -42,8 +40,6 @@ __all__ = [
     "KB",
     "MB",
     "BackendError",
-    "BufferPoolError",
-    "CacheError",
     "CompilationError",
     "GpuError",
     "GpuOutOfMemoryError",

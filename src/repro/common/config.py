@@ -19,7 +19,7 @@ KB = 1024
 
 #: Global downscaling factor applied to the paper's memory budgets.  The
 #: paper uses 256 GB nodes; dividing budgets by this factor keeps every
-#: ratio (cache : buffer pool : operation memory) intact while letting the
+#: ratio (cache : operation memory : device memory) intact while letting the
 #: simulation allocate real numpy arrays.
 SCALE = 1024
 
@@ -163,11 +163,6 @@ class CpuConfig:
     trace_overhead_s: float = 1e-6
     #: cache probing overhead per instruction (Fig. 11: ~2x base).
     probe_overhead_s: float = 2e-6
-    #: buffer pool budget (paper: 20 GB).
-    buffer_pool_bytes: int = 20 * GB // SCALE
-    #: eviction order of the buffer pool (the ``CPU_BP`` memory region);
-    #: SystemDS's buffer pool is LRU over unpinned blocks.
-    policy: EvictionPolicyName = EvictionPolicyName.LRU
     #: operation memory: ops estimated above this go to Spark (paper: 7 GB).
     operation_memory_bytes: int = 7 * GB // SCALE
     disk_bytes_per_s: float = 1 * GB
@@ -217,10 +212,8 @@ class MemphisConfig:
     enable_async_ops: bool = True
     enable_checkpoint_rewrite: bool = True
     enable_eviction_injection: bool = True
-    enable_delayed_caching: bool = True
     enable_auto_tuning: bool = True
     enable_max_parallelize: bool = True
-    enable_cse: bool = True
     #: reuse-aware operator fusion (``repro.compiler.rewrites.fusion``):
     #: when True, chains of cell-wise ops (and matmul epilogues) whose
     #: intermediates the lineage cache does not want to retain are merged
@@ -231,26 +224,6 @@ class MemphisConfig:
     #: GPU allocator mode: "malloc" | "pool" | "memphis"; None derives it
     #: from the reuse mode (Base -> malloc, MEMPHIS -> memphis).
     gpu_memory_mode: str | None = None
-    #: structured tracing (``repro.obs``): when True the session records
-    #: spans and typed events (instructions, probes, evictions, Spark
-    #: jobs, GPU copies, ...) into an in-memory ring buffer, exportable
-    #: as JSONL or a Chrome/Perfetto trace.  Off by default — the
-    #: disabled path is a single attribute check per potential event.
-    trace_enabled: bool = False
-    #: ring-buffer capacity (events) when tracing is enabled.
-    trace_buffer: int = 1 << 18
-    #: metrics time-series (``repro.obs.metrics``): when True the session
-    #: samples gauge series (region occupancy, cache hit-rate windows,
-    #: Spark storage fraction, GPU residency/recycle rate, instruction
-    #: throughput) on the sim clock.  Off by default — the disabled path
-    #: is a single attribute check per instruction.
-    metrics_enabled: bool = False
-    #: sampling period when metrics are enabled, in executed instructions.
-    metrics_interval: int = 8
-    #: plan-level EXPLAIN capture (``repro.obs.explain``): when True the
-    #: session snapshots every compiled block (post-rewrite DAG +
-    #: linearized order) so ``Session.explain()`` can render them later.
-    explain_capture: bool = False
     #: static IR verification (``repro.analysis``): when True every
     #: compiled block is run through the analysis pass pipeline after
     #: rewrites + linearization and the session raises
@@ -311,7 +284,6 @@ class MemphisConfig:
             enable_async_ops=False,
             enable_checkpoint_rewrite=False,
             enable_eviction_injection=False,
-            enable_delayed_caching=False,
             enable_auto_tuning=False,
             enable_max_parallelize=False,
             **kw,

@@ -36,10 +36,6 @@ class LineageError(MemphisError):
     """Raised on malformed lineage traces or failed (de)serialization."""
 
 
-class CacheError(MemphisError):
-    """Raised on inconsistent lineage-cache state."""
-
-
 class AdmissionError(MemphisError):
     """Raised when the shared substrate refuses to admit a block.
 
@@ -82,10 +78,6 @@ class GpuOutOfMemoryError(GpuError):
             f"GPU out of memory: requested {requested} bytes, "
             f"{free} free, largest contiguous block {largest_block}"
         )
-
-
-class BufferPoolError(BackendError):
-    """Raised by the CPU buffer pool."""
 
 
 class RecomputationError(LineageError):

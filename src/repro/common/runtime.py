@@ -69,11 +69,12 @@ class RuntimeContext:
     """What a run is observed, perturbed and numbered by.
 
     Every collaborator is ``None`` unless supplied; ``None`` means "the
-    context has none", and a session then falls back to its config flag
-    (``trace_enabled``, ``metrics_enabled``, ``explain_capture``,
-    ``faults``, ...) and finally to the NULL singleton.  Use as a context
-    manager to make it the process-current context; exiting restores the
-    one it displaced, also on exceptions.
+    context has none", and a session then uses the NULL singleton — the
+    context is the one activation of the trace / metrics / explain
+    collectors (``scope(explain=ExplainCollector())``).  Only ``faults``
+    has a config-side counterpart, which wins over the context's.  Use
+    as a context manager to make it the process-current context; exiting
+    restores the one it displaced, also on exceptions.
     """
 
     __slots__ = ("trace", "metrics", "explain", "analysis", "memplan",

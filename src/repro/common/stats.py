@@ -178,7 +178,6 @@ FUSION_CHAINS = "fusion/chains_fused"
 FUSION_HOPS_ELIMINATED = "fusion/hops_eliminated"
 FUSION_BYTES_SAVED = "fusion/bytes_saved"
 FUSION_INSTRUCTIONS = "fusion/instructions_executed"
-BUFFERPOOL_EVICTIONS = "bufferpool/evictions"
 MEM_RESERVES = "memory/reserves"
 MEM_RESERVE_FAILURES = "memory/reserve_failures"
 MEM_EVICTIONS = "memory/evictions"

@@ -193,12 +193,6 @@ class Hop:
     def flops(self) -> float:
         return op_flops(self.opcode, [h.shape for h in self.inputs], self.shape)
 
-    @property
-    def is_scalar(self) -> bool:
-        return self.shape == (1, 1) and (
-            self.opcode in SCALAR_OPS or self.kind == KIND_LITERAL
-        )
-
     def iter_dag(self) -> list["Hop"]:
         """Every distinct node reachable from this hop, exactly once.
 

@@ -13,12 +13,12 @@ Every policy exposes two scoring views over the same ordering idea:
 
 * :meth:`score` over cache-entry-shaped objects (anything matching the
   :class:`~repro.memory.protocols.Evictable` field protocol — lineage
-  entries, buffer-pool blocks, cached Spark partitions);
+  entries, cached Spark partitions);
 * :meth:`score_pointer` over GPU free-list pointers, where the default
   policy is the paper's Eq. 2 ``T_a(o) + 1/h(o) + c(o)`` with terms
   normalised by the device clock and the candidate set's max cost.
 
-All four memory managers select victims through these policies via the
+Every memory manager selects victims through these policies via the
 :class:`~repro.memory.arbiter.MemoryArbiter`; no eviction-scoring math
 lives anywhere else.
 """

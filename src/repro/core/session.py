@@ -28,13 +28,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from repro.analysis.manager import verify_ir
-from repro.analysis.memplan import (
-    SessionMemPlanner,
-    format_footprint_table,
-    format_region_peaks,
-    plan_block,
-    plan_diagnostics,
-)
+from repro.analysis.memplan import SessionMemPlanner, explain_memory
 from repro.backends.cpu.backend import CpuBackend
 from repro.backends.gpu.backend import GpuBackend, GpuData
 from repro.backends.gpu.memmanager import MODE_MALLOC, MODE_MEMPHIS, MODE_POOL
@@ -46,7 +40,6 @@ from repro.common.runtime import RuntimeContext, current as current_runtime
 from repro.common.simclock import HOST, SimClock
 from repro.common.stats import (
     EVICT_INSTRUCTIONS,
-    FUNC_HITS,
     MEMPLAN_BLOCKS_PLANNED,
     Stats,
 )
@@ -65,39 +58,21 @@ from repro.compiler.rewrites.cse import eliminate_common_subexpressions
 from repro.compiler.rewrites.fusion import apply_fusion
 from repro.compiler.rewrites.tuning import ProgramBlock, tune_block
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
+from repro.core.function_reuse import call_with_reuse
 from repro.core.spark_cache import SparkCacheManager
 from repro.core.substrate import SessionContext, Substrate
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
-from repro.lineage.item import (
-    LineageItem,
-    dataset,
-    function_item,
-    literal,
-)
+from repro.lineage.item import LineageItem, dataset
 from repro.memory import REGION_CP, MemoryArbiter
-from repro.lineage.recompute import hops_from_item
+from repro.lineage.recompute import replay
 from repro.lineage.serialize import deserialize, serialize
-from repro.obs.explain import (
-    LEVEL_FULL,
-    ExplainCollector,
-    render_plan,
-    snapshot_plan,
-)
-from repro.obs.metrics import NULL_METRICS, MetricsCollector
-from repro.obs.tracer import NULL_TRACER, TraceCollector
+from repro.obs.explain import LEVEL_FULL, render_plan, snapshot_plan
+from repro.obs.metrics import NULL_METRICS
+from repro.obs.tracer import NULL_TRACER
 from repro.runtime.handles import MatrixHandle
 from repro.runtime.interpreter import Interpreter, Slot
-from repro.runtime.placement import assign_placements, matmul_pattern
+from repro.runtime.placement import assign_placements, mark_fused_transposes
 from repro.runtime.values import MatrixValue, ScalarValue, Value
-
-
-def _or_private(supplied, wanted: bool, factory, *args):
-    """``supplied`` (the runtime context's collaborator) when there is
-    one, else a private ``factory(*args)`` when the config flag wants
-    one, else ``None``."""
-    if supplied is None and wanted:
-        return factory(*args)
-    return supplied
 
 
 class Session:
@@ -115,27 +90,22 @@ class Session:
         self.ids = rt.ids
         self.clock = SimClock()
         self.stats = Stats()
-        # One resolution step per collaborator: the runtime context's
+        # The runtime context is the one activation of the collectors
         # (how harness --trace/--metrics/--explain reach sessions created
-        # deep inside workload drivers); else a private one if the config
-        # flag asks; else the NULL singleton (one ``enabled`` check/guard).
+        # deep inside workload drivers): the context's, else the NULL
+        # singleton (one ``enabled`` check per guard).
         label = cfg.reuse_mode.value
-        trace = self.trace_collector = _or_private(
-            rt.trace, cfg.trace_enabled, TraceCollector, cfg.trace_buffer)
+        trace = self.trace_collector = rt.trace
         self.tracer = (
             trace.tracer(self.clock, label=label, stats=self.stats)
             if trace is not None else NULL_TRACER)
-        metrics = self.metrics_collector = _or_private(
-            rt.metrics, cfg.metrics_enabled, MetricsCollector,
-            cfg.metrics_interval)
+        metrics = self.metrics_collector = rt.metrics
         self.metrics = (
-            metrics.registry(self.clock, label=label, stats=self.stats,
-                             interval=cfg.metrics_interval)
+            metrics.registry(self.clock, label=label, stats=self.stats)
             if metrics is not None else NULL_METRICS)
-        self.explain_collector = _or_private(
-            rt.explain, cfg.explain_capture, ExplainCollector)
-        # faults invert the order: an explicit plan on the config beats
-        # the context's (harness --faults).
+        self.explain_collector = rt.explain
+        # faults are the one collaborator a config can also carry: an
+        # explicit plan there beats the context's (harness --faults).
         plan = cfg.faults if cfg.faults is not None else rt.faults
         self.faults = (
             FaultInjector(plan, self.clock, self.stats, tracer=self.tracer)
@@ -160,7 +130,7 @@ class Session:
             self.substrate = substrate
             self._ctx: Optional[SessionContext] = substrate.attach(
                 self, tenant)
-            # backend regions (buffer pool, Spark tiers, GPU) stay
+            # backend regions (Spark tiers, GPU) stay
             # session-private: only CP/DISK live on the shared arbiter.
             self.arbiter = MemoryArbiter(
                 self.stats, tracer=self.tracer, faults=self.faults)
@@ -356,11 +326,9 @@ class Session:
         if not roots:
             return None
         root_hops = [h.hop for h in roots]
-        extra: dict[int, list] = {}
-        if self.config.enable_cse:
-            root_hops, extra = eliminate_common_subexpressions(root_hops)
-            for handle, hop in zip(roots, root_hops):
-                handle.hop = hop
+        root_hops, extra = eliminate_common_subexpressions(root_hops)
+        for handle, hop in zip(roots, root_hops):
+            handle.hop = hop
         # one traversal serves the whole pipeline below: after CSE the
         # DAG structure is frozen (placement and the rewrites only set
         # per-hop flags), so each pass re-walking the DAG was pure
@@ -371,7 +339,7 @@ class Session:
         nodes = depth_first(root_hops)
         assign_placements(root_hops, self.config, nodes)
         consumers = consumers_map(root_hops, nodes)
-        self._mark_fused_transposes(root_hops, consumers, nodes)
+        mark_fused_transposes(nodes, consumers, self.config)
         if self.config.enable_fusion:
             # reuse-aware operator fusion: after CSE/placement (chains
             # must respect both), before checkpoint/prefetch/broadcast
@@ -549,27 +517,6 @@ class Session:
             hop, _release_ptr, self.gpu.memory, ptr
         )
 
-    def _mark_fused_transposes(self, roots: list[Hop],
-                               consumers: Optional[dict] = None,
-                               nodes: Optional[list[Hop]] = None) -> None:
-        """Fuse ``r'`` feeding tsmm/cpmm physical operators (skip exec)."""
-        if nodes is None:
-            nodes = [hop for root in roots for hop in root.iter_dag()]
-        if consumers is None:
-            consumers = consumers_map(roots, None)
-        for hop in nodes:
-            if hop.kind != KIND_OP or hop.opcode != "ba+*":
-                continue
-            if hop.placement != BACKEND_SP:
-                continue
-            pattern = matmul_pattern(hop, self.config)
-            if pattern not in ("tsmm", "cpmm"):
-                continue
-            t_hop = hop.inputs[0]
-            if t_hop.opcode == "r'" and len(
-                    consumers.get(t_hop.id, ())) == 1:
-                t_hop.fused = True
-
     # --------------------------------------------------------- multi-level reuse
 
     def function(self, name: Optional[str] = None,
@@ -586,93 +533,15 @@ class Session:
             fname = name or fn.__name__
 
             def wrapper(*args):
-                if not deterministic or self.config.reuse_mode not in (
-                    ReuseMode.FULL, ReuseMode.COARSE_ONLY
-                ):
+                if not deterministic:
                     return fn(*args)
-                self._activate()
-                key = self._function_key(fname, args)
-                entry = self.cache.probe(key)
-                if entry is not None:
-                    outputs = self._restore_function_outputs(entry)
-                    if outputs is not None:
-                        self.stats.inc(FUNC_HITS)
-                        return outputs
-                t0 = self.clock.now(HOST)
-                result = fn(*args)
-                self._cache_function_outputs(key, result, t0)
-                return result
+                return call_with_reuse(self, fname, fn, args)
 
             wrapper.__name__ = fn.__name__
             wrapper.__doc__ = fn.__doc__
             return wrapper
 
         return decorate
-
-    def _function_key(self, fname: str, args: tuple) -> LineageItem:
-        items = []
-        for arg in args:
-            if isinstance(arg, MatrixHandle):
-                if arg.lineage is None:
-                    self.evaluate([arg])
-                items.append(arg.lineage)
-            else:
-                items.append(literal(arg, self.ids))
-        return function_item(fname, tuple(items), ids=self.ids)
-
-    def _cache_function_outputs(self, key: LineageItem, result,
-                                t0: float) -> None:
-        outputs = result if isinstance(result, tuple) else (result,)
-        handles = [o for o in outputs if isinstance(o, MatrixHandle)]
-        pending = [h for h in handles if h.hop.kind == KIND_OP]
-        if pending:
-            self.evaluate(pending)
-        snapshot = []
-        for out in outputs:
-            if isinstance(out, MatrixHandle):
-                snapshot.append(
-                    ("handle", out.lineage, dict(out.payloads), out.shape)
-                )
-            else:
-                snapshot.append(("value", out))
-        elapsed = self.clock.now(HOST) - t0
-        cost = max(elapsed * self.config.cpu.flops_per_s, 1.0)
-        size = sum(
-            payloads.get(BACKEND_CP).nbytes
-            for kind, *rest in snapshot
-            if kind == "handle"
-            for payloads in [rest[1]]
-            if payloads.get(BACKEND_CP) is not None
-        )
-        self.cache.put(key, (snapshot, isinstance(result, tuple)),
-                       BACKEND_CP, max(size, 8), cost, delay_factor=1)
-
-    def _restore_function_outputs(self, entry):
-        payload = entry.get_payload(BACKEND_CP)
-        if payload is None:
-            return None
-        snapshot, was_tuple = payload
-        outputs = []
-        for record in snapshot:
-            if record[0] == "value":
-                outputs.append(record[1])
-                continue
-            _, lineage, payloads, shape = record
-            payloads = dict(payloads)
-            gpu_payload = payloads.get(BACKEND_GPU)
-            if gpu_payload is not None and gpu_payload.ptr.freed:
-                payloads.pop(BACKEND_GPU)
-            if not payloads:
-                return None  # all copies lost: treat as a miss
-            handle = MatrixHandle(self, literal_hop(0.0, self.ids))
-            handle.hop = data_hop(handle, shape)
-            gpu_payload = payloads.get(BACKEND_GPU)
-            handle.bind(lineage, payloads)
-            if gpu_payload is not None:
-                self.gpu.memory.reuse_from_free(gpu_payload.ptr)
-                self._attach_gpu_finalizer(handle.hop, gpu_payload.ptr)
-            outputs.append(handle)
-        return tuple(outputs) if was_tuple else outputs[0]
 
     # -------------------------------------------------------------- program hooks
 
@@ -722,7 +591,7 @@ class Session:
         """
         old_delay = self.delay_factor
         old_level = self.spark_mgr.storage_level
-        if self.config.enable_auto_tuning and self.config.enable_delayed_caching:
+        if self.config.enable_auto_tuning:
             block = ProgramBlock(
                 name,
                 execution_frequency=execution_frequency,
@@ -775,22 +644,10 @@ class Session:
         from the one that produced the trace.  ``inputs`` supplies the
         named datasets referenced by ``data`` leaves.
         """
-        root_item = deserialize(log, self.ids)
-        inputs = inputs or {}
-        anchors: list[MatrixHandle] = []
-
-        def read_dataset(dataset_name: str) -> Hop:
-            if dataset_name not in inputs:
-                raise RecomputationError(
-                    f"recompute needs input dataset {dataset_name!r}"
-                )
-            handle = self.read(inputs[dataset_name], dataset_name)
-            anchors.append(handle)
-            return handle.hop
-
-        root = hops_from_item(root_item, read_dataset, self.ids)
-        handle = MatrixHandle(self, root)
-        return self.compute(handle)
+        _, result = replay(
+            self, deserialize(log, self.ids), inputs or {},
+            missing="recompute needs input dataset {name!r}")
+        return result
 
     def recompute_from_lineage(self, item: LineageItem) -> Value:
         """Replay a live lineage trace to rebuild a lost value (§3.2).
@@ -813,21 +670,10 @@ class Session:
             data = self._datasets[name]
             return (ScalarValue(data) if isinstance(data, float)
                     else MatrixValue(data))
-        anchors: list[MatrixHandle] = []
-
-        def read_dataset(dataset_name: str) -> Hop:
-            if dataset_name not in self._datasets:
-                raise RecomputationError(
-                    f"cannot recompute: dataset {dataset_name!r} is not "
-                    f"registered with this session"
-                )
-            handle = self.read(self._datasets[dataset_name], dataset_name)
-            anchors.append(handle)
-            return handle.hop
-
-        root = hops_from_item(item, read_dataset, self.ids)
-        handle = MatrixHandle(self, root)
-        self.compute(handle)
+        handle, _ = replay(
+            self, item, self._datasets,
+            missing="cannot recompute: dataset {name!r} is not registered "
+                    "with this session")
         value = handle.payloads.get(BACKEND_CP)
         if value is None:
             raise RecomputationError(
@@ -850,8 +696,7 @@ class Session:
         ``repro.analysis`` diagnostics and trace spans reference.
 
         Without ``handles``, renders every plan captured so far (needs
-        ``MemphisConfig(explain_capture=True)`` or a session built under
-        ``runtime.scope(explain=ExplainCollector())``).
+        a session built under ``runtime.scope(explain=ExplainCollector())``).
 
         ``level`` is one of ``"hops"``, ``"runtime"``, ``"full"``.
         """
@@ -868,45 +713,15 @@ class Session:
                 diagnostics = self.ir_collector.merged()
             rendered = render_plan(plan, level, diagnostics)
             if level != "hops":
-                rendered += "\n\n" + self._explain_memory(root_hops, order)
+                rendered += "\n\n" + explain_memory(self, root_hops, order)
             return rendered
         if self.explain_collector is None:
             return ("(explain capture is off: pass handles, or create the "
-                    "session with MemphisConfig(explain_capture=True))")
+                    "session under scope(explain=ExplainCollector()))")
         rendered = self.explain_collector.render(level)
         if level != "hops":
-            rendered += "\n\n" + self._explain_memory(None, None)
+            rendered += "\n\n" + explain_memory(self, None, None)
         return rendered
-
-    def _explain_memory(self, root_hops, order) -> str:
-        """Static footprint table + observed region watermarks.
-
-        The ``runtime``/``full`` explain levels append (a) the static
-        memory plan of the block being explained (per-hop / per-region
-        charges, ``repro.analysis.memplan``) and (b) the session's
-        observed ``MemoryRegion.peak_used`` watermarks, so predicted
-        vs observed peaks are comparable in one place.
-        """
-        sections: list[str] = []
-        if root_hops is not None and order is not None:
-            block_plan = plan_block(root_hops, order, self.config)
-            plan_diagnostics(block_plan, self.config)
-            sections.append(format_footprint_table(block_plan))
-        observed = {
-            snap["region"]: int(snap["peak_used"])
-            for snap in self.arbiter.snapshot()
-        }
-        predicted = (self.memplanner.predicted
-                     if self.memplanner is not None else None)
-        budgets = (self.memplanner.budgets
-                   if self.memplanner is not None else None)
-        sections.append(
-            "memory regions (observed peak watermarks"
-            + (" vs session prediction" if self.memplanner is not None
-               else "") + "):\n"
-            + format_region_peaks(predicted, observed, budgets)
-        )
-        return "\n\n".join(sections)
 
     def elapsed(self) -> float:
         """Simulated end-to-end time (host timeline)."""
@@ -919,8 +734,7 @@ class Session:
     def trace_events(self) -> list:
         """Structured trace events recorded so far (see ``repro.obs``).
 
-        Empty unless the session was created with
-        ``MemphisConfig(trace_enabled=True)`` or under
+        Empty unless the session was created under
         ``runtime.scope(trace=TraceCollector())``.
         """
         if self.trace_collector is not None:

@@ -24,11 +24,9 @@ from repro.lineage.query import (
     trace_stats,
 )
 from repro.lineage.serialize import deserialize, serialize
-from repro.lineage.trace import LineageMap
 
 __all__ = [
     "LineageItem",
-    "LineageMap",
     "dags_equal",
     "dataset",
     "function_item",

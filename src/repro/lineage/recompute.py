@@ -4,18 +4,26 @@ Both recovery paths replay lineage the same way: the public
 ``Session.recompute`` API (deserialized textual logs) and the fault
 tolerance machinery (``Session.recompute_from_lineage``, invoked when
 every cached copy of an intermediate has been lost).  This module holds
-the common rebuild: a memoized walk of a :class:`LineageItem` trace that
+the common rebuild — a memoized walk of a :class:`LineageItem` trace that
 re-emits HOPs, leaving dataset resolution to the caller so the execution
-environment may differ from the one that produced the trace.
+environment may differ from the one that produced the trace — and
+:func:`replay`, which runs it over a session.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
+import numpy as np
+
+from repro.common.errors import RecomputationError
 from repro.common.runtime import IdSpace
 from repro.compiler.ir import Hop, literal_hop, op_hop
 from repro.lineage.item import LineageItem
+from repro.runtime.handles import MatrixHandle
+
+if TYPE_CHECKING:
+    from repro.core.session import Session
 
 
 def attrs_from_data(data: tuple) -> dict:
@@ -60,3 +68,29 @@ def hops_from_item(root: LineageItem,
         return hop
 
     return build(root)
+
+
+def replay(session: "Session", item: LineageItem, datasets: Mapping,
+           missing: str) -> tuple[MatrixHandle, np.ndarray]:
+    """Rebuild ``item``'s DAG over ``session`` and compute it.
+
+    ``data`` leaves are re-read from ``datasets`` (name -> array or
+    scalar); a leaf it lacks raises :class:`RecomputationError` with
+    ``missing.format(name=...)``.  The replay runs through the session's
+    full compilation chain, so still-cached sub-traces are reused.
+    Returns the evaluated root handle and its driver-side result.
+    """
+    #: keeps the re-read input handles alive until the replay has run
+    #: (hops reference their handle weakly).
+    anchors: list[MatrixHandle] = []
+
+    def read_dataset(name: str) -> Hop:
+        if name not in datasets:
+            raise RecomputationError(missing.format(name=name))
+        handle = session.read(datasets[name], name)
+        anchors.append(handle)
+        return handle.hop
+
+    handle = MatrixHandle(
+        session, hops_from_item(item, read_dataset, session.ids))
+    return handle, session.compute(handle)

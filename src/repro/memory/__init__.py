@@ -1,8 +1,8 @@
 """Unified memory-arbitration substrate (paper pillar 2, §3.3/§4.2/§5.2).
 
-One coordinated hierarchy instead of four silos: the driver lineage
-cache, the CPU buffer pool, the Spark block manager / RDD cache tier,
-and the GPU unified memory manager all route *reservations* (the
+One coordinated hierarchy instead of three silos: the driver lineage
+cache, the Spark block manager / RDD cache tier, and the GPU unified
+memory manager all route *reservations* (the
 reserve/commit/release byte protocol) and *victim selection* (the
 ``core/policies.py`` scoring registry) through a shared
 :class:`MemoryArbiter` over per-backend :class:`MemoryRegion` ledgers,
@@ -23,13 +23,12 @@ from repro.memory.budget import (
     region_capacities,
     shared_demands,
 )
-from repro.memory.protocols import Evictable, Spillable
+from repro.memory.protocols import Evictable
 from repro.memory.region import MemoryRegion
 
-#: canonical region names registered by the four memory managers.
+#: canonical region names registered by the memory managers.
 REGION_CP = "CP"  #: driver-local lineage-cache payloads.
 REGION_DISK = "DISK"  #: disk-evicted driver-cache binaries (§3.3).
-REGION_BUFFERPOOL = "CPU_BP"  #: CPU buffer-pool matrix blocks.
 REGION_SPARK_STORAGE = "SP_BLOCKS"  #: aggregate executor storage memory.
 REGION_SPARK_CACHE = "SP_CACHE"  #: reuse share of Spark storage (§4.1).
 REGION_GPU = "GPU"  #: device memory under the unified GPU manager.
@@ -43,10 +42,8 @@ __all__ = [
     "SHARED_REGIONS",
     "shared_demands",
     "Evictable",
-    "Spillable",
     "REGION_CP",
     "REGION_DISK",
-    "REGION_BUFFERPOOL",
     "REGION_SPARK_STORAGE",
     "REGION_SPARK_CACHE",
     "REGION_GPU",

@@ -119,7 +119,7 @@ class MemoryArbiter:
     """Shared reserve/commit/release arbiter over named memory regions.
 
     One instance per :class:`~repro.core.session.Session` coordinates
-    all four managers; standalone managers (unit tests, tools) create a
+    all its managers; standalone managers (unit tests, tools) create a
     private arbiter, so the substrate is always in the loop.
     """
 
@@ -142,23 +142,19 @@ class MemoryArbiter:
     def add_region(self, name: str, capacity: int, *,
                    policy: Optional[EvictionPolicy] = None,
                    policy_name=None,
-                   unlimited: bool = False,
-                   watermark: float = 0.9) -> MemoryRegion:
+                   unlimited: bool = False) -> MemoryRegion:
         """Register a region; ``policy_name`` resolves via the registry."""
         if name in self._regions:
             raise ValueError(f"memory region {name!r} already registered")
         if policy is None and policy_name is not None:
             policy = make_policy(policy_name)
         region = MemoryRegion(name, capacity, policy=policy,
-                              unlimited=unlimited, watermark=watermark)
+                              unlimited=unlimited)
         self._regions[name] = region
         return region
 
     def region(self, name: str) -> MemoryRegion:
         return self._regions[name]
-
-    def has_region(self, name: str) -> bool:
-        return name in self._regions
 
     def regions(self) -> list[MemoryRegion]:
         return list(self._regions.values())

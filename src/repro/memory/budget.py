@@ -5,10 +5,12 @@ placement feasibility check (``repro.runtime.placement``) both need to
 know, *at compile time*, how many bytes each :class:`~repro.memory.region.MemoryRegion`
 will be created with at runtime — without instantiating any manager.
 This module is the single source of truth for that mapping: it mirrors,
-byte for byte, the ``add_region`` calls made by the four managers
-(`LineageCache`, `BufferPool`, `BlockManager`/`SparkCacheManager`,
+byte for byte, the ``add_region`` calls made by the managers
+(`LineageCache`, `BlockManager`/`SparkCacheManager`,
 `GpuMemoryManager`) when a :class:`~repro.core.session.Session` is
-constructed.
+constructed — five regions, the same five ``Session.arbiter.snapshot()``
+reports.  CP intermediates live on handles, outside any ledger: the
+buffer pool is not modelled.
 
 It deliberately imports only ``repro.common.config`` so that both the
 analysis layer and the runtime placement layer can consume it without
@@ -26,8 +28,8 @@ from repro.common.config import MemphisConfig
 #: regions owned by the shared substrate in multi-tenant mode
 #: (``repro.server``): the driver lineage-cache tier and its disk spill
 #: tier are the only regions whose ledgers are shared across sessions;
-#: every other region stays session-private (one buffer pool / Spark
-#: cluster / GPU per session).  The admission gate restricts a block's
+#: every other region stays session-private (one Spark cluster / GPU
+#: per session).  The admission gate restricts a block's
 #: plan demands to this subset before strict bulk reservation.
 SHARED_REGIONS: tuple[str, ...] = ("CP", "DISK")
 
@@ -61,7 +63,6 @@ def region_capacities(config: MemphisConfig) -> dict[str, RegionBudget]:
 
     * ``CP``/``DISK`` — ``LineageCache.__init__`` (driver payload tier
       and its disk spill tier, §3.3).
-    * ``CPU_BP`` — ``BufferPool.__init__``.
     * ``SP_BLOCKS`` — ``BlockManager.__init__``: the *aggregate*
       executor storage memory (``storage_memory x num_executors``).
     * ``SP_CACHE`` — ``SparkCacheManager.__init__``: the reuse share of
@@ -75,7 +76,6 @@ def region_capacities(config: MemphisConfig) -> dict[str, RegionBudget]:
         "CP": RegionBudget("CP", config.cache.driver_cache_bytes,
                            config.cache.unlimited),
         "DISK": RegionBudget("DISK", config.cache.disk_cache_bytes, False),
-        "CPU_BP": RegionBudget("CPU_BP", config.cpu.buffer_pool_bytes, False),
         "SP_BLOCKS": RegionBudget("SP_BLOCKS", sp_blocks, False),
         "SP_CACHE": RegionBudget(
             "SP_CACHE", int(sp_blocks * config.cache.spark_cache_fraction),

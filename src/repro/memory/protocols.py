@@ -1,10 +1,10 @@
-"""Entry protocols consumed by the arbiter and the eviction policies.
+"""Entry protocol consumed by the arbiter and the eviction policies.
 
 Anything a region manages must be *scoreable*: the four ablation
 policies of ``core/policies.py`` read the same metadata fields off
-every candidate — lineage-cache entries, buffer-pool blocks, cached
-Spark partitions.  GPU free-list pointers use the pointer variant of
-the same policies (``score_pointer``, Eq. 2 normalisation).
+every candidate — lineage-cache entries, cached Spark partitions.
+GPU free-list pointers use the pointer variant of the same policies
+(``score_pointer``, Eq. 2 normalisation).
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ class Evictable(Protocol):
     """A region-managed object the eviction policies can score.
 
     The fields mirror :class:`~repro.core.entry.CacheEntry`'s policy
-    metadata; backend adapters (buffer-pool blocks, cached partitions)
-    expose the same names so every region shares one scoring registry.
+    metadata; backend adapters (cached partitions) expose the same
+    names so every region shares one scoring registry.
     """
 
     size: int
@@ -27,16 +27,3 @@ class Evictable(Protocol):
     misses: int
     jobs: int
     last_access: float
-
-
-@runtime_checkable
-class Spillable(Protocol):
-    """An evictable whose payload can move to a slower tier and back.
-
-    The arbiter's spill-vs-drop decision (:meth:`MemoryArbiter.should_spill`)
-    only needs ``size`` and ``compute_cost``; the actual data movement
-    (disk write, ``on_disk`` flip, D2H copy) stays backend physics.
-    """
-
-    size: int
-    compute_cost: float

@@ -27,23 +27,20 @@ class MemoryRegion:
     """
 
     __slots__ = (
-        "name", "capacity", "unlimited", "policy", "watermark",
+        "name", "capacity", "unlimited", "policy",
         "used", "reserved", "pinned", "peak_used",
         "quotas", "tenant_used",
     )
 
     def __init__(self, name: str, capacity: int,
                  policy: Optional[EvictionPolicy] = None,
-                 unlimited: bool = False,
-                 watermark: float = 0.9) -> None:
+                 unlimited: bool = False) -> None:
         self.name = name
         self.capacity = int(capacity)
         self.unlimited = unlimited
         #: region-local eviction policy (``core/policies.py`` registry);
         #: the single source of victim order for this region.
         self.policy = policy
-        #: occupancy fraction above which the arbiter reports pressure.
-        self.watermark = watermark
         self.used = 0
         self.reserved = 0
         self.pinned = 0
@@ -69,10 +66,6 @@ class MemoryRegion:
         if self.capacity <= 0:
             return 0.0
         return (self.used + self.reserved) / self.capacity
-
-    @property
-    def over_watermark(self) -> bool:
-        return not self.unlimited and self.occupancy >= self.watermark
 
     def fits(self, size: int) -> bool:
         """Whether ``size`` more bytes fit without any eviction."""

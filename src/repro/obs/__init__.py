@@ -7,9 +7,9 @@ over the simulated clock, with three sinks: a bounded in-memory ring
 buffer, a JSONL writer, and a Chrome-trace/Perfetto exporter that
 renders a whole run as a timeline with one lane per backend.
 
-Enable per session (``MemphisConfig(trace_enabled=True)``), for every
-session built in a scope (``with runtime.scope(trace=TraceCollector())
-as rt: ...``, see ``repro.common.runtime``), or from the CLI
+Enable for every session built in a scope (``with
+runtime.scope(trace=TraceCollector()) as rt: ...``, see
+``repro.common.runtime`` — the one activation), or from the CLI
 (``python -m repro.harness fig11a --trace out.json``).  See
 ``docs/OBSERVABILITY.md`` for the event taxonomy and a worked example.
 
@@ -103,7 +103,6 @@ from repro.obs.schema import (
 from repro.obs.sinks import (
     JsonlSink,
     RingBufferSink,
-    RotatingJsonlSink,
     read_jsonl,
     write_jsonl,
 )
@@ -175,7 +174,6 @@ __all__ = [
     "PHASE_SPAN",
     "RequestContext",
     "RingBufferSink",
-    "RotatingJsonlSink",
     "SLO_LATENCY_BOUNDS",
     "Span",
     "TRACE_SCHEMA",

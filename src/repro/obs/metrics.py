@@ -360,16 +360,14 @@ class MetricsCollector:
         self._next_session = 0
 
     def registry(self, clock: SimClock, label: str = "",
-                 stats: Optional[Stats] = None,
-                 interval: Optional[int] = None) -> MetricsRegistry:
+                 stats: Optional[Stats] = None) -> MetricsRegistry:
         """Create the registry for one session; registers its stats."""
         session_id = self._next_session
         self._next_session += 1
         self.session_labels[session_id] = label or f"session-{session_id}"
         registry = MetricsRegistry(
             clock, session_id, self.session_labels[session_id],
-            interval=interval if interval is not None else self.interval,
-            window=self.window,
+            interval=self.interval, window=self.window,
         )
         self.registries.append(registry)
         if stats is not None:

@@ -9,7 +9,6 @@ traces exceed the ring capacity or that need post-mortem inspection.
 from __future__ import annotations
 
 import json
-import os
 from collections import deque
 from typing import IO, Iterable, Optional, Union
 
@@ -71,75 +70,6 @@ class JsonlSink:
             self._file.close()
 
     def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc) -> Optional[bool]:
-        self.close()
-        return None
-
-
-class RotatingJsonlSink:
-    """JSONL sink with size-based rotation (long-running workloads).
-
-    Writes to ``path``; once the active file exceeds ``max_bytes`` the
-    existing backups shift up (``path.1`` -> ``path.2`` ...), the active
-    file becomes ``path.1``, and writing restarts on a fresh ``path`` —
-    the semantics of ``logging.handlers.RotatingFileHandler``.  At most
-    ``backup_count`` backups are kept; the oldest is deleted on
-    overflow.  Rotation happens on line boundaries, so every file is
-    independently loadable with :func:`read_jsonl`.
-    """
-
-    def __init__(self, path: str, max_bytes: int = 1 << 20,
-                 backup_count: int = 3) -> None:
-        if max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
-        if backup_count < 1:
-            raise ValueError("backup_count must be at least 1")
-        self.path = path
-        self.max_bytes = max_bytes
-        self.backup_count = backup_count
-        self.rotations = 0
-        self._bytes_written = 0
-        self._file: IO[str] = open(path, "w", encoding="utf-8")
-
-    def emit(self, event: Event) -> None:
-        line = json.dumps(event.to_json(), sort_keys=True) + "\n"
-        if self._bytes_written and \
-                self._bytes_written + len(line) > self.max_bytes:
-            self._rotate()
-        self._file.write(line)
-        self._bytes_written += len(line)
-
-    def _rotate(self) -> None:
-        self._file.close()
-        oldest = f"{self.path}.{self.backup_count}"
-        if os.path.exists(oldest):
-            os.remove(oldest)
-        for i in range(self.backup_count - 1, 0, -1):
-            src = f"{self.path}.{i}"
-            if os.path.exists(src):
-                os.replace(src, f"{self.path}.{i + 1}")
-        os.replace(self.path, f"{self.path}.1")
-        self._file = open(self.path, "w", encoding="utf-8")
-        self._bytes_written = 0
-        self.rotations += 1
-
-    def files(self) -> list[str]:
-        """All existing files of the set, oldest first."""
-        out = [
-            f"{self.path}.{i}"
-            for i in range(self.backup_count, 0, -1)
-            if os.path.exists(f"{self.path}.{i}")
-        ]
-        out.append(self.path)
-        return out
-
-    def close(self) -> None:
-        self._file.flush()
-        self._file.close()
-
-    def __enter__(self) -> "RotatingJsonlSink":
         return self
 
     def __exit__(self, *exc) -> Optional[bool]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.backends.gpu.backend import GPU_OPCODES
 from repro.common.config import MemphisConfig
-from repro.compiler.ir import KIND_DATA, KIND_LITERAL, Hop
+from repro.compiler.ir import KIND_DATA, KIND_LITERAL, KIND_OP, Hop
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 
 #: opcodes with a Spark physical operator (element-wise, matmul patterns,
@@ -85,6 +85,26 @@ def _matmul_pattern(hop: Hop, config: MemphisConfig) -> str | None:
 def matmul_pattern(hop: Hop, config: MemphisConfig) -> str | None:
     """Public pattern classifier used by the Spark dispatch at runtime."""
     return _matmul_pattern(hop, config)
+
+
+def mark_fused_transposes(nodes: list[Hop], consumers: dict,
+                          config: MemphisConfig) -> None:
+    """Fuse ``r'`` feeding tsmm/cpmm physical operators (skip exec).
+
+    ``nodes`` is the block's post-order traversal and ``consumers`` its
+    ``consumers_map`` (hop id -> consumer hops).
+    """
+    for hop in nodes:
+        if hop.kind != KIND_OP or hop.opcode != "ba+*":
+            continue
+        if hop.placement != BACKEND_SP:
+            continue
+        if matmul_pattern(hop, config) not in ("tsmm", "cpmm"):
+            continue
+        t_hop = hop.inputs[0]
+        if t_hop.opcode == "r'" and len(
+                consumers.get(t_hop.id, ())) == 1:
+            t_hop.fused = True
 
 
 def assign_placements(roots: list[Hop], config: MemphisConfig,

@@ -1,15 +1,15 @@
-"""Tests for CPU kernels and the buffer pool."""
+"""Tests for the CPU kernels and backend."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.backends.cpu import BufferPool, CpuBackend, kernels
+from repro.backends.cpu import CpuBackend, kernels
 from repro.common.config import CpuConfig
-from repro.common.errors import BackendError, BufferPoolError
+from repro.common.errors import BackendError
 from repro.common.simclock import SimClock
-from repro.common.stats import BUFFERPOOL_EVICTIONS, Stats
+from repro.common.stats import Stats
 from repro.runtime.values import MatrixValue, ScalarValue
 
 
@@ -193,60 +193,3 @@ class TestCpuBackend:
         big = mat(np.ones((1000, 1000)))
         backend.execute("ba+*", [big, big], {})
         assert clock.now() - t1 > t1
-
-
-class TestBufferPool:
-    def _pool(self, capacity=1000):
-        cfg = CpuConfig(buffer_pool_bytes=capacity)
-        return BufferPool(cfg, SimClock(), Stats()), cfg
-
-    def test_put_get(self):
-        pool, _ = self._pool()
-        value = mat(np.ones((5, 5)))  # 200 bytes
-        pool.put(1, value)
-        assert pool.get(1) is value
-
-    def test_eviction_to_disk_and_restore(self):
-        pool, _ = self._pool(capacity=600)
-        a, b, c = (mat(np.ones((5, 5))) for _ in range(3))
-        pool.put(1, a)
-        pool.put(2, b)
-        pool.put(3, c)  # evicts block 1 (LRU)
-        assert pool.in_memory_bytes <= 600
-        restored = pool.get(1)  # restore from disk, evicting another
-        assert restored is a
-
-    def test_pinned_blocks_survive(self):
-        pool, _ = self._pool(capacity=600)
-        pool.put(1, mat(np.ones((5, 5))))
-        pool.pin(1)
-        pool.put(2, mat(np.ones((5, 5))))
-        pool.put(3, mat(np.ones((5, 5))))  # must evict 2, not pinned 1
-        stats_pool = pool._blocks
-        assert not stats_pool[1].on_disk
-
-    def test_oversized_block_rejected(self):
-        pool, _ = self._pool(capacity=100)
-        with pytest.raises(BufferPoolError):
-            pool.put(1, mat(np.ones((10, 10))))
-
-    def test_all_pinned_exhaustion(self):
-        pool, _ = self._pool(capacity=400)
-        pool.put(1, mat(np.ones((5, 5))))
-        pool.pin(1)
-        pool.put(2, mat(np.ones((5, 5))))
-        pool.pin(2)
-        with pytest.raises(BufferPoolError):
-            pool.put(3, mat(np.ones((5, 5))))
-
-    def test_unknown_block(self):
-        pool, _ = self._pool()
-        with pytest.raises(BufferPoolError):
-            pool.get(99)
-
-    def test_remove_frees_memory(self):
-        pool, _ = self._pool()
-        pool.put(1, mat(np.ones((5, 5))))
-        used = pool.in_memory_bytes
-        pool.remove(1)
-        assert pool.in_memory_bytes == used - 200

@@ -38,7 +38,8 @@ def _captured_plan():
 
 class TestCapture:
     def test_config_flag_creates_private_collector(self):
-        sess = Session(MemphisConfig(explain_capture=True))
+        with scope(explain=ExplainCollector()):
+            sess = Session(MemphisConfig())
         sess.evaluate([_pending(sess)])
         assert sess.explain_collector is not None
         assert sess.explain_collector.blocks_captured == 1
@@ -128,7 +129,7 @@ class TestRenderPlan:
     def test_evicts_rendered(self):
         collector = ExplainCollector()
         with scope(explain=collector):
-            sess = Session(MemphisConfig(explain_capture=False))
+            sess = Session(MemphisConfig())
             sess.evaluate([_pending(sess)])
             sess.evict_gpu(50.0)
         assert "[evict] evict_gpu(50%)" in collector.render()
@@ -153,7 +154,8 @@ class TestSessionExplain:
         assert "nothing to explain" in sess.explain(materialized)
 
     def test_explain_renders_captured_plans(self):
-        sess = Session(MemphisConfig(explain_capture=True))
+        with scope(explain=ExplainCollector()):
+            sess = Session(MemphisConfig())
         sess.evaluate([_pending(sess)])
         text = sess.explain()
         assert text.startswith("=== explain")
@@ -161,8 +163,8 @@ class TestSessionExplain:
 
     def test_explain_matches_evaluate_pipeline(self):
         """explain(handles) shows the same hop count evaluate compiles."""
-        cfg = MemphisConfig(explain_capture=True)
-        sess = Session(cfg)
+        with scope(explain=ExplainCollector()):
+            sess = Session(MemphisConfig())
         handle = _pending(sess)
         explained = sess.explain(handle, level=LEVEL_RUNTIME)
         sess.evaluate([handle])

@@ -30,6 +30,7 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
 )
+from repro.obs import TraceCollector
 
 
 def quickstart(cfg: MemphisConfig | None = None,
@@ -223,9 +224,8 @@ class TestRecoveryDeterminism:
     """Satellite: plan -> JSON -> plan, rerun, identical traces."""
 
     def _traced_run(self, plan: FaultPlan):
-        cfg = MemphisConfig.memphis()
-        cfg.trace_enabled = True
-        sess, out = quickstart(cfg, plan=plan)
+        with scope(trace=TraceCollector()):
+            sess, out = quickstart(plan=plan)
         events = [(e.name, e.ph, round(e.ts, 12), e.lane,
                    round(e.dur, 12)) for e in sess.trace_events()]
         return out, events, sess.stats.counters()

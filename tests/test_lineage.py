@@ -1,4 +1,4 @@
-"""Tests for lineage items, tracing, compaction, and serialization."""
+"""Tests for lineage items and serialization."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import LineageError
 from repro.lineage import (
     LineageItem,
-    LineageMap,
     dags_equal,
     dataset,
     deserialize,
@@ -89,55 +88,6 @@ class TestLineageItem:
         assert literal(3.5).is_leaf
         assert literal(3.5) == literal(3.5)
         assert literal(3.5) != literal(4.5)
-
-
-class TestLineageMap:
-    def test_trace_binds_output(self):
-        lmap = LineageMap()
-        item = lmap.trace("exp", "out", ["X"])
-        assert lmap.get("out") is item
-        assert item.inputs[0].opcode == "data"
-
-    def test_untracked_inputs_become_dataset_leaves(self):
-        lmap = LineageMap()
-        item = lmap.trace("+", "z", ["a", "b"])
-        assert all(i.opcode == "data" for i in item.inputs)
-
-    def test_trace_chains(self):
-        lmap = LineageMap()
-        lmap.trace("exp", "y", ["X"])
-        item = lmap.trace("log", "z", ["y"])
-        assert item.inputs[0].opcode == "exp"
-
-    def test_compaction_replaces_entry(self):
-        lmap = LineageMap()
-        lmap.trace("exp", "y", ["X"])
-        cached_key = LineageItem("exp", (), (dataset("X"),))
-        lmap.compact("y", cached_key)
-        assert lmap.get("y") is cached_key
-        assert lmap.compactions == 1
-
-    def test_compaction_reduces_distinct_nodes(self):
-        lmap = LineageMap()
-        lmap.trace("exp", "y1", ["X"])
-        lmap.trace("exp", "y2", ["X"])
-        before = lmap.total_dag_nodes()
-        lmap.compact("y2", lmap.get("y1"))
-        assert lmap.total_dag_nodes() < before
-
-    def test_remove_and_clear(self):
-        lmap = LineageMap()
-        lmap.trace("exp", "y", ["X"])
-        lmap.remove("y")
-        assert lmap.get("y") is None
-        lmap.trace("exp", "y", ["X"])
-        lmap.clear()
-        assert len(lmap) == 0
-
-    def test_set_literal(self):
-        lmap = LineageMap()
-        item = lmap.set_literal("c", 2.5)
-        assert item.data == (2.5,)
 
 
 class TestSerialization:

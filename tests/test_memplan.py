@@ -36,6 +36,7 @@ from repro.core.session import Session
 from repro.common.runtime import IdSpace, RuntimeContext, current, scope
 from repro.memory import MemoryArbiter, region_capacities
 from repro.memory.budget import RegionBudget
+from repro.obs import ExplainCollector
 from repro.runtime.placement import gpu_working_set
 
 
@@ -173,6 +174,18 @@ class TestBudgets:
         for budget in budgets.values():
             assert isinstance(budget, RegionBudget)
             assert budget.capacity >= 0
+
+    def test_planner_and_runtime_agree_on_regions(self):
+        """What the planner plans is exactly what a session registers,
+        name by name and byte by byte."""
+        cfg = MemphisConfig.memphis(gpu_enabled=True, spark_enabled=True)
+        budgets = region_capacities(cfg)
+        registered = {snap["region"]: snap
+                      for snap in Session(cfg).arbiter.snapshot()}
+        assert set(PLAN_REGIONS) == set(budgets) == set(registered)
+        for name, budget in budgets.items():
+            assert registered[name]["capacity"] == budget.capacity
+            assert registered[name]["unlimited"] == budget.unlimited
 
     def test_spark_storage_scales_with_executors(self):
         cfg = MemphisConfig.memphis()
@@ -417,9 +430,10 @@ class TestSessionPlanner:
         assert rows and all(ok for *_, ok in rows)
 
     def test_explain_runtime_includes_watermarks(self):
-        cfg = MemphisConfig(explain_capture=True)
+        cfg = MemphisConfig()
         cfg.memplan = True
-        sess = Session(cfg)
+        with scope(explain=ExplainCollector()):
+            sess = Session(cfg)
         a = sess.read(np.ones((16, 16)))
         sess.evaluate([a @ a])
         text = sess.explain(level="runtime")

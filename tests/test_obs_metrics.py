@@ -11,6 +11,7 @@ from repro.common.stats import Stats
 from repro.core.session import Session
 from repro.common.runtime import IdSpace, current, scope
 from repro.obs import (
+    ExplainCollector,
     Histogram,
     MetricSeries,
     MetricsCollector,
@@ -92,6 +93,11 @@ class TestMetricsRegistry:
 # ------------------------------------------------------------ session sampling
 
 
+def _metered_workload() -> Session:
+    with scope(metrics=MetricsCollector()):
+        return _run_workload(MemphisConfig())
+
+
 def _run_workload(cfg: MemphisConfig) -> Session:
     # fresh ids, the caller's collectors: metered and plain runs compare
     with scope(ids=IdSpace()):
@@ -112,27 +118,30 @@ class TestSessionSampling:
         assert sess.metrics_collector is None
 
     def test_config_flag_creates_registry(self):
-        sess = _run_workload(MemphisConfig(metrics_enabled=True))
+        sess = _metered_workload()
         assert sess.metrics.enabled
         assert sess.metrics.num_samples() > 0
 
     def test_covers_required_subsystems(self):
-        sess = _run_workload(MemphisConfig(metrics_enabled=True))
+        sess = _metered_workload()
         assert {"memory", "cache", "spark", "gpu"} <= sess.metrics.subsystems()
 
     def test_region_occupancy_series(self):
-        sess = _run_workload(MemphisConfig(metrics_enabled=True))
+        sess = _metered_workload()
         series = sess.metrics.series()
         assert "memory/CP/used" in series
         assert series["memory/CP/used"].last > 0
 
     def test_ambient_collector_registers_sessions(self):
-        collector = MetricsCollector()
+        collector = MetricsCollector(interval=2)
         with scope(metrics=collector):
-            _run_workload(MemphisConfig())
+            first = _run_workload(MemphisConfig())
             _run_workload(MemphisConfig())
         assert collector.num_sessions == 2
         assert collector.num_samples() > 0
+        # the collector's own sampling period is the sessions' period
+        assert first.metrics.interval == 2
+        assert [r.interval for r in collector.registries] == [2, 2]
 
     def test_metering_contextmanager(self):
         collector = MetricsCollector()
@@ -147,8 +156,8 @@ class TestZeroOverhead:
     def test_metered_run_identical_to_plain(self):
         """Sampling must never advance the sim clock or touch counters."""
         plain = _run_workload(MemphisConfig())
-        metered = _run_workload(MemphisConfig(metrics_enabled=True,
-                                              explain_capture=True))
+        with scope(metrics=MetricsCollector(), explain=ExplainCollector()):
+            metered = _run_workload(MemphisConfig())
         assert metered.clock.now(HOST) == plain.clock.now(HOST)
         assert metered.stats.counters() == plain.stats.counters()
         assert metered.stats.timers() == plain.stats.timers()

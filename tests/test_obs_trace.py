@@ -253,9 +253,8 @@ class TestSessionIntegration:
             sess.solve(A + sess.eye(16) * reg, b).compute()
 
     def test_config_flag_enables_private_collector(self):
-        config = MemphisConfig.memphis()
-        config.trace_enabled = True
-        sess = Session(config)
+        with scope(trace=TraceCollector()):
+            sess = Session(MemphisConfig.memphis())
         self._run_workload(sess)
         events = sess.trace_events()
         names = {e.name for e in events}
@@ -275,20 +274,24 @@ class TestSessionIntegration:
         sessions = {e.session for e in collector.events()}
         assert sessions == {0, 1}
         assert set(collector.session_labels) == {0, 1}
+        # the collector's own capacity bounds its sessions' ring
+        small = TraceCollector(capacity=4)
+        with scope(trace=small):
+            sess = Session(MemphisConfig.memphis())
+        self._run_workload(sess)
+        assert len(sess.trace_events()) == 4 and small.ring.dropped > 0
 
     def test_instruction_attribution_in_real_run(self):
-        config = MemphisConfig.memphis()
-        config.trace_enabled = True
-        sess = Session(config)
+        with scope(trace=TraceCollector()):
+            sess = Session(MemphisConfig.memphis())
         self._run_workload(sess)
         probes = [e for e in sess.trace_events() if e.name == EV_PROBE]
         assert probes
         assert all("instr" in e.args for e in probes)
 
     def test_export_trace_validates(self, tmp_path):
-        config = MemphisConfig.memphis()
-        config.trace_enabled = True
-        sess = Session(config)
+        with scope(trace=TraceCollector()):
+            sess = Session(MemphisConfig.memphis())
         self._run_workload(sess)
         path = str(tmp_path / "session.json")
         sess.export_trace(path)
@@ -408,59 +411,6 @@ class TestStatsMerge:
                 assert len(line.split()[0]) == len("cache/hits")
                 # value column starts after the widened name column
                 assert line.index("1") > len(long_name)
-
-
-# ------------------------------------------------------------ sink rotation
-
-
-class TestRotatingJsonlSink:
-    def _event(self, i):
-        return Event(name=f"instr-{i:04d}", ph=PHASE_INSTANT, ts=float(i))
-
-    def test_no_rotation_under_limit(self, tmp_path):
-        from repro.obs import RotatingJsonlSink
-
-        path = str(tmp_path / "t.jsonl")
-        with RotatingJsonlSink(path, max_bytes=1 << 20) as sink:
-            for i in range(10):
-                sink.emit(self._event(i))
-        assert sink.rotations == 0
-        assert sink.files() == [path]
-        assert len(read_jsonl(path)) == 10
-
-    def test_rotation_preserves_every_event(self, tmp_path):
-        from repro.obs import RotatingJsonlSink
-
-        path = str(tmp_path / "t.jsonl")
-        with RotatingJsonlSink(path, max_bytes=256, backup_count=64) as sink:
-            for i in range(40):
-                sink.emit(self._event(i))
-        assert sink.rotations > 0
-        recovered = []
-        for part in sink.files():
-            recovered.extend(read_jsonl(part))
-        assert [e.name for e in recovered] == \
-            [f"instr-{i:04d}" for i in range(40)]
-
-    def test_backup_count_caps_files(self, tmp_path):
-        from repro.obs import RotatingJsonlSink
-
-        path = str(tmp_path / "t.jsonl")
-        with RotatingJsonlSink(path, max_bytes=128, backup_count=2) as sink:
-            for i in range(60):
-                sink.emit(self._event(i))
-        assert len(sink.files()) <= 3  # active + 2 backups
-        # the newest events survive; the oldest were rotated away
-        newest = read_jsonl(path)
-        assert newest[-1].name == "instr-0059"
-
-    def test_rejects_bad_parameters(self, tmp_path):
-        from repro.obs import RotatingJsonlSink
-
-        with pytest.raises(ValueError):
-            RotatingJsonlSink(str(tmp_path / "x"), max_bytes=0)
-        with pytest.raises(ValueError):
-            RotatingJsonlSink(str(tmp_path / "y"), backup_count=0)
 
 
 # ------------------------------------------------------------ empty traces

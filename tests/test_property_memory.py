@@ -16,18 +16,16 @@ from repro.backends.gpu import (
     GpuStream,
     MODE_MEMPHIS,
 )
-from repro.backends.cpu.bufferpool import BufferPool
 from repro.backends.spark import BlockManager
 from repro.common.config import (
     CacheConfig,
-    CpuConfig,
     EvictionPolicyName,
     GpuConfig,
     MemphisConfig,
     SparkConfig,
     StorageLevel,
 )
-from repro.common.errors import BufferPoolError, GpuOutOfMemoryError
+from repro.common.errors import GpuOutOfMemoryError
 from repro.common.simclock import SimClock
 from repro.common.stats import Stats
 from repro.core.cache import BACKEND_DISK
@@ -375,82 +373,6 @@ class TenantLedgerMachine(RuleBasedStateMachine):
 TestTenantLedgerStateful = TenantLedgerMachine.TestCase
 TestTenantLedgerStateful.settings = settings(
     max_examples=40, stateful_step_count=50, deadline=None
-)
-
-
-class BufferPoolMachine(RuleBasedStateMachine):
-    """Random put/get/pin/unpin/remove sequences on the buffer pool keep
-    the ``CPU_BP`` region exact and never spill a pinned block."""
-
-    def __init__(self):
-        super().__init__()
-        cfg = CpuConfig(buffer_pool_bytes=50_000)
-        self.pool = BufferPool(cfg, SimClock(), Stats())
-        self.next_id = 1
-        self.ids = []
-
-    @rule(rows=st.integers(min_value=1, max_value=800))
-    def put(self, rows):
-        block_id = self.next_id
-        self.next_id += 1
-        try:
-            self.pool.put(block_id, MatrixValue(np.ones((rows, 4))))
-        except BufferPoolError:
-            return  # everything pinned: a legal rejection
-        self.ids.append(block_id)
-
-    @precondition(lambda self: self.ids)
-    @rule(data=st.data())
-    def get(self, data):
-        block_id = self.ids[data.draw(st.integers(0, len(self.ids) - 1))]
-        try:
-            self.pool.get(block_id)
-        except BufferPoolError:
-            pass  # restore blocked by pinned residents
-
-    @precondition(lambda self: self.ids)
-    @rule(data=st.data())
-    def pin(self, data):
-        block_id = self.ids[data.draw(st.integers(0, len(self.ids) - 1))]
-        try:
-            self.pool.pin(block_id)
-        except BufferPoolError:
-            pass
-
-    @precondition(lambda self: self.ids)
-    @rule(data=st.data())
-    def unpin(self, data):
-        block_id = self.ids[data.draw(st.integers(0, len(self.ids) - 1))]
-        self.pool.unpin(block_id)
-
-    @precondition(lambda self: self.ids)
-    @rule(data=st.data())
-    def remove(self, data):
-        idx = data.draw(st.integers(0, len(self.ids) - 1))
-        self.pool.remove(self.ids.pop(idx))
-
-    @invariant()
-    def never_over_capacity(self):
-        assert self.pool.in_memory_bytes <= self.pool.capacity
-
-    @invariant()
-    def region_matches_blocks(self):
-        resident = sum(
-            b.nbytes for b in self.pool._blocks.values() if not b.on_disk
-        )
-        assert self.pool.in_memory_bytes == resident
-        self.pool._region.check()
-
-    @invariant()
-    def pinned_blocks_stay_resident(self):
-        for block in self.pool._blocks.values():
-            if block.pinned:
-                assert not block.on_disk
-
-
-TestBufferPoolStateful = BufferPoolMachine.TestCase
-TestBufferPoolStateful.settings = settings(
-    max_examples=30, stateful_step_count=40, deadline=None
 )
 
 

@@ -9,6 +9,7 @@ structural guard that the old pattern does not come back.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -17,7 +18,13 @@ import numpy as np
 import pytest
 
 from repro import MemphisConfig, Session
-from repro.common.config import EvictionPolicyName
+from repro.common.config import (
+    CacheConfig,
+    CpuConfig,
+    EvictionPolicyName,
+    GpuConfig,
+    SparkConfig,
+)
 from repro.common.runtime import RuntimeContext, current, scope
 from repro.harness.telemetry import server_report_records, write_server_jsonl
 from repro.obs import TraceCollector
@@ -195,11 +202,14 @@ class TestSessionOutlivesScope:
 
 # ------------------------------------------------------ (d) structural guard
 
-def _python_files(root: str):
+def _parsed_modules(root: str):
+    """``(path, ast)`` of every python file under ``root``."""
     for dirpath, _dirnames, filenames in os.walk(root):
         for filename in filenames:
             if filename.endswith(".py"):
-                yield os.path.join(dirpath, filename)
+                path = os.path.join(dirpath, filename)
+                with open(path, encoding="utf-8") as fh:
+                    yield path, ast.parse(fh.read(), filename=path)
 
 
 def test_no_global_statements_or_module_level_counters_outside_runtime():
@@ -208,11 +218,9 @@ def test_no_global_statements_or_module_level_counters_outside_runtime():
     ``common/runtime.py`` (12 and 5 before the runtime context)."""
     runtime_module = os.path.join(SRC, "repro", "common", "runtime.py")
     offenders = []
-    for path in _python_files(os.path.join(SRC, "repro")):
+    for path, tree in _parsed_modules(os.path.join(SRC, "repro")):
         if path == runtime_module:
             continue
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
         for node in ast.walk(tree):
             if isinstance(node, ast.Global):
                 offenders.append(f"{path}:{node.lineno}: global statement")
@@ -230,3 +238,25 @@ def test_no_global_statements_or_module_level_counters_outside_runtime():
                         f"{path}:{node.lineno}: module-level "
                         f"itertools.count")
     assert offenders == []
+
+
+def test_every_config_field_is_read_somewhere_in_src():
+    """A config field whose last reader is deleted cannot outlive it:
+    every field of the five config dataclasses is loaded as an attribute
+    (``x.field`` in a read position — stores and the declaration itself
+    do not count) somewhere under ``src/repro``.  Matched by name, so a
+    same-named attribute of another class can mask a dead field."""
+    loaded = {
+        node.attr
+        for _path, tree in _parsed_modules(os.path.join(SRC, "repro"))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{cls.__name__}.{field.name}"
+        for cls in (SparkConfig, GpuConfig, CpuConfig, CacheConfig,
+                    MemphisConfig)
+        for field in dataclasses.fields(cls)
+        if field.name not in loaded
+    ]
+    assert unread == []
