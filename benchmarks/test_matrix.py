@@ -1,17 +1,19 @@
 """The cross-feature matrix: every program under every feature combination.
 
-A cell is one setting of four :class:`~repro.common.runtime.RuntimeContext`
-fields — ``fusion`` off/on, ``memplan`` collector off/on, ``faults``
-none / ``FaultPlan.randomize(0)`` / ``(1)``, and ``policy`` =
-``gpu_policy`` = ``spark_policy`` at the region defaults or one
-``EvictionPolicyName``.  A program is one of the nine ``repro.analysis``
-targets (private substrates) or the four-session server demo (one
-shared substrate: the combinations ``--server`` refuses on the command
-line).  Every cell runs under an ``AnalysisCollector`` in a fresh
-context and must complete with the plain cell's results
+A cell is one :class:`~repro.common.runtime.RuntimeContext`: the
+``memplan`` collector off/on, ``faults`` none /
+``FaultPlan.randomize(0)`` / ``(1)``, and a ``configure`` hook that sets
+``enable_fusion`` off/on and the CP, GPU and Spark eviction policies to
+the region defaults or one ``EvictionPolicyName``.  A program is one of
+the nine ``repro.analysis`` targets (private substrates) or the
+four-session server demo (one shared substrate: the combinations
+``--server`` refuses on the command line).  Every cell runs under an
+``AnalysisCollector`` in a fresh context and must complete with the
+plain cell's results
 (``WorkloadResult.metric`` exactly; the server's per-request values),
 no error-severity diagnostic, every memory-plan bound (predicted peak >=
-observed), and a passing ``Substrate.audit()`` on every substrate built.
+observed), and a passing ``Substrate.audit()`` /
+``SparkCacheManager.audit()`` on every substrate and Spark tier built.
 
 ``quickstart`` and ``micro`` get the full cross; the other programs the
 named cells below plus enough cells that every pair of axis values
@@ -31,9 +33,10 @@ import pytest
 
 from repro.analysis import AnalysisCollector, MemplanCollector
 from repro.analysis.targets import TARGETS
-from repro.common.config import EvictionPolicyName
+from repro.common.config import EvictionPolicyName, MemphisConfig
 from repro.common.runtime import RuntimeContext
 from repro.common.stats import CACHE_HITS, CACHE_MISSES
+from repro.core.spark_cache import SparkCacheManager
 from repro.core.substrate import Substrate
 from repro.faults import FaultPlan
 from repro.harness import runner
@@ -52,6 +55,14 @@ class Cell(NamedTuple):
         return (f"fusion{int(self.fusion)}-memplan{int(self.memplan)}-"
                 f"faults{'-' if self.faults is None else self.faults}-"
                 f"{self.policy.value if self.policy else 'default'}")
+
+    def configure(self, config: MemphisConfig) -> None:
+        """The cell's ``RuntimeContext.configure`` hook."""
+        if self.fusion:
+            config.enable_fusion = True
+        if self.policy is not None:
+            config.cache.policy = config.gpu.policy = self.policy
+            config.cache.spark_policy = config.spark.policy = self.policy
 
 
 AXES = ((False, True), (False, True), (None, 0, 1),
@@ -99,28 +110,36 @@ def _cells(program: str) -> list[Cell]:
 
 @contextlib.contextmanager
 def audited():
-    """Audit every substrate built inside, once its run is over.
+    """Audit every substrate and Spark cache manager built inside, once
+    its run is over.
 
-    The programs run their sessions one after another, so a substrate
-    is audited (and let go) when the next one is built, the last one on
-    exit; an ``AssertionError`` names the violated law.
+    The programs run their sessions one after another, so what one
+    built is audited (and let go) when the next substrate is built, the
+    last one's on exit; an ``AssertionError`` names the violated law.
     """
-    init = Substrate.__init__
-    last: list[Substrate] = []
+    inits = {cls: cls.__init__ for cls in (Substrate, SparkCacheManager)}
+    built: list = []
 
-    def recording_init(self, *args, **kwargs):
-        while last:
-            last.pop().audit()
-        init(self, *args, **kwargs)
-        last.append(self)
+    def audit_built():
+        while built:
+            built.pop().audit()
 
-    Substrate.__init__ = recording_init
+    def recording(cls):
+        def recording_init(self, *args, **kwargs):
+            if cls is Substrate:
+                audit_built()
+            inits[cls](self, *args, **kwargs)
+            built.append(self)
+        return recording_init
+
+    for cls in inits:
+        cls.__init__ = recording(cls)
     try:
         yield
-        while last:
-            last.pop().audit()
+        audit_built()
     finally:
-        Substrate.__init__ = init
+        for cls, init in inits.items():
+            cls.__init__ = init
 
 
 def run_cell(program: str, cell: Cell):
@@ -128,10 +147,8 @@ def run_cell(program: str, cell: Cell):
     analysis = AnalysisCollector()
     memplan = MemplanCollector() if cell.memplan else None
     faults = None if cell.faults is None else FaultPlan.randomize(cell.faults)
-    with RuntimeContext(
-            analysis=analysis, memplan=memplan, faults=faults,
-            fusion=cell.fusion or None, policy=cell.policy,
-            gpu_policy=cell.policy, spark_policy=cell.policy), audited():
+    with RuntimeContext(analysis=analysis, memplan=memplan, faults=faults,
+                        configure=cell.configure), audited():
         return PROGRAMS[program](), analysis, memplan
 
 

@@ -68,37 +68,28 @@ from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.common.config import MemphisConfig, ReuseMode
 from repro.compiler.ir import KIND_DATA, KIND_LITERAL, KIND_OP, Hop
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
-from repro.memory.budget import RegionBudget, region_capacities
-
-#: canonical region names (mirrors ``repro.memory.REGION_*`` without
-#: importing the runtime package into the analysis layer).
-REGION_CP = "CP"
-REGION_DISK = "DISK"
-REGION_SPARK_STORAGE = "SP_BLOCKS"
-REGION_SPARK_CACHE = "SP_CACHE"
-REGION_GPU = "GPU"
+from repro.memory.budget import (
+    REGION_CP,
+    REGION_DISK,
+    REGION_GPU,
+    REGION_SPARK_CACHE,
+    REGION_SPARK_STORAGE,
+    RegionBudget,
+    align,
+    region_capacities,
+)
 
 #: all regions a plan reports, in display order — exactly the regions a
 #: session's arbiter registers (``memory.budget.region_capacities``).
-PLAN_REGIONS = (REGION_CP, REGION_DISK, REGION_SPARK_STORAGE,
-                REGION_SPARK_CACHE, REGION_GPU)
-
-#: every region's residency is *sticky across blocks* in this runtime:
+#: Every one's residency is *sticky across blocks* in this runtime:
 #: cache tiers retain entries between blocks, and the GPU pool keeps
 #: ``used`` charged until actual frees (release only moves pointers to
 #: the free lists, Fig. 8(b)) — so session-level predictions accumulate.
-STICKY_REGIONS = PLAN_REGIONS
+PLAN_REGIONS = (REGION_CP, REGION_DISK, REGION_SPARK_STORAGE,
+                REGION_SPARK_CACHE, REGION_GPU)
 
 #: pressure watermark for MEM004, as a fraction of the region's capacity.
 PRESSURE_WATERMARK = 0.9
-
-
-def _align(nbytes: int, alignment: int) -> int:
-    """Device allocation granularity (CUDA allocates 512 B granules)."""
-    if nbytes < alignment:
-        nbytes = alignment
-    rem = nbytes % alignment
-    return nbytes if rem == 0 else nbytes + (alignment - rem)
 
 
 @dataclass(frozen=True)
@@ -255,7 +246,7 @@ def plan_block(roots: list[Hop], order: list[Hop],
                     hop, REGION_SPARK_CACHE, out, pos, end, "put"))
         elif placement == BACKEND_GPU:
             charges.append(RegionCharge(
-                hop, REGION_GPU, _align(out, alignment), pos, end, "alloc"))
+                hop, REGION_GPU, align(out, alignment), pos, end, "alloc"))
             on_device.add(hop.id)
             for inp in hop.inputs:
                 if (inp.kind == KIND_LITERAL or inp.id in on_device
@@ -263,7 +254,7 @@ def plan_block(roots: list[Hop], order: list[Hop],
                     continue
                 on_device.add(inp.id)
                 charges.append(RegionCharge(
-                    inp, REGION_GPU, _align(inp.output_bytes, alignment),
+                    inp, REGION_GPU, align(inp.output_bytes, alignment),
                     pos, end, "upload"))
     if func_reuse and roots:
         # function-level reuse snapshots the block outputs under a
@@ -378,8 +369,8 @@ def plan_diagnostics(plan: BlockMemPlan, config: MemphisConfig,
         if hop.kind != KIND_OP or hop.fused:
             continue
         if hop.placement == BACKEND_GPU:
-            working = _align(hop.output_bytes, alignment) + sum(
-                _align(inp.output_bytes, alignment)
+            working = align(hop.output_bytes, alignment) + sum(
+                align(inp.output_bytes, alignment)
                 for inp in hop.inputs if inp.kind != KIND_LITERAL
             )
             if working > gpu_cap:
@@ -540,7 +531,7 @@ class SessionMemPlanner:
     """Accumulates one session's predicted peaks across its blocks.
 
     Cache tiers and the GPU pool are sticky across blocks (see
-    ``STICKY_REGIONS``), so the session-level predicted peak of a
+    ``PLAN_REGIONS``), so the session-level predicted peak of a
     region is the capacity-clamped *cumulative* demand of every block
     planned so far.  ``observe`` records the runtime's actual
     ``MemoryRegion.peak_used`` watermarks after each block, making

@@ -15,10 +15,7 @@ from typing import Optional
 
 from repro.common.config import GpuConfig
 from repro.common.errors import GpuError
-
-
-def _align(size: int, alignment: int) -> int:
-    return -(-size // alignment) * alignment
+from repro.memory.budget import align
 
 
 class GpuDevice:
@@ -82,7 +79,7 @@ class GpuDevice:
         """First-fit allocate; returns the offset or ``None`` on failure."""
         if size <= 0:
             raise GpuError(f"invalid allocation size {size}")
-        size = _align(size, self.config.alignment)
+        size = align(size, self.config.alignment)
         for i, (offset, hole) in enumerate(self._free):
             if hole >= size:
                 if hole == size:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.backends.gpu.device import GpuDevice, _align
+from repro.backends.gpu.device import GpuDevice
 from repro.backends.gpu.pointers import GpuPointer
 from repro.backends.gpu.stream import GpuStream
 from repro.common.config import GpuConfig
@@ -49,6 +49,7 @@ from repro.common.stats import (
 from repro.core.policies import make_policy
 from repro.faults.plan import KIND_GPU_ALLOC
 from repro.memory import REGION_GPU, MemoryArbiter
+from repro.memory.budget import align
 from repro.obs.events import (
     EV_GPU_DEFRAG,
     EV_GPU_EVICT_D2H,
@@ -305,8 +306,8 @@ class GpuMemoryManager:
 
     def _device_has_room(self, size: int) -> bool:
         """Whether a fresh cudaMalloc of ``size`` would succeed now."""
-        aligned = -(-size // self.config.alignment) * self.config.alignment
-        return self.device.largest_free_block >= aligned
+        return self.device.largest_free_block >= align(
+            size, self.config.alignment)
 
     def _alloc_with_eviction(self, size: int) -> Optional[int]:
         """Steps 2-6 of Algorithm 1 after a failed first malloc."""
@@ -363,7 +364,7 @@ class GpuMemoryManager:
         if offset is not None:
             # mirror the device allocator's ledger in the GPU region
             self.arbiter.acquire(
-                REGION_GPU, _align(size, self.config.alignment)
+                REGION_GPU, align(size, self.config.alignment)
             )
             # cudaMalloc synchronizes the device and costs driver latency
             self.stream.synchronize()
@@ -423,7 +424,7 @@ class GpuMemoryManager:
         offset = self.device.malloc(size)
         if offset is not None:
             self.arbiter.acquire(
-                REGION_GPU, _align(size, self.config.alignment)
+                REGION_GPU, align(size, self.config.alignment)
             )
         return offset
 

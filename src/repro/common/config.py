@@ -261,75 +261,61 @@ class MemphisConfig:
     faults: object | None = None
 
     def __post_init__(self) -> None:
-        # The current runtime context's policy / fusion overrides
-        # (harness --policy / --fusion, the feature matrix) reach configs
-        # the experiment drivers build internally, without threading a
-        # parameter through every classmethod constructor.
-        rt = current_runtime()
-        if rt.policy is not None:
-            self.cache.policy = rt.policy
-        if rt.gpu_policy is not None:
-            self.gpu.policy = rt.gpu_policy
-        if rt.spark_policy is not None:
-            self.cache.spark_policy = rt.spark_policy
-            self.spark.policy = rt.spark_policy
-        if rt.fusion is not None:
-            self.enable_fusion = rt.fusion
+        # The current runtime context's ``configure`` hook (harness
+        # --policy / --fusion, the ablations, the feature matrix) reaches
+        # configs the experiment drivers build internally, without
+        # threading a parameter through every classmethod constructor.
+        # The constructors below pass their system's settings as
+        # arguments, so the hook always has the last word.
+        configure = current_runtime().configure
+        if configure is not None:
+            configure(self)
 
     @classmethod
     def base(cls, **kw) -> "MemphisConfig":
         """Paper baseline *Base*: no reuse, no MEMPHIS compiler passes."""
-        return cls(
+        settings = dict(
             reuse_mode=ReuseMode.NONE,
             enable_async_ops=False,
             enable_checkpoint_rewrite=False,
             enable_eviction_injection=False,
             enable_auto_tuning=False,
             enable_max_parallelize=False,
-            **kw,
         )
+        return cls(**(settings | kw))
 
     @classmethod
     def base_async(cls, **kw) -> "MemphisConfig":
         """Paper baseline *Base-A*: async operators, still no reuse."""
-        cfg = cls.base(**kw)
-        cfg.enable_async_ops = True
-        cfg.enable_max_parallelize = True
-        return cfg
+        return cls.base(enable_async_ops=True, enable_max_parallelize=True,
+                        **kw)
 
     @classmethod
     def lima(cls, **kw) -> "MemphisConfig":
         """Paper baseline *LIMA*: eager local-only fine-grained reuse."""
-        cfg = cls.base(**kw)
-        cfg.reuse_mode = ReuseMode.LOCAL_ONLY
-        return cfg
+        return cls.base(reuse_mode=ReuseMode.LOCAL_ONLY, **kw)
 
     @classmethod
     def helix(cls, **kw) -> "MemphisConfig":
         """Paper baseline *HELIX*: coarse-grained (function-level) reuse."""
-        cfg = cls.base(**kw)
-        cfg.reuse_mode = ReuseMode.COARSE_ONLY
-        return cfg
+        return cls.base(reuse_mode=ReuseMode.COARSE_ONLY, **kw)
 
     @classmethod
     def memphis(cls, **kw) -> "MemphisConfig":
         """Full MEMPHIS (MPH): all reuse and compiler optimizations."""
-        return cls(reuse_mode=ReuseMode.FULL, **kw)
+        kw.setdefault("reuse_mode", ReuseMode.FULL)
+        return cls(**kw)
 
     @classmethod
     def memphis_no_async(cls, **kw) -> "MemphisConfig":
         """MPH-NA: full reuse but without asynchronous operators."""
-        cfg = cls.memphis(**kw)
-        cfg.enable_async_ops = False
-        cfg.enable_max_parallelize = False
-        return cfg
+        return cls.memphis(enable_async_ops=False,
+                           enable_max_parallelize=False, **kw)
 
     @classmethod
     def memphis_fine_only(cls, **kw) -> "MemphisConfig":
         """MPH-F: operator-at-a-time reuse, multi-level reuse disabled."""
-        cfg = cls.memphis(**kw)
-        cfg.reuse_mode = ReuseMode.OPERATOR_ONLY
-        return cfg
+        return cls.memphis(reuse_mode=ReuseMode.OPERATOR_ONLY, **kw)
 
     @classmethod
     def server_session(cls, **kw) -> "MemphisConfig":
@@ -341,6 +327,4 @@ class MemphisConfig:
         Without a plan there is nothing to admit, so quota enforcement
         would degrade to put-time shaping only.
         """
-        cfg = cls.memphis(**kw)
-        cfg.memplan = True
-        return cfg
+        return cls.memphis(memplan=True, **kw)

@@ -4,9 +4,9 @@ MEMPHIS manages reuse and memory *holistically* — one lineage cache and
 one arbiter seen by every backend.  The same holds for what a run is
 observed and perturbed by: a :class:`RuntimeContext` carries the trace /
 metrics / explain / analysis / memplan collectors, the fault plan, the
-shared substrate, the eviction-policy and fusion overrides, and the one
-:class:`IdSpace` that numbers HOPs, lineage items, RDDs, broadcasts and
-GPU pointers.
+shared substrate, the ``configure`` hook every new config passes
+through, and the one :class:`IdSpace` that numbers HOPs, lineage items,
+RDDs, broadcasts and GPU pointers.
 
 ``Session``, ``Substrate`` and ``FederatedCoordinator`` take an explicit
 ``runtime=`` (default: :func:`current`), capture it once at construction
@@ -29,17 +29,23 @@ collaborators are replaced, everything else — the id space included — is
 shared.  Sharing the ids is what keeps a DAG's hop ids unique when a
 session built inside a scope builds more handles after it exits.  Only
 an explicit ``RuntimeContext()`` starts a new id space.
+
+``configure`` — a function applied to every new ``MemphisConfig`` — is
+the one road to the configs experiment drivers build internally (harness
+``--policy`` / ``--fusion``, the ablations, the feature matrix).  A
+nested ``scope(configure=...)`` does not replace the enclosing hook but
+runs after it, so the inner one wins on any field both set.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - keeps repro.common import-light
     from repro.analysis.hook import AnalysisCollector
     from repro.analysis.memplan import MemplanCollector
-    from repro.common.config import EvictionPolicyName
+    from repro.common.config import MemphisConfig
     from repro.core.substrate import Substrate
     from repro.faults.plan import FaultPlan
     from repro.obs.explain import ExplainCollector
@@ -78,8 +84,7 @@ class RuntimeContext:
     """
 
     __slots__ = ("trace", "metrics", "explain", "analysis", "memplan",
-                 "faults", "substrate", "policy", "gpu_policy",
-                 "spark_policy", "fusion", "ids")
+                 "faults", "substrate", "configure", "ids")
 
     def __init__(self, *,
                  trace: Optional["TraceCollector"] = None,
@@ -89,10 +94,8 @@ class RuntimeContext:
                  memplan: Optional["MemplanCollector"] = None,
                  faults: Optional["FaultPlan"] = None,
                  substrate: Optional["Substrate"] = None,
-                 policy: Optional["EvictionPolicyName"] = None,
-                 gpu_policy: Optional["EvictionPolicyName"] = None,
-                 spark_policy: Optional["EvictionPolicyName"] = None,
-                 fusion: Optional[bool] = None,
+                 configure: Optional[
+                     Callable[["MemphisConfig"], None]] = None,
                  ids: Optional[IdSpace] = None) -> None:
         #: sessions (and shared substrates, coordinators) trace into it.
         self.trace = trace
@@ -108,13 +111,9 @@ class RuntimeContext:
         self.faults = faults
         #: shared substrate sessions attach to when given none.
         self.substrate = substrate
-        #: eviction-policy overrides applied to every new
-        #: :class:`~repro.common.config.MemphisConfig` (CP / GPU / Spark).
-        self.policy = policy
-        self.gpu_policy = gpu_policy
-        self.spark_policy = spark_policy
-        #: forces ``enable_fusion`` on every new ``MemphisConfig``.
-        self.fusion = fusion
+        #: called on every new :class:`~repro.common.config.MemphisConfig`
+        #: after the system's own settings, to override fields in place.
+        self.configure = configure
         self.ids = ids if ids is not None else IdSpace()
 
     def __enter__(self) -> "RuntimeContext":
@@ -139,12 +138,19 @@ def current() -> RuntimeContext:
 def scope(**overrides) -> RuntimeContext:
     """A context derived from the current one, to be entered with ``with``.
 
-    ``with scope(trace=tc, policy=LRU) as rt:`` replaces the named
+    ``with scope(trace=tc, faults=plan) as rt:`` replaces the named
     collaborators for the block and shares everything else, the id
-    space included, with the enclosing context.
+    space included, with the enclosing context.  ``configure`` composes
+    instead: the enclosing hook still runs, before the given one.
     """
     enclosing = current()
     fields = {name: getattr(enclosing, name)
               for name in RuntimeContext.__slots__}
+    outer, inner = enclosing.configure, overrides.get("configure")
+    if outer is not None and inner is not None:
+        def both(config: "MemphisConfig") -> None:
+            outer(config)
+            inner(config)
+        overrides["configure"] = both
     fields.update(overrides)
     return RuntimeContext(**fields)

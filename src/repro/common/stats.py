@@ -183,7 +183,6 @@ MEM_RESERVE_FAILURES = "memory/reserve_failures"
 MEM_EVICTIONS = "memory/evictions"
 MEM_SPILLS = "memory/spills"
 MEM_RESTORES = "memory/restores"
-MEM_PRESSURE_EVENTS = "memory/pressure_events"
 MEM_D2H_AVOIDED = "memory/d2h_transfers_avoided"
 MEM_PLAN_RESERVES = "memory/plan_reserves"
 MEM_PLAN_RESERVE_FAILURES = "memory/plan_reserve_failures"

@@ -59,6 +59,12 @@ class SparkCacheManager:
             int(context.block_manager.capacity * config.spark_cache_fraction),
             policy=policy, unlimited=config.unlimited,
         )
+        #: entry -> bytes this manager charged to its ``SP_CACHE`` ledger
+        #: when it persisted the entry's RDD.  Eviction offers and
+        #: releases exactly these: on a shared lineage cache the other
+        #: sessions' entries, and a payload ``cache.put`` attached but
+        #: this manager has not persisted yet, are not its to evict.
+        self._charged: dict[CacheEntry, int] = {}
         #: entry -> reuse-miss count while unmaterialized (async trigger).
         self._unmat_misses: dict[int, int] = {}
         self._pending_counts: list[SimFuture] = []
@@ -89,6 +95,9 @@ class SparkCacheManager:
     def cache_rdd(self, entry: CacheEntry, dm: DistributedMatrix) -> bool:
         """Mark ``dm`` for distributed caching under ``entry`` (persist)."""
         size = dm.nbytes
+        if entry in self._charged:  # re-put: release the old charge first
+            self.arbiter.release(REGION_SPARK_CACHE,
+                                 self._charged.pop(entry))
         if not self.arbiter.reserve(
             REGION_SPARK_CACHE, size, candidates=self._candidates,
             evict=self.evict, now=0.0,
@@ -99,6 +108,7 @@ class SparkCacheManager:
         self.cache.touch(entry)  # a larger SP copy grows ``size`` (Eq. 1)
         entry.rdd_materialized = False
         self.arbiter.commit(REGION_SPARK_CACHE, size)
+        self._charged[entry] = size
         self.stats.inc(SPARK_RDD_PERSISTED)
         return True
 
@@ -130,22 +140,31 @@ class SparkCacheManager:
 
     def evict(self, entry: CacheEntry) -> None:
         """Unpersist the RDD of ``entry`` and drop its SP payload."""
+        freed = self._charged.pop(entry, 0)
+        self.arbiter.release(REGION_SPARK_CACHE, freed)
         dm = entry.get_payload(BACKEND_SP)
         if dm is None:
             return
         dm.rdd.unpersist()
-        freed = entry.size if entry.size else dm.nbytes
-        self.arbiter.release(REGION_SPARK_CACHE, freed)
         self.arbiter.record_evict(REGION_SPARK_CACHE, freed,
                                   rdd=dm.rdd.id)
         self.cache.drop_backend_payload(entry, BACKEND_SP)
         self.stats.inc(SPARK_RDD_UNPERSISTED)
 
     def _candidates(self) -> list[CacheEntry]:
-        return [
-            e for e in self.cache.entries()
-            if e.is_cached and BACKEND_SP in e.payloads
-        ]
+        # in creation order, the order of the cache's own entry dict:
+        # ``select_victim`` breaks score ties by position
+        return sorted(self._charged, key=lambda e: e.seq)
+
+    def audit(self) -> None:
+        """Assert the Spark tier's conservation laws (tests, sweeps):
+        the ``SP_CACHE`` ledger equals what this manager charged, and
+        every charged entry still holds an SP payload."""
+        charged = sum(self._charged.values())
+        assert self._region.used == charged, \
+            f"SP_CACHE ledger {self._region.used} != charged bytes {charged}"
+        stale = [e for e in self._charged if BACKEND_SP not in e.payloads]
+        assert not stale, f"charged entries without an SP payload: {stale}"
 
     # -- lazy GC and async materialization -------------------------------------------
 

@@ -189,8 +189,9 @@ class SessionContext:
         The shared-region subset of ``demands`` must pass (a) the
         tenant's quota and (b) a strict bulk reservation against the
         substrate arbiter (``reserve_plan(strict=True)``).  Refusals
-        fire the region's pressure callbacks — a scheduler sees
-        backpressure — and raise :class:`AdmissionError`.
+        count as backpressure (``server/backpressure_events``, the
+        tenant tally, a trace instant — what a scheduler observes) and
+        raise :class:`AdmissionError`.
         """
         sub = self.substrate
         shared = shared_demands(demands)
@@ -223,7 +224,6 @@ class SessionContext:
         sub = self.substrate
         sub.stats.inc(SERVER_BACKPRESSURE)
         sub.note_tenant_event(self.tenant, "backpressure_events")
-        sub.arbiter.notify_pressure(region, nbytes)
         if sub.tracer.enabled:
             sub.tracer.instant(EV_SERVER_BACKPRESSURE, tenant=self.tenant,
                                region=region, nbytes=nbytes)

@@ -18,7 +18,7 @@ import sys
 import time
 
 from repro.analysis import AnalysisCollector, Severity
-from repro.common.config import EvictionPolicyName
+from repro.common.config import EvictionPolicyName, MemphisConfig
 from repro.common.runtime import RuntimeContext, scope
 from repro.common.schema import assert_valid
 from repro.faults import FaultPlan
@@ -220,19 +220,38 @@ def _context_from_args(args: argparse.Namespace) -> RuntimeContext:
         plan = fields["faults"] = FaultPlan.parse(args.faults)
         print(f"[faults: injecting {len(plan.specs)} fault spec(s), "
               f"seed {plan.seed}]")
-    chosen = {}
-    for label, flag in (("policy", "policy"), ("gpu", "gpu_policy"),
-                        ("spark", "spark_policy")):
-        value = getattr(args, flag)
-        if value:
-            fields[flag] = EvictionPolicyName(value)
-            chosen[label] = value
+    chosen = {label: value
+              for label, value in (("policy", args.policy),
+                                   ("gpu", args.gpu_policy),
+                                   ("spark", args.spark_policy)) if value}
     if chosen:
         print(f"[memory: eviction policy overrides {chosen}]")
     if args.fusion:
-        fields["fusion"] = True
         print("[compiler: reuse-aware operator fusion enabled]")
+    if chosen or args.fusion:
+        fields["configure"] = _configure_from_args(args)
     return scope(**fields)
+
+
+def _configure_from_args(args: argparse.Namespace):
+    """The ``configure`` hook ``--policy`` / ``--gpu-policy`` /
+    ``--spark-policy`` / ``--fusion`` ask for."""
+    policy, gpu_policy, spark_policy = (
+        EvictionPolicyName(value) if value else None
+        for value in (args.policy, args.gpu_policy, args.spark_policy))
+
+    def configure(config: MemphisConfig) -> None:
+        if policy is not None:
+            config.cache.policy = policy
+        if gpu_policy is not None:
+            config.gpu.policy = gpu_policy
+        if spark_policy is not None:
+            config.cache.spark_policy = spark_policy
+            config.spark.policy = spark_policy
+        if args.fusion:
+            config.enable_fusion = True
+
+    return configure
 
 
 def _run_server(args: argparse.Namespace) -> bool:

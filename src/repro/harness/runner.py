@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.common.config import GB, MB, EvictionPolicyName, MemphisConfig
+from repro.common.runtime import scope
 from repro.core.session import Session
 from repro.harness.report import (
     check_metrics_agree,
@@ -351,24 +352,26 @@ def run_ablation_policies(scale_factor: int = 12) -> ExperimentResult:
     """A1: eviction policy and delay factor ablation on CLEAN."""
     rows = []
     grid: dict = {}
+
+    def run(label: str, key: str, configure) -> None:
+        with scope(configure=configure):
+            result = grid[key] = run_clean("MPH", scale_factor)
+        rows.append([
+            label,
+            result.elapsed * 1000,
+            result.counter("cache/hits"),
+            result.counter("cache/evictions"),
+        ])
+
     for policy in EvictionPolicyName:
-        cfg_result = _run_clean_with(policy=policy, scale=scale_factor)
-        grid[policy.value] = cfg_result
-        rows.append([
-            f"policy={policy.value}",
-            cfg_result.elapsed * 1000,
-            cfg_result.counter("cache/hits"),
-            cfg_result.counter("cache/evictions"),
-        ])
+        def use_policy(config: MemphisConfig) -> None:
+            config.cache.policy = policy
+        run(f"policy={policy.value}", policy.value, use_policy)
     for delay in (1, 2, 4):
-        cfg_result = _run_clean_with(delay=delay, scale=scale_factor)
-        grid[f"delay{delay}"] = cfg_result
-        rows.append([
-            f"delay={delay}",
-            cfg_result.elapsed * 1000,
-            cfg_result.counter("cache/hits"),
-            cfg_result.counter("cache/evictions"),
-        ])
+        def use_delay(config: MemphisConfig) -> None:
+            config.cache.delay_factor = delay
+            config.enable_auto_tuning = False
+        run(f"delay={delay}", f"delay{delay}", use_delay)
     table = format_table(
         ["configuration", "time [ms]", "hits", "evictions"],
         rows, title="Ablation: eviction policies and delay factors (CLEAN)",
@@ -376,56 +379,14 @@ def run_ablation_policies(scale_factor: int = 12) -> ExperimentResult:
     return ExperimentResult("ablation_policies", grid, table)
 
 
-def _run_clean_with(policy: EvictionPolicyName | None = None,
-                    delay: int | None = None,
-                    scale: int = 12) -> WorkloadResult:
-    from repro.core.policies import make_policy
-    from repro.workloads import clean as clean_mod
-
-    # run MPH with a patched cache configuration
-    result_holder: dict = {}
-
-    def patched_make_session(system, gpu=False, spark=True):
-        from repro.workloads.base import SYSTEMS
-        cfg = SYSTEMS[system]()
-        cfg.gpu_enabled = gpu
-        cfg.spark_enabled = spark
-        if policy is not None:
-            cfg.cache.policy = policy
-        if delay is not None:
-            cfg.cache.delay_factor = delay
-            cfg.enable_auto_tuning = False
-        return Session(cfg)
-
-    original = clean_mod.make_session
-    clean_mod.make_session = patched_make_session
-    try:
-        return run_clean("MPH", scale)
-    finally:
-        clean_mod.make_session = original
-
-
 def run_ablation_ordering(paper_gb: float = 50.0) -> ExperimentResult:
     """A2: maxParallelize vs depth-first linearization on HCV."""
     results = {}
     for label, enabled in (("depth-first", False), ("maxParallelize", True)):
-        from repro.workloads import hcv as hcv_mod
-        from repro.workloads.base import SYSTEMS
-
-        def patched_make_session(system, gpu=False, spark=True,
-                                 _enabled=enabled):
-            cfg = SYSTEMS[system]()
-            cfg.gpu_enabled = gpu
-            cfg.spark_enabled = spark
-            cfg.enable_max_parallelize = _enabled
-            return Session(cfg)
-
-        original = hcv_mod.make_session
-        hcv_mod.make_session = patched_make_session
-        try:
+        def use_ordering(config: MemphisConfig) -> None:
+            config.enable_max_parallelize = enabled
+        with scope(configure=use_ordering):
             results[label] = run_hcv("MPH", paper_gb)
-        finally:
-            hcv_mod.make_session = original
     rows = [
         [label, r.elapsed * 1000, r.counter("async/prefetch_issued")]
         for label, r in results.items()

@@ -11,13 +11,18 @@ partition granularity, free-list recycling, pinning) local.
 
 The arbiter is also the coordination point for the paper's *holistic*
 behaviours: cross-region residency consultation (GPU eviction checks
-driver-cache residency before paying a device-to-host transfer),
-cross-region pressure callbacks, the spill-vs-drop cost decision, and
-delayed caching as an admission policy (§5.2).
+driver-cache residency before paying a device-to-host transfer), the
+spill-vs-drop cost decision, and delayed caching as an admission policy
+(§5.2).
 """
 
 from repro.memory.arbiter import MemoryArbiter, PlanReservation
 from repro.memory.budget import (
+    REGION_CP,
+    REGION_DISK,
+    REGION_GPU,
+    REGION_SPARK_CACHE,
+    REGION_SPARK_STORAGE,
     SHARED_REGIONS,
     RegionBudget,
     region_capacities,
@@ -25,13 +30,6 @@ from repro.memory.budget import (
 )
 from repro.memory.protocols import Evictable
 from repro.memory.region import MemoryRegion
-
-#: canonical region names registered by the memory managers.
-REGION_CP = "CP"  #: driver-local lineage-cache payloads.
-REGION_DISK = "DISK"  #: disk-evicted driver-cache binaries (§3.3).
-REGION_SPARK_STORAGE = "SP_BLOCKS"  #: aggregate executor storage memory.
-REGION_SPARK_CACHE = "SP_CACHE"  #: reuse share of Spark storage (§4.1).
-REGION_GPU = "GPU"  #: device memory under the unified GPU manager.
 
 __all__ = [
     "MemoryArbiter",

@@ -17,9 +17,7 @@ its reservations and victim selection through here:
   region admission policy rather than a cache-local flag.
 * **Cross-region coordination** — residency probes let one region ask
   whether an object is resident elsewhere before paying a transfer
-  (GPU eviction consults driver-cache residency); pressure callbacks
-  give other regions a chance to free memory when a reservation cannot
-  be satisfied locally.
+  (GPU eviction consults driver-cache residency).
 * **Fault hooks** — the spill/restore/alloc fault draw points of
   ``repro.faults`` live behind the arbiter, so every region's spill
   path shares one deterministic draw sequence.
@@ -35,7 +33,6 @@ from repro.common.stats import (
     MEM_EVICTIONS,
     MEM_PLAN_RESERVE_FAILURES,
     MEM_PLAN_RESERVES,
-    MEM_PRESSURE_EVENTS,
     MEM_RESERVE_FAILURES,
     MEM_RESERVES,
     MEM_RESTORES,
@@ -49,7 +46,6 @@ from repro.memory.region import MemoryRegion
 from repro.obs.events import (
     EV_MEM_EVICT,
     EV_MEM_PLAN_RESERVE,
-    EV_MEM_PRESSURE,
     EV_MEM_RESERVE,
     EV_MEM_RESTORE,
     EV_MEM_SPILL,
@@ -130,9 +126,6 @@ class MemoryArbiter:
         self.faults = faults if faults is not None else NULL_INJECTOR
         self._regions: dict[str, MemoryRegion] = {}
         self._spill: dict[str, _SpillModel] = {}
-        #: region -> callbacks fired when a reservation cannot be met
-        #: from the region's own candidates (cross-region pressure).
-        self._pressure: dict[str, list[Callable[[MemoryRegion, int], int]]] = {}
         #: region -> probe(token) -> bool: is ``token``'s data resident
         #: in that region?  Consulted by :meth:`resident_elsewhere`.
         self._residency: dict[str, Callable[[object], bool]] = {}
@@ -175,18 +168,15 @@ class MemoryArbiter:
 
         Victims come from ``candidates()`` (re-evaluated after every
         eviction), chosen by :meth:`select_victim`; ``evict(victim)``
-        must release the victim's bytes via :meth:`release`.  When the
-        region cannot satisfy the request from its own candidates, the
-        region's pressure callbacks run once before the reservation
-        fails.  On success the bytes sit in ``reserved`` until
-        :meth:`commit` or :meth:`cancel`.
+        must release the victim's bytes via :meth:`release`.  On success
+        the bytes sit in ``reserved`` until :meth:`commit` or
+        :meth:`cancel`.
         """
         region = self._regions[name]
         if not region.unlimited:
             if size > region.capacity:
                 self.stats.inc(MEM_RESERVE_FAILURES)
                 return False
-            pressure_fired = False
             while region.used + region.reserved + size > region.capacity:
                 victim = None
                 if candidates is not None and evict is not None:
@@ -194,9 +184,6 @@ class MemoryArbiter:
                         name, candidates(), now=now, score=score
                     )
                 if victim is None:
-                    if not pressure_fired and self._fire_pressure(region, size):
-                        pressure_fired = True
-                        continue
                     self.stats.inc(MEM_RESERVE_FAILURES)
                     if self.tracer.enabled:
                         self.tracer.instant(
@@ -405,41 +392,6 @@ class MemoryArbiter:
             if probe(token):
                 return True
         return False
-
-    def on_pressure(self, name: str,
-                    callback: Callable[[MemoryRegion, int], int]) -> None:
-        """Fire ``callback(region, needed)`` when ``name`` cannot reserve.
-
-        The callback returns the bytes it freed (possibly by evicting in
-        *other* regions whose payloads shadow this one); a positive
-        return re-enters the reservation loop.
-        """
-        self._pressure.setdefault(name, []).append(callback)
-
-    def notify_pressure(self, name: str, needed: int) -> bool:
-        """Fire region ``name``'s pressure callbacks explicitly.
-
-        Used by the shared-substrate admission gate (``repro.server``):
-        a refused block surfaces as a pressure event so schedulers
-        observing the arbiter see backpressure, not just a counter.
-        """
-        region = self._regions.get(name)
-        if region is None:
-            return False
-        return self._fire_pressure(region, needed)
-
-    def _fire_pressure(self, region: MemoryRegion, needed: int) -> bool:
-        callbacks = self._pressure.get(region.name)
-        if not callbacks:
-            return False
-        self.stats.inc(MEM_PRESSURE_EVENTS)
-        if self.tracer.enabled:
-            self.tracer.instant(EV_MEM_PRESSURE, LANE_CP,
-                                region=region.name, nbytes=needed)
-        freed = 0
-        for callback in callbacks:
-            freed += int(callback(region, needed) or 0)
-        return freed > 0
 
     # -- fault hooks (repro.faults draw points) -------------------------------
 

@@ -12,6 +12,10 @@ constructed — five regions, the same five ``Session.arbiter.snapshot()``
 reports.  CP intermediates live on handles, outside any ledger: the
 buffer pool is not modelled.
 
+It is also the one home of two facts those layers and the managers
+share: the canonical region names and the device allocator's granule
+round-up (:func:`align`).
+
 It deliberately imports only ``repro.common.config`` so that both the
 analysis layer and the runtime placement layer can consume it without
 creating an import cycle (analysis already imports placement for the
@@ -24,6 +28,12 @@ from typing import NamedTuple
 
 from repro.common.config import MemphisConfig
 
+#: canonical region names registered by the memory managers.
+REGION_CP = "CP"  #: driver-local lineage-cache payloads.
+REGION_DISK = "DISK"  #: disk-evicted driver-cache binaries (§3.3).
+REGION_SPARK_STORAGE = "SP_BLOCKS"  #: aggregate executor storage memory.
+REGION_SPARK_CACHE = "SP_CACHE"  #: reuse share of Spark storage (§4.1).
+REGION_GPU = "GPU"  #: device memory under the unified GPU manager.
 
 #: regions owned by the shared substrate in multi-tenant mode
 #: (``repro.server``): the driver lineage-cache tier and its disk spill
@@ -31,7 +41,7 @@ from repro.common.config import MemphisConfig
 #: every other region stays session-private (one Spark cluster / GPU
 #: per session).  The admission gate restricts a block's
 #: plan demands to this subset before strict bulk reservation.
-SHARED_REGIONS: tuple[str, ...] = ("CP", "DISK")
+SHARED_REGIONS: tuple[str, ...] = (REGION_CP, REGION_DISK)
 
 
 def shared_demands(demands: dict[str, int]) -> dict[str, int]:
@@ -69,17 +79,23 @@ def region_capacities(config: MemphisConfig) -> dict[str, RegionBudget]:
       Spark storage (§4.1), derived from the block-manager capacity.
     * ``GPU`` — ``GpuMemoryManager.__init__``: device memory.
     """
-    # local alias avoids importing repro.memory (which imports this
-    # module at the end of its __init__)
     sp_blocks = int(config.spark.storage_memory) * config.spark.num_executors
-    return {
-        "CP": RegionBudget("CP", config.cache.driver_cache_bytes,
-                           config.cache.unlimited),
-        "DISK": RegionBudget("DISK", config.cache.disk_cache_bytes, False),
-        "SP_BLOCKS": RegionBudget("SP_BLOCKS", sp_blocks, False),
-        "SP_CACHE": RegionBudget(
-            "SP_CACHE", int(sp_blocks * config.cache.spark_cache_fraction),
+    budgets = (
+        RegionBudget(REGION_CP, config.cache.driver_cache_bytes,
+                     config.cache.unlimited),
+        RegionBudget(REGION_DISK, config.cache.disk_cache_bytes, False),
+        RegionBudget(REGION_SPARK_STORAGE, sp_blocks, False),
+        RegionBudget(
+            REGION_SPARK_CACHE,
+            int(sp_blocks * config.cache.spark_cache_fraction),
             config.cache.unlimited,
         ),
-        "GPU": RegionBudget("GPU", config.gpu.device_memory, False),
-    }
+        RegionBudget(REGION_GPU, config.gpu.device_memory, False),
+    )
+    return {budget.name: budget for budget in budgets}
+
+
+def align(nbytes: int, alignment: int) -> int:
+    """``nbytes`` rounded up to whole device-allocation granules, at
+    least one (CUDA allocates in ``GpuConfig.alignment`` = 512 B)."""
+    return max(-(-nbytes // alignment), 1) * alignment

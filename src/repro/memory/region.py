@@ -4,7 +4,7 @@ A :class:`MemoryRegion` is the accounting half of the arbitration
 substrate: reserved/used/pinned byte ledgers under one capacity, with
 the invariant ``used + reserved + free == capacity`` (``free`` clamps
 at zero for unlimited regions, which may legally overcommit).  The
-decision half — victim selection, spill-vs-drop, admission, pressure —
+decision half — victim selection, spill-vs-drop, admission —
 lives in :class:`~repro.memory.arbiter.MemoryArbiter`.
 """
 

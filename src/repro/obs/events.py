@@ -102,8 +102,6 @@ EV_MEM_EVICT = "memory/evict"
 EV_MEM_SPILL = "memory/spill"
 #: instant — a payload was restored from a slower tier.
 EV_MEM_RESTORE = "memory/restore"
-#: instant — cross-region pressure callbacks fired for a region.
-EV_MEM_PRESSURE = "memory/pressure"
 #: instant — a static plan's footprint was bulk-reserved (args:
 #: regions, nbytes, ok; see ``MemoryArbiter.reserve_plan``).
 EV_MEM_PLAN_RESERVE = "memory/plan_reserve"

@@ -23,6 +23,7 @@ from repro.backends.gpu.backend import GPU_OPCODES
 from repro.common.config import MemphisConfig
 from repro.compiler.ir import KIND_DATA, KIND_LITERAL, KIND_OP, Hop
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
+from repro.memory.budget import align
 
 #: opcodes with a Spark physical operator (element-wise, matmul patterns,
 #: reorg, aggregates); ``ba+*`` is pattern-checked separately.
@@ -51,12 +52,13 @@ def spark_supported(hop: Hop, config: MemphisConfig) -> bool:
     if op in ("r'", "rbind"):
         return True
     if op == "ba+*":
-        return _matmul_pattern(hop, config) is not None
+        return matmul_pattern(hop, config) is not None
     return False
 
 
-def _matmul_pattern(hop: Hop, config: MemphisConfig) -> str | None:
-    """Classify a distributed matrix multiply (mirrors SystemDS).
+def matmul_pattern(hop: Hop, config: MemphisConfig) -> str | None:
+    """Classify a distributed matrix multiply (mirrors SystemDS); also
+    what the Spark dispatch picks its physical operator by at runtime.
 
     Returns one of ``tsmm``/``cpmm``/``mapmm``/``bcmm`` or ``None``.
     "Distributed" sides are those above the operation-memory budget;
@@ -80,11 +82,6 @@ def _matmul_pattern(hop: Hop, config: MemphisConfig) -> str | None:
     if left.output_bytes <= bc_limit and right.output_bytes > op_mem:
         return "bcmm"
     return None
-
-
-def matmul_pattern(hop: Hop, config: MemphisConfig) -> str | None:
-    """Public pattern classifier used by the Spark dispatch at runtime."""
-    return _matmul_pattern(hop, config)
 
 
 def mark_fused_transposes(nodes: list[Hop], consumers: dict,
@@ -137,16 +134,10 @@ def gpu_working_set(hop: Hop, alignment: int) -> int:
     rounded up to the allocator's granularity — the same arithmetic the
     static memory planner charges (``repro.analysis.memplan`` MEM001).
     """
-    def aligned(nbytes: int) -> int:
-        if nbytes < alignment:
-            nbytes = alignment
-        rem = nbytes % alignment
-        return nbytes if rem == 0 else nbytes + (alignment - rem)
-
-    total = aligned(hop.output_bytes)
+    total = align(hop.output_bytes, alignment)
     for inp in hop.inputs:
         if inp.kind != KIND_LITERAL:
-            total += aligned(inp.output_bytes)
+            total += align(inp.output_bytes, alignment)
     return total
 
 

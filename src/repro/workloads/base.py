@@ -28,7 +28,7 @@ class WorkloadResult:
 
 
 #: system label -> config factory, mirroring the paper's baselines.
-SYSTEMS: dict[str, Callable[[], MemphisConfig]] = {
+SYSTEMS: dict[str, Callable[..., MemphisConfig]] = {
     "Base": MemphisConfig.base,
     "Base-A": MemphisConfig.base_async,
     "LIMA": MemphisConfig.lima,
@@ -50,9 +50,7 @@ WORKLOAD_OVERHEAD_SCALE = 1.0 / 64.0
 def make_session(system: str, gpu: bool = False, spark: bool = True,
                  overhead_scale: float = WORKLOAD_OVERHEAD_SCALE) -> Session:
     """Instantiate a session for one of the paper's system labels."""
-    cfg = SYSTEMS[system]()
-    cfg.gpu_enabled = gpu
-    cfg.spark_enabled = spark
+    cfg = SYSTEMS[system](gpu_enabled=gpu, spark_enabled=spark)
     if overhead_scale != 1.0:
         scale_overheads(cfg, overhead_scale)
     return Session(cfg)

@@ -264,6 +264,27 @@ class TestSparkCacheManager:
         mgr.evict(entry)
         assert BACKEND_SP not in entry.payloads
         assert not dm.rdd.is_persisted
+        assert mgr.sp_bytes == 0
+        mgr.audit()
+
+    def test_ledger_releases_exactly_what_it_charged(self):
+        """A re-put re-charges instead of double-charging, an entry
+        this manager never persisted is not its victim, and an evicted
+        entry gives back its own charge whatever ``entry.size`` says."""
+        mgr, cache, sc, sb, stats = self._setup()
+        small, large = self._dm(sb, rows=100), self._dm(sb, rows=300)
+        entry = cache.put(key("a"), small, BACKEND_SP, small.nbytes, 10.0)
+        assert mgr.cache_rdd(entry, small)
+        entry = cache.put(key("a"), large, BACKEND_SP, large.nbytes, 10.0)
+        assert mgr.cache_rdd(entry, large)
+        assert mgr.sp_bytes == large.nbytes
+        foreign = cache.put(key("b"), small, BACKEND_SP, small.nbytes, 1.0)
+        assert mgr._candidates() == [entry]  # ``foreign`` was never charged
+        mgr.audit()
+        entry.size *= 2  # e.g. a larger copy on another backend
+        mgr.evict(entry)
+        assert mgr.sp_bytes == 0
+        mgr.audit()
 
 
 class TestGpuInvalidation:

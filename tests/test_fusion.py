@@ -59,6 +59,11 @@ from repro.workloads.micro import run_reuse_overhead
 # ------------------------------------------------------------- helpers
 
 
+def _fuse(config: MemphisConfig) -> None:
+    """The ``configure`` hook of harness ``--fusion``."""
+    config.enable_fusion = True
+
+
 def _session(reuse_mode=ReuseMode.NONE, fusion=False) -> Session:
     config = MemphisConfig.memphis()
     config.reuse_mode = reuse_mode
@@ -198,7 +203,7 @@ class TestReuseAwareness:
                                MemphisConfig.memphis())
 
     def test_ambient_override_enables_fusion(self):
-        with scope(fusion=True):
+        with scope(configure=_fuse):
             assert MemphisConfig.base().enable_fusion
         assert not MemphisConfig.base().enable_fusion
 
@@ -206,8 +211,8 @@ class TestReuseAwareness:
         # fig11b's L2SVM reuse-overhead micro under the full reuse
         # config: --fusion must leave every counter as it was
         counters = []
-        for fusion in (None, True):
-            with RuntimeContext(fusion=fusion):
+        for configure in (None, _fuse):
+            with RuntimeContext(configure=configure):
                 counters.append(
                     run_reuse_overhead("Reuse", 800, 30, 0.4).counters)
         assert counters[0] == counters[1]
@@ -356,7 +361,7 @@ def test_experiment_differential(name):
         pytest.skip("slow experiment: set MEMPHIS_FULL_DIFFERENTIAL=1")
     with RuntimeContext():
         base = EXPERIMENTS[name]()
-    with RuntimeContext(fusion=True):
+    with RuntimeContext(configure=_fuse):
         fused = EXPERIMENTS[name]()
     base_runs = _workload_results(base.grid)
     fused_runs = _workload_results(fused.grid)

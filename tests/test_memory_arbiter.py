@@ -2,9 +2,8 @@
 
 Covers the region ledgers and the reservation protocol, victim
 selection through ``core/policies.py``, the spill-vs-drop decision,
-delayed-caching admission, cross-region pressure callbacks, and the
-holistic behaviours that only exist because the four managers share one
-arbiter: GPU eviction consulting driver-cache residency before paying a
+delayed-caching admission, and the holistic behaviours that only exist
+because the four managers share one arbiter: GPU eviction consulting driver-cache residency before paying a
 D2H transfer, and spill/restore ledger moves surviving hard
 invalidation.
 """
@@ -27,7 +26,6 @@ from repro.common.stats import (
     CACHE_SPILLS,
     GPU_EVICT_D2H,
     MEM_D2H_AVOIDED,
-    MEM_PRESSURE_EVENTS,
     MEM_RESERVE_FAILURES,
     MEM_RESERVES,
     Stats,
@@ -291,40 +289,6 @@ class TestSpillDecision:
     def test_full_disk_blocks_spill(self):
         arb = self._arbiter(disk_capacity=500)
         assert not arb.should_spill("R", 800, compute_cost=1e9)
-
-
-# -- cross-region pressure callbacks ------------------------------------------
-
-
-class TestPressureCallbacks:
-    def test_pressure_rescues_reservation(self):
-        stats = Stats()
-        arb = MemoryArbiter(stats)
-        arb.add_region("R", 1000)
-        arb.acquire("R", 1000)
-
-        def shed(region, needed):
-            # another tier drops a shadowing copy and frees our bytes
-            arb.release("R", 600)
-            return 600
-
-        arb.on_pressure("R", shed)
-        assert arb.reserve("R", 500)
-        assert stats.get(MEM_PRESSURE_EVENTS) == 1
-        region = arb.region("R")
-        assert region.used + region.reserved == 900
-        region.check()
-
-    def test_unhelpful_pressure_fails_once(self):
-        stats = Stats()
-        arb = MemoryArbiter(stats)
-        arb.add_region("R", 100)
-        arb.acquire("R", 100)
-        calls = []
-        arb.on_pressure("R", lambda region, needed: calls.append(needed) or 0)
-        assert not arb.reserve("R", 50)
-        assert calls == [50]  # fired once, not in a loop
-        assert stats.get(MEM_RESERVE_FAILURES) == 1
 
 
 # -- residency probes + holistic GPU eviction ---------------------------------

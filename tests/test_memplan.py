@@ -27,7 +27,6 @@ from repro.analysis.memplan import (
     REGION_GPU,
     REGION_SPARK_CACHE,
     REGION_SPARK_STORAGE,
-    STICKY_REGIONS,
 )
 from repro.common.config import MemphisConfig, ReuseMode
 from repro.common.errors import VerificationError
@@ -405,7 +404,7 @@ class TestSessionPlanner:
         b = sess.read(np.ones((32, 32)) * 2)
         sess.evaluate([b @ b])
         second = sess.memplanner.cumulative
-        for name in STICKY_REGIONS:
+        for name in PLAN_REGIONS:
             if first[name]:
                 assert second[name] > first[name]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib.util
 import os
 import subprocess
 import sys
@@ -23,15 +24,27 @@ from repro.common.config import (
     CpuConfig,
     EvictionPolicyName,
     GpuConfig,
+    ReuseMode,
     SparkConfig,
 )
 from repro.common.runtime import RuntimeContext, current, scope
 from repro.harness.telemetry import server_report_records, write_server_jsonl
 from repro.obs import TraceCollector
 from repro.server import Scheduler, impure_program, pure_program, run_server_demo
+from repro.workloads.base import (
+    SYSTEMS,
+    WORKLOAD_OVERHEAD_SCALE,
+    make_session,
+)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
+
+
+def _use_lru(config: MemphisConfig) -> None:
+    """A ``configure`` hook: CP cache on LRU, GPU free lists on LRC."""
+    config.cache.policy = EvictionPolicyName.LRU
+    config.gpu.policy = EvictionPolicyName.LRC
 
 
 # ------------------------------------------------ (a) two servers, one process
@@ -117,17 +130,18 @@ class TestScopes:
         base = current()
         with scope(trace=outer_tc) as outer:
             with pytest.raises(RuntimeError):
-                with scope(trace=inner_tc, fusion=True) as inner:
+                with scope(trace=inner_tc, configure=_use_lru) as inner:
                     assert current() is inner
-                    assert inner.trace is inner_tc and inner.fusion is True
+                    assert inner.trace is inner_tc
+                    assert inner.configure is _use_lru
                     raise RuntimeError("boom")
             assert current() is outer
-            assert outer.trace is outer_tc and outer.fusion is None
+            assert outer.trace is outer_tc and outer.configure is None
         assert current() is base
         assert base.trace is None
 
     def test_derived_scope_shares_ids_fresh_context_does_not(self):
-        with scope(fusion=True) as derived:
+        with scope(configure=_use_lru) as derived:
             assert derived.ids is current().ids
         assert derived.ids is current().ids
         with RuntimeContext() as fresh:
@@ -137,6 +151,10 @@ class TestScopes:
     def test_unknown_collaborator_rejected(self):
         with pytest.raises(TypeError):
             scope(tracer=TraceCollector())
+        # the four per-field override slots are gone, with no alias
+        with pytest.raises(TypeError):
+            scope(policy=EvictionPolicyName.LRU)
+        assert len(RuntimeContext.__slots__) == 9
 
     def test_works_with_nothing_activated(self):
         # the process-default context: no collaborators, sessions run
@@ -147,22 +165,71 @@ class TestScopes:
         assert float((X.t() @ X).compute().sum()) == 36.0
 
     @pytest.mark.parametrize("leave", ["normally", "by_exception"])
-    def test_policy_override_ends_with_its_scope(self, leave):
-        """Regression: an installed ``--policy`` used to survive
+    def test_configure_composes_and_ends_with_scope(self, leave):
+        """The enclosing hook runs first, the inner one wins per field
+        (``harness ablation-policies --fusion`` keeps both); regression:
+        an installed ``--policy`` used to survive
         ``reset_ambient_state()`` — every later config stayed on LRU."""
+        def outer(config):
+            config.enable_fusion = True
+            config.cache.policy = EvictionPolicyName.MRD
+
         try:
-            with scope(policy=EvictionPolicyName.LRU,
-                       gpu_policy=EvictionPolicyName.LRC):
+            with scope(configure=outer):
+                with scope(configure=_use_lru):
+                    cfg = MemphisConfig.memphis()
+                    assert cfg.enable_fusion
+                    assert cfg.cache.policy is EvictionPolicyName.LRU
+                    assert cfg.gpu.policy is EvictionPolicyName.LRC
                 cfg = MemphisConfig.memphis()
-                assert cfg.cache.policy is EvictionPolicyName.LRU
-                assert cfg.gpu.policy is EvictionPolicyName.LRC
+                assert cfg.enable_fusion
+                assert cfg.cache.policy is EvictionPolicyName.MRD
+                assert cfg.gpu.policy is EvictionPolicyName.COST_SIZE
                 if leave == "by_exception":
                     raise KeyError("boom")
         except KeyError:
             pass
         after = MemphisConfig.memphis()
+        assert not after.enable_fusion
         assert after.cache.policy is EvictionPolicyName.COST_SIZE
         assert after.gpu.policy is EvictionPolicyName.COST_SIZE
+
+    @pytest.mark.parametrize("label", [*SYSTEMS, "server_session"])
+    def test_configure_runs_last(self, label):
+        """Regression: ``base_async`` / ``memphis_no_async`` (and four
+        more) assigned their system's settings after ``__post_init__``,
+        silently undoing a hook on ``Base-A`` and ``MPH-NA``."""
+        factory = SYSTEMS.get(label, MemphisConfig.server_session)
+        plain = factory()
+
+        def flip(config):
+            config.reuse_mode = ReuseMode.PROBE_ONLY
+            config.enable_async_ops = not plain.enable_async_ops
+            config.enable_max_parallelize = not plain.enable_max_parallelize
+            config.memplan = not plain.memplan
+
+        with scope(configure=flip):
+            cfg = factory()
+        assert cfg.reuse_mode is ReuseMode.PROBE_ONLY
+        assert cfg.enable_async_ops is not plain.enable_async_ops
+        assert cfg.enable_max_parallelize \
+            is not plain.enable_max_parallelize
+        assert cfg.memplan is not plain.memplan
+        # and nothing else moved
+        flip(plain)
+        assert cfg == plain
+
+    def test_make_session_keeps_override_and_scale(self):
+        """The road the ablations take: the workloads' own
+        ``make_session`` under a hook — the patched factories this
+        replaced forgot ``scale_overheads``."""
+        with scope(configure=_use_lru):
+            cfg = make_session("MPH").config
+        assert cfg.cache.policy is EvictionPolicyName.LRU
+        assert cfg.cpu.instruction_overhead_s \
+            == 3e-6 * WORKLOAD_OVERHEAD_SCALE
+        assert make_session("MPH").config.cache.policy \
+            is EvictionPolicyName.COST_SIZE
 
 
 # --------------------------------------- (c) sessions outlive their scope
@@ -238,6 +305,70 @@ def test_no_global_statements_or_module_level_counters_outside_runtime():
                         f"{path}:{node.lineno}: module-level "
                         f"itertools.count")
     assert offenders == []
+
+
+def _imported_module_names(tree: ast.Module) -> set[str]:
+    """Local names ``tree`` binds to *modules* (at any nesting level):
+    ``import a.b`` binds ``a``, ``import a.b as c`` binds ``c``, and
+    ``from a import b`` binds ``b`` when ``a.b`` is itself a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names.add(alias.asname or alias.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and not node.level:
+            for alias in node.names:
+                try:
+                    spec = importlib.util.find_spec(
+                        f"{node.module}.{alias.name}")
+                except ModuleNotFoundError:  # ``node.module`` is no package
+                    spec = None
+                if spec is not None:
+                    names.add(alias.asname or alias.name)
+    return names
+
+
+def _is_attribute_of(node: ast.AST, names: set[str]) -> bool:
+    return (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in names)
+
+
+def test_no_module_under_src_patches_another_module():
+    """No monkey-patches under ``src/repro``: no module assigns to (or
+    ``setattr``s / deletes) an attribute of a module it imported — how
+    the two ablations used to swap ``clean_mod.make_session`` /
+    ``hcv_mod.make_session``.  ``scope(configure=...)`` is the road."""
+    offenders = []
+    for path, tree in _parsed_modules(os.path.join(SRC, "repro")):
+        modules = _imported_module_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, (ast.Store, ast.Del)) \
+                    and _is_attribute_of(node, modules):
+                offenders.append(f"{path}:{node.lineno}: "
+                                 f"{node.value.id}.{node.attr} = ...")
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Name) \
+                    and node.func.id in ("setattr", "delattr") \
+                    and node.args and isinstance(node.args[0], ast.Name) \
+                    and node.args[0].id in modules:
+                offenders.append(f"{path}:{node.lineno}: {node.func.id}"
+                                 f"({node.args[0].id}, ...)")
+    assert offenders == []
+
+
+def test_every_runtime_context_slot_is_read_somewhere_in_src():
+    """A context slot whose last reader is deleted cannot outlive it
+    (sibling of the config-field guard below, matched by name too)."""
+    loaded = {
+        node.attr
+        for _path, tree in _parsed_modules(os.path.join(SRC, "repro"))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert [slot for slot in RuntimeContext.__slots__
+            if slot not in loaded] == []
 
 
 def test_every_config_field_is_read_somewhere_in_src():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro import MemphisConfig, Session
-from repro.common.config import StorageLevel
+from repro.common.config import KB, StorageLevel
+from repro.core.entry import BACKEND_SP
+from repro.core.substrate import Substrate
 
 RNG = np.random.default_rng(31)
 
@@ -102,3 +104,65 @@ class TestEvictionUnderPressure:
                 else:
                     assert value == pytest.approx(outs[scale])
                 assert value == pytest.approx(data.sum() * scale)
+
+
+class TestSharedSubstrate:
+    """The Spark tier is session-private even on a shared lineage cache."""
+
+    @staticmethod
+    def _config() -> MemphisConfig:
+        cfg = MemphisConfig.memphis()
+        cfg.cpu.operation_memory_bytes = 16 * KB
+        cfg.spark.num_executors = 2
+        cfg.spark.executor_memory = 256 * KB  # SP_CACHE: 125,828 B
+        return cfg
+
+    @staticmethod
+    def _persisted(sess: Session) -> int:
+        """Bytes of the RDDs ``sess`` persisted that the cache still holds."""
+        return sum(
+            entry.payloads[BACKEND_SP].nbytes
+            for entry in sess.cache.entries()
+            if BACKEND_SP in entry.payloads
+            and entry.owner == sess._ctx.uid)
+
+    def test_eviction_stays_within_own_entries(self):
+        """Regression: ``_candidates`` scanned every session's entries
+        and ``evict`` released ``entry.size`` on its own ledger whatever
+        was charged — *b* unpersisted *a*'s RDD, *a*'s ledger kept the
+        charge, and *b* held more persisted bytes than its capacity
+        while its ledger read 98,304 B."""
+        sub = Substrate.shared_substrate(self._config())
+        a = Session(self._config(), substrate=sub)
+        b = Session(self._config(), substrate=sub)
+        capacity = b.spark_mgr.budget
+        assert capacity == 125_828
+
+        def run(sess: Session, tag: str, count: int) -> None:
+            for i in range(count):
+                sub.activate(sess._ctx)
+                X = sess.read(np.full((256, 16), float(i + 1)), f"X{tag}{i}")
+                ((X * 2) + 1).compute()  # two 32 KB RDDs on Spark
+
+        run(a, "a", 1)
+        assert a.spark_mgr.sp_bytes == self._persisted(a) == 65_536
+        run(b, "b", 6)
+        # b made room among its own RDDs only ...
+        assert a.stats.get("spark/rdds_unpersisted") == 0
+        assert b.stats.get("spark/rdds_unpersisted") == 9
+        # ... so each ledger still reads what its session holds
+        assert a.spark_mgr.sp_bytes == self._persisted(a) == 65_536
+        assert b.spark_mgr.sp_bytes == self._persisted(b) == 98_304
+        assert b.spark_mgr.sp_bytes <= capacity
+        for sess in (a, b):
+            sess.spark_mgr.audit()
+        sub.audit()
+
+    def test_audit_catches_a_ledger_that_drifted(self):
+        sess = spark_session()
+        X = sess.read(RNG.random((5000, 16)), "X")
+        (X * 2.0).evaluate()
+        sess.spark_mgr.audit()
+        sess.arbiter.release("SP_CACHE", 1)
+        with pytest.raises(AssertionError, match="SP_CACHE ledger"):
+            sess.spark_mgr.audit()
