@@ -45,12 +45,10 @@ from repro.analysis.memplan import (
     BlockMemPlan,
     MemplanCollector,
     SessionMemPlanner,
-    SpillPoint,
     format_footprint_table,
     format_region_peaks,
     plan_block,
     plan_diagnostics,
-    schedule_gpu_spills,
 )
 
 __all__ = [
@@ -65,7 +63,6 @@ __all__ = [
     "PassManager",
     "SessionMemPlanner",
     "Severity",
-    "SpillPoint",
     "StreamDefUse",
     "analyze",
     "check_linearization",
@@ -75,7 +72,6 @@ __all__ = [
     "plan_diagnostics",
     "register_pass",
     "registered_passes",
-    "schedule_gpu_spills",
     "verify_ir",
     "walk_dag",
 ]

@@ -15,18 +15,16 @@ execution.  For one linearized instruction stream the planner:
 * computes per-region liveness intervals and the block's peak resident
   footprint per region (in this runtime a value stays resident until
   the end of its block — GPU pointers are held on the acquired list,
-  cache tiers are sticky — so intervals run ``[def, block end]`` and
-  the def-use chains' contribution is the *next-use* ordering that
-  drives spill-point victim selection);
+  cache tiers are sticky — so intervals run ``[def, block end]``);
 * emits ``MEM``-family diagnostics when a plan exceeds a region's
-  configured capacity, including a pre-scheduled spill/evict point
-  computed at compile time (Belady-style: spill the live value with the
-  furthest next use at the first position the budget overflows);
-* feeds ``Session.evaluate``: the predicted peaks are bulk-reserved via
-  :meth:`~repro.memory.arbiter.MemoryArbiter.reserve_plan` before
-  execution, and — with ``config.memplan_spills`` — the interpreter
-  executes the scheduled device-to-host spills, turning a block that
-  would die with ``GpuOutOfMemoryError`` into a feasible one.
+  configured capacity;
+* feeds ``Session.evaluate``: on a shared substrate the predicted
+  CP/DISK peaks pass the multi-tenant admission gate
+  (:meth:`~repro.memory.arbiter.MemoryArbiter.admissible`) before the
+  block runs.  The plan only *predicts*: pressure at runtime stays the
+  arbiter's business (eviction, Algorithm 1), and a block that
+  over-peaks the device is an error for ``verify_ir`` to raise, not
+  something a second eviction road repairs.
 
 Rule catalog (see docs/ANALYSIS.md):
 
@@ -35,11 +33,8 @@ rule      severity  meaning
 ========  ========  =============================================================
 MEM001    error     one instruction's working set exceeds its execution
                     region's total capacity — infeasible at any schedule
-MEM002    warning/  block liveness peak exceeds an execution region's
-          error     capacity; warning when a compile-time spill schedule
-                    makes it feasible (hint carries the schedule), error
-                    when no schedule exists (``memplan_spills`` off, or
-                    every candidate victim is pinned at the overflow point)
+MEM002    error     block's device liveness peak exceeds the GPU capacity:
+                    the block is predicted to run out of device memory
 MEM003    warning   sticky cache-tier demand (CP / SP_CACHE / SP_BLOCKS)
                     exceeds capacity: eviction churn predicted
 MEM004    info      predicted peak crosses the region's pressure watermark
@@ -47,15 +42,14 @@ MEM005    warning   planned CP spill volume exceeds the DISK budget: the
                     spill tier will drop the overflow
 ========  ========  =============================================================
 
-Planning never changes answers: the prediction side is pure analysis,
-and the only runtime effect of enabling ``config.memplan`` on a block
-that fits its budgets is a net-zero reserve/commit pair.
+Planning never changes answers: it is pure analysis, and enabling
+``config.memplan`` touches no ledger.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # layering: runtime types are type-only imports here
@@ -63,7 +57,6 @@ if TYPE_CHECKING:  # layering: runtime types are type-only imports here
     from repro.memory.arbiter import MemoryArbiter
 
 from repro.analysis.base import AnalysisContext, AnalysisPass, register_pass
-from repro.analysis.dataflow import StreamDefUse
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.common.config import MemphisConfig, ReuseMode
 from repro.compiler.ir import KIND_DATA, KIND_LITERAL, KIND_OP, Hop
@@ -76,6 +69,7 @@ from repro.memory.budget import (
     REGION_SPARK_STORAGE,
     RegionBudget,
     align,
+    gpu_working_set,
     region_capacities,
 )
 
@@ -111,27 +105,6 @@ class RegionCharge:
     reason: str
 
 
-@dataclass(frozen=True)
-class SpillPoint:
-    """A pre-scheduled spill the planner computed at compile time.
-
-    Before executing the instruction at stream position ``pos``, the
-    value produced by (or uploaded for) ``victim`` should be moved off
-    ``region`` — for the GPU that is a device-to-host transfer (free if
-    a driver-side copy already exists) followed by a release to the
-    free lists, which the allocation cascade then reclaims.
-    """
-
-    pos: int
-    victim: Hop
-    region: str
-    nbytes: int
-
-    def describe(self) -> str:
-        return (f"@{self.pos} spill #{self.victim.id} {self.victim.opcode} "
-                f"({self.nbytes} B)")
-
-
 @dataclass
 class BlockMemPlan:
     """Static memory plan of one compiled basic block."""
@@ -148,27 +121,10 @@ class BlockMemPlan:
     peaks: dict[str, int]
     #: configured budgets the plan was checked against.
     budgets: dict[str, RegionBudget]
-    #: compile-time GPU spill schedule making an over-peak block
-    #: feasible; ``None`` when the block fits (empty schedule) is never
-    #: used — ``[]`` means "fits", ``None`` means "no feasible schedule".
-    gpu_spills: Optional[list[SpillPoint]] = field(default=None)
-    #: diagnostics attached by :func:`plan_diagnostics`.
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-
-    @property
-    def errors(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity >= Severity.ERROR]
 
     def admission_demands(self) -> dict[str, int]:
-        """Per-region predicted peaks for ``reserve_plan`` admission."""
+        """Per-region predicted peaks for the admission gate."""
         return {name: peak for name, peak in self.peaks.items() if peak > 0}
-
-    def executable_spills(self) -> dict[int, list[SpillPoint]]:
-        """Stream position -> spills to run before that instruction."""
-        out: dict[int, list[SpillPoint]] = {}
-        for sp in self.gpu_spills or ():
-            out.setdefault(sp.pos, []).append(sp)
-        return out
 
     def charges_by_hop(self) -> dict[int, dict[str, int]]:
         """hop id -> region -> total bytes (for the footprint table)."""
@@ -280,86 +236,14 @@ def plan_block(roots: list[Hop], order: list[Hop],
                         demand=demand, peaks=peaks, budgets=budgets)
 
 
-# ------------------------------------------------------------- spill scheduling
-
-def schedule_gpu_spills(plan: BlockMemPlan,
-                        config: MemphisConfig) -> Optional[list[SpillPoint]]:
-    """Compute a compile-time spill schedule fitting the GPU budget.
-
-    Sweeps the stream in order, tracking device-resident charges.  At
-    the first position the block's resident bytes would exceed device
-    capacity, it spills the live value with the *furthest next use*
-    (Belady's choice; values with no further use win outright) that is
-    not an operand of the pending instruction.  Returns ``[]`` when the
-    block fits without spilling and ``None`` when no schedule exists —
-    a single instruction's working set exceeds capacity, or every
-    candidate victim is pinned at the overflow point.
-    """
-    capacity = plan.budgets[REGION_GPU].capacity
-    gpu_charges = [c for c in plan.charges if c.region == REGION_GPU]
-    if not gpu_charges:
-        return []
-    du = StreamDefUse(plan.order, plan.roots)
-    by_pos: dict[int, list[RegionCharge]] = {}
-    for charge in gpu_charges:
-        by_pos.setdefault(charge.start, []).append(charge)
-
-    def next_use(hop: Hop, pos: int) -> Optional[int]:
-        for use in du.uses(hop):
-            if use > pos:
-                return use
-        return None
-
-    live: dict[int, RegionCharge] = {}
-    used = 0
-    spills: list[SpillPoint] = []
-    for pos in sorted(by_pos):
-        incoming = by_pos[pos]
-        needed = sum(c.nbytes for c in incoming)
-        pinned = {c.hop.id for c in incoming}
-        pinned.update(inp.id for inp in plan.order[pos].inputs)
-        while used + needed > capacity:
-            victim: Optional[RegionCharge] = None
-            victim_next: Optional[int] = None
-            for charge in live.values():
-                if charge.hop.id in pinned:
-                    continue
-                nxt = next_use(charge.hop, pos)
-                if victim is None:
-                    victim, victim_next = charge, nxt
-                elif nxt is None and victim_next is not None:
-                    victim, victim_next = charge, nxt
-                elif (nxt is not None and victim_next is not None
-                      and nxt > victim_next):
-                    victim, victim_next = charge, nxt
-            if victim is None:
-                return None
-            spills.append(SpillPoint(pos, victim.hop, REGION_GPU,
-                                     victim.nbytes))
-            used -= victim.nbytes
-            del live[victim.hop.id]
-        for charge in incoming:
-            live[charge.hop.id] = charge
-            used += charge.nbytes
-    return spills
-
-
 # ----------------------------------------------------------------- diagnostics
 
 def plan_diagnostics(plan: BlockMemPlan, config: MemphisConfig,
-                     owner: Optional[AnalysisPass] = None
-                     ) -> list[Diagnostic]:
-    """Check a plan against its budgets; attaches findings to the plan.
-
-    Shared by the registered :class:`MemoryPlanPass` (verification
-    pipeline / CLI) and ``Session.evaluate``'s ``memplan_enforce`` gate
-    so both see identical findings.  Also computes and stores the GPU
-    spill schedule on the plan when one is needed and allowed.
-    """
-    owner = owner or _DETACHED_PASS
+                     owner: AnalysisPass) -> list[Diagnostic]:
+    """Check a plan against its budgets (the MEM rule family); the
+    findings are attributed to ``owner``."""
     out: list[Diagnostic] = []
     budgets = plan.budgets
-    alignment = config.gpu.alignment
 
     # MEM001: a single instruction's working set exceeds its execution
     # region's total capacity — no schedule can make that feasible.
@@ -369,17 +253,14 @@ def plan_diagnostics(plan: BlockMemPlan, config: MemphisConfig,
         if hop.kind != KIND_OP or hop.fused:
             continue
         if hop.placement == BACKEND_GPU:
-            working = align(hop.output_bytes, alignment) + sum(
-                align(inp.output_bytes, alignment)
-                for inp in hop.inputs if inp.kind != KIND_LITERAL
-            )
+            working = gpu_working_set(hop, config.gpu.alignment)
             if working > gpu_cap:
                 out.append(owner.diag(
                     "MEM001", Severity.ERROR,
                     f"GPU working set of @{pos} is {working} B, above the "
                     f"device capacity of {gpu_cap} B",
                     hop,
-                    hint="no spill schedule can fit this instruction; "
+                    hint="no schedule can fit this instruction; "
                          "shrink the operands or disable the GPU backend",
                 ))
         elif hop.placement == BACKEND_SP:
@@ -403,35 +284,14 @@ def plan_diagnostics(plan: BlockMemPlan, config: MemphisConfig,
     # partitions to executor disk transparently).
     gpu_demand = plan.demand[REGION_GPU]
     if gpu_demand > gpu_cap:
-        schedule = schedule_gpu_spills(plan, config) \
-            if config.memplan_spills else None
-        plan.gpu_spills = schedule
-        if schedule:
-            out.append(owner.diag(
-                "MEM002", Severity.WARNING,
-                f"GPU resident peak of {gpu_demand} B exceeds the device "
-                f"capacity of {gpu_cap} B; feasible with "
-                f"{len(schedule)} pre-scheduled spill(s)",
-                plan.order[schedule[0].pos],
-                hint="planned spills: " + "; ".join(
-                    sp.describe() for sp in schedule),
-            ))
-        else:
-            reason = ("memplan_spills is disabled"
-                      if not config.memplan_spills
-                      else "every candidate victim is pinned at the "
-                           "overflow point")
-            out.append(owner.diag(
-                "MEM002", Severity.ERROR,
-                f"GPU resident peak of {gpu_demand} B exceeds the device "
-                f"capacity of {gpu_cap} B and no spill schedule exists "
-                f"({reason})",
-                None,
-                hint="enable memplan_spills, shrink the block, or raise "
-                     "gpu.device_memory",
-            ))
-    else:
-        plan.gpu_spills = []
+        out.append(owner.diag(
+            "MEM002", Severity.ERROR,
+            f"GPU resident peak of {gpu_demand} B exceeds the device "
+            f"capacity of {gpu_cap} B: the block is predicted to run out "
+            "of device memory",
+            None,
+            hint="shrink the block or raise gpu.device_memory",
+        ))
 
     # MEM003: sticky cache-tier demand over capacity — the runtime
     # stays correct (eviction/spill) but churns; flag it for tuning.
@@ -490,7 +350,6 @@ def plan_diagnostics(plan: BlockMemPlan, config: MemphisConfig,
                 f"{budget.capacity} B capacity",
                 None,
             ))
-    plan.diagnostics = out
     return out
 
 
@@ -499,11 +358,10 @@ class MemoryPlanPass(AnalysisPass):
     """Static memory planner: peak footprint vs region budgets (MEM001+).
 
     Derives every byte charge one block can make against the five
-    memory regions, checks single-instruction working sets and block
-    liveness peaks against the configured capacities, and — when a
-    region overflows — computes the compile-time spill schedule that
-    would make the block feasible (see module docstring for the rule
-    catalog and ``docs/ANALYSIS.md`` for examples).
+    memory regions and checks single-instruction working sets and block
+    liveness peaks against the configured capacities (see module
+    docstring for the rule catalog and ``docs/ANALYSIS.md`` for
+    examples).
     """
 
     name = "memory-plan"
@@ -513,16 +371,6 @@ class MemoryPlanPass(AnalysisPass):
         assert ctx.order is not None
         plan = plan_block(ctx.roots, ctx.order, ctx.config)
         return plan_diagnostics(plan, ctx.config, self)
-
-
-class _Detached(AnalysisPass):
-    """Diagnostic owner when planning runs outside the pass manager."""
-
-    name = "memory-plan"
-    runs_on = "stream"
-
-
-_DETACHED_PASS = _Detached()
 
 
 # ------------------------------------------------------- session-level planner
@@ -555,7 +403,6 @@ class SessionMemPlanner:
     def plan(self, roots: list[Hop], order: list[Hop]) -> BlockMemPlan:
         """Plan one block and fold its demand into the session totals."""
         plan = plan_block(roots, order, self.config)
-        plan_diagnostics(plan, self.config)
         self.absorb(plan)
         return plan
 
@@ -661,9 +508,6 @@ def format_footprint_table(plan: BlockMemPlan) -> str:
     lines.append(f"  {'':>5}  {'demand':<12}{total}")
     lines.append(f"  {'':>5}  {'peak':<12}{peak}")
     lines.append(f"  {'':>5}  {'capacity':<12}{cap}")
-    if plan.gpu_spills:
-        lines.append("  pre-scheduled spills: "
-                     + "; ".join(sp.describe() for sp in plan.gpu_spills))
     return "\n".join(lines)
 
 
@@ -715,9 +559,8 @@ def explain_memory(session: "Session", root_hops: Optional[list[Hop]],
     """
     sections: list[str] = []
     if root_hops is not None and order is not None:
-        block_plan = plan_block(root_hops, order, session.config)
-        plan_diagnostics(block_plan, session.config)
-        sections.append(format_footprint_table(block_plan))
+        sections.append(format_footprint_table(
+            plan_block(root_hops, order, session.config)))
     observed = {
         snap["region"]: int(snap["peak_used"])
         for snap in session.arbiter.snapshot()

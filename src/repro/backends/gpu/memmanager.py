@@ -363,9 +363,7 @@ class GpuMemoryManager:
         offset = self.device.malloc(size)
         if offset is not None:
             # mirror the device allocator's ledger in the GPU region
-            self.arbiter.acquire(
-                REGION_GPU, align(size, self.config.alignment)
-            )
+            self._region.acquire(align(size, self.config.alignment))
             # cudaMalloc synchronizes the device and costs driver latency
             self.stream.synchronize()
             self.clock.advance(self.config.malloc_latency_s, HOST)
@@ -382,7 +380,7 @@ class GpuMemoryManager:
         self.clock.advance(self.config.free_latency_s, HOST)
         self.clock.advance_to(self.clock.now(HOST), DEVICE)
         freed = self.device.free(ptr.offset)
-        self.arbiter.release(REGION_GPU, freed)
+        self._region.release(freed)
         ptr.freed = True
         self.stats.inc(GPU_FREES)
         if self.tracer.enabled:
@@ -423,9 +421,7 @@ class GpuMemoryManager:
                 ptr.offset = relocation[ptr.offset]
         offset = self.device.malloc(size)
         if offset is not None:
-            self.arbiter.acquire(
-                REGION_GPU, align(size, self.config.alignment)
-            )
+            self._region.acquire(align(size, self.config.alignment))
         return offset
 
     def _pointer_score(self, candidates: list[GpuPointer]):

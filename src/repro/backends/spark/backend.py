@@ -249,20 +249,6 @@ class SparkBackend:
         )
         return DistributedMatrix(rdd, dm.nrow, 1)
 
-    def col_sums_action(self, dm: DistributedMatrix) -> MatrixValue:
-        """colSums as an action (single-block aggregate via ``reduce``)."""
-        partial = dm.rdd.map_blocks(
-            lambda b: b.sum(axis=0, keepdims=True), "uack+_partial"
-        )
-        return MatrixValue(self.sc.reduce(partial, lambda a, b: a + b))
-
-    def sum_action(self, dm: DistributedMatrix) -> float:
-        """Full-matrix sum as an action."""
-        partial = dm.rdd.map_blocks(
-            lambda b: np.array([[b.sum()]]), "uak+_partial"
-        )
-        return float(self.sc.reduce(partial, lambda a, b: a + b)[0, 0])
-
     def rbind(self, a: DistributedMatrix, b: DistributedMatrix) -> DistributedMatrix:
         """Row append with re-blocking into uniform row partitions.
 

@@ -150,7 +150,7 @@ class BlockManager:
                 return True
             return False
         self._store(key, block, nbytes, level, on_disk=False)
-        self.arbiter.acquire(REGION_SPARK_STORAGE, nbytes)
+        self._region.acquire(nbytes)
         return True
 
     def _store(self, key: tuple[int, int], block: np.ndarray, nbytes: int,
@@ -179,7 +179,7 @@ class BlockManager:
         for key in [k for k in self._partitions if k[0] == rdd_id]:
             part = self._partitions.pop(key)
             if not part.on_disk:
-                self.arbiter.release(REGION_SPARK_STORAGE, part.nbytes)
+                self._region.release(part.nbytes)
                 freed += part.nbytes
         return freed
 
@@ -215,7 +215,7 @@ class BlockManager:
     def _evict(self, victim: _CachedPartition) -> None:
         """Drop or spill one victim partition (the region's physics)."""
         victim_key = victim.key
-        self.arbiter.release(REGION_SPARK_STORAGE, victim.nbytes)
+        self._region.release(victim.nbytes)
         self.arbiter.record_evict(REGION_SPARK_STORAGE, victim.nbytes,
                                   rdd=victim_key[0])
         if (victim.level is StorageLevel.MEMORY_AND_DISK
@@ -264,7 +264,7 @@ class BlockManager:
         for key in lost:
             part = self._partitions.pop(key)
             if not part.on_disk:
-                self.arbiter.release(REGION_SPARK_STORAGE, part.nbytes)
+                self._region.release(part.nbytes)
             self._trace(EV_SPARK_PART_EVICT, key, part.nbytes)
         if lost:
             self._stats.inc(FAULT_PARTITIONS_DROPPED, len(lost))

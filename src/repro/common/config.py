@@ -232,26 +232,12 @@ class MemphisConfig:
     verify_ir: bool = False
     #: static memory planning (``repro.analysis.memplan``): when True
     #: every compiled block's per-region peak footprint is derived at
-    #: compile time, bulk-reserved through
-    #: ``MemoryArbiter.reserve_plan`` before execution (cancelled if
-    #: verification fails), and compared against the observed
-    #: ``MemoryRegion.peak_used`` watermarks.  Planning never changes
-    #: results — only reservations, diagnostics, and (see
-    #: ``memplan_spills``) pre-scheduled spills that avert device OOM.
+    #: compile time and compared against the observed
+    #: ``MemoryRegion.peak_used`` watermarks; on a shared substrate the
+    #: predicted CP/DISK peaks also pass the multi-tenant admission
+    #: gate.  Planning never changes results — it only predicts; MEM
+    #: error diagnostics raise through ``verify_ir`` like any other.
     memplan: bool = False
-    #: when True (with ``memplan``), a block whose plan carries
-    #: MEM-family *error* diagnostics is rejected before execution with
-    #: :class:`~repro.common.errors.VerificationError`, independent of
-    #: ``verify_ir`` (compile-time admission control).
-    memplan_enforce: bool = False
-    #: whether the planner may schedule compile-time spill points for
-    #: blocks whose execution-region liveness peak exceeds capacity
-    #: (paper: "Memory Safe Computations with XLA", PAPERS.md).  When
-    #: True such blocks are *feasible* (MEM002 downgrades to a warning
-    #: carrying the spill schedule, and the interpreter executes the
-    #: scheduled device-to-host spills); when False they are infeasible
-    #: and MEM002 is an error.
-    memplan_spills: bool = True
     #: fault injection (``repro.faults``): a ``FaultPlan`` scheduling
     #: deterministic failures (task loss, GPU alloc failure, federated
     #: timeouts, spill I/O errors, ...) that the recovery machinery must
@@ -322,8 +308,8 @@ class MemphisConfig:
         """Per-session config for the multi-tenant server (``repro.server``).
 
         Full MEMPHIS reuse plus static memory planning: the planner's
-        per-block peak demands are what the shared substrate's strict
-        admission gate (``SessionContext.admit``) reserves against.
+        per-block peak demands are what the shared substrate's
+        admission gate (``SessionContext.admit``) checks.
         Without a plan there is nothing to admit, so quota enforcement
         would degrade to put-time shaping only.
         """

@@ -184,10 +184,8 @@ MEM_EVICTIONS = "memory/evictions"
 MEM_SPILLS = "memory/spills"
 MEM_RESTORES = "memory/restores"
 MEM_D2H_AVOIDED = "memory/d2h_transfers_avoided"
-MEM_PLAN_RESERVES = "memory/plan_reserves"
 MEM_PLAN_RESERVE_FAILURES = "memory/plan_reserve_failures"
 MEMPLAN_BLOCKS_PLANNED = "memplan/blocks_planned"
-MEMPLAN_SPILLS_EXECUTED = "memplan/planned_spills_executed"
 FAULTS_INJECTED = "faults/injected"
 FAULTS_RECOVERED = "faults/recovered"
 FAULT_SPARK_TASK_RETRIES = "faults/spark_task_retries"

@@ -9,10 +9,11 @@ recycling).  The cache implements the system-internal API of §3.1:
 ``probe/reuse``, ``put``, and ``make_space``, plus delayed caching
 (§5.2).
 
-Byte accounting and victim selection are delegated to the shared
-:class:`~repro.memory.arbiter.MemoryArbiter`: the driver tier is the
-``CP`` region, spilled binaries live in the ``DISK`` region, and the
-spill-vs-drop break-even (§3.3) is the arbiter's spill model.  The
+Space requests and victim selection go through the shared
+:class:`~repro.memory.arbiter.MemoryArbiter`; bytes are counted on the
+two regions the cache holds — the driver tier is the ``CP`` region,
+spilled binaries live in the ``DISK`` region — and the spill-vs-drop
+break-even (§3.3) is the arbiter's spill model.  The
 cache keeps only the physics — payload movement, simulated disk I/O
 time, and lineage bookkeeping.
 """
@@ -214,9 +215,8 @@ class LineageCache:
 
         With delay factor *n* > 1, the first *n - 1* puts only create or
         bump an empty TO-BE-CACHED placeholder; the n-th put stores the
-        actual object (paper §5.2, implemented as the arbiter's region
-        admission policy).  Returns the entry when the payload was
-        actually cached, else ``None``.
+        actual object (paper §5.2).  Returns the entry when the payload
+        was actually cached, else ``None``.
         """
         scope = self._scope
         if scope is not None:
@@ -239,7 +239,7 @@ class LineageCache:
             self.touch(entry)  # ``last_access`` moves on every exit below
         entry.seen_count += 1
         entry.last_access = now
-        if not self.arbiter.admit(REGION_CP, entry.seen_count, n):
+        if entry.seen_count < n:  # delayed caching (§5.2)
             self.stats.inc(CACHE_DELAYED)
             if self.tracer.enabled:
                 self.tracer.instant(EV_CACHE_DELAY, opcode=key.opcode,
@@ -256,15 +256,15 @@ class LineageCache:
                 evict=self.evict_cp, now=self._logical_time,
             ):
                 return None
-            self.arbiter.commit(REGION_CP, size)
+            self._cp_region.commit(size)
             entry.cp_accounted = size
             if entry.tenant is not None:
-                self.arbiter.charge_tenant(REGION_CP, entry.tenant, size)
+                self._cp_region.charge_tenant(entry.tenant, size)
         if BACKEND_DISK in entry.payloads:
             # the fresh copy supersedes a spilled one nothing could read
             # once the entry is CACHED again; release it at the size it
             # was charged, before ``put_payload`` can grow ``size``
-            self.arbiter.release(REGION_DISK, entry.size)
+            self._disk_region.release(entry.size)
             entry.drop_payload(BACKEND_DISK)
         entry.put_payload(backend, payload, size, compute_cost)
         if entry.victim_rec is not VICTIM_DIRTY:
@@ -353,12 +353,12 @@ class LineageCache:
         nbytes = entry.cp_accounted
         if not nbytes:
             return
-        self.arbiter.release(REGION_CP, nbytes)
+        self._cp_region.release(nbytes)
         entry.cp_accounted = 0
         if entry.tenant is not None:
-            self.arbiter.charge_tenant(REGION_CP, entry.tenant, -nbytes)
+            self._cp_region.charge_tenant(entry.tenant, -nbytes)
         if entry.pinned:
-            self.arbiter.unpin(REGION_CP, nbytes)
+            self._cp_region.unpin(nbytes)
             entry.pinned = False
 
     def _fit_tenant_quota(self, entry: CacheEntry, size: int) -> bool:
@@ -371,7 +371,7 @@ class LineageCache:
         tenant = entry.tenant
         if tenant is None:
             return True
-        headroom = self.arbiter.quota_headroom(REGION_CP, tenant)
+        headroom = self._cp_region.quota_headroom(tenant)
         if headroom is None or size <= headroom:
             return True
         index = self._index
@@ -383,7 +383,7 @@ class LineageCache:
             if victim is None:
                 break
             self.evict_cp(victim)
-            headroom = self.arbiter.quota_headroom(REGION_CP, tenant)
+            headroom = self._cp_region.quota_headroom(tenant)
             if headroom is None or size <= headroom:
                 return True
         self.stats.inc(SERVER_QUOTA_REFUSALS)
@@ -413,7 +413,7 @@ class LineageCache:
             entry.payloads[BACKEND_DISK] = payload
             entry.payloads.pop(BACKEND_CP, None)
             entry.status = EntryStatus.SPILLED
-            self.arbiter.acquire(REGION_DISK, entry.size)
+            self._disk_region.acquire(entry.size)
             self.stats.inc(CACHE_SPILLS)
             self.arbiter.record_spill(REGION_CP, entry.size,
                                       key=entry.key.id)
@@ -455,8 +455,8 @@ class LineageCache:
                                       nbytes=entry.size):
             # injected read error: the disk copy is unusable and dropped;
             # the caller falls back to lineage recomputation
-            self.arbiter.cancel(REGION_CP, entry.size)
-            self.arbiter.release(REGION_DISK, entry.size)
+            self._cp_region.cancel(entry.size)
+            self._disk_region.release(entry.size)
             entry.drop_payload(BACKEND_DISK)
             if entry.payloads:
                 entry.status = EntryStatus.CACHED
@@ -465,11 +465,11 @@ class LineageCache:
         entry.payloads[BACKEND_CP] = payload
         entry.payloads.pop(BACKEND_DISK, None)
         entry.status = EntryStatus.CACHED
-        self.arbiter.release(REGION_DISK, entry.size)
-        self.arbiter.commit(REGION_CP, entry.size)
+        self._disk_region.release(entry.size)
+        self._cp_region.commit(entry.size)
         entry.cp_accounted = entry.size
         if entry.tenant is not None:
-            self.arbiter.charge_tenant(REGION_CP, entry.tenant, entry.size)
+            self._cp_region.charge_tenant(entry.tenant, entry.size)
         self.touch(entry)
         self.stats.inc(CACHE_RESTORES)
         self.arbiter.record_restore(REGION_CP, entry.size,
@@ -512,7 +512,7 @@ class LineageCache:
             entry.drop_payload(BACKEND_CP)
             dropped.append(BACKEND_CP)
         if BACKEND_DISK in entry.payloads:
-            self.arbiter.release(REGION_DISK, entry.size)
+            self._disk_region.release(entry.size)
             entry.drop_payload(BACKEND_DISK)
             dropped.append(BACKEND_DISK)
         if BACKEND_SP in entry.payloads:
@@ -578,7 +578,7 @@ class LineageCache:
             return
         self._release_cp(entry)
         if BACKEND_DISK in entry.payloads:
-            self.arbiter.release(REGION_DISK, entry.size)
+            self._disk_region.release(entry.size)
         self._forget_gpu_pointer(entry)
         if self._index is not None:
             self._index.forget(entry)

@@ -35,10 +35,11 @@ from repro.backends.gpu.memmanager import MODE_MALLOC, MODE_MEMPHIS, MODE_POOL
 from repro.backends.spark.backend import SparkBackend
 from repro.backends.spark.context import SparkContext
 from repro.common.config import MemphisConfig, ReuseMode
-from repro.common.errors import RecomputationError, VerificationError
+from repro.common.errors import RecomputationError
 from repro.common.runtime import RuntimeContext, current as current_runtime
 from repro.common.simclock import HOST, SimClock
 from repro.common.stats import (
+    CHECKPOINTS_PLACED,
     EVICT_INSTRUCTIONS,
     MEMPLAN_BLOCKS_PLANNED,
     Stats,
@@ -396,55 +397,30 @@ class Session:
         _, root_hops, order, extra = compiled
         if self.explain_collector is not None:
             self.explain_collector.capture(root_hops, order, self.config)
-        # static memory planning (repro.analysis.memplan): derive the
-        # block's per-region peak footprint and bulk-reserve it before
-        # verification; a failed verification cancels the reservation.
-        plan = None
-        reservation = None
         if self.memplanner is not None:
+            # static memory planning (repro.analysis.memplan): predict
+            # the block's per-region peak footprint before it runs
             plan = self.memplanner.plan(root_hops, order)
             self.stats.inc(MEMPLAN_BLOCKS_PLANNED)
             if self._ctx is not None:
                 # multi-tenant admission gate: the shared-region subset
-                # of the demands must pass the tenant's quota and a
-                # strict bulk reservation, or AdmissionError surfaces to
-                # the scheduler as backpressure before anything runs
+                # of the demands must pass the tenant's quota and the
+                # arbiter's admission predicate, or AdmissionError
+                # surfaces to the scheduler as backpressure before
+                # anything runs
                 self._ctx.admit(plan.admission_demands())
-            reservation = self.arbiter.reserve_plan(plan.admission_demands())
+        if self._verify_ir:
+            # static verification gate: runs the repro.analysis pass
+            # pipeline over the post-rewrite DAG + proposed order
+            # before anything executes; raises iff config.verify_ir
+            verify_ir(
+                root_hops, order, self.config,
+                tracer=self.tracer, stats=self.stats,
+                collector=self.ir_collector,
+                raise_on_error=self.config.verify_ir,
+            )
         try:
-            if self._verify_ir:
-                # static verification gate: runs the repro.analysis pass
-                # pipeline over the post-rewrite DAG + proposed order
-                # before anything executes; raises iff config.verify_ir
-                verify_ir(
-                    root_hops, order, self.config,
-                    tracer=self.tracer, stats=self.stats,
-                    collector=self.ir_collector,
-                    raise_on_error=self.config.verify_ir,
-                )
-            if (plan is not None and self.config.memplan_enforce
-                    and plan.errors):
-                # compile-time admission control: an over-budget plan
-                # with no feasible spill schedule never starts executing
-                raise VerificationError(
-                    "memory plan rejected: "
-                    + "; ".join(d.format() for d in plan.errors)
-                )
-        except Exception:
-            if reservation is not None:
-                reservation.cancel()
-            raise
-        if reservation is not None:
-            # verified: admit the plan.  Commit drops the bulk holds —
-            # execution charges the ledgers instruction by instruction.
-            reservation.commit()
-        planned_spills = None
-        if plan is not None and self.config.memplan_spills:
-            spill_map = plan.executable_spills()
-            if spill_map:
-                planned_spills = spill_map
-        try:
-            env = self.interpreter.run(order, planned_spills=planned_spills)
+            env = self.interpreter.run(order)
             for hop in order:
                 if hop.kind != KIND_OP:
                     continue
@@ -615,7 +591,7 @@ class Session:
             self.evaluate([handle])
         dm = handle.payloads.get(BACKEND_SP)
         if dm is not None:
-            self.stats.inc("compiler/checkpoints_placed")
+            self.stats.inc(CHECKPOINTS_PLACED)
             if not dm.rdd.is_persisted:
                 dm.rdd.persist(self.spark_mgr.storage_level)
         return handle

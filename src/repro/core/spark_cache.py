@@ -96,8 +96,7 @@ class SparkCacheManager:
         """Mark ``dm`` for distributed caching under ``entry`` (persist)."""
         size = dm.nbytes
         if entry in self._charged:  # re-put: release the old charge first
-            self.arbiter.release(REGION_SPARK_CACHE,
-                                 self._charged.pop(entry))
+            self._region.release(self._charged.pop(entry))
         if not self.arbiter.reserve(
             REGION_SPARK_CACHE, size, candidates=self._candidates,
             evict=self.evict, now=0.0,
@@ -107,7 +106,7 @@ class SparkCacheManager:
         entry.put_payload(BACKEND_SP, dm, size, entry.compute_cost)
         self.cache.touch(entry)  # a larger SP copy grows ``size`` (Eq. 1)
         entry.rdd_materialized = False
-        self.arbiter.commit(REGION_SPARK_CACHE, size)
+        self._region.commit(size)
         self._charged[entry] = size
         self.stats.inc(SPARK_RDD_PERSISTED)
         return True
@@ -141,7 +140,7 @@ class SparkCacheManager:
     def evict(self, entry: CacheEntry) -> None:
         """Unpersist the RDD of ``entry`` and drop its SP payload."""
         freed = self._charged.pop(entry, 0)
-        self.arbiter.release(REGION_SPARK_CACHE, freed)
+        self._region.release(freed)
         dm = entry.get_payload(BACKEND_SP)
         if dm is None:
             return
@@ -158,13 +157,15 @@ class SparkCacheManager:
 
     def audit(self) -> None:
         """Assert the Spark tier's conservation laws (tests, sweeps):
-        the ``SP_CACHE`` ledger equals what this manager charged, and
-        every charged entry still holds an SP payload."""
+        the ``SP_CACHE`` ledger equals what this manager charged, every
+        charged entry still holds an SP payload, and the session's own
+        arbiter (the Spark and GPU regions) is quiescent."""
         charged = sum(self._charged.values())
         assert self._region.used == charged, \
             f"SP_CACHE ledger {self._region.used} != charged bytes {charged}"
         stale = [e for e in self._charged if BACKEND_SP not in e.payloads]
         assert not stale, f"charged entries without an SP payload: {stale}"
+        self.arbiter.check()
 
     # -- lazy GC and async materialization -------------------------------------------
 

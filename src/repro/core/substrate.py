@@ -187,8 +187,8 @@ class SessionContext:
         """Admission gate for one block's statically planned footprint.
 
         The shared-region subset of ``demands`` must pass (a) the
-        tenant's quota and (b) a strict bulk reservation against the
-        substrate arbiter (``reserve_plan(strict=True)``).  Refusals
+        tenant's quota and (b) the substrate arbiter's admission
+        predicate (:meth:`MemoryArbiter.admissible`).  Refusals
         count as backpressure (``server/backpressure_events``, the
         tenant tally, a trace instant — what a scheduler observes) and
         raise :class:`AdmissionError`.
@@ -206,8 +206,7 @@ class SessionContext:
                 f"{self.tenant!r} quota {quota}",
                 region=REGION_CP, tenant=self.tenant, demand=cp_demand,
             )
-        reservation = sub.arbiter.reserve_plan(shared, strict=True)
-        if reservation is None:
+        if sub.arbiter.admissible(shared) is not None:
             sub.note_tenant_event(self.tenant, "admission_refusals")
             self._backpressure(REGION_CP, cp_demand)
             raise AdmissionError(
@@ -215,9 +214,6 @@ class SessionContext:
                 f"(demands {shared}, tenant {self.tenant!r})",
                 region=REGION_CP, tenant=self.tenant, demand=cp_demand,
             )
-        # admitted: drop the bulk holds, execution charges for itself
-        # (same commit semantics as the session-level reserve_plan).
-        reservation.commit()
         sub.stats.inc(SERVER_ADMITTED)
 
     def _backpressure(self, region: str, nbytes: int) -> None:
@@ -241,7 +237,7 @@ class SessionContext:
         if entry is None or entry.pinned or not entry.cp_accounted:
             return False
         entry.pinned = True
-        self.substrate.arbiter.pin(REGION_CP, entry.cp_accounted)
+        self.substrate.arbiter.region(REGION_CP).pin(entry.cp_accounted)
         return True
 
     def unpin(self, key: LineageItem) -> bool:
@@ -249,7 +245,7 @@ class SessionContext:
         if entry is None or not entry.pinned:
             return False
         entry.pinned = False
-        self.substrate.arbiter.unpin(REGION_CP, entry.cp_accounted)
+        self.substrate.arbiter.region(REGION_CP).unpin(entry.cp_accounted)
         return True
 
     # -- victim protection ---------------------------------------------------
@@ -354,7 +350,7 @@ class Substrate:
     def set_quota(self, tenant: str, nbytes: Optional[int]) -> None:
         """Set a tenant's CP fair-share quota (None clears it)."""
         self.tenants[tenant] = nbytes
-        self.arbiter.set_quota(REGION_CP, tenant, nbytes)
+        self.arbiter.region(REGION_CP).set_quota(tenant, nbytes)
 
     # -- dataset fingerprints ------------------------------------------------
 
@@ -474,7 +470,8 @@ class Substrate:
     def audit(self) -> None:
         """Assert the substrate's conservation laws (tests, sweeps):
         the cache's ledgers and victim index against its entries
-        (:meth:`LineageCache.audit`) and every region's invariants."""
+        (:meth:`LineageCache.audit`), every region's invariants and
+        the quiescent ``reserved == 0`` law (:meth:`MemoryArbiter.check`)."""
         self.cache.audit()
         self.arbiter.check()
 

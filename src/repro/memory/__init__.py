@@ -2,21 +2,21 @@
 
 One coordinated hierarchy instead of three silos: the driver lineage
 cache, the Spark block manager / RDD cache tier, and the GPU unified
-memory manager all route *reservations* (the
-reserve/commit/release byte protocol) and *victim selection* (the
+memory manager all route *reservations* and *victim selection* (the
 ``core/policies.py`` scoring registry) through a shared
-:class:`MemoryArbiter` over per-backend :class:`MemoryRegion` ledgers,
+:class:`MemoryArbiter` and count bytes on their own per-backend
+:class:`MemoryRegion` ledger (the reserve/commit/release protocol),
 while keeping their backend-specific physics (disk spilling, shuffle
 partition granularity, free-list recycling, pinning) local.
 
 The arbiter is also the coordination point for the paper's *holistic*
 behaviours: cross-region residency consultation (GPU eviction checks
 driver-cache residency before paying a device-to-host transfer), the
-spill-vs-drop cost decision, and delayed caching as an admission policy
-(§5.2).
+spill-vs-drop cost decision, and the admission predicate of the
+multi-tenant gate.
 """
 
-from repro.memory.arbiter import MemoryArbiter, PlanReservation
+from repro.memory.arbiter import MemoryArbiter
 from repro.memory.budget import (
     REGION_CP,
     REGION_DISK,
@@ -34,7 +34,6 @@ from repro.memory.region import MemoryRegion
 __all__ = [
     "MemoryArbiter",
     "MemoryRegion",
-    "PlanReservation",
     "RegionBudget",
     "region_capacities",
     "SHARED_REGIONS",

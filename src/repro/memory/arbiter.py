@@ -1,20 +1,23 @@
-"""The memory arbiter: reserve/commit/release + policy-driven eviction.
+"""The memory arbiter: reservation, admission and policy-driven eviction.
 
-The decision half of the arbitration substrate.  Every manager routes
-its reservations and victim selection through here:
+The decision half of the arbitration substrate: the arbiter *decides*
+(evict whom, spill or drop, admit or refuse), the
+:class:`~repro.memory.region.MemoryRegion` each manager holds *counts*
+(``commit``/``cancel``/``acquire``/``release``/``pin``/quotas are called
+on the region directly).  Every manager routes its space requests and
+victim selection through here:
 
-* **Reservation protocol** — :meth:`reserve` guarantees space in a
-  region, evicting policy-selected victims through a caller-supplied
-  callback until the request fits; :meth:`commit`/:meth:`cancel`/
-  :meth:`release` drive the byte ledgers.
+* **Reservation** — :meth:`reserve` guarantees space in a region,
+  evicting policy-selected victims through a caller-supplied callback
+  until the request fits; the caller settles the hold on the region.
 * **Victim selection** — :meth:`select_victim` is the only place a
   victim is ever chosen; it applies the region's policy from the
   ``core/policies.py`` registry (or a caller-supplied score for
   context-dependent normalisation, e.g. the GPU's Eq. 2 max-cost term).
 * **Spill-vs-drop** — :meth:`should_spill` owns the recompute-cost vs
   disk-round-trip break-even (§3.3) and the disk-region budget check.
-* **Admission** — :meth:`admit` implements delayed caching (§5.2) as a
-  region admission policy rather than a cache-local flag.
+* **Admission** — :meth:`admissible` is the pure predicate the
+  multi-tenant gate asks: can a block's predicted peaks fit at all?
 * **Cross-region coordination** — residency probes let one region ask
   whether an object is resident elsewhere before paying a transfer
   (GPU eviction consults driver-cache residency).
@@ -32,7 +35,6 @@ from repro.common.stats import (
     FAULT_SPILL_IO_ERRORS,
     MEM_EVICTIONS,
     MEM_PLAN_RESERVE_FAILURES,
-    MEM_PLAN_RESERVES,
     MEM_RESERVE_FAILURES,
     MEM_RESERVES,
     MEM_RESTORES,
@@ -54,50 +56,6 @@ from repro.obs.events import (
 from repro.obs.tracer import NULL_TRACER
 
 
-class PlanReservation:
-    """Outstanding holds of one :meth:`MemoryArbiter.reserve_plan` call.
-
-    The holds sit in each region's ``reserved`` counter until the plan
-    is either committed (the block was verified and will execute) or
-    cancelled (verification failed / the caller bailed out).  Committing
-    *releases* the holds rather than converting them to ``used``: the
-    managers charge their own usage instruction by instruction during
-    execution, so keeping the bulk hold would double-count every byte.
-    The reservation therefore guarantees *admissibility at block start*
-    — the substrate a multi-tenant server needs for admission control —
-    while leaving the instruction-level ledger accounting untouched.
-    """
-
-    __slots__ = ("arbiter", "holds", "settled")
-
-    def __init__(self, arbiter: "MemoryArbiter",
-                 holds: dict[str, int]) -> None:
-        self.arbiter = arbiter
-        #: region name -> bytes currently held in ``reserved``.
-        self.holds = holds
-        self.settled = False
-
-    @property
-    def total(self) -> int:
-        return sum(self.holds.values())
-
-    def commit(self) -> None:
-        """Admit the plan: drop the holds, execution charges for itself."""
-        self._drop()
-
-    def cancel(self) -> None:
-        """Abandon the plan (verification failed): drop the holds."""
-        self._drop()
-
-    def _drop(self) -> None:
-        if self.settled:
-            return
-        self.settled = True
-        for name, size in self.holds.items():
-            if size:
-                self.arbiter.cancel(name, size)
-
-
 class _SpillModel:
     """Per-region spill cost model: break-even + destination budget."""
 
@@ -112,7 +70,7 @@ class _SpillModel:
 
 
 class MemoryArbiter:
-    """Shared reserve/commit/release arbiter over named memory regions.
+    """Shared arbiter over named memory regions.
 
     One instance per :class:`~repro.core.session.Session` coordinates
     all its managers; standalone managers (unit tests, tools) create a
@@ -153,9 +111,13 @@ class MemoryArbiter:
         return list(self._regions.values())
 
     def check(self) -> None:
-        """Assert every region's ledger invariants (tests/debugging)."""
+        """Assert every region's ledger invariants and the quiescent
+        law: between statements no hold is outstanding (``reserved`` is
+        non-zero only inside one ``reserve`` -> ``commit`` of a put)."""
         for region in self._regions.values():
             region.check()
+            assert region.reserved == 0, \
+                f"{region.name}: {region.reserved} B still reserved"
 
     # -- reservation protocol -------------------------------------------------
 
@@ -168,9 +130,9 @@ class MemoryArbiter:
 
         Victims come from ``candidates()`` (re-evaluated after every
         eviction), chosen by :meth:`select_victim`; ``evict(victim)``
-        must release the victim's bytes via :meth:`release`.  On success
-        the bytes sit in ``reserved`` until :meth:`commit` or
-        :meth:`cancel`.
+        must release the victim's bytes on the region.  On success the
+        bytes sit in ``reserved`` until the caller's ``region.commit``
+        or ``region.cancel``.
         """
         region = self._regions[name]
         if not region.unlimited:
@@ -202,67 +164,31 @@ class MemoryArbiter:
         self.stats.inc(MEM_RESERVES)
         return True
 
-    def reserve_plan(self, demands: dict[str, int], *,
-                     strict: bool = False) -> Optional[PlanReservation]:
-        """Two-phase bulk reservation of a static plan's peak footprint.
+    def admissible(self, demands: dict[str, int]) -> Optional[str]:
+        """Can a block with these predicted per-region peaks fit at all?
 
         ``demands`` maps region names to the statically predicted peak
-        bytes the block will put through each region (see
-        ``repro.analysis.memplan``).  For every *registered, bounded*
-        region the arbiter holds ``min(demand, capacity) - used -
-        reserved`` bytes (never less than zero): the part of the
-        predicted peak not already backed by resident or reserved data.
-        Unlimited regions and unknown region names are skipped — there
-        is nothing to admit against.
-
-        All-or-nothing: if any region cannot take its hold, the partial
-        holds are rolled back and ``None`` is returned.  In the default
-        (lenient) mode a hold is always grantable because it is clamped
-        to the region's remaining headroom — the call then serves as an
-        accounting point (``memory/plan_reserves``) and a handle for the
-        commit/cancel protocol.  With ``strict=True`` the *unclamped*
-        residual demand must fit under ``capacity - pinned``; a block
-        whose predicted peak cannot fit even after evicting every
-        unpinned byte is refused up front.  Multi-tenant admission
-        control (ROADMAP item 1) layers on the strict mode.
-
-        The caller must settle the returned :class:`PlanReservation`
-        via ``commit()`` (verified, about to execute) or ``cancel()``
-        (verification failed) — both drop the holds; see
-        :class:`PlanReservation` for why commit does not convert them
-        to ``used``.
+        bytes (``repro.analysis.memplan``).  A registered bounded region
+        refuses when the demand not already backed by resident data
+        exceeds what evicting every unpinned byte could free:
+        ``max(demand - used, 0) > capacity - pinned``.  Unlimited and
+        unknown regions have nothing to admit against.  Returns the
+        first refusing region's name (counted and traced), else
+        ``None``; no ledger is touched either way.
         """
-        holds: dict[str, int] = {}
         for name, demand in demands.items():
             region = self._regions.get(name)
             if region is None or region.unlimited or demand <= 0:
                 continue
-            bounded = min(demand, region.capacity)
-            need = bounded - region.used - region.reserved
-            if strict:
-                residual = max(demand - region.used, 0)
-                if residual > region.capacity - region.pinned:
-                    for held, size in holds.items():
-                        self.cancel(held, size)
-                    self.stats.inc(MEM_PLAN_RESERVE_FAILURES)
-                    if self.tracer.enabled:
-                        self.tracer.instant(
-                            EV_MEM_PLAN_RESERVE, LANE_CP, region=name,
-                            nbytes=demand, ok=False,
-                        )
-                    return None
-            if need <= 0:
-                continue
-            region.reserve(need)
-            holds[name] = need
-        self.stats.inc(MEM_PLAN_RESERVES)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                EV_MEM_PLAN_RESERVE, LANE_CP,
-                regions=",".join(sorted(holds)) or "-",
-                nbytes=sum(holds.values()), ok=True,
-            )
-        return PlanReservation(self, holds)
+            if max(demand - region.used, 0) > region.capacity - region.pinned:
+                self.stats.inc(MEM_PLAN_RESERVE_FAILURES)
+                if self.tracer.enabled:
+                    self.tracer.instant(
+                        EV_MEM_PLAN_RESERVE, LANE_CP, region=name,
+                        nbytes=demand, ok=False,
+                    )
+                return name
+        return None
 
     def ensure_space(self, name: str, size: int, *,
                      candidates: Optional[Callable[[], Sequence]] = None,
@@ -275,46 +201,6 @@ class MemoryArbiter:
             return False
         self._regions[name].cancel(size)
         return True
-
-    def commit(self, name: str, size: int) -> None:
-        self._regions[name].commit(size)
-
-    def cancel(self, name: str, size: int) -> None:
-        self._regions[name].cancel(size)
-
-    def acquire(self, name: str, size: int) -> None:
-        """One-shot reserve+commit (mirroring an external allocator)."""
-        self._regions[name].acquire(size)
-
-    def release(self, name: str, size: int) -> None:
-        self._regions[name].release(size)
-
-    def pin(self, name: str, size: int) -> None:
-        self._regions[name].pin(size)
-
-    def unpin(self, name: str, size: int) -> None:
-        self._regions[name].unpin(size)
-
-    # -- per-tenant fair-share quotas (repro.server) ---------------------------
-
-    def set_quota(self, name: str, tenant: str,
-                  nbytes: Optional[int]) -> None:
-        """Set (or clear) a tenant's byte quota in region ``name``."""
-        self._regions[name].set_quota(tenant, nbytes)
-
-    def charge_tenant(self, name: str, tenant: str, delta: int) -> None:
-        """Attribute ``delta`` used bytes of region ``name`` to a tenant."""
-        self._regions[name].charge_tenant(tenant, delta)
-
-    def tenant_usage(self, name: str, tenant: str) -> int:
-        return self._regions[name].tenant_usage(tenant)
-
-    def quota_headroom(self, name: str, tenant: str) -> Optional[int]:
-        """Bytes the tenant may still use in ``name`` (None = no cap)."""
-        return self._regions[name].quota_headroom(tenant)
-
-    def over_quota(self, name: str, tenant: str) -> bool:
-        return self._regions[name].over_quota(tenant)
 
     # -- victim selection -----------------------------------------------------
 
@@ -337,16 +223,6 @@ class MemoryArbiter:
                 return items[0]
             return min(items, key=lambda e: policy.score(e, now))
         return min(items, key=score)
-
-    # -- admission (delayed caching, §5.2) ------------------------------------
-
-    def admit(self, name: str, seen_count: int, delay_factor: int) -> bool:
-        """Admission policy: admit the object on its n-th appearance.
-
-        Delay factor *n* > 1 defers caching until the n-th put of the
-        same lineage (paper §5.2); auto-tuning overrides *n* per block.
-        """
-        return seen_count >= delay_factor
 
     # -- spill-vs-drop decision (§3.3) ----------------------------------------
 

@@ -12,14 +12,15 @@ constructed — five regions, the same five ``Session.arbiter.snapshot()``
 reports.  CP intermediates live on handles, outside any ledger: the
 buffer pool is not modelled.
 
-It is also the one home of two facts those layers and the managers
-share: the canonical region names and the device allocator's granule
-round-up (:func:`align`).
+It is also the one home of three facts those layers and the managers
+share: the canonical region names, the device allocator's granule
+round-up (:func:`align`) and a GPU instruction's working set
+(:func:`gpu_working_set`).
 
-It deliberately imports only ``repro.common.config`` so that both the
-analysis layer and the runtime placement layer can consume it without
-creating an import cycle (analysis already imports placement for the
-opcode tables).
+It deliberately imports only ``repro.common.config`` and the IR node
+type so that both the analysis layer and the runtime placement layer
+can consume it without creating an import cycle (analysis already
+imports placement for the opcode tables).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.common.config import MemphisConfig
+from repro.compiler.ir import KIND_LITERAL, Hop
 
 #: canonical region names registered by the memory managers.
 REGION_CP = "CP"  #: driver-local lineage-cache payloads.
@@ -99,3 +101,18 @@ def align(nbytes: int, alignment: int) -> int:
     """``nbytes`` rounded up to whole device-allocation granules, at
     least one (CUDA allocates in ``GpuConfig.alignment`` = 512 B)."""
     return max(-(-nbytes // alignment), 1) * alignment
+
+
+def gpu_working_set(hop: Hop, alignment: int) -> int:
+    """Device bytes one GPU instruction needs live at once.
+
+    Output allocation plus one upload per non-literal input, each
+    rounded up to the allocator's granularity.  The placement guard
+    (``runtime/placement.py``) and the static memory planner's MEM001
+    (``repro.analysis.memplan``) both call this.
+    """
+    total = align(hop.output_bytes, alignment)
+    for inp in hop.inputs:
+        if inp.kind != KIND_LITERAL:
+            total += align(inp.output_bytes, alignment)
+    return total

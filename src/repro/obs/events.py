@@ -102,12 +102,9 @@ EV_MEM_EVICT = "memory/evict"
 EV_MEM_SPILL = "memory/spill"
 #: instant — a payload was restored from a slower tier.
 EV_MEM_RESTORE = "memory/restore"
-#: instant — a static plan's footprint was bulk-reserved (args:
-#: regions, nbytes, ok; see ``MemoryArbiter.reserve_plan``).
+#: instant — a static plan's predicted peaks were refused admission
+#: (args: region, nbytes, ok=False; see ``MemoryArbiter.admissible``).
 EV_MEM_PLAN_RESERVE = "memory/plan_reserve"
-#: instant — the interpreter executed a pre-scheduled spill the static
-#: memory planner computed at compile time (args: region, hop, nbytes).
-EV_MEMPLAN_SPILL = "memplan/spill"
 
 #: instant — a probe served by another session's cached entry on a
 #: shared substrate (args: owner, key, nbytes; ``repro.server``).

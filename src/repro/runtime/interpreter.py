@@ -30,8 +30,8 @@ in :meth:`Interpreter.run`; the stages it sequences are:
 * Async rewrites (§5.1): ``_issue_prefetch`` / ``_issue_broadcast``;
   checkpoints (§5.2): ``_persist_checkpoint``.
 
-Tracer spans, metrics ticks, fault draws and planned spills are hooks
-of that same loop, each behind a boolean read once per run; which modes
+Tracer spans, metrics ticks and fault draws are hooks of that same
+loop, each behind a boolean read once per run; which modes
 probe and put is :class:`~repro.common.config.ReuseMode`'s own
 ``probes`` / ``puts``.  A cell-wise chain becomes one instruction only
 through the compile-time fusion rewrite (:meth:`Interpreter._exec_fused`);
@@ -56,7 +56,6 @@ from repro.common.stats import (
     FAULT_LINEAGE_RECOMPUTES,
     INSTRUCTIONS_SKIPPED,
     LINEAGE_TRACED,
-    MEMPLAN_SPILLS_EXECUTED,
     PREFETCH_ISSUED,
     BROADCAST_ISSUED,
     SPARK_ACTION_REUSE,
@@ -74,11 +73,9 @@ from repro.lineage.item import LineageItem, dataset, literal
 from repro.obs.events import (
     EV_BROADCAST,
     EV_INSTR,
-    EV_MEMPLAN_SPILL,
     EV_PREFETCH,
     EV_PREFETCH_DONE,
     LANE_CP,
-    LANE_GPU,
 )
 from repro.runtime.placement import (
     SPARK_AGG_ACTION,
@@ -156,9 +153,7 @@ class Interpreter:
 
     # ------------------------------------------------------------------ top level
 
-    def run(self, order: list[Hop],
-            planned_spills: Optional[dict[int, list]] = None
-            ) -> dict[int, Slot]:
+    def run(self, order: list[Hop]) -> dict[int, Slot]:
         """Execute a linearized instruction stream; returns hop id -> slot.
 
         This is the one definition of the paper's main loop (Fig. 4):
@@ -178,12 +173,6 @@ class Interpreter:
         :meth:`release_acquired` — also when the run raised — to drop
         the execution references, moving unreferenced pointers to the
         Free list (Fig. 8(b)).
-
-        ``planned_spills`` maps stream positions to the compile-time
-        spill points the static memory planner scheduled for this block
-        (``repro.analysis.memplan``); each is executed *before* the
-        instruction at its position, freeing device memory a block that
-        over-peaks the GPU budget needs to stay feasible.
         """
         env: dict[int, Slot] = {}
         acquired: list[GpuData] = []
@@ -199,7 +188,6 @@ class Interpreter:
         tracing = tracer.enabled
         tick = metrics.enabled
         fault_draws = faults.enabled
-        spills = planned_spills or None
 
         mode = config.reuse_mode
         trace_on = mode is not ReuseMode.NONE
@@ -220,10 +208,7 @@ class Interpreter:
         apply_reuse = self._apply_reuse
         put = self._put
 
-        for pos, hop in enumerate(order):
-            if spills is not None:
-                for spill in spills.get(pos, ()):
-                    self._planned_spill(spill, env, acquired)
+        for hop in order:
             kind = hop.kind
             if kind == KIND_LITERAL:
                 slot = Slot(literal(hop.value, ids))
@@ -318,38 +303,6 @@ class Interpreter:
                 # advances the sim clock, so metered runs stay identical
                 metrics.tick(session)
         return env
-
-    def _planned_spill(self, spill, env: dict[int, Slot],
-                       acquired: list[GpuData]) -> None:
-        """Execute one compile-time spill point (device-to-host).
-
-        Saves a driver-side copy of the victim's value (free when one
-        already exists), drops the slot's device payload so later
-        consumers re-upload from the host, and returns the execution
-        reference to the free lists, where the allocation cascade
-        (Fig. 8(b)) reclaims the memory.
-        """
-        slot = env.get(spill.victim.id)
-        if slot is None:
-            return
-        data = slot.payloads.get(BACKEND_GPU)
-        if data is None or data.ptr.freed:
-            return
-        self._to_cp(slot)
-        slot.payloads.pop(BACKEND_GPU, None)
-        try:
-            acquired.remove(data)
-        except ValueError:
-            # acquired in an outer run (data-leaf payload): the outer
-            # frame's release will find the pointer already freed
-            pass
-        self.session.gpu.memory.release(data.ptr)
-        self.stats.inc(MEMPLAN_SPILLS_EXECUTED)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                EV_MEMPLAN_SPILL, LANE_GPU, hop=spill.victim.id,
-                opcode=spill.victim.opcode, nbytes=spill.nbytes,
-            )
 
     def release_acquired(self) -> None:
         """Drop the execution references on all GPU pointers of this run."""

@@ -23,7 +23,7 @@ from repro.backends.gpu.backend import GPU_OPCODES
 from repro.common.config import MemphisConfig
 from repro.compiler.ir import KIND_DATA, KIND_LITERAL, KIND_OP, Hop
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
-from repro.memory.budget import align
+from repro.memory.budget import gpu_working_set
 
 #: opcodes with a Spark physical operator (element-wise, matmul patterns,
 #: reorg, aggregates); ``ba+*`` is pattern-checked separately.
@@ -125,20 +125,6 @@ def assign_placements(roots: list[Hop], config: MemphisConfig,
             hop.placement = _data_location(hop)
             continue
         hop.placement = _place_op(hop, config, op_mem)
-
-
-def gpu_working_set(hop: Hop, alignment: int) -> int:
-    """Device bytes one GPU instruction needs live at once.
-
-    Output allocation plus one upload per non-literal input, each
-    rounded up to the allocator's granularity — the same arithmetic the
-    static memory planner charges (``repro.analysis.memplan`` MEM001).
-    """
-    total = align(hop.output_bytes, alignment)
-    for inp in hop.inputs:
-        if inp.kind != KIND_LITERAL:
-            total += align(inp.output_bytes, alignment)
-    return total
 
 
 def _data_location(hop: Hop) -> str:

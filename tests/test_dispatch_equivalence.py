@@ -1,9 +1,9 @@
 """Instrumentation-invariance guards for the one dispatch loop.
 
 ``Interpreter.run`` is the only definition of the Fig. 4 loop; tracer
-spans, metrics ticks, fault draws and planned spills are hooks of it,
-each behind a boolean read once per run.  The contract
-— asserted here on the quickstart, cell-wise, fused, planned-spill,
+spans, metrics ticks and fault draws are hooks of it, each behind a
+boolean read once per run.  The contract
+— asserted here on the quickstart, cell-wise, fused,
 server and Fig. 12(b) workloads — is that turning any hook on or off
 leaves results **byte-identical**, stats counters identical, and
 simulated-clock readings identical.  Instrumentation may only change
@@ -36,7 +36,6 @@ from repro.common.runtime import IdSpace, scope
 from repro.faults import FaultPlan
 from repro.obs import MetricsCollector, TraceCollector
 from repro.workloads.micro import run_fig12b
-from tests.test_memplan import _gpu_chain_session
 
 LAYERS = ("faults", "metrics", "tracer")
 
@@ -145,26 +144,6 @@ class TestChainEquivalence:
         X = session.read(np.ones((16, 16)), "X")
         (((X * 2.0) + 1.0).sigmoid() * 0.5).relu().compute()
         assert len(session.cache) == 0
-
-
-class TestPlannedSpillEquivalence:
-    """Compile-time spill points ride the same loop as every other hook."""
-
-    @staticmethod
-    def _spill_chain(_config=None):
-        session, handle = _gpu_chain_session(64 * 1024, spills=True,
-                                             enforce=True)
-        out = session.compute(handle)
-        return out, session.stats.counters(), dict(session.clock.timelines)
-
-    def test_plain_run_executes_spills(self):
-        counters = self._spill_chain()[1]
-        assert counters["memplan/planned_spills_executed"] > 0
-
-    @pytest.mark.parametrize("layer", ["tracer", "metrics"])
-    def test_byte_identical_under_collector(self, layer):
-        _assert_equivalent(self._spill_chain(),
-                           _under(layer, self._spill_chain, None))
 
 
 class TestServerZeroOverhead:

@@ -137,12 +137,12 @@ class TestArbiterReservation:
     def test_reserve_commit_release(self):
         stats = Stats()
         arb = MemoryArbiter(stats)
-        arb.add_region("R", 1000)
+        region = arb.add_region("R", 1000)
         assert arb.reserve("R", 400)
-        arb.commit("R", 400)
-        assert arb.region("R").used == 400
-        arb.release("R", 400)
-        assert arb.region("R").used == 0
+        region.commit(400)
+        assert region.used == 400
+        region.release(400)
+        assert region.used == 0
         assert stats.get(MEM_RESERVES) == 1
 
     def test_oversized_request_fails(self):
@@ -154,28 +154,28 @@ class TestArbiterReservation:
 
     def test_reserve_evicts_lowest_score_first(self):
         arb = MemoryArbiter()
-        arb.add_region("R", 1000, policy=LruPolicy())
+        region = arb.add_region("R", 1000, policy=LruPolicy())
         live = [SimpleNamespace(last_access=t, size=250) for t in (3, 1, 2)]
         for item in live:
-            arb.acquire("R", item.size)
+            region.acquire(item.size)
         evicted = []
 
         def evict(victim):
             evicted.append(victim.last_access)
             live.remove(victim)
-            arb.release("R", victim.size)
+            region.release(victim.size)
 
         assert arb.reserve("R", 600, candidates=lambda: live, evict=evict)
         # LRU evicts the two oldest stamps, in order
         assert evicted == [1, 2]
-        arb.cancel("R", 600)
-        arb.region("R").check()
+        region.cancel(600)
+        region.check()
 
     def test_reserve_fails_without_candidates(self):
         stats = Stats()
         arb = MemoryArbiter(stats)
         arb.add_region("R", 100)
-        arb.acquire("R", 100)
+        arb.region("R").acquire(100)
         assert not arb.reserve("R", 50)
         assert stats.get(MEM_RESERVE_FAILURES) == 1
 
@@ -185,7 +185,7 @@ class TestArbiterReservation:
         stats = Stats()
         arb = MemoryArbiter(stats)
         arb.add_region("R", 100, policy=LruPolicy())
-        arb.acquire("R", 100)
+        arb.region("R").acquire(100)
         stuck = [SimpleNamespace(last_access=1, size=100)]
         assert not arb.reserve("R", 50, candidates=lambda: stuck,
                                evict=lambda v: None)
@@ -200,10 +200,10 @@ class TestArbiterReservation:
 
     def test_unlimited_region_overcommits(self):
         arb = MemoryArbiter()
-        arb.add_region("R", 10, unlimited=True)
+        region = arb.add_region("R", 10, unlimited=True)
         assert arb.reserve("R", 10**6)
-        arb.commit("R", 10**6)
-        assert arb.region("R").used == 10**6
+        region.commit(10**6)
+        assert region.used == 10**6
 
 
 # -- victim selection ---------------------------------------------------------
@@ -248,10 +248,17 @@ class TestVictimSelection:
 
 class TestAdmission:
     def test_admit_threshold(self):
-        arb = MemoryArbiter()
-        arb.add_region("R", 100)
-        assert not arb.admit("R", seen_count=1, delay_factor=2)
-        assert arb.admit("R", seen_count=2, delay_factor=2)
+        """The per-put delay factor admits on exactly the n-th put."""
+        stats = Stats()
+        cache = LineageCache(CacheConfig(driver_cache_bytes=10_000), stats)
+        for seen in (1, 2):
+            assert cache.put(key("a"), value(), BACKEND_CP, 800, 1.0,
+                             delay_factor=3) is None
+            assert stats.get(CACHE_DELAYED) == seen
+        entry = cache.put(key("a"), value(), BACKEND_CP, 800, 1.0,
+                          delay_factor=3)
+        assert entry is not None and entry.seen_count == 3
+        assert stats.get(CACHE_DELAYED) == 2
 
     def test_delayed_caching_through_cache(self):
         stats = Stats()

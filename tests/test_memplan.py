@@ -2,9 +2,8 @@
 
 Covers the charge model and its soundness contract (predicted peak >=
 observed ``MemoryRegion.peak_used`` on every tier-1 workload), the
-compile-time GPU spill scheduler, the ``reserve_plan`` two-phase bulk
-reservation, the reject/accept acceptance scenario from the PR issue,
-and the GPU placement feasibility guard.
+arbiter's admission predicate, the MEM002 rejection of an over-peak
+GPU block under ``verify_ir``, and the GPU placement feasibility guard.
 """
 
 from __future__ import annotations
@@ -15,14 +14,15 @@ import pytest
 from repro.analysis import (
     MemplanCollector,
     SessionMemPlanner,
+    Severity,
     format_footprint_table,
     format_region_peaks,
     plan_block,
     plan_diagnostics,
-    schedule_gpu_spills,
 )
 from repro.analysis.memplan import (
     PLAN_REGIONS,
+    MemoryPlanPass,
     REGION_CP,
     REGION_GPU,
     REGION_SPARK_CACHE,
@@ -32,11 +32,10 @@ from repro.common.config import MemphisConfig, ReuseMode
 from repro.common.errors import VerificationError
 from repro.core.entry import BACKEND_CP, BACKEND_GPU
 from repro.core.session import Session
-from repro.common.runtime import IdSpace, RuntimeContext, current, scope
+from repro.common.runtime import RuntimeContext, current, scope
 from repro.memory import MemoryArbiter, region_capacities
-from repro.memory.budget import RegionBudget
+from repro.memory.budget import RegionBudget, gpu_working_set
 from repro.obs import ExplainCollector
-from repro.runtime.placement import gpu_working_set
 
 
 # --------------------------------------------------------------- helpers
@@ -54,40 +53,26 @@ def _planned_session(**overrides) -> Session:
     return Session(cfg)
 
 
-def _gpu_chain_session(device_bytes: int, *, spills: bool, enforce: bool,
+def _gpu_chain_session(device_bytes: int, *, verify: bool = False,
                        links: int = 10):
     """The over-budget GPU scenario: a cell-wise chain on a tiny device.
 
     Each link is three GPU ops (~20 KB each aligned) over a 50x50
     matrix (2500 cells, above ``gpu.min_cells``); the chain total far
     exceeds ``device_bytes`` while any single instruction's working set
-    fits — exactly the MEM002 regime.  Built under a fresh id space
-    that keeps the caller's collectors (the dispatch-equivalence tests
-    compare a traced against a plain build of this session).
+    fits — exactly the MEM002 regime.
     """
-    with scope(ids=IdSpace()):
-        cfg = MemphisConfig.memphis()
-        cfg.gpu_enabled = True
-        cfg.gpu.device_memory = device_bytes
-        cfg.memplan = True
-        cfg.memplan_enforce = enforce
-        cfg.memplan_spills = spills
-        sess = Session(cfg)
-        rng = np.random.default_rng(3)
-        h = sess.read(rng.random((50, 50)), "X")
-        for _ in range(links):
-            h = (h * 1.001 + 0.5).relu()
-        return sess, h
-
-
-def _cpu_reference(links: int = 10) -> np.ndarray:
-    with RuntimeContext():
-        sess = Session(MemphisConfig.memphis())
-        rng = np.random.default_rng(3)
-        h = sess.read(rng.random((50, 50)), "X")
-        for _ in range(links):
-            h = (h * 1.001 + 0.5).relu()
-        return sess.compute(h)
+    cfg = MemphisConfig.memphis()
+    cfg.gpu_enabled = True
+    cfg.gpu.device_memory = device_bytes
+    cfg.memplan = True
+    cfg.verify_ir = verify
+    sess = Session(cfg)
+    rng = np.random.default_rng(3)
+    h = sess.read(rng.random((50, 50)), "X")
+    for _ in range(links):
+        h = (h * 1.001 + 0.5).relu()
+    return sess, h
 
 
 # ------------------------------------------------------- charge model
@@ -132,8 +117,7 @@ class TestPlanBlock:
         assert plan.peaks[REGION_CP] == 1024
 
     def test_gpu_charges_are_aligned(self):
-        sess, h = _gpu_chain_session(48 * 1024 * 1024, spills=True,
-                                     enforce=False, links=2)
+        sess, h = _gpu_chain_session(48 * 1024 * 1024, links=2)
         sess.evaluate([h])
         plan = sess.memplanner.last_plan
         alignment = sess.config.gpu.alignment
@@ -194,61 +178,6 @@ class TestBudgets:
         assert two == 2 * one
 
 
-# ----------------------------------------------------- spill scheduling
-
-class TestScheduleSpills:
-    def test_fitting_block_needs_no_spills(self):
-        sess, h = _gpu_chain_session(48 * 1024 * 1024, spills=True,
-                                     enforce=False, links=2)
-        sess.evaluate([h])
-        plan = sess.memplanner.last_plan
-        assert plan.gpu_spills == []
-
-    def test_overflow_block_gets_schedule(self):
-        sess, h = _gpu_chain_session(64 * 1024, spills=True,
-                                     enforce=False, links=10)
-        sess.evaluate([h])
-        plan = sess.memplanner.last_plan
-        assert plan.gpu_spills, "over-budget chain must get a schedule"
-        rules = {d.rule for d in plan.diagnostics}
-        assert "MEM002" in rules
-        assert not plan.errors
-
-    def test_schedule_keeps_resident_bytes_under_capacity(self):
-        sess, h = _gpu_chain_session(64 * 1024, spills=True,
-                                     enforce=False, links=10)
-        sess.evaluate([h])
-        plan = sess.memplanner.last_plan
-        assert self._replay_fits(plan)
-
-    @staticmethod
-    def _replay_fits(plan) -> bool:
-        """Simulate the schedule: resident bytes never exceed capacity."""
-        capacity = plan.budgets[REGION_GPU].capacity
-        spills_at = plan.executable_spills()
-        live: dict[int, int] = {}
-        for charge in sorted((c for c in plan.charges
-                              if c.region == REGION_GPU),
-                             key=lambda c: c.start):
-            for sp in spills_at.get(charge.start, ()):
-                live.pop(sp.victim.id, None)
-            live[charge.hop.id] = charge.nbytes
-            if sum(live.values()) > capacity:
-                return False
-        return True
-
-    def test_no_schedule_when_spills_disabled(self):
-        sess, h = _gpu_chain_session(64 * 1024, spills=False,
-                                     enforce=False, links=10)
-        # plan directly without executing (execution would OOM)
-        roots, order = _compile_only(sess, h)
-        plan = plan_block(roots, order, sess.config)
-        diags = plan_diagnostics(plan, sess.config)
-        assert plan.gpu_spills is None
-        assert any(d.rule == "MEM002" and d.severity.label == "error"
-                   for d in diags)
-
-
 def _compile_only(sess: Session, handle):
     """Compile a pending handle to (root_hops, order) without executing."""
     compiled = sess._compile([handle])
@@ -257,9 +186,9 @@ def _compile_only(sess: Session, handle):
     return root_hops, order
 
 
-# ----------------------------------------------------- reserve_plan
+# ------------------------------------------------------- admissible
 
-class TestReservePlan:
+class TestAdmissible:
     def _arbiter(self) -> MemoryArbiter:
         arb = MemoryArbiter()
         arb.add_region("CP", 1000)
@@ -267,81 +196,41 @@ class TestReservePlan:
         arb.add_region("INF", 10, unlimited=True)
         return arb
 
-    def test_lenient_reserve_holds_clamped_headroom(self):
+    def test_refuses_infeasible_demand(self):
         arb = self._arbiter()
-        res = arb.reserve_plan({"CP": 600, "GPU": 9000, "INF": 50,
-                                "NOPE": 10})
-        assert res is not None
-        assert res.holds == {"CP": 600, "GPU": 500}
-        assert arb.region("CP").reserved == 600
-        assert arb.region("GPU").reserved == 500
-        res.commit()
-        assert arb.region("CP").reserved == 0
-        assert arb.region("GPU").reserved == 0
-
-    def test_existing_usage_reduces_hold(self):
-        arb = self._arbiter()
-        arb.region("CP").acquire(400)
-        res = arb.reserve_plan({"CP": 600})
-        assert res.holds == {"CP": 200}
-        res.cancel()
-        assert arb.region("CP").reserved == 0
-        assert arb.region("CP").used == 400
-
-    def test_commit_and_cancel_are_idempotent(self):
-        arb = self._arbiter()
-        res = arb.reserve_plan({"CP": 100})
-        res.commit()
-        res.cancel()  # no-op, already settled
-        assert arb.region("CP").reserved == 0
-
-    def test_strict_mode_refuses_infeasible_demand(self):
-        arb = self._arbiter()
-        assert arb.reserve_plan({"GPU": 501}, strict=True) is None
+        assert arb.admissible({"GPU": 501}) == "GPU"
         assert arb.stats.get("memory/plan_reserve_failures") == 1
-        # partial holds must be rolled back
         assert arb.region("CP").reserved == 0
         assert arb.region("GPU").reserved == 0
 
-    def test_strict_mode_admits_feasible_demand(self):
+    def test_admits_feasible_demand(self):
         arb = self._arbiter()
-        res = arb.reserve_plan({"GPU": 500, "CP": 1000}, strict=True)
-        assert res is not None
-        assert res.total == 1500
-        res.commit()
+        assert arb.admissible({"GPU": 500, "CP": 1000}) is None
+        assert arb.stats.get("memory/plan_reserve_failures") == 0
 
-    def test_net_zero_ledger_effect(self):
+    def test_resident_bytes_back_demand_and_pins_shrink_the_room(self):
         arb = self._arbiter()
-        before = [r.snapshot() for r in arb.regions()]
-        res = arb.reserve_plan({"CP": 777, "GPU": 123})
-        res.commit()
-        after = [r.snapshot() for r in arb.regions()]
-        for snap_a, snap_b in zip(before, after):
-            for key in ("used", "reserved", "pinned", "free"):
-                assert snap_a[key] == snap_b[key]
+        cp = arb.region("CP")
+        cp.acquire(400)
+        # 1200 - 400 resident = 800 more, against 1000 evictable: fits
+        assert arb.admissible({"CP": 1200, "INF": 50, "NOPE": 10}) is None
+        cp.pin(300)  # only 700 B can ever be freed now
+        assert arb.admissible({"CP": 1200}) == "CP"
+        arb.check()
 
 
-# -------------------------------------------- reject / accept (acceptance)
+# -------------------------------------------------------- MEM002 rejection
 
 class TestRejectAccept:
-    """The PR's acceptance scenario: one over-budget workload is
-    rejected at compile time with a MEM diagnostic, and accepted after
-    the planner inserts a pre-scheduled spill."""
+    """An over-peak GPU block is an error: ``verify_ir`` rejects it
+    before anything runs, and planning a fitting block changes nothing."""
 
     def test_rejected_at_compile_time_without_spills(self):
-        sess, h = _gpu_chain_session(64 * 1024, spills=False, enforce=True)
+        sess, h = _gpu_chain_session(64 * 1024, verify=True)
         with pytest.raises(VerificationError, match="MEM002"):
             sess.evaluate([h])
-        # the bulk reservation must have been cancelled on the way out
-        for region in sess.arbiter.regions():
-            assert region.reserved == 0
-
-    def test_accepted_with_planned_spills(self):
-        sess, h = _gpu_chain_session(64 * 1024, spills=True, enforce=True)
-        sess.evaluate([h])
-        assert sess.stats.get("memplan/planned_spills_executed") > 0
-        got = sess.compute(h)
-        assert np.allclose(got, _cpu_reference())
+        assert sess.stats.get("runtime/instructions_executed") == 0
+        sess.substrate.audit()  # incl. reserved == 0 on every region
 
     def test_planned_spills_keep_results_identical(self):
         """memplan on vs off must be byte-identical on a fitting block."""
@@ -368,29 +257,32 @@ class TestPlacementFeasibility:
     def test_infeasible_working_set_falls_back_to_cp(self):
         """An op whose working set can never fit on the device must not
         be GPU-placed (memplan MEM001 feasibility, placement guard)."""
-        sess, h = _gpu_chain_session(4 * 1024, spills=True, enforce=False,
-                                     links=1)
+        sess, h = _gpu_chain_session(4 * 1024, links=1)
         roots, order = _compile_only(sess, h)
         ops = [hop for hop in order if hop.kind == "op"]
         assert ops and all(hop.placement == BACKEND_CP for hop in ops)
 
     def test_feasible_working_set_stays_on_gpu(self):
-        sess, h = _gpu_chain_session(48 * 1024 * 1024, spills=True,
-                                     enforce=False, links=1)
+        sess, h = _gpu_chain_session(48 * 1024 * 1024, links=1)
         roots, order = _compile_only(sess, h)
         assert any(hop.placement == BACKEND_GPU for hop in order)
 
     def test_gpu_working_set_matches_planner_arithmetic(self):
-        sess, h = _gpu_chain_session(48 * 1024 * 1024, spills=True,
-                                     enforce=False, links=1)
+        """The placement guard and MEM001 are one function: a device one
+        byte under the widest GPU op's working set is MEM001, reported
+        with exactly ``gpu_working_set``'s number."""
+        sess, h = _gpu_chain_session(48 * 1024 * 1024, links=1)
         roots, order = _compile_only(sess, h)
         alignment = sess.config.gpu.alignment
-        for hop in order:
-            if hop.placement != BACKEND_GPU or hop.kind != "op":
-                continue
-            ws = gpu_working_set(hop, alignment)
-            assert ws % alignment == 0
-            assert ws >= hop.output_bytes
+        sets = [gpu_working_set(hop, alignment) for hop in order
+                if hop.placement == BACKEND_GPU and hop.kind == "op"]
+        assert sets and all(ws % alignment == 0 for ws in sets)
+        sess.config.gpu.device_memory = max(sets) - 1
+        plan = plan_block(roots, order, sess.config)
+        mem001 = [d.message for d in plan_diagnostics(
+            plan, sess.config, MemoryPlanPass()) if d.rule == "MEM001"]
+        assert len(mem001) == sets.count(max(sets))
+        assert all(f"is {max(sets)} B" in message for message in mem001)
 
 
 # --------------------------------------------- session planner / collector
@@ -547,16 +439,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 )
 def test_random_cellwise_chain_plan_is_sound(links, side, budget_kb, seed):
     """Property: for a random cell-wise GPU chain under a random device
-    budget, the planner either (a) certifies the block with a schedule
-    that keeps resident bytes under capacity, or (b) reports an
-    unfixable MEM001/MEM002 error — and executing a certified block
-    reproduces the CPU result and never trips the device allocator."""
+    budget, the planner reports an MEM002 error exactly when the block's
+    GPU demand exceeds the device (such a block is not executed); a
+    block that fits executes, reproduces the numpy result, and its
+    predicted peaks bound the observed ones."""
     cfg = MemphisConfig.memphis()
     cfg.gpu_enabled = True
     cfg.gpu.device_memory = budget_kb * 1024
     cfg.memplan = True
-    cfg.memplan_enforce = True
-    cfg.memplan_spills = True
     sess = Session(cfg)
     rng = np.random.default_rng(seed)
     data = rng.random((side, side))
@@ -572,16 +462,13 @@ def test_random_cellwise_chain_plan_is_sound(links, side, budget_kb, seed):
 
     roots, order = _compile_only(sess, h)
     plan = plan_block(roots, order, cfg)
-    plan_diagnostics(plan, cfg)
-
-    if plan.errors:
-        with pytest.raises(VerificationError):
-            sess.evaluate([h])
+    errors = {d.rule for d in plan_diagnostics(plan, cfg, MemoryPlanPass())
+              if d.severity >= Severity.ERROR}
+    over = plan.demand[REGION_GPU] > cfg.gpu.device_memory
+    assert ("MEM002" in errors) == over
+    if errors:
         return
 
-    # certified: schedule replays under capacity, execution succeeds
-    # and matches plain numpy
-    assert TestScheduleSpills._replay_fits(plan)
     got = sess.compute(h)
     want = data
     for op in ops:
@@ -592,3 +479,5 @@ def test_random_cellwise_chain_plan_is_sound(links, side, budget_kb, seed):
         else:
             want = np.maximum(want, 0.0)
     assert np.allclose(got, want)
+    for name, pred, obs, ok in sess.memplanner.check_bounds():
+        assert ok, f"{name}: predicted {pred} < observed {obs}"

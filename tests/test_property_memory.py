@@ -209,7 +209,7 @@ class RegionLedgerMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def commit(self, data):
         size = self.holds.pop(data.draw(st.integers(0, len(self.holds) - 1)))
-        self.arb.commit("R", size)
+        self.region.commit(size)
         self.ticks += 1
         self.chunks.append(_Chunk(size, self.ticks))
 
@@ -217,13 +217,13 @@ class RegionLedgerMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def cancel(self, data):
         size = self.holds.pop(data.draw(st.integers(0, len(self.holds) - 1)))
-        self.arb.cancel("R", size)
+        self.region.cancel(size)
 
     @rule(size=st.integers(min_value=1, max_value=3000))
     def acquire(self, size):
         if not self.region.fits(size):
             return
-        self.arb.acquire("R", size)
+        self.region.acquire(size)
         self.ticks += 1
         self.chunks.append(_Chunk(size, self.ticks))
 
@@ -233,7 +233,7 @@ class RegionLedgerMachine(RuleBasedStateMachine):
         unpinned = [c for c in self.chunks if not c.pinned]
         chunk = unpinned[data.draw(st.integers(0, len(unpinned) - 1))]
         self.chunks.remove(chunk)
-        self.arb.release("R", chunk.size)
+        self.region.release(chunk.size)
 
     @precondition(lambda self: any(not c.pinned for c in self.chunks))
     @rule(data=st.data())
@@ -241,7 +241,7 @@ class RegionLedgerMachine(RuleBasedStateMachine):
         unpinned = [c for c in self.chunks if not c.pinned]
         chunk = unpinned[data.draw(st.integers(0, len(unpinned) - 1))]
         chunk.pinned = True
-        self.arb.pin("R", chunk.size)
+        self.region.pin(chunk.size)
 
     @precondition(lambda self: any(c.pinned for c in self.chunks))
     @rule(data=st.data())
@@ -249,7 +249,7 @@ class RegionLedgerMachine(RuleBasedStateMachine):
         pinned = [c for c in self.chunks if c.pinned]
         chunk = pinned[data.draw(st.integers(0, len(pinned) - 1))]
         chunk.pinned = False
-        self.arb.unpin("R", chunk.size)
+        self.region.unpin(chunk.size)
 
     @rule(size=st.integers(min_value=1, max_value=3000))
     def make_space_by_eviction(self, size):
@@ -258,7 +258,7 @@ class RegionLedgerMachine(RuleBasedStateMachine):
         def evict(victim):
             assert not victim.pinned, "policy evicted a pinned chunk"
             self.chunks.remove(victim)
-            self.arb.release("R", victim.size)
+            self.region.release(victim.size)
 
         candidates = lambda: [c for c in self.chunks if not c.pinned]
         ok = self.arb.ensure_space("R", size, candidates=candidates,
@@ -327,8 +327,8 @@ class TenantLedgerMachine(RuleBasedStateMachine):
     def acquire_for_tenant(self, size, tenant):
         if not self.region.fits(size):
             return
-        self.arb.acquire("R", size)
-        self.arb.charge_tenant("R", tenant, size)
+        self.region.acquire(size)
+        self.region.charge_tenant(tenant, size)
         self.chunks.append(_TenantChunk(size, tenant))
 
     @precondition(lambda self: self.chunks)
@@ -336,14 +336,14 @@ class TenantLedgerMachine(RuleBasedStateMachine):
     def release_chunk(self, data):
         chunk = self.chunks.pop(
             data.draw(st.integers(0, len(self.chunks) - 1)))
-        self.arb.release("R", chunk.size)
-        self.arb.charge_tenant("R", chunk.tenant, -chunk.size)
+        self.region.release(chunk.size)
+        self.region.charge_tenant(chunk.tenant, -chunk.size)
 
     @rule(tenant=st.sampled_from(TENANTS),
           quota=st.one_of(st.none(),
                           st.integers(min_value=0, max_value=12_000)))
     def set_quota(self, tenant, quota):
-        self.arb.set_quota("R", tenant, quota)
+        self.region.set_quota(tenant, quota)
 
     @invariant()
     def ledger_invariants_hold(self):
@@ -354,20 +354,20 @@ class TenantLedgerMachine(RuleBasedStateMachine):
         for tenant in self.TENANTS:
             expected = sum(
                 c.size for c in self.chunks if c.tenant == tenant)
-            assert self.arb.tenant_usage("R", tenant) == expected
+            assert self.region.tenant_usage(tenant) == expected
 
     @invariant()
     def headroom_consistent(self):
         for tenant in self.TENANTS:
-            headroom = self.arb.quota_headroom("R", tenant)
+            headroom = self.region.quota_headroom(tenant)
             quota = self.region.quota(tenant)
             if quota is None:
                 assert headroom is None
             else:
-                used = self.arb.tenant_usage("R", tenant)
+                used = self.region.tenant_usage(tenant)
                 # negative headroom = over quota (quota set below usage)
                 assert headroom == quota - used
-                assert self.arb.over_quota("R", tenant) == (used > quota)
+                assert self.region.over_quota(tenant) == (used > quota)
 
 
 TestTenantLedgerStateful = TenantLedgerMachine.TestCase

@@ -391,3 +391,21 @@ def test_every_config_field_is_read_somewhere_in_src():
         if field.name not in loaded
     ]
     assert unread == []
+
+
+def test_no_counter_is_incremented_by_a_string_literal():
+    """Counter names live in ``common/stats.py``: no ``….inc("a/b")``
+    (or f-string) under ``src/repro``, so a renamed or deleted counter
+    cannot leave a silently diverging literal twin behind."""
+    offenders = [
+        f"{path}:{node.lineno}"
+        for path, tree in _parsed_modules(os.path.join(SRC, "repro"))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "inc"
+        and node.args
+        and (isinstance(node.args[0], ast.JoinedStr)
+             or (isinstance(node.args[0], ast.Constant)
+                 and isinstance(node.args[0].value, str)))
+    ]
+    assert offenders == []

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from repro.common.config import MemphisConfig
-from repro.common.errors import AdmissionError
+from repro.common.errors import AdmissionError, VerificationError
 from repro.common.runtime import current, scope
 from repro.common.stats import (
+    SERVER_ADMITTED,
     SERVER_BACKPRESSURE,
     SERVER_CROSS_HITS,
     SERVER_DEDUP_BYTES,
@@ -24,7 +25,7 @@ from repro.core.session import Session
 from repro.core.substrate import Substrate, fingerprint
 from repro.lineage.item import LineageItem
 from repro.memory import REGION_CP
-from repro.server import Scheduler, run_server_demo
+from repro.server import Scheduler, pure_program, run_server_demo
 
 
 def _data(rows=32, cols=4, offset=0.0):
@@ -296,8 +297,6 @@ class TestScheduler:
         scheduler = Scheduler(sub, seed=0, max_retries=2)
         scheduler.add_tenant("starved", 64)  # nothing fits in 64 bytes
         scheduler.add_tenant("normal")
-        from repro.server import pure_program
-
         starved = scheduler.submit("starved", pure_program(), name="s")
         scheduler.submit("normal", pure_program(), name="n")
         report = scheduler.run()
@@ -332,6 +331,68 @@ class TestScheduler:
         for occ in report.tenants.values():
             assert occ["quota"] == 1 << 20
             assert 0 <= occ["used"] <= occ["quota"]
+
+
+# ------------------------------------------------------ quiescent ledgers
+
+
+def _assert_quiescent(sub, sessions):
+    """No hold outlives a statement: every region of the shared and of
+    each session-private arbiter has ``reserved == 0``, ``pinned`` is
+    what the pinned entries say, and the conservation audits pass."""
+    for arbiter in [sub.arbiter] + [s.arbiter for s in sessions]:
+        for region in arbiter.regions():
+            assert region.reserved == 0, region.snapshot()
+    cp = sub.arbiter.region(REGION_CP)
+    assert cp.pinned == sum(e.cp_accounted for e in sub.cache.entries()
+                            if e.pinned)
+    sub.audit()
+    for session in sessions:
+        session.spark_mgr.audit()
+
+
+class TestQuiescentLedgers:
+    """Failure paths drain every ledger (ROADMAP: admission exhaustion
+    and a rejected block leave nothing reserved behind)."""
+
+    def _pinned_substrate(self):
+        sub = _shared()
+        holder = sub.attach(None, "holder")
+        [key] = _fill(sub, holder, 1, 2048, "p")
+        assert holder.pin(key)
+        return sub
+
+    def test_after_admission_retries_are_exhausted(self):
+        sub = self._pinned_substrate()
+        scheduler = Scheduler(sub, seed=0, max_retries=2)
+        scheduler.add_tenant("starved", 64)  # nothing fits in 64 bytes
+        scheduler.add_tenant("normal")
+        scheduler.submit("starved", pure_program(), name="s")
+        scheduler.submit("normal", pure_program(), name="n")
+        report = scheduler.run()
+        by_name = {r.name: r for r in report.results}
+        assert not by_name["s"].ok and by_name["s"].retries == 3
+        assert "admission refused" in by_name["s"].error
+        assert by_name["n"].ok
+        _assert_quiescent(sub, report.sessions)
+        assert sub.arbiter.region(REGION_CP).pinned == 2048
+
+    def test_after_verify_ir_rejects_an_over_peak_gpu_block(self):
+        """MEM002 on a shrunk device: admitted by the shared gate, then
+        refused by ``verify_ir`` before a single instruction runs."""
+        sub = self._pinned_substrate()
+        cfg = MemphisConfig.server_session(gpu_enabled=True, verify_ir=True)
+        cfg.gpu.device_memory = 64 * 1024
+        session = Session(cfg, substrate=sub, tenant="t")
+        h = session.read(np.random.default_rng(3).random((50, 50)), "X")
+        for _ in range(10):  # 30 GPU ops of ~20 KB each: peak >> 64 KB
+            h = (h * 1.001 + 0.5).relu()
+        with pytest.raises(VerificationError, match="MEM002"):
+            session.evaluate([h])
+        assert sub.stats.get(SERVER_ADMITTED) == 1
+        assert session.stats.get("runtime/instructions_executed") == 0
+        _assert_quiescent(sub, [session])
+        assert sub.arbiter.region(REGION_CP).pinned == 2048
 
 
 # ----------------------------------------------------- context substrate

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import MemphisConfig, Session
 from repro.backends.spark import SparkBackend, SparkContext
 from repro.common.config import SparkConfig, StorageLevel
 from repro.common.simclock import CLUSTER, HOST, SimClock
 from repro.common.stats import Stats
+from repro.core.entry import BACKEND_SP
 from repro.runtime.values import MatrixValue
 
 
@@ -129,10 +131,23 @@ class TestDistributedOps:
     def test_aggregates(self, sb):
         x = _mat(330, 6)
         dx = sb.distribute(x)
-        assert np.isclose(sb.sum_action(dx), x.data.sum())
-        assert np.allclose(sb.col_sums_action(dx).data, x.data.sum(0, keepdims=True))
         assert np.allclose(sb.collect(sb.row_sums(dx)).data,
                            x.data.sum(1, keepdims=True))
+
+    def test_aggregate_actions_on_spark(self):
+        """``uak+`` / ``uack+`` of a distributed input run as Spark
+        actions (the interpreter's one definition) and equal numpy."""
+        cfg = MemphisConfig.memphis()
+        cfg.cpu.operation_memory_bytes = 64 * 1024
+        sess = Session(cfg)
+        x = np.random.default_rng(0).random((2000, 16))  # 256 KB > 64 KB
+        X = sess.read(x, "X")
+        total, cols = X.sum(), X.col_sums()
+        hops = [total.hop, cols.hop]
+        sess.evaluate([total, cols])
+        assert [hop.placement for hop in hops] == [BACKEND_SP, BACKEND_SP]
+        assert np.isclose(total.item(), x.sum())
+        assert np.allclose(cols.compute(), x.sum(0, keepdims=True))
 
     def test_rbind(self, sb):
         a, b = _mat(120, 3), _mat(80, 3, seed=9)

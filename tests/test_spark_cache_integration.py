@@ -163,6 +163,6 @@ class TestSharedSubstrate:
         X = sess.read(RNG.random((5000, 16)), "X")
         (X * 2.0).evaluate()
         sess.spark_mgr.audit()
-        sess.arbiter.release("SP_CACHE", 1)
+        sess.arbiter.region("SP_CACHE").release(1)
         with pytest.raises(AssertionError, match="SP_CACHE ledger"):
             sess.spark_mgr.audit()
