@@ -40,7 +40,6 @@ from repro.core.spark_cache import SparkCacheManager
 from repro.core.substrate import Substrate
 from repro.faults import FaultPlan
 from repro.harness import runner
-from repro.harness.telemetry import _workload_results
 from repro.server import ServerReport, run_server_demo
 from repro.workloads.base import WorkloadResult
 
@@ -159,7 +158,7 @@ def outcome(result):
     if isinstance(result, (tuple, list)):
         return [outcome(item) for item in result]
     if isinstance(result, runner.ExperimentResult):
-        return [w.metric for w in _workload_results(result.grid)]
+        return [w.metric for w in result.workloads()]
     if isinstance(result, ServerReport):
         assert result.ok, [r.error for r in result.results if not r.ok]
         return {r.name: r.value for r in result.results}
@@ -203,5 +202,5 @@ def test_cell(program, cell):
         assert rate > 0.0
         if cell.policy is EvictionPolicyName.COST_SIZE:
             again = run_cell(program, cell)[0]
-            assert [w.counters for w in _workload_results(again.grid)] \
-                == [w.counters for w in _workload_results(result.grid)]
+            assert [w.counters for w in again.workloads()] \
+                == [w.counters for w in result.workloads()]

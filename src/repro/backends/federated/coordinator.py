@@ -77,8 +77,7 @@ class FederatedCoordinator:
         self.reuse = reuse
         if tracer is None:
             tracer = (
-                rt.trace.tracer(self.clock, label="federated",
-                                stats=self.stats)
+                rt.trace.tracer(self.clock, label="federated")
                 if rt.trace is not None else NULL_TRACER
             )
         self.tracer = tracer

@@ -3,7 +3,7 @@
 MEMPHIS manages reuse and memory *holistically* — one lineage cache and
 one arbiter seen by every backend.  The same holds for what a run is
 observed and perturbed by: a :class:`RuntimeContext` carries the trace /
-metrics / explain / analysis / memplan collectors, the fault plan, the
+explain / analysis / memplan collectors, the fault plan, the
 shared substrate, the ``configure`` hook every new config passes
 through, and the one :class:`IdSpace` that numbers HOPs, lineage items,
 RDDs, broadcasts and GPU pointers.
@@ -49,7 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - keeps repro.common import-light
     from repro.core.substrate import Substrate
     from repro.faults.plan import FaultPlan
     from repro.obs.explain import ExplainCollector
-    from repro.obs.metrics import MetricsCollector
     from repro.obs.tracer import TraceCollector
 
 
@@ -76,19 +75,18 @@ class RuntimeContext:
 
     Every collaborator is ``None`` unless supplied; ``None`` means "the
     context has none", and a session then uses the NULL singleton — the
-    context is the one activation of the trace / metrics / explain
-    collectors (``scope(explain=ExplainCollector())``).  Only ``faults``
+    context is the one activation of the trace / explain collectors
+    (``scope(explain=ExplainCollector())``).  Only ``faults``
     has a config-side counterpart, which wins over the context's.  Use
     as a context manager to make it the process-current context; exiting
     restores the one it displaced, also on exceptions.
     """
 
-    __slots__ = ("trace", "metrics", "explain", "analysis", "memplan",
-                 "faults", "substrate", "configure", "ids")
+    __slots__ = ("trace", "explain", "analysis", "memplan", "faults",
+                 "substrate", "configure", "ids")
 
     def __init__(self, *,
                  trace: Optional["TraceCollector"] = None,
-                 metrics: Optional["MetricsCollector"] = None,
                  explain: Optional["ExplainCollector"] = None,
                  analysis: Optional["AnalysisCollector"] = None,
                  memplan: Optional["MemplanCollector"] = None,
@@ -97,10 +95,9 @@ class RuntimeContext:
                  configure: Optional[
                      Callable[["MemphisConfig"], None]] = None,
                  ids: Optional[IdSpace] = None) -> None:
-        #: sessions (and shared substrates, coordinators) trace into it.
+        #: sessions (and shared substrates, coordinators) trace into it,
+        #: gauge samples included.
         self.trace = trace
-        #: sessions sample their gauge series into it.
-        self.metrics = metrics
         #: sessions snapshot every compiled block into it.
         self.explain = explain
         #: sessions verify every compiled block (without raising) into it.

@@ -1,10 +1,10 @@
 """One interpreter for the draft-07 subset the repo's schema dicts use.
 
-:func:`check` *interprets* ``TRACE_SCHEMA`` (``repro.obs.schema``),
-``BENCH_SCHEMA`` and ``SERVER_SCHEMA`` (``repro.harness.telemetry``), so
-a dict and its validator cannot disagree and no ``jsonschema``
-dependency is needed (where it is installed, ``tests/test_schema.py``
-holds ``check`` to ``Draft7Validator``'s verdict).  Keywords: ``type``,
+:func:`check` *interprets* ``TRACE_SCHEMA`` (``repro.obs.schema``) and
+``SERVER_SCHEMA`` (``repro.harness.telemetry``), so a dict and its
+validator cannot disagree and no ``jsonschema`` dependency is needed
+(where it is installed, ``tests/test_schema.py`` holds ``check`` to
+``Draft7Validator``'s verdict).  Keywords: ``type``,
 ``required``, ``properties``, ``additionalProperties``, ``items``,
 ``enum``, ``const``, ``minimum``, ``maximum``, ``minLength``,
 ``minItems``, ``oneOf``.  One deliberate difference: ``1.0`` is not an

@@ -12,56 +12,39 @@ from collections import defaultdict
 
 
 class Stats:
-    """A hierarchical counter/accumulator registry."""
+    """A hierarchical counter registry."""
 
     def __init__(self) -> None:
         self._counters: dict[str, int] = defaultdict(int)
-        self._accumulators: dict[str, float] = defaultdict(float)
 
     def inc(self, name: str, by: int = 1) -> None:
         """Increment counter ``name`` by ``by``."""
         self._counters[name] += by
 
-    def add_time(self, name: str, seconds: float) -> None:
-        """Accumulate ``seconds`` into timer ``name``."""
-        self._accumulators[name] += seconds
-
     def get(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never incremented).
 
-        Read-only: never inserts the key, so reporting and metric
+        Read-only: never inserts the key, so reporting and gauge
         sampling leave the counter snapshot byte-identical.
         """
         return self._counters.get(name, 0)
-
-    def get_time(self, name: str) -> float:
-        """Accumulated seconds for timer ``name`` (read-only)."""
-        return self._accumulators.get(name, 0.0)
 
     def counters(self) -> dict[str, int]:
         """Snapshot of all counters."""
         return dict(self._counters)
 
-    def timers(self) -> dict[str, float]:
-        """Snapshot of all accumulated timers."""
-        return dict(self._accumulators)
-
     def reset(self) -> None:
-        """Clear all counters and timers."""
+        """Clear all counters."""
         self._counters.clear()
-        self._accumulators.clear()
 
     def merge(self, other: "Stats") -> "Stats":
-        """Accumulate ``other``'s counters and timers into this registry.
+        """Accumulate ``other``'s counters into this registry.
 
-        Used for multi-session aggregation: the benchmark harness merges
-        the registries of every session of a traced run into one report.
+        Used for multi-session aggregation (``ServerReport.merged``).
         Returns ``self`` for chaining.
         """
         for name, value in other._counters.items():
             self._counters[name] += value
-        for name, seconds in other._accumulators.items():
-            self._accumulators[name] += seconds
         return self
 
     def derived_ratios(self) -> dict[str, float]:
@@ -99,23 +82,19 @@ class Stats:
     def report(self) -> str:
         """Human-readable report, grouped by subsystem prefix.
 
-        Names follow the ``subsystem/metric`` convention; counters,
-        timers, and derived ratios (:meth:`derived_ratios`) of the same
-        subsystem are reported together under one header instead of
-        interleaving flat sorted lists.  The name column widens to fit
+        Names follow the ``subsystem/metric`` convention; counters and
+        derived ratios (:meth:`derived_ratios`) of the same subsystem
+        are reported together under one header instead of interleaving
+        flat sorted lists.  The name column widens to fit
         the longest name instead of truncating alignment at 42 chars.
         """
         ratios = self.derived_ratios()
-        names = [*self._counters, *self._accumulators, *ratios]
+        names = [*self._counters, *ratios]
         width = max([42, *(len(n) for n in names)])
         groups: dict[str, list[str]] = {}
         for name in sorted(self._counters):
             groups.setdefault(_prefix(name), []).append(
                 f"{name:<{width}s} {self._counters[name]:>12d}"
-            )
-        for name in sorted(self._accumulators):
-            groups.setdefault(_prefix(name), []).append(
-                f"{name:<{width}s} {self._accumulators[name]:>12.6f} s"
             )
         for name in sorted(ratios):
             groups.setdefault(_prefix(name), []).append(

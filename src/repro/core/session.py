@@ -68,7 +68,7 @@ from repro.memory import REGION_CP, MemoryArbiter
 from repro.lineage.recompute import replay
 from repro.lineage.serialize import deserialize, serialize
 from repro.obs.explain import LEVEL_FULL, render_plan, snapshot_plan
-from repro.obs.metrics import NULL_METRICS
+from repro.obs.metrics import sample as sample_gauges
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.handles import MatrixHandle
 from repro.runtime.interpreter import Interpreter, Slot
@@ -92,18 +92,14 @@ class Session:
         self.clock = SimClock()
         self.stats = Stats()
         # The runtime context is the one activation of the collectors
-        # (how harness --trace/--metrics/--explain reach sessions created
+        # (how harness --trace/--explain reach sessions created
         # deep inside workload drivers): the context's, else the NULL
         # singleton (one ``enabled`` check per guard).
         label = cfg.reuse_mode.value
         trace = self.trace_collector = rt.trace
         self.tracer = (
-            trace.tracer(self.clock, label=label, stats=self.stats)
+            trace.tracer(self.clock, label=label)
             if trace is not None else NULL_TRACER)
-        metrics = self.metrics_collector = rt.metrics
-        self.metrics = (
-            metrics.registry(self.clock, label=label, stats=self.stats)
-            if metrics is not None else NULL_METRICS)
         self.explain_collector = rt.explain
         # faults are the one collaborator a config can also carry: an
         # explicit plan there beats the context's (harness --faults).
@@ -447,10 +443,10 @@ class Session:
             # record the runtime's per-region peak watermarks so the
             # static prediction stays comparable (explain / --memplan)
             self.memplanner.observe(self.arbiter)
-        if self.metrics.enabled:
-            # end-of-block sample: even tiny blocks (fewer instructions
-            # than the sampling interval) contribute one point per series
-            self.metrics.sample(self)
+        if self.tracer.enabled:
+            # end-of-block gauge sample: even tiny blocks (fewer
+            # instructions than the sampling period) contribute one
+            sample_gauges(self)
 
     def compute(self, handle: MatrixHandle) -> np.ndarray:
         """Force evaluation and return the driver-side numpy result."""

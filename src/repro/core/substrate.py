@@ -293,8 +293,7 @@ class Substrate:
             # cross-hit/backpressure/attribution events into it instead
             # of silently dropping them.  Private substrates always
             # receive the owning session's tracer.
-            tracer = rt.trace.tracer(self.clock, label="substrate",
-                                     stats=self.stats)
+            tracer = rt.trace.tracer(self.clock, label="substrate")
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.arbiter = MemoryArbiter(
             self.stats, tracer=self.tracer, faults=faults

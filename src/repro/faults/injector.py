@@ -228,7 +228,7 @@ class NullInjector:
     Backends hold this singleton when no plan is active; the single
     ``enabled`` attribute check is the only per-call cost, and the
     convenience methods are safe to call anyway (tests, cold paths).
-    One of the three null singletons of the zero-overhead pattern
+    One of the two null singletons of the zero-overhead pattern
     (docs/ARCHITECTURE.md "Zero overhead when disabled").
     """
 

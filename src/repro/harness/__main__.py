@@ -7,8 +7,6 @@ Usage::
     python -m repro.harness --list          # list experiment names
     python -m repro.harness fig11a --trace out.json
                                             # + Chrome/Perfetto trace
-    python -m repro.harness fig2c fig2d --bench-report out.json
-                                            # + BENCH_SCHEMA telemetry
 """
 
 from __future__ import annotations
@@ -24,21 +22,15 @@ from repro.common.schema import assert_valid
 from repro.faults import FaultPlan
 from repro.harness import runner
 from repro.harness.telemetry import (
-    experiment_record,
     server_report_records,
     validate_server_records,
-    write_bench_report,
     write_server_jsonl,
 )
 from repro.obs import (
     ExplainCollector,
-    MetricsCollector,
     TraceCollector,
-    counter_tracks,
     export_chrome_trace,
-    format_metrics,
     format_summary,
-    write_metrics_jsonl,
 )
 from repro.server import run_server_demo
 
@@ -64,7 +56,7 @@ EXPERIMENTS = {
 #: flags that change what sessions compute; ``--server`` runs its own
 #: fixed demo, so combining them is refused rather than silently dropped.
 _EXPERIMENT_ONLY_FLAGS = ("faults", "policy", "gpu_policy", "spark_policy",
-                          "fusion", "bench_report")
+                          "fusion")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -78,17 +70,15 @@ def main(argv: list[str] | None = None) -> int:
                         help="list available experiments and exit")
     parser.add_argument("--trace", metavar="OUT.json", default=None,
                         help="record a structured trace of every session "
-                             "and write a Chrome/Perfetto trace file")
+                             "(spans, instants, and gauge samples as "
+                             "counter tracks: region occupancy, GPU "
+                             "residency, ...) and write a Chrome/Perfetto "
+                             "trace file")
     parser.add_argument("--trace-summary", action="store_true",
                         help="print the text trace summary (top-k "
-                             "instructions, hit rates, evictions); without "
-                             "--trace the trace stays in memory only")
-    parser.add_argument("--metrics", metavar="OUT.jsonl", default=None,
-                        help="sample gauge/histogram time-series on the sim "
-                             "clock (region occupancy, hit rates, GPU "
-                             "residency, ...), write them as JSONL, and "
-                             "print a sparkline summary; with --trace the "
-                             "series also become Perfetto counter tracks")
+                             "instructions, hit rates, evictions, gauge "
+                             "sparklines); without --trace the trace "
+                             "stays in memory only")
     parser.add_argument("--explain", action="store_true",
                         help="capture every compiled block and print the "
                              "plan-level EXPLAIN (post-rewrite HOP DAG + "
@@ -129,10 +119,6 @@ def main(argv: list[str] | None = None) -> int:
                              "readable per-tenant SLO / attribution "
                              "stream (SERVER_SCHEMA JSONL, byte-"
                              "reproducible for a fixed --server-seed)")
-    parser.add_argument("--bench-report", metavar="OUT.json", default=None,
-                        help="also write one BENCH_SCHEMA record per "
-                             "experiment (sim/wall time, key counters, "
-                             "metric digests); not with --metrics")
     parser.add_argument("--fusion", action="store_true",
                         help="enable the reuse-aware operator fusion "
                              "rewrite on every session (chains of "
@@ -153,9 +139,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{', '.join(dropped)} cannot be combined with "
                          f"--server (the server demo fixes its own "
                          f"configuration)")
-    if args.bench_report and args.metrics:
-        parser.error("--bench-report meters every experiment separately "
-                     "and cannot be combined with --metrics")
     selected = args.experiments or list(EXPERIMENTS)
     unknown = [name for name in selected if name not in EXPERIMENTS]
     if unknown:
@@ -164,30 +147,17 @@ def main(argv: list[str] | None = None) -> int:
 
     rt = _context_from_args(args)
     ok = True
-    records = []
     try:
         with rt:
             if args.server is not None:
                 ok = _run_server(args)
             else:
                 for name in selected:
-                    # a bench record digests the metric series of its
-                    # own experiment only: one collector per experiment
-                    meter = ({"metrics": MetricsCollector()}
-                             if args.bench_report else {})
                     start = time.time()
-                    with scope(**meter) as inner:
-                        result = EXPERIMENTS[name]()
+                    result = EXPERIMENTS[name]()
                     wall = time.time() - start
                     print(result.table)
                     print(f"[{name}: regenerated in {wall:.1f}s wall]\n")
-                    if args.bench_report:
-                        records.append(experiment_record(
-                            name, result, wall, inner.metrics))
-        if args.bench_report:
-            write_bench_report(args.bench_report, records)
-            print(f"[bench report: {len(records)} experiment(s) -> "
-                  f"{args.bench_report}]")
     finally:
         # also after a failed experiment: what was collected is exported
         _report_collected(args, rt)
@@ -210,8 +180,6 @@ def _context_from_args(args: argparse.Namespace) -> RuntimeContext:
         # --trace-summary without --trace still needs events: collect
         # in memory only and skip the file export.
         fields["trace"] = TraceCollector()
-    if args.metrics is not None:
-        fields["metrics"] = MetricsCollector()
     if args.explain:
         fields["explain"] = ExplainCollector()
     if args.verify_ir:
@@ -274,23 +242,11 @@ def _run_server(args: argparse.Namespace) -> bool:
 
 def _report_collected(args: argparse.Namespace, rt: RuntimeContext) -> None:
     """Export / print whatever the context's collectors gathered."""
-    counters = None
-    if rt.metrics is not None:
-        counters = counter_tracks(rt.metrics)
-        written = write_metrics_jsonl(rt.metrics, args.metrics)
-        print(f"[metrics: {written} series from "
-              f"{rt.metrics.num_sessions} sessions -> {args.metrics}]")
-        for registry in rt.metrics.registries:
-            if registry.num_samples():
-                print()
-                print(format_metrics(registry))
-                break
     if rt.trace is not None:
         events = rt.trace.events()
         if args.trace is not None:
             export_chrome_trace(events, args.trace,
-                                rt.trace.session_labels,
-                                counters=counters)
+                                rt.trace.session_labels)
             print(f"[trace: {len(events)} events from "
                   f"{rt.trace.num_sessions} sessions -> {args.trace}]")
         if rt.trace.ring.dropped:

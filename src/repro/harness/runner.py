@@ -45,6 +45,17 @@ class ExperimentResult:
     def __str__(self) -> str:
         return self.table
 
+    def workloads(self) -> list[WorkloadResult]:
+        """The :class:`WorkloadResult` leaves of the grid, in grid order
+        (grids nest dicts; fig2d-style raw-dict cells contribute none)."""
+        def leaves(node) -> list[WorkloadResult]:
+            if isinstance(node, WorkloadResult):
+                return [node]
+            if isinstance(node, dict):
+                return [w for value in node.values() for w in leaves(value)]
+            return []
+        return leaves(self.grid)
+
 
 def _grid(runner: Callable[..., WorkloadResult], systems: Sequence[str],
           xs: Sequence, **kw) -> dict:

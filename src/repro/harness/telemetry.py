@@ -1,150 +1,19 @@
-"""Benchmark telemetry: schema-validated machine-readable bench reports.
+"""Server telemetry: the schema-validated machine-readable SLO stream.
 
-The harness experiments print human tables; CI and regression tooling
-need numbers.  ``python -m repro.harness [NAMES...] --bench-report
-OUT.json`` runs each experiment under its own scoped
-:class:`~repro.obs.metrics.MetricsCollector` and serializes one record
-per experiment — simulated time, wall-clock, key stats counters, and
-per-series metric digests — into a document validated against
-:data:`BENCH_SCHEMA` (interpreted by :func:`repro.common.schema.check`,
-like :data:`SERVER_SCHEMA` for ``--server N --server-report``).
+The server demo prints a human report; CI and regression tooling need
+numbers.  ``python -m repro.harness --server N --server-report
+OUT.jsonl`` flattens the :class:`~repro.server.scheduler.ServerReport`
+into one JSON record per line — header, requests, per-tenant SLO rows,
+attribution cells, merged counters — validated against
+:data:`SERVER_SCHEMA` (interpreted by :func:`repro.common.schema.check`)
+before anything is written.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.common.schema import assert_valid, check
-from repro.common.stats import (
-    CACHE_HITS,
-    GPU_MALLOCS,
-    GPU_RECYCLED,
-    INSTRUCTIONS_EXECUTED,
-    LINEAGE_PROBES,
-    SPARK_JOBS,
-)
-from repro.workloads.base import WorkloadResult
-
-#: the bench-report format version (bump on breaking record changes).
-BENCH_FORMAT = 1
-
-#: the issue that introduced the report; its documents carry the number.
-BENCH_ISSUE = 5
-
-#: counters every experiment record carries (0 when never incremented).
-KEY_COUNTERS = (
-    LINEAGE_PROBES,
-    CACHE_HITS,
-    SPARK_JOBS,
-    GPU_MALLOCS,
-    GPU_RECYCLED,
-    INSTRUCTIONS_EXECUTED,
-)
-
-#: JSON-Schema (draft-07 subset) describing a BENCH_<n>.json document.
-BENCH_SCHEMA: dict = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "repro.harness bench report",
-    "type": "object",
-    "required": ["format", "issue", "experiments"],
-    "properties": {
-        "format": {"const": BENCH_FORMAT},
-        "issue": {"type": "integer", "minimum": 1},
-        "experiments": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["name", "wall_s", "sim_time_s", "counters",
-                             "metric_series"],
-                "properties": {
-                    "name": {"type": "string", "minLength": 1},
-                    "wall_s": {"type": "number", "minimum": 0},
-                    "sim_time_s": {"type": "number", "minimum": 0},
-                    "workloads": {"type": "integer", "minimum": 0},
-                    "counters": {
-                        "type": "object",
-                        "additionalProperties": {"type": "integer"},
-                    },
-                    "metric_series": {
-                        "type": "object",
-                        "additionalProperties": {
-                            "type": "object",
-                            "required": ["n", "min", "max", "mean", "last"],
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
-
-
-def _workload_results(node) -> list[WorkloadResult]:
-    """Recursively collect WorkloadResult leaves of an experiment grid."""
-    if isinstance(node, WorkloadResult):
-        return [node]
-    if isinstance(node, dict):
-        out: list[WorkloadResult] = []
-        for value in node.values():
-            out.extend(_workload_results(value))
-        return out
-    return []
-
-
-def experiment_record(name: str, result, wall_s: float,
-                      metrics_collector=None) -> dict:
-    """One bench record for an :class:`ExperimentResult`.
-
-    ``sim_time_s`` sums the simulated elapsed time of every workload
-    cell of the grid; ``counters`` sums their stats counters (restricted
-    to :data:`KEY_COUNTERS`); ``metric_series`` digests come from the
-    run's metrics collector (empty when metering was off).
-    """
-    workloads = _workload_results(result.grid)
-    sim_time = sum(w.elapsed for w in workloads)
-    counters = {key: 0 for key in KEY_COUNTERS}
-    for w in workloads:
-        for key in KEY_COUNTERS:
-            counters[key] += int(w.counters.get(key, 0))
-    series: dict[str, dict] = {}
-    if metrics_collector is not None:
-        series = metrics_collector.merged_digests()
-    return {
-        "name": name,
-        "wall_s": float(wall_s),
-        "sim_time_s": float(sim_time),
-        "workloads": len(workloads),
-        "counters": counters,
-        "metric_series": series,
-    }
-
-
-def build_bench_report(records: list[dict], issue: int) -> dict:
-    """Assemble the top-level BENCH document from experiment records."""
-    return {
-        "format": BENCH_FORMAT,
-        "issue": issue,
-        "experiments": records,
-    }
-
-
-def validate_bench_report(doc: object) -> list[str]:
-    """Problems of ``doc`` against :data:`BENCH_SCHEMA`; empty means a
-    well-formed bench report as ``--bench-report`` emits it."""
-    return check(doc, BENCH_SCHEMA)
-
-
-def write_bench_report(path: str, records: list[dict]) -> None:
-    """Assemble the report, validate it (once), and write it."""
-    doc = build_bench_report(records, issue=BENCH_ISSUE)
-    assert_valid(validate_bench_report(doc), "bench report", context=path)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-# ------------------------------------------------- server SLO track (issue 10)
+from repro.common.schema import check
 
 #: format tag of the server observability JSONL stream.
 SERVER_FORMAT = "SERVER"

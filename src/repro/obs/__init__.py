@@ -13,11 +13,12 @@ runtime.scope(trace=TraceCollector()) as rt: ...``, see
 (``python -m repro.harness fig11a --trace out.json``).  See
 ``docs/OBSERVABILITY.md`` for the event taxonomy and a worked example.
 
-Two sibling layers share the same zero-overhead pattern:
+Two sibling layers:
 
-* ``repro.obs.metrics`` — typed gauge/histogram time-series sampled on
-  the sim clock (region occupancy, cache hit-rate, GPU residency, ...),
-  with JSONL export, sparkline summaries, and Perfetto counter tracks;
+* ``repro.obs.metrics`` — the gauge sampler: region occupancy, cache
+  size, GPU residency, ... emitted as counter events (``ph: "C"``) on
+  the same tracer, so they share its sinks, request stamping and
+  Perfetto export; ``format_summary`` renders their sparkline digest;
 * ``repro.obs.explain`` — plan-level EXPLAIN of the post-rewrite HOP
   DAG and the linearized instruction stream, with reuse/prefetch/
   checkpoint/evict annotations and inline verifier diagnostics.
@@ -41,24 +42,8 @@ from repro.obs.explain import (
     render_plan,
     snapshot_plan,
 )
-from repro.obs.metrics import (
-    Histogram,
-    SLO_LATENCY_BOUNDS,
-    percentile,
-    MetricSeries,
-    MetricsCollector,
-    MetricsRegistry,
-    NULL_METRICS,
-    NullMetrics,
-    counter_tracks,
-    format_metrics,
-    read_metrics_jsonl,
-    sparkline,
-    write_metrics_jsonl,
-)
 from repro.obs.events import (
     EV_BROADCAST,
-    EV_FLIGHT_DUMP,
     EV_SERVER_ATTRIBUTION,
     EV_SERVER_REQUEST,
     EV_CACHE_DELAY,
@@ -107,7 +92,12 @@ from repro.obs.sinks import (
     write_jsonl,
 )
 from repro.obs.request import FlightRecorder, RequestContext
-from repro.obs.summary import TraceSummary, format_summary, summarize
+from repro.obs.summary import (
+    TraceSummary,
+    format_summary,
+    sparkline,
+    summarize,
+)
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -119,7 +109,6 @@ from repro.obs.tracer import (
 __all__ = [
     "EV_BROADCAST",
     "EV_CACHE_DELAY",
-    "EV_FLIGHT_DUMP",
     "EV_SERVER_ATTRIBUTION",
     "EV_SERVER_REQUEST",
     "EV_CACHE_EVICT",
@@ -150,7 +139,6 @@ __all__ = [
     "ExplainCollector",
     "FlightRecorder",
     "ExplainPlan",
-    "Histogram",
     "HopSnapshot",
     "JsonlSink",
     "LANE_CP",
@@ -162,34 +150,24 @@ __all__ = [
     "LEVEL_HOPS",
     "LEVEL_RUNTIME",
     "LEVELS",
-    "MetricSeries",
-    "MetricsCollector",
-    "MetricsRegistry",
-    "NULL_METRICS",
     "NULL_TRACER",
-    "NullMetrics",
     "NullTracer",
     "PHASE_COUNTER",
     "PHASE_INSTANT",
     "PHASE_SPAN",
     "RequestContext",
     "RingBufferSink",
-    "SLO_LATENCY_BOUNDS",
     "Span",
     "TRACE_SCHEMA",
     "TraceCollector",
     "TraceSummary",
     "Tracer",
     "chrome_trace_dict",
-    "counter_tracks",
     "export_chrome_trace",
-    "format_metrics",
     "format_summary",
     "load_chrome_trace",
-    "percentile",
     "plan_to_dot",
     "read_jsonl",
-    "read_metrics_jsonl",
     "render_dot",
     "render_plan",
     "snapshot_plan",
@@ -197,5 +175,4 @@ __all__ = [
     "summarize",
     "validate_chrome_trace",
     "write_jsonl",
-    "write_metrics_jsonl",
 ]

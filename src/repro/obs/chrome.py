@@ -6,7 +6,8 @@ https://ui.perfetto.dev), so a whole workload run renders as a timeline:
 one *process* per traced session, one *thread lane* per backend (CP, SP,
 GPU, FED).  Sim-clock seconds become microseconds; instants become
 thread-scoped ``i`` events; spans become complete ``X`` events whose
-nesting Perfetto reconstructs per lane.
+nesting Perfetto reconstructs per lane; gauge samples (``C``) become one
+counter track per ``(session, name)`` inside the session's process group.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Iterable, Optional
 from repro.obs.events import (
     Event,
     LANES,
-    PHASE_COUNTER,
     PHASE_INSTANT,
     PHASE_SPAN,
 )
@@ -33,20 +33,11 @@ TENANT_LANE_STRIDE = 16
 
 _S_TO_US = 1e6
 
-#: counter-track rows: ``(session_id, series_name, [(t_seconds, value)])``
-#: as produced by :func:`repro.obs.metrics.counter_tracks`.
-CounterTracks = Iterable[tuple[int, str, list[tuple[float, float]]]]
-
 
 def chrome_trace_dict(events: Iterable[Event],
-                      session_labels: Optional[dict[int, str]] = None,
-                      counters: Optional[CounterTracks] = None) -> dict:
-    """Build the Chrome Trace Event Format document for ``events``.
-
-    ``counters`` (optional) adds metric time-series as Perfetto counter
-    tracks: one ``ph: "C"`` record per sample, one track per
-    ``(session, series)`` pair.
-    """
+                      session_labels: Optional[dict[int, str]] = None
+                      ) -> dict:
+    """Build the Chrome Trace Event Format document for ``events``."""
     labels = session_labels or {}
     trace_events: list[dict] = []
     seen: set[tuple[int, str]] = set()
@@ -92,25 +83,6 @@ def chrome_trace_dict(events: Iterable[Event],
             record["args"] = event.args
         trace_events.append(record)
 
-    for session_id, series_name, samples in counters or ():
-        pid = session_id if session_id >= 0 else 0
-        if (pid, "__counters__") not in seen:
-            seen.add((pid, "__counters__"))
-            trace_events.append({
-                "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-                "args": {"name": labels.get(pid, f"session-{pid}")},
-            })
-        for t, value in samples:
-            trace_events.append({
-                "name": series_name,
-                "cat": series_name.split("/", 1)[0],
-                "ph": PHASE_COUNTER,
-                "pid": pid,
-                "tid": 0,
-                "ts": t * _S_TO_US,
-                "args": {"value": value},
-            })
-
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",
@@ -119,10 +91,10 @@ def chrome_trace_dict(events: Iterable[Event],
 
 
 def export_chrome_trace(events: Iterable[Event], path: str,
-                        session_labels: Optional[dict[int, str]] = None,
-                        counters: Optional[CounterTracks] = None) -> dict:
+                        session_labels: Optional[dict[int, str]] = None
+                        ) -> dict:
     """Write the Chrome-trace JSON for ``events`` to ``path``."""
-    doc = chrome_trace_dict(events, session_labels, counters=counters)
+    doc = chrome_trace_dict(events, session_labels)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     return doc

@@ -9,7 +9,8 @@ instruction.  The taxonomy is deliberately flat and string-keyed so that
 sinks (ring buffer, JSONL, Chrome trace) need no per-type code.
 
 Phases follow the Chrome Trace Event Format: ``X`` is a *complete* event
-(``ts`` + ``dur``), ``i`` an *instant* event.
+(``ts`` + ``dur``), ``i`` an *instant* event, ``C`` a *counter* sample
+(``args["value"]``).
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ LANES = (LANE_CP, LANE_SP, LANE_GPU, LANE_FED)
 
 PHASE_SPAN = "X"
 PHASE_INSTANT = "i"
-#: counter event — Perfetto renders a counter track per (pid, name);
-#: emitted by the metrics exporter (``repro.obs.metrics``), not by the
-#: tracer itself.
+#: counter event — one gauge sample (``Tracer.counter``, fed by the
+#: sampler in ``repro.obs.metrics``); Perfetto renders a counter track
+#: per (pid, name).  Track names are the gauge / stats-counter names.
 PHASE_COUNTER = "C"
 
 # ------------------------------------------------------------ event taxonomy
@@ -122,9 +123,6 @@ EV_SERVER_ATTRIBUTION = "server/attribution"
 #: instant — one request finished (args: request_id, tenant, ok,
 #: latency_s, steps, retries).
 EV_SERVER_REQUEST = "server/request"
-#: instant — the flight recorder dumped its window (args: reason,
-#: request_id, tenant, events).
-EV_FLIGHT_DUMP = "server/flight_dump"
 
 #: span — one federated request round-trip (submit -> last response).
 EV_FED_REQUEST = "fed/request"

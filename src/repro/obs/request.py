@@ -83,9 +83,6 @@ class FlightRecorder:
     report.
     """
 
-    #: sink-protocol flag: recorders may be attached as collector sinks.
-    enabled = True
-
     def __init__(self, capacity: int = 256) -> None:
         self.ring = RingBufferSink(capacity)
         #: post-mortem snapshots, in dump order.

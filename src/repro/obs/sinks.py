@@ -32,11 +32,6 @@ class RingBufferSink:
         return list(self._events)
 
     @property
-    def total_emitted(self) -> int:
-        """Events ever emitted, including ones the ring has dropped."""
-        return self._total
-
-    @property
     def dropped(self) -> int:
         """Events lost to ring overflow (oldest-first)."""
         return max(0, self._total - len(self._events))

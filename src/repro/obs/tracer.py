@@ -13,9 +13,9 @@ Tracing is opt-in and designed to cost ~zero when off: the module-level
 and every hot-path call site guards on ``tracer.enabled`` before
 building argument dictionaries.
 
-A :class:`TraceCollector` aggregates events (and statistics registries)
-across *multiple* sessions — the benchmark harness traces whole
-experiment grids into one timeline, one Perfetto process per session.
+A :class:`TraceCollector` aggregates events across *multiple* sessions
+— the benchmark harness traces whole experiment grids into one
+timeline, one Perfetto process per session.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.common.simclock import CLUSTER, DEVICE, HOST, SimClock
-from repro.common.stats import Stats
 from repro.obs.events import (
     EV_INSTR,
     Event,
@@ -31,6 +30,7 @@ from repro.obs.events import (
     LANE_FED,
     LANE_GPU,
     LANE_SP,
+    PHASE_COUNTER,
     PHASE_INSTANT,
     PHASE_SPAN,
 )
@@ -94,6 +94,8 @@ class Tracer:
         #: bound request context (``repro.obs.request``): while set,
         #: every emitted event inherits ``request_id``/``tenant`` args.
         self.request = None
+        #: last emitted value per counter track (emit-on-change).
+        self._counters: dict[str, float] = {}
 
     # -- request binding -----------------------------------------------------
 
@@ -156,6 +158,20 @@ class Tracer:
             name, PHASE_SPAN, start, lane, max(0.0, end - start),
             self.session_id, self._attributed(args),
         ))
+
+    def counter(self, name: str, value: float) -> None:
+        """Record one gauge sample (``ph: C``) on the host timeline.
+
+        A counter track is a step function from zero, so a sample equal
+        to this tracer's last one of ``name`` (or a first one of 0) says
+        nothing and is not emitted.
+        """
+        if self._counters.get(name, 0) != value:
+            self._counters[name] = value
+            self.emit(Event(
+                name, PHASE_COUNTER, self.now(), LANE_CP, 0.0,
+                self.session_id, {"value": value},
+            ))
 
     # -- attribution --------------------------------------------------------
 
@@ -220,6 +236,9 @@ class NullTracer:
                  **args) -> None:
         pass
 
+    def counter(self, name: str, value: float) -> None:
+        pass
+
     @property
     def current_instruction(self) -> Optional[str]:
         return None
@@ -254,41 +273,29 @@ class TraceCollector:
     repro.harness --trace`` captures sessions created deep inside
     workload drivers) register here: each gets a fresh
     :class:`Tracer` with a distinct session id writing into the
-    collector's sinks, and contributes its :class:`Stats` registry to
-    the aggregate the harness summary reports.
+    collector's sinks.
     """
 
     def __init__(self, capacity: int = 1 << 18) -> None:
         self.ring = RingBufferSink(capacity)
         self.sinks: list = [self.ring]
         self.session_labels: dict[int, str] = {}
-        self._stats: list[Stats] = []
         self._next_session = 0
 
     def add_sink(self, sink) -> None:
         """Attach an additional sink (e.g. a streaming JSONL writer)."""
         self.sinks.append(sink)
 
-    def tracer(self, clock: SimClock, label: str = "",
-               stats: Optional[Stats] = None) -> Tracer:
-        """Create the tracer for one session; registers its stats."""
+    def tracer(self, clock: SimClock, label: str = "") -> Tracer:
+        """Create the tracer for one session."""
         session_id = self._next_session
         self._next_session += 1
         self.session_labels[session_id] = label or f"session-{session_id}"
-        if stats is not None:
-            self._stats.append(stats)
         return Tracer(clock, session_id, self.sinks)
 
     def events(self) -> list[Event]:
         """All buffered events across sessions."""
         return self.ring.events()
-
-    def aggregate_stats(self) -> Stats:
-        """Merge every registered session's counters into one registry."""
-        total = Stats()
-        for stats in self._stats:
-            total.merge(stats)
-        return total
 
     @property
     def num_sessions(self) -> int:

@@ -30,11 +30,12 @@ in :meth:`Interpreter.run`; the stages it sequences are:
 * Async rewrites (§5.1): ``_issue_prefetch`` / ``_issue_broadcast``;
   checkpoints (§5.2): ``_persist_checkpoint``.
 
-Tracer spans, metrics ticks and fault draws are hooks of that same
-loop, each behind a boolean read once per run; which modes
-probe and put is :class:`~repro.common.config.ReuseMode`'s own
-``probes`` / ``puts``.  A cell-wise chain becomes one instruction only
-through the compile-time fusion rewrite (:meth:`Interpreter._exec_fused`);
+Tracer spans (with the gauge samples that ride on them) and fault
+draws are hooks of that same loop, each behind a boolean read once per
+run; which modes probe and put is
+:class:`~repro.common.config.ReuseMode`'s own ``probes`` / ``puts``.
+A cell-wise chain becomes one instruction only through the
+compile-time fusion rewrite (:meth:`Interpreter._exec_fused`);
 ``bench/`` measures the loop's real wall-clock cost
 (docs/PERFORMANCE.md).
 """
@@ -77,6 +78,7 @@ from repro.obs.events import (
     EV_PREFETCH_DONE,
     LANE_CP,
 )
+from repro.obs.metrics import SAMPLE_EVERY, sample as sample_gauges
 from repro.runtime.placement import (
     SPARK_AGG_ACTION,
     SPARK_AGG_MAP,
@@ -145,7 +147,6 @@ class Interpreter:
         self.interner = session.lineage_interner
         self.tracer = session.tracer
         self.faults = session.faults
-        self.metrics = session.metrics
         #: one acquired-pointer list per active run: recovery can re-enter
         #: :meth:`run` (recompute-from-lineage) while an outer run is live,
         #: and each nesting level must release exactly its own references.
@@ -183,11 +184,10 @@ class Interpreter:
         clock = self.clock
         stats = self.stats
         tracer = self.tracer
-        metrics = self.metrics
         faults = self.faults
         tracing = tracer.enabled
-        tick = metrics.enabled
         fault_draws = faults.enabled
+        until_sample = SAMPLE_EVERY
 
         mode = config.reuse_mode
         trace_on = mode is not ReuseMode.NONE
@@ -252,6 +252,13 @@ class Interpreter:
                     # boolean test, not a null context manager's calls
                     span = None
                     if tracing:
+                        # gauge sampling rides on the tracer: reads
+                        # ledgers and counters every SAMPLE_EVERY traced
+                        # instructions, never advances the sim clock
+                        until_sample -= 1
+                        if not until_sample:
+                            until_sample = SAMPLE_EVERY
+                            sample_gauges(session)
                         args = {"opcode": hop.opcode, "hop": hop.id,
                                 "backend": hop.placement or BACKEND_CP}
                         if not fused_chain:
@@ -297,11 +304,6 @@ class Interpreter:
                         if span is not None:
                             span.__exit__(None, None, None)
             env[hop.id] = slot
-            if tick:
-                # time-series sampling hook (repro.obs.metrics): reads
-                # region ledgers and counters every N instructions; never
-                # advances the sim clock, so metered runs stay identical
-                metrics.tick(session)
         return env
 
     def release_acquired(self) -> None:

@@ -53,8 +53,21 @@ from repro.obs.events import (
     EV_SERVER_REQUEST,
     EV_SERVER_STEP,
 )
-from repro.obs.metrics import percentile
 from repro.obs.request import FlightRecorder, RequestContext
+
+
+def percentile(values: list[float], q: float) -> float:
+    """Nearest-rank percentile of ``values`` (``q`` in [0, 100]).
+
+    Exact (no interpolation, no bucketing) and deterministic — the SLO
+    report uses it on raw per-request sim latencies, where a histogram
+    approximation would hide small regressions.
+    """
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = max(1, -(-len(ordered) * q // 100))  # ceil without floats
+    return ordered[int(rank) - 1]
 
 
 class Request:
@@ -458,12 +471,6 @@ class Scheduler:
                 EV_SERVER_REQUEST, latency, ctx=task.ctx, ok=True,
                 latency_s=latency, steps=task.result.steps,
                 retries=task.result.retries,
-            )
-        metrics = task.session.metrics
-        if metrics.enabled:
-            metrics.observe(
-                f"server/tenant/{task.request.tenant}/request_latency_s",
-                latency, unit="s",
             )
         return True
 

@@ -75,33 +75,23 @@ class TestObservabilityFlags:
         assert "=== trace summary ===" in out
         assert "[trace:" in out
 
-    def test_metrics_flag_writes_jsonl(self, capsys, tmp_path):
+    def test_gauge_samples_ride_on_the_trace(self, capsys, tmp_path):
+        """Gauge samples come with ``--trace`` (counter tracks) and
+        ``--trace-summary`` (sparkline digest); there is no third flag."""
         import json
 
-        path = str(tmp_path / "metrics.jsonl")
-        assert main(["fig2c", "--metrics", path]) == 0
-        out = capsys.readouterr().out
-        assert "[metrics:" in out
-        assert "=== metrics" in out  # sparkline summary printed
-        subsystems = set()
-        with open(path) as fh:
-            for line in fh:
-                row = json.loads(line)
-                if row["kind"] == "gauge" and row["t"]:
-                    subsystems.add(row["series"].split("/", 1)[0])
-        assert {"memory", "cache", "spark", "gpu"} <= subsystems
-
-    def test_metrics_series_become_counter_tracks(self, tmp_path):
         trace = str(tmp_path / "trace.json")
-        metrics = str(tmp_path / "metrics.jsonl")
-        assert main(["fig2c", "--trace", trace, "--metrics", metrics]) == 0
-        import json
-
+        assert main(["fig2c", "--trace", trace, "--trace-summary"]) == 0
+        out = capsys.readouterr().out
+        assert "-- gauges" in out and "spark/cache_bytes" in out
+        assert "ring buffer dropped" not in out
         with open(trace) as fh:
             doc = json.load(fh)
         counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
-        assert counters
+        assert {"memory", "cache", "spark"} <= {e["cat"] for e in counters}
         assert validate_chrome_trace(doc) == []
+        with pytest.raises(SystemExit):
+            main(["fig2c", "--metrics", str(tmp_path / "m.jsonl")])
 
     def test_explain_flag_prints_plans(self, capsys):
         assert main(["fig2c", "--explain"]) == 0
@@ -116,27 +106,24 @@ class TestServerFlags:
 
     def test_observability_flags_apply_to_server(self, capsys, tmp_path):
         # regression: --server returned before any collector was
-        # installed, silently ignoring --trace/--metrics/--explain/...
+        # installed, silently ignoring --trace/--explain/...
         import json
 
         trace = str(tmp_path / "trace.json")
-        metrics = str(tmp_path / "metrics.jsonl")
         assert main(["--server", "2", "--trace", trace, "--trace-summary",
-                     "--metrics", metrics, "--explain",
-                     "--verify-ir"]) == 0
+                     "--explain", "--verify-ir"]) == 0
         out = capsys.readouterr().out
         assert "=== server report ===" in out
         assert "[trace:" in out and "=== trace summary ===" in out
-        assert "[metrics:" in out and "=== explain" in out
+        assert "-- gauges" in out and "=== explain" in out
         assert "[verify-ir:" in out
         with open(trace) as fh:
             doc = json.load(fh)
         stamped = [e for e in doc["traceEvents"]
                    if "request_id" in e.get("args", {})]
         assert stamped, "server spans must carry their request id"
-        with open(metrics) as fh:
-            series = {json.loads(line)["series"] for line in fh}
-        assert any(name.startswith("server/tenant/") for name in series)
+        assert any(e["ph"] == "C" and e["name"].startswith("server/tenant/")
+                   for e in stamped)
 
     @pytest.mark.parametrize("flags", [
         ["--faults", "cache_lost@6"], ["--policy", "lru"],

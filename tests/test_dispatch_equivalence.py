@@ -1,8 +1,8 @@
 """Instrumentation-invariance guards for the one dispatch loop.
 
 ``Interpreter.run`` is the only definition of the Fig. 4 loop; tracer
-spans, metrics ticks and fault draws are hooks of it, each behind a
-boolean read once per run.  The contract
+spans (gauge sampling rides on them) and fault draws are hooks of it,
+each behind a boolean read once per run.  The contract
 — asserted here on the quickstart, cell-wise, fused,
 server and Fig. 12(b) workloads — is that turning any hook on or off
 leaves results **byte-identical**, stats counters identical, and
@@ -15,10 +15,10 @@ existing zero-overhead guarantee:
 
 * an **empty fault plan** enables the injector (``faults.enabled``)
   but injects nothing — byte-identical by ``tests/test_faults.py``;
-* a scoped **metrics collector** enables sampling, which reads
-  counters/ledgers but never advances the sim clock;
 * a scoped **trace collector** opens a span per instruction, stamped
-  with the sim clock it never advances.
+  with the sim clock it never advances, and samples the gauges
+  (``repro.obs.metrics``) every few instructions and at block end,
+  which reads counters/ledgers but never advances the sim clock either.
 
 Every workload runs under ``scope(ids=IdSpace())`` — the enclosing
 scope's collaborators, a fresh id space — so the compared runs number
@@ -34,10 +34,10 @@ from repro import MemphisConfig, Session
 from repro.common.config import ReuseMode
 from repro.common.runtime import IdSpace, scope
 from repro.faults import FaultPlan
-from repro.obs import MetricsCollector, TraceCollector
+from repro.obs import PHASE_COUNTER, TraceCollector
 from repro.workloads.micro import run_fig12b
 
-LAYERS = ("faults", "metrics", "tracer")
+LAYERS = ("faults", "tracer")
 
 
 def _under(layer: str, workload, config: MemphisConfig):
@@ -46,10 +46,11 @@ def _under(layer: str, workload, config: MemphisConfig):
         # enables the injector's per-instruction draw without injecting
         config.faults = FaultPlan(specs=[])
         return workload(config)
-    field, collector = {"metrics": ("metrics", MetricsCollector),
-                        "tracer": ("trace", TraceCollector)}[layer]
-    with scope(**{field: collector()}):
-        return workload(config)
+    with scope(trace=TraceCollector()) as rt:
+        result = workload(config)
+    # sampling was live under the tracer
+    assert any(e.ph == PHASE_COUNTER for e in rt.trace.events())
+    return result
 
 
 # ------------------------------------------------------------------ workloads
@@ -110,7 +111,7 @@ class TestQuickstartEquivalence:
             _under("faults", _quickstart, make_config()),
         )
 
-    @pytest.mark.parametrize("layer", ["metrics", "tracer"])
+    @pytest.mark.parametrize("layer", ["tracer"])
     def test_byte_identical_under_collector(self, layer):
         _assert_equivalent(
             _quickstart(MemphisConfig.memphis()),
@@ -130,7 +131,7 @@ class TestChainEquivalence:
 
     @pytest.mark.parametrize("layer", LAYERS)
     def test_fused_instruction_byte_identical(self, layer):
-        """``_exec_fused`` under the fault draw / tick / span equals
+        """``_exec_fused`` under the fault draw / span + sample equals
         fusion with instrumentation off."""
         plain = _cellwise(_no_reuse(fusion=True))
         assert plain[1]["fusion/instructions_executed"] > 0
@@ -187,7 +188,6 @@ class TestServerZeroOverhead:
 
     def test_null_singletons_with_request_layer_disabled(self, baseline):
         from repro.faults.injector import NULL_INJECTOR
-        from repro.obs.metrics import NULL_METRICS
         from repro.obs.tracer import NULL_TRACER
         from repro.server import run_server_demo
 
@@ -195,20 +195,21 @@ class TestServerZeroOverhead:
                                  seed=baseline["seed"])
         for session in report.sessions:
             assert session.tracer is NULL_TRACER
-            assert session.metrics is NULL_METRICS
             assert session.faults is NULL_INJECTOR
 
 
 class TestFig12Equivalence:
     @pytest.mark.parametrize("setting", ["Base", "MPH"])
     def test_byte_identical_under_metrics_collector(self, setting):
+        """Gauge sampling live (the trace collector is what collects the
+        metrics samples): GPU recycling reads identically."""
         def fig12b(_config=None):
             with scope(ids=IdSpace()):
                 return run_fig12b(setting, batch_size=64, num_images=128,
                                   reuse_fraction=0.5, hw=12)
 
         plain = fig12b()
-        metered = _under("metrics", fig12b, None)
+        metered = _under("tracer", fig12b, None)
         assert plain.metric == metered.metric
         assert plain.counters == metered.counters
         assert plain.elapsed == metered.elapsed

@@ -52,7 +52,6 @@ from repro.compiler.rewrites.fusion import (
 )
 from repro.core.session import Session
 from repro.harness.__main__ import EXPERIMENTS
-from repro.harness.telemetry import _workload_results
 from repro.lineage.item import LineageItem
 from repro.workloads.micro import run_reuse_overhead
 
@@ -363,8 +362,8 @@ def test_experiment_differential(name):
         base = EXPERIMENTS[name]()
     with RuntimeContext(configure=_fuse):
         fused = EXPERIMENTS[name]()
-    base_runs = _workload_results(base.grid)
-    fused_runs = _workload_results(fused.grid)
+    base_runs = base.workloads()
+    fused_runs = fused.workloads()
     assert len(base_runs) == len(fused_runs)
     if not base_runs:
         # raw-dict grid (fig2c/fig2d-style micro breakdowns): no CPU

@@ -1,60 +1,32 @@
-"""Tests for repro.obs.metrics: registry, sampling, export, overhead."""
+"""Tests for repro.obs.metrics: gauge samples as counter events on the
+tracer — coverage, emit-on-change, export, overhead, request stamping."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
 from repro.common.config import MemphisConfig
 from repro.common.simclock import HOST, SimClock
-from repro.common.stats import Stats
 from repro.core.session import Session
-from repro.common.runtime import IdSpace, current, scope
+from repro.common.runtime import IdSpace, RuntimeContext, current, scope
 from repro.obs import (
     ExplainCollector,
-    Histogram,
-    MetricSeries,
-    MetricsCollector,
-    MetricsRegistry,
-    NULL_METRICS,
+    JsonlSink,
+    NULL_TRACER,
+    PHASE_COUNTER,
+    TraceCollector,
+    Tracer,
     chrome_trace_dict,
-    counter_tracks,
-    format_metrics,
-    read_metrics_jsonl,
+    format_summary,
+    read_jsonl,
     sparkline,
+    summarize,
     validate_chrome_trace,
-    write_metrics_jsonl,
 )
-
-
-# ------------------------------------------------------------ primitives
-
-
-class TestMetricSeries:
-    def test_record_and_digest(self):
-        s = MetricSeries("cache/entries")
-        for t, v in ((0.0, 1.0), (1.0, 3.0), (2.0, 2.0)):
-            s.record(t, v)
-        d = s.digest()
-        assert d["n"] == 3
-        assert d["min"] == 1.0 and d["max"] == 3.0
-        assert d["mean"] == 2.0 and d["last"] == 2.0
-
-    def test_empty_digest(self):
-        d = MetricSeries("x").digest()
-        assert d == {"n": 0, "min": 0.0, "max": 0.0, "mean": 0.0, "last": 0.0}
-
-
-class TestHistogram:
-    def test_observe_buckets(self):
-        h = Histogram("runtime/lat", (1.0, 10.0))
-        for v in (0.5, 5.0, 50.0):
-            h.observe(v)
-        assert h.count == 3
-        assert h.counts == [1, 1, 1]  # <=1, <=10, +inf
-        assert h.mean == pytest.approx(55.5 / 3)
-        d = h.digest()
-        assert d["n"] == 3 and d["min"] == 0.5 and d["max"] == 50.0
+from repro.obs.metrics import RATE_COUNTERS, SAMPLE_EVERY, sample
+from repro.obs.summary import window_rate
+from repro.server import run_server_demo
 
 
 class TestSparkline:
@@ -71,35 +43,11 @@ class TestSparkline:
         assert sparkline([]) == ""
 
 
-# ------------------------------------------------------------ registry
-
-
-class TestMetricsRegistry:
-    def test_gauge_created_once(self):
-        reg = MetricsRegistry(SimClock())
-        g1 = reg.gauge("cache/entries")
-        g2 = reg.gauge("cache/entries")
-        assert g1 is g2
-
-    def test_num_samples_and_subsystems(self):
-        reg = MetricsRegistry(SimClock())
-        reg.gauge("cache/entries").record(0.0, 1.0)
-        reg.gauge("gpu/residency").record(0.0, 0.5)
-        reg.gauge("empty/one")  # registered but never sampled
-        assert reg.num_samples() == 2
-        assert reg.subsystems() == {"cache", "gpu"}
-
-
 # ------------------------------------------------------------ session sampling
 
 
-def _metered_workload() -> Session:
-    with scope(metrics=MetricsCollector()):
-        return _run_workload(MemphisConfig())
-
-
 def _run_workload(cfg: MemphisConfig) -> Session:
-    # fresh ids, the caller's collectors: metered and plain runs compare
+    # fresh ids, the caller's collectors: traced and plain runs compare
     with scope(ids=IdSpace()):
         sess = Session(cfg)
         a = sess.read(np.arange(256.0).reshape(16, 16))
@@ -110,67 +58,158 @@ def _run_workload(cfg: MemphisConfig) -> Session:
         return sess
 
 
+def _traced_workload() -> Session:
+    with scope(trace=TraceCollector()):
+        return _run_workload(MemphisConfig())
+
+
+def _tracks(events) -> dict[str, list]:
+    """Counter events as ``name -> [value, ...]`` in emission order."""
+    out: dict[str, list] = {}
+    for event in events:
+        if event.ph == PHASE_COUNTER:
+            out.setdefault(event.name, []).append(event.args["value"])
+    return out
+
+
+def _sampled(sess: Session) -> dict[str, float]:
+    """Everything one ``sample(sess)`` hands to ``Tracer.counter``."""
+    sampled: dict[str, float] = {}
+    sess.tracer = SimpleNamespace(counter=sampled.__setitem__)
+    sample(sess)
+    return sampled
+
+
 class TestSessionSampling:
     def test_disabled_by_default(self):
-        sess = Session(MemphisConfig())
-        assert sess.metrics is NULL_METRICS
-        assert not sess.metrics.enabled
-        assert sess.metrics_collector is None
+        sess = _run_workload(MemphisConfig())
+        assert sess.tracer is NULL_TRACER
+        assert sess.trace_events() == []
+        assert not hasattr(sess, "metrics")
 
     def test_config_flag_creates_registry(self):
-        sess = _metered_workload()
-        assert sess.metrics.enabled
-        assert sess.metrics.num_samples() > 0
+        """A trace collector in scope is the one switch: its sessions'
+        gauge samples arrive as counter events beside their spans."""
+        sess = _traced_workload()
+        phases = {e.ph for e in sess.trace_events()}
+        assert {"X", "i", PHASE_COUNTER} <= phases
 
     def test_covers_required_subsystems(self):
-        sess = _metered_workload()
-        assert {"memory", "cache", "spark", "gpu"} <= sess.metrics.subsystems()
+        sampled = _sampled(_run_workload(MemphisConfig()))
+        assert {name.split("/", 1)[0] for name in sampled} \
+            == {"memory", "cache", "spark", "gpu", "runtime"}
+        # only what moved off zero becomes a track: this one is CP-only
+        tracks = _tracks(_traced_workload().trace_events())
+        assert {name.split("/", 1)[0] for name in tracks} \
+            == {"memory", "cache", "runtime"}
+
+    def test_covers_every_region_and_manager(self):
+        sess = _run_workload(MemphisConfig())
+        sampled = _sampled(sess)
+        for region in sess.arbiter.regions():
+            for ledger in ("used", "pinned", "reserved", "occupancy"):
+                assert f"memory/{region.name}/{ledger}" in sampled
+        assert sampled["memory/CP/used"] == sess.cache.cp_bytes > 0
+        for manager in (sess.cache, sess.spark_context.block_manager,
+                        sess.spark_mgr, sess.gpu.memory):
+            assert manager.metrics_gauges().items() <= sampled.items()
+        for name in RATE_COUNTERS:
+            assert sampled[name] == sess.stats.get(name)
 
     def test_region_occupancy_series(self):
-        sess = _metered_workload()
-        series = sess.metrics.series()
-        assert "memory/CP/used" in series
-        assert series["memory/CP/used"].last > 0
+        tracks = _tracks(_traced_workload().trace_events())
+        assert tracks["memory/CP/used"][-1] > 0
+
+    def test_emit_on_change(self):
+        sess = _traced_workload()
+        for name, values in _tracks(sess.trace_events()).items():
+            assert all(a != b for a, b in zip(values, values[1:])), name
+        # a sample of unchanged state emits nothing at all
+        before = len(sess.trace_events())
+        sample(sess)
+        assert len(sess.trace_events()) == before
+
+    def test_samples_every_n_instructions_and_at_block_end(self):
+        with scope(trace=TraceCollector()):
+            sess = Session(MemphisConfig())
+            x = sess.read(np.ones((8, 8)))
+            for _ in range(3 * SAMPLE_EVERY):
+                x = x + 1.0
+            sess.evaluate([x])
+        executed = _tracks(sess.trace_events())[
+            "runtime/instructions_executed"]
+        # a sample precedes every SAMPLE_EVERY-th instruction's span, and
+        # one follows the block
+        n = SAMPLE_EVERY
+        assert executed == [n - 1, 2 * n - 1, 3 * n - 1, 3 * n]
+
+    def test_sampling_reads_stats_without_inserting(self):
+        with scope(trace=TraceCollector()):
+            sess = Session(MemphisConfig())
+            sample(sess)
+        assert sess.stats.counters() == {}
+        # a track that never leaves zero has no events at all
+        assert sess.trace_events() == []
 
     def test_ambient_collector_registers_sessions(self):
-        collector = MetricsCollector(interval=2)
-        with scope(metrics=collector):
+        collector = TraceCollector()
+        with scope(trace=collector):
             first = _run_workload(MemphisConfig())
             _run_workload(MemphisConfig())
         assert collector.num_sessions == 2
-        assert collector.num_samples() > 0
-        # the collector's own sampling period is the sessions' period
-        assert first.metrics.interval == 2
-        assert [r.interval for r in collector.registries] == [2, 2]
+        sampled = {e.session for e in collector.events()
+                   if e.ph == PHASE_COUNTER}
+        assert sampled == {0, 1}
+        # each session's tracks are its own: same workload, same curve
+        assert _tracks(first.trace_events()) == _tracks(
+            e for e in collector.events() if e.session == 1)
 
     def test_metering_contextmanager(self):
-        collector = MetricsCollector()
-        with scope(metrics=collector):
-            assert current().metrics is collector
+        collector = TraceCollector()
+        with scope(trace=collector):
+            assert current().trace is collector
             _run_workload(MemphisConfig())
-        assert current().metrics is None
-        assert collector.num_sessions == 1
+        assert current().trace is None
+        assert "metrics" not in RuntimeContext.__slots__
 
 
 class TestZeroOverhead:
     def test_metered_run_identical_to_plain(self):
         """Sampling must never advance the sim clock or touch counters."""
         plain = _run_workload(MemphisConfig())
-        with scope(metrics=MetricsCollector(), explain=ExplainCollector()):
+        with scope(trace=TraceCollector(), explain=ExplainCollector()):
             metered = _run_workload(MemphisConfig())
+        assert _tracks(metered.trace_events())
         assert metered.clock.now(HOST) == plain.clock.now(HOST)
+        assert metered.clock.timelines == plain.clock.timelines
         assert metered.stats.counters() == plain.stats.counters()
-        assert metered.stats.timers() == plain.stats.timers()
 
-    def test_null_metrics_is_shared_and_inert(self):
-        sess = Session(MemphisConfig())
-        g = NULL_METRICS.gauge("x")
-        g.record(0.0, 1.0)
-        assert NULL_METRICS.series() == {}
-        assert NULL_METRICS.num_samples() == 0
-        NULL_METRICS.tick(sess)
-        NULL_METRICS.sample(sess)
-        assert NULL_METRICS.subsystems() == set()
+    def test_null_tracer_counter_is_inert(self):
+        NULL_TRACER.counter("cache/entries", 3)
+        assert NULL_TRACER.events() == []
+        assert not hasattr(NULL_TRACER, "_counters")
+
+
+class TestTracerCounter:
+    def test_counter_event_shape(self):
+        clock = SimClock()
+        tracer = Tracer(clock, session_id=4)
+        clock.advance(0.5, HOST)
+        tracer.counter("cache/entries", 0)   # still zero: not emitted
+        tracer.counter("cache/entries", 3)
+        tracer.counter("cache/entries", 3)   # unchanged: not emitted
+        tracer.counter("cache/entries", 4)
+        events = tracer.events()
+        assert [(e.name, e.ph, e.ts, e.session, e.args) for e in events] == [
+            ("cache/entries", PHASE_COUNTER, 0.5, 4, {"value": 3}),
+            ("cache/entries", PHASE_COUNTER, 0.5, 4, {"value": 4}),
+        ]
+
+    def test_counter_not_attributed_to_open_instruction(self):
+        tracer = Tracer(SimClock())
+        with tracer.span("instr", opcode="+", hop=1):
+            tracer.counter("cache/entries", 1)
+        assert tracer.events()[0].args == {"value": 1}
 
 
 # ------------------------------------------------------------ export
@@ -178,77 +217,99 @@ class TestZeroOverhead:
 
 class TestJsonlExport:
     def test_round_trip(self, tmp_path):
-        collector = MetricsCollector()
-        with scope(metrics=collector):
-            _run_workload(MemphisConfig())
-        path = str(tmp_path / "metrics.jsonl")
-        written = write_metrics_jsonl(collector, path)
-        assert written > 0
-        rows = read_metrics_jsonl(path)
-        assert len(rows) == written
-        gauges = [r for r in rows if r["kind"] == "gauge"]
-        assert gauges
-        for row in gauges:
-            assert len(row["t"]) == len(row["v"])
-        names = {r["series"] for r in gauges}
-        assert "memory/CP/used" in names
+        """JSONL sink -> ``read_jsonl`` -> Chrome export validates and
+        keeps every counter sample."""
+        path = str(tmp_path / "trace.jsonl")
+        collector = TraceCollector()
+        with JsonlSink(path) as sink:
+            collector.add_sink(sink)
+            with scope(trace=collector):
+                _run_workload(MemphisConfig())
+        events = read_jsonl(path)
+        assert events == collector.events()
+        assert _tracks(events)["memory/CP/used"][-1] > 0
+        doc = chrome_trace_dict(events, collector.session_labels)
+        assert validate_chrome_trace(doc) == []
+        counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
+        assert len(counters) == sum(map(len, _tracks(events).values()))
 
     def test_lines_are_json_objects(self, tmp_path):
-        collector = MetricsCollector()
-        with scope(metrics=collector):
-            _run_workload(MemphisConfig())
-        path = str(tmp_path / "metrics.jsonl")
-        write_metrics_jsonl(collector, path)
+        path = str(tmp_path / "trace.jsonl")
+        collector = TraceCollector()
+        with JsonlSink(path) as sink:
+            collector.add_sink(sink)
+            with scope(trace=collector):
+                _run_workload(MemphisConfig())
         with open(path) as fh:
-            for line in fh:
-                assert isinstance(json.loads(line), dict)
+            rows = [json.loads(line) for line in fh]
+        assert all(isinstance(row, dict) for row in rows)
+        assert any(row["ph"] == "C" and "value" in row["args"]
+                   for row in rows)
 
 
 class TestCounterTracks:
     def test_tracks_and_chrome_export(self):
-        collector = MetricsCollector()
-        with scope(metrics=collector):
+        collector = TraceCollector()
+        with scope(trace=collector):
             _run_workload(MemphisConfig())
-        tracks = counter_tracks(collector)
-        assert tracks
-        session_id, name, samples = tracks[0]
-        assert session_id >= 0 and "/" in name and samples
-        doc = chrome_trace_dict([], counters=tracks)
+        doc = chrome_trace_dict(collector.events(), collector.session_labels)
         counter_events = [e for e in doc["traceEvents"] if e["ph"] == "C"]
         assert counter_events
         assert all("value" in e["args"] for e in counter_events)
+        assert {e["cat"] for e in counter_events} \
+            == {"memory", "cache", "runtime"}
+        # a counter track lives in its session's process group
+        assert {e["pid"] for e in counter_events} == {0}
+        assert validate_chrome_trace(doc) == []
+
+    def test_server_counter_events_carry_request(self):
+        """Gauge samples pass through ``Tracer.emit`` like every event,
+        so on a shared substrate they are request-stamped."""
+        with scope(trace=TraceCollector()) as rt:
+            report = run_server_demo(4, seed=3)
+        assert report.ok
+        counters = [e for e in rt.trace.events() if e.ph == PHASE_COUNTER]
+        assert counters
+        request_ids = {r.request_id for r in report.results}
+        tenants = {r.tenant for r in report.results}
+        assert all(e.args["request_id"] in request_ids and
+                   e.args["tenant"] in tenants for e in counters)
+        names = {e.name for e in counters}
+        # the shared arbiter's regions and the substrate's tenant gauges
+        assert {"memory/CP/used", "server/sessions"} <= names
+        assert any(n.startswith("server/tenant/") and n.endswith("/cp_used")
+                   for n in names)
+        doc = chrome_trace_dict(rt.trace.events(), rt.trace.session_labels)
         assert validate_chrome_trace(doc) == []
 
 
 class TestFormatMetrics:
     def test_sparkline_summary(self):
-        collector = MetricsCollector()
-        with scope(metrics=collector):
+        collector = TraceCollector()
+        with scope(trace=collector):
             _run_workload(MemphisConfig())
-        registry = collector.registries[0]
-        text = format_metrics(registry)
-        assert text.startswith("=== metrics")
-        assert "-- memory --" in text
+        text = format_summary(collector.events())
+        assert "-- gauges" in text
         assert "memory/CP/used" in text
+        # a track that never left zero (no disk spill here) does not exist
+        assert "memory/DISK/used" not in text
+        summary = summarize(collector.events())
+        assert summary.gauge_session == 0
+        # probes without a hit: the derived window sits at 0
+        assert {v for _, v in summary.gauges["cache/hit_rate"]} == {0.0}
 
-
-# ------------------------------------------------------------ aggregation
-
-
-class TestMetricsCollector:
-    def test_aggregate_stats_merges_sessions(self):
-        collector = MetricsCollector()
-        for hits in (2, 3):
-            stats = Stats()
-            stats.inc("cache/hits", hits)
-            collector.registry(SimClock(), stats=stats)
-        assert collector.aggregate_stats().get("cache/hits") == 5
-
-    def test_merged_digests_across_sessions(self):
-        collector = MetricsCollector()
-        for value in (1.0, 3.0):
-            reg = collector.registry(SimClock())
-            reg.gauge("cache/entries").record(0.0, value)
-        digests = collector.merged_digests()
-        assert digests["cache/entries"]["n"] == 2
-        assert digests["cache/entries"]["mean"] == 2.0
+    def test_window_rate_derivation(self):
+        tracks = {
+            "hits": [(2.0, 1), (3.0, 2), (5.0, 3)],
+            "probes": [(1.0, 1), (2.0, 2), (3.0, 3), (4.0, 4), (5.0, 5)],
+        }
+        # cumulative from zero until the window fills ...
+        assert window_rate(tracks, "hits", ("probes",), window=8) == [
+            (1.0, 0.0), (2.0, 0.5), (3.0, 2 / 3), (4.0, 0.5), (5.0, 0.6)]
+        # ... then over the last `window` changes of the denominator
+        assert window_rate(tracks, "hits", ("probes",), window=2) == [
+            (1.0, 0.0), (2.0, 0.5), (3.0, 1.0), (4.0, 0.5), (5.0, 0.5)]
+        # denominators sum; an absent track reads as zero
+        assert window_rate(tracks, "hits", ("hits", "nope")) == [
+            (2.0, 1.0), (3.0, 1.0), (5.0, 1.0)]
+        assert window_rate({}, "hits", ("probes",)) == []

@@ -10,12 +10,10 @@ class TestStats:
         stats = Stats()
         stats.inc("a/b")
         stats.inc("a/b", 4)
-        stats.add_time("t", 0.5)
-        stats.add_time("t", 0.25)
         assert stats.get("a/b") == 5
-        assert stats.get_time("t") == 0.75
         assert stats.counters() == {"a/b": 5}
-        assert stats.timers() == {"t": 0.75}
+        # Stats holds counters only
+        assert not hasattr(stats, "timers")
 
     def test_missing_counter_is_zero(self):
         assert Stats().get("nothing") == 0

@@ -154,7 +154,10 @@ class TestScopes:
         # the four per-field override slots are gone, with no alias
         with pytest.raises(TypeError):
             scope(policy=EvictionPolicyName.LRU)
-        assert len(RuntimeContext.__slots__) == 9
+        # nor is there a sampled pipeline beside the tracer any more
+        with pytest.raises(TypeError):
+            scope(metrics=TraceCollector())
+        assert len(RuntimeContext.__slots__) == 8
 
     def test_works_with_nothing_activated(self):
         # the process-default context: no collaborators, sessions run
@@ -360,15 +363,27 @@ def test_no_module_under_src_patches_another_module():
 
 def test_every_runtime_context_slot_is_read_somewhere_in_src():
     """A context slot whose last reader is deleted cannot outlive it
-    (sibling of the config-field guard below, matched by name too)."""
+    (sibling of the config-field guard below, matched by name too):
+    each is loaded by a module other than ``common/runtime.py`` itself,
+    which only stores and forwards them."""
     loaded = {
         node.attr
-        for _path, tree in _parsed_modules(os.path.join(SRC, "repro"))
+        for path, tree in _parsed_modules(os.path.join(SRC, "repro"))
+        if not path.endswith(os.path.join("common", "runtime.py"))
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     assert [slot for slot in RuntimeContext.__slots__
             if slot not in loaded] == []
+
+
+def test_every_obs_export_resolves():
+    """A name ``repro.obs`` re-exports cannot outlive its definition."""
+    import repro.obs
+
+    assert len(set(repro.obs.__all__)) == len(repro.obs.__all__)
+    assert [name for name in repro.obs.__all__
+            if not hasattr(repro.obs, name)] == []
 
 
 def test_every_config_field_is_read_somewhere_in_src():

@@ -1,6 +1,6 @@
 """``repro.common.schema.check`` against the reference implementation.
 
-The three schema dicts are draft-07 documents and ``check`` claims to
+The two schema dicts are draft-07 documents and ``check`` claims to
 interpret them; where the ``jsonschema`` package is installed (it is
 not a dependency), ``Draft7Validator`` is the oracle: one valid document
 per schema, every single-point mutation the schema suggests, and the
@@ -13,24 +13,18 @@ import pytest
 
 from repro.common.runtime import scope
 from repro.common.schema import check
-from repro.harness.runner import ExperimentResult
 from repro.harness.telemetry import (
-    BENCH_SCHEMA,
     SERVER_SCHEMA,
-    build_bench_report,
-    experiment_record,
     server_report_records,
     validate_server_records,
 )
 from repro.obs import (
     TRACE_SCHEMA,
-    MetricsCollector,
     TraceCollector,
     chrome_trace_dict,
-    counter_tracks,
 )
 from repro.server import run_server_demo
-from repro.workloads.micro import run_fig2c, run_reuse_overhead
+from repro.workloads.micro import run_fig2c
 
 DROP = object()
 
@@ -44,22 +38,12 @@ WRONG_TYPE = {
 
 
 def _trace_doc() -> dict:
-    with scope(trace=TraceCollector(), metrics=MetricsCollector()) as rt:
+    with scope(trace=TraceCollector()) as rt:
         run_fig2c("MEMPHIS", num_chains=4)
-    return chrome_trace_dict(rt.trace.events(), rt.trace.session_labels,
-                             counters=counter_tracks(rt.metrics))
-
-
-def _bench_doc() -> dict:
-    records = []
-    for name, thunk in [
-        ("fig2c", lambda: run_fig2c("MEMPHIS", num_chains=4)),
-        ("fig11a", lambda: run_reuse_overhead("Reuse", 800, 30, 0.4)),
-    ]:
-        with scope(metrics=MetricsCollector()) as rt:
-            result = ExperimentResult(name, {0: {"MPH": thunk()}}, "")
-        records.append(experiment_record(name, result, 0.5, rt.metrics))
-    return build_bench_report(records, issue=5)
+    doc = chrome_trace_dict(rt.trace.events(), rt.trace.session_labels)
+    # every phase the schema's oneOf names is there to mutate
+    assert {e["ph"] for e in doc["traceEvents"]} == {"X", "i", "C", "M"}
+    return doc
 
 
 def _server_doc() -> list:
@@ -68,7 +52,6 @@ def _server_doc() -> list:
 
 DOCUMENTS = {
     "trace": (_trace_doc, TRACE_SCHEMA),
-    "bench": (_bench_doc, BENCH_SCHEMA),
     "server": (_server_doc, {"type": "array", "items": SERVER_SCHEMA}),
 }
 

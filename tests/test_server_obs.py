@@ -29,10 +29,10 @@ from repro.obs import (
     FlightRecorder,
     RequestContext,
     chrome_trace_dict,
-    percentile,
     TraceCollector,
 )
 from repro.server import Scheduler, pure_program, run_server_demo
+from repro.server.scheduler import percentile
 from repro.server.demo import impure_program
 
 

@@ -1,24 +1,24 @@
-"""Tests for the benchmark telemetry pipeline (repro.harness.telemetry)."""
+"""Tests for the harness telemetry (repro.harness.telemetry): the
+``SERVER_SCHEMA`` stream as ``--server N --server-report`` validates and
+writes it, and the grid flattening experiment consumers read."""
 
 import json
 
 import pytest
 
-from repro.common.stats import CACHE_HITS, LINEAGE_PROBES
 from repro.common.schema import assert_valid
+from repro.common.stats import CACHE_HITS, LINEAGE_PROBES
 from repro.harness import telemetry
-from repro.harness.__main__ import EXPERIMENTS, main
+from repro.harness.__main__ import main
 from repro.harness.runner import ExperimentResult
 from repro.harness.telemetry import (
-    BENCH_FORMAT,
-    BENCH_SCHEMA,
-    KEY_COUNTERS,
-    build_bench_report,
-    experiment_record,
-    validate_bench_report,
+    SERVER_FORMAT,
+    SERVER_SCHEMA,
+    SERVER_VERSION,
+    server_report_records,
+    validate_server_records,
 )
-from repro.obs import MetricsCollector
-from repro.common.simclock import SimClock
+from repro.server import run_server_demo
 from repro.workloads.base import WorkloadResult
 
 
@@ -34,147 +34,86 @@ def _experiment(grid) -> ExperimentResult:
 
 
 class TestExperimentRecord:
+    """``ExperimentResult.workloads()``: the grid's leaves, flattened."""
+
     def test_sums_nested_grid(self):
         grid = {
             10: {"Base": _result(1.0), "MPH": _result(2.0)},
             20: {"Base": _result(3.0), "MPH": _result(4.0)},
         }
-        record = experiment_record("fake", _experiment(grid), wall_s=0.5)
-        assert record["workloads"] == 4
-        assert record["sim_time_s"] == 10.0
-        assert record["counters"][CACHE_HITS] == 16
-        assert record["counters"][LINEAGE_PROBES] == 32
-        assert set(record["counters"]) == set(KEY_COUNTERS)
+        workloads = _experiment(grid).workloads()
+        assert [w.elapsed for w in workloads] == [1.0, 2.0, 3.0, 4.0]
+        assert sum(w.counters[CACHE_HITS] for w in workloads) == 16
+        assert sum(w.counters[LINEAGE_PROBES] for w in workloads) == 32
 
     def test_non_workload_grid_tolerated(self):
         # fig2d-style grids hold raw dicts, not WorkloadResults
-        record = experiment_record(
-            "fig2d", _experiment({0: {"compute_s": 1.0}}), wall_s=0.1)
-        assert record["workloads"] == 0
-        assert record["sim_time_s"] == 0.0
+        assert _experiment({0: {"compute_s": 1.0}}).workloads() == []
 
-    def test_metric_series_digests(self):
-        collector = MetricsCollector()
-        reg = collector.registry(SimClock())
-        reg.gauge("cache/entries").record(0.0, 2.0)
-        record = experiment_record("fake", _experiment({}), 0.1, collector)
-        assert record["metric_series"]["cache/entries"]["n"] == 1
+
+@pytest.fixture(scope="module")
+def records() -> list:
+    return server_report_records(run_server_demo(3, seed=0), 3, 0)
+
+
+def _copy(records: list) -> list:
+    return json.loads(json.dumps(records))
 
 
 class TestValidation:
-    def _valid_doc(self):
-        record = experiment_record("fake", _experiment({0: {"m": _result()}}),
-                                   wall_s=0.5)
-        return build_bench_report([record], issue=5)
-
-    def test_valid_round_trip(self):
-        doc = self._valid_doc()
-        assert validate_bench_report(doc) == []
-        assert_valid(validate_bench_report(doc), "bench report")
+    def test_valid_round_trip(self, records):
+        assert validate_server_records(records) == []
+        assert_valid(validate_server_records(records), "server report")
         # and survives JSON serialization
-        assert validate_bench_report(json.loads(json.dumps(doc))) == []
+        assert validate_server_records(_copy(records)) == []
 
-    def test_format_pinned(self):
-        doc = self._valid_doc()
-        assert doc["format"] == BENCH_FORMAT
-        assert BENCH_SCHEMA["properties"]["format"]["const"] == BENCH_FORMAT
-        doc["format"] = BENCH_FORMAT + 1
-        assert any("format" in p for p in validate_bench_report(doc))
+    def test_format_pinned(self, records):
+        header = _copy(records)[0]
+        assert (header["format"], header["version"]) \
+            == (SERVER_FORMAT, SERVER_VERSION)
+        branch = SERVER_SCHEMA["oneOf"][0]["properties"]
+        assert branch["format"]["const"] == SERVER_FORMAT
+        assert branch["version"]["const"] == SERVER_VERSION
+        header["version"] = SERVER_VERSION + 1
+        assert any("version" in p
+                   for p in validate_server_records([header, *records[1:]]))
 
-    def test_rejects_non_object(self):
-        problems = validate_bench_report([])
+    def test_rejects_non_object(self, records):
+        problems = validate_server_records({})
+        assert len(problems) == 1 and "array" in problems[0]
+        problems = validate_server_records([*records, 5])
         assert len(problems) == 1 and "object" in problems[0]
-        with pytest.raises(ValueError, match="bench report \\(x.json\\)"):
-            assert_valid(problems, "bench report", context="x.json")
+        with pytest.raises(ValueError, match="server report \\(x.jsonl\\)"):
+            assert_valid(problems, "server report", context="x.jsonl")
 
-    def test_rejects_missing_experiments(self):
-        for doc in ({"format": BENCH_FORMAT, "issue": 5},
-                    {"format": BENCH_FORMAT, "issue": 5, "experiments": []}):
-            assert any("experiments" in p for p in validate_bench_report(doc))
-
-    def test_rejects_bad_record_fields(self):
-        doc = self._valid_doc()
-        doc["experiments"][0]["wall_s"] = -1
-        doc["experiments"][0]["name"] = ""
-        problems = validate_bench_report(doc)
-        assert any("wall_s" in p for p in problems)
+    def test_rejects_bad_record_fields(self, records):
+        broken = _copy(records)
+        request = next(r for r in broken if r["kind"] == "request")
+        request["retries"] = -1
+        request["name"] = ""
+        problems = validate_server_records(broken)
+        assert any("retries" in p for p in problems)
         assert any("name" in p for p in problems)
-        # one field broken at a time; the problem names the field
-        for where, field, bad in [
-            ("doc", "issue", 0), ("doc", "issue", True),
-            ("record", "wall_s", True),     # a boolean is not a number
-            ("record", "sim_time_s", "1"),
-            ("record", "workloads", -3),
-        ]:
-            doc = self._valid_doc()
-            (doc if where == "doc" else doc["experiments"][0])[field] = bad
-            assert any(field in p for p in validate_bench_report(doc)), \
-                (field, bad)
 
-    def test_rejects_non_integer_counters(self):
+    def test_rejects_non_integer_counters(self, records):
         for bad in (1.5, True, "1"):
-            doc = self._valid_doc()
-            doc["experiments"][0]["counters"] = {"cache/hits": bad}
+            broken = _copy(records)
+            broken[-1]["counters"] = {"cache/hits": bad}
             assert any("counters.cache/hits" in p and "integer" in p
-                       for p in validate_bench_report(doc)), bad
+                       for p in validate_server_records(broken)), bad
 
-    def test_rejects_bad_digest(self):
-        doc = self._valid_doc()
-        doc["experiments"][0]["metric_series"] = {"cache/x": {"n": 1}}
-        assert any("metric_series.cache/x" in p
-                   for p in validate_bench_report(doc))
-
-    def test_problem_list_is_truncated(self):
-        doc = self._valid_doc()
-        doc["experiments"] = [{"name": ""}] * 40
-        problems = validate_bench_report(doc)
+    def test_problem_list_is_truncated(self, records):
+        problems = validate_server_records(
+            [*records, *[{"kind": "request", "name": ""}] * 40])
         assert len(problems) == 51 and problems[-1] == "... (truncated)"
 
 
-class TestBenchReportFlag:
-    """``python -m repro.harness NAMES --bench-report OUT.json``."""
-
-    def test_writes_one_validated_record_per_experiment(
-            self, tmp_path, monkeypatch, capsys):
-        calls = []
-        real = telemetry.validate_bench_report
-
-        def counting(doc):
-            calls.append(1)
-            return real(doc)
-
-        monkeypatch.setattr(telemetry, "validate_bench_report", counting)
-        monkeypatch.setitem(EXPERIMENTS, "tiny",
-                            lambda: _experiment({0: {"m": _result()}}))
-        out = tmp_path / "bench.json"
-        assert main(["tiny", "fig2c", "tiny", "--bench-report",
-                     str(out)]) == 0
-        # validated once per report, not once per experiment
-        assert len(calls) == 1
-        assert "[bench report: 3 experiment(s)" in capsys.readouterr().out
-        doc = json.loads(out.read_text())
-        assert validate_bench_report(doc) == []
-        assert [r["name"] for r in doc["experiments"]] == \
-            ["tiny", "fig2c", "tiny"]
-        # each experiment is metered by a collector of its own
-        tiny, fig2c, _ = doc["experiments"]
-        assert tiny["metric_series"] == {} and tiny["workloads"] == 1
-        assert fig2c["metric_series"] and fig2c["counters"][CACHE_HITS] > 0
+class TestServerReportFlag:
+    """``python -m repro.harness --server N --server-report OUT.jsonl``."""
 
     def test_invalid_report_is_not_written(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(telemetry, "BENCH_ISSUE", 0)
-        monkeypatch.setitem(EXPERIMENTS, "tiny",
-                            lambda: _experiment({0: {"m": _result()}}))
-        out = tmp_path / "bench.json"
-        with pytest.raises(ValueError, match="issue"):
-            main(["tiny", "--bench-report", str(out)])
+        monkeypatch.setattr(telemetry, "SERVER_VERSION", 0)
+        out = tmp_path / "server.jsonl"
+        with pytest.raises(ValueError, match="version"):
+            main(["--server", "2", "--server-report", str(out)])
         assert not out.exists()
-
-    def test_refused_with_metrics_and_with_server(self, tmp_path, capsys):
-        out = str(tmp_path / "bench.json")
-        for extra in (["--metrics", str(tmp_path / "m.jsonl")],
-                      ["--server", "2"]):
-            with pytest.raises(SystemExit) as exc:
-                main(["fig2c", "--bench-report", out, *extra])
-            assert exc.value.code == 2
-            assert "--bench-report" in capsys.readouterr().err
