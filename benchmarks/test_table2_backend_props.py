@@ -56,7 +56,7 @@ def test_table2_execution_models(benchmark):
 
     def exercise():
         dm = sess.spark.distribute(MatrixValue(np.ones((2048, 4))))
-        sess.spark.unary("exp", dm)
+        sess.spark.blockwise("exp", dm, dm.ncol)
         jobs = sess.stats.get("spark/jobs")
         data = sess.gpu.to_device(MatrixValue(np.ones((64, 64))))
         sess.gpu.execute("ba+*", [data, data], {})

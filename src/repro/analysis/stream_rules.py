@@ -28,9 +28,9 @@ from repro.analysis.base import (
 )
 from repro.analysis.dataflow import StreamDefUse
 from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.backends.spark.backend import SPARK_OPCODES
 from repro.compiler.ir import KIND_DATA, KIND_OP
 from repro.core.entry import BACKEND_GPU, BACKEND_SP
-from repro.runtime.placement import SPARK_AGG_ACTION
 
 
 @register_pass
@@ -185,7 +185,7 @@ class AsyncRacePass(AnalysisPass):
                      "copy before the device consumer",
             ))
         if (hop.placement == BACKEND_SP
-                and hop.opcode not in SPARK_AGG_ACTION
+                and SPARK_OPCODES.get(hop.opcode) != "action"
                 and consumers
                 and all(c.placement == BACKEND_SP for c in consumers)):
             out.append(self.diag(

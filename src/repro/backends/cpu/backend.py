@@ -106,7 +106,3 @@ class CpuBackend:
         self.stats.inc(CPU_BYTES_ALLOCATED, out.nbytes)
         self.stats.inc(FUSION_INSTRUCTIONS)
         return out
-
-    def supports(self, opcode: str) -> bool:
-        """Whether this backend has a kernel for ``opcode``."""
-        return opcode in kernels.supported_opcodes()

@@ -50,11 +50,6 @@ def _binary_args(inputs: list[Value]) -> tuple[np.ndarray | float, np.ndarray | 
     return a, b, s0 and s1
 
 
-def _broadcastable(a, b):
-    """Align SystemDS-style row/column vector broadcasting with numpy."""
-    return a, b
-
-
 def _make_binary(op):
     def fn(inputs: list[Value], attrs: dict) -> Value:
         a, b, both_scalar = _binary_args(inputs)
@@ -116,15 +111,24 @@ for _code, _op in UNARY_UFUNCS.items():
     _KERNELS[_code] = _make_unary(_op)
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Cell-wise logistic function (also a fused chain step)."""
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def relu(x: np.ndarray) -> np.ndarray:
+    """Cell-wise rectifier (also a fused chain step)."""
+    return np.maximum(x, 0.0)
+
+
 @kernel("sigmoid")
 def _sigmoid(inputs, attrs):
-    x = as_matrix(inputs[0])
-    return MatrixValue(1.0 / (1.0 + np.exp(-x)))
+    return MatrixValue(sigmoid(as_matrix(inputs[0])))
 
 
 @kernel("relu")
 def _relu(inputs, attrs):
-    return MatrixValue(np.maximum(as_matrix(inputs[0]), 0.0))
+    return MatrixValue(relu(as_matrix(inputs[0])))
 
 
 @kernel("softmax")

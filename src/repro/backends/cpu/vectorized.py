@@ -10,10 +10,13 @@ so the fusion rewrite (``repro.compiler.rewrites.fusion``) can lower a
 whole run to one instruction that applies the steps back to back on raw
 arrays (``CpuBackend.execute_fused``).
 
-Byte-equality contract: every step closure applies the *same* numpy
-callable the generic kernel registry uses (the tables are shared via
+Byte-equality contract: every step closure applies the *same* callable
+the generic kernel registry uses (the ufunc tables
 :data:`~repro.backends.cpu.kernels.UNARY_UFUNCS` /
-:data:`~repro.backends.cpu.kernels.BINARY_UFUNCS`), and the fused
+:data:`~repro.backends.cpu.kernels.BINARY_UFUNCS` and the
+:func:`~repro.backends.cpu.kernels.sigmoid` /
+:func:`~repro.backends.cpu.kernels.relu` functions are imported, never
+restated — this module computes no cell value itself), and the fused
 instruction applies the identical float64 normalization
 :class:`~repro.runtime.values.MatrixValue` performs.  A fused chain
 therefore produces bit-for-bit the result of the
@@ -37,28 +40,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.backends.cpu.kernels import BINARY_UFUNCS, UNARY_UFUNCS
+from repro.backends.cpu.kernels import BINARY_UFUNCS, UNARY_UFUNCS, relu, sigmoid
 from repro.compiler.ir import KIND_LITERAL, KIND_OP, Hop
 from repro.core.entry import BACKEND_CP
 
 __all__ = ["CompiledStep", "compile_step"]
 
 
-def _sigmoid_arr(x: np.ndarray) -> np.ndarray:
-    # mirrors kernels._sigmoid exactly
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def _relu_arr(x: np.ndarray) -> np.ndarray:
-    # mirrors kernels._relu exactly
-    return np.maximum(x, 0.0)
-
-
 #: chainable unary opcodes -> ndarray -> ndarray callables.
 UNARY_CHAIN_OPS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     **UNARY_UFUNCS,
-    "sigmoid": _sigmoid_arr,
-    "relu": _relu_arr,
+    "sigmoid": sigmoid,
+    "relu": relu,
 }
 
 #: every opcode that can appear in a chain — used as the first, cheapest

@@ -70,10 +70,6 @@ class GpuBackend:
             faults=faults, arbiter=arbiter, ids=ids,
         )
 
-    def supports(self, opcode: str) -> bool:
-        """Whether ``opcode`` has a GPU kernel."""
-        return opcode in GPU_OPCODES
-
     # -- data transfer ------------------------------------------------------
 
     def to_device(self, value: MatrixValue) -> GpuData:
@@ -127,7 +123,3 @@ class GpuBackend:
         ptr.compute_cost = flops
         self.stream.launch(flops, touched + out.nbytes)
         return GpuData(ptr, out)
-
-    def release(self, data: GpuData) -> None:
-        """Variable went out of scope: drop one reference."""
-        self.memory.release(data.ptr)

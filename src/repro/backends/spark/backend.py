@@ -1,9 +1,16 @@
 """Distributed linear algebra over row-block RDDs.
 
 Implements the Spark physical operators the host compiler emits (paper
-Fig. 2(b), Fig. 7): broadcast-based matrix multiplies (``mapmm``),
-shuffle-based transpose-self multiply (``tsmm``), element-wise maps/zips,
-aggregations, and transpose.  Each operator returns a new (lazy)
+Fig. 2(b), Fig. 7).  Spark owns how blocks move, not what a cell
+computes: cell-wise, row-local and aggregate operators apply the CP
+kernels of :mod:`repro.backends.cpu.kernels` to every row block — as the
+GPU backend and the federated workers apply them to whole values — so a
+Spark-placed operator computes bit for bit what the CP one does.  What
+is Spark's own is distribution: the broadcast (``mapmm`` / ``bcmm``) and
+shuffle (``tsmm`` / ``cpmm``) matrix multiplies, the re-blocking
+shuffles (transpose, row slicing, ``rbind``) and aggregate actions that
+fold per-block kernel partials on the driver.  :data:`SPARK_OPCODES` is
+the one list of what Spark runs.  Each operator returns a new (lazy)
 :class:`DistributedMatrix`; only actions materialize results.
 """
 
@@ -13,11 +20,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.backends.cpu import kernels
+from repro.backends.cpu.kernels import BINARY_UFUNCS
 from repro.backends.spark.broadcast import Broadcast
 from repro.backends.spark.context import SparkContext
-from repro.backends.spark.rdd import RDD
-from repro.common.errors import SparkError
-from repro.runtime.values import MatrixValue
+from repro.backends.spark.rdd import RDD, NarrowDependency
+from repro.common.costs import ELEMENTWISE_20
+from repro.common.simclock import SimFuture
+from repro.runtime.values import MatrixValue, ScalarValue, Value, as_matrix
+
+#: aggregate actions: opcode -> (CP kernel computing each row block's
+#: partial, ``BINARY_UFUNCS`` entry folding the partials on the driver,
+#: whether the fold is divided by the cells each output cell covers)
+AGGREGATE_ACTIONS: dict[str, tuple[str, str, bool]] = {
+    "uak+": ("uak+", "+", False),
+    "uamean": ("uak+", "+", True),
+    "uack+": ("uack+", "+", False),
+    "uacmean": ("uack+", "+", True),
+    "uamax": ("uamax", "max", False),
+    "uamin": ("uamin", "min", False),
+}
+
+#: every opcode with a Spark physical operator, by the operator that runs
+#: it: ``cellwise`` (:meth:`SparkBackend.cellwise`), ``blockwise`` and
+#: ``row_aggregate`` (:meth:`SparkBackend.blockwise` — a row block holds
+#: whole rows), ``action`` (:meth:`SparkBackend.aggregate`), ``matmul``
+#: (a pattern of ``runtime.placement.matmul_pattern``) and ``reorg``
+#: (transpose, ``rbind``, slicing).  Placement, the dispatch, the
+#: prefetch rewrite and the analysis rules all read this table.
+SPARK_OPCODES: dict[str, str] = {
+    **dict.fromkeys(BINARY_UFUNCS, "cellwise"),
+    **dict.fromkeys(("exp", "log", "sqrt", "abs", "sign", "round", "relu",
+                     "sigmoid", "tanh", "replace"), "blockwise"),
+    **dict.fromkeys(("uark+", "uarmean", "uarmax"), "row_aggregate"),
+    **dict.fromkeys(AGGREGATE_ACTIONS, "action"),
+    **dict.fromkeys(("r'", "rbind", "rightIndex"), "reorg"),
+    "ba+*": "matmul",
+}
+
+
+def _kernel_map(rdd: RDD, opcode: str, attrs: dict, name: str) -> RDD:
+    """Narrow RDD applying ``opcode``'s CP kernel to every row block."""
+
+    def fn(block: np.ndarray) -> np.ndarray:
+        return as_matrix(kernels.execute(opcode, [MatrixValue(block)], attrs))
+
+    return rdd.map_blocks(fn, name, 20.0 if opcode in ELEMENTWISE_20 else 1.0)
 
 
 @dataclass
@@ -40,22 +88,6 @@ class DistributedMatrix:
     @property
     def nbytes(self) -> int:
         return self.nrow * self.ncol * 8
-
-
-_ELEMENTWISE = {
-    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
-    "^": np.power, "min": np.minimum, "max": np.maximum,
-    ">": np.greater, "<": np.less, ">=": np.greater_equal,
-    "<=": np.less_equal, "==": np.equal, "!=": np.not_equal,
-}
-
-_UNARY = {
-    "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
-    "sign": np.sign, "round": np.round,
-    "relu": lambda x: np.maximum(x, 0.0),
-    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
-    "tanh": np.tanh,
-}
 
 
 class SparkBackend:
@@ -87,63 +119,88 @@ class SparkBackend:
         """Synchronous action: gather all blocks to the driver."""
         return MatrixValue(self.sc.collect(dm.rdd))
 
-    # -- element-wise -------------------------------------------------------
+    # -- kernels per row block ----------------------------------------------
 
-    def elementwise_scalar(self, opcode: str, dm: DistributedMatrix,
-                           scalar: float,
-                           scalar_left: bool = False) -> DistributedMatrix:
-        """Element-wise op between a distributed matrix and a scalar."""
-        op = _ELEMENTWISE.get(opcode)
-        if op is None:
-            raise SparkError(f"unsupported Spark element-wise op {opcode!r}")
-        if scalar_left:
-            fn = lambda b: np.asarray(op(scalar, b), dtype=np.float64)
-        else:
-            fn = lambda b: np.asarray(op(b, scalar), dtype=np.float64)
-        rdd = dm.rdd.map_blocks(fn, f"{opcode}s")
-        return DistributedMatrix(rdd, dm.nrow, dm.ncol)
+    def blockwise(self, opcode: str, dm: DistributedMatrix, ncol: int,
+                  attrs: dict | None = None) -> DistributedMatrix:
+        """``opcode``'s CP kernel on every row block, into ``ncol`` columns.
 
-    def elementwise_zip(self, opcode: str, a: DistributedMatrix,
-                        b: DistributedMatrix) -> DistributedMatrix:
-        """Element-wise op between two aligned distributed matrices."""
-        op = _ELEMENTWISE.get(opcode)
-        if op is None:
-            raise SparkError(f"unsupported Spark element-wise op {opcode!r}")
-        fn = lambda x, y: np.asarray(op(x, y), dtype=np.float64)
-        rdd = a.rdd.zip_blocks(b.rdd, fn, opcode)
-        return DistributedMatrix(rdd, a.nrow, a.ncol)
+        Right for every operator a row block answers alone: unary ops,
+        ``replace``, row aggregates and column slices.
+        """
+        rdd = _kernel_map(dm.rdd, opcode, attrs or {}, opcode)
+        return DistributedMatrix(rdd, dm.nrow, ncol)
 
-    def elementwise_broadcast(self, opcode: str, dm: DistributedMatrix,
-                              bc: Broadcast, ncol: int,
-                              bc_left: bool = False) -> DistributedMatrix:
-        """Element-wise op against a broadcast row vector / small matrix."""
-        op = _ELEMENTWISE.get(opcode)
-        if op is None:
-            raise SparkError(f"unsupported Spark element-wise op {opcode!r}")
-        if bc_left:
-            fn = lambda blk, v: np.asarray(op(v, blk), dtype=np.float64)
-        else:
-            fn = lambda blk, v: np.asarray(op(blk, v), dtype=np.float64)
-        rdd = dm.rdd.map_with_broadcast(bc, fn, f"{opcode}bc")
-        return DistributedMatrix(rdd, dm.nrow, max(dm.ncol, ncol))
+    def cellwise(self, opcode: str,
+                 left: DistributedMatrix | Broadcast | float,
+                 right: DistributedMatrix | Broadcast | float,
+                 ) -> DistributedMatrix:
+        """Cell-wise binary ``left <opcode> right`` through its CP kernel.
 
-    def unary(self, opcode: str, dm: DistributedMatrix) -> DistributedMatrix:
-        """Element-wise unary op."""
-        op = _UNARY.get(opcode)
-        if op is None:
-            raise SparkError(f"unsupported Spark unary op {opcode!r}")
-        flops = 20.0 if opcode in ("exp", "log", "sigmoid", "tanh") else 1.0
-        rdd = dm.rdd.map_blocks(lambda b: op(b), opcode, flops)
-        return DistributedMatrix(rdd, dm.nrow, dm.ncol)
+        Each operand is a :class:`DistributedMatrix`, a :class:`Broadcast`
+        (a row vector or small matrix joined map-side against every row
+        block) or a python float; two distributed operands zip partition
+        by partition.  The RDD is named ``<opcode>s`` against a scalar,
+        ``<opcode>bc`` against a broadcast and ``<opcode>`` for a zip.
+        """
+        operands = (left, right)
+        parents = [o.rdd for o in operands if isinstance(o, DistributedMatrix)]
+        bcs = [o for o in operands if isinstance(o, Broadcast)]
+        scalars = [ScalarValue(o) for o in operands if isinstance(o, float)]
+        # a task passes the parents' blocks, then the broadcast value;
+        # when the distributed operand is on the right, reverse them
+        swap = not isinstance(left, DistributedMatrix)
+
+        def fn(*blocks: np.ndarray) -> np.ndarray:
+            values: list[Value] = [MatrixValue(b) for b in blocks]
+            values += scalars
+            if swap:
+                values.reverse()
+            return kernels.execute(opcode, values, {}).data
+
+        name = opcode + ("bc" if bcs else "s" if scalars else "")
+        rdd = parents[0].map_blocks(
+            fn, name, zip_with=parents[1] if len(parents) > 1 else None,
+            broadcast=bcs[0] if bcs else None,
+        )
+        nrow, ncol = np.broadcast_shapes(
+            *(o.shape for o in operands if not isinstance(o, float)))
+        return DistributedMatrix(rdd, nrow, ncol)
+
+    def aggregate(self, opcode: str, dm: DistributedMatrix,
+                  asynchronous: bool = False) -> Value | SimFuture:
+        """Aggregate action over :data:`AGGREGATE_ACTIONS`.
+
+        Every row block's CP-kernel partial is folded on the driver with
+        the matching ``BINARY_UFUNCS`` entry; the result is the value, or
+        — ``asynchronous``, for a prefetch-flagged action (§5.1) — a
+        future of it.
+        """
+        kernel, fold, mean = AGGREGATE_ACTIONS[opcode]
+        partials = _kernel_map(dm.rdd, kernel, {}, kernel + "_partial")
+        combine = BINARY_UFUNCS[fold]
+
+        def finish(out: np.ndarray) -> Value:
+            if mean:
+                out = out / (dm.nrow * dm.ncol / out.size)
+            # the partial kernel over the one folded partial returns it
+            # unchanged, as the scalar or matrix value CP would return
+            return kernels.execute(kernel, [MatrixValue(out)], {})
+
+        if not asynchronous:
+            return finish(self.sc.reduce(partials, combine))
+        raw = self.sc.reduce_async(partials, combine)
+        return SimFuture(self.sc.clock, raw.ready_time, finish(raw.value),
+                         label=f"agg:{opcode}")
 
     # -- matrix multiplies ---------------------------------------------------
 
     def mapmm(self, dm: DistributedMatrix, bc: Broadcast,
               bc_ncol: int) -> DistributedMatrix:
         """Broadcast-based multiply ``X %*% B`` with small broadcast B."""
-        rdd = dm.rdd.map_with_broadcast(
-            bc, lambda blk, B: blk @ B, "mapmm",
-            flops_per_cell=2.0 * dm.ncol,
+        rdd = dm.rdd.map_blocks(
+            lambda blk, B: blk @ B, "mapmm",
+            flops_per_cell=2.0 * dm.ncol, broadcast=bc,
         )
         return DistributedMatrix(rdd, dm.nrow, bc_ncol)
 
@@ -185,9 +242,10 @@ class SparkBackend:
     def cpmm(self, a: DistributedMatrix, b: DistributedMatrix) -> DistributedMatrix:
         """Shuffle-based multiply of two aligned distributed matrices:
         ``t(A) %*% B`` with A, B row-block aligned (cross-product pattern)."""
-        zipped = a.rdd.zip_blocks(
-            b.rdd, lambda x, y: x.T @ y, "cpmm_partial",
+        zipped = a.rdd.map_blocks(
+            lambda x, y: x.T @ y, "cpmm_partial",
             flops_per_cell=2.0 * min(a.nrow, b.nrow) / max(a.rdd.num_partitions, 1),
+            zip_with=b.rdd,
         )
         rdd = zipped.aggregate_to_single(
             lambda blk: blk, lambda x, y: x + y, "cpmm",
@@ -243,12 +301,6 @@ class SparkBackend:
         rdd = dm.rdd.shuffle(map_side, reduce_side, out_parts, "sliceRows")
         return DistributedMatrix(rdd, out_rows, dm.ncol)
 
-    def row_sums(self, dm: DistributedMatrix) -> DistributedMatrix:
-        rdd = dm.rdd.map_blocks(
-            lambda b: b.sum(axis=1, keepdims=True), "uark+"
-        )
-        return DistributedMatrix(rdd, dm.nrow, 1)
-
     def rbind(self, a: DistributedMatrix, b: DistributedMatrix) -> DistributedMatrix:
         """Row append with re-blocking into uniform row partitions.
 
@@ -283,9 +335,6 @@ class SparkBackend:
 
         rdd = union.shuffle(map_side, reduce_side, out_parts, "rbind")
         return DistributedMatrix(rdd, total, a.ncol)
-
-
-from repro.backends.spark.rdd import NarrowDependency  # noqa: E402
 
 
 class _UnionRDD(RDD):

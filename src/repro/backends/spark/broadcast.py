@@ -33,6 +33,7 @@ class Broadcast:
         self.id = next(context.ids.broadcast)
         self.context = context
         self._value = value
+        self.shape = value.shape
         self.nbytes = int(value.nbytes)
         self.num_chunks = max(
             1, math.ceil(self.nbytes / context.config.broadcast_chunk_bytes)

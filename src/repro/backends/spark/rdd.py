@@ -9,7 +9,9 @@ DAGScheduler` to run a job (paper §2.2).
 Two dependency types drive stage splitting:
 
 * :class:`NarrowDependency` — each output partition depends on one parent
-  partition (map, zip, broadcast-side operations);
+  partition; :class:`NarrowRDD` is the one narrow transformation (map,
+  zip and broadcast-side operations alike — the block function is the
+  caller's: the Spark backend passes CP kernels and matmul partials);
 * :class:`ShuffleDependency` — all-to-all; the map side writes shuffle
   files which Spark implicitly caches until destroyed, enabling the
   shuffle-file reuse the paper exploits for unmaterialized cached RDDs.
@@ -157,22 +159,16 @@ class RDD:
 
     # -- transformations (lazy) --------------------------------------------
 
-    def map_blocks(self, fn: Callable[[np.ndarray], np.ndarray],
-                   name: str, flops_per_cell: float = 1.0) -> "MappedRDD":
-        """Element-wise / per-block narrow transformation."""
-        return MappedRDD(self, fn, name, flops_per_cell)
-
-    def zip_blocks(self, other: "RDD",
-                   fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                   name: str, flops_per_cell: float = 1.0) -> "ZippedRDD":
-        """Partition-aligned binary narrow transformation."""
-        return ZippedRDD(self, other, fn, name, flops_per_cell)
-
-    def map_with_broadcast(self, bc: "Broadcast",
-                           fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                           name: str, flops_per_cell: float = 1.0) -> "BroadcastMapRDD":
-        """Narrow transformation against a broadcast variable (map-side join)."""
-        return BroadcastMapRDD(self, bc, fn, name, flops_per_cell)
+    def map_blocks(self, fn: Callable[..., np.ndarray], name: str,
+                   flops_per_cell: float = 1.0,
+                   zip_with: Optional["RDD"] = None,
+                   broadcast: Optional["Broadcast"] = None) -> "NarrowRDD":
+        """Narrow per-block transformation: partition *i* is ``fn`` of
+        this RDD's block *i*, then ``zip_with``'s block *i* (a
+        partition-aligned zip), then the ``broadcast`` value (a map-side
+        join)."""
+        parents = [self] if zip_with is None else [self, zip_with]
+        return NarrowRDD(parents, fn, name, flops_per_cell, broadcast)
 
     def shuffle(self, map_side, reduce_side, num_out_partitions: int,
                 name: str) -> "ShuffledRDD":
@@ -218,62 +214,34 @@ class ParallelizedRDD(RDD):
         return block
 
 
-class MappedRDD(RDD):
-    """Narrow per-block map (element-wise Spark operators, Fig. 7)."""
+class NarrowRDD(RDD):
+    """Narrow per-block transformation over one or two partition-aligned
+    parents and an optional broadcast variable: the element-wise maps,
+    zips and map-side joins of Fig. 7 (e.g. ``mapmm``, Fig. 2(b))."""
 
-    def __init__(self, parent: RDD, fn, name: str, flops_per_cell: float) -> None:
-        super().__init__(parent.context, [NarrowDependency(parent)],
-                         parent.num_partitions, name)
-        self._fn = fn
-        self._flops_per_cell = flops_per_cell
-
-    def compute(self, index: int, metrics: TaskMetrics) -> np.ndarray:
-        block = self.deps[0].rdd.get_partition(index, metrics)
-        out = self._fn(block)
-        metrics.flops += self._flops_per_cell * out.size
-        return out
-
-
-class ZippedRDD(RDD):
-    """Narrow partition-aligned binary op (element-wise zips, Fig. 7)."""
-
-    def __init__(self, left: RDD, right: RDD, fn, name: str,
-                 flops_per_cell: float) -> None:
-        if left.num_partitions != right.num_partitions:
+    def __init__(self, parents: list[RDD], fn, name: str,
+                 flops_per_cell: float,
+                 broadcast: Optional["Broadcast"] = None) -> None:
+        first, last = parents[0], parents[-1]
+        if first.num_partitions != last.num_partitions:
             raise ValueError(
                 f"zip requires aligned partitioning "
-                f"({left.num_partitions} vs {right.num_partitions})"
+                f"({first.num_partitions} vs {last.num_partitions})"
             )
-        super().__init__(left.context,
-                         [NarrowDependency(left), NarrowDependency(right)],
-                         left.num_partitions, name)
+        super().__init__(first.context,
+                         [NarrowDependency(p) for p in parents],
+                         first.num_partitions, name)
+        self.broadcast = broadcast
+        if broadcast is not None:
+            self.broadcast_refs.append(broadcast)
         self._fn = fn
         self._flops_per_cell = flops_per_cell
 
     def compute(self, index: int, metrics: TaskMetrics) -> np.ndarray:
-        a = self.deps[0].rdd.get_partition(index, metrics)
-        b = self.deps[1].rdd.get_partition(index, metrics)
-        out = self._fn(a, b)
-        metrics.flops += self._flops_per_cell * out.size
-        return out
-
-
-class BroadcastMapRDD(RDD):
-    """Narrow map against a broadcast variable (e.g. ``y^T X``, Fig. 2(b))."""
-
-    def __init__(self, parent: RDD, bc: "Broadcast", fn, name: str,
-                 flops_per_cell: float) -> None:
-        super().__init__(parent.context, [NarrowDependency(parent)],
-                         parent.num_partitions, name)
-        self.broadcast_var = bc
-        self.broadcast_refs.append(bc)
-        self._fn = fn
-        self._flops_per_cell = flops_per_cell
-
-    def compute(self, index: int, metrics: TaskMetrics) -> np.ndarray:
-        block = self.deps[0].rdd.get_partition(index, metrics)
-        value = self.broadcast_var.value_on_executor(metrics)
-        out = self._fn(block, value)
+        blocks = [d.rdd.get_partition(index, metrics) for d in self.deps]
+        if self.broadcast is not None:
+            blocks.append(self.broadcast.value_on_executor(metrics))
+        out = self._fn(*blocks)
         # flops_per_cell encodes the per-output-cell work (e.g. 2 * inner
         # dimension for a broadcast matrix multiply)
         metrics.flops += self._flops_per_cell * out.size

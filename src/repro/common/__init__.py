@@ -22,7 +22,6 @@ from repro.common.errors import (
     MemphisError,
     PlacementError,
     RecomputationError,
-    SparkError,
 )
 from repro.common.simclock import CLUSTER, DEVICE, HOST, SimClock, SimFuture
 from repro.common.stats import Stats
@@ -47,7 +46,6 @@ __all__ = [
     "MemphisError",
     "PlacementError",
     "RecomputationError",
-    "SparkError",
     "SimClock",
     "SimFuture",
     "HOST",

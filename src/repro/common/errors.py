@@ -59,10 +59,6 @@ class BackendError(MemphisError):
     """Base class for backend execution failures."""
 
 
-class SparkError(BackendError):
-    """Raised by the Spark backend simulator."""
-
-
 class GpuError(BackendError):
     """Raised by the GPU backend simulator."""
 

@@ -15,6 +15,7 @@ the last operator of the local chain.
 
 from __future__ import annotations
 
+from repro.backends.spark.backend import SPARK_OPCODES
 from repro.common.config import MemphisConfig
 from repro.compiler.ir import KIND_OP, Hop
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
@@ -59,8 +60,6 @@ def place_prefetch(roots: list[Hop], config: MemphisConfig,
     """
     if not config.enable_async_ops:
         return 0
-    from repro.runtime.placement import SPARK_AGG_ACTION
-
     if nodes is None:
         nodes = _all_nodes(roots)
     if consumers is None:
@@ -79,7 +78,8 @@ def place_prefetch(roots: list[Hop], config: MemphisConfig,
             # other Spark actions for asynchronous execution" (§5.1)
             small_root = (hop.id in root_ids and not cons
                           and hop.output_bytes <= collect_limit)
-            if crosses or small_root or hop.opcode in SPARK_AGG_ACTION:
+            if (crosses or small_root
+                    or SPARK_OPCODES.get(hop.opcode) == "action"):
                 hop.prefetch = True
                 placed += 1
         elif hop.placement == BACKEND_GPU:

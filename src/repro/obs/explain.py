@@ -128,7 +128,7 @@ class ExplainPlan:
 def snapshot_plan(root_hops: Sequence[Hop], order: Sequence[Hop],
                   config: "MemphisConfig") -> ExplainPlan:
     """Snapshot a compiled block right before execution."""
-    probing = _probing_enabled(config)
+    probing = config.reuse_mode.probes
     snaps = []
     for hop in order:
         snaps.append(HopSnapshot(
@@ -153,16 +153,6 @@ def snapshot_plan(root_hops: Sequence[Hop], order: Sequence[Hop],
             ),
         ))
     return ExplainPlan(tuple(h.id for h in root_hops), snaps)
-
-
-def _probing_enabled(config: "MemphisConfig") -> bool:
-    """Whether the interpreter will issue reuse probes for this config."""
-    from repro.common.config import ReuseMode
-
-    return config.reuse_mode in (
-        ReuseMode.PROBE_ONLY, ReuseMode.FULL,
-        ReuseMode.LOCAL_ONLY, ReuseMode.OPERATOR_ONLY,
-    )
 
 
 # -- rendering ---------------------------------------------------------------

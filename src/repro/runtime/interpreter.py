@@ -47,7 +47,7 @@ from typing import Optional, TYPE_CHECKING
 import numpy as np
 
 from repro.backends.gpu.backend import GpuData
-from repro.backends.spark.backend import DistributedMatrix
+from repro.backends.spark.backend import SPARK_OPCODES, DistributedMatrix
 from repro.backends.spark.broadcast import Broadcast
 from repro.common.config import ReuseMode
 from repro.common.errors import PlacementError
@@ -79,13 +79,7 @@ from repro.obs.events import (
     LANE_CP,
 )
 from repro.obs.metrics import SAMPLE_EVERY, sample as sample_gauges
-from repro.runtime.placement import (
-    SPARK_AGG_ACTION,
-    SPARK_AGG_MAP,
-    SPARK_ELEMENTWISE,
-    SPARK_UNARY,
-    matmul_pattern,
-)
+from repro.runtime.placement import matmul_pattern
 from repro.runtime.values import MatrixValue, ScalarValue, Value
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -608,130 +602,78 @@ class Interpreter:
     # ------------------------------------------------------------------------ Spark
 
     def _exec_spark(self, hop: Hop, slot: Slot, in_slots: list[Slot]) -> None:
-        """EXECUTE on the cluster (§4.2/§5): pick the physical operator.
+        """EXECUTE on the cluster (§4.2/§5): pick the physical operator
+        :data:`~repro.backends.spark.backend.SPARK_OPCODES` names for the
+        opcode — SystemDS's Spark instruction set, every cell value
+        computed by the CP kernels."""
+        sb = self.session.spark
+        op = hop.opcode
+        kind = SPARK_OPCODES.get(op)
+        if kind == "action":
+            self._exec_spark_aggregate(hop, slot, in_slots)
+            return
+        if kind == "matmul":
+            out = self._exec_spark_matmul(hop, in_slots)
+        elif kind == "cellwise":
+            out = self._exec_spark_cellwise(hop, in_slots)
+        elif kind in ("blockwise", "row_aggregate"):
+            out = sb.blockwise(op, self._to_dm(in_slots[0]), hop.shape[1],
+                               hop.attrs)
+        elif op == "r'":
+            out = sb.transpose(self._to_dm(in_slots[0]))
+        elif op == "rbind":
+            out = sb.rbind(self._to_dm(in_slots[0]),
+                           self._to_dm(in_slots[1]))
+        elif op == "rightIndex":
+            out = self._exec_spark_slice(hop, in_slots[0])
+        else:
+            raise PlacementError(f"no Spark physical operator for {op!r}")
+        slot.payloads[BACKEND_SP] = out
 
-        Mirrors SystemDS's Spark instruction set: element-wise ops
-        choose zip / broadcast / scalar variants by operand shape,
-        aggregates run as (possibly asynchronous) actions, and matmuls
-        go through :meth:`_exec_spark_matmul`'s pattern selection.
+    def _exec_spark_cellwise(self, hop: Hop,
+                             in_slots: list[Slot]) -> DistributedMatrix:
+        """Operand forms of a cell-wise binary, by shape.
+
+        A 1x1 side is a driver scalar, a one-row side a broadcast row
+        vector, and two sides of equal row counts zip partition-aligned
+        (matrix-matrix and matrix-column-vector alike).  The side that
+        is not distributed is materialized first.
         """
         sb = self.session.spark
         op = hop.opcode
+        left, right = hop.inputs
+        ls, rs = in_slots
+        if right.shape == (1, 1):
+            scalar = self._scalar_of(rs)
+            return sb.cellwise(op, self._to_dm(ls), scalar)
+        if left.shape == (1, 1):
+            scalar = self._scalar_of(ls)
+            return sb.cellwise(op, scalar, self._to_dm(rs))
+        if right.shape[0] == 1:
+            bc = self._to_bc(rs)
+            return sb.cellwise(op, self._to_dm(ls), bc)
+        if left.shape[0] == 1:
+            bc = self._to_bc(ls)
+            return sb.cellwise(op, bc, self._to_dm(rs))
+        return sb.cellwise(op, self._to_dm(ls), self._to_dm(rs))
 
-        if op == "ba+*":
-            self._exec_spark_matmul(hop, slot, in_slots)
-            return
-
-        if op in SPARK_ELEMENTWISE:
-            left, right = hop.inputs
-            ls, rs = in_slots
-            if right.shape == (1, 1):
-                scalar = self._scalar_of(rs)
-                slot.payloads[BACKEND_SP] = sb.elementwise_scalar(
-                    op, self._to_dm(ls), scalar
-                )
-            elif left.shape == (1, 1):
-                scalar = self._scalar_of(ls)
-                slot.payloads[BACKEND_SP] = sb.elementwise_scalar(
-                    op, self._to_dm(rs), scalar, scalar_left=True
-                )
-            elif left.shape[0] == right.shape[0] and right.shape[0] > 1:
-                # equal row counts: partition-aligned zip (covers both
-                # matrix-matrix and matrix-column-vector operands)
-                slot.payloads[BACKEND_SP] = sb.elementwise_zip(
-                    op, self._to_dm(ls), self._to_dm(rs)
-                )
-            elif right.shape[0] == 1:
-                # row vector: broadcast against every row block
-                bc = self._to_bc(rs)
-                slot.payloads[BACKEND_SP] = sb.elementwise_broadcast(
-                    op, self._to_dm(ls), bc, right.shape[1]
-                )
-            elif left.shape[0] == 1:
-                bc = self._to_bc(ls)
-                slot.payloads[BACKEND_SP] = sb.elementwise_broadcast(
-                    op, self._to_dm(rs), bc, left.shape[1], bc_left=True
-                )
-            else:
-                slot.payloads[BACKEND_SP] = sb.elementwise_zip(
-                    op, self._to_dm(ls), self._to_dm(rs)
-                )
-            return
-
-        if op in SPARK_UNARY:
-            if op == "replace":
-                pattern = float(hop.attrs.get("pattern", np.nan))
-                repl = float(hop.attrs.get("replacement", 0.0))
-
-                def fn(b, pattern=pattern, repl=repl):
-                    out = b.copy()
-                    if np.isnan(pattern):
-                        out[np.isnan(out)] = repl
-                    else:
-                        out[out == pattern] = repl
-                    return out
-
-                dm = self._to_dm(in_slots[0])
-                rdd = dm.rdd.map_blocks(fn, "replace")
-                slot.payloads[BACKEND_SP] = DistributedMatrix(
-                    rdd, dm.nrow, dm.ncol
-                )
-            else:
-                slot.payloads[BACKEND_SP] = sb.unary(
-                    op, self._to_dm(in_slots[0])
-                )
-            return
-
-        if op in SPARK_AGG_ACTION:
-            self._exec_spark_aggregate(hop, slot, in_slots)
-            return
-
-        if op in SPARK_AGG_MAP:
-            dm = self._to_dm(in_slots[0])
-            if op == "uark+":
-                slot.payloads[BACKEND_SP] = sb.row_sums(dm)
-            elif op == "uarmean":
-                rs = sb.row_sums(dm)
-                slot.payloads[BACKEND_SP] = sb.elementwise_scalar(
-                    "/", rs, float(dm.ncol)
-                )
-            else:  # uarmax
-                rdd = dm.rdd.map_blocks(
-                    lambda b: b.max(axis=1, keepdims=True), "uarmax"
-                )
-                slot.payloads[BACKEND_SP] = DistributedMatrix(
-                    rdd, dm.nrow, 1
-                )
-            return
-
-        if op == "r'":
-            slot.payloads[BACKEND_SP] = sb.transpose(self._to_dm(in_slots[0]))
-            return
-
-        if op == "rbind":
-            slot.payloads[BACKEND_SP] = sb.rbind(
-                self._to_dm(in_slots[0]), self._to_dm(in_slots[1])
-            )
-            return
-
-        if op == "rightIndex":
-            in_shape = hop.inputs[0].shape
-            rl = int(hop.attrs.get("rl", 1)) - 1
-            ru = int(hop.attrs.get("ru", in_shape[0]))
-            cl = int(hop.attrs.get("cl", 1)) - 1
-            cu = int(hop.attrs.get("cu", in_shape[1]))
-            dm = self._to_dm(in_slots[0])
-            if cl != 0 or cu != in_shape[1]:
-                rdd = dm.rdd.map_blocks(
-                    lambda b, cl=cl, cu=cu: b[:, cl:cu].copy(), "rightIndex"
-                )
-                dm = DistributedMatrix(rdd, dm.nrow, cu - cl)
-            if rl != 0 or ru != in_shape[0]:
-                dm = sb.slice_rows(dm, rl, ru)
-            slot.payloads[BACKEND_SP] = dm
-            return
-
-        raise PlacementError(f"no Spark physical operator for {op!r}")
+    def _exec_spark_slice(self, hop: Hop, in_slot: Slot) -> DistributedMatrix:
+        """``rightIndex``: a column slice is block-local, a row range
+        re-blocks through a shuffle; a combined slice does both, columns
+        first."""
+        sb = self.session.spark
+        nrow, ncol = hop.inputs[0].shape
+        rl = int(hop.attrs.get("rl", 1)) - 1
+        ru = int(hop.attrs.get("ru", nrow))
+        cl = int(hop.attrs.get("cl", 1))
+        cu = int(hop.attrs.get("cu", ncol))
+        dm = self._to_dm(in_slot)
+        if cl != 1 or cu != ncol:
+            dm = sb.blockwise("rightIndex", dm, cu - cl + 1,
+                              {"cl": cl, "cu": cu})
+        if rl != 0 or ru != nrow:
+            dm = sb.slice_rows(dm, rl, ru)
+        return dm
 
     def _exec_spark_aggregate(self, hop: Hop, slot: Slot,
                               in_slots: list[Slot]) -> None:
@@ -742,57 +684,21 @@ class Interpreter:
         "this rewrite flags all other Spark actions for asynchronous
         execution").
         """
-        op = hop.opcode
-        dm = self._to_dm(in_slots[0])
-        cells = float(dm.nrow * dm.ncol)
-        nrow = float(dm.nrow)
+        out = self.session.spark.aggregate(
+            hop.opcode, self._to_dm(in_slots[0]),
+            asynchronous=hop.prefetch and self.config.enable_async_ops,
+        )
+        if not isinstance(out, SimFuture):
+            slot.payloads[BACKEND_CP] = out
+            return
+        slot.future = out
+        self.stats.inc(PREFETCH_ISSUED)
+        if self.tracer.enabled:
+            self.tracer.instant(EV_PREFETCH, LANE_CP, label=out.label,
+                                ready=out.ready_time)
 
-        if op in ("uak+", "uamean"):
-            partial = dm.rdd.map_blocks(
-                lambda b: np.array([[b.sum()]]), "uak+_partial"
-            )
-            combine = lambda a, b: a + b
-            if op == "uak+":
-                finish = lambda out: ScalarValue(float(out[0, 0]))
-            else:
-                finish = lambda out: ScalarValue(float(out[0, 0]) / cells)
-        elif op in ("uack+", "uacmean"):
-            partial = dm.rdd.map_blocks(
-                lambda b: b.sum(axis=0, keepdims=True), "uack+_partial"
-            )
-            combine = lambda a, b: a + b
-            if op == "uack+":
-                finish = lambda out: MatrixValue(out)
-            else:
-                finish = lambda out: MatrixValue(out / nrow)
-        elif op in ("uamax", "uamin"):
-            agg = np.max if op == "uamax" else np.min
-            reducer = np.maximum if op == "uamax" else np.minimum
-            partial = dm.rdd.map_blocks(
-                lambda b, f=agg: np.array([[f(b)]]), op + "_partial"
-            )
-            combine = lambda a, b, r=reducer: r(a, b)
-            finish = lambda out: ScalarValue(float(out[0, 0]))
-        else:  # pragma: no cover - guarded by SPARK_AGG_ACTION
-            raise PlacementError(f"unhandled Spark aggregate {op}")
-
-        sc = self.session.spark.sc
-        if hop.prefetch and self.config.enable_async_ops:
-            raw = sc.reduce_async(partial, combine)
-            slot.future = SimFuture(
-                self.clock, raw.ready_time, finish(raw.value),
-                label=f"agg:{op}",
-            )
-            self.stats.inc(PREFETCH_ISSUED)
-            if self.tracer.enabled:
-                self.tracer.instant(EV_PREFETCH, LANE_CP,
-                                    label=f"agg:{op}",
-                                    ready=raw.ready_time)
-        else:
-            slot.payloads[BACKEND_CP] = finish(sc.reduce(partial, combine))
-
-    def _exec_spark_matmul(self, hop: Hop, slot: Slot,
-                           in_slots: list[Slot]) -> None:
+    def _exec_spark_matmul(self, hop: Hop,
+                           in_slots: list[Slot]) -> DistributedMatrix:
         """Distributed matmul via SystemDS's physical patterns.
 
         ``tsmm`` (transpose-self, fused), ``cpmm`` (cross-product),
@@ -804,27 +710,20 @@ class Interpreter:
         left, right = hop.inputs
         ls, rs = in_slots
         if pattern == "tsmm":
-            dm = self._to_dm(ls.fused_from or ls)
-            slot.payloads[BACKEND_SP] = sb.tsmm(dm)
-        elif pattern == "cpmm":
+            return sb.tsmm(self._to_dm(ls.fused_from or ls))
+        if pattern == "cpmm":
             a = self._to_dm(ls.fused_from or ls)
-            b = self._to_dm(rs)
-            slot.payloads[BACKEND_SP] = sb.cpmm(a, b)
-        elif pattern == "mapmm":
+            return sb.cpmm(a, self._to_dm(rs))
+        if pattern == "mapmm":
             bc = self._to_bc(rs)
-            slot.payloads[BACKEND_SP] = sb.mapmm(
-                self._to_dm(ls), bc, right.shape[1]
-            )
-        elif pattern == "bcmm":
+            return sb.mapmm(self._to_dm(ls), bc, right.shape[1])
+        if pattern == "bcmm":
             bc = self._to_bc(ls)
-            slot.payloads[BACKEND_SP] = sb.bcmm_left(
-                bc, left.shape[0], self._to_dm(rs)
-            )
-        else:
-            raise PlacementError(
-                f"no Spark matmul pattern for shapes "
-                f"{left.shape} x {right.shape}"
-            )
+            return sb.bcmm_left(bc, left.shape[0], self._to_dm(rs))
+        raise PlacementError(
+            f"no Spark matmul pattern for shapes "
+            f"{left.shape} x {right.shape}"
+        )
 
     def _scalar_of(self, slot: Slot) -> float:
         """Driver-side python float of a 1x1 value (scalar operands)."""

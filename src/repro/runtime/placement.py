@@ -20,40 +20,21 @@ shared post-order node list — see docs/PERFORMANCE.md.
 from __future__ import annotations
 
 from repro.backends.gpu.backend import GPU_OPCODES
+from repro.backends.spark.backend import SPARK_OPCODES
 from repro.common.config import MemphisConfig
 from repro.compiler.ir import KIND_DATA, KIND_LITERAL, KIND_OP, Hop
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 from repro.memory.budget import gpu_working_set
 
-#: opcodes with a Spark physical operator (element-wise, matmul patterns,
-#: reorg, aggregates); ``ba+*`` is pattern-checked separately.
-SPARK_ELEMENTWISE = {
-    "+", "-", "*", "/", "^", "min", "max",
-    ">", "<", ">=", "<=", "==", "!=",
-}
-SPARK_UNARY = {"exp", "log", "sqrt", "abs", "sign", "round", "relu",
-               "sigmoid", "tanh", "replace"}
-SPARK_AGG_ACTION = {"uak+", "uack+", "uamean", "uacmean", "uamax", "uamin"}
-SPARK_AGG_MAP = {"uark+", "uarmean", "uarmax"}
-SPARK_REORG = {"r'", "rbind", "rightIndex"}
-
 
 def spark_supported(hop: Hop, config: MemphisConfig) -> bool:
-    """Whether a Spark physical operator exists for this hop."""
-    op = hop.opcode
-    if op in SPARK_ELEMENTWISE or op in SPARK_UNARY:
-        return True
-    if op in SPARK_AGG_ACTION or op in SPARK_AGG_MAP:
-        return True
-    if op == "rightIndex":
-        # column slicing is a narrow map; row slicing is a shuffle; a
-        # combined row+column slice is executed in two steps by dispatch
-        return True
-    if op in ("r'", "rbind"):
-        return True
-    if op == "ba+*":
+    """Whether a Spark physical operator exists for this hop
+    (:data:`~repro.backends.spark.backend.SPARK_OPCODES`; a matmul also
+    needs one of the four patterns)."""
+    kind = SPARK_OPCODES.get(hop.opcode)
+    if kind == "matmul":
         return matmul_pattern(hop, config) is not None
-    return False
+    return kind is not None
 
 
 def matmul_pattern(hop: Hop, config: MemphisConfig) -> str | None:
@@ -163,7 +144,7 @@ def _place_op(hop: Hop, config: MemphisConfig, op_mem: int) -> str:
     if sp_ok and inputs_on_sp:
         # aggregates of distributed inputs run as Spark actions even when
         # the (small) output fits in the driver
-        if hop.opcode in SPARK_AGG_ACTION or hop.opcode in SPARK_AGG_MAP:
+        if SPARK_OPCODES[hop.opcode] in ("action", "row_aggregate"):
             return BACKEND_SP
         # everything else follows the memory estimate: small results of
         # distributed inputs (e.g. a weight update after a cpmm) are

@@ -12,6 +12,8 @@ from repro.obs.chrome import LANE_TIDS
 from repro.obs.events import EV_INSTR, EV_PROBE, LANE_CP, LANE_SP
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EXAMPLES = sorted(name for name in os.listdir(os.path.join(REPO, "examples"))
+                  if name.endswith(".py"))
 
 
 def _run(*argv: str) -> str:
@@ -141,6 +143,12 @@ class TestServerFlags:
         out = _run("-m", "repro.harness", "--server", "3",
                    "--server-seed", "5")
         assert "=== server report ===" in out
+
+
+@pytest.mark.parametrize("example", EXAMPLES)
+def test_example_runs(example):
+    """Every ``examples/*.py`` runs to exit 0 as a real subprocess."""
+    _run(os.path.join("examples", example))
 
 
 class TestQuickstartTrace:

@@ -19,6 +19,10 @@ import numpy as np
 import pytest
 
 from repro import MemphisConfig, Session
+from repro.backends.cpu import kernels
+from repro.backends.cpu.vectorized import UNARY_CHAIN_OPS
+from repro.backends.gpu import GPU_OPCODES
+from repro.backends.spark import SPARK_OPCODES
 from repro.common.config import (
     CacheConfig,
     CpuConfig,
@@ -406,6 +410,44 @@ def test_every_config_field_is_read_somewhere_in_src():
         if field.name not in loaded
     ]
     assert unread == []
+
+
+def test_every_backend_opcode_has_a_cp_kernel():
+    """The Spark table and ``GPU_OPCODES`` name only operators the kernel
+    library computes: a backend adds placement, never an operator."""
+    assert set(SPARK_OPCODES) <= kernels.supported_opcodes()
+    assert GPU_OPCODES <= kernels.supported_opcodes()
+
+
+def test_backends_apply_the_kernel_librarys_own_cell_functions():
+    """One copy of the operator math: the fused-chain steps are the
+    kernel library's own objects, and no backend module nor the
+    interpreter names a numpy cell function (``np.exp``, ``np.maximum``,
+    …) — only a ufunc's ``.reduce`` may fold partials, as the matmul and
+    federated column-sum partials do."""
+    assert all(
+        fn is kernels.UNARY_UFUNCS.get(op, getattr(kernels, op, None))
+        for op, fn in UNARY_CHAIN_OPS.items()
+    )
+    cell_functions = {id(fn) for fn in (*kernels.UNARY_UFUNCS.values(),
+                                        *kernels.BINARY_UFUNCS.values())}
+    kernels_path = os.path.join(SRC, "repro", "backends", "cpu", "kernels.py")
+    trees = [t for p, t in _parsed_modules(os.path.join(SRC, "repro",
+                                                        "backends"))
+             if p != kernels_path]
+    trees += [t for _p, t in _parsed_modules(os.path.join(SRC, "repro",
+                                                          "runtime"))]
+    offenders = []
+    for tree in trees:
+        folds = {id(node.value) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+        offenders += [
+            node.attr for node in ast.walk(tree)
+            if _is_attribute_of(node, {"np", "numpy"})
+            and id(node) not in folds
+            and id(getattr(np, node.attr, None)) in cell_functions
+        ]
+    assert offenders == []
 
 
 def test_no_counter_is_incremented_by_a_string_literal():

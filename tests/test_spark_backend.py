@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro import MemphisConfig, Session
-from repro.backends.spark import SparkBackend, SparkContext
+from repro.backends.spark import SPARK_OPCODES, SparkBackend, SparkContext
 from repro.common.config import SparkConfig, StorageLevel
 from repro.common.simclock import CLUSTER, HOST, SimClock
-from repro.common.stats import Stats
+from repro.common.stats import PREFETCH_ISSUED, SPARK_JOBS, Stats
 from repro.core.entry import BACKEND_SP
+from repro.runtime.placement import matmul_pattern
 from repro.runtime.values import MatrixValue
 
 
@@ -53,7 +54,7 @@ class TestRddBasics:
         a = ctx.parallelize(np.ones((200, 2)))
         b = ctx.parallelize(np.ones((300, 2)))
         with pytest.raises(ValueError):
-            a.zip_blocks(b, lambda x, y: x + y, "+")
+            a.map_blocks(lambda x, y: x + y, "+", zip_with=b)
 
     def test_count(self, ctx):
         rdd = ctx.parallelize(np.ones((250, 4)))
@@ -110,28 +111,28 @@ class TestDistributedOps:
         x = _mat(220, 5)
         dx = sb.distribute(x)
         assert np.allclose(
-            sb.collect(sb.elementwise_zip("*", dx, dx)).data, x.data**2
+            sb.collect(sb.cellwise("*", dx, dx)).data, x.data**2
         )
         assert np.allclose(
-            sb.collect(sb.elementwise_scalar("+", dx, 1.0)).data, x.data + 1
+            sb.collect(sb.cellwise("+", dx, 1.0)).data, x.data + 1
         )
 
     def test_elementwise_broadcast_vector(self, sb):
         x, v = _mat(220, 5), _mat(1, 5, seed=4)
-        out = sb.collect(sb.elementwise_broadcast(
-            "-", sb.distribute(x), sb.broadcast(v), 5
+        out = sb.collect(sb.cellwise(
+            "-", sb.distribute(x), sb.broadcast(v)
         ))
         assert np.allclose(out.data, x.data - v.data)
 
     def test_unary(self, sb):
         x = _mat(150, 4)
-        out = sb.collect(sb.unary("exp", sb.distribute(x)))
+        out = sb.collect(sb.blockwise("exp", sb.distribute(x), 4))
         assert np.allclose(out.data, np.exp(x.data))
 
     def test_aggregates(self, sb):
         x = _mat(330, 6)
         dx = sb.distribute(x)
-        assert np.allclose(sb.collect(sb.row_sums(dx)).data,
+        assert np.allclose(sb.collect(sb.blockwise("uark+", dx, 1)).data,
                            x.data.sum(1, keepdims=True))
 
     def test_aggregate_actions_on_spark(self):
@@ -153,6 +154,136 @@ class TestDistributedOps:
         a, b = _mat(120, 3), _mat(80, 3, seed=9)
         out = sb.collect(sb.rbind(sb.distribute(a), sb.distribute(b)))
         assert np.allclose(out.data, np.vstack([a.data, b.data]))
+
+
+BLOCK_ROWS = 8
+ROWS = 3 * BLOCK_ROWS - 2  # three row blocks: 8 + 8 + 6
+
+
+def _ints(rows, cols, seed):
+    """Small positive integers: every sum, product and dot product is
+    exact, so a different fold order cannot change a bit."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(1, 9, (rows, cols)).astype(np.float64)
+
+
+def _run(build, spark, asynchronous=False):
+    """Evaluate ``build(sess, X, Y, c, v)``'s root on Spark (placement
+    forced, so the dispatcher picks the operand form) or on CP."""
+    cfg = MemphisConfig.base(enable_async_ops=asynchronous)
+    cfg.spark_enabled = spark
+    cfg.spark.block_size_rows = BLOCK_ROWS
+    # every ROWS x 3 operand is "distributed" for the matmul patterns
+    cfg.cpu.operation_memory_bytes = 256
+    sess = Session(cfg)
+    # the leaves stay referenced while the root runs: matmul_pattern
+    # tells tsmm from cpmm by the (weakly held) handles of data hops
+    leaves = [sess.read(_ints(ROWS, 3, 0), "X"),
+              sess.read(_ints(ROWS, 3, 1), "Y"),
+              sess.read(_ints(ROWS, 1, 2), "c"),
+              sess.read(_ints(1, 3, 3), "v")]
+    out = build(sess, *leaves)
+    if spark:
+        out.hop.placement = BACKEND_SP
+    return out.compute(), sess
+
+
+def _op(opcode, *operands, **attrs):
+    def build(sess, X, Y, c, v):
+        env = {"X": X, "Y": Y, "c": c, "v": v}
+        hops = [env[o].hop if isinstance(o, str) else sess.scalar(o).hop
+                for o in operands]
+        return sess.op(opcode, hops, attrs or None)
+    return build
+
+
+def _opcodes(*kinds):
+    return sorted(op for op, kind in SPARK_OPCODES.items() if kind in kinds)
+
+
+#: operand form -> (operands, suffix of the RDD the form builds)
+CELLWISE_FORMS = {
+    "scalar_right": (("X", 3.0), "s"),
+    "scalar_left": ((3.0, "X"), "s"),
+    "zip": (("X", "Y"), ""),
+    "zip_column_right": (("X", "c"), ""),
+    "zip_column_left": (("c", "X"), ""),
+    "broadcast_right": (("X", "v"), "bc"),
+    "broadcast_left": (("v", "X"), "bc"),
+}
+
+
+class TestPlacementInvariance:
+    """SP ≡ CP by construction: every opcode of the Spark table, in every
+    operand form the dispatcher selects, evaluated over three row blocks
+    equals the CP evaluation bit for bit."""
+
+    def _check(self, build, rdd_name=None, asynchronous=False):
+        expected, _ = _run(build, spark=False)
+        actual, sess = _run(build, spark=True, asynchronous=asynchronous)
+        assert sess.stats.get(SPARK_JOBS) > 0
+        if rdd_name is not None:
+            names = {r.name for r in sess.spark_context._rdds.values()}
+            assert rdd_name in names
+        assert actual.shape == expected.shape
+        assert np.array_equal(actual, expected)
+        return sess
+
+    @pytest.mark.parametrize("form", sorted(CELLWISE_FORMS))
+    @pytest.mark.parametrize("opcode", _opcodes("cellwise"))
+    def test_cellwise(self, opcode, form):
+        operands, suffix = CELLWISE_FORMS[form]
+        self._check(_op(opcode, *operands), opcode + suffix)
+
+    @pytest.mark.parametrize("opcode", _opcodes("blockwise", "row_aggregate"))
+    def test_blockwise(self, opcode):
+        attrs = {"pattern": 3.0, "replacement": -1.0} \
+            if opcode == "replace" else {}
+        self._check(_op(opcode, "X", **attrs), opcode)
+
+    @pytest.mark.parametrize("asynchronous", [False, True],
+                             ids=["sync", "async"])
+    @pytest.mark.parametrize("opcode", _opcodes("action"))
+    def test_action(self, opcode, asynchronous):
+        sess = self._check(_op(opcode, "X"), asynchronous=asynchronous)
+        assert (sess.stats.get(PREFETCH_ISSUED) > 0) == asynchronous
+
+    @pytest.mark.parametrize("rows, cols, rdd_name", [
+        (slice(2, 17), slice(None), "sliceRows"),
+        (slice(None), slice(1, 3), "rightIndex"),
+        (slice(2, 17), slice(1, 3), "sliceRows"),
+    ], ids=["rows", "columns", "rows_and_columns"])
+    def test_right_index(self, rows, cols, rdd_name):
+        self._check(lambda sess, X, *_: X[rows, cols], rdd_name)
+
+    def test_transpose(self):
+        self._check(lambda sess, X, *_: X.t(), "r'")
+
+    def test_rbind(self):
+        self._check(lambda sess, X, Y, *_: sess.rbind(X, Y), "rbind")
+
+    @pytest.mark.parametrize("pattern", ["tsmm", "cpmm", "mapmm", "bcmm"])
+    def test_matmul(self, pattern):
+        build = {
+            "tsmm": lambda sess, X, *_: X.t() @ X,
+            "cpmm": lambda sess, X, Y, *_: X.t() @ Y,
+            "mapmm": lambda sess, X, *_: X @ sess.read(_ints(3, 2, 4)),
+            "bcmm": lambda sess, X, *_: sess.read(_ints(1, ROWS, 5)) @ X,
+        }[pattern]
+
+        def checked(sess, *leaves):
+            out = build(sess, *leaves)
+            assert matmul_pattern(out.hop, sess.config) == pattern
+            return out
+
+        self._check(checked, pattern)
+
+    def test_every_spark_opcode_is_covered(self):
+        covered = set(_opcodes("cellwise", "blockwise", "row_aggregate",
+                               "action")) | {"rightIndex", "r'", "rbind",
+                                             "ba+*"}
+        assert covered == set(SPARK_OPCODES)
+        assert len(SPARK_OPCODES) == 36
 
 
 class TestPersistence:
