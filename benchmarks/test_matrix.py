@@ -3,11 +3,11 @@
 A cell is one :class:`~repro.common.runtime.RuntimeContext`: the
 ``memplan`` collector off/on, ``faults`` none /
 ``FaultPlan.randomize(0)`` / ``(1)``, and a ``configure`` hook that sets
-``enable_fusion`` off/on and the CP, GPU and Spark eviction policies to
-the region defaults or one ``EvictionPolicyName``.  A program is one of
-the nine ``repro.analysis`` targets (private substrates) or the
-four-session server demo (one shared substrate: the combinations
-``--server`` refuses on the command line).  Every cell runs under an
+the CP, GPU and Spark eviction policies to the region defaults or one
+``EvictionPolicyName``.  A program is one of the nine
+``repro.analysis`` targets (private substrates) or the four-session
+server demo (one shared substrate: the combinations ``--server``
+refuses on the command line).  Every cell runs under an
 ``AnalysisCollector`` in a fresh context and must complete with the
 plain cell's results
 (``WorkloadResult.metric`` exactly; the server's per-request values),
@@ -45,33 +45,28 @@ from repro.workloads.base import WorkloadResult
 
 
 class Cell(NamedTuple):
-    fusion: bool
     memplan: bool
     faults: Optional[int]                    # FaultPlan.randomize seed
     policy: Optional[EvictionPolicyName]
 
     def __str__(self) -> str:
-        return (f"fusion{int(self.fusion)}-memplan{int(self.memplan)}-"
+        return (f"memplan{int(self.memplan)}-"
                 f"faults{'-' if self.faults is None else self.faults}-"
                 f"{self.policy.value if self.policy else 'default'}")
 
     def configure(self, config: MemphisConfig) -> None:
         """The cell's ``RuntimeContext.configure`` hook."""
-        if self.fusion:
-            config.enable_fusion = True
         if self.policy is not None:
             config.cache.policy = config.gpu.policy = self.policy
             config.cache.spark_policy = config.spark.policy = self.policy
 
 
-AXES = ((False, True), (False, True), (None, 0, 1),
-        (None, *EvictionPolicyName))
+AXES = ((False, True), (None, 0, 1), (None, *EvictionPolicyName))
 CROSS = [Cell(*values) for values in itertools.product(*AXES)]
 PLAIN = CROSS[0]
 
 #: the cells the per-feature sweep scripts used to run, by name.
 MEMPLAN_ONLY = PLAIN._replace(memplan=True)
-FUSION_MEMPLAN = MEMPLAN_ONLY._replace(fusion=True)
 POLICY_ONLY = [PLAIN._replace(policy=policy) for policy in EvictionPolicyName]
 
 
@@ -92,7 +87,7 @@ def _pairwise(seed: list[Cell]) -> list[Cell]:
     return cells
 
 
-COVERING = _pairwise([PLAIN, MEMPLAN_ONLY, FUSION_MEMPLAN, *POLICY_ONLY])
+COVERING = _pairwise([PLAIN, MEMPLAN_ONLY, *POLICY_ONLY])
 
 PROGRAMS = {name: thunk for name, (_, thunk) in TARGETS.items()}
 PROGRAMS["server"] = lambda: run_server_demo(4, seed=11)

@@ -229,10 +229,7 @@ class PlacementLegalityPass(AnalysisPass):
                     "budget the placement heuristic enforces (§2.1)", hop,
                 ))
         elif hop.placement == BACKEND_CP:
-            # fused chains carry their own CompiledStep closures instead
-            # of a registry kernel; the FUS rules validate them
-            if hop.opcode != "fused" \
-                    and hop.opcode not in supported_opcodes():
+            if hop.opcode not in supported_opcodes():
                 out.append(self.diag(
                     "PLC011", Severity.ERROR,
                     f"no CPU kernel for {hop.opcode!r}", hop,

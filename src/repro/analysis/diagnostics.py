@@ -111,10 +111,6 @@ class DiagnosticReport:
     def errors(self) -> list[Diagnostic]:
         return self.at_least(Severity.ERROR)
 
-    def warnings(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics
-                if d.severity is Severity.WARNING]
-
     def by_rule(self, rule: str) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.rule == rule]
 

@@ -15,7 +15,6 @@ from typing import Iterable, Optional, Sequence
 
 # importing the rule modules populates the pass registry
 import repro.analysis.dag_rules  # noqa: F401
-import repro.analysis.fusion_rules  # noqa: F401
 import repro.analysis.memplan  # noqa: F401
 import repro.analysis.stream_rules  # noqa: F401
 from repro.analysis.base import (
@@ -38,7 +37,6 @@ DEFAULT_PASS_ORDER = (
     "liveness-leak",
     "async-race",
     "lineage-determinism",
-    "fusion-legality",
     "memory-plan",
 )
 

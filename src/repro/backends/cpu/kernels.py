@@ -61,9 +61,8 @@ def _make_binary(op):
     return fn
 
 
-#: cell-wise binary opcodes -> numpy ufuncs.  Shared with the vectorized
-#: chain layer (``repro.backends.cpu.vectorized``) so fused and unfused
-#: instructions execute the exact same ufunc object.
+#: cell-wise binary opcodes -> numpy ufuncs.  Shared with the Spark
+#: backend, which folds per-block aggregate partials with these entries.
 BINARY_UFUNCS: dict[str, Callable] = {
     "+": np.add,
     "-": np.subtract,
@@ -102,8 +101,6 @@ UNARY_UFUNCS: dict[str, Callable] = {
     "abs": np.abs,
     "sign": np.sign,
     "round": np.round,
-    "floor": np.floor,
-    "ceil": np.ceil,
     "tanh": np.tanh,
 }
 
@@ -111,24 +108,14 @@ for _code, _op in UNARY_UFUNCS.items():
     _KERNELS[_code] = _make_unary(_op)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Cell-wise logistic function (also a fused chain step)."""
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """Cell-wise rectifier (also a fused chain step)."""
-    return np.maximum(x, 0.0)
-
-
 @kernel("sigmoid")
 def _sigmoid(inputs, attrs):
-    return MatrixValue(sigmoid(as_matrix(inputs[0])))
+    return MatrixValue(1.0 / (1.0 + np.exp(-as_matrix(inputs[0]))))
 
 
 @kernel("relu")
 def _relu(inputs, attrs):
-    return MatrixValue(relu(as_matrix(inputs[0])))
+    return MatrixValue(np.maximum(as_matrix(inputs[0]), 0.0))
 
 
 @kernel("softmax")
@@ -169,11 +156,6 @@ def _solve(inputs, attrs):
     except np.linalg.LinAlgError:
         out = np.linalg.lstsq(a, b, rcond=None)[0]
     return MatrixValue(out)
-
-
-@kernel("inv")
-def _inv(inputs, attrs):
-    return MatrixValue(np.linalg.pinv(as_matrix(inputs[0])))
 
 
 # ---------------------------------------------------------------- aggregates
@@ -237,16 +219,6 @@ def _rowmax(inputs, attrs):
 def _rowargmax(inputs, attrs):
     x = as_matrix(inputs[0])
     return MatrixValue((np.argmax(x, axis=1) + 1.0).reshape(-1, 1))
-
-
-@kernel("nrow")
-def _nrow(inputs, attrs):
-    return ScalarValue(int(as_matrix(inputs[0]).shape[0]))
-
-
-@kernel("ncol")
-def _ncol(inputs, attrs):
-    return ScalarValue(int(as_matrix(inputs[0]).shape[1]))
 
 
 # --------------------------------------------------------- data generation
@@ -320,17 +292,6 @@ def _diag(inputs, attrs):
     return MatrixValue(np.diag(x).reshape(-1, 1))
 
 
-@kernel("reshape")
-def _reshape(inputs, attrs):
-    x = as_matrix(inputs[0])
-    return MatrixValue(x.reshape(int(attrs["rows"]), int(attrs["cols"])))
-
-
-@kernel("rev")
-def _rev(inputs, attrs):
-    return MatrixValue(as_matrix(inputs[0])[::-1].copy())
-
-
 @kernel("replace")
 def _replace(inputs, attrs):
     x = as_matrix(inputs[0]).copy()
@@ -341,17 +302,6 @@ def _replace(inputs, attrs):
     else:
         x[x == pattern] = replacement
     return MatrixValue(x)
-
-
-@kernel("order")
-def _order(inputs, attrs):
-    x = as_matrix(inputs[0])
-    by = int(attrs.get("by", 1)) - 1
-    decreasing = bool(attrs.get("decreasing", False))
-    idx = np.argsort(x[:, by], kind="stable")
-    if decreasing:
-        idx = idx[::-1]
-    return MatrixValue(x[idx].copy())
 
 
 @kernel("table")
@@ -465,12 +415,3 @@ def _quantile(inputs, attrs):
     x = as_matrix(inputs[0])
     p = float(attrs.get("p", 0.5))
     return MatrixValue(np.quantile(x, p, axis=0, keepdims=True))
-
-
-@kernel("bias_add")
-def _bias_add(inputs, attrs):
-    x = as_matrix(inputs[0])
-    b = as_matrix(inputs[1]).ravel()
-    k = b.shape[0]
-    per = x.shape[1] // k
-    return MatrixValue(x + np.repeat(b, per)[None, :])

@@ -170,10 +170,6 @@ class FederatedCoordinator:
         )
         return np.add.reduce([p.data for p in parts])
 
-    def total_reuses(self) -> int:
-        """Worker-local cache hits observed by this coordinator's fleet."""
-        return sum(w.stats.get("cache/hits") for w in self.workers)
-
     # -- internals ------------------------------------------------------------------
 
     def _round(self, fm: FederatedMatrix, request_fn, ship_bytes: int = 0,

@@ -26,8 +26,8 @@ GPU_OPCODES = {
     "+", "-", "*", "/", "^", "min", "max", ">", "<", ">=", "<=", "==", "!=",
     "exp", "log", "sqrt", "abs", "sign", "relu", "sigmoid", "tanh",
     "softmax", "dropout", "ba+*", "r'", "uak+", "uark+", "uack+",
-    "uamean", "uarmax", "uarimax", "conv2d", "maxpool", "bias_add",
-    "uamax", "uamin", "solve",
+    "uamean", "uarmax", "uarimax", "conv2d", "maxpool", "uamax", "uamin",
+    "solve",
 }
 
 

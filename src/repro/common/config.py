@@ -214,13 +214,6 @@ class MemphisConfig:
     enable_eviction_injection: bool = True
     enable_auto_tuning: bool = True
     enable_max_parallelize: bool = True
-    #: reuse-aware operator fusion (``repro.compiler.rewrites.fusion``):
-    #: when True, chains of cell-wise ops (and matmul epilogues) whose
-    #: intermediates the lineage cache does not want to retain are merged
-    #: into single fused instructions.  Off by default: fusion only fires
-    #: when the reuse mode neither probes nor caches (NONE/TRACE_ONLY),
-    #: since fused interiors produce no probeable lineage entries.
-    enable_fusion: bool = False
     #: GPU allocator mode: "malloc" | "pool" | "memphis"; None derives it
     #: from the reuse mode (Base -> malloc, MEMPHIS -> memphis).
     gpu_memory_mode: str | None = None
@@ -248,9 +241,9 @@ class MemphisConfig:
 
     def __post_init__(self) -> None:
         # The current runtime context's ``configure`` hook (harness
-        # --policy / --fusion, the ablations, the feature matrix) reaches
-        # configs the experiment drivers build internally, without
-        # threading a parameter through every classmethod constructor.
+        # --policy, the ablations, the feature matrix) reaches configs
+        # the experiments build internally, without threading a
+        # parameter through every classmethod constructor.
         # The constructors below pass their system's settings as
         # arguments, so the hook always has the last word.
         configure = current_runtime().configure

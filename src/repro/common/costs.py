@@ -17,8 +17,7 @@ MATMUL_OPS = {"ba+*", "matmul"}
 #: cheap element-wise ops: 1 FLOP per output cell.
 ELEMENTWISE_1 = {
     "+", "-", "*", "/", "^", "min", "max", ">", "<", ">=", "<=", "==", "!=",
-    "abs", "sign", "round", "floor", "ceil", "relu", "dropout", "replace",
-    "assign",
+    "abs", "sign", "round", "relu", "dropout", "replace", "assign",
 }
 
 #: transcendental element-wise ops: ~20 FLOPs per output cell.
@@ -28,13 +27,13 @@ ELEMENTWISE_20 = {"exp", "log", "sqrt", "sigmoid", "tanh", "softmax"}
 AGGREGATES = {
     "uak+", "uark+", "uack+", "uamin", "uamax", "uamean", "uarmean",
     "uacmean", "uarmax", "uacmax", "uarmin", "uacmin", "sum", "rowSums",
-    "colSums", "mean", "rowMeans", "colMeans", "nrow", "ncol",
+    "colSums", "mean", "rowMeans", "colMeans",
 }
 
 #: data movement / reorganization: charged per byte, negligible FLOPs.
 REORG_OPS = {
     "r'", "transpose", "rightIndex", "slice", "cbind", "rbind", "append",
-    "rand", "seq", "diag", "reshape", "rev", "sort",
+    "rand", "seq", "diag", "sort",
 }
 
 

@@ -32,7 +32,7 @@ an explicit ``RuntimeContext()`` starts a new id space.
 
 ``configure`` — a function applied to every new ``MemphisConfig`` — is
 the one road to the configs experiment drivers build internally (harness
-``--policy`` / ``--fusion``, the ablations, the feature matrix).  A
+``--policy``, the ablations, the feature matrix).  A
 nested ``scope(configure=...)`` does not replace the enclosing hook but
 runs after it, so the inner one wins on any field both set.
 """

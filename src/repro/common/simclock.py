@@ -71,10 +71,6 @@ class SimClock:
         self.timelines[to] = t
         return t
 
-    def elapsed(self, timeline: str = HOST) -> float:
-        """Alias for :meth:`now`; reads better in reports."""
-        return self.timelines[timeline]
-
     def reset(self) -> None:
         """Zero every timeline."""
         for key in self.timelines:

@@ -153,10 +153,6 @@ CHECKPOINTS_PLACED = "compiler/checkpoints_placed"
 INSTRUCTIONS_EXECUTED = "runtime/instructions_executed"
 INSTRUCTIONS_SKIPPED = "runtime/instructions_skipped"
 CPU_BYTES_ALLOCATED = "cpu/bytes_allocated"
-FUSION_CHAINS = "fusion/chains_fused"
-FUSION_HOPS_ELIMINATED = "fusion/hops_eliminated"
-FUSION_BYTES_SAVED = "fusion/bytes_saved"
-FUSION_INSTRUCTIONS = "fusion/instructions_executed"
 MEM_RESERVES = "memory/reserves"
 MEM_RESERVE_FAILURES = "memory/reserve_failures"
 MEM_EVICTIONS = "memory/evictions"

@@ -23,17 +23,13 @@ KIND_DATA = "data"
 KIND_LITERAL = "literal"
 
 #: opcodes producing scalars.
-SCALAR_OPS = {"uak+", "uamean", "uamax", "uamin", "nrow", "ncol"}
+SCALAR_OPS = {"uak+", "uamean", "uamax", "uamin"}
 
 
 def infer_shape(opcode: str, in_shapes: list[tuple[int, int]],
                 attrs: dict) -> tuple[int, int]:
     """Bottom-up output shape inference for every supported opcode."""
     if opcode == "rand":
-        return (int(attrs["rows"]), int(attrs["cols"]))
-    if opcode == "fused":
-        # fused chains record their tail shape in the attrs; the interior
-        # hops they absorbed are no longer reachable for re-inference
         return (int(attrs["rows"]), int(attrs["cols"]))
     if opcode == "seq":
         start, stop = float(attrs["from"]), float(attrs["to"])
@@ -45,8 +41,6 @@ def infer_shape(opcode: str, in_shapes: list[tuple[int, int]],
         return (in_shapes[0][1], in_shapes[0][0])
     if opcode == "solve":
         return (in_shapes[0][1], in_shapes[1][1])
-    if opcode == "inv":
-        return in_shapes[0]
     if opcode in SCALAR_OPS:
         return (1, 1)
     if opcode in ("uark+", "uarmean", "uarmax", "uarmin", "uarimax"):
@@ -68,8 +62,6 @@ def infer_shape(opcode: str, in_shapes: list[tuple[int, int]],
     if opcode == "diag":
         rows, cols = in_shapes[0]
         return (rows, rows) if cols == 1 else (min(rows, cols), 1)
-    if opcode == "reshape":
-        return (int(attrs["rows"]), int(attrs["cols"]))
     if opcode == "table":
         return (int(attrs["rows"]), int(attrs["cols"]))
     if opcode == "conv2d":
@@ -88,10 +80,9 @@ def infer_shape(opcode: str, in_shapes: list[tuple[int, int]],
         hout = (h + 2 * pad - r) // stride + 1
         wout = (w + 2 * pad - s) // stride + 1
         return (n, c * hout * wout)
-    if opcode in ("order", "rev", "replace", "relu", "sigmoid", "tanh",
-                  "softmax", "dropout", "exp", "log", "sqrt", "abs", "sign",
-                  "round", "floor", "ceil", "bias_add", "assign", "recode",
-                  "bin"):
+    if opcode in ("replace", "relu", "sigmoid", "tanh", "softmax", "dropout",
+                  "exp", "log", "sqrt", "abs", "sign", "round", "assign",
+                  "recode", "bin"):
         return in_shapes[0]
     if opcode == "quantile":
         return (1, in_shapes[0][1])

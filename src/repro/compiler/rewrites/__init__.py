@@ -6,13 +6,6 @@ from repro.compiler.rewrites.checkpoint import (
     should_checkpoint_loop_var,
 )
 from repro.compiler.rewrites.cse import eliminate_common_subexpressions
-from repro.compiler.rewrites.fusion import (
-    FUSED_OPCODE,
-    FusedHop,
-    apply_fusion,
-    plan_fusion,
-    retention_candidate,
-)
 from repro.compiler.rewrites.tuning import (
     BlockTuning,
     ProgramBlock,
@@ -26,11 +19,6 @@ __all__ = [
     "place_shared_checkpoints",
     "should_checkpoint_loop_var",
     "eliminate_common_subexpressions",
-    "FUSED_OPCODE",
-    "FusedHop",
-    "apply_fusion",
-    "plan_fusion",
-    "retention_candidate",
     "ProgramBlock",
     "BlockTuning",
     "tune_block",

@@ -110,17 +110,8 @@ class CacheEntry:
             self.status = EntryStatus.EVICTED
 
     @property
-    def backends(self) -> set[str]:
-        return set(self.payloads)
-
-    @property
     def is_cached(self) -> bool:
         return self.status is EntryStatus.CACHED and bool(self.payloads)
-
-    @property
-    def references(self) -> int:
-        """Total references: ``r_h + r_m + r_j`` (Eq. 1 numerator)."""
-        return self.hits + self.misses + self.jobs
 
     def __repr__(self) -> str:
         return (

@@ -56,7 +56,6 @@ from repro.compiler.rewrites.checkpoint import (
     should_checkpoint_loop_var,
 )
 from repro.compiler.rewrites.cse import eliminate_common_subexpressions
-from repro.compiler.rewrites.fusion import apply_fusion
 from repro.compiler.rewrites.tuning import ProgramBlock, tune_block
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 from repro.core.function_reuse import call_with_reuse
@@ -273,11 +272,6 @@ class Session:
         return self.op("table", [rows.hop, cols.hop],
                        {"rows": nrow, "cols": ncol})
 
-    def order(self, handle: MatrixHandle, by: int = 1,
-              decreasing: bool = False) -> MatrixHandle:
-        return self.op("order", [handle.hop],
-                       {"by": by, "decreasing": decreasing})
-
     def conv2d(self, images: MatrixHandle, filters: MatrixHandle,
                shape: dict) -> MatrixHandle:
         """2-D convolution over linearized NCHW matrices.
@@ -289,12 +283,6 @@ class Session:
     def maxpool(self, images: MatrixHandle, shape: dict) -> MatrixHandle:
         """Max pooling over linearized NCHW matrices."""
         return self.op("maxpool", [images.hop], dict(shape))
-
-    def bias_add(self, x: MatrixHandle, bias: MatrixHandle) -> MatrixHandle:
-        return self.op("bias_add", [x.hop, bias.hop])
-
-    def reshape(self, x: MatrixHandle, rows: int, cols: int) -> MatrixHandle:
-        return self.op("reshape", [x.hop], {"rows": rows, "cols": cols})
 
     def recode(self, x: MatrixHandle) -> MatrixHandle:
         """Dictionary-encode categorical columns to dense 1-based codes."""
@@ -337,23 +325,6 @@ class Session:
         assign_placements(root_hops, self.config, nodes)
         consumers = consumers_map(root_hops, nodes)
         mark_fused_transposes(nodes, consumers, self.config)
-        if self.config.enable_fusion:
-            # reuse-aware operator fusion: after CSE/placement (chains
-            # must respect both), before checkpoint/prefetch/broadcast
-            # placement (those passes must see the fused stream).
-            root_hops, fused, replaced = apply_fusion(
-                root_hops, nodes, consumers, self.config, self.stats,
-                protected=set(extra), ids=self.ids,
-            )
-            if fused:
-                for handle, hop in zip(roots, root_hops):
-                    handle.hop = hop
-                extra = {
-                    replaced[hid].id if hid in replaced else hid: handles_
-                    for hid, handles_ in extra.items()
-                }
-                nodes = depth_first(root_hops)
-                consumers = consumers_map(root_hops, nodes)
         place_shared_checkpoints(root_hops, self.config, consumers, nodes)
         place_prefetch(root_hops, self.config, consumers, nodes)
         place_broadcast(root_hops, self.config, consumers, nodes)

@@ -55,8 +55,7 @@ EXPERIMENTS = {
 
 #: flags that change what sessions compute; ``--server`` runs its own
 #: fixed demo, so combining them is refused rather than silently dropped.
-_EXPERIMENT_ONLY_FLAGS = ("faults", "policy", "gpu_policy", "spark_policy",
-                          "fusion")
+_EXPERIMENT_ONLY_FLAGS = ("faults", "policy", "gpu_policy", "spark_policy")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -119,12 +118,6 @@ def main(argv: list[str] | None = None) -> int:
                              "readable per-tenant SLO / attribution "
                              "stream (SERVER_SCHEMA JSONL, byte-"
                              "reproducible for a fixed --server-seed)")
-    parser.add_argument("--fusion", action="store_true",
-                        help="enable the reuse-aware operator fusion "
-                             "rewrite on every session (chains of "
-                             "cell-wise ops merge into single fused "
-                             "instructions where the lineage cache keeps "
-                             "nothing; see docs/PERFORMANCE.md)")
     args = parser.parse_args(argv)
 
     if args.list:
@@ -194,16 +187,13 @@ def _context_from_args(args: argparse.Namespace) -> RuntimeContext:
                                    ("spark", args.spark_policy)) if value}
     if chosen:
         print(f"[memory: eviction policy overrides {chosen}]")
-    if args.fusion:
-        print("[compiler: reuse-aware operator fusion enabled]")
-    if chosen or args.fusion:
         fields["configure"] = _configure_from_args(args)
     return scope(**fields)
 
 
 def _configure_from_args(args: argparse.Namespace):
     """The ``configure`` hook ``--policy`` / ``--gpu-policy`` /
-    ``--spark-policy`` / ``--fusion`` ask for."""
+    ``--spark-policy`` ask for."""
     policy, gpu_policy, spark_policy = (
         EvictionPolicyName(value) if value else None
         for value in (args.policy, args.gpu_policy, args.spark_policy))
@@ -216,8 +206,6 @@ def _configure_from_args(args: argparse.Namespace):
         if spark_policy is not None:
             config.cache.spark_policy = spark_policy
             config.spark.policy = spark_policy
-        if args.fusion:
-            config.enable_fusion = True
 
     return configure
 

@@ -176,9 +176,6 @@ class LineageInterner:
             self._table[key] = item
         return item
 
-    def clear(self) -> None:
-        self._table.clear()
-
 
 def literal(value: object, ids: Optional[IdSpace] = None) -> LineageItem:
     """Lineage leaf for a scalar/string literal."""

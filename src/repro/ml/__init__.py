@@ -36,13 +36,7 @@ from repro.ml.transforms import (
     recode,
     transform_encode,
 )
-from repro.ml.tuning import (
-    cross_validate_linreg,
-    grid_search_linreg,
-    kfold_indices,
-    successive_halving,
-    weighted_ensemble,
-)
+from repro.ml.tuning import kfold_indices, successive_halving, weighted_ensemble
 
 __all__ = [
     "impute_by_mean", "impute_by_mode", "normalize", "outlier_by_iqr",
@@ -54,6 +48,5 @@ __all__ = [
     "alexnet", "init_weights", "resnet18", "vgg16",
     "pnmf", "pnmf_iteration", "pnmf_loss",
     "equi_width_bin", "minibatch", "one_hot", "recode", "transform_encode",
-    "cross_validate_linreg", "grid_search_linreg", "kfold_indices",
-    "successive_halving", "weighted_ensemble",
+    "kfold_indices", "successive_halving", "weighted_ensemble",
 ]

@@ -24,12 +24,6 @@ def affine(sess: Session, X: MatrixHandle, W: MatrixHandle,
     return X @ W + b
 
 
-def conv_layer(sess: Session, X: MatrixHandle, F: MatrixHandle,
-               shape: dict) -> MatrixHandle:
-    """conv2d + ReLU."""
-    return sess.conv2d(X, F, shape).relu()
-
-
 def init_weights(sess: Session, rows: int, cols: int,
                  seed: int) -> MatrixHandle:
     """Xavier-style initialization (deterministic by seed)."""

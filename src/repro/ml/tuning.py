@@ -1,5 +1,6 @@
-"""Hyper-parameter optimization drivers: grid search, cross-validation,
-and Hyperband-style successive halving (paper HCV and HBAND pipelines).
+"""Hyper-parameter search helpers: k-fold boundaries, Hyperband-style
+successive halving and ensemble-weight search (paper HCV and HBAND
+pipelines; the HCV loop itself is ``repro.workloads.hcv``).
 """
 
 from __future__ import annotations
@@ -7,59 +8,13 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.core.session import Session
-from repro.ml.linreg import lin_reg_ds, lin_reg_predict, r2_score
 from repro.runtime.handles import MatrixHandle
-
-
-def grid_search_linreg(sess: Session, X: MatrixHandle, y: MatrixHandle,
-                       regs: Sequence[float]) -> tuple[float, float]:
-    """Grid search over regularization; returns (best_reg, best_r2)."""
-    best_reg, best_score = regs[0], float("-inf")
-    for reg in regs:
-        beta = lin_reg_ds(sess, X, y, reg)
-        score = r2_score(sess, y, lin_reg_predict(sess, X, beta)).item()
-        if score > best_score:
-            best_reg, best_score = reg, score
-    return best_reg, best_score
 
 
 def kfold_indices(n: int, k: int) -> list[tuple[int, int]]:
     """Contiguous fold boundaries [(start, stop)), 0-based."""
     fold = n // k
     return [(i * fold, (i + 1) * fold if i < k - 1 else n) for i in range(k)]
-
-
-def cross_validate_linreg(sess: Session, X: MatrixHandle, y: MatrixHandle,
-                          reg: float, folds: int = 3) -> float:
-    """k-fold cross-validated R^2 of linRegDS.
-
-    Each fold trains on the complement slice and scores the held-out
-    slice; within one fold, ``t(X) %*% X`` / ``t(X) %*% y`` are shared
-    across the grid of regularization values (the HCV reuse pattern).
-    """
-    total = 0.0
-    for start, stop in kfold_indices(X.nrow, folds):
-        X_test = X[start:stop, :]
-        y_test = y[start:stop, :]
-        X_train, y_train = _fold_complement(sess, X, y, start, stop)
-        beta = lin_reg_ds(sess, X_train, y_train, reg)
-        score = r2_score(
-            sess, y_test, lin_reg_predict(sess, X_test, beta)
-        ).item()
-        total += score
-    return total / folds
-
-
-def _fold_complement(sess: Session, X: MatrixHandle, y: MatrixHandle,
-                     start: int, stop: int) -> tuple[MatrixHandle, MatrixHandle]:
-    if start == 0:
-        return X[stop:X.nrow, :], y[stop:y.nrow, :]
-    if stop == X.nrow:
-        return X[0:start, :], y[0:start, :]
-    return (
-        sess.rbind(X[0:start, :], X[stop:X.nrow, :]),
-        sess.rbind(y[0:start, :], y[stop:y.nrow, :]),
-    )
 
 
 def successive_halving(

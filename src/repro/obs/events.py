@@ -184,8 +184,3 @@ class Event:
             session=int(data.get("session", 0)),
             args=data.get("args"),
         )
-
-    @property
-    def end(self) -> float:
-        """End time of a span (== ``ts`` for instants)."""
-        return self.ts + self.dur

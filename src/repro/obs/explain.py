@@ -60,9 +60,6 @@ class HopSnapshot:
     checkpoint: bool = False
     fused: bool = False
     probe: bool = False
-    #: number of cell-wise steps merged into this hop by the fusion
-    #: rewrite (0 for ordinary hops; prologue matmul counts as one).
-    fused_steps: int = 0
 
     @property
     def annotations(self) -> list[str]:
@@ -78,8 +75,6 @@ class HopSnapshot:
             out.append("checkpoint")
         if self.fused:
             out.append("fused-skip")
-        if self.fused_steps:
-            out.append(f"fused({self.fused_steps})")
         return out
 
 
@@ -99,7 +94,7 @@ class ExplainPlan:
         """Structural identity used to dedupe repeated loop bodies."""
         return tuple(
             (s.opcode, s.kind, s.shape, s.placement, s.prefetch,
-             s.broadcast, s.checkpoint, s.fused, s.probe, s.fused_steps,
+             s.broadcast, s.checkpoint, s.fused, s.probe,
              tuple(self._local(i) for i in s.input_ids))
             for s in self.order
         )
@@ -145,12 +140,7 @@ def snapshot_plan(root_hops: Sequence[Hop], order: Sequence[Hop],
             broadcast=bool(hop.async_broadcast),
             checkpoint=bool(hop.checkpoint),
             fused=bool(hop.fused),
-            probe=(probing and hop.kind == KIND_OP and not hop.fused
-                   and hop.opcode != "fused"),
-            fused_steps=(
-                len(getattr(hop, "steps", ()))
-                + (1 if getattr(hop, "prologue", None) is not None else 0)
-            ),
+            probe=probing and hop.kind == KIND_OP and not hop.fused,
         ))
     return ExplainPlan(tuple(h.id for h in root_hops), snaps)
 

@@ -39,10 +39,6 @@ class RingBufferSink:
     def __len__(self) -> int:
         return len(self._events)
 
-    def clear(self) -> None:
-        self._events.clear()
-        self._total = 0
-
 
 class JsonlSink:
     """Writes one JSON object per line; usable as a context manager."""

@@ -34,8 +34,6 @@ Tracer spans (with the gauge samples that ride on them) and fault
 draws are hooks of that same loop, each behind a boolean read once per
 run; which modes probe and put is
 :class:`~repro.common.config.ReuseMode`'s own ``probes`` / ``puts``.
-A cell-wise chain becomes one instruction only through the
-compile-time fusion rewrite (:meth:`Interpreter._exec_fused`);
 ``bench/`` measures the loop's real wall-clock cost
 (docs/PERFORMANCE.md).
 """
@@ -62,8 +60,7 @@ from repro.common.stats import (
     SPARK_ACTION_REUSE,
 )
 from repro.faults.plan import KIND_CACHE_LOST
-from repro.compiler.ir import KIND_DATA, KIND_LITERAL, KIND_OP, Hop
-from repro.compiler.rewrites.fusion import FUSED_OPCODE
+from repro.compiler.ir import KIND_DATA, KIND_LITERAL, Hop
 from repro.core.entry import (
     BACKEND_CP,
     BACKEND_GPU,
@@ -210,25 +207,21 @@ class Interpreter:
             elif kind == KIND_DATA:
                 slot = data_slot(hop)
             else:
-                # a fused cell-wise chain (compile-time fusion rewrite)
-                # TRACEs inside _exec_fused, under its span
-                fused_chain = hop.opcode == FUSED_OPCODE
-                if not fused_chain:
-                    # TRACE (§3.2): items are interned, so a re-traced
-                    # instruction gets the canonical object and probes
-                    # compare by identity; with lineage active, the
-                    # per-instruction overhead of Fig. 2(c) is charged
-                    in_slots = [env[h.id] for h in hop.inputs]
-                    attrs = hop.attrs
-                    item = intern(
-                        hop.opcode,
-                        _attr_data(attrs) if attrs else (),
-                        tuple(s.lineage for s in in_slots),
-                    )
-                    if trace_on:
-                        clock.advance(trace_overhead, HOST)
-                        stats.inc(LINEAGE_TRACED)
-                    slot = Slot(item)
+                # TRACE (§3.2): items are interned, so a re-traced
+                # instruction gets the canonical object and probes compare
+                # by identity; with lineage active, the per-instruction
+                # overhead of Fig. 2(c) is charged
+                in_slots = [env[h.id] for h in hop.inputs]
+                attrs = hop.attrs
+                item = intern(
+                    hop.opcode,
+                    _attr_data(attrs) if attrs else (),
+                    tuple(s.lineage for s in in_slots),
+                )
+                if trace_on:
+                    clock.advance(trace_overhead, HOST)
+                    stats.inc(LINEAGE_TRACED)
+                slot = Slot(item)
                 if hop.fused:
                     # transpose fused into tsmm/cpmm: pass through the input
                     slot.fused_from = in_slots[0]
@@ -253,26 +246,22 @@ class Interpreter:
                         if not until_sample:
                             until_sample = SAMPLE_EVERY
                             sample_gauges(session)
-                        args = {"opcode": hop.opcode, "hop": hop.id,
-                                "backend": hop.placement or BACKEND_CP}
-                        if not fused_chain:
-                            args["lineage"] = item.id
-                        span = tracer.span(EV_INSTR, LANE_CP, **args)
+                        span = tracer.span(
+                            EV_INSTR, LANE_CP, opcode=hop.opcode,
+                            hop=hop.id, backend=hop.placement or BACKEND_CP,
+                            lineage=item.id)
                         span.__enter__()
                     try:
                         # REUSE probe (LIMA traces and reuses only local
-                        # CPU instructions in LOCAL_ONLY mode; fusion
-                        # only fires in modes that never probe or put)
+                        # CPU instructions in LOCAL_ONLY mode)
                         entry = None
                         placement = hop.placement
-                        if probe_on and not fused_chain and (
+                        if probe_on and (
                                 not local_only or placement == BACKEND_CP):
                             clock.advance(probe_overhead, HOST)
                             entry = cache_probe(item)
                         if entry is not None:
                             apply_reuse(hop, slot, entry)
-                        elif fused_chain:
-                            slot = self._exec_fused(hop, env)
                         else:
                             # EXECUTE
                             backend = placement or BACKEND_CP
@@ -307,56 +296,6 @@ class Interpreter:
         for data in self._acquired_stack.pop():
             if not data.ptr.freed:
                 self.session.gpu.memory.release(data.ptr)
-
-    # --------------------------------------------------------------- per instruction
-
-    def _exec_fused(self, hop: Hop, env: dict[int, Slot]) -> Slot:
-        """TRACE + EXECUTE one fused chain as a single instruction.
-
-        The absorbed hops' lineage items are re-interned step by step
-        (exactly the items the unfused stream would have built), so the
-        fused instruction's output carries the *same* lineage key as the
-        unfused tail — downstream blocks and recompute-from-lineage see
-        no difference.  Tracing is charged once for the whole chain (one
-        instruction was dispatched) while ``lineage/items_traced`` still
-        counts every interned item; no probe or put runs, because fusion
-        is only planned in reuse modes with no retention.
-        """
-        intern = self.interner.intern
-        traced = 0
-        if hop.prologue is not None:
-            pro = hop.prologue
-            pro_inputs = tuple(env[h.id].lineage for h in pro.inputs)
-            prev_item = intern(
-                pro.opcode, _attr_data(pro.attrs) if pro.attrs else (),
-                pro_inputs,
-            )
-            traced += 1
-            values = [self._to_cp(env[h.id]) for h in hop.inputs[:2]]
-        else:
-            src_slot = env[hop.inputs[0].id]
-            prev_item = src_slot.lineage
-            values = [self._to_cp(src_slot)]
-        for step in hop.steps:
-            # the input tuple per-instruction TRACE builds from the same
-            # hop: the spine item alone for a unary step, plus the scalar
-            # literal's item on the side it occupies in ``hop.inputs``
-            index = step.scalar_index
-            if index is None:
-                inputs = (prev_item,)
-            else:
-                scalar = env[step.hop.inputs[index].id].lineage
-                inputs = (scalar, prev_item) if index == 0 \
-                    else (prev_item, scalar)
-            prev_item = intern(step.hop.opcode, (), inputs)
-            traced += 1
-        if self.config.reuse_mode is not ReuseMode.NONE:
-            self.clock.advance(self.config.cpu.trace_overhead_s, HOST)
-            self.stats.inc(LINEAGE_TRACED, traced)
-        out = self.session.cpu.execute_fused(hop, values)
-        slot = Slot(prev_item)
-        slot.payloads[BACKEND_CP] = out
-        return slot
 
     # ----------------------------------------------------------------- trace / reuse
 

@@ -264,9 +264,3 @@ def run_fig12b(setting: str, batch_size: int, num_images: int = 2048,
                   {"batch_size": batch_size,
                    "reuse_fraction": reuse_fraction},
                   sess, metric=checksum)
-
-
-def _content_key(images: np.ndarray, b: int, batch_size: int) -> int:
-    """Pixel-encoded identity of a batch (stable across repeats)."""
-    block = images[b * batch_size:(b + 1) * batch_size]
-    return hash(block.tobytes()) % (10**12)

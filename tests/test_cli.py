@@ -129,7 +129,7 @@ class TestServerFlags:
 
     @pytest.mark.parametrize("flags", [
         ["--faults", "cache_lost@6"], ["--policy", "lru"],
-        ["--gpu-policy", "lrc"], ["--spark-policy", "mrd"], ["--fusion"],
+        ["--gpu-policy", "lrc"], ["--spark-policy", "mrd"],
     ], ids=lambda flags: flags[0])
     def test_experiment_only_flags_rejected_with_server(self, flags,
                                                         capsys):

@@ -2,13 +2,12 @@
 
 ``Interpreter.run`` is the only definition of the Fig. 4 loop; tracer
 spans (gauge sampling rides on them) and fault draws are hooks of it,
-each behind a boolean read once per run.  The contract
-— asserted here on the quickstart, cell-wise, fused,
-server and Fig. 12(b) workloads — is that turning any hook on or off
-leaves results **byte-identical**, stats counters identical, and
-simulated-clock readings identical.  Instrumentation may only change
-real wall-clock cost (measured by ``bench/``, see docs/PERFORMANCE.md),
-never a single observable value.
+each behind a boolean read once per run.  The contract — asserted here
+on the quickstart, cell-wise, server and Fig. 12(b) workloads — is that
+turning any hook on or off leaves results **byte-identical**, stats
+counters identical, and simulated-clock readings identical.
+Instrumentation may only change real wall-clock cost (measured by
+``bench/``, see docs/PERFORMANCE.md), never a single observable value.
 
 Each layer is switched on without changing semantics through an
 existing zero-overhead guarantee:
@@ -73,8 +72,7 @@ def _quickstart(config: MemphisConfig, iters: int = 4):
 
 
 def _cellwise(config: MemphisConfig, iters: int = 3):
-    """Straight-line ufunc chains (one fused instruction each when the
-    config enables fusion); same observation triple as
+    """Straight-line ufunc chains; same observation triple as
     :func:`_quickstart`."""
     with scope(ids=IdSpace()):
         session = Session(config)
@@ -94,10 +92,9 @@ def _assert_equivalent(plain, instrumented):
     assert clock_p == clock_i
 
 
-def _no_reuse(fusion: bool = False) -> MemphisConfig:
+def _no_reuse() -> MemphisConfig:
     config = MemphisConfig.memphis()
     config.reuse_mode = ReuseMode.NONE
-    config.enable_fusion = fusion
     return config
 
 
@@ -122,21 +119,12 @@ class TestQuickstartEquivalence:
 class TestChainEquivalence:
     @pytest.mark.parametrize("layer", LAYERS)
     def test_unfused_chain_byte_identical(self, layer):
-        """Reuse off, fusion off: every chain step is its own
-        instruction through the loop, whichever hook is live."""
+        """Reuse off: every chain step is its own instruction through
+        the loop, whichever hook is live."""
         _assert_equivalent(
             _cellwise(_no_reuse()),
             _under(layer, _cellwise, _no_reuse()),
         )
-
-    @pytest.mark.parametrize("layer", LAYERS)
-    def test_fused_instruction_byte_identical(self, layer):
-        """``_exec_fused`` under the fault draw / span + sample equals
-        fusion with instrumentation off."""
-        plain = _cellwise(_no_reuse(fusion=True))
-        assert plain[1]["fusion/instructions_executed"] > 0
-        _assert_equivalent(
-            plain, _under(layer, _cellwise, _no_reuse(fusion=True)))
 
     def test_chain_interior_not_cached(self):
         cfg = MemphisConfig.memphis()

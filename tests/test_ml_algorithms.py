@@ -5,8 +5,6 @@ import pytest
 
 from repro import MemphisConfig, Session
 from repro.ml import (
-    cross_validate_linreg,
-    grid_search_linreg,
     kfold_indices,
     l2svm,
     l2svm_accuracy,
@@ -149,24 +147,6 @@ class TestTuningDrivers:
         assert folds[-1][1] == 103
         covered = sum(stop - start for start, stop in folds)
         assert covered == 103
-
-    def test_grid_search_picks_best(self, sess):
-        X_data = RNG.random((200, 5))
-        y_data = X_data @ RNG.standard_normal((5, 1))
-        X, y = sess.read(X_data, "X"), sess.read(y_data, "y")
-        best_reg, best_r2 = grid_search_linreg(
-            sess, X, y, [1e-6, 1.0, 1000.0]
-        )
-        assert best_reg == 1e-6  # noiseless data favors least shrinkage
-        assert best_r2 > 0.999
-
-    def test_cross_validation_reasonable(self, sess):
-        X_data = RNG.random((300, 5))
-        y_data = X_data @ RNG.standard_normal((5, 1)) \
-            + 0.01 * RNG.standard_normal((300, 1))
-        X, y = sess.read(X_data, "X"), sess.read(y_data, "y")
-        score = cross_validate_linreg(sess, X, y, reg=0.001, folds=3)
-        assert score > 0.95
 
     def test_successive_halving_halves(self, sess):
         trained = []

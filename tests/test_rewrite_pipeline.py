@@ -1,12 +1,9 @@
 """Pass-ordering and idempotence tests for the compiler rewrites.
 
 The rewrite pipeline (``Session._compile``) runs CSE, placement,
-transpose fusion, reuse-aware operator fusion, then the
-checkpoint/prefetch/broadcast flag passes.  Each rewrite must be
-idempotent — running it twice leaves the DAG exactly as running it
-once — and fusion must slot after CSE (it respects merged nodes and
-their extra handles) and before checkpoint insertion (the flag passes
-must see the fused stream).
+transpose fusion, then the checkpoint/prefetch/broadcast flag passes.
+Each rewrite must be idempotent — running it twice leaves the DAG
+exactly as running it once.
 """
 
 import inspect
@@ -24,7 +21,6 @@ from repro.compiler.rewrites.async_ops import (
 )
 from repro.compiler.rewrites.checkpoint import place_shared_checkpoints
 from repro.compiler.rewrites.cse import eliminate_common_subexpressions
-from repro.compiler.rewrites.fusion import apply_fusion
 from repro.compiler.rewrites.tuning import ProgramBlock, tune_program
 from repro.core.entry import BACKEND_CP, BACKEND_SP
 from repro.core.session import Session
@@ -68,20 +64,17 @@ class TestRegisteredPassOrder:
         order = list(DEFAULT_PASS_ORDER)
         assert order[0] == "dag-verify"
         assert order[-1] == "memory-plan"
-        # fusion legality needs placement decisions and runs before the
-        # memory plan charges the (fused) footprints
-        assert (order.index("placement-legality")
-                < order.index("fusion-legality")
-                < order.index("memory-plan"))
+        assert order.index("placement-legality") < order.index("memory-plan")
 
     def test_compile_pipeline_source_order(self):
-        """Fusion slots after CSE and before checkpoint insertion."""
+        """CSE and placement run before the flag passes, which must see
+        the final DAG and backends."""
         src = inspect.getsource(Session._compile)
         cse = src.index("eliminate_common_subexpressions")
-        fusion = src.index("apply_fusion")
+        placement = src.index("assign_placements")
         checkpoint = src.index("place_shared_checkpoints")
         prefetch = src.index("place_prefetch")
-        assert cse < fusion < checkpoint < prefetch
+        assert cse < placement < checkpoint < prefetch
 
 
 # ------------------------------------------------------------ idempotence
@@ -150,58 +143,22 @@ class TestRewriteIdempotence:
         assert once["loop"].delay_factor == 1
         assert once["cold"].storage_level is StorageLevel.MEMORY_ONLY
 
-    def test_fusion_idempotent(self):
-        config = MemphisConfig.base()
-        config.enable_fusion = True
-        x = _leaf()
-        a = op_hop("*", [x, literal_hop(2.0)])
-        b = op_hop("sigmoid", [a])
-        c = op_hop("relu", [b])
-        roots = [c]
-        nodes = depth_first(roots)
-        consumers = consumers_map(roots, nodes)
-        roots1, fused1, _ = apply_fusion(roots, nodes, consumers, config)
-        assert len(fused1) == 1
-        nodes1 = depth_first(roots1)
-        consumers1 = consumers_map(roots1, nodes1)
-        roots2, fused2, _ = apply_fusion(roots1, nodes1, consumers1, config)
-        assert fused2 == []
-        assert roots2 == roots1
-        assert _shape(roots2) == _shape(roots1)
+
+# ------------------------------------------------ CSE-merged handles
 
 
-# -------------------------------------------- fusion x CSE interaction
-
-
-class TestFusionSlotsAfterCse:
-    def test_cse_merged_chain_fuses_once_and_binds_both_handles(self):
-        config = MemphisConfig.memphis()
-        config.reuse_mode = ReuseMode.NONE
-        config.enable_fusion = True
-        session = Session(config)
-        data = (np.arange(16.0 * 16).reshape(16, 16) % 7.0) / 7.0
-        x = session.read(data, "X")
-        a = ((x * 2.0) + 1.0).relu()
-        b = ((x * 2.0) + 1.0).relu()
-        session.evaluate([a, b])
-        out_a, out_b = a.compute(), b.compute()
-        assert out_a.tobytes() == out_b.tobytes()
-        expected = np.maximum(data * 2.0 + 1.0, 0.0)
-        np.testing.assert_array_equal(out_a, expected)
-
-    def test_cse_protected_interior_is_not_fused_over(self):
-        # `mid` is CSE-merged and carries an extra live handle: fusion
-        # must keep it materialized (protected), not absorb it
-        config = MemphisConfig.memphis()
-        config.reuse_mode = ReuseMode.NONE
-        config.enable_fusion = True
-        session = Session(config)
+class TestCseMergedHandles:
+    def test_every_handle_of_a_merged_hop_is_bound(self):
+        # `mid_a` and `mid_b` are one hop after CSE: `mid_b` lives on
+        # only as an extra handle, which evaluate must bind as well
+        session = Session(MemphisConfig.memphis(reuse_mode=ReuseMode.NONE))
         data = (np.arange(16.0 * 16).reshape(16, 16) % 7.0) / 7.0
         x = session.read(data, "X")
         mid_a = (x * 2.0) + 1.0
         mid_b = (x * 2.0) + 1.0
         tail = mid_a.relu()
         session.evaluate([tail, mid_b])
+        assert mid_a.is_evaluated and mid_b.is_evaluated
         expected_mid = data * 2.0 + 1.0
         np.testing.assert_array_equal(mid_b.compute(), expected_mid)
         np.testing.assert_array_equal(tail.compute(),

@@ -20,7 +20,6 @@ import pytest
 
 from repro import MemphisConfig, Session
 from repro.backends.cpu import kernels
-from repro.backends.cpu.vectorized import UNARY_CHAIN_OPS
 from repro.backends.gpu import GPU_OPCODES
 from repro.backends.spark import SPARK_OPCODES
 from repro.common.config import (
@@ -174,22 +173,22 @@ class TestScopes:
     @pytest.mark.parametrize("leave", ["normally", "by_exception"])
     def test_configure_composes_and_ends_with_scope(self, leave):
         """The enclosing hook runs first, the inner one wins per field
-        (``harness ablation-policies --fusion`` keeps both); regression:
+        (``harness ablation-ordering --policy lru`` keeps both); regression:
         an installed ``--policy`` used to survive
         ``reset_ambient_state()`` — every later config stayed on LRU."""
         def outer(config):
-            config.enable_fusion = True
+            config.verify_ir = True
             config.cache.policy = EvictionPolicyName.MRD
 
         try:
             with scope(configure=outer):
                 with scope(configure=_use_lru):
                     cfg = MemphisConfig.memphis()
-                    assert cfg.enable_fusion
+                    assert cfg.verify_ir
                     assert cfg.cache.policy is EvictionPolicyName.LRU
                     assert cfg.gpu.policy is EvictionPolicyName.LRC
                 cfg = MemphisConfig.memphis()
-                assert cfg.enable_fusion
+                assert cfg.verify_ir
                 assert cfg.cache.policy is EvictionPolicyName.MRD
                 assert cfg.gpu.policy is EvictionPolicyName.COST_SIZE
                 if leave == "by_exception":
@@ -197,7 +196,7 @@ class TestScopes:
         except KeyError:
             pass
         after = MemphisConfig.memphis()
-        assert not after.enable_fusion
+        assert not after.verify_ir
         assert after.cache.policy is EvictionPolicyName.COST_SIZE
         assert after.gpu.policy is EvictionPolicyName.COST_SIZE
 
@@ -277,13 +276,15 @@ class TestSessionOutlivesScope:
 # ------------------------------------------------------ (d) structural guard
 
 def _parsed_modules(root: str):
-    """``(path, ast)`` of every python file under ``root``."""
-    for dirpath, _dirnames, filenames in os.walk(root):
-        for filename in filenames:
-            if filename.endswith(".py"):
-                path = os.path.join(dirpath, filename)
-                with open(path, encoding="utf-8") as fh:
-                    yield path, ast.parse(fh.read(), filename=path)
+    """``(path, ast)`` of ``root`` if it is a python file, else of every
+    python file under it."""
+    paths = [root] if root.endswith(".py") else [
+        os.path.join(dirpath, filename)
+        for dirpath, _dirnames, filenames in os.walk(root)
+        for filename in filenames if filename.endswith(".py")]
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            yield path, ast.parse(fh.read(), filename=path)
 
 
 def test_no_global_statements_or_module_level_counters_outside_runtime():
@@ -419,16 +420,42 @@ def test_every_backend_opcode_has_a_cp_kernel():
     assert GPU_OPCODES <= kernels.supported_opcodes()
 
 
+#: the modules that build operator hops: the session, the handle layer,
+#: the rewrites, the algorithm library, the workloads and the federated
+#: coordinator (it sends ``fed_tsmm`` to its workers).  The opcode tables
+#: in ``backends/``, ``common/costs.py`` and ``compiler/ir.py`` define
+#: operators; they produce none.
+PRODUCERS = ("core", os.path.join("runtime", "handles.py"),
+             os.path.join("compiler", "rewrites"), "ml", "workloads",
+             os.path.join("backends", "federated"))
+
+#: kernels no producer emits that stay because tier-1 runs them
+#: directly: ``!=`` with the cell-wise family ``TestPlacementInvariance``
+#: puts on Spark, ``leftIndex`` in ``test_cpu_backend.py``.
+TESTED_ONLY_OPCODES = {"!=", "leftIndex"}
+
+
+def test_every_kernel_opcode_has_a_producer():
+    """An opcode nothing can emit cannot pile up a kernel, a shape rule,
+    cost-table names and backend-table entries again: every opcode the
+    kernel library registers is a string literal in a module that builds
+    operator hops, apart from the named tested-only ones."""
+    literals = {
+        node.value
+        for producer in PRODUCERS
+        for _path, tree in _parsed_modules(os.path.join(SRC, "repro",
+                                                        producer))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert kernels.supported_opcodes() - literals == TESTED_ONLY_OPCODES
+
+
 def test_backends_apply_the_kernel_librarys_own_cell_functions():
-    """One copy of the operator math: the fused-chain steps are the
-    kernel library's own objects, and no backend module nor the
+    """One copy of the operator math: no backend module nor the
     interpreter names a numpy cell function (``np.exp``, ``np.maximum``,
     …) — only a ufunc's ``.reduce`` may fold partials, as the matmul and
     federated column-sum partials do."""
-    assert all(
-        fn is kernels.UNARY_UFUNCS.get(op, getattr(kernels, op, None))
-        for op, fn in UNARY_CHAIN_OPS.items()
-    )
     cell_functions = {id(fn) for fn in (*kernels.UNARY_UFUNCS.values(),
                                         *kernels.BINARY_UFUNCS.values())}
     kernels_path = os.path.join(SRC, "repro", "backends", "cpu", "kernels.py")
