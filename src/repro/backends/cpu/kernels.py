@@ -76,7 +76,6 @@ BINARY_UFUNCS: dict[str, Callable] = {
     ">=": np.greater_equal,
     "<=": np.less_equal,
     "==": np.equal,
-    "!=": np.not_equal,
 }
 
 for _code, _op in BINARY_UFUNCS.items():
@@ -262,16 +261,6 @@ def _right_index(inputs, attrs):
     cl = int(attrs.get("cl", 1)) - 1
     cu = int(attrs.get("cu", x.shape[1]))
     return MatrixValue(x[rl:ru, cl:cu].copy())
-
-
-@kernel("leftIndex")
-def _left_index(inputs, attrs):
-    x = as_matrix(inputs[0]).copy()
-    y = as_matrix(inputs[1])
-    rl = int(attrs.get("rl", 1)) - 1
-    cl = int(attrs.get("cl", 1)) - 1
-    x[rl:rl + y.shape[0], cl:cl + y.shape[1]] = y
-    return MatrixValue(x)
 
 
 @kernel("cbind")

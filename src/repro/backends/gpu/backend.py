@@ -23,7 +23,7 @@ from repro.runtime.values import MatrixValue, ScalarValue, Value
 
 #: opcodes with efficient GPU kernels (dense, regular access).
 GPU_OPCODES = {
-    "+", "-", "*", "/", "^", "min", "max", ">", "<", ">=", "<=", "==", "!=",
+    "+", "-", "*", "/", "^", "min", "max", ">", "<", ">=", "<=", "==",
     "exp", "log", "sqrt", "abs", "sign", "relu", "sigmoid", "tanh",
     "softmax", "dropout", "ba+*", "r'", "uak+", "uark+", "uack+",
     "uamean", "uarmax", "uarimax", "conv2d", "maxpool", "uamax", "uamin",

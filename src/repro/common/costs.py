@@ -12,12 +12,12 @@ from __future__ import annotations
 DOUBLE_BYTES = 8
 
 #: opcodes whose cost is ~2*m*k*n FLOPs (dense matrix multiply family).
-MATMUL_OPS = {"ba+*", "matmul"}
+MATMUL_OPS = {"ba+*"}
 
 #: cheap element-wise ops: 1 FLOP per output cell.
 ELEMENTWISE_1 = {
-    "+", "-", "*", "/", "^", "min", "max", ">", "<", ">=", "<=", "==", "!=",
-    "abs", "sign", "round", "relu", "dropout", "replace", "assign",
+    "+", "-", "*", "/", "^", "min", "max", ">", "<", ">=", "<=", "==",
+    "abs", "sign", "round", "relu", "dropout", "replace",
 }
 
 #: transcendental element-wise ops: ~20 FLOPs per output cell.
@@ -26,15 +26,11 @@ ELEMENTWISE_20 = {"exp", "log", "sqrt", "sigmoid", "tanh", "softmax"}
 #: aggregates: 1 FLOP per *input* cell.
 AGGREGATES = {
     "uak+", "uark+", "uack+", "uamin", "uamax", "uamean", "uarmean",
-    "uacmean", "uarmax", "uacmax", "uarmin", "uacmin", "sum", "rowSums",
-    "colSums", "mean", "rowMeans", "colMeans",
+    "uacmean", "uarmax", "uacmax", "uacmin",
 }
 
 #: data movement / reorganization: charged per byte, negligible FLOPs.
-REORG_OPS = {
-    "r'", "transpose", "rightIndex", "slice", "cbind", "rbind", "append",
-    "rand", "seq", "diag", "sort",
-}
+REORG_OPS = {"r'", "rightIndex", "cbind", "rbind", "rand", "seq", "diag"}
 
 
 def matrix_bytes(rows: int, cols: int, sparsity: float = 1.0) -> int:
@@ -80,13 +76,13 @@ def op_flops(opcode: str, in_shapes: list[tuple[int, int]],
     if opcode == "solve":
         n = in_shapes[0][0]
         return (2.0 / 3.0) * n**3 + 2.0 * n**2
-    if opcode in ("conv2d", "conv2d_backward_filter", "conv2d_backward_data"):
+    if opcode == "conv2d":
         # caller encodes effective FLOPs in out_shape via im2col expansion;
         # approximate with 2 * output cells * filter volume stored in
         # in_shapes[1] (filter rows = K, cols = C*R*S).
         filt = in_shapes[1] if len(in_shapes) > 1 else (1, 9)
         return 2.0 * out_cells * max(filt[1], 1)
-    if opcode in ("maxpool", "avgpool"):
+    if opcode == "maxpool":
         return 4.0 * out_cells
     return float(out_cells)
 

@@ -43,7 +43,7 @@ def infer_shape(opcode: str, in_shapes: list[tuple[int, int]],
         return (in_shapes[0][1], in_shapes[1][1])
     if opcode in SCALAR_OPS:
         return (1, 1)
-    if opcode in ("uark+", "uarmean", "uarmax", "uarmin", "uarimax"):
+    if opcode in ("uark+", "uarmean", "uarmax", "uarimax"):
         return (in_shapes[0][0], 1)
     if opcode in ("uack+", "uacmean", "uacmax", "uacmin"):
         return (1, in_shapes[0][1])
@@ -53,8 +53,6 @@ def infer_shape(opcode: str, in_shapes: list[tuple[int, int]],
         cl = int(attrs.get("cl", 1))
         cu = int(attrs.get("cu", in_shapes[0][1]))
         return (ru - rl + 1, cu - cl + 1)
-    if opcode == "leftIndex":
-        return in_shapes[0]
     if opcode == "cbind":
         return (in_shapes[0][0], sum(s[1] for s in in_shapes))
     if opcode == "rbind":
@@ -81,8 +79,8 @@ def infer_shape(opcode: str, in_shapes: list[tuple[int, int]],
         wout = (w + 2 * pad - s) // stride + 1
         return (n, c * hout * wout)
     if opcode in ("replace", "relu", "sigmoid", "tanh", "softmax", "dropout",
-                  "exp", "log", "sqrt", "abs", "sign", "round", "assign",
-                  "recode", "bin"):
+                  "exp", "log", "sqrt", "abs", "sign", "round", "recode",
+                  "bin"):
         return in_shapes[0]
     if opcode == "quantile":
         return (1, in_shapes[0][1])

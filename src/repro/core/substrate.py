@@ -77,11 +77,7 @@ from repro.lineage.item import (
     LineageItem,
 )
 from repro.memory import REGION_CP, MemoryArbiter, shared_demands
-from repro.obs.events import (
-    EV_SERVER_ATTRIBUTION,
-    EV_SERVER_BACKPRESSURE,
-    EV_SERVER_CROSS_HIT,
-)
+from repro.obs.events import EV_SERVER_ATTRIBUTION, EV_SERVER_BACKPRESSURE
 from repro.obs.tracer import NULL_TRACER
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -172,8 +168,6 @@ class SessionContext:
         sub.note_attribution(producer, self.tenant, entry.size,
                              entry.compute_cost)
         if sub.tracer.enabled:
-            sub.tracer.instant(EV_SERVER_CROSS_HIT, owner=owner,
-                               key=entry.key.id, nbytes=entry.size)
             sub.tracer.instant(
                 EV_SERVER_ATTRIBUTION, producer=producer,
                 consumer=self.tenant, producer_request=entry.request,

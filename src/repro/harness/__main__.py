@@ -18,14 +18,8 @@ import time
 from repro.analysis import AnalysisCollector, Severity
 from repro.common.config import EvictionPolicyName, MemphisConfig
 from repro.common.runtime import RuntimeContext, scope
-from repro.common.schema import assert_valid
 from repro.faults import FaultPlan
 from repro.harness import runner
-from repro.harness.telemetry import (
-    server_report_records,
-    validate_server_records,
-    write_server_jsonl,
-)
 from repro.obs import (
     ExplainCollector,
     TraceCollector,
@@ -113,11 +107,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="interleave seed for --server (default 0); "
                              "the same seed reproduces the identical "
                              "schedule, counters, and results")
-    parser.add_argument("--server-report", metavar="OUT.jsonl", default=None,
-                        help="with --server: also write the machine-"
-                             "readable per-tenant SLO / attribution "
-                             "stream (SERVER_SCHEMA JSONL, byte-"
-                             "reproducible for a fixed --server-seed)")
     args = parser.parse_args(argv)
 
     if args.list:
@@ -215,14 +204,6 @@ def _run_server(args: argparse.Namespace) -> bool:
     start = time.time()
     report = run_server_demo(args.server, seed=args.server_seed)
     print(report.format())
-    if args.server_report:
-        records = server_report_records(report, args.server,
-                                        args.server_seed)
-        assert_valid(validate_server_records(records), "server report",
-                     context=args.server_report)
-        write_server_jsonl(args.server_report, records)
-        print(f"[server report: {len(records)} records -> "
-              f"{args.server_report}]")
     print(f"[server: {args.server} session(s), seed {args.server_seed}, "
           f"{time.time() - start:.1f}s wall]")
     return report.ok

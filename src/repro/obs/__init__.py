@@ -91,7 +91,7 @@ from repro.obs.sinks import (
     read_jsonl,
     write_jsonl,
 )
-from repro.obs.request import FlightRecorder, RequestContext
+from repro.obs.request import RequestContext
 from repro.obs.summary import (
     TraceSummary,
     format_summary,
@@ -137,7 +137,6 @@ __all__ = [
     "EV_SPARK_STAGE",
     "Event",
     "ExplainCollector",
-    "FlightRecorder",
     "ExplainPlan",
     "HopSnapshot",
     "JsonlSink",

@@ -107,16 +107,13 @@ EV_MEM_RESTORE = "memory/restore"
 #: (args: region, nbytes, ok=False; see ``MemoryArbiter.admissible``).
 EV_MEM_PLAN_RESERVE = "memory/plan_reserve"
 
-#: instant — a probe served by another session's cached entry on a
-#: shared substrate (args: owner, key, nbytes; ``repro.server``).
-EV_SERVER_CROSS_HIT = "server/cross_hit"
 #: instant — a block was refused admission by the shared substrate
 #: (args: tenant, region, nbytes; surfaced to schedulers as backpressure).
 EV_SERVER_BACKPRESSURE = "server/backpressure"
 #: instant — the scheduler dispatched one step of a request (args:
 #: tenant, request, step).
 EV_SERVER_STEP = "server/step"
-#: instant — a cross-session hit attributed to its producer (args:
+#: instant — one cross-session hit, attributed to its producer (args:
 #: producer, consumer, request_id, producer_request, key, nbytes,
 #: cost_avoided; the per-tenant-pair benefit matrix aggregates these).
 EV_SERVER_ATTRIBUTION = "server/attribution"

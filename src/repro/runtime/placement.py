@@ -44,17 +44,18 @@ def matmul_pattern(hop: Hop, config: MemphisConfig) -> str | None:
     Returns one of ``tsmm``/``cpmm``/``mapmm``/``bcmm`` or ``None``.
     "Distributed" sides are those above the operation-memory budget;
     broadcastable sides must additionally fit the driver's broadcast
-    limit.
+    limit.  ``t(A) %*% A`` is ``tsmm`` only when the transpose's input
+    *is* the right operand: every data leaf owns its bundle (one per
+    ``Session.read`` / ``MatrixHandle.bind``, and CSE merges the leaves
+    of one live handle), so comparing the leaves compares the bundles —
+    never their weakly held handles, which read equal once collected.
     """
     left, right = hop.inputs
     op_mem = config.cpu.operation_memory_bytes
     bc_limit = config.spark.driver_memory // 4
     if left.opcode == "r'":
         base = left.inputs[0]
-        if base is right or (
-            base.kind == KIND_DATA and right.kind == KIND_DATA
-            and base.handle is right.handle
-        ):
+        if base is right:
             return "tsmm"
         if base.output_bytes > op_mem and right.output_bytes > op_mem:
             return "cpmm"

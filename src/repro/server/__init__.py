@@ -12,8 +12,10 @@ seeded interleave picks which request advances next, admission refusals
 (:class:`~repro.common.errors.AdmissionError`) surface as backpressure
 and requeue the request, and the :class:`ServerReport` aggregates
 per-request outcomes, merged counters, per-tenant occupancy and SLO
-metrics, a producer→consumer cost-attribution matrix, and any
-flight-recorder post-mortem dumps (see ``repro.obs.request``).
+metrics, and a producer→consumer cost-attribution matrix — the one
+server report: ``as_record()`` for code, ``format()`` for people.  A
+failed request's post-mortem is the same seed re-run under a trace
+(see ``repro.obs.request``).
 """
 
 from repro.server.demo import (

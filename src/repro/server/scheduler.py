@@ -23,12 +23,9 @@ Request observability (``repro.obs.request``): the scheduler mints one
 :class:`~repro.obs.request.RequestContext` per request and binds it
 onto the request's session and the substrate tracer on every quantum,
 so every traced span/instant under a request carries
-``request_id``/``tenant``.  Independently of tracing, an always-on
-:class:`~repro.obs.request.FlightRecorder` keeps a bounded window of
-recent scheduler events and dumps it automatically when an
-``AdmissionError`` exhausts its retries, any other exception (e.g. a
-``VerificationError``) escapes a request, or an injected fault
-recovers — the post-mortem context is already there with tracing off.
+``request_id``/``tenant``.  A failed request names its error in
+:attr:`RequestResult.error`; since the interleave is seeded, the
+post-mortem is the same seed re-run under ``--trace``.
 """
 
 from __future__ import annotations
@@ -40,20 +37,11 @@ from typing import Callable, Optional
 from repro.common.config import MemphisConfig
 from repro.common.errors import AdmissionError
 from repro.common.simclock import HOST
-from repro.common.stats import (
-    FAULTS_RECOVERED,
-    SERVER_REQUESTS,
-    SERVER_STEPS,
-    Stats,
-)
+from repro.common.stats import SERVER_REQUESTS, SERVER_STEPS, Stats
 from repro.core.session import Session
 from repro.core.substrate import Substrate
-from repro.obs.events import (
-    EV_SERVER_BACKPRESSURE,
-    EV_SERVER_REQUEST,
-    EV_SERVER_STEP,
-)
-from repro.obs.request import FlightRecorder, RequestContext
+from repro.obs.events import EV_SERVER_REQUEST, EV_SERVER_STEP
+from repro.obs.request import RequestContext
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -118,7 +106,7 @@ class RequestResult:
 class _Task:
     """Scheduler-internal live state of one request."""
 
-    __slots__ = ("request", "session", "ctx", "gen", "result", "recovered")
+    __slots__ = ("request", "session", "ctx", "gen", "result")
 
     def __init__(self, request: Request, session: Session,
                  ctx: RequestContext) -> None:
@@ -128,8 +116,6 @@ class _Task:
         self.gen: Optional[GeneratorType] = None
         self.result = RequestResult(request.name, request.tenant,
                                     ctx.request_id)
-        #: faults/recovered snapshot, for recovery-triggered dumps.
-        self.recovered = 0
 
 
 class ServerReport:
@@ -137,8 +123,7 @@ class ServerReport:
 
     def __init__(self, substrate: Substrate,
                  results: list[RequestResult],
-                 sessions: list[Session],
-                 flight: Optional[FlightRecorder] = None) -> None:
+                 sessions: list[Session]) -> None:
         self.results = results
         self.sessions = sessions
         #: substrate-level counters (cache + server namespaces).
@@ -149,8 +134,6 @@ class ServerReport:
         self.attribution = substrate.attribution_matrix()
         #: per-tenant SLO metrics (latency percentiles, hit rate, ...).
         self.slo = self._build_slo(substrate, results, self.tenants)
-        #: flight-recorder post-mortem dumps taken during the run.
-        self.flight_dumps = list(flight.dumps) if flight is not None else []
         #: merged counters across the substrate and every session.
         merged = Stats().merge(substrate.stats)
         for session in sessions:
@@ -232,11 +215,6 @@ class ServerReport:
             "tenants": self.tenants,
             "slo": self.slo,
             "attribution": self.attribution,
-            "flight_dumps": [
-                {"reason": d["reason"], "request_id": d["request_id"],
-                 "tenant": d["tenant"]}
-                for d in self.flight_dumps
-            ],
         }
 
     def format(self) -> str:
@@ -280,12 +258,6 @@ class ServerReport:
                     f"hits={cell['hits']:<4d} bytes={cell['bytes']:<10d} "
                     f"cost_avoided={cell['cost_avoided']:.3e}"
                 )
-        for dump in self.flight_dumps:
-            lines.append(
-                f"  flight dump: reason={dump['reason']} "
-                f"request={dump['request_id']} tenant={dump['tenant']} "
-                f"events={len(dump['events'])}"
-            )
         return "\n".join(lines)
 
 
@@ -306,8 +278,7 @@ class Scheduler:
     def __init__(self, substrate: Optional[Substrate] = None, *,
                  config: Optional[MemphisConfig] = None,
                  config_factory: Optional[Callable[[], MemphisConfig]] = None,
-                 seed: int = 0, max_retries: int = 8,
-                 flight_capacity: int = 256) -> None:
+                 seed: int = 0, max_retries: int = 8) -> None:
         self.config = config or MemphisConfig.server_session()
         self.substrate = substrate if substrate is not None \
             else Substrate.shared_substrate(self.config)
@@ -316,8 +287,6 @@ class Scheduler:
         self._config_factory = config_factory or MemphisConfig.server_session
         self.seed = seed
         self.max_retries = max_retries
-        #: always-on bounded post-mortem window (``repro.obs.request``).
-        self.flight = FlightRecorder(flight_capacity)
         self._requests: list[Request] = []
         self.sessions: list[Session] = []
 
@@ -343,19 +312,6 @@ class Scheduler:
 
     def run(self) -> ServerReport:
         """Drain the request queue; returns the aggregated report."""
-        collector = self.substrate.runtime.trace
-        if collector is None:
-            return self._run()
-        # traced run: the post-mortem window also sees full spans, for
-        # exactly as long as this run lasts
-        collector.add_sink(self.flight)
-        try:
-            return self._run()
-        finally:
-            collector.sinks.remove(self.flight)
-
-    def _run(self) -> ServerReport:
-        """The driver loop proper (``run`` brackets it for traced runs)."""
         rng = random.Random(self.seed)
         runtime = self.substrate.runtime
         tasks = []
@@ -386,7 +342,7 @@ class Scheduler:
         self.substrate.activate(None)
         self.substrate.tracer.bind_request(None)
         return ServerReport(self.substrate, [t.result for t in tasks],
-                            self.sessions, flight=self.flight)
+                            self.sessions)
 
     def _step(self, task: _Task) -> bool:
         """Advance one request by one scheduling quantum; True = done."""
@@ -394,7 +350,6 @@ class Scheduler:
         substrate.stats.inc(SERVER_STEPS)
         task.result.steps += 1
         substrate.activate(task.session._ctx)
-        now = task.session.clock.now(HOST)
         tracer = substrate.tracer
         if tracer.enabled:
             tracer.bind_request(task.ctx)
@@ -402,21 +357,14 @@ class Scheduler:
                 EV_SERVER_STEP, tenant=task.request.tenant,
                 request=task.request.name, step=task.result.steps,
             )
-        else:
-            # untraced: the flight recorder still gets one cheap
-            # instant per quantum, so a dump has scheduling context
-            self.flight.record(EV_SERVER_STEP, now, ctx=task.ctx,
-                               step=task.result.steps)
         try:
             if task.gen is None:
                 out = task.request.program(task.session)
                 if isinstance(out, GeneratorType):
                     task.gen = out
-                    self._check_recovery(task)
                     return False
                 return self._finish(task, out)
             next(task.gen)
-            self._check_recovery(task)
             return False
         except StopIteration as stop:
             return self._finish(task, stop.value)
@@ -426,31 +374,14 @@ class Scheduler:
             # the replay cheap — until the retry budget runs out
             task.gen = None
             task.result.retries += 1
-            ts = task.session.clock.now(HOST)
-            if not tracer.enabled:
-                self.flight.record(
-                    EV_SERVER_BACKPRESSURE, ts, ctx=task.ctx,
-                    region=exc.region, nbytes=exc.demand,
-                    retry=task.result.retries,
-                )
             if task.result.retries > self.max_retries:
                 task.result.error = f"admission refused: {exc}"
-                self.flight.dump(
-                    "admission_error", ts=ts, ctx=task.ctx,
-                    region=exc.region, demand=exc.demand,
-                    retries=task.result.retries,
-                )
                 return True
             return False
         except Exception as exc:  # noqa: BLE001 - fault isolation
-            # one tenant's failure must not take the server down; the
-            # flight recorder preserves what was in flight (this is the
-            # VerificationError path, among others)
+            # one tenant's failure must not take the server down (this
+            # is the VerificationError path, among others)
             task.result.error = f"{type(exc).__name__}: {exc}"
-            self.flight.dump(
-                type(exc).__name__, ts=task.session.clock.now(HOST),
-                ctx=task.ctx, message=str(exc),
-            )
             return True
 
     def _finish(self, task: _Task, value) -> bool:
@@ -459,27 +390,10 @@ class Scheduler:
         task.result.ok = True
         latency = task.session.clock.now(HOST)
         task.result.sim_latency_s = latency
-        self._check_recovery(task)
         tracer = self.substrate.tracer
         if tracer.enabled:
             tracer.instant(
                 EV_SERVER_REQUEST, ok=True, latency_s=latency,
                 steps=task.result.steps, retries=task.result.retries,
             )
-        else:
-            self.flight.record(
-                EV_SERVER_REQUEST, latency, ctx=task.ctx, ok=True,
-                latency_s=latency, steps=task.result.steps,
-                retries=task.result.retries,
-            )
         return True
-
-    def _check_recovery(self, task: _Task) -> None:
-        """Dump the flight window when an injected fault just recovered."""
-        recovered = task.session.stats.get(FAULTS_RECOVERED)
-        if recovered > task.recovered:
-            task.recovered = recovered
-            self.flight.dump(
-                "fault_recovery", ts=task.session.clock.now(HOST),
-                ctx=task.ctx, recovered=recovered,
-            )

@@ -97,11 +97,6 @@ class TestKernels:
         out = run("rightIndex", [m], {"rl": 2, "ru": 3, "cl": 1, "cu": 2})
         assert np.allclose(out.data, [[5, 6], [10, 11]])
 
-    def test_left_index(self):
-        m = mat(np.zeros((3, 3)))
-        out = run("leftIndex", [m, mat([[1, 2]])], {"rl": 2, "cl": 2})
-        assert out.data[1, 1] == 1 and out.data[1, 2] == 2
-
     def test_cbind_rbind(self):
         a, b = mat([[1], [2]]), mat([[3], [4]])
         assert run("cbind", [a, b]).shape == (2, 2)

@@ -140,8 +140,8 @@ class TestServerZeroOverhead:
 
     ``benchmarks/baselines/server_mixed_counters.json`` was captured
     from the committed tree *before* the request layer existed; the
-    same demo run today — request contexts minted, flight recorder on,
-    attribution matrix maintained — must reproduce it byte-for-byte:
+    same demo run today — request contexts minted, attribution matrix
+    maintained — must reproduce it byte-for-byte:
     identical merged counters, request outcomes, tenant occupancy, and
     result values, with every session's hooks still the null singletons.
     """

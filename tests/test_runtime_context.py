@@ -31,7 +31,6 @@ from repro.common.config import (
     SparkConfig,
 )
 from repro.common.runtime import RuntimeContext, current, scope
-from repro.harness.telemetry import server_report_records, write_server_jsonl
 from repro.obs import TraceCollector
 from repro.server import Scheduler, impure_program, pure_program, run_server_demo
 from repro.workloads.base import (
@@ -52,11 +51,11 @@ def _use_lru(config: MemphisConfig) -> None:
 
 # ------------------------------------------------ (a) two servers, one process
 
-def _records_bytes(report, tmp_path, name: str) -> bytes:
-    path = str(tmp_path / name)
-    write_server_jsonl(path, server_report_records(report, 4, 0))
-    with open(path, "rb") as fh:
-        return fh.read()
+def _outcome(report) -> tuple:
+    """What a server run reports: the record code reads, every merged
+    counter, and the text a person reads."""
+    return report.as_record(), dict(report.merged.counters()), \
+        report.format()
 
 
 def _intruded(program):
@@ -93,26 +92,23 @@ def _interleaved_demo():
 
 
 class TestTwoServersOneProcess:
-    def test_reports_identical_to_each_other_and_a_fresh_process(
-            self, tmp_path):
+    def test_reports_identical_to_each_other_and_a_fresh_process(self):
         runs = {}
         for name in ("first", "second"):
             with RuntimeContext():
                 runs[name] = run_server_demo(4, seed=0)
         runs["interleaved"] = _interleaved_demo()
-        got = {name: _records_bytes(report, tmp_path, name + ".jsonl")
-               for name, report in runs.items()}
+        got = {name: _outcome(report) for name, report in runs.items()}
         assert got["first"] == got["second"] == got["interleaved"]
 
-        fresh = str(tmp_path / "fresh.jsonl")
         env = dict(os.environ, PYTHONPATH=SRC)
-        subprocess.run(
-            [sys.executable, "-m", "repro.harness", "--server", "4",
-             "--server-report", fresh],
-            check=True, env=env, capture_output=True, timeout=300,
+        fresh = subprocess.run(
+            [sys.executable, "-m", "repro.harness", "--server", "4"],
+            check=True, env=env, capture_output=True, text=True,
+            timeout=300,
         )
-        with open(fresh, "rb") as fh:
-            assert fh.read() == got["first"]
+        assert fresh.stdout.startswith(
+            runs["first"].format() + "\n[server: 4 session(s), seed 0, ")
 
     def test_traces_identical_under_separate_contexts(self):
         """Every id a trace mentions (hops, lineage keys, pointers)
@@ -429,17 +425,12 @@ PRODUCERS = ("core", os.path.join("runtime", "handles.py"),
              os.path.join("compiler", "rewrites"), "ml", "workloads",
              os.path.join("backends", "federated"))
 
-#: kernels no producer emits that stay because tier-1 runs them
-#: directly: ``!=`` with the cell-wise family ``TestPlacementInvariance``
-#: puts on Spark, ``leftIndex`` in ``test_cpu_backend.py``.
-TESTED_ONLY_OPCODES = {"!=", "leftIndex"}
-
 
 def test_every_kernel_opcode_has_a_producer():
     """An opcode nothing can emit cannot pile up a kernel, a shape rule,
     cost-table names and backend-table entries again: every opcode the
     kernel library registers is a string literal in a module that builds
-    operator hops, apart from the named tested-only ones."""
+    operator hops."""
     literals = {
         node.value
         for producer in PRODUCERS
@@ -448,7 +439,39 @@ def test_every_kernel_opcode_has_a_producer():
         for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
-    assert kernels.supported_opcodes() - literals == TESTED_ONLY_OPCODES
+    assert kernels.supported_opcodes() - literals == set()
+
+
+def _opcode_names(tree: ast.AST) -> set:
+    """The strings a module names as opcodes: set displays, and the
+    right-hand side of ``opcode == …`` / ``opcode in (…)`` tests."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Set):
+            elts = node.elts
+        elif (isinstance(node, ast.Compare)
+              and isinstance(node.left, ast.Name) and node.left.id == "opcode"):
+            elts = [e for comp in node.comparators
+                    for e in getattr(comp, "elts", [comp])]
+        else:
+            continue
+        names |= {e.value for e in elts
+                  if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+    return names
+
+
+def test_every_costed_or_shaped_opcode_is_a_kernel():
+    """The cost model and the shape rules name only operators the kernel
+    library computes: a name no kernel implements is a cost or a shape
+    nothing can ever ask for."""
+    named = {
+        name
+        for module in (("common", "costs.py"), ("compiler", "ir.py"))
+        for _path, tree in _parsed_modules(os.path.join(SRC, "repro",
+                                                        *module))
+        for name in _opcode_names(tree)
+    }
+    assert named and named - kernels.supported_opcodes() == set()
 
 
 def test_backends_apply_the_kernel_librarys_own_cell_functions():

@@ -1,10 +1,10 @@
-"""``repro.common.schema.check`` against the reference implementation.
+"""``repro.obs.schema.check`` against the reference implementation.
 
-The two schema dicts are draft-07 documents and ``check`` claims to
-interpret them; where the ``jsonschema`` package is installed (it is
-not a dependency), ``Draft7Validator`` is the oracle: one valid document
-per schema, every single-point mutation the schema suggests, and the
-two must agree on each.
+``TRACE_SCHEMA`` is a draft-07 document and ``check`` claims to
+interpret it; where the ``jsonschema`` package is installed (it is not
+a dependency), ``Draft7Validator`` is the oracle: one valid trace, every
+single-point mutation the schema suggests, and the two must agree on
+each.
 """
 
 import copy
@@ -12,18 +12,13 @@ import copy
 import pytest
 
 from repro.common.runtime import scope
-from repro.common.schema import check
-from repro.harness.telemetry import (
-    SERVER_SCHEMA,
-    server_report_records,
-    validate_server_records,
-)
 from repro.obs import (
     TRACE_SCHEMA,
     TraceCollector,
     chrome_trace_dict,
+    validate_chrome_trace,
 )
-from repro.server import run_server_demo
+from repro.obs.schema import MAX_PROBLEMS, check
 from repro.workloads.micro import run_fig2c
 
 DROP = object()
@@ -46,27 +41,20 @@ def _trace_doc() -> dict:
     return doc
 
 
-def _server_doc() -> list:
-    return server_report_records(run_server_demo(4, seed=11), 4, 11)
-
-
-DOCUMENTS = {
-    "trace": (_trace_doc, TRACE_SCHEMA),
-    "server": (_server_doc, {"type": "array", "items": SERVER_SCHEMA}),
-}
+DOCUMENTS = {"trace": (_trace_doc, TRACE_SCHEMA)}
 
 
 def _thinned(value):
     """``value`` with one array item per shape (an event per phase and
-    key set, a record per kind): mutating one stands for mutating all,
-    and the oracle re-validates a small document per mutant."""
+    key set): mutating one stands for mutating all, and the oracle
+    re-validates a small document per mutant."""
     if isinstance(value, dict):
         return {key: _thinned(item) for key, item in value.items()}
     if not isinstance(value, list):
         return value
     first: dict = {}
     for item in value:
-        shape = (tuple(sorted(item)), item.get("ph"), item.get("kind")) \
+        shape = (tuple(sorted(item)), item.get("ph")) \
             if isinstance(item, dict) else type(item)
         first.setdefault(shape, item)
     return [_thinned(item) for item in first.values()]
@@ -83,12 +71,8 @@ def _mutations(value, schema, validator, path=()):
         yield path, "zzz"
     if "minimum" in schema:
         yield path, schema["minimum"] - 1
-    if "maximum" in schema:
-        yield path, schema["maximum"] + 0.5
     if schema.get("minLength"):
         yield path, ""
-    if schema.get("minItems"):
-        yield path, []
     if isinstance(value, list) and "items" in schema:
         for i, item in enumerate(value):
             yield from _mutations(item, schema["items"], validator,
@@ -96,12 +80,8 @@ def _mutations(value, schema, validator, path=()):
     if isinstance(value, dict):
         for key in schema.get("required", ()):
             yield path + (key,), DROP
-        properties = schema.get("properties", {})
-        extra = schema.get("additionalProperties")
-        for key in list(properties) + [k for k in value
-                                       if k not in properties][:2]:
-            sub = properties.get(key, extra)
-            if key in value and isinstance(sub, dict):
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
                 yield from _mutations(value[key], sub, validator,
                                       path + (key,))
     for branch in schema.get("oneOf", ()):
@@ -146,11 +126,16 @@ def test_check_agrees_with_draft7_validator(name):
 
 
 def test_the_dict_is_what_is_interpreted(monkeypatch):
-    records = _server_doc()
-    request = next(r for r in records if r["kind"] == "request")
-    request["steps"] = 0
-    assert any("steps" in p for p in validate_server_records(records))
-    branch = next(b for b in SERVER_SCHEMA["oneOf"]
-                  if b["properties"]["kind"]["const"] == "request")
-    monkeypatch.setitem(branch["properties"]["steps"], "minimum", 0)
-    assert validate_server_records(records) == []
+    doc = _thinned(_trace_doc())
+    doc["traceEvents"][0]["pid"] = -1
+    assert any("pid" in p for p in validate_chrome_trace(doc))
+    event = TRACE_SCHEMA["properties"]["traceEvents"]["items"]
+    monkeypatch.setitem(event["properties"]["pid"], "minimum", -1)
+    assert validate_chrome_trace(doc) == []
+
+
+def test_problem_list_is_truncated():
+    doc = {"traceEvents": [{"name": ""}] * MAX_PROBLEMS}
+    problems = validate_chrome_trace(doc)
+    assert len(problems) == MAX_PROBLEMS + 1
+    assert problems[-1] == "... (truncated)"

@@ -3,9 +3,9 @@
 Covers the ``repro.obs.request`` layer: trace-context propagation (every
 span/instant emitted while a request is scheduled carries its
 ``request_id``/``tenant``), deterministic per-tenant SLO metrics and
-cost attribution under a fixed interleave seed, the always-on flight
-recorder and its automatic post-mortem dumps, per-tenant Chrome-trace
-lanes, and the ``SERVER_SCHEMA`` JSONL stream.  Everything is marked
+cost attribution under a fixed interleave seed, per-tenant Chrome-trace
+lanes, and the post-mortem of a failed request: the same seed re-run
+under a trace reports what the untraced run did.  Everything is marked
 ``tier2_server`` (``pytest -m tier2_server``) and fast enough for
 tier 1.
 """
@@ -17,20 +17,8 @@ import pytest
 pytestmark = pytest.mark.tier2_server
 
 from repro.common.config import MemphisConfig
-from repro.common.runtime import scope
-from repro.harness.telemetry import (
-    SERVER_SLO_KEYS,
-    read_server_jsonl,
-    server_report_records,
-    validate_server_records,
-    write_server_jsonl,
-)
-from repro.obs import (
-    FlightRecorder,
-    RequestContext,
-    chrome_trace_dict,
-    TraceCollector,
-)
+from repro.common.runtime import RuntimeContext, scope
+from repro.obs import chrome_trace_dict, TraceCollector
 from repro.server import Scheduler, pure_program, run_server_demo
 from repro.server.scheduler import percentile
 from repro.server.demo import impure_program
@@ -133,7 +121,6 @@ class TestDeterministicAttribution:
         report = three_tenant_scheduler(seed=7).run()
         assert sorted(report.slo) == ["alpha", "beta", "gamma"]
         for row in report.slo.values():
-            assert set(SERVER_SLO_KEYS) <= set(row)
             assert row["requests"] == row["completed"] + row["failed"]
             assert 0.0 <= row["hit_rate"] <= 1.0
             assert row["latency_p99_s"] >= row["latency_p50_s"] >= 0.0
@@ -145,135 +132,48 @@ class TestDeterministicAttribution:
                 session.clock.timelines.get("host", 0.0))
 
 
-class TestFlightRecorder:
-    def test_dump_on_admission_exhaustion(self):
-        scheduler = three_tenant_scheduler(seed=3, quota=512,
-                                           max_retries=2)
-        report = scheduler.run()
-        assert not report.ok
-        failed = [r for r in report.results if not r.ok]
-        assert failed
-        assert report.flight_dumps, "exhausted retries must dump"
-        reasons = {d["reason"] for d in report.flight_dumps}
-        assert "admission_error" in reasons
-        dump = next(d for d in report.flight_dumps
-                    if d["reason"] == "admission_error")
-        assert dump["request_id"] in {r.request_id for r in failed}
-        assert dump["tenant"] in ("alpha", "beta", "gamma")
-        assert dump["events"], "dump must carry the recent-event window"
-        # the dumped window was recorded with tracing fully off
-        for session in report.sessions:
-            assert not session.tracer.enabled
+def _raising_scheduler() -> Scheduler:
+    """One request whose program raises, beside one that completes."""
+    scheduler = Scheduler(config=MemphisConfig.server_session(), seed=0)
+    scheduler.add_tenant("alpha")
 
-    def test_dump_on_program_exception(self):
-        scheduler = Scheduler(config=MemphisConfig.server_session(), seed=0)
-        scheduler.add_tenant("alpha")
+    def boom(session):
+        raise ValueError("injected failure")
 
-        def boom(session):
-            raise ValueError("injected failure")
+    scheduler.submit("alpha", boom, name="boom")
+    scheduler.submit("alpha", pure_program(), name="pure0")
+    return scheduler
 
-        scheduler.submit("alpha", boom, name="boom")
-        report = scheduler.run()
-        assert not report.ok
-        assert report.results[0].error == "ValueError: injected failure"
-        assert [d["reason"] for d in report.flight_dumps] == ["ValueError"]
-        assert report.flight_dumps[0]["request_id"] == "req-000-boom"
 
-    def test_no_dumps_on_clean_run(self):
-        report = three_tenant_scheduler(seed=7).run()
-        assert report.flight_dumps == []
+#: server runs by name: a clean demo, one whose admission retries run
+#: out, and one whose program raises.
+REPLAYED = {
+    "demo": lambda: run_server_demo(4, seed=11),
+    "admission_exhausted": lambda: three_tenant_scheduler(
+        seed=3, quota=512, max_retries=2).run(),
+    "raising": lambda: _raising_scheduler().run(),
+}
 
-    def test_recorder_detached_from_collector_after_run(self):
-        """Regression: ``run`` used to leave its recorder on the
-        collector's sinks (1 -> 2 -> 3 over two demos), so a finished
-        scheduler's window kept filling with later servers' events."""
-        tc = TraceCollector()
-        with scope(trace=tc):
-            before = len(tc.sinks)
-            assert run_server_demo(2, seed=0).ok
-            assert run_server_demo(2, seed=0).ok
-            assert len(tc.sinks) == before
-            first = three_tenant_scheduler()
-            first.run()
-            window = (len(first.flight), first.flight.ring.dropped)
-            assert window[0] > 0
-            three_tenant_scheduler().run()
-            assert (len(first.flight), first.flight.ring.dropped) == window
-            assert len(tc.sinks) == before
 
-    def test_recorder_detached_when_run_raises(self):
-        tc = TraceCollector()
-        with scope(trace=tc):
-            scheduler = three_tenant_scheduler()
-            scheduler._config_factory = lambda: 1 / 0
-            with pytest.raises(ZeroDivisionError):
-                scheduler.run()
-        assert scheduler.flight not in tc.sinks
-
-    def test_ring_is_bounded(self):
-        recorder = FlightRecorder(capacity=4)
-        ctx = RequestContext("req-x", "alpha")
-        for i in range(10):
-            recorder.record("server/step", float(i), ctx=ctx, step=i)
-        assert len(recorder) == 4
-        dump = recorder.dump("test", ts=10.0, ctx=ctx)
-        assert dump["dropped"] == 6
-        assert [e["args"]["step"] for e in dump["events"]] == [6, 7, 8, 9]
+@pytest.mark.parametrize("name", sorted(REPLAYED))
+def test_traced_rerun_reports_what_the_untraced_run_did(name):
+    """A failed request's post-mortem is the same seed re-run under a
+    trace: tracing changes neither the report nor any request's error,
+    and every failed request's events are in the trace."""
+    with RuntimeContext():
+        plain = REPLAYED[name]()
+    with RuntimeContext(trace=TraceCollector()) as rt:
+        traced = REPLAYED[name]()
+    assert traced.as_record() == plain.as_record()
+    assert [(r.request_id, r.error, r.value) for r in traced.results] \
+        == [(r.request_id, r.error, r.value) for r in plain.results]
+    failed = {r.request_id for r in plain.results if not r.ok}
+    assert bool(failed) == (name != "demo")
+    stamped = {e.args["request_id"] for e in rt.trace.events()}
+    assert failed <= stamped
 
 
 class TestServerSchema:
-    def test_records_round_trip_and_validate(self, tmp_path):
-        report = run_server_demo(4, seed=11)
-        records = server_report_records(report, 4, 11)
-        assert validate_server_records(records) == []
-        # the pure pipelines must credit a producer tenant: an empty
-        # attribution matrix means cross-session hits went unattributed
-        assert any(r["kind"] == "attribution" for r in records)
-        path = tmp_path / "server.jsonl"
-        write_server_jsonl(str(path), records)
-        assert read_server_jsonl(str(path)) == records
-
-    def test_jsonl_byte_identical_for_same_seed(self, tmp_path):
-        paths = []
-        for i in range(2):
-            report = run_server_demo(4, seed=11)
-            path = tmp_path / f"server{i}.jsonl"
-            write_server_jsonl(str(path),
-                               server_report_records(report, 4, 11))
-            paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    def test_validator_rejects_malformed_streams(self):
-        report = run_server_demo(3, seed=0)
-        records = server_report_records(report, 3, 0)
-        assert validate_server_records(records) == []
-        assert validate_server_records([]) != []
-        # stream structure: first and only header, >= 1 SLO row, counters
-        assert validate_server_records(records[1:]) != []
-        assert validate_server_records(records[:1] + records) != []
-        for kind in ("tenant_slo", "counters"):
-            assert any(kind in p for p in validate_server_records(
-                [r for r in records if r["kind"] != kind]))
-        assert validate_server_records(records + [{"kind": "bogus"}]) != []
-        # one field broken at a time; the problem names the field
-        for kind, field, bad in [
-            ("header", "format", "WRONG"),
-            ("header", "seed", True),       # a boolean is not an integer
-            ("header", "sessions", 0),
-            ("header", "tenants", [""]),
-            ("request", "steps", 0),        # every request ran a quantum
-            ("request", "sim_latency_s", True),
-            ("tenant_slo", "hit_rate", 1.5),
-            ("tenant_slo", "tenant", ""),
-            ("tenant_slo", "latency_p99_s", -1.0),
-            ("attribution", "hits", 0),
-            ("counters", "counters", {"cache/hits": True}),
-        ]:
-            broken = [dict(r) for r in records]
-            next(r for r in broken if r["kind"] == kind)[field] = bad
-            assert any(field in p for p in validate_server_records(broken)), \
-                (kind, field, bad)
-
     def test_percentile_nearest_rank(self):
         values = [5.0, 1.0, 3.0, 2.0, 4.0]
         assert percentile(values, 50) == 3.0

@@ -176,8 +176,6 @@ def _run(build, spark, asynchronous=False):
     # every ROWS x 3 operand is "distributed" for the matmul patterns
     cfg.cpu.operation_memory_bytes = 256
     sess = Session(cfg)
-    # the leaves stay referenced while the root runs: matmul_pattern
-    # tells tsmm from cpmm by the (weakly held) handles of data hops
     leaves = [sess.read(_ints(ROWS, 3, 0), "X"),
               sess.read(_ints(ROWS, 3, 1), "Y"),
               sess.read(_ints(ROWS, 1, 2), "c"),
@@ -278,12 +276,25 @@ class TestPlacementInvariance:
 
         self._check(checked, pattern)
 
+    def test_matmul_of_two_dropped_leaves_is_not_tsmm(self):
+        """``t(A) %*% B`` whose leaves nothing else references: both
+        weakly held handles are gone before compile, and the pattern must
+        still tell ``A`` from ``B``."""
+        cfg = MemphisConfig.base()
+        cfg.spark.block_size_rows = BLOCK_ROWS
+        cfg.cpu.operation_memory_bytes = 256  # both inputs distributed
+        sess = Session(cfg)
+        a, b = _ints(ROWS, 3, 0), _ints(ROWS, 3, 1)
+        out = (sess.read(a).t() @ sess.read(b)).compute()
+        assert sess.stats.get(SPARK_JOBS) > 0
+        assert np.array_equal(out, a.T @ b)
+
     def test_every_spark_opcode_is_covered(self):
         covered = set(_opcodes("cellwise", "blockwise", "row_aggregate",
                                "action")) | {"rightIndex", "r'", "rbind",
                                              "ba+*"}
         assert covered == set(SPARK_OPCODES)
-        assert len(SPARK_OPCODES) == 36
+        assert len(SPARK_OPCODES) == 35
 
 
 class TestPersistence:
