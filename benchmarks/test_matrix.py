@@ -13,7 +13,8 @@ plain cell's results
 (``WorkloadResult.metric`` exactly; the server's per-request values),
 no error-severity diagnostic, every memory-plan bound (predicted peak >=
 observed), and a passing ``Substrate.audit()`` /
-``SparkCacheManager.audit()`` on every substrate and Spark tier built.
+``SparkCacheManager.audit()`` / ``GpuMemoryManager.audit()`` on every
+substrate, Spark tier and GPU memory manager built.
 
 ``quickstart`` and ``micro`` get the full cross; the other programs the
 named cells below plus enough cells that every pair of axis values
@@ -33,6 +34,7 @@ import pytest
 
 from repro.analysis import AnalysisCollector, MemplanCollector
 from repro.analysis.targets import TARGETS
+from repro.backends.gpu import GpuMemoryManager
 from repro.common.config import EvictionPolicyName, MemphisConfig
 from repro.common.runtime import RuntimeContext
 from repro.common.stats import CACHE_HITS, CACHE_MISSES
@@ -104,14 +106,15 @@ def _cells(program: str) -> list[Cell]:
 
 @contextlib.contextmanager
 def audited():
-    """Audit every substrate and Spark cache manager built inside, once
-    its run is over.
+    """Audit every substrate, Spark cache manager and GPU memory manager
+    built inside, once its run is over.
 
     The programs run their sessions one after another, so what one
     built is audited (and let go) when the next substrate is built, the
     last one's on exit; an ``AssertionError`` names the violated law.
     """
-    inits = {cls: cls.__init__ for cls in (Substrate, SparkCacheManager)}
+    inits = {cls: cls.__init__
+             for cls in (Substrate, SparkCacheManager, GpuMemoryManager)}
     built: list = []
 
     def audit_built():

@@ -48,6 +48,11 @@ class GpuDevice:
     def largest_free_block(self) -> int:
         return max((size for _, size in self._free), default=0)
 
+    def fits(self, size: int) -> bool:
+        """Whether :meth:`malloc` of ``size`` would succeed now."""
+        size = align(size, self.config.alignment)
+        return any(hole >= size for _, hole in self._free)
+
     @property
     def fragmentation(self) -> float:
         """1 - largest_hole/free_bytes: 0 = contiguous, ->1 = shattered."""

@@ -5,17 +5,23 @@ Implements the paper's §4.2 design (Fig. 8, Algorithm 1):
 * every pointer from allocation to deallocation is managed here;
 * the *Live* list holds pointers referenced by live variables
   (reference-counted); after the last release a pointer moves to the
-  *Free* list — a hash map from size to a score-ordered queue;
+  *Free* list — a hash map from size to a score-ordered queue, here
+  :class:`~repro.backends.gpu.freelist.FreeList`: each size's pointers
+  are split into Eq. 2 classes ``(cached, height, cost)``, each a heap
+  by recency;
 * an allocation request first *recycles* an exact-size free pointer
   (no ``cudaMalloc``, no synchronization); otherwise it walks
   Algorithm 1: malloc → free a just-larger pointer → repeatedly free →
   flush all free pointers → device-to-host eviction → defragmentation;
-* the eviction score (Eq. 2) ``T_a(o) + 1/h(o) + c(o)`` orders each
-  queue so recently-reused, short-lineage, expensive pointers survive;
+* the eviction score (Eq. 2) ``T_a(o) + 1/h(o) + c(o)`` decides who
+  leaves so recently-reused, short-lineage, expensive pointers survive;
   the scoring itself lives in ``core/policies.py`` (``score_pointer``)
   and victims are chosen through the shared
   :class:`~repro.memory.arbiter.MemoryArbiter`, whose ``GPU`` region
-  mirrors the device allocator's byte ledger.
+  mirrors the device allocator's byte ledger.  The arbiter is handed
+  only the class tops of the query's scope, with ``max_cost`` the
+  largest class cost in it; :meth:`GpuMemoryManager.audit` holds that
+  to a ``min`` over every free pointer.
 
 The manager supports three modes so baselines share one implementation:
 ``malloc`` (cudaMalloc/cudaFree every time — Base), ``pool`` (exact-size
@@ -29,6 +35,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.backends.gpu.device import GpuDevice
+from repro.backends.gpu.freelist import FreeClass, FreeList
 from repro.backends.gpu.pointers import GpuPointer
 from repro.backends.gpu.stream import GpuStream
 from repro.common.config import GpuConfig
@@ -101,8 +108,7 @@ class GpuMemoryManager:
         self._ptr_ids = (ids if ids is not None
                          else current_runtime().ids).pointer
         self.live: dict[int, GpuPointer] = {}
-        self.free_lists: dict[int, list[GpuPointer]] = {}
-        self.free_bytes_pooled = 0
+        self.free = FreeList()
         self._allocs_since_gc = 0
 
     # -- configuration helpers ------------------------------------------------
@@ -110,6 +116,10 @@ class GpuMemoryManager:
     @property
     def config(self) -> GpuConfig:
         return self.device.config
+
+    @property
+    def free_bytes_pooled(self) -> int:
+        return self.free.nbytes
 
     def metrics_gauges(self) -> dict[str, float]:
         """Gauge snapshot for the metrics sampler (``repro.obs.metrics``)."""
@@ -201,20 +211,14 @@ class GpuMemoryManager:
         if self.mode == MODE_MALLOC:
             self._cuda_free(ptr)
             return
-        self.free_lists.setdefault(ptr.size, []).append(ptr)
-        self.free_bytes_pooled += ptr.size
+        self.free.add(ptr)
 
     def reuse_from_free(self, ptr: GpuPointer) -> GpuPointer:
         """Lineage-cache hit on a pointer sitting in the Free list.
 
         Moves it back to Live (Fig. 8(c)) without touching the device.
         """
-        queue = self.free_lists.get(ptr.size)
-        if queue is not None and ptr in queue:
-            queue.remove(ptr)
-            self.free_bytes_pooled -= ptr.size
-            if not queue:
-                del self.free_lists[ptr.size]
+        self.free.remove(ptr)
         ptr.retain()
         ptr.last_access = self.clock.now(DEVICE)
         self.live[ptr.id] = ptr
@@ -226,6 +230,7 @@ class GpuMemoryManager:
     def touch(self, ptr: GpuPointer) -> None:
         """Update recency metadata on access (feeds Eq. 2)."""
         ptr.last_access = self.clock.now(DEVICE)
+        ptr.refile()
 
     def empty_cache(self, fraction: float = 1.0) -> int:
         """Free ``fraction`` of pooled bytes, lowest-score first (§5.2).
@@ -274,22 +279,17 @@ class GpuMemoryManager:
         recycling the free pointers as a form of eviction"); uncached
         pool pointers recycle freely — the mini-batch fast path.
         """
-        queue = self.free_lists.get(size)
-        if not queue:
+        pool = self.free.pools.get(size)
+        if pool is None:
             return None
-        uncached = [p for p in queue if not p.cached]
-        if uncached:
-            victim = self.arbiter.select_victim(
-                REGION_GPU, uncached, score=self._pointer_score(uncached)
-            )
-            queue.remove(victim)
-            if not queue:
-                self.free_lists.pop(size, None)
-            self.free_bytes_pooled -= victim.size
-        else:
-            if self.mode == MODE_MEMPHIS and self._device_has_room(size):
+        classes = list(pool.values())
+        scope = [cls for cls in classes if not cls.cached]
+        if not scope:
+            if self.mode == MODE_MEMPHIS and self.device.fits(size):
                 return None  # prefer a fresh malloc; keep cached pointers
-            victim = self._pop_victim(queue, size)
+            scope = classes
+        victim = self._victim([scope])
+        self.free.remove(victim)
         self.on_invalidate(victim)
         # reuse the allocation in place: same offset, new identity
         ptr = GpuPointer(next(self._ptr_ids), victim.offset, victim.size,
@@ -304,11 +304,6 @@ class GpuMemoryManager:
                                 cached=victim.cached)
         return ptr
 
-    def _device_has_room(self, size: int) -> bool:
-        """Whether a fresh cudaMalloc of ``size`` would succeed now."""
-        return self.device.largest_free_block >= align(
-            size, self.config.alignment)
-
     def _alloc_with_eviction(self, size: int) -> Optional[int]:
         """Steps 2-6 of Algorithm 1 after a failed first malloc."""
         # under memory pressure, collect host garbage so pending pointer
@@ -320,11 +315,9 @@ class GpuMemoryManager:
             if offset is not None:
                 return offset
         # step 2: free a pointer just larger than the required size
-        larger_sizes = sorted(s for s in self.free_lists if s > size)
-        if larger_sizes:
-            queue = self.free_lists[larger_sizes[0]]
-            victim = self._pop_victim(queue, larger_sizes[0])
-            self._destroy_free_pointer(victim, already_popped=True)
+        larger = min((s for s in self.free.pools if s > size), default=None)
+        if larger is not None:
+            self._destroy_free_pointer(self._pop_victim(larger))
             offset = self._cuda_malloc(size)
             if offset is not None:
                 return offset
@@ -387,23 +380,15 @@ class GpuMemoryManager:
             self.tracer.instant(EV_GPU_FREE, LANE_GPU, nbytes=ptr.size)
 
     def _destroy_free_pointer(self, ptr: GpuPointer,
-                              already_popped: bool = False,
                               invalidate: bool = True) -> None:
-        if not already_popped:
-            queue = self.free_lists.get(ptr.size)
-            if queue and ptr in queue:
-                queue.remove(ptr)
-                self.free_bytes_pooled -= ptr.size
-                if not queue:
-                    del self.free_lists[ptr.size]
+        self.free.remove(ptr)
         if invalidate:
             self.on_invalidate(ptr)
         self._cuda_free(ptr)
 
     def _flush_free_lists(self) -> None:
-        for size in list(self.free_lists):
-            for ptr in list(self.free_lists.get(size, ())):
-                self._destroy_free_pointer(ptr)
+        for ptr in self.free.pointers():
+            self._destroy_free_pointer(ptr)
 
     def _defragment_and_malloc(self, size: int) -> Optional[int]:
         moved = self.device.defragment()
@@ -424,7 +409,7 @@ class GpuMemoryManager:
             self._region.acquire(align(size, self.config.alignment))
         return offset
 
-    def _pointer_score(self, candidates: list[GpuPointer]):
+    def _pointer_score(self, max_cost: float):
         """Eq. 2 score closure over one candidate set.
 
         The scoring math lives in ``core/policies.py``
@@ -433,23 +418,75 @@ class GpuMemoryManager:
         maximum compute cost.
         """
         now = self.clock.now(DEVICE)
-        max_cost = max((p.compute_cost for p in candidates), default=1.0)
-        return lambda p: self.policy.score_pointer(p, now, max_cost)
+        policy = self.policy
+        return lambda p: policy.score_pointer(p, now, max_cost)
 
-    def _pop_victim(self, queue: list[GpuPointer], size: int) -> GpuPointer:
-        """Remove and return the minimum-score pointer of one queue."""
-        victim = self.arbiter.select_victim(
-            REGION_GPU, queue, score=self._pointer_score(queue)
-        )
-        queue.remove(victim)
-        if not queue:
-            self.free_lists.pop(size, None)
-        self.free_bytes_pooled -= victim.size
+    def _victim(self, groups: list[list[FreeClass]]) -> Optional[GpuPointer]:
+        """The arbiter's pick among the tops of one scope's classes
+        (``groups``: the classes size by size, in ``pools`` order)."""
+        if not groups:
+            return None
+        score = self._pointer_score(
+            max(cls.cost for classes in groups for cls in classes))
+        return self.arbiter.select_victim(
+            REGION_GPU, FreeList.tops(groups, score), score=score)
+
+    def _pop_victim(self, size: int) -> GpuPointer:
+        """Remove and return the minimum-score free pointer of ``size``."""
+        victim = self._victim([list(self.free.pools[size].values())])
+        self.free.remove(victim)
         return victim
 
     def _global_victim(self) -> Optional[GpuPointer]:
         """Minimum-score pointer across all free queues (not yet popped)."""
-        pool = [p for q in self.free_lists.values() for p in q]
-        return self.arbiter.select_victim(
-            REGION_GPU, pool, score=self._pointer_score(pool)
-        )
+        return self._victim(
+            [list(pool.values()) for pool in self.free.pools.values()])
+
+    # -- audit ----------------------------------------------------------------
+
+    def audit(self) -> None:
+        """Assert the Free list against the full scan it replaces.
+
+        The GPU region mirrors the device ledger; the pooled bytes are
+        the listed pointers' bytes; no listed pointer is live or freed;
+        each one's latest record carries its current class and
+        ``last_access`` (a write not followed by ``GpuPointer.refile``
+        fails here); and for each scope a victim query has — the
+        uncached pointers of one size, one size, every size — the
+        index's victim *is* a ``min`` over every pointer of the scope in
+        Free-list order.
+        """
+        assert self._region.used == self.device.used_bytes, (
+            f"GPU region {self._region.used} B != device "
+            f"{self.device.used_bytes} B")
+        free = self.free.pointers()
+        pooled = sum(p.size for p in free)
+        assert self.free_bytes_pooled == pooled, \
+            f"pooled {self.free_bytes_pooled} B != listed {pooled} B"
+        for ptr in free:
+            assert ptr.id not in self.live and not ptr.freed, \
+                f"free list: {ptr!r} is live or freed"
+            rec = ptr.free_rec
+            assert ptr.free_list is self.free and rec[0] == ptr.last_access \
+                and rec[4] == (ptr.cached, ptr.lineage_height,
+                               ptr.compute_cost), \
+                f"free list: {ptr!r} filed as {rec[0]}, {rec[4]} " \
+                f"(missed refile)"
+
+        def scan(pool: list[GpuPointer]) -> GpuPointer:
+            score = self._pointer_score(max(p.compute_cost for p in pool))
+            return self.arbiter.select_victim(REGION_GPU, pool, score=score)
+
+        for size, pool in self.free.pools.items():
+            queue = [p for p in free if p.size == size]
+            classes = list(pool.values())
+            uncached = [p for p in queue if not p.cached]
+            if uncached:
+                fresh = [cls for cls in classes if not cls.cached]
+                assert self._victim([fresh]) is scan(uncached), \
+                    f"free list: uncached victim of {size} B"
+            assert self._victim([classes]) is scan(queue), \
+                f"free list: victim of {size} B"
+        if free:
+            assert self._global_victim() is scan(free), \
+                "free list: global victim"

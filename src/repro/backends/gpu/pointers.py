@@ -24,7 +24,7 @@ class GpuPointer:
     __slots__ = (
         "id", "offset", "size", "shape", "data", "ref_count",
         "last_access", "lineage_height", "compute_cost", "freed",
-        "cached",
+        "cached", "free_list", "free_rec",
     )
 
     def __init__(self, ptr_id: int, offset: int, size: int,
@@ -43,6 +43,23 @@ class GpuPointer:
         #: whether a lineage-cache entry references this pointer; cached
         #: pointers are recycled only under memory pressure (§4.2).
         self.cached = False
+        #: the Free list holding this pointer and its latest record
+        #: there (``backends/gpu/freelist.py``); ``None`` off the list.
+        self.free_list = None
+        self.free_rec = None
+
+    def refile(self) -> None:
+        """Re-file a free pointer after ``last_access``, ``cached``,
+        ``lineage_height`` or ``compute_cost`` moved (its Eq. 2 class or
+        its recency); a write to those fields of a pointer that may be
+        free must be followed by this call."""
+        if self.free_list is not None:
+            self.free_list.refile(self)
+
+    def set_cached(self, cached: bool) -> None:
+        """Mark whether a lineage-cache entry references this pointer."""
+        self.cached = cached
+        self.refile()
 
     def retain(self) -> "GpuPointer":
         """Increment the live-variable reference count."""

@@ -273,7 +273,7 @@ class LineageCache:
             ptr = getattr(payload, "ptr", None)
             if ptr is not None:
                 self._gpu_index[ptr.id] = entry
-                ptr.cached = True
+                ptr.set_cached(True)
         self.stats.inc(CACHE_PUTS)
         if self.tracer.enabled:
             self.tracer.instant(EV_CACHE_PUT, backend=backend, size=size,
@@ -556,7 +556,7 @@ class LineageCache:
     def on_gpu_invalidate(self, ptr) -> None:
         """Callback from the GPU memory manager before a pointer is
         recycled/freed: the entry backed by it loses its GPU payload."""
-        ptr.cached = False
+        ptr.set_cached(False)
         entry = self._gpu_index.pop(ptr.id, None)
         if entry is not None:
             entry.drop_payload(BACKEND_GPU)
@@ -597,7 +597,7 @@ class LineageCache:
         """The GPU pointer behind ``entry`` is no longer cache-owned."""
         ptr = getattr(entry.payloads.get(BACKEND_GPU), "ptr", None)
         if ptr is not None:
-            ptr.cached = False
+            ptr.set_cached(False)  # a free pointer changes its Eq. 2 class
             self._gpu_index.pop(ptr.id, None)
 
     def audit(self) -> None:

@@ -46,7 +46,14 @@ class EvictionPolicy(Protocol):
         ...
 
     def score_pointer(self, ptr, now: float, max_cost: float) -> float:
-        """Eviction priority of a GPU free-list pointer (Eq. 2 view)."""
+        """Eviction priority of a GPU free-list pointer (Eq. 2 view).
+
+        Among pointers that share ``(cached, lineage_height,
+        compute_cost)`` it must be non-decreasing in ``last_access`` for
+        every ``now`` and ``max_cost``: the GPU Free list
+        (``backends/gpu/freelist.py``) scores only each such class's
+        earliest-accessed pointer.
+        """
         ...
 
 
@@ -61,7 +68,10 @@ class CostSizePolicy:
         return (refs + 1) * entry.compute_cost / max(entry.size, 1)
 
     def score_pointer(self, ptr, now: float, max_cost: float) -> float:
-        """Eq. 2: ``T_a(o) + 1/h(o) + c(o)`` with normalized terms."""
+        """Eq. 2: ``T_a(o) + 1/h(o) + c(o)`` with normalized terms.
+
+        Within a class only ``T_a`` varies: older pointers go first.
+        """
         t_a = ptr.last_access / max(now, 1e-9)
         height_term = 1.0 / max(ptr.lineage_height, 1)
         cost_term = ptr.compute_cost / max(max_cost, 1e-9)
@@ -78,6 +88,7 @@ class LruPolicy:
         return entry.last_access
 
     def score_pointer(self, ptr, now: float, max_cost: float) -> float:
+        """Recency alone: older pointers go first, in a class or not."""
         return ptr.last_access
 
 
@@ -91,7 +102,10 @@ class LrcPolicy:
         return float(entry.hits + entry.jobs)
 
     def score_pointer(self, ptr, now: float, max_cost: float) -> float:
-        return float(getattr(ptr, "hits", 0))
+        """A GPU pointer keeps no reference count, so every pointer ties:
+        the victim is the first in Free-list order (sizes as filed, then
+        release order), within a class as across classes."""
+        return 0.0
 
 
 class MrdPolicy:
@@ -106,8 +120,11 @@ class MrdPolicy:
         return (entry.hits + 1.0) / (distance + 1.0)
 
     def score_pointer(self, ptr, now: float, max_cost: float) -> float:
+        """A GPU pointer keeps no reference count, so this is pure
+        recency: the pointer unused for longest goes first, within a
+        class as across classes."""
         distance = max(now - ptr.last_access, 0.0)
-        return (getattr(ptr, "hits", 0) + 1.0) / (distance + 1.0)
+        return 1.0 / (distance + 1.0)
 
 
 def make_policy(name: EvictionPolicyName) -> EvictionPolicy:

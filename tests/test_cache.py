@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backends.gpu import GpuPointer
 from repro.backends.spark import SparkBackend, SparkContext
 from repro.common.config import (
     CacheConfig,
@@ -291,12 +292,8 @@ class TestGpuInvalidation:
     def test_invalidate_drops_gpu_payload(self):
         cache = make_cache()
 
-        class FakePtr:
-            id = 7
-            freed = False
-
         class FakeData:
-            ptr = FakePtr()
+            ptr = GpuPointer(7, 0, 1024)
 
         data = FakeData()
         entry = cache.put(key("g"), data, "GPU", 1024, 5.0)
@@ -306,14 +303,9 @@ class TestGpuInvalidation:
         assert entry.status is EntryStatus.EVICTED
 
     def test_remove_and_clear_give_the_pointer_back(self):
-        class FakePtr:
-            def __init__(self, ptr_id):
-                self.id = ptr_id
-                self.cached = False
-
         class FakeData:
             def __init__(self, ptr_id):
-                self.ptr = FakePtr(ptr_id)
+                self.ptr = GpuPointer(ptr_id, 0, 1024)
 
         cache = make_cache()
         removed, cleared = FakeData(7), FakeData(8)

@@ -16,6 +16,7 @@ from repro.common.config import GpuConfig
 from repro.common.errors import GpuError, GpuOutOfMemoryError
 from repro.common.simclock import DEVICE, HOST, SimClock
 from repro.common.stats import Stats
+from repro.core.policies import LrcPolicy
 from repro.runtime.values import MatrixValue
 
 
@@ -57,6 +58,16 @@ class TestGpuDevice:
         assert dev.free_bytes == 2048
         assert dev.malloc(2048) is None
         assert dev.fragmentation > 0
+
+    def test_fits_agrees_with_malloc(self):
+        dev = GpuDevice(small_config(capacity=4096))
+        a = dev.malloc(1024)
+        dev.malloc(1024)
+        dev.free(a)
+        # holes of 1024 (first) and 2048 (tail); sizes align up to 512
+        for size in (1, 1024, 1025, 2048, 2049, 4096):
+            assert dev.fits(size) == (size <= 2048)
+        assert dev.fits(1536) and dev.malloc(1536) is not None
 
     def test_coalescing_adjacent_holes(self):
         dev = GpuDevice(small_config(capacity=4096))
@@ -233,7 +244,7 @@ class TestAlgorithmOne:
             mgr.release(ptr)
         mgr.empty_cache(1.0)
         assert mgr.free_bytes_pooled == 0
-        assert not mgr.free_lists
+        assert not mgr.free.pools
 
 
 class TestEvictionScoring:
@@ -262,6 +273,73 @@ class TestEvictionScoring:
         mgr.release(shallow)
         victim = mgr._global_victim()
         assert victim is deep
+
+
+class TestFreeList:
+    """What the scan the Free list replaced did, pinned case by case
+    (the hypothesis machines in test_property_memory.py cover the rest)."""
+
+    def test_float_tie_in_a_class_goes_to_the_earlier_release(self):
+        mgr, _ = manager(MODE_MEMPHIS)
+        mgr.clock.advance(1.0, DEVICE)
+        first, second = mgr.allocate(1024), mgr.allocate(1024)
+        mgr.release(first)
+        mgr.release(second)
+        # distinct stamps, equal Eq. 2 score: 1e-20 / 1.0 + 1.0 == 1.0
+        first.last_access, second.last_access = 1e-20, 0.0
+        first.refile()
+        second.refile()
+        assert mgr.policy.score_pointer(first, 1.0, 1.0) \
+            == mgr.policy.score_pointer(second, 1.0, 1.0)
+        assert mgr._global_victim() is first  # not the older stamp
+        mgr.audit()
+
+    def test_a_refilled_size_goes_to_the_back(self):
+        mgr, _ = manager(MODE_MEMPHIS)
+        mgr.policy = LrcPolicy()  # every pointer ties: order decides
+        small, large = mgr.allocate(1024), mgr.allocate(2048)
+        mgr.release(small)
+        mgr.release(large)
+        assert mgr._global_victim() is small
+        mgr.reuse_from_free(small)  # the 1024 B pool empties ...
+        mgr.release(small)  # ... and refills behind 2048
+        assert mgr.free.pointers() == [large, small]
+        assert mgr._global_victim() is large
+        mgr.audit()
+
+    def test_max_cost_is_the_scopes(self):
+        mgr, _ = manager(MODE_MEMPHIS)
+        mgr.clock.advance(1.0, DEVICE)
+        recent, costly, other = (mgr.allocate(size)
+                                 for size in (1024, 1024, 2048))
+        for ptr, (stamp, cost) in zip((recent, costly, other),
+                                      [(0.9, 0.0), (0.0, 1.0), (0.5, 1e3)]):
+            mgr.release(ptr)
+            ptr.last_access, ptr.compute_cost = stamp, cost
+            ptr.refile()
+        # over the 1024 B pool max_cost is 1.0: 0.9 + 1 + 0 < 0 + 1 + 1;
+        # the 2048 B pointer's cost would flip it (0 + 1 + 0.001)
+        mgr.audit()
+        assert mgr._pop_victim(1024) is recent
+
+    def test_audit_catches_a_write_without_refile(self):
+        mgr, _ = manager(MODE_MEMPHIS)
+        ptr = mgr.allocate(1024)
+        mgr.release(ptr)
+        ptr.compute_cost = 5.0
+        with pytest.raises(AssertionError, match="missed refile"):
+            mgr.audit()
+        ptr.refile()
+        mgr.audit()
+
+    def test_cache_flag_moves_a_free_pointer_between_classes(self):
+        mgr, _ = manager(MODE_MEMPHIS)
+        ptr = mgr.allocate(1024)
+        mgr.release(ptr)
+        ptr.set_cached(True)
+        (cls,) = mgr.free.pools[1024].values()
+        assert cls.cached and cls.members == 1
+        mgr.audit()
 
 
 class TestGpuBackend:

@@ -408,8 +408,9 @@ class TestGpuVictimOrderRegression:
             (2.0, 5, 40.0), (4.0, 3, 30.0),
         ]):
             ptr.last_access, ptr.lineage_height, ptr.compute_cost = t, h, c
+            ptr.refile()
         now = mgr.clock.now(DEVICE)
-        remaining = list(mgr.free_lists[1024])
+        remaining = mgr.free.pointers()
         expected = []
         while remaining:
             max_cost = max(p.compute_cost for p in remaining)
@@ -417,10 +418,10 @@ class TestGpuVictimOrderRegression:
                          key=lambda p: eq2_reference(p, now, max_cost))
             expected.append(victim.id)
             remaining.remove(victim)
-        queue = mgr.free_lists[1024]
         actual = []
-        while queue:
-            actual.append(mgr._pop_victim(queue, 1024).id)
+        while mgr.free.pools:
+            mgr.audit()
+            actual.append(mgr._pop_victim(1024).id)
         assert actual == expected
 
     def test_global_victim_matches_inline_eq2(self):
@@ -429,8 +430,9 @@ class TestGpuVictimOrderRegression:
             (4.0, 1, 5.0), (1.0, 3, 80.0), (2.0, 2, 10.0), (3.0, 4, 40.0),
         ]):
             ptr.last_access, ptr.lineage_height, ptr.compute_cost = t, h, c
+            ptr.refile()
         now = mgr.clock.now(DEVICE)
-        pool = [p for q in mgr.free_lists.values() for p in q]
+        pool = mgr.free.pointers()
         max_cost = max(p.compute_cost for p in pool)
         expected = min(pool, key=lambda p: eq2_reference(p, now, max_cost))
         assert mgr._global_victim() is expected
@@ -449,6 +451,7 @@ class TestGpuVictimOrderRegression:
         stamps = [9.0, 2.0, 5.0]
         for ptr, stamp in zip(ptrs, stamps):
             ptr.last_access = stamp
+            ptr.refile()
         # LRU ignores height/cost: the oldest stamp goes first
         assert mgr._global_victim() is ptrs[1]
 

@@ -1,5 +1,7 @@
 """Stateful property-based tests of the memory managers' invariants."""
 
+import math
+
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from hypothesis.stateful import (
 from repro.backends.gpu import (
     GpuDevice,
     GpuMemoryManager,
+    GpuPointer,
     GpuStream,
     MODE_MEMPHIS,
 )
@@ -26,9 +29,9 @@ from repro.common.config import (
     StorageLevel,
 )
 from repro.common.errors import GpuOutOfMemoryError
-from repro.common.simclock import SimClock
+from repro.common.simclock import DEVICE, SimClock
 from repro.common.stats import Stats
-from repro.core.cache import BACKEND_DISK
+from repro.core.cache import BACKEND_DISK, LineageCache
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 from repro.core.substrate import Substrate
 from repro.lineage.item import LineageItem, dataset
@@ -39,29 +42,60 @@ from repro.runtime.values import MatrixValue
 class GpuAllocatorMachine(RuleBasedStateMachine):
     """Random allocate/release/reuse/evict sequences preserve invariants:
 
+    * ``GpuMemoryManager.audit()``: the Free list's victim is the full
+      scan's for every scope a query has (uncached of one size, one
+      size, all), and no pointer missed a re-file;
+    * the Free list's order is the order of the size -> list dict it
+      replaces, replayed here as a model;
     * device accounting is exact (used + holes == capacity);
     * live and free pointer sets are disjoint;
     * freed pointers never appear in either list;
     * pooled byte accounting matches the free lists.
+
+    Allocation runs under pressure (Algorithm 1 steps 1-4 fire), fresh
+    pointers get a lineage height and cost as ``GpuBackend.execute``
+    gives them, ``cached`` flips through the lineage cache's own paths,
+    the device clock advances between touches, and ``tie`` forges
+    exact-score ties within a class and across sizes.
     """
+
+    POLICY = EvictionPolicyName.COST_SIZE
+    SIZES = st.one_of(st.sampled_from([512, 1024, 2048]),
+                      st.integers(min_value=1, max_value=32 * 1024))
+    HEIGHTS = st.sampled_from([1, 5])
+    COSTS = st.sampled_from([0.0, 1e3])
+    TAGS = st.integers(min_value=0, max_value=5)
 
     def __init__(self):
         super().__init__()
-        cfg = GpuConfig(device_memory=256 * 1024, alignment=512)
+        cfg = GpuConfig(device_memory=64 * 1024, alignment=512,
+                        policy=self.POLICY)
         clock, stats = SimClock(), Stats()
-        device = GpuDevice(cfg)
-        stream = GpuStream(cfg, clock, stats)
-        self.mgr = GpuMemoryManager(device, stream, clock, stats,
-                                    MODE_MEMPHIS)
+        arbiter = MemoryArbiter(stats)
+        self.cache = LineageCache(CacheConfig(), stats, arbiter=arbiter)
+        self.mgr = GpuMemoryManager(
+            GpuDevice(cfg), GpuStream(cfg, clock, stats), clock, stats,
+            MODE_MEMPHIS, on_invalidate=self.cache.on_gpu_invalidate,
+            arbiter=arbiter)
         self.live = []
+        #: the size -> release-ordered list dict the Free list replaced
+        self.model: dict[int, list] = {}
 
-    @rule(size=st.integers(min_value=1, max_value=32 * 1024))
-    def allocate(self, size):
+    @staticmethod
+    def key(tag):
+        return LineageItem("exp", (str(tag),), (dataset("X"),))
+
+    def pointers(self):
+        return self.live + self.mgr.free.pointers()
+
+    @rule(size=SIZES, height=HEIGHTS, cost=COSTS)
+    def allocate(self, size, height, cost):
         try:
             ptr = self.mgr.allocate(size)
-            self.live.append(ptr)
         except GpuOutOfMemoryError:
-            pass  # legal under pressure from live pointers
+            return  # legal under pressure from live pointers
+        ptr.lineage_height, ptr.compute_cost = height, cost
+        self.live.append(ptr)
 
     @precondition(lambda self: self.live)
     @rule(data=st.data())
@@ -70,18 +104,79 @@ class GpuAllocatorMachine(RuleBasedStateMachine):
         ptr = self.live.pop(idx)
         self.mgr.release(ptr)
 
-    @precondition(lambda self: any(
-        q for q in self.mgr.free_lists.values()))
+    @precondition(lambda self: self.mgr.free.pools)
     @rule(data=st.data())
     def reuse_from_free(self, data):
-        pools = [p for q in self.mgr.free_lists.values() for p in q]
-        ptr = pools[data.draw(st.integers(0, len(pools) - 1))]
+        ptr = data.draw(st.sampled_from(self.mgr.free.pointers()))
         revived = self.mgr.reuse_from_free(ptr)
         self.live.append(revived)
 
     @rule(fraction=st.floats(min_value=0.0, max_value=1.0))
     def empty_cache(self, fraction):
         self.mgr.empty_cache(fraction)
+
+    @rule(data=st.data(), dt=st.sampled_from([0.0, 1e-6, 1e-3, 1.0]))
+    def advance_and_touch(self, data, dt):
+        self.mgr.clock.advance(dt, DEVICE)
+        pointers = self.pointers()
+        if pointers:
+            self.mgr.touch(data.draw(st.sampled_from(pointers)))
+
+    @rule(data=st.data(), tag=TAGS, cost=COSTS)
+    def cache_put(self, data, tag, cost):
+        pointers = self.pointers()
+        if pointers:
+            ptr = data.draw(st.sampled_from(pointers))
+            self.cache.put(self.key(tag), _GpuPayload(ptr), BACKEND_GPU,
+                           ptr.size, cost)
+
+    @rule(tag=TAGS, how=st.sampled_from(["remove", "invalidate", "clear"]))
+    def cache_forget(self, tag, how):
+        # each path reaches LineageCache._forget_gpu_pointer
+        if how == "clear":
+            self.cache.clear()
+        elif how == "remove":
+            self.cache.remove(self.key(tag))
+        elif self.cache.get_entry(self.key(tag)) is not None:
+            self.cache.invalidate_entry(self.cache.get_entry(self.key(tag)))
+
+    @precondition(lambda self: self.mgr.free.pools)
+    @rule(data=st.data(),
+          how=st.sampled_from(["same", "next_float", "future"]))
+    def tie(self, data, how):
+        """Give a free pointer another's class and (nearly) its recency:
+        equal ``last_access``, the next float up (equal Eq. 2 score,
+        distinct stamps), or a stamp past ``now`` (MRD's clamp)."""
+        free = self.mgr.free.pointers()
+        a = data.draw(st.sampled_from(free))
+        same_size = [p for p in free if p.size == a.size and p is not a]
+        b = data.draw(st.sampled_from(same_size or free))
+        now = self.mgr.clock.now(DEVICE)
+        b.last_access = {"same": a.last_access,
+                         "next_float": math.nextafter(a.last_access, math.inf),
+                         "future": now + 1.0}[how]
+        b.lineage_height, b.compute_cost = a.lineage_height, a.compute_cost
+        b.refile()
+
+    @invariant()
+    def audit_holds(self):
+        self.mgr.audit()
+
+    @invariant()
+    def free_list_order_matches_model(self):
+        free = self.mgr.free.pointers()
+        listed = set(map(id, free))
+        for size in list(self.model):
+            self.model[size] = [p for p in self.model[size]
+                                if id(p) in listed]
+            if not self.model[size]:
+                del self.model[size]
+        modelled = {id(p) for queue in self.model.values() for p in queue}
+        arrived = [p for p in free if id(p) not in modelled]
+        assert len(arrived) <= 1, "one rule released several pointers"
+        for p in arrived:
+            self.model.setdefault(p.size, []).append(p)
+        assert free == [p for queue in self.model.values() for p in queue]
 
     @invariant()
     def device_accounting_exact(self):
@@ -92,32 +187,41 @@ class GpuAllocatorMachine(RuleBasedStateMachine):
     @invariant()
     def live_and_free_disjoint(self):
         live_ids = {p.id for p in self.mgr.live.values()}
-        free_ids = {p.id for q in self.mgr.free_lists.values() for p in q}
+        free_ids = {p.id for p in self.mgr.free.pointers()}
         assert not (live_ids & free_ids)
 
     @invariant()
     def no_freed_pointers_tracked(self):
         for p in self.mgr.live.values():
             assert not p.freed
-        for q in self.mgr.free_lists.values():
-            for p in q:
-                assert not p.freed
+        for p in self.mgr.free.pointers():
+            assert not p.freed
 
     @invariant()
     def pooled_bytes_match(self):
-        actual = sum(p.size for q in self.mgr.free_lists.values() for p in q)
+        actual = sum(p.size for p in self.mgr.free.pointers())
         assert self.mgr.free_bytes_pooled == actual
 
     @invariant()
     def free_queues_keyed_by_size(self):
-        for size, queue in self.mgr.free_lists.items():
-            assert all(p.size == size for p in queue)
+        for size, pool in self.mgr.free.pools.items():
+            assert all(rec[3].size == size for cls in pool.values()
+                       for rec in cls.heap if rec[3].free_rec is rec)
 
 
-TestGpuAllocatorStateful = GpuAllocatorMachine.TestCase
-TestGpuAllocatorStateful.settings = settings(
-    max_examples=30, stateful_step_count=40, deadline=None
-)
+def _gpu_machine(policy):
+    machine = type(f"GpuAllocatorMachine_{policy.value}",
+                   (GpuAllocatorMachine,), {"POLICY": policy})
+    case = machine.TestCase
+    case.settings = settings(max_examples=100, stateful_step_count=50,
+                             deadline=None)
+    return case
+
+
+TestGpuAllocatorStateful = _gpu_machine(EvictionPolicyName.COST_SIZE)
+TestGpuAllocatorStatefulLru = _gpu_machine(EvictionPolicyName.LRU)
+TestGpuAllocatorStatefulLrc = _gpu_machine(EvictionPolicyName.LRC)
+TestGpuAllocatorStatefulMrd = _gpu_machine(EvictionPolicyName.MRD)
 
 
 class BlockManagerMachine(RuleBasedStateMachine):
@@ -376,14 +480,6 @@ TestTenantLedgerStateful.settings = settings(
 )
 
 
-class _Ptr:
-    """Stand-in for a GPU pointer: what the cache reads of one."""
-
-    def __init__(self, ptr_id):
-        self.id = ptr_id
-        self.cached = False
-
-
 class _GpuPayload:
     def __init__(self, ptr):
         self.ptr = ptr
@@ -459,7 +555,7 @@ class LineageCacheMachine(RuleBasedStateMachine):
 
     @rule(tag=TAGS, size=SIZES)
     def put_gpu(self, tag, size):
-        payload = _GpuPayload(_Ptr(self.next_ptr))
+        payload = _GpuPayload(GpuPointer(self.next_ptr, 0, size))
         self.next_ptr += 1
         self.cache.put(self.key(tag), payload, BACKEND_GPU, size, 1e3)
 
