@@ -7,11 +7,11 @@ consistency, backend-placement legality, def-before-use soundness of
 any proposed linearization (Algorithm 2 included), liveness/leaks,
 async-operator hazards (§5.1), and lineage-key determinism (§3).
 
-Three entry points:
+Three entry points, all reporting rather than raising:
 
-* ``MemphisConfig(verify_ir=True)`` — every compiled block is verified
-  inside :meth:`Session.evaluate`; error-severity findings raise
-  :class:`~repro.common.errors.VerificationError` before execution;
+* ``runtime.scope(analysis=AnalysisCollector())`` — every block a
+  session built in the scope compiles is verified inside
+  :meth:`Session.evaluate`, before it executes, into the collector;
 * ``python -m repro.analysis [workload ...]`` — run registered
   workloads under ``runtime.scope(analysis=AnalysisCollector())`` and
   report all findings;

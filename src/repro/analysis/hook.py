@@ -3,9 +3,9 @@
 An :class:`AnalysisCollector` on the runtime context
 (``runtime.scope(analysis=AnalysisCollector())``) makes every
 :class:`~repro.core.session.Session` built under it verify each compiled
-block and deposit the resulting diagnostics here — without flipping
-``config.verify_ir`` (so nothing raises and partially broken programs
-still run to completion).  This is what powers
+block and deposit the resulting diagnostics here — the one way to turn
+verification on.  Nothing raises, so partially broken programs still
+run to completion.  This is what powers
 ``python -m repro.analysis`` and the harness ``--verify-ir`` flag, both
 of which analyze whole workloads made of many sessions::
 
@@ -23,13 +23,13 @@ class AnalysisCollector:
     """Accumulates diagnostic reports from every verified block."""
 
     def __init__(self) -> None:
-        self.reports: list[tuple[str, DiagnosticReport]] = []
+        self.reports: list[DiagnosticReport] = []
         self.blocks_verified = 0
 
-    def add(self, report: DiagnosticReport, label: str = "") -> None:
+    def add(self, report: DiagnosticReport) -> None:
         self.blocks_verified += 1
         if report:
-            self.reports.append((label, report))
+            self.reports.append(report)
 
     def merged(self) -> DiagnosticReport:
         """All diagnostics of all blocks, deduplicated.
@@ -40,7 +40,7 @@ class AnalysisCollector:
         """
         seen: set[tuple] = set()
         out = DiagnosticReport()
-        for _, report in self.reports:
+        for report in self.reports:
             for diag in report:
                 key = (diag.rule, diag.hop, diag.opcode, diag.message)
                 if key in seen:

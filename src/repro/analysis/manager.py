@@ -2,11 +2,10 @@
 
 :func:`analyze` is the pure core — DAG + stream in, diagnostics out.
 :func:`verify_ir` is the compiler-pipeline entry point wired into
-``Session.evaluate`` behind ``config.verify_ir``: it additionally emits
-every diagnostic as a structured trace event (``analysis/diagnostic``),
-bumps the stats counters, feeds the runtime context's collector when it
-has one, and raises :class:`~repro.common.errors.VerificationError`
-on error-severity findings.
+``Session.evaluate`` when the runtime context carries an analysis
+collector: it additionally emits every diagnostic as a structured trace
+event (``analysis/diagnostic``), bumps the stats counters and feeds the
+collector.  It reports; it never aborts a block.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.analysis.base import (
 from repro.analysis.dataflow import walk_dag
 from repro.analysis.diagnostics import DiagnosticReport, Severity
 from repro.common.config import MemphisConfig
-from repro.common.errors import VerificationError
 from repro.compiler.ir import Hop
 
 #: canonical pass order: structural checks first, then placement, then
@@ -95,13 +93,11 @@ def analyze(roots: Sequence[Hop],
 
 def verify_ir(roots: Sequence[Hop], order: Sequence[Hop],
               config: MemphisConfig, tracer=None, stats=None,
-              collector=None, raise_on_error: bool = False,
-              label: str = "") -> DiagnosticReport:
-    """Compiler-pipeline verification gate (``config.verify_ir``).
+              collector=None) -> DiagnosticReport:
+    """Compiler-pipeline verification (``runtime.scope(analysis=...)``).
 
-    Runs the full pipeline, publishes diagnostics to the tracer / stats
-    / context collector, and — when ``raise_on_error`` — aborts the
-    block with a :class:`VerificationError` carrying the report.
+    Runs the full pipeline and publishes diagnostics to the tracer /
+    stats / context collector; the report is returned, never raised.
     """
     report = analyze(roots, order, config)
     if stats is not None:
@@ -121,14 +117,7 @@ def verify_ir(roots: Sequence[Hop], order: Sequence[Hop],
                 message=diag.message,
             )
     if collector is not None:
-        collector.add(report, label=label)
-    errors = report.errors()
-    if raise_on_error and errors:
-        raise VerificationError(
-            f"IR verification failed with {len(errors)} error(s):\n"
-            + "\n".join(d.format() for d in errors),
-            report=report,
-        )
+        collector.add(report)
     return report
 
 

@@ -23,8 +23,12 @@ execution.  For one linearized instruction stream the planner:
   (:meth:`~repro.memory.arbiter.MemoryArbiter.admissible`) before the
   block runs.  The plan only *predicts*: pressure at runtime stays the
   arbiter's business (eviction, Algorithm 1), and a block that
-  over-peaks the device is an error for ``verify_ir`` to raise, not
+  over-peaks the device is an error for the verifier to report, not
   something a second eviction road repairs.
+
+A session plans when its runtime context carries a
+:class:`MemplanCollector` (``runtime.scope(memplan=...)``) or when it is
+attached to a shared substrate, whose admission gate needs the plan.
 
 Rule catalog (see docs/ANALYSIS.md):
 
@@ -42,8 +46,8 @@ MEM005    warning   planned CP spill volume exceeds the DISK budget: the
                     spill tier will drop the overflow
 ========  ========  =============================================================
 
-Planning never changes answers: it is pure analysis, and enabling
-``config.memplan`` touches no ledger.
+Planning never changes answers: it is pure analysis and touches no
+ledger.
 """
 
 from __future__ import annotations
@@ -441,8 +445,8 @@ class MemplanCollector:
 
     Mirrors the ``AnalysisCollector`` pattern: every
     :class:`~repro.core.session.Session` built under
-    ``runtime.scope(memplan=MemplanCollector())`` plans its blocks (as if ``config.memplan`` were set) and register
-    its :class:`SessionMemPlanner` here, keyed by a session label, so
+    ``runtime.scope(memplan=MemplanCollector())`` plans its blocks and
+    registers its :class:`SessionMemPlanner` here, keyed by a session label, so
     tools can compare predicted vs observed peaks across a whole
     workload run.
     """

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.backends.federated.worker import FederatedConfig, FederatedWorker
 from repro.common.errors import FaultInjectionError
-from repro.common.runtime import RuntimeContext, current as current_runtime
+from repro.common.runtime import current as current_runtime
 from repro.common.simclock import HOST, SimClock
 from repro.common.stats import (
     FAULT_FED_RETRIES,
@@ -24,7 +24,7 @@ from repro.common.stats import (
     Stats,
 )
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
-from repro.faults.plan import KIND_FED_TIMEOUT, FaultPlan
+from repro.faults.plan import KIND_FED_TIMEOUT
 from repro.lineage.item import LineageItem, dataset, literal
 from repro.obs.events import EV_FED_REQUEST, LANE_FED
 from repro.obs.tracer import NULL_TRACER
@@ -55,18 +55,16 @@ class FederatedCoordinator:
     """One tenant session against a (possibly shared) worker fleet.
 
     Tenants sharing a fleet must share one :class:`SimClock` so worker
-    ``busy_until`` times are comparable across coordinators.
+    ``busy_until`` times are comparable across coordinators.  Ids,
+    tracing and fault injection come from the runtime context current at
+    construction, as for a :class:`~repro.core.session.Session`.
     """
 
     def __init__(self, workers: list[FederatedWorker],
                  config: FederatedConfig | None = None,
                  clock: SimClock | None = None,
-                 reuse: bool = True,
-                 tracer=None,
-                 faults: FaultPlan | None = None,
-                 runtime: RuntimeContext | None = None) -> None:
-        rt = self.runtime = (runtime if runtime is not None
-                             else current_runtime())
+                 reuse: bool = True) -> None:
+        rt = current_runtime()
         self._ids = rt.ids
         self.workers = workers
         self.config = config or (
@@ -75,15 +73,14 @@ class FederatedCoordinator:
         self.clock = clock or SimClock()
         self.stats = Stats()
         self.reuse = reuse
-        if tracer is None:
-            tracer = (
-                rt.trace.tracer(self.clock, label="federated")
-                if rt.trace is not None else NULL_TRACER
-            )
-        self.tracer = tracer
+        self.tracer = (
+            rt.trace.tracer(self.clock, label="federated")
+            if rt.trace is not None else NULL_TRACER
+        )
         self.faults = (
-            FaultInjector(faults, self.clock, self.stats, tracer=self.tracer)
-            if faults is not None else NULL_INJECTOR
+            FaultInjector(rt.faults, self.clock, self.stats,
+                          tracer=self.tracer)
+            if rt.faults is not None else NULL_INJECTOR
         )
         self._fed_counter = 0
 

@@ -217,27 +217,6 @@ class MemphisConfig:
     #: GPU allocator mode: "malloc" | "pool" | "memphis"; None derives it
     #: from the reuse mode (Base -> malloc, MEMPHIS -> memphis).
     gpu_memory_mode: str | None = None
-    #: static IR verification (``repro.analysis``): when True every
-    #: compiled block is run through the analysis pass pipeline after
-    #: rewrites + linearization and the session raises
-    #: :class:`~repro.common.errors.VerificationError` on any
-    #: error-severity diagnostic before executing the stream.
-    verify_ir: bool = False
-    #: static memory planning (``repro.analysis.memplan``): when True
-    #: every compiled block's per-region peak footprint is derived at
-    #: compile time and compared against the observed
-    #: ``MemoryRegion.peak_used`` watermarks; on a shared substrate the
-    #: predicted CP/DISK peaks also pass the multi-tenant admission
-    #: gate.  Planning never changes results — it only predicts; MEM
-    #: error diagnostics raise through ``verify_ir`` like any other.
-    memplan: bool = False
-    #: fault injection (``repro.faults``): a ``FaultPlan`` scheduling
-    #: deterministic failures (task loss, GPU alloc failure, federated
-    #: timeouts, spill I/O errors, ...) that the recovery machinery must
-    #: absorb.  ``None`` (default) falls back to the runtime context's
-    #: plan (harness ``--faults``), else no injection; typed as
-    #: ``object`` to keep this module import-light.
-    faults: object | None = None
 
     def __post_init__(self) -> None:
         # The current runtime context's ``configure`` hook (harness
@@ -300,10 +279,9 @@ class MemphisConfig:
     def server_session(cls, **kw) -> "MemphisConfig":
         """Per-session config for the multi-tenant server (``repro.server``).
 
-        Full MEMPHIS reuse plus static memory planning: the planner's
-        per-block peak demands are what the shared substrate's
+        Full MEMPHIS reuse.  Server sessions also plan every block, but
+        not because of this config: a session attached to a shared
+        substrate always plans, since its planned peaks are what the
         admission gate (``SessionContext.admit``) checks.
-        Without a plan there is nothing to admit, so quota enforcement
-        would degrade to put-time shaping only.
         """
-        return cls.memphis(memplan=True, **kw)
+        return cls.memphis(**kw)

@@ -16,7 +16,8 @@ class CompilationError(MemphisError):
 
 
 class VerificationError(CompilationError):
-    """Raised by the static IR verifier on error-severity diagnostics.
+    """Raised by :meth:`~repro.compiler.ir.Hop.validate` on error-severity
+    diagnostics (the in-session verifier reports, it never raises).
 
     ``report`` carries the full
     :class:`~repro.analysis.diagnostics.DiagnosticReport` (including

@@ -8,12 +8,13 @@ shared substrate, the ``configure`` hook every new config passes
 through, and the one :class:`IdSpace` that numbers HOPs, lineage items,
 RDDs, broadcasts and GPU pointers.
 
-``Session``, ``Substrate`` and ``FederatedCoordinator`` take an explicit
-``runtime=`` (default: :func:`current`), capture it once at construction
-and hand it down; nothing re-reads the current context afterwards, so a
-session keeps working — with the same collaborators and the same id
-space — after the scope that built it has exited, and two servers under
-two contexts can interleave in one process.
+``Session`` and ``Substrate`` take an explicit ``runtime=`` (default:
+:func:`current`) and ``FederatedCoordinator`` reads :func:`current`;
+each captures its context once at construction and hands it down.
+Nothing re-reads the current context afterwards, so a session keeps
+working — with the same collaborators and the same id space — after
+the scope that built it has exited, and two servers under two contexts
+can interleave in one process.
 
 There is one process-current context and one way to change it::
 
@@ -75,11 +76,11 @@ class RuntimeContext:
 
     Every collaborator is ``None`` unless supplied; ``None`` means "the
     context has none", and a session then uses the NULL singleton — the
-    context is the one activation of the trace / explain collectors
-    (``scope(explain=ExplainCollector())``).  Only ``faults``
-    has a config-side counterpart, which wins over the context's.  Use
-    as a context manager to make it the process-current context; exiting
-    restores the one it displaced, also on exceptions.
+    context is the one activation of tracing, explain capture,
+    verification, memory planning and fault injection
+    (``scope(explain=ExplainCollector())``); no config field duplicates
+    a slot.  Use as a context manager to make it the process-current
+    context; exiting restores the one it displaced, also on exceptions.
     """
 
     __slots__ = ("trace", "explain", "analysis", "memplan", "faults",
@@ -104,7 +105,7 @@ class RuntimeContext:
         self.analysis = analysis
         #: sessions plan every block and register their planner with it.
         self.memplan = memplan
-        #: fault plan for sessions whose config carries none.
+        #: fault plan sessions and federated coordinators inject.
         self.faults = faults
         #: shared substrate sessions attach to when given none.
         self.substrate = substrate

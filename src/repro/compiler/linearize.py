@@ -27,8 +27,8 @@ def depth_first(roots: list[Hop],
     one ``inputs`` list) is therefore emitted exactly once, at its
     first post-order position, and every input still precedes all of
     its consumers.  The ``linearization-soundness`` analysis pass
-    re-checks these invariants on every compiled block when
-    ``config.verify_ir`` is enabled.
+    re-checks these invariants on every compiled block under
+    ``runtime.scope(analysis=AnalysisCollector())``.
 
     ``visited`` shares emission state across successive calls (used by
     :func:`max_parallelize` to linearize remote chains first): ids

@@ -100,22 +100,13 @@ class Session:
             trace.tracer(self.clock, label=label)
             if trace is not None else NULL_TRACER)
         self.explain_collector = rt.explain
-        # faults are the one collaborator a config can also carry: an
-        # explicit plan there beats the context's (harness --faults).
-        plan = cfg.faults if cfg.faults is not None else rt.faults
         self.faults = (
-            FaultInjector(plan, self.clock, self.stats, tracer=self.tracer)
-            if plan is not None else NULL_INJECTOR)
-        # the verify_ir / memplan flags act per session (verify raises); a
-        # context collector verifies without raising, across sessions.
+            FaultInjector(rt.faults, self.clock, self.stats,
+                          tracer=self.tracer)
+            if rt.faults is not None else NULL_INJECTOR)
+        # a context collector verifies every block, across sessions; the
+        # verifier reports, it never raises
         self.ir_collector = rt.analysis
-        self._verify_ir = bool(cfg.verify_ir or rt.analysis is not None)
-        self.memplan_collector = rt.memplan
-        self.memplanner: Optional[SessionMemPlanner] = None
-        if cfg.memplan or rt.memplan is not None:
-            self.memplanner = SessionMemPlanner(cfg)
-            if rt.memplan is not None:
-                rt.memplan.register(self, self.memplanner)
         # reuse substrate (CP/DISK arbiter, lineage cache, interner): a
         # shared one — injected, or the context's — is attached, with
         # namespaced lineage keys and fair-share CP/DISK admission
@@ -140,6 +131,14 @@ class Session:
                 tracer=self.tracer, faults=self.faults, runtime=rt)
             self._ctx = None
             self.arbiter = self.substrate.arbiter
+        # static memory planning: the context's collector asks for it,
+        # and an attached session needs it — its planned peaks are what
+        # the shared substrate's admission gate checks
+        self.memplanner: Optional[SessionMemPlanner] = None
+        if rt.memplan is not None or self._ctx is not None:
+            self.memplanner = SessionMemPlanner(cfg)
+            if rt.memplan is not None:
+                rt.memplan.register(self, self.memplanner)
         self.cache = self.substrate.cache
         #: hash-consing table: TRACE interns every op item, so re-traced
         #: instructions probe the cache by identity, not DAG comparison.
@@ -376,15 +375,14 @@ class Session:
                 # surfaces to the scheduler as backpressure before
                 # anything runs
                 self._ctx.admit(plan.admission_demands())
-        if self._verify_ir:
-            # static verification gate: runs the repro.analysis pass
-            # pipeline over the post-rewrite DAG + proposed order
-            # before anything executes; raises iff config.verify_ir
+        if self.ir_collector is not None:
+            # static verification: runs the repro.analysis pass pipeline
+            # over the post-rewrite DAG + proposed order before anything
+            # executes and reports into the context's collector
             verify_ir(
                 root_hops, order, self.config,
                 tracer=self.tracer, stats=self.stats,
                 collector=self.ir_collector,
-                raise_on_error=self.config.verify_ir,
             )
         try:
             env = self.interpreter.run(order)

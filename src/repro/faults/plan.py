@@ -11,9 +11,8 @@ the identical sequence of faults, retries, and recoveries — which is what
 lets the chaos suite assert that faulted runs converge to outputs
 numerically identical to the fault-free run.
 
-Plans round-trip losslessly through JSON (:meth:`FaultPlan.to_json` /
-:meth:`FaultPlan.from_json`) and parse from a compact command-line DSL
-(:meth:`FaultPlan.parse`)::
+Plans have one text form, the compact DSL :meth:`FaultPlan.parse`
+reads (harness ``--faults``); it expresses every spec and plan field::
 
     spark_task@3;gpu_alloc@0,count=2;fed_timeout@1,worker=2;seed=7
 
@@ -24,8 +23,6 @@ numpy kernels, so final numerics are bit-equal to the fault-free run.
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -101,31 +98,6 @@ class FaultSpec:
         if self.count < 1:
             raise ValueError(f"fault count must be >= 1, got {self.count}")
 
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.at is not None:
-            out["at"] = self.at
-        if self.count != 1:
-            out["count"] = self.count
-        if self.target is not None:
-            out["target"] = self.target
-        if self.kind == KIND_FED_SLOW:
-            out["factor"] = self.factor
-        if self.after_time is not None:
-            out["after_time"] = self.after_time
-        return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FaultSpec":
-        return cls(
-            kind=data["kind"],
-            at=data.get("at"),
-            count=int(data.get("count", 1)),
-            target=data.get("target"),
-            factor=float(data.get("factor", 4.0)),
-            after_time=data.get("after_time"),
-        )
-
 
 @dataclass
 class FaultPlan:
@@ -151,49 +123,11 @@ class FaultPlan:
     #: to continue in *degraded* mode once a worker exhausts its budget.
     quorum_fraction: float = 1.0
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> dict:
-        """Lossless plain-dict form (inverse of :meth:`from_json`)."""
-        return {
-            "seed": self.seed,
-            "max_task_retries": self.max_task_retries,
-            "max_alloc_retries": self.max_alloc_retries,
-            "max_fed_retries": self.max_fed_retries,
-            "fed_backoff_base_s": self.fed_backoff_base_s,
-            "fed_timeout_s": self.fed_timeout_s,
-            "quorum_fraction": self.quorum_fraction,
-            "specs": [spec.to_json() for spec in self.specs],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FaultPlan":
-        return cls(
-            specs=[FaultSpec.from_json(s) for s in data.get("specs", ())],
-            seed=int(data.get("seed", 1234)),
-            max_task_retries=int(data.get("max_task_retries", 3)),
-            max_alloc_retries=int(data.get("max_alloc_retries", 3)),
-            max_fed_retries=int(data.get("max_fed_retries", 4)),
-            fed_backoff_base_s=float(data.get("fed_backoff_base_s", 0.05)),
-            fed_timeout_s=float(data.get("fed_timeout_s", 0.25)),
-            quorum_fraction=float(data.get("quorum_fraction", 1.0)),
-        )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "FaultPlan":
-        return cls.from_json(json.loads(text))
-
     # -- command-line spec ----------------------------------------------------
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
-        """Parse a ``--faults`` argument.
-
-        Accepts (in precedence order) a path to a JSON plan file, an
-        inline JSON object, or the ``;``-separated mini-DSL::
+        """Parse a ``--faults`` argument: the ``;``-separated DSL::
 
             kind@index[,key=value...] | kind,after=seconds[,...] | key=value
 
@@ -201,12 +135,6 @@ class FaultPlan:
         ``after``.  Plan keys: any numeric :class:`FaultPlan` field
         (``seed``, ``max_task_retries``, ``quorum_fraction``, ...).
         """
-        spec = spec.strip()
-        if os.path.isfile(spec):
-            with open(spec, "r", encoding="utf-8") as fh:
-                return cls.loads(fh.read())
-        if spec.startswith("{"):
-            return cls.loads(spec)
         plan = cls()
         for token in filter(None, (t.strip() for t in spec.split(";"))):
             head, _, tail = token.partition(",")

@@ -79,8 +79,8 @@ def main(argv: list[str] | None = None) -> int:
                              "prefetch/checkpoint/evict annotations)")
     parser.add_argument("--faults", metavar="SPEC", default=None,
                         help="inject deterministic faults (repro.faults): "
-                             "SPEC is a plan JSON file, inline JSON, or a "
-                             "DSL like 'spark_task@0;gpu_alloc@2,count=2' "
+                             "SPEC is a plan in the fault DSL, e.g. "
+                             "'spark_task@0;gpu_alloc@2,count=2;seed=7' "
                              "(see docs/FAULTS.md)")
     parser.add_argument("--verify-ir", action="store_true",
                         help="run the static IR verifier (repro.analysis) "

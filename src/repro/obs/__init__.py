@@ -3,9 +3,9 @@
 ``repro.obs`` turns the simulator's internal mechanics — reuse probes,
 evictions, spills, prefetch overlap, Spark jobs/stages, GPU copies and
 pointer recycling, federated round-trips — into a typed event stream
-over the simulated clock, with three sinks: a bounded in-memory ring
-buffer, a JSONL writer, and a Chrome-trace/Perfetto exporter that
-renders a whole run as a timeline with one lane per backend.
+over the simulated clock, kept in one bounded in-memory ring buffer and
+written out by a Chrome-trace/Perfetto exporter that renders a whole
+run as a timeline with one lane per backend.
 
 Enable for every session built in a scope (``with
 runtime.scope(trace=TraceCollector()) as rt: ...``, see
@@ -17,7 +17,7 @@ Two sibling layers:
 
 * ``repro.obs.metrics`` — the gauge sampler: region occupancy, cache
   size, GPU residency, ... emitted as counter events (``ph: "C"``) on
-  the same tracer, so they share its sinks, request stamping and
+  the same tracer, so they share its ring buffer, request stamping and
   Perfetto export; ``format_summary`` renders their sparkline digest;
 * ``repro.obs.explain`` — plan-level EXPLAIN of the post-rewrite HOP
   DAG and the linearized instruction stream, with reuse/prefetch/
@@ -85,12 +85,7 @@ from repro.obs.schema import (
     TRACE_SCHEMA,
     validate_chrome_trace,
 )
-from repro.obs.sinks import (
-    JsonlSink,
-    RingBufferSink,
-    read_jsonl,
-    write_jsonl,
-)
+from repro.obs.sinks import RingBufferSink
 from repro.obs.request import RequestContext
 from repro.obs.summary import (
     TraceSummary,
@@ -139,7 +134,6 @@ __all__ = [
     "ExplainCollector",
     "ExplainPlan",
     "HopSnapshot",
-    "JsonlSink",
     "LANE_CP",
     "LANE_FED",
     "LANE_GPU",
@@ -166,12 +160,10 @@ __all__ = [
     "format_summary",
     "load_chrome_trace",
     "plan_to_dot",
-    "read_jsonl",
     "render_dot",
     "render_plan",
     "snapshot_plan",
     "sparkline",
     "summarize",
     "validate_chrome_trace",
-    "write_jsonl",
 ]

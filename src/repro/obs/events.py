@@ -6,7 +6,7 @@ round-trips) emits one of the event types below, carrying sim-clock
 timestamps, a backend *lane*, and — where applicable — the lineage-item
 id and hop opcode that make the event attributable to a specific
 instruction.  The taxonomy is deliberately flat and string-keyed so that
-sinks (ring buffer, JSONL, Chrome trace) need no per-type code.
+the ring buffer and the Chrome-trace exporter need no per-type code.
 
 Phases follow the Chrome Trace Event Format: ``X`` is a *complete* event
 (``ts`` + ``dur``), ``i`` an *instant* event, ``C`` a *counter* sample
@@ -155,7 +155,7 @@ class Event:
     args: Optional[dict] = None
 
     def to_json(self) -> dict:
-        """Plain-dict form used by the JSONL sink (lossless round-trip)."""
+        """Plain-dict form (what two event streams are compared by)."""
         out = {
             "name": self.name,
             "ph": self.ph,
@@ -168,16 +168,3 @@ class Event:
         if self.args:
             out["args"] = self.args
         return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Event":
-        """Inverse of :meth:`to_json`."""
-        return cls(
-            name=data["name"],
-            ph=data["ph"],
-            ts=float(data["ts"]),
-            lane=data.get("lane", LANE_CP),
-            dur=float(data.get("dur", 0.0)),
-            session=int(data.get("session", 0)),
-            args=data.get("args"),
-        )

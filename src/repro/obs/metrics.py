@@ -9,8 +9,8 @@ plots (Fig. 12) and that end-of-run counter totals cannot show.
 There is no second pipeline: :func:`sample` reads every source and hands
 each value to :meth:`Tracer.counter <repro.obs.tracer.Tracer.counter>`,
 which emits a ``ph: "C"`` event through the tracer's one ``emit`` choke
-point — request-stamped, ring-buffered, JSONL-streamed and Chrome-
-exported like every other event — and only when the value changed since
+point — request-stamped, ring-buffered and Chrome-exported like every
+other event — and only when the value changed since
 that session's last sample.  The dispatch loop calls it every
 :data:`SAMPLE_EVERY` traced instructions and ``Session.evaluate`` once
 per block, so an untraced run never samples.  Sampling reads ledgers and

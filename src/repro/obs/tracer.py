@@ -81,15 +81,17 @@ class Span:
 
 
 class Tracer:
-    """Per-session event producer; all emissions go to shared sinks."""
+    """Per-session event producer writing into one ring buffer: its
+    collector's (shared by every session traced into it), or — for a
+    standalone tracer — its own."""
 
     enabled = True
 
     def __init__(self, clock: SimClock, session_id: int = 0,
-                 sinks: Optional[list] = None) -> None:
+                 ring: Optional[RingBufferSink] = None) -> None:
         self.clock = clock
         self.session_id = session_id
-        self.sinks = sinks if sinks is not None else [RingBufferSink()]
+        self.ring = ring if ring is not None else RingBufferSink()
         self._stack: list[Span] = []
         #: bound request context (``repro.obs.request``): while set,
         #: every emitted event inherits ``request_id``/``tenant`` args.
@@ -119,7 +121,7 @@ class Tracer:
     # -- emission -----------------------------------------------------------
 
     def emit(self, event: Event) -> None:
-        """Dispatch one finished event to every sink.
+        """Append one finished event to the ring.
 
         Request stamping happens here — the single choke point every
         span/instant/complete passes through — so bound
@@ -135,8 +137,7 @@ class Tracer:
             else:
                 args.setdefault("request_id", request.request_id)
                 args.setdefault("tenant", request.tenant)
-        for sink in self.sinks:
-            sink.emit(event)
+        self.ring.emit(event)
 
     def instant(self, name: str, lane: str = LANE_CP,
                 ts: Optional[float] = None, **args) -> None:
@@ -193,11 +194,8 @@ class Tracer:
     # -- convenience --------------------------------------------------------
 
     def events(self) -> list[Event]:
-        """Events of the first ring-buffer sink (empty if none attached)."""
-        for sink in self.sinks:
-            if isinstance(sink, RingBufferSink):
-                return sink.events()
-        return []
+        """The ring's buffered events (a shared ring: every session's)."""
+        return self.ring.events()
 
 
 class NullTracer:
@@ -273,25 +271,20 @@ class TraceCollector:
     repro.harness --trace`` captures sessions created deep inside
     workload drivers) register here: each gets a fresh
     :class:`Tracer` with a distinct session id writing into the
-    collector's sinks.
+    collector's ring buffer.
     """
 
     def __init__(self, capacity: int = 1 << 18) -> None:
         self.ring = RingBufferSink(capacity)
-        self.sinks: list = [self.ring]
         self.session_labels: dict[int, str] = {}
         self._next_session = 0
-
-    def add_sink(self, sink) -> None:
-        """Attach an additional sink (e.g. a streaming JSONL writer)."""
-        self.sinks.append(sink)
 
     def tracer(self, clock: SimClock, label: str = "") -> Tracer:
         """Create the tracer for one session."""
         session_id = self._next_session
         self._next_session += 1
         self.session_labels[session_id] = label or f"session-{session_id}"
-        return Tracer(clock, session_id, self.sinks)
+        return Tracer(clock, session_id, self.ring)
 
     def events(self) -> list[Event]:
         """All buffered events across sessions."""

@@ -16,8 +16,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.common.config import MemphisConfig
-from repro.core.substrate import Substrate
 from repro.server.scheduler import Scheduler, ServerReport
 
 
@@ -73,24 +71,19 @@ def impure_program(rows: int = 32, cols: int = 4) -> Callable:
 
 
 def run_server_demo(sessions: int = 4, *, seed: int = 0,
-                    quota: Optional[int] = None,
-                    include_impure: bool = True,
-                    substrate: Optional[Substrate] = None) -> ServerReport:
+                    quota: Optional[int] = None) -> ServerReport:
     """Run the canonical demo: ``sessions`` pure requests + 2 impure.
 
     Requests alternate between tenants ``alpha`` and ``beta``; ``quota``
     (bytes) caps each tenant's CP fair share when given.  Deterministic
     for a fixed ``seed``: same interleave, same counters, same results.
     """
-    scheduler = Scheduler(
-        substrate, config=MemphisConfig.server_session(), seed=seed,
-    )
+    scheduler = Scheduler(seed=seed)
     scheduler.add_tenant("alpha", quota)
     scheduler.add_tenant("beta", quota)
     for i in range(sessions):
         tenant = "alpha" if i % 2 == 0 else "beta"
         scheduler.submit(tenant, pure_program(), name=f"pure{i}")
-    if include_impure:
-        scheduler.submit("alpha", impure_program(), name="impure0")
-        scheduler.submit("beta", impure_program(), name="impure1")
+    scheduler.submit("alpha", impure_program(), name="impure0")
+    scheduler.submit("beta", impure_program(), name="impure1")
     return scheduler.run()

@@ -272,19 +272,15 @@ class Scheduler:
     A scheduler runs under its substrate's runtime context
     (``substrate.runtime``, captured when the substrate was built): its
     sessions are created with it, so a scheduler built under one context
-    can be run while another is current.
+    can be run while another is current.  Every session, and the
+    default substrate, is configured by
+    :meth:`MemphisConfig.server_session`.
     """
 
     def __init__(self, substrate: Optional[Substrate] = None, *,
-                 config: Optional[MemphisConfig] = None,
-                 config_factory: Optional[Callable[[], MemphisConfig]] = None,
                  seed: int = 0, max_retries: int = 8) -> None:
-        self.config = config or MemphisConfig.server_session()
         self.substrate = substrate if substrate is not None \
-            else Substrate.shared_substrate(self.config)
-        #: fresh per-session config (auto-tuning mutates per-session
-        #: knobs, so sessions must not alias one config object).
-        self._config_factory = config_factory or MemphisConfig.server_session
+            else Substrate.shared_substrate(MemphisConfig.server_session())
         self.seed = seed
         self.max_retries = max_retries
         self._requests: list[Request] = []
@@ -317,9 +313,10 @@ class Scheduler:
         tasks = []
         for index, request in enumerate(self._requests):
             # sessions attach in submit order, so uids — and therefore
-            # key namespaces — are deterministic
+            # key namespaces — are deterministic; each gets a fresh
+            # config (auto-tuning mutates per-session knobs)
             session = Session(
-                self._config_factory(), substrate=self.substrate,
+                MemphisConfig.server_session(), substrate=self.substrate,
                 tenant=request.tenant, runtime=runtime,
             )
             ctx = RequestContext(
@@ -379,8 +376,7 @@ class Scheduler:
                 return True
             return False
         except Exception as exc:  # noqa: BLE001 - fault isolation
-            # one tenant's failure must not take the server down (this
-            # is the VerificationError path, among others)
+            # one tenant's failure must not take the server down
             task.result.error = f"{type(exc).__name__}: {exc}"
             return True
 

@@ -533,11 +533,15 @@ class TestVerifyIr:
         root.shape = (9, 9)
         return [root], [x, root]
 
-    def test_raises_with_report(self):
+    def test_reports_errors_without_raising(self):
+        """The gate reports into the context's collector; the block is
+        not refused (only ``Hop.validate`` raises)."""
         roots, order = self._broken()
-        with pytest.raises(VerificationError) as exc:
-            verify_ir(roots, order, MemphisConfig(), raise_on_error=True)
-        assert exc.value.report.errors()
+        with scope(analysis=AnalysisCollector()) as rt:
+            report = verify_ir(roots, order, MemphisConfig(),
+                               collector=rt.analysis)
+        assert report.errors()
+        assert rt.analysis.errors() == report.errors()
 
     def test_publishes_to_tracer_stats_and_collector(self):
         roots, order = self._broken()
@@ -555,9 +559,10 @@ class TestVerifyIr:
         x = leaf(4, 4)
         root = op_hop("uak+", [x])
         place_all([root])
+        collector = AnalysisCollector()
         report = verify_ir([root], [x, root], MemphisConfig(),
-                           raise_on_error=True)
-        assert not report.errors()
+                           collector=collector)
+        assert not report.errors() and not collector.errors()
 
 
 # ------------------------------------------------------- session wiring
@@ -566,9 +571,7 @@ class TestSessionIntegration:
     def _run_grid(self):
         from repro import Session
 
-        cfg = MemphisConfig.memphis()
-        cfg.verify_ir = True
-        sess = Session(cfg)
+        sess = Session(MemphisConfig.memphis())
         rng = np.random.default_rng(7)
         X = sess.read(rng.random((64, 8)), "X")
         y = sess.read(rng.random((64, 1)), "y")
@@ -579,7 +582,11 @@ class TestSessionIntegration:
         return total
 
     def test_verified_evaluation_succeeds(self):
-        assert np.isfinite(self._run_grid())
+        """Verification only reports: a verified run computes exactly
+        what an unverified one does."""
+        with scope(analysis=AnalysisCollector()):
+            verified = self._run_grid()
+        assert np.isfinite(verified) and verified == self._run_grid()
 
     def test_ambient_collector_sees_blocks(self):
         collector = AnalysisCollector()

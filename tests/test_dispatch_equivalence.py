@@ -43,8 +43,8 @@ def _under(layer: str, workload, config: MemphisConfig):
     """``workload(config)`` with one instrumentation layer live."""
     if layer == "faults":
         # enables the injector's per-instruction draw without injecting
-        config.faults = FaultPlan(specs=[])
-        return workload(config)
+        with scope(faults=FaultPlan(specs=[])):
+            return workload(config)
     with scope(trace=TraceCollector()) as rt:
         result = workload(config)
     # sampling was live under the tracer

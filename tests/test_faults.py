@@ -1,17 +1,19 @@
 """Unit tests for the fault-injection framework (``repro.faults``).
 
-Covers the plan surface (DSL / JSON round-trips, validation), the
+Covers the plan surface (DSL round-trips, validation), the
 injector's deterministic occurrence counters, and the two framework-wide
 guarantees the chaos suite builds on:
 
 * **zero overhead when disabled** — with no plan, sessions hold
   :data:`NULL_INJECTOR` and a run is byte-for-byte identical (stats,
   instruction counts, simulated durations) to one with an *empty* plan;
-* **recovery determinism** — a plan replayed after a JSON round-trip
+* **recovery determinism** — a plan replayed after a DSL round-trip
   reproduces the identical trace event sequence and outputs.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -41,8 +43,8 @@ def quickstart(cfg: MemphisConfig | None = None,
     ``(session, final ndarray)``.
     """
     cfg = cfg or MemphisConfig.memphis()
-    cfg.faults = plan
-    sess = Session(cfg)
+    with scope(faults=plan):
+        sess = Session(cfg)
     data = (np.arange(200.0 * 8).reshape(200, 8) % 17.0) / 17.0
     target = (np.arange(200.0).reshape(200, 1) % 5.0) / 5.0
     X = sess.read(data, "X")
@@ -52,6 +54,22 @@ def quickstart(cfg: MemphisConfig | None = None,
         grad = X.t() @ (X @ w) - X.t() @ y
         w = w - 0.01 * grad
     return sess, w.compute()
+
+
+def dsl(plan: FaultPlan) -> str:
+    """``plan`` written in the ``--faults`` DSL, every field spelled out."""
+    tokens = []
+    for spec in plan.specs:
+        keys = [spec.kind if spec.at is None else f"{spec.kind}@{spec.at}",
+                f"count={spec.count}", f"factor={spec.factor!r}"]
+        if spec.target is not None:
+            keys.append(f"target={spec.target}")
+        if spec.after_time is not None:
+            keys.append(f"after={spec.after_time!r}")
+        tokens.append(",".join(keys))
+    tokens += [f"{field.name}={getattr(plan, field.name)!r}"
+               for field in dataclasses.fields(plan) if field.name != "specs"]
+    return ";".join(tokens)
 
 
 class TestFaultSpec:
@@ -71,22 +89,26 @@ class TestFaultSpec:
         spec = FaultSpec("spill_io", after_time=1.5)
         assert spec.at is None and spec.after_time == 1.5
 
-    def test_json_round_trip_every_kind(self):
+    def test_dsl_round_trip_every_kind(self):
         for i, kind in enumerate(KINDS):
             factor = 8.0 if kind == KIND_FED_SLOW else 4.0
             spec = FaultSpec(kind, at=i, count=2, target=1, factor=factor)
-            assert FaultSpec.from_json(spec.to_json()) == spec
+            plan = FaultPlan(specs=[spec])
+            assert FaultPlan.parse(dsl(plan)) == plan
 
 
 class TestFaultPlan:
-    def test_json_round_trip(self):
+    def test_dsl_round_trip(self):
+        """The DSL is the one text form: it expresses every field."""
         plan = FaultPlan(
             specs=[FaultSpec(KIND_SPARK_TASK, at=3, count=2),
                    FaultSpec(KIND_FED_SLOW, at=0, target=2, factor=6.0),
                    FaultSpec("spill_io", after_time=0.25)],
-            seed=99, max_task_retries=5, quorum_fraction=0.5,
+            seed=99, max_task_retries=5, max_alloc_retries=6,
+            max_fed_retries=7, fed_backoff_base_s=0.125,
+            fed_timeout_s=0.5, quorum_fraction=0.5,
         )
-        assert FaultPlan.loads(plan.dumps()) == plan
+        assert FaultPlan.parse(dsl(plan)) == plan
 
     def test_parse_dsl(self):
         plan = FaultPlan.parse(
@@ -103,13 +125,6 @@ class TestFaultPlan:
         assert by_kind[KIND_FED_TIMEOUT].count == 3
         assert by_kind[KIND_FED_SLOW].factor == 8.0
         assert by_kind["spill_io"].after_time == 0.5
-
-    def test_parse_inline_json_and_file(self, tmp_path):
-        plan = FaultPlan(specs=[FaultSpec(KIND_SPARK_TASK, at=1)], seed=3)
-        assert FaultPlan.parse(plan.dumps()) == plan
-        path = tmp_path / "plan.json"
-        path.write_text(plan.dumps(), encoding="utf-8")
-        assert FaultPlan.parse(str(path)) == plan
 
     def test_parse_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown fault spec key"):
@@ -220,7 +235,7 @@ class TestZeroOverheadWhenDisabled:
 
 
 class TestRecoveryDeterminism:
-    """Satellite: plan -> JSON -> plan, rerun, identical traces."""
+    """Plan -> DSL -> plan, rerun, identical traces."""
 
     def _traced_run(self, plan: FaultPlan):
         with scope(trace=TraceCollector()):
@@ -235,7 +250,7 @@ class TestRecoveryDeterminism:
             out_a, events_a, stats_a = self._traced_run(plan)
         with RuntimeContext():
             out_b, events_b, stats_b = self._traced_run(
-                FaultPlan.loads(plan.dumps())
+                FaultPlan.parse(dsl(plan))
             )
         assert np.array_equal(out_a, out_b)
         assert events_a == events_b

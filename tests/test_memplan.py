@@ -2,8 +2,9 @@
 
 Covers the charge model and its soundness contract (predicted peak >=
 observed ``MemoryRegion.peak_used`` on every tier-1 workload), the
-arbiter's admission predicate, the MEM002 rejection of an over-peak
-GPU block under ``verify_ir``, and the GPU placement feasibility guard.
+arbiter's admission predicate, the MEM002 report on an over-peak GPU
+block under an analysis collector, and the GPU placement feasibility
+guard.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
+    AnalysisCollector,
     MemplanCollector,
     SessionMemPlanner,
     Severity,
@@ -29,7 +31,7 @@ from repro.analysis.memplan import (
     REGION_SPARK_STORAGE,
 )
 from repro.common.config import MemphisConfig, ReuseMode
-from repro.common.errors import VerificationError
+from repro.common.errors import GpuOutOfMemoryError
 from repro.core.entry import BACKEND_CP, BACKEND_GPU
 from repro.core.session import Session
 from repro.common.runtime import RuntimeContext, current, scope
@@ -43,18 +45,17 @@ from repro.obs import ExplainCollector
 def _planned_session(**overrides) -> Session:
     """A session with planning on and any config overrides applied."""
     cfg = MemphisConfig.memphis()
-    cfg.memplan = True
     for key, val in overrides.items():
         if "." in key:
             group, attr = key.split(".")
             setattr(getattr(cfg, group), attr, val)
         else:
             setattr(cfg, key, val)
-    return Session(cfg)
+    with scope(memplan=MemplanCollector()):
+        return Session(cfg)
 
 
-def _gpu_chain_session(device_bytes: int, *, verify: bool = False,
-                       links: int = 10):
+def _gpu_chain_session(device_bytes: int, *, links: int = 10):
     """The over-budget GPU scenario: a cell-wise chain on a tiny device.
 
     Each link is three GPU ops (~20 KB each aligned) over a 50x50
@@ -65,9 +66,8 @@ def _gpu_chain_session(device_bytes: int, *, verify: bool = False,
     cfg = MemphisConfig.memphis()
     cfg.gpu_enabled = True
     cfg.gpu.device_memory = device_bytes
-    cfg.memplan = True
-    cfg.verify_ir = verify
-    sess = Session(cfg)
+    with scope(memplan=MemplanCollector()):
+        sess = Session(cfg)
     rng = np.random.default_rng(3)
     h = sess.read(rng.random((50, 50)), "X")
     for _ in range(links):
@@ -222,23 +222,25 @@ class TestAdmissible:
 # -------------------------------------------------------- MEM002 rejection
 
 class TestRejectAccept:
-    """An over-peak GPU block is an error: ``verify_ir`` rejects it
-    before anything runs, and planning a fitting block changes nothing."""
+    """An over-peak GPU block is an error the verifier reports before
+    anything runs, and planning a fitting block changes nothing."""
 
-    def test_rejected_at_compile_time_without_spills(self):
-        sess, h = _gpu_chain_session(64 * 1024, verify=True)
-        with pytest.raises(VerificationError, match="MEM002"):
+    def test_reported_at_compile_time_without_spills(self):
+        with scope(analysis=AnalysisCollector()) as rt:
+            sess, h = _gpu_chain_session(64 * 1024)
+        # the verifier reports, it does not refuse: the block runs into
+        # the device exhaustion MEM002 predicted
+        with pytest.raises(GpuOutOfMemoryError):
             sess.evaluate([h])
-        assert sess.stats.get("runtime/instructions_executed") == 0
+        assert [d.rule for d in rt.analysis.errors()] == ["MEM002"]
         sess.substrate.audit()  # incl. reserved == 0 on every region
 
     def test_planned_spills_keep_results_identical(self):
         """memplan on vs off must be byte-identical on a fitting block."""
         def run(memplan: bool):
-            with RuntimeContext():
-                cfg = MemphisConfig.memphis()
-                cfg.memplan = memplan
-                sess = Session(cfg)
+            with RuntimeContext(
+                    memplan=MemplanCollector() if memplan else None):
+                sess = Session(MemphisConfig.memphis())
                 rng = np.random.default_rng(7)
                 w = sess.read(rng.random((24, 24)), "w")
                 x = sess.read(rng.random((24, 24)), "x")
@@ -321,10 +323,8 @@ class TestSessionPlanner:
         assert rows and all(ok for *_, ok in rows)
 
     def test_explain_runtime_includes_watermarks(self):
-        cfg = MemphisConfig()
-        cfg.memplan = True
-        with scope(explain=ExplainCollector()):
-            sess = Session(cfg)
+        with scope(explain=ExplainCollector(), memplan=MemplanCollector()):
+            sess = Session(MemphisConfig())
         a = sess.read(np.ones((16, 16)))
         sess.evaluate([a @ a])
         text = sess.explain(level="runtime")
@@ -446,8 +446,8 @@ def test_random_cellwise_chain_plan_is_sound(links, side, budget_kb, seed):
     cfg = MemphisConfig.memphis()
     cfg.gpu_enabled = True
     cfg.gpu.device_memory = budget_kb * 1024
-    cfg.memplan = True
-    sess = Session(cfg)
+    with scope(memplan=MemplanCollector()):
+        sess = Session(cfg)
     rng = np.random.default_rng(seed)
     data = rng.random((side, side))
     ops = rng.integers(0, 3, size=links)

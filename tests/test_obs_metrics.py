@@ -1,7 +1,6 @@
 """Tests for repro.obs.metrics: gauge samples as counter events on the
 tracer — coverage, emit-on-change, export, overhead, request stamping."""
 
-import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,14 +11,12 @@ from repro.core.session import Session
 from repro.common.runtime import IdSpace, RuntimeContext, current, scope
 from repro.obs import (
     ExplainCollector,
-    JsonlSink,
     NULL_TRACER,
     PHASE_COUNTER,
     TraceCollector,
     Tracer,
     chrome_trace_dict,
     format_summary,
-    read_jsonl,
     sparkline,
     summarize,
     validate_chrome_trace,
@@ -215,38 +212,6 @@ class TestTracerCounter:
 # ------------------------------------------------------------ export
 
 
-class TestJsonlExport:
-    def test_round_trip(self, tmp_path):
-        """JSONL sink -> ``read_jsonl`` -> Chrome export validates and
-        keeps every counter sample."""
-        path = str(tmp_path / "trace.jsonl")
-        collector = TraceCollector()
-        with JsonlSink(path) as sink:
-            collector.add_sink(sink)
-            with scope(trace=collector):
-                _run_workload(MemphisConfig())
-        events = read_jsonl(path)
-        assert events == collector.events()
-        assert _tracks(events)["memory/CP/used"][-1] > 0
-        doc = chrome_trace_dict(events, collector.session_labels)
-        assert validate_chrome_trace(doc) == []
-        counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
-        assert len(counters) == sum(map(len, _tracks(events).values()))
-
-    def test_lines_are_json_objects(self, tmp_path):
-        path = str(tmp_path / "trace.jsonl")
-        collector = TraceCollector()
-        with JsonlSink(path) as sink:
-            collector.add_sink(sink)
-            with scope(trace=collector):
-                _run_workload(MemphisConfig())
-        with open(path) as fh:
-            rows = [json.loads(line) for line in fh]
-        assert all(isinstance(row, dict) for row in rows)
-        assert any(row["ph"] == "C" and "value" in row["args"]
-                   for row in rows)
-
-
 class TestCounterTracks:
     def test_tracks_and_chrome_export(self):
         collector = TraceCollector()
@@ -254,7 +219,9 @@ class TestCounterTracks:
             _run_workload(MemphisConfig())
         doc = chrome_trace_dict(collector.events(), collector.session_labels)
         counter_events = [e for e in doc["traceEvents"] if e["ph"] == "C"]
-        assert counter_events
+        # the export keeps every counter sample
+        assert len(counter_events) \
+            == sum(map(len, _tracks(collector.events()).values()))
         assert all("value" in e["args"] for e in counter_events)
         assert {e["cat"] for e in counter_events} \
             == {"memory", "cache", "runtime"}

@@ -1,7 +1,5 @@
 """Tests for the structured tracing subsystem (``repro.obs``)."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from repro.obs import (
     EV_PROBE,
     EV_SPARK_JOB,
     Event,
-    JsonlSink,
     LANE_CP,
     LANE_GPU,
     LANE_SP,
@@ -28,10 +25,8 @@ from repro.obs import (
     export_chrome_trace,
     format_summary,
     load_chrome_trace,
-    read_jsonl,
     summarize,
     validate_chrome_trace,
-    write_jsonl,
 )
 
 
@@ -119,25 +114,20 @@ class TestSinks:
         assert [e.ts for e in ring.events()] == [2.0, 3.0, 4.0]
         assert ring.dropped == 2
 
-    def test_jsonl_round_trip(self, tmp_path):
-        events = [
-            Event("instr", PHASE_SPAN, 0.5, LANE_CP, 0.25, 1,
-                  {"opcode": "+", "hop": 3}),
-            Event("cache/probe", PHASE_INSTANT, 0.75, LANE_CP, 0.0, 1,
-                  {"hit": False}),
-        ]
-        path = str(tmp_path / "events.jsonl")
-        assert write_jsonl(events, path) == 2
-        assert read_jsonl(path) == events
-
-    def test_jsonl_sink_streams_from_tracer(self, tmp_path):
-        path = str(tmp_path / "stream.jsonl")
-        clock = SimClock()
-        with JsonlSink(path) as sink:
-            tracer = Tracer(clock, sinks=[sink])
-            tracer.instant("x", LANE_CP)
-        (event,) = read_jsonl(path)
-        assert event.name == "x"
+    def test_tracers_of_a_collector_share_its_ring(self):
+        """One ring per collector; a standalone tracer keeps its own."""
+        collector = TraceCollector()
+        a = collector.tracer(SimClock())
+        b = collector.tracer(SimClock())
+        a.instant("x", LANE_CP)
+        b.instant("y", LANE_CP)
+        assert a.ring is b.ring is collector.ring
+        assert [(e.name, e.session) for e in collector.events()] \
+            == [("x", 0), ("y", 1)]
+        alone = Tracer(SimClock())
+        alone.instant("z", LANE_CP)
+        assert [e.name for e in alone.events()] == ["z"]
+        assert len(collector.events()) == 2
 
 
 # ------------------------------------------------------------- chrome export

@@ -78,7 +78,7 @@ def _interleaved_demo():
     another context's scheduler run to completion in its middle, and the
     scheduler itself runs after its own context has exited."""
     with RuntimeContext():
-        scheduler = Scheduler(config=MemphisConfig.server_session(), seed=0)
+        scheduler = Scheduler(seed=0)
     scheduler.add_tenant("alpha", None)
     scheduler.add_tenant("beta", None)
     for i in range(4):
@@ -173,18 +173,18 @@ class TestScopes:
         an installed ``--policy`` used to survive
         ``reset_ambient_state()`` — every later config stayed on LRU."""
         def outer(config):
-            config.verify_ir = True
+            config.gpu_enabled = True
             config.cache.policy = EvictionPolicyName.MRD
 
         try:
             with scope(configure=outer):
                 with scope(configure=_use_lru):
                     cfg = MemphisConfig.memphis()
-                    assert cfg.verify_ir
+                    assert cfg.gpu_enabled
                     assert cfg.cache.policy is EvictionPolicyName.LRU
                     assert cfg.gpu.policy is EvictionPolicyName.LRC
                 cfg = MemphisConfig.memphis()
-                assert cfg.verify_ir
+                assert cfg.gpu_enabled
                 assert cfg.cache.policy is EvictionPolicyName.MRD
                 assert cfg.gpu.policy is EvictionPolicyName.COST_SIZE
                 if leave == "by_exception":
@@ -192,7 +192,7 @@ class TestScopes:
         except KeyError:
             pass
         after = MemphisConfig.memphis()
-        assert not after.verify_ir
+        assert not after.gpu_enabled
         assert after.cache.policy is EvictionPolicyName.COST_SIZE
         assert after.gpu.policy is EvictionPolicyName.COST_SIZE
 
@@ -208,7 +208,7 @@ class TestScopes:
             config.reuse_mode = ReuseMode.PROBE_ONLY
             config.enable_async_ops = not plain.enable_async_ops
             config.enable_max_parallelize = not plain.enable_max_parallelize
-            config.memplan = not plain.memplan
+            config.spark_enabled = not plain.spark_enabled
 
         with scope(configure=flip):
             cfg = factory()
@@ -216,7 +216,7 @@ class TestScopes:
         assert cfg.enable_async_ops is not plain.enable_async_ops
         assert cfg.enable_max_parallelize \
             is not plain.enable_max_parallelize
-        assert cfg.memplan is not plain.memplan
+        assert cfg.spark_enabled is not plain.spark_enabled
         # and nothing else moved
         flip(plain)
         assert cfg == plain
@@ -407,6 +407,20 @@ def test_every_config_field_is_read_somewhere_in_src():
         if field.name not in loaded
     ]
     assert unread == []
+
+
+def test_no_config_field_is_named_after_a_runtime_context_slot():
+    """One road to each switch: faults, verification and memory planning
+    are turned on by the runtime context alone, so no field of the five
+    config dataclasses carries a slot's name (nor ``verify_ir``, the
+    ``analysis`` slot's former config twin)."""
+    fields = {
+        field.name
+        for cls in (SparkConfig, GpuConfig, CpuConfig, CacheConfig,
+                    MemphisConfig)
+        for field in dataclasses.fields(cls)
+    }
+    assert fields & {*RuntimeContext.__slots__, "verify_ir"} == set()
 
 
 def test_every_backend_opcode_has_a_cp_kernel():

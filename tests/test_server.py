@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from repro.common.config import MemphisConfig
-from repro.common.errors import AdmissionError, VerificationError
+from repro.analysis import AnalysisCollector
+from repro.common.errors import AdmissionError, GpuOutOfMemoryError
 from repro.common.runtime import current, scope
 from repro.common.stats import (
+    MEMPLAN_BLOCKS_PLANNED,
     SERVER_ADMITTED,
     SERVER_BACKPRESSURE,
     SERVER_CROSS_HITS,
@@ -377,25 +379,47 @@ class TestQuiescentLedgers:
         _assert_quiescent(sub, report.sessions)
         assert sub.arbiter.region(REGION_CP).pinned == 2048
 
-    def test_after_verify_ir_rejects_an_over_peak_gpu_block(self):
-        """MEM002 on a shrunk device: admitted by the shared gate, then
-        refused by ``verify_ir`` before a single instruction runs."""
+    def test_after_verify_ir_reports_an_over_peak_gpu_block(self):
+        """MEM002 on a shrunk device: admitted by the shared gate,
+        reported by the verifier before a single instruction runs, then
+        the device runs out exactly as predicted."""
         sub = self._pinned_substrate()
-        cfg = MemphisConfig.server_session(gpu_enabled=True, verify_ir=True)
+        cfg = MemphisConfig.server_session(gpu_enabled=True)
         cfg.gpu.device_memory = 64 * 1024
-        session = Session(cfg, substrate=sub, tenant="t")
+        with scope(analysis=AnalysisCollector()) as rt:
+            session = Session(cfg, substrate=sub, tenant="t")
         h = session.read(np.random.default_rng(3).random((50, 50)), "X")
         for _ in range(10):  # 30 GPU ops of ~20 KB each: peak >> 64 KB
             h = (h * 1.001 + 0.5).relu()
-        with pytest.raises(VerificationError, match="MEM002"):
+        with pytest.raises(GpuOutOfMemoryError):
             session.evaluate([h])
+        assert [d.rule for d in rt.analysis.errors()] == ["MEM002"]
         assert sub.stats.get(SERVER_ADMITTED) == 1
-        assert session.stats.get("runtime/instructions_executed") == 0
         _assert_quiescent(sub, [session])
         assert sub.arbiter.region(REGION_CP).pinned == 2048
 
 
 # ----------------------------------------------------- context substrate
+
+
+class TestAttachedSessionsPlan:
+    """Planning follows the attachment, not a config flag: the shared
+    substrate's admission gate has nothing to check without a plan."""
+
+    def test_plain_memphis_session_plans_and_passes_the_gate(self):
+        sub = _shared(MemphisConfig.memphis())
+        session = Session(MemphisConfig.memphis(), substrate=sub,
+                          tenant="t")
+        assert session.memplanner is not None
+        _ridge(session, _data(), _data(32, 1, offset=5.0))
+        assert session.stats.get(MEMPLAN_BLOCKS_PLANNED) > 0
+        assert sub.stats.get(SERVER_ADMITTED) > 0
+
+    def test_private_session_does_not_plan(self):
+        session = Session(MemphisConfig.memphis())
+        _ridge(session, _data(), _data(32, 1, offset=5.0))
+        assert session.memplanner is None
+        assert session.stats.get(MEMPLAN_BLOCKS_PLANNED) == 0
 
 
 class TestAmbientSubstrate:

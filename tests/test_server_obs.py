@@ -16,7 +16,6 @@ import pytest
 
 pytestmark = pytest.mark.tier2_server
 
-from repro.common.config import MemphisConfig
 from repro.common.runtime import RuntimeContext, scope
 from repro.obs import chrome_trace_dict, TraceCollector
 from repro.server import Scheduler, pure_program, run_server_demo
@@ -27,8 +26,7 @@ from repro.server.demo import impure_program
 def three_tenant_scheduler(seed: int = 7, quota=None,
                            max_retries: int = 8) -> Scheduler:
     """Three tenants, five requests, shared pure pipeline + one impure."""
-    scheduler = Scheduler(config=MemphisConfig.server_session(),
-                          seed=seed, max_retries=max_retries)
+    scheduler = Scheduler(seed=seed, max_retries=max_retries)
     for tenant in ("alpha", "beta", "gamma"):
         scheduler.add_tenant(tenant, quota)
     for i, tenant in enumerate(("alpha", "beta", "gamma", "alpha")):
@@ -134,7 +132,7 @@ class TestDeterministicAttribution:
 
 def _raising_scheduler() -> Scheduler:
     """One request whose program raises, beside one that completes."""
-    scheduler = Scheduler(config=MemphisConfig.server_session(), seed=0)
+    scheduler = Scheduler(seed=0)
     scheduler.add_tenant("alpha")
 
     def boom(session):
