@@ -1,26 +1,24 @@
 """The cross-feature matrix: every program under every feature combination.
 
-A cell is one :class:`~repro.common.runtime.RuntimeContext`: the
-``memplan`` collector off/on, ``faults`` none /
-``FaultPlan.randomize(0)`` / ``(1)``, and a ``configure`` hook that sets
-the CP, GPU and Spark eviction policies to the region defaults or one
-``EvictionPolicyName``.  A program is one of the nine
-``repro.analysis`` targets (private substrates) or the four-session
-server demo (one shared substrate: the combinations ``--server``
-refuses on the command line).  Every cell runs under an
-``AnalysisCollector`` in a fresh context and must complete with the
-plain cell's results
+A cell is one :class:`~repro.common.runtime.RuntimeContext`:
+``faults`` none / ``FaultPlan.randomize(0)`` / ``(1)``, and a
+``configure`` hook that sets the CP, GPU and Spark eviction policies to
+the region defaults or one ``EvictionPolicyName``.  A program is one of
+the nine ``targets.py`` workloads (private substrates) or the
+four-session server demo (one shared substrate: the combinations
+``--server`` refuses on the command line).  Every cell runs under an
+``AnalysisCollector`` in a fresh context — so every session plans and
+verifies each block — and must complete with the plain cell's results
 (``WorkloadResult.metric`` exactly; the server's per-request values),
 no error-severity diagnostic, every memory-plan bound (predicted peak >=
 observed), and a passing ``Substrate.audit()`` /
 ``SparkCacheManager.audit()`` / ``GpuMemoryManager.audit()`` on every
 substrate, Spark tier and GPU memory manager built.
 
-``quickstart`` and ``micro`` get the full cross; the other programs the
-named cells below plus enough cells that every pair of axis values
-occurs.  Fig. 12(a)/(b) run in the policy-only cells, where every
-policy must still reuse and the Eq. 1 default must be deterministic
-(``test_memory_guard.py`` holds its counters to the recorded baseline).
+Every program gets the full cross of the two axes, except Fig. 12(a)/(b),
+which run in the policy-only cells, where every policy must still reuse
+and the Eq. 1 default must be deterministic (``test_memory_guard.py``
+holds its counters to the recorded baseline).
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ from typing import NamedTuple, Optional
 
 import pytest
 
-from repro.analysis import AnalysisCollector, MemplanCollector
-from repro.analysis.targets import TARGETS
+from benchmarks.targets import TARGETS
+from repro.analysis import AnalysisCollector
 from repro.backends.gpu import GpuMemoryManager
 from repro.common.config import EvictionPolicyName, MemphisConfig
 from repro.common.runtime import RuntimeContext
@@ -47,13 +45,11 @@ from repro.workloads.base import WorkloadResult
 
 
 class Cell(NamedTuple):
-    memplan: bool
     faults: Optional[int]                    # FaultPlan.randomize seed
     policy: Optional[EvictionPolicyName]
 
     def __str__(self) -> str:
-        return (f"memplan{int(self.memplan)}-"
-                f"faults{'-' if self.faults is None else self.faults}-"
+        return (f"faults{'-' if self.faults is None else self.faults}-"
                 f"{self.policy.value if self.policy else 'default'}")
 
     def configure(self, config: MemphisConfig) -> None:
@@ -63,35 +59,12 @@ class Cell(NamedTuple):
             config.cache.spark_policy = config.spark.policy = self.policy
 
 
-AXES = ((False, True), (None, 0, 1), (None, *EvictionPolicyName))
+AXES = ((None, 0, 1), (None, *EvictionPolicyName))
 CROSS = [Cell(*values) for values in itertools.product(*AXES)]
 PLAIN = CROSS[0]
-
-#: the cells the per-feature sweep scripts used to run, by name.
-MEMPLAN_ONLY = PLAIN._replace(memplan=True)
 POLICY_ONLY = [PLAIN._replace(policy=policy) for policy in EvictionPolicyName]
 
-
-def _pairs(cell: Cell) -> set:
-    return set(itertools.combinations(enumerate(cell), 2))
-
-
-def _pairwise(seed: list[Cell]) -> list[Cell]:
-    """``seed`` plus, greedily, the cells that cover every pair of axis
-    values at least once."""
-    cells = list(seed)
-    missing = set().union(*map(_pairs, CROSS)).difference(
-        *map(_pairs, cells))
-    while missing:
-        best = max(CROSS, key=lambda cell: len(_pairs(cell) & missing))
-        cells.append(best)
-        missing -= _pairs(best)
-    return cells
-
-
-COVERING = _pairwise([PLAIN, MEMPLAN_ONLY, *POLICY_ONLY])
-
-PROGRAMS = {name: thunk for name, (_, thunk) in TARGETS.items()}
+PROGRAMS = dict(TARGETS)
 PROGRAMS["server"] = lambda: run_server_demo(4, seed=11)
 FIG12 = {"fig12a": runner.run_experiment_fig12a,
          "fig12b": runner.run_experiment_fig12b}
@@ -99,9 +72,7 @@ PROGRAMS.update(FIG12)
 
 
 def _cells(program: str) -> list[Cell]:
-    if program in FIG12:
-        return POLICY_ONLY
-    return CROSS if program in ("quickstart", "micro") else COVERING
+    return POLICY_ONLY if program in FIG12 else CROSS
 
 
 @contextlib.contextmanager
@@ -140,13 +111,12 @@ def audited():
 
 
 def run_cell(program: str, cell: Cell):
-    """Run ``program`` in ``cell``; returns (result, analysis, memplan)."""
+    """Run ``program`` in ``cell``; returns (result, analysis)."""
     analysis = AnalysisCollector()
-    memplan = MemplanCollector() if cell.memplan else None
     faults = None if cell.faults is None else FaultPlan.randomize(cell.faults)
-    with RuntimeContext(analysis=analysis, memplan=memplan, faults=faults,
+    with RuntimeContext(analysis=analysis, faults=faults,
                         configure=cell.configure), audited():
-        return PROGRAMS[program](), analysis, memplan
+        return PROGRAMS[program](), analysis
 
 
 def outcome(result):
@@ -182,15 +152,14 @@ def hit_rate(grid: dict) -> float:
     for program in PROGRAMS for cell in _cells(program)
 ])
 def test_cell(program, cell):
-    result, analysis, memplan = run_cell(program, cell)
+    result, analysis = run_cell(program, cell)
     assert outcome(result) == plain_outcome(program)
     errors = analysis.merged().errors()
     assert not errors, "\n".join(diag.format() for diag in errors)
-    if memplan is not None:
-        rows = memplan.check_bounds()
-        assert rows, "no session registered with the memplan collector"
-        bad = [row for row in rows if not row[-1]]
-        assert not bad, f"predicted peak < observed: {bad}"
+    rows = analysis.check_bounds()
+    assert rows, "no session registered with the analysis collector"
+    bad = [row for row in rows if not row[-1]]
+    assert not bad, f"predicted peak < observed: {bad}"
     if program in FIG12:
         # raw hit count is the wrong axis to rank policies on (Eq. 1
         # maximises compute cost saved), so the only cross-policy

@@ -1,20 +1,22 @@
-"""Analysis pass protocol and registry.
+"""What an analysis pass inspects.
 
-A pass inspects one compiled program — the post-rewrite HOP DAG and/or
-its linearized instruction stream — and reports findings through the
-shared diagnostics model.  Passes are registered by name so the pass
-manager, the CLI (``--passes``), and the docs' rule catalog all share
-one source of truth.
+A pass is a plain function ``(ctx) -> list[Diagnostic]`` over one
+compiled program — the post-rewrite HOP DAG and/or its linearized
+instruction stream; :data:`~repro.analysis.manager.DEFAULT_PASS_ORDER`
+is the fixed tuple of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.dataflow import StreamDefUse
 from repro.common.config import MemphisConfig
 from repro.compiler.ir import Hop
+
+if TYPE_CHECKING:
+    from repro.analysis.memplan import BlockMemPlan
 
 
 @dataclass
@@ -26,6 +28,9 @@ class AnalysisContext:
     is available, e.g. :meth:`Hop.validate`).  ``nodes`` caches the
     cycle-safe post-order so each pass does not re-walk the DAG, and
     ``cyclic`` short-circuits passes that require an acyclic graph.
+    ``defuse`` holds the def-use chains of ``order``, built once for
+    all stream passes; ``plan`` is the block's memory plan when the
+    caller (``Session.evaluate``) already computed it.
     """
 
     roots: list[Hop]
@@ -33,49 +38,5 @@ class AnalysisContext:
     config: MemphisConfig = field(default_factory=MemphisConfig)
     nodes: list[Hop] = field(default_factory=list)
     cyclic: bool = False
-
-
-class AnalysisPass:
-    """Base class: subclasses override :meth:`run`."""
-
-    #: registry key and diagnostic ``passname``.
-    name: str = "abstract"
-    #: ``"dag"`` passes need only roots; ``"stream"`` passes are skipped
-    #: when no linearized order is available.
-    runs_on: str = "dag"
-    #: skipped when the DAG contains a cycle (most dataflow is undefined
-    #: on cyclic graphs; dag-verify itself reports the cycle).
-    requires_acyclic: bool = True
-
-    def run(self, ctx: AnalysisContext) -> list[Diagnostic]:
-        raise NotImplementedError
-
-    def diag(self, rule: str, severity: Severity, message: str,
-             hop: Optional[Hop] = None,
-             hint: Optional[str] = None) -> Diagnostic:
-        """Build a diagnostic attributed to this pass (and a hop)."""
-        return Diagnostic(
-            rule=rule,
-            severity=severity,
-            message=message,
-            passname=self.name,
-            hop=hop.id if hop is not None else None,
-            opcode=hop.opcode if hop is not None else None,
-            hint=hint,
-        )
-
-
-_REGISTRY: dict[str, type[AnalysisPass]] = {}
-
-
-def register_pass(cls: type[AnalysisPass]) -> type[AnalysisPass]:
-    """Class decorator adding a pass to the global registry."""
-    if cls.name in _REGISTRY:
-        raise ValueError(f"duplicate analysis pass name {cls.name!r}")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def registered_passes() -> dict[str, type[AnalysisPass]]:
-    """Snapshot of the pass registry (name -> class)."""
-    return dict(_REGISTRY)
+    defuse: Optional[StreamDefUse] = None
+    plan: Optional["BlockMemPlan"] = None

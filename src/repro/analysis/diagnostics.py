@@ -3,17 +3,19 @@
 Every analysis pass reports findings as :class:`Diagnostic` records — a
 stable rule id, a severity, the offending hop (id + opcode), a message,
 and a fix hint — collected into a :class:`DiagnosticReport`.  The model
-is deliberately backend- and pass-agnostic so that the CLI, the harness
-``--verify-ir`` gate, the tracer sink, and tests all consume the same
-records.
+is deliberately backend- and pass-agnostic so that the harness
+``--verify-ir`` gate, the EXPLAIN dump, the tracer sink, and tests all
+consume the same records.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+
+if TYPE_CHECKING:
+    from repro.compiler.ir import Hop
 
 
 class Severity(enum.IntEnum):
@@ -26,16 +28,6 @@ class Severity(enum.IntEnum):
     @property
     def label(self) -> str:
         return self.name.lower()
-
-    @classmethod
-    def parse(cls, text: str) -> "Severity":
-        try:
-            return cls[text.upper()]
-        except KeyError:
-            raise ValueError(
-                f"unknown severity {text!r} "
-                f"(expected one of {[s.label for s in cls]})"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -50,7 +42,6 @@ class Diagnostic:
     rule: str  #: stable rule id, e.g. ``DAG003``.
     severity: Severity
     message: str
-    passname: str  #: the pass that produced the finding.
     hop: Optional[int] = None
     opcode: Optional[str] = None
     hint: Optional[str] = None  #: suggested fix, when one is known.
@@ -68,20 +59,19 @@ class Diagnostic:
             out += f"\n    hint: {self.hint}"
         return out
 
-    def to_json(self) -> dict:
-        out = {
-            "rule": self.rule,
-            "severity": self.severity.label,
-            "message": self.message,
-            "pass": self.passname,
-        }
-        if self.hop is not None:
-            out["hop"] = self.hop
-        if self.opcode is not None:
-            out["opcode"] = self.opcode
-        if self.hint is not None:
-            out["hint"] = self.hint
-        return out
+
+def diag(rule: str, severity: Severity, message: str,
+         hop: Optional[Hop] = None,
+         hint: Optional[str] = None) -> Diagnostic:
+    """Build a diagnostic attributed to ``hop`` (id + opcode), if any."""
+    return Diagnostic(
+        rule=rule,
+        severity=severity,
+        message=message,
+        hop=hop.id if hop is not None else None,
+        opcode=hop.opcode if hop is not None else None,
+        hint=hint,
+    )
 
 
 @dataclass
@@ -134,8 +124,3 @@ class DiagnosticReport:
         lines = [d.format() for d in self.diagnostics
                  if d.severity >= min_severity]
         return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [d.to_json() for d in self.diagnostics], indent=2
-        )

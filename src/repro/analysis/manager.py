@@ -1,4 +1,4 @@
-"""The pass manager: runs analysis passes over one compiled program.
+"""The verifier: runs the analysis passes over one compiled program.
 
 :func:`analyze` is the pure core — DAG + stream in, diagnostics out.
 :func:`verify_ir` is the compiler-pipeline entry point wired into
@@ -10,33 +10,43 @@ collector.  It reports; it never aborts a block.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-# importing the rule modules populates the pass registry
-import repro.analysis.dag_rules  # noqa: F401
-import repro.analysis.memplan  # noqa: F401
-import repro.analysis.stream_rules  # noqa: F401
-from repro.analysis.base import (
-    AnalysisContext,
-    AnalysisPass,
-    registered_passes,
+from repro.analysis.base import AnalysisContext
+from repro.analysis.dag_rules import (
+    dag_verify,
+    lineage_determinism,
+    placement_legality,
 )
-from repro.analysis.dataflow import walk_dag
-from repro.analysis.diagnostics import DiagnosticReport, Severity
+from repro.analysis.dataflow import StreamDefUse, walk_dag
+from repro.analysis.diagnostics import DiagnosticReport
+from repro.analysis.memplan import memory_plan
+from repro.analysis.stream_rules import (
+    async_race,
+    linearization_soundness,
+    liveness_leak,
+)
 from repro.common.config import MemphisConfig
 from repro.compiler.ir import Hop
 
-#: canonical pass order: structural checks first, then placement, then
-#: the stream analyses, then cross-cutting determinism.
+if TYPE_CHECKING:
+    from repro.analysis.memplan import BlockMemPlan
+
+#: the pass pipeline, in order: structural checks first, then placement,
+#: then the stream analyses, then cross-cutting determinism and memory.
 DEFAULT_PASS_ORDER = (
-    "dag-verify",
-    "placement-legality",
-    "linearization-soundness",
-    "liveness-leak",
-    "async-race",
-    "lineage-determinism",
-    "memory-plan",
+    dag_verify,
+    placement_legality,
+    linearization_soundness,
+    liveness_leak,
+    async_race,
+    lineage_determinism,
+    memory_plan,
 )
+
+#: passes over the linearized stream, skipped when no order is given.
+_STREAM_PASSES = frozenset(
+    (linearization_soundness, liveness_leak, async_race, memory_plan))
 
 #: stats counters bumped by :func:`verify_ir`.
 IR_PASSES_RUN = "analysis/passes_run"
@@ -44,62 +54,52 @@ IR_DIAGNOSTICS = "analysis/diagnostics"
 IR_ERRORS = "analysis/errors"
 
 
-class PassManager:
-    """Runs a configured subset of the registered passes in order."""
-
-    def __init__(self, passes: Optional[Sequence[str]] = None) -> None:
-        registry = registered_passes()
-        names = list(passes) if passes is not None else [
-            n for n in DEFAULT_PASS_ORDER if n in registry
-        ]
-        unknown = [n for n in names if n not in registry]
-        if unknown:
-            raise ValueError(
-                f"unknown analysis passes: {unknown} "
-                f"(registered: {sorted(registry)})"
-            )
-        self.passes: list[AnalysisPass] = [registry[n]() for n in names]
-
-    def run(self, roots: Sequence[Hop],
-            order: Optional[Sequence[Hop]] = None,
-            config: Optional[MemphisConfig] = None) -> DiagnosticReport:
-        """Analyze one compiled program; returns all diagnostics."""
-        roots = list(roots)
-        nodes, back_edges = walk_dag(roots)
-        ctx = AnalysisContext(
-            roots=roots,
-            order=list(order) if order is not None else None,
-            config=config or MemphisConfig(),
-            nodes=nodes,
-            cyclic=bool(back_edges),
-        )
-        report = DiagnosticReport()
-        for pass_ in self.passes:
-            if pass_.runs_on == "stream" and ctx.order is None:
-                continue
-            if pass_.requires_acyclic and ctx.cyclic:
-                continue
-            report.extend(pass_.run(ctx))
-        return report
-
-
 def analyze(roots: Sequence[Hop],
             order: Optional[Sequence[Hop]] = None,
             config: Optional[MemphisConfig] = None,
-            passes: Optional[Sequence[str]] = None) -> DiagnosticReport:
-    """Run the (default) pass pipeline over one compiled program."""
-    return PassManager(passes).run(roots, order, config)
+            passes: Sequence[Callable] = DEFAULT_PASS_ORDER,
+            plan: Optional["BlockMemPlan"] = None) -> DiagnosticReport:
+    """Run ``passes`` (default: all) over one compiled program.
+
+    A pass is a plain function ``(AnalysisContext) -> list[Diagnostic]``.
+
+    Only :func:`dag_verify` runs on a cyclic DAG (most dataflow is
+    undefined there; it reports the cycle), and the stream passes only
+    when an ``order`` is given.  ``plan`` is the block's memory plan
+    when the caller already has one; otherwise ``memory_plan`` makes it.
+    """
+    roots = list(roots)
+    nodes, back_edges = walk_dag(roots)
+    stream = list(order) if order is not None else None
+    ctx = AnalysisContext(
+        roots=roots,
+        order=stream,
+        config=config or MemphisConfig(),
+        nodes=nodes,
+        cyclic=bool(back_edges),
+        defuse=StreamDefUse(stream, roots) if stream is not None else None,
+        plan=plan,
+    )
+    report = DiagnosticReport()
+    for pass_ in passes:
+        if ctx.cyclic and pass_ is not dag_verify:
+            continue
+        if stream is None and pass_ in _STREAM_PASSES:
+            continue
+        report.extend(pass_(ctx))
+    return report
 
 
 def verify_ir(roots: Sequence[Hop], order: Sequence[Hop],
               config: MemphisConfig, tracer=None, stats=None,
-              collector=None) -> DiagnosticReport:
+              collector=None,
+              plan: Optional["BlockMemPlan"] = None) -> DiagnosticReport:
     """Compiler-pipeline verification (``runtime.scope(analysis=...)``).
 
     Runs the full pipeline and publishes diagnostics to the tracer /
     stats / context collector; the report is returned, never raised.
     """
-    report = analyze(roots, order, config)
+    report = analyze(roots, order, config, plan=plan)
     if stats is not None:
         stats.inc(IR_PASSES_RUN, len(DEFAULT_PASS_ORDER))
         if report:
@@ -119,17 +119,3 @@ def verify_ir(roots: Sequence[Hop], order: Sequence[Hop],
     if collector is not None:
         collector.add(report)
     return report
-
-
-def check_linearization(roots: Iterable[Hop],
-                        order: Sequence[Hop]) -> list:
-    """Soundness-check one proposed linearization (test helper).
-
-    Returns the error-severity diagnostics of the
-    linearization-soundness pass — empty iff ``order`` is a valid,
-    duplicate-free, complete topological order of the DAGs under
-    ``roots``.
-    """
-    report = analyze(list(roots), order,
-                     passes=("linearization-soundness",))
-    return report.at_least(Severity.ERROR)

@@ -26,8 +26,10 @@ execution.  For one linearized instruction stream the planner:
   over-peaks the device is an error for the verifier to report, not
   something a second eviction road repairs.
 
-A session plans when its runtime context carries a
-:class:`MemplanCollector` (``runtime.scope(memplan=...)``) or when it is
+A session plans when its runtime context carries an
+:class:`~repro.analysis.hook.AnalysisCollector`
+(``runtime.scope(analysis=...)``), which then checks the plan with the
+rest of the verifier and collects the session's planner, or when it is
 attached to a shared substrate, whose admission gate needs the plan.
 
 Rule catalog (see docs/ANALYSIS.md):
@@ -52,7 +54,6 @@ ledger.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -60,8 +61,8 @@ if TYPE_CHECKING:  # layering: runtime types are type-only imports here
     from repro.core.session import Session
     from repro.memory.arbiter import MemoryArbiter
 
-from repro.analysis.base import AnalysisContext, AnalysisPass, register_pass
-from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.base import AnalysisContext
+from repro.analysis.diagnostics import Diagnostic, Severity, diag
 from repro.common.config import MemphisConfig, ReuseMode
 from repro.compiler.ir import KIND_DATA, KIND_LITERAL, KIND_OP, Hop
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
@@ -242,10 +243,9 @@ def plan_block(roots: list[Hop], order: list[Hop],
 
 # ----------------------------------------------------------------- diagnostics
 
-def plan_diagnostics(plan: BlockMemPlan, config: MemphisConfig,
-                     owner: AnalysisPass) -> list[Diagnostic]:
-    """Check a plan against its budgets (the MEM rule family); the
-    findings are attributed to ``owner``."""
+def plan_diagnostics(plan: BlockMemPlan,
+                     config: MemphisConfig) -> list[Diagnostic]:
+    """Check a plan against its budgets (the MEM rule family)."""
     out: list[Diagnostic] = []
     budgets = plan.budgets
 
@@ -259,7 +259,7 @@ def plan_diagnostics(plan: BlockMemPlan, config: MemphisConfig,
         if hop.placement == BACKEND_GPU:
             working = gpu_working_set(hop, config.gpu.alignment)
             if working > gpu_cap:
-                out.append(owner.diag(
+                out.append(diag(
                     "MEM001", Severity.ERROR,
                     f"GPU working set of @{pos} is {working} B, above the "
                     f"device capacity of {gpu_cap} B",
@@ -273,7 +273,7 @@ def plan_diagnostics(plan: BlockMemPlan, config: MemphisConfig,
                 if inp.kind != KIND_LITERAL
             )
             if working > sp_cap:
-                out.append(owner.diag(
+                out.append(diag(
                     "MEM001", Severity.ERROR,
                     f"Spark working set of @{pos} is {working} B, above "
                     f"the aggregate storage memory of {sp_cap} B",
@@ -288,7 +288,7 @@ def plan_diagnostics(plan: BlockMemPlan, config: MemphisConfig,
     # partitions to executor disk transparently).
     gpu_demand = plan.demand[REGION_GPU]
     if gpu_demand > gpu_cap:
-        out.append(owner.diag(
+        out.append(diag(
             "MEM002", Severity.ERROR,
             f"GPU resident peak of {gpu_demand} B exceeds the device "
             f"capacity of {gpu_cap} B: the block is predicted to run out "
@@ -317,7 +317,7 @@ def plan_diagnostics(plan: BlockMemPlan, config: MemphisConfig,
                 volume = min(plan.demand[name] - budget.capacity,
                              disk.capacity)
                 extra = (f"; up to {volume} B will spill to the disk tier")
-            out.append(owner.diag(
+            out.append(diag(
                 "MEM003", Severity.WARNING,
                 f"{label} demand of {plan.demand[name]} B exceeds its "
                 f"capacity of {budget.capacity} B: eviction churn "
@@ -329,7 +329,7 @@ def plan_diagnostics(plan: BlockMemPlan, config: MemphisConfig,
     disk_budget = budgets[REGION_DISK]
     if (config.cache.spill_to_disk
             and plan.demand[REGION_DISK] > disk_budget.capacity):
-        out.append(owner.diag(
+        out.append(diag(
             "MEM005", Severity.WARNING,
             f"worst-case CP spill volume of {plan.demand[REGION_DISK]} B "
             f"exceeds the disk tier budget of {disk_budget.capacity} B: "
@@ -347,7 +347,7 @@ def plan_diagnostics(plan: BlockMemPlan, config: MemphisConfig,
         demand = plan.demand[name]
         if (demand <= budget.capacity
                 and demand >= PRESSURE_WATERMARK * budget.capacity):
-            out.append(owner.diag(
+            out.append(diag(
                 "MEM004", Severity.INFO,
                 f"{name} predicted peak of {demand} B is within "
                 f"{100 - int(PRESSURE_WATERMARK * 100)}% of its "
@@ -357,24 +357,20 @@ def plan_diagnostics(plan: BlockMemPlan, config: MemphisConfig,
     return out
 
 
-@register_pass
-class MemoryPlanPass(AnalysisPass):
+def memory_plan(ctx: AnalysisContext) -> list[Diagnostic]:
     """Static memory planner: peak footprint vs region budgets (MEM001+).
 
-    Derives every byte charge one block can make against the five
-    memory regions and checks single-instruction working sets and block
-    liveness peaks against the configured capacities (see module
-    docstring for the rule catalog and ``docs/ANALYSIS.md`` for
-    examples).
+    Checks single-instruction working sets and block liveness peaks
+    against the configured capacities (see module docstring for the
+    rule catalog and ``docs/ANALYSIS.md`` for examples).  Uses the plan
+    the session already made for this block when there is one, so a
+    verified block is planned once.
     """
-
-    name = "memory-plan"
-    runs_on = "stream"
-
-    def run(self, ctx: AnalysisContext) -> list[Diagnostic]:
-        assert ctx.order is not None
+    assert ctx.order is not None
+    plan = ctx.plan
+    if plan is None:
         plan = plan_block(ctx.roots, ctx.order, ctx.config)
-        return plan_diagnostics(plan, ctx.config, self)
+    return plan_diagnostics(plan, ctx.config)
 
 
 # ------------------------------------------------------- session-level planner
@@ -388,7 +384,7 @@ class SessionMemPlanner:
     planned so far.  ``observe`` records the runtime's actual
     ``MemoryRegion.peak_used`` watermarks after each block, making
     predicted-vs-observed comparable in one place
-    (``Session.explain(level="runtime")``, the ``--memplan`` CLI, and
+    (``Session.explain(level="runtime")``, harness ``--verify-ir`` and
     the upper-bound tests).
     """
 
@@ -402,7 +398,6 @@ class SessionMemPlanner:
         self.predicted: dict[str, int] = {n: 0 for n in PLAN_REGIONS}
         #: max observed ``peak_used`` per region across ``observe`` calls.
         self.observed: dict[str, int] = {n: 0 for n in PLAN_REGIONS}
-        self.last_plan: Optional[BlockMemPlan] = None
 
     def plan(self, roots: list[Hop], order: list[Hop]) -> BlockMemPlan:
         """Plan one block and fold its demand into the session totals."""
@@ -412,7 +407,6 @@ class SessionMemPlanner:
 
     def absorb(self, plan: BlockMemPlan) -> None:
         self.blocks += 1
-        self.last_plan = plan
         for name in PLAN_REGIONS:
             self.cumulative[name] += plan.demand[name]
             budget = self.budgets[name]
@@ -436,40 +430,6 @@ class SessionMemPlanner:
              self.predicted[name] >= self.observed[name])
             for name in PLAN_REGIONS
         ]
-
-
-# -------------------------------------------------------------------- collector
-
-class MemplanCollector:
-    """Collector activating planning for every session in scope.
-
-    Mirrors the ``AnalysisCollector`` pattern: every
-    :class:`~repro.core.session.Session` built under
-    ``runtime.scope(memplan=MemplanCollector())`` plans its blocks and
-    registers its :class:`SessionMemPlanner` here, keyed by a session label, so
-    tools can compare predicted vs observed peaks across a whole
-    workload run.
-    """
-
-    def __init__(self) -> None:
-        #: (label, planner, weak session ref) per registered session.
-        self.entries: list[tuple[str, SessionMemPlanner, object]] = []
-
-    def register(self, session: "Session",
-                 planner: SessionMemPlanner) -> None:
-        label = f"{session.config.reuse_mode.value}#{len(self.entries)}"
-        self.entries.append((label, planner, weakref.ref(session)))
-
-    def planners(self) -> list[tuple[str, SessionMemPlanner]]:
-        return [(label, planner) for label, planner, _ in self.entries]
-
-    def check_bounds(self) -> list[tuple[str, str, int, int, bool]]:
-        """Flattened ``(label, region, predicted, observed, ok)`` rows."""
-        out: list[tuple[str, str, int, int, bool]] = []
-        for label, planner, _ in self.entries:
-            for name, pred, obs, ok in planner.check_bounds():
-                out.append((label, name, pred, obs, ok))
-        return out
 
 
 # -------------------------------------------------------------------- rendering

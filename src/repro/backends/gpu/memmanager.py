@@ -12,7 +12,10 @@ Implements the paper's §4.2 design (Fig. 8, Algorithm 1):
 * an allocation request first *recycles* an exact-size free pointer
   (no ``cudaMalloc``, no synchronization); otherwise it walks
   Algorithm 1: malloc → free a just-larger pointer → repeatedly free →
-  flush all free pointers → device-to-host eviction → defragmentation;
+  flush all free pointers → defragmentation.  The paper's
+  device-to-host eviction step is not on that path:
+  :meth:`GpuMemoryManager.evict_to_host` exists (with its holistic
+  residency check) but no allocation step calls it;
 * the eviction score (Eq. 2) ``T_a(o) + 1/h(o) + c(o)`` decides who
   leaves so recently-reused, short-lineage, expensive pointers survive;
   the scoring itself lives in ``core/policies.py`` (``score_pointer``)
@@ -123,9 +126,7 @@ class GpuMemoryManager:
 
     def metrics_gauges(self) -> dict[str, float]:
         """Gauge snapshot for the metrics sampler (``repro.obs.metrics``)."""
-        capacity = self.device.capacity
         return {
-            "gpu/residency": self._region.used / capacity if capacity else 0.0,
             "gpu/free_pooled_bytes": float(self.free_bytes_pooled),
             "gpu/live_pointers": float(len(self.live)),
         }
@@ -257,7 +258,9 @@ class GpuMemoryManager:
         Holistic eviction: before paying the D2H transfer, the arbiter is
         consulted for residency in other regions — when the driver cache
         (or its disk tier) already holds the value, the transfer is
-        skipped and the pointer is simply invalidated and freed.
+        skipped and the pointer is simply invalidated and freed.  Not
+        called by :meth:`_alloc_with_eviction`, which goes from the
+        flush straight to defragmentation.
         """
         if self.arbiter.resident_elsewhere(ptr, exclude=(REGION_GPU,)):
             self.stats.inc(MEM_D2H_AVOIDED)
@@ -305,7 +308,8 @@ class GpuMemoryManager:
         return ptr
 
     def _alloc_with_eviction(self, size: int) -> Optional[int]:
-        """Steps 2-6 of Algorithm 1 after a failed first malloc."""
+        """Steps 2-5 of Algorithm 1 after a failed first malloc (there is
+        no device-to-host eviction step; see :meth:`evict_to_host`)."""
         # under memory pressure, collect host garbage so pending pointer
         # releases reach the Free lists (SystemDS triggers JVM GC in the
         # same situation); rate-limited because full collections over a

@@ -105,10 +105,8 @@ class BlockManager:
             (config.storage_memory + config.execution_memory)
             * config.num_executors
         )
-        capacity = self.capacity
         used = self.memory_used
         return {
-            "spark/storage_used_frac": used / capacity if capacity else 0.0,
             "spark/storage_vs_exec_frac": used / unified if unified else 0.0,
             "spark/partitions_cached": float(len(self._partitions)),
         }

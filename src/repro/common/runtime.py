@@ -3,8 +3,7 @@
 MEMPHIS manages reuse and memory *holistically* — one lineage cache and
 one arbiter seen by every backend.  The same holds for what a run is
 observed and perturbed by: a :class:`RuntimeContext` carries the trace /
-explain / analysis / memplan collectors, the fault plan, the
-shared substrate, the ``configure`` hook every new config passes
+explain / analysis collectors, the fault plan, the shared substrate, the ``configure`` hook every new config passes
 through, and the one :class:`IdSpace` that numbers HOPs, lineage items,
 RDDs, broadcasts and GPU pointers.
 
@@ -45,7 +44,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - keeps repro.common import-light
     from repro.analysis.hook import AnalysisCollector
-    from repro.analysis.memplan import MemplanCollector
     from repro.common.config import MemphisConfig
     from repro.core.substrate import Substrate
     from repro.faults.plan import FaultPlan
@@ -76,21 +74,20 @@ class RuntimeContext:
 
     Every collaborator is ``None`` unless supplied; ``None`` means "the
     context has none", and a session then uses the NULL singleton — the
-    context is the one activation of tracing, explain capture,
-    verification, memory planning and fault injection
-    (``scope(explain=ExplainCollector())``); no config field duplicates
-    a slot.  Use as a context manager to make it the process-current
+    context is the one activation of tracing, explain capture, static
+    analysis (verification and memory planning, one collector) and fault
+    injection (``scope(explain=ExplainCollector())``); no config field
+    duplicates a slot.  Use as a context manager to make it the process-current
     context; exiting restores the one it displaced, also on exceptions.
     """
 
-    __slots__ = ("trace", "explain", "analysis", "memplan", "faults",
-                 "substrate", "configure", "ids")
+    __slots__ = ("trace", "explain", "analysis", "faults", "substrate",
+                 "configure", "ids")
 
     def __init__(self, *,
                  trace: Optional["TraceCollector"] = None,
                  explain: Optional["ExplainCollector"] = None,
                  analysis: Optional["AnalysisCollector"] = None,
-                 memplan: Optional["MemplanCollector"] = None,
                  faults: Optional["FaultPlan"] = None,
                  substrate: Optional["Substrate"] = None,
                  configure: Optional[
@@ -101,10 +98,9 @@ class RuntimeContext:
         self.trace = trace
         #: sessions snapshot every compiled block into it.
         self.explain = explain
-        #: sessions verify every compiled block (without raising) into it.
+        #: sessions plan and verify every compiled block (without
+        #: raising) into it, and register their memory planner with it.
         self.analysis = analysis
-        #: sessions plan every block and register their planner with it.
-        self.memplan = memplan
         #: fault plan sessions and federated coordinators inject.
         self.faults = faults
         #: shared substrate sessions attach to when given none.

@@ -222,20 +222,20 @@ class Hop:
         return out
 
     def validate(self, raise_on_error: bool = True):
-        """Structurally verify the DAG rooted here (dag-verify pass).
+        """Structurally verify the DAG rooted here (``dag_verify`` pass).
 
         Convenience wrapper over :mod:`repro.analysis`: runs the
-        ``dag-verify`` pass (cycles, dangling data leaves, shape
+        ``dag_verify`` pass (cycles, dangling data leaves, shape
         consistency with :func:`infer_shape`, kind legality) and returns
         the resulting
         :class:`~repro.analysis.diagnostics.DiagnosticReport`.  With
         ``raise_on_error`` (default), error-severity findings raise
         :class:`~repro.common.errors.VerificationError` instead.
         """
-        from repro.analysis import analyze
+        from repro.analysis import analyze, dag_verify
         from repro.common.errors import VerificationError
 
-        report = analyze([self], passes=("dag-verify",))
+        report = analyze([self], passes=(dag_verify,))
         errors = report.errors()
         if raise_on_error and errors:
             raise VerificationError(

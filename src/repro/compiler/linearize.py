@@ -26,7 +26,7 @@ def depth_first(roots: list[Hop],
     later root, a duplicated root, or the same hop appearing twice in
     one ``inputs`` list) is therefore emitted exactly once, at its
     first post-order position, and every input still precedes all of
-    its consumers.  The ``linearization-soundness`` analysis pass
+    its consumers.  The ``linearization_soundness`` analysis pass
     re-checks these invariants on every compiled block under
     ``runtime.scope(analysis=AnalysisCollector())``.
 

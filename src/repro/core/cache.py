@@ -20,7 +20,7 @@ time, and lineage bookkeeping.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.common.config import CacheConfig
 from repro.common.stats import (
@@ -111,10 +111,6 @@ class LineageCache:
         self._logical_time = 0
         #: GPU pointer id -> entry, for invalidation callbacks.
         self._gpu_index: dict[int, CacheEntry] = {}
-        #: hook invoked when a CP payload is evicted (e.g. for disk spill).
-        self.on_cp_evict: Optional[Callable[[CacheEntry], None]] = None
-        #: per-put delay factor override (set per block by auto-tuning).
-        self.delay_factor = config.delay_factor
         #: active session scope on a *shared* cache (``repro.server``):
         #: a ``SessionContext`` namespacing keys and enforcing tenant
         #: fair share.  ``None`` on private caches — the hot path then
@@ -136,11 +132,7 @@ class LineageCache:
 
     def metrics_gauges(self) -> dict[str, float]:
         """Gauge snapshot for the metrics sampler (``repro.obs.metrics``)."""
-        return {
-            "cache/entries": float(len(self._entries)),
-            "cache/cp_bytes": float(self.cp_bytes),
-            "cache/disk_bytes": float(self.disk_bytes),
-        }
+        return {"cache/entries": float(len(self._entries))}
 
     def get_entry(self, key: LineageItem) -> Optional[CacheEntry]:
         """Raw entry lookup without hit/miss accounting."""
@@ -222,7 +214,7 @@ class LineageCache:
         if scope is not None:
             key = scope.namespaced(key)
         now = self._logical_time = self._logical_time + 1
-        n = self.delay_factor if delay_factor is None else delay_factor
+        n = self.config.delay_factor if delay_factor is None else delay_factor
         entries = self._entries
         entry = entries.get(key)
         if entry is None:
@@ -403,8 +395,6 @@ class LineageCache:
         payload = entry.payloads.get(BACKEND_CP)
         if payload is None:
             return
-        if self.on_cp_evict is not None:
-            self.on_cp_evict(entry)
         self._release_cp(entry)
         if self.arbiter.should_spill(REGION_CP, entry.size,
                                      entry.compute_cost) \

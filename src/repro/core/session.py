@@ -104,8 +104,8 @@ class Session:
             FaultInjector(rt.faults, self.clock, self.stats,
                           tracer=self.tracer)
             if rt.faults is not None else NULL_INJECTOR)
-        # a context collector verifies every block, across sessions; the
-        # verifier reports, it never raises
+        # a context collector plans and verifies every block, across
+        # sessions; the verifier reports, it never raises
         self.ir_collector = rt.analysis
         # reuse substrate (CP/DISK arbiter, lineage cache, interner): a
         # shared one — injected, or the context's — is attached, with
@@ -131,14 +131,14 @@ class Session:
                 tracer=self.tracer, faults=self.faults, runtime=rt)
             self._ctx = None
             self.arbiter = self.substrate.arbiter
-        # static memory planning: the context's collector asks for it,
-        # and an attached session needs it — its planned peaks are what
-        # the shared substrate's admission gate checks
+        # static memory planning: the analysis collector checks the
+        # plans, and an attached session needs them — its planned peaks
+        # are what the shared substrate's admission gate checks
         self.memplanner: Optional[SessionMemPlanner] = None
-        if rt.memplan is not None or self._ctx is not None:
+        if rt.analysis is not None or self._ctx is not None:
             self.memplanner = SessionMemPlanner(cfg)
-            if rt.memplan is not None:
-                rt.memplan.register(self, self.memplanner)
+            if rt.analysis is not None:
+                rt.analysis.register(self.memplanner)
         self.cache = self.substrate.cache
         #: hash-consing table: TRACE interns every op item, so re-traced
         #: instructions probe the cache by identity, not DAG comparison.
@@ -363,6 +363,7 @@ class Session:
         _, root_hops, order, extra = compiled
         if self.explain_collector is not None:
             self.explain_collector.capture(root_hops, order, self.config)
+        plan = None
         if self.memplanner is not None:
             # static memory planning (repro.analysis.memplan): predict
             # the block's per-region peak footprint before it runs
@@ -377,12 +378,13 @@ class Session:
                 self._ctx.admit(plan.admission_demands())
         if self.ir_collector is not None:
             # static verification: runs the repro.analysis pass pipeline
-            # over the post-rewrite DAG + proposed order before anything
-            # executes and reports into the context's collector
+            # over the post-rewrite DAG + proposed order (and the plan
+            # just made) before anything executes and reports into the
+            # context's collector
             verify_ir(
                 root_hops, order, self.config,
                 tracer=self.tracer, stats=self.stats,
-                collector=self.ir_collector,
+                collector=self.ir_collector, plan=plan,
             )
         try:
             env = self.interpreter.run(order)
@@ -410,7 +412,7 @@ class Session:
             self.interpreter.release_acquired()
         if self.memplanner is not None:
             # record the runtime's per-region peak watermarks so the
-            # static prediction stays comparable (explain / --memplan)
+            # static prediction stays comparable (explain / --verify-ir)
             self.memplanner.observe(self.arbiter)
         if self.tracer.enabled:
             # end-of-block gauge sample: even tiny blocks (fewer

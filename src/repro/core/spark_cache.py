@@ -82,14 +82,6 @@ class SparkCacheManager:
         """Estimated bytes of persisted, cache-managed RDDs."""
         return self._region.used
 
-    def metrics_gauges(self) -> dict[str, float]:
-        """Gauge snapshot for the metrics sampler (``repro.obs.metrics``)."""
-        budget = self.budget
-        return {
-            "spark/cache_bytes": float(self.sp_bytes),
-            "spark/cache_frac": self.sp_bytes / budget if budget else 0.0,
-        }
-
     # -- caching ---------------------------------------------------------------
 
     def cache_rdd(self, entry: CacheEntry, dm: DistributedMatrix) -> bool:

@@ -15,7 +15,7 @@ import argparse
 import sys
 import time
 
-from repro.analysis import AnalysisCollector, Severity
+from repro.analysis import AnalysisCollector, Severity, format_region_peaks
 from repro.common.config import EvictionPolicyName, MemphisConfig
 from repro.common.runtime import RuntimeContext, scope
 from repro.faults import FaultPlan
@@ -83,9 +83,10 @@ def main(argv: list[str] | None = None) -> int:
                              "'spark_task@0;gpu_alloc@2,count=2;seed=7' "
                              "(see docs/FAULTS.md)")
     parser.add_argument("--verify-ir", action="store_true",
-                        help="run the static IR verifier (repro.analysis) "
-                             "over every compiled block; print the merged "
-                             "report and exit 1 on error-severity findings")
+                        help="plan and verify every compiled block "
+                             "(repro.analysis); print the merged report and "
+                             "exit 1 on error-severity findings or a "
+                             "predicted memory peak below the observed one")
     policy_names = [p.value for p in EvictionPolicyName]
     parser.add_argument("--policy", choices=policy_names, default=None,
                         help="eviction policy of the driver lineage cache "
@@ -143,16 +144,29 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         # also after a failed experiment: what was collected is exported
         _report_collected(args, rt)
-    if rt.analysis is not None:
-        report = rt.analysis.merged()
-        print(f"[verify-ir: {rt.analysis.blocks_verified} block(s) "
-              f"verified -- {report.summary()}]")
-        shown = report.format(min_severity=Severity.WARNING)
-        if shown:
-            print(shown)
-        if report.errors():
-            return 1
+    if rt.analysis is not None and not _report_analysis(rt.analysis):
+        return 1
     return 0 if ok else 1
+
+
+def _report_analysis(analysis: AnalysisCollector) -> bool:
+    """Print the ``--verify-ir`` findings, plus the peak table of every
+    session whose predicted peak fell below the observed one; True iff
+    neither an error nor such a bound violation was found."""
+    report = analysis.merged()
+    print(f"[verify-ir: {analysis.blocks_verified} block(s) "
+          f"verified -- {report.summary()}]")
+    shown = report.format(min_severity=Severity.WARNING)
+    if shown:
+        print(shown)
+    low = {label for label, *_, ok in analysis.check_bounds() if not ok}
+    for label, planner in analysis.planners:
+        if label in low:
+            peaks = format_region_peaks(planner.predicted, planner.observed,
+                                        planner.budgets)
+            print(f"   session {label} ({planner.blocks} block(s)) "
+                  + peaks.replace("\n", "\n   "))
+    return not report.errors() and not low
 
 
 def _context_from_args(args: argparse.Namespace) -> RuntimeContext:

@@ -52,9 +52,10 @@ def sample(session: "Session") -> None:
     counter = session.tracer.counter
     substrate = session.substrate
     regions = session.arbiter.regions()
-    # each manager knows its own curve
+    # each manager adds the curves only it knows; region occupancy
+    # (``memory/<REGION>/…``) already covers every ledger
     sources = [session.cache, session.spark_context.block_manager,
-               session.spark_mgr, session.gpu.memory]
+               session.gpu.memory]
     if substrate.shared:
         # CP / DISK live on the shared arbiter; per-tenant occupancy and
         # the attached-session count come from the substrate, under server/

@@ -1,8 +1,7 @@
 """Shared test fixture: a fresh runtime context per test.
 
-Everything process-wide a test could leak — trace / metrics / explain /
-analysis / memplan collectors, a fault plan, a shared substrate, config
-overrides — and the id space numbering HOPs, lineage items, RDDs,
+Everything process-wide a test could leak — trace / explain / analysis
+collectors, a fault plan, a shared substrate, config overrides — and the id space numbering HOPs, lineage items, RDDs,
 broadcasts and GPU pointers lives on one
 :class:`~repro.common.runtime.RuntimeContext`.  Running each test inside
 its own fresh context gives it ids from 1 and no collaborators, and

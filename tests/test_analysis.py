@@ -2,23 +2,25 @@
 
 Every pass is exercised with at least one violating and one clean
 program; plus the diagnostics model, the dataflow infrastructure, the
-pass manager, the session wiring, and the ambient collector.
+pass pipeline, the session wiring, and the ambient collector.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis import (
-    DEFAULT_PASS_ORDER,
     AnalysisCollector,
     Diagnostic,
     DiagnosticReport,
-    PassManager,
     Severity,
     StreamDefUse,
     analyze,
-    check_linearization,
-    registered_passes,
+    async_race,
+    dag_verify,
+    lineage_determinism,
+    linearization_soundness,
+    liveness_leak,
+    placement_legality,
     verify_ir,
     walk_dag,
 )
@@ -54,23 +56,21 @@ def place_all(roots, backend=BACKEND_CP):
 # ------------------------------------------------------------ diagnostics
 
 class TestDiagnostics:
-    def test_severity_ordering_and_parse(self):
+    def test_severity_ordering(self):
         assert Severity.ERROR > Severity.WARNING > Severity.INFO
-        assert Severity.parse("warning") is Severity.WARNING
-        with pytest.raises(ValueError):
-            Severity.parse("fatal")
+        assert Severity.WARNING.label == "warning"
 
     def test_format_includes_rule_hop_and_hint(self):
         diag = Diagnostic("DAG003", Severity.ERROR, "bad shape",
-                          "dag-verify", hop=7, opcode="ba+*", hint="fix it")
+                          hop=7, opcode="ba+*", hint="fix it")
         text = diag.format()
         assert "[error] DAG003 at hop#7(ba+*): bad shape" in text
         assert "hint: fix it" in text
 
     def test_report_queries(self):
         report = DiagnosticReport()
-        report.add(Diagnostic("A1", Severity.INFO, "i", "p"))
-        report.add(Diagnostic("A2", Severity.ERROR, "e", "p"))
+        report.add(Diagnostic("A1", Severity.INFO, "i"))
+        report.add(Diagnostic("A2", Severity.ERROR, "e"))
         assert len(report) == 2
         assert [d.rule for d in report.errors()] == ["A2"]
         assert report.counts() == {"info": 1, "error": 1}
@@ -128,43 +128,43 @@ class TestDagVerify:
     def test_clean_program(self):
         x = leaf(8, 4)
         root = op_hop("uak+", [op_hop("exp", [x])])
-        assert not analyze([root], passes=("dag-verify",))
+        assert not analyze([root], passes=(dag_verify,))
 
     def test_dag001_cycle(self):
         x = leaf(4, 4)
         a = op_hop("exp", [x])
         b = op_hop("log", [a])
         a.inputs.append(b)
-        report = analyze([b], passes=("dag-verify",))
+        report = analyze([b], passes=(dag_verify,))
         assert report.by_rule("DAG001")
 
     def test_dag002_dangling_data_leaf(self):
         root = op_hop("exp", [bare_leaf(4, 4)])
-        report = analyze([root], passes=("dag-verify",))
+        report = analyze([root], passes=(dag_verify,))
         assert report.by_rule("DAG002")
 
     def test_dag003_stale_shape(self):
         root = op_hop("exp", [leaf(4, 4)])
         root.shape = (9, 9)  # a "rewrite" forgot to re-derive
-        report = analyze([root], passes=("dag-verify",))
+        report = analyze([root], passes=(dag_verify,))
         assert [d.severity for d in report.by_rule("DAG003")] == \
             [Severity.ERROR]
 
     def test_dag004_literal_with_inputs(self):
         bad = Hop("literal", "lit", [leaf(2, 2)], shape=(1, 1))
-        report = analyze([bad], passes=("dag-verify",))
+        report = analyze([bad], passes=(dag_verify,))
         assert report.by_rule("DAG004")
 
     def test_dag005_shape_inference_failure(self):
         bad = Hop("op", "nosuchop", [], shape=(4, 4))
-        report = analyze([bad], passes=("dag-verify",))
+        report = analyze([bad], passes=(dag_verify,))
         assert report.by_rule("DAG005")
 
     def test_dag006_empty_shape(self):
         root = op_hop("exp", [leaf(4, 4)])
         root.inputs[0].shape = (0, 4)
         root.shape = (0, 4)
-        report = analyze([root], passes=("dag-verify",))
+        report = analyze([root], passes=(dag_verify,))
         assert {d.severity for d in report.by_rule("DAG006")} == \
             {Severity.WARNING}
 
@@ -176,17 +176,17 @@ class TestPlacementLegality:
         x = leaf(8, 4)
         root = op_hop("uak+", [op_hop("exp", [x])])
         place_all([root])
-        assert not analyze([root], passes=("placement-legality",))
+        assert not analyze([root], passes=(placement_legality,))
 
     def test_unplaced_dag_is_skipped(self):
         root = op_hop("exp", [bare_leaf(4, 4)])
-        assert not analyze([root], passes=("placement-legality",))
+        assert not analyze([root], passes=(placement_legality,))
 
     def test_plc001_unsupported_spark_op(self):
         a, b = leaf(5, 5), leaf(5, 2)
         root = op_hop("solve", [a, b])
         root.placement = BACKEND_SP
-        report = analyze([root], passes=("placement-legality",))
+        report = analyze([root], passes=(placement_legality,))
         assert report.by_rule("PLC001")
 
     def test_plc002_disabled_backend(self):
@@ -194,7 +194,7 @@ class TestPlacementLegality:
         root.placement = BACKEND_GPU
         cfg = MemphisConfig()  # gpu_enabled defaults to False
         report = analyze([root], config=cfg,
-                         passes=("placement-legality",))
+                         passes=(placement_legality,))
         assert report.by_rule("PLC002")
 
     def test_plc003_missing_gpu_kernel(self):
@@ -203,7 +203,7 @@ class TestPlacementLegality:
         root.placement = BACKEND_GPU
         cfg = MemphisConfig(gpu_enabled=True)
         report = analyze([root], config=cfg,
-                         passes=("placement-legality",))
+                         passes=(placement_legality,))
         assert report.by_rule("PLC003")
 
     def test_plc004_exceeds_device_memory(self):
@@ -212,7 +212,7 @@ class TestPlacementLegality:
         root = op_hop("relu", [leaf(rows, 1)])
         root.placement = BACKEND_GPU
         report = analyze([root], config=cfg,
-                         passes=("placement-legality",))
+                         passes=(placement_legality,))
         assert report.by_rule("PLC004")
 
     def test_plc005_exceeds_operation_memory(self):
@@ -222,7 +222,7 @@ class TestPlacementLegality:
         root = op_hop("relu", [leaf(rows, 1)])
         root.placement = BACKEND_GPU
         report = analyze([root], config=cfg,
-                         passes=("placement-legality",))
+                         passes=(placement_legality,))
         assert {d.severity for d in report.by_rule("PLC005")} == \
             {Severity.WARNING}
 
@@ -230,21 +230,21 @@ class TestPlacementLegality:
         root = op_hop("exp", [leaf(4, 4)])
         root.placement = BACKEND_CP
         root.prefetch = True
-        report = analyze([root], passes=("placement-legality",))
+        report = analyze([root], passes=(placement_legality,))
         assert report.by_rule("PLC006")
 
     def test_plc007_broadcast_on_spark(self):
         root = op_hop("exp", [leaf(4, 4)])
         root.placement = BACKEND_SP
         root.async_broadcast = True
-        report = analyze([root], passes=("placement-legality",))
+        report = analyze([root], passes=(placement_legality,))
         assert report.by_rule("PLC007")
 
     def test_plc009_partially_placed(self):
         inner = op_hop("exp", [leaf(4, 4)])
         root = op_hop("log", [inner])
         root.placement = BACKEND_CP  # inner left unplaced
-        report = analyze([root], passes=("placement-legality",))
+        report = analyze([root], passes=(placement_legality,))
         assert report.by_rule("PLC009")
 
     def test_plc010_empty_payloads(self):
@@ -252,13 +252,13 @@ class TestPlacementLegality:
         x.bundle = (x.bundle[0], {})  # lineage but nothing materialized
         root = op_hop("exp", [x])
         place_all([root])
-        report = analyze([root], passes=("placement-legality",))
+        report = analyze([root], passes=(placement_legality,))
         assert report.by_rule("PLC010")
 
     def test_plc011_missing_cpu_kernel(self):
         root = Hop("op", "nosuchop", [leaf(4, 4)], shape=(4, 4))
         root.placement = BACKEND_CP
-        report = analyze([root], passes=("placement-legality",))
+        report = analyze([root], passes=(placement_legality,))
         assert report.by_rule("PLC011")
 
 
@@ -273,21 +273,25 @@ class TestLinearizationSoundness:
 
     def test_depth_first_order_is_sound(self):
         *_, b = self._program()
-        assert check_linearization([b], depth_first([b])) == []
+        assert not analyze([b], depth_first([b]),
+                           passes=(linearization_soundness,)).errors()
 
     def test_lin001_use_before_def(self):
         x, a, b = self._program()
-        errors = check_linearization([b], [b, a, x])
+        errors = analyze([b], [b, a, x],
+                         passes=(linearization_soundness,)).errors()
         assert {d.rule for d in errors} == {"LIN001"}
 
     def test_lin002_duplicate_instruction(self):
         x, a, b = self._program()
-        errors = check_linearization([b], [x, a, a, b])
+        errors = analyze([b], [x, a, a, b],
+                         passes=(linearization_soundness,)).errors()
         assert "LIN002" in {d.rule for d in errors}
 
     def test_lin003_missing_instruction(self):
         x, a, b = self._program()
-        errors = check_linearization([b], [x, b])
+        errors = analyze([b], [x, b],
+                         passes=(linearization_soundness,)).errors()
         rules = {d.rule for d in errors}
         assert "LIN003" in rules  # a reachable but not scheduled
         assert "LIN001" in rules  # and b consumes it undefined
@@ -296,7 +300,7 @@ class TestLinearizationSoundness:
         x, a, b = self._program()
         stray = op_hop("sqrt", [x])
         report = analyze([b], [x, a, stray, b],
-                         passes=("linearization-soundness",))
+                         passes=(linearization_soundness,))
         assert not report.errors()
         assert {d.severity for d in report.by_rule("LIN004")} == \
             {Severity.WARNING}
@@ -309,7 +313,7 @@ class TestLivenessLeak:
         x = leaf(4, 4)
         a = op_hop("exp", [x])
         b = op_hop("log", [a])
-        report = analyze([b], [x, a, b], passes=("liveness-leak",))
+        report = analyze([b], [x, a, b], passes=(liveness_leak,))
         assert not report
 
     def test_liv001_dead_op(self):
@@ -317,7 +321,7 @@ class TestLivenessLeak:
         dead = op_hop("exp", [x])
         root = op_hop("log", [x])
         report = analyze([root], [x, dead, root],
-                         passes=("liveness-leak",))
+                         passes=(liveness_leak,))
         assert report.by_rule("LIV001")
 
     def test_liv002_dead_gpu_value(self):
@@ -326,14 +330,14 @@ class TestLivenessLeak:
         dead.placement = BACKEND_GPU
         root = op_hop("log", [x])
         report = analyze([root], [x, dead, root],
-                         passes=("liveness-leak",))
+                         passes=(liveness_leak,))
         assert report.by_rule("LIV002")
 
     def test_liv003_unused_data_leaf(self):
         x, unused = leaf(4, 4), leaf(2, 2)
         root = op_hop("exp", [x])
         report = analyze([root], [x, unused, root],
-                         passes=("liveness-leak",))
+                         passes=(liveness_leak,))
         assert {d.severity for d in report.by_rule("LIV003")} == \
             {Severity.INFO}
 
@@ -357,14 +361,14 @@ class TestAsyncRace:
         root = op_hop("+", [other, c])
         root.placement = BACKEND_CP
         report = analyze([root], [x, s, other, c, root],
-                         passes=("async-race",))
+                         passes=(async_race,))
         assert not report
 
     def test_asy001_zero_overlap(self):
         x, s = self._sp_chain()
         c = op_hop("uak+", [s])
         c.placement = BACKEND_CP
-        report = analyze([c], [x, s, c], passes=("async-race",))
+        report = analyze([c], [x, s, c], passes=(async_race,))
         assert {d.severity for d in report.by_rule("ASY001")} == \
             {Severity.INFO}
 
@@ -375,14 +379,14 @@ class TestAsyncRace:
         g.prefetch = True
         c = op_hop("relu", [g])
         c.placement = BACKEND_GPU
-        report = analyze([c], [x, g, c], passes=("async-race",))
+        report = analyze([c], [x, g, c], passes=(async_race,))
         assert report.by_rule("ASY002")
 
     def test_asy003_spark_internal_prefetch(self):
         x, s = self._sp_chain()
         c = op_hop("log", [s])
         c.placement = BACKEND_SP
-        report = analyze([c], [x, s, c], passes=("async-race",))
+        report = analyze([c], [x, s, c], passes=(async_race,))
         assert report.by_rule("ASY003")
 
     def test_asy004_unconsumed_broadcast(self):
@@ -392,7 +396,7 @@ class TestAsyncRace:
         b.async_broadcast = True
         c = op_hop("log", [b])
         c.placement = BACKEND_CP
-        report = analyze([c], [x, b, c], passes=("async-race",))
+        report = analyze([c], [x, b, c], passes=(async_race,))
         assert report.by_rule("ASY004")
 
 
@@ -402,17 +406,17 @@ class TestLineageDeterminism:
     def test_clean_seeded_rand(self):
         root = op_hop("rand", [],
                       {"rows": 4, "cols": 4, "seed": 42})
-        assert not analyze([root], passes=("lineage-determinism",))
+        assert not analyze([root], passes=(lineage_determinism,))
 
     def test_det001_unseeded_rand(self):
         root = op_hop("rand", [], {"rows": 4, "cols": 4})
-        report = analyze([root], passes=("lineage-determinism",))
+        report = analyze([root], passes=(lineage_determinism,))
         assert [d.severity for d in report.by_rule("DET001")] == \
             [Severity.ERROR]
 
     def test_det002_unseeded_dropout(self):
         root = op_hop("dropout", [leaf(4, 4)], {"p": 0.5})
-        report = analyze([root], passes=("lineage-determinism",))
+        report = analyze([root], passes=(lineage_determinism,))
         assert {d.severity for d in report.by_rule("DET002")} == \
             {Severity.WARNING}
 
@@ -420,7 +424,7 @@ class TestLineageDeterminism:
         a = leaf(4, 4, name="X")
         b = leaf(2, 2, name="X")  # same dataset name, different data
         root = op_hop("+", [op_hop("uak+", [a]), op_hop("uak+", [b])])
-        report = analyze([root], passes=("lineage-determinism",))
+        report = analyze([root], passes=(lineage_determinism,))
         assert [d.severity for d in report.by_rule("DET003")] == \
             [Severity.ERROR]
 
@@ -428,7 +432,7 @@ class TestLineageDeterminism:
         a = leaf(4, 4, name="X")
         b = leaf(4, 4, name="X")
         root = op_hop("+", [a, b])
-        report = analyze([root], passes=("lineage-determinism",))
+        report = analyze([root], passes=(lineage_determinism,))
         assert {d.severity for d in report.by_rule("DET004")} == \
             {Severity.INFO}
 
@@ -437,37 +441,29 @@ class TestLineageDeterminism:
         a = op_hop("exp", [x])
         b = op_hop("exp", [x])
         root = op_hop("+", [a, b])
-        report = analyze([root], passes=("lineage-determinism",))
+        report = analyze([root], passes=(lineage_determinism,))
         assert report.by_rule("DET004")
 
     def test_distinct_names_do_not_collide(self):
         root = op_hop("+", [leaf(4, 4, "X"), leaf(4, 4, "Y")])
-        assert not analyze([root], passes=("lineage-determinism",))
+        assert not analyze([root], passes=(lineage_determinism,))
 
     def test_det005_address_in_attr(self):
         root = op_hop("relu", [leaf(4, 4)], {"ctx": object()})
-        report = analyze([root], passes=("lineage-determinism",))
+        report = analyze([root], passes=(lineage_determinism,))
         assert {d.severity for d in report.by_rule("DET005")} == \
             {Severity.WARNING}
 
     def test_det006_non_primitive_attr(self):
         root = op_hop("relu", [leaf(4, 4)], {"dims": (1, 2)})
-        report = analyze([root], passes=("lineage-determinism",))
+        report = analyze([root], passes=(lineage_determinism,))
         assert {d.severity for d in report.by_rule("DET006")} == \
             {Severity.INFO}
 
 
-# ------------------------------------------------------------ pass manager
+# ----------------------------------------------------------- pass pipeline
 
 class TestPassManager:
-    def test_all_default_passes_registered(self):
-        registry = registered_passes()
-        assert set(DEFAULT_PASS_ORDER) <= set(registry)
-
-    def test_unknown_pass_rejected(self):
-        with pytest.raises(ValueError):
-            PassManager(passes=("no-such-pass",))
-
     def test_stream_passes_skipped_without_order(self):
         x = leaf(4, 4)
         dead = op_hop("exp", [x])  # would be LIV001 with a stream
@@ -599,7 +595,7 @@ class TestSessionIntegration:
     def test_collector_merge_dedups(self):
         collector = AnalysisCollector()
         report = DiagnosticReport()
-        report.add(Diagnostic("A1", Severity.INFO, "same", "p", hop=3))
+        report.add(Diagnostic("A1", Severity.INFO, "same", hop=3))
         collector.add(report)
         collector.add(report)
         assert collector.blocks_verified == 2
@@ -622,4 +618,5 @@ class TestLinearizerCrossCheck:
             k = int(rng.integers(1, 4))
             roots = [pool[int(i)]
                      for i in rng.integers(0, len(pool), size=k)]
-            assert check_linearization(roots, depth_first(roots)) == []
+            assert not analyze(roots, depth_first(roots),
+                               passes=(linearization_soundness,)).errors()

@@ -85,7 +85,7 @@ class TestObservabilityFlags:
         trace = str(tmp_path / "trace.json")
         assert main(["fig2c", "--trace", trace, "--trace-summary"]) == 0
         out = capsys.readouterr().out
-        assert "-- gauges" in out and "spark/cache_bytes" in out
+        assert "-- gauges" in out and "memory/SP_CACHE/used" in out
         assert "ring buffer dropped" not in out
         with open(trace) as fh:
             doc = json.load(fh)

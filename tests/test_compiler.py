@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import check_linearization
+from repro.analysis import analyze, linearization_soundness
 from repro.common.config import MemphisConfig, StorageLevel
 from repro.common.errors import CompilationError
 from repro.compiler.ir import (
@@ -177,20 +177,23 @@ class TestLinearize:
         order = depth_first([root, a])
         assert [h.id for h in order].count(a.id) == 1
         assert len(order) == len({h.id for h in order})
-        assert check_linearization([root, a], order) == []
+        assert not analyze([root, a], order,
+                           passes=(linearization_soundness,)).errors()
 
     def test_depth_first_root_before_its_consumer_root(self):
         x, a, b, c, root = self._diamond()
         order = depth_first([a, root])
         pos = {h.id: i for i, h in enumerate(order)}
         assert pos[a.id] < pos[root.id]
-        assert check_linearization([a, root], order) == []
+        assert not analyze([a, root], order,
+                           passes=(linearization_soundness,)).errors()
 
     def test_depth_first_duplicate_roots(self):
         *_, root = self._diamond()
         order = depth_first([root, root])
         assert len(order) == len({h.id for h in order})
-        assert check_linearization([root, root], order) == []
+        assert not analyze([root, root], order,
+                           passes=(linearization_soundness,)).errors()
 
     def test_depth_first_same_input_twice(self):
         x = literal_and(4, 4)
@@ -248,7 +251,8 @@ class TestLinearize:
         # the longer GPU chain is linearized before the shorter SP one
         assert pos[gpu_root.id] < pos[sp_root.id]
         assert pos[final.id] == len(order) - 1
-        assert check_linearization([final], order) == []
+        assert not analyze([final], order,
+                           passes=(linearization_soundness,)).errors()
 
 
 class TestAsyncRewrites:

@@ -121,7 +121,7 @@ class TestRenderPlan:
         hop_id = plan.root_ids[0]
         report = DiagnosticReport([Diagnostic(
             rule="DAG999", severity=Severity.WARNING,
-            message="synthetic finding", passname="test", hop=hop_id,
+            message="synthetic finding", hop=hop_id,
         )])
         text = render_plan(plan, LEVEL_FULL, diagnostics=report)
         assert "! warning [DAG999] synthetic finding" in text

@@ -13,18 +13,18 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
+    DEFAULT_PASS_ORDER,
     AnalysisCollector,
-    MemplanCollector,
     SessionMemPlanner,
     Severity,
     format_footprint_table,
     format_region_peaks,
+    memory_plan,
     plan_block,
     plan_diagnostics,
 )
 from repro.analysis.memplan import (
     PLAN_REGIONS,
-    MemoryPlanPass,
     REGION_CP,
     REGION_GPU,
     REGION_SPARK_CACHE,
@@ -43,7 +43,8 @@ from repro.obs import ExplainCollector
 # --------------------------------------------------------------- helpers
 
 def _planned_session(**overrides) -> Session:
-    """A session with planning on and any config overrides applied."""
+    """A session under an analysis collector (so it plans every block)
+    with any config overrides applied."""
     cfg = MemphisConfig.memphis()
     for key, val in overrides.items():
         if "." in key:
@@ -51,7 +52,7 @@ def _planned_session(**overrides) -> Session:
             setattr(getattr(cfg, group), attr, val)
         else:
             setattr(cfg, key, val)
-    with scope(memplan=MemplanCollector()):
+    with scope(analysis=AnalysisCollector()):
         return Session(cfg)
 
 
@@ -61,13 +62,13 @@ def _gpu_chain_session(device_bytes: int, *, links: int = 10):
     Each link is three GPU ops (~20 KB each aligned) over a 50x50
     matrix (2500 cells, above ``gpu.min_cells``); the chain total far
     exceeds ``device_bytes`` while any single instruction's working set
-    fits — exactly the MEM002 regime.
+    fits — exactly the MEM002 regime.  The session is built in the
+    current context: wrap the call in an analysis scope to plan it.
     """
     cfg = MemphisConfig.memphis()
     cfg.gpu_enabled = True
     cfg.gpu.device_memory = device_bytes
-    with scope(memplan=MemplanCollector()):
-        sess = Session(cfg)
+    sess = Session(cfg)
     rng = np.random.default_rng(3)
     h = sess.read(rng.random((50, 50)), "X")
     for _ in range(links):
@@ -82,8 +83,7 @@ class TestPlanBlock:
         sess = _planned_session()
         a = sess.read(np.ones((32, 32)))
         b = (a @ a) + a
-        sess.evaluate([b])
-        plan = sess.memplanner.last_plan
+        plan = _plan_of(sess, b)
         assert plan is not None
         # with FULL reuse every op hop is offered to the CP cache, plus
         # the function-level allowance for the root
@@ -95,15 +95,13 @@ class TestPlanBlock:
     def test_reuse_none_charges_nothing_to_cp(self):
         sess = _planned_session(reuse_mode=ReuseMode.NONE)
         a = sess.read(np.ones((32, 32)))
-        sess.evaluate([a @ a])
-        plan = sess.memplanner.last_plan
+        plan = _plan_of(sess, a @ a)
         assert plan.demand[REGION_CP] == 0
 
     def test_literals_and_fused_hops_skipped(self):
         sess = _planned_session()
         a = sess.read(np.ones((16, 16)))
-        sess.evaluate([a * 2.0 + 1.0])
-        plan = sess.memplanner.last_plan
+        plan = _plan_of(sess, a * 2.0 + 1.0)
         assert all(c.hop.kind != "literal" for c in plan.charges)
         assert all(not c.hop.fused for c in plan.charges)
 
@@ -111,15 +109,13 @@ class TestPlanBlock:
         sess = _planned_session(**{"cache.unlimited": False,
                                    "cache.driver_cache_bytes": 1024})
         a = sess.read(np.ones((64, 64)))
-        sess.evaluate([(a @ a) + a])
-        plan = sess.memplanner.last_plan
+        plan = _plan_of(sess, (a @ a) + a)
         assert plan.demand[REGION_CP] > 1024
         assert plan.peaks[REGION_CP] == 1024
 
     def test_gpu_charges_are_aligned(self):
         sess, h = _gpu_chain_session(48 * 1024 * 1024, links=2)
-        sess.evaluate([h])
-        plan = sess.memplanner.last_plan
+        plan = _plan_of(sess, h)
         alignment = sess.config.gpu.alignment
         gpu = [c for c in plan.charges if c.region == REGION_GPU]
         assert gpu, "chain should place ops on the GPU"
@@ -129,8 +125,7 @@ class TestPlanBlock:
     def test_footprint_table_renders(self):
         sess = _planned_session()
         a = sess.read(np.ones((32, 32)))
-        sess.evaluate([(a @ a) + a])
-        plan = sess.memplanner.last_plan
+        plan = _plan_of(sess, (a @ a) + a)
         text = format_footprint_table(plan)
         assert "memory plan (per-hop charges, worst case):" in text
         assert "demand" in text and "capacity" in text
@@ -186,6 +181,11 @@ def _compile_only(sess: Session, handle):
     return root_hops, order
 
 
+def _plan_of(sess: Session, handle):
+    """The plan ``sess`` makes for ``handle``'s block."""
+    return plan_block(*_compile_only(sess, handle), sess.config)
+
+
 # ------------------------------------------------------- admissible
 
 class TestAdmissible:
@@ -236,10 +236,11 @@ class TestRejectAccept:
         sess.substrate.audit()  # incl. reserved == 0 on every region
 
     def test_planned_spills_keep_results_identical(self):
-        """memplan on vs off must be byte-identical on a fitting block."""
-        def run(memplan: bool):
+        """Planning and verification on vs off must be byte-identical on
+        a fitting block."""
+        def run(analysed: bool):
             with RuntimeContext(
-                    memplan=MemplanCollector() if memplan else None):
+                    analysis=AnalysisCollector() if analysed else None):
                 sess = Session(MemphisConfig.memphis())
                 rng = np.random.default_rng(7)
                 w = sess.read(rng.random((24, 24)), "w")
@@ -281,8 +282,8 @@ class TestPlacementFeasibility:
         assert sets and all(ws % alignment == 0 for ws in sets)
         sess.config.gpu.device_memory = max(sets) - 1
         plan = plan_block(roots, order, sess.config)
-        mem001 = [d.message for d in plan_diagnostics(
-            plan, sess.config, MemoryPlanPass()) if d.rule == "MEM001"]
+        mem001 = [d.message for d in plan_diagnostics(plan, sess.config)
+                  if d.rule == "MEM001"]
         assert len(mem001) == sets.count(max(sets))
         assert all(f"is {max(sets)} B" in message for message in mem001)
 
@@ -311,19 +312,43 @@ class TestSessionPlanner:
             assert ok, f"{name}: predicted {pred} < observed {obs}"
 
     def test_ambient_collector_registers_sessions(self):
-        collector = MemplanCollector()
-        with scope(memplan=collector):
+        collector = AnalysisCollector()
+        with scope(analysis=collector):
             sess = Session(MemphisConfig.memphis())
             assert sess.memplanner is not None
             a = sess.read(np.ones((16, 16)))
             sess.evaluate([a + a])
-        assert current().memplan is None
-        assert len(collector.entries) == 1
+        assert current().analysis is None
+        assert len(collector.planners) == 1
         rows = collector.check_bounds()
         assert rows and all(ok for *_, ok in rows)
 
+    def test_analysis_scope_plans_each_block_once(self, monkeypatch):
+        """One switch, one plan: the verifier's memory pass checks the
+        plan the session made, so a verified block is planned once."""
+        import repro.analysis.memplan as memplan
+
+        calls = []
+        real = memplan.plan_block
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(memplan, "plan_block", counting)
+        with scope(analysis=AnalysisCollector()) as rt:
+            sess = Session(MemphisConfig.memphis())
+        a = sess.read(np.ones((16, 16)))
+        sess.evaluate([a @ a])
+        sess.evaluate([a + a])
+        assert rt.analysis.blocks_verified == sess.memplanner.blocks == 2
+        assert len(calls) == 2
+        rows = rt.analysis.check_bounds()
+        assert len(rows) == len(PLAN_REGIONS)
+        assert all(ok for *_, ok in rows)
+
     def test_explain_runtime_includes_watermarks(self):
-        with scope(explain=ExplainCollector(), memplan=MemplanCollector()):
+        with scope(explain=ExplainCollector(), analysis=AnalysisCollector()):
             sess = Session(MemphisConfig())
         a = sess.read(np.ones((16, 16)))
         sess.evaluate([a @ a])
@@ -332,46 +357,32 @@ class TestSessionPlanner:
         assert "observed" in text and "predicted" in text
 
 
-# ------------------------------------------------ pass registration / CLI
+# ------------------------------------------ pass pipeline / --verify-ir
 
 class TestPassIntegration:
     def test_memory_plan_pass_registered(self):
-        from repro.analysis.base import registered_passes
-        from repro.analysis.manager import DEFAULT_PASS_ORDER
+        assert memory_plan in DEFAULT_PASS_ORDER
 
-        assert "memory-plan" in registered_passes()
-        assert "memory-plan" in DEFAULT_PASS_ORDER
+    def test_harness_verify_ir_bound_violation_fails(self, capsys,
+                                                     monkeypatch):
+        """``--verify-ir`` checks every planner's bounds: a predicted
+        peak below the observed one prints the session's peak table
+        (``LOW`` row) and fails the run; holding bounds print nothing
+        more."""
+        from repro.harness.__main__ import main
 
-    def test_cli_memplan_flag(self, capsys):
-        from repro.analysis.__main__ import main
+        assert main(["fig2d", "--verify-ir"]) == 0
+        assert "region peaks" not in capsys.readouterr().out
+        absorb = SessionMemPlanner.absorb
 
-        rc = main(["micro", "--memplan"])
+        def under_predicting(planner, plan):
+            absorb(planner, plan)
+            planner.predicted = dict.fromkeys(planner.predicted, 0)
+
+        monkeypatch.setattr(SessionMemPlanner, "absorb", under_predicting)
+        assert main(["fig2d", "--verify-ir"]) == 1
         out = capsys.readouterr().out
-        assert rc == 0
-        assert "region peaks" in out
-        assert "predicted" in out and "observed" in out
-
-    def test_cli_memplan_bound_violation_fails(self, capsys, monkeypatch):
-        # regression: a predicted peak below the observed one used to be
-        # computed for --format json only and never reached the exit code
-        import json
-
-        from repro.analysis import __main__ as cli
-
-        class UnderPredicting(MemplanCollector):
-            def check_bounds(self):
-                for _, planner in self.planners():
-                    planner.predicted["CP"] = 0
-                return super().check_bounds()
-
-        monkeypatch.setattr(cli, "MemplanCollector", UnderPredicting)
-        assert cli.main(["quickstart", "--memplan"]) == 1
-        out = capsys.readouterr().out
-        assert "LOW" in out and "1 memplan bound violation(s)" in out
-        assert cli.main(["quickstart", "--memplan", "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["bound_violations"] == 1
-        assert payload["total_errors"] == 0
+        assert "region peaks" in out and "LOW" in out
 
 
 # ----------------------------------------- predicted >= observed (16 runs)
@@ -414,8 +425,8 @@ def test_predicted_peak_bounds_observed(label, thunk):
     """Soundness on every tier-1 experiment: for each session the
     workload creates, the static per-region predicted peak must be an
     upper bound on the runtime's observed ``peak_used`` watermark."""
-    collector = MemplanCollector()
-    with scope(memplan=collector):
+    collector = AnalysisCollector()
+    with scope(analysis=collector):
         thunk()
     rows = collector.check_bounds()
     assert rows, f"{label}: no sessions registered with the collector"
@@ -446,7 +457,7 @@ def test_random_cellwise_chain_plan_is_sound(links, side, budget_kb, seed):
     cfg = MemphisConfig.memphis()
     cfg.gpu_enabled = True
     cfg.gpu.device_memory = budget_kb * 1024
-    with scope(memplan=MemplanCollector()):
+    with scope(analysis=AnalysisCollector()):
         sess = Session(cfg)
     rng = np.random.default_rng(seed)
     data = rng.random((side, side))
@@ -462,7 +473,7 @@ def test_random_cellwise_chain_plan_is_sound(links, side, budget_kb, seed):
 
     roots, order = _compile_only(sess, h)
     plan = plan_block(roots, order, cfg)
-    errors = {d.rule for d in plan_diagnostics(plan, cfg, MemoryPlanPass())
+    errors = {d.rule for d in plan_diagnostics(plan, cfg)
               if d.severity >= Severity.ERROR}
     over = plan.demand[REGION_GPU] > cfg.gpu.device_memory
     assert ("MEM002" in errors) == over

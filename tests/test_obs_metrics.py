@@ -108,7 +108,7 @@ class TestSessionSampling:
                 assert f"memory/{region.name}/{ledger}" in sampled
         assert sampled["memory/CP/used"] == sess.cache.cp_bytes > 0
         for manager in (sess.cache, sess.spark_context.block_manager,
-                        sess.spark_mgr, sess.gpu.memory):
+                        sess.gpu.memory):
             assert manager.metrics_gauges().items() <= sampled.items()
         for name in RATE_COUNTERS:
             assert sampled[name] == sess.stats.get(name)

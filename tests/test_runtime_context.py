@@ -156,7 +156,10 @@ class TestScopes:
         # nor is there a sampled pipeline beside the tracer any more
         with pytest.raises(TypeError):
             scope(metrics=TraceCollector())
-        assert len(RuntimeContext.__slots__) == 8
+        # static analysis has one switch: memory planning rides on it
+        with pytest.raises(TypeError):
+            scope(memplan=None)
+        assert len(RuntimeContext.__slots__) == 7
 
     def test_works_with_nothing_activated(self):
         # the process-default context: no collaborators, sessions run
@@ -410,17 +413,19 @@ def test_every_config_field_is_read_somewhere_in_src():
 
 
 def test_no_config_field_is_named_after_a_runtime_context_slot():
-    """One road to each switch: faults, verification and memory planning
-    are turned on by the runtime context alone, so no field of the five
-    config dataclasses carries a slot's name (nor ``verify_ir``, the
-    ``analysis`` slot's former config twin)."""
+    """One road to each switch: faults and static analysis (verification
+    and memory planning) are turned on by the runtime context alone, so
+    no field of the five config dataclasses carries a slot's name (nor
+    ``verify_ir`` or ``memplan``, the ``analysis`` slot's former config
+    twins)."""
     fields = {
         field.name
         for cls in (SparkConfig, GpuConfig, CpuConfig, CacheConfig,
                     MemphisConfig)
         for field in dataclasses.fields(cls)
     }
-    assert fields & {*RuntimeContext.__slots__, "verify_ir"} == set()
+    assert fields & {*RuntimeContext.__slots__, "verify_ir",
+                     "memplan"} == set()
 
 
 def test_every_backend_opcode_has_a_cp_kernel():

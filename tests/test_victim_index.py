@@ -53,7 +53,14 @@ def level_scores(cache, entries):
 def drain_order(cache):
     """Evict everything through the arbiter; the order entries left in."""
     order = []
-    cache.on_cp_evict = order.append
+    evict = cache.evict_cp
+
+    def recording(entry):
+        if BACKEND_CP in entry.payloads:
+            order.append(entry)
+        evict(entry)
+
+    cache.evict_cp = recording
     assert cache.make_space(BACKEND_CP, cache.config.driver_cache_bytes)
     return order
 
