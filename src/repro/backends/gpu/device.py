@@ -33,6 +33,9 @@ class GpuDevice:
         self._free: list[tuple[int, int]] = [(0, self.capacity)]
         #: offset -> size of live allocations.
         self._allocated: dict[int, int] = {}
+        #: size of the largest hole, or ``None`` after a change to the
+        #: holes that may have moved it (recomputed on the next query).
+        self._largest: Optional[int] = self.capacity
 
     # -- queries -----------------------------------------------------------
 
@@ -46,12 +49,15 @@ class GpuDevice:
 
     @property
     def largest_free_block(self) -> int:
-        return max((size for _, size in self._free), default=0)
+        largest = self._largest
+        if largest is None:
+            largest = self._largest = max(
+                (size for _, size in self._free), default=0)
+        return largest
 
     def fits(self, size: int) -> bool:
         """Whether :meth:`malloc` of ``size`` would succeed now."""
-        size = align(size, self.config.alignment)
-        return any(hole >= size for _, hole in self._free)
+        return align(size, self.config.alignment) <= self.largest_free_block
 
     @property
     def fragmentation(self) -> float:
@@ -87,6 +93,8 @@ class GpuDevice:
         size = align(size, self.config.alignment)
         for i, (offset, hole) in enumerate(self._free):
             if hole >= size:
+                if hole == self._largest:
+                    self._largest = None
                 if hole == size:
                     self._free.pop(i)
                 else:
@@ -102,6 +110,7 @@ class GpuDevice:
             raise GpuError(f"double free or invalid offset {offset}")
         insort(self._free, (offset, size))
         self._coalesce()
+        self._largest = None
         return size
 
     def defragment(self) -> int:
@@ -125,6 +134,7 @@ class GpuDevice:
         self._free = (
             [(cursor, self.capacity - cursor)] if cursor < self.capacity else []
         )
+        self._largest = None
         return moved
 
     def _coalesce(self) -> None:

@@ -58,7 +58,7 @@ from repro.common.stats import (
 )
 from repro.core.policies import make_policy
 from repro.faults.plan import KIND_GPU_ALLOC
-from repro.memory import REGION_GPU, MemoryArbiter
+from repro.memory import REGION_GPU, MemoryArbiter, MemoryRegion
 from repro.memory.budget import align
 from repro.obs.events import (
     EV_GPU_DEFRAG,
@@ -74,6 +74,13 @@ from repro.obs.tracer import NULL_TRACER
 MODE_MALLOC = "malloc"
 MODE_POOL = "pool"
 MODE_MEMPHIS = "memphis"
+
+
+def add_gpu_region(arbiter: MemoryArbiter,
+                   config: GpuConfig) -> MemoryRegion:
+    """Register the device-memory region (``GPU``) on ``arbiter``."""
+    return arbiter.add_region(REGION_GPU, config.device_memory,
+                              policy=make_policy(config.policy))
 
 
 class GpuMemoryManager:
@@ -98,10 +105,10 @@ class GpuMemoryManager:
             arbiter = MemoryArbiter(stats, tracer=self.tracer, faults=faults)
         self.arbiter: MemoryArbiter = arbiter
         self.faults = faults if faults is not None else arbiter.faults
-        self.policy = make_policy(device.config.policy)
-        self._region = arbiter.add_region(
-            REGION_GPU, device.capacity, policy=self.policy,
-        )
+        # counts on the region its session registered up front, if any
+        self._region = (arbiter.region(REGION_GPU) if REGION_GPU in arbiter
+                        else add_gpu_region(arbiter, device.config))
+        self.policy = self._region.policy
         self.mode = mode
         #: called before a free pointer's contents are destroyed, so the
         #: lineage cache can drop or host-save the entry backed by it.

@@ -29,7 +29,7 @@ from repro.common.stats import (
     Stats,
 )
 from repro.backends.spark.rdd import TaskMetrics
-from repro.memory import REGION_SPARK_STORAGE, MemoryArbiter
+from repro.memory import REGION_SPARK_STORAGE, MemoryArbiter, MemoryRegion
 from repro.obs.events import (
     EV_SPARK_PART_EVICT,
     EV_SPARK_PART_SPILL,
@@ -55,6 +55,16 @@ class _CachedPartition:
     jobs: int = 0
 
 
+def add_storage_region(arbiter: MemoryArbiter,
+                       config: SparkConfig) -> MemoryRegion:
+    """Register the aggregate executor storage region (``SP_BLOCKS``)."""
+    return arbiter.add_region(
+        REGION_SPARK_STORAGE,
+        config.storage_memory * config.num_executors,
+        policy_name=config.policy,
+    )
+
+
 class BlockManager:
     """Unified storage region shared by all executors of the cluster.
 
@@ -73,11 +83,10 @@ class BlockManager:
             arbiter = MemoryArbiter(stats, tracer=self._tracer, faults=faults)
         self.arbiter: MemoryArbiter = arbiter
         self._faults = faults if faults is not None else arbiter.faults
-        self._region = arbiter.add_region(
-            REGION_SPARK_STORAGE,
-            config.storage_memory * config.num_executors,
-            policy_name=config.policy,
-        )
+        # counts on the region its session registered up front, if any
+        self._region = (arbiter.region(REGION_SPARK_STORAGE)
+                        if REGION_SPARK_STORAGE in arbiter
+                        else add_storage_region(arbiter, config))
         self._partitions: OrderedDict[tuple[int, int], _CachedPartition] = OrderedDict()
         self._tick = 0
         #: RDD id currently being materialized (its partitions are exempt

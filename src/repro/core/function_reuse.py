@@ -15,7 +15,7 @@ from repro.common.simclock import HOST
 from repro.common.stats import FUNC_HITS
 from repro.compiler.ir import KIND_OP, data_hop, literal_hop
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, CacheEntry
-from repro.lineage.item import LineageItem, function_item, literal
+from repro.lineage.item import LineageItem
 from repro.runtime.handles import MatrixHandle
 
 if TYPE_CHECKING:
@@ -45,6 +45,9 @@ def call_with_reuse(session: "Session", fname: str, fn: Callable,
 
 def _function_key(session: "Session", fname: str,
                   args: tuple) -> LineageItem:
+    """The call's canonical ``func:`` item, so a repeated call probes by
+    identity."""
+    interner = session.lineage_interner
     items = []
     for arg in args:
         if isinstance(arg, MatrixHandle):
@@ -52,8 +55,8 @@ def _function_key(session: "Session", fname: str,
                 session.evaluate([arg])
             items.append(arg.lineage)
         else:
-            items.append(literal(arg, session.ids))
-    return function_item(fname, tuple(items), ids=session.ids)
+            items.append(interner.literal(arg))
+    return interner.function(fname, tuple(items))
 
 
 def _cache_outputs(session: "Session", key: LineageItem, result,

@@ -127,11 +127,14 @@ class MrdPolicy:
         return 1.0 / (distance + 1.0)
 
 
+_POLICIES = {
+    EvictionPolicyName.COST_SIZE: CostSizePolicy,
+    EvictionPolicyName.LRU: LruPolicy,
+    EvictionPolicyName.LRC: LrcPolicy,
+    EvictionPolicyName.MRD: MrdPolicy,
+}
+
+
 def make_policy(name: EvictionPolicyName) -> EvictionPolicy:
     """Instantiate the policy selected in the configuration."""
-    return {
-        EvictionPolicyName.COST_SIZE: CostSizePolicy,
-        EvictionPolicyName.LRU: LruPolicy,
-        EvictionPolicyName.LRC: LrcPolicy,
-        EvictionPolicyName.MRD: MrdPolicy,
-    }[name]()
+    return _POLICIES[name]()

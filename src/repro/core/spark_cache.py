@@ -36,7 +36,21 @@ from repro.common.stats import (
 from repro.core.cache import LineageCache
 from repro.core.entry import BACKEND_SP, CacheEntry
 from repro.core.policies import make_policy
-from repro.memory import REGION_SPARK_CACHE
+from repro.memory import REGION_SPARK_CACHE, MemoryArbiter, MemoryRegion
+
+
+def add_spark_cache_region(arbiter: MemoryArbiter, cache: LineageCache,
+                           config: CacheConfig,
+                           storage_capacity: int) -> MemoryRegion:
+    """Register the reuse share of Spark storage (``SP_CACHE``) on
+    ``arbiter``; ``storage_capacity`` is the ``SP_BLOCKS`` capacity."""
+    policy = cache.policy if config.spark_policy is None \
+        else make_policy(config.spark_policy)
+    return arbiter.add_region(
+        REGION_SPARK_CACHE,
+        int(storage_capacity * config.spark_cache_fraction),
+        policy=policy, unlimited=config.unlimited,
+    )
 
 
 class SparkCacheManager:
@@ -52,13 +66,12 @@ class SparkCacheManager:
         # is shared (repro.server), so the SP_CACHE region must register
         # on the session's own arbiter, not the cache's (shared) one.
         self.arbiter = arbiter if arbiter is not None else cache.arbiter
-        policy = cache.policy if config.spark_policy is None \
-            else make_policy(config.spark_policy)
-        self._region = self.arbiter.add_region(
-            REGION_SPARK_CACHE,
-            int(context.block_manager.capacity * config.spark_cache_fraction),
-            policy=policy, unlimited=config.unlimited,
-        )
+        # counts on the region its session registered up front, if any
+        self._region = (
+            self.arbiter.region(REGION_SPARK_CACHE)
+            if REGION_SPARK_CACHE in self.arbiter
+            else add_spark_cache_region(self.arbiter, cache, config,
+                                        context.block_manager.capacity))
         #: entry -> bytes this manager charged to its ``SP_CACHE`` ledger
         #: when it persisted the entry's RDD.  Eviction offers and
         #: releases exactly these: on a shared lineage cache the other

@@ -109,12 +109,15 @@ class SessionContext:
     attributed to, and the session's dataset fingerprints.
     """
 
-    __slots__ = ("substrate", "uid", "tenant", "fingerprints", "request")
+    __slots__ = ("substrate", "uid", "scope_opcode", "tenant",
+                 "fingerprints", "request")
 
     def __init__(self, substrate: "Substrate", uid: int,
                  tenant: str) -> None:
         self.substrate = substrate
         self.uid = uid
+        #: opcode of this session's namespace wrappers (``ns:<uid>``).
+        self.scope_opcode = f"{NS_PREFIX}:{uid}"
         self.tenant = tenant
         #: dataset name -> content fingerprint, as registered by *this*
         #: session's ``read()`` calls.
@@ -132,7 +135,7 @@ class SessionContext:
         sub = self.substrate
         if sub.shareable(self, key):
             return key
-        return sub.scope_key(self.uid, key)
+        return sub.scope_key(self.scope_opcode, key)
 
     # -- cross-session hit accounting --------------------------------------
 
@@ -374,11 +377,12 @@ class Substrate:
                 return False
         return True
 
-    def scope_key(self, uid: int, key: LineageItem) -> LineageItem:
-        """The session-scoped wrapper item for ``key`` (hash-consed)."""
+    def scope_key(self, opcode: str, key: LineageItem) -> LineageItem:
+        """The session-scoped wrapper item for ``key`` (hash-consed);
+        ``opcode`` is the session's ``SessionContext.scope_opcode``."""
         table = self.interner
         before = len(table)
-        item = table.intern(f"{NS_PREFIX}:{uid}", (), (key,))
+        item = table.intern(opcode, (), (key,))
         if len(table) != before:
             self.stats.inc(SERVER_SCOPED_KEYS)
         return item

@@ -184,23 +184,23 @@ class FaultInjector:
         fault = self.draw(KIND_RESTORE_IO)
         return fault is not None and fault.take()
 
-    def lost_cache_entries(self, session) -> int:
+    def lost_cache_entries(self, tiers) -> int:
         """Interpreter draw point: lose cached intermediates, maybe.
 
-        Called once per op instruction.  When armed, picks ``count``
-        random cached entries and invalidates **every** payload copy
-        (CP, SP, GPU, and disk), forcing the interpreter's
+        Called once per op instruction with the session's
+        :class:`~repro.core.tiers.BackendTiers`.  When armed, picks
+        ``count`` random cached entries and invalidates **every**
+        payload copy (CP, SP, GPU, and disk), forcing the interpreter's
         recompute-from-lineage path the next time the value is needed.
         """
         fault = self.draw(KIND_CACHE_LOST)
         lost = 0
         while fault is not None and fault.take():
-            victims = [e for e in session.cache.entries() if e.is_cached]
+            victims = [e for e in tiers.cache.entries() if e.is_cached]
             if not victims:
                 break
             entry = victims[self.rng.randrange(len(victims))]
-            dropped = session.cache.invalidate_entry(
-                entry, spark_mgr=session.spark_mgr)
+            dropped = tiers.invalidate(entry)
             self.stats.inc(FAULT_CACHE_ENTRIES_LOST)
             self.injected(KIND_CACHE_LOST, key=str(entry.key),
                           backends=",".join(dropped))
@@ -262,7 +262,7 @@ class NullInjector:
     def restore_io(self):
         return False
 
-    def lost_cache_entries(self, session):
+    def lost_cache_entries(self, tiers):
         return 0
 
     def injected(self, kind, lane=LANE_CP, **args):

@@ -7,7 +7,6 @@ from repro.lineage.item import (
     LineageItem,
     dags_equal,
     dataset,
-    function_item,
     literal,
 )
 from repro.lineage.query import (
@@ -29,7 +28,6 @@ __all__ = [
     "LineageItem",
     "dags_equal",
     "dataset",
-    "function_item",
     "literal",
     "serialize",
     "deserialize",

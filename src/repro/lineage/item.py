@@ -17,6 +17,7 @@ Hashing and equality follow the paper exactly:
 
 from __future__ import annotations
 
+from math import copysign
 from typing import Iterable, Optional
 
 from repro.common.runtime import IdSpace, current as current_runtime
@@ -140,21 +141,23 @@ class LineageInterner:
     cache probe pays a full :func:`dags_equal` structural comparison
     when dict hashing collides equal keys.
 
-    Interning keys on ``(opcode, data, input identities)``: because the
-    interpreter interns bottom-up, two structurally equal op items built
-    from the same (interned or handle-bound) inputs share identical
-    input objects, so identity of inputs is equivalent to structural
-    equality of inputs.  The canonical item is returned for every
-    repeat, which makes subsequent cache probes hit the dictionary's
-    identity fast path instead of running ``dags_equal``.
+    Every item the runtime traces comes from here: op items
+    (:meth:`intern`), literal and dataset leaves (:meth:`literal`,
+    :meth:`dataset`) and function-reuse keys (:meth:`function`).  Op
+    items key on ``(opcode, data, input identities)``; because their
+    inputs are canonical too, identity of inputs is equivalent to
+    structural equality of inputs, so structurally equal runtime items
+    are one object and cache probes, puts and namespacing hit the
+    dictionary's identity fast path instead of running ``dags_equal``.
 
     Items built *outside* the interner (deserialized logs, hand-built
-    DAGs) simply miss the table and fall back to structural equality —
-    behaviour is unchanged, only slower for that item.
+    DAGs, the federated coordinator's items) simply miss the table and
+    fall back to structural equality — behaviour is unchanged, only
+    slower for that item.
 
-    One interner per session (see ``Session.lineage_interner``): the
-    table's lifetime — and its memory — follows the session, mirroring
-    the lineage cache it accelerates.
+    The interner belongs to the substrate (``Substrate.interner``): a
+    private substrate's table lives as long as its one session, a
+    shared substrate's is common to every session attached to it.
     """
 
     __slots__ = ("_table", "_ids")
@@ -176,27 +179,48 @@ class LineageInterner:
             self._table[key] = item
         return item
 
+    def literal(self, value: object) -> LineageItem:
+        """Canonical leaf for a scalar/string literal.
+
+        ``==`` equates literals that replay and serialize differently
+        (``0.0``/``-0.0``, ``1``/``1.0``/``True``), so the key carries
+        the value's type and, for a float, its sign: one canonical leaf
+        never stands for another's value.  A NaN keys by identity, as
+        the structural comparison treats it.
+        """
+        sign = copysign(1.0, value) if isinstance(value, float) else None
+        key = (OP_LITERAL, type(value), value, sign)
+        item = self._table.get(key)
+        if item is None:
+            item = LineageItem(OP_LITERAL, (value,), (), self._ids)
+            self._table[key] = item
+        return item
+
+    def dataset(self, name: str) -> LineageItem:
+        """Canonical leaf for a named input dataset."""
+        return self.intern(OP_DATA, (name,), ())
+
+    def function(self, fname: str,
+                 inputs: tuple[LineageItem, ...]) -> LineageItem:
+        """Canonical coarse-grained item of a deterministic function call.
+
+        The paper uses a special lineage item containing the function
+        name and the inputs for each function output (§3.3, multi-level
+        reuse); ``Session.function`` caches all outputs under one.
+        """
+        return self.intern(f"{OP_FUNCTION}:{fname}", (0,), inputs)
+
 
 def literal(value: object, ids: Optional[IdSpace] = None) -> LineageItem:
-    """Lineage leaf for a scalar/string literal."""
+    """Lineage leaf for a scalar/string literal, outside any interner
+    (the runtime's come from :meth:`LineageInterner.literal`)."""
     return LineageItem(OP_LITERAL, (value,), (), ids)
 
 
 def dataset(name: str, ids: Optional[IdSpace] = None) -> LineageItem:
-    """Lineage leaf for a named input dataset."""
+    """Lineage leaf for a named input dataset, outside any interner
+    (the runtime's come from :meth:`LineageInterner.dataset`)."""
     return LineageItem(OP_DATA, (name,), (), ids)
-
-
-def function_item(fname: str, inputs: tuple[LineageItem, ...],
-                  output_index: int = 0,
-                  ids: Optional[IdSpace] = None) -> LineageItem:
-    """Coarse-grained item for one output of a deterministic function.
-
-    The paper uses a special lineage item containing the function name and
-    the inputs for each function output (§3.3, multi-level reuse).
-    """
-    return LineageItem(f"{OP_FUNCTION}:{fname}", (output_index,), inputs,
-                       ids)
 
 
 def dags_equal(a: LineageItem, b: LineageItem,

@@ -107,6 +107,11 @@ class MemoryArbiter:
     def region(self, name: str) -> MemoryRegion:
         return self._regions[name]
 
+    def __contains__(self, name: str) -> bool:
+        """Whether a region ``name`` is registered (a session registers
+        its Spark/GPU regions before it builds those tiers)."""
+        return name in self._regions
+
     def regions(self) -> list[MemoryRegion]:
         return list(self._regions.values())
 

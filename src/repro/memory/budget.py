@@ -5,10 +5,11 @@ placement feasibility check (``repro.runtime.placement``) both need to
 know, *at compile time*, how many bytes each :class:`~repro.memory.region.MemoryRegion`
 will be created with at runtime — without instantiating any manager.
 This module is the single source of truth for that mapping: it mirrors,
-byte for byte, the ``add_region`` calls made by the managers
-(`LineageCache`, `BlockManager`/`SparkCacheManager`,
-`GpuMemoryManager`) when a :class:`~repro.core.session.Session` is
-constructed — five regions, the same five ``Session.arbiter.snapshot()``
+byte for byte, the ``add_region`` calls made when a
+:class:`~repro.core.session.Session` is constructed (by its
+`LineageCache`, and for the lazily built Spark and GPU tiers by the
+``add_*_region`` functions next to `BlockManager`, `SparkCacheManager`
+and `GpuMemoryManager`) — five regions, the same five ``Session.arbiter.snapshot()``
 reports.  CP intermediates live on handles, outside any ledger: the
 buffer pool is not modelled.
 
@@ -75,11 +76,13 @@ def region_capacities(config: MemphisConfig) -> dict[str, RegionBudget]:
 
     * ``CP``/``DISK`` — ``LineageCache.__init__`` (driver payload tier
       and its disk spill tier, §3.3).
-    * ``SP_BLOCKS`` — ``BlockManager.__init__``: the *aggregate*
-      executor storage memory (``storage_memory x num_executors``).
-    * ``SP_CACHE`` — ``SparkCacheManager.__init__``: the reuse share of
-      Spark storage (§4.1), derived from the block-manager capacity.
-    * ``GPU`` — ``GpuMemoryManager.__init__``: device memory.
+    * ``SP_BLOCKS`` — ``blockmanager.add_storage_region``: the
+      *aggregate* executor storage memory (``storage_memory x
+      num_executors``).
+    * ``SP_CACHE`` — ``spark_cache.add_spark_cache_region``: the reuse
+      share of Spark storage (§4.1), derived from the block-manager
+      capacity.
+    * ``GPU`` — ``memmanager.add_gpu_region``: device memory.
     """
     sp_blocks = int(config.spark.storage_memory) * config.spark.num_executors
     budgets = (

@@ -36,6 +36,7 @@ from repro.common.stats import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.session import Session
+    from repro.runtime.interpreter import Interpreter
 
 #: sampling period of the dispatch loop, in traced instructions.
 SAMPLE_EVERY = 8
@@ -47,15 +48,20 @@ RATE_COUNTERS = (
 )
 
 
-def sample(session: "Session") -> None:
-    """Hand every gauge of ``session`` to its tracer, stamped at host now."""
-    counter = session.tracer.counter
-    substrate = session.substrate
-    regions = session.arbiter.regions()
+def sample(owner: "Session | Interpreter") -> None:
+    """Hand every gauge of a session to its tracer, stamped at host now.
+
+    ``owner`` is the session or its interpreter: both carry the
+    session's ``tracer``, ``stats``, ``substrate`` and ``tiers``.
+    """
+    counter = owner.tracer.counter
+    substrate = owner.substrate
+    tiers = owner.tiers
+    regions = tiers.arbiter.regions()
     # each manager adds the curves only it knows; region occupancy
-    # (``memory/<REGION>/…``) already covers every ledger
-    sources = [session.cache, session.spark_context.block_manager,
-               session.gpu.memory]
+    # (``memory/<REGION>/…``) already covers every ledger.  A Spark or
+    # GPU tier not built yet reports zeros and builds nothing.
+    sources = [substrate.cache, tiers]
     if substrate.shared:
         # CP / DISK live on the shared arbiter; per-tenant occupancy and
         # the attached-session count come from the substrate, under server/
@@ -71,6 +77,6 @@ def sample(session: "Session") -> None:
     for source in sources:
         for name, value in source.metrics_gauges().items():
             counter(name, value)
-    stats = session.stats
+    stats = owner.stats
     for name in RATE_COUNTERS:
         counter(name, stats.get(name))

@@ -67,7 +67,7 @@ from repro.core.entry import (
     BACKEND_SP,
     CacheEntry,
 )
-from repro.lineage.item import LineageItem, dataset, literal
+from repro.lineage.item import LineageItem
 from repro.obs.events import (
     EV_BROADCAST,
     EV_INSTR,
@@ -80,7 +80,15 @@ from repro.runtime.placement import matmul_pattern
 from repro.runtime.values import MatrixValue, ScalarValue, Value
 
 if TYPE_CHECKING:  # pragma: no cover
+    import weakref
+
+    from repro.backends.cpu.backend import CpuBackend
+    from repro.common.config import MemphisConfig
+    from repro.common.simclock import SimClock
+    from repro.common.stats import Stats
     from repro.core.session import Session
+    from repro.core.substrate import Substrate
+    from repro.core.tiers import BackendTiers
 
 __all__ = ["Interpreter", "Slot"]
 
@@ -125,19 +133,36 @@ def _attr_data(attrs: dict) -> tuple:
 
 
 class Interpreter:
-    """Executes compiled hop streams inside a session."""
+    """Executes compiled hop streams inside a session.
 
-    def __init__(self, session: "Session") -> None:
-        self.session = session
-        self.config = session.config
-        self.stats = session.stats
-        self.clock = session.clock
-        self.cache = session.cache
+    It holds the session's collaborators, not the session: the CPU
+    backend, the lazily built Spark/GPU tiers, the substrate (cache and
+    interner), the clock, stats, tracer and fault injector.  Only fault
+    recovery reaches back, through ``session``, a weak reference to the
+    session (for ``recompute_from_lineage``) — so no reference cycle
+    runs through a session.
+    """
+
+    def __init__(self, config: "MemphisConfig", *, stats: "Stats",
+                 clock: "SimClock", substrate: "Substrate",
+                 tiers: "BackendTiers", cpu: "CpuBackend", tracer, faults,
+                 session: "weakref.ref[Session]") -> None:
+        self.config = config
+        self.stats = stats
+        self.clock = clock
+        self.substrate = substrate
+        self.cache = substrate.cache
         #: the substrate's hash-consing table (shared across sessions on
         #: a shared substrate, so identical traces intern to one object).
-        self.interner = session.lineage_interner
-        self.tracer = session.tracer
-        self.faults = session.faults
+        self.interner = substrate.interner
+        self.tiers = tiers
+        self.cpu = cpu
+        self.tracer = tracer
+        self.faults = faults
+        self._session = session
+        #: delayed-caching threshold of PUTs (§5.2); ``Session.block``
+        #: tunes it per block.
+        self.delay_factor = config.cache.delay_factor
         #: one acquired-pointer list per active run: recovery can re-enter
         #: :meth:`run` (recompute-from-lineage) while an outer run is live,
         #: and each nesting level must release exactly its own references.
@@ -171,7 +196,7 @@ class Interpreter:
         self._acquired_stack.append(acquired)
 
         config = self.config
-        session = self.session
+        tiers = self.tiers
         clock = self.clock
         stats = self.stats
         tracer = self.tracer
@@ -190,7 +215,7 @@ class Interpreter:
         enable_async = config.enable_async_ops
 
         intern = self.interner.intern
-        ids = session.ids
+        literal = self.interner.literal
         cache_probe = self.cache.probe
         exec_cpu = self._exec_cpu
         exec_spark = self._exec_spark
@@ -202,7 +227,7 @@ class Interpreter:
         for hop in order:
             kind = hop.kind
             if kind == KIND_LITERAL:
-                slot = Slot(literal(hop.value, ids))
+                slot = Slot(literal(hop.value))
                 slot.payloads[BACKEND_CP] = ScalarValue(hop.value)
             elif kind == KIND_DATA:
                 slot = data_slot(hop)
@@ -230,7 +255,7 @@ class Interpreter:
                     # lose cached intermediates, exercising
                     # recompute-from-lineage downstream
                     if fault_draws:
-                        faults.lost_cache_entries(session)
+                        faults.lost_cache_entries(tiers)
                     # the instruction span covers REUSE + EXECUTE + PUT on
                     # the driver lane, so every cache/backend event emitted
                     # underneath carries this instruction's label
@@ -245,7 +270,7 @@ class Interpreter:
                         until_sample -= 1
                         if not until_sample:
                             until_sample = SAMPLE_EVERY
-                            sample_gauges(session)
+                            sample_gauges(self)
                         span = tracer.span(
                             EV_INSTR, LANE_CP, opcode=hop.opcode,
                             hop=hop.id, backend=hop.placement or BACKEND_CP,
@@ -295,7 +320,7 @@ class Interpreter:
             return
         for data in self._acquired_stack.pop():
             if not data.ptr.freed:
-                self.session.gpu.memory.release(data.ptr)
+                self.tiers.gpu.memory.release(data.ptr)
 
     # ----------------------------------------------------------------- trace / reuse
 
@@ -309,10 +334,10 @@ class Interpreter:
                 # pointer was recycled between invalidation and probe
                 slot.payloads.pop(BACKEND_GPU, None)
             else:
-                self.session.gpu.memory.reuse_from_free(data.ptr)
+                self.tiers.gpu.memory.reuse_from_free(data.ptr)
                 self._acquired_stack[-1].append(data)
         if BACKEND_SP in slot.payloads:
-            self.session.spark_mgr.reuse_rdd(entry)
+            self.tiers.spark_mgr.reuse_rdd(entry)
         if hop.placement == BACKEND_SP and BACKEND_CP in slot.payloads:
             # reused a previously collected action result: consumers read
             # the driver-side copy instead of triggering a Spark job
@@ -330,7 +355,7 @@ class Interpreter:
         if mode is ReuseMode.LOCAL_ONLY and hop.placement != BACKEND_CP:
             return
         item = slot.lineage
-        delay = self.session.delay_factor
+        delay = self.delay_factor
         cost = hop.flops
         if BACKEND_CP in slot.payloads:
             value: Value = slot.payloads[BACKEND_CP]
@@ -344,7 +369,7 @@ class Interpreter:
             entry = self.cache.put(item, dm, BACKEND_SP, dm.nbytes, cost,
                                    delay_factor=delay)
             if entry is not None:
-                self.session.spark_mgr.cache_rdd(entry, dm)
+                self.tiers.spark_mgr.cache_rdd(entry, dm)
         if BACKEND_GPU in slot.payloads:
             data: GpuData = slot.payloads[BACKEND_GPU]
             self.cache.put(item, data, BACKEND_GPU, data.nbytes, cost,
@@ -367,8 +392,8 @@ class Interpreter:
             if handle is None:
                 raise PlacementError(f"data hop {hop} has no handle")
             if handle.lineage is None:
-                handle.lineage = dataset(handle.name or f"data_{hop.id}",
-                                         self.session.ids)
+                handle.lineage = self.interner.dataset(
+                    handle.name or f"data_{hop.id}")
             lineage, payloads = handle.lineage, handle.payloads
         slot = Slot(lineage)
         slot.payloads = dict(payloads)
@@ -404,13 +429,13 @@ class Interpreter:
             return value
         if BACKEND_SP in slot.payloads:
             dm: DistributedMatrix = slot.payloads[BACKEND_SP]
-            value = self.session.spark.collect(dm)
+            value = self.tiers.spark.collect(dm)
             slot.payloads[BACKEND_CP] = value
             self._cache_exchange(slot, value, count_job=jobs_entry)
             return value
         if BACKEND_GPU in slot.payloads:
             data: GpuData = slot.payloads[BACKEND_GPU]
-            value = self.session.gpu.to_host(data)
+            value = self.tiers.gpu.to_host(data)
             slot.payloads[BACKEND_CP] = value
             self._cache_exchange(slot, value)
             return value
@@ -418,7 +443,7 @@ class Interpreter:
             # every payload copy was lost to injected faults: rebuild the
             # value by replaying its lineage (the paper's core recovery
             # argument — lineage makes intermediates cheap to reconstruct)
-            value = self.session.recompute_from_lineage(slot.lineage)
+            value = self._session().recompute_from_lineage(slot.lineage)
             slot.payloads[BACKEND_CP] = value
             self.stats.inc(FAULT_LINEAGE_RECOMPUTES)
             self.faults.recovered(KIND_CACHE_LOST, LANE_CP,
@@ -457,7 +482,7 @@ class Interpreter:
         if BACKEND_SP in slot.payloads:
             return slot.payloads[BACKEND_SP]
         value = self._to_cp(slot)
-        dm = self.session.spark.distribute(value, name)
+        dm = self.tiers.spark.distribute(value, name)
         slot.payloads[BACKEND_SP] = dm
         return dm
 
@@ -470,7 +495,7 @@ class Interpreter:
         self.clock.advance(
             value.nbytes / self.config.cpu.mem_bandwidth_bytes_per_s, HOST
         )
-        slot.broadcast = self.session.spark.broadcast(
+        slot.broadcast = self.tiers.spark.broadcast(
             value if isinstance(value, MatrixValue)
             else MatrixValue(np.full((1, 1), value.as_float()))
         )
@@ -484,7 +509,7 @@ class Interpreter:
         value = self._to_cp(slot)
         if isinstance(value, ScalarValue):
             value = MatrixValue(np.full((1, 1), value.as_float()))
-        data = self.session.gpu.to_device(value)
+        data = self.tiers.gpu.to_device(value)
         slot.payloads[BACKEND_GPU] = data
         gpu_created.append(data)
         return data
@@ -509,7 +534,7 @@ class Interpreter:
                     append(v)
                     continue
             append(self._to_cp(s))
-        out = self.session.cpu.execute(hop.opcode, values, hop.attrs)
+        out = self.cpu.execute(hop.opcode, values, hop.attrs)
         slot.payloads[BACKEND_CP] = out
 
     def _exec_gpu(self, hop: Hop, slot: Slot, in_slots: list[Slot],
@@ -528,7 +553,7 @@ class Interpreter:
                 gpu_inputs.append(cp)
             else:
                 gpu_inputs.append(self._to_gpu(s, gpu_created))
-        out = self.session.gpu.execute(
+        out = self.tiers.gpu.execute(
             hop.opcode, gpu_inputs, hop.attrs,
             lineage_height=slot.lineage.height,
         )
@@ -545,7 +570,7 @@ class Interpreter:
         :data:`~repro.backends.spark.backend.SPARK_OPCODES` names for the
         opcode — SystemDS's Spark instruction set, every cell value
         computed by the CP kernels."""
-        sb = self.session.spark
+        sb = self.tiers.spark
         op = hop.opcode
         kind = SPARK_OPCODES.get(op)
         if kind == "action":
@@ -578,7 +603,7 @@ class Interpreter:
         (matrix-matrix and matrix-column-vector alike).  The side that
         is not distributed is materialized first.
         """
-        sb = self.session.spark
+        sb = self.tiers.spark
         op = hop.opcode
         left, right = hop.inputs
         ls, rs = in_slots
@@ -600,7 +625,7 @@ class Interpreter:
         """``rightIndex``: a column slice is block-local, a row range
         re-blocks through a shuffle; a combined slice does both, columns
         first."""
-        sb = self.session.spark
+        sb = self.tiers.spark
         nrow, ncol = hop.inputs[0].shape
         rl = int(hop.attrs.get("rl", 1)) - 1
         ru = int(hop.attrs.get("ru", nrow))
@@ -623,7 +648,7 @@ class Interpreter:
         "this rewrite flags all other Spark actions for asynchronous
         execution").
         """
-        out = self.session.spark.aggregate(
+        out = self.tiers.spark.aggregate(
             hop.opcode, self._to_dm(in_slots[0]),
             asynchronous=hop.prefetch and self.config.enable_async_ops,
         )
@@ -644,7 +669,7 @@ class Interpreter:
         ``mapmm``/``bcmm`` (broadcast-side) — selection logic lives in
         :func:`repro.runtime.placement.matmul_pattern`.
         """
-        sb = self.session.spark
+        sb = self.tiers.spark
         pattern = matmul_pattern(hop, self.config)
         left, right = hop.inputs
         ls, rs = in_slots
@@ -676,7 +701,7 @@ class Interpreter:
     def _persist_checkpoint(self, dm: DistributedMatrix) -> None:
         """Persist a compiler-placed RDD checkpoint (§5.2), once."""
         if not dm.rdd.is_persisted:
-            dm.rdd.persist(self.session.spark_mgr.storage_level)
+            dm.rdd.persist(self.tiers.spark_mgr.storage_level)
             self.stats.inc(CHECKPOINTS_PLACED)
 
     def _issue_prefetch(self, hop: Hop, slot: Slot) -> None:
@@ -685,7 +710,7 @@ class Interpreter:
             return
         if BACKEND_SP in slot.payloads:
             dm: DistributedMatrix = slot.payloads[BACKEND_SP]
-            slot.future = self.session.spark.sc.collect_async(dm.rdd)
+            slot.future = self.tiers.spark_context.collect_async(dm.rdd)
             self.stats.inc(PREFETCH_ISSUED)
             if self.tracer.enabled:
                 self.tracer.instant(EV_PREFETCH, LANE_CP,
@@ -693,7 +718,7 @@ class Interpreter:
                                     ready=slot.future.ready_time)
         elif BACKEND_GPU in slot.payloads:
             data: GpuData = slot.payloads[BACKEND_GPU]
-            ready = self.session.gpu.to_host_async(data)
+            ready = self.tiers.gpu.to_host_async(data)
             slot.future = SimFuture(self.clock, ready, data.value,
                                     label="gpu_prefetch")
             self.stats.inc(PREFETCH_ISSUED)
@@ -710,7 +735,7 @@ class Interpreter:
             return
         # asynchronous: the partitioning overlaps with host execution,
         # so only the registration latency is charged
-        slot.broadcast = self.session.spark.broadcast(value)
+        slot.broadcast = self.tiers.spark.broadcast(value)
         self.stats.inc(BROADCAST_ISSUED)
         if self.tracer.enabled:
             self.tracer.instant(EV_BROADCAST, LANE_CP, nbytes=value.nbytes)

@@ -69,6 +69,29 @@ class TestGpuDevice:
             assert dev.fits(size) == (size <= 2048)
         assert dev.fits(1536) and dev.malloc(1536) is not None
 
+    def test_cached_largest_hole_tracks_every_change(self):
+        """``fits`` reads a cached largest hole; after any malloc, free
+        or defragment it must equal a scan of the holes."""
+        dev = GpuDevice(small_config(capacity=32 * 1024))
+        rng = np.random.default_rng(3)
+        live = []
+        for step in range(400):
+            action = rng.random()
+            if action < 0.55:
+                off = dev.malloc(int(rng.integers(1, 6)) * 512)
+                if off is not None:
+                    live.append(off)
+            elif action < 0.97 and live:
+                dev.free(live.pop(int(rng.integers(len(live)))))
+            else:
+                dev.defragment()
+                live = [dev.relocation_map[off] for off in live]
+            largest = max((size for _, size in dev._free), default=0)
+            assert dev.largest_free_block == largest, step
+            for size in (1, 512, 1024, 2048, 4096, 8192):
+                assert dev.fits(size) == (
+                    max(size, 512) <= largest), (step, size)
+
     def test_coalescing_adjacent_holes(self):
         dev = GpuDevice(small_config(capacity=4096))
         a = dev.malloc(1024)

@@ -9,10 +9,10 @@ from repro.lineage import (
     dags_equal,
     dataset,
     deserialize,
-    function_item,
     literal,
     serialize,
 )
+from repro.lineage.item import LineageInterner
 
 
 def _chain(depth: int, leaf_name: str = "X") -> LineageItem:
@@ -80,7 +80,9 @@ class TestLineageItem:
         assert root.dag_size() == 5
 
     def test_function_item(self):
-        item = function_item("linreg", (dataset("X"), literal(0.1)))
+        interner = LineageInterner()
+        item = interner.function(
+            "linreg", (interner.dataset("X"), interner.literal(0.1)))
         assert item.is_function
         assert not dataset("X").is_function
 
