@@ -24,24 +24,27 @@ class CpuBackend:
         self.clock = clock
         self.stats = stats
 
-    def execute(self, opcode: str, inputs: list[Value], attrs: dict) -> Value:
+    def execute(self, opcode: str, inputs: list[Value], attrs: dict,
+                flops: float | None = None,
+                nbytes: int | None = None) -> Value:
         """Run one instruction; returns its value and charges host time.
 
         The charge is the ``overhead + max(compute, memory)`` roofline
         term of one instruction, and the output allocation is accounted
-        as ``cpu/bytes_allocated``.
+        as ``cpu/bytes_allocated``.  ``flops`` and ``nbytes`` (inputs +
+        output) are the charge's static inputs a lowered instruction
+        carries (``compiler/plan.py``); without them they are derived
+        from the values.
         """
         out = kernels.execute(opcode, inputs, attrs)
-        in_shapes = []
-        in_nbytes = 0
-        for v in inputs:
-            in_shapes.append(v.shape)
-            in_nbytes += v.nbytes
-        if not in_shapes:
-            in_shapes = [(1, 1)]
+        if flops is None:
+            in_shapes = []
+            nbytes = out.nbytes
+            for v in inputs:
+                in_shapes.append(v.shape)
+                nbytes += v.nbytes
+            flops = op_flops(opcode, in_shapes or [(1, 1)], out.shape)
         cfg = self.config
-        flops = op_flops(opcode, in_shapes, out.shape)
-        nbytes = out.nbytes + in_nbytes
         t_compute = flops / cfg.flops_per_s
         t_memory = nbytes / cfg.mem_bandwidth_bytes_per_s
         self.clock.advance(

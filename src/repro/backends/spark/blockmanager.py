@@ -88,6 +88,9 @@ class BlockManager:
                         if REGION_SPARK_STORAGE in arbiter
                         else add_storage_region(arbiter, config))
         self._partitions: OrderedDict[tuple[int, int], _CachedPartition] = OrderedDict()
+        #: RDD id -> indices of its partitions in ``_partitions``, so one
+        #: RDD's storage info and unpersist do not scan every partition
+        self._by_rdd: dict[int, set[int]] = {}
         self._tick = 0
         #: RDD id currently being materialized (its partitions are exempt
         #: from eviction, mirroring Spark's unroll-memory protection).
@@ -166,6 +169,15 @@ class BlockManager:
                                 key=key, size=nbytes)
         self._touch(part)
         self._partitions[key] = part
+        self._by_rdd.setdefault(key[0], set()).add(key[1])
+
+    def _forget(self, key: tuple[int, int]) -> _CachedPartition:
+        """Remove one partition from the store and the per-RDD index."""
+        indices = self._by_rdd[key[0]]
+        indices.discard(key[1])
+        if not indices:
+            del self._by_rdd[key[0]]
+        return self._partitions.pop(key)
 
     def get_partition(self, rdd_id: int, index: int,
                       metrics: TaskMetrics) -> Optional[np.ndarray]:
@@ -183,8 +195,8 @@ class BlockManager:
     def drop_rdd(self, rdd_id: int) -> int:
         """Remove every partition of ``rdd_id`` (unpersist); returns bytes freed."""
         freed = 0
-        for key in [k for k in self._partitions if k[0] == rdd_id]:
-            part = self._partitions.pop(key)
+        for index in list(self._by_rdd.get(rdd_id, ())):
+            part = self._forget((rdd_id, index))
             if not part.on_disk:
                 self._region.release(part.nbytes)
                 freed += part.nbytes
@@ -192,19 +204,18 @@ class BlockManager:
 
     def rdd_storage_info(self, rdd_id: int, num_partitions: int) -> dict:
         """Spark's ``getRDDStorageInfo``: materialization status and sizes."""
-        cached = [k for k in self._partitions if k[0] == rdd_id]
-        mem_bytes = sum(
-            self._partitions[k].nbytes for k in cached
-            if not self._partitions[k].on_disk
-        )
-        disk_bytes = sum(
-            self._partitions[k].nbytes for k in cached
-            if self._partitions[k].on_disk
-        )
+        indices = self._by_rdd.get(rdd_id, ())
+        mem_bytes = disk_bytes = 0
+        for index in indices:
+            part = self._partitions[(rdd_id, index)]
+            if part.on_disk:
+                disk_bytes += part.nbytes
+            else:
+                mem_bytes += part.nbytes
         return {
-            "num_cached_partitions": len(cached),
+            "num_cached_partitions": len(indices),
             "num_partitions": num_partitions,
-            "fully_cached": len(cached) >= num_partitions > 0,
+            "fully_cached": len(indices) >= num_partitions > 0,
             "memory_bytes": mem_bytes,
             "disk_bytes": disk_bytes,
         }
@@ -233,7 +244,7 @@ class BlockManager:
                                       rdd=victim_key[0])
             self._trace(EV_SPARK_PART_SPILL, victim_key, victim.nbytes)
         else:
-            del self._partitions[victim_key]
+            self._forget(victim_key)
             self._stats.inc(SPARK_PART_EVICTED)
             self._trace(EV_SPARK_PART_EVICT, victim_key, victim.nbytes)
 
@@ -269,7 +280,7 @@ class BlockManager:
             if key[1] % num_executors == executor_id
         ]
         for key in lost:
-            part = self._partitions.pop(key)
+            part = self._forget(key)
             if not part.on_disk:
                 self._region.release(part.nbytes)
             self._trace(EV_SPARK_PART_EVICT, key, part.nbytes)

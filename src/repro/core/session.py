@@ -45,6 +45,13 @@ from repro.common.stats import (
 )
 from repro.compiler.ir import KIND_OP, Hop, data_hop, literal_hop
 from repro.compiler.linearize import depth_first, max_parallelize
+from repro.compiler.plan import (
+    BlockPlan,
+    BlockShape,
+    CompiledBlock,
+    PlanMemo,
+    lower,
+)
 from repro.compiler.rewrites.async_ops import (
     consumers_map,
     place_broadcast,
@@ -165,6 +172,8 @@ class Session:
         self._datasets: dict[str, Union[np.ndarray, float]] = {}
         self._seed_counter = 10_000_000
         self._last_loop_name: Optional[str] = None
+        #: block shape -> compile plan (``compiler/plan.py``)
+        self._plans = PlanMemo()
 
     # the tiers, built on first read (the interpreter reads them from
     # ``tiers`` directly)
@@ -314,16 +323,26 @@ class Session:
         Rewrites (CSE, placement, transpose fusion, checkpoint/prefetch/
         broadcast placement) and linearization, shared verbatim between
         :meth:`evaluate` and :meth:`explain` so a plan dump shows exactly
-        what would execute.  Returns ``(roots, root_hops, order, extra)``
-        or ``None`` when nothing is pending.
+        what would execute.  The CSE walk also keys the block's shape: a
+        shape this session has compiled twice replays its recorded plan
+        instead of running the passes after CSE (``compiler/plan.py``).
+        Returns a :class:`~repro.compiler.plan.CompiledBlock`, the tuple
+        ``(roots, root_hops, order, extra)`` carrying the lowered
+        ``program``, or ``None`` when nothing is pending.
         """
         roots = [h for h in handles if h.hop.kind == KIND_OP]
         if not roots:
             return None
-        root_hops = [h.hop for h in roots]
-        root_hops, extra = eliminate_common_subexpressions(root_hops)
+        shape = BlockShape()
+        root_hops, extra = eliminate_common_subexpressions(
+            [h.hop for h in roots], shape)
         for handle, hop in zip(roots, root_hops):
             handle.hop = hop
+        key = shape.key(self.config)
+        found = self._plans.get(key)
+        if found.__class__ is BlockPlan:
+            return CompiledBlock(roots, root_hops, found.replay(shape.hops),
+                                 extra, found.program)
         # one traversal serves the whole pipeline below: after CSE the
         # DAG structure is frozen (placement and the rewrites only set
         # per-hop flags), so each pass re-walking the DAG was pure
@@ -342,7 +361,9 @@ class Session:
             order = max_parallelize(root_hops, nodes)
         else:
             order = nodes
-        return roots, root_hops, order, extra
+        program = lower(order)
+        self._plans.note(key, found, shape.hops, order, program)
+        return CompiledBlock(roots, root_hops, order, extra, program)
 
     def _activate(self) -> None:
         """Make this session the shared cache's active scope (no-op when
@@ -398,11 +419,10 @@ class Session:
                 collector=self.ir_collector, plan=plan,
             )
         try:
-            env = self.interpreter.run(order)
-            for hop in order:
+            slots = self.interpreter.run(order, compiled.program)
+            for hop, slot in zip(order, slots):
                 if hop.kind != KIND_OP:
                     continue
-                slot = env[hop.id]
                 if slot.fused_from is not None:
                     continue
                 handle = hop.handle

@@ -14,11 +14,15 @@ parallelize, H2D/D2H), asynchronous prefetch futures, checkpoint
 persisting, and GPU pointer lifetimes.
 
 Stage map (MEMPHIS paper section -> code).  The loop is written once,
-in :meth:`Interpreter.run`; the stages it sequences are:
+in :meth:`Interpreter.run`, over the block's *lowered* program
+(:func:`repro.compiler.plan.lower`, compiled once per block shape): per
+op, the input-slot positions, the lineage attribute tuple, the PUT cost
+and the CP roofline's FLOPs and bytes.  The stages it sequences are:
 
 * **TRACE** (§3.2, fine-grained lineage): inline in the loop — interned
-  lineage-item construction plus the per-instruction tracing overhead
-  charge the paper measures in Fig. 2(c).
+  lineage-item construction (inputs read from the slot list by
+  position) plus the per-instruction tracing overhead charge the paper
+  measures in Fig. 2(c).
 * **REUSE** (§4.1, probe + multi-backend hit application): the probe
   is inline (``cache.probe`` after the probe-overhead charge); a hit is
   bound by :meth:`Interpreter._apply_reuse`.
@@ -26,7 +30,7 @@ in :meth:`Interpreter.run`; the stages it sequences are:
   ``_exec_spark`` plus the exchange helpers (``_to_cp`` et al.)
   implementing the paper's collect/broadcast/H2D/D2H edges.
 * **PUT** (§4.2, admission with delayed caching):
-  :meth:`Interpreter._put`.
+  :meth:`Interpreter._put`, at the instruction's static cost.
 * Async rewrites (§5.1): ``_issue_prefetch`` / ``_issue_broadcast``;
   checkpoints (§5.2): ``_persist_checkpoint``.
 
@@ -60,7 +64,7 @@ from repro.common.stats import (
     SPARK_ACTION_REUSE,
 )
 from repro.faults.plan import KIND_CACHE_LOST
-from repro.compiler.ir import KIND_DATA, KIND_LITERAL, Hop
+from repro.compiler.ir import KIND_LITERAL, Hop
 from repro.core.entry import (
     BACKEND_CP,
     BACKEND_GPU,
@@ -109,29 +113,6 @@ class Slot:
         self.fused_from: Optional["Slot"] = None
 
 
-def _attr_data(attrs: dict) -> tuple:
-    """Flatten attributes into a deterministic lineage data tuple.
-
-    NaN floats are encoded as a sentinel string: Python hashes NaN by
-    object identity and ``nan != nan``, which would make structurally
-    identical lineage items unequal (breaking all reuse of e.g.
-    ``replace(NaN, v)``).
-    """
-    if not attrs:
-        return ()
-    out: list = []
-    for key in sorted(attrs):
-        out.append(key)
-        value = attrs[key]
-        if isinstance(value, float) and value != value:
-            out.append("__nan__")
-        elif isinstance(value, (int, float, bool, str)):
-            out.append(value)
-        else:
-            out.append(str(value))
-    return tuple(out)
-
-
 class Interpreter:
     """Executes compiled hop streams inside a session.
 
@@ -170,17 +151,21 @@ class Interpreter:
 
     # ------------------------------------------------------------------ top level
 
-    def run(self, order: list[Hop]) -> dict[int, Slot]:
-        """Execute a linearized instruction stream; returns hop id -> slot.
+    def run(self, order: list[Hop], program: tuple) -> list[Slot]:
+        """Execute a linearized block; returns one slot per ``order`` entry.
 
         This is the one definition of the paper's main loop (Fig. 4):
         per instruction TRACE, REUSE probe and, on a miss, EXECUTE, the
         compiler-placed checkpoint / prefetch / broadcast, and PUT.
-        Everything fixed for a run — which observability layers are
-        live, what the :class:`ReuseMode` probes and puts, the config
-        overheads, the stage callables — is read into locals before the
-        loop, so a layer that is off costs one test of a local boolean
-        per instruction.  The stage callables are looked up on ``self``
+        ``program`` is the block's lowered form
+        (:func:`repro.compiler.plan.lower`), aligned with ``order``: an
+        op's input slots are read by position, its lineage attributes
+        and static costs come ready-made.  Everything fixed for a run —
+        which observability layers are live, what the
+        :class:`ReuseMode` probes and puts, the config overheads, the
+        stage callables — is read into locals before the loop, so a
+        layer that is off costs one test of a local boolean per
+        instruction.  The stage callables are looked up on ``self``
         here, per run, so instance-level wrappers installed after
         construction are honoured.
 
@@ -191,7 +176,8 @@ class Interpreter:
         the execution references, moving unreferenced pointers to the
         Free list (Fig. 8(b)).
         """
-        env: dict[int, Slot] = {}
+        slots: list[Slot] = []
+        add = slots.append
         acquired: list[GpuData] = []
         self._acquired_stack.append(acquired)
 
@@ -224,95 +210,93 @@ class Interpreter:
         apply_reuse = self._apply_reuse
         put = self._put
 
-        for hop in order:
-            kind = hop.kind
-            if kind == KIND_LITERAL:
-                slot = Slot(literal(hop.value))
-                slot.payloads[BACKEND_CP] = ScalarValue(hop.value)
-            elif kind == KIND_DATA:
-                slot = data_slot(hop)
-            else:
-                # TRACE (§3.2): items are interned, so a re-traced
-                # instruction gets the canonical object and probes compare
-                # by identity; with lineage active, the per-instruction
-                # overhead of Fig. 2(c) is charged
-                in_slots = [env[h.id] for h in hop.inputs]
-                attrs = hop.attrs
-                item = intern(
-                    hop.opcode,
-                    _attr_data(attrs) if attrs else (),
-                    tuple(s.lineage for s in in_slots),
-                )
-                if trace_on:
-                    clock.advance(trace_overhead, HOST)
-                    stats.inc(LINEAGE_TRACED)
-                slot = Slot(item)
-                if hop.fused:
-                    # transpose fused into tsmm/cpmm: pass through the input
-                    slot.fused_from = in_slots[0]
+        for hop, instr in zip(order, program):
+            if instr is None:
+                if hop.kind == KIND_LITERAL:
+                    slot = Slot(literal(hop.value))
+                    slot.payloads[BACKEND_CP] = ScalarValue(hop.value)
                 else:
-                    # fault-injection draw point: each op instruction may
-                    # lose cached intermediates, exercising
-                    # recompute-from-lineage downstream
-                    if fault_draws:
-                        faults.lost_cache_entries(tiers)
-                    # the instruction span covers REUSE + EXECUTE + PUT on
-                    # the driver lane, so every cache/backend event emitted
-                    # underneath carries this instruction's label
-                    # (opcode#hop) for attribution.  Entered by hand, not
-                    # with ``with``: an untraced instruction must pay one
-                    # boolean test, not a null context manager's calls
-                    span = None
-                    if tracing:
-                        # gauge sampling rides on the tracer: reads
-                        # ledgers and counters every SAMPLE_EVERY traced
-                        # instructions, never advances the sim clock
-                        until_sample -= 1
-                        if not until_sample:
-                            until_sample = SAMPLE_EVERY
-                            sample_gauges(self)
-                        span = tracer.span(
-                            EV_INSTR, LANE_CP, opcode=hop.opcode,
-                            hop=hop.id, backend=hop.placement or BACKEND_CP,
-                            lineage=item.id)
-                        span.__enter__()
-                    try:
-                        # REUSE probe (LIMA traces and reuses only local
-                        # CPU instructions in LOCAL_ONLY mode)
-                        entry = None
-                        placement = hop.placement
-                        if probe_on and (
-                                not local_only or placement == BACKEND_CP):
-                            clock.advance(probe_overhead, HOST)
-                            entry = cache_probe(item)
-                        if entry is not None:
-                            apply_reuse(hop, slot, entry)
-                        else:
-                            # EXECUTE
-                            backend = placement or BACKEND_CP
-                            if backend == BACKEND_CP:
-                                exec_cpu(hop, slot, in_slots)
-                            elif backend == BACKEND_SP:
-                                exec_spark(hop, slot, in_slots)
-                            else:
-                                exec_gpu(hop, slot, in_slots, acquired)
-                            payloads = slot.payloads
-                            # compiler-placed RDD checkpoint (§5.2)
-                            if hop.checkpoint and BACKEND_SP in payloads:
-                                self._persist_checkpoint(payloads[BACKEND_SP])
-                            # asynchronous prefetch / broadcast (§5.1)
-                            if hop.prefetch and enable_async:
-                                self._issue_prefetch(hop, slot)
-                            if hop.async_broadcast and BACKEND_CP in payloads:
-                                self._issue_broadcast(slot)
-                            # PUT
-                            if put_on:
-                                put(hop, slot)
-                    finally:
-                        if span is not None:
-                            span.__exit__(None, None, None)
-            env[hop.id] = slot
-        return env
+                    slot = data_slot(hop)
+                add(slot)
+                continue
+            # TRACE (§3.2): items are interned, so a re-traced
+            # instruction gets the canonical object and probes compare
+            # by identity; with lineage active, the per-instruction
+            # overhead of Fig. 2(c) is charged
+            inputs, attrs, cost, cp_flops, cp_nbytes = instr
+            in_slots = [slots[i] for i in inputs]
+            item = intern(hop.opcode, attrs,
+                          tuple([s.lineage for s in in_slots]))
+            if trace_on:
+                clock.advance(trace_overhead, HOST)
+                stats.inc(LINEAGE_TRACED)
+            slot = Slot(item)
+            add(slot)
+            if hop.fused:
+                # transpose fused into tsmm/cpmm: pass through the input
+                slot.fused_from = in_slots[0]
+                continue
+            # fault-injection draw point: each op instruction may lose
+            # cached intermediates, exercising recompute-from-lineage
+            # downstream
+            if fault_draws:
+                faults.lost_cache_entries(tiers)
+            # the instruction span covers REUSE + EXECUTE + PUT on the
+            # driver lane, so every cache/backend event emitted underneath
+            # carries this instruction's label (opcode#hop) for
+            # attribution.  Entered by hand, not with ``with``: an
+            # untraced instruction must pay one boolean test, not a null
+            # context manager's calls
+            span = None
+            if tracing:
+                # gauge sampling rides on the tracer: reads ledgers and
+                # counters every SAMPLE_EVERY traced instructions, never
+                # advances the sim clock
+                until_sample -= 1
+                if not until_sample:
+                    until_sample = SAMPLE_EVERY
+                    sample_gauges(self)
+                span = tracer.span(
+                    EV_INSTR, LANE_CP, opcode=hop.opcode,
+                    hop=hop.id, backend=hop.placement or BACKEND_CP,
+                    lineage=item.id)
+                span.__enter__()
+            try:
+                # REUSE probe (LIMA traces and reuses only local CPU
+                # instructions in LOCAL_ONLY mode)
+                entry = None
+                placement = hop.placement
+                if probe_on and (
+                        not local_only or placement == BACKEND_CP):
+                    clock.advance(probe_overhead, HOST)
+                    entry = cache_probe(item)
+                if entry is not None:
+                    apply_reuse(hop, slot, entry)
+                    continue
+                # EXECUTE
+                backend = placement or BACKEND_CP
+                if backend == BACKEND_CP:
+                    exec_cpu(hop, slot, in_slots, cp_flops, cp_nbytes)
+                elif backend == BACKEND_SP:
+                    exec_spark(hop, slot, in_slots)
+                else:
+                    exec_gpu(hop, slot, in_slots, acquired)
+                payloads = slot.payloads
+                # compiler-placed RDD checkpoint (§5.2)
+                if hop.checkpoint and BACKEND_SP in payloads:
+                    self._persist_checkpoint(payloads[BACKEND_SP])
+                # asynchronous prefetch / broadcast (§5.1)
+                if hop.prefetch and enable_async:
+                    self._issue_prefetch(hop, slot)
+                if hop.async_broadcast and BACKEND_CP in payloads:
+                    self._issue_broadcast(slot)
+                # PUT
+                if put_on:
+                    put(hop, slot, cost)
+            finally:
+                if span is not None:
+                    span.__exit__(None, None, None)
+        return slots
 
     def release_acquired(self) -> None:
         """Drop the execution references on all GPU pointers of this run."""
@@ -344,19 +328,19 @@ class Interpreter:
             self.stats.inc(SPARK_ACTION_REUSE)
         self.stats.inc(INSTRUCTIONS_SKIPPED)
 
-    def _put(self, hop: Hop, slot: Slot) -> None:
+    def _put(self, hop: Hop, slot: Slot, cost: float) -> None:
         """PUT stage (§4.2): offer every backend payload to the cache.
 
-        Admission is the cache's call (delayed caching / compensation
-        weights); LOCAL_ONLY mode (the LIMA baseline) stores only
-        driver-local values and skips the multi-backend entries.
+        ``cost`` is the lowered instruction's ``hop.flops``.  Admission
+        is the cache's call (delayed caching / compensation weights);
+        LOCAL_ONLY mode (the LIMA baseline) stores only driver-local
+        values and skips the multi-backend entries.
         """
         mode = self.config.reuse_mode
         if mode is ReuseMode.LOCAL_ONLY and hop.placement != BACKEND_CP:
             return
         item = slot.lineage
         delay = self.delay_factor
-        cost = hop.flops
         if BACKEND_CP in slot.payloads:
             value: Value = slot.payloads[BACKEND_CP]
             self.cache.put(item, value, BACKEND_CP, value.nbytes, cost,
@@ -516,12 +500,15 @@ class Interpreter:
 
     # -------------------------------------------------------------------- CPU / GPU
 
-    def _exec_cpu(self, hop: Hop, slot: Slot, in_slots: list[Slot]) -> None:
+    def _exec_cpu(self, hop: Hop, slot: Slot, in_slots: list[Slot],
+                  flops: float, nbytes: int) -> None:
         """EXECUTE on the driver (Table 2, CP operators).
 
         Inputs are materialized driver-side first (collect / D2H /
         future wait), so a CP instruction doubles as the paper's
         synchronization point for asynchronous Spark/GPU producers.
+        ``flops`` and ``nbytes`` are the lowered instruction's roofline
+        inputs.
         """
         values = []
         append = values.append
@@ -534,7 +521,7 @@ class Interpreter:
                     append(v)
                     continue
             append(self._to_cp(s))
-        out = self.cpu.execute(hop.opcode, values, hop.attrs)
+        out = self.cpu.execute(hop.opcode, values, hop.attrs, flops, nbytes)
         slot.payloads[BACKEND_CP] = out
 
     def _exec_gpu(self, hop: Hop, slot: Slot, in_slots: list[Slot],

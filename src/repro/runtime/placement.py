@@ -104,12 +104,12 @@ def assign_placements(roots: list[Hop], config: MemphisConfig,
             hop.placement = BACKEND_CP
             continue
         if hop.kind == KIND_DATA:
-            hop.placement = _data_location(hop)
+            hop.placement = data_location(hop)
             continue
         hop.placement = _place_op(hop, config, op_mem)
 
 
-def _data_location(hop: Hop) -> str:
+def data_location(hop: Hop) -> str:
     """Where a data hop's payload already lives (locality, §2.1).
 
     Iteratively updated variables carry materialized payloads from the

@@ -352,3 +352,67 @@ class TestAutoTuning:
         ])
         out = tune_program(root)
         assert set(out) == {"main", "inner"}
+
+
+class TestBenchSeams:
+    """The contract ``bench/tracing.py`` relies on: it times CSE,
+    placement and linearization by wrapping these names in
+    ``repro.core.session``, and reads ``_compile(...)[2]`` as the
+    block's instruction order."""
+
+    PASSES = ("eliminate_common_subexpressions", "assign_placements",
+              "depth_first", "max_parallelize")
+
+    def _session(self):
+        import numpy as np
+
+        from repro.core.session import Session
+
+        sess = Session(MemphisConfig.memphis())
+        return sess, sess.read(np.ones((20, 4)), "X")
+
+    def test_session_module_exposes_the_pass_names(self):
+        import repro.core.session as session_mod
+
+        for name in self.PASSES:
+            assert callable(getattr(session_mod, name)), name
+
+    def test_a_miss_calls_each_pass_through_the_session_module(
+            self, monkeypatch):
+        import repro.core.session as session_mod
+
+        calls = []
+        for name in self.PASSES:
+            real = getattr(session_mod, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(session_mod, name, counted)
+        sess, X = self._session()
+        (X.t() @ X).compute()
+        assert set(calls) == set(self.PASSES)
+
+    def test_compile_index_2_is_the_executed_order(self):
+        sess, X = self._session()
+        compiled, ran = [], []
+        compile_block, run = sess._compile, sess.interpreter.run
+
+        def recording_compile(handles):
+            compiled.append(compile_block(handles))
+            return compiled[-1]
+
+        def recording_run(order, *args):
+            ran.append(order)
+            return run(order, *args)
+
+        sess._compile = recording_compile
+        sess.interpreter.run = recording_run
+        for i in range(3):  # two misses, then a memo hit
+            (X.t() @ X + float(i)).compute()
+        assert len(compiled) == len(ran) == 3
+        for block, order in zip(compiled, ran):
+            assert block[2] is order
+            assert len(block) == 4
+            assert all(isinstance(hop, Hop) for hop in order)

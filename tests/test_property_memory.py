@@ -254,12 +254,32 @@ class BlockManagerMachine(RuleBasedStateMachine):
     def never_over_capacity(self):
         assert self.bm.memory_used <= self.bm.capacity
 
+    @rule()
+    def lose_executor(self):
+        self.bm.drop_executor(0, 1)
+
     @invariant()
     def accounting_matches_partitions(self):
         actual = sum(
             p.nbytes for p in self.bm._partitions.values() if not p.on_disk
         )
         assert self.bm.memory_used == actual
+
+    @invariant()
+    def rdd_index_matches_partitions(self):
+        by_rdd = {}
+        for rdd_id, index in self.bm._partitions:
+            by_rdd.setdefault(rdd_id, set()).add(index)
+        assert self.bm._by_rdd == by_rdd
+        for rdd_id in range(1, self.next_rdd):
+            parts = [p for (r, _), p in self.bm._partitions.items()
+                     if r == rdd_id]
+            info = self.bm.rdd_storage_info(rdd_id, 4)
+            assert info["num_cached_partitions"] == len(parts)
+            assert info["memory_bytes"] == sum(
+                p.nbytes for p in parts if not p.on_disk)
+            assert info["disk_bytes"] == sum(
+                p.nbytes for p in parts if p.on_disk)
 
 
 TestBlockManagerStateful = BlockManagerMachine.TestCase
