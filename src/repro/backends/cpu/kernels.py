@@ -317,26 +317,33 @@ def _conv_shapes(attrs):
     return n, c, h, w, k, r, s, stride, pad, hout, wout
 
 
+def _windows(x, pad, fill, hout, wout, r, s, stride):
+    """The ``(N, C, Hout, Wout, R, S)`` window view of NCHW ``x`` padded
+    by ``pad`` cells of ``fill`` (into one C-contiguous buffer, which the
+    ``np.ndarray`` constructor needs, so a strided ``x`` is copied too)."""
+    n, c, h, w = x.shape
+    if pad or not x.flags.c_contiguous:
+        shape = (n, c, h + 2 * pad, w + 2 * pad)
+        buf = np.zeros(shape, x.dtype) if fill == 0 \
+            else np.full(shape, fill, x.dtype)
+        buf[:, :, pad:pad + h, pad:pad + w] = x
+        x = buf
+    s0, s1, s2, s3 = x.strides
+    return np.ndarray((n, c, hout, wout, r, s), x.dtype, x, 0,
+                      (s0, s1, s2 * stride, s3 * stride, s2, s3))
+
+
 @kernel("conv2d")
 def _conv2d(inputs, attrs):
     """2-D convolution on linearized NCHW matrices (SystemDS layout).
 
     ``inputs[0]``: N x (C*H*W) image matrix; ``inputs[1]``: K x (C*R*S)
-    filter matrix.  Output: N x (K*Hout*Wout).
+    filter matrix.  Output: N x (K*Hout*Wout), one im2col GEMM.
     """
     n, c, h, w, k, r, s, stride, pad, hout, wout = _conv_shapes(attrs)
     x = as_matrix(inputs[0]).reshape(n, c, h, w)
     f = as_matrix(inputs[1]).reshape(k, c * r * s)
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    # im2col via stride tricks
-    shape = (n, c, hout, wout, r, s)
-    strides = (
-        x.strides[0], x.strides[1],
-        x.strides[2] * stride, x.strides[3] * stride,
-        x.strides[2], x.strides[3],
-    )
-    cols = np.lib.stride_tricks.as_strided(x, shape, strides)
+    cols = _windows(x, pad, 0.0, hout, wout, r, s, stride)
     cols = cols.transpose(0, 2, 3, 1, 4, 5).reshape(n * hout * wout, c * r * s)
     out = cols @ f.T  # (N*Hout*Wout) x K
     out = out.reshape(n, hout, wout, k).transpose(0, 3, 1, 2)
@@ -350,17 +357,7 @@ def _maxpool(inputs, attrs):
         {**attrs, "K": attrs.get("K", attrs["C"])}
     )
     x = as_matrix(inputs[0]).reshape(n, c, h, w)
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                   constant_values=-np.inf)
-    shape = (n, c, hout, wout, r, s)
-    strides = (
-        x.strides[0], x.strides[1],
-        x.strides[2] * stride, x.strides[3] * stride,
-        x.strides[2], x.strides[3],
-    )
-    windows = np.lib.stride_tricks.as_strided(x, shape, strides)
-    out = windows.max(axis=(4, 5))
+    out = _windows(x, pad, -np.inf, hout, wout, r, s, stride).max(axis=(4, 5))
     return MatrixValue(out.reshape(n, c * hout * wout))
 
 

@@ -91,12 +91,14 @@ class GpuBackend:
     # -- execution -----------------------------------------------------------
 
     def execute(self, opcode: str, inputs: list[object], attrs: dict,
-                lineage_height: int = 1) -> object:
+                lineage_height: int = 1,
+                flops: float | None = None) -> object:
         """Run one instruction on the device.
 
         ``inputs`` may mix :class:`GpuData` and host scalars; the result is
         a :class:`GpuData` (or a :class:`ScalarValue` for full aggregates,
-        which implies a device-to-host transfer of the scalar).
+        which implies a device-to-host transfer of the scalar).  ``flops``
+        is the lowered instruction's; ``None`` derives it from the values.
         """
         host_inputs: list[Value] = []
         touched = 0
@@ -108,8 +110,9 @@ class GpuBackend:
             else:
                 host_inputs.append(item)
         out = kernels.execute(opcode, host_inputs, attrs)
-        in_shapes = [v.shape for v in host_inputs] or [(1, 1)]
-        flops = op_flops(opcode, in_shapes, out.shape)
+        if flops is None:
+            in_shapes = [v.shape for v in host_inputs] or [(1, 1)]
+            flops = op_flops(opcode, in_shapes, out.shape)
 
         if isinstance(out, ScalarValue):
             # scalar aggregate: kernel + implicit tiny D2H (sync barrier)

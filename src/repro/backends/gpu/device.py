@@ -10,7 +10,7 @@ paper's recycling design (§2.3, §4.2).
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect
 from typing import Optional
 
 from repro.common.config import GpuConfig
@@ -91,6 +91,8 @@ class GpuDevice:
         if size <= 0:
             raise GpuError(f"invalid allocation size {size}")
         size = align(size, self.config.alignment)
+        if self._largest is not None and size > self._largest:
+            return None
         for i, (offset, hole) in enumerate(self._free):
             if hole >= size:
                 if hole == self._largest:
@@ -104,13 +106,27 @@ class GpuDevice:
         return None
 
     def free(self, offset: int) -> int:
-        """Release an allocation, coalescing adjacent holes; returns size."""
+        """Release an allocation, coalescing adjacent holes; returns size.
+
+        Holes are never adjacent, so only the freed block's two
+        neighbours can merge with it.
+        """
         size = self._allocated.pop(offset, None)
         if size is None:
             raise GpuError(f"double free or invalid offset {offset}")
-        insort(self._free, (offset, size))
-        self._coalesce()
-        self._largest = None
+        holes = self._free
+        i = bisect(holes, (offset, size))
+        start, end = offset, offset + size
+        if i < len(holes) and holes[i][0] == end:
+            end += holes.pop(i)[1]
+        if i and holes[i - 1][0] + holes[i - 1][1] == start:
+            i -= 1
+            start = holes[i][0]
+            holes[i] = (start, end - start)
+        else:
+            holes.insert(i, (start, end - start))
+        if self._largest is not None and end - start > self._largest:
+            self._largest = end - start
         return size
 
     def defragment(self) -> int:
@@ -136,13 +152,3 @@ class GpuDevice:
         )
         self._largest = None
         return moved
-
-    def _coalesce(self) -> None:
-        merged: list[tuple[int, int]] = []
-        for offset, size in self._free:
-            if merged and merged[-1][0] + merged[-1][1] == offset:
-                prev_off, prev_size = merged[-1]
-                merged[-1] = (prev_off, prev_size + size)
-            else:
-                merged.append((offset, size))
-        self._free = merged

@@ -32,7 +32,9 @@ victim query therefore scores each class's top, never every pointer.
   score exactly the class minimum.  Equal stamps tie and already pop in
   release order, so only the first pointer stamped later than the top
   is scored against it; if it ties too (a float tie between distinct
-  stamps, or LRC's constant score) the class is scanned.
+  stamps, or LRC's constant score) the class is scanned.  Only a class
+  whose lowest score is the scope's minimum can hold the victim, so a
+  query scores each class once, plus that runner-up in those classes.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ _SLACK = 8
 
 def _seq(rec: tuple) -> int:
     return rec[1]
+
+
+def _top_seq(top: tuple) -> int:
+    return top[0][1]
 
 
 def _live(rec: tuple) -> bool:
@@ -64,16 +70,22 @@ class FreeClass:
         self.heap: list[tuple] = []
         self.members = 0
 
-    def top(self, score: Callable) -> tuple:
-        """The record the scan would pick among this class's pointers."""
+    def first(self) -> tuple:
+        """The live record with the least stamp (the earliest released
+        among equal stamps): the class's lowest score."""
         heap = self.heap
         while not _live(heap[0]):
             heappop(heap)
-        first = heap[0]
+        return heap[0]
+
+    def top(self, first: tuple, best: float, score: Callable) -> tuple:
+        """The record the scan would pick among this class's pointers,
+        ``first`` scoring ``best``."""
         if self.members == 1:
             return first
         # equal stamps score equal and already sit in release order: the
         # runner-up that matters is the first live record stamped later
+        heap = self.heap
         aside = []
         while heap and (heap[0][0] == first[0] or not _live(heap[0])):
             rec = heappop(heap)
@@ -82,10 +94,7 @@ class FreeClass:
         runner_up = heap[0] if heap else None
         for rec in aside:
             heappush(heap, rec)
-        if runner_up is None:
-            return first
-        best = score(first[3])
-        if score(runner_up[3]) != best:
+        if runner_up is None or score(runner_up[3]) != best:
             return first  # scores only rise from here on
         return min((rec for rec in heap
                     if _live(rec) and score(rec[3]) == best), key=_seq)
@@ -160,15 +169,23 @@ class FreeList:
             heapify(heap)
 
     @staticmethod
-    def tops(groups: list[list[FreeClass]], score: Callable) -> list:
+    def tops(groups: list[list[FreeClass]], score: Callable) -> dict:
         """The class tops of ``groups`` (the classes of one scope, size by
-        size in ``pools`` order), in the order the scan visited them."""
-        out = []
-        for classes in groups:
-            recs = [cls.top(score) for cls in classes]
+        size in ``pools`` order), in the order the scan visited them,
+        each mapped to its score; a class above the scope's minimum
+        hands over its first record unchecked for ties."""
+        scored = [[(cls, rec, score(rec[3]))
+                   for cls in classes for rec in (cls.first(),)]
+                  for classes in groups]
+        low = min(best for found in scored for _, _, best in found)
+        out = {}
+        for found in scored:
+            recs = [(cls.top(rec, best, score) if best == low else rec, best)
+                    for cls, rec, best in found]
             if len(recs) > 1:
-                recs.sort(key=_seq)
-            out.extend(rec[3] for rec in recs)
+                recs.sort(key=_top_seq)
+            for rec, best in recs:
+                out[rec[3]] = best
         return out
 
     def pointers(self) -> list:

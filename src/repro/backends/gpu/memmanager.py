@@ -15,7 +15,9 @@ Implements the paper's §4.2 design (Fig. 8, Algorithm 1):
   flush all free pointers → defragmentation.  The paper's
   device-to-host eviction step is not on that path:
   :meth:`GpuMemoryManager.evict_to_host` exists (with its holistic
-  residency check) but no allocation step calls it;
+  residency check) but no allocation step calls it.  Nor is a host
+  garbage collection: pointers reach the Free list by reference
+  counting, when their last handle or block lets go;
 * the eviction score (Eq. 2) ``T_a(o) + 1/h(o) + c(o)`` decides who
   leaves so recently-reused, short-lineage, expensive pointers survive;
   the scoring itself lives in ``core/policies.py`` (``score_pointer``)
@@ -110,8 +112,9 @@ class GpuMemoryManager:
                         else add_gpu_region(arbiter, device.config))
         self.policy = self._region.policy
         self.mode = mode
-        #: called before a free pointer's contents are destroyed, so the
-        #: lineage cache can drop or host-save the entry backed by it.
+        #: called before a cached free pointer's contents are destroyed,
+        #: so the lineage cache can drop or host-save the entry backed by
+        #: it (an uncached pointer backs none).
         self.on_invalidate = on_invalidate or (lambda ptr: None)
         #: pointer-id allocator (the owning session's id space; default:
         #: the current runtime context's).
@@ -119,7 +122,6 @@ class GpuMemoryManager:
                          else current_runtime().ids).pointer
         self.live: dict[int, GpuPointer] = {}
         self.free = FreeList()
-        self._allocs_since_gc = 0
 
     # -- configuration helpers ------------------------------------------------
 
@@ -190,7 +192,6 @@ class GpuMemoryManager:
             offset = self._alloc_with_eviction(size)
         elif offset is None and self.mode == MODE_POOL:
             # PyTorch frees its cached blocks on allocation failure
-            self._maybe_collect_garbage()
             self._flush_free_lists()
             offset = self._cuda_malloc(size)
         if offset is None:
@@ -300,7 +301,8 @@ class GpuMemoryManager:
             scope = classes
         victim = self._victim([scope])
         self.free.remove(victim)
-        self.on_invalidate(victim)
+        if victim.cached:  # an uncached pointer backs no cache entry
+            self.on_invalidate(victim)
         # reuse the allocation in place: same offset, new identity
         ptr = GpuPointer(next(self._ptr_ids), victim.offset, victim.size,
                          shape)
@@ -315,16 +317,15 @@ class GpuMemoryManager:
         return ptr
 
     def _alloc_with_eviction(self, size: int) -> Optional[int]:
-        """Steps 2-5 of Algorithm 1 after a failed first malloc (there is
-        no device-to-host eviction step; see :meth:`evict_to_host`)."""
-        # under memory pressure, collect host garbage so pending pointer
-        # releases reach the Free lists (SystemDS triggers JVM GC in the
-        # same situation); rate-limited because full collections over a
-        # large host heap are expensive
-        if self._maybe_collect_garbage():
-            offset = self._cuda_malloc(size)
-            if offset is not None:
-                return offset
+        """Steps 2-5 of Algorithm 1 after a failed first malloc: free a
+        just-larger pointer, free pointers until malloc succeeds, flush
+        every free pointer, defragment.
+
+        There is no device-to-host eviction step (see
+        :meth:`evict_to_host`) and no host garbage collection: a pointer
+        reaches the Free list when its last reference is released, which
+        reference counting does promptly (``Session._attach_gpu_finalizer``).
+        """
         # step 2: free a pointer just larger than the required size
         larger = min((s for s in self.free.pools if s > size), default=None)
         if larger is not None:
@@ -351,17 +352,6 @@ class GpuMemoryManager:
         return offset
 
     # -- internals ---------------------------------------------------------------
-
-    def _maybe_collect_garbage(self) -> bool:
-        """Run a host GC at most every 64 pressured allocations."""
-        import gc
-
-        self._allocs_since_gc += 1
-        if self._allocs_since_gc >= 64 or self._allocs_since_gc == 1:
-            gc.collect()
-            self._allocs_since_gc = 1
-            return True
-        return False
 
     def _cuda_malloc(self, size: int) -> Optional[int]:
         offset = self.device.malloc(size)
@@ -393,7 +383,7 @@ class GpuMemoryManager:
     def _destroy_free_pointer(self, ptr: GpuPointer,
                               invalidate: bool = True) -> None:
         self.free.remove(ptr)
-        if invalidate:
+        if invalidate and ptr.cached:
             self.on_invalidate(ptr)
         self._cuda_free(ptr)
 
@@ -434,13 +424,14 @@ class GpuMemoryManager:
 
     def _victim(self, groups: list[list[FreeClass]]) -> Optional[GpuPointer]:
         """The arbiter's pick among the tops of one scope's classes
-        (``groups``: the classes size by size, in ``pools`` order)."""
+        (``groups``: the classes size by size, in ``pools`` order), each
+        top scored once."""
         if not groups:
             return None
-        score = self._pointer_score(
-            max(cls.cost for classes in groups for cls in classes))
-        return self.arbiter.select_victim(
-            REGION_GPU, FreeList.tops(groups, score), score=score)
+        scores = FreeList.tops(groups, self._pointer_score(
+            max(cls.cost for classes in groups for cls in classes)))
+        return self.arbiter.select_victim(REGION_GPU, list(scores),
+                                          score=scores.__getitem__)
 
     def _pop_victim(self, size: int) -> GpuPointer:
         """Remove and return the minimum-score free pointer of ``size``."""

@@ -258,6 +258,8 @@ class LineageCache:
             # was charged, before ``put_payload`` can grow ``size``
             self._disk_region.release(entry.size)
             entry.drop_payload(BACKEND_DISK)
+        if backend == BACKEND_GPU:
+            self._forget_gpu_pointer(entry)  # a re-put replaces the pointer
         entry.put_payload(backend, payload, size, compute_cost)
         if entry.victim_rec is not VICTIM_DIRTY:
             self.touch(entry)
@@ -479,6 +481,8 @@ class LineageCache:
         if backend == BACKEND_CP and BACKEND_CP in entry.payloads:
             self.evict_cp(entry)
             return
+        if backend == BACKEND_GPU:
+            self._forget_gpu_pointer(entry)
         entry.drop_payload(backend)
         self.stats.inc(CACHE_EVICTIONS)
         if self.tracer.enabled:
@@ -599,9 +603,19 @@ class LineageCache:
         sizes — and the victim index is redundant state that agrees with
         its oracle: every CP-resident entry is reachable in it, and the
         victim it yields *is* the full scan's, for the active scope and
-        for every tenant's quota-shrink view.
+        for every tenant's quota-shrink view.  The GPU pointer index is
+        exactly the entries' GPU payloads, each marked ``cached``: the
+        GPU memory manager skips invalidating an uncached victim.
         """
         entries = list(self._entries.values())
+        gpu = {}
+        for e in entries:
+            ptr = getattr(e.payloads.get(BACKEND_GPU), "ptr", None)
+            if ptr is not None:
+                assert ptr.cached, f"GPU payload {ptr!r} is not marked cached"
+                gpu[ptr.id] = e
+        assert gpu == self._gpu_index, \
+            f"GPU index {sorted(self._gpu_index)} != payloads {sorted(gpu)}"
         cp = self._cp_region
         charged = sum(e.cp_accounted for e in entries)
         assert cp.used == charged, \

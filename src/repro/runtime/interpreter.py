@@ -280,7 +280,7 @@ class Interpreter:
                 elif backend == BACKEND_SP:
                     exec_spark(hop, slot, in_slots)
                 else:
-                    exec_gpu(hop, slot, in_slots, acquired)
+                    exec_gpu(hop, slot, in_slots, acquired, cp_flops)
                 payloads = slot.payloads
                 # compiler-placed RDD checkpoint (§5.2)
                 if hop.checkpoint and BACKEND_SP in payloads:
@@ -525,13 +525,13 @@ class Interpreter:
         slot.payloads[BACKEND_CP] = out
 
     def _exec_gpu(self, hop: Hop, slot: Slot, in_slots: list[Slot],
-                  gpu_created: list[GpuData]) -> None:
+                  gpu_created: list[GpuData], flops: float) -> None:
         """EXECUTE on the device (§4.3): H2D uploads + kernel launch.
 
         Scalars stay host-side (kernel launch parameters); matrix
         inputs are uploaded through the memory manager, and every
         acquired pointer is recorded for end-of-run release (Fig. 8(b)
-        reference workflow).
+        reference workflow).  ``flops`` is the lowered instruction's.
         """
         gpu_inputs: list[object] = []
         for s in in_slots:
@@ -542,7 +542,7 @@ class Interpreter:
                 gpu_inputs.append(self._to_gpu(s, gpu_created))
         out = self.tiers.gpu.execute(
             hop.opcode, gpu_inputs, hop.attrs,
-            lineage_height=slot.lineage.height,
+            lineage_height=slot.lineage.height, flops=flops,
         )
         if isinstance(out, GpuData):
             slot.payloads[BACKEND_GPU] = out

@@ -171,6 +171,68 @@ def test_property_relu_idempotent(arr):
     assert (once.data >= 0).all()
 
 
+def _old_windows(x, pad, fill, hout, wout, r, s, stride):
+    """The ``np.pad`` + ``as_strided`` formulation the DNN kernels had,
+    kept as the byte-equality oracle."""
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                   constant_values=fill)
+    strides = (x.strides[0], x.strides[1], x.strides[2] * stride,
+               x.strides[3] * stride, x.strides[2], x.strides[3])
+    return np.lib.stride_tricks.as_strided(
+        x, (x.shape[0], x.shape[1], hout, wout, r, s), strides)
+
+
+def _old_conv2d(x, f, n, c, h, w, k, r, s, stride, pad, hout, wout):
+    x = x.reshape(n, c, h, w)
+    f = f.reshape(k, c * r * s)
+    cols = _old_windows(x, pad, 0.0, hout, wout, r, s, stride)
+    cols = cols.transpose(0, 2, 3, 1, 4, 5).reshape(n * hout * wout, c * r * s)
+    out = (cols @ f.T).reshape(n, hout, wout, k).transpose(0, 3, 1, 2)
+    return out.reshape(n, k * hout * wout)
+
+
+def _old_maxpool(x, n, c, h, w, r, s, stride, pad, hout, wout):
+    windows = _old_windows(x.reshape(n, c, h, w), pad, -np.inf, hout, wout,
+                           r, s, stride)
+    return windows.max(axis=(4, 5)).reshape(n, c * hout * wout)
+
+
+@st.composite
+def _dnn_case(draw):
+    """A conv/pool geometry (non-square images, stride 1-3, pad 0-2), an
+    image matrix that is a strided view (a column slice or a transpose),
+    and filters."""
+    n, c, k = (draw(st.integers(1, 3)) for _ in range(3))
+    r, s = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    stride, pad = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    h = draw(st.integers(max(r - 2 * pad, 1), 9))
+    w = draw(st.integers(max(s - 2 * pad, 1), 9))
+    cells = st.floats(-100, 100, width=64)
+    if draw(st.booleans()):  # every other column of a wider matrix
+        x = draw(hnp.arrays(np.float64, (n, 2 * c * h * w), elements=cells))
+        x = x[:, ::2]
+    else:  # the transpose of a (C*H*W) x N matrix
+        x = draw(hnp.arrays(np.float64, (c * h * w, n), elements=cells)).T
+    f = draw(hnp.arrays(np.float64, (k, c * r * s), elements=cells))
+    attrs = {"N": n, "C": c, "H": h, "W": w, "K": k, "R": r, "S": s,
+             "stride": stride, "pad": pad}
+    return x, f, attrs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_dnn_case())
+def test_property_dnn_kernels_byte_equal_to_pad_and_as_strided(case):
+    x, f, attrs = case
+    geometry = kernels._conv_shapes(attrs)
+    n, c, h, w, k, r, s, stride, pad, hout, wout = geometry
+    conv = run("conv2d", [MatrixValue(x), mat(f)], attrs)
+    assert conv.data.tobytes() == _old_conv2d(x, f, *geometry).tobytes()
+    pool = run("maxpool", [MatrixValue(x)], attrs)
+    assert pool.data.tobytes() == _old_maxpool(
+        x, n, c, h, w, r, s, stride, pad, hout, wout).tobytes()
+
+
 class TestCpuBackend:
     def test_charges_time(self):
         clock, stats = SimClock(), Stats()

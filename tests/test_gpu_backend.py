@@ -86,7 +86,10 @@ class TestGpuDevice:
             else:
                 dev.defragment()
                 live = [dev.relocation_map[off] for off in live]
-            largest = max((size for _, size in dev._free), default=0)
+            holes = dev._free
+            assert all(off + size < nxt for (off, size), (nxt, _)
+                       in zip(holes, holes[1:])), step  # sorted, coalesced
+            largest = max((size for _, size in holes), default=0)
             assert dev.largest_free_block == largest, step
             for size in (1, 512, 1024, 2048, 4096, 8192):
                 assert dev.fits(size) == (
@@ -243,13 +246,22 @@ class TestAlgorithmOne:
         assert out is not None
 
     def test_invalidation_callback_fires_on_recycle(self):
+        """Recycling a pointer a cache entry references invalidates the
+        entry first; an uncached pointer, which no entry references,
+        recycles without the callback."""
         invalidated = []
-        mgr, _ = manager(MODE_MEMPHIS)
+        mgr, stats = manager(MODE_MEMPHIS, capacity=2048)
         mgr.on_invalidate = invalidated.append
-        ptr = mgr.allocate(1024)
-        mgr.release(ptr)
-        mgr.allocate(1024)  # recycles ptr
-        assert invalidated == [ptr]
+        plain = mgr.allocate(1024)
+        mgr.release(plain)
+        mgr.allocate(1024)  # recycles the uncached pointer
+        assert plain.freed and invalidated == []
+        cached = mgr.allocate(1024)  # fills the device
+        cached.set_cached(True)
+        mgr.release(cached)
+        mgr.allocate(1024)  # full device: recycles the cached pointer
+        assert cached.freed and invalidated == [cached]
+        assert stats.get("gpu/pointers_recycled") == 2
 
     def test_empty_cache_partial(self):
         mgr, _ = manager(MODE_MEMPHIS)

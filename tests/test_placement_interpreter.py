@@ -185,11 +185,11 @@ class TestFailedRun:
         frames = []
         exec_gpu = interp._exec_gpu
 
-        def failing_exec_gpu(hop, slot, in_slots, acquired):
+        def failing_exec_gpu(hop, slot, in_slots, acquired, flops):
             if frames:
                 raise RuntimeError("injected kernel failure")
             frames.append(acquired)
-            exec_gpu(hop, slot, in_slots, acquired)
+            exec_gpu(hop, slot, in_slots, acquired, flops)
 
         interp._exec_gpu = failing_exec_gpu
         with pytest.raises(RuntimeError, match="injected kernel failure"):

@@ -19,6 +19,7 @@ import pytest
 import repro.core.session as session_mod
 from repro.analysis.hook import AnalysisCollector
 from repro.backends.cpu.backend import CpuBackend
+from repro.backends.gpu.backend import GpuBackend
 from repro.common.config import MemphisConfig
 from repro.common.costs import op_flops
 from repro.common.runtime import RuntimeContext
@@ -27,11 +28,12 @@ from repro.core.session import Session
 from repro.ml.l2svm import l2svm_core_iteration
 from repro.ml.linreg import lin_reg_ds, lin_reg_predict, r2_score
 from repro.ml.tuning import kfold_indices
+from repro.obs import TraceCollector, chrome_trace_dict
 from repro.obs.explain import ExplainCollector
 from repro.workloads.base import make_session, scale_overheads
 from repro.workloads.datagen import synthetic_regression
 from repro.workloads.hcv import _complement
-from repro.workloads.micro import ensemble_cnns
+from repro.workloads.micro import ensemble_cnns, run_fig12b
 
 KB = 1024
 
@@ -390,3 +392,46 @@ def test_static_cp_charge_equals_the_value_derived_one(monkeypatch):
      .row_sums().t().col_maxs().sum() + X[2:5, 1:3].mean()).compute()
     assert {"ba+*", "solve", "uak+", "cbind", "rightIndex",
             "seq"} <= set(checked)
+
+
+def _cnn_blocks():
+    sess, step = cnn_case()
+    for i in range(4):
+        step(i)
+    return sess.elapsed(), sess.stats.counters()
+
+
+def _fig12b_blocks():
+    res = run_fig12b("MPH", 8, num_images=32, reuse_fraction=0.5)
+    return res.elapsed, res.counters
+
+
+@pytest.mark.parametrize("blocks", [_cnn_blocks, _fig12b_blocks])
+def test_static_gpu_charge_equals_the_value_derived_one(blocks, monkeypatch):
+    """A GPU instruction charged with its lowered FLOPs runs exactly as
+    one whose FLOPs ``GpuBackend.execute`` derives from the values: same
+    simulated clock, ``gpu/*`` counters and traced kernel events."""
+    real = GpuBackend.execute
+    derive = [False]
+    lowered = []
+
+    def execute(self, opcode, inputs, attrs, lineage_height=1, flops=None):
+        lowered.append(flops)
+        return real(self, opcode, inputs, attrs, lineage_height,
+                    None if derive[0] else flops)
+
+    monkeypatch.setattr(GpuBackend, "execute", execute)
+    runs = []
+    for derive[0] in (False, True):
+        trace = TraceCollector()
+        with RuntimeContext(trace=trace):
+            sim_s, counters = blocks()
+        doc = chrome_trace_dict(trace.events(), trace.session_labels)
+        runs.append((
+            sim_s,
+            {k: v for k, v in counters.items() if k.startswith("gpu/")},
+            [e for e in doc["traceEvents"] if e["name"] == "gpu/kernel"],
+        ))
+    assert lowered and None not in lowered
+    assert runs[0][1]["gpu/kernels_launched"] > 0 and runs[0][2]
+    assert runs[0] == runs[1]

@@ -16,10 +16,13 @@ from repro.backends.spark.blockmanager import BlockManager
 from repro.backends.spark.context import SparkContext
 from repro.common.config import MemphisConfig, StorageLevel
 from repro.common.runtime import RuntimeContext, scope
+from repro.core.entry import BACKEND_GPU
 from repro.core.session import Session
 from repro.core.tiers import IDLE_GPU_GAUGES, IDLE_SPARK_GAUGES
 from repro.obs import ExplainCollector
 from repro.server import Scheduler, pure_program
+from repro.workloads.base import scale_overheads
+from repro.workloads.micro import ensemble_cnns
 
 
 @pytest.fixture
@@ -140,3 +143,60 @@ class TestTiersOnFirstUse:
         (X * 2.0).sum().compute()
         assert sess.tiers.built("spark_context")
         assert not sess.tiers.built("gpu")
+
+
+def _bound_pointers(handles) -> set[int]:
+    """Ids of the GPU pointers ``handles`` are bound to."""
+    ptrs = (h.payloads[BACKEND_GPU].ptr for h in handles
+            if BACKEND_GPU in h.payloads)
+    return {ptr.id for ptr in ptrs if not ptr.freed}
+
+
+class TestGpuPointerLifetime:
+    def test_blocks_and_dropped_handles_release_without_a_collection(
+            self, no_cyclic_gc):
+        """``gpu_score``-shaped scoring (duplicate batches, a mid-stream
+        re-batch, a device small enough to recycle cached pointers and
+        walk Algorithm 1) with the cyclic collector off: after every
+        block the live pointers are exactly those still-bound handles
+        hold, the Free list agrees with its scan, and a pointer is
+        ``cached`` exactly when the lineage cache indexes it."""
+        config = MemphisConfig.memphis()
+        config.gpu_enabled = True
+        config.spark_enabled = False
+        config.gpu.min_cells = 64
+        config.gpu.device_memory = 2 * 1024 * 1024
+        scale_overheads(config, 1.0 / 64.0)
+        sess = Session(config)
+        models = [model.build(sess, seed=41 + k)
+                  for k, model in enumerate(ensemble_cnns(16))]
+        weights = [h for model in models for h in model.filters + model.fcs]
+        memory, cache = sess.gpu.memory, sess.cache
+        rng = np.random.default_rng(5)
+        images = rng.random((5, 6, 3 * 16 * 16))
+
+        def audited():
+            memory.audit()
+            cache.audit()
+            for ptr in [*memory.live.values(), *memory.free.pointers()]:
+                assert ptr.cached == (ptr.id in cache._gpu_index), ptr
+
+        kept = []
+        for i in range(12):
+            rows = 4 if i < 6 else 6
+            batch = sess.read(images[i % 5, :rows], f"content_{i % 5}_{rows}")
+            feats = models[1].extract_features(sess, batch, upto_fc=0)
+            probs = [model.score(sess, batch) for model in models]
+            sess.evaluate(probs + [feats])
+            kept.append(feats)
+            del batch, feats, probs
+            assert set(memory.live) == _bound_pointers(weights + kept)
+            audited()
+        assert _bound_pointers(kept) - _bound_pointers(weights)
+        del kept
+        assert set(memory.live) == _bound_pointers(weights)
+        audited()
+        counters = sess.stats.counters()
+        for name in ("gpu/pointers_recycled", "gpu/pointers_reused",
+                     "gpu/cuda_frees", "cache/evictions"):
+            assert counters[name] > 0, name
