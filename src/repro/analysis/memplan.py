@@ -5,13 +5,15 @@ spills when a reservation fails at runtime.  This pass family bounds a
 block's footprint *before* it runs — the idea of "Memory Safe
 Computations with XLA Compiler" (PAPERS.md) transplanted onto the HOP
 DAG, the way SystemML-style compilers budget intermediates ahead of
-execution.  For one linearized instruction stream the planner:
+execution.  For one linearized instruction stream the planner, in one
+walk of the stream:
 
 * derives, from ``Hop.output_bytes`` and the stream's def-use chains,
   every byte charge the runtime can make against the five canonical
   :class:`~repro.memory.region.MemoryRegion` ledgers (``CP``, ``DISK``,
-  ``SP_BLOCKS``, ``SP_CACHE``, ``GPU``) — see
-  :func:`plan_block` for the charge model and its soundness argument;
+  ``SP_BLOCKS``, ``SP_CACHE``, ``GPU``), summing each region's demand
+  as it goes — see :func:`plan_block` for the charge model and its
+  soundness argument;
 * computes per-region liveness intervals and the block's peak resident
   footprint per region (in this runtime a value stays resident until
   the end of its block — GPU pointers are held on the acquired list,
@@ -55,7 +57,7 @@ ledger.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 if TYPE_CHECKING:  # layering: runtime types are type-only imports here
     from repro.core.session import Session
@@ -91,8 +93,7 @@ PLAN_REGIONS = (REGION_CP, REGION_DISK, REGION_SPARK_STORAGE,
 PRESSURE_WATERMARK = 0.9
 
 
-@dataclass(frozen=True)
-class RegionCharge:
+class RegionCharge(NamedTuple):
     """One potential byte charge of a block against one region.
 
     ``start`` is the stream position at which the charge becomes live;
@@ -140,9 +141,14 @@ class BlockMemPlan:
         return out
 
 
-def plan_block(roots: list[Hop], order: list[Hop],
-               config: MemphisConfig) -> BlockMemPlan:
+def plan_block(roots: list[Hop], order: list[Hop], config: MemphisConfig,
+               budgets: Optional[dict[str, RegionBudget]] = None
+               ) -> BlockMemPlan:
     """Derive the per-region charge set and peak footprint of one block.
+
+    One walk of ``order`` appends each charge and adds it to its
+    region's demand.  A :class:`SessionMemPlanner` passes its own
+    ``budgets``; the default is ``region_capacities(config)``.
 
     The charge model is a *sound upper bound* on the region ledgers: it
     enumerates every code path that charges a region and bounds each
@@ -174,7 +180,8 @@ def plan_block(roots: list[Hop], order: list[Hop],
     even when the raw demand estimate exceeds what the runtime can
     physically hold.
     """
-    budgets = region_capacities(config)
+    if budgets is None:
+        budgets = region_capacities(config)
     mode = config.reuse_mode
     put_on = mode.puts
     multi = put_on and mode is not ReuseMode.LOCAL_ONLY
@@ -182,7 +189,13 @@ def plan_block(roots: list[Hop], order: list[Hop],
     alignment = config.gpu.alignment
     end = len(order) - 1
     charges: list[RegionCharge] = []
+    demand = {name: 0 for name in PLAN_REGIONS}
     on_device: set[int] = set()
+
+    def charge(hop: Hop, region: str, nbytes: int, start: int,
+               reason: str) -> None:
+        charges.append(RegionCharge(hop, region, nbytes, start, end, reason))
+        demand[region] += nbytes
 
     for pos, hop in enumerate(order):
         if hop.kind == KIND_LITERAL or hop.fused:
@@ -191,42 +204,32 @@ def plan_block(roots: list[Hop], order: list[Hop],
             if multi and hop.placement != BACKEND_CP:
                 # a non-driver-resident leaf a consumer collects is
                 # cached by the exchange ride-along (action reuse)
-                charges.append(RegionCharge(
-                    hop, REGION_CP, hop.output_bytes, pos, end, "exchange"))
+                charge(hop, REGION_CP, hop.output_bytes, pos, "exchange")
             continue
         out = hop.output_bytes
         placement = hop.placement
         if put_on and (multi or placement == BACKEND_CP):
-            charges.append(RegionCharge(
-                hop, REGION_CP, out, pos, end, "put"))
+            charge(hop, REGION_CP, out, pos, "put")
         if placement == BACKEND_SP:
-            charges.append(RegionCharge(
-                hop, REGION_SPARK_STORAGE, out, pos, end, "persist"))
+            charge(hop, REGION_SPARK_STORAGE, out, pos, "persist")
             if multi:
-                charges.append(RegionCharge(
-                    hop, REGION_SPARK_CACHE, out, pos, end, "put"))
+                charge(hop, REGION_SPARK_CACHE, out, pos, "put")
         elif placement == BACKEND_GPU:
-            charges.append(RegionCharge(
-                hop, REGION_GPU, align(out, alignment), pos, end, "alloc"))
+            charge(hop, REGION_GPU, align(out, alignment), pos, "alloc")
             on_device.add(hop.id)
             for inp in hop.inputs:
                 if (inp.kind == KIND_LITERAL or inp.id in on_device
                         or inp.placement == BACKEND_GPU):
                     continue
                 on_device.add(inp.id)
-                charges.append(RegionCharge(
-                    inp, REGION_GPU, align(inp.output_bytes, alignment),
-                    pos, end, "upload"))
+                charge(inp, REGION_GPU, align(inp.output_bytes, alignment),
+                       pos, "upload")
     if func_reuse and roots:
         # function-level reuse snapshots the block outputs under a
         # separate function key, re-charging their bytes once per block
         for root in roots:
-            charges.append(RegionCharge(
-                root, REGION_CP, root.output_bytes, end, end, "function"))
+            charge(root, REGION_CP, root.output_bytes, end, "function")
 
-    demand = {name: 0 for name in PLAN_REGIONS}
-    for charge in charges:
-        demand[charge.region] += charge.nbytes
     if config.cache.spill_to_disk:
         # DISK receives only CP spills, each entry at most once
         demand[REGION_DISK] = demand[REGION_CP]
@@ -386,6 +389,9 @@ class SessionMemPlanner:
     predicted-vs-observed comparable in one place
     (``Session.explain(level="runtime")``, harness ``--verify-ir`` and
     the upper-bound tests).
+
+    The budgets depend only on the config: derived once, every
+    :meth:`plan` checks against them.
     """
 
     def __init__(self, config: MemphisConfig) -> None:
@@ -400,8 +406,9 @@ class SessionMemPlanner:
         self.observed: dict[str, int] = {n: 0 for n in PLAN_REGIONS}
 
     def plan(self, roots: list[Hop], order: list[Hop]) -> BlockMemPlan:
-        """Plan one block and fold its demand into the session totals."""
-        plan = plan_block(roots, order, self.config)
+        """Plan one block against the session's budgets and fold its
+        demand into the session totals."""
+        plan = plan_block(roots, order, self.config, self.budgets)
         self.absorb(plan)
         return plan
 
@@ -417,11 +424,11 @@ class SessionMemPlanner:
 
     def observe(self, arbiter: "MemoryArbiter") -> None:
         """Record the runtime's per-region peak watermarks."""
-        for snap in arbiter.snapshot():
-            name = snap["region"]
-            if name in self.observed:
-                self.observed[name] = max(self.observed[name],
-                                          int(snap["peak_used"]))
+        observed = self.observed
+        for region in arbiter.regions():
+            name = region.name
+            if name in observed and region.peak_used > observed[name]:
+                observed[name] = int(region.peak_used)
 
     def check_bounds(self) -> list[tuple[str, int, int, bool]]:
         """``(region, predicted, observed, ok)`` rows; ok = upper bound."""

@@ -7,6 +7,7 @@ given the lineage (the property that makes lineage-keyed reuse safe).
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -231,6 +232,10 @@ def _rand(inputs, attrs):
     sparsity = float(attrs.get("sparsity", 1.0))
     seed = int(attrs.get("seed", 0))
     pdf = attrs.get("pdf", "uniform")
+    if lo == hi and math.isfinite(lo) and sparsity >= 1.0 and pdf != "normal":
+        # a constant fill (``eye``'s ones): ``random()·0 + lo`` without
+        # the RNG; ``+ 0.0`` maps -0.0 to +0.0 as that sum does
+        return MatrixValue(np.full((rows, cols), lo + 0.0))
     rng = np.random.default_rng(seed)
     if pdf == "normal":
         out = rng.standard_normal((rows, cols))

@@ -600,7 +600,8 @@ class LineageCache:
         The byte ledgers equal what the entries say they charged — CP
         ``used`` (and each tenant's share, and ``pinned``) against
         ``cp_accounted``, DISK ``used`` against the spilled entries'
-        sizes — and the victim index is redundant state that agrees with
+        sizes, every pinned entry CP-charged (so ``pinned == 0`` iff none
+        is pinned) — and the victim index is redundant state that agrees with
         its oracle: every CP-resident entry is reachable in it, and the
         victim it yields *is* the full scan's, for the active scope and
         for every tenant's quota-shrink view.  The GPU pointer index is
@@ -631,7 +632,9 @@ class LineageCache:
         ledger = {t: n for t, n in (cp.tenant_used or {}).items() if n}
         assert ledger == by_tenant, \
             f"tenant ledgers {ledger} != charged bytes {by_tenant}"
-        pinned = sum(e.cp_accounted for e in entries if e.pinned)
+        charges = [e.cp_accounted for e in entries if e.pinned]
+        assert all(charges), "a pinned entry holds no CP charge"
+        pinned = sum(charges)
         assert cp.pinned == pinned, \
             f"CP pinned {cp.pinned} != pinned entries' bytes {pinned}"
         index = self._index

@@ -110,7 +110,7 @@ class SessionContext:
     """
 
     __slots__ = ("substrate", "uid", "scope_opcode", "tenant",
-                 "fingerprints", "request")
+                 "fingerprints", "request", "_last_key", "_last_ns")
 
     def __init__(self, substrate: "Substrate", uid: int,
                  tenant: str) -> None:
@@ -127,15 +127,21 @@ class SessionContext:
         #: cache entries and attribution events.  ``None`` outside a
         #: server request.
         self.request = None
+        #: one-slot memo of :meth:`namespaced` (the PUT after a missed
+        #: probe asks again); ``Substrate.register_dataset`` clears it.
+        self._last_key: Optional[LineageItem] = None
+        self._last_ns: Optional[LineageItem] = None
 
     # -- key namespacing ----------------------------------------------------
 
     def namespaced(self, key: LineageItem) -> LineageItem:
         """The cache key for ``key``: itself (global) or a scoped wrapper."""
-        sub = self.substrate
-        if sub.shareable(self, key):
-            return key
-        return sub.scope_key(self.scope_opcode, key)
+        if key is not self._last_key:
+            sub = self.substrate
+            self._last_ns = key if sub.shareable(self, key) \
+                else sub.scope_key(self.scope_opcode, key)
+            self._last_key = key
+        return self._last_ns
 
     # -- cross-session hit accounting --------------------------------------
 
@@ -361,12 +367,14 @@ class Substrate:
         fp = fingerprint(data)
         ctx.fingerprints[name] = fp
         self._canonical_fp.setdefault(name, fp)
+        # a re-read name can change whether the memoized key is shared
+        ctx._last_key = None
 
     # -- namespacing ---------------------------------------------------------
 
     def shareable(self, ctx: SessionContext, item: LineageItem) -> bool:
         """Whether ``item`` may live under the global namespace for ``ctx``."""
-        pure, names = self._analyze(item)
+        pure, names = self._dag_info.get(item) or self._analyze(item)
         if not pure:
             return False
         canonical = self._canonical_fp
@@ -388,10 +396,7 @@ class Substrate:
         return item
 
     def _analyze(self, item: LineageItem) -> tuple[bool, frozenset]:
-        """(pure, data-leaf names) of ``item``'s DAG, memoized."""
-        info = self._dag_info.get(item)
-        if info is not None:
-            return info
+        """(pure, data-leaf names) of ``item``'s DAG, into the memo."""
         pure = True
         names: list[str] = []
         for node in item.iter_dag():
@@ -452,9 +457,10 @@ class Substrate:
         """Per-tenant CP usage/quota snapshot (``server/`` namespace)."""
         region = self.arbiter.region(REGION_CP)
         pins: dict[Optional[str], int] = {}
-        for e in self.cache.entries():
-            if e.pinned:
-                pins[e.tenant] = pins.get(e.tenant, 0) + 1
+        if region.pinned:  # audited: no pinned bytes, no pinned entry
+            for e in self.cache.entries():
+                if e.pinned:
+                    pins[e.tenant] = pins.get(e.tenant, 0) + 1
         return {
             tenant: {
                 "used": region.tenant_usage(tenant),

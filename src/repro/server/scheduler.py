@@ -133,7 +133,8 @@ class ServerReport:
         #: producer→consumer dedup benefit matrix (Eq. 2 accounting).
         self.attribution = substrate.attribution_matrix()
         #: per-tenant SLO metrics (latency percentiles, hit rate, ...).
-        self.slo = self._build_slo(substrate, results, self.tenants)
+        self.slo = self._build_slo(substrate, results, self.tenants,
+                                   self.attribution)
         #: merged counters across the substrate and every session.
         merged = Stats().merge(substrate.stats)
         for session in sessions:
@@ -142,11 +143,12 @@ class ServerReport:
 
     @staticmethod
     def _build_slo(substrate: Substrate, results: list[RequestResult],
-                   occupancy: dict[str, dict]) -> dict[str, dict]:
+                   occupancy: dict[str, dict],
+                   attribution: list[dict]) -> dict[str, dict]:
         """Per-tenant SLO record: one row per registered tenant."""
         consumed: dict[str, dict[str, float]] = {}
         produced: dict[str, int] = {}
-        for cell in substrate.attribution_matrix():
+        for cell in attribution:
             c = consumed.setdefault(cell["consumer"], {"hits": 0, "bytes": 0})
             c["hits"] += cell["hits"]
             c["bytes"] += cell["bytes"]

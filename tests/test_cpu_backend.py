@@ -1,5 +1,7 @@
 """Tests for the CPU kernels and backend."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,6 +233,64 @@ def test_property_dnn_kernels_byte_equal_to_pad_and_as_strided(case):
     pool = run("maxpool", [MatrixValue(x)], attrs)
     assert pool.data.tobytes() == _old_maxpool(
         x, n, c, h, w, r, s, stride, pad, hout, wout).tobytes()
+
+
+def _old_rand(rows, cols, lo, hi, sparsity, seed, pdf):
+    """``rand`` as every fill once drew it: seeded RNG, then the mask."""
+    rng = np.random.default_rng(seed)
+    if pdf == "normal":
+        out = rng.standard_normal((rows, cols))
+    else:
+        out = rng.random((rows, cols)) * (hi - lo) + lo
+    if sparsity < 1.0:
+        out = out * (rng.random((rows, cols)) < sparsity)
+    return out
+
+
+def _rand_and_rng_use(rows, cols, lo, hi, sparsity, seed, pdf):
+    """The kernel's fill bytes, and whether it built a generator."""
+    attrs = {"rows": rows, "cols": cols, "min": lo, "max": hi,
+             "sparsity": sparsity, "seed": seed, "pdf": pdf}
+    with mock.patch.object(np.random, "default_rng",
+                           wraps=np.random.default_rng) as rng:
+        out = run("rand", [], attrs)
+    expected = _old_rand(rows, cols, lo, hi, sparsity, seed, pdf)
+    assert out.data.dtype == expected.dtype
+    assert out.data.tobytes() == expected.tobytes()
+    return rng.called
+
+
+_DIMS = st.integers(1, 40)
+_SEEDS = st.integers(0, 2 ** 32 - 1)
+#: finite constants: signed zeros, subnormals, the extremes, anything
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                     1e300, -1e300, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_DIMS, _DIMS, _FINITE, _SEEDS)
+def test_property_constant_fill_byte_equal_to_rng_formula(rows, cols, lo,
+                                                          seed):
+    assert not _rand_and_rng_use(rows, cols, lo, lo, 1.0, seed, "uniform")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_DIMS, _DIMS, _SEEDS, st.one_of(
+    # non-finite constants: inf - inf is NaN, so the RNG sum decides
+    st.tuples(st.sampled_from([np.inf, -np.inf, np.nan]), st.just(1.0),
+              st.just("uniform")),
+    # a sparse constant draws its mask from the same generator
+    st.tuples(_FINITE, st.floats(0.0, 1.0, exclude_max=True),
+              st.just("uniform")),
+    st.tuples(_FINITE, st.just(1.0), st.just("normal")),
+))
+def test_property_rand_keeps_rng_path_off_the_constant_fill(rows, cols,
+                                                            seed, case):
+    lo, sparsity, pdf = case
+    assert _rand_and_rng_use(rows, cols, lo, lo, sparsity, seed, pdf)
 
 
 class TestCpuBackend:

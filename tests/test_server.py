@@ -8,6 +8,9 @@ The multi-session scenario tests are additionally marked
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.common.config import MemphisConfig
 from repro.analysis import AnalysisCollector
@@ -24,7 +27,7 @@ from repro.common.stats import (
     SERVER_SESSIONS,
 )
 from repro.core.session import Session
-from repro.core.substrate import Substrate, fingerprint
+from repro.core.substrate import SessionContext, Substrate, fingerprint
 from repro.lineage.item import LineageItem
 from repro.memory import REGION_CP
 from repro.server import Scheduler, pure_program, run_server_demo
@@ -480,3 +483,109 @@ class TestNamespacingRules:
         assert a.namespaced(item) is wrapped_a  # hash-consed
         assert b.namespaced(item) is not wrapped_a
         assert sub.stats.get(SERVER_SCOPED_KEYS) == 2
+
+
+def _namespaced_without_slot(ctx, key):
+    """``SessionContext.namespaced`` as it was before the one-slot memo."""
+    sub = ctx.substrate
+    if sub.shareable(ctx, key):
+        return key
+    return sub.scope_key(ctx.scope_opcode, key)
+
+
+def _gram_before_and_after_reread(first, second):
+    """One session evaluates ``X.t() @ X`` over ``first`` (its canonical
+    ``X``), then over ``second`` re-read under the same name."""
+    sub = _shared()
+    session = Session(MemphisConfig.server_session(), substrate=sub,
+                      tenant="t")
+    X = session.read(first, "X")
+    gram = X.t() @ X
+    before = session.compute(gram)
+    # the last key namespaced is the transpose's: the first key the
+    # evaluation after the re-read namespaces
+    session.compute(X.t())
+    X = session.read(second, "X")
+    after = session.compute(X.t() @ X)
+    return sub, session._ctx, gram.lineage, before, after
+
+
+class TestNamespacingSlot:
+    @pytest.mark.tier2_server
+    def test_rereading_a_name_clears_the_slot(self, monkeypatch):
+        first, second = _data(), _data(offset=1.0)
+        sub, ctx, key, before, after = _gram_before_and_after_reread(
+            first, second)
+        assert np.array_equal(before, first.T @ first)
+        assert np.array_equal(after, second.T @ second)
+        assert not sub.shareable(ctx, key)
+        scoped = ctx.namespaced(key)
+        assert scoped.is_namespaced and scoped.inputs == (key,)
+        assert scoped in sub.cache._entries
+        assert sub.stats.get(SERVER_CROSS_HITS) == 0
+        monkeypatch.setattr(SessionContext, "namespaced",
+                            _namespaced_without_slot)
+        oracle = _gram_before_and_after_reread(first, second)[0]
+        assert sub.stats.get(SERVER_SCOPED_KEYS) == \
+            oracle.stats.get(SERVER_SCOPED_KEYS) > 0
+
+
+def _scanned_occupancy(sub):
+    """``Substrate.tenant_occupancy`` by a full scan of the entries."""
+    region = sub.arbiter.region(REGION_CP)
+    pins = {}
+    for entry in sub.cache.entries():
+        if entry.pinned:
+            pins[entry.tenant] = pins.get(entry.tenant, 0) + 1
+    return {
+        tenant: {"used": region.tenant_usage(tenant),
+                 "quota": sub.tenants[tenant],
+                 "pinned_entries": pins.get(tenant, 0)}
+        for tenant in sorted(sub.tenants)
+    }
+
+
+class TenantOccupancyMachine(RuleBasedStateMachine):
+    """Puts, pins, unpins and evictions by two tenants on one small
+    shared substrate: ``tenant_occupancy`` skips its entry scan while
+    nothing is pinned, and always equals the full scan."""
+
+    TAGS = st.integers(min_value=0, max_value=7)
+
+    def __init__(self):
+        super().__init__()
+        self.sub = _shared(_small_cp_config(8192))
+        self.sub.set_quota("alpha", 4096)
+        self.ctxs = [self.sub.attach(None, t) for t in ("alpha", "beta")]
+
+    def key(self, tag):
+        return self.sub.interner.intern("occ", (tag,), ())
+
+    @rule(which=st.integers(0, 1), tag=TAGS,
+          size=st.sampled_from([512, 1024, 2048]))
+    def put(self, which, tag, size):
+        self.sub.activate(self.ctxs[which])
+        self.sub.cache.put(self.key(tag), object(), "CP", size,
+                           compute_cost=1e9, delay_factor=1)
+
+    @rule(which=st.integers(0, 1), tag=TAGS, pin=st.booleans())
+    def pin_or_unpin(self, which, tag, pin):
+        ctx = self.ctxs[which]
+        (ctx.pin if pin else ctx.unpin)(self.key(tag))
+
+    @rule(tag=TAGS)
+    def evict(self, tag):
+        entry = self.sub.cache.get_entry(self.key(tag))
+        if entry is not None:
+            self.sub.cache.evict_cp(entry)
+
+    @invariant()
+    def occupancy_equals_the_scan(self):
+        self.sub.audit()
+        assert self.sub.tenant_occupancy() == _scanned_occupancy(self.sub)
+
+
+TestTenantOccupancyStateful = TenantOccupancyMachine.TestCase
+TestTenantOccupancyStateful.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None,
+    derandomize=True)
