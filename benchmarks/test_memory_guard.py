@@ -12,10 +12,16 @@ pre-refactor counter against the recorded baseline in
 Counters introduced by the substrate itself (the ``memory/``
 namespace) are additive and intentionally ignored: the guard asserts
 the old behaviour is preserved, not that no new observability exists.
+
+One gate is on the process itself: the ``hcv`` experiment's peak
+resident memory stays under a ceiling.
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -78,3 +84,32 @@ def test_fig12b_byte_identical(baseline):
     mismatches = compare(baseline["fig12b"],
                          snap(runner.run_experiment_fig12b()), "fig12b")
     assert not mismatches, "\n".join(mismatches)
+
+
+#: process-memory ceiling of ``python -m repro.harness hcv`` (MB of peak
+#: RSS).  Spark row slices and ``rbind`` of a driver matrix are views of
+#: it, which took the peak from 2,272 MB to 1,040 MB (Linux x86-64,
+#: Python 3.11, numpy 2.4).
+HCV_PEAK_RSS_MB = 1400
+
+_PEAK_CHILD = """
+import resource, sys
+from repro.harness.__main__ import main
+code = main(["hcv"])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read as KB, its Linux unit")
+def test_hcv_peak_rss_within_ceiling():
+    """Real memory, not the simulated ledgers: the ``hcv`` experiment,
+    alone in its own process, peaks at most :data:`HCV_PEAK_RSS_MB`."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_CHILD], env=env,
+                          capture_output=True, text=True, timeout=900)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    peak_mb = int(proc.stdout.split()[-1]) / 1024
+    assert peak_mb <= HCV_PEAK_RSS_MB, f"hcv peaked at {peak_mb:.0f} MB"

@@ -68,6 +68,35 @@ def _kernel_map(rdd: RDD, opcode: str, attrs: dict, name: str) -> RDD:
     return rdd.map_blocks(fn, name, 20.0 if opcode in ELEMENTWISE_20 else 1.0)
 
 
+def _stack_rows(blocks: list[np.ndarray]) -> np.ndarray:
+    """Reduce side of the row re-blocking shuffles: stack row pieces.
+
+    Pieces that are consecutive C-ordered rows of one buffer (row blocks
+    of one driver matrix) come back as one read-only view of that
+    buffer, whose ``.base`` is the buffer again; anything else is copied
+    by ``np.vstack``.  A single piece is returned as is.
+    """
+    first = blocks[0]
+    if len(blocks) == 1:
+        return first
+    base = first.base
+    if isinstance(base, np.ndarray) and base.flags.c_contiguous:
+        start = end = first.ctypes.data
+        for b in blocks:
+            if (b.base is not base or not b.flags.c_contiguous
+                    or b.dtype != first.dtype or b.shape[1] != first.shape[1]
+                    or b.ctypes.data != end):
+                break
+            end += b.nbytes
+        else:
+            rows = sum(b.shape[0] for b in blocks)
+            view = np.ndarray((rows, first.shape[1]), first.dtype, buffer=base,
+                              offset=start - base.ctypes.data)
+            view.flags.writeable = False
+            return view
+    return np.vstack(blocks)
+
+
 @dataclass
 class DistributedMatrix:
     """A matrix partitioned into row blocks across the cluster.
@@ -277,7 +306,11 @@ class SparkBackend:
 
     def slice_rows(self, dm: DistributedMatrix, rl0: int,
                    ru0: int) -> DistributedMatrix:
-        """Row range ``[rl0, ru0)`` (0-based) via a repartitioning shuffle."""
+        """Row range ``[rl0, ru0)`` (0-based) via a repartitioning shuffle.
+
+        An output block whose rows come from consecutive row blocks of one
+        driver matrix is a read-only view of that matrix, not a copy.
+        """
         bs = self.sc.config.block_size_rows
         out_rows = ru0 - rl0
         out_parts = max(1, -(-out_rows // bs))
@@ -295,10 +328,7 @@ class SparkBackend:
                 s = chunk_end
             return out
 
-        def reduce_side(blocks: list[np.ndarray]) -> np.ndarray:
-            return np.vstack(blocks) if len(blocks) > 1 else blocks[0]
-
-        rdd = dm.rdd.shuffle(map_side, reduce_side, out_parts, "sliceRows")
+        rdd = dm.rdd.shuffle(map_side, _stack_rows, out_parts, "sliceRows")
         return DistributedMatrix(rdd, out_rows, dm.ncol)
 
     def rbind(self, a: DistributedMatrix, b: DistributedMatrix) -> DistributedMatrix:
@@ -308,7 +338,8 @@ class SparkBackend:
         (broadcast-left multiplies, row slicing) relies on the invariant
         that partition *i* holds rows ``[i*bs, (i+1)*bs)``; a plain union
         would break it, so the append shuffles rows back into uniform
-        blocks — matching SystemDS's reblock after rbind.
+        blocks — matching SystemDS's reblock after rbind.  Blocks are views
+        as in :meth:`slice_rows`; one straddling two matrices is a copy.
         """
         bs = self.sc.config.block_size_rows
         union = _UnionRDD(a.rdd, b.rdd)
@@ -330,10 +361,7 @@ class SparkBackend:
                 s += take
             return out
 
-        def reduce_side(blocks: list[np.ndarray]) -> np.ndarray:
-            return np.vstack(blocks) if len(blocks) > 1 else blocks[0]
-
-        rdd = union.shuffle(map_side, reduce_side, out_parts, "rbind")
+        rdd = union.shuffle(map_side, _stack_rows, out_parts, "rbind")
         return DistributedMatrix(rdd, total, a.ncol)
 
 

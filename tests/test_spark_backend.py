@@ -1,10 +1,16 @@
 """Tests for the Spark simulator: RDDs, scheduler, memory, broadcast."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import MemphisConfig, Session
 from repro.backends.spark import SPARK_OPCODES, SparkBackend, SparkContext
+from repro.backends.spark.backend import _stack_rows
 from repro.common.config import SparkConfig, StorageLevel
 from repro.common.simclock import CLUSTER, HOST, SimClock
 from repro.common.stats import PREFETCH_ISSUED, SPARK_JOBS, Stats
@@ -295,6 +301,150 @@ class TestPlacementInvariance:
                                              "ba+*"}
         assert covered == set(SPARK_OPCODES)
         assert len(SPARK_OPCODES) == 35
+
+
+class TestReblockingViews:
+    """Row slices and ``rbind`` of a Spark-placed parallelized matrix
+    copy no cells: a re-blocked partition whose rows are consecutive in
+    the driver matrix is a read-only view of it."""
+
+    BS = 1000
+    N = 9 * BS + 517  # ten row blocks, the last one short
+    A, B = 2345, 6789  # not block-aligned
+
+    def _driver(self):
+        return np.random.default_rng(5).random((self.N, 16))
+
+    def _session_result(self, x, spark, build):
+        cfg = MemphisConfig.base()
+        cfg.spark_enabled = spark
+        cfg.spark.block_size_rows = self.BS
+        cfg.cpu.operation_memory_bytes = 256  # every operand distributed
+        sess = Session(cfg)
+        out = build(sess, sess.read(x, "X"))
+        if spark:
+            out.hop.placement = BACKEND_SP
+        result = out.compute()
+        assert (sess.stats.get(SPARK_JOBS) > 0) == spark
+        return result
+
+    @pytest.mark.parametrize("op", ["slice", "rbind"])
+    def test_spark_result_byte_equal_to_cp(self, op):
+        a, b, n = self.A, self.B, self.N
+        build = {
+            "slice": lambda sess, X: X[a:b, :],
+            "rbind": lambda sess, X: sess.rbind(X[0:a, :], X[b:n, :]),
+        }[op]
+        x = self._driver()
+        expected = self._session_result(x, False, build)
+        actual = self._session_result(x, True, build)
+        assert actual.shape == expected.shape
+        assert actual.tobytes() == expected.tobytes()
+
+    def test_partitions_are_views_of_the_driver_matrix(self):
+        a, b, n, bs = self.A, self.B, self.N, self.BS
+        x = self._driver()
+        digest = hashlib.sha1(x.tobytes()).hexdigest()
+        ctx = SparkContext(SparkConfig(block_size_rows=bs), SimClock(), Stats())
+        sb = SparkBackend(ctx)
+        dx = sb.distribute(MatrixValue(x))
+        sliced = sb.slice_rows(dx, a, b)
+        tracemalloc.start()
+        try:
+            parts = ctx.run_job(sliced.rdd)[0].partitions
+            allocated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert allocated < bs * x.shape[1] * x.itemsize
+        assert np.vstack(parts).tobytes() == x[a:b].tobytes()
+        assert all(np.shares_memory(p, x) for p in parts)
+        for p in parts[:-1]:  # each stacks rows of two driver blocks
+            with pytest.raises(ValueError):
+                p[0, 0] = -1.0
+
+        rbound = sb.rbind(sb.slice_rows(dx, 0, a), sb.slice_rows(dx, b, n))
+        parts = ctx.run_job(rbound.rdd)[0].partitions
+        assert np.vstack(parts).tobytes() == np.vstack([x[:a], x[b:]]).tobytes()
+        copies = [i for i, p in enumerate(parts) if not np.shares_memory(p, x)]
+        assert copies == [a // bs]  # the one block straddling the seam
+        with pytest.raises(ValueError):
+            parts[-2][0, 0] = -1.0
+        assert hashlib.sha1(x.tobytes()).hexdigest() == digest
+
+
+@st.composite
+def _row_cuts(draw):
+    """A C-contiguous float64 base and the rows between sorted cuts."""
+    rows, cols = draw(st.integers(1, 300)), draw(st.integers(1, 12))
+    buf = np.random.default_rng(draw(st.integers(0, 2**16))).random(rows * cols)
+    cuts = sorted(draw(st.sets(st.integers(0, rows), min_size=2, max_size=12)))
+    base = buf.reshape(rows, cols)
+    return buf, [base[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+class TestStackRows:
+    """``_stack_rows`` (the reduce side of ``slice_rows`` / ``rbind``)
+    against ``np.vstack``: a view only when the pieces tile one buffer."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_row_cuts())
+    def test_consecutive_rows_are_a_read_only_view(self, case):
+        buf, pieces = case
+        out = _stack_rows(pieces)
+        expected = np.vstack(pieces)
+        assert (out.shape, out.dtype) == (expected.shape, expected.dtype)
+        assert out.tobytes() == expected.tobytes()
+        assert np.shares_memory(out, buf)
+        if len(pieces) == 1:
+            assert out is pieces[0]
+            return
+        assert out.base is buf and not out.flags.writeable
+        half = out.shape[0] // 2
+        if half:  # a re-block of re-blocked output is a view too
+            assert _stack_rows([out[:half], out[half:]]).base is buf
+
+    @staticmethod
+    def _fallbacks(buf, rows, cols):
+        """Pieces that share ``buf`` (or not) but do not tile it."""
+        base, cut = buf.reshape(rows, cols), rows // 2
+        return {
+            "gap": [base[:cut], base[cut + 1:]],
+            "overlap": [base[:cut], base[cut - 1:]],
+            "two_bases": [base[:cut], base.copy()[cut:]],
+            # byte-adjacent, but each piece has its own base array
+            "two_adjacent_bases": [
+                np.frombuffer(half).reshape(-1, cols)
+                for half in (memoryview(buf)[:cut * cols],
+                             memoryview(buf)[cut * cols:])],
+            # starts at the byte the first piece ends, but F-ordered
+            "f_ordered": [base[:cut],
+                          buf[cut * cols:].reshape(cols, rows - cut).T],
+            "dtype": [base[:cut], base[cut:].view(np.int64)],
+        }
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(4, 300), st.integers(2, 12),
+           st.sampled_from(["gap", "overlap", "two_bases",
+                            "two_adjacent_bases", "f_ordered", "dtype"]))
+    def test_anything_else_is_a_fresh_copy(self, rows, cols, kind):
+        buf = np.random.default_rng(rows * cols).random(rows * cols)
+        pieces = self._fallbacks(buf, rows, cols)[kind]
+        out = _stack_rows(pieces)
+        expected = np.vstack(pieces)
+        assert (out.shape, out.dtype) == (expected.shape, expected.dtype)
+        assert out.tobytes() == expected.tobytes()
+        assert not any(np.shares_memory(out, p) for p in pieces)
+
+    def test_different_column_counts_are_not_viewed(self):
+        """Byte-adjacent pieces of one buffer, 2x3 then 3x2: no view is
+        built over them; ``np.vstack`` refuses them as it always did."""
+        buf = np.arange(12.0)
+        with pytest.raises(ValueError):
+            _stack_rows([buf[:6].reshape(2, 3), buf[6:].reshape(3, 2)])
+
+    def test_single_piece_is_returned_as_is(self):
+        piece = np.ones((3, 2))
+        assert _stack_rows([piece]) is piece
 
 
 class TestPersistence:
