@@ -67,15 +67,12 @@ class FederatedWorker:
 
     def execute(self, opcode: str, lineage: LineageItem,
                 inputs: list[object], attrs: dict,
-                start_time: float, reuse: bool = True,
-                slow_factor: float = 1.0) -> tuple[Value, float]:
+                start_time: float, reuse: bool = True) -> tuple[Value, float]:
         """Execute one federated request at this site.
 
         ``inputs`` name shards (str) or carry coordinator-shipped values.
         Returns ``(result, completion_time)``; the worker reuses its
-        local lineage cache when ``reuse`` is enabled.  ``slow_factor``
-        stretches the modeled compute time (slow-site fault injection) —
-        it never changes the result.
+        local lineage cache when ``reuse`` is enabled.
         """
         begin = max(start_time, self.busy_until)
         if reuse:
@@ -98,19 +95,9 @@ class FederatedWorker:
         out = kernels.execute(opcode, values, attrs)
         in_shapes = [v.shape for v in values] or [(1, 1)]
         duration = op_flops(opcode, in_shapes, out.shape) \
-            / self.config.flops_per_s * slow_factor
+            / self.config.flops_per_s
         end = begin + duration
         self.busy_until = end
         if reuse:
             self.cache.put(lineage, out, BACKEND_CP, out.nbytes, duration)
         return out, end
-
-    def restart(self) -> None:
-        """Simulate a worker process restart (fault injection).
-
-        The in-memory lineage cache and execution queue die with the
-        process; data shards survive (site-local durable storage), so
-        every request remains answerable — just without reuse history.
-        """
-        self.cache.clear()
-        self.busy_until = 0.0

@@ -13,11 +13,10 @@ Implements the paper's §4.2 design (Fig. 8, Algorithm 1):
   (no ``cudaMalloc``, no synchronization); otherwise it walks
   Algorithm 1: malloc → free a just-larger pointer → repeatedly free →
   flush all free pointers → defragmentation.  The paper's
-  device-to-host eviction step is not on that path:
-  :meth:`GpuMemoryManager.evict_to_host` exists (with its holistic
-  residency check) but no allocation step calls it.  Nor is a host
-  garbage collection: pointers reach the Free list by reference
-  counting, when their last handle or block lets go;
+  device-to-host eviction step is not modelled (no allocation in the
+  evaluation gets past step 3), and neither is a host garbage
+  collection: pointers reach the Free list by reference counting, when
+  their last handle or block lets go;
 * the eviction score (Eq. 2) ``T_a(o) + 1/h(o) + c(o)`` decides who
   leaves so recently-reused, short-lineage, expensive pointers survive;
   the scoring itself lives in ``core/policies.py`` (``score_pointer``)
@@ -50,12 +49,10 @@ from repro.common.simclock import DEVICE, HOST, SimClock
 from repro.common.stats import (
     FAULT_GPU_ALLOC_RETRIES,
     GPU_DEFRAGS,
-    GPU_EVICT_D2H,
     GPU_FREES,
     GPU_MALLOCS,
     GPU_RECYCLED,
     GPU_REUSED,
-    MEM_D2H_AVOIDED,
     Stats,
 )
 from repro.core.policies import make_policy
@@ -64,7 +61,6 @@ from repro.memory import REGION_GPU, MemoryArbiter, MemoryRegion
 from repro.memory.budget import align
 from repro.obs.events import (
     EV_GPU_DEFRAG,
-    EV_GPU_EVICT_D2H,
     EV_GPU_FREE,
     EV_GPU_MALLOC,
     EV_GPU_RECYCLE,
@@ -260,26 +256,6 @@ class GpuMemoryManager:
             self._destroy_free_pointer(victim)
         return freed_count
 
-    def evict_to_host(self, ptr: GpuPointer) -> None:
-        """Device-to-host eviction of a free pointer (keeps data on host).
-
-        Holistic eviction: before paying the D2H transfer, the arbiter is
-        consulted for residency in other regions — when the driver cache
-        (or its disk tier) already holds the value, the transfer is
-        skipped and the pointer is simply invalidated and freed.  Not
-        called by :meth:`_alloc_with_eviction`, which goes from the
-        flush straight to defragmentation.
-        """
-        if self.arbiter.resident_elsewhere(ptr, exclude=(REGION_GPU,)):
-            self.stats.inc(MEM_D2H_AVOIDED)
-            self._destroy_free_pointer(ptr, invalidate=True)
-            return
-        self.stream.copy_d2h(ptr.size)
-        self.stats.inc(GPU_EVICT_D2H)
-        if self.tracer.enabled:
-            self.tracer.instant(EV_GPU_EVICT_D2H, LANE_GPU, nbytes=ptr.size)
-        self._destroy_free_pointer(ptr, invalidate=False)
-
     # -- Algorithm 1 ----------------------------------------------------------
 
     def _recycle_exact(self, size: int, shape: tuple[int, int]) -> Optional[GpuPointer]:
@@ -321,8 +297,8 @@ class GpuMemoryManager:
         just-larger pointer, free pointers until malloc succeeds, flush
         every free pointer, defragment.
 
-        There is no device-to-host eviction step (see
-        :meth:`evict_to_host`) and no host garbage collection: a pointer
+        There is no device-to-host eviction step and no host garbage
+        collection: a pointer
         reaches the Free list when its last reference is released, which
         reference counting does promptly (``Session._attach_gpu_finalizer``).
         """
@@ -380,10 +356,9 @@ class GpuMemoryManager:
         if self.tracer.enabled:
             self.tracer.instant(EV_GPU_FREE, LANE_GPU, nbytes=ptr.size)
 
-    def _destroy_free_pointer(self, ptr: GpuPointer,
-                              invalidate: bool = True) -> None:
+    def _destroy_free_pointer(self, ptr: GpuPointer) -> None:
         self.free.remove(ptr)
-        if invalidate and ptr.cached:
+        if ptr.cached:
             self.on_invalidate(ptr)
         self._cuda_free(ptr)
 

@@ -42,7 +42,7 @@ class AdmissionError(MemphisError):
 
     Multi-tenant admission control (``repro.server``): a block whose
     predicted peak footprint cannot fit the shared regions under the
-    tenant's quota — even after evicting every unpinned byte — is
+    tenant's quota — even after evicting every cached byte — is
     refused before anything executes.  Carries the refusing region and
     the unsatisfied demand so a scheduler can requeue the request as
     backpressure instead of failing it.

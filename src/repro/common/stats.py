@@ -144,7 +144,6 @@ GPU_REUSED = "gpu/pointers_reused"
 GPU_SYNCS = "gpu/synchronizations"
 GPU_D2H = "gpu/d2h_copies"
 GPU_H2D = "gpu/h2d_copies"
-GPU_EVICT_D2H = "gpu/evictions_to_host"
 GPU_DEFRAGS = "gpu/defragmentations"
 PREFETCH_ISSUED = "async/prefetch_issued"
 BROADCAST_ISSUED = "async/broadcast_issued"
@@ -158,7 +157,6 @@ MEM_RESERVE_FAILURES = "memory/reserve_failures"
 MEM_EVICTIONS = "memory/evictions"
 MEM_SPILLS = "memory/spills"
 MEM_RESTORES = "memory/restores"
-MEM_D2H_AVOIDED = "memory/d2h_transfers_avoided"
 MEM_PLAN_RESERVE_FAILURES = "memory/plan_reserve_failures"
 MEMPLAN_BLOCKS_PLANNED = "memplan/blocks_planned"
 FAULTS_INJECTED = "faults/injected"
@@ -168,8 +166,6 @@ FAULT_EXECUTORS_LOST = "faults/executors_lost"
 FAULT_SHUFFLE_INVALIDATED = "faults/shuffle_files_invalidated"
 FAULT_PARTITIONS_DROPPED = "faults/cached_partitions_dropped"
 FAULT_GPU_ALLOC_RETRIES = "faults/gpu_alloc_retries"
-FAULT_FED_RETRIES = "faults/fed_retries"
-FAULT_QUORUM_DEGRADED = "faults/fed_rounds_degraded"
 FAULT_SPILL_IO_ERRORS = "faults/spill_io_errors"
 FAULT_RESTORE_IO_ERRORS = "faults/restore_io_errors"
 FAULT_CACHE_ENTRIES_LOST = "faults/cache_entries_lost"

@@ -10,13 +10,13 @@ The tokens, the roots and the config fields the passes read make the
 block's key (:meth:`BlockShape.key`), so the key costs no walk of its
 own.  A token holds every fact a pass reads of its hop:
 
-* op: opcode, attributes (encoded as lineage encodes them, so a NaN
+* op: opcode, attributes (as CSE and lineage key them, so a NaN
   attribute still matches), canonical input positions, shape, and the
   placement and §5 flags the hop already carries (a hop an earlier
   block placed is not placed again);
 * data leaf: shape and effective placement (preset, else where its
   payload lives);
-* literal: shape only.  CSE groups literals by value, so the classes
+* literal: shape only.  CSE groups literals by value key, so the classes
   show as which positions the ops read; the values stay out of the key
   and every ``reg`` of a search maps to one plan.
 
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from repro.common.costs import DOUBLE_BYTES, op_flops
 from repro.compiler.ir import KIND_OP, Hop
+from repro.lineage.item import NAN_KEY, value_key
 
 #: most keys a session's memo holds (plans and keys seen once alike);
 #: the oldest goes first.
@@ -43,12 +44,12 @@ FLAGS = ("prefetch", "async_broadcast", "checkpoint", "fused")
 
 
 def attr_data(attrs: dict) -> tuple:
-    """Flatten attributes into a deterministic lineage data tuple.
+    """Flatten attributes into a deterministic lineage data tuple: the
+    CSE key, plan token and lineage data of an op's attributes.
 
-    NaN floats are encoded as a sentinel string: Python hashes NaN by
-    object identity and ``nan != nan``, which would make structurally
-    identical lineage items unequal (breaking all reuse of e.g.
-    ``replace(NaN, v)``).
+    Values key by :func:`~repro.lineage.item.value_key` with the NaN
+    sentinel (so ``replace(NaN, v)`` is reusable and ``-0.0`` is not
+    ``0.0``); non-scalar values by their string form.
     """
     if not attrs:
         return ()
@@ -56,12 +57,9 @@ def attr_data(attrs: dict) -> tuple:
     for key in sorted(attrs):
         out.append(key)
         value = attrs[key]
-        if isinstance(value, float) and value != value:
-            out.append("__nan__")
-        elif isinstance(value, (int, float, bool, str)):
-            out.append(value)
-        else:
-            out.append(str(value))
+        if not isinstance(value, (int, float, str)):
+            value = str(value)
+        out.append(value_key(value, NAN_KEY))
     return tuple(out)
 
 

@@ -16,6 +16,7 @@ from typing import Optional
 
 from repro.compiler.ir import KIND_LITERAL, KIND_OP, Hop
 from repro.compiler.plan import BlockShape, attr_data
+from repro.lineage.item import value_key
 from repro.runtime.placement import data_location
 
 
@@ -66,10 +67,9 @@ def eliminate_common_subexpressions(
             if kind == KIND_OP:
                 ins = tuple([pos[h.id] for h in inputs])
                 attrs = node.attrs
-                key = (node.opcode,
-                       tuple(sorted(attrs.items())) if attrs else (), ins)
+                key = (node.opcode, attr_data(attrs) if attrs else (), ins)
             elif kind == KIND_LITERAL:
-                key = ("lit", node.value)
+                key = ("lit", value_key(node.value))
             else:
                 handle = node.handle
                 key = ("data", id(handle) if handle is not None else nid)
@@ -92,8 +92,6 @@ def eliminate_common_subexpressions(
             if record is None:
                 continue
             if kind == KIND_OP:
-                if attrs:
-                    key = (node.opcode, attr_data(attrs), ins)
                 record((key, node.shape, node.placement, node.prefetch,
                         node.async_broadcast, node.checkpoint, node.fused))
             elif kind == KIND_LITERAL:

@@ -102,7 +102,6 @@ class LineageCache:
             bytes_per_s=disk_bytes_per_s,
             flops_per_s=flops_per_s,
         )
-        arbiter.register_residency(REGION_CP, self.has_host_copy_for)
         self._entries: dict[LineageItem, CacheEntry] = {}
         #: victim order of the CP region, for policies that allow one;
         #: ``None`` (MRD) falls back to scanning ``_entries`` per victim.
@@ -331,19 +330,16 @@ class LineageCache:
         """
         resident = self._scan_resident()
         if own is not None:
-            return [e for e in resident
-                    if e.tenant == own and e is not skip and not e.pinned]
+            return [e for e in resident if e.tenant == own and e is not skip]
         scope = self._scope
         if scope is None:
             return resident
-        # fair-share victim filter: pinned entries are never victims,
-        # and another tenant's entries are protected while that tenant
-        # is within its quota
-        return [e for e in resident
-                if not e.pinned and scope.evictable(e)]
+        # fair-share victim filter: another tenant's entries are
+        # protected while that tenant is within its quota
+        return [e for e in resident if scope.evictable(e)]
 
     def _release_cp(self, entry: CacheEntry) -> None:
-        """Release the entry's CP charge (+ tenant ledger and pin)."""
+        """Release the entry's CP charge (+ tenant ledger)."""
         nbytes = entry.cp_accounted
         if not nbytes:
             return
@@ -351,14 +347,11 @@ class LineageCache:
         entry.cp_accounted = 0
         if entry.tenant is not None:
             self._cp_region.charge_tenant(entry.tenant, -nbytes)
-        if entry.pinned:
-            self._cp_region.unpin(nbytes)
-            entry.pinned = False
 
     def _fit_tenant_quota(self, entry: CacheEntry, size: int) -> bool:
         """Make ``size`` bytes fit under the entry tenant's quota.
 
-        Shrinks the tenant's *own* unpinned CP entries first; when the
+        Shrinks the tenant's *own* CP entries first; when the
         quota still cannot take the bytes, the put is refused — a tenant
         never caches past its fair share.
         """
@@ -531,22 +524,6 @@ class LineageCache:
 
     # -- GPU integration ---------------------------------------------------------
 
-    def has_host_copy_for(self, ptr) -> bool:
-        """Residency probe: does the entry backed by GPU pointer ``ptr``
-        also hold a host-side (driver or disk) copy?
-
-        Registered with the arbiter as the ``CP`` region's residency
-        probe, so the GPU memory manager can skip a D2H save when the
-        value already survives on the host (holistic eviction).
-        """
-        ptr_id = getattr(ptr, "id", None)
-        if ptr_id is None:
-            return False
-        entry = self._gpu_index.get(ptr_id)
-        if entry is None:
-            return False
-        return BACKEND_CP in entry.payloads or BACKEND_DISK in entry.payloads
-
     def on_gpu_invalidate(self, ptr) -> None:
         """Callback from the GPU memory manager before a pointer is
         recycled/freed: the entry backed by it loses its GPU payload."""
@@ -598,10 +575,9 @@ class LineageCache:
         """Assert the cache's conservation laws (tests, sweeps).
 
         The byte ledgers equal what the entries say they charged — CP
-        ``used`` (and each tenant's share, and ``pinned``) against
-        ``cp_accounted``, DISK ``used`` against the spilled entries'
-        sizes, every pinned entry CP-charged (so ``pinned == 0`` iff none
-        is pinned) — and the victim index is redundant state that agrees with
+        ``used`` (and each tenant's share) against ``cp_accounted``, DISK
+        ``used`` against the spilled entries' sizes — and the victim
+        index is redundant state that agrees with
         its oracle: every CP-resident entry is reachable in it, and the
         victim it yields *is* the full scan's, for the active scope and
         for every tenant's quota-shrink view.  The GPU pointer index is
@@ -632,11 +608,6 @@ class LineageCache:
         ledger = {t: n for t, n in (cp.tenant_used or {}).items() if n}
         assert ledger == by_tenant, \
             f"tenant ledgers {ledger} != charged bytes {by_tenant}"
-        charges = [e.cp_accounted for e in entries if e.pinned]
-        assert all(charges), "a pinned entry holds no CP charge"
-        pinned = sum(charges)
-        assert cp.pinned == pinned, \
-            f"CP pinned {cp.pinned} != pinned entries' bytes {pinned}"
         index = self._index
         if index is None:
             return

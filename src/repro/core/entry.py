@@ -40,7 +40,7 @@ class CacheEntry:
         "key", "status", "payloads", "size", "compute_cost", "height",
         "hits", "misses", "jobs", "last_access", "seen_count",
         "is_function", "rdd_materialized", "outputs", "cp_accounted",
-        "owner", "tenant", "request", "pinned", "seq", "victim_rec",
+        "owner", "tenant", "request", "seq", "victim_rec",
     )
 
     def __init__(self, key: LineageItem, compute_cost: float = 0.0,
@@ -78,8 +78,6 @@ class CacheEntry:
         #: request first put this entry — what cost-attribution events
         #: report as ``producer_request``.  ``None`` outside a request.
         self.request: Optional[str] = None
-        #: tenant-pinned entries are never offered as eviction victims.
-        self.pinned = False
         #: creation sequence number, stamped by the owning cache: equal
         #: eviction scores tie-break on it, which is the cache's dict
         #: order (``repro.core.victim_index``).

@@ -69,7 +69,7 @@ from repro.core.substrate import SessionContext, Substrate
 from repro.core.tiers import BackendTiers
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
 from repro.lineage.item import LineageItem
-from repro.memory import REGION_CP, MemoryArbiter
+from repro.memory import MemoryArbiter
 from repro.lineage.recompute import replay
 from repro.lineage.serialize import deserialize, serialize
 from repro.obs.explain import LEVEL_FULL, render_plan, snapshot_plan
@@ -127,10 +127,6 @@ class Session:
             # session-private: only CP/DISK live on the shared arbiter.
             self.arbiter = MemoryArbiter(
                 self.stats, tracer=self.tracer, faults=self.faults)
-            # holistic eviction still consults driver-cache residency:
-            # the session's GPU manager asks the *shared* cache.
-            self.arbiter.register_residency(
-                REGION_CP, substrate.cache.has_host_copy_for)
         else:
             self.substrate = Substrate(
                 cfg, stats=self.stats, clock=self.clock,

@@ -227,30 +227,6 @@ class SessionContext:
             sub.tracer.instant(EV_SERVER_BACKPRESSURE, tenant=self.tenant,
                                region=region, nbytes=nbytes)
 
-    # -- tenant pinning ------------------------------------------------------
-
-    def pin(self, key: LineageItem) -> bool:
-        """Pin the entry under ``key``: never offered as a victim.
-
-        Pinned bytes also count into the region's ``pinned`` ledger, so
-        strict admission refuses blocks that could only fit by evicting
-        them.  Returns ``False`` when the key has no CP-charged entry.
-        """
-        entry = self.substrate.cache._entries.get(self.namespaced(key))
-        if entry is None or entry.pinned or not entry.cp_accounted:
-            return False
-        entry.pinned = True
-        self.substrate.arbiter.region(REGION_CP).pin(entry.cp_accounted)
-        return True
-
-    def unpin(self, key: LineageItem) -> bool:
-        entry = self.substrate.cache._entries.get(self.namespaced(key))
-        if entry is None or not entry.pinned:
-            return False
-        entry.pinned = False
-        self.substrate.arbiter.region(REGION_CP).unpin(entry.cp_accounted)
-        return True
-
     # -- victim protection ---------------------------------------------------
 
     def evictable(self, entry: CacheEntry) -> bool:
@@ -456,16 +432,10 @@ class Substrate:
     def tenant_occupancy(self) -> dict[str, dict[str, int]]:
         """Per-tenant CP usage/quota snapshot (``server/`` namespace)."""
         region = self.arbiter.region(REGION_CP)
-        pins: dict[Optional[str], int] = {}
-        if region.pinned:  # audited: no pinned bytes, no pinned entry
-            for e in self.cache.entries():
-                if e.pinned:
-                    pins[e.tenant] = pins.get(e.tenant, 0) + 1
         return {
             tenant: {
                 "used": region.tenant_usage(tenant),
                 "quota": self.tenants[tenant],
-                "pinned_entries": pins.get(tenant, 0),
             }
             for tenant in sorted(self.tenants)
         }

@@ -110,10 +110,11 @@ class VictimIndex:
 
     # -- victim queries ------------------------------------------------------
 
-    def _top(self, heap: list, skip_pinned: bool,
+    def _top(self, heap: list,
              skip: Optional[CacheEntry] = None) -> Optional[CacheEntry]:
-        """The heap's live minimum; skipped entries stay in the heap."""
-        aside = []
+        """The heap's live minimum other than ``skip``, which stays in
+        the heap."""
+        aside = None
         found = None
         while heap:
             rec = heap[0]
@@ -121,13 +122,13 @@ class VictimIndex:
                 heappop(heap)  # re-scored since, or not resident now
                 continue
             entry = rec[2]
-            if entry is skip or (skip_pinned and entry.pinned):
-                aside.append(heappop(heap))
+            if entry is skip:
+                aside = heappop(heap)
                 continue
             found = entry
             break
-        for rec in aside:
-            heappush(heap, rec)
+        if aside is not None:
+            heappush(heap, aside)
         return found
 
     def candidates(self, now: float,
@@ -137,8 +138,7 @@ class VictimIndex:
 
         ``evictable`` is the active scope's fair-share filter; it depends
         only on an entry's tenant (fixed at creation) and the region
-        ledgers, so it is asked once per heap.  Pinned entries are
-        skipped exactly when a scope is active, as the scan does.
+        ledgers, so it is asked once per heap.
         """
         if self._dirty:
             self._flush(now)
@@ -148,7 +148,7 @@ class VictimIndex:
                 continue
             if evictable is not None and not evictable(heap[0][2]):
                 continue
-            top = self._top(heap, evictable is not None)
+            top = self._top(heap)
             if top is not None:
                 tops.append(top)
         if len(tops) > 1:
@@ -157,11 +157,11 @@ class VictimIndex:
 
     def own_candidates(self, tenant: Optional[str], now: float,
                        skip: Optional[CacheEntry]) -> list[CacheEntry]:
-        """The tenant's own next unpinned victim other than ``skip``."""
+        """The tenant's own next victim other than ``skip``."""
         if self._dirty:
             self._flush(now)
         heap = self._heaps.get(tenant)
-        top = self._top(heap, True, skip) if heap else None
+        top = self._top(heap, skip) if heap else None
         return [] if top is None else [top]
 
     # -- audit ---------------------------------------------------------------

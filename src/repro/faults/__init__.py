@@ -3,13 +3,12 @@
 MEMPHIS's premise is that lineage makes intermediates cheap to
 reconstruct; this package is the proof harness.  A seeded
 :class:`FaultPlan` schedules failures against the simulated runtime —
-Spark task failures and executor loss, GPU allocation failures,
-federated worker timeouts and slowdowns, cache spill/restore I/O errors,
-and outright loss of cached intermediates — and the backends recover
-through the same lineage machinery the paper describes: task retry with
-partition recomputation, shuffle-file invalidation, GPU evict-and-retry,
-federated retry-with-backoff (optionally quorum-degraded), and
-interpreter-level recompute-from-lineage.
+Spark task failures and executor loss, GPU allocation failures, cache
+spill/restore I/O errors, and outright loss of cached intermediates —
+and the backends recover through the same lineage machinery the paper
+describes: task retry with partition recomputation, shuffle-file
+invalidation, GPU evict-and-retry, and interpreter-level
+recompute-from-lineage.
 
 Faults never perturb numerics: every recovery replays the identical
 kernels, so a faulted run converges to outputs bit-equal to the
@@ -31,8 +30,6 @@ from repro.faults.injector import (
 from repro.faults.plan import (
     KIND_CACHE_LOST,
     KIND_EXECUTOR_LOSS,
-    KIND_FED_SLOW,
-    KIND_FED_TIMEOUT,
     KIND_GPU_ALLOC,
     KIND_INDEX_MEANING,
     KIND_RESTORE_IO,
@@ -51,8 +48,6 @@ __all__ = [
     "KINDS",
     "KIND_CACHE_LOST",
     "KIND_EXECUTOR_LOSS",
-    "KIND_FED_SLOW",
-    "KIND_FED_TIMEOUT",
     "KIND_GPU_ALLOC",
     "KIND_INDEX_MEANING",
     "KIND_RESTORE_IO",

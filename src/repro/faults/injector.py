@@ -2,7 +2,7 @@
 
 A :class:`FaultInjector` compiles a :class:`~repro.faults.plan.FaultPlan`
 into per-kind occurrence tables and exposes one *draw point* per fault
-site in the runtime (Spark task launch, GPU allocation, federated round,
+site in the runtime (Spark task launch, Spark job, GPU allocation,
 cache spill/restore, interpreter instruction).  Each draw advances that
 kind's occurrence counter exactly once, so the sequence of draws — and
 therefore the fault schedule — is a deterministic function of the program
@@ -29,8 +29,6 @@ from repro.common.stats import (
 from repro.faults.plan import (
     KIND_CACHE_LOST,
     KIND_EXECUTOR_LOSS,
-    KIND_FED_SLOW,
-    KIND_FED_TIMEOUT,
     KIND_GPU_ALLOC,
     KIND_RESTORE_IO,
     KIND_SPARK_TASK,
@@ -50,10 +48,6 @@ class ArmedFault:
     def __init__(self, spec: FaultSpec) -> None:
         self.spec = spec
         self.remaining = spec.count
-
-    def matches(self, target: Optional[int]) -> bool:
-        """Whether this fault applies to ``target`` (worker/executor id)."""
-        return self.spec.target is None or self.spec.target == target
 
     def take(self) -> bool:
         """Consume one failure; ``False`` once the budgeted count is spent.
@@ -98,33 +92,23 @@ class FaultInjector:
                     .setdefault(spec.at, []).append(fault)
             else:
                 self._timed.setdefault(spec.kind, []).append(fault)
-        # kind -> next occurrence index (fed_timeout/fed_slow share the
-        # federated round counter, advanced by fed_round()).
+        # kind -> next occurrence index
         self._indices: dict[str, int] = {}
 
     # -- occurrence counters --------------------------------------------------
 
-    def _next_index(self, kind: str) -> int:
-        idx = self._indices.get(kind, 0)
-        self._indices[kind] = idx + 1
-        return idx
-
-    def _lookup(self, kind: str, at: int,
-                target: Optional[int] = None) -> Optional[ArmedFault]:
+    def draw(self, kind: str) -> Optional[ArmedFault]:
+        """Advance ``kind``'s occurrence counter and return any armed fault."""
+        at = self._indices.get(kind, 0)
+        self._indices[kind] = at + 1
         for fault in self._armed.get(kind, {}).get(at, ()):
-            if fault.remaining > 0 and fault.matches(target):
+            if fault.remaining > 0:
                 return fault
         now = self.clock.now(HOST)
         for fault in self._timed.get(kind, ()):
-            if (fault.remaining > 0 and fault.matches(target)
-                    and now >= fault.spec.after_time):
+            if fault.remaining > 0 and now >= fault.spec.after_time:
                 return fault
         return None
-
-    def draw(self, kind: str,
-             target: Optional[int] = None) -> Optional[ArmedFault]:
-        """Advance ``kind``'s occurrence counter and return any armed fault."""
-        return self._lookup(kind, self._next_index(kind), target)
 
     # -- per-site draw points -------------------------------------------------
 
@@ -150,29 +134,6 @@ class FaultInjector:
     def gpu_alloc(self) -> Optional[ArmedFault]:
         """Draw for the next GPU allocation request."""
         return self.draw(KIND_GPU_ALLOC)
-
-    def fed_round(self) -> int:
-        """Advance the shared federated round counter; returns the index."""
-        return self._next_index("fed_round")
-
-    def fed_timeout(self, round_idx: int,
-                    worker_id: int) -> Optional[ArmedFault]:
-        """Armed timeout for ``worker_id`` in round ``round_idx``, if any."""
-        return self._lookup(KIND_FED_TIMEOUT, round_idx, worker_id)
-
-    def fed_slow(self, round_idx: int, worker_id: int) -> Optional[float]:
-        """Slowdown factor for ``worker_id`` in round ``round_idx``, if any.
-
-        Unlike timeouts, a slow response needs no recovery loop — the
-        fault is consumed here and only stretches the worker's modeled
-        duration.
-        """
-        fault = self._lookup(KIND_FED_SLOW, round_idx, worker_id)
-        if fault is None or not fault.take():
-            return None
-        self.injected(KIND_FED_SLOW, round=round_idx, worker=worker_id,
-                      factor=fault.spec.factor)
-        return fault.spec.factor
 
     def spill_io(self) -> bool:
         """Whether the next driver-cache disk spill fails."""
@@ -235,7 +196,7 @@ class NullInjector:
     enabled = False
     plan = None
 
-    def draw(self, kind, target=None):
+    def draw(self, kind):
         return None
 
     def spark_task(self):
@@ -245,15 +206,6 @@ class NullInjector:
         return []
 
     def gpu_alloc(self):
-        return None
-
-    def fed_round(self):
-        return -1
-
-    def fed_timeout(self, round_idx, worker_id):
-        return None
-
-    def fed_slow(self, round_idx, worker_id):
         return None
 
     def spill_io(self):

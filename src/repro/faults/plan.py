@@ -3,8 +3,7 @@
 A :class:`FaultPlan` is a *seeded, declarative* schedule of injected
 failures plus the retry budgets that bound the recovery machinery.  Every
 fault is keyed either to a **site index** (the n-th Spark task launched,
-the n-th GPU allocation, the n-th federated round, the n-th interpreter
-instruction, ...) or to the **sim clock** (first matching site at or
+the n-th GPU allocation, the n-th interpreter instruction, ...) or to the **sim clock** (first matching site at or
 after ``after_time`` simulated seconds).  Because the simulator itself is
 deterministic, a given plan replayed against the same program produces
 the identical sequence of faults, retries, and recoveries — which is what
@@ -14,7 +13,7 @@ numerically identical to the fault-free run.
 Plans have one text form, the compact DSL :meth:`FaultPlan.parse`
 reads (harness ``--faults``); it expresses every spec and plan field::
 
-    spark_task@3;gpu_alloc@0,count=2;fed_timeout@1,worker=2;seed=7
+    spark_task@3;gpu_alloc@0,count=2;executor_loss@1,executor=2;seed=7
 
 Fault *effects* only ever alter simulated time, allocation churn, and
 counters — never computed values.  Recovery recomputes the identical
@@ -35,10 +34,6 @@ KIND_SPARK_TASK = "spark_task"
 KIND_EXECUTOR_LOSS = "executor_loss"
 #: one ``cudaMalloc`` fails (driver error / transient OOM).
 KIND_GPU_ALLOC = "gpu_alloc"
-#: a federated worker's response is lost (coordinator times out).
-KIND_FED_TIMEOUT = "fed_timeout"
-#: a federated worker responds ``factor``x slower than modeled.
-KIND_FED_SLOW = "fed_slow"
 #: a driver-cache spill write fails (payload dropped instead of spilled).
 KIND_SPILL_IO = "spill_io"
 #: a disk-resident cache binary is unreadable (restore fails, entry lost).
@@ -47,8 +42,8 @@ KIND_RESTORE_IO = "restore_io"
 KIND_CACHE_LOST = "cache_lost"
 
 KINDS = (
-    KIND_SPARK_TASK, KIND_EXECUTOR_LOSS, KIND_GPU_ALLOC, KIND_FED_TIMEOUT,
-    KIND_FED_SLOW, KIND_SPILL_IO, KIND_RESTORE_IO, KIND_CACHE_LOST,
+    KIND_SPARK_TASK, KIND_EXECUTOR_LOSS, KIND_GPU_ALLOC, KIND_SPILL_IO,
+    KIND_RESTORE_IO, KIND_CACHE_LOST,
 )
 
 #: which occurrence counter each kind is keyed to (documentation +
@@ -57,8 +52,6 @@ KIND_INDEX_MEANING = {
     KIND_SPARK_TASK: "n-th Spark task launched (map + result stages)",
     KIND_EXECUTOR_LOSS: "n-th Spark job submitted",
     KIND_GPU_ALLOC: "n-th GPU allocation request",
-    KIND_FED_TIMEOUT: "n-th federated round",
-    KIND_FED_SLOW: "n-th federated round",
     KIND_SPILL_IO: "n-th disk spill attempt (driver cache or executor block)",
     KIND_RESTORE_IO: "n-th driver-cache disk restore",
     KIND_CACHE_LOST: "n-th interpreter instruction",
@@ -73,16 +66,15 @@ class FaultSpec:
     :data:`KIND_INDEX_MEANING`); ``at=None`` arms a clock-keyed fault
     that fires at the first matching site once the host sim clock
     reaches ``after_time``.  ``count`` fails the same site ``count``
-    consecutive times (exercising retry loops); ``target`` restricts
-    worker/executor-scoped kinds to one id; ``factor`` is the slowdown
-    multiplier of :data:`KIND_FED_SLOW` faults.
+    consecutive times (exercising retry loops); ``target`` names the
+    executor a :data:`KIND_EXECUTOR_LOSS` fault kills (otherwise drawn
+    from the injector's RNG).
     """
 
     kind: str
     at: Optional[int] = None
     count: int = 1
     target: Optional[int] = None
-    factor: float = 4.0
     after_time: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -112,16 +104,6 @@ class FaultPlan:
     #: GPU: failed allocation attempts tolerated per request (each retry
     #: is preceded by an evict — ``empty_cache`` — recovery step).
     max_alloc_retries: int = 3
-    #: federated: lost responses tolerated per worker per round.
-    max_fed_retries: int = 4
-    #: federated: first retry backoff (doubles per attempt).
-    fed_backoff_base_s: float = 0.05
-    #: federated: how long the coordinator waits before declaring a
-    #: response lost.
-    fed_timeout_s: float = 0.25
-    #: federated: fraction of sites that must have responded for a round
-    #: to continue in *degraded* mode once a worker exhausts its budget.
-    quorum_fraction: float = 1.0
 
     # -- command-line spec ----------------------------------------------------
 
@@ -131,9 +113,9 @@ class FaultPlan:
 
             kind@index[,key=value...] | kind,after=seconds[,...] | key=value
 
-        Spec keys: ``count``, ``worker``/``target``, ``factor``,
-        ``after``.  Plan keys: any numeric :class:`FaultPlan` field
-        (``seed``, ``max_task_retries``, ``quorum_fraction``, ...).
+        Spec keys: ``count``, ``executor``/``target``, ``after``.  Plan
+        keys: any numeric :class:`FaultPlan` field (``seed``,
+        ``max_task_retries``, ``max_alloc_retries``).
         """
         plan = cls()
         for token in filter(None, (t.strip() for t in spec.split(";"))):
@@ -151,10 +133,8 @@ class FaultPlan:
                 key = key.strip()
                 if key == "count":
                     fields["count"] = int(value)
-                elif key in ("worker", "executor", "target"):
+                elif key in ("executor", "target"):
                     fields["target"] = int(value)
-                elif key == "factor":
-                    fields["factor"] = float(value)
                 elif key == "after":
                     fields["after_time"] = float(value)
                 else:
@@ -193,8 +173,6 @@ class FaultPlan:
 def _set_plan_field(plan: FaultPlan, token: str) -> None:
     key, _, value = token.partition("=")
     key = key.strip()
-    if key == "quorum":
-        key = "quorum_fraction"
     current = getattr(plan, key, None)
     if current is None or key == "specs":
         raise ValueError(f"unknown fault plan field {key!r}")

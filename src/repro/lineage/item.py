@@ -34,6 +34,41 @@ OP_FUNCTION = "func"
 #: (see ``repro.core.substrate``).
 OP_NAMESPACE = "ns"
 
+#: the attribute key of a NaN: ``nan != nan``, so a NaN attribute kept
+#: as itself would make structurally identical items unequal.
+NAN_KEY = "__nan__"
+#: the key of ``-0.0``, which ``==`` and ``hash`` equate with ``0.0``
+#: although ``1 / x`` tells them apart.
+NEG_ZERO_KEY = "__-0.0__"
+
+
+def value_key(value: object, nan: object = None) -> object:
+    """The key under which ``value`` decides that two computations are
+    the same — by CSE, plan tokens and lineage alike.
+
+    Every value keys as itself except two floats ``==`` gets wrong:
+    ``-0.0`` keys as :data:`NEG_ZERO_KEY`, and a NaN as ``nan``
+    (attributes pass :data:`NAN_KEY`) or, without one, as itself, so by
+    identity.  :func:`key_value` maps a key back to its value.
+    """
+    if isinstance(value, float):
+        if value != value:
+            return value if nan is None else nan
+        if not value and copysign(1.0, value) < 0.0:
+            return NEG_ZERO_KEY
+    return value
+
+
+def key_value(key: object) -> object:
+    """The value a lineage data item stands for (inverts
+    :func:`value_key`), for replaying a trace."""
+    if key.__class__ is str:
+        if key == NEG_ZERO_KEY:
+            return -0.0
+        if key == NAN_KEY:
+            return float("nan")
+    return key
+
 
 class LineageItem:
     """One node of a lineage DAG.
@@ -183,13 +218,11 @@ class LineageInterner:
         """Canonical leaf for a scalar/string literal.
 
         ``==`` equates literals that replay and serialize differently
-        (``0.0``/``-0.0``, ``1``/``1.0``/``True``), so the key carries
-        the value's type and, for a float, its sign: one canonical leaf
-        never stands for another's value.  A NaN keys by identity, as
-        the structural comparison treats it.
+        (``0.0``/``-0.0``, ``1``/``1.0``/``True``), so the table key is
+        the value's type and :func:`value_key`: one canonical leaf never
+        stands for another's value.
         """
-        sign = copysign(1.0, value) if isinstance(value, float) else None
-        key = (OP_LITERAL, type(value), value, sign)
+        key = (OP_LITERAL, type(value), value_key(value))
         item = self._table.get(key)
         if item is None:
             item = LineageItem(OP_LITERAL, (value,), (), self._ids)
@@ -228,7 +261,8 @@ def dags_equal(a: LineageItem, b: LineageItem,
     """Non-recursive DAG equality with memoization and early aborts.
 
     Early-abort conditions (paper §3.2): hash mismatch, height difference,
-    and shared sub-DAGs (object identity short-circuits a subtree).
+    and shared sub-DAGs (object identity short-circuits a subtree).  A
+    zero literal also compares its :func:`value_key`: ``0.0 == -0.0``.
     """
     if a is b:
         return True
@@ -250,6 +284,8 @@ def dags_equal(a: LineageItem, b: LineageItem,
             or x.opcode != y.opcode
             or x.data != y.data
             or len(x.inputs) != len(y.inputs)
+            or (x.opcode == OP_LITERAL and x.data[0] == 0.0
+                and value_key(x.data[0]) != value_key(y.data[0]))
         ):
             return False
         memo.add(key)

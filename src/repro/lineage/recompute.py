@@ -19,7 +19,7 @@ import numpy as np
 from repro.common.errors import RecomputationError
 from repro.common.runtime import IdSpace
 from repro.compiler.ir import Hop, literal_hop, op_hop
-from repro.lineage.item import LineageItem
+from repro.lineage.item import LineageItem, key_value
 from repro.runtime.handles import MatrixHandle
 
 if TYPE_CHECKING:
@@ -30,11 +30,11 @@ def attrs_from_data(data: tuple) -> dict:
     """Rebuild an attribute dict from a flattened lineage data tuple.
 
     Inverse of the interpreter's attribute flattening: lineage items
-    store op attributes as ``(key, value, key, value, ...)``.
+    store op attributes as ``(key, value key, key, value key, ...)``.
     """
     attrs: dict = {}
     for i in range(0, len(data) - 1, 2):
-        attrs[str(data[i])] = data[i + 1]
+        attrs[str(data[i])] = key_value(data[i + 1])
     return attrs
 
 

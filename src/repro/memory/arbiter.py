@@ -3,7 +3,7 @@
 The decision half of the arbitration substrate: the arbiter *decides*
 (evict whom, spill or drop, admit or refuse), the
 :class:`~repro.memory.region.MemoryRegion` each manager holds *counts*
-(``commit``/``cancel``/``acquire``/``release``/``pin``/quotas are called
+(``commit``/``cancel``/``acquire``/``release``/quotas are called
 on the region directly).  Every manager routes its space requests and
 victim selection through here:
 
@@ -18,9 +18,6 @@ victim selection through here:
   disk-round-trip break-even (§3.3) and the disk-region budget check.
 * **Admission** — :meth:`admissible` is the pure predicate the
   multi-tenant gate asks: can a block's predicted peaks fit at all?
-* **Cross-region coordination** — residency probes let one region ask
-  whether an object is resident elsewhere before paying a transfer
-  (GPU eviction consults driver-cache residency).
 * **Fault hooks** — the spill/restore/alloc fault draw points of
   ``repro.faults`` live behind the arbiter, so every region's spill
   path shares one deterministic draw sequence.
@@ -84,9 +81,6 @@ class MemoryArbiter:
         self.faults = faults if faults is not None else NULL_INJECTOR
         self._regions: dict[str, MemoryRegion] = {}
         self._spill: dict[str, _SpillModel] = {}
-        #: region -> probe(token) -> bool: is ``token``'s data resident
-        #: in that region?  Consulted by :meth:`resident_elsewhere`.
-        self._residency: dict[str, Callable[[object], bool]] = {}
 
     # -- region registry ------------------------------------------------------
 
@@ -175,8 +169,8 @@ class MemoryArbiter:
         ``demands`` maps region names to the statically predicted peak
         bytes (``repro.analysis.memplan``).  A registered bounded region
         refuses when the demand not already backed by resident data
-        exceeds what evicting every unpinned byte could free:
-        ``max(demand - used, 0) > capacity - pinned``.  Unlimited and
+        exceeds what evicting every byte could free:
+        ``max(demand - used, 0) > capacity``.  Unlimited and
         unknown regions have nothing to admit against.  Returns the
         first refusing region's name (counted and traced), else
         ``None``; no ledger is touched either way.
@@ -185,7 +179,7 @@ class MemoryArbiter:
             region = self._regions.get(name)
             if region is None or region.unlimited or demand <= 0:
                 continue
-            if max(demand - region.used, 0) > region.capacity - region.pinned:
+            if max(demand - region.used, 0) > region.capacity:
                 self.stats.inc(MEM_PLAN_RESERVE_FAILURES)
                 if self.tracer.enabled:
                     self.tracer.instant(
@@ -251,28 +245,6 @@ class MemoryArbiter:
         recompute_time = compute_cost / model.flops_per_s
         roundtrip_time = 2.0 * size / model.bytes_per_s
         return recompute_time > roundtrip_time
-
-    # -- cross-region coordination --------------------------------------------
-
-    def register_residency(self, name: str,
-                           probe: Callable[[object], bool]) -> None:
-        """Register ``probe(token) -> bool`` answering residency in ``name``."""
-        self._residency[name] = probe
-
-    def resident_elsewhere(self, token: object,
-                           exclude: tuple = ()) -> bool:
-        """Whether ``token``'s data is resident in any other region.
-
-        The holistic-eviction consultation: before paying a transfer to
-        save an object, a region asks whether another tier already holds
-        a copy (e.g. GPU D2H eviction vs an existing driver-cache copy).
-        """
-        for name, probe in self._residency.items():
-            if name in exclude:
-                continue
-            if probe(token):
-                return True
-        return False
 
     # -- fault hooks (repro.faults draw points) -------------------------------
 

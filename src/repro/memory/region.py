@@ -1,7 +1,7 @@
 """Per-backend memory regions: capacity + byte ledgers + watermarks.
 
 A :class:`MemoryRegion` is the accounting half of the arbitration
-substrate: reserved/used/pinned byte ledgers under one capacity, with
+substrate: reserved/used byte ledgers under one capacity, with
 the invariant ``used + reserved + free == capacity`` (``free`` clamps
 at zero for unlimited regions, which may legally overcommit).  The
 decision half — victim selection, spill-vs-drop, admission —
@@ -28,7 +28,7 @@ class MemoryRegion:
 
     __slots__ = (
         "name", "capacity", "unlimited", "policy",
-        "used", "reserved", "pinned", "peak_used",
+        "used", "reserved", "peak_used",
         "quotas", "tenant_used",
     )
 
@@ -43,7 +43,6 @@ class MemoryRegion:
         self.policy = policy
         self.used = 0
         self.reserved = 0
-        self.pinned = 0
         self.peak_used = 0
         #: per-tenant fair-share byte quotas (``repro.server``); ``None``
         #: until the first quota is set, so single-tenant sessions pay
@@ -98,13 +97,6 @@ class MemoryRegion:
         """Return ``size`` used bytes to the region."""
         self.used -= size
 
-    def pin(self, size: int) -> None:
-        """Mark ``size`` used bytes unevictable (in use by an operator)."""
-        self.pinned += size
-
-    def unpin(self, size: int) -> None:
-        self.pinned -= size
-
     # -- per-tenant fair-share ledgers (repro.server) -----------------------
 
     def set_quota(self, tenant: str, nbytes: Optional[int]) -> None:
@@ -153,7 +145,6 @@ class MemoryRegion:
         """Drop all ledgers (cache clear); capacity/policy survive."""
         self.used = 0
         self.reserved = 0
-        self.pinned = 0
         if self.tenant_used is not None:
             self.tenant_used.clear()
 
@@ -162,8 +153,6 @@ class MemoryRegion:
         assert self.used >= 0, f"{self.name}: negative used ({self.used})"
         assert self.reserved >= 0, \
             f"{self.name}: negative reserved ({self.reserved})"
-        assert self.pinned >= 0, \
-            f"{self.name}: negative pinned ({self.pinned})"
         assert self.used + self.reserved + self.free == self.capacity or \
             self.unlimited or self.used + self.reserved > self.capacity, \
             f"{self.name}: ledger does not tile capacity"
@@ -192,7 +181,6 @@ class MemoryRegion:
             "capacity": self.capacity,
             "used": self.used,
             "reserved": self.reserved,
-            "pinned": self.pinned,
             "free": self.free,
             "peak_used": self.peak_used,
             "unlimited": self.unlimited,
@@ -210,4 +198,4 @@ class MemoryRegion:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MemoryRegion({self.name}, {self.used}+{self.reserved}r"
-                f"/{self.capacity}, pinned={self.pinned})")
+                f"/{self.capacity})")

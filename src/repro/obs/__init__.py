@@ -54,7 +54,6 @@ from repro.obs.events import (
     EV_FED_REQUEST,
     EV_GPU_D2H,
     EV_GPU_DEFRAG,
-    EV_GPU_EVICT_D2H,
     EV_GPU_FREE,
     EV_GPU_H2D,
     EV_GPU_KERNEL,
@@ -113,7 +112,6 @@ __all__ = [
     "EV_FED_REQUEST",
     "EV_GPU_D2H",
     "EV_GPU_DEFRAG",
-    "EV_GPU_EVICT_D2H",
     "EV_GPU_FREE",
     "EV_GPU_H2D",
     "EV_GPU_KERNEL",

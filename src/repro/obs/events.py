@@ -89,8 +89,6 @@ EV_GPU_FREE = "gpu/free"
 EV_GPU_RECYCLE = "gpu/recycle"
 #: instant — a lineage-cache hit moved a pointer Free -> Live (Fig. 8(c)).
 EV_GPU_REUSE = "gpu/reuse"
-#: instant — a free pointer was evicted device-to-host.
-EV_GPU_EVICT_D2H = "gpu/evict_to_host"
 EV_GPU_DEFRAG = "gpu/defrag"
 
 #: instant — a region reservation failed (``repro.memory``; args:

@@ -70,7 +70,6 @@ def sample(owner: "Session | Interpreter") -> None:
     for region in regions:
         base = f"memory/{region.name}"
         counter(base + "/used", region.used)
-        counter(base + "/pinned", region.pinned)
         counter(base + "/reserved", region.reserved)
         if not region.unlimited and region.capacity > 0:
             counter(base + "/occupancy", region.occupancy)

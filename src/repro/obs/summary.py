@@ -23,7 +23,6 @@ from repro.common.stats import (
 from repro.obs.events import (
     EV_CACHE_EVICT,
     EV_CACHE_SPILL,
-    EV_GPU_EVICT_D2H,
     EV_GPU_RECYCLE,
     EV_INSTR,
     EV_PROBE,
@@ -40,7 +39,6 @@ _EVICTION_REGIONS = {
     EV_SPARK_PART_EVICT: "spark-storage",
     EV_SPARK_PART_SPILL: "spark-disk-spill",
     EV_GPU_RECYCLE: "gpu-recycled",
-    EV_GPU_EVICT_D2H: "gpu-evict-to-host",
 }
 
 #: sliding-window length of the derived rate tracks, in changes of the

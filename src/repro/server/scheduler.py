@@ -238,7 +238,7 @@ class ServerReport:
             quota = occ["quota"] if occ["quota"] is not None else "-"
             lines.append(
                 f"  tenant {tenant:<8s} cp_used={occ['used']:<12d} "
-                f"quota={quota} pinned_entries={occ['pinned_entries']}"
+                f"quota={quota}"
             )
         if self.slo:
             lines.append("  -- per-tenant SLO --")

@@ -311,8 +311,7 @@ class TestGpuInvalidation:
         removed, cleared = FakeData(7), FakeData(8)
         cache.put(key("g"), removed, "GPU", 1024, 5.0)
         cache.put(key("h"), cleared, "GPU", 1024, 5.0)
-        assert removed.ptr.cached and cache.has_host_copy_for(removed.ptr) \
-            is False
+        assert removed.ptr.cached and cleared.ptr.cached
         cache.remove(key("g"))
         assert not removed.ptr.cached and 7 not in cache._gpu_index
         cache.clear()

@@ -21,11 +21,9 @@ from repro.common.simclock import SimClock
 from repro.common.stats import (
     FAULT_CACHE_ENTRIES_LOST,
     FAULT_EXECUTORS_LOST,
-    FAULT_FED_RETRIES,
     FAULT_GPU_ALLOC_RETRIES,
     FAULT_LINEAGE_RECOMPUTES,
     FAULT_PARTITIONS_DROPPED,
-    FAULT_QUORUM_DEGRADED,
     FAULT_RESTORE_IO_ERRORS,
     FAULT_SHUFFLE_INVALIDATED,
     FAULT_SPARK_TASK_RETRIES,
@@ -255,74 +253,6 @@ class TestSpillRestoreFaults:
         assert cache.disk_bytes == sum(
             e.size for e in cache.entries() if BACKEND_DISK in e.payloads
         )
-
-
-class TestFederatedRecovery:
-    """A coordinator injects the plan of the context it is built in."""
-
-    def _fleet(self, n: int = 3):
-        from repro.backends.federated.coordinator import FederatedCoordinator
-        from repro.backends.federated.worker import (
-            FederatedConfig,
-            FederatedWorker,
-        )
-
-        cfg = FederatedConfig(num_workers=n)
-        workers = [FederatedWorker(i, cfg) for i in range(n)]
-        coord = FederatedCoordinator(workers, cfg)
-        matrix = (np.arange(60.0 * 4).reshape(60, 4) % 11.0) / 11.0
-        fm = coord.federate("X", matrix)
-        return coord, fm, matrix
-
-    def test_timeout_retry_converges(self):
-        coord0, fm0, matrix = self._fleet()
-        expected = coord0.tsmm(fm0)
-        with scope(faults=FaultPlan.parse("fed_timeout@0,worker=1,count=2")):
-            coord, fm, _ = self._fleet()
-        out = coord.tsmm(fm)
-        assert np.array_equal(out, expected)
-        assert coord.stats.get(FAULTS_INJECTED) == 2
-        assert coord.stats.get(FAULT_FED_RETRIES) == 2
-        assert coord.stats.get(FAULTS_RECOVERED) == 1
-        assert coord.clock.now("host") > coord0.clock.now("host")
-
-    def test_quorum_degraded_round_still_exact(self):
-        coord0, fm0, _ = self._fleet()
-        expected = coord0.column_sums(fm0)
-        with scope(faults=FaultPlan.parse(
-                "fed_timeout@0,worker=2,count=9;quorum=0.5")):
-            coord, fm, _ = self._fleet()
-        out = coord.column_sums(fm)
-        assert np.array_equal(out, expected)
-        assert coord.stats.get(FAULT_QUORUM_DEGRADED) == 1
-
-    def test_strict_quorum_raises_after_budget(self):
-        with scope(faults=FaultPlan.parse("fed_timeout@0,worker=0,count=9")):
-            coord, fm, _ = self._fleet()
-        with pytest.raises(FaultInjectionError):
-            coord.tsmm(fm)
-
-    def test_slow_worker_changes_time_not_numerics(self):
-        coord0, fm0, matrix = self._fleet()
-        vec = np.arange(4.0).reshape(4, 1)
-        expected = coord0.matvec(fm0, vec)
-        with scope(faults=FaultPlan.parse("fed_slow@0,worker=1,factor=16")):
-            coord, fm, _ = self._fleet()
-        out = coord.matvec(fm, vec)
-        assert np.array_equal(out, expected)
-        assert coord.stats.get(FAULTS_INJECTED) == 1
-        assert coord.clock.now("host") > coord0.clock.now("host")
-
-    def test_worker_restart_loses_cache_keeps_shards(self):
-        coord, fm, _ = self._fleet()
-        coord.tsmm(fm)
-        worker = coord.workers[0]
-        assert len(worker.cache) > 0
-        worker.restart()
-        assert len(worker.cache) == 0
-        assert worker.busy_until == 0.0
-        # shards survive: the same request is still answerable
-        assert np.array_equal(coord.tsmm(fm), coord.tsmm(fm))
 
 
 class TestDifferential:

@@ -23,8 +23,7 @@ from repro.common.runtime import RuntimeContext, current, scope
 from repro.common.simclock import HOST, SimClock
 from repro.common.stats import Stats
 from repro.faults import (
-    KIND_FED_SLOW,
-    KIND_FED_TIMEOUT,
+    KIND_EXECUTOR_LOSS,
     KIND_SPARK_TASK,
     KINDS,
     NULL_INJECTOR,
@@ -61,7 +60,7 @@ def dsl(plan: FaultPlan) -> str:
     tokens = []
     for spec in plan.specs:
         keys = [spec.kind if spec.at is None else f"{spec.kind}@{spec.at}",
-                f"count={spec.count}", f"factor={spec.factor!r}"]
+                f"count={spec.count}"]
         if spec.target is not None:
             keys.append(f"target={spec.target}")
         if spec.after_time is not None:
@@ -91,8 +90,7 @@ class TestFaultSpec:
 
     def test_dsl_round_trip_every_kind(self):
         for i, kind in enumerate(KINDS):
-            factor = 8.0 if kind == KIND_FED_SLOW else 4.0
-            spec = FaultSpec(kind, at=i, count=2, target=1, factor=factor)
+            spec = FaultSpec(kind, at=i, count=2, target=1)
             plan = FaultPlan(specs=[spec])
             assert FaultPlan.parse(dsl(plan)) == plan
 
@@ -102,28 +100,26 @@ class TestFaultPlan:
         """The DSL is the one text form: it expresses every field."""
         plan = FaultPlan(
             specs=[FaultSpec(KIND_SPARK_TASK, at=3, count=2),
-                   FaultSpec(KIND_FED_SLOW, at=0, target=2, factor=6.0),
+                   FaultSpec(KIND_EXECUTOR_LOSS, at=0, target=2),
                    FaultSpec("spill_io", after_time=0.25)],
             seed=99, max_task_retries=5, max_alloc_retries=6,
-            max_fed_retries=7, fed_backoff_base_s=0.125,
-            fed_timeout_s=0.5, quorum_fraction=0.5,
         )
         assert FaultPlan.parse(dsl(plan)) == plan
 
     def test_parse_dsl(self):
         plan = FaultPlan.parse(
-            "spark_task@3;fed_timeout@1,worker=2,count=3;"
-            "fed_slow@0,factor=8;spill_io,after=0.5;"
-            "seed=7;max_task_retries=5;quorum=0.25"
+            "spark_task@3;executor_loss@1,executor=2,count=3;"
+            "gpu_alloc@0,count=2;spill_io,after=0.5;"
+            "seed=7;max_task_retries=5;max_alloc_retries=4"
         )
         assert plan.seed == 7
         assert plan.max_task_retries == 5
-        assert plan.quorum_fraction == 0.25
+        assert plan.max_alloc_retries == 4
         by_kind = {s.kind: s for s in plan.specs}
         assert by_kind[KIND_SPARK_TASK].at == 3
-        assert by_kind[KIND_FED_TIMEOUT].target == 2
-        assert by_kind[KIND_FED_TIMEOUT].count == 3
-        assert by_kind[KIND_FED_SLOW].factor == 8.0
+        assert by_kind[KIND_EXECUTOR_LOSS].target == 2
+        assert by_kind[KIND_EXECUTOR_LOSS].count == 3
+        assert by_kind["gpu_alloc"].count == 2
         assert by_kind["spill_io"].after_time == 0.5
 
     def test_parse_rejects_unknown_keys(self):
@@ -171,13 +167,14 @@ class TestInjector:
         assert fault.take() and fault.take() and not fault.take()
 
     def test_target_restricts_worker(self):
-        inj = self._injector(FaultSpec(KIND_FED_TIMEOUT, at=1, target=2))
-        rnd = inj.fed_round()
-        assert rnd == 0
-        assert inj.fed_timeout(rnd, 2) is None  # wrong round
-        rnd = inj.fed_round()
-        assert inj.fed_timeout(rnd, 0) is None  # wrong worker
-        assert inj.fed_timeout(rnd, 2) is not None
+        """A targeted executor loss kills that executor, drawing nothing
+        from the injector's RNG."""
+        inj = self._injector(FaultSpec(KIND_EXECUTOR_LOSS, at=1, target=5))
+        state = inj.rng.getstate()
+        assert inj.executor_losses(4) == []  # job 0: not armed
+        assert inj.executor_losses(4) == [1]  # job 1: executor 5 % 4
+        assert inj.executor_losses(4) == []
+        assert inj.rng.getstate() == state
 
     def test_clock_keyed_fault_waits_for_sim_time(self):
         clock = SimClock()

@@ -30,7 +30,7 @@ class TestFederatedOps:
     def test_federate_partitions_rows(self, coord):
         data = RNG.random((1000, 8))
         fm = coord.federate("X", data)
-        assert fm.shape == (1000, 8)
+        assert (fm.nrow, fm.ncol) == (1000, 8)
         assert sum(rows for _, _, rows in fm.placement) == 1000
         assert len(fm.placement) == 4
 
@@ -50,12 +50,6 @@ class TestFederatedOps:
         fm = coord.federate("X", data)
         assert np.allclose(coord.column_sums(fm),
                            data.sum(axis=0, keepdims=True))
-
-    def test_elementwise_map(self, coord):
-        data = RNG.random((400, 5))
-        fm = coord.federate("X", data)
-        doubled = coord.map_elementwise("*", fm, 2.0)
-        assert np.allclose(coord.tsmm(doubled), (2 * data).T @ (2 * data))
 
     def test_requests_counted(self, coord):
         fm = coord.federate("X", RNG.random((400, 5)))

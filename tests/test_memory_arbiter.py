@@ -3,8 +3,8 @@
 Covers the region ledgers and the reservation protocol, victim
 selection through ``core/policies.py``, the spill-vs-drop decision,
 delayed-caching admission, and the holistic behaviours that only exist
-because the four managers share one arbiter: GPU eviction consulting driver-cache residency before paying a
-D2H transfer, and spill/restore ledger moves surviving hard
+because the four managers share one arbiter: the GPU region mirroring
+the device ledger, and spill/restore ledger moves surviving hard
 invalidation.
 """
 
@@ -24,14 +24,12 @@ from repro.common.stats import (
     CACHE_DELAYED,
     CACHE_RESTORES,
     CACHE_SPILLS,
-    GPU_EVICT_D2H,
-    MEM_D2H_AVOIDED,
     MEM_RESERVE_FAILURES,
     MEM_RESERVES,
     Stats,
 )
 from repro.core.cache import BACKEND_DISK, LineageCache
-from repro.core.entry import BACKEND_CP, BACKEND_GPU, EntryStatus
+from repro.core.entry import BACKEND_CP, EntryStatus
 from repro.core.policies import LruPolicy
 from repro.lineage.item import LineageItem, dataset
 from repro.memory import (
@@ -89,15 +87,6 @@ class TestMemoryRegion:
         region.acquire(100)
         assert region.peak_used == 600
 
-    def test_pin_unpin(self):
-        region = MemoryRegion("R", 1000)
-        region.acquire(500)
-        region.pin(500)
-        assert region.pinned == 500
-        region.unpin(500)
-        assert region.pinned == 0
-        region.check()
-
     def test_fits_and_unlimited(self):
         region = MemoryRegion("R", 100)
         assert region.fits(100)
@@ -109,9 +98,9 @@ class TestMemoryRegion:
     def test_reset_keeps_capacity(self):
         region = MemoryRegion("R", 1000, policy=LruPolicy())
         region.acquire(700)
-        region.pin(100)
+        region.reserve(100)
         region.reset()
-        assert (region.used, region.reserved, region.pinned) == (0, 0, 0)
+        assert (region.used, region.reserved) == (0, 0)
         assert region.capacity == 1000
         assert region.policy is not None
 
@@ -298,7 +287,7 @@ class TestSpillDecision:
         assert not arb.should_spill("R", 800, compute_cost=1e9)
 
 
-# -- residency probes + holistic GPU eviction ---------------------------------
+# -- the GPU region on the shared arbiter ------------------------------------
 
 
 def gpu_with_cache(capacity=64 * 1024):
@@ -318,50 +307,7 @@ def gpu_with_cache(capacity=64 * 1024):
 
 
 class TestHolisticGpuEviction:
-    """GPU D2H eviction consults driver-cache residency via the arbiter.
-
-    These tests fail on the pre-refactor silos: without the shared
-    arbiter the GPU manager cannot know a host copy exists and always
-    pays the device-to-host transfer.
-    """
-
-    def test_resident_elsewhere_probes_other_regions(self):
-        arb = MemoryArbiter()
-        arb.add_region("A", 100)
-        arb.add_region("B", 100)
-        arb.register_residency("A", lambda token: token == "x")
-        assert arb.resident_elsewhere("x")
-        assert not arb.resident_elsewhere("y")
-        assert not arb.resident_elsewhere("x", exclude=("A",))
-
-    def test_d2h_skipped_when_host_copy_exists(self):
-        mgr, cache, stats = gpu_with_cache()
-        k = key("a")
-        cache.put(k, value(), BACKEND_CP, 800, 1.0)
-        ptr = mgr.allocate(1024)
-        cache.put(k, SimpleNamespace(ptr=ptr), BACKEND_GPU, 1024, 1.0)
-        assert ptr.cached
-        mgr.release(ptr)  # refcount 0: pointer parks on the Free list
-        mgr.evict_to_host(ptr)
-        assert stats.get(MEM_D2H_AVOIDED) == 1
-        assert stats.get(GPU_EVICT_D2H) == 0
-        assert stats.get("gpu/d2h_copies") == 0
-        entry = cache.get_entry(k)
-        # the GPU copy is invalidated, the host copy survives the probe
-        assert BACKEND_GPU not in entry.payloads
-        assert BACKEND_CP in entry.payloads
-        assert cache.probe(k) is entry
-
-    def test_d2h_paid_without_host_copy(self):
-        mgr, cache, stats = gpu_with_cache()
-        ptr = mgr.allocate(1024)
-        cache.put(key("a"), SimpleNamespace(ptr=ptr), BACKEND_GPU,
-                  1024, 1.0)
-        mgr.release(ptr)
-        mgr.evict_to_host(ptr)
-        assert stats.get(GPU_EVICT_D2H) == 1
-        assert stats.get("gpu/d2h_copies") == 1
-        assert stats.get(MEM_D2H_AVOIDED) == 0
+    """The GPU manager's byte ledger is a region of the shared arbiter."""
 
     def test_gpu_region_mirrors_device_ledger(self):
         mgr, cache, stats = gpu_with_cache()

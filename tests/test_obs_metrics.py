@@ -104,7 +104,7 @@ class TestSessionSampling:
         sess = _run_workload(MemphisConfig())
         sampled = _sampled(sess)
         for region in sess.arbiter.regions():
-            for ledger in ("used", "pinned", "reserved", "occupancy"):
+            for ledger in ("used", "reserved", "occupancy"):
                 assert f"memory/{region.name}/{ledger}" in sampled
         assert sampled["memory/CP/used"] == sess.cache.cp_bytes > 0
         for manager in (sess.cache, sess.spark_context.block_manager,

@@ -277,13 +277,15 @@ def test_key_holds_literal_classes():
     assert want != warm
 
 
-def test_signed_zero_literals_group_as_cse_groups_them(pass_runs):
+def test_signed_zero_literals_are_two_cse_classes(pass_runs):
+    """``1 / x`` tells 0.0 from -0.0, so CSE keeps them apart and the
+    block does not replay the plan of a one-class block."""
     sess = Session(MemphisConfig.memphis())
     for _ in range(2):
         sess._compile([_x(sess) * 2.0 + _x(sess) * 2.0])
     runs = pass_runs[0]
     got = plan_of(sess._compile([_x(sess) * 0.0 + _x(sess) * -0.0]))
-    assert pass_runs[0] == runs, "0.0 and -0.0 are one CSE class"
+    assert pass_runs[0] == runs + 1, "0.0 and -0.0 are two CSE classes"
     fresh = Session(MemphisConfig.memphis())
     assert got == plan_of(
         fresh._compile([_x(fresh) * 0.0 + _x(fresh) * -0.0]))

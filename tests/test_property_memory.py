@@ -291,21 +291,20 @@ TestBlockManagerStateful.settings = settings(
 class _Chunk:
     """Model of one committed allocation in the ledger machine."""
 
-    __slots__ = ("size", "last_access", "pinned")
+    __slots__ = ("size", "last_access")
 
     def __init__(self, size, last_access):
         self.size = size
         self.last_access = last_access
-        self.pinned = False
 
 
 class RegionLedgerMachine(RuleBasedStateMachine):
-    """Random reserve/commit/cancel/acquire/release/pin/unpin sequences
+    """Random reserve/commit/cancel/acquire/release/evict sequences
     through the arbiter preserve the region ledger invariants:
 
     * ``used + reserved + free == capacity`` (``MemoryRegion.check``);
-    * used/reserved/pinned exactly match the model's outstanding chunks;
-    * policy-driven eviction never selects a pinned chunk.
+    * used/reserved exactly match the model's outstanding chunks;
+    * eviction fails only when the outstanding holds leave no room.
     """
 
     CAPACITY = 10_000
@@ -351,46 +350,25 @@ class RegionLedgerMachine(RuleBasedStateMachine):
         self.ticks += 1
         self.chunks.append(_Chunk(size, self.ticks))
 
-    @precondition(lambda self: any(not c.pinned for c in self.chunks))
+    @precondition(lambda self: self.chunks)
     @rule(data=st.data())
     def release(self, data):
-        unpinned = [c for c in self.chunks if not c.pinned]
-        chunk = unpinned[data.draw(st.integers(0, len(unpinned) - 1))]
+        chunk = self.chunks[data.draw(st.integers(0, len(self.chunks) - 1))]
         self.chunks.remove(chunk)
         self.region.release(chunk.size)
 
-    @precondition(lambda self: any(not c.pinned for c in self.chunks))
-    @rule(data=st.data())
-    def pin(self, data):
-        unpinned = [c for c in self.chunks if not c.pinned]
-        chunk = unpinned[data.draw(st.integers(0, len(unpinned) - 1))]
-        chunk.pinned = True
-        self.region.pin(chunk.size)
-
-    @precondition(lambda self: any(c.pinned for c in self.chunks))
-    @rule(data=st.data())
-    def unpin(self, data):
-        pinned = [c for c in self.chunks if c.pinned]
-        chunk = pinned[data.draw(st.integers(0, len(pinned) - 1))]
-        chunk.pinned = False
-        self.region.unpin(chunk.size)
-
     @rule(size=st.integers(min_value=1, max_value=3000))
     def make_space_by_eviction(self, size):
-        """ensure_space with the unpinned chunks as eviction candidates."""
+        """ensure_space with every committed chunk as a candidate."""
 
         def evict(victim):
-            assert not victim.pinned, "policy evicted a pinned chunk"
             self.chunks.remove(victim)
             self.region.release(victim.size)
 
-        candidates = lambda: [c for c in self.chunks if not c.pinned]
-        ok = self.arb.ensure_space("R", size, candidates=candidates,
+        ok = self.arb.ensure_space("R", size, candidates=lambda: self.chunks,
                                    evict=evict, now=self.ticks)
         if not ok:
-            immovable = self.region.used + self.region.reserved \
-                - sum(c.size for c in self.chunks if not c.pinned)
-            assert size > self.CAPACITY or immovable + size > self.CAPACITY
+            assert self.region.reserved + size > self.CAPACITY
 
     @invariant()
     def ledger_invariants_hold(self):
@@ -400,9 +378,6 @@ class RegionLedgerMachine(RuleBasedStateMachine):
     def ledgers_match_model(self):
         assert self.region.used == sum(c.size for c in self.chunks)
         assert self.region.reserved == sum(self.holds)
-        assert self.region.pinned == sum(
-            c.size for c in self.chunks if c.pinned
-        )
 
     @invariant()
     def free_tiles_capacity(self):
@@ -507,14 +482,14 @@ class _GpuPayload:
 
 class LineageCacheMachine(RuleBasedStateMachine):
     """Random op sequences over a small shared lineage cache keep
-    ``Substrate.audit()`` true: the CP / DISK / tenant / pinned ledgers
+    ``Substrate.audit()`` true: the CP / DISK / tenant ledgers
     equal what the entries charged, and the victim the index yields is
     the full scan's, for the active scope and every tenant's own view.
 
     Covers every way a score input or CP residency moves: probes, puts
     on three backends (re-puts grow ``size``), evictions with spill and
     restore, invalidation, the mutate-then-``touch`` sites outside the
-    cache, pins, scope switches between two quota'd tenants, ``remove``
+    cache, scope switches between two quota'd tenants, ``remove``
     and ``clear``.
     """
 
@@ -627,14 +602,6 @@ class LineageCacheMachine(RuleBasedStateMachine):
         payload = entry.payloads.get(BACKEND_GPU) if entry else None
         if payload is not None:
             self.cache.on_gpu_invalidate(payload.ptr)
-
-    @rule(data=st.data(), pin=st.booleans())
-    def pin_or_unpin(self, data, pin):
-        scope = self.cache._scope
-        charged = [e for e in self.cache.entries() if e.cp_accounted]
-        if scope is not None and charged:
-            entry = data.draw(st.sampled_from(charged))
-            (scope.pin if pin else scope.unpin)(entry.key)
 
     @rule(tag=TAGS)
     def remove(self, tag):

@@ -203,19 +203,6 @@ class TestTenantFairShare:
         sub.arbiter.check()
 
     @pytest.mark.tier2_server
-    def test_greedy_tenant_cannot_evict_pinned_entry(self):
-        sub = _shared(_small_cp_config(8192))
-        victim = sub.attach(None, "victim")
-        [vkey] = _fill(sub, victim, 1, 2048, "v")
-        assert victim.pin(vkey)
-        greedy = sub.attach(None, "greedy")
-        _fill(sub, greedy, 8, 2048, "g")
-        entry = sub.cache._entries[vkey]
-        assert entry.is_cached and entry.pinned
-        assert sub.arbiter.region(REGION_CP).tenant_usage("victim") == 2048
-        sub.arbiter.check()
-
-    @pytest.mark.tier2_server
     def test_within_quota_tenant_protected_from_other_tenants(self):
         sub = _shared(_small_cp_config(8192))
         sub.set_quota("victim", 4096)
@@ -343,14 +330,11 @@ class TestScheduler:
 
 def _assert_quiescent(sub, sessions):
     """No hold outlives a statement: every region of the shared and of
-    each session-private arbiter has ``reserved == 0``, ``pinned`` is
-    what the pinned entries say, and the conservation audits pass."""
+    each session-private arbiter has ``reserved == 0``, and the
+    conservation audits pass."""
     for arbiter in [sub.arbiter] + [s.arbiter for s in sessions]:
         for region in arbiter.regions():
             assert region.reserved == 0, region.snapshot()
-    cp = sub.arbiter.region(REGION_CP)
-    assert cp.pinned == sum(e.cp_accounted for e in sub.cache.entries()
-                            if e.pinned)
     sub.audit()
     for session in sessions:
         session.spark_mgr.audit()
@@ -360,15 +344,15 @@ class TestQuiescentLedgers:
     """Failure paths drain every ledger (ROADMAP: admission exhaustion
     and a rejected block leave nothing reserved behind)."""
 
-    def _pinned_substrate(self):
+    def _occupied_substrate(self):
+        """A shared substrate already holding another tenant's entry."""
         sub = _shared()
         holder = sub.attach(None, "holder")
-        [key] = _fill(sub, holder, 1, 2048, "p")
-        assert holder.pin(key)
+        _fill(sub, holder, 1, 2048, "p")
         return sub
 
     def test_after_admission_retries_are_exhausted(self):
-        sub = self._pinned_substrate()
+        sub = self._occupied_substrate()
         scheduler = Scheduler(sub, seed=0, max_retries=2)
         scheduler.add_tenant("starved", 64)  # nothing fits in 64 bytes
         scheduler.add_tenant("normal")
@@ -380,13 +364,12 @@ class TestQuiescentLedgers:
         assert "admission refused" in by_name["s"].error
         assert by_name["n"].ok
         _assert_quiescent(sub, report.sessions)
-        assert sub.arbiter.region(REGION_CP).pinned == 2048
 
     def test_after_verify_ir_reports_an_over_peak_gpu_block(self):
         """MEM002 on a shrunk device: admitted by the shared gate,
         reported by the verifier before a single instruction runs, then
         the device runs out exactly as predicted."""
-        sub = self._pinned_substrate()
+        sub = self._occupied_substrate()
         cfg = MemphisConfig.server_session(gpu_enabled=True)
         cfg.gpu.device_memory = 64 * 1024
         with scope(analysis=AnalysisCollector()) as rt:
@@ -399,7 +382,6 @@ class TestQuiescentLedgers:
         assert [d.rule for d in rt.analysis.errors()] == ["MEM002"]
         assert sub.stats.get(SERVER_ADMITTED) == 1
         _assert_quiescent(sub, [session])
-        assert sub.arbiter.region(REGION_CP).pinned == 2048
 
 
 # ----------------------------------------------------- context substrate
@@ -532,23 +514,19 @@ class TestNamespacingSlot:
 
 def _scanned_occupancy(sub):
     """``Substrate.tenant_occupancy`` by a full scan of the entries."""
-    region = sub.arbiter.region(REGION_CP)
-    pins = {}
+    used = dict.fromkeys(sub.tenants, 0)
     for entry in sub.cache.entries():
-        if entry.pinned:
-            pins[entry.tenant] = pins.get(entry.tenant, 0) + 1
+        used[entry.tenant] += entry.cp_accounted
     return {
-        tenant: {"used": region.tenant_usage(tenant),
-                 "quota": sub.tenants[tenant],
-                 "pinned_entries": pins.get(tenant, 0)}
+        tenant: {"used": used[tenant], "quota": sub.tenants[tenant]}
         for tenant in sorted(sub.tenants)
     }
 
 
 class TenantOccupancyMachine(RuleBasedStateMachine):
-    """Puts, pins, unpins and evictions by two tenants on one small
-    shared substrate: ``tenant_occupancy`` skips its entry scan while
-    nothing is pinned, and always equals the full scan."""
+    """Puts and evictions by two tenants on one small shared substrate:
+    ``tenant_occupancy`` reads the region's tenant ledgers, and always
+    equals a full scan of the entries."""
 
     TAGS = st.integers(min_value=0, max_value=7)
 
@@ -567,11 +545,6 @@ class TenantOccupancyMachine(RuleBasedStateMachine):
         self.sub.activate(self.ctxs[which])
         self.sub.cache.put(self.key(tag), object(), "CP", size,
                            compute_cost=1e9, delay_factor=1)
-
-    @rule(which=st.integers(0, 1), tag=TAGS, pin=st.booleans())
-    def pin_or_unpin(self, which, tag, pin):
-        ctx = self.ctxs[which]
-        (ctx.pin if pin else ctx.unpin)(self.key(tag))
 
     @rule(tag=TAGS)
     def evict(self, tag):

@@ -106,6 +106,23 @@ class TestCpOnlyRequest:
         assert constructions == ["SparkContext", "GpuBackend"]
 
 
+class TestPrivateSessionLifetime:
+    def test_dropped_session_frees_its_cache(self, no_cyclic_gc):
+        """A private session that holds cache entries and built both
+        tiers: its lineage cache (and every payload in it) dies with
+        the session by reference counting."""
+        sess = Session(MemphisConfig.memphis())
+        X = sess.read(np.random.default_rng(2).random((40, 8)), "X")
+        for _ in range(3):
+            (X.t() @ X).compute()
+        assert len(sess.cache) > 0
+        sess.spark_context, sess.spark_mgr, sess.gpu
+        assert sess.tiers.built("spark_context") and sess.tiers.built("gpu")
+        ref = weakref.ref(sess.cache)
+        del sess, X
+        assert ref() is None
+
+
 class TestTiersOnFirstUse:
     def test_tier_built_on_first_read_and_counts_on_its_region(self):
         sess = Session(MemphisConfig.memphis())
