@@ -56,7 +56,7 @@ class Cell(NamedTuple):
         """The cell's ``RuntimeContext.configure`` hook."""
         if self.policy is not None:
             config.cache.policy = config.gpu.policy = self.policy
-            config.cache.spark_policy = config.spark.policy = self.policy
+            config.cache.spark_policy = self.policy
 
 
 AXES = ((None, 0, 1), (None, *EvictionPolicyName))

@@ -44,7 +44,8 @@ MEM001    error     one instruction's working set exceeds its execution
 MEM002    error     block's device liveness peak exceeds the GPU capacity:
                     the block is predicted to run out of device memory
 MEM003    warning   sticky cache-tier demand (CP / SP_CACHE / SP_BLOCKS)
-                    exceeds capacity: eviction churn predicted
+                    exceeds capacity: eviction churn predicted (SP_BLOCKS:
+                    new partitions spill to disk or are recomputed)
 MEM004    info      predicted peak crosses the region's pressure watermark
 MEM005    warning   planned CP spill volume exceeds the DISK budget: the
                     spill tier will drop the overflow
@@ -301,14 +302,17 @@ def plan_diagnostics(plan: BlockMemPlan,
         ))
 
     # MEM003: sticky cache-tier demand over capacity — the runtime
-    # stays correct (eviction/spill) but churns; flag it for tuning.
-    for name, label, hint in (
-        (REGION_CP, "driver lineage cache",
+    # stays correct (eviction, spill or recomputation) but pays for it;
+    # flag it for tuning.
+    churn = "eviction churn predicted"
+    for name, label, outcome, hint in (
+        (REGION_CP, "driver lineage cache", churn,
          "raise cache.driver_cache_bytes or lower the reuse mode"),
-        (REGION_SPARK_CACHE, "Spark reuse cache",
+        (REGION_SPARK_CACHE, "Spark reuse cache", churn,
          "raise cache.spark_cache_fraction or executor memory"),
         (REGION_SPARK_STORAGE, "Spark storage memory",
-         "partitions will spill to executor disk; raise executor memory"),
+         "new partitions spill to disk or are recomputed",
+         "raise executor memory"),
     ):
         budget = budgets[name]
         if budget.unlimited:
@@ -323,8 +327,7 @@ def plan_diagnostics(plan: BlockMemPlan,
             out.append(diag(
                 "MEM003", Severity.WARNING,
                 f"{label} demand of {plan.demand[name]} B exceeds its "
-                f"capacity of {budget.capacity} B: eviction churn "
-                f"predicted{extra}",
+                f"capacity of {budget.capacity} B: {outcome}{extra}",
                 None, hint=hint,
             ))
 

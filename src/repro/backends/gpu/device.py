@@ -2,10 +2,10 @@
 
 Models ``cudaMalloc``/``cudaFree`` over a contiguous address space so that
 *fragmentation is real*: repeated allocation/deallocation of mixed sizes
-produces holes, allocations fail when no contiguous block fits even
-though total free memory suffices, and defragmentation (compaction) is an
-explicit, expensive operation — the cost structure that motivates the
-paper's recycling design (§2.3, §4.2).
+produces holes, and allocations fail when no contiguous block fits even
+though total free memory suffices — the cost structure that motivates
+the paper's recycling design (§2.3, §4.2).  Nothing compacts the
+address space (no defragmentation).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ class GpuDevice:
     """Contiguous device address space with first-fit allocation.
 
     Models the raw ``cudaMalloc``/``cudaFree`` address space beneath
-    the unified memory manager (paper §4.2, Fig. 8), including the
-    fragmentation that step 6 of Algorithm 1 defragments.
+    the unified memory manager (paper §4.2, Fig. 8), including its
+    fragmentation.
     """
 
     def __init__(self, config: GpuConfig) -> None:
@@ -128,27 +128,3 @@ class GpuDevice:
         if self._largest is not None and end - start > self._largest:
             self._largest = end - start
         return size
-
-    def defragment(self) -> int:
-        """Compact all live allocations to the start of the address space.
-
-        Returns the number of bytes moved (the caller charges copy time).
-        Live offsets are remapped; callers must use the returned mapping.
-        """
-        moved = 0
-        new_allocated: dict[int, int] = {}
-        self.relocation_map: dict[int, int] = {}
-        cursor = 0
-        for offset in sorted(self._allocated):
-            size = self._allocated[offset]
-            if offset != cursor:
-                moved += size
-            self.relocation_map[offset] = cursor
-            new_allocated[cursor] = size
-            cursor += size
-        self._allocated = new_allocated
-        self._free = (
-            [(cursor, self.capacity - cursor)] if cursor < self.capacity else []
-        )
-        self._largest = None
-        return moved

@@ -11,12 +11,14 @@ Implements the paper's §4.2 design (Fig. 8, Algorithm 1):
   by recency;
 * an allocation request first *recycles* an exact-size free pointer
   (no ``cudaMalloc``, no synchronization); otherwise it walks
-  Algorithm 1: malloc → free a just-larger pointer → repeatedly free →
-  flush all free pointers → defragmentation.  The paper's
-  device-to-host eviction step is not modelled (no allocation in the
-  evaluation gets past step 3), and neither is a host garbage
-  collection: pointers reach the Free list by reference counting, when
-  their last handle or block lets go;
+  Algorithm 1's steps 1-3: malloc → free a just-larger pointer →
+  repeatedly free until malloc succeeds.  Step 3 empties the Free
+  list, so a request it cannot serve raises
+  :class:`~repro.common.errors.GpuOutOfMemoryError`: the paper's
+  flush, defragmentation and device-to-host steps are not modelled
+  (no allocation in the evaluation gets past step 3), and neither is
+  a host garbage collection: pointers reach the Free list by
+  reference counting, when their last handle or block lets go;
 * the eviction score (Eq. 2) ``T_a(o) + 1/h(o) + c(o)`` decides who
   leaves so recently-reused, short-lineage, expensive pointers survive;
   the scoring itself lives in ``core/policies.py`` (``score_pointer``)
@@ -48,7 +50,6 @@ from repro.common.runtime import IdSpace, current as current_runtime
 from repro.common.simclock import DEVICE, HOST, SimClock
 from repro.common.stats import (
     FAULT_GPU_ALLOC_RETRIES,
-    GPU_DEFRAGS,
     GPU_FREES,
     GPU_MALLOCS,
     GPU_RECYCLED,
@@ -60,7 +61,6 @@ from repro.faults.plan import KIND_GPU_ALLOC
 from repro.memory import REGION_GPU, MemoryArbiter, MemoryRegion
 from repro.memory.budget import align
 from repro.obs.events import (
-    EV_GPU_DEFRAG,
     EV_GPU_FREE,
     EV_GPU_MALLOC,
     EV_GPU_RECYCLE,
@@ -188,7 +188,7 @@ class GpuMemoryManager:
             offset = self._alloc_with_eviction(size)
         elif offset is None and self.mode == MODE_POOL:
             # PyTorch frees its cached blocks on allocation failure
-            self._flush_free_lists()
+            self.empty_cache()
             offset = self._cuda_malloc(size)
         if offset is None:
             raise GpuOutOfMemoryError(
@@ -293,14 +293,13 @@ class GpuMemoryManager:
         return ptr
 
     def _alloc_with_eviction(self, size: int) -> Optional[int]:
-        """Steps 2-5 of Algorithm 1 after a failed first malloc: free a
-        just-larger pointer, free pointers until malloc succeeds, flush
-        every free pointer, defragment.
+        """Steps 2-3 of Algorithm 1 after a failed first malloc: free a
+        just-larger pointer, then free pointers until malloc succeeds;
+        ``None`` once the Free list is empty.
 
-        There is no device-to-host eviction step and no host garbage
-        collection: a pointer
-        reaches the Free list when its last reference is released, which
-        reference counting does promptly (``Session._attach_gpu_finalizer``).
+        There is no host garbage collection: a pointer reaches the Free
+        list when its last reference is released, which reference
+        counting does promptly (``Session._attach_gpu_finalizer``).
         """
         # step 2: free a pointer just larger than the required size
         larger = min((s for s in self.free.pools if s > size), default=None)
@@ -318,14 +317,7 @@ class GpuMemoryManager:
             offset = self._cuda_malloc(size)
             if offset is not None:
                 return offset
-        # step 4: clean up all free pointers
-        self._flush_free_lists()
-        offset = self._cuda_malloc(size)
-        if offset is not None:
-            return offset
-        # step 5 (rare): full defragmentation of live allocations
-        offset = self._defragment_and_malloc(size)
-        return offset
+        return None
 
     # -- internals ---------------------------------------------------------------
 
@@ -361,29 +353,6 @@ class GpuMemoryManager:
         if ptr.cached:
             self.on_invalidate(ptr)
         self._cuda_free(ptr)
-
-    def _flush_free_lists(self) -> None:
-        for ptr in self.free.pointers():
-            self._destroy_free_pointer(ptr)
-
-    def _defragment_and_malloc(self, size: int) -> Optional[int]:
-        moved = self.device.defragment()
-        self.stream.synchronize()
-        self.clock.advance(
-            moved / self.config.mem_bandwidth_bytes_per_s, HOST
-        )
-        self.clock.advance_to(self.clock.now(HOST), DEVICE)
-        self.stats.inc(GPU_DEFRAGS)
-        if self.tracer.enabled:
-            self.tracer.instant(EV_GPU_DEFRAG, LANE_GPU, moved=moved)
-        relocation = getattr(self.device, "relocation_map", {})
-        for ptr in self.live.values():
-            if ptr.offset in relocation:
-                ptr.offset = relocation[ptr.offset]
-        offset = self.device.malloc(size)
-        if offset is not None:
-            self._region.acquire(align(size, self.config.alignment))
-        return offset
 
     def _pointer_score(self, max_cost: float):
         """Eq. 2 score closure over one candidate set.

@@ -1,22 +1,20 @@
-"""Cluster-wide BlockManager: storage memory, partition eviction, spilling.
+"""Cluster-wide BlockManager: storage memory and disk spilling.
 
 Models the aggregate storage region of all executors (paper §2.2): cached
-RDD partitions live here under a byte budget.  When the region overflows,
-LRU partitions of *other* RDDs are evicted — dropped for ``MEMORY_ONLY``
-or spilled to executor-local disk for ``MEMORY_AND_DISK``.  Dropped
-partitions of persisted RDDs are transparently recomputed from lineage on
-the next access, exactly like Spark.
+RDD partitions live here under a byte budget.  A partition that does not
+fit is not stored: a ``MEMORY_AND_DISK`` one goes to executor-local disk,
+a ``MEMORY_ONLY`` one is recomputed from lineage on the next access —
+Spark's own behaviour when it has nothing to evict.  No partition is
+ever evicted to make room (no run fills the region).
 
-Storage-memory accounting and victim selection route through the shared
-:class:`~repro.memory.arbiter.MemoryArbiter` (the ``SP_BLOCKS`` region);
-Spark's native LRU order is the region's default eviction policy over
-per-partition access stamps.
+Storage-memory accounting routes through the shared
+:class:`~repro.memory.arbiter.MemoryArbiter` (the ``SP_BLOCKS`` region)
+with the reserve/commit protocol of ``LineageCache.put``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,7 +22,6 @@ import numpy as np
 from repro.common.config import SparkConfig, StorageLevel
 from repro.common.stats import (
     FAULT_PARTITIONS_DROPPED,
-    SPARK_PART_EVICTED,
     SPARK_PART_SPILLED,
     Stats,
 )
@@ -42,17 +39,7 @@ from repro.obs.tracer import NULL_TRACER
 class _CachedPartition:
     block: np.ndarray
     nbytes: int
-    level: StorageLevel
     on_disk: bool = False
-    key: tuple[int, int] = field(default=(0, 0))
-    # policy-visible metadata (Evictable protocol): LRU reads
-    # ``last_access``; cost_size/lrc/mrd read the reference counters.
-    size: int = 0
-    compute_cost: float = 0.0
-    last_access: int = 0
-    hits: int = 0
-    misses: int = 0
-    jobs: int = 0
 
 
 def add_storage_region(arbiter: MemoryArbiter,
@@ -61,7 +48,6 @@ def add_storage_region(arbiter: MemoryArbiter,
     return arbiter.add_region(
         REGION_SPARK_STORAGE,
         config.storage_memory * config.num_executors,
-        policy_name=config.policy,
     )
 
 
@@ -69,7 +55,7 @@ class BlockManager:
     """Unified storage region shared by all executors of the cluster.
 
     Models Spark's aggregate storage memory (paper §2.2): cached RDD
-    partitions under a byte budget with LRU eviction and disk spilling —
+    partitions under a byte budget, spilling to disk what does not fit —
     the memory pressure MEMPHIS's Spark cache manager negotiates with
     when deciding storage levels (§5.2).
     """
@@ -82,24 +68,14 @@ class BlockManager:
         if arbiter is None:
             arbiter = MemoryArbiter(stats, tracer=self._tracer, faults=faults)
         self.arbiter: MemoryArbiter = arbiter
-        self._faults = faults if faults is not None else arbiter.faults
         # counts on the region its session registered up front, if any
         self._region = (arbiter.region(REGION_SPARK_STORAGE)
                         if REGION_SPARK_STORAGE in arbiter
                         else add_storage_region(arbiter, config))
-        self._partitions: OrderedDict[tuple[int, int], _CachedPartition] = OrderedDict()
+        self._partitions: dict[tuple[int, int], _CachedPartition] = {}
         #: RDD id -> indices of its partitions in ``_partitions``, so one
         #: RDD's storage info and unpersist do not scan every partition
         self._by_rdd: dict[int, set[int]] = {}
-        self._tick = 0
-        #: RDD id currently being materialized (its partitions are exempt
-        #: from eviction, mirroring Spark's unroll-memory protection).
-        self._computing_rdd: Optional[int] = None
-
-    @property
-    def capacity(self) -> int:
-        """Total storage memory across executors."""
-        return self._config.storage_memory * self._config.num_executors
 
     @property
     def memory_used(self) -> int:
@@ -123,52 +99,34 @@ class BlockManager:
             "spark/partitions_cached": float(len(self._partitions)),
         }
 
-    def set_computing(self, rdd_id: Optional[int]) -> None:
-        """Protect ``rdd_id``'s partitions from eviction while it runs."""
-        self._computing_rdd = rdd_id
-
-    def _touch(self, part: _CachedPartition) -> None:
-        self._tick += 1
-        part.last_access = self._tick
-
     # -- cache operations ---------------------------------------------------
 
     def put_partition(self, rdd_id: int, index: int, block: np.ndarray,
                       level: StorageLevel) -> bool:
-        """Cache one partition; returns False if it could not be stored."""
+        """Cache one partition; returns False if it could not be stored.
+
+        What does not fit in memory spills (``MEMORY_AND_DISK``) or is
+        not stored (``MEMORY_ONLY``: recomputed on the next access).
+        """
         key = (rdd_id, index)
-        existing = self._partitions.get(key)
-        if existing is not None:
-            self._touch(existing)
-            self._partitions.move_to_end(key)
+        if key in self._partitions:
             return True
         nbytes = int(block.nbytes)
-        if level is StorageLevel.DISK_ONLY:
-            if self._spill_failed(key, nbytes):
-                return False
-            self._store(key, block, nbytes, level, on_disk=True)
-            self._stats.inc(SPARK_PART_SPILLED)
-            self._trace(EV_SPARK_PART_SPILL, key, nbytes)
+        if level is not StorageLevel.DISK_ONLY and \
+                self.arbiter.reserve(REGION_SPARK_STORAGE, nbytes):
+            self._region.commit(nbytes)
+            self._store(key, block, nbytes, on_disk=False)
             return True
-        if not self._evict_until_fits(nbytes, protect_rdd=rdd_id):
-            if level is StorageLevel.MEMORY_AND_DISK:
-                if self._spill_failed(key, nbytes):
-                    return False
-                self._store(key, block, nbytes, level, on_disk=True)
-                self._stats.inc(SPARK_PART_SPILLED)
-                self._trace(EV_SPARK_PART_SPILL, key, nbytes)
-                return True
+        if level is StorageLevel.MEMORY_ONLY or self._spill_failed(key, nbytes):
             return False
-        self._store(key, block, nbytes, level, on_disk=False)
-        self._region.acquire(nbytes)
+        self._store(key, block, nbytes, on_disk=True)
+        self._stats.inc(SPARK_PART_SPILLED)
+        self._trace(EV_SPARK_PART_SPILL, key, nbytes)
         return True
 
     def _store(self, key: tuple[int, int], block: np.ndarray, nbytes: int,
-               level: StorageLevel, on_disk: bool) -> None:
-        part = _CachedPartition(block, nbytes, level, on_disk=on_disk,
-                                key=key, size=nbytes)
-        self._touch(part)
-        self._partitions[key] = part
+               on_disk: bool) -> None:
+        self._partitions[key] = _CachedPartition(block, nbytes, on_disk)
         self._by_rdd.setdefault(key[0], set()).add(key[1])
 
     def _forget(self, key: tuple[int, int]) -> _CachedPartition:
@@ -187,9 +145,6 @@ class BlockManager:
             return None
         if part.on_disk:
             metrics.bytes_spilled += part.nbytes
-        part.hits += 1
-        self._touch(part)
-        self._partitions.move_to_end((rdd_id, index))
         return part.block
 
     def drop_rdd(self, rdd_id: int) -> int:
@@ -220,50 +175,14 @@ class BlockManager:
             "disk_bytes": disk_bytes,
         }
 
-    # -- eviction ------------------------------------------------------------
-
-    def _candidates(self, protect_rdd: int) -> list[_CachedPartition]:
-        return [
-            part for k, part in self._partitions.items()
-            if not part.on_disk
-            and k[0] != protect_rdd
-            and k[0] != self._computing_rdd
-        ]
-
-    def _evict(self, victim: _CachedPartition) -> None:
-        """Drop or spill one victim partition (the region's physics)."""
-        victim_key = victim.key
-        self._region.release(victim.nbytes)
-        self.arbiter.record_evict(REGION_SPARK_STORAGE, victim.nbytes,
-                                  rdd=victim_key[0])
-        if (victim.level is StorageLevel.MEMORY_AND_DISK
-                and not self._spill_failed(victim_key, victim.nbytes)):
-            victim.on_disk = True
-            self._stats.inc(SPARK_PART_SPILLED)
-            self.arbiter.record_spill(REGION_SPARK_STORAGE, victim.nbytes,
-                                      rdd=victim_key[0])
-            self._trace(EV_SPARK_PART_SPILL, victim_key, victim.nbytes)
-        else:
-            self._forget(victim_key)
-            self._stats.inc(SPARK_PART_EVICTED)
-            self._trace(EV_SPARK_PART_EVICT, victim_key, victim.nbytes)
-
-    def _evict_until_fits(self, nbytes: int, protect_rdd: int) -> bool:
-        """Evict partitions of other RDDs until ``nbytes`` fit."""
-        return self.arbiter.ensure_space(
-            REGION_SPARK_STORAGE, nbytes,
-            candidates=lambda: self._candidates(protect_rdd),
-            evict=self._evict, now=self._tick,
-        )
-
     # -- fault injection -----------------------------------------------------
 
     def _spill_failed(self, key: tuple[int, int], nbytes: int) -> bool:
         """Draw a spill I/O fault; a failed spill loses the partition.
 
-        The partition is simply not stored (or dropped, for an eviction
-        spill) — persisted RDDs recompute it from lineage on the next
-        access, so the fault costs recomputation, never correctness.
+        The partition is simply not stored — persisted RDDs recompute it
+        from lineage on the next access, so the fault costs
+        recomputation, never correctness.
         """
         return self.arbiter.spill_fault(LANE_SP, rdd=key[0],
                                         partition=key[1], nbytes=nbytes)

@@ -86,15 +86,11 @@ class DAGScheduler:
         # result stage
         task_times: list[float] = []
         partitions: list[np.ndarray] = []
-        self.context.block_manager.set_computing(rdd.id)
-        try:
-            for idx in range(rdd.num_partitions):
-                partitions.append(self._run_task(
-                    rdd, idx, task_times,
-                    lambda metrics, i=idx: rdd.get_partition(i, metrics),
-                ))
-        finally:
-            self.context.block_manager.set_computing(None)
+        for idx in range(rdd.num_partitions):
+            partitions.append(self._run_task(
+                rdd, idx, task_times,
+                lambda metrics, i=idx: rdd.get_partition(i, metrics),
+            ))
         stage_times.append(self._stage_time(task_times))
         stages.append(("result", rdd.num_partitions, stage_times[-1]))
         total_tasks += rdd.num_partitions
@@ -162,27 +158,23 @@ class DAGScheduler:
         task_times: list[float] = []
         tasks_run = 0
         written = 0
-        self.context.block_manager.set_computing(parent.id)
-        try:
-            for idx in range(parent.num_partitions):
-                if files[idx] is not None:
-                    continue
+        for idx in range(parent.num_partitions):
+            if files[idx] is not None:
+                continue
 
-                def map_task(metrics: TaskMetrics, i: int = idx):
-                    block = parent.get_partition(i, metrics)
-                    out = dep.map_side(i, block)
-                    metrics.bytes_shuffled += sum(
-                        b.nbytes for b in out.values()
-                    )
-                    metrics.flops += block.size  # map-side combine work
-                    return out
+            def map_task(metrics: TaskMetrics, i: int = idx):
+                block = parent.get_partition(i, metrics)
+                out = dep.map_side(i, block)
+                metrics.bytes_shuffled += sum(
+                    b.nbytes for b in out.values()
+                )
+                metrics.flops += block.size  # map-side combine work
+                return out
 
-                out = self._run_task(parent, idx, task_times, map_task)
-                files[idx] = out
-                written += sum(b.nbytes for b in out.values())
-                tasks_run += 1
-        finally:
-            self.context.block_manager.set_computing(None)
+            out = self._run_task(parent, idx, task_times, map_task)
+            files[idx] = out
+            written += sum(b.nbytes for b in out.values())
+            tasks_run += 1
         dep.shuffle_files = files
         dep.shuffle_bytes = sum(
             b.nbytes for out in files for b in out.values()

@@ -93,10 +93,6 @@ class SparkConfig:
     disk_bytes_per_s: float = 1 * GB
     #: default rows per partition block (squared blocking in SystemDS).
     block_size_rows: int = 1024
-    #: eviction order of the BlockManager's storage region (the
-    #: ``SP_BLOCKS`` memory region); Spark's native behaviour is LRU
-    #: over cached partitions.
-    policy: EvictionPolicyName = EvictionPolicyName.LRU
     broadcast_chunk_bytes: int = 4 * MB
     #: effective per-core executor compute throughput.
     executor_flops_per_s: float = 60e9

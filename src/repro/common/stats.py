@@ -133,7 +133,6 @@ SPARK_GC_CLEANED = "spark/dangling_cleaned"
 SPARK_ASYNC_MATERIALIZE = "spark/async_materializations"
 SPARK_BROADCASTS = "spark/broadcasts"
 SPARK_SHUFFLE_REUSE = "spark/shuffle_files_reused"
-SPARK_PART_EVICTED = "spark/partitions_evicted"
 SPARK_PART_SPILLED = "spark/partitions_spilled"
 SPARK_PART_RECOMPUTED = "spark/partitions_recomputed"
 GPU_MALLOCS = "gpu/cuda_mallocs"
@@ -144,7 +143,6 @@ GPU_REUSED = "gpu/pointers_reused"
 GPU_SYNCS = "gpu/synchronizations"
 GPU_D2H = "gpu/d2h_copies"
 GPU_H2D = "gpu/h2d_copies"
-GPU_DEFRAGS = "gpu/defragmentations"
 PREFETCH_ISSUED = "async/prefetch_issued"
 BROADCAST_ISSUED = "async/broadcast_issued"
 EVICT_INSTRUCTIONS = "compiler/evict_instructions"

@@ -10,7 +10,6 @@ from repro.compiler.rewrites.tuning import (
     BlockTuning,
     ProgramBlock,
     tune_block,
-    tune_program,
 )
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "ProgramBlock",
     "BlockTuning",
     "tune_block",
-    "tune_program",
 ]

@@ -1,8 +1,8 @@
 """Automatic parameter tuning of delay factor and storage level (§5.2).
 
-The program-level rewrite recursively traverses program blocks, analyzes
-execution frequency (nested loops, function calls) and the presence of
-loop-dependent (non-reusable) operations, then assigns:
+The rewrite analyzes one block's execution frequency (nested loops,
+function calls) and the presence of loop-dependent (non-reusable)
+operations, then assigns:
 
 * the *delay factor* ``n`` — defer caching until the n-th occurrence
   (``n = 1`` when >80% of a block's operations are reusable, Fig. 10);
@@ -13,7 +13,7 @@ loop-dependent (non-reusable) operations, then assigns:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.config import StorageLevel
 
@@ -29,7 +29,6 @@ class ProgramBlock:
     num_ops: int = 1
     #: operators depending on loop variables (not reusable across iters).
     num_loop_dependent_ops: int = 0
-    children: list["ProgramBlock"] = field(default_factory=list)
 
     @property
     def reusable_fraction(self) -> float:
@@ -64,15 +63,3 @@ def tune_block(block: ProgramBlock) -> BlockTuning:
     )
     return BlockTuning(delay, level)
 
-
-def tune_program(root: ProgramBlock) -> dict[str, BlockTuning]:
-    """Recursively tune every block of a program; returns name -> tuning."""
-    out: dict[str, BlockTuning] = {}
-
-    def visit(block: ProgramBlock) -> None:
-        out[block.name] = tune_block(block)
-        for child in block.children:
-            visit(child)
-
-    visit(root)
-    return out

@@ -6,8 +6,9 @@ payloads live in backend-local stores: in-memory matrices in the driver
 against Spark storage memory by the :class:`SparkCacheManager`), and GPU
 pointers (owned by the GPU unified memory manager, which calls back on
 recycling).  The cache implements the system-internal API of §3.1:
-``probe/reuse``, ``put``, and ``make_space``, plus delayed caching
-(§5.2).
+``probe/reuse`` and ``put``, plus delayed caching (§5.2).  The paper's
+``make_space`` is not a separate call: ``put`` evicts until its entry
+fits.
 
 Space requests and victim selection go through the shared
 :class:`~repro.memory.arbiter.MemoryArbiter`; bytes are counted on the
@@ -273,21 +274,7 @@ class LineageCache:
                                 opcode=key.opcode, key=key.id)
         return entry
 
-    def make_space(self, backend: str, size: int) -> bool:
-        """MAKE_SPACE: evict until ``size`` bytes fit on ``backend``."""
-        if backend == BACKEND_CP:
-            return self._make_space_cp(size)
-        # SP space is managed by the SparkCacheManager; GPU space by the
-        # unified GPU memory manager (Algorithm 1).
-        return True
-
     # -- eviction -----------------------------------------------------------------
-
-    def _make_space_cp(self, size: int) -> bool:
-        return self.arbiter.ensure_space(
-            REGION_CP, size, candidates=self._cp_candidates,
-            evict=self.evict_cp, now=self._logical_time,
-        )
 
     def touch(self, entry: CacheEntry) -> None:
         """Tell the victim index a score input or CP residency of

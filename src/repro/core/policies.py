@@ -11,9 +11,8 @@ provided as ablation baselines from the related work (§7).
 
 Every policy exposes two scoring views over the same ordering idea:
 
-* :meth:`score` over cache-entry-shaped objects (anything matching the
-  :class:`~repro.memory.protocols.Evictable` field protocol — lineage
-  entries, cached Spark partitions);
+* :meth:`score` over :class:`~repro.core.entry.CacheEntry` objects
+  (driver-cache entries and the Spark cache tier's persisted RDDs);
 * :meth:`score_pointer` over GPU free-list pointers, where the default
   policy is the paper's Eq. 2 ``T_a(o) + 1/h(o) + c(o)`` with terms
   normalised by the device clock and the candidate set's max cost.

@@ -36,7 +36,12 @@ from repro.common.stats import (
 from repro.core.cache import LineageCache
 from repro.core.entry import BACKEND_SP, CacheEntry
 from repro.core.policies import make_policy
-from repro.memory import REGION_SPARK_CACHE, MemoryArbiter, MemoryRegion
+from repro.memory import (
+    REGION_SPARK_CACHE,
+    REGION_SPARK_STORAGE,
+    MemoryArbiter,
+    MemoryRegion,
+)
 
 
 def add_spark_cache_region(arbiter: MemoryArbiter, cache: LineageCache,
@@ -70,8 +75,10 @@ class SparkCacheManager:
         self._region = (
             self.arbiter.region(REGION_SPARK_CACHE)
             if REGION_SPARK_CACHE in self.arbiter
-            else add_spark_cache_region(self.arbiter, cache, config,
-                                        context.block_manager.capacity))
+            else add_spark_cache_region(
+                self.arbiter, cache, config,
+                context.block_manager.arbiter.region(
+                    REGION_SPARK_STORAGE).capacity))
         #: entry -> bytes this manager charged to its ``SP_CACHE`` ledger
         #: when it persisted the entry's RDD.  Eviction offers and
         #: releases exactly these: on a shared lineage cache the other
@@ -82,13 +89,6 @@ class SparkCacheManager:
         self._unmat_misses: dict[int, int] = {}
         self._pending_counts: list[SimFuture] = []
         self.storage_level = StorageLevel.MEMORY_AND_DISK
-
-    @property
-    def budget(self) -> int:
-        """Reuse share of aggregate storage memory (80% by default)."""
-        return int(
-            self.sc.block_manager.capacity * self.config.spark_cache_fraction
-        )
 
     @property
     def sp_bytes(self) -> int:
@@ -134,13 +134,6 @@ class SparkCacheManager:
         return dm
 
     # -- memory management -------------------------------------------------------
-
-    def make_space(self, size: int) -> bool:
-        """Evict cached RDDs (Eq. 1 order) until ``size`` bytes fit."""
-        return self.arbiter.ensure_space(
-            REGION_SPARK_CACHE, size, candidates=self._candidates,
-            evict=self.evict, now=0.0,
-        )
 
     def evict(self, entry: CacheEntry) -> None:
         """Unpersist the RDD of ``entry`` and drop its SP payload."""

@@ -95,9 +95,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="eviction policy of the GPU free lists "
                              "(GPU region; default cost_size, paper Eq. 2)")
     parser.add_argument("--spark-policy", choices=policy_names, default=None,
-                        help="eviction policy of the Spark storage and "
-                             "cache tiers (SP_BLOCKS/SP_CACHE regions; "
-                             "defaults: LRU / inherit --policy)")
+                        help="eviction policy of the Spark cache tier "
+                             "(SP_CACHE region; default: inherit --policy)")
     parser.add_argument("--server", metavar="N", type=int, default=None,
                         help="multi-tenant server mode: run N concurrent "
                              "sessions across two tenants on one shared "
@@ -208,7 +207,6 @@ def _configure_from_args(args: argparse.Namespace):
             config.gpu.policy = gpu_policy
         if spark_policy is not None:
             config.cache.spark_policy = spark_policy
-            config.spark.policy = spark_policy
 
     return configure
 

@@ -7,13 +7,11 @@ memory manager all route *reservations* and *victim selection* (the
 :class:`MemoryArbiter` and count bytes on their own per-backend
 :class:`MemoryRegion` ledger (the reserve/commit/release protocol),
 while keeping their backend-specific physics (disk spilling, shuffle
-partition granularity, free-list recycling, pinning) local.
+partition granularity, free-list recycling) local.
 
 The arbiter is also the coordination point for the paper's *holistic*
-behaviours: cross-region residency consultation (GPU eviction checks
-driver-cache residency before paying a device-to-host transfer), the
-spill-vs-drop cost decision, and the admission predicate of the
-multi-tenant gate.
+behaviours: the spill-vs-drop cost decision and the admission predicate
+of the multi-tenant gate.
 """
 
 from repro.memory.arbiter import MemoryArbiter
@@ -28,7 +26,6 @@ from repro.memory.budget import (
     region_capacities,
     shared_demands,
 )
-from repro.memory.protocols import Evictable
 from repro.memory.region import MemoryRegion
 
 __all__ = [
@@ -38,7 +35,6 @@ __all__ = [
     "region_capacities",
     "SHARED_REGIONS",
     "shared_demands",
-    "Evictable",
     "REGION_CP",
     "REGION_DISK",
     "REGION_SPARK_STORAGE",

@@ -38,7 +38,7 @@ from repro.common.stats import (
     MEM_SPILLS,
     Stats,
 )
-from repro.core.policies import EvictionPolicy, make_policy
+from repro.core.policies import EvictionPolicy
 from repro.faults.injector import NULL_INJECTOR
 from repro.faults.plan import KIND_RESTORE_IO, KIND_SPILL_IO
 from repro.memory.region import MemoryRegion
@@ -86,13 +86,10 @@ class MemoryArbiter:
 
     def add_region(self, name: str, capacity: int, *,
                    policy: Optional[EvictionPolicy] = None,
-                   policy_name=None,
                    unlimited: bool = False) -> MemoryRegion:
-        """Register a region; ``policy_name`` resolves via the registry."""
+        """Register a region evicting in ``policy``'s order."""
         if name in self._regions:
             raise ValueError(f"memory region {name!r} already registered")
-        if policy is None and policy_name is not None:
-            policy = make_policy(policy_name)
         region = MemoryRegion(name, capacity, policy=policy,
                               unlimited=unlimited)
         self._regions[name] = region
@@ -188,18 +185,6 @@ class MemoryArbiter:
                     )
                 return name
         return None
-
-    def ensure_space(self, name: str, size: int, *,
-                     candidates: Optional[Callable[[], Sequence]] = None,
-                     evict: Optional[Callable[[object], None]] = None,
-                     now: float = 0.0,
-                     score: Optional[Callable[[object], float]] = None) -> bool:
-        """MAKE_SPACE: guarantee ``size`` bytes fit, without claiming them."""
-        if not self.reserve(name, size, candidates=candidates, evict=evict,
-                            now=now, score=score):
-            return False
-        self._regions[name].cancel(size)
-        return True
 
     # -- victim selection -----------------------------------------------------
 

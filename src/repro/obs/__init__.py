@@ -53,7 +53,6 @@ from repro.obs.events import (
     EV_CACHE_SPILL,
     EV_FED_REQUEST,
     EV_GPU_D2H,
-    EV_GPU_DEFRAG,
     EV_GPU_FREE,
     EV_GPU_H2D,
     EV_GPU_KERNEL,
@@ -111,7 +110,6 @@ __all__ = [
     "EV_CACHE_SPILL",
     "EV_FED_REQUEST",
     "EV_GPU_D2H",
-    "EV_GPU_DEFRAG",
     "EV_GPU_FREE",
     "EV_GPU_H2D",
     "EV_GPU_KERNEL",

@@ -72,9 +72,9 @@ EV_SPARK_JOB = "spark/job"
 EV_SPARK_STAGE = "spark/stage"
 #: instant — shuffle files of a dependency were reused (§4.1).
 EV_SPARK_SHUFFLE_REUSE = "spark/shuffle_reuse"
-#: instant — a cached partition was dropped from storage memory.
+#: instant — a cached partition was lost with its executor.
 EV_SPARK_PART_EVICT = "spark/partition_evicted"
-#: instant — a cached partition moved to executor-local disk.
+#: instant — a partition was stored on executor-local disk.
 EV_SPARK_PART_SPILL = "spark/partition_spilled"
 
 #: span — host-to-device copy on the GPU lane.
@@ -89,7 +89,6 @@ EV_GPU_FREE = "gpu/free"
 EV_GPU_RECYCLE = "gpu/recycle"
 #: instant — a lineage-cache hit moved a pointer Free -> Live (Fig. 8(c)).
 EV_GPU_REUSE = "gpu/reuse"
-EV_GPU_DEFRAG = "gpu/defrag"
 
 #: instant — a region reservation failed (``repro.memory``; args:
 #: region, nbytes, ok).

@@ -23,6 +23,7 @@ from repro.core.policies import (
 )
 from repro.core.spark_cache import SparkCacheManager
 from repro.lineage.item import LineageItem, dataset
+from repro.memory import REGION_SPARK_CACHE
 from repro.runtime.values import MatrixValue
 
 
@@ -250,12 +251,25 @@ class TestSparkCacheManager:
             assert entry is not None
             mgr.cache_rdd(entry, dm)
             entries.append(entry)
-        assert mgr.sp_bytes <= mgr.budget
+        assert mgr.sp_bytes <= mgr.arbiter.region(REGION_SPARK_CACHE).capacity
         assert stats.get("spark/rdds_unpersisted") >= 1
 
     def test_make_space_rejects_oversized(self):
+        """MAKE_SPACE happens inside ``cache_rdd``: an RDD larger than
+        the whole SP_CACHE region is refused and evicts nothing."""
         mgr, cache, sc, sb, stats = self._setup()
-        assert not mgr.make_space(mgr.budget + 1)
+        capacity = mgr.arbiter.region(REGION_SPARK_CACHE).capacity
+        small = self._dm(sb)
+        held = cache.put(key("held"), small, BACKEND_SP, small.nbytes, 10.0)
+        assert mgr.cache_rdd(held, small)
+        big = self._dm(sb, rows=capacity // 32 + 1, seed=1)  # 4 cols x 8 B
+        assert big.nbytes > capacity
+        entry = cache.put(key("big"), big, BACKEND_SP, big.nbytes, 10.0)
+        assert not mgr.cache_rdd(entry, big)
+        assert not big.rdd.is_persisted and small.rdd.is_persisted
+        assert mgr.sp_bytes == small.nbytes
+        assert stats.get("spark/rdds_unpersisted") == 0
+        mgr.audit()
 
     def test_evicted_entry_loses_sp_payload(self):
         mgr, cache, sc, sb, stats = self._setup()

@@ -19,7 +19,7 @@ from repro.compiler.rewrites.checkpoint import (
     should_checkpoint_loop_var,
 )
 from repro.compiler.rewrites.cse import eliminate_common_subexpressions
-from repro.compiler.rewrites.tuning import ProgramBlock, tune_block, tune_program
+from repro.compiler.rewrites.tuning import ProgramBlock, tune_block
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 
 
@@ -345,13 +345,6 @@ class TestAutoTuning:
         block = ProgramBlock("init", execution_frequency=1, num_ops=100,
                              num_loop_dependent_ops=0)
         assert tune_block(block).delay_factor == 4
-
-    def test_tune_program_recurses(self):
-        root = ProgramBlock("main", children=[
-            ProgramBlock("inner", execution_frequency=10, num_ops=10),
-        ])
-        out = tune_program(root)
-        assert set(out) == {"main", "inner"}
 
 
 class TestBenchSeams:

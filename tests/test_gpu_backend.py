@@ -70,8 +70,8 @@ class TestGpuDevice:
         assert dev.fits(1536) and dev.malloc(1536) is not None
 
     def test_cached_largest_hole_tracks_every_change(self):
-        """``fits`` reads a cached largest hole; after any malloc, free
-        or defragment it must equal a scan of the holes."""
+        """``fits`` reads a cached largest hole; after any malloc or
+        free it must equal a scan of the holes."""
         dev = GpuDevice(small_config(capacity=32 * 1024))
         rng = np.random.default_rng(3)
         live = []
@@ -81,11 +81,8 @@ class TestGpuDevice:
                 off = dev.malloc(int(rng.integers(1, 6)) * 512)
                 if off is not None:
                     live.append(off)
-            elif action < 0.97 and live:
+            elif live:
                 dev.free(live.pop(int(rng.integers(len(live)))))
-            else:
-                dev.defragment()
-                live = [dev.relocation_map[off] for off in live]
             holes = dev._free
             assert all(off + size < nxt for (off, size), (nxt, _)
                        in zip(holes, holes[1:])), step  # sorted, coalesced
@@ -102,17 +99,6 @@ class TestGpuDevice:
         dev.free(a)
         dev.free(b)  # adjacent: coalesce into 2048 + tail
         assert dev.largest_free_block == 4096
-
-    def test_defragment_compacts(self):
-        dev = GpuDevice(small_config(capacity=4096))
-        a = dev.malloc(1024)
-        b = dev.malloc(1024)
-        c = dev.malloc(1024)
-        dev.free(b)
-        moved = dev.defragment()
-        assert moved == 1024  # c moved down
-        assert dev.largest_free_block == 2048
-        assert dev.relocation_map[c] == 1024
 
     def test_double_free_raises(self):
         dev = GpuDevice(small_config())
@@ -233,17 +219,27 @@ class TestAlgorithmOne:
             mgr.allocate(1024)
         assert err.value.requested == 1024
 
-    def test_defragmentation_rescues_fragmented_device(self):
+    def test_fragmented_device_raises_oom(self):
+        """Steps 2-3 free every pooled pointer; when the holes they
+        leave are still too small, the request fails with the device's
+        free bytes and largest hole, and the ledgers stay whole."""
         mgr, stats = manager(MODE_MEMPHIS, capacity=6144)
         a = mgr.allocate(2048)
         b = mgr.allocate(1024)
         c = mgr.allocate(2048)
         mgr.release(a)
-        mgr.allocate(512)  # reuse part of a's hole -> fragmentation
+        tail = mgr.allocate(512)  # takes the tail: a's hole stays apart
         mgr.release(c)
-        # flush pools then defrag to satisfy a large request
-        out = mgr.allocate(3584)
-        assert out is not None
+        with pytest.raises(GpuOutOfMemoryError) as err:
+            mgr.allocate(3584)
+        # holes 0-2048, 3072-5120 and 5632-6144: 4,608 B free, none 3,584
+        assert (err.value.free, err.value.largest_block) == (4608, 2048)
+        assert err.value.free == mgr.device.free_bytes
+        assert err.value.largest_block == mgr.device.largest_free_block
+        assert a.freed and c.freed and mgr.free_bytes_pooled == 0
+        mgr.audit()
+        assert mgr._region.used == mgr.device.used_bytes == 1536
+        assert set(mgr.live) == {b.id, tail.id}  # the request left none
 
     def test_invalidation_callback_fires_on_recycle(self):
         """Recycling a pointer a cache entry references invalidates the

@@ -30,7 +30,7 @@ from repro.common.stats import (
 )
 from repro.core.cache import BACKEND_DISK, LineageCache
 from repro.core.entry import BACKEND_CP, EntryStatus
-from repro.core.policies import LruPolicy
+from repro.core.policies import LruPolicy, make_policy
 from repro.lineage.item import LineageItem, dataset
 from repro.memory import (
     REGION_CP,
@@ -180,13 +180,6 @@ class TestArbiterReservation:
                                evict=lambda v: None)
         assert stats.get(MEM_RESERVE_FAILURES) == 1
 
-    def test_ensure_space_leaves_no_reservation(self):
-        arb = MemoryArbiter()
-        arb.add_region("R", 1000)
-        assert arb.ensure_space("R", 700)
-        region = arb.region("R")
-        assert (region.used, region.reserved) == (0, 0)
-
     def test_unlimited_region_overcommits(self):
         arb = MemoryArbiter()
         region = arb.add_region("R", 10, unlimited=True)
@@ -206,7 +199,7 @@ class TestVictimSelection:
 
     def test_policy_orders_victims(self):
         arb = MemoryArbiter()
-        arb.add_region("R", 100, policy_name=EvictionPolicyName.LRU)
+        arb.add_region("R", 100, policy=make_policy(EvictionPolicyName.LRU))
         items = [SimpleNamespace(last_access=t) for t in (5, 2, 9)]
         assert arb.select_victim("R", items).last_access == 2
 

@@ -33,6 +33,7 @@ from repro.common.simclock import DEVICE, SimClock
 from repro.common.stats import Stats
 from repro.core.cache import BACKEND_DISK, LineageCache
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
+from repro.core.policies import make_policy
 from repro.core.substrate import Substrate
 from repro.lineage.item import LineageItem, dataset
 from repro.memory import MemoryArbiter
@@ -52,7 +53,8 @@ class GpuAllocatorMachine(RuleBasedStateMachine):
     * freed pointers never appear in either list;
     * pooled byte accounting matches the free lists.
 
-    Allocation runs under pressure (Algorithm 1 steps 1-4 fire), fresh
+    Allocation runs under pressure (Algorithm 1 steps 1-3 fire, and a
+    request they cannot serve raises ``GpuOutOfMemoryError``), fresh
     pointers get a lineage height and cost as ``GpuBackend.execute``
     gives them, ``cached`` flips through the lineage cache's own paths,
     the device clock advances between touches, and ``tie`` forges
@@ -225,8 +227,9 @@ TestGpuAllocatorStatefulMrd = _gpu_machine(EvictionPolicyName.MRD)
 
 
 class BlockManagerMachine(RuleBasedStateMachine):
-    """Random partition caching never overflows the storage region and
-    keeps the byte accounting exact."""
+    """Random partition caching never overflows the storage region,
+    keeps the byte accounting exact, and never evicts: a partition that
+    does not fit goes to disk or is not stored."""
 
     def __init__(self):
         super().__init__()
@@ -244,7 +247,15 @@ class BlockManagerMachine(RuleBasedStateMachine):
         rdd_id = self.next_rdd
         self.next_rdd += 1
         for idx in range(partitions):
-            self.bm.put_partition(rdd_id, idx, np.ones((rows, 4)), level)
+            resident = dict(self.bm._partitions)
+            block = np.ones((rows, 4))
+            fits = self.bm._region.fits(block.nbytes)
+            stored = self.bm.put_partition(rdd_id, idx, block, level)
+            assert stored == (fits or level is StorageLevel.MEMORY_AND_DISK)
+            if stored:
+                assert self.bm._partitions[rdd_id, idx].on_disk == (not fits)
+            assert all(self.bm._partitions.get(k) is p
+                       for k, p in resident.items())  # nothing evicted
 
     @rule(rdd_id=st.integers(min_value=1, max_value=30))
     def drop(self, rdd_id):
@@ -252,7 +263,8 @@ class BlockManagerMachine(RuleBasedStateMachine):
 
     @invariant()
     def never_over_capacity(self):
-        assert self.bm.memory_used <= self.bm.capacity
+        assert self.bm.memory_used <= self.bm._region.capacity
+        self.bm.arbiter.check()
 
     @rule()
     def lose_executor(self):
@@ -313,7 +325,7 @@ class RegionLedgerMachine(RuleBasedStateMachine):
         super().__init__()
         self.arb = MemoryArbiter(Stats())
         self.region = self.arb.add_region(
-            "R", self.CAPACITY, policy_name=EvictionPolicyName.LRU
+            "R", self.CAPACITY, policy=make_policy(EvictionPolicyName.LRU)
         )
         self.chunks = []
         self.holds = []
@@ -358,16 +370,18 @@ class RegionLedgerMachine(RuleBasedStateMachine):
         self.region.release(chunk.size)
 
     @rule(size=st.integers(min_value=1, max_value=3000))
-    def make_space_by_eviction(self, size):
-        """ensure_space with every committed chunk as a candidate."""
+    def reserve_by_eviction(self, size):
+        """reserve with every committed chunk as a candidate."""
 
         def evict(victim):
             self.chunks.remove(victim)
             self.region.release(victim.size)
 
-        ok = self.arb.ensure_space("R", size, candidates=lambda: self.chunks,
-                                   evict=evict, now=self.ticks)
-        if not ok:
+        ok = self.arb.reserve("R", size, candidates=lambda: self.chunks,
+                              evict=evict, now=self.ticks)
+        if ok:
+            self.holds.append(size)
+        else:
             assert self.region.reserved + size > self.CAPACITY
 
     @invariant()
@@ -573,9 +587,11 @@ class LineageCacheMachine(RuleBasedStateMachine):
             entry.put_payload(BACKEND_SP, object(), size, entry.compute_cost)
             self.cache.touch(entry)
 
-    @rule(size=st.integers(min_value=1, max_value=4500))
-    def make_space(self, size):
-        self.cache.make_space(BACKEND_CP, size)
+    @rule(tag=TAGS, size=st.integers(min_value=1, max_value=4500))
+    def put_cp_any_size(self, tag, size):
+        # MAKE_SPACE is the put's own eviction: up to the whole budget
+        self.cache.put(self.key(tag), MatrixValue(np.ones((2, 2))),
+                       BACKEND_CP, size, 1.0)
 
     @rule(tag=TAGS)
     def evict(self, tag):

@@ -26,7 +26,7 @@ from repro.compiler.rewrites.async_ops import (
 )
 from repro.compiler.rewrites.checkpoint import place_shared_checkpoints
 from repro.compiler.rewrites.cse import eliminate_common_subexpressions
-from repro.compiler.rewrites.tuning import ProgramBlock, tune_program
+from repro.compiler.rewrites.tuning import ProgramBlock, tune_block
 from repro.core.entry import BACKEND_CP, BACKEND_SP
 from repro.core.session import Session
 from repro.lineage.item import LineageItem
@@ -133,15 +133,14 @@ class TestRewriteIdempotence:
         assert _flags(roots) == state
 
     def test_tuning_idempotent(self):
-        program = ProgramBlock("main", 1, 10, 2, children=[
-            ProgramBlock("loop", 20, 10, 1),
-            ProgramBlock("cold", 20, 10, 9),
-        ])
-        once = tune_program(program)
-        twice = tune_program(program)
+        blocks = [ProgramBlock("main", 1, 10, 2),
+                  ProgramBlock("loop", 20, 10, 1),
+                  ProgramBlock("cold", 20, 10, 9)]
+        once = [tune_block(block) for block in blocks]
+        twice = [tune_block(block) for block in blocks]
         assert once == twice
-        assert once["loop"].delay_factor == 1
-        assert once["cold"].storage_level is StorageLevel.MEMORY_ONLY
+        assert once[1].delay_factor == 1
+        assert once[2].storage_level is StorageLevel.MEMORY_ONLY
 
 
 # ------------------------------------------------ CSE-merged handles

@@ -13,8 +13,14 @@ from repro.backends.spark import SPARK_OPCODES, SparkBackend, SparkContext
 from repro.backends.spark.backend import _stack_rows
 from repro.common.config import SparkConfig, StorageLevel
 from repro.common.simclock import CLUSTER, HOST, SimClock
-from repro.common.stats import PREFETCH_ISSUED, SPARK_JOBS, Stats
+from repro.common.stats import (
+    MEM_RESERVE_FAILURES,
+    PREFETCH_ISSUED,
+    SPARK_JOBS,
+    Stats,
+)
 from repro.core.entry import BACKEND_SP
+from repro.memory import REGION_SPARK_STORAGE
 from repro.runtime.placement import matmul_pattern
 from repro.runtime.values import MatrixValue
 
@@ -481,33 +487,59 @@ class TestPersistence:
         info = ctx.block_manager.rdd_storage_info(rdd.id, rdd.num_partitions)
         assert info["num_cached_partitions"] == 0
 
-    def test_eviction_lru_partitions(self):
+    @staticmethod
+    def _full_storage():
+        """A context whose storage region (40000*0.6*0.5 = 12000 B) is
+        exactly filled by one MEMORY_ONLY RDD of three 100x5 partitions
+        (4000 B each)."""
         cfg = SparkConfig(block_size_rows=100, num_executors=1,
                           executor_memory=40_000)
         ctx = SparkContext(cfg, SimClock(), Stats())
-        # storage capacity = 40000*0.6*0.5 = 12000 bytes; each partition
-        # 100x4x8 = 3200 bytes
-        first = ctx.parallelize(np.ones((300, 4))) \
-            .map_blocks(lambda b: b, "a").persist(StorageLevel.MEMORY_ONLY)
-        ctx.collect(first)
-        second = ctx.parallelize(np.ones((300, 4))) \
-            .map_blocks(lambda b: b, "b").persist(StorageLevel.MEMORY_ONLY)
-        ctx.collect(second)
-        assert ctx.stats.get("spark/partitions_evicted") > 0
-
-    def test_evicted_partition_recomputed(self):
-        cfg = SparkConfig(block_size_rows=100, num_executors=1,
-                          executor_memory=40_000)
-        ctx = SparkContext(cfg, SimClock(), Stats())
-        first = ctx.parallelize(np.ones((300, 4))) \
+        first = ctx.parallelize(np.ones((300, 5))) \
             .map_blocks(lambda b: b * 2, "a").persist(StorageLevel.MEMORY_ONLY)
         ctx.collect(first)
-        second = ctx.parallelize(np.ones((300, 4))) \
+        region = ctx.block_manager.arbiter.region(REGION_SPARK_STORAGE)
+        assert (region.used, region.capacity) == (12_000, 12_000)
+        return ctx, first
+
+    def test_full_storage_spills_or_refuses_new_partitions(self):
+        """Nothing is evicted to make room: a new MEMORY_AND_DISK
+        partition goes to disk, a new MEMORY_ONLY one is not stored,
+        and each costs one failed reservation."""
+        ctx, first = self._full_storage()
+        bm = ctx.block_manager
+        spilled = ctx.parallelize(np.ones((100, 5))) \
+            .map_blocks(lambda b: b + 1, "b") \
+            .persist(StorageLevel.MEMORY_AND_DISK)
+        ctx.collect(spilled)
+        assert ctx.stats.get(MEM_RESERVE_FAILURES) == 1
+        assert ctx.stats.get("spark/partitions_spilled") == 1
+        assert bm.rdd_storage_info(spilled.id, 1)["disk_bytes"] == 4000
+        refused = ctx.parallelize(np.ones((100, 5))) \
+            .map_blocks(lambda b: b + 3, "c") \
+            .persist(StorageLevel.MEMORY_ONLY)
+        out = ctx.collect(refused)
+        assert ctx.stats.get(MEM_RESERVE_FAILURES) == 2
+        assert bm.rdd_storage_info(refused.id, 1)["num_cached_partitions"] == 0
+        info = bm.rdd_storage_info(first.id, first.num_partitions)
+        assert info["fully_cached"] and info["memory_bytes"] == 12_000
+        # the refused RDD is recomputed from lineage, to the same bytes
+        again = ctx.collect(refused)
+        assert ctx.stats.get("spark/partitions_recomputed") == 1
+        assert again.tobytes() == out.tobytes()
+        ctx.block_manager.arbiter.check()
+
+    def test_evicted_partition_recomputed(self):
+        """A MEMORY_ONLY partition refused by full storage memory is
+        recomputed from lineage on every access."""
+        ctx, first = self._full_storage()
+        second = ctx.parallelize(np.ones((300, 5))) \
             .map_blocks(lambda b: b * 3, "b").persist(StorageLevel.MEMORY_ONLY)
-        ctx.collect(second)  # evicts partitions of first
-        out = ctx.collect(first)  # recomputes them from lineage
-        assert np.allclose(out, 2.0)
-        assert ctx.stats.get("spark/partitions_recomputed") > 0
+        assert np.allclose(ctx.collect(second), 3.0)  # nothing stored
+        out = ctx.collect(second)  # recomputes every partition
+        assert np.allclose(out, 3.0)
+        assert ctx.stats.get("spark/partitions_recomputed") == 3
+        assert np.allclose(ctx.collect(first), 2.0)  # still resident
 
     def test_memory_and_disk_spills(self):
         cfg = SparkConfig(block_size_rows=100, num_executors=1,

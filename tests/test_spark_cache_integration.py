@@ -7,6 +7,7 @@ from repro import MemphisConfig, Session
 from repro.common.config import KB, StorageLevel
 from repro.core.entry import BACKEND_SP
 from repro.core.substrate import Substrate
+from repro.memory import REGION_SPARK_CACHE
 
 RNG = np.random.default_rng(31)
 
@@ -84,7 +85,8 @@ class TestEvictionUnderPressure:
         X = sess.read(RNG.random((3000, 8)), "X")  # 192 KB per RDD
         for scale in range(1, 10):
             (X * float(scale)).sum().compute()
-        assert sess.spark_mgr.sp_bytes <= sess.spark_mgr.budget
+        mgr = sess.spark_mgr
+        assert mgr.sp_bytes <= mgr.arbiter.region(REGION_SPARK_CACHE).capacity
         assert sess.stats.get("spark/rdds_unpersisted") > 0
 
     def test_results_correct_despite_eviction(self):
@@ -135,7 +137,7 @@ class TestSharedSubstrate:
         sub = Substrate.shared_substrate(self._config())
         a = Session(self._config(), substrate=sub)
         b = Session(self._config(), substrate=sub)
-        capacity = b.spark_mgr.budget
+        capacity = b.spark_mgr.arbiter.region(REGION_SPARK_CACHE).capacity
         assert capacity == 125_828
 
         def run(sess: Session, tag: str, count: int) -> None:

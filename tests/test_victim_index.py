@@ -50,6 +50,14 @@ def level_scores(cache, entries):
         cache.touch(entry)
 
 
+def make_space(cache, size):
+    """Evict the way ``put`` does: a filler entry of ``size`` bytes is
+    put (the arbiter evicts until it fits), then removed again."""
+    filler = key("filler")
+    assert cache.put(filler, value(), BACKEND_CP, size, 0.0) is not None
+    cache.remove(filler)
+
+
 def drain_order(cache):
     """Evict everything through the arbiter; the order entries left in."""
     order = []
@@ -61,7 +69,7 @@ def drain_order(cache):
         evict(entry)
 
     cache.evict_cp = recording
-    assert cache.make_space(BACKEND_CP, cache.config.driver_cache_bytes)
+    make_space(cache, cache.config.driver_cache_bytes)
     return order
 
 
@@ -88,7 +96,7 @@ class TestTieBreak:
 
     def test_reput_with_unchanged_score_keeps_its_place(self, policy):
         cache, entries = self.fill(policy)
-        cache.make_space(BACKEND_CP, 100)  # the index has scored them all
+        make_space(cache, 100)  # the index has scored them all
         cache.put(key(0), value(), BACKEND_CP, 100, 50.0)
         level_scores(cache, entries)
         cache.audit()
@@ -104,7 +112,7 @@ class TestTieBreak:
 
     def test_sp_payload_enlarging_size_reorders_like_the_scan(self, policy):
         cache, entries = self.fill(policy)
-        cache.make_space(BACKEND_CP, 100)
+        make_space(cache, 100)
         grown = entries[3]
         # SparkCacheManager.cache_rdd: Eq. 1 divides by the larger size,
         # so this entry's score *falls* below records already in the heap
