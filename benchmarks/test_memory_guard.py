@@ -13,19 +13,28 @@ Counters introduced by the substrate itself (the ``memory/``
 namespace) are additive and intentionally ignored: the guard asserts
 the old behaviour is preserved, not that no new observability exists.
 
-One gate is on the process itself: the ``hcv`` experiment's peak
+Two gates are on the process itself: every harness runner lets go of
+the sessions, substrates, Spark contexts and lineage caches it built
+without the cyclic garbage collector, and four experiments' peak
 resident memory stays under a ceiling.
 """
 
+import gc
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import pytest
 
+from repro.backends.spark.context import SparkContext
+from repro.core.cache import LineageCache
+from repro.core.session import Session
+from repro.core.substrate import Substrate
 from repro.harness import runner
+from repro.harness.__main__ import EXPERIMENTS
 
 BASELINE = pathlib.Path(__file__).parent / "baselines" / \
     "fig12_counters.json"
@@ -86,30 +95,74 @@ def test_fig12b_byte_identical(baseline):
     assert not mismatches, "\n".join(mismatches)
 
 
-#: process-memory ceiling of ``python -m repro.harness hcv`` (MB of peak
-#: RSS).  Spark row slices and ``rbind`` of a driver matrix are views of
-#: it, which took the peak from 2,272 MB to 1,040 MB (Linux x86-64,
-#: Python 3.11, numpy 2.4).
-HCV_PEAK_RSS_MB = 1400
+#: what a harness runner builds and must let go of when it returns.
+OWNERS = (Session, Substrate, SparkContext, LineageCache)
 
+
+@pytest.fixture
+def built(monkeypatch):
+    """Weak references to every :data:`OWNERS` instance built while the
+    test runs."""
+    refs: list[weakref.ref] = []
+    for cls in OWNERS:
+        def recording(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(cls, "__init__", recording)
+    return refs
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_runner_frees_what_it_built_without_a_collection(name, built):
+    """With the cyclic collector off, everything a runner built is freed
+    by reference counting once it returns: no cycle holds a finished
+    session's Spark tier or cache payloads."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = EXPERIMENTS[name]()
+        alive = sorted({type(ref()).__name__ for ref in built
+                        if ref() is not None})
+    finally:
+        if enabled:
+            gc.enable()
+    assert result.grid
+    assert built, f"{name} built no session"
+    assert alive == [], f"{name} left {alive} alive"
+
+
+#: process-memory ceilings of ``python -m repro.harness <name>``, run
+#: alone (MB of peak RSS): the measured peak + 15 % (Linux x86-64,
+#: Python 3.11, numpy 2.4).  Finished sessions die by reference
+#: counting, so the peak is one cell's working set, not the garbage of
+#: every cell before it.
+PEAK_RSS_MB = {"hband": 695, "fig11b": 1282, "pnmf": 571, "hcv": 326}
+
+#: prints the child's own peak RSS in KB.  ``VmHWM`` belongs to the
+#: address space ``exec`` created; ``ru_maxrss`` would also count the
+#: peak of the pytest process that forked the child.
 _PEAK_CHILD = """
-import resource, sys
+import sys
 from repro.harness.__main__ import main
-code = main(["hcv"])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+code = main([sys.argv[1]])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 sys.exit(code)
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read as KB, its Linux unit")
-def test_hcv_peak_rss_within_ceiling():
-    """Real memory, not the simulated ledgers: the ``hcv`` experiment,
-    alone in its own process, peaks at most :data:`HCV_PEAK_RSS_MB`."""
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+@pytest.mark.parametrize("name", list(PEAK_RSS_MB))
+def test_peak_rss_within_ceiling(name):
+    """Real memory, not the simulated ledgers: the experiment, alone in
+    its own process, peaks at most its :data:`PEAK_RSS_MB` entry."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONHASHSEED="0",
                PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", _PEAK_CHILD], env=env,
+    proc = subprocess.run([sys.executable, "-c", _PEAK_CHILD, name], env=env,
                           capture_output=True, text=True, timeout=900)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     peak_mb = int(proc.stdout.split()[-1]) / 1024
-    assert peak_mb <= HCV_PEAK_RSS_MB, f"hcv peaked at {peak_mb:.0f} MB"
+    assert peak_mb <= PEAK_RSS_MB[name], f"{name} peaked at {peak_mb:.0f} MB"

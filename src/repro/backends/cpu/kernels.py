@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from repro.common.errors import BackendError
-from repro.runtime.values import MatrixValue, ScalarValue, Value, as_matrix, make_value
+from repro.runtime.values import MatrixValue, ScalarValue, Value, as_matrix
 
 _KERNELS: dict[str, Callable[..., Value]] = {}
 

@@ -10,7 +10,7 @@ all tenants (coordinator sessions) that contact it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -17,7 +17,7 @@ from repro.backends.spark.rdd import (
     ShuffledRDD,
     TaskMetrics,
 )
-from repro.backends.spark.scheduler import DAGScheduler, JobResult
+from repro.backends.spark.scheduler import JobResult
 
 __all__ = [
     "SPARK_OPCODES",
@@ -33,6 +33,5 @@ __all__ = [
     "ShuffleDependency",
     "ShuffledRDD",
     "TaskMetrics",
-    "DAGScheduler",
     "JobResult",
 ]

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.backends.spark.rdd import TaskMetrics
-from repro.common.stats import SPARK_BROADCASTS, Stats
+from repro.common.stats import SPARK_BROADCASTS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.backends.spark.context import SparkContext

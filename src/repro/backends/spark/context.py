@@ -1,10 +1,13 @@
 """SparkContext: driver-side entry point of the cluster simulator.
 
-Owns the BlockManager, DAGScheduler, and broadcast registry; exposes
+Owns the BlockManager and the shuffle map outputs; exposes
 transformations (via :class:`RDD`), actions (``collect``, ``count``,
 ``reduce``), and asynchronous job submission used by MEMPHIS's
 ``prefetch`` operator.  Also tracks driver memory retained by dangling
 broadcast chunks and collected results (Fig. 2(b)).
+
+The context refers to no RDD (it keys their data by id), so a dropped
+context dies by reference counting.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import numpy as np
 
 from repro.backends.spark.blockmanager import BlockManager
 from repro.backends.spark.broadcast import Broadcast
-from repro.backends.spark.rdd import RDD, ParallelizedRDD, ShuffleDependency
-from repro.backends.spark.scheduler import DAGScheduler, JobResult
+from repro.backends.spark.rdd import RDD, ParallelizedRDD
+from repro.backends.spark.scheduler import JobResult, run_stages
 from repro.common.config import SparkConfig
 from repro.common.runtime import IdSpace, current as current_runtime
 from repro.common.simclock import CLUSTER, HOST, SimClock, SimFuture
@@ -54,24 +57,20 @@ class SparkContext:
         self.faults = faults if faults is not None else NULL_INJECTOR
         self.block_manager = BlockManager(config, stats, tracer=self.tracer,
                                           faults=self.faults, arbiter=arbiter)
-        self.scheduler = DAGScheduler(self)
         self.driver_retained_bytes = 0
+        #: shuffled RDD id -> one ``{out_partition: block}`` per map
+        #: partition (``None`` if lost with an executor); kept until the
+        #: context dies (Spark's MapOutputTracker).
+        self.shuffle_outputs: dict[int, list] = {}
         self.shuffle_store_bytes = 0
-        #: job-scoped partition memo set by the DAGScheduler: within one
+        #: job-scoped partition memo set by ``run_stages``: within one
         #: job, each (rdd, partition) is computed at most once.
         self.job_memo = None
-        self._rdds: dict[int, RDD] = {}
         #: parallel job lanes: concurrently submitted jobs overlap on the
         #: cluster up to this degree (Spark runs independent jobs
         #: concurrently when slots allow) — the source of the paper's
         #: Base-A speedup from asynchronous operators (§5.1).
         self._job_lanes = [0.0] * max(2, config.num_executors // 2)
-
-    # -- registry -------------------------------------------------------------
-
-    def register_rdd(self, rdd: RDD) -> None:
-        """Track an RDD for storage info queries and GC bookkeeping."""
-        self._rdds[rdd.id] = rdd
 
     def note_partition_recomputed(self) -> None:
         self.stats.inc(SPARK_PART_RECOMPUTED)
@@ -100,7 +99,7 @@ class SparkContext:
             for executor_id in self.faults.executor_losses(
                     self.config.num_executors):
                 self.lose_executor(executor_id)
-        result = self.scheduler.execute(rdd)
+        result = run_stages(self, rdd)
         lane = min(range(len(self._job_lanes)),
                    key=lambda i: self._job_lanes[i])
         start = max(self.clock.now(HOST), self._job_lanes[lane])
@@ -137,21 +136,14 @@ class SparkContext:
         """
         n = self.config.num_executors
         invalidated = 0
-        for rdd in self._rdds.values():
-            for dep in rdd.deps:
-                if not isinstance(dep, ShuffleDependency):
+        for files in self.shuffle_outputs.values():
+            for idx, out in enumerate(files):
+                if out is None or idx % n != executor_id:
                     continue
-                files = dep.shuffle_files
-                if files is None:
-                    continue
-                for idx, out in enumerate(files):
-                    if out is None or idx % n != executor_id:
-                        continue
-                    nbytes = sum(b.nbytes for b in out.values())
-                    self.shuffle_store_bytes -= nbytes
-                    dep.shuffle_bytes -= nbytes
-                    files[idx] = None
-                    invalidated += 1
+                self.shuffle_store_bytes -= sum(b.nbytes
+                                                for b in out.values())
+                files[idx] = None
+                invalidated += 1
         dropped = self.block_manager.drop_executor(executor_id, n)
         self.stats.inc(FAULT_EXECUTORS_LOST)
         if invalidated:

@@ -3,8 +3,8 @@
 Distributed matrices are row-block partitioned: partition *i* holds rows
 ``[i*bs, (i+1)*bs)`` as a dense numpy block, mirroring SystemDS's binary
 block matrices on Spark.  Transformations are lazy — they only build RDD
-lineage — and actions trigger the :class:`~repro.backends.spark.scheduler.
-DAGScheduler` to run a job (paper §2.2).
+lineage — and actions run a job through
+:func:`~repro.backends.spark.scheduler.run_stages` (paper §2.2).
 
 Two dependency types drive stage splitting:
 
@@ -13,8 +13,9 @@ Two dependency types drive stage splitting:
   zip and broadcast-side operations alike — the block function is the
   caller's: the Spark backend passes CP kernels and matmul partials);
 * :class:`ShuffleDependency` — all-to-all; the map side writes shuffle
-  files which Spark implicitly caches until destroyed, enabling the
-  shuffle-file reuse the paper exploits for unmaterialized cached RDDs.
+  files which Spark implicitly caches until destroyed (here: in the
+  context's ``shuffle_outputs``), enabling the shuffle-file reuse the
+  paper exploits for unmaterialized cached RDDs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class TaskMetrics:
     """Per-task cost accumulator used by the scheduler's time model.
 
     Feeds the stage-time formula of §2.2 (flops, input reads, shuffle
-    writes, disk spills) that the DAGScheduler turns into simulated
+    writes, disk spills) that the scheduler turns into simulated
     cluster time.
     """
 
@@ -61,14 +62,14 @@ class ShuffleDependency:
 
     ``map_side`` maps ``(partition_index, block) -> {out_partition: block}``;
     ``reduce_side`` folds the collected blocks of one output partition.
-    After the map stage runs once, ``shuffle_files`` retains the map
-    outputs; subsequent jobs over the same dependency skip the map side —
-    the implicit shuffle-file caching MEMPHIS exploits to reuse
-    unmaterialized cached RDDs (paper §4.1).
+    After the map stage runs once, the context's ``shuffle_outputs``
+    retains the map outputs under the shuffled RDD's id; subsequent jobs
+    over the same dependency skip the map side — the implicit
+    shuffle-file caching MEMPHIS exploits to reuse unmaterialized cached
+    RDDs (paper §4.1).
     """
 
-    __slots__ = ("rdd", "map_side", "reduce_side", "num_out_partitions",
-                 "shuffle_files", "shuffle_bytes")
+    __slots__ = ("rdd", "map_side", "reduce_side", "num_out_partitions")
 
     def __init__(self, rdd: "RDD",
                  map_side: Callable[[int, np.ndarray], dict[int, np.ndarray]],
@@ -78,8 +79,6 @@ class ShuffleDependency:
         self.map_side = map_side
         self.reduce_side = reduce_side
         self.num_out_partitions = num_out_partitions
-        self.shuffle_files: Optional[list[dict[int, np.ndarray]]] = None
-        self.shuffle_bytes = 0
 
 
 class RDD:
@@ -102,7 +101,6 @@ class RDD:
         #: broadcast variables referenced by this RDD's closures (tracked
         #: explicitly so MEMPHIS's lazy GC can destroy them, §4.1).
         self.broadcast_refs: list["Broadcast"] = []
-        context.register_rdd(self)
 
     # -- persistence -------------------------------------------------------
 
@@ -265,11 +263,11 @@ class ShuffledRDD(RDD):
         self.flops_per_cell = 1.0
 
     def compute(self, index: int, metrics: TaskMetrics) -> np.ndarray:
-        files = self.shuffle_dep.shuffle_files
+        files = self.context.shuffle_outputs.get(self.id)
         if files is None:
             raise RuntimeError(
                 f"shuffle files of {self} not materialized; "
-                "the DAGScheduler must run the map stage first"
+                "run_stages must run the map stage first"
             )
         blocks = [
             out[index] for out in files if index in out

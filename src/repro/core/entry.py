@@ -82,8 +82,8 @@ class CacheEntry:
         #: eviction scores tie-break on it, which is the cache's dict
         #: order (``repro.core.victim_index``).
         self.seq = 0
-        #: the entry's latest ``(score, seq, entry)`` record in the
-        #: cache's victim index; ``VICTIM_DIRTY`` once a score input or
+        #: the stamp of the entry's latest record in the cache's victim
+        #: index; ``VICTIM_DIRTY`` once a score input or
         #: CP residency moved since (``LineageCache.touch``), ``None``
         #: while it has none.
         self.victim_rec: object = None

@@ -3,7 +3,7 @@
 Eq. 1 and §3.3 of the paper define *which* CP object leaves; this module
 only finds it.  For a policy whose score moves only when the entry
 itself is touched (``EvictionPolicy.indexable``) the victim order is kept
-in one binary heap per ``entry.tenant`` of ``(score, seq, entry)``
+in one binary heap per ``entry.tenant`` of ``(score, seq, stamp, entry)``
 records, maintained lazily:
 
 * a mutation only flags the entry (:meth:`VictimIndex.touch`) and
@@ -17,8 +17,9 @@ which is what ``min()`` over a full scan returns.  The per-tenant tops
 are handed to the arbiter sorted by ``seq`` for the same reason.
 
 **Validity rule.**  A record counts iff it is its entry's *latest* one
-(``entry.victim_rec is record``) and the entry is CP-resident *now* (the
-scan's own predicate, so evict / spill / invalidate need no hook).
+(``entry.victim_rec is stamp``, a fresh int per push: the entry holds
+no record, so the two form no cycle) and the entry is CP-resident *now*
+(the scan's own predicate, so evict / spill / invalidate need no hook).
 Scores do not only rise — a larger SP payload grows ``size`` and Eq. 1
 divides by it — so "pop, re-score, re-push if larger" would be unsound:
 every touch gets a fresh record and the older ones are dead from then on.
@@ -27,6 +28,7 @@ every touch gets a fresh record and the older ones are dead from then on.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import count
 from typing import Callable, Optional
 
 from repro.core.entry import BACKEND_CP, VICTIM_DIRTY, CacheEntry, EntryStatus
@@ -45,15 +47,15 @@ def _seq(entry: CacheEntry) -> int:
 
 def _live(rec: tuple) -> bool:
     """The validity rule; ``is_cached`` spelt without the property."""
-    entry = rec[2]
-    return entry.victim_rec is rec and BACKEND_CP in entry.payloads \
+    entry = rec[3]
+    return entry.victim_rec is rec[2] and BACKEND_CP in entry.payloads \
         and entry.status is _CACHED
 
 
 class VictimIndex:
     """Per-tenant lazy heaps over the CP-resident entries of one cache."""
 
-    __slots__ = ("_score", "_heaps", "_budget", "_dirty")
+    __slots__ = ("_score", "_heaps", "_budget", "_dirty", "_stamps")
 
     def __init__(self, policy) -> None:
         self._score = policy.score
@@ -63,6 +65,8 @@ class VictimIndex:
         self._budget = _COMPACT_SLACK
         #: entries touched since the last victim query.
         self._dirty: list[CacheEntry] = []
+        #: record stamps; never reset, so a stamp names one record.
+        self._stamps = count()
 
     # -- maintenance ---------------------------------------------------------
 
@@ -89,13 +93,14 @@ class VictimIndex:
         score = self._score
         heaps = self._heaps
         dirty = self._dirty
+        stamps = self._stamps
         for entry in dirty:
             if BACKEND_CP in entry.payloads and entry.status is _CACHED:
                 heap = heaps.get(entry.tenant)
                 if heap is None:
                     heap = heaps[entry.tenant] = []
-                rec = entry.victim_rec = (score(entry, now), entry.seq, entry)
-                heappush(heap, rec)
+                stamp = entry.victim_rec = next(stamps)
+                heappush(heap, (score(entry, now), entry.seq, stamp, entry))
             else:
                 entry.victim_rec = None
         self._budget -= len(dirty)
@@ -121,7 +126,7 @@ class VictimIndex:
             if not _live(rec):
                 heappop(heap)  # re-scored since, or not resident now
                 continue
-            entry = rec[2]
+            entry = rec[3]
             if entry is skip:
                 aside = heappop(heap)
                 continue
@@ -146,7 +151,7 @@ class VictimIndex:
         for heap in self._heaps.values():
             if not heap:
                 continue
-            if evictable is not None and not evictable(heap[0][2]):
+            if evictable is not None and not evictable(heap[0][3]):
                 continue
             top = self._top(heap)
             if top is not None:
@@ -174,7 +179,7 @@ class VictimIndex:
         live: set[int] = set()
         for tenant, heap in self._heaps.items():
             for rec in filter(_live, heap):
-                entry = rec[2]
+                entry = rec[3]
                 assert entry.tenant == tenant, (
                     f"victim index: {entry!r} of tenant {entry.tenant!r} "
                     f"in heap {tenant!r}"

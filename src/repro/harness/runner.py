@@ -16,7 +16,6 @@ from repro.harness.report import (
     check_metrics_agree,
     format_table,
     results_table,
-    speedup_series,
 )
 from repro.workloads.base import WorkloadResult
 from repro.workloads.clean import run_clean

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.lineage.item import OP_DATA, OP_LITERAL, LineageItem, dags_equal
 

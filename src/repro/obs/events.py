@@ -15,7 +15,7 @@ Phases follow the Chrome Trace Event Format: ``X`` is a *complete* event
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 # --------------------------------------------------------------------- lanes

@@ -16,7 +16,7 @@ from repro.ml.l2svm import l2svm, l2svm_predict
 from repro.ml.mlogreg import mlogreg, mlogreg_predict
 from repro.ml.tuning import successive_halving, weighted_ensemble
 from repro.workloads.base import WorkloadResult, finish, make_session
-from repro.workloads.datagen import rows_for_gb, synthetic_classification
+from repro.workloads.datagen import synthetic_classification
 
 
 def run_hband(system: str, paper_gb: float, cols: int = 48,

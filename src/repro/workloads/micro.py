@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backends.gpu.memmanager import MODE_MALLOC
-from repro.common.config import GB, MB, MemphisConfig, ReuseMode
+from repro.common.config import GB, MemphisConfig, ReuseMode
 from repro.core.session import Session
 from repro.ml.l2svm import l2svm_core_iteration
 from repro.ml.nn import CnnModel, ConvSpec

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backends.spark.rdd import RDD
 from repro.common.runtime import RuntimeContext
 
 
@@ -19,3 +20,18 @@ from repro.common.runtime import RuntimeContext
 def _fresh_runtime():
     with RuntimeContext():
         yield
+
+
+@pytest.fixture
+def rdd_names(monkeypatch):
+    """Names of the RDDs built while the test runs, in creation order
+    (a ``SparkContext`` keeps no registry of its RDDs)."""
+    names: list[str] = []
+    init = RDD.__init__
+
+    def recording(self, context, deps, num_partitions, name):
+        init(self, context, deps, num_partitions, name)
+        names.append(name)
+
+    monkeypatch.setattr(RDD, "__init__", recording)
+    return names

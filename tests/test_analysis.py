@@ -25,9 +25,9 @@ from repro.analysis import (
     walk_dag,
 )
 from repro.common.config import MemphisConfig
-from repro.common.errors import CompilationError, VerificationError
+from repro.common.errors import VerificationError
 from repro.common.runtime import current, scope
-from repro.compiler.ir import Hop, literal_hop, op_hop
+from repro.compiler.ir import Hop, op_hop
 from repro.compiler.linearize import depth_first
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 from repro.lineage.item import LineageItem

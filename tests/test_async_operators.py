@@ -2,10 +2,9 @@
 operator ordering at the session level."""
 
 import numpy as np
-import pytest
 
 from repro import MemphisConfig, Session
-from repro.common.simclock import CLUSTER, HOST
+from repro.common.simclock import CLUSTER
 
 RNG = np.random.default_rng(23)
 

@@ -1,7 +1,6 @@
 """Tests for the hierarchical lineage cache, policies, and Spark manager."""
 
 import numpy as np
-import pytest
 
 from repro.backends.gpu import GpuPointer
 from repro.backends.spark import SparkBackend, SparkContext

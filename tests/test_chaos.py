@@ -35,7 +35,7 @@ from repro.common.stats import (
 from repro.core.cache import BACKEND_DISK, LineageCache
 from repro.core.entry import BACKEND_CP
 from repro.common.runtime import RuntimeContext, scope
-from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.faults import FaultInjector, FaultPlan
 from repro.lineage.item import LineageItem
 
 pytestmark = pytest.mark.tier2_chaos

@@ -7,7 +7,6 @@ from repro.common.config import MemphisConfig, StorageLevel
 from repro.common.errors import CompilationError
 from repro.compiler.ir import (
     Hop,
-    data_hop,
     infer_shape,
     literal_hop,
     op_hop,

@@ -1,7 +1,6 @@
 """Tests for disk spilling of evicted driver-cache entries (§3.3)."""
 
 import numpy as np
-import pytest
 
 from repro import MemphisConfig, Session
 from repro.common.config import CacheConfig

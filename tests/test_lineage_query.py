@@ -1,7 +1,6 @@
 """Tests for lineage-trace query processing (model debugging)."""
 
 import numpy as np
-import pytest
 
 from repro import MemphisConfig, Session
 from repro.lineage.item import LineageItem, dataset, literal

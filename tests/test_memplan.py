@@ -27,7 +27,6 @@ from repro.analysis.memplan import (
     PLAN_REGIONS,
     REGION_CP,
     REGION_GPU,
-    REGION_SPARK_CACHE,
     REGION_SPARK_STORAGE,
 )
 from repro.common.config import MemphisConfig, ReuseMode

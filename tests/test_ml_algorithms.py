@@ -10,7 +10,6 @@ from repro.ml import (
     l2svm_accuracy,
     l2svm_predict,
     lin_reg_ds,
-    lin_reg_predict,
     mlogreg,
     mlogreg_accuracy,
     mlogreg_predict,

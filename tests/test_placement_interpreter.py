@@ -207,13 +207,12 @@ class TestFailedRun:
 
 
 class TestFusedTranspose:
-    def test_tsmm_does_not_execute_standalone_transpose(self):
+    def test_tsmm_does_not_execute_standalone_transpose(self, rdd_names):
         sess = big_session()
         data = RNG.random((3000, 8))
         X = sess.read(data, "X")
         out = (X.t() @ X).compute()
         assert np.allclose(out, data.T @ data)
         # no full 8x3000 transpose was materialized as its own RDD
-        names = [r.name for r in sess.spark_context._rdds.values()]
-        assert "tsmm" in names
-        assert "r'" not in names
+        assert "tsmm" in rdd_names
+        assert "r'" not in rdd_names

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import MemphisConfig, ReuseMode, Session
-from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
+from repro.core.entry import BACKEND_CP
 
 
 RNG = np.random.default_rng(7)

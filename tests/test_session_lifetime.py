@@ -1,7 +1,9 @@
 """A CP-only request pays only for what it uses: its session builds no
 Spark or GPU tier, yet reports the same regions, and is freed by
 reference counting once the scheduler drops it (docs/ARCHITECTURE.md,
-"Session construction").
+"Session construction").  A private session that ran Spark jobs is
+freed the same way: no cycle holds its ``SparkContext``, RDDs or cache
+payloads.
 """
 
 import gc
@@ -16,9 +18,11 @@ from repro.backends.spark.blockmanager import BlockManager
 from repro.backends.spark.context import SparkContext
 from repro.common.config import MemphisConfig, StorageLevel
 from repro.common.runtime import RuntimeContext, scope
-from repro.core.entry import BACKEND_GPU
+from repro.core.entry import BACKEND_CP, BACKEND_GPU
 from repro.core.session import Session
 from repro.core.tiers import IDLE_GPU_GAUGES, IDLE_SPARK_GAUGES
+from repro.faults import FaultPlan
+from repro.runtime.values import MatrixValue
 from repro.obs import ExplainCollector
 from repro.server import Scheduler, pure_program
 from repro.workloads.base import scale_overheads
@@ -121,6 +125,78 @@ class TestPrivateSessionLifetime:
         ref = weakref.ref(sess.cache)
         del sess, X
         assert ref() is None
+
+
+def _ints(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(1, 9, (rows, cols)).astype(np.float64)
+
+
+def _spark_session():
+    """A private MEMPHIS session whose 22x3 operands are all
+    distributed (three row blocks): it runs ``tsmm``, ``cpmm``,
+    ``mapmm``, ``bcmm``, ``rbind`` and a row slice three times (the
+    lineage cache persists their RDDs), reuses a ``tsmm`` shuffle's map
+    outputs in a second job, and loses two executors on the way; the
+    closing audit gives every CP-resident entry a victim-index record.
+    Returns the session and its counters."""
+    cfg = MemphisConfig.memphis()
+    cfg.spark.block_size_rows = 8
+    cfg.cpu.operation_memory_bytes = 256
+    sess = Session(cfg)
+    X = sess.read(_ints(22, 3, 0), "X")
+    Y = sess.read(_ints(22, 3, 1), "Y")
+    B = sess.read(_ints(3, 2, 2), "B")
+    L = sess.read(_ints(1, 22, 3), "L")
+    for _ in range(3):
+        # one block each: a transpose shared by two consumers is not
+        # folded into tsmm/cpmm
+        for out in (X.t() @ X, X.t() @ Y, X @ B, L @ X, sess.rbind(X, Y),
+                    X[2:17, :]):
+            sess.evaluate([(out * 2.0).sum()])
+    sb = sess.spark
+    shuffled = sb.tsmm(sb.distribute(MatrixValue(_ints(22, 3, 4))))
+    sb.collect(shuffled)
+    sb.collect(shuffled)  # the map side is skipped
+    sess.substrate.audit()  # scores every CP-resident entry
+    return sess, sess.stats.counters()
+
+
+class TestSparkSessionLifetime:
+    PLAN = "executor_loss@3,count=2;seed=7"
+
+    def test_dropped_spark_session_dies_by_reference_counting(
+            self, no_cyclic_gc, rdd_names):
+        with RuntimeContext(faults=FaultPlan.parse(self.PLAN)):
+            sess, counters = _spark_session()
+        assert {"tsmm", "cpmm", "mapmm", "bcmm", "rbind",
+                "sliceRows"} <= set(rdd_names)
+        for name in ("spark/rdds_persisted", "spark/shuffle_files_reused",
+                     "faults/executors_lost",
+                     "faults/shuffle_files_invalidated"):
+            assert counters.get(name, 0) > 0, name
+        payload = next(e.payloads[BACKEND_CP].data
+                       for e in sess.cache.entries()
+                       if isinstance(e.payloads.get(BACKEND_CP), MatrixValue))
+        refs = [weakref.ref(obj) for obj in
+                (sess, sess.spark_context, sess.cache, payload)]
+        del sess, payload
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            cyclic = [type(obj).__qualname__ for obj in gc.garbage
+                      if type(obj).__module__.startswith("repro")]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert cyclic == []
+
+        with RuntimeContext(faults=FaultPlan.parse(self.PLAN)):
+            twin, twin_counters = _spark_session()
+        assert counters == twin_counters
+        assert twin.spark_context.shuffle_outputs
 
 
 class TestTiersOnFirstUse:

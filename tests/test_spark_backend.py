@@ -228,13 +228,16 @@ class TestPlacementInvariance:
     operand form the dispatcher selects, evaluated over three row blocks
     equals the CP evaluation bit for bit."""
 
+    @pytest.fixture(autouse=True)
+    def _record_rdds(self, rdd_names):
+        self.rdd_names = rdd_names
+
     def _check(self, build, rdd_name=None, asynchronous=False):
         expected, _ = _run(build, spark=False)
         actual, sess = _run(build, spark=True, asynchronous=asynchronous)
         assert sess.stats.get(SPARK_JOBS) > 0
         if rdd_name is not None:
-            names = {r.name for r in sess.spark_context._rdds.values()}
-            assert rdd_name in names
+            assert rdd_name in self.rdd_names
         assert actual.shape == expected.shape
         assert np.array_equal(actual, expected)
         return sess

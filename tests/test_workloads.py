@@ -6,7 +6,6 @@ correctness property of lineage-based reuse — and (3) exercise the
 influential technique Table 3 attributes to it.
 """
 
-import numpy as np
 import pytest
 
 from repro.workloads import (
