@@ -46,7 +46,9 @@ from repro.compiler.ir import (
     Hop,
     infer_shape,
 )
+from repro.compiler.plan import attr_data
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
+from repro.lineage.item import value_key
 
 _ADDRESS_RE = re.compile(r"0x[0-9a-fA-F]{6,}")
 
@@ -344,9 +346,12 @@ def _lineage_key(hop: Hop, key_of: dict[int, tuple]) -> tuple:
     compare equal; a leaf rebound after evaluation keeps the full
     lineage of the computation that produced it.  Leaves with no
     lineage fall back to hop identity, which can never collide.
+    Literals key by :func:`~repro.lineage.item.value_key` and attributes
+    by :func:`~repro.compiler.plan.attr_data`, as CSE and lineage key
+    them, so ``X*0.0`` and ``X*-0.0`` are two computations.
     """
     if hop.kind == KIND_LITERAL:
-        return ("lit", hop.value)
+        return ("lit", value_key(hop.value))
     if hop.kind == KIND_DATA:
         lineage = None
         if hop.bundle is not None:
@@ -358,13 +363,7 @@ def _lineage_key(hop: Hop, key_of: dict[int, tuple]) -> tuple:
         if lineage is None:
             return ("data", id(hop))
         return ("data", lineage)
-    attr_items = tuple(
-        (k, hop.attrs[k] if isinstance(
-            hop.attrs[k], (int, float, bool, str)
-        ) else str(hop.attrs[k]))
-        for k in sorted(hop.attrs)
-    )
-    return (hop.opcode, attr_items,
+    return (hop.opcode, attr_data(hop.attrs),
             tuple(key_of[h.id] for h in hop.inputs))
 
 

@@ -61,6 +61,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 if TYPE_CHECKING:  # layering: runtime types are type-only imports here
+    from repro.compiler.plan import CompiledBlock
     from repro.core.session import Session
     from repro.memory.arbiter import MemoryArbiter
 
@@ -128,6 +129,9 @@ class BlockMemPlan:
     peaks: dict[str, int]
     #: configured budgets the plan was checked against.
     budgets: dict[str, RegionBudget]
+    #: positions in ``order`` of trace-only instructions (transposes a
+    #: Spark tsmm/cpmm reads through): they charge nothing.
+    trace_only: frozenset[int] = frozenset()
 
     def admission_demands(self) -> dict[str, int]:
         """Per-region predicted peaks for the admission gate."""
@@ -143,13 +147,17 @@ class BlockMemPlan:
 
 
 def plan_block(roots: list[Hop], order: list[Hop], config: MemphisConfig,
-               budgets: Optional[dict[str, RegionBudget]] = None
-               ) -> BlockMemPlan:
+               budgets: Optional[dict[str, RegionBudget]] = None,
+               trace_only: frozenset[int] = frozenset()) -> BlockMemPlan:
     """Derive the per-region charge set and peak footprint of one block.
 
     One walk of ``order`` appends each charge and adds it to its
     region's demand.  A :class:`SessionMemPlanner` passes its own
     ``budgets``; the default is ``region_capacities(config)``.
+    ``trace_only`` holds the positions the block's lowered program only
+    traces (:attr:`~repro.compiler.plan.CompiledBlock.trace_only`);
+    without them every op is charged, which over-charges a transpose a
+    Spark tsmm/cpmm reads through and so stays an upper bound.
 
     The charge model is a *sound upper bound* on the region ledgers: it
     enumerates every code path that charges a region and bounds each
@@ -199,7 +207,7 @@ def plan_block(roots: list[Hop], order: list[Hop], config: MemphisConfig,
         demand[region] += nbytes
 
     for pos, hop in enumerate(order):
-        if hop.kind == KIND_LITERAL or hop.fused:
+        if hop.kind == KIND_LITERAL or pos in trace_only:
             continue
         if hop.kind == KIND_DATA:
             if multi and hop.placement != BACKEND_CP:
@@ -242,7 +250,8 @@ def plan_block(roots: list[Hop], order: list[Hop], config: MemphisConfig,
         peaks[name] = raw if budget.unlimited else min(raw, budget.capacity)
 
     return BlockMemPlan(order=order, roots=roots, charges=charges,
-                        demand=demand, peaks=peaks, budgets=budgets)
+                        demand=demand, peaks=peaks, budgets=budgets,
+                        trace_only=trace_only)
 
 
 # ----------------------------------------------------------------- diagnostics
@@ -258,7 +267,7 @@ def plan_diagnostics(plan: BlockMemPlan,
     gpu_cap = budgets[REGION_GPU].capacity
     sp_cap = budgets[REGION_SPARK_STORAGE].capacity
     for pos, hop in enumerate(plan.order):
-        if hop.kind != KIND_OP or hop.fused:
+        if hop.kind != KIND_OP or pos in plan.trace_only:
             continue
         if hop.placement == BACKEND_GPU:
             working = gpu_working_set(hop, config.gpu.alignment)
@@ -408,10 +417,11 @@ class SessionMemPlanner:
         #: max observed ``peak_used`` per region across ``observe`` calls.
         self.observed: dict[str, int] = {n: 0 for n in PLAN_REGIONS}
 
-    def plan(self, roots: list[Hop], order: list[Hop]) -> BlockMemPlan:
-        """Plan one block against the session's budgets and fold its
-        demand into the session totals."""
-        plan = plan_block(roots, order, self.config, self.budgets)
+    def plan(self, block: "CompiledBlock") -> BlockMemPlan:
+        """Plan one compiled block against the session's budgets and
+        fold its demand into the session totals."""
+        plan = plan_block(block[1], block[2], self.config, self.budgets,
+                          block.trace_only)
         self.absorb(plan)
         return plan
 
@@ -520,21 +530,22 @@ def format_region_peaks(predicted: Optional[dict[str, int]],
     return "\n".join(lines)
 
 
-def explain_memory(session: "Session", root_hops: Optional[list[Hop]],
-                   order: Optional[list[Hop]]) -> str:
+def explain_memory(session: "Session",
+                   block: Optional["CompiledBlock"]) -> str:
     """Static footprint table + observed region watermarks.
 
     The ``runtime``/``full`` levels of ``Session.explain`` append (a)
-    the static memory plan of the block being explained (per-hop /
-    per-region charges; skipped when rendering captured plans, where
-    ``root_hops``/``order`` are ``None``) and (b) the session's observed
+    the static memory plan of the compiled block being explained
+    (per-hop / per-region charges; skipped when rendering captured
+    plans, where ``block`` is ``None``) and (b) the session's observed
     ``MemoryRegion.peak_used`` watermarks, so predicted vs observed
     peaks are comparable in one place.
     """
     sections: list[str] = []
-    if root_hops is not None and order is not None:
-        sections.append(format_footprint_table(
-            plan_block(root_hops, order, session.config)))
+    if block is not None:
+        sections.append(format_footprint_table(plan_block(
+            block[1], block[2], session.config,
+            trace_only=block.trace_only)))
     observed = {
         snap["region"]: int(snap["peak_used"])
         for snap in session.arbiter.snapshot()

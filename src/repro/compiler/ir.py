@@ -99,7 +99,7 @@ class Hop:
     __slots__ = (
         "id", "kind", "opcode", "inputs", "attrs", "shape",
         "_handle_ref", "value", "placement", "prefetch",
-        "async_broadcast", "checkpoint", "fused", "bundle", "finalizer",
+        "async_broadcast", "checkpoint", "bundle", "finalizer",
         "_obytes", "__weakref__",
     )
 
@@ -138,8 +138,6 @@ class Hop:
         self.prefetch = False
         self.async_broadcast = False
         self.checkpoint = False
-        #: transpose fused into a tsmm/cpmm physical operator (skipped).
-        self.fused = False
         #: lazily-cached output_bytes (shape is immutable after init).
         self._obytes: Optional[int] = None
 

@@ -26,21 +26,25 @@ the second time a key is seen, the outcome is recorded as a frozen
 recorded placements and flags onto the fresh hops and returns the
 order.  Either way the interpreter runs the block's *lowered* program
 (:func:`lower`): per instruction, the input-slot positions, the lineage
-attribute tuple and the static costs that depend only on shapes.
+attribute tuple, the static costs that depend only on shapes, and the
+transpose fusion of the Spark ``tsmm``/``cpmm`` operators — a decision
+of the program, so it ends with its block.
 """
 
 from __future__ import annotations
 
 from repro.common.costs import DOUBLE_BYTES, op_flops
 from repro.compiler.ir import KIND_OP, Hop
+from repro.core.entry import BACKEND_SP
 from repro.lineage.item import NAN_KEY, value_key
+from repro.runtime.placement import matmul_pattern
 
 #: most keys a session's memo holds (plans and keys seen once alike);
 #: the oldest goes first.
 MEMO_BOUND = 64
 
 #: the per-hop flags the §5 rewrites set (only ever to ``True``).
-FLAGS = ("prefetch", "async_broadcast", "checkpoint", "fused")
+FLAGS = ("prefetch", "async_broadcast", "checkpoint")
 
 
 def attr_data(attrs: dict) -> tuple:
@@ -90,10 +94,10 @@ class BlockShape:
         )
 
 
-def lower(order: list[Hop]) -> tuple:
+def lower(order: list[Hop], consumers: dict, config) -> tuple:
     """The lowered program of a linearized block, aligned with it:
     ``None`` per leaf and per op the instruction tuple
-    ``(inputs, attrs, cost, cp_flops, cp_nbytes)``.
+    ``(inputs, attrs, cost, cp_flops, cp_nbytes, operands)``.
 
     ``inputs`` are the op's input positions in ``order``, ``attrs`` its
     lineage attribute tuple.  The costs are what the runtime charged
@@ -102,6 +106,16 @@ def lower(order: list[Hop]) -> tuple:
     FLOPs and touched bytes (inputs + output, dense; a scalar is 8
     bytes).  Values take their hop's shape, so all of them are fixed
     per block shape.
+
+    Transpose fusion (SystemDS never materialises ``t(X)`` of
+    ``t(X) %*% X`` or ``t(X) %*% Y``): a Spark ``ba+*`` whose
+    :func:`~repro.runtime.placement.matmul_pattern` is ``tsmm`` or
+    ``cpmm`` reads the positions in ``operands`` — the transpose's
+    input and the right operand; every other op has ``None`` there and
+    reads ``inputs``.  A transpose whose one consumer (``consumers``,
+    the block's :func:`~repro.compiler.rewrites.async_ops.consumers_map`)
+    is such a matmul, as its left operand, is *trace-only*: ``cost`` is
+    ``None``, and it is traced but never probed, executed or put.
     """
     index: dict[int, int] = {}
     program: list = []
@@ -112,20 +126,39 @@ def lower(order: list[Hop]) -> tuple:
             append(None)
             continue
         opcode, shape, inputs = hop.opcode, hop.shape, hop.inputs
+        in_positions = tuple([index[h.id] for h in inputs])
+        attrs = attr_data(hop.attrs) if hop.attrs else ()
+        if opcode == "r'":
+            users = consumers.get(hop.id, ())
+            if (len(users) == 1 and users[0].inputs[0] is hop
+                    and _reads_through(users[0], config)):
+                append((in_positions, attrs, None, None, None, None))
+                continue
+        operands = None
+        if _reads_through(hop, config):
+            left, right = inputs
+            operands = (index[left.inputs[0].id], index[right.id])
         in_shapes = [h.shape for h in inputs]
         cost = op_flops(opcode, in_shapes, shape)
         nbytes = shape[0] * shape[1]
         for rows, cols in in_shapes:
             nbytes += rows * cols
-        attrs = hop.attrs
         append((
-            tuple([index[h.id] for h in inputs]),
-            attr_data(attrs) if attrs else (),
+            in_positions,
+            attrs,
             cost,
             cost if in_shapes else op_flops(opcode, [(1, 1)], shape),
             nbytes * DOUBLE_BYTES,
+            operands,
         ))
     return tuple(program)
+
+
+def _reads_through(hop: Hop, config) -> bool:
+    """Whether a ``ba+*`` runs as Spark ``tsmm``/``cpmm``, which read
+    the input of their left transpose instead of the transpose."""
+    return (hop.opcode == "ba+*" and hop.placement == BACKEND_SP
+            and matmul_pattern(hop, config) in ("tsmm", "cpmm"))
 
 
 class BlockPlan:
@@ -196,3 +229,9 @@ class CompiledBlock(tuple):
         block = super().__new__(cls, (roots, root_hops, order, extra))
         block.program = program
         return block
+
+    @property
+    def trace_only(self) -> frozenset[int]:
+        """Positions of the trace-only instructions (see :func:`lower`)."""
+        return frozenset([i for i, instr in enumerate(self.program)
+                          if instr is not None and instr[2] is None])

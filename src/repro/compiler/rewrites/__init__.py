@@ -6,11 +6,7 @@ from repro.compiler.rewrites.checkpoint import (
     should_checkpoint_loop_var,
 )
 from repro.compiler.rewrites.cse import eliminate_common_subexpressions
-from repro.compiler.rewrites.tuning import (
-    BlockTuning,
-    ProgramBlock,
-    tune_block,
-)
+from repro.compiler.rewrites.tuning import tune_block
 
 __all__ = [
     "place_prefetch",
@@ -18,7 +14,5 @@ __all__ = [
     "place_shared_checkpoints",
     "should_checkpoint_loop_var",
     "eliminate_common_subexpressions",
-    "ProgramBlock",
-    "BlockTuning",
     "tune_block",
 ]

@@ -93,7 +93,7 @@ def eliminate_common_subexpressions(
                 continue
             if kind == KIND_OP:
                 record((key, node.shape, node.placement, node.prefetch,
-                        node.async_broadcast, node.checkpoint, node.fused))
+                        node.async_broadcast, node.checkpoint))
             elif kind == KIND_LITERAL:
                 record(("lit", node.shape))
             else:

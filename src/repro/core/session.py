@@ -62,7 +62,7 @@ from repro.compiler.rewrites.checkpoint import (
     should_checkpoint_loop_var,
 )
 from repro.compiler.rewrites.cse import eliminate_common_subexpressions
-from repro.compiler.rewrites.tuning import ProgramBlock, tune_block
+from repro.compiler.rewrites.tuning import tune_block
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 from repro.core.function_reuse import call_with_reuse
 from repro.core.substrate import SessionContext, Substrate
@@ -77,7 +77,7 @@ from repro.obs.metrics import sample as sample_gauges
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.handles import MatrixHandle
 from repro.runtime.interpreter import Interpreter, Slot
-from repro.runtime.placement import assign_placements, mark_fused_transposes
+from repro.runtime.placement import assign_placements
 from repro.runtime.values import MatrixValue, ScalarValue, Value
 
 
@@ -316,8 +316,9 @@ class Session:
     def _compile(self, handles: Sequence[MatrixHandle]):
         """Run the full compile pipeline over one basic block.
 
-        Rewrites (CSE, placement, transpose fusion, checkpoint/prefetch/
-        broadcast placement) and linearization, shared verbatim between
+        Rewrites (CSE, placement, checkpoint/prefetch/broadcast
+        placement), linearization and lowering (which also decides the
+        transpose fusion of Spark ``tsmm``/``cpmm``), shared verbatim between
         :meth:`evaluate` and :meth:`explain` so a plan dump shows exactly
         what would execute.  The CSE walk also keys the block's shape: a
         shape this session has compiled twice replays its recorded plan
@@ -349,7 +350,6 @@ class Session:
         nodes = depth_first(root_hops)
         assign_placements(root_hops, self.config, nodes)
         consumers = consumers_map(root_hops, nodes)
-        mark_fused_transposes(nodes, consumers, self.config)
         place_shared_checkpoints(root_hops, self.config, consumers, nodes)
         place_prefetch(root_hops, self.config, consumers, nodes)
         place_broadcast(root_hops, self.config, consumers, nodes)
@@ -357,7 +357,7 @@ class Session:
             order = max_parallelize(root_hops, nodes)
         else:
             order = nodes
-        program = lower(order)
+        program = lower(order, consumers, self.config)
         self._plans.note(key, found, shape.hops, order, program)
         return CompiledBlock(roots, root_hops, order, extra, program)
 
@@ -389,13 +389,14 @@ class Session:
         if compiled is None:
             return
         _, root_hops, order, extra = compiled
+        program = compiled.program
         if self.explain_collector is not None:
-            self.explain_collector.capture(root_hops, order, self.config)
+            self.explain_collector.capture(compiled, self.config)
         plan = None
         if self.memplanner is not None:
             # static memory planning (repro.analysis.memplan): predict
             # the block's per-region peak footprint before it runs
-            plan = self.memplanner.plan(root_hops, order)
+            plan = self.memplanner.plan(compiled)
             self.stats.inc(MEMPLAN_BLOCKS_PLANNED)
             if self._ctx is not None:
                 # multi-tenant admission gate: the shared-region subset
@@ -415,11 +416,10 @@ class Session:
                 collector=self.ir_collector, plan=plan,
             )
         try:
-            slots = self.interpreter.run(order, compiled.program)
-            for hop, slot in zip(order, slots):
-                if hop.kind != KIND_OP:
-                    continue
-                if slot.fused_from is not None:
+            slots = self.interpreter.run(order, program)
+            for hop, slot, instr in zip(order, slots, program):
+                if instr is None or instr[2] is None:
+                    # a leaf, or a trace-only transpose: nothing to bind
                     continue
                 handle = hop.handle
                 if handle is None and not extra.get(hop.id):
@@ -564,17 +564,8 @@ class Session:
         old_delay = interpreter.delay_factor
         old_level = tiers.storage_level
         if self.config.enable_auto_tuning:
-            block = ProgramBlock(
-                name,
-                execution_frequency=execution_frequency,
-                num_ops=100,
-                num_loop_dependent_ops=int(
-                    round((1.0 - reusable_fraction) * 100)
-                ),
-            )
-            tuning = tune_block(block)
-            interpreter.delay_factor = tuning.delay_factor
-            tiers.storage_level = tuning.storage_level
+            interpreter.delay_factor, tiers.storage_level = tune_block(
+                execution_frequency, reusable_fraction)
         try:
             yield
         finally:
@@ -678,21 +669,20 @@ class Session:
             compiled = self._compile(list(handles))
             if compiled is None:
                 return "(nothing to explain: no pending operator DAG)"
-            _, root_hops, order, _extra = compiled
-            plan = snapshot_plan(root_hops, order, self.config)
+            plan = snapshot_plan(compiled, self.config)
             diagnostics = None
             if self.ir_collector is not None:
                 diagnostics = self.ir_collector.merged()
             rendered = render_plan(plan, level, diagnostics)
             if level != "hops":
-                rendered += "\n\n" + explain_memory(self, root_hops, order)
+                rendered += "\n\n" + explain_memory(self, compiled)
             return rendered
         if self.explain_collector is None:
             return ("(explain capture is off: pass handles, or create the "
                     "session under scope(explain=ExplainCollector()))")
         rendered = self.explain_collector.render(level)
         if level != "hops":
-            rendered += "\n\n" + explain_memory(self, None, None)
+            rendered += "\n\n" + explain_memory(self, None)
         return rendered
 
     def elapsed(self) -> float:

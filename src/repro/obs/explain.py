@@ -2,8 +2,8 @@
 
 SystemDS pairs its ``-stats`` output with ``-explain`` plan dumps; this
 module is the reproduction's counterpart.  A plan is captured *after*
-rewrites (CSE, placement, transpose fusion, checkpoint/prefetch/
-broadcast placement) and *after* linearization, so what it shows is
+rewrites (CSE, placement, checkpoint/prefetch/broadcast placement),
+linearization and lowering (transpose fusion), so what it shows is
 exactly what the interpreter will run: the post-rewrite HOP DAG, the
 operator placement decisions, the linearized instruction stream with
 reuse/prefetch/checkpoint/broadcast annotations, and per-hop cost
@@ -28,11 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.compiler.ir import KIND_OP, Hop
+from repro.compiler.ir import KIND_OP
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.diagnostics import DiagnosticReport
     from repro.common.config import MemphisConfig
+    from repro.compiler.plan import CompiledBlock
 
 #: explain levels (SystemDS-style).
 LEVEL_HOPS = "hops"          #: post-rewrite HOP DAG only.
@@ -120,12 +121,15 @@ class ExplainPlan:
         )
 
 
-def snapshot_plan(root_hops: Sequence[Hop], order: Sequence[Hop],
+def snapshot_plan(block: "CompiledBlock",
                   config: "MemphisConfig") -> ExplainPlan:
     """Snapshot a compiled block right before execution."""
+    _, root_hops, order, _ = block
     probing = config.reuse_mode.probes
+    skipped = block.trace_only
     snaps = []
-    for hop in order:
+    for pos, hop in enumerate(order):
+        fused = pos in skipped
         snaps.append(HopSnapshot(
             id=hop.id,
             kind=hop.kind,
@@ -139,8 +143,8 @@ def snapshot_plan(root_hops: Sequence[Hop], order: Sequence[Hop],
             prefetch=bool(hop.prefetch),
             broadcast=bool(hop.async_broadcast),
             checkpoint=bool(hop.checkpoint),
-            fused=bool(hop.fused),
-            probe=probing and hop.kind == KIND_OP and not hop.fused,
+            fused=fused,
+            probe=probing and hop.kind == KIND_OP and not fused,
         ))
     return ExplainPlan(tuple(h.id for h in root_hops), snaps)
 
@@ -264,10 +268,10 @@ class ExplainCollector:
         self._signatures: dict[tuple, ExplainPlan] = {}
         self.blocks_captured = 0
 
-    def capture(self, root_hops: Sequence[Hop], order: Sequence[Hop],
+    def capture(self, block: "CompiledBlock",
                 config: "MemphisConfig") -> ExplainPlan:
         """Snapshot one compiled block; dedupes repeated shapes."""
-        plan = snapshot_plan(root_hops, order, config)
+        plan = snapshot_plan(block, config)
         self.blocks_captured += 1
         existing = self._signatures.get(plan.signature)
         if existing is not None:

@@ -16,13 +16,16 @@ persisting, and GPU pointer lifetimes.
 Stage map (MEMPHIS paper section -> code).  The loop is written once,
 in :meth:`Interpreter.run`, over the block's *lowered* program
 (:func:`repro.compiler.plan.lower`, compiled once per block shape): per
-op, the input-slot positions, the lineage attribute tuple, the PUT cost
-and the CP roofline's FLOPs and bytes.  The stages it sequences are:
+op, the input-slot positions, the lineage attribute tuple, the PUT cost,
+the CP roofline's FLOPs and bytes, and the operand slots a Spark
+``tsmm``/``cpmm`` reads (the input of its left transpose).  The stages
+it sequences are:
 
 * **TRACE** (§3.2, fine-grained lineage): inline in the loop — interned
   lineage-item construction (inputs read from the slot list by
   position) plus the per-instruction tracing overhead charge the paper
-  measures in Fig. 2(c).
+  measures in Fig. 2(c).  A trace-only instruction (a transpose such a
+  ``tsmm``/``cpmm`` reads through) stops here.
 * **REUSE** (§4.1, probe + multi-backend hit application): the probe
   is inline (``cache.probe`` after the probe-overhead charge); a hit is
   bound by :meth:`Interpreter._apply_reuse`.
@@ -100,7 +103,7 @@ __all__ = ["Interpreter", "Slot"]
 class Slot:
     """Runtime binding of one hop: lineage + multi-backend payloads."""
 
-    __slots__ = ("lineage", "payloads", "future", "broadcast", "fused_from")
+    __slots__ = ("lineage", "payloads", "future", "broadcast")
 
     def __init__(self, lineage: LineageItem) -> None:
         self.lineage = lineage
@@ -109,8 +112,6 @@ class Slot:
         self.future: Optional[SimFuture] = None
         #: broadcast variable created for this value (if any).
         self.broadcast: Optional[Broadcast] = None
-        #: for fused transposes: the slot of the underlying input.
-        self.fused_from: Optional["Slot"] = None
 
 
 class Interpreter:
@@ -223,7 +224,7 @@ class Interpreter:
             # instruction gets the canonical object and probes compare
             # by identity; with lineage active, the per-instruction
             # overhead of Fig. 2(c) is charged
-            inputs, attrs, cost, cp_flops, cp_nbytes = instr
+            inputs, attrs, cost, cp_flops, cp_nbytes, operands = instr
             in_slots = [slots[i] for i in inputs]
             item = intern(hop.opcode, attrs,
                           tuple([s.lineage for s in in_slots]))
@@ -232,9 +233,9 @@ class Interpreter:
                 stats.inc(LINEAGE_TRACED)
             slot = Slot(item)
             add(slot)
-            if hop.fused:
-                # transpose fused into tsmm/cpmm: pass through the input
-                slot.fused_from = in_slots[0]
+            if cost is None:
+                # trace-only: a Spark tsmm/cpmm reads this transpose's
+                # input instead
                 continue
             # fault-injection draw point: each op instruction may lose
             # cached intermediates, exercising recompute-from-lineage
@@ -278,7 +279,8 @@ class Interpreter:
                 if backend == BACKEND_CP:
                     exec_cpu(hop, slot, in_slots, cp_flops, cp_nbytes)
                 elif backend == BACKEND_SP:
-                    exec_spark(hop, slot, in_slots)
+                    exec_spark(hop, slot, in_slots if operands is None
+                               else [slots[i] for i in operands])
                 else:
                     exec_gpu(hop, slot, in_slots, acquired, cp_flops)
                 payloads = slot.payloads
@@ -396,8 +398,6 @@ class Interpreter:
 
     def _to_cp(self, slot: Slot, jobs_entry: bool = True) -> Value:
         """Materialize a slot on the driver (collect / D2H / future wait)."""
-        if slot.fused_from is not None:
-            return self._to_cp(slot.fused_from)
         if BACKEND_CP in slot.payloads:
             return slot.payloads[BACKEND_CP]
         if slot.future is not None:
@@ -461,8 +461,6 @@ class Interpreter:
 
     def _to_dm(self, slot: Slot, name: str = "in") -> DistributedMatrix:
         """Materialize a slot on the cluster (parallelize if CP-only)."""
-        if slot.fused_from is not None:
-            return self._to_dm(slot.fused_from, name)
         if BACKEND_SP in slot.payloads:
             return slot.payloads[BACKEND_SP]
         value = self._to_cp(slot)
@@ -515,11 +513,10 @@ class Interpreter:
         for s in in_slots:
             # inline _to_cp's already-local fast path (the overwhelmingly
             # common case for CP-placed chains)
-            if s.fused_from is None:
-                v = s.payloads.get(BACKEND_CP)
-                if v is not None:
-                    append(v)
-                    continue
+            v = s.payloads.get(BACKEND_CP)
+            if v is not None:
+                append(v)
+                continue
             append(self._to_cp(s))
         out = self.cpu.execute(hop.opcode, values, hop.attrs, flops, nbytes)
         slot.payloads[BACKEND_CP] = out
@@ -652,19 +649,20 @@ class Interpreter:
                            in_slots: list[Slot]) -> DistributedMatrix:
         """Distributed matmul via SystemDS's physical patterns.
 
-        ``tsmm`` (transpose-self, fused), ``cpmm`` (cross-product),
+        ``tsmm`` (transpose-self), ``cpmm`` (cross-product),
         ``mapmm``/``bcmm`` (broadcast-side) — selection logic lives in
-        :func:`repro.runtime.placement.matmul_pattern`.
+        :func:`repro.runtime.placement.matmul_pattern`.  ``tsmm`` and
+        ``cpmm`` get the lowered instruction's operand slots: the input
+        of the left transpose, and the right operand.
         """
         sb = self.tiers.spark
         pattern = matmul_pattern(hop, self.config)
         left, right = hop.inputs
         ls, rs = in_slots
         if pattern == "tsmm":
-            return sb.tsmm(self._to_dm(ls.fused_from or ls))
+            return sb.tsmm(self._to_dm(ls))
         if pattern == "cpmm":
-            a = self._to_dm(ls.fused_from or ls)
-            return sb.cpmm(a, self._to_dm(rs))
+            return sb.cpmm(self._to_dm(ls), self._to_dm(rs))
         if pattern == "mapmm":
             bc = self._to_bc(rs)
             return sb.mapmm(self._to_dm(ls), bc, right.shape[1])

@@ -15,6 +15,10 @@ Fig. 4), which probes the REUSE step may issue in ``LOCAL_ONLY`` mode
 downstream (prefetch/broadcast §5.1 and checkpoints §5.2 only concern
 Spark-placed subgraphs).  The whole pass is a single walk over the
 shared post-order node list — see docs/PERFORMANCE.md.
+:func:`matmul_pattern` also serves lowering
+(:func:`repro.compiler.plan.lower`), which lets a Spark ``tsmm``/
+``cpmm`` read the input of its left transpose, and the Spark dispatch,
+which picks the physical operator by it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from repro.backends.gpu.backend import GPU_OPCODES
 from repro.backends.spark.backend import SPARK_OPCODES
 from repro.common.config import MemphisConfig
-from repro.compiler.ir import KIND_DATA, KIND_LITERAL, KIND_OP, Hop
+from repro.compiler.ir import KIND_DATA, KIND_LITERAL, Hop
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 from repro.memory.budget import gpu_working_set
 
@@ -64,26 +68,6 @@ def matmul_pattern(hop: Hop, config: MemphisConfig) -> str | None:
     if left.output_bytes <= bc_limit and right.output_bytes > op_mem:
         return "bcmm"
     return None
-
-
-def mark_fused_transposes(nodes: list[Hop], consumers: dict,
-                          config: MemphisConfig) -> None:
-    """Fuse ``r'`` feeding tsmm/cpmm physical operators (skip exec).
-
-    ``nodes`` is the block's post-order traversal and ``consumers`` its
-    ``consumers_map`` (hop id -> consumer hops).
-    """
-    for hop in nodes:
-        if hop.kind != KIND_OP or hop.opcode != "ba+*":
-            continue
-        if hop.placement != BACKEND_SP:
-            continue
-        if matmul_pattern(hop, config) not in ("tsmm", "cpmm"):
-            continue
-        t_hop = hop.inputs[0]
-        if t_hop.opcode == "r'" and len(
-                consumers.get(t_hop.id, ())) == 1:
-            t_hop.fused = True
 
 
 def assign_placements(roots: list[Hop], config: MemphisConfig,

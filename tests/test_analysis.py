@@ -27,7 +27,7 @@ from repro.analysis import (
 from repro.common.config import MemphisConfig
 from repro.common.errors import VerificationError
 from repro.common.runtime import current, scope
-from repro.compiler.ir import Hop, op_hop
+from repro.compiler.ir import Hop, literal_hop, op_hop
 from repro.compiler.linearize import depth_first
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 from repro.lineage.item import LineageItem
@@ -447,6 +447,21 @@ class TestLineageDeterminism:
     def test_distinct_names_do_not_collide(self):
         root = op_hop("+", [leaf(4, 4, "X"), leaf(4, 4, "Y")])
         assert not analyze([root], passes=(lineage_determinism,))
+
+    def test_signed_zeros_and_nan_attributes_key_as_cse_keys_them(self):
+        """``X*0.0`` and ``X*-0.0`` are two computations (``1/x`` tells
+        them apart), so CSE keeps both and no DET004 fires; two NaN
+        ``replace`` patterns are one computation, which CSE merges."""
+        x = leaf(4, 4)
+        zeros = op_hop("+", [op_hop("*", [x, literal_hop(0.0)]),
+                             op_hop("*", [x, literal_hop(-0.0)])])
+        assert not analyze([zeros], passes=(lineage_determinism,))
+        nans = op_hop("+", [
+            op_hop("replace", [x], {"pattern": float("nan"),
+                                    "replacement": 0.0})
+            for _ in range(2)])
+        report = analyze([nans], passes=(lineage_determinism,))
+        assert len(report.by_rule("DET004")) == 1
 
     def test_det005_address_in_attr(self):
         root = op_hop("relu", [leaf(4, 4)], {"ctx": object()})

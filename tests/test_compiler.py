@@ -18,7 +18,7 @@ from repro.compiler.rewrites.checkpoint import (
     should_checkpoint_loop_var,
 )
 from repro.compiler.rewrites.cse import eliminate_common_subexpressions
-from repro.compiler.rewrites.tuning import ProgramBlock, tune_block
+from repro.compiler.rewrites.tuning import tune_block
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 
 
@@ -322,28 +322,20 @@ class TestCheckpointRewrites:
 
 class TestAutoTuning:
     def test_highly_reusable_block_no_delay(self):
-        block = ProgramBlock("clean", execution_frequency=18, num_ops=100,
-                             num_loop_dependent_ops=0)
-        tuning = tune_block(block)
-        assert tuning.delay_factor == 1
-        assert tuning.storage_level is StorageLevel.MEMORY_AND_DISK
+        delay, level = tune_block(18, 1.0)
+        assert delay == 1
+        assert level is StorageLevel.MEMORY_AND_DISK
 
     def test_loop_dependent_block_delayed(self):
-        block = ProgramBlock("fs", execution_frequency=10, num_ops=100,
-                             num_loop_dependent_ops=90)
-        tuning = tune_block(block)
-        assert tuning.delay_factor == 4
-        assert tuning.storage_level is StorageLevel.MEMORY_ONLY
+        delay, level = tune_block(10, 0.1)
+        assert delay == 4
+        assert level is StorageLevel.MEMORY_ONLY
 
     def test_partially_reusable_block(self):
-        block = ProgramBlock("train", execution_frequency=10, num_ops=100,
-                             num_loop_dependent_ops=40)
-        assert tune_block(block).delay_factor == 2
+        assert tune_block(10, 0.6)[0] == 2
 
     def test_run_once_block_delayed(self):
-        block = ProgramBlock("init", execution_frequency=1, num_ops=100,
-                             num_loop_dependent_ops=0)
-        assert tune_block(block).delay_factor == 4
+        assert tune_block(1, 1.0)[0] == 4
 
 
 class TestBenchSeams:

@@ -102,7 +102,8 @@ class TestPlanBlock:
         a = sess.read(np.ones((16, 16)))
         plan = _plan_of(sess, a * 2.0 + 1.0)
         assert all(c.hop.kind != "literal" for c in plan.charges)
-        assert all(not c.hop.fused for c in plan.charges)
+        fused = {plan.order[i].id for i in plan.trace_only}
+        assert all(c.hop.id not in fused for c in plan.charges)
 
     def test_bounded_peaks_clamped_at_capacity(self):
         sess = _planned_session(**{"cache.unlimited": False,
@@ -181,8 +182,12 @@ def _compile_only(sess: Session, handle):
 
 
 def _plan_of(sess: Session, handle):
-    """The plan ``sess`` makes for ``handle``'s block."""
-    return plan_block(*_compile_only(sess, handle), sess.config)
+    """The plan ``sess`` makes for ``handle``'s block, told by its
+    program which instructions are only traced."""
+    compiled = sess._compile([handle])
+    assert compiled is not None
+    return plan_block(compiled[1], compiled[2], sess.config,
+                      trace_only=compiled.trace_only)
 
 
 # ------------------------------------------------------- admissible

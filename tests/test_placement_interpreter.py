@@ -216,3 +216,98 @@ class TestFusedTranspose:
         # no full 8x3000 transpose was materialized as its own RDD
         assert "tsmm" in rdd_names
         assert "r'" not in rdd_names
+
+    def test_tsmm_with_a_second_consumer_of_its_transpose(self, rdd_names):
+        """The transpose is materialised for its other consumer; tsmm
+        still reads ``X`` itself."""
+        sess, data = tiny_spark_session(), TINY["X"]
+        X = sess.read(data, "X")
+        T = X.t()
+        M, C = T @ X, T * 2.0
+        sess.evaluate([M, C])
+        assert "tsmm" in rdd_names
+        np.testing.assert_allclose(M.compute(), data.T @ data)
+        np.testing.assert_allclose(C.compute(), data.T * 2.0)
+
+    def test_tsmm_and_cpmm_of_one_transpose_in_one_block(self, rdd_names):
+        sess = tiny_spark_session()
+        X, Y = sess.read(TINY["X"], "X"), sess.read(TINY["Y"], "Y")
+        T = X.t()
+        M, N = T @ X, T @ Y
+        sess.evaluate([M, N])
+        assert {"tsmm", "cpmm"} <= set(rdd_names)
+        np.testing.assert_allclose(M.compute(), TINY["X"].T @ TINY["X"])
+        np.testing.assert_allclose(N.compute(), TINY["X"].T @ TINY["Y"])
+
+    def test_held_transpose_fused_then_read_on_cp_next_block(self):
+        """Fusion is a decision of block 1's program: in block 2 the
+        held ``T`` is an ordinary transpose for its CP consumer."""
+        sess, data = tiny_spark_session(), TINY["X"]
+        X = sess.read(data, "X")
+        T = X.t()
+        np.testing.assert_allclose((T @ X).compute(), data.T @ data)
+        C = T * 2.0
+        C.hop.placement = BACKEND_CP
+        np.testing.assert_allclose(C.compute(), data.T * 2.0)
+
+
+#: 22x3 operands over a 256 B operation budget in 8-row blocks (three
+#: partitions): every matmul of them runs on Spark.
+TINY = {name: np.random.default_rng(seed).random(shape) for name, seed, shape
+        in (("X", 1, (22, 3)), ("Y", 2, (22, 3)),
+            ("V", 3, (22, 1)), ("W", 4, (1, 3)))}
+
+
+def tiny_spark_session():
+    cfg = MemphisConfig.memphis()
+    cfg.spark.block_size_rows = 8
+    cfg.cpu.operation_memory_bytes = 256
+    return Session(cfg)
+
+
+def _held(pattern, leaves):
+    """``(T, M, T_np, M_np)``: the held operand ``T`` and the Spark
+    matmul ``M`` reading it — the transpose of tsmm/cpmm, the broadcast
+    side of mapmm/bcmm."""
+    X, Y, V, W = (leaves[k] for k in "XYVW")
+    x, y, v, w = (TINY[k] for k in "XYVW")
+    if pattern == "tsmm":
+        T = X.t()
+        return T, T @ X, x.T, x.T @ x
+    if pattern == "cpmm":
+        T = X.t()
+        return T, T @ Y, x.T, x.T @ y
+    if pattern == "mapmm":
+        T = W.t()
+        return T, X @ T, w.T, x @ w.T
+    T = V.t()
+    return T, T @ X, v.T, v.T @ x
+
+
+class TestHeldOperand:
+    """A held operand of each Spark matmul pattern with a second
+    consumer on CP or Spark — in the matmul's block, in the next block,
+    or itself a root of the matmul's block — reads what numpy reads."""
+
+    @pytest.mark.parametrize("where", ["same", "next", "root"])
+    @pytest.mark.parametrize("backend", [BACKEND_CP, BACKEND_SP])
+    @pytest.mark.parametrize("pattern", ["tsmm", "cpmm", "mapmm", "bcmm"])
+    def test_second_consumer_reads_the_held_operand(self, pattern, backend,
+                                                    where, rdd_names):
+        sess = tiny_spark_session()
+        leaves = {k: sess.read(v, k) for k, v in TINY.items()}
+        T, M, t_np, m_np = _held(pattern, leaves)
+        if where == "root":
+            T.hop.placement = backend
+            sess.evaluate([M, T])
+            second, want = T, t_np
+        else:
+            second, want = T * 2.0, t_np * 2.0
+            second.hop.placement = backend
+            if where == "same":
+                sess.evaluate([M, second])
+            else:
+                M.compute()
+        np.testing.assert_allclose(M.compute(), m_np)
+        np.testing.assert_allclose(second.compute(), want)
+        assert pattern in rdd_names

@@ -54,15 +54,17 @@ def pass_runs(monkeypatch):
 
 def plan_of(compiled) -> tuple:
     """A compiled block by position in its order: per hop kind, opcode,
-    shape, placement, flags and input positions; the roots; and which
-    positions rebind CSE-merged handles."""
+    shape, placement, flags, whether the program only traces it, and
+    input positions; the roots; and which positions rebind CSE-merged
+    handles."""
     _, root_hops, order, extra = compiled
     at = {hop.id: i for i, hop in enumerate(order)}
+    skipped = compiled.trace_only
     hops = tuple(
         (hop.kind, hop.opcode, hop.shape, hop.placement, hop.prefetch,
-         hop.async_broadcast, hop.checkpoint, hop.fused,
+         hop.async_broadcast, hop.checkpoint, i in skipped,
          tuple(at[h.id] for h in hop.inputs))
-        for hop in order)
+        for i, hop in enumerate(order))
     merged = sorted((at[hop_id], len(handles))
                     for hop_id, handles in extra.items())
     return hops, tuple(at[h.id] for h in root_hops), merged

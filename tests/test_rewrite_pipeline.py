@@ -1,7 +1,8 @@
 """Pass-ordering and idempotence tests for the compiler rewrites.
 
-The rewrite pipeline (``Session._compile``) runs CSE, placement,
-transpose fusion, then the checkpoint/prefetch/broadcast flag passes.
+The rewrite pipeline (``Session._compile``) runs CSE, placement, then
+the checkpoint/prefetch/broadcast flag passes; lowering decides
+transpose fusion.
 Each rewrite must be idempotent — running it twice leaves the DAG
 exactly as running it once.
 """
@@ -19,6 +20,7 @@ from repro.analysis import (
 from repro.common.config import MemphisConfig, ReuseMode, StorageLevel
 from repro.compiler.ir import Hop, literal_hop, op_hop
 from repro.compiler.linearize import depth_first
+from repro.compiler.plan import CompiledBlock, lower
 from repro.compiler.rewrites.async_ops import (
     consumers_map,
     place_broadcast,
@@ -26,7 +28,7 @@ from repro.compiler.rewrites.async_ops import (
 )
 from repro.compiler.rewrites.checkpoint import place_shared_checkpoints
 from repro.compiler.rewrites.cse import eliminate_common_subexpressions
-from repro.compiler.rewrites.tuning import ProgramBlock, tune_block
+from repro.compiler.rewrites.tuning import tune_block
 from repro.core.entry import BACKEND_CP, BACKEND_SP
 from repro.core.session import Session
 from repro.lineage.item import LineageItem
@@ -40,11 +42,16 @@ def _leaf(rows=8, cols=8, placement=None):
     return hop
 
 
-def _flags(roots):
-    """Rewrite-visible flag state of every reachable hop."""
+def _flags(roots, config):
+    """Rewrite-visible flag state of every reachable hop, and whether
+    its lowered program only traces it."""
+    nodes = depth_first(roots)
+    skipped = {nodes[i].id for i in CompiledBlock(
+        [], roots, nodes, {},
+        lower(nodes, consumers_map(roots, nodes), config)).trace_only}
     return {
-        (h.id, h.checkpoint, h.prefetch, h.async_broadcast, h.fused)
-        for h in depth_first(roots)
+        (h.id, h.checkpoint, h.prefetch, h.async_broadcast, h.id in skipped)
+        for h in nodes
     }
 
 
@@ -106,9 +113,9 @@ class TestRewriteIdempotence:
         consumers = consumers_map(roots, nodes)
         assert place_shared_checkpoints(roots, config, consumers, nodes) == 1
         assert shared.checkpoint
-        state = _flags(roots)
+        state = _flags(roots, config)
         assert place_shared_checkpoints(roots, config, consumers, nodes) == 0
-        assert _flags(roots) == state
+        assert _flags(roots, config) == state
 
     def test_async_ops_idempotent(self):
         config = MemphisConfig.memphis()
@@ -126,21 +133,20 @@ class TestRewriteIdempotence:
         consumers = consumers_map(roots, nodes)
         place_prefetch(roots, config, consumers, nodes)
         place_broadcast(roots, config, consumers, nodes)
-        state = _flags(roots)
+        state = _flags(roots, config)
         assert any(flag for _, _, flag, _, _ in state)  # prefetch placed
         place_prefetch(roots, config, consumers, nodes)
         place_broadcast(roots, config, consumers, nodes)
-        assert _flags(roots) == state
+        assert _flags(roots, config) == state
 
     def test_tuning_idempotent(self):
-        blocks = [ProgramBlock("main", 1, 10, 2),
-                  ProgramBlock("loop", 20, 10, 1),
-                  ProgramBlock("cold", 20, 10, 9)]
-        once = [tune_block(block) for block in blocks]
-        twice = [tune_block(block) for block in blocks]
+        # (execution frequency, reusable fraction): main, loop, cold
+        blocks = [(1, 0.8), (20, 0.9), (20, 0.1)]
+        once = [tune_block(*block) for block in blocks]
+        twice = [tune_block(*block) for block in blocks]
         assert once == twice
-        assert once[1].delay_factor == 1
-        assert once[2].storage_level is StorageLevel.MEMORY_ONLY
+        assert once[1][0] == 1
+        assert once[2][1] is StorageLevel.MEMORY_ONLY
 
 
 # ------------------------------------------------ CSE-merged handles
