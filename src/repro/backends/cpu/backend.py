@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from repro.backends.cpu import kernels
+from repro.backends.cpu.kernels import KERNELS
 from repro.common.config import CpuConfig
-from repro.common.costs import op_flops
+from repro.common.errors import BackendError
 from repro.common.simclock import HOST, SimClock
 from repro.common.stats import (
     CPU_BYTES_ALLOCATED,
@@ -25,25 +25,19 @@ class CpuBackend:
         self.stats = stats
 
     def execute(self, opcode: str, inputs: list[Value], attrs: dict,
-                flops: float | None = None,
-                nbytes: int | None = None) -> Value:
+                flops: float, nbytes: int) -> Value:
         """Run one instruction; returns its value and charges host time.
 
         The charge is the ``overhead + max(compute, memory)`` roofline
         term of one instruction, and the output allocation is accounted
         as ``cpu/bytes_allocated``.  ``flops`` and ``nbytes`` (inputs +
-        output) are the charge's static inputs a lowered instruction
-        carries (``compiler/plan.py``); without them they are derived
-        from the values.
+        output) are the charge's static inputs, which a lowered
+        instruction carries (``compiler/plan.py``).
         """
-        out = kernels.execute(opcode, inputs, attrs)
-        if flops is None:
-            in_shapes = []
-            nbytes = out.nbytes
-            for v in inputs:
-                in_shapes.append(v.shape)
-                nbytes += v.nbytes
-            flops = op_flops(opcode, in_shapes or [(1, 1)], out.shape)
+        fn = KERNELS.get(opcode)
+        if fn is None:
+            raise BackendError(f"no CPU kernel for opcode {opcode!r}")
+        out = fn(inputs, attrs)
         cfg = self.config
         t_compute = flops / cfg.flops_per_s
         t_memory = nbytes / cfg.mem_bandwidth_bytes_per_s
@@ -52,6 +46,7 @@ class CpuBackend:
             + (t_compute if t_compute > t_memory else t_memory),
             HOST,
         )
-        self.stats.inc(INSTRUCTIONS_EXECUTED)
-        self.stats.inc(CPU_BYTES_ALLOCATED, out.nbytes)
+        counts = self.stats.counts
+        counts[INSTRUCTIONS_EXECUTED] += 1
+        counts[CPU_BYTES_ALLOCATED] += out.nbytes
         return out

@@ -15,14 +15,16 @@ import numpy as np
 from repro.common.errors import BackendError
 from repro.runtime.values import MatrixValue, ScalarValue, Value, as_matrix
 
-_KERNELS: dict[str, Callable[..., Value]] = {}
+#: opcode -> kernel: the registry :func:`execute` and the CPU backend
+#: dispatch through.
+KERNELS: dict[str, Callable[..., Value]] = {}
 
 
 def kernel(opcode: str):
     """Register ``fn`` as the implementation of ``opcode``."""
 
     def deco(fn):
-        _KERNELS[opcode] = fn
+        KERNELS[opcode] = fn
         return fn
 
     return deco
@@ -30,12 +32,12 @@ def kernel(opcode: str):
 
 def supported_opcodes() -> set[str]:
     """All opcodes with a registered CPU kernel."""
-    return set(_KERNELS)
+    return set(KERNELS)
 
 
 def execute(opcode: str, inputs: list[Value], attrs: dict) -> Value:
     """Execute ``opcode`` on ``inputs`` with ``attrs`` and return the value."""
-    fn = _KERNELS.get(opcode)
+    fn = KERNELS.get(opcode)
     if fn is None:
         raise BackendError(f"no CPU kernel for opcode {opcode!r}")
     return fn(inputs, attrs)
@@ -57,7 +59,7 @@ def _make_binary(op):
         out = op(a, b)
         if both_scalar:
             return ScalarValue(float(out))
-        return MatrixValue(np.asarray(out, dtype=np.float64))
+        return MatrixValue(out)
 
     return fn
 
@@ -80,7 +82,7 @@ BINARY_UFUNCS: dict[str, Callable] = {
 }
 
 for _code, _op in BINARY_UFUNCS.items():
-    _KERNELS[_code] = _make_binary(_op)
+    KERNELS[_code] = _make_binary(_op)
 
 
 def _make_unary(op, scalar_ok=True):
@@ -105,7 +107,7 @@ UNARY_UFUNCS: dict[str, Callable] = {
 }
 
 for _code, _op in UNARY_UFUNCS.items():
-    _KERNELS[_code] = _make_unary(_op)
+    KERNELS[_code] = _make_unary(_op)
 
 
 @kernel("sigmoid")

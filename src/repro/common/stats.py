@@ -12,14 +12,20 @@ from collections import defaultdict
 
 
 class Stats:
-    """A hierarchical counter registry."""
+    """A hierarchical counter registry.
+
+    ``counts`` is the registry itself, public so that the
+    per-instruction sites (trace, probe, put, reserve, CP execute) add
+    to it in place, ``counts[NAME] += 1``, instead of calling
+    :meth:`inc` per bump.
+    """
 
     def __init__(self) -> None:
-        self._counters: dict[str, int] = defaultdict(int)
+        self.counts: dict[str, int] = defaultdict(int)
 
     def inc(self, name: str, by: int = 1) -> None:
         """Increment counter ``name`` by ``by``."""
-        self._counters[name] += by
+        self.counts[name] += by
 
     def get(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never incremented).
@@ -27,15 +33,15 @@ class Stats:
         Read-only: never inserts the key, so reporting and gauge
         sampling leave the counter snapshot byte-identical.
         """
-        return self._counters.get(name, 0)
+        return self.counts.get(name, 0)
 
     def counters(self) -> dict[str, int]:
         """Snapshot of all counters."""
-        return dict(self._counters)
+        return dict(self.counts)
 
     def reset(self) -> None:
         """Clear all counters."""
-        self._counters.clear()
+        self.counts.clear()
 
     def merge(self, other: "Stats") -> "Stats":
         """Accumulate ``other``'s counters into this registry.
@@ -43,8 +49,8 @@ class Stats:
         Used for multi-session aggregation (``ServerReport.merged``).
         Returns ``self`` for chaining.
         """
-        for name, value in other._counters.items():
-            self._counters[name] += value
+        for name, value in other.counts.items():
+            self.counts[name] += value
         return self
 
     def derived_ratios(self) -> dict[str, float]:
@@ -54,29 +60,29 @@ class Stats:
         workload that never touched the GPU reports no recycle rate.
         """
         out: dict[str, float] = {}
-        probes = self._counters.get(LINEAGE_PROBES, 0)
+        probes = self.counts.get(LINEAGE_PROBES, 0)
         if probes:
-            out["cache/hit_rate"] = self._counters.get(CACHE_HITS, 0) / probes
-        allocs = (self._counters.get(GPU_RECYCLED, 0)
-                  + self._counters.get(GPU_MALLOCS, 0))
+            out["cache/hit_rate"] = self.counts.get(CACHE_HITS, 0) / probes
+        allocs = (self.counts.get(GPU_RECYCLED, 0)
+                  + self.counts.get(GPU_MALLOCS, 0))
         if allocs:
             out["gpu/recycle_rate"] = \
-                self._counters.get(GPU_RECYCLED, 0) / allocs
-        spills = self._counters.get(CACHE_SPILLS, 0)
+                self.counts.get(GPU_RECYCLED, 0) / allocs
+        spills = self.counts.get(CACHE_SPILLS, 0)
         if spills:
             out["cache/restore_rate"] = \
-                self._counters.get(CACHE_RESTORES, 0) / spills
+                self.counts.get(CACHE_RESTORES, 0) / spills
         # server ratios render under the same ``server/`` heading as the
         # raw counters; gated on sessions_attached so single-session
         # runs never grow a server section
-        if self._counters.get(SERVER_SESSIONS, 0):
+        if self.counts.get(SERVER_SESSIONS, 0):
             if probes:
                 out["server/cross_session_hit_rate"] = \
-                    self._counters.get(SERVER_CROSS_HITS, 0) / probes
-            steps = self._counters.get(SERVER_STEPS, 0)
+                    self.counts.get(SERVER_CROSS_HITS, 0) / probes
+            steps = self.counts.get(SERVER_STEPS, 0)
             if steps:
                 out["server/backpressure_rate"] = \
-                    self._counters.get(SERVER_BACKPRESSURE, 0) / steps
+                    self.counts.get(SERVER_BACKPRESSURE, 0) / steps
         return out
 
     def report(self) -> str:
@@ -89,12 +95,12 @@ class Stats:
         the longest name instead of truncating alignment at 42 chars.
         """
         ratios = self.derived_ratios()
-        names = [*self._counters, *ratios]
+        names = [*self.counts, *ratios]
         width = max([42, *(len(n) for n in names)])
         groups: dict[str, list[str]] = {}
-        for name in sorted(self._counters):
+        for name in sorted(self.counts):
             groups.setdefault(_prefix(name), []).append(
-                f"{name:<{width}s} {self._counters[name]:>12d}"
+                f"{name:<{width}s} {self.counts[name]:>12d}"
             )
         for name in sorted(ratios):
             groups.setdefault(_prefix(name), []).append(

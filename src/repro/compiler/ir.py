@@ -10,6 +10,7 @@ placement (ops above the operation-memory budget go to Spark).
 from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
+from weakref import ref
 
 from repro.common.costs import matrix_bytes, op_flops
 from repro.common.errors import CompilationError
@@ -116,9 +117,7 @@ class Hop:
         self.opcode = opcode
         self.inputs = inputs
         self.attrs = attrs or {}
-        self._handle_ref = None
-        if handle is not None:
-            self.handle = handle
+        self._handle_ref = None if handle is None else ref(handle)
         self.value = value
         #: for data leaves: (lineage_item, payloads_dict) owned by the
         #: hop itself, so payload lifetime follows DAG reachability and
@@ -155,12 +154,6 @@ class Hop:
         if self._handle_ref is None:
             return None
         return self._handle_ref()
-
-    @handle.setter
-    def handle(self, handle: Optional["MatrixHandle"]) -> None:
-        import weakref
-
-        self._handle_ref = None if handle is None else weakref.ref(handle)
 
     # -- estimates ---------------------------------------------------------------
 

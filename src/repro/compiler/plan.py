@@ -94,7 +94,8 @@ class BlockShape:
         )
 
 
-def lower(order: list[Hop], consumers: dict, config) -> tuple:
+def lower(order: list[Hop], consumers: dict, config,
+          roots: list[Hop]) -> tuple:
     """The lowered program of a linearized block, aligned with it:
     ``None`` per leaf and per op the instruction tuple
     ``(inputs, attrs, cost, cp_flops, cp_nbytes, operands)``.
@@ -115,7 +116,9 @@ def lower(order: list[Hop], consumers: dict, config) -> tuple:
     reads ``inputs``.  A transpose whose one consumer (``consumers``,
     the block's :func:`~repro.compiler.rewrites.async_ops.consumers_map`)
     is such a matmul, as its left operand, is *trace-only*: ``cost`` is
-    ``None``, and it is traced but never probed, executed or put.
+    ``None``, and it is traced but never probed, executed or put.  A
+    transpose among the block's ``roots`` is never trace-only: its
+    handle is bound to its value when the block ends.
     """
     index: dict[int, int] = {}
     program: list = []
@@ -128,7 +131,7 @@ def lower(order: list[Hop], consumers: dict, config) -> tuple:
         opcode, shape, inputs = hop.opcode, hop.shape, hop.inputs
         in_positions = tuple([index[h.id] for h in inputs])
         attrs = attr_data(hop.attrs) if hop.attrs else ()
-        if opcode == "r'":
+        if opcode == "r'" and hop not in roots:
             users = consumers.get(hop.id, ())
             if (len(users) == 1 and users[0].inputs[0] is hop
                     and _reads_through(users[0], config)):

@@ -62,6 +62,9 @@ from repro.obs.tracer import NULL_TRACER
 #: payload tag for driver-local entries spilled to disk.
 BACKEND_DISK = "DISK"
 
+_CACHED = EntryStatus.CACHED
+_SPILLED = EntryStatus.SPILLED
+
 
 class LineageCache:
     """Unified lineage-keyed cache across CP, Spark, GPU, and local disk.
@@ -154,51 +157,57 @@ class LineageCache:
         if scope is not None:
             key = scope.namespaced(key)
         self._logical_time += 1
-        self.stats.inc(LINEAGE_PROBES)
+        counts = self.stats.counts
+        counts[LINEAGE_PROBES] += 1
         if scope is not None:
             # per-tenant probe tally feeds the server SLO hit-rate rows
             scope.substrate.note_tenant_event(scope.tenant, "probes")
         entry = self._entries.get(key)
+        tracing = self.tracer.enabled
         if entry is None:
-            self.stats.inc(CACHE_MISSES)
-            self._trace_probe(key, hit=False)
+            counts[CACHE_MISSES] += 1
+            if tracing:
+                self._trace_probe(key, hit=False)
             return None
         entry.last_access = self._logical_time
-        if entry.victim_rec is not VICTIM_DIRTY:  # else: nothing to call
-            self.touch(entry)
+        index = self._index
+        if index is not None and entry.victim_rec is not VICTIM_DIRTY:
+            index.touch(entry)
         if scope is not None and not scope.usable(entry):
             # another session's entry without a host-side copy: its
             # Spark/GPU payloads are bound to the owner's backends
             entry.misses += 1
-            self.stats.inc(CACHE_MISSES)
-            self._trace_probe(key, hit=False)
+            counts[CACHE_MISSES] += 1
+            if tracing:
+                self._trace_probe(key, hit=False)
             return None
-        if entry.is_cached:
+        if entry.status is _CACHED and entry.payloads:  # ``is_cached``
             entry.hits += 1
-            self.stats.inc(CACHE_HITS)
+            counts[CACHE_HITS] += 1
             if scope is not None:
                 scope.note_hit(entry)
-            self._trace_probe(key, hit=True)
+            if tracing:
+                self._trace_probe(key, hit=True)
             return entry
-        if entry.status is EntryStatus.SPILLED \
-                and BACKEND_DISK in entry.payloads:
+        if entry.status is _SPILLED and BACKEND_DISK in entry.payloads:
             restored = self._restore_from_disk(entry)
             if restored:
                 entry.hits += 1
-                self.stats.inc(CACHE_HITS)
+                counts[CACHE_HITS] += 1
                 if scope is not None:
                     scope.note_hit(entry)
-                self._trace_probe(key, hit=True, restored=True)
+                if tracing:
+                    self._trace_probe(key, hit=True, restored=True)
                 return entry
         entry.misses += 1
-        self.stats.inc(CACHE_MISSES)
-        self._trace_probe(key, hit=False)
+        counts[CACHE_MISSES] += 1
+        if tracing:
+            self._trace_probe(key, hit=False)
         return None
 
     def _trace_probe(self, key: LineageItem, hit: bool, **extra) -> None:
-        if self.tracer.enabled:
-            self.tracer.instant(EV_PROBE, hit=hit, opcode=key.opcode,
-                                key=key.id, **extra)
+        self.tracer.instant(EV_PROBE, hit=hit, opcode=key.opcode,
+                            key=key.id, **extra)
 
     def put(self, key: LineageItem, payload: object, backend: str,
             size: int, compute_cost: float,
@@ -217,6 +226,7 @@ class LineageCache:
         n = self.config.delay_factor if delay_factor is None else delay_factor
         entries = self._entries
         entry = entries.get(key)
+        index = self._index
         if entry is None:
             entry = CacheEntry(key, compute_cost, size)
             entry.seq = now  # one tick per put: unique, creation-ordered
@@ -227,16 +237,17 @@ class LineageCache:
                 if request is not None:
                     entry.request = request.request_id
             entries[key] = entry
-        elif entry.victim_rec is not VICTIM_DIRTY:
-            self.touch(entry)  # ``last_access`` moves on every exit below
+        elif index is not None and entry.victim_rec is not VICTIM_DIRTY:
+            index.touch(entry)  # ``last_access`` moves on every exit below
         entry.seen_count += 1
         entry.last_access = now
         if entry.seen_count < n:  # delayed caching (§5.2)
-            self.stats.inc(CACHE_DELAYED)
+            self.stats.counts[CACHE_DELAYED] += 1
             if self.tracer.enabled:
                 self.tracer.instant(EV_CACHE_DELAY, opcode=key.opcode,
                                     key=key.id, seen=entry.seen_count)
             return None
+        ptr = None
         if backend == BACKEND_CP:
             if entry.cp_accounted:  # re-put: release the old charge first
                 self._release_cp(entry)
@@ -252,23 +263,22 @@ class LineageCache:
             entry.cp_accounted = size
             if entry.tenant is not None:
                 self._cp_region.charge_tenant(entry.tenant, size)
+        elif backend == BACKEND_GPU:
+            self._forget_gpu_pointer(entry)  # a re-put replaces the pointer
+            ptr = getattr(payload, "ptr", None)
         if BACKEND_DISK in entry.payloads:
             # the fresh copy supersedes a spilled one nothing could read
             # once the entry is CACHED again; release it at the size it
             # was charged, before ``put_payload`` can grow ``size``
             self._disk_region.release(entry.size)
             entry.drop_payload(BACKEND_DISK)
-        if backend == BACKEND_GPU:
-            self._forget_gpu_pointer(entry)  # a re-put replaces the pointer
         entry.put_payload(backend, payload, size, compute_cost)
-        if entry.victim_rec is not VICTIM_DIRTY:
-            self.touch(entry)
-        if backend == BACKEND_GPU:
-            ptr = getattr(payload, "ptr", None)
-            if ptr is not None:
-                self._gpu_index[ptr.id] = entry
-                ptr.set_cached(True)
-        self.stats.inc(CACHE_PUTS)
+        if index is not None and entry.victim_rec is not VICTIM_DIRTY:
+            index.touch(entry)
+        if ptr is not None:
+            self._gpu_index[ptr.id] = entry
+            ptr.set_cached(True)
+        self.stats.counts[CACHE_PUTS] += 1
         if self.tracer.enabled:
             self.tracer.instant(EV_CACHE_PUT, backend=backend, size=size,
                                 opcode=key.opcode, key=key.id)
@@ -395,7 +405,7 @@ class LineageCache:
                                     key=entry.key.id)
         else:
             entry.drop_payload(BACKEND_CP)
-        self.stats.inc(CACHE_EVICTIONS)
+        self.stats.counts[CACHE_EVICTIONS] += 1
         self.arbiter.record_evict(REGION_CP, entry.size, key=entry.key.id)
         if self.tracer.enabled:
             self.tracer.instant(EV_CACHE_EVICT, backend=BACKEND_CP,

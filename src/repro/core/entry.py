@@ -33,36 +33,37 @@ class EntryStatus(enum.Enum):
     INVALID = "invalid"
 
 
+_TO_CACHE = EntryStatus.TO_CACHE
+_CACHED = EntryStatus.CACHED
+_EVICTED = EntryStatus.EVICTED
+
+
 class CacheEntry:
     """One lineage-keyed cache entry with multi-backend payloads."""
 
     __slots__ = (
-        "key", "status", "payloads", "size", "compute_cost", "height",
+        "key", "status", "payloads", "size", "compute_cost",
         "hits", "misses", "jobs", "last_access", "seen_count",
-        "is_function", "rdd_materialized", "outputs", "cp_accounted",
+        "rdd_materialized", "cp_accounted",
         "owner", "tenant", "request", "seq", "victim_rec",
     )
 
     def __init__(self, key: LineageItem, compute_cost: float = 0.0,
                  size: int = 0) -> None:
         self.key = key
-        self.status = EntryStatus.TO_CACHE
+        self.status = _TO_CACHE
         #: backend tag -> payload (Value / SparkEntryPayload / GpuData).
         self.payloads: dict[str, object] = {}
         self.size = size
         self.compute_cost = compute_cost
-        self.height = key.height
         self.hits = 0
         self.misses = 0
         self.jobs = 0
         self.last_access = 0.0
         #: number of times this lineage was observed (drives delay factor).
         self.seen_count = 0
-        self.is_function = key.is_function
         #: for Spark RDD payloads: whether the RDD is known materialized.
         self.rdd_materialized = False
-        #: for function entries: the list of per-output payload keys.
-        self.outputs: Optional[list] = None
         #: bytes this entry's CP payload has charged to the driver-cache
         #: budget.  ``size`` is the worst case across backends; eviction
         #: and invalidation must release exactly what was charged, or the
@@ -94,9 +95,11 @@ class CacheEntry:
                     cost: float) -> None:
         """Attach (or refresh) a backend-local payload."""
         self.payloads[backend] = payload
-        self.size = max(self.size, size)
-        self.compute_cost = max(self.compute_cost, cost)
-        self.status = EntryStatus.CACHED
+        if size > self.size:
+            self.size = size
+        if cost > self.compute_cost:
+            self.compute_cost = cost
+        self.status = _CACHED
 
     def get_payload(self, backend: str) -> Optional[object]:
         return self.payloads.get(backend)
@@ -105,11 +108,11 @@ class CacheEntry:
         """Remove one backend's copy; entry survives if others remain."""
         self.payloads.pop(backend, None)
         if not self.payloads:
-            self.status = EntryStatus.EVICTED
+            self.status = _EVICTED
 
     @property
     def is_cached(self) -> bool:
-        return self.status is EntryStatus.CACHED and bool(self.payloads)
+        return self.status is _CACHED and bool(self.payloads)
 
     def __repr__(self) -> str:
         return (

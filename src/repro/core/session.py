@@ -357,7 +357,7 @@ class Session:
             order = max_parallelize(root_hops, nodes)
         else:
             order = nodes
-        program = lower(order, consumers, self.config)
+        program = lower(order, consumers, self.config, root_hops)
         self._plans.note(key, found, shape.hops, order, program)
         return CompiledBlock(roots, root_hops, order, extra, program)
 
@@ -421,7 +421,8 @@ class Session:
                 if instr is None or instr[2] is None:
                     # a leaf, or a trace-only transpose: nothing to bind
                     continue
-                handle = hop.handle
+                handle_ref = hop._handle_ref  # ``hop.handle``, inlined
+                handle = None if handle_ref is None else handle_ref()
                 if handle is None and not extra.get(hop.id):
                     continue
                 if slot.future is not None and BACKEND_CP not in slot.payloads:

@@ -123,10 +123,12 @@ class VictimIndex:
         found = None
         while heap:
             rec = heap[0]
-            if not _live(rec):
+            entry = rec[3]
+            if entry.victim_rec is not rec[2] \
+                    or BACKEND_CP not in entry.payloads \
+                    or entry.status is not _CACHED:  # not ``_live(rec)``
                 heappop(heap)  # re-scored since, or not resident now
                 continue
-            entry = rec[3]
             if entry is skip:
                 aside = heappop(heap)
                 continue

@@ -131,7 +131,8 @@ class MemoryArbiter:
         or ``region.cancel``.
         """
         region = self._regions[name]
-        if not region.unlimited:
+        if not region.unlimited \
+                and region.used + region.reserved + size > region.capacity:
             if size > region.capacity:
                 self.stats.inc(MEM_RESERVE_FAILURES)
                 return False
@@ -157,7 +158,7 @@ class MemoryArbiter:
                     self.stats.inc(MEM_RESERVE_FAILURES)
                     return False
         region.reserve(size)
-        self.stats.inc(MEM_RESERVES)
+        self.stats.counts[MEM_RESERVES] += 1
         return True
 
     def admissible(self, demands: dict[str, int]) -> Optional[str]:
@@ -199,8 +200,8 @@ class MemoryArbiter:
         """
         items = candidates if isinstance(candidates, list) \
             else list(candidates)
-        if not items:
-            return None
+        if len(items) < 2:  # the minimum of one is that one
+            return items[0] if items else None
         if score is None:
             policy = self._regions[name].policy
             if policy is None:
@@ -259,7 +260,7 @@ class MemoryArbiter:
 
     def record_evict(self, name: str, nbytes: int, **args) -> None:
         """Note one eviction in the ``memory/`` namespace."""
-        self.stats.inc(MEM_EVICTIONS)
+        self.stats.counts[MEM_EVICTIONS] += 1
         if self.tracer.enabled:
             self.tracer.instant(EV_MEM_EVICT, LANE_CP, region=name,
                                 nbytes=nbytes, **args)

@@ -12,6 +12,7 @@ using it in later DAGs preserves lineage identity across program blocks
 from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING, Union
+from weakref import ref
 
 import numpy as np
 
@@ -45,8 +46,9 @@ class MatrixHandle:
         self.lineage: Optional[LineageItem] = None
         #: backend tag -> runtime payload (set on evaluation).
         self.payloads: dict[str, object] = {}
-        if hop.handle is None:
-            hop.handle = self
+        handle_ref = hop._handle_ref  # ``hop.handle``, without the property
+        if handle_ref is None or handle_ref() is None:
+            hop._handle_ref = ref(self)
 
     # -- metadata -----------------------------------------------------------
 

@@ -184,8 +184,11 @@ class Interpreter:
 
         config = self.config
         tiers = self.tiers
-        clock = self.clock
-        stats = self.stats
+        # the two per-instruction overhead charges add to the host
+        # timeline in place: ``SimClock.advance``'s float addition, in
+        # the same order, with its sign check made once per run
+        timelines = self.clock.timelines
+        counts = self.stats.counts
         tracer = self.tracer
         faults = self.faults
         tracing = tracer.enabled
@@ -199,6 +202,8 @@ class Interpreter:
         local_only = mode is ReuseMode.LOCAL_ONLY
         trace_overhead = config.cpu.trace_overhead_s
         probe_overhead = config.cpu.probe_overhead_s
+        if trace_overhead < 0 or probe_overhead < 0:
+            raise ValueError("cannot advance clock by negative time")
         enable_async = config.enable_async_ops
 
         intern = self.interner.intern
@@ -229,8 +234,8 @@ class Interpreter:
             item = intern(hop.opcode, attrs,
                           tuple([s.lineage for s in in_slots]))
             if trace_on:
-                clock.advance(trace_overhead, HOST)
-                stats.inc(LINEAGE_TRACED)
+                timelines[HOST] += trace_overhead
+                counts[LINEAGE_TRACED] += 1
             slot = Slot(item)
             add(slot)
             if cost is None:
@@ -269,7 +274,7 @@ class Interpreter:
                 placement = hop.placement
                 if probe_on and (
                         not local_only or placement == BACKEND_CP):
-                    clock.advance(probe_overhead, HOST)
+                    timelines[HOST] += probe_overhead
                     entry = cache_probe(item)
                 if entry is not None:
                     apply_reuse(hop, slot, entry)
@@ -328,7 +333,7 @@ class Interpreter:
             # reused a previously collected action result: consumers read
             # the driver-side copy instead of triggering a Spark job
             self.stats.inc(SPARK_ACTION_REUSE)
-        self.stats.inc(INSTRUCTIONS_SKIPPED)
+        self.stats.counts[INSTRUCTIONS_SKIPPED] += 1
 
     def _put(self, hop: Hop, slot: Slot, cost: float) -> None:
         """PUT stage (§4.2): offer every backend payload to the cache.
@@ -338,26 +343,26 @@ class Interpreter:
         LOCAL_ONLY mode (the LIMA baseline) stores only driver-local
         values and skips the multi-backend entries.
         """
-        mode = self.config.reuse_mode
-        if mode is ReuseMode.LOCAL_ONLY and hop.placement != BACKEND_CP:
-            return
+        payloads = slot.payloads
         item = slot.lineage
-        delay = self.delay_factor
-        if BACKEND_CP in slot.payloads:
-            value: Value = slot.payloads[BACKEND_CP]
-            self.cache.put(item, value, BACKEND_CP, value.nbytes, cost,
-                           delay_factor=1 if mode is ReuseMode.LOCAL_ONLY
-                           else delay)
-        if mode is ReuseMode.LOCAL_ONLY:
+        cp_value: Optional[Value] = payloads.get(BACKEND_CP)
+        if self.config.reuse_mode is ReuseMode.LOCAL_ONLY:
+            if hop.placement == BACKEND_CP and cp_value is not None:
+                self.cache.put(item, cp_value, BACKEND_CP, cp_value.nbytes,
+                               cost, delay_factor=1)
             return
-        if BACKEND_SP in slot.payloads:
-            dm: DistributedMatrix = slot.payloads[BACKEND_SP]
+        delay = self.delay_factor
+        if cp_value is not None:
+            self.cache.put(item, cp_value, BACKEND_CP, cp_value.nbytes, cost,
+                           delay_factor=delay)
+        dm: Optional[DistributedMatrix] = payloads.get(BACKEND_SP)
+        if dm is not None:
             entry = self.cache.put(item, dm, BACKEND_SP, dm.nbytes, cost,
                                    delay_factor=delay)
             if entry is not None:
                 self.tiers.spark_mgr.cache_rdd(entry, dm)
-        if BACKEND_GPU in slot.payloads:
-            data: GpuData = slot.payloads[BACKEND_GPU]
+        data: Optional[GpuData] = payloads.get(BACKEND_GPU)
+        if data is not None:
             self.cache.put(item, data, BACKEND_GPU, data.nbytes, cost,
                            delay_factor=delay)
 

@@ -14,6 +14,8 @@ import numpy as np
 
 from repro.common.costs import DOUBLE_BYTES
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 class MatrixValue:
     """A dense 2-D double matrix with cached metadata."""
@@ -21,6 +23,10 @@ class MatrixValue:
     __slots__ = ("data",)
 
     def __init__(self, data: np.ndarray) -> None:
+        if data.__class__ is np.ndarray and data.dtype is _FLOAT64 \
+                and data.ndim == 2:  # what ``np.asarray`` would return
+            self.data = data
+            return
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.backends.cpu import CpuBackend, kernels
 from repro.common.config import CpuConfig
+from repro.common.costs import op_flops
 from repro.common.errors import BackendError
 from repro.common.simclock import SimClock
 from repro.common.stats import Stats
@@ -293,11 +294,17 @@ def test_property_rand_keeps_rng_path_off_the_constant_fill(rows, cols,
     assert _rand_and_rng_use(rows, cols, lo, lo, sparsity, seed, pdf)
 
 
+def _matmul_charge(n: int) -> tuple[float, int]:
+    """The lowered ``(flops, nbytes)`` of an ``n x n`` matmul."""
+    return op_flops("ba+*", [(n, n), (n, n)], (n, n)), 3 * n * n * 8
+
+
 class TestCpuBackend:
     def test_charges_time(self):
         clock, stats = SimClock(), Stats()
         backend = CpuBackend(CpuConfig(), clock, stats)
-        backend.execute("+", [mat([[1]]), mat([[2]])], {})
+        backend.execute("+", [mat([[1]]), mat([[2]])], {},
+                        op_flops("+", [(1, 1), (1, 1)], (1, 1)), 3 * 8)
         assert clock.now() > 0
         assert stats.get("runtime/instructions_executed") == 1
 
@@ -305,8 +312,8 @@ class TestCpuBackend:
         clock, stats = SimClock(), Stats()
         backend = CpuBackend(CpuConfig(), clock, stats)
         a = mat(np.ones((500, 500)))
-        backend.execute("ba+*", [a, a], {})
+        backend.execute("ba+*", [a, a], {}, *_matmul_charge(500))
         t1 = clock.now()
         big = mat(np.ones((1000, 1000)))
-        backend.execute("ba+*", [big, big], {})
+        backend.execute("ba+*", [big, big], {}, *_matmul_charge(1000))
         assert clock.now() - t1 > t1

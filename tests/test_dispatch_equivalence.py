@@ -33,6 +33,7 @@ from repro import MemphisConfig, Session
 from repro.common.config import ReuseMode
 from repro.common.runtime import IdSpace, scope
 from repro.faults import FaultPlan
+from repro.ml.l2svm import l2svm_core_iteration
 from repro.obs import PHASE_COUNTER, TraceCollector
 from repro.workloads.micro import run_fig12b
 
@@ -84,6 +85,35 @@ def _cellwise(config: MemphisConfig, iters: int = 3):
     return out, session.stats.counters(), dict(session.clock.timelines)
 
 
+#: regularisers of :func:`_l2svm_evict`, each drawn again later so that
+#: probes hit entries the eviction loop kept and miss ones it dropped.
+EVICT_REGS = (0.5, 1.0, 2.0, 3.0, 0.5, 4.0, 5.0, 6.0, 1.0, 7.0, 8.0, 9.0,
+              2.0, 10.0, 0.5, 11.0, 4.0, 12.0, 1.0, 6.0)
+
+
+def _l2svm_evict(config: MemphisConfig):
+    """L2SVM-core iterations (the Fig. 11 program) over a 256 KB input
+    under a 1 MB driver cache: the working set outgrows the cache, so
+    every put past the first few reserves through Eq. 1 victim
+    selection and ``evict_cp``.  Same observation triple as
+    :func:`_quickstart`."""
+    config.cache.driver_cache_bytes = 1024 * 1024
+    config.spark_enabled = False
+    with scope(ids=IdSpace()):
+        session = Session(config)
+        data = (np.arange(2048.0 * 16).reshape(2048, 16) % 29.0) / 29.0
+        labels = np.where(np.arange(2048.0).reshape(2048, 1) % 3.0 > 0.5,
+                          1.0, -1.0)
+        X = session.read(data, "X")
+        y = session.read(labels, "y")
+        w = session.read(np.zeros((16, 1)), "w")
+        sums = [l2svm_core_iteration(session, X, y, w + reg, reg)
+                .sum().item() for reg in EVICT_REGS]
+        session.substrate.audit()
+    return (np.asarray(sums), session.stats.counters(),
+            dict(session.clock.timelines))
+
+
 def _assert_equivalent(plain, instrumented):
     out_p, counters_p, clock_p = plain
     out_i, counters_i, clock_i = instrumented
@@ -133,6 +163,82 @@ class TestChainEquivalence:
         X = session.read(np.ones((16, 16)), "X")
         (((X * 2.0) + 1.0).sigmoid() * 0.5).relu().compute()
         assert len(session.cache) == 0
+
+
+class TestEvictingEquivalence:
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_evicting_program_byte_identical(self, layer):
+        """The CP eviction loop (reserve -> select_victim -> evict_cp)
+        reads and writes the same ledgers whichever hook is live."""
+        plain = _l2svm_evict(MemphisConfig.memphis())
+        assert plain[1]["cache/evictions"] > 0
+        assert plain[1]["cache/hits"] > 0
+        _assert_equivalent(
+            plain, _under(layer, _l2svm_evict, MemphisConfig.memphis()))
+
+
+#: the programs of the hot-path golden record, by record name.
+GOLDEN_PROGRAMS = {
+    "quickstart_memphis": (_quickstart, MemphisConfig.memphis),
+    "quickstart_base": (_quickstart, MemphisConfig.base),
+    "l2svm_evict": (_l2svm_evict, MemphisConfig.memphis),
+}
+GOLDEN = "benchmarks/baselines/hot_path_counters.json"
+
+
+def _golden_record(name: str) -> dict:
+    """Every clock timeline (as the exact ``repr`` of its float) and
+    every counter of one golden program."""
+    workload, make_config = GOLDEN_PROGRAMS[name]
+    _, counters, timelines = workload(make_config())
+    return {"timelines": {k: repr(v) for k, v in sorted(timelines.items())},
+            "counters": dict(sorted(counters.items()))}
+
+
+class TestHotPathGolden:
+    """The per-instruction path's exact facts against a committed record.
+
+    ``benchmarks/baselines/hot_path_counters.json`` holds what the
+    golden programs read before the TRACE -> PROBE -> EXECUTE -> PUT
+    bookkeeping was flattened into inline counter and clock updates.  A
+    reassociated float addition moves a timeline's ``repr``; a dropped
+    or doubled counter bump moves its counter; either fails here by
+    name.  Regenerate (only for a change that means to move them) with
+    ``PYTHONPATH=src python -m tests.test_dispatch_equivalence``.
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        import json
+        import os
+
+        path = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), GOLDEN)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))
+    def test_matches_golden_record(self, golden, name):
+        got = _golden_record(name)
+        want = golden[name]
+        for timeline, value in want["timelines"].items():
+            assert got["timelines"][timeline] == value, timeline
+        for counter, value in want["counters"].items():
+            assert got["counters"].get(counter) == value, counter
+        assert got == want
+
+
+def test_negative_overhead_rejected_before_the_loop():
+    """The trace/probe charges skip ``SimClock.advance``'s sign check,
+    so ``Interpreter.run`` makes it once, before any instruction."""
+    config = MemphisConfig.memphis()
+    config.cpu.probe_overhead_s = -1e-9
+    session = Session(config)
+    X = session.read(np.ones((4, 4)), "X")
+    with pytest.raises(ValueError, match="negative"):
+        (X * 2.0).compute()
+    assert session.clock.now() == 0.0
+    assert session.stats.counters() == {}
 
 
 class TestServerZeroOverhead:
@@ -201,3 +307,15 @@ class TestFig12Equivalence:
         assert plain.metric == metered.metric
         assert plain.counters == metered.counters
         assert plain.elapsed == metered.elapsed
+
+
+if __name__ == "__main__":  # pragma: no cover - regenerates GOLDEN
+    import json
+
+    from repro.common.runtime import RuntimeContext
+
+    with RuntimeContext():
+        record = {name: _golden_record(name) for name in GOLDEN_PROGRAMS}
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")

@@ -239,6 +239,22 @@ class TestFusedTranspose:
         np.testing.assert_allclose(M.compute(), TINY["X"].T @ TINY["X"])
         np.testing.assert_allclose(N.compute(), TINY["X"].T @ TINY["Y"])
 
+    def test_root_transpose_is_bound_by_its_block(self, rdd_names):
+        """A transpose that is a root of its block is not trace-only,
+        though its one consumer is a tsmm reading through it: the block
+        binds it, and computing it compiles nothing more."""
+        sess, data = tiny_spark_session(), TINY["X"]
+        X = sess.read(data, "X")
+        T = X.t()
+        M = T @ X
+        sess.evaluate([M, T])
+        assert "tsmm" in rdd_names
+        assert T.is_evaluated
+        assert len(sess._plans) == 1
+        np.testing.assert_allclose(T.compute(), data.T)
+        np.testing.assert_allclose(M.compute(), data.T @ data)
+        assert len(sess._plans) == 1
+
     def test_held_transpose_fused_then_read_on_cp_next_block(self):
         """Fusion is a decision of block 1's program: in block 2 the
         held ``T`` is an ordinary transpose for its CP consumer."""

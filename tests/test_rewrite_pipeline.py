@@ -48,7 +48,7 @@ def _flags(roots, config):
     nodes = depth_first(roots)
     skipped = {nodes[i].id for i in CompiledBlock(
         [], roots, nodes, {},
-        lower(nodes, consumers_map(roots, nodes), config)).trace_only}
+        lower(nodes, consumers_map(roots, nodes), config, roots)).trace_only}
     return {
         (h.id, h.checkpoint, h.prefetch, h.async_broadcast, h.id in skipped)
         for h in nodes
