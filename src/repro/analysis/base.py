@@ -30,7 +30,8 @@ class AnalysisContext:
     ``cyclic`` short-circuits passes that require an acyclic graph.
     ``defuse`` holds the def-use chains of ``order``, built once for
     all stream passes; ``plan`` is the block's memory plan when the
-    caller (``Session.evaluate``) already computed it.
+    caller (``Session.evaluate``) already computed it; ``flags`` the
+    block's §5 flags (:attr:`~repro.compiler.plan.CompiledBlock.flags`).
     """
 
     roots: list[Hop]
@@ -40,3 +41,4 @@ class AnalysisContext:
     cyclic: bool = False
     defuse: Optional[StreamDefUse] = None
     plan: Optional["BlockMemPlan"] = None
+    flags: dict[int, int] = field(default_factory=dict)

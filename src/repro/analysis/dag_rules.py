@@ -40,9 +40,11 @@ from repro.analysis.diagnostics import Diagnostic, Severity, diag
 from repro.common.config import MemphisConfig
 from repro.common.errors import CompilationError
 from repro.compiler.ir import (
+    BROADCAST,
     KIND_DATA,
     KIND_LITERAL,
     KIND_OP,
+    PREFETCH,
     Hop,
     infer_shape,
 )
@@ -157,14 +159,14 @@ def placement_legality(ctx: AnalysisContext) -> list[Diagnostic]:
         return []
     out: list[Diagnostic] = []
     for hop in ops:
-        out.extend(_check_op(hop, ctx.config))
+        out.extend(_check_op(hop, ctx.config, ctx.flags.get(hop.id, 0)))
     for hop in ctx.nodes:
         if hop.kind == KIND_DATA:
             out.extend(_check_data(hop))
     return out
 
 
-def _check_op(hop: Hop, cfg: MemphisConfig) -> list[Diagnostic]:
+def _check_op(hop: Hop, cfg: MemphisConfig, flags: int) -> list[Diagnostic]:
     from repro.backends.cpu.kernels import supported_opcodes
     from repro.backends.gpu.backend import GPU_OPCODES
     from repro.runtime.placement import spark_supported
@@ -228,12 +230,12 @@ def _check_op(hop: Hop, cfg: MemphisConfig) -> list[Diagnostic]:
     # asynchronous-operator flags (§5.1): prefetch pulls a *remote*
     # result toward the driver; broadcast pushes a *local* result
     # toward the cluster — each flag is only legal on one side.
-    if hop.prefetch and hop.placement == BACKEND_CP:
+    if flags & PREFETCH and hop.placement == BACKEND_CP:
         out.append(diag(
             "PLC006", Severity.ERROR,
             "prefetch flag on a CP-placed hop (nothing to fetch)", hop,
         ))
-    if hop.async_broadcast:
+    if flags & BROADCAST:
         if hop.placement != BACKEND_CP:
             out.append(diag(
                 "PLC007", Severity.ERROR,

@@ -58,7 +58,8 @@ def analyze(roots: Sequence[Hop],
             order: Optional[Sequence[Hop]] = None,
             config: Optional[MemphisConfig] = None,
             passes: Sequence[Callable] = DEFAULT_PASS_ORDER,
-            plan: Optional["BlockMemPlan"] = None) -> DiagnosticReport:
+            plan: Optional["BlockMemPlan"] = None,
+            flags: Optional[dict[int, int]] = None) -> DiagnosticReport:
     """Run ``passes`` (default: all) over one compiled program.
 
     A pass is a plain function ``(AnalysisContext) -> list[Diagnostic]``.
@@ -79,6 +80,7 @@ def analyze(roots: Sequence[Hop],
         cyclic=bool(back_edges),
         defuse=StreamDefUse(stream, roots) if stream is not None else None,
         plan=plan,
+        flags=flags or {},
     )
     report = DiagnosticReport()
     for pass_ in passes:
@@ -93,13 +95,14 @@ def analyze(roots: Sequence[Hop],
 def verify_ir(roots: Sequence[Hop], order: Sequence[Hop],
               config: MemphisConfig, tracer=None, stats=None,
               collector=None,
-              plan: Optional["BlockMemPlan"] = None) -> DiagnosticReport:
+              plan: Optional["BlockMemPlan"] = None,
+              flags: Optional[dict[int, int]] = None) -> DiagnosticReport:
     """Compiler-pipeline verification (``runtime.scope(analysis=...)``).
 
     Runs the full pipeline and publishes diagnostics to the tracer /
     stats / context collector; the report is returned, never raised.
     """
-    report = analyze(roots, order, config, plan=plan)
+    report = analyze(roots, order, config, plan=plan, flags=flags)
     if stats is not None:
         stats.inc(IR_PASSES_RUN, len(DEFAULT_PASS_ORDER))
         if report:

@@ -25,7 +25,7 @@ from repro.analysis.base import AnalysisContext
 from repro.analysis.dataflow import StreamDefUse
 from repro.analysis.diagnostics import Diagnostic, Severity, diag
 from repro.backends.spark.backend import SPARK_OPCODES
-from repro.compiler.ir import KIND_DATA, KIND_OP
+from repro.compiler.ir import BROADCAST, KIND_DATA, KIND_OP, PREFETCH
 from repro.core.entry import BACKEND_GPU, BACKEND_SP
 
 
@@ -131,9 +131,10 @@ def async_race(ctx: AnalysisContext) -> list[Diagnostic]:
             ctx.order[p] for p in du.uses(hop)
             if p > pos_of.get(hop.id, -1)
         ]
-        if hop.prefetch:
+        flags = ctx.flags.get(hop.id, 0)
+        if flags & PREFETCH:
             out.extend(_check_prefetch(hop, consumers, du))
-        if hop.async_broadcast:
+        if flags & BROADCAST:
             out.extend(_check_broadcast(hop, consumers))
     return out
 

@@ -23,6 +23,10 @@ KIND_OP = "op"
 KIND_DATA = "data"
 KIND_LITERAL = "literal"
 
+#: bits of a lowered instruction's ``flags`` (compiler/plan.py::lower):
+#: the §5.1 prefetch and broadcast and the §5.2 checkpoint rewrites.
+PREFETCH, BROADCAST, CHECKPOINT = 1, 2, 4
+
 #: opcodes producing scalars.
 SCALAR_OPS = {"uak+", "uamean", "uamax", "uamin"}
 
@@ -99,8 +103,7 @@ class Hop:
 
     __slots__ = (
         "id", "kind", "opcode", "inputs", "attrs", "shape",
-        "_handle_ref", "value", "placement", "prefetch",
-        "async_broadcast", "checkpoint", "bundle", "finalizer",
+        "_handle_ref", "value", "placement", "bundle", "finalizer",
         "_obytes", "__weakref__",
     )
 
@@ -133,10 +136,6 @@ class Hop:
             self.shape = infer_shape(opcode, [h.shape for h in inputs], self.attrs)
         #: backend tag assigned by the placement pass ("CP"/"SP"/"GPU").
         self.placement: Optional[str] = None
-        #: compiler flags set by the rewrites of §5.
-        self.prefetch = False
-        self.async_broadcast = False
-        self.checkpoint = False
         #: lazily-cached output_bytes (shape is immutable after init).
         self._obytes: Optional[int] = None
 

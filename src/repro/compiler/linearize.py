@@ -73,20 +73,6 @@ def depth_first(roots: list[Hop],
     return order
 
 
-def _chain_roots(nodes: list[Hop]) -> tuple[list[Hop], list[Hop]]:
-    """Collect Spark and GPU remote-chain roots (Algorithm 2 step 1)."""
-    sp_roots: list[Hop] = []
-    gpu_roots: list[Hop] = []
-    for hop in nodes:
-        if hop.kind != KIND_OP:
-            continue
-        if hop.prefetch and hop.placement == BACKEND_SP:
-            sp_roots.append(hop)
-        elif hop.prefetch and hop.placement == BACKEND_GPU:
-            gpu_roots.append(hop)
-    return sp_roots, gpu_roots
-
-
 def _count_backend_ops(root: Hop, backend: str) -> int:
     """Number of ``backend`` operators in the chain rooted at ``root``."""
     return sum(
@@ -95,25 +81,26 @@ def _count_backend_ops(root: Hop, backend: str) -> int:
     )
 
 
-def max_parallelize(roots: list[Hop],
+def max_parallelize(roots: list[Hop], prefetch,
                     nodes: list[Hop] | None = None) -> list[Hop]:
     """Algorithm 2: linearize remote chains first, longest chain first.
 
+    The chain roots are the Spark and GPU hops whose ids are in
+    ``prefetch`` (:func:`~repro.compiler.rewrites.async_ops.place_prefetch`).
     ``nodes`` optionally supplies the depth-first linearization already
     computed by the caller; with no remote chains present it is returned
     as-is, so the all-local common case costs zero extra traversals.
     """
     if nodes is None:
         nodes = depth_first(roots)
-    sp_roots, gpu_roots = _chain_roots(nodes)
-    if not sp_roots and not gpu_roots:
+    # step 1: Spark chain roots before GPU ones, each in node order (the
+    # stable sort below keeps that order among chains of equal length)
+    counted = [(_count_backend_ops(hop, backend), hop)
+               for backend in (BACKEND_SP, BACKEND_GPU)
+               for hop in nodes
+               if hop.placement == backend and hop.id in prefetch]
+    if not counted:
         return nodes
-
-    counted: list[tuple[int, Hop]] = []
-    for hop in sp_roots:
-        counted.append((_count_backend_ops(hop, BACKEND_SP), hop))
-    for hop in gpu_roots:
-        counted.append((_count_backend_ops(hop, BACKEND_GPU), hop))
     counted.sort(key=lambda pair: -pair[0])
 
     visited: set[int] = set()

@@ -12,8 +12,8 @@ own.  A token holds every fact a pass reads of its hop:
 
 * op: opcode, attributes (as CSE and lineage key them, so a NaN
   attribute still matches), canonical input positions, shape, and the
-  placement and §5 flags the hop already carries (a hop an earlier
-  block placed is not placed again);
+  placement the hop already carries (a hop an earlier block placed is
+  not placed again);
 * data leaf: shape and effective placement (preset, else where its
   payload lives);
 * literal: shape only.  CSE groups literals by value key, so the classes
@@ -23,18 +23,19 @@ own.  A token holds every fact a pass reads of its hop:
 A session keeps a bounded :class:`PlanMemo`.  On a miss the passes run;
 the second time a key is seen, the outcome is recorded as a frozen
 :class:`BlockPlan`.  On a hit :meth:`BlockPlan.replay` writes the
-recorded placements and flags onto the fresh hops and returns the
-order.  Either way the interpreter runs the block's *lowered* program
-(:func:`lower`): per instruction, the input-slot positions, the lineage
-attribute tuple, the static costs that depend only on shapes, and the
-transpose fusion of the Spark ``tsmm``/``cpmm`` operators — a decision
-of the program, so it ends with its block.
+recorded placements onto the fresh hops and returns the order.  Either
+way the interpreter runs the block's *lowered* program (:func:`lower`):
+per instruction, the input-slot positions, the lineage attribute tuple,
+the static costs that depend only on shapes, the transpose fusion of
+the Spark ``tsmm``/``cpmm`` operators and the §5 rewrite flags
+(prefetch, broadcast, checkpoint) — decisions of the program, so they
+end with their block.
 """
 
 from __future__ import annotations
 
 from repro.common.costs import DOUBLE_BYTES, op_flops
-from repro.compiler.ir import KIND_OP, Hop
+from repro.compiler.ir import BROADCAST, CHECKPOINT, KIND_OP, PREFETCH, Hop
 from repro.core.entry import BACKEND_SP
 from repro.lineage.item import NAN_KEY, value_key
 from repro.runtime.placement import matmul_pattern
@@ -42,9 +43,6 @@ from repro.runtime.placement import matmul_pattern
 #: most keys a session's memo holds (plans and keys seen once alike);
 #: the oldest goes first.
 MEMO_BOUND = 64
-
-#: the per-hop flags the §5 rewrites set (only ever to ``True``).
-FLAGS = ("prefetch", "async_broadcast", "checkpoint")
 
 
 def attr_data(attrs: dict) -> tuple:
@@ -94,11 +92,11 @@ class BlockShape:
         )
 
 
-def lower(order: list[Hop], consumers: dict, config,
-          roots: list[Hop]) -> tuple:
+def lower(order: list[Hop], consumers: dict, config, roots: list[Hop],
+          prefetch, broadcast, checkpoint) -> tuple:
     """The lowered program of a linearized block, aligned with it:
     ``None`` per leaf and per op the instruction tuple
-    ``(inputs, attrs, cost, cp_flops, cp_nbytes, operands)``.
+    ``(inputs, attrs, cost, cp_flops, cp_nbytes, operands, flags)``.
 
     ``inputs`` are the op's input positions in ``order``, ``attrs`` its
     lineage attribute tuple.  The costs are what the runtime charged
@@ -119,7 +117,15 @@ def lower(order: list[Hop], consumers: dict, config,
     ``None``, and it is traced but never probed, executed or put.  A
     transpose among the block's ``roots`` is never trace-only: its
     handle is bound to its value when the block ends.
+
+    ``flags`` has the bit (``PREFETCH``, ``BROADCAST``, ``CHECKPOINT``)
+    of each §5 pass whose returned ids hold the op; ``0`` for none.
     """
+    flags_of: dict[int, int] = {}
+    for flag, ids in ((PREFETCH, prefetch), (BROADCAST, broadcast),
+                      (CHECKPOINT, checkpoint)):
+        for hop_id in ids:
+            flags_of[hop_id] = flags_of.get(hop_id, 0) | flag
     index: dict[int, int] = {}
     program: list = []
     append = program.append
@@ -131,11 +137,12 @@ def lower(order: list[Hop], consumers: dict, config,
         opcode, shape, inputs = hop.opcode, hop.shape, hop.inputs
         in_positions = tuple([index[h.id] for h in inputs])
         attrs = attr_data(hop.attrs) if hop.attrs else ()
+        flags = flags_of.get(hop.id, 0)
         if opcode == "r'" and hop not in roots:
             users = consumers.get(hop.id, ())
             if (len(users) == 1 and users[0].inputs[0] is hop
                     and _reads_through(users[0], config)):
-                append((in_positions, attrs, None, None, None, None))
+                append((in_positions, attrs, None, None, None, None, flags))
                 continue
         operands = None
         if _reads_through(hop, config):
@@ -153,6 +160,7 @@ def lower(order: list[Hop], consumers: dict, config,
             cost if in_shapes else op_flops(opcode, [(1, 1)], shape),
             nbytes * DOUBLE_BYTES,
             operands,
+            flags,
         ))
     return tuple(program)
 
@@ -168,24 +176,19 @@ class BlockPlan:
     """The compile decisions of one block shape, replayable onto fresh
     hops of that shape (positions index :attr:`BlockShape.hops`)."""
 
-    __slots__ = ("placements", "flagged", "order", "program")
+    __slots__ = ("placements", "order", "program")
 
     def __init__(self, hops: list[Hop], order: list[Hop],
                  program: tuple) -> None:
         position = {hop.id: i for i, hop in enumerate(hops)}
         self.placements = tuple(hop.placement for hop in hops)
-        self.flagged = tuple(
-            (i, flag) for i, hop in enumerate(hops) for flag in FLAGS
-            if getattr(hop, flag))
         self.order = tuple(position[hop.id] for hop in order)
         self.program = program
 
     def replay(self, hops: list[Hop]) -> list[Hop]:
-        """Apply the recorded placements and flags; return the order."""
+        """Apply the recorded placements; return the order."""
         for hop, placement in zip(hops, self.placements):
             hop.placement = placement
-        for i, flag in self.flagged:
-            setattr(hops[i], flag, True)
         return [hops[i] for i in self.order]
 
 
@@ -238,3 +241,9 @@ class CompiledBlock(tuple):
         """Positions of the trace-only instructions (see :func:`lower`)."""
         return frozenset([i for i, instr in enumerate(self.program)
                           if instr is not None and instr[2] is None])
+
+    @property
+    def flags(self) -> dict[int, int]:
+        """Hop id -> the non-zero ``flags`` of its instruction."""
+        return {hop.id: instr[6] for hop, instr in zip(self[2], self.program)
+                if instr is not None and instr[6]}

@@ -24,8 +24,8 @@ from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 def _all_nodes(roots: list[Hop]) -> list[Hop]:
     """Every node reachable from ``roots``, each exactly once.
 
-    Flag-setting passes accept a precomputed node list (``nodes``) so
-    one traversal can serve the whole rewrite pipeline; this is the
+    Flag passes accept a precomputed node list (``nodes``) so one
+    traversal can serve the whole rewrite pipeline; this is the
     fallback when a pass is called standalone.
     """
     out: list[Hop] = []
@@ -50,21 +50,20 @@ def consumers_map(roots: list[Hop],
 
 def place_prefetch(roots: list[Hop], config: MemphisConfig,
                    consumers: dict[int, list[Hop]] | None = None,
-                   nodes: list[Hop] | None = None) -> int:
-    """Flag remote-chain roots for asynchronous result prefetch.
+                   nodes: list[Hop] | None = None) -> set[int]:
+    """The ids of the remote-chain roots, to prefetch asynchronously.
 
-    Returns the number of prefetch instructions placed.  ``consumers``
-    and ``nodes`` let the caller share one :func:`consumers_map` and one
-    DAG traversal across all the flag-setting rewrite passes (none of
-    them change DAG structure).
+    ``consumers`` and ``nodes`` let the caller share one
+    :func:`consumers_map` and one DAG traversal across all the flag
+    passes (none of them change DAG structure).
     """
+    placed: set[int] = set()
     if not config.enable_async_ops:
-        return 0
+        return placed
     if nodes is None:
         nodes = _all_nodes(roots)
     if consumers is None:
         consumers = consumers_map(roots, nodes)
-    placed = 0
     root_ids = {r.id for r in roots}
     collect_limit = config.cpu.operation_memory_bytes // 8
     for hop in nodes:
@@ -80,35 +79,28 @@ def place_prefetch(roots: list[Hop], config: MemphisConfig,
                           and hop.output_bytes <= collect_limit)
             if (crosses or small_root
                     or SPARK_OPCODES.get(hop.opcode) == "action"):
-                hop.prefetch = True
-                placed += 1
+                placed.add(hop.id)
         elif hop.placement == BACKEND_GPU:
             cons = consumers.get(hop.id, [])
             if any(c.placement == BACKEND_CP for c in cons):
-                hop.prefetch = True
-                placed += 1
+                placed.add(hop.id)
     return placed
 
 
 def place_broadcast(roots: list[Hop], config: MemphisConfig,
                     consumers: dict[int, list[Hop]] | None = None,
-                    nodes: list[Hop] | None = None) -> int:
-    """Flag CP-placed hops feeding Spark consumers for async broadcast."""
+                    nodes: list[Hop] | None = None) -> set[int]:
+    """The ids of the CP-placed hops feeding Spark consumers, to
+    broadcast asynchronously."""
     if not config.enable_async_ops:
-        return 0
+        return set()
     bc_limit = config.spark.driver_memory // 4
     if nodes is None:
         nodes = _all_nodes(roots)
     if consumers is None:
         consumers = consumers_map(roots, nodes)
-    placed = 0
-    for hop in nodes:
-        if hop.kind != KIND_OP or hop.placement != BACKEND_CP:
-            continue
-        if hop.output_bytes > bc_limit:
-            continue
-        if any(c.placement == BACKEND_SP
-               for c in consumers.get(hop.id, [])):
-            hop.async_broadcast = True
-            placed += 1
-    return placed
+    return {hop.id for hop in nodes
+            if hop.kind == KIND_OP and hop.placement == BACKEND_CP
+            and hop.output_bytes <= bc_limit
+            and any(c.placement == BACKEND_SP
+                    for c in consumers.get(hop.id, []))}

@@ -23,26 +23,19 @@ from repro.core.entry import BACKEND_SP
 
 def place_shared_checkpoints(roots: list[Hop], config: MemphisConfig,
                              consumers: dict[int, list[Hop]] | None = None,
-                             nodes: list[Hop] | None = None) -> int:
-    """Rewrite 1: persist Spark hops shared by multiple Spark consumers."""
+                             nodes: list[Hop] | None = None) -> set[int]:
+    """Rewrite 1: the ids of the Spark hops shared by multiple Spark
+    consumers, to persist."""
     if not config.enable_checkpoint_rewrite:
-        return 0
+        return set()
     if nodes is None:
         nodes = _all_nodes(roots)
     if consumers is None:
         consumers = consumers_map(roots, nodes)
-    placed = 0
-    for hop in nodes:
-        if hop.kind != KIND_OP or hop.placement != BACKEND_SP:
-            continue
-        sp_consumers = [
-            c for c in consumers.get(hop.id, [])
-            if c.placement == BACKEND_SP or c.prefetch
-        ]
-        if len(sp_consumers) >= 2 and not hop.checkpoint:
-            hop.checkpoint = True
-            placed += 1
-    return placed
+    return {hop.id for hop in nodes
+            if hop.kind == KIND_OP and hop.placement == BACKEND_SP
+            and sum(c.placement == BACKEND_SP
+                    for c in consumers.get(hop.id, [])) >= 2}
 
 
 def should_checkpoint_loop_var(shape: tuple[int, int],

@@ -92,8 +92,7 @@ def eliminate_common_subexpressions(
             if record is None:
                 continue
             if kind == KIND_OP:
-                record((key, node.shape, node.placement, node.prefetch,
-                        node.async_broadcast, node.checkpoint))
+                record((key, node.shape, node.placement))
             elif kind == KIND_LITERAL:
                 record(("lit", node.shape))
             else:

@@ -320,10 +320,12 @@ class Session:
         placement), linearization and lowering (which also decides the
         transpose fusion of Spark ``tsmm``/``cpmm``), shared verbatim between
         :meth:`evaluate` and :meth:`explain` so a plan dump shows exactly
-        what would execute.  The CSE walk also keys the block's shape: a
-        shape this session has compiled twice replays its recorded plan
-        instead of running the passes after CSE (``compiler/plan.py``).
-        Returns a :class:`~repro.compiler.plan.CompiledBlock`, the tuple
+        what would execute.  The checkpoint/prefetch/broadcast passes
+        return hop ids, which ``lower`` folds into the program's flags.
+        The CSE walk also keys the block's shape: a shape this session
+        has compiled twice replays its recorded plan instead of running
+        the passes after CSE (``compiler/plan.py``).  Returns a
+        :class:`~repro.compiler.plan.CompiledBlock`, the tuple
         ``(roots, root_hops, order, extra)`` carrying the lowered
         ``program``, or ``None`` when nothing is pending.
         """
@@ -341,23 +343,25 @@ class Session:
             return CompiledBlock(roots, root_hops, found.replay(shape.hops),
                                  extra, found.program)
         # one traversal serves the whole pipeline below: after CSE the
-        # DAG structure is frozen (placement and the rewrites only set
-        # per-hop flags), so each pass re-walking the DAG was pure
-        # repeated traversal cost.  depth_first yields the deduplicated
-        # post-order every pass needs (inputs before consumers) and
-        # doubles as the final instruction order when no remote chains
-        # call for max_parallelize reordering.
+        # DAG structure is frozen (placement only sets per-hop backends),
+        # so each pass re-walking the DAG was pure repeated traversal
+        # cost.  depth_first yields the deduplicated post-order every
+        # pass needs (inputs before consumers) and doubles as the final
+        # instruction order when no remote chains call for
+        # max_parallelize reordering.
+        config = self.config
         nodes = depth_first(root_hops)
-        assign_placements(root_hops, self.config, nodes)
+        assign_placements(root_hops, config, nodes)
         consumers = consumers_map(root_hops, nodes)
-        place_shared_checkpoints(root_hops, self.config, consumers, nodes)
-        place_prefetch(root_hops, self.config, consumers, nodes)
-        place_broadcast(root_hops, self.config, consumers, nodes)
-        if self.config.enable_max_parallelize:
-            order = max_parallelize(root_hops, nodes)
+        checkpoint = place_shared_checkpoints(root_hops, config, consumers, nodes)
+        prefetch = place_prefetch(root_hops, config, consumers, nodes)
+        broadcast = place_broadcast(root_hops, config, consumers, nodes)
+        if config.enable_max_parallelize:
+            order = max_parallelize(root_hops, prefetch, nodes)
         else:
             order = nodes
-        program = lower(order, consumers, self.config, root_hops)
+        program = lower(order, consumers, config, root_hops,
+                        prefetch, broadcast, checkpoint)
         self._plans.note(key, found, shape.hops, order, program)
         return CompiledBlock(roots, root_hops, order, extra, program)
 
@@ -414,6 +418,7 @@ class Session:
                 root_hops, order, self.config,
                 tracer=self.tracer, stats=self.stats,
                 collector=self.ir_collector, plan=plan,
+                flags=compiled.flags,
             )
         try:
             slots = self.interpreter.run(order, program)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.compiler.ir import KIND_OP
+from repro.compiler.ir import BROADCAST, CHECKPOINT, KIND_OP, PREFETCH
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.diagnostics import DiagnosticReport
@@ -59,7 +59,7 @@ class HopSnapshot:
     prefetch: bool = False
     broadcast: bool = False
     checkpoint: bool = False
-    fused: bool = False
+    trace_only: bool = False
     probe: bool = False
 
     @property
@@ -74,7 +74,7 @@ class HopSnapshot:
             out.append("broadcast")
         if self.checkpoint:
             out.append("checkpoint")
-        if self.fused:
+        if self.trace_only:
             out.append("fused-skip")
         return out
 
@@ -95,7 +95,7 @@ class ExplainPlan:
         """Structural identity used to dedupe repeated loop bodies."""
         return tuple(
             (s.opcode, s.kind, s.shape, s.placement, s.prefetch,
-             s.broadcast, s.checkpoint, s.fused, s.probe,
+             s.broadcast, s.checkpoint, s.trace_only, s.probe,
              tuple(self._local(i) for i in s.input_ids))
             for s in self.order
         )
@@ -127,9 +127,11 @@ def snapshot_plan(block: "CompiledBlock",
     _, root_hops, order, _ = block
     probing = config.reuse_mode.probes
     skipped = block.trace_only
+    flagged = block.flags
     snaps = []
     for pos, hop in enumerate(order):
-        fused = pos in skipped
+        trace_only = pos in skipped
+        flags = flagged.get(hop.id, 0)
         snaps.append(HopSnapshot(
             id=hop.id,
             kind=hop.kind,
@@ -140,11 +142,11 @@ def snapshot_plan(block: "CompiledBlock",
             output_bytes=hop.output_bytes,
             memory_estimate=hop.memory_estimate,
             flops=hop.flops,
-            prefetch=bool(hop.prefetch),
-            broadcast=bool(hop.async_broadcast),
-            checkpoint=bool(hop.checkpoint),
-            fused=fused,
-            probe=probing and hop.kind == KIND_OP and not fused,
+            prefetch=bool(flags & PREFETCH),
+            broadcast=bool(flags & BROADCAST),
+            checkpoint=bool(flags & CHECKPOINT),
+            trace_only=trace_only,
+            probe=probing and hop.kind == KIND_OP and not trace_only,
         ))
     return ExplainPlan(tuple(h.id for h in root_hops), snaps)
 

@@ -17,9 +17,9 @@ Stage map (MEMPHIS paper section -> code).  The loop is written once,
 in :meth:`Interpreter.run`, over the block's *lowered* program
 (:func:`repro.compiler.plan.lower`, compiled once per block shape): per
 op, the input-slot positions, the lineage attribute tuple, the PUT cost,
-the CP roofline's FLOPs and bytes, and the operand slots a Spark
-``tsmm``/``cpmm`` reads (the input of its left transpose).  The stages
-it sequences are:
+the CP roofline's FLOPs and bytes, the operand slots a Spark
+``tsmm``/``cpmm`` reads (the input of its left transpose) and the §5
+rewrite flags.  The stages it sequences are:
 
 * **TRACE** (§3.2, fine-grained lineage): inline in the loop — interned
   lineage-item construction (inputs read from the slot list by
@@ -35,7 +35,8 @@ it sequences are:
 * **PUT** (§4.2, admission with delayed caching):
   :meth:`Interpreter._put`, at the instruction's static cost.
 * Async rewrites (§5.1): ``_issue_prefetch`` / ``_issue_broadcast``;
-  checkpoints (§5.2): ``_persist_checkpoint``.
+  checkpoints (§5.2): ``_persist_checkpoint`` — where the instruction's
+  ``flags`` say so.
 
 Tracer spans (with the gauge samples that ride on them) and fault
 draws are hooks of that same loop, each behind a boolean read once per
@@ -67,7 +68,7 @@ from repro.common.stats import (
     SPARK_ACTION_REUSE,
 )
 from repro.faults.plan import KIND_CACHE_LOST
-from repro.compiler.ir import KIND_LITERAL, Hop
+from repro.compiler.ir import BROADCAST, CHECKPOINT, KIND_LITERAL, PREFETCH, Hop
 from repro.core.entry import (
     BACKEND_CP,
     BACKEND_GPU,
@@ -229,7 +230,7 @@ class Interpreter:
             # instruction gets the canonical object and probes compare
             # by identity; with lineage active, the per-instruction
             # overhead of Fig. 2(c) is charged
-            inputs, attrs, cost, cp_flops, cp_nbytes, operands = instr
+            inputs, attrs, cost, cp_flops, cp_nbytes, operands, flags = instr
             in_slots = [slots[i] for i in inputs]
             item = intern(hop.opcode, attrs,
                           tuple([s.lineage for s in in_slots]))
@@ -285,17 +286,17 @@ class Interpreter:
                     exec_cpu(hop, slot, in_slots, cp_flops, cp_nbytes)
                 elif backend == BACKEND_SP:
                     exec_spark(hop, slot, in_slots if operands is None
-                               else [slots[i] for i in operands])
+                               else [slots[i] for i in operands], flags)
                 else:
                     exec_gpu(hop, slot, in_slots, acquired, cp_flops)
                 payloads = slot.payloads
                 # compiler-placed RDD checkpoint (§5.2)
-                if hop.checkpoint and BACKEND_SP in payloads:
+                if flags & CHECKPOINT and BACKEND_SP in payloads:
                     self._persist_checkpoint(payloads[BACKEND_SP])
                 # asynchronous prefetch / broadcast (§5.1)
-                if hop.prefetch and enable_async:
+                if flags & PREFETCH and enable_async:
                     self._issue_prefetch(hop, slot)
-                if hop.async_broadcast and BACKEND_CP in payloads:
+                if flags & BROADCAST and BACKEND_CP in payloads:
                     self._issue_broadcast(slot)
                 # PUT
                 if put_on:
@@ -554,7 +555,8 @@ class Interpreter:
 
     # ------------------------------------------------------------------------ Spark
 
-    def _exec_spark(self, hop: Hop, slot: Slot, in_slots: list[Slot]) -> None:
+    def _exec_spark(self, hop: Hop, slot: Slot, in_slots: list[Slot],
+                    flags: int) -> None:
         """EXECUTE on the cluster (§4.2/§5): pick the physical operator
         :data:`~repro.backends.spark.backend.SPARK_OPCODES` names for the
         opcode — SystemDS's Spark instruction set, every cell value
@@ -563,7 +565,7 @@ class Interpreter:
         op = hop.opcode
         kind = SPARK_OPCODES.get(op)
         if kind == "action":
-            self._exec_spark_aggregate(hop, slot, in_slots)
+            self._exec_spark_aggregate(hop, slot, in_slots, flags)
             return
         if kind == "matmul":
             out = self._exec_spark_matmul(hop, in_slots)
@@ -629,7 +631,7 @@ class Interpreter:
         return dm
 
     def _exec_spark_aggregate(self, hop: Hop, slot: Slot,
-                              in_slots: list[Slot]) -> None:
+                              in_slots: list[Slot], flags: int) -> None:
         """Single-block aggregates execute as Spark actions.
 
         When the prefetch rewrite flagged the action, the job runs
@@ -639,7 +641,7 @@ class Interpreter:
         """
         out = self.tiers.spark.aggregate(
             hop.opcode, self._to_dm(in_slots[0]),
-            asynchronous=hop.prefetch and self.config.enable_async_ops,
+            asynchronous=bool(flags & PREFETCH) and self.config.enable_async_ops,
         )
         if not isinstance(out, SimFuture):
             slot.payloads[BACKEND_CP] = out

@@ -27,7 +27,7 @@ from repro.analysis import (
 from repro.common.config import MemphisConfig
 from repro.common.errors import VerificationError
 from repro.common.runtime import current, scope
-from repro.compiler.ir import Hop, literal_hop, op_hop
+from repro.compiler.ir import BROADCAST, PREFETCH, Hop, literal_hop, op_hop
 from repro.compiler.linearize import depth_first
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 from repro.lineage.item import LineageItem
@@ -229,16 +229,28 @@ class TestPlacementLegality:
     def test_plc006_prefetch_on_cp(self):
         root = op_hop("exp", [leaf(4, 4)])
         root.placement = BACKEND_CP
-        root.prefetch = True
-        report = analyze([root], passes=(placement_legality,))
+        report = analyze([root], passes=(placement_legality,),
+                         flags={root.id: PREFETCH})
         assert report.by_rule("PLC006")
 
     def test_plc007_broadcast_on_spark(self):
         root = op_hop("exp", [leaf(4, 4)])
         root.placement = BACKEND_SP
-        root.async_broadcast = True
-        report = analyze([root], passes=(placement_legality,))
+        report = analyze([root], passes=(placement_legality,),
+                         flags={root.id: BROADCAST})
         assert report.by_rule("PLC007")
+
+    def test_plc008_broadcast_over_driver_limit(self):
+        cfg = MemphisConfig.memphis()
+        cols = cfg.spark.driver_memory // 4 // 8 + 1
+        root = op_hop("exp", [leaf(1, cols)])
+        root.placement = BACKEND_CP
+        report = analyze([root], config=cfg, passes=(placement_legality,),
+                         flags={root.id: BROADCAST})
+        assert {d.severity for d in report.by_rule("PLC008")} == \
+            {Severity.WARNING}
+        assert not analyze([root], config=cfg,
+                           passes=(placement_legality,)).by_rule("PLC008")
 
     def test_plc009_partially_placed(self):
         inner = op_hop("exp", [leaf(4, 4)])
@@ -346,10 +358,11 @@ class TestLivenessLeak:
 
 class TestAsyncRace:
     def _sp_chain(self):
+        """A Spark op ``s`` over leaf ``x``; tests pass ``s`` as
+        prefetched (``flags={s.id: PREFETCH}``)."""
         x = leaf(1000, 100)
         s = op_hop("exp", [x])
         s.placement = BACKEND_SP
-        s.prefetch = True
         return x, s
 
     def test_clean_prefetch_with_overlap(self):
@@ -361,14 +374,15 @@ class TestAsyncRace:
         root = op_hop("+", [other, c])
         root.placement = BACKEND_CP
         report = analyze([root], [x, s, other, c, root],
-                         passes=(async_race,))
+                         passes=(async_race,), flags={s.id: PREFETCH})
         assert not report
 
     def test_asy001_zero_overlap(self):
         x, s = self._sp_chain()
         c = op_hop("uak+", [s])
         c.placement = BACKEND_CP
-        report = analyze([c], [x, s, c], passes=(async_race,))
+        report = analyze([c], [x, s, c], passes=(async_race,),
+                         flags={s.id: PREFETCH})
         assert {d.severity for d in report.by_rule("ASY001")} == \
             {Severity.INFO}
 
@@ -376,27 +390,28 @@ class TestAsyncRace:
         x = leaf(100, 100)
         g = op_hop("exp", [x])
         g.placement = BACKEND_GPU
-        g.prefetch = True
         c = op_hop("relu", [g])
         c.placement = BACKEND_GPU
-        report = analyze([c], [x, g, c], passes=(async_race,))
+        report = analyze([c], [x, g, c], passes=(async_race,),
+                         flags={g.id: PREFETCH})
         assert report.by_rule("ASY002")
 
     def test_asy003_spark_internal_prefetch(self):
         x, s = self._sp_chain()
         c = op_hop("log", [s])
         c.placement = BACKEND_SP
-        report = analyze([c], [x, s, c], passes=(async_race,))
+        report = analyze([c], [x, s, c], passes=(async_race,),
+                         flags={s.id: PREFETCH})
         assert report.by_rule("ASY003")
 
     def test_asy004_unconsumed_broadcast(self):
         x = leaf(4, 4)
         b = op_hop("exp", [x])
         b.placement = BACKEND_CP
-        b.async_broadcast = True
         c = op_hop("log", [b])
         c.placement = BACKEND_CP
-        report = analyze([c], [x, b, c], passes=(async_race,))
+        report = analyze([c], [x, b, c], passes=(async_race,),
+                         flags={b.id: BROADCAST})
         assert report.by_rule("ASY004")
 
 

@@ -4,6 +4,8 @@ operator ordering at the session level."""
 import numpy as np
 
 from repro import MemphisConfig, Session
+from repro.analysis import AnalysisCollector
+from repro.common.runtime import scope
 from repro.common.simclock import CLUSTER
 
 RNG = np.random.default_rng(23)
@@ -62,6 +64,33 @@ class TestPrefetch:
         assert sess.clock.now(CLUSTER) == 0.0
         (X * 2.0).sum().compute()
         assert sess.clock.now(CLUSTER) > 0.0
+
+
+class TestFlagsEndWithTheirBlock:
+    def test_prefetch_of_an_earlier_block_does_not_leak(self):
+        """A §5 flag is a decision of one block: ``Z`` is prefetched for
+        the CP ``quantile`` of block 1, but in block 2 (built before
+        block 1 ran) its only consumer runs on Spark."""
+        cfg = MemphisConfig.base_async()
+        cfg.cpu.operation_memory_bytes = 100_000
+        with scope(analysis=AnalysisCollector()) as rt:
+            sess = Session(cfg)
+            data = RNG.random((2000, 50))
+            X = sess.read(data, "X")
+            Z = X * 2.0
+            B = Z + 1.0
+            z_id = Z.hop.id  # block 1 rebinds Z; block 2 reads this hop
+            sess.quantile(Z, 0.5).compute()
+            assert sess.stats.get("async/prefetch_issued") == 1
+            z_line = [line for line in
+                      sess.explain(B, level="runtime").splitlines()
+                      if f": #{z_id} " in line]
+            out = B.compute()
+        assert sess.stats.get("async/prefetch_issued") == 1  # none more
+        assert len(z_line) == 1 and " * " in z_line[0]
+        assert "{prefetch}" not in z_line[0]
+        assert not rt.analysis.merged().by_rule("ASY003")
+        assert np.allclose(out, 2 * data + 1)
 
 
 class TestBroadcastRewrite:

@@ -133,7 +133,7 @@ class TestLinearize:
 
     def test_max_parallelize_falls_back_without_remote(self):
         *_, root = self._diamond()
-        assert [h.id for h in max_parallelize([root])] == \
+        assert [h.id for h in max_parallelize([root], set())] == \
             [h.id for h in depth_first([root])]
 
     def test_max_parallelize_longest_chain_first(self):
@@ -143,14 +143,12 @@ class TestLinearize:
         s2 = op_hop("log", [s1]); s2.placement = BACKEND_SP
         long_root = op_hop("sqrt", [s2])
         long_root.placement = BACKEND_SP
-        long_root.prefetch = True
         # chain 2: single SP op
         short_root = op_hop("abs", [x])
         short_root.placement = BACKEND_SP
-        short_root.prefetch = True
         final = op_hop("+", [short_root, long_root])
         final.placement = BACKEND_CP
-        order = max_parallelize([final])
+        order = max_parallelize([final], {long_root.id, short_root.id})
         pos = {h.id: i for i, h in enumerate(order)}
         # the longer chain's root is linearized before the shorter one
         assert pos[long_root.id] < pos[short_root.id]
@@ -160,10 +158,10 @@ class TestLinearize:
 
     def test_max_parallelize_is_valid_topological_order(self):
         x = literal_and(4, 4)
-        s1 = op_hop("exp", [x]); s1.placement = BACKEND_SP; s1.prefetch = True
-        s2 = op_hop("log", [s1]); s2.placement = BACKEND_SP; s2.prefetch = True
+        s1 = op_hop("exp", [x]); s1.placement = BACKEND_SP
+        s2 = op_hop("log", [s1]); s2.placement = BACKEND_SP
         final = op_hop("+", [s1, s2])
-        order = max_parallelize([final])
+        order = max_parallelize([final], {s1.id, s2.id})
         pos = {h.id: i for i, h in enumerate(order)}
         for hop in order:
             for inp in hop.inputs:
@@ -213,39 +211,41 @@ class TestLinearize:
         assert [h.id for h in root.iter_dag()] == \
             [h.id for h in depth_first([root])]
 
-    def _prefetch_chain(self, x, length, backend):
+    def _chain(self, x, length, backend):
+        """A chain of ``length`` ops on ``backend``; its last op is the
+        root max_parallelize is handed as prefetched."""
         node = x
         for _ in range(length):
             node = op_hop("exp", [node])
             node.placement = backend
-        node.prefetch = True
         return node
 
     def test_max_parallelize_tie_broken_by_discovery_order(self):
         # equal chain lengths: the sort is stable, so chains keep the
         # deterministic iter_dag discovery order (left-to-right)
         x = literal_and(4, 4)
-        first = self._prefetch_chain(x, 2, BACKEND_SP)
-        second = self._prefetch_chain(x, 2, BACKEND_SP)
+        first = self._chain(x, 2, BACKEND_SP)
+        second = self._chain(x, 2, BACKEND_SP)
+        prefetch = {first.id, second.id}
         final = op_hop("+", [first, second])
         final.placement = BACKEND_CP
-        order = max_parallelize([final])
+        order = max_parallelize([final], prefetch)
         pos = {h.id: i for i, h in enumerate(order)}
         assert pos[first.id] < pos[second.id]
         # swapping the consumer's operands swaps the discovery order
         final2 = op_hop("+", [second, first])
         final2.placement = BACKEND_CP
-        order2 = max_parallelize([final2])
+        order2 = max_parallelize([final2], prefetch)
         pos2 = {h.id: i for i, h in enumerate(order2)}
         assert pos2[second.id] < pos2[first.id]
 
     def test_max_parallelize_mixed_sp_and_gpu_chains(self):
         x = literal_and(4, 4)
-        gpu_root = self._prefetch_chain(x, 3, BACKEND_GPU)
-        sp_root = self._prefetch_chain(x, 1, BACKEND_SP)
+        gpu_root = self._chain(x, 3, BACKEND_GPU)
+        sp_root = self._chain(x, 1, BACKEND_SP)
         final = op_hop("+", [sp_root, gpu_root])
         final.placement = BACKEND_CP
-        order = max_parallelize([final])
+        order = max_parallelize([final], {gpu_root.id, sp_root.id})
         pos = {h.id: i for i, h in enumerate(order)}
         # the longer GPU chain is linearized before the shorter SP one
         assert pos[gpu_root.id] < pos[sp_root.id]
@@ -266,13 +266,14 @@ class TestAsyncRewrites:
     def test_prefetch_placed_on_boundary(self):
         sp, cp = self._sp_to_cp()
         placed = place_prefetch([cp], MemphisConfig.memphis())
-        assert placed == 1
-        assert sp.prefetch
+        assert len(placed) == 1
+        assert sp.id in placed
 
     def test_prefetch_disabled_without_async(self):
         sp, cp = self._sp_to_cp()
-        assert place_prefetch([cp], MemphisConfig.base()) == 0
-        assert not sp.prefetch
+        placed = place_prefetch([cp], MemphisConfig.base())
+        assert len(placed) == 0
+        assert sp.id not in placed
 
     def test_broadcast_placed_for_small_cp_feeding_sp(self):
         small = op_hop("exp", [literal_and(10, 10)])
@@ -280,8 +281,8 @@ class TestAsyncRewrites:
         consumer = op_hop("+", [small, literal_and(10_000, 10)])
         consumer.placement = BACKEND_SP
         placed = place_broadcast([consumer], MemphisConfig.memphis())
-        assert placed == 1
-        assert small.async_broadcast
+        assert len(placed) == 1
+        assert small.id in placed
 
     def test_broadcast_skips_large(self):
         cfg = MemphisConfig.memphis()
@@ -290,7 +291,7 @@ class TestAsyncRewrites:
         big.placement = BACKEND_CP
         consumer = op_hop("+", [big, literal_and(1, big_cols)])
         consumer.placement = BACKEND_SP
-        assert place_broadcast([consumer], cfg) == 0
+        assert len(place_broadcast([consumer], cfg)) == 0
 
 
 class TestCheckpointRewrites:
@@ -300,14 +301,15 @@ class TestCheckpointRewrites:
         j1 = op_hop("uark+", [shared]); j1.placement = BACKEND_SP
         j2 = op_hop("log", [shared]); j2.placement = BACKEND_SP
         placed = place_shared_checkpoints([j1, j2], MemphisConfig.memphis())
-        assert placed == 1
-        assert shared.checkpoint
+        assert len(placed) == 1
+        assert shared.id in placed
 
     def test_single_consumer_not_checkpointed(self):
         x = literal_and(100_000, 100)
         sp = op_hop("exp", [x]); sp.placement = BACKEND_SP
         j1 = op_hop("uark+", [sp]); j1.placement = BACKEND_SP
-        assert place_shared_checkpoints([j1], MemphisConfig.memphis()) == 0
+        assert len(place_shared_checkpoints([j1],
+                                            MemphisConfig.memphis())) == 0
 
     def test_loop_var_predicate_uses_size(self):
         cfg = MemphisConfig.memphis()

@@ -54,15 +54,15 @@ def pass_runs(monkeypatch):
 
 def plan_of(compiled) -> tuple:
     """A compiled block by position in its order: per hop kind, opcode,
-    shape, placement, flags, whether the program only traces it, and
-    input positions; the roots; and which positions rebind CSE-merged
-    handles."""
+    shape, placement, the instruction's §5 flags, whether the program
+    only traces it, and input positions; the roots; and which positions
+    rebind CSE-merged handles."""
     _, root_hops, order, extra = compiled
     at = {hop.id: i for i, hop in enumerate(order)}
-    skipped = compiled.trace_only
+    skipped, flags = compiled.trace_only, compiled.flags
     hops = tuple(
-        (hop.kind, hop.opcode, hop.shape, hop.placement, hop.prefetch,
-         hop.async_broadcast, hop.checkpoint, i in skipped,
+        (hop.kind, hop.opcode, hop.shape, hop.placement,
+         flags.get(hop.id, 0), i in skipped,
          tuple(at[h.id] for h in hop.inputs))
         for i, hop in enumerate(order))
     merged = sorted((at[hop_id], len(handles))

@@ -2,9 +2,10 @@
 
 The rewrite pipeline (``Session._compile``) runs CSE, placement, then
 the checkpoint/prefetch/broadcast flag passes; lowering decides
-transpose fusion.
+transpose fusion and carries the flags.
 Each rewrite must be idempotent — running it twice leaves the DAG
-exactly as running it once.
+exactly as running it once; a flag pass returns the same ids twice and
+mutates no hop.
 """
 
 import inspect
@@ -18,7 +19,7 @@ from repro.analysis import (
     placement_legality,
 )
 from repro.common.config import MemphisConfig, ReuseMode, StorageLevel
-from repro.compiler.ir import Hop, literal_hop, op_hop
+from repro.compiler.ir import CHECKPOINT, PREFETCH, Hop, literal_hop, op_hop
 from repro.compiler.linearize import depth_first
 from repro.compiler.plan import CompiledBlock, lower
 from repro.compiler.rewrites.async_ops import (
@@ -42,17 +43,22 @@ def _leaf(rows=8, cols=8, placement=None):
     return hop
 
 
-def _flags(roots, config):
-    """Rewrite-visible flag state of every reachable hop, and whether
-    its lowered program only traces it."""
+def _flags(roots, config, prefetch=(), broadcast=(), checkpoint=()):
+    """Per reachable hop, its lowered instruction's flags given the
+    flag passes' ids, and whether the program only traces it."""
     nodes = depth_first(roots)
-    skipped = {nodes[i].id for i in CompiledBlock(
-        [], roots, nodes, {},
-        lower(nodes, consumers_map(roots, nodes), config, roots)).trace_only}
-    return {
-        (h.id, h.checkpoint, h.prefetch, h.async_broadcast, h.id in skipped)
-        for h in nodes
-    }
+    block = CompiledBlock([], roots, nodes, {}, lower(
+        nodes, consumers_map(roots, nodes), config, roots,
+        prefetch, broadcast, checkpoint))
+    skipped, flags = block.trace_only, block.flags
+    return {(h.id, flags.get(h.id, 0), i in skipped)
+            for i, h in enumerate(nodes)}
+
+
+def _hops(roots):
+    """Every slot of every reachable hop but the output-size cache."""
+    slots = [s for s in Hop.__slots__ if s not in ("_obytes", "__weakref__")]
+    return [[getattr(h, s, None) for s in slots] for h in depth_first(roots)]
 
 
 def _shape(roots):
@@ -111,11 +117,16 @@ class TestRewriteIdempotence:
         roots = [c1, c2]
         nodes = depth_first(roots)
         consumers = consumers_map(roots, nodes)
-        assert place_shared_checkpoints(roots, config, consumers, nodes) == 1
-        assert shared.checkpoint
-        state = _flags(roots, config)
-        assert place_shared_checkpoints(roots, config, consumers, nodes) == 0
-        assert _flags(roots, config) == state
+        hops = _hops(roots)
+        once = place_shared_checkpoints(roots, config, consumers, nodes)
+        assert len(once) == 1
+        assert shared.id in once
+        state = _flags(roots, config, checkpoint=once)
+        assert (shared.id, CHECKPOINT, False) in state
+        twice = place_shared_checkpoints(roots, config, consumers, nodes)
+        assert twice == once
+        assert _flags(roots, config, checkpoint=twice) == state
+        assert _hops(roots) == hops
 
     def test_async_ops_idempotent(self):
         config = MemphisConfig.memphis()
@@ -131,13 +142,15 @@ class TestRewriteIdempotence:
         roots = [collect]
         nodes = depth_first(roots)
         consumers = consumers_map(roots, nodes)
-        place_prefetch(roots, config, consumers, nodes)
-        place_broadcast(roots, config, consumers, nodes)
-        state = _flags(roots, config)
-        assert any(flag for _, _, flag, _, _ in state)  # prefetch placed
-        place_prefetch(roots, config, consumers, nodes)
-        place_broadcast(roots, config, consumers, nodes)
-        assert _flags(roots, config) == state
+        hops = _hops(roots)
+        prefetch = place_prefetch(roots, config, consumers, nodes)
+        broadcast = place_broadcast(roots, config, consumers, nodes)
+        state = _flags(roots, config, prefetch, broadcast)
+        assert any(flags & PREFETCH for _, flags, _ in state)
+        assert place_prefetch(roots, config, consumers, nodes) == prefetch
+        assert place_broadcast(roots, config, consumers, nodes) == broadcast
+        assert _flags(roots, config, prefetch, broadcast) == state
+        assert _hops(roots) == hops
 
     def test_tuning_idempotent(self):
         # (execution frequency, reusable fraction): main, loop, cold

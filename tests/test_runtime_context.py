@@ -31,6 +31,8 @@ from repro.common.config import (
     SparkConfig,
 )
 from repro.common.runtime import RuntimeContext, current, scope
+from repro.compiler.ir import Hop
+from repro.compiler.plan import BlockPlan
 from repro.obs import TraceCollector
 from repro.server import Scheduler, impure_program, pure_program, run_server_demo
 from repro.workloads.base import (
@@ -426,6 +428,16 @@ def test_no_config_field_is_named_after_a_runtime_context_slot():
     }
     assert fields & {*RuntimeContext.__slots__, "verify_ir",
                      "memplan"} == set()
+
+
+def test_no_compile_decision_is_a_hop_flag():
+    """A rewrite's decision for one block lives in that block's lowered
+    program (``compiler/plan.py::lower``): a slot on the hop would
+    outlive the block and leak into every later block that reaches the
+    hop, and a memo hit would have to replay it."""
+    assert {"prefetch", "async_broadcast", "checkpoint",
+            "fused"} & set(Hop.__slots__) == set()
+    assert "flagged" not in BlockPlan.__slots__
 
 
 def test_every_backend_opcode_has_a_cp_kernel():
