@@ -7,7 +7,13 @@ This guard re-runs the two memory-bound experiments — Fig. 12(a)
 (driver cache sizes) and Fig. 12(b) (GPU eviction under pressure) —
 and compares every simulated duration (exact float ``repr``) and every
 pre-refactor counter against the recorded baseline in
-``baselines/fig12_counters.json``.
+``baselines/fig12_counters.json``.  The GPU lanes ``hdrop``, ``en2de``
+and ``tlvis`` are held the same way to ``baselines/experiments.json``
+(every counter, ``memory/`` included); a change meant to move them
+rewrites that record with one command::
+
+    REPRO_RECORD_BASELINES=1 PYTHONPATH=src python -m pytest \
+        benchmarks/test_memory_guard.py -k golden
 
 Counters introduced by the substrate itself (the ``memory/``
 namespace) are additive and intentionally ignored: the guard asserts
@@ -15,8 +21,9 @@ the old behaviour is preserved, not that no new observability exists.
 
 Two gates are on the process itself: every harness runner lets go of
 the sessions, substrates, Spark contexts and lineage caches it built
-without the cyclic garbage collector, and four experiments' peak
-resident memory stays under a ceiling.
+without the cyclic garbage collector, and leaves it no ``repro``
+object to find; and four experiments' peak resident memory stays under
+a ceiling.
 """
 
 import gc
@@ -38,6 +45,7 @@ from repro.harness.__main__ import EXPERIMENTS
 
 BASELINE = pathlib.Path(__file__).parent / "baselines" / \
     "fig12_counters.json"
+RECORDS = BASELINE.with_name("experiments.json")
 
 
 def snap(experiment) -> dict:
@@ -95,6 +103,23 @@ def test_fig12b_byte_identical(baseline):
     assert not mismatches, "\n".join(mismatches)
 
 
+@pytest.mark.parametrize("name", ["hdrop", "en2de", "tlvis"])
+def test_golden_record(name):
+    """The experiment's grid matches its record in ``experiments.json``;
+    with ``REPRO_RECORD_BASELINES`` set, the grid is recorded instead."""
+    current = snap(EXPERIMENTS[name]())
+    if os.environ.get("REPRO_RECORD_BASELINES"):
+        records = (json.loads(RECORDS.read_text()) if RECORDS.exists()
+                   else {})
+        records[name] = current
+        RECORDS.write_text(json.dumps(records, indent=1, sort_keys=True)
+                           + "\n")
+        return
+    mismatches = compare(json.loads(RECORDS.read_text())[name], current,
+                         name)
+    assert not mismatches, "\n".join(mismatches)
+
+
 #: what a harness runner builds and must let go of when it returns.
 OWNERS = (Session, Substrate, SparkContext, LineageCache)
 
@@ -117,7 +142,8 @@ def built(monkeypatch):
 def test_runner_frees_what_it_built_without_a_collection(name, built):
     """With the cyclic collector off, everything a runner built is freed
     by reference counting once it returns: no cycle holds a finished
-    session's Spark tier or cache payloads."""
+    session's Spark tier, cache payloads or GPU Free list, and a
+    collection afterwards finds no ``repro`` object at all."""
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -125,12 +151,19 @@ def test_runner_frees_what_it_built_without_a_collection(name, built):
         result = EXPERIMENTS[name]()
         alive = sorted({type(ref()).__name__ for ref in built
                         if ref() is not None})
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        cyclic = sorted({type(obj).__qualname__ for obj in gc.garbage
+                         if type(obj).__module__.startswith("repro")})
     finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
         if enabled:
             gc.enable()
     assert result.grid
     assert built, f"{name} built no session"
     assert alive == [], f"{name} left {alive} alive"
+    assert cyclic == [], f"{name} left cyclic {cyclic}"
 
 
 #: process-memory ceilings of ``python -m repro.harness <name>``, run

@@ -9,6 +9,7 @@ GPU stream is asynchronous.
 import numpy as np
 
 from repro.common.config import GB, MemphisConfig
+from repro.common.costs import op_flops
 from repro.common.simclock import DEVICE, HOST
 from repro.core.session import Session
 from repro.harness import run_experiment_table2
@@ -59,7 +60,8 @@ def test_table2_execution_models(benchmark):
         sess.spark.blockwise("exp", dm, dm.ncol)
         jobs = sess.stats.get("spark/jobs")
         data = sess.gpu.to_device(MatrixValue(np.ones((64, 64))))
-        sess.gpu.execute("ba+*", [data, data], {})
+        sess.gpu.execute("ba+*", [data, data], {},
+                         op_flops("ba+*", [(64, 64), (64, 64)], (64, 64)))
         return jobs
 
     jobs = benchmark.pedantic(exercise, rounds=1, iterations=1)

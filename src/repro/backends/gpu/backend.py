@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 from repro.backends.cpu import kernels
 from repro.backends.gpu.device import GpuDevice
+from repro.backends.gpu.freelist import FreeList
 from repro.backends.gpu.memmanager import GpuMemoryManager, MODE_MEMPHIS
 from repro.backends.gpu.pointers import GpuPointer
 from repro.backends.gpu.stream import GpuStream
 from repro.common.config import GpuConfig
-from repro.common.costs import op_flops
 from repro.common.simclock import SimClock
 from repro.common.stats import Stats
 from repro.runtime.values import MatrixValue, ScalarValue, Value
@@ -37,11 +37,13 @@ class GpuData:
 
     The GPU payload format of the hierarchical lineage cache (paper
     Table 1, §4.2): a managed device pointer whose lifetime the
-    memory manager controls, plus the host-side shadow result.
+    memory manager controls, the host-side shadow result, and the Free
+    list the pointer returns to (the cache re-files through it).
     """
 
     ptr: GpuPointer
     value: MatrixValue
+    free: FreeList
 
     @property
     def nbytes(self) -> int:
@@ -76,8 +78,7 @@ class GpuBackend:
         """Host matrix -> device allocation + H2D copy."""
         ptr = self.memory.allocate(value.nbytes, value.shape)
         self.stream.copy_h2d(value.nbytes)
-        ptr.data = value.data
-        return GpuData(ptr, value)
+        return GpuData(ptr, value, self.memory.free)
 
     def to_host(self, data: GpuData) -> MatrixValue:
         """Device matrix -> host (synchronization barrier + D2H copy)."""
@@ -91,14 +92,13 @@ class GpuBackend:
     # -- execution -----------------------------------------------------------
 
     def execute(self, opcode: str, inputs: list[object], attrs: dict,
-                lineage_height: int = 1,
-                flops: float | None = None) -> object:
+                flops: float, lineage_height: int = 1) -> object:
         """Run one instruction on the device.
 
         ``inputs`` may mix :class:`GpuData` and host scalars; the result is
         a :class:`GpuData` (or a :class:`ScalarValue` for full aggregates,
         which implies a device-to-host transfer of the scalar).  ``flops``
-        is the lowered instruction's; ``None`` derives it from the values.
+        is the lowered instruction's.
         """
         host_inputs: list[Value] = []
         touched = 0
@@ -110,10 +110,6 @@ class GpuBackend:
             else:
                 host_inputs.append(item)
         out = kernels.execute(opcode, host_inputs, attrs)
-        if flops is None:
-            in_shapes = [v.shape for v in host_inputs] or [(1, 1)]
-            flops = op_flops(opcode, in_shapes, out.shape)
-
         if isinstance(out, ScalarValue):
             # scalar aggregate: kernel + implicit tiny D2H (sync barrier)
             self.stream.launch(flops, touched)
@@ -121,8 +117,7 @@ class GpuBackend:
             return out
 
         ptr = self.memory.allocate(out.nbytes, out.shape)
-        ptr.data = out.data
         ptr.lineage_height = lineage_height
         ptr.compute_cost = flops
         self.stream.launch(flops, touched + out.nbytes)
-        return GpuData(ptr, out)
+        return GpuData(ptr, out, self.memory.free)

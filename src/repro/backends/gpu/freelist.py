@@ -16,13 +16,14 @@ victim query therefore scores each class's top, never every pointer.
   ``free_seq`` is stamped when the pointer enters the list (release
   order) and survives re-filing; ``tick`` is unique per record, so a
   comparison never reaches ``ptr``.
-* **Validity rule.**  A record counts iff it is its pointer's latest
-  one (``ptr.free_rec is rec``).  Leaving the list clears ``free_rec``,
-  and a pointer whose class or recency moves gets a fresh record
-  (:meth:`FreeList.refile`), so no ``list.remove`` is ever needed.  Dead
-  records are dropped when they surface, and a class heap is rebuilt
-  from its live records once it holds more than twice its members plus
-  a constant.
+* **Validity rule.**  A record counts iff its ``tick`` is its pointer's
+  int stamp (``ptr.free_rec is tick``); only :attr:`FreeList.records`
+  maps a pointer to its latest record, so no pointer refers to a record
+  or a list.  Leaving the list clears the stamp, and a pointer whose
+  class or recency moves gets a fresh record (:meth:`FreeList.refile`),
+  so no ``list.remove`` is ever needed.  Dead records are dropped when
+  they surface, and a class heap is rebuilt from its live records once
+  it holds more than twice its members plus a constant.
 * **Tie rule.**  The scan this replaces visited sizes in the insertion
   order of a size -> list dict (a size re-entered at the end when its
   list emptied and refilled) and pointers in release order, and ``min``
@@ -56,7 +57,7 @@ def _top_seq(top: tuple) -> int:
 
 
 def _live(rec: tuple) -> bool:
-    return rec[3].free_rec is rec
+    return rec[3].free_rec is rec[2]
 
 
 class FreeClass:
@@ -103,12 +104,14 @@ class FreeClass:
 class FreeList:
     """The Free list of one GPU memory manager."""
 
-    __slots__ = ("pools", "nbytes", "_tick")
+    __slots__ = ("pools", "records", "nbytes", "_tick")
 
     def __init__(self) -> None:
         #: size -> class key -> class; sizes in the order their pool
         #: last became non-empty, classes only while they have members.
         self.pools: dict[int, dict[tuple, FreeClass]] = {}
+        #: pointer id -> its latest record: the pointers on the list.
+        self.records: dict[int, tuple] = {}
         self.nbytes = 0
         self._tick = 0
 
@@ -121,15 +124,14 @@ class FreeList:
         self._file(pool, ptr,
                    (ptr.cached, ptr.lineage_height, ptr.compute_cost),
                    self._tick)
-        ptr.free_list = self
         self.nbytes += ptr.size
 
-    def remove(self, ptr) -> bool:
-        """Take ``ptr`` off the list; ``False`` when it was not on it."""
-        rec = ptr.free_rec
+    def remove(self, ptr) -> None:
+        """Take ``ptr`` off the list, if it is on it."""
+        rec = self.records.pop(ptr.id, None)
         if rec is None:
-            return False
-        ptr.free_rec = ptr.free_list = None
+            return
+        ptr.free_rec = None
         pool = self.pools[ptr.size]
         cls = pool[rec[4]]
         cls.members -= 1
@@ -140,11 +142,13 @@ class FreeList:
         elif cls.heap[0] is rec:
             heappop(cls.heap)  # a victim usually sits on top
         self.nbytes -= ptr.size
-        return True
 
     def refile(self, ptr) -> None:
-        """Re-file ``ptr`` after its class or ``last_access`` moved."""
-        rec = ptr.free_rec
+        """Re-file ``ptr`` after its class or ``last_access`` moved; a
+        pointer off the list is left alone."""
+        rec = self.records.get(ptr.id)
+        if rec is None:
+            return
         key = (ptr.cached, ptr.lineage_height, ptr.compute_cost)
         if rec[0] == ptr.last_access and rec[4] == key:
             return
@@ -160,7 +164,8 @@ class FreeList:
         if cls is None:
             cls = pool[key] = FreeClass(key)
         self._tick += 1
-        rec = ptr.free_rec = (ptr.last_access, seq, self._tick, ptr, key)
+        tick = ptr.free_rec = self._tick
+        rec = self.records[ptr.id] = (ptr.last_access, seq, tick, ptr, key)
         heap = cls.heap
         heappush(heap, rec)
         cls.members += 1

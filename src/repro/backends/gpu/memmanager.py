@@ -8,7 +8,8 @@ Implements the paper's §4.2 design (Fig. 8, Algorithm 1):
   *Free* list — a hash map from size to a score-ordered queue, here
   :class:`~repro.backends.gpu.freelist.FreeList`: each size's pointers
   are split into Eq. 2 classes ``(cached, height, cost)``, each a heap
-  by recency;
+  by recency.  Only the list maps pointers to records, so the manager
+  re-files a free pointer through ``self.free``;
 * an allocation request first *recycles* an exact-size free pointer
   (no ``cudaMalloc``, no synchronization); otherwise it walks
   Algorithm 1's steps 1-3: malloc → free a just-larger pointer →
@@ -235,7 +236,7 @@ class GpuMemoryManager:
     def touch(self, ptr: GpuPointer) -> None:
         """Update recency metadata on access (feeds Eq. 2)."""
         ptr.last_access = self.clock.now(DEVICE)
-        ptr.refile()
+        self.free.refile(ptr)
 
     def empty_cache(self, fraction: float = 1.0) -> int:
         """Free ``fraction`` of pooled bytes, lowest-score first (§5.2).
@@ -396,7 +397,7 @@ class GpuMemoryManager:
         The GPU region mirrors the device ledger; the pooled bytes are
         the listed pointers' bytes; no listed pointer is live or freed;
         each one's latest record carries its current class and
-        ``last_access`` (a write not followed by ``GpuPointer.refile``
+        ``last_access`` (a write not followed by ``FreeList.refile``
         fails here); and for each scope a victim query has — the
         uncached pointers of one size, one size, every size — the
         index's victim *is* a ``min`` over every pointer of the scope in
@@ -406,14 +407,16 @@ class GpuMemoryManager:
             f"GPU region {self._region.used} B != device "
             f"{self.device.used_bytes} B")
         free = self.free.pointers()
+        assert len(self.free.records) == len(free), \
+            f"free list: {len(self.free.records)} records, {len(free)} listed"
         pooled = sum(p.size for p in free)
         assert self.free_bytes_pooled == pooled, \
             f"pooled {self.free_bytes_pooled} B != listed {pooled} B"
         for ptr in free:
             assert ptr.id not in self.live and not ptr.freed, \
                 f"free list: {ptr!r} is live or freed"
-            rec = ptr.free_rec
-            assert ptr.free_list is self.free and rec[0] == ptr.last_access \
+            rec = self.free.records[ptr.id]
+            assert rec[2] is ptr.free_rec and rec[0] == ptr.last_access \
                 and rec[4] == (ptr.cached, ptr.lineage_height,
                                ptr.compute_cost), \
                 f"free list: {ptr!r} filed as {rec[0]}, {rec[4]} " \

@@ -1,20 +1,19 @@
 """GPU pointer objects: reference-counted handles to device allocations.
 
-A :class:`GpuPointer` carries the device offset/size, a host-side shadow
-of the device contents (the simulator computes real values), and the
-metadata the eviction policy (Eq. 2) needs: last access time, the height
-of the producing lineage trace, and the analytical compute cost.
+A :class:`GpuPointer` carries the device offset/size and the metadata
+the eviction policy (Eq. 2) needs: last access time, the height of the
+producing lineage trace, and the analytical compute cost.  The
+host-side shadow of the device contents is the
+:class:`~repro.backends.gpu.backend.GpuData` value that holds the
+pointer.  A pointer refers to nothing else: the Free list knows which
+pointers it holds, so a released pointer is no reference cycle.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 
 class GpuPointer:
-    """A device allocation with simulator-side shadow data.
+    """A device allocation.
 
     Carries the reference count and the Eq. 2 scoring metadata
     (last access, lineage height, compute cost) the memory manager
@@ -22,9 +21,8 @@ class GpuPointer:
     """
 
     __slots__ = (
-        "id", "offset", "size", "shape", "data", "ref_count",
-        "last_access", "lineage_height", "compute_cost", "freed",
-        "cached", "free_list", "free_rec",
+        "id", "offset", "size", "shape", "ref_count", "last_access",
+        "lineage_height", "compute_cost", "freed", "cached", "free_rec",
     )
 
     def __init__(self, ptr_id: int, offset: int, size: int,
@@ -34,7 +32,6 @@ class GpuPointer:
         self.offset = offset
         self.size = size
         self.shape = shape
-        self.data: Optional[np.ndarray] = None
         self.ref_count = 0
         self.last_access = 0.0
         self.lineage_height = 1
@@ -43,23 +40,12 @@ class GpuPointer:
         #: whether a lineage-cache entry references this pointer; cached
         #: pointers are recycled only under memory pressure (§4.2).
         self.cached = False
-        #: the Free list holding this pointer and its latest record
-        #: there (``backends/gpu/freelist.py``); ``None`` off the list.
-        self.free_list = None
+        #: the stamp of this pointer's latest Free-list record
+        #: (``backends/gpu/freelist.py``); ``None`` off the list.  A write
+        #: to ``last_access``, ``cached``, ``lineage_height`` or
+        #: ``compute_cost`` of a pointer that may be free must be
+        #: followed by ``FreeList.refile`` on its manager's list.
         self.free_rec = None
-
-    def refile(self) -> None:
-        """Re-file a free pointer after ``last_access``, ``cached``,
-        ``lineage_height`` or ``compute_cost`` moved (its Eq. 2 class or
-        its recency); a write to those fields of a pointer that may be
-        free must be followed by this call."""
-        if self.free_list is not None:
-            self.free_list.refile(self)
-
-    def set_cached(self, cached: bool) -> None:
-        """Mark whether a lineage-cache entry references this pointer."""
-        self.cached = cached
-        self.refile()
 
     def retain(self) -> "GpuPointer":
         """Increment the live-variable reference count."""

@@ -265,7 +265,7 @@ class LineageCache:
                 self._cp_region.charge_tenant(entry.tenant, size)
         elif backend == BACKEND_GPU:
             self._forget_gpu_pointer(entry)  # a re-put replaces the pointer
-            ptr = getattr(payload, "ptr", None)
+            ptr = payload.ptr
         if BACKEND_DISK in entry.payloads:
             # the fresh copy supersedes a spilled one nothing could read
             # once the entry is CACHED again; release it at the size it
@@ -277,7 +277,8 @@ class LineageCache:
             index.touch(entry)
         if ptr is not None:
             self._gpu_index[ptr.id] = entry
-            ptr.set_cached(True)
+            ptr.cached = True
+            payload.free.refile(ptr)  # a free pointer changes its Eq. 2 class
         self.stats.counts[CACHE_PUTS] += 1
         if self.tracer.enabled:
             self.tracer.instant(EV_CACHE_PUT, backend=backend, size=size,
@@ -522,9 +523,10 @@ class LineageCache:
     # -- GPU integration ---------------------------------------------------------
 
     def on_gpu_invalidate(self, ptr) -> None:
-        """Callback from the GPU memory manager before a pointer is
-        recycled/freed: the entry backed by it loses its GPU payload."""
-        ptr.set_cached(False)
+        """Callback from the GPU memory manager before a pointer (already
+        off its Free list) is recycled/freed: the entry backed by it
+        loses its GPU payload."""
+        ptr.cached = False
         entry = self._gpu_index.pop(ptr.id, None)
         if entry is not None:
             entry.drop_payload(BACKEND_GPU)
@@ -562,10 +564,13 @@ class LineageCache:
             self._index.clear()
 
     def _forget_gpu_pointer(self, entry: CacheEntry) -> None:
-        """The GPU pointer behind ``entry`` is no longer cache-owned."""
-        ptr = getattr(entry.payloads.get(BACKEND_GPU), "ptr", None)
-        if ptr is not None:
-            ptr.set_cached(False)  # a free pointer changes its Eq. 2 class
+        """The GPU pointer behind ``entry`` is no longer cache-owned;
+        the payload names the Free list that may hold it."""
+        payload = entry.payloads.get(BACKEND_GPU)
+        if payload is not None:
+            ptr = payload.ptr
+            ptr.cached = False
+            payload.free.refile(ptr)  # a free pointer changes its Eq. 2 class
             self._gpu_index.pop(ptr.id, None)
 
     def audit(self) -> None:

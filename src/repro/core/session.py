@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.analysis.manager import verify_ir
+from repro.analysis.manager import analyze, verify_ir
 from repro.analysis.memplan import SessionMemPlanner, explain_memory
 from repro.backends.cpu.backend import CpuBackend
 from repro.backends.gpu.backend import GpuData
@@ -678,7 +678,10 @@ class Session:
             plan = snapshot_plan(compiled, self.config)
             diagnostics = None
             if self.ir_collector is not None:
-                diagnostics = self.ir_collector.merged()
+                # this block's diagnostics, not those of every block so far
+                _, root_hops, order, _ = compiled
+                diagnostics = analyze(root_hops, order, self.config,
+                                      flags=compiled.flags)
             rendered = render_plan(plan, level, diagnostics)
             if level != "hops":
                 rendered += "\n\n" + explain_memory(self, compiled)

@@ -205,7 +205,6 @@ class Interpreter:
         probe_overhead = config.cpu.probe_overhead_s
         if trace_overhead < 0 or probe_overhead < 0:
             raise ValueError("cannot advance clock by negative time")
-        enable_async = config.enable_async_ops
 
         intern = self.interner.intern
         literal = self.interner.literal
@@ -294,7 +293,7 @@ class Interpreter:
                 if flags & CHECKPOINT and BACKEND_SP in payloads:
                     self._persist_checkpoint(payloads[BACKEND_SP])
                 # asynchronous prefetch / broadcast (§5.1)
-                if flags & PREFETCH and enable_async:
+                if flags & PREFETCH:
                     self._issue_prefetch(hop, slot)
                 if flags & BROADCAST and BACKEND_CP in payloads:
                     self._issue_broadcast(slot)
@@ -641,7 +640,7 @@ class Interpreter:
         """
         out = self.tiers.spark.aggregate(
             hop.opcode, self._to_dm(in_slots[0]),
-            asynchronous=bool(flags & PREFETCH) and self.config.enable_async_ops,
+            asynchronous=bool(flags & PREFETCH),
         )
         if not isinstance(out, SimFuture):
             slot.payloads[BACKEND_CP] = out

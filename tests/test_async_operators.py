@@ -1,6 +1,8 @@
 """Tests for the asynchronous operators (prefetch/broadcast, §5.1) and
 operator ordering at the session level."""
 
+from itertools import takewhile
+
 import numpy as np
 
 from repro import MemphisConfig, Session
@@ -66,31 +68,54 @@ class TestPrefetch:
         assert sess.clock.now(CLUSTER) > 0.0
 
 
+def _stale_prefetch_blocks():
+    """``Z`` is prefetched for the CP ``quantile`` of block 1, with zero
+    overlap (ASY001); block 2, built before block 1 ran, consumes ``Z``
+    on Spark only.  Runs block 1 under an analysis collector; returns
+    the session, the collector, ``Z``'s hop id, block 2's root and the
+    input."""
+    cfg = MemphisConfig.base_async()
+    cfg.cpu.operation_memory_bytes = 100_000
+    with scope(analysis=AnalysisCollector()) as rt:
+        sess = Session(cfg)
+        data = RNG.random((2000, 50))
+        X = sess.read(data, "X")
+        Z = X * 2.0
+        B = Z + 1.0
+        z_id = Z.hop.id  # block 1 rebinds Z; block 2 reads this hop
+        sess.quantile(Z, 0.5).compute()
+    return sess, rt.analysis, z_id, B, data
+
+
 class TestFlagsEndWithTheirBlock:
     def test_prefetch_of_an_earlier_block_does_not_leak(self):
         """A §5 flag is a decision of one block: ``Z`` is prefetched for
         the CP ``quantile`` of block 1, but in block 2 (built before
         block 1 ran) its only consumer runs on Spark."""
-        cfg = MemphisConfig.base_async()
-        cfg.cpu.operation_memory_bytes = 100_000
-        with scope(analysis=AnalysisCollector()) as rt:
-            sess = Session(cfg)
-            data = RNG.random((2000, 50))
-            X = sess.read(data, "X")
-            Z = X * 2.0
-            B = Z + 1.0
-            z_id = Z.hop.id  # block 1 rebinds Z; block 2 reads this hop
-            sess.quantile(Z, 0.5).compute()
-            assert sess.stats.get("async/prefetch_issued") == 1
-            z_line = [line for line in
-                      sess.explain(B, level="runtime").splitlines()
-                      if f": #{z_id} " in line]
-            out = B.compute()
+        sess, analysis, z_id, B, data = _stale_prefetch_blocks()
+        assert sess.stats.get("async/prefetch_issued") == 1
+        z_line = [line for line in
+                  sess.explain(B, level="runtime").splitlines()
+                  if f": #{z_id} " in line]
+        out = B.compute()
         assert sess.stats.get("async/prefetch_issued") == 1  # none more
         assert len(z_line) == 1 and " * " in z_line[0]
         assert "{prefetch}" not in z_line[0]
-        assert not rt.analysis.merged().by_rule("ASY003")
+        assert not analysis.merged().by_rule("ASY003")
         assert np.allclose(out, 2 * data + 1)
+
+    def test_explain_shows_only_its_blocks_diagnostics(self):
+        """Block 1's ASY001 on ``Z`` belongs to block 1: block 2's
+        runtime EXPLAIN, which does not prefetch ``Z``, prints none
+        under ``*``#Z."""
+        sess, analysis, z_id, B, _ = _stale_prefetch_blocks()
+        assert any(d.hop == z_id for d in analysis.merged().by_rule("ASY001"))
+        lines = sess.explain(B, level="runtime").splitlines()
+        (at,) = [i for i, line in enumerate(lines) if f": #{z_id} " in line]
+        assert " * " in lines[at]
+        notes = list(takewhile(lambda line: line.lstrip().startswith("!"),
+                               lines[at + 1:]))
+        assert not [note for note in notes if "ASY001" in note]
 
 
 class TestBroadcastRewrite:

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.backends.gpu import GpuPointer
+from repro.backends.gpu.freelist import FreeList
 from repro.backends.spark import SparkBackend, SparkContext
 from repro.common.config import (
     CacheConfig,
@@ -307,6 +308,7 @@ class TestGpuInvalidation:
 
         class FakeData:
             ptr = GpuPointer(7, 0, 1024)
+            free = FreeList()
 
         data = FakeData()
         entry = cache.put(key("g"), data, "GPU", 1024, 5.0)
@@ -319,6 +321,7 @@ class TestGpuInvalidation:
         class FakeData:
             def __init__(self, ptr_id):
                 self.ptr = GpuPointer(ptr_id, 0, 1024)
+                self.free = FreeList()
 
         cache = make_cache()
         removed, cleared = FakeData(7), FakeData(8)

@@ -13,6 +13,7 @@ from repro.backends.gpu import (
     MODE_POOL,
 )
 from repro.common.config import GpuConfig
+from repro.common.costs import op_flops
 from repro.common.errors import GpuError, GpuOutOfMemoryError
 from repro.common.simclock import DEVICE, HOST, SimClock
 from repro.common.stats import Stats
@@ -253,7 +254,7 @@ class TestAlgorithmOne:
         mgr.allocate(1024)  # recycles the uncached pointer
         assert plain.freed and invalidated == []
         cached = mgr.allocate(1024)  # fills the device
-        cached.set_cached(True)
+        cached.cached = True
         mgr.release(cached)
         mgr.allocate(1024)  # full device: recycles the cached pointer
         assert cached.freed and invalidated == [cached]
@@ -318,8 +319,8 @@ class TestFreeList:
         mgr.release(second)
         # distinct stamps, equal Eq. 2 score: 1e-20 / 1.0 + 1.0 == 1.0
         first.last_access, second.last_access = 1e-20, 0.0
-        first.refile()
-        second.refile()
+        mgr.free.refile(first)
+        mgr.free.refile(second)
         assert mgr.policy.score_pointer(first, 1.0, 1.0) \
             == mgr.policy.score_pointer(second, 1.0, 1.0)
         assert mgr._global_victim() is first  # not the older stamp
@@ -347,7 +348,7 @@ class TestFreeList:
                                       [(0.9, 0.0), (0.0, 1.0), (0.5, 1e3)]):
             mgr.release(ptr)
             ptr.last_access, ptr.compute_cost = stamp, cost
-            ptr.refile()
+            mgr.free.refile(ptr)
         # over the 1024 B pool max_cost is 1.0: 0.9 + 1 + 0 < 0 + 1 + 1;
         # the 2048 B pointer's cost would flip it (0 + 1 + 0.001)
         mgr.audit()
@@ -360,14 +361,15 @@ class TestFreeList:
         ptr.compute_cost = 5.0
         with pytest.raises(AssertionError, match="missed refile"):
             mgr.audit()
-        ptr.refile()
+        mgr.free.refile(ptr)
         mgr.audit()
 
     def test_cache_flag_moves_a_free_pointer_between_classes(self):
         mgr, _ = manager(MODE_MEMPHIS)
         ptr = mgr.allocate(1024)
         mgr.release(ptr)
-        ptr.set_cached(True)
+        ptr.cached = True
+        mgr.free.refile(ptr)
         (cls,) = mgr.free.pools[1024].values()
         assert cls.cached and cls.members == 1
         mgr.audit()
@@ -378,7 +380,8 @@ class TestGpuBackend:
         clock, stats = SimClock(), Stats()
         backend = GpuBackend(GpuConfig(), clock, stats)
         x = backend.to_device(MatrixValue(np.ones((32, 32))))
-        out = backend.execute("relu", [x], {})
+        out = backend.execute("relu", [x], {},
+                              op_flops("relu", [(32, 32)], (32, 32)))
         assert np.allclose(out.value.data, 1.0)
         assert clock.now(DEVICE) > 0
         assert stats.get("gpu/kernels_launched") == 1
@@ -387,7 +390,8 @@ class TestGpuBackend:
         clock, stats = SimClock(), Stats()
         backend = GpuBackend(GpuConfig(), clock, stats)
         x = backend.to_device(MatrixValue(np.ones((16, 16))))
-        out = backend.execute("uak+", [x], {})
+        out = backend.execute("uak+", [x], {},
+                              op_flops("uak+", [(16, 16)], (1, 1)))
         assert out.value == 256.0
         assert stats.get("gpu/synchronizations") >= 1
 

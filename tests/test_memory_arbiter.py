@@ -347,7 +347,7 @@ class TestGpuVictimOrderRegression:
             (2.0, 5, 40.0), (4.0, 3, 30.0),
         ]):
             ptr.last_access, ptr.lineage_height, ptr.compute_cost = t, h, c
-            ptr.refile()
+            mgr.free.refile(ptr)
         now = mgr.clock.now(DEVICE)
         remaining = mgr.free.pointers()
         expected = []
@@ -369,7 +369,7 @@ class TestGpuVictimOrderRegression:
             (4.0, 1, 5.0), (1.0, 3, 80.0), (2.0, 2, 10.0), (3.0, 4, 40.0),
         ]):
             ptr.last_access, ptr.lineage_height, ptr.compute_cost = t, h, c
-            ptr.refile()
+            mgr.free.refile(ptr)
         now = mgr.clock.now(DEVICE)
         pool = mgr.free.pointers()
         max_cost = max(p.compute_cost for p in pool)
@@ -390,7 +390,7 @@ class TestGpuVictimOrderRegression:
         stamps = [9.0, 2.0, 5.0]
         for ptr, stamp in zip(ptrs, stamps):
             ptr.last_access = stamp
-            ptr.refile()
+            mgr.free.refile(ptr)
         # LRU ignores height/cost: the oldest stamp goes first
         assert mgr._global_victim() is ptrs[1]
 

@@ -19,6 +19,7 @@ from repro.backends.gpu import (
     GpuStream,
     MODE_MEMPHIS,
 )
+from repro.backends.gpu.freelist import FreeList
 from repro.backends.spark import BlockManager
 from repro.common.config import (
     CacheConfig,
@@ -129,8 +130,8 @@ class GpuAllocatorMachine(RuleBasedStateMachine):
         pointers = self.pointers()
         if pointers:
             ptr = data.draw(st.sampled_from(pointers))
-            self.cache.put(self.key(tag), _GpuPayload(ptr), BACKEND_GPU,
-                           ptr.size, cost)
+            self.cache.put(self.key(tag), _GpuPayload(ptr, self.mgr.free),
+                           BACKEND_GPU, ptr.size, cost)
 
     @rule(tag=TAGS, how=st.sampled_from(["remove", "invalidate", "clear"]))
     def cache_forget(self, tag, how):
@@ -158,7 +159,7 @@ class GpuAllocatorMachine(RuleBasedStateMachine):
                          "next_float": math.nextafter(a.last_access, math.inf),
                          "future": now + 1.0}[how]
         b.lineage_height, b.compute_cost = a.lineage_height, a.compute_cost
-        b.refile()
+        self.mgr.free.refile(b)
 
     @invariant()
     def audit_holds(self):
@@ -208,7 +209,7 @@ class GpuAllocatorMachine(RuleBasedStateMachine):
     def free_queues_keyed_by_size(self):
         for size, pool in self.mgr.free.pools.items():
             assert all(rec[3].size == size for cls in pool.values()
-                       for rec in cls.heap if rec[3].free_rec is rec)
+                       for rec in cls.heap if rec[3].free_rec is rec[2])
 
 
 def _gpu_machine(policy):
@@ -490,8 +491,9 @@ TestTenantLedgerStateful.settings = settings(
 
 
 class _GpuPayload:
-    def __init__(self, ptr):
+    def __init__(self, ptr, free):
         self.ptr = ptr
+        self.free = free
 
 
 class LineageCacheMachine(RuleBasedStateMachine):
@@ -564,7 +566,7 @@ class LineageCacheMachine(RuleBasedStateMachine):
 
     @rule(tag=TAGS, size=SIZES)
     def put_gpu(self, tag, size):
-        payload = _GpuPayload(GpuPointer(self.next_ptr, 0, size))
+        payload = _GpuPayload(GpuPointer(self.next_ptr, 0, size), FreeList())
         self.next_ptr += 1
         self.cache.put(self.key(tag), payload, BACKEND_GPU, size, 1e3)
 

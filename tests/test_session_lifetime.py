@@ -3,7 +3,7 @@ Spark or GPU tier, yet reports the same regions, and is freed by
 reference counting once the scheduler drops it (docs/ARCHITECTURE.md,
 "Session construction").  A private session that ran Spark jobs is
 freed the same way: no cycle holds its ``SparkContext``, RDDs or cache
-payloads.
+payloads; nor, for a GPU session, its Free list and released pointers.
 """
 
 import gc
@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from repro.backends.gpu.backend import GpuBackend
+from repro.backends.gpu.freelist import FreeList
 from repro.backends.gpu.memmanager import GpuMemoryManager
+from repro.backends.gpu.pointers import GpuPointer
 from repro.backends.spark.blockmanager import BlockManager
 from repro.backends.spark.context import SparkContext
 from repro.common.config import MemphisConfig, StorageLevel
@@ -162,6 +164,18 @@ def _spark_session():
     return sess, sess.stats.counters()
 
 
+def _repro_garbage() -> list[str]:
+    """The ``repro`` objects one collection finds (it keeps them)."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return [type(obj).__qualname__ for obj in gc.garbage
+                if type(obj).__module__.startswith("repro")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
 class TestSparkSessionLifetime:
     PLAN = "executor_loss@3,count=2;seed=7"
 
@@ -182,16 +196,7 @@ class TestSparkSessionLifetime:
                 (sess, sess.spark_context, sess.cache, payload)]
         del sess, payload
         assert [ref() for ref in refs] == [None] * len(refs)
-
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            gc.collect()
-            cyclic = [type(obj).__qualname__ for obj in gc.garbage
-                      if type(obj).__module__.startswith("repro")]
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
-        assert cyclic == []
+        assert _repro_garbage() == []
 
         with RuntimeContext(faults=FaultPlan.parse(self.PLAN)):
             twin, twin_counters = _spark_session()
@@ -293,3 +298,49 @@ class TestGpuPointerLifetime:
         for name in ("gpu/pointers_recycled", "gpu/pointers_reused",
                      "gpu/cuda_frees", "cache/evictions"):
             assert counters[name] > 0, name
+
+
+def _instances(cls) -> int:
+    return sum(type(obj) is cls for obj in gc.get_objects())
+
+
+class TestGpuSessionLifetime:
+    def test_dropped_gpu_session_leaves_no_cyclic_garbage(self,
+                                                          no_cyclic_gc):
+        """A MEMPHIS session on a 12 KB device releases cached and
+        uncached pointers to the Free list, recycles an exact size, hits
+        a cached free pointer and evicts under pressure.  Dropped, it
+        dies by reference counting with its manager, its Free list and
+        every pointer it released, and leaves the collector nothing.
+        ``FreeList`` and ``GpuPointer`` take no weak references (slots),
+        so those two are counted instead."""
+        before = {cls: _instances(cls) for cls in (FreeList, GpuPointer)}
+        config = MemphisConfig.memphis()
+        config.gpu_enabled = True
+        config.spark_enabled = False
+        config.gpu.min_cells = 64
+        config.gpu.device_memory = 6 * 2048
+        sess = Session(config)
+        rng = np.random.default_rng(3)
+        X = sess.read(rng.random((16, 16)), "X")  # 2 KB on the device
+        memory = sess.gpu.memory
+        A = (X * 2.0).exp()
+        A.compute()
+        del A
+        assert {ptr.cached for ptr in memory.free.pointers()} \
+            == {False, True}  # the upload, and A's cached results
+        (X * 3.0).exp().compute()  # recycles the uncached upload
+        (X * 2.0).exp().compute()  # hits A's cached free pointers
+        W = sess.read(rng.random((16, 8)), "W")  # 1 KB: no exact size
+        (W * 2.0).exp().compute()  # a full device: frees a 2 KB pointer
+        memory.audit()
+        counters = sess.stats.counters()
+        for name in ("gpu/pointers_recycled", "gpu/pointers_reused",
+                     "gpu/cuda_frees"):
+            assert counters[name] > 0, name
+        assert memory.free.pointers()
+        refs = [weakref.ref(sess), weakref.ref(memory)]
+        del sess, memory, X, W
+        assert [ref() for ref in refs] == [None, None]
+        assert {cls: _instances(cls) for cls in before} == before
+        assert _repro_garbage() == []
