@@ -8,9 +8,10 @@ This guard re-runs the two memory-bound experiments — Fig. 12(a)
 and compares every simulated duration (exact float ``repr``) and every
 pre-refactor counter against the recorded baseline in
 ``baselines/fig12_counters.json``.  The GPU lanes ``hdrop``, ``en2de``
-and ``tlvis`` are held the same way to ``baselines/experiments.json``
-(every counter, ``memory/`` included); a change meant to move them
-rewrites that record with one command::
+and ``tlvis`` and the experiments with driver-only blocks, ``fig11a``,
+``hcv``, ``hband`` and ``clean``, are held the same way to
+``baselines/experiments.json`` (every counter, ``memory/`` included);
+a change meant to move them rewrites that record with one command::
 
     REPRO_RECORD_BASELINES=1 PYTHONPATH=src python -m pytest \
         benchmarks/test_memory_guard.py -k golden
@@ -103,7 +104,8 @@ def test_fig12b_byte_identical(baseline):
     assert not mismatches, "\n".join(mismatches)
 
 
-@pytest.mark.parametrize("name", ["hdrop", "en2de", "tlvis"])
+@pytest.mark.parametrize(
+    "name", ["hdrop", "en2de", "tlvis", "fig11a", "hcv", "hband", "clean"])
 def test_golden_record(name):
     """The experiment's grid matches its record in ``experiments.json``;
     with ``REPRO_RECORD_BASELINES`` set, the grid is recorded instead."""

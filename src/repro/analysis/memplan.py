@@ -198,56 +198,62 @@ def plan_block(roots: list[Hop], order: list[Hop], config: MemphisConfig,
     alignment = config.gpu.alignment
     end = len(order) - 1
     charges: list[RegionCharge] = []
-    demand = {name: 0 for name in PLAN_REGIONS}
+    add = charges.append
     on_device: set[int] = set()
-
-    def charge(hop: Hop, region: str, nbytes: int, start: int,
-               reason: str) -> None:
-        charges.append(RegionCharge(hop, region, nbytes, start, end, reason))
-        demand[region] += nbytes
-
     for pos, hop in enumerate(order):
-        if hop.kind == KIND_LITERAL or pos in trace_only:
+        kind = hop.kind
+        if kind == KIND_LITERAL or pos in trace_only:
             continue
-        if hop.kind == KIND_DATA:
+        if kind == KIND_DATA:
             if multi and hop.placement != BACKEND_CP:
                 # a non-driver-resident leaf a consumer collects is
                 # cached by the exchange ride-along (action reuse)
-                charge(hop, REGION_CP, hop.output_bytes, pos, "exchange")
+                add(RegionCharge(hop, REGION_CP, hop.output_bytes, pos, end,
+                                 "exchange"))
             continue
         out = hop.output_bytes
         placement = hop.placement
         if put_on and (multi or placement == BACKEND_CP):
-            charge(hop, REGION_CP, out, pos, "put")
+            add(RegionCharge(hop, REGION_CP, out, pos, end, "put"))
         if placement == BACKEND_SP:
-            charge(hop, REGION_SPARK_STORAGE, out, pos, "persist")
+            add(RegionCharge(hop, REGION_SPARK_STORAGE, out, pos, end,
+                             "persist"))
             if multi:
-                charge(hop, REGION_SPARK_CACHE, out, pos, "put")
+                add(RegionCharge(hop, REGION_SPARK_CACHE, out, pos, end,
+                                 "put"))
         elif placement == BACKEND_GPU:
-            charge(hop, REGION_GPU, align(out, alignment), pos, "alloc")
+            add(RegionCharge(hop, REGION_GPU, align(out, alignment), pos,
+                             end, "alloc"))
             on_device.add(hop.id)
             for inp in hop.inputs:
                 if (inp.kind == KIND_LITERAL or inp.id in on_device
                         or inp.placement == BACKEND_GPU):
                     continue
                 on_device.add(inp.id)
-                charge(inp, REGION_GPU, align(inp.output_bytes, alignment),
-                       pos, "upload")
+                add(RegionCharge(inp, REGION_GPU,
+                                 align(inp.output_bytes, alignment), pos,
+                                 end, "upload"))
     if func_reuse and roots:
         # function-level reuse snapshots the block outputs under a
         # separate function key, re-charging their bytes once per block
         for root in roots:
-            charge(root, REGION_CP, root.output_bytes, end, "function")
+            add(RegionCharge(root, REGION_CP, root.output_bytes, end, end,
+                             "function"))
 
+    demand = dict.fromkeys(PLAN_REGIONS, 0)
+    for charge in charges:
+        demand[charge.region] += charge.nbytes
     if config.cache.spill_to_disk:
         # DISK receives only CP spills, each entry at most once
         demand[REGION_DISK] = demand[REGION_CP]
 
+    # a bounded ledger never overcommits: its peak is at most capacity
     peaks: dict[str, int] = {}
-    for name in PLAN_REGIONS:
+    for name, raw in demand.items():
         budget = budgets[name]
-        raw = demand[name]
-        peaks[name] = raw if budget.unlimited else min(raw, budget.capacity)
+        capacity = budget.capacity
+        peaks[name] = (raw if budget.unlimited or raw <= capacity
+                       else capacity)
 
     return BlockMemPlan(order=order, roots=roots, charges=charges,
                         demand=demand, peaks=peaks, budgets=budgets,
@@ -427,13 +433,14 @@ class SessionMemPlanner:
 
     def absorb(self, plan: BlockMemPlan) -> None:
         self.blocks += 1
-        for name in PLAN_REGIONS:
-            self.cumulative[name] += plan.demand[name]
-            budget = self.budgets[name]
-            raw = self.cumulative[name]
-            self.predicted[name] = (
-                raw if budget.unlimited else min(raw, budget.capacity)
-            )
+        cumulative, predicted, budgets = \
+            self.cumulative, self.predicted, self.budgets
+        for name, nbytes in plan.demand.items():
+            raw = cumulative[name] = cumulative[name] + nbytes
+            budget = budgets[name]
+            capacity = budget.capacity
+            predicted[name] = (raw if budget.unlimited or raw <= capacity
+                               else capacity)
 
     def observe(self, arbiter: "MemoryArbiter") -> None:
         """Record the runtime's per-region peak watermarks."""

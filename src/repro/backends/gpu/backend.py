@@ -76,7 +76,7 @@ class GpuBackend:
 
     def to_device(self, value: MatrixValue) -> GpuData:
         """Host matrix -> device allocation + H2D copy."""
-        ptr = self.memory.allocate(value.nbytes, value.shape)
+        ptr = self.memory.allocate(value.nbytes)
         self.stream.copy_h2d(value.nbytes)
         return GpuData(ptr, value, self.memory.free)
 
@@ -116,7 +116,7 @@ class GpuBackend:
             self.stream.copy_d2h(8)
             return out
 
-        ptr = self.memory.allocate(out.nbytes, out.shape)
+        ptr = self.memory.allocate(out.nbytes)
         ptr.lineage_height = lineage_height
         ptr.compute_cost = flops
         self.stream.launch(flops, touched + out.nbytes)

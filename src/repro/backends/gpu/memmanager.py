@@ -139,7 +139,7 @@ class GpuMemoryManager:
 
     # -- public allocation API ---------------------------------------------------
 
-    def allocate(self, size: int, shape: tuple[int, int] = (0, 0)) -> GpuPointer:
+    def allocate(self, size: int) -> GpuPointer:
         """Serve an allocation request (Algorithm 1), absorbing faults.
 
         An injected allocation fault (transient driver error / OOM) is
@@ -151,11 +151,10 @@ class GpuMemoryManager:
         """
         fault = self.arbiter.alloc_fault()
         if fault is not None:
-            return self._allocate_faulted(size, shape, fault)
-        return self._allocate(size, shape)
+            return self._allocate_faulted(size, fault)
+        return self._allocate(size)
 
-    def _allocate_faulted(self, size: int, shape: tuple[int, int],
-                          fault) -> GpuPointer:
+    def _allocate_faulted(self, size: int, fault) -> GpuPointer:
         attempt = 0
         while fault.take():
             attempt += 1
@@ -172,16 +171,16 @@ class GpuMemoryManager:
                     self.device.largest_free_block,
                 )
             self.empty_cache(1.0)
-        ptr = self._allocate(size, shape)
+        ptr = self._allocate(size)
         if attempt:
             self.faults.recovered(KIND_GPU_ALLOC, LANE_GPU, nbytes=size,
                                   attempts=attempt + 1)
         return ptr
 
-    def _allocate(self, size: int, shape: tuple[int, int]) -> GpuPointer:
+    def _allocate(self, size: int) -> GpuPointer:
         size = max(size, self.config.alignment)
         if self.mode in (MODE_POOL, MODE_MEMPHIS):
-            recycled = self._recycle_exact(size, shape)
+            recycled = self._recycle_exact(size)
             if recycled is not None:
                 return recycled
         offset = self._cuda_malloc(size)
@@ -195,7 +194,7 @@ class GpuMemoryManager:
             raise GpuOutOfMemoryError(
                 size, self.device.free_bytes, self.device.largest_free_block
             )
-        ptr = GpuPointer(next(self._ptr_ids), offset, size, shape)
+        ptr = GpuPointer(next(self._ptr_ids), offset, size)
         ptr.retain()
         ptr.last_access = self.clock.now(DEVICE)
         self.live[ptr.id] = ptr
@@ -259,7 +258,7 @@ class GpuMemoryManager:
 
     # -- Algorithm 1 ----------------------------------------------------------
 
-    def _recycle_exact(self, size: int, shape: tuple[int, int]) -> Optional[GpuPointer]:
+    def _recycle_exact(self, size: int) -> Optional[GpuPointer]:
         """Step 0: recycle a free pointer of the exact size (no malloc).
 
         Pointers backing lineage-cache entries are only recycled once the
@@ -281,8 +280,7 @@ class GpuMemoryManager:
         if victim.cached:  # an uncached pointer backs no cache entry
             self.on_invalidate(victim)
         # reuse the allocation in place: same offset, new identity
-        ptr = GpuPointer(next(self._ptr_ids), victim.offset, victim.size,
-                         shape)
+        ptr = GpuPointer(next(self._ptr_ids), victim.offset, victim.size)
         ptr.retain()
         ptr.last_access = self.clock.now(DEVICE)
         victim.freed = True

@@ -21,17 +21,15 @@ class GpuPointer:
     """
 
     __slots__ = (
-        "id", "offset", "size", "shape", "ref_count", "last_access",
+        "id", "offset", "size", "ref_count", "last_access",
         "lineage_height", "compute_cost", "freed", "cached", "free_rec",
     )
 
-    def __init__(self, ptr_id: int, offset: int, size: int,
-                 shape: tuple[int, int] = (0, 0)) -> None:
+    def __init__(self, ptr_id: int, offset: int, size: int) -> None:
         #: handed out by the owning memory manager's id space.
         self.id = ptr_id
         self.offset = offset
         self.size = size
-        self.shape = shape
         self.ref_count = 0
         self.last_access = 0.0
         self.lineage_height = 1

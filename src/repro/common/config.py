@@ -38,18 +38,18 @@ class ReuseMode(enum.Enum):
     @property
     def probes(self) -> bool:
         """Whether REUSE probes run in this mode (ablation axis, §6.2)."""
-        return self in _PROBE_MODES
+        return self._value_ in _PROBE_MODES
 
     @property
     def puts(self) -> bool:
         """Whether PUT admission runs in this mode (ablation axis, §6.2)."""
-        return self in _PUT_MODES
+        return self._value_ in _PUT_MODES
 
 
-_PUT_MODES = frozenset({
-    ReuseMode.FULL, ReuseMode.LOCAL_ONLY, ReuseMode.OPERATOR_ONLY,
-})
-_PROBE_MODES = _PUT_MODES | {ReuseMode.PROBE_ONLY}
+#: by value: hashing a member is a Python-level call, its value's is not
+_PUT_MODES = frozenset([mode.value for mode in (
+    ReuseMode.FULL, ReuseMode.LOCAL_ONLY, ReuseMode.OPERATOR_ONLY)])
+_PROBE_MODES = _PUT_MODES | {ReuseMode.PROBE_ONLY.value}
 
 
 class EvictionPolicyName(enum.Enum):

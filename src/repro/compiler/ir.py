@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 from weakref import ref
 
-from repro.common.costs import matrix_bytes, op_flops
+from repro.common.costs import DOUBLE_BYTES, op_flops
 from repro.common.errors import CompilationError
 from repro.common.runtime import IdSpace, current as current_runtime
 
@@ -104,7 +104,7 @@ class Hop:
     __slots__ = (
         "id", "kind", "opcode", "inputs", "attrs", "shape",
         "_handle_ref", "value", "placement", "bundle", "finalizer",
-        "_obytes", "__weakref__",
+        "output_bytes", "__weakref__",
     )
 
     def __init__(self, kind: str, opcode: str, inputs: list["Hop"],
@@ -136,8 +136,12 @@ class Hop:
             self.shape = infer_shape(opcode, [h.shape for h in inputs], self.attrs)
         #: backend tag assigned by the placement pass ("CP"/"SP"/"GPU").
         self.placement: Optional[str] = None
-        #: lazily-cached output_bytes (shape is immutable after init).
-        self._obytes: Optional[int] = None
+        #: worst-case (dense) output size, ``matrix_bytes(*shape)``
+        #: spelt inline: placement and the memory planner read it per
+        #: hop, so it is a slot set once (shape is immutable after init)
+        rows, cols = self.shape
+        self.output_bytes = int((rows if rows >= 1 else 1)
+                                * (cols if cols >= 1 else 1) * DOUBLE_BYTES)
 
     # -- handle binding (weak, so expression temporaries can die) -------------
 
@@ -155,13 +159,6 @@ class Hop:
         return self._handle_ref()
 
     # -- estimates ---------------------------------------------------------------
-
-    @property
-    def output_bytes(self) -> int:
-        obytes = self._obytes
-        if obytes is None:
-            obytes = self._obytes = matrix_bytes(*self.shape)
-        return obytes
 
     @property
     def memory_estimate(self) -> int:

@@ -93,6 +93,8 @@ def max_parallelize(roots: list[Hop], prefetch,
     """
     if nodes is None:
         nodes = depth_first(roots)
+    if not prefetch:
+        return nodes
     # step 1: Spark chain roots before GPU ones, each in node order (the
     # stable sort below keeps that order among chains of equal length)
     counted = [(_count_backend_ops(hop, backend), hop)

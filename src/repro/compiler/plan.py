@@ -68,7 +68,7 @@ def attr_data(attrs: dict) -> tuple:
 class BlockShape:
     """What the CSE walk records about one block (filled by the walk)."""
 
-    __slots__ = ("hops", "tokens", "roots")
+    __slots__ = ("hops", "tokens", "roots", "attrs")
 
     def __init__(self) -> None:
         #: canonical hops in walk order: a hop's position is its index.
@@ -77,6 +77,9 @@ class BlockShape:
         self.tokens: list = []
         #: positions of the roots.
         self.roots: tuple[int, ...] = ()
+        #: hop id -> :func:`attr_data` of a canonical op with attributes
+        #: (what :func:`lower` puts in its instruction).
+        self.attrs: dict[int, tuple] = {}
 
     def key(self, config) -> tuple:
         """The block's memo key: config fields the passes read, roots,
@@ -92,19 +95,21 @@ class BlockShape:
         )
 
 
-def lower(order: list[Hop], consumers: dict, config, roots: list[Hop],
-          prefetch, broadcast, checkpoint) -> tuple:
+def lower(order: list[Hop], consumers: dict | None, config,
+          roots: list[Hop], prefetch, broadcast, checkpoint,
+          attrs: dict[int, tuple]) -> tuple:
     """The lowered program of a linearized block, aligned with it:
     ``None`` per leaf and per op the instruction tuple
     ``(inputs, attrs, cost, cp_flops, cp_nbytes, operands, flags)``.
 
     ``inputs`` are the op's input positions in ``order``, ``attrs`` its
-    lineage attribute tuple.  The costs are what the runtime charged
-    per instruction from the values before: ``cost`` is ``hop.flops``,
-    charged by PUT, and ``cp_flops``/``cp_nbytes`` are the CP roofline's
-    FLOPs and touched bytes (inputs + output, dense; a scalar is 8
-    bytes).  Values take their hop's shape, so all of them are fixed
-    per block shape.
+    lineage attribute tuple: the one the CSE walk keyed it with
+    (``attrs`` maps hop id -> tuple, :attr:`BlockShape.attrs`).  The
+    costs are what the runtime charged per instruction from the values
+    before: ``cost`` is ``hop.flops``, charged by PUT, and
+    ``cp_flops``/``cp_nbytes`` are the CP roofline's FLOPs and touched
+    bytes (inputs + output, dense; a scalar is 8 bytes).  Values take
+    their hop's shape, so all of them are fixed per block shape.
 
     Transpose fusion (SystemDS never materialises ``t(X)`` of
     ``t(X) %*% X`` or ``t(X) %*% Y``): a Spark ``ba+*`` whose
@@ -116,7 +121,10 @@ def lower(order: list[Hop], consumers: dict, config, roots: list[Hop],
     is such a matmul, as its left operand, is *trace-only*: ``cost`` is
     ``None``, and it is traced but never probed, executed or put.  A
     transpose among the block's ``roots`` is never trace-only: its
-    handle is bound to its value when the block ends.
+    handle is bound to its value when the block ends.  ``consumers`` is
+    ``None`` when no op of the block is on Spark or the GPU
+    (:func:`~repro.runtime.placement.assign_placements`): then no
+    operator reads through a transpose and the test is skipped.
 
     ``flags`` has the bit (``PREFETCH``, ``BROADCAST``, ``CHECKPOINT``)
     of each §5 pass whose returned ids hold the op; ``0`` for none.
@@ -126,28 +134,32 @@ def lower(order: list[Hop], consumers: dict, config, roots: list[Hop],
                       (CHECKPOINT, checkpoint)):
         for hop_id in ids:
             flags_of[hop_id] = flags_of.get(hop_id, 0) | flag
+    remote = consumers is not None
     index: dict[int, int] = {}
     program: list = []
     append = program.append
     for i, hop in enumerate(order):
-        index[hop.id] = i
+        hop_id = hop.id
+        index[hop_id] = i
         if hop.kind != KIND_OP:
             append(None)
             continue
         opcode, shape, inputs = hop.opcode, hop.shape, hop.inputs
         in_positions = tuple([index[h.id] for h in inputs])
-        attrs = attr_data(hop.attrs) if hop.attrs else ()
-        flags = flags_of.get(hop.id, 0)
-        if opcode == "r'" and hop not in roots:
-            users = consumers.get(hop.id, ())
-            if (len(users) == 1 and users[0].inputs[0] is hop
-                    and _reads_through(users[0], config)):
-                append((in_positions, attrs, None, None, None, None, flags))
-                continue
+        op_attrs = attrs[hop_id] if hop.attrs else ()
+        flags = flags_of.get(hop_id, 0)
         operands = None
-        if _reads_through(hop, config):
-            left, right = inputs
-            operands = (index[left.inputs[0].id], index[right.id])
+        if remote:
+            if opcode == "r'" and hop not in roots:
+                users = consumers.get(hop_id, ())
+                if (len(users) == 1 and users[0].inputs[0] is hop
+                        and _reads_through(users[0], config)):
+                    append((in_positions, op_attrs, None, None, None, None,
+                            flags))
+                    continue
+            if _reads_through(hop, config):
+                left, right = inputs
+                operands = (index[left.inputs[0].id], index[right.id])
         in_shapes = [h.shape for h in inputs]
         cost = op_flops(opcode, in_shapes, shape)
         nbytes = shape[0] * shape[1]
@@ -155,7 +167,7 @@ def lower(order: list[Hop], consumers: dict, config, roots: list[Hop],
             nbytes += rows * cols
         append((
             in_positions,
-            attrs,
+            op_attrs,
             cost,
             cost if in_shapes else op_flops(opcode, [(1, 1)], shape),
             nbytes * DOUBLE_BYTES,

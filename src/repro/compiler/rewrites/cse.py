@@ -29,12 +29,15 @@ def eliminate_common_subexpressions(
     ``canonical_hop_id -> [handles]`` of extra handles whose hop was
     merged away, so the interpreter can still bind them after execution.
     With ``shape``, the walk also fills it with the canonical hops, their
-    structural tokens and the roots' positions.
+    structural tokens, the roots' positions and the attribute tuples it
+    keyed the ops with.
     """
     #: hop id -> position of its canonical hop in ``hops``
     pos: dict[int, int] = {}
-    hops: list[Hop] = shape.hops if shape is not None else []
-    record = shape.tokens.append if shape is not None else None
+    if shape is not None:
+        hops, record, attr_of = shape.hops, shape.tokens.append, shape.attrs
+    else:
+        hops, record, attr_of = [], None, None
     claim = {}.setdefault  # CSE key -> position of its first hop
     extra_handles: dict[int, list] = {}
     merged = False  # until a hop merges, every input is canonical
@@ -64,6 +67,8 @@ def eliminate_common_subexpressions(
             if pending:
                 continue
             kind = node.kind
+            ref = node._handle_ref  # ``node.handle``, inlined
+            handle = None if ref is None else ref()
             if kind == KIND_OP:
                 ins = tuple([pos[h.id] for h in inputs])
                 attrs = node.attrs
@@ -71,14 +76,12 @@ def eliminate_common_subexpressions(
             elif kind == KIND_LITERAL:
                 key = ("lit", value_key(node.value))
             else:
-                handle = node.handle
                 key = ("data", id(handle) if handle is not None else nid)
             n = len(hops)
             p = claim(key, n)
             if p != n:
                 pos[nid] = p
                 merged = True
-                handle = node.handle
                 if handle is not None:
                     existing = hops[p]
                     if existing.handle is not handle:
@@ -92,6 +95,8 @@ def eliminate_common_subexpressions(
             if record is None:
                 continue
             if kind == KIND_OP:
+                if attrs:
+                    attr_of[nid] = key[1]
                 record((key, node.shape, node.placement))
             elif kind == KIND_LITERAL:
                 record(("lit", node.shape))

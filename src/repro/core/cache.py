@@ -161,7 +161,7 @@ class LineageCache:
         counts[LINEAGE_PROBES] += 1
         if scope is not None:
             # per-tenant probe tally feeds the server SLO hit-rate rows
-            scope.substrate.note_tenant_event(scope.tenant, "probes")
+            scope.events["probes"] += 1
         entry = self._entries.get(key)
         tracing = self.tracer.enabled
         if entry is None:

@@ -324,7 +324,9 @@ class Session:
         return hop ids, which ``lower`` folds into the program's flags.
         The CSE walk also keys the block's shape: a shape this session
         has compiled twice replays its recorded plan instead of running
-        the passes after CSE (``compiler/plan.py``).  Returns a
+        the passes after CSE (``compiler/plan.py``).  A block with no op
+        on Spark or the GPU skips the §5 passes and the transpose
+        fusion test, which cannot flag anything there.  Returns a
         :class:`~repro.compiler.plan.CompiledBlock`, the tuple
         ``(roots, root_hops, order, extra)`` carrying the lowered
         ``program``, or ``None`` when nothing is pending.
@@ -351,17 +353,23 @@ class Session:
         # max_parallelize reordering.
         config = self.config
         nodes = depth_first(root_hops)
-        assign_placements(root_hops, config, nodes)
-        consumers = consumers_map(root_hops, nodes)
-        checkpoint = place_shared_checkpoints(root_hops, config, consumers, nodes)
-        prefetch = place_prefetch(root_hops, config, consumers, nodes)
-        broadcast = place_broadcast(root_hops, config, consumers, nodes)
+        if assign_placements(root_hops, config, nodes):
+            consumers = consumers_map(root_hops, nodes)
+            checkpoint = place_shared_checkpoints(root_hops, config,
+                                                  consumers, nodes)
+            prefetch = place_prefetch(root_hops, config, consumers, nodes)
+            broadcast = place_broadcast(root_hops, config, consumers, nodes)
+        else:
+            # no op on Spark or the GPU: the §5 passes flag only remote
+            # ops and CP ops feeding Spark, so they have nothing to say
+            consumers = None
+            checkpoint = prefetch = broadcast = ()
         if config.enable_max_parallelize:
             order = max_parallelize(root_hops, prefetch, nodes)
         else:
             order = nodes
         program = lower(order, consumers, config, root_hops,
-                        prefetch, broadcast, checkpoint)
+                        prefetch, broadcast, checkpoint, shape.attrs)
         self._plans.note(key, found, shape.hops, order, program)
         return CompiledBlock(roots, root_hops, order, extra, program)
 
@@ -394,14 +402,15 @@ class Session:
             return
         _, root_hops, order, extra = compiled
         program = compiled.program
+        captured = None
         if self.explain_collector is not None:
-            self.explain_collector.capture(compiled, self.config)
+            captured = self.explain_collector.capture(compiled, self.config)
         plan = None
         if self.memplanner is not None:
             # static memory planning (repro.analysis.memplan): predict
             # the block's per-region peak footprint before it runs
             plan = self.memplanner.plan(compiled)
-            self.stats.inc(MEMPLAN_BLOCKS_PLANNED)
+            self.stats.counts[MEMPLAN_BLOCKS_PLANNED] += 1
             if self._ctx is not None:
                 # multi-tenant admission gate: the shared-region subset
                 # of the demands must pass the tenant's quota and the
@@ -414,12 +423,15 @@ class Session:
             # over the post-rewrite DAG + proposed order (and the plan
             # just made) before anything executes and reports into the
             # context's collector
-            verify_ir(
+            report = verify_ir(
                 root_hops, order, self.config,
                 tracer=self.tracer, stats=self.stats,
                 collector=self.ir_collector, plan=plan,
                 flags=compiled.flags,
             )
+            if captured is not None and captured.executions == 1:
+                # the plan shows this block's findings, not every block's
+                captured.diagnostics = report
         try:
             slots = self.interpreter.run(order, program)
             for hop, slot, instr in zip(order, slots, program):

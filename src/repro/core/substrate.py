@@ -49,6 +49,7 @@ handles and GPU pointers are bound to the owning session's backends.
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
@@ -109,7 +110,7 @@ class SessionContext:
     attributed to, and the session's dataset fingerprints.
     """
 
-    __slots__ = ("substrate", "uid", "scope_opcode", "tenant",
+    __slots__ = ("substrate", "uid", "scope_opcode", "tenant", "events",
                  "fingerprints", "request", "_last_key", "_last_ns")
 
     def __init__(self, substrate: "Substrate", uid: int,
@@ -119,6 +120,8 @@ class SessionContext:
         #: opcode of this session's namespace wrappers (``ns:<uid>``).
         self.scope_opcode = f"{NS_PREFIX}:{uid}"
         self.tenant = tenant
+        #: the tenant's event tallies (``Substrate.events_of``).
+        self.events = substrate.events_of(tenant)
         #: dataset name -> content fingerprint, as registered by *this*
         #: session's ``read()`` calls.
         self.fingerprints: dict[str, str] = {}
@@ -166,13 +169,14 @@ class SessionContext:
         benefit matrix and — when tracing — emitted as a
         ``server/attribution`` instant.
         """
-        sub = self.substrate
-        sub.note_tenant_event(self.tenant, "hits")
+        self.events["hits"] += 1
         owner = entry.owner
         if owner is None or owner == self.uid:
             return
-        sub.stats.inc(SERVER_CROSS_HITS)
-        sub.stats.inc(SERVER_DEDUP_BYTES, entry.size)
+        sub = self.substrate
+        counts = sub.stats.counts
+        counts[SERVER_CROSS_HITS] += 1
+        counts[SERVER_DEDUP_BYTES] += entry.size
         producer = entry.tenant if entry.tenant is not None else "default"
         sub.note_attribution(producer, self.tenant, entry.size,
                              entry.compute_cost)
@@ -217,7 +221,7 @@ class SessionContext:
                 f"(demands {shared}, tenant {self.tenant!r})",
                 region=REGION_CP, tenant=self.tenant, demand=cp_demand,
             )
-        sub.stats.inc(SERVER_ADMITTED)
+        sub.stats.counts[SERVER_ADMITTED] += 1
 
     def _backpressure(self, region: str, nbytes: int) -> None:
         sub = self.substrate
@@ -290,9 +294,10 @@ class Substrate:
         #: (hits, bytes, Eq. 2 recompute cost avoided).  Fed by
         #: ``SessionContext.note_hit`` on every cross-session hit.
         self.attribution: dict[tuple[str, str], dict[str, float]] = {}
-        #: tenant -> backpressure/admission-refusal/quota-refusal counts
-        #: (the per-tenant split of the global ``server/`` counters).
-        self.tenant_events: dict[str, dict[str, int]] = {}
+        #: tenant -> probe/hit and backpressure/admission-refusal/
+        #: quota-refusal counts (the per-tenant split of the global
+        #: ``server/`` counters).
+        self.tenant_events: dict[str, defaultdict[str, int]] = {}
         #: dataset name -> canonical (first-registered) fingerprint.
         self._canonical_fp: dict[str, str] = {}
         #: purity/shareability memo over lineage DAGs.  Keyed by the
@@ -318,7 +323,7 @@ class Substrate:
         name = tenant if tenant is not None else "default"
         if name not in self.tenants:
             self.tenants[name] = None
-        self.stats.inc(SERVER_SESSIONS)
+        self.stats.counts[SERVER_SESSIONS] += 1
         return SessionContext(self, uid, name)
 
     def activate(self, ctx: Optional[SessionContext]) -> None:
@@ -364,11 +369,9 @@ class Substrate:
     def scope_key(self, opcode: str, key: LineageItem) -> LineageItem:
         """The session-scoped wrapper item for ``key`` (hash-consed);
         ``opcode`` is the session's ``SessionContext.scope_opcode``."""
-        table = self.interner
-        before = len(table)
-        item = table.intern(opcode, (), (key,))
-        if len(table) != before:
-            self.stats.inc(SERVER_SCOPED_KEYS)
+        item, new = self.interner.wrap(opcode, key)
+        if new:
+            self.stats.counts[SERVER_SCOPED_KEYS] += 1
         return item
 
     def _analyze(self, item: LineageItem) -> tuple[bool, frozenset]:
@@ -404,10 +407,15 @@ class Substrate:
 
     def note_tenant_event(self, tenant: str, kind: str) -> None:
         """Tally one per-tenant control-plane event (refusal class)."""
+        self.events_of(tenant)[kind] += 1
+
+    def events_of(self, tenant: str) -> defaultdict[str, int]:
+        """The tenant's event tallies, created on first use; a session
+        context holds its tenant's to count probes and hits in place."""
         events = self.tenant_events.get(tenant)
         if events is None:
-            events = self.tenant_events[tenant] = {}
-        events[kind] = events.get(kind, 0) + 1
+            events = self.tenant_events[tenant] = defaultdict(int)
+        return events
 
     def attribution_matrix(self) -> list[dict]:
         """The producer→consumer benefit matrix, deterministically ordered.

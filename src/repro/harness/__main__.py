@@ -237,10 +237,8 @@ def _report_collected(args: argparse.Namespace, rt: RuntimeContext) -> None:
             print()
             print(format_summary(events))
     if rt.explain is not None:
-        diagnostics = (rt.analysis.merged()
-                       if rt.analysis is not None else None)
         print()
-        print(rt.explain.render(diagnostics=diagnostics))
+        print(rt.explain.render())
 
 
 if __name__ == "__main__":

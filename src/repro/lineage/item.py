@@ -214,6 +214,19 @@ class LineageInterner:
             self._table[key] = item
         return item
 
+    def wrap(self, opcode: str,
+             item: LineageItem) -> tuple[LineageItem, bool]:
+        """Canonical ``opcode(item)`` — the item ``intern(opcode, (),
+        (item,))`` returns, under the same table key — and whether this
+        call created it."""
+        key = (opcode, (), (id(item),))
+        wrapper = self._table.get(key)
+        if wrapper is not None:
+            return wrapper, False
+        wrapper = self._table[key] = LineageItem(opcode, (), (item,),
+                                                 self._ids)
+        return wrapper, True
+
     def literal(self, value: object) -> LineageItem:
         """Canonical leaf for a scalar/string literal.
 

@@ -131,10 +131,12 @@ class MemoryRegion:
 
     def quota_headroom(self, tenant: str) -> Optional[int]:
         """Bytes the tenant may still use under its quota (None = no cap)."""
-        cap = self.quota(tenant)
+        quotas = self.quotas
+        cap = None if quotas is None else quotas.get(tenant)
         if cap is None:
             return None
-        return cap - self.tenant_usage(tenant)
+        used = self.tenant_used
+        return cap if used is None else cap - used.get(tenant, 0)
 
     def over_quota(self, tenant: str) -> bool:
         """Whether the tenant's attributed usage exceeds its quota."""

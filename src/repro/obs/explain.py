@@ -89,6 +89,9 @@ class ExplainPlan:
     executions: int = 1
     #: evict instructions issued between this block and the next one.
     evicts: list[str] = field(default_factory=list)
+    #: the verifier's findings on the first block of this shape (set by
+    #: the session when it verifies), rendered under their hops.
+    diagnostics: Optional["DiagnosticReport"] = None
 
     @property
     def signature(self) -> tuple:
@@ -289,14 +292,16 @@ class ExplainCollector:
             self.plans[-1].evicts.append(description)
 
     def render(self, level: str = LEVEL_FULL,
-               diagnostics: Optional["DiagnosticReport"] = None,
                max_plans: Optional[int] = None) -> str:
-        """Render every captured plan (optionally capped)."""
+        """Render every captured plan (optionally capped), each with its
+        own block's diagnostics: a finding about one block never shows
+        on another block's plan, even on a hop the two share."""
         lines = [f"=== explain (level={level}, {self.blocks_captured} "
                  f"block(s) compiled, {len(self.plans)} distinct) ==="]
         shown = self.plans if max_plans is None else self.plans[:max_plans]
         for i, plan in enumerate(shown, start=1):
-            lines.append(render_plan(plan, level, diagnostics, block_index=i))
+            lines.append(render_plan(plan, level, plan.diagnostics,
+                                     block_index=i))
         if max_plans is not None and len(self.plans) > max_plans:
             lines.append(f"... ({len(self.plans) - max_plans} more plans)")
         return "\n".join(lines)

@@ -12,9 +12,14 @@ Placement runs first in the compile pipeline
 which EXECUTE stage the dispatch loop takes per instruction (paper
 Fig. 4), which probes the REUSE step may issue in ``LOCAL_ONLY`` mode
 (§4.1 — LIMA probes only CP instructions), and which rewrites apply
-downstream (prefetch/broadcast §5.1 and checkpoints §5.2 only concern
-Spark-placed subgraphs).  The whole pass is a single walk over the
-shared post-order node list — see docs/PERFORMANCE.md.
+downstream.  Prefetch/broadcast (§5.1), checkpoints (§5.2) and the
+transpose a Spark ``tsmm``/``cpmm`` reads through only concern Spark-
+or GPU-placed ops, so :func:`assign_placements` also answers whether
+any op of the block is remote — placed now or by an earlier block —
+and a block that has none skips those passes.  The whole pass is a
+single walk over the shared post-order node list, and an op's inputs
+are read once for the scalar test, locality and the memory estimate —
+see docs/PERFORMANCE.md.
 :func:`matmul_pattern` also serves lowering
 (:func:`repro.compiler.plan.lower`), which lets a Spark ``tsmm``/
 ``cpmm`` read the input of its left transpose, and the Spark dispatch,
@@ -26,7 +31,7 @@ from __future__ import annotations
 from repro.backends.gpu.backend import GPU_OPCODES
 from repro.backends.spark.backend import SPARK_OPCODES
 from repro.common.config import MemphisConfig
-from repro.compiler.ir import KIND_DATA, KIND_LITERAL, Hop
+from repro.compiler.ir import KIND_DATA, KIND_LITERAL, KIND_OP, Hop
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 from repro.memory.budget import gpu_working_set
 
@@ -71,26 +76,39 @@ def matmul_pattern(hop: Hop, config: MemphisConfig) -> str | None:
 
 
 def assign_placements(roots: list[Hop], config: MemphisConfig,
-                      nodes: list[Hop] | None = None) -> None:
-    """Annotate every hop reachable from ``roots`` with a backend tag.
+                      nodes: list[Hop] | None = None) -> bool:
+    """Annotate every hop reachable from ``roots`` with a backend tag;
+    return whether any *op* hop is on Spark or the GPU.
 
     ``nodes`` optionally supplies a precomputed post-order traversal
     (inputs before consumers — placement is locality-aware, so inputs
     must be tagged first) so the compile pipeline walks the DAG once.
+    The answer covers op hops placed now and op hops an earlier block
+    placed (a placement is never revised); data leaves and literals do
+    not count.  With no remote op hop the §5 rewrites and the Spark
+    transpose fusion have nothing to flag, so the compile pipeline
+    skips them.
     """
     op_mem = config.cpu.operation_memory_bytes
     if nodes is None:
         nodes = [hop for root in roots for hop in root.iter_dag()]
+    remote = False
     for hop in nodes:
-        if hop.placement is not None:
+        placement = hop.placement
+        kind = hop.kind
+        if placement is None:
+            if kind == KIND_LITERAL:
+                hop.placement = BACKEND_CP
+                continue
+            if kind == KIND_DATA:
+                hop.placement = data_location(hop)
+                continue
+            placement = hop.placement = _place_op(hop, config, op_mem)
+        elif kind != KIND_OP:
             continue
-        if hop.kind == KIND_LITERAL:
-            hop.placement = BACKEND_CP
-            continue
-        if hop.kind == KIND_DATA:
-            hop.placement = data_location(hop)
-            continue
-        hop.placement = _place_op(hop, config, op_mem)
+        if placement == BACKEND_SP or placement == BACKEND_GPU:
+            remote = True
+    return remote
 
 
 def data_location(hop: Hop) -> str:
@@ -118,15 +136,28 @@ def _place_op(hop: Hop, config: MemphisConfig, op_mem: int) -> str:
     compute-heavy ops above ``gpu.min_cells``; CP is the default.  The
     caller guarantees inputs are already tagged (post-order).
     """
-    if hop.shape == (1, 1) and all(h.shape == (1, 1) for h in hop.inputs):
+    # one read of the inputs serves the scalar test, locality and the
+    # memory estimate (inputs + output, dense)
+    shape = hop.shape
+    scalar = shape == (1, 1)
+    inputs_on_sp = False
+    estimate = out = hop.output_bytes
+    for h in hop.inputs:
+        if scalar and h.shape != (1, 1):
+            scalar = False
+        if h.placement == BACKEND_SP:
+            inputs_on_sp = True
+        estimate += h.output_bytes
+    if scalar:
         # pure scalar arithmetic always runs on the driver
         return BACKEND_CP
-    sp_ok = config.spark_enabled and spark_supported(hop, config)
-    inputs_on_sp = any(h.placement == BACKEND_SP for h in hop.inputs)
-    if sp_ok and (hop.memory_estimate > op_mem
-                  or (inputs_on_sp and hop.output_bytes > op_mem // 8)):
-        return BACKEND_SP
-    if sp_ok and inputs_on_sp:
+    # Spark is considered only for an op over the driver's operation
+    # budget or with a distributed input
+    over_budget = estimate > op_mem
+    if ((over_budget or inputs_on_sp) and config.spark_enabled
+            and spark_supported(hop, config)):
+        if over_budget or (inputs_on_sp and out > op_mem // 8):
+            return BACKEND_SP
         # aggregates of distributed inputs run as Spark actions even when
         # the (small) output fits in the driver
         if SPARK_OPCODES[hop.opcode] in ("action", "row_aggregate"):
@@ -138,8 +169,8 @@ def _place_op(hop: Hop, config: MemphisConfig, op_mem: int) -> str:
     if (
         config.gpu_enabled
         and hop.opcode in GPU_OPCODES
-        and hop.shape[0] * hop.shape[1] >= config.gpu.min_cells
-        and hop.memory_estimate <= op_mem
+        and shape[0] * shape[1] >= config.gpu.min_cells
+        and estimate <= op_mem
         and not inputs_on_sp
         # feasibility, not just legality: an instruction whose working
         # set cannot fit on the device at any schedule (memplan MEM001)

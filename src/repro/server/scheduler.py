@@ -303,7 +303,7 @@ class Scheduler:
             name if name is not None else f"r{len(self._requests)}",
         )
         self._requests.append(request)
-        self.substrate.stats.inc(SERVER_REQUESTS)
+        self.substrate.stats.counts[SERVER_REQUESTS] += 1
         return request
 
     # -- driver loop ---------------------------------------------------------
@@ -346,7 +346,7 @@ class Scheduler:
     def _step(self, task: _Task) -> bool:
         """Advance one request by one scheduling quantum; True = done."""
         substrate = self.substrate
-        substrate.stats.inc(SERVER_STEPS)
+        substrate.stats.counts[SERVER_STEPS] += 1
         task.result.steps += 1
         substrate.activate(task.session._ctx)
         tracer = substrate.tracer

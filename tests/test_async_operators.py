@@ -1,6 +1,7 @@
 """Tests for the asynchronous operators (prefetch/broadcast, §5.1) and
 operator ordering at the session level."""
 
+import argparse
 from itertools import takewhile
 
 import numpy as np
@@ -9,6 +10,8 @@ from repro import MemphisConfig, Session
 from repro.analysis import AnalysisCollector
 from repro.common.runtime import scope
 from repro.common.simclock import CLUSTER
+from repro.harness.__main__ import _report_collected
+from repro.obs.explain import ExplainCollector
 
 RNG = np.random.default_rng(23)
 
@@ -68,15 +71,15 @@ class TestPrefetch:
         assert sess.clock.now(CLUSTER) > 0.0
 
 
-def _stale_prefetch_blocks():
+def _stale_prefetch_blocks(explain=None):
     """``Z`` is prefetched for the CP ``quantile`` of block 1, with zero
     overlap (ASY001); block 2, built before block 1 ran, consumes ``Z``
-    on Spark only.  Runs block 1 under an analysis collector; returns
-    the session, the collector, ``Z``'s hop id, block 2's root and the
-    input."""
+    on Spark only.  Runs block 1 under an analysis collector (and
+    ``explain``, if given); returns the session, the collector, ``Z``'s
+    hop id, block 2's root and the input."""
     cfg = MemphisConfig.base_async()
     cfg.cpu.operation_memory_bytes = 100_000
-    with scope(analysis=AnalysisCollector()) as rt:
+    with scope(analysis=AnalysisCollector(), explain=explain) as rt:
         sess = Session(cfg)
         data = RNG.random((2000, 50))
         X = sess.read(data, "X")
@@ -116,6 +119,36 @@ class TestFlagsEndWithTheirBlock:
         notes = list(takewhile(lambda line: line.lstrip().startswith("!"),
                                lines[at + 1:]))
         assert not [note for note in notes if "ASY001" in note]
+
+    def test_harness_renders_each_plan_with_its_blocks_diagnostics(
+            self, capsys):
+        """What ``--explain --verify-ir`` prints: block 1's plan shows
+        its ASY001 under ``Z``, block 2's plan (which does not prefetch
+        ``Z``) shows none there."""
+        explain = ExplainCollector()
+        _, analysis, z_id, B, _ = _stale_prefetch_blocks(explain)
+        B.compute()
+        with scope(analysis=analysis, explain=explain) as rt:
+            _report_collected(
+                argparse.Namespace(trace=None, trace_summary=False), rt)
+        lines = capsys.readouterr().out.splitlines()
+        starts = [i for i, line in enumerate(lines)
+                  if line.startswith("block ")]
+        assert len(starts) == 2
+        sections = (lines[starts[0]:starts[1]], lines[starts[1]:])
+
+        def asy001_under_z(section):
+            found = []
+            for at, line in enumerate(section):
+                if f"#{z_id} " in line and " * " in line:
+                    notes = takewhile(
+                        lambda note: note.lstrip().startswith("!"),
+                        section[at + 1:])
+                    found += [note for note in notes if "ASY001" in note]
+            return found
+
+        assert asy001_under_z(sections[0])
+        assert not asy001_under_z(sections[1])
 
 
 class TestBroadcastRewrite:

@@ -156,7 +156,7 @@ class TestGpuRecovery:
         with scope(faults=plan):
             sess = Session(gpu_config())
         with pytest.raises(GpuOutOfMemoryError):
-            sess.gpu.memory.allocate(4096, (16, 32))
+            sess.gpu.memory.allocate(4096)
         assert sess.stats.get(FAULT_GPU_ALLOC_RETRIES) \
             == plan.max_alloc_retries + 1
 

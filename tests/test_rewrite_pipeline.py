@@ -8,9 +8,12 @@ exactly as running it once; a flag pass returns the same ids twice and
 mutates no hop.
 """
 
+import importlib.util
 import inspect
+import pathlib
 
 import numpy as np
+import pytest
 
 from repro.analysis import (
     DEFAULT_PASS_ORDER,
@@ -19,9 +22,17 @@ from repro.analysis import (
     placement_legality,
 )
 from repro.common.config import MemphisConfig, ReuseMode, StorageLevel
-from repro.compiler.ir import CHECKPOINT, PREFETCH, Hop, literal_hop, op_hop
-from repro.compiler.linearize import depth_first
-from repro.compiler.plan import CompiledBlock, lower
+from repro.compiler.ir import (
+    BROADCAST,
+    CHECKPOINT,
+    KIND_OP,
+    PREFETCH,
+    Hop,
+    literal_hop,
+    op_hop,
+)
+from repro.compiler.linearize import depth_first, max_parallelize
+from repro.compiler.plan import CompiledBlock, attr_data, lower
 from repro.compiler.rewrites.async_ops import (
     consumers_map,
     place_broadcast,
@@ -30,9 +41,15 @@ from repro.compiler.rewrites.async_ops import (
 from repro.compiler.rewrites.checkpoint import place_shared_checkpoints
 from repro.compiler.rewrites.cse import eliminate_common_subexpressions
 from repro.compiler.rewrites.tuning import tune_block
-from repro.core.entry import BACKEND_CP, BACKEND_SP
+from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 from repro.core.session import Session
+from repro.core.substrate import Substrate
 from repro.lineage.item import LineageItem
+from repro.runtime.placement import assign_placements, matmul_pattern
+from repro.server.demo import impure_program, pure_program
+from repro.server.scheduler import Scheduler
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 
 def _leaf(rows=8, cols=8, placement=None):
@@ -49,15 +66,16 @@ def _flags(roots, config, prefetch=(), broadcast=(), checkpoint=()):
     nodes = depth_first(roots)
     block = CompiledBlock([], roots, nodes, {}, lower(
         nodes, consumers_map(roots, nodes), config, roots,
-        prefetch, broadcast, checkpoint))
+        prefetch, broadcast, checkpoint,
+        {h.id: attr_data(h.attrs) for h in nodes if h.attrs}))
     skipped, flags = block.trace_only, block.flags
     return {(h.id, flags.get(h.id, 0), i in skipped)
             for i, h in enumerate(nodes)}
 
 
 def _hops(roots):
-    """Every slot of every reachable hop but the output-size cache."""
-    slots = [s for s in Hop.__slots__ if s not in ("_obytes", "__weakref__")]
+    """Every slot of every reachable hop."""
+    slots = [s for s in Hop.__slots__ if s != "__weakref__"]
     return [[getattr(h, s, None) for s in slots] for h in depth_first(roots)]
 
 
@@ -181,3 +199,126 @@ class TestCseMergedHandles:
         np.testing.assert_array_equal(mid_b.compute(), expected_mid)
         np.testing.assert_array_equal(tail.compute(),
                                       np.maximum(expected_mid, 0.0))
+
+
+# ------------------------------------------------- the CP-only compile path
+
+
+def _full_passes(compiled, config):
+    """What the whole pass sequence — no skip for CP-only blocks —
+    returns on the hops ``Session._compile`` just placed: the
+    checkpoint, prefetch and broadcast ids, the order and the program."""
+    _, root_hops, _, _ = compiled
+    nodes = depth_first(root_hops)
+    assign_placements(root_hops, config, nodes)  # all placed: a no-op
+    consumers = consumers_map(root_hops, nodes)
+    checkpoint = place_shared_checkpoints(root_hops, config, consumers,
+                                          nodes)
+    prefetch = place_prefetch(root_hops, config, consumers, nodes)
+    broadcast = place_broadcast(root_hops, config, consumers, nodes)
+    order = (max_parallelize(root_hops, prefetch, nodes)
+             if config.enable_max_parallelize else nodes)
+    program = lower(order, consumers, config, root_hops, prefetch,
+                    broadcast, checkpoint,
+                    {h.id: attr_data(h.attrs) for h in nodes if h.attrs})
+    return checkpoint, prefetch, broadcast, order, program
+
+
+def _remote(compiled) -> bool:
+    return any(h.kind == KIND_OP and h.placement in (BACKEND_SP, BACKEND_GPU)
+               for h in compiled[2])
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Every block a session compiles is checked against
+    :func:`_full_passes` on its hops; counts CP-only and remote blocks."""
+    seen = {"cp_only": 0, "remote": 0}
+    real = Session._compile
+
+    def compile_and_check(self, handles):
+        compiled = real(self, handles)
+        if compiled is None:
+            return None
+        seen["remote" if _remote(compiled) else "cp_only"] += 1
+        checkpoint, prefetch, broadcast, order, program = _full_passes(
+            compiled, self.config)
+        flags = compiled.flags
+        for bit, ids in ((CHECKPOINT, checkpoint), (PREFETCH, prefetch),
+                         (BROADCAST, broadcast)):
+            assert {i for i, f in flags.items() if f & bit} == set(ids)
+        assert [h.id for h in compiled[2]] == [h.id for h in order]
+        assert compiled.program == program
+        return compiled
+
+    monkeypatch.setattr(Session, "_compile", compile_and_check)
+    return seen
+
+
+class TestCpOnlyBlocksCompileExactly:
+    """A block with no op on Spark or the GPU skips the §5 passes and
+    the transpose-fusion test; what it compiles to must be what the
+    whole pass sequence returns on the same hops."""
+
+    def test_quickstart(self, checked):
+        spec = importlib.util.spec_from_file_location(
+            "quickstart", EXAMPLES / "quickstart.py")
+        quickstart = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(quickstart)
+        # its 60,000-row input runs on Spark; 600 rows stay on the driver
+        for rows in (60_000, 600):
+            rng = np.random.default_rng(42)
+            X = rng.random((rows, 32))
+            y = X @ rng.standard_normal((32, 1))
+            quickstart.grid_search(Session(MemphisConfig.memphis()), X, y,
+                                   [1e-3, 1e-2, 1e-1])
+        assert checked["cp_only"] and checked["remote"]
+
+    def test_server_demo_request(self, checked):
+        scheduler = Scheduler(
+            Substrate.shared_substrate(MemphisConfig.server_session()))
+        scheduler.submit("alpha", pure_program(), name="pure")
+        scheduler.submit("beta", impure_program(), name="impure")
+        assert scheduler.run().ok
+        assert checked["cp_only"] and not checked["remote"]
+
+    def test_spark_tsmm_and_cpmm(self, checked):
+        cfg = MemphisConfig.memphis()
+        cfg.cpu.operation_memory_bytes = 64 * 1024
+        sess = Session(cfg)
+        X = sess.read(np.random.default_rng(3).random((2000, 16)), "X")
+        Y = sess.read(np.random.default_rng(4).random((2000, 8)), "Y")
+        tsmm, cpmm = X.t() @ X, X.t() @ Y
+        assert matmul_pattern(tsmm.hop, cfg) == "tsmm"
+        assert matmul_pattern(cpmm.hop, cfg) == "cpmm"
+        sess.evaluate([tsmm, cpmm])
+        assert checked["remote"]
+
+    def test_gpu_block(self, checked):
+        cfg = MemphisConfig.memphis()
+        cfg.gpu_enabled = True
+        cfg.spark_enabled = False
+        sess = Session(cfg)
+        X = sess.read(np.random.default_rng(5).random((64, 64)), "X")
+        ((X @ X).relu() + 1.0).sum().compute()
+        assert checked["remote"]
+
+    def test_remote_op_placed_by_an_earlier_block(self, checked):
+        """Block 2's only remote op is ``Z``, which block 1 placed on
+        Spark; its consumer there is a CP ``quantile``, so the whole
+        pass sequence prefetches ``Z``."""
+        cfg = MemphisConfig.base_async()
+        cfg.cpu.operation_memory_bytes = 100_000
+        sess = Session(cfg)
+        X = sess.read(np.random.default_rng(6).random((2000, 50)), "X")
+        Z = X * 2.0
+        z_hop = Z.hop
+        later = sess.quantile(Z, 0.25)  # built before block 1 runs
+        sess.quantile(Z, 0.5).compute()
+        assert z_hop.placement == BACKEND_SP
+        new = [h for h in depth_first([later.hop])
+               if h.kind == KIND_OP and h.placement is None]
+        compiled = sess._compile([later])
+        assert new and all(h.placement == BACKEND_CP for h in new)
+        assert compiled.flags.get(z_hop.id, 0) & PREFETCH
+        assert checked["remote"] == 2
