@@ -7,11 +7,12 @@ This guard re-runs the two memory-bound experiments — Fig. 12(a)
 (driver cache sizes) and Fig. 12(b) (GPU eviction under pressure) —
 and compares every simulated duration (exact float ``repr``) and every
 pre-refactor counter against the recorded baseline in
-``baselines/fig12_counters.json``.  The GPU lanes ``hdrop``, ``en2de``
-and ``tlvis`` and the experiments with driver-only blocks, ``fig11a``,
-``hcv``, ``hband`` and ``clean``, are held the same way to
-``baselines/experiments.json`` (every counter, ``memory/`` included);
-a change meant to move them rewrites that record with one command::
+``baselines/fig12_counters.json``.  Every other experiment
+(:data:`GOLDEN`) is held the same way to ``baselines/experiments.json``
+(every counter, ``memory/`` included), and so is a SHA-256 of the
+rendered ``--explain --verify-ir`` plans of four of them
+(:data:`EXPLAINED`); a change meant to move them rewrites those records
+with one command::
 
     REPRO_RECORD_BASELINES=1 PYTHONPATH=src python -m pytest \
         benchmarks/test_memory_guard.py -k golden
@@ -28,6 +29,7 @@ a ceiling.
 """
 
 import gc
+import hashlib
 import json
 import os
 import pathlib
@@ -37,51 +39,76 @@ import weakref
 
 import pytest
 
+from repro.analysis import AnalysisCollector
 from repro.backends.spark.context import SparkContext
+from repro.common.runtime import scope
 from repro.core.cache import LineageCache
 from repro.core.session import Session
 from repro.core.substrate import Substrate
 from repro.harness import runner
 from repro.harness.__main__ import EXPERIMENTS
-
+from repro.obs import ExplainCollector
+from repro.workloads.base import WorkloadResult
 BASELINE = pathlib.Path(__file__).parent / "baselines" / \
     "fig12_counters.json"
 RECORDS = BASELINE.with_name("experiments.json")
 
+#: experiments held to their record in ``experiments.json``.  ``pnmf``,
+#: ``ablation-ordering``, ``fig11b`` and ``fig2c`` are the ones whose
+#: blocks get §5 flags or a transpose read-through; ``pnmf`` and
+#: ``fig11b`` take about 25 s each.
+GOLDEN = ("hdrop", "en2de", "tlvis", "fig11a", "hcv", "hband", "clean",
+          "fig2c", "fig2d", "fig11b", "pnmf", "table2",
+          "ablation-policies", "ablation-ordering")
+
+#: experiments whose rendered ``--explain --verify-ir`` plans are held to
+#: a digest: all three §5 flags and ``{fused-skip}`` under both
+#: linearizations, the lazy-caching Spark lane, the GPU recycling lane
+#: and the GPU lane that walks Algorithm 1 past step 1.
+EXPLAINED = ("ablation-ordering", "fig2c", "fig12b", "tlvis")
+
+#: the key of the digests in ``experiments.json``.
+DIGESTS = "explain-sha256"
+
 
 def snap(experiment) -> dict:
-    """Reduce an ExperimentResult grid to comparable scalars."""
-    out: dict = {}
-    for x, cells in experiment.grid.items():
-        out[str(x)] = {
-            label: {
-                "elapsed": repr(float(result.elapsed)),
-                "counters": {k: v for k, v in sorted(result.counters.items())},
-            }
-            for label, result in cells.items()
-        }
-    return out
+    """Reduce an ExperimentResult grid to comparable scalars, nested as
+    the grid nests: a workload cell is its elapsed time (exact float
+    ``repr``) and its counters, any other value its ``repr``."""
+    return {str(key): _snap_cell(value)
+            for key, value in experiment.grid.items()}
 
 
-def compare(recorded: dict, current: dict, experiment: str) -> list[str]:
-    """Every recorded cell must match: elapsed exactly, and every
-    counter present in the baseline unchanged."""
-    mismatches = []
-    for x, row in recorded.items():
-        for label, cell in row.items():
-            got = current[x][label]
-            if got["elapsed"] != cell["elapsed"]:
+def _snap_cell(value):
+    if isinstance(value, WorkloadResult):
+        return {"elapsed": repr(float(value.elapsed)),
+                "counters": dict(sorted(value.counters.items()))}
+    if isinstance(value, dict):
+        return {str(key): _snap_cell(inner) for key, inner in value.items()}
+    return repr(value)
+
+
+def compare(recorded, current, path: str) -> list[str]:
+    """Every recorded cell must match: elapsed and plain values exactly,
+    and every counter present in the baseline unchanged."""
+    if not isinstance(recorded, dict):
+        return [] if recorded == current else [
+            f"{path}: {recorded} -> {current}"]
+    if recorded.keys() == {"elapsed", "counters"}:
+        mismatches = compare(recorded["elapsed"], current["elapsed"],
+                             f"{path}.elapsed")
+        for counter, expected in recorded["counters"].items():
+            actual = current["counters"].get(counter)
+            if actual != expected:
                 mismatches.append(
-                    f"{experiment}[{x}][{label}].elapsed: "
-                    f"{cell['elapsed']} -> {got['elapsed']}"
-                )
-            for counter, expected in cell["counters"].items():
-                actual = got["counters"].get(counter)
-                if actual != expected:
-                    mismatches.append(
-                        f"{experiment}[{x}][{label}].{counter}: "
-                        f"{expected} -> {actual}"
-                    )
+                    f"{path}.{counter}: {expected} -> {actual}")
+        return mismatches
+    mismatches = []
+    for key, inner in recorded.items():
+        if key not in current:
+            mismatches.append(f"{path}[{key}]: missing")
+        else:
+            mismatches.extend(compare(inner, current[key], f"{path}[{key}]"))
     return mismatches
 
 
@@ -104,22 +131,44 @@ def test_fig12b_byte_identical(baseline):
     assert not mismatches, "\n".join(mismatches)
 
 
-@pytest.mark.parametrize(
-    "name", ["hdrop", "en2de", "tlvis", "fig11a", "hcv", "hband", "clean"])
+def record(key: str | None, name: str, value) -> None:
+    """Write ``value`` as ``records[key][name]`` (``records[name]`` when
+    ``key`` is ``None``) into ``experiments.json``."""
+    records = json.loads(RECORDS.read_text()) if RECORDS.exists() else {}
+    if key is None:
+        records[name] = value
+    else:
+        records.setdefault(key, {})[name] = value
+    RECORDS.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("name", GOLDEN)
 def test_golden_record(name):
     """The experiment's grid matches its record in ``experiments.json``;
     with ``REPRO_RECORD_BASELINES`` set, the grid is recorded instead."""
     current = snap(EXPERIMENTS[name]())
     if os.environ.get("REPRO_RECORD_BASELINES"):
-        records = (json.loads(RECORDS.read_text()) if RECORDS.exists()
-                   else {})
-        records[name] = current
-        RECORDS.write_text(json.dumps(records, indent=1, sort_keys=True)
-                           + "\n")
+        record(None, name, current)
         return
     mismatches = compare(json.loads(RECORDS.read_text())[name], current,
                          name)
     assert not mismatches, "\n".join(mismatches)
+
+
+@pytest.mark.parametrize("name", EXPLAINED)
+def test_golden_explain_digest(name):
+    """The plans ``--explain --verify-ir`` renders for the experiment
+    hash to their record (the render, not stdout, which carries wall
+    times); with ``REPRO_RECORD_BASELINES`` set, the digest is recorded
+    instead."""
+    with scope(explain=ExplainCollector(),
+               analysis=AnalysisCollector()) as rt:
+        EXPERIMENTS[name]()
+    digest = hashlib.sha256(rt.explain.render().encode()).hexdigest()
+    if os.environ.get("REPRO_RECORD_BASELINES"):
+        record(DIGESTS, name, digest)
+        return
+    assert json.loads(RECORDS.read_text())[DIGESTS][name] == digest
 
 
 #: what a harness runner builds and must let go of when it returns.

@@ -3,9 +3,9 @@
 Two views of a compiled program are analyzed:
 
 * the **HOP DAG** (post-rewrite), walked with a cycle-safe traversal —
-  unlike :meth:`Hop.iter_dag`, :func:`walk_dag` terminates on cyclic
-  graphs and reports the back edges it found, so the verifier can
-  diagnose a broken rewrite instead of hanging;
+  where :func:`~repro.compiler.linearize.depth_first` raises on a
+  cycle, :func:`walk_dag` terminates and reports the back edges it
+  found, so the verifier can diagnose a broken rewrite;
 * the **instruction stream** (the linearized order), summarized into
   def/use chains by :class:`StreamDefUse` — definition position and use
   positions per value, the classic input to liveness
@@ -26,7 +26,7 @@ def walk_dag(roots: Iterable[Hop]) -> tuple[list[Hop], list[tuple[Hop, Hop]]]:
 
     Returns ``(nodes, back_edges)`` where ``nodes`` is every distinct
     reachable hop in deterministic left-to-right post-order (matching
-    :meth:`Hop.iter_dag` on acyclic graphs) and ``back_edges`` lists
+    :func:`~repro.compiler.linearize.depth_first` on acyclic graphs) and ``back_edges`` lists
     ``(consumer, input)`` pairs closing a cycle.  On a cyclic graph the
     post-order is best-effort but the traversal always terminates.
     """

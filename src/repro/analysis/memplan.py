@@ -14,10 +14,6 @@ walk of the stream:
   ``SP_BLOCKS``, ``SP_CACHE``, ``GPU``), summing each region's demand
   as it goes — see :func:`plan_block` for the charge model and its
   soundness argument;
-* computes per-region liveness intervals and the block's peak resident
-  footprint per region (in this runtime a value stays resident until
-  the end of its block — GPU pointers are held on the acquired list,
-  cache tiers are sticky — so intervals run ``[def, block end]``);
 * emits ``MEM``-family diagnostics when a plan exceeds a region's
   configured capacity;
 * feeds ``Session.evaluate``: on a shared substrate the predicted
@@ -98,18 +94,15 @@ PRESSURE_WATERMARK = 0.9
 class RegionCharge(NamedTuple):
     """One potential byte charge of a block against one region.
 
-    ``start`` is the stream position at which the charge becomes live;
-    in this runtime every charge stays resident to the end of its block
-    (``end``), so the interval is ``[start, end]``.  ``reason`` tags
-    the runtime path that would make the charge (``put``, ``exchange``,
+    In this runtime every charge stays resident to the end of its block,
+    so a region's peak is the sum of its charges.  ``reason`` tags the
+    runtime path that would make the charge (``put``, ``exchange``,
     ``persist``, ``alloc``, ``upload``, ``function``).
     """
 
     hop: Hop
     region: str
     nbytes: int
-    start: int
-    end: int
     reason: str
 
 
@@ -196,7 +189,6 @@ def plan_block(roots: list[Hop], order: list[Hop], config: MemphisConfig,
     multi = put_on and mode is not ReuseMode.LOCAL_ONLY
     func_reuse = mode in (ReuseMode.FULL, ReuseMode.COARSE_ONLY)
     alignment = config.gpu.alignment
-    end = len(order) - 1
     charges: list[RegionCharge] = []
     add = charges.append
     on_device: set[int] = set()
@@ -208,22 +200,20 @@ def plan_block(roots: list[Hop], order: list[Hop], config: MemphisConfig,
             if multi and hop.placement != BACKEND_CP:
                 # a non-driver-resident leaf a consumer collects is
                 # cached by the exchange ride-along (action reuse)
-                add(RegionCharge(hop, REGION_CP, hop.output_bytes, pos, end,
+                add(RegionCharge(hop, REGION_CP, hop.output_bytes,
                                  "exchange"))
             continue
         out = hop.output_bytes
         placement = hop.placement
         if put_on and (multi or placement == BACKEND_CP):
-            add(RegionCharge(hop, REGION_CP, out, pos, end, "put"))
+            add(RegionCharge(hop, REGION_CP, out, "put"))
         if placement == BACKEND_SP:
-            add(RegionCharge(hop, REGION_SPARK_STORAGE, out, pos, end,
-                             "persist"))
+            add(RegionCharge(hop, REGION_SPARK_STORAGE, out, "persist"))
             if multi:
-                add(RegionCharge(hop, REGION_SPARK_CACHE, out, pos, end,
-                                 "put"))
+                add(RegionCharge(hop, REGION_SPARK_CACHE, out, "put"))
         elif placement == BACKEND_GPU:
-            add(RegionCharge(hop, REGION_GPU, align(out, alignment), pos,
-                             end, "alloc"))
+            add(RegionCharge(hop, REGION_GPU, align(out, alignment),
+                             "alloc"))
             on_device.add(hop.id)
             for inp in hop.inputs:
                 if (inp.kind == KIND_LITERAL or inp.id in on_device
@@ -231,13 +221,13 @@ def plan_block(roots: list[Hop], order: list[Hop], config: MemphisConfig,
                     continue
                 on_device.add(inp.id)
                 add(RegionCharge(inp, REGION_GPU,
-                                 align(inp.output_bytes, alignment), pos,
-                                 end, "upload"))
+                                 align(inp.output_bytes, alignment),
+                                 "upload"))
     if func_reuse and roots:
         # function-level reuse snapshots the block outputs under a
         # separate function key, re-charging their bytes once per block
         for root in roots:
-            add(RegionCharge(root, REGION_CP, root.output_bytes, end, end,
+            add(RegionCharge(root, REGION_CP, root.output_bytes,
                              "function"))
 
     demand = dict.fromkeys(PLAN_REGIONS, 0)

@@ -26,6 +26,10 @@ KIND_LITERAL = "literal"
 #: bits of a lowered instruction's ``flags`` (compiler/plan.py::lower):
 #: the §5.1 prefetch and broadcast and the §5.2 checkpoint rewrites.
 PREFETCH, BROADCAST, CHECKPOINT = 1, 2, 4
+#: lowering-only bits of compiler/plan.py::block_flags, never in a
+#: lowered instruction: a Spark ``tsmm``/``cpmm`` that reads through its
+#: left transpose, and a transpose only such a read consumes.
+READS_THROUGH, TRACE_ONLY = 8, 16
 
 #: opcodes producing scalars.
 SCALAR_OPS = {"uak+", "uamean", "uamax", "uamin"}
@@ -168,45 +172,6 @@ class Hop:
     @property
     def flops(self) -> float:
         return op_flops(self.opcode, [h.shape for h in self.inputs], self.shape)
-
-    def iter_dag(self) -> list["Hop"]:
-        """Every distinct node reachable from this hop, exactly once.
-
-        The order is the **deterministic left-to-right post-order**:
-        each node's inputs are fully visited before the node itself,
-        first input's subtree first, and shared sub-DAGs are yielded at
-        their first (leftmost) occurrence.  For a single root this is
-        identical to :func:`repro.compiler.linearize.depth_first`;
-        compiler passes rely on this order being stable so that rewrite
-        decisions (e.g. ``max_parallelize`` tie-breaking) are
-        reproducible across runs.
-
-        Returns a list rather than a generator: every compiler pass
-        walks the full traversal (several times per evaluated block),
-        and generator frame resumption was the single largest cost in
-        the evaluate hot path before the switch.
-        """
-        out: list[Hop] = []
-        seen: set[int] = set()
-        stack: list[tuple[Hop, bool]] = [(self, False)]
-        push = stack.append
-        pop = stack.pop
-        while stack:
-            node, expanded = pop()
-            nid = node.id
-            if expanded:
-                if nid not in seen:
-                    seen.add(nid)
-                    out.append(node)
-                continue
-            if nid in seen:
-                continue
-            push((node, True))
-            inputs = node.inputs
-            if inputs:
-                for inp in reversed(inputs):
-                    push((inp, False))
-        return out
 
     def validate(self, raise_on_error: bool = True):
         """Structurally verify the DAG rooted here (``dag_verify`` pass).

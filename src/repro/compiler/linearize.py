@@ -1,10 +1,11 @@
 """Operator linearization: depth-first and MAXPARALLELIZE (Algorithm 2).
 
 SystemDS linearizes operator DAGs depth-first.  MEMPHIS's
-``max_parallelize`` instead identifies the roots of remote operator
-chains (Spark actions / prefetch ops / GPU-to-host copies), counts the
-remote operators in each chain, and linearizes the *longest chains
-first* — longer chains allow more concurrent execution once their
+``max_parallelize`` instead takes the roots of remote operator chains
+(the ops :func:`~repro.compiler.plan.block_flags` gives the
+``PREFETCH`` bit: Spark actions, Spark results collected to the driver,
+GPU-to-host copies), counts the remote operators in each chain, and
+linearizes the *longest chains first* — longer chains allow more concurrent execution once their
 asynchronous jobs are in flight, and tight packing shortens the lifetime
 of dangling RDD references (§5.3).
 """
@@ -12,7 +13,7 @@ of dangling RDD references (§5.3).
 from __future__ import annotations
 
 from repro.common.errors import CompilationError
-from repro.compiler.ir import KIND_OP, Hop
+from repro.compiler.ir import KIND_OP, PREFETCH, Hop
 from repro.core.entry import BACKEND_GPU, BACKEND_SP
 
 
@@ -76,31 +77,30 @@ def depth_first(roots: list[Hop],
 def _count_backend_ops(root: Hop, backend: str) -> int:
     """Number of ``backend`` operators in the chain rooted at ``root``."""
     return sum(
-        1 for hop in root.iter_dag()
+        1 for hop in depth_first([root])
         if hop.kind == KIND_OP and hop.placement == backend
     )
 
 
-def max_parallelize(roots: list[Hop], prefetch,
-                    nodes: list[Hop] | None = None) -> list[Hop]:
+def max_parallelize(roots: list[Hop], flags: dict[int, int],
+                    nodes: list[Hop]) -> list[Hop]:
     """Algorithm 2: linearize remote chains first, longest chain first.
 
-    The chain roots are the Spark and GPU hops whose ids are in
-    ``prefetch`` (:func:`~repro.compiler.rewrites.async_ops.place_prefetch`).
-    ``nodes`` optionally supplies the depth-first linearization already
-    computed by the caller; with no remote chains present it is returned
-    as-is, so the all-local common case costs zero extra traversals.
+    The chain roots are the Spark and GPU hops with the ``PREFETCH`` bit
+    in ``flags`` (:func:`~repro.compiler.plan.block_flags`).  ``nodes``
+    is the depth-first linearization the caller already computed; with
+    no remote chains present it is returned as-is, so the all-local
+    common case costs zero extra traversals.
     """
-    if nodes is None:
-        nodes = depth_first(roots)
-    if not prefetch:
+    if not flags:
         return nodes
     # step 1: Spark chain roots before GPU ones, each in node order (the
     # stable sort below keeps that order among chains of equal length)
     counted = [(_count_backend_ops(hop, backend), hop)
                for backend in (BACKEND_SP, BACKEND_GPU)
                for hop in nodes
-               if hop.placement == backend and hop.id in prefetch]
+               if hop.placement == backend
+               and flags.get(hop.id, 0) & PREFETCH]
     if not counted:
         return nodes
     counted.sort(key=lambda pair: -pair[0])

@@ -28,17 +28,30 @@ way the interpreter runs the block's *lowered* program (:func:`lower`):
 per instruction, the input-slot positions, the lineage attribute tuple,
 the static costs that depend only on shapes, the transpose fusion of
 the Spark ``tsmm``/``cpmm`` operators and the §5 rewrite flags
-(prefetch, broadcast, checkpoint) — decisions of the program, so they
-end with their block.
+(prefetch, broadcast, checkpoint), both decided by one walk of the
+block's consumer edges (:func:`block_flags`) — decisions of the
+program, so they end with their block.
 """
 
 from __future__ import annotations
 
+from repro.backends.spark.backend import SPARK_OPCODES
 from repro.common.costs import DOUBLE_BYTES, op_flops
-from repro.compiler.ir import BROADCAST, CHECKPOINT, KIND_OP, PREFETCH, Hop
-from repro.core.entry import BACKEND_SP
+from repro.compiler.ir import (
+    BROADCAST,
+    CHECKPOINT,
+    KIND_OP,
+    PREFETCH,
+    READS_THROUGH,
+    TRACE_ONLY,
+    Hop,
+)
+from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 from repro.lineage.item import NAN_KEY, value_key
 from repro.runtime.placement import matmul_pattern
+
+#: the bits of :func:`block_flags` a lowered instruction keeps.
+_REWRITES = PREFETCH | BROADCAST | CHECKPOINT
 
 #: most keys a session's memo holds (plans and keys seen once alike);
 #: the oldest goes first.
@@ -95,8 +108,93 @@ class BlockShape:
         )
 
 
-def lower(order: list[Hop], consumers: dict | None, config,
-          roots: list[Hop], prefetch, broadcast, checkpoint,
+def block_flags(roots: list[Hop], config, nodes: list[Hop]) -> dict[int, int]:
+    """Hop id -> the non-zero rewrite bits (:mod:`repro.compiler.ir`) of
+    a placed block's op hops, from its consumer edges.
+
+    ``nodes`` is the block's post-order, so walking it backwards visits
+    every consumer of a hop before the hop: one walk counts each hop's
+    consumer edges, per occurrence (``X * X`` is two edges of ``X``),
+    and decides the hop when it is reached.
+
+    * ``CHECKPOINT`` (§5.2, ``enable_checkpoint_rewrite``): a Spark op
+      with two or more Spark consumer edges, persisted so the jobs that
+      share it do not recompute it.
+    * ``PREFETCH`` (§5.1, ``enable_async_ops``): a remote-chain root,
+      triggered asynchronously — a Spark op with a consumer off Spark,
+      a Spark action ("this rewrite flags all other Spark actions for
+      asynchronous execution"), or a consumer-less root of at most
+      ``operation_memory_bytes // 8``, about to be collected; a GPU op
+      with a CP consumer.
+    * ``BROADCAST`` (§5.1, ``enable_async_ops``): a CP op of at most
+      ``driver_memory // 4`` with a Spark consumer.
+    * ``READS_THROUGH``: a Spark ``ba+*`` whose
+      :func:`~repro.runtime.placement.matmul_pattern` is ``tsmm`` or
+      ``cpmm`` (SystemDS never materialises ``t(X)`` of
+      ``t(X) %*% X`` or ``t(X) %*% Y``).
+    * ``TRACE_ONLY``: a transpose whose one consumer edge is such a
+      matmul's left operand.  A root transpose never is: its handle is
+      bound to its value when the block ends.
+
+    Only a block with an op on Spark or the GPU can get a bit, so the
+    compile pipeline calls this for those alone.
+    """
+    checkpoint = config.enable_checkpoint_rewrite
+    async_ops = config.enable_async_ops
+    collect_limit = config.cpu.operation_memory_bytes // 8
+    bc_limit = config.spark.driver_memory // 4
+    root_ids = {root.id for root in roots}
+    # hop id -> consumer edges, Spark consumer edges, the last consumer;
+    # the ids with a CP consumer
+    edges: dict[int, int] = {}
+    sp_edges: dict[int, int] = {}
+    user: dict[int, Hop] = {}
+    cp_fed: set[int] = set()
+    flags: dict[int, int] = {}
+    for hop in reversed(nodes):
+        if hop.kind != KIND_OP:
+            continue
+        hop_id, opcode, placement = hop.id, hop.opcode, hop.placement
+        n = edges.get(hop_id, 0)
+        bits = 0
+        if placement == BACKEND_SP:
+            n_sp = sp_edges.get(hop_id, 0)
+            if checkpoint and n_sp >= 2:
+                bits = CHECKPOINT
+            if async_ops and (
+                    n > n_sp or SPARK_OPCODES.get(opcode) == "action"
+                    or (not n and hop_id in root_ids
+                        and hop.output_bytes <= collect_limit)):
+                bits |= PREFETCH
+            if (opcode == "ba+*"
+                    and matmul_pattern(hop, config) in ("tsmm", "cpmm")):
+                bits |= READS_THROUGH
+        elif placement == BACKEND_GPU:
+            if async_ops and hop_id in cp_fed:
+                bits = PREFETCH
+        elif placement == BACKEND_CP:
+            if (async_ops and hop_id in sp_edges
+                    and hop.output_bytes <= bc_limit):
+                bits = BROADCAST
+        if opcode == "r'" and n == 1 and hop_id not in root_ids:
+            consumer = user[hop_id]
+            if (consumer.inputs[0] is hop
+                    and flags.get(consumer.id, 0) & READS_THROUGH):
+                bits |= TRACE_ONLY
+        if bits:
+            flags[hop_id] = bits
+        for inp in hop.inputs:
+            inp_id = inp.id
+            edges[inp_id] = edges.get(inp_id, 0) + 1
+            user[inp_id] = hop
+            if placement == BACKEND_SP:
+                sp_edges[inp_id] = sp_edges.get(inp_id, 0) + 1
+            elif placement == BACKEND_CP:
+                cp_fed.add(inp_id)
+    return flags
+
+
+def lower(order: list[Hop], flags: dict[int, int],
           attrs: dict[int, tuple]) -> tuple:
     """The lowered program of a linearized block, aligned with it:
     ``None`` per leaf and per op the instruction tuple
@@ -111,30 +209,15 @@ def lower(order: list[Hop], consumers: dict | None, config,
     bytes (inputs + output, dense; a scalar is 8 bytes).  Values take
     their hop's shape, so all of them are fixed per block shape.
 
-    Transpose fusion (SystemDS never materialises ``t(X)`` of
-    ``t(X) %*% X`` or ``t(X) %*% Y``): a Spark ``ba+*`` whose
-    :func:`~repro.runtime.placement.matmul_pattern` is ``tsmm`` or
-    ``cpmm`` reads the positions in ``operands`` — the transpose's
-    input and the right operand; every other op has ``None`` there and
-    reads ``inputs``.  A transpose whose one consumer (``consumers``,
-    the block's :func:`~repro.compiler.rewrites.async_ops.consumers_map`)
-    is such a matmul, as its left operand, is *trace-only*: ``cost`` is
-    ``None``, and it is traced but never probed, executed or put.  A
-    transpose among the block's ``roots`` is never trace-only: its
-    handle is bound to its value when the block ends.  ``consumers`` is
-    ``None`` when no op of the block is on Spark or the GPU
-    (:func:`~repro.runtime.placement.assign_placements`): then no
-    operator reads through a transpose and the test is skipped.
-
-    ``flags`` has the bit (``PREFETCH``, ``BROADCAST``, ``CHECKPOINT``)
-    of each §5 pass whose returned ids hold the op; ``0`` for none.
+    ``flags`` is the block's :func:`block_flags` (empty for a block with
+    no op on Spark or the GPU).  An op with ``READS_THROUGH`` reads the
+    positions in ``operands`` — its left transpose's input and its
+    right operand; every other op has ``None`` there and reads
+    ``inputs``.  A ``TRACE_ONLY`` transpose has ``cost`` ``None``: it is
+    traced but never probed, executed or put.  The instruction's
+    ``flags`` keeps the §5 bits (``PREFETCH``, ``BROADCAST``,
+    ``CHECKPOINT``); ``0`` for none.
     """
-    flags_of: dict[int, int] = {}
-    for flag, ids in ((PREFETCH, prefetch), (BROADCAST, broadcast),
-                      (CHECKPOINT, checkpoint)):
-        for hop_id in ids:
-            flags_of[hop_id] = flags_of.get(hop_id, 0) | flag
-    remote = consumers is not None
     index: dict[int, int] = {}
     program: list = []
     append = program.append
@@ -147,19 +230,16 @@ def lower(order: list[Hop], consumers: dict | None, config,
         opcode, shape, inputs = hop.opcode, hop.shape, hop.inputs
         in_positions = tuple([index[h.id] for h in inputs])
         op_attrs = attrs[hop_id] if hop.attrs else ()
-        flags = flags_of.get(hop_id, 0)
+        bits = flags.get(hop_id, 0)
+        rewrites = bits & _REWRITES
+        if bits & TRACE_ONLY:
+            append((in_positions, op_attrs, None, None, None, None,
+                    rewrites))
+            continue
         operands = None
-        if remote:
-            if opcode == "r'" and hop not in roots:
-                users = consumers.get(hop_id, ())
-                if (len(users) == 1 and users[0].inputs[0] is hop
-                        and _reads_through(users[0], config)):
-                    append((in_positions, op_attrs, None, None, None, None,
-                            flags))
-                    continue
-            if _reads_through(hop, config):
-                left, right = inputs
-                operands = (index[left.inputs[0].id], index[right.id])
+        if bits & READS_THROUGH:
+            left, right = inputs
+            operands = (index[left.inputs[0].id], index[right.id])
         in_shapes = [h.shape for h in inputs]
         cost = op_flops(opcode, in_shapes, shape)
         nbytes = shape[0] * shape[1]
@@ -172,16 +252,9 @@ def lower(order: list[Hop], consumers: dict | None, config,
             cost if in_shapes else op_flops(opcode, [(1, 1)], shape),
             nbytes * DOUBLE_BYTES,
             operands,
-            flags,
+            rewrites,
         ))
     return tuple(program)
-
-
-def _reads_through(hop: Hop, config) -> bool:
-    """Whether a ``ba+*`` runs as Spark ``tsmm``/``cpmm``, which read
-    the input of their left transpose instead of the transpose."""
-    return (hop.opcode == "ba+*" and hop.placement == BACKEND_SP
-            and matmul_pattern(hop, config) in ("tsmm", "cpmm"))
 
 
 class BlockPlan:

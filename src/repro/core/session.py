@@ -50,17 +50,10 @@ from repro.compiler.plan import (
     BlockShape,
     CompiledBlock,
     PlanMemo,
+    block_flags,
     lower,
 )
-from repro.compiler.rewrites.async_ops import (
-    consumers_map,
-    place_broadcast,
-    place_prefetch,
-)
-from repro.compiler.rewrites.checkpoint import (
-    place_shared_checkpoints,
-    should_checkpoint_loop_var,
-)
+from repro.compiler.rewrites.checkpoint import should_checkpoint_loop_var
 from repro.compiler.rewrites.cse import eliminate_common_subexpressions
 from repro.compiler.rewrites.tuning import tune_block
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
@@ -316,17 +309,16 @@ class Session:
     def _compile(self, handles: Sequence[MatrixHandle]):
         """Run the full compile pipeline over one basic block.
 
-        Rewrites (CSE, placement, checkpoint/prefetch/broadcast
-        placement), linearization and lowering (which also decides the
-        transpose fusion of Spark ``tsmm``/``cpmm``), shared verbatim between
-        :meth:`evaluate` and :meth:`explain` so a plan dump shows exactly
-        what would execute.  The checkpoint/prefetch/broadcast passes
-        return hop ids, which ``lower`` folds into the program's flags.
+        CSE, placement, the rewrite bits, linearization and lowering,
+        shared verbatim between :meth:`evaluate` and :meth:`explain` so
+        a plan dump shows exactly what would execute.  One walk of the
+        block's consumer edges (:func:`~repro.compiler.plan.block_flags`)
+        decides the checkpoint/prefetch/broadcast rewrites and the
+        transpose fusion of Spark ``tsmm``/``cpmm``; a block with no op
+        on Spark or the GPU, where none of them can apply, skips it.
         The CSE walk also keys the block's shape: a shape this session
         has compiled twice replays its recorded plan instead of running
-        the passes after CSE (``compiler/plan.py``).  A block with no op
-        on Spark or the GPU skips the §5 passes and the transpose
-        fusion test, which cannot flag anything there.  Returns a
+        the passes after CSE (``compiler/plan.py``).  Returns a
         :class:`~repro.compiler.plan.CompiledBlock`, the tuple
         ``(roots, root_hops, order, extra)`` carrying the lowered
         ``program``, or ``None`` when nothing is pending.
@@ -344,32 +336,17 @@ class Session:
         if found.__class__ is BlockPlan:
             return CompiledBlock(roots, root_hops, found.replay(shape.hops),
                                  extra, found.program)
-        # one traversal serves the whole pipeline below: after CSE the
-        # DAG structure is frozen (placement only sets per-hop backends),
-        # so each pass re-walking the DAG was pure repeated traversal
-        # cost.  depth_first yields the deduplicated post-order every
-        # pass needs (inputs before consumers) and doubles as the final
-        # instruction order when no remote chains call for
-        # max_parallelize reordering.
+        # after CSE the DAG structure is frozen (placement only sets
+        # per-hop backends), so one depth-first post-order (inputs before
+        # consumers) serves every pass below, and is the final order
+        # when no remote chain calls for max_parallelize reordering
         config = self.config
         nodes = depth_first(root_hops)
-        if assign_placements(root_hops, config, nodes):
-            consumers = consumers_map(root_hops, nodes)
-            checkpoint = place_shared_checkpoints(root_hops, config,
-                                                  consumers, nodes)
-            prefetch = place_prefetch(root_hops, config, consumers, nodes)
-            broadcast = place_broadcast(root_hops, config, consumers, nodes)
-        else:
-            # no op on Spark or the GPU: the §5 passes flag only remote
-            # ops and CP ops feeding Spark, so they have nothing to say
-            consumers = None
-            checkpoint = prefetch = broadcast = ()
-        if config.enable_max_parallelize:
-            order = max_parallelize(root_hops, prefetch, nodes)
-        else:
-            order = nodes
-        program = lower(order, consumers, config, root_hops,
-                        prefetch, broadcast, checkpoint, shape.attrs)
+        remote = assign_placements(nodes, config)
+        flags = block_flags(root_hops, config, nodes) if remote else {}
+        order = (max_parallelize(root_hops, flags, nodes)
+                 if config.enable_max_parallelize else nodes)
+        program = lower(order, flags, shape.attrs)
         self._plans.note(key, found, shape.hops, order, program)
         return CompiledBlock(roots, root_hops, order, extra, program)
 

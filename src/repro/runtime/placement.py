@@ -16,12 +16,13 @@ downstream.  Prefetch/broadcast (§5.1), checkpoints (§5.2) and the
 transpose a Spark ``tsmm``/``cpmm`` reads through only concern Spark-
 or GPU-placed ops, so :func:`assign_placements` also answers whether
 any op of the block is remote — placed now or by an earlier block —
-and a block that has none skips those passes.  The whole pass is a
-single walk over the shared post-order node list, and an op's inputs
-are read once for the scalar test, locality and the memory estimate —
-see docs/PERFORMANCE.md.
-:func:`matmul_pattern` also serves lowering
-(:func:`repro.compiler.plan.lower`), which lets a Spark ``tsmm``/
+and a block that has none skips the walk that decides them
+(:func:`repro.compiler.plan.block_flags`).  The whole pass is a single
+walk over the shared post-order node list, and an op's inputs are read
+once for the scalar test, locality and the memory estimate — see
+docs/PERFORMANCE.md.
+:func:`matmul_pattern` also serves
+:func:`~repro.compiler.plan.block_flags`, which lets a Spark ``tsmm``/
 ``cpmm`` read the input of its left transpose, and the Spark dispatch,
 which picks the physical operator by it.
 """
@@ -75,23 +76,20 @@ def matmul_pattern(hop: Hop, config: MemphisConfig) -> str | None:
     return None
 
 
-def assign_placements(roots: list[Hop], config: MemphisConfig,
-                      nodes: list[Hop] | None = None) -> bool:
-    """Annotate every hop reachable from ``roots`` with a backend tag;
-    return whether any *op* hop is on Spark or the GPU.
+def assign_placements(nodes: list[Hop], config: MemphisConfig) -> bool:
+    """Annotate every hop of ``nodes`` with a backend tag; return
+    whether any *op* hop is on Spark or the GPU.
 
-    ``nodes`` optionally supplies a precomputed post-order traversal
-    (inputs before consumers — placement is locality-aware, so inputs
-    must be tagged first) so the compile pipeline walks the DAG once.
-    The answer covers op hops placed now and op hops an earlier block
-    placed (a placement is never revised); data leaves and literals do
-    not count.  With no remote op hop the §5 rewrites and the Spark
-    transpose fusion have nothing to flag, so the compile pipeline
-    skips them.
+    ``nodes`` is the block's post-order (inputs before consumers —
+    placement is locality-aware, so inputs must be tagged first), the
+    one traversal the compile pipeline shares.  The answer covers op
+    hops placed now and op hops an earlier block placed (a placement is
+    never revised); data leaves and literals do not count.  With no
+    remote op hop the §5 rewrites and the Spark transpose fusion have
+    nothing to flag, so the compile pipeline skips
+    :func:`~repro.compiler.plan.block_flags`.
     """
     op_mem = config.cpu.operation_memory_bytes
-    if nodes is None:
-        nodes = [hop for root in roots for hop in root.iter_dag()]
     remote = False
     for hop in nodes:
         placement = hop.placement

@@ -48,7 +48,7 @@ def bare_leaf(rows, cols):
 
 def place_all(roots, backend=BACKEND_CP):
     for root in roots:
-        for hop in root.iter_dag():
+        for hop in depth_first([root]):
             if hop.kind == "op" and hop.placement is None:
                 hop.placement = backend
 

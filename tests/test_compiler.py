@@ -6,20 +6,39 @@ from repro.analysis import analyze, linearization_soundness
 from repro.common.config import MemphisConfig, StorageLevel
 from repro.common.errors import CompilationError
 from repro.compiler.ir import (
+    BROADCAST,
+    CHECKPOINT,
+    PREFETCH,
+    READS_THROUGH,
+    TRACE_ONLY,
     Hop,
     infer_shape,
     literal_hop,
     op_hop,
 )
 from repro.compiler.linearize import depth_first, max_parallelize
-from repro.compiler.rewrites.async_ops import place_broadcast, place_prefetch
-from repro.compiler.rewrites.checkpoint import (
-    place_shared_checkpoints,
-    should_checkpoint_loop_var,
-)
+from repro.compiler.plan import block_flags
+from repro.compiler.rewrites.checkpoint import should_checkpoint_loop_var
 from repro.compiler.rewrites.cse import eliminate_common_subexpressions
 from repro.compiler.rewrites.tuning import tune_block
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
+from repro.runtime.placement import matmul_pattern
+
+
+def flagged(roots, config, bit):
+    """The ids of the op hops :func:`block_flags` gives ``bit``."""
+    flags = block_flags(roots, config, depth_first(roots))
+    return {hop_id for hop_id, bits in flags.items() if bits & bit}
+
+
+def prefetched(*hops):
+    """The flags of a block whose only bits are these chain roots'."""
+    return {hop.id: PREFETCH for hop in hops}
+
+
+def parallelized(roots, flags):
+    """:func:`max_parallelize` over the roots' depth-first order."""
+    return max_parallelize(roots, flags, depth_first(roots))
 
 
 class TestShapeInference:
@@ -133,7 +152,7 @@ class TestLinearize:
 
     def test_max_parallelize_falls_back_without_remote(self):
         *_, root = self._diamond()
-        assert [h.id for h in max_parallelize([root], set())] == \
+        assert [h.id for h in parallelized([root], {})] == \
             [h.id for h in depth_first([root])]
 
     def test_max_parallelize_longest_chain_first(self):
@@ -148,7 +167,7 @@ class TestLinearize:
         short_root.placement = BACKEND_SP
         final = op_hop("+", [short_root, long_root])
         final.placement = BACKEND_CP
-        order = max_parallelize([final], {long_root.id, short_root.id})
+        order = parallelized([final], prefetched(long_root, short_root))
         pos = {h.id: i for i, h in enumerate(order)}
         # the longer chain's root is linearized before the shorter one
         assert pos[long_root.id] < pos[short_root.id]
@@ -161,7 +180,7 @@ class TestLinearize:
         s1 = op_hop("exp", [x]); s1.placement = BACKEND_SP
         s2 = op_hop("log", [s1]); s2.placement = BACKEND_SP
         final = op_hop("+", [s1, s2])
-        order = max_parallelize([final], {s1.id, s2.id})
+        order = parallelized([final], prefetched(s1, s2))
         pos = {h.id: i for i, h in enumerate(order)}
         for hop in order:
             for inp in hop.inputs:
@@ -206,11 +225,6 @@ class TestLinearize:
         with pytest.raises(CompilationError):
             depth_first([b])
 
-    def test_iter_dag_matches_depth_first(self):
-        *_, root = self._diamond()
-        assert [h.id for h in root.iter_dag()] == \
-            [h.id for h in depth_first([root])]
-
     def _chain(self, x, length, backend):
         """A chain of ``length`` ops on ``backend``; its last op is the
         root max_parallelize is handed as prefetched."""
@@ -222,20 +236,20 @@ class TestLinearize:
 
     def test_max_parallelize_tie_broken_by_discovery_order(self):
         # equal chain lengths: the sort is stable, so chains keep the
-        # deterministic iter_dag discovery order (left-to-right)
+        # deterministic depth-first discovery order (left-to-right)
         x = literal_and(4, 4)
         first = self._chain(x, 2, BACKEND_SP)
         second = self._chain(x, 2, BACKEND_SP)
-        prefetch = {first.id, second.id}
+        prefetch = prefetched(first, second)
         final = op_hop("+", [first, second])
         final.placement = BACKEND_CP
-        order = max_parallelize([final], prefetch)
+        order = parallelized([final], prefetch)
         pos = {h.id: i for i, h in enumerate(order)}
         assert pos[first.id] < pos[second.id]
         # swapping the consumer's operands swaps the discovery order
         final2 = op_hop("+", [second, first])
         final2.placement = BACKEND_CP
-        order2 = max_parallelize([final2], prefetch)
+        order2 = parallelized([final2], prefetch)
         pos2 = {h.id: i for i, h in enumerate(order2)}
         assert pos2[second.id] < pos2[first.id]
 
@@ -245,7 +259,7 @@ class TestLinearize:
         sp_root = self._chain(x, 1, BACKEND_SP)
         final = op_hop("+", [sp_root, gpu_root])
         final.placement = BACKEND_CP
-        order = max_parallelize([final], {gpu_root.id, sp_root.id})
+        order = parallelized([final], prefetched(gpu_root, sp_root))
         pos = {h.id: i for i, h in enumerate(order)}
         # the longer GPU chain is linearized before the shorter SP one
         assert pos[gpu_root.id] < pos[sp_root.id]
@@ -265,13 +279,13 @@ class TestAsyncRewrites:
 
     def test_prefetch_placed_on_boundary(self):
         sp, cp = self._sp_to_cp()
-        placed = place_prefetch([cp], MemphisConfig.memphis())
+        placed = flagged([cp], MemphisConfig.memphis(), PREFETCH)
         assert len(placed) == 1
         assert sp.id in placed
 
     def test_prefetch_disabled_without_async(self):
         sp, cp = self._sp_to_cp()
-        placed = place_prefetch([cp], MemphisConfig.base())
+        placed = flagged([cp], MemphisConfig.base(), PREFETCH)
         assert len(placed) == 0
         assert sp.id not in placed
 
@@ -280,7 +294,7 @@ class TestAsyncRewrites:
         small.placement = BACKEND_CP
         consumer = op_hop("+", [small, literal_and(10_000, 10)])
         consumer.placement = BACKEND_SP
-        placed = place_broadcast([consumer], MemphisConfig.memphis())
+        placed = flagged([consumer], MemphisConfig.memphis(), BROADCAST)
         assert len(placed) == 1
         assert small.id in placed
 
@@ -291,7 +305,7 @@ class TestAsyncRewrites:
         big.placement = BACKEND_CP
         consumer = op_hop("+", [big, literal_and(1, big_cols)])
         consumer.placement = BACKEND_SP
-        assert len(place_broadcast([consumer], cfg)) == 0
+        assert len(flagged([consumer], cfg, BROADCAST)) == 0
 
 
 class TestCheckpointRewrites:
@@ -300,7 +314,7 @@ class TestCheckpointRewrites:
         shared = op_hop("exp", [x]); shared.placement = BACKEND_SP
         j1 = op_hop("uark+", [shared]); j1.placement = BACKEND_SP
         j2 = op_hop("log", [shared]); j2.placement = BACKEND_SP
-        placed = place_shared_checkpoints([j1, j2], MemphisConfig.memphis())
+        placed = flagged([j1, j2], MemphisConfig.memphis(), CHECKPOINT)
         assert len(placed) == 1
         assert shared.id in placed
 
@@ -308,8 +322,16 @@ class TestCheckpointRewrites:
         x = literal_and(100_000, 100)
         sp = op_hop("exp", [x]); sp.placement = BACKEND_SP
         j1 = op_hop("uark+", [sp]); j1.placement = BACKEND_SP
-        assert len(place_shared_checkpoints([j1],
-                                            MemphisConfig.memphis())) == 0
+        assert len(flagged([j1], MemphisConfig.memphis(), CHECKPOINT)) == 0
+
+    def test_each_input_edge_counts(self):
+        """Edges count per occurrence: one Spark ``*`` reading a Spark
+        hop twice is two Spark consumers of it."""
+        x = literal_and(100_000, 100)
+        shared = op_hop("exp", [x]); shared.placement = BACKEND_SP
+        square = op_hop("*", [shared, shared]); square.placement = BACKEND_SP
+        assert flagged([square], MemphisConfig.memphis(),
+                       CHECKPOINT) == {shared.id}
 
     def test_loop_var_predicate_uses_size(self):
         cfg = MemphisConfig.memphis()
@@ -320,6 +342,38 @@ class TestCheckpointRewrites:
     def test_loop_var_predicate_disabled(self):
         cfg = MemphisConfig.base()
         assert not should_checkpoint_loop_var((10**9, 10), cfg)
+
+
+class TestReadThrough:
+    """A Spark ``tsmm``/``cpmm`` reads through its left transpose, which
+    is trace-only when that read is its one consumer edge."""
+
+    def _transpose(self):
+        cfg = MemphisConfig.memphis()
+        cfg.cpu.operation_memory_bytes = 64 * 1024
+        x = literal_and(200, 200)  # 320 KB: distributed
+        t = op_hop("r'", [x]); t.placement = BACKEND_SP
+        return cfg, x, t
+
+    def test_tsmm_left_transpose_is_trace_only(self):
+        cfg, x, t = self._transpose()
+        mm = op_hop("ba+*", [t, x]); mm.placement = BACKEND_SP
+        assert matmul_pattern(mm, cfg) == "tsmm"
+        assert flagged([mm], cfg, READS_THROUGH) == {mm.id}
+        assert flagged([mm], cfg, TRACE_ONLY) == {t.id}
+
+    def test_transpose_read_twice_is_not_trace_only(self):
+        cfg, x, t = self._transpose()
+        mm = op_hop("ba+*", [t, t]); mm.placement = BACKEND_SP
+        assert matmul_pattern(mm, cfg) == "cpmm"
+        assert flagged([mm], cfg, READS_THROUGH) == {mm.id}
+        assert flagged([mm], cfg, TRACE_ONLY) == set()
+
+    def test_root_transpose_is_not_trace_only(self):
+        cfg, x, t = self._transpose()
+        mm = op_hop("ba+*", [t, x]); mm.placement = BACKEND_SP
+        assert flagged([mm, t], cfg, READS_THROUGH) == {mm.id}
+        assert flagged([mm, t], cfg, TRACE_ONLY) == set()
 
 
 class TestAutoTuning:

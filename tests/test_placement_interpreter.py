@@ -5,6 +5,7 @@ import pytest
 
 from repro import MemphisConfig, Session
 from repro.compiler.ir import op_hop
+from repro.compiler.linearize import depth_first
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 from repro.runtime.placement import (
     assign_placements,
@@ -27,14 +28,14 @@ class TestPlacementRules:
         sess = Session(MemphisConfig.memphis())
         X = sess.read(RNG.random((10, 4)), "X")
         out = X.t() @ X
-        assign_placements([out.hop], sess.config)
+        assign_placements(depth_first([out.hop]), sess.config)
         assert out.hop.placement == BACKEND_CP
 
     def test_large_ops_go_to_spark(self):
         sess = big_session()
         X = sess.read(RNG.random((2000, 16)), "X")  # 256 KB > 64 KB
         out = X * 2.0
-        assign_placements([out.hop], sess.config)
+        assign_placements(depth_first([out.hop]), sess.config)
         assert out.hop.placement == BACKEND_SP
 
     def test_small_result_of_distributed_input_is_local(self):
@@ -46,7 +47,8 @@ class TestPlacementRules:
         grad = (X.t() @ (X @ w))  # distributed
         update = sess.read(RNG.random((8, 1)), "w2") - 0.1
         small = grad.sum()  # scalar of distributed input -> Spark action
-        assign_placements([small.hop, update.hop], sess.config)
+        assign_placements(depth_first([small.hop, update.hop]),
+                          sess.config)
         assert small.hop.placement == BACKEND_SP  # aggregate action
         assert update.hop.placement == BACKEND_CP
 
@@ -54,7 +56,7 @@ class TestPlacementRules:
         sess = big_session()
         X = sess.read(RNG.random((2000, 8)), "X")
         ratio = X.sum() / X.mean()
-        assign_placements([ratio.hop], sess.config)
+        assign_placements(depth_first([ratio.hop]), sess.config)
         assert ratio.hop.placement == BACKEND_CP
 
     def test_gpu_placement_when_enabled(self):
@@ -64,7 +66,7 @@ class TestPlacementRules:
         sess = Session(cfg)
         X = sess.read(RNG.random((64, 64)), "X")
         out = X @ X
-        assign_placements([out.hop], sess.config)
+        assign_placements(depth_first([out.hop]), sess.config)
         assert out.hop.placement == BACKEND_GPU
 
     def test_tiny_matrices_not_worth_gpu(self):
@@ -74,7 +76,7 @@ class TestPlacementRules:
         sess = Session(cfg)
         X = sess.read(RNG.random((4, 4)), "X")
         out = X @ X
-        assign_placements([out.hop], sess.config)
+        assign_placements(depth_first([out.hop]), sess.config)
         assert out.hop.placement == BACKEND_CP
 
 

@@ -1,11 +1,11 @@
 """Pass-ordering and idempotence tests for the compiler rewrites.
 
 The rewrite pipeline (``Session._compile``) runs CSE, placement, then
-the checkpoint/prefetch/broadcast flag passes; lowering decides
-transpose fusion and carries the flags.
+``block_flags``, which decides the checkpoint/prefetch/broadcast
+rewrites and the transpose fusion that lowering carries out.
 Each rewrite must be idempotent — running it twice leaves the DAG
-exactly as running it once; a flag pass returns the same ids twice and
-mutates no hop.
+exactly as running it once; ``block_flags`` returns the same bits twice
+and mutates no hop.
 """
 
 import importlib.util
@@ -32,13 +32,7 @@ from repro.compiler.ir import (
     op_hop,
 )
 from repro.compiler.linearize import depth_first, max_parallelize
-from repro.compiler.plan import CompiledBlock, attr_data, lower
-from repro.compiler.rewrites.async_ops import (
-    consumers_map,
-    place_broadcast,
-    place_prefetch,
-)
-from repro.compiler.rewrites.checkpoint import place_shared_checkpoints
+from repro.compiler.plan import CompiledBlock, attr_data, block_flags, lower
 from repro.compiler.rewrites.cse import eliminate_common_subexpressions
 from repro.compiler.rewrites.tuning import tune_block
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
@@ -60,14 +54,13 @@ def _leaf(rows=8, cols=8, placement=None):
     return hop
 
 
-def _flags(roots, config, prefetch=(), broadcast=(), checkpoint=()):
+def _flags(roots, flags):
     """Per reachable hop, its lowered instruction's flags given the
-    flag passes' ids, and whether the program only traces it."""
+    block's :func:`block_flags`, and whether the program only traces
+    it."""
     nodes = depth_first(roots)
     block = CompiledBlock([], roots, nodes, {}, lower(
-        nodes, consumers_map(roots, nodes), config, roots,
-        prefetch, broadcast, checkpoint,
-        {h.id: attr_data(h.attrs) for h in nodes if h.attrs}))
+        nodes, flags, {h.id: attr_data(h.attrs) for h in nodes if h.attrs}))
     skipped, flags = block.trace_only, block.flags
     return {(h.id, flags.get(h.id, 0), i in skipped)
             for i, h in enumerate(nodes)}
@@ -77,6 +70,11 @@ def _hops(roots):
     """Every slot of every reachable hop."""
     slots = [s for s in Hop.__slots__ if s != "__weakref__"]
     return [[getattr(h, s, None) for s in slots] for h in depth_first(roots)]
+
+
+def _ids(flags, bit):
+    """The ids of the hops whose bits hold ``bit``."""
+    return {hop_id for hop_id, bits in flags.items() if bits & bit}
 
 
 def _shape(roots):
@@ -98,14 +96,14 @@ class TestRegisteredPassOrder:
         assert order.index(placement_legality) < order.index(memory_plan)
 
     def test_compile_pipeline_source_order(self):
-        """CSE and placement run before the flag passes, which must see
-        the final DAG and backends."""
+        """CSE and placement run before ``block_flags``, which must see
+        the final DAG and backends, and lowering comes last."""
         src = inspect.getsource(Session._compile)
         cse = src.index("eliminate_common_subexpressions")
         placement = src.index("assign_placements")
-        checkpoint = src.index("place_shared_checkpoints")
-        prefetch = src.index("place_prefetch")
-        assert cse < placement < checkpoint < prefetch
+        flags = src.index("block_flags(")
+        lowering = src.index("lower(")
+        assert cse < placement < flags < lowering
 
 
 # ------------------------------------------------------------ idempotence
@@ -134,16 +132,15 @@ class TestRewriteIdempotence:
         c1.placement = c2.placement = BACKEND_SP
         roots = [c1, c2]
         nodes = depth_first(roots)
-        consumers = consumers_map(roots, nodes)
         hops = _hops(roots)
-        once = place_shared_checkpoints(roots, config, consumers, nodes)
-        assert len(once) == 1
-        assert shared.id in once
-        state = _flags(roots, config, checkpoint=once)
+        once = block_flags(roots, config, nodes)
+        assert len(_ids(once, CHECKPOINT)) == 1
+        assert shared.id in _ids(once, CHECKPOINT)
+        state = _flags(roots, once)
         assert (shared.id, CHECKPOINT, False) in state
-        twice = place_shared_checkpoints(roots, config, consumers, nodes)
+        twice = block_flags(roots, config, nodes)
         assert twice == once
-        assert _flags(roots, config, checkpoint=twice) == state
+        assert _flags(roots, twice) == state
         assert _hops(roots) == hops
 
     def test_async_ops_idempotent(self):
@@ -159,15 +156,14 @@ class TestRewriteIdempotence:
         collect.placement = BACKEND_CP
         roots = [collect]
         nodes = depth_first(roots)
-        consumers = consumers_map(roots, nodes)
         hops = _hops(roots)
-        prefetch = place_prefetch(roots, config, consumers, nodes)
-        broadcast = place_broadcast(roots, config, consumers, nodes)
-        state = _flags(roots, config, prefetch, broadcast)
+        once = block_flags(roots, config, nodes)
+        state = _flags(roots, once)
         assert any(flags & PREFETCH for _, flags, _ in state)
-        assert place_prefetch(roots, config, consumers, nodes) == prefetch
-        assert place_broadcast(roots, config, consumers, nodes) == broadcast
-        assert _flags(roots, config, prefetch, broadcast) == state
+        twice = block_flags(roots, config, nodes)
+        assert _ids(twice, PREFETCH) == _ids(once, PREFETCH)
+        assert _ids(twice, BROADCAST) == _ids(once, BROADCAST)
+        assert _flags(roots, twice) == state
         assert _hops(roots) == hops
 
     def test_tuning_idempotent(self):
@@ -205,23 +201,20 @@ class TestCseMergedHandles:
 
 
 def _full_passes(compiled, config):
-    """What the whole pass sequence — no skip for CP-only blocks —
-    returns on the hops ``Session._compile`` just placed: the
-    checkpoint, prefetch and broadcast ids, the order and the program."""
+    """What the whole pass sequence — ``block_flags`` with no skip for
+    CP-only blocks — returns on the hops ``Session._compile`` just
+    placed: the checkpoint, prefetch and broadcast ids, the order and
+    the program."""
     _, root_hops, _, _ = compiled
     nodes = depth_first(root_hops)
-    assign_placements(root_hops, config, nodes)  # all placed: a no-op
-    consumers = consumers_map(root_hops, nodes)
-    checkpoint = place_shared_checkpoints(root_hops, config, consumers,
-                                          nodes)
-    prefetch = place_prefetch(root_hops, config, consumers, nodes)
-    broadcast = place_broadcast(root_hops, config, consumers, nodes)
-    order = (max_parallelize(root_hops, prefetch, nodes)
+    assign_placements(nodes, config)  # all placed: a no-op
+    flags = block_flags(root_hops, config, nodes)
+    order = (max_parallelize(root_hops, flags, nodes)
              if config.enable_max_parallelize else nodes)
-    program = lower(order, consumers, config, root_hops, prefetch,
-                    broadcast, checkpoint,
+    program = lower(order, flags,
                     {h.id: attr_data(h.attrs) for h in nodes if h.attrs})
-    return checkpoint, prefetch, broadcast, order, program
+    return (_ids(flags, CHECKPOINT), _ids(flags, PREFETCH),
+            _ids(flags, BROADCAST), order, program)
 
 
 def _remote(compiled) -> bool:
@@ -256,9 +249,9 @@ def checked(monkeypatch):
 
 
 class TestCpOnlyBlocksCompileExactly:
-    """A block with no op on Spark or the GPU skips the §5 passes and
-    the transpose-fusion test; what it compiles to must be what the
-    whole pass sequence returns on the same hops."""
+    """A block with no op on Spark or the GPU skips ``block_flags``;
+    what it compiles to must be what the whole pass sequence returns on
+    the same hops."""
 
     def test_quickstart(self, checked):
         spec = importlib.util.spec_from_file_location(
