@@ -9,9 +9,10 @@ and compares every simulated duration (exact float ``repr``) and every
 pre-refactor counter against the recorded baseline in
 ``baselines/fig12_counters.json``.  Every other experiment
 (:data:`GOLDEN`) is held the same way to ``baselines/experiments.json``
-(every counter, ``memory/`` included), and so is a SHA-256 of the
+(every counter, ``memory/`` included), and so are a SHA-256 of the
 rendered ``--explain --verify-ir`` plans of four of them
-(:data:`EXPLAINED`); a change meant to move them rewrites those records
+(:data:`EXPLAINED`) and the ``--server 8 --server-seed 7`` report
+(:data:`SERVER`); a change meant to move them rewrites those records
 with one command::
 
     REPRO_RECORD_BASELINES=1 PYTHONPATH=src python -m pytest \
@@ -48,6 +49,7 @@ from repro.core.substrate import Substrate
 from repro.harness import runner
 from repro.harness.__main__ import EXPERIMENTS
 from repro.obs import ExplainCollector
+from repro.server import run_server_demo
 from repro.workloads.base import WorkloadResult
 BASELINE = pathlib.Path(__file__).parent / "baselines" / \
     "fig12_counters.json"
@@ -70,6 +72,9 @@ EXPLAINED = ("ablation-ordering", "fig2c", "fig12b", "tlvis")
 #: the key of the digests in ``experiments.json``.
 DIGESTS = "explain-sha256"
 
+#: the key of the ``--server 8 --server-seed 7`` report's ``as_record()``.
+SERVER = "server-8-seed-7"
+
 
 def snap(experiment) -> dict:
     """Reduce an ExperimentResult grid to comparable scalars, nested as
@@ -91,6 +96,11 @@ def _snap_cell(value):
 def compare(recorded, current, path: str) -> list[str]:
     """Every recorded cell must match: elapsed and plain values exactly,
     and every counter present in the baseline unchanged."""
+    if isinstance(recorded, list):
+        if len(recorded) != len(current):
+            return [f"{path}: {len(recorded)} items -> {len(current)}"]
+        return [line for i, (was, now) in enumerate(zip(recorded, current))
+                for line in compare(was, now, f"{path}[{i}]")]
     if not isinstance(recorded, dict):
         return [] if recorded == current else [
             f"{path}: {recorded} -> {current}"]
@@ -169,6 +179,21 @@ def test_golden_explain_digest(name):
         record(DIGESTS, name, digest)
         return
     assert json.loads(RECORDS.read_text())[DIGESTS][name] == digest
+
+
+def test_golden_server_record():
+    """The ``--server 8 --server-seed 7`` report's ``as_record()`` (every
+    request, ``server/`` and ``cache/`` counter, tenant, SLO row and
+    attribution cell) matches its record; with ``REPRO_RECORD_BASELINES``
+    set, it is recorded instead."""
+    current = json.loads(json.dumps(run_server_demo(8, seed=7).as_record()))
+    if os.environ.get("REPRO_RECORD_BASELINES"):
+        record(None, SERVER, current)
+        return
+    recorded = json.loads(RECORDS.read_text())[SERVER]
+    mismatches = compare(recorded, current, SERVER)
+    assert not mismatches, "\n".join(mismatches)
+    assert current == recorded  # and nothing the record lacks
 
 
 #: what a harness runner builds and must let go of when it returns.

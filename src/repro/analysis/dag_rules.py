@@ -22,7 +22,7 @@ PLC008 warning  broadcast value exceeds the driver broadcast limit
 PLC009 error    op left unplaced in a partially placed DAG
 PLC010 error    consumed data leaf has no materialized payload
 PLC011 error    CP-placed op with no CPU kernel
-DET001 error    ``rand`` without a seed attribute (nondeterministic key)
+DET001 error    ``rand`` without a seed attribute, but for a constant fill
 DET002 warning  ``dropout`` without a seed attribute
 DET003 error    distinct hops share a lineage key but differ in shape
 DET004 info     distinct hops share a lineage key (missed CSE)
@@ -37,6 +37,7 @@ import re
 
 from repro.analysis.base import AnalysisContext
 from repro.analysis.diagnostics import Diagnostic, Severity, diag
+from repro.backends.cpu.kernels import constant_fill
 from repro.common.config import MemphisConfig
 from repro.common.errors import CompilationError
 from repro.compiler.ir import (
@@ -269,7 +270,8 @@ def _check_data(hop: Hop) -> list[Diagnostic]:
     )]
 
 
-#: opcodes drawing randomness; the seed attr makes them deterministic.
+#: opcodes drawing randomness; the seed attr makes them deterministic,
+#: and a ``rand`` that is a constant fill draws none.
 _RANDOMIZED = {"rand": "DET001", "dropout": "DET002"}
 
 
@@ -303,7 +305,8 @@ def _check_attrs(hop: Hop) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     rule = _RANDOMIZED.get(hop.opcode)
     if rule is not None and hop.kind == KIND_OP \
-            and "seed" not in hop.attrs:
+            and "seed" not in hop.attrs \
+            and not (rule == "DET001" and constant_fill(hop.attrs)):
         severity = (
             Severity.ERROR if rule == "DET001" else Severity.WARNING
         )

@@ -225,20 +225,30 @@ def _rowargmax(inputs, attrs):
 
 # --------------------------------------------------------- data generation
 
+def constant_fill(attrs: dict) -> bool:
+    """Whether ``rand`` over ``attrs`` is a constant fill (``eye``'s
+    ones): ``min == max``, finite, dense and not ``normal``.  Its bytes
+    are a function of the attributes alone, whatever its seed, so its
+    lineage names its value with or without one."""
+    lo = float(attrs.get("min", 0.0))
+    return (lo == float(attrs.get("max", 1.0)) and math.isfinite(lo)
+            and float(attrs.get("sparsity", 1.0)) >= 1.0
+            and attrs.get("pdf", "uniform") != "normal")
+
+
 @kernel("rand")
 def _rand(inputs, attrs):
     rows = int(attrs["rows"])
     cols = int(attrs["cols"])
     lo = float(attrs.get("min", 0.0))
+    if constant_fill(attrs):
+        # ``random()·0 + lo`` without the RNG; ``+ 0.0`` maps -0.0 to
+        # +0.0 as that sum does
+        return MatrixValue(np.full((rows, cols), lo + 0.0))
     hi = float(attrs.get("max", 1.0))
     sparsity = float(attrs.get("sparsity", 1.0))
-    seed = int(attrs.get("seed", 0))
     pdf = attrs.get("pdf", "uniform")
-    if lo == hi and math.isfinite(lo) and sparsity >= 1.0 and pdf != "normal":
-        # a constant fill (``eye``'s ones): ``random()·0 + lo`` without
-        # the RNG; ``+ 0.0`` maps -0.0 to +0.0 as that sum does
-        return MatrixValue(np.full((rows, cols), lo + 0.0))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(int(attrs.get("seed", 0)))
     if pdf == "normal":
         out = rng.standard_normal((rows, cols))
     else:

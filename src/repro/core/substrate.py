@@ -26,10 +26,13 @@ A lineage key is **globally shared** — one cache entry serves every
 session — iff its DAG is pure under the determinism rules the static
 verifier enforces (DET001–006, ``repro.analysis.dag_rules``):
 
-* no ``rand``/``dropout`` anywhere in the DAG.  Seeded or not: an
-  unseeded ``rand`` draws a session-local seed counter, so two sessions
-  produce *identical* lineage for *different* data — sharing would
-  return wrong results (DET001/DET002);
+* no ``rand``/``dropout`` anywhere in the DAG, unless the ``rand`` is
+  a constant fill (``eye``'s ones,
+  :func:`~repro.backends.cpu.kernels.constant_fill`), whose bytes its
+  attributes alone decide.  Any other ``rand`` is scoped, seeded or
+  not: an unseeded one draws a session-local seed counter, so two
+  sessions produce *identical* lineage for *different* data — sharing
+  would return wrong results (DET001/DET002);
 * no coarse-grained function items (``func:*``): their outputs
   reference session-bound payload keys;
 * every ``data`` leaf names a registered dataset whose content
@@ -54,6 +57,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
+from repro.backends.cpu.kernels import constant_fill
 from repro.common.config import MemphisConfig
 from repro.common.errors import AdmissionError
 from repro.common.runtime import RuntimeContext, current as current_runtime
@@ -76,6 +80,7 @@ from repro.lineage.item import (
     OP_NAMESPACE,
     LineageInterner,
     LineageItem,
+    attrs_from_data,
 )
 from repro.memory import REGION_CP, MemoryArbiter, shared_demands
 from repro.obs.events import EV_SERVER_ATTRIBUTION, EV_SERVER_BACKPRESSURE
@@ -85,7 +90,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.session import Session
 
 #: opcodes whose results are not reproducible across sessions (the
-#: DET001/DET002 families): any DAG containing one stays session-scoped.
+#: DET001/DET002 families): any DAG containing one stays session-scoped,
+#: but for a ``rand`` that is a constant fill.
 IMPURE_OPCODES = frozenset({"rand", "dropout"})
 
 #: opcode prefix of namespace wrapper items (canonical constant lives
@@ -380,8 +386,13 @@ class Substrate:
         names: list[str] = []
         for node in item.iter_dag():
             opcode = node.opcode
-            if (opcode in IMPURE_OPCODES
-                    or opcode.startswith(OP_FUNCTION)
+            if opcode in IMPURE_OPCODES:
+                if opcode == "rand" and constant_fill(
+                        attrs_from_data(node.data)):
+                    continue
+                pure = False
+                break
+            if (opcode.startswith(OP_FUNCTION)
                     or opcode.startswith(NS_PREFIX + ":")):
                 pure = False
                 break

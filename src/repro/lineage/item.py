@@ -70,6 +70,18 @@ def key_value(key: object) -> object:
     return key
 
 
+def attrs_from_data(data: tuple) -> dict:
+    """Rebuild an attribute dict from a flattened lineage data tuple.
+
+    Inverse of :func:`~repro.compiler.plan.attr_data`: lineage items
+    store op attributes as ``(key, value key, key, value key, ...)``.
+    """
+    attrs: dict = {}
+    for i in range(0, len(data) - 1, 2):
+        attrs[str(data[i])] = key_value(data[i + 1])
+    return attrs
+
+
 class LineageItem:
     """One node of a lineage DAG.
 

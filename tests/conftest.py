@@ -14,6 +14,7 @@ import pytest
 
 from repro.backends.spark.rdd import RDD
 from repro.common.runtime import RuntimeContext
+from repro.core.substrate import SessionContext
 
 
 @pytest.fixture(autouse=True)
@@ -35,3 +36,19 @@ def rdd_names(monkeypatch):
 
     monkeypatch.setattr(RDD, "__init__", recording)
     return names
+
+
+@pytest.fixture
+def cross_session_keys(monkeypatch):
+    """Keys of the cache hits a session took on another session's entry,
+    in hit order, on any shared substrate."""
+    keys: list = []
+    note_hit = SessionContext.note_hit
+
+    def recording(ctx, entry):
+        if entry.owner not in (None, ctx.uid):
+            keys.append(entry.key)
+        note_hit(ctx, entry)
+
+    monkeypatch.setattr(SessionContext, "note_hit", recording)
+    return keys

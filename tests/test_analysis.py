@@ -429,6 +429,20 @@ class TestLineageDeterminism:
         assert [d.severity for d in report.by_rule("DET001")] == \
             [Severity.ERROR]
 
+    def test_seedless_constant_fill_is_clean(self):
+        """A constant fill's bytes are its attributes' alone, so its key
+        names its value without a seed."""
+        root = op_hop("rand", [], {"rows": 4, "cols": 4,
+                                   "min": 1.0, "max": 1.0})
+        assert not analyze([root], passes=(lineage_determinism,))
+
+    def test_det001_seedless_rand_with_a_range(self):
+        root = op_hop("rand", [], {"rows": 4, "cols": 4,
+                                   "min": 1.0, "max": 2.0})
+        report = analyze([root], passes=(lineage_determinism,))
+        assert [d.severity for d in report.by_rule("DET001")] == \
+            [Severity.ERROR]
+
     def test_det002_unseeded_dropout(self):
         root = op_hop("dropout", [leaf(4, 4)], {"p": 0.5})
         report = analyze([root], passes=(lineage_determinism,))

@@ -1,5 +1,6 @@
 """Tests for the CPU kernels and backend."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -8,11 +9,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.backends.cpu import CpuBackend, kernels
-from repro.common.config import CpuConfig
+from repro.common.config import CpuConfig, MemphisConfig
 from repro.common.costs import op_flops
 from repro.common.errors import BackendError
 from repro.common.simclock import SimClock
-from repro.common.stats import Stats
+from repro.common.stats import SERVER_SCOPED_KEYS, Stats
+from repro.core.session import Session
+from repro.core.substrate import Substrate
+from repro.lineage.item import OP_DATA
 from repro.runtime.values import MatrixValue, ScalarValue
 
 
@@ -292,6 +296,74 @@ def test_property_rand_keeps_rng_path_off_the_constant_fill(rows, cols,
                                                             seed, case):
     lo, sparsity, pdf = case
     assert _rand_and_rng_use(rows, cols, lo, lo, sparsity, seed, pdf)
+
+
+#: fill bounds: signed zeros, NaN, the infinities and two finite values
+_BOUNDS = st.sampled_from([0.0, -0.0, 1.0, -2.5, math.inf, -math.inf,
+                           math.nan])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_BOUNDS, _BOUNDS, st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+       st.sampled_from(["uniform", "normal"]),
+       st.lists(_SEEDS, min_size=2, max_size=2, unique=True))
+def test_property_constant_fill_iff_bytes_free_of_the_seed(lo, hi, sparsity,
+                                                           pdf, seeds):
+    """``constant_fill`` holds exactly when two seeds give one value.
+
+    A fill the predicate rejects draws from its generator, and the draws
+    show in its bytes unless the fill absorbs every one of them (``inf -
+    inf`` or NaN spreads, a zero constant or an empty mask), leaving no
+    finite non-zero entry.  A shared substrate reads the predicate off
+    the lineage item the runtime traced, and must read what the kernel
+    does: it scopes the key exactly when the predicate fails.
+    """
+    attrs = {"rows": 8, "cols": 8, "min": lo, "max": hi,
+             "sparsity": sparsity, "pdf": pdf}
+    sub = Substrate.shared_substrate(MemphisConfig.server_session())
+    session = Session(MemphisConfig.server_session(), substrate=sub)
+    with np.errstate(invalid="ignore"):  # inf - inf, NaN · False
+        first, second = (run("rand", [], dict(attrs, seed=seed)).data
+                         for seed in seeds)
+        session.compute(session.rand(**attrs, seed=seeds[0]))
+    constant = kernels.constant_fill(attrs)
+    assert sub.stats.get(SERVER_SCOPED_KEYS) == (0 if constant else 1)
+    if constant:
+        assert first.tobytes() == second.tobytes()
+    else:
+        assert first.tobytes() != second.tobytes() \
+            or not (np.isfinite(first) & (first != 0.0)).any()
+
+
+def test_shared_substrate_shares_the_constant_chain_only(
+        cross_session_keys):
+    """Two sessions on one shared substrate solve ``G + r·eye(n)`` over
+    different data: the constant fill, its ``diag`` and ``r·I`` are
+    computed once and hit across sessions, nothing that reads ``G`` is.
+    A seeded ``min != max`` rand and an unseeded rand stay scoped."""
+    sub = Substrate.shared_substrate(MemphisConfig.server_session())
+
+    def ridge(offset, substrate=None):
+        session = Session(MemphisConfig.server_session(),
+                          substrate=substrate)
+        G = session.read(np.eye(4) * 4.0 + offset, f"G{offset}")
+        b = session.read(np.arange(4.0).reshape(4, 1), "b")
+        return session, session.compute(
+            session.solve(G + 0.5 * session.eye(4), b))
+
+    for offset in (1.0, 2.0):
+        session, result = ridge(offset, sub)
+        assert np.array_equal(result, ridge(offset)[1])  # as a private one
+    assert sorted(key.opcode for key in cross_session_keys) == \
+        ["*", "diag", "rand"]
+    assert not [node for key in cross_session_keys
+                for node in key.iter_dag() if node.opcode == OP_DATA]
+    assert sub.stats.get(SERVER_SCOPED_KEYS) == 0
+    for draw in ({}, {"seed": 3}, {"min": 1.0, "max": 1.0, "sparsity": 0.5,
+                                  "seed": 3}):
+        scoped = sub.stats.get(SERVER_SCOPED_KEYS)
+        session.compute(session.rand(4, 4, **draw))
+        assert sub.stats.get(SERVER_SCOPED_KEYS) == scoped + 1
 
 
 def _matmul_charge(n: int) -> tuple[float, int]:

@@ -28,7 +28,7 @@ from repro.common.stats import (
 )
 from repro.core.session import Session
 from repro.core.substrate import SessionContext, Substrate, fingerprint
-from repro.lineage.item import LineageItem
+from repro.lineage.item import OP_DATA, LineageItem
 from repro.memory import REGION_CP
 from repro.server import Scheduler, pure_program, run_server_demo
 
@@ -119,7 +119,7 @@ class TestCrossSessionDedup:
         assert sub.stats.get(SERVER_CROSS_HITS) == 0
 
     @pytest.mark.tier2_server
-    def test_conflicting_datasets_never_unify(self):
+    def test_conflicting_datasets_never_unify(self, cross_session_keys):
         sub = _shared()
         a, b = _data(), _data(offset=3.0)
         la, lb = _data(32, 1, offset=5.0), _data(32, 1, offset=6.0)
@@ -127,9 +127,15 @@ class TestCrossSessionDedup:
         s2 = Session(MemphisConfig.server_session(), substrate=sub)
         r1 = _ridge(s1, a, la, name="D")
         r2 = _ridge(s2, b, lb, name="D")
-        # same dataset *names*, different bytes: no false hits, each
-        # session sees its own answer
-        assert sub.stats.get(SERVER_CROSS_HITS) == 0
+        # same dataset *names*, different bytes: no hit lands on a key
+        # that reads ``D``; the sessions share only the ridge term
+        # ``0.1 * eye(4)`` (the constant fill, its diag, the scaling),
+        # and each sees its own answer
+        assert not {str(node.data[0]) for key in cross_session_keys
+                    for node in key.iter_dag() if node.opcode == OP_DATA}
+        assert sorted(key.opcode for key in cross_session_keys) == \
+            ["*", "diag", "rand"]
+        assert sub.stats.get(SERVER_CROSS_HITS) == len(cross_session_keys)
         assert np.array_equal(
             r1, _ridge(Session(MemphisConfig.server_session()), a, la,
                        name="D"))
