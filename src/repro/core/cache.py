@@ -584,7 +584,8 @@ class LineageCache:
         victim it yields *is* the full scan's, for the active scope and
         for every tenant's quota-shrink view.  The GPU pointer index is
         exactly the entries' GPU payloads, each marked ``cached``: the
-        GPU memory manager skips invalidating an uncached victim.
+        GPU memory manager skips invalidating an uncached victim.  Every
+        probe counted is a hit or a miss.
         """
         entries = list(self._entries.values())
         gpu = {}
@@ -610,6 +611,10 @@ class LineageCache:
         ledger = {t: n for t, n in (cp.tenant_used or {}).items() if n}
         assert ledger == by_tenant, \
             f"tenant ledgers {ledger} != charged bytes {by_tenant}"
+        hits, misses, probes = (self.stats.get(name) for name in
+                                (CACHE_HITS, CACHE_MISSES, LINEAGE_PROBES))
+        assert hits + misses == probes, \
+            f"hits {hits} + misses {misses} != probes {probes}"
         index = self._index
         if index is None:
             return

@@ -38,7 +38,9 @@ verifier enforces (DET001–006, ``repro.analysis.dag_rules``):
 * every ``data`` leaf names a registered dataset whose content
   fingerprint equals the substrate's canonical fingerprint for that
   name.  Two tenants reading different bytes under the same name never
-  unify (and never produce false hits).
+  unify (and never produce false hits).  A :func:`frozen` (read-only)
+  array is digested once per substrate; any other is digested on
+  every read.
 
 Everything else is wrapped in a per-session namespace item
 (``ns:<uid>``), so seeded/impure/nondeterministic hops stay
@@ -52,6 +54,7 @@ handles and GPU pointers are bound to the owning session's backends.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from collections import defaultdict
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -104,8 +107,23 @@ def fingerprint(data: Union[np.ndarray, float, int]) -> str:
     if isinstance(data, (float, int)):
         return f"scalar:{float(data)!r}"
     arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-    digest = hashlib.sha1(arr.tobytes()).hexdigest()
-    return f"{arr.shape}:{digest}"
+    # the contiguous buffer is hashed in place, without a bytes copy
+    return f"{arr.shape}:{hashlib.sha1(arr).hexdigest()}"
+
+
+def frozen(data: object) -> bool:
+    """Whether no writeable array can reach ``data``'s bytes.
+
+    True for a read-only array that owns its buffer, or whose ``.base``
+    chain is read-only all the way down to one that does.  A writeable
+    array, a read-only view of a writeable base, or a view of a
+    non-array buffer is not frozen.
+    """
+    while isinstance(data, np.ndarray) and not data.flags.writeable:
+        if data.base is None:
+            return True
+        data = data.base
+    return False
 
 
 class SessionContext:
@@ -261,8 +279,9 @@ class Substrate:
 
     ``shared=False`` (the :class:`Session` default) reproduces the
     pre-refactor private object graph.  ``shared=True`` additionally
-    maintains the tenant registry, the canonical dataset fingerprints,
-    and the purity memo driving key namespacing.
+    maintains the tenant registry, the canonical dataset fingerprints
+    (with one digest slot per dataset name), and the purity memo
+    driving key namespacing.
     """
 
     def __init__(self, config: Optional[MemphisConfig] = None, *,
@@ -306,6 +325,10 @@ class Substrate:
         self.tenant_events: dict[str, defaultdict[str, int]] = {}
         #: dataset name -> canonical (first-registered) fingerprint.
         self._canonical_fp: dict[str, str] = {}
+        #: dataset name -> (weakref to the last frozen array read under
+        #: it, its fingerprint): one slot per name, and the slot does
+        #: not keep its array alive.
+        self._digests: dict[str, tuple[weakref.ref, str]] = {}
         #: purity/shareability memo over lineage DAGs.  Keyed by the
         #: item itself (structural hash): structurally equal DAGs have
         #: equal purity and data-leaf names, and interning makes repeat
@@ -349,9 +372,21 @@ class Substrate:
 
         The first registration of a name fixes the canonical
         fingerprint; sessions whose content matches share ``data``-leaf
-        lineage globally, all others stay session-scoped.
+        lineage globally, all others stay session-scoped.  A
+        :func:`frozen` array is digested once: reading the same object
+        under the same name again takes the digest from the name's slot.
+        A read-only array is the caller's promise that its bytes do not
+        change; anything else is digested on every read.
         """
-        fp = fingerprint(data)
+        if frozen(data):
+            slot = self._digests.get(name)
+            if slot is not None and slot[0]() is data:
+                fp = slot[1]
+            else:
+                fp = fingerprint(data)
+                self._digests[name] = (weakref.ref(data), fp)
+        else:
+            fp = fingerprint(data)
         ctx.fingerprints[name] = fp
         self._canonical_fp.setdefault(name, fp)
         # a re-read name can change whether the memoized key is shared
@@ -463,9 +498,18 @@ class Substrate:
         """Assert the substrate's conservation laws (tests, sweeps):
         the cache's ledgers and victim index against its entries
         (:meth:`LineageCache.audit`), every region's invariants and
-        the quiescent ``reserved == 0`` law (:meth:`MemoryArbiter.check`)."""
+        the quiescent ``reserved == 0`` law (:meth:`MemoryArbiter.check`),
+        and the attribution matrix summing to the cross-session hit and
+        deduplicated-byte counters."""
         self.cache.audit()
         self.arbiter.check()
+        cells = self.attribution.values()
+        for field, counter in (("hits", SERVER_CROSS_HITS),
+                               ("bytes", SERVER_DEDUP_BYTES)):
+            attributed = sum(cell[field] for cell in cells)
+            assert attributed == self.stats.get(counter), \
+                f"attributed {field} {attributed} != {counter} " \
+                f"{self.stats.get(counter)}"
 
     def metrics_gauges(self) -> dict[str, float]:
         """Gauge snapshot for the metrics sampler (shared mode only)."""

@@ -12,6 +12,7 @@ cross-session hits, by the namespacing rules in
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,11 +21,23 @@ from repro.server.scheduler import Scheduler, ServerReport
 
 
 def demo_dataset(rows: int, cols: int, offset: float = 0.0) -> np.ndarray:
-    """A deterministic input matrix (same bytes in every process)."""
-    n = rows * cols
-    return (
-        (np.arange(n, dtype=np.float64) * 0.25 + offset) % 17.0
-    ).reshape(rows, cols)
+    """A deterministic input matrix (same bytes in every process).
+
+    Built once per ``(rows, cols, offset)`` and returned read-only, like
+    a dataset a server loads once: every request reads the same frozen
+    object, which a shared substrate digests once
+    (``repro.core.substrate.frozen``).
+    """
+    return _frozen_dataset(int(rows), int(cols), float(offset))
+
+
+@lru_cache(maxsize=64)
+def _frozen_dataset(rows: int, cols: int, offset: float) -> np.ndarray:
+    # reshaped before the arithmetic, so the result owns its buffer
+    grid = np.arange(rows * cols, dtype=np.float64).reshape(rows, cols)
+    data = (grid * 0.25 + offset) % 17.0
+    data.flags.writeable = False
+    return data
 
 
 def pure_program(rows: int = 48, cols: int = 6,

@@ -6,6 +6,10 @@ The multi-session scenario tests are additionally marked
 (``pytest -m tier2_server``); all of them are fast enough for tier 1.
 """
 
+import gc
+import hashlib
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -27,10 +31,17 @@ from repro.common.stats import (
     SERVER_SESSIONS,
 )
 from repro.core.session import Session
-from repro.core.substrate import SessionContext, Substrate, fingerprint
+from repro.core import substrate as substrate_module
+from repro.core.substrate import (
+    SessionContext,
+    Substrate,
+    fingerprint,
+    frozen,
+)
 from repro.lineage.item import OP_DATA, LineageItem
 from repro.memory import REGION_CP
 from repro.server import Scheduler, pure_program, run_server_demo
+from repro.server.demo import demo_dataset
 
 
 def _data(rows=32, cols=4, offset=0.0):
@@ -147,6 +158,28 @@ class TestCrossSessionDedup:
         assert fingerprint(_data()) == fingerprint(_data())
         assert fingerprint(_data()) != fingerprint(_data(offset=1.0))
         assert fingerprint(2.0) != fingerprint(3.0)
+        assert fingerprint(np.eye(2)) == \
+            "(2, 2):9dba5c50e0f70567afcef57fe6ad21239670a6ad"
+
+    @pytest.mark.parametrize("data", [
+        _data(),
+        np.asfortranarray(_data()),
+        _data(12, 9)[::3, 1::2],
+        np.arange(24, dtype=np.int64).reshape(6, 4),
+        np.array(2.5),
+        np.zeros((0, 3)),
+        2.0, 7, np.float64(-0.0),
+    ], ids=["c_order", "f_order", "strided", "int64", "zero_d", "empty",
+            "float", "int", "np_float"])
+    def test_fingerprint_digest_is_the_tobytes_digest(self, data):
+        # the buffer is hashed in place; the strings stay what hashing a
+        # ``tobytes()`` copy of the contiguous float64 array gave
+        if isinstance(data, (float, int)):
+            want = f"scalar:{float(data)!r}"
+        else:
+            arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+            want = f"{arr.shape}:{hashlib.sha1(arr.tobytes()).hexdigest()}"
+        assert fingerprint(data) == want
 
 
 class TestPrivateSubstrateUnchanged:
@@ -516,6 +549,156 @@ class TestNamespacingSlot:
         oracle = _gram_before_and_after_reread(first, second)[0]
         assert sub.stats.get(SERVER_SCOPED_KEYS) == \
             oracle.stats.get(SERVER_SCOPED_KEYS) > 0
+
+
+# ------------------------------------------------------- dataset digests
+
+
+def _read_only(data):
+    data.flags.writeable = False
+    return data
+
+
+def _frozen(data):
+    """A read-only copy of ``data`` that owns its buffer."""
+    return _read_only(data.copy())
+
+
+def _gram(session, data, name="X"):
+    """``X.t() @ X`` over one named dataset: no constant fill, so every
+    key it shares reads ``name``."""
+    X = session.read(data, name)
+    return session.compute(X.t() @ X)
+
+
+@pytest.fixture
+def digests(monkeypatch):
+    """Datasets the substrate module digested while the test runs."""
+    seen: list = []
+
+    def counting(data):
+        seen.append(data)
+        return fingerprint(data)
+
+    monkeypatch.setattr(substrate_module, "fingerprint", counting)
+    return seen
+
+
+def _gram_in_two_sessions(first, second, mutate=lambda: None):
+    """Two sessions on one substrate compute ``_gram``, the first over
+    ``first`` and the second over ``second``; ``mutate`` runs between
+    their reads.  Returns the substrate and both results."""
+    sub = _shared()
+    r1 = _gram(Session(MemphisConfig.server_session(), substrate=sub,
+                       tenant="alpha"), first)
+    mutate()
+    r2 = _gram(Session(MemphisConfig.server_session(), substrate=sub,
+                       tenant="beta"), second)
+    return sub, r1, r2
+
+
+class TestDatasetDigests:
+    def test_frozen_means_no_writeable_array_reaches_the_bytes(self):
+        owner = _frozen(_data())
+        assert frozen(owner)
+        assert frozen(owner[2:, :])  # read-only view of a frozen base
+        assert not frozen(_data())
+        base = _data()
+        assert not frozen(_read_only(base.view()))
+        assert not frozen(_read_only(np.frombuffer(bytearray(16))))
+        assert not frozen(2.0)
+
+    @pytest.mark.tier2_server
+    def test_frozen_dataset_is_digested_once_and_shared(
+            self, digests, cross_session_keys):
+        sub = _shared()
+        scheduler = Scheduler(sub, seed=0)
+        for i in range(6):
+            scheduler.submit("alpha" if i % 2 else "beta", pure_program(),
+                             name=f"pure{i}")
+        report = scheduler.run()
+        assert report.ok and len({r.value for r in report.results}) == 1
+        # two datasets, six sessions reading each: two digests
+        assert len(digests) == 2
+        assert digests[0] is demo_dataset(48, 6)
+        assert digests[1] is demo_dataset(48, 1, offset=3.0)
+        read = {str(node.data[0]) for key in cross_session_keys
+                for node in key.iter_dag() if node.opcode == OP_DATA}
+        assert read == {"demo_X", "demo_X_y"}
+        sub.audit()
+
+    @pytest.mark.tier2_server
+    def test_writeable_dataset_mutated_between_reads_is_scoped(
+            self, digests):
+        data = _data()
+        sub, r1, r2 = _gram_in_two_sessions(
+            data, data, lambda: data.__setitem__((0, 0), 99.0))
+        assert len(digests) == 2
+        assert sub.stats.get(SERVER_CROSS_HITS) == 0
+        assert r1[0, 0] != r2[0, 0]
+        assert np.array_equal(r2, data.T @ data)
+
+    @pytest.mark.tier2_server
+    def test_read_only_view_of_a_mutated_base_is_scoped(self, digests):
+        base = _data()
+        view = _read_only(base.view())
+        sub, r1, r2 = _gram_in_two_sessions(
+            view, view, lambda: base.__setitem__((0, 0), 99.0))
+        assert len(digests) == 2
+        assert sub.stats.get(SERVER_CROSS_HITS) == 0
+        assert np.array_equal(r2, base.T @ base)
+
+    @pytest.mark.tier2_server
+    def test_other_frozen_bytes_under_the_same_name_are_scoped(
+            self, digests):
+        first, second = _frozen(_data()), _frozen(_data(offset=1.0))
+        sub, r1, r2 = _gram_in_two_sessions(first, second)
+        assert len(digests) == 2
+        assert sub.stats.get(SERVER_CROSS_HITS) == 0
+        assert np.array_equal(r1, first.T @ first)
+        assert np.array_equal(r2, second.T @ second)
+
+    def test_demo_dataset_is_frozen_and_built_once(self):
+        data = demo_dataset(48, 6)
+        assert frozen(data)
+        with pytest.raises(ValueError):
+            data[0, 0] = 1.0
+        assert demo_dataset(48, 6, 0.0) is data
+        assert demo_dataset(48, 1, offset=3.0) is demo_dataset(48, 1, 3)
+
+    @pytest.mark.tier2_server
+    def test_digest_slots_are_bounded_by_dataset_names(self):
+        sub = _shared()
+        shapes = ((48, 6), (96, 8), (192, 8))
+        for round_ in range(12):
+            scheduler = Scheduler(sub, seed=round_)
+            for k in range(4):
+                rows, cols = shapes[(round_ + k) % len(shapes)]
+                scheduler.submit("alpha" if k % 2 else "beta",
+                                 pure_program(rows, cols,
+                                              name=f"X{rows}"),
+                                 name=f"pure{k}")
+            assert scheduler.run().ok
+        assert set(sub._digests) == set(sub._canonical_fp)
+        assert len(sub._digests) == 2 * len(shapes)
+        sub.audit()
+
+    def test_a_digest_slot_does_not_keep_its_dataset_alive(self):
+        sub = _shared()
+        data = _frozen(_data())
+        ref = weakref.ref(data)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            session = Session(MemphisConfig.server_session(),
+                              substrate=sub)
+            _gram(session, data)
+            del session, data
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert set(sub._digests) == {"X"}
 
 
 def _scanned_occupancy(sub):
