@@ -13,7 +13,8 @@ verifies each block — and must complete with the plain cell's results
 no error-severity diagnostic, every memory-plan bound (predicted peak >=
 observed), and a passing ``Substrate.audit()`` /
 ``SparkCacheManager.audit()`` / ``GpuMemoryManager.audit()`` on every
-substrate, Spark tier and GPU memory manager built.
+substrate, Spark tier and GPU memory manager built — the server's
+substrate after every request, not only at the end of the cell.
 
 Every program gets the full cross of the two axes, except Fig. 12(a)/(b),
 which run in the policy-only cells, where every policy must still reuse
@@ -40,7 +41,7 @@ from repro.core.spark_cache import SparkCacheManager
 from repro.core.substrate import Substrate
 from repro.faults import FaultPlan
 from repro.harness import runner
-from repro.server import ServerReport, run_server_demo
+from repro.server import Scheduler, ServerReport, run_server_demo
 from repro.workloads.base import WorkloadResult
 
 
@@ -78,15 +79,22 @@ def _cells(program: str) -> list[Cell]:
 @contextlib.contextmanager
 def audited():
     """Audit every substrate, Spark cache manager and GPU memory manager
-    built inside, once its run is over.
+    built inside, once its run is over, and a server's substrate after
+    every request it completes.
 
     The programs run their sessions one after another, so what one
     built is audited (and let go) when the next substrate is built, the
     last one's on exit; an ``AssertionError`` names the violated law.
+    A completed request audits its shared substrate (ledgers, victim
+    index, attribution; ``Substrate.audit()``) and checks its session's
+    own arbiter (``MemoryArbiter.check()``).  Yields the list of
+    requests audited, by name.
     """
     inits = {cls: cls.__init__
              for cls in (Substrate, SparkCacheManager, GpuMemoryManager)}
+    finish = Scheduler._finish
     built: list = []
+    requests: list[str] = []
 
     def audit_built():
         while built:
@@ -100,23 +108,33 @@ def audited():
             built.append(self)
         return recording_init
 
+    def finish_then_audit(scheduler, task, value):
+        done = finish(scheduler, task, value)
+        scheduler.substrate.audit()
+        task.session.arbiter.check()
+        requests.append(task.request.name)
+        return done
+
     for cls in inits:
         cls.__init__ = recording(cls)
+    Scheduler._finish = finish_then_audit
     try:
-        yield
+        yield requests
         audit_built()
     finally:
         for cls, init in inits.items():
             cls.__init__ = init
+        Scheduler._finish = finish
 
 
 def run_cell(program: str, cell: Cell):
-    """Run ``program`` in ``cell``; returns (result, analysis)."""
+    """Run ``program`` in ``cell``; returns (result, analysis, the names
+    of the server requests audited on completion)."""
     analysis = AnalysisCollector()
     faults = None if cell.faults is None else FaultPlan.randomize(cell.faults)
     with RuntimeContext(analysis=analysis, faults=faults,
-                        configure=cell.configure), audited():
-        return PROGRAMS[program](), analysis
+                        configure=cell.configure), audited() as requests:
+        return PROGRAMS[program](), analysis, requests
 
 
 def outcome(result):
@@ -152,8 +170,10 @@ def hit_rate(grid: dict) -> float:
     for program in PROGRAMS for cell in _cells(program)
 ])
 def test_cell(program, cell):
-    result, analysis = run_cell(program, cell)
+    result, analysis, requests = run_cell(program, cell)
     assert outcome(result) == plain_outcome(program)
+    if program == "server":
+        assert sorted(requests) == sorted(r.name for r in result.results)
     errors = analysis.merged().errors()
     assert not errors, "\n".join(diag.format() for diag in errors)
     rows = analysis.check_bounds()

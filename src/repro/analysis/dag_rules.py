@@ -51,7 +51,7 @@ from repro.compiler.ir import (
 )
 from repro.compiler.plan import attr_data
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
-from repro.lineage.item import value_key
+from repro.lineage.item import OP_DATA, value_key
 
 _ADDRESS_RE = re.compile(r"0x[0-9a-fA-F]{6,}")
 
@@ -344,12 +344,11 @@ def _check_attrs(hop: Hop) -> list[Diagnostic]:
 def _lineage_key(hop: Hop, key_of: dict[int, tuple]) -> tuple:
     """Mirror the runtime's lineage-item construction statically.
 
-    Data leaves key on their bound :class:`LineageItem`, whose
-    equality is whole-lineage-DAG content equality — exactly what
-    the runtime cache hashes on.  ``Session.read`` produces
-    ``LineageItem('data', (name,))``, so two reads sharing a name
-    compare equal; a leaf rebound after evaluation keeps the full
-    lineage of the computation that produced it.  Leaves with no
+    A data leaf bound to a dataset item keys on the dataset's name, as
+    the runtime's interner does: ``Session.read`` interns
+    ``LineageItem('data', (name,))``, so two reads sharing a name are
+    one cache key.  A leaf rebound after evaluation keys on its
+    (canonical) lineage item, so by identity.  Leaves with no
     lineage fall back to hop identity, which can never collide.
     Literals key by :func:`~repro.lineage.item.value_key` and attributes
     by :func:`~repro.compiler.plan.attr_data`, as CSE and lineage key
@@ -367,6 +366,8 @@ def _lineage_key(hop: Hop, key_of: dict[int, tuple]) -> tuple:
                 return ("data", hop.handle.name)
         if lineage is None:
             return ("data", id(hop))
+        if lineage.opcode == OP_DATA:
+            return ("data", lineage.data[0])
         return ("data", lineage)
     return (hop.opcode, attr_data(hop.attrs),
             tuple(key_of[h.id] for h in hop.inputs))

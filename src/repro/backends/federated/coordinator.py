@@ -18,7 +18,7 @@ from repro.backends.federated.worker import FederatedConfig, FederatedWorker
 from repro.common.runtime import current as current_runtime
 from repro.common.simclock import HOST, SimClock
 from repro.common.stats import Stats
-from repro.lineage.item import LineageItem, dataset, literal
+from repro.lineage.item import LineageItem
 from repro.obs.events import EV_FED_REQUEST, LANE_FED
 from repro.obs.tracer import NULL_TRACER
 
@@ -35,7 +35,7 @@ class FederatedMatrix:
     ncol: int
     #: worker id -> (shard name, row count) at that site.
     placement: list[tuple[int, str, int]]
-    #: lineage item per shard, tracked coordinator-side.
+    #: lineage item per shard (from its worker's interner).
     lineages: list[LineageItem]
 
 
@@ -43,9 +43,10 @@ class FederatedCoordinator:
     """One tenant session against a (possibly shared) worker fleet.
 
     Tenants sharing a fleet must share one :class:`SimClock` so worker
-    ``busy_until`` times are comparable across coordinators.  Ids and
-    tracing come from the runtime context current at construction, as
-    for a :class:`~repro.core.session.Session`.
+    ``busy_until`` times are comparable across coordinators.  Tracing
+    comes from the runtime context current at construction, as for a
+    :class:`~repro.core.session.Session`; lineage comes from each
+    worker's interner.
     """
 
     def __init__(self, workers: list[FederatedWorker],
@@ -53,7 +54,6 @@ class FederatedCoordinator:
                  clock: SimClock | None = None,
                  reuse: bool = True) -> None:
         rt = current_runtime()
-        self._ids = rt.ids
         self.workers = workers
         self.config = config or (
             workers[0].config if workers else FederatedConfig()
@@ -84,7 +84,7 @@ class FederatedCoordinator:
             shard_name = f"{name}@w{worker.worker_id}"
             worker.put_shard(shard_name, matrix[offset:stop])
             placement.append((worker.worker_id, shard_name, stop - offset))
-            lineages.append(dataset(shard_name, self._ids))
+            lineages.append(worker.interner.dataset(shard_name))
             offset = stop
             if offset >= rows:
                 break
@@ -95,45 +95,26 @@ class FederatedCoordinator:
 
     def matvec(self, fm: FederatedMatrix, vector: np.ndarray) -> np.ndarray:
         """``X %*% v`` with coordinator-shipped ``v``; partials return."""
-        v_lineage = literal(_digest(vector), self._ids)
-        parts = self._round(
-            fm,
-            lambda shard, lin: (
-                "ba+*",
-                LineageItem("ba+*", (), (lin, v_lineage), self._ids),
-                [shard, vector], {},
-            ),
-            ship_bytes=vector.nbytes,
-        )
-        return np.vstack([p.data for p in parts])
+        return np.vstack([p.data for p in self._round(fm, "ba+*", vector)])
 
     def tsmm(self, fm: FederatedMatrix) -> np.ndarray:
         """``t(X) %*% X`` via per-site partials summed at the coordinator."""
-        parts = self._round(
-            fm,
-            lambda shard, lin: (
-                "fed_tsmm", LineageItem("fed_tsmm", (), (lin,), self._ids),
-                [shard], {},
-            ),
-        )
-        return np.add.reduce([p.data for p in parts])
+        return np.add.reduce([p.data for p in self._round(fm, "fed_tsmm")])
 
     def column_sums(self, fm: FederatedMatrix) -> np.ndarray:
         """colSums via per-site partials."""
-        parts = self._round(
-            fm,
-            lambda shard, lin: (
-                "uack+", LineageItem("uack+", (), (lin,), self._ids),
-                [shard], {},
-            ),
-        )
-        return np.add.reduce([p.data for p in parts])
+        return np.add.reduce([p.data for p in self._round(fm, "uack+")])
 
     # -- internals ------------------------------------------------------------------
 
-    def _round(self, fm: FederatedMatrix, request_fn, ship_bytes: int = 0):
-        """One federated round: parallel requests to all placed sites,
-        each returning its partial result to the coordinator."""
+    def _round(self, fm: FederatedMatrix, opcode: str,
+               vector: np.ndarray | None = None):
+        """One federated round: parallel ``opcode`` requests on every
+        placed shard (and the shipped ``vector``, if any), each
+        returning its partial result to the coordinator.  A request's
+        lineage comes from its worker's interner."""
+        ship_bytes = 0 if vector is None else vector.nbytes
+        digest = None if vector is None else _digest(vector)
         submit = self.clock.now(HOST) + self.config.request_latency_s \
             + ship_bytes / self.config.bandwidth_bytes_per_s
         results = []
@@ -141,12 +122,15 @@ class FederatedCoordinator:
         return_bytes = 0
         for (wid, shard_name, _), lineage in zip(fm.placement, fm.lineages):
             worker = self._worker(wid)
-            opcode, out_lineage, inputs, attrs = request_fn(
-                shard_name, lineage
-            )
+            inputs: list = [shard_name]
+            in_lineage = (lineage,)
+            if vector is not None:
+                inputs.append(vector)
+                in_lineage += (worker.interner.literal(digest),)
+            out_lineage = worker.interner.intern(opcode, (), in_lineage)
             hits_before = worker.stats.get("cache/hits")
             value, end = worker.execute(
-                opcode, out_lineage, inputs, attrs, submit, self.reuse
+                opcode, out_lineage, inputs, {}, submit, self.reuse
             )
             reused = worker.stats.get("cache/hits") > hits_before
             if reused:

@@ -20,7 +20,7 @@ from repro.common.costs import op_flops
 from repro.common.stats import Stats
 from repro.core.cache import LineageCache
 from repro.core.entry import BACKEND_CP
-from repro.lineage.item import LineageItem
+from repro.lineage.item import LineageInterner, LineageItem
 from repro.runtime.values import MatrixValue, ScalarValue, Value
 
 
@@ -45,6 +45,8 @@ class FederatedWorker:
     The cache is *worker-local and multi-tenant*: any coordinator that
     sends a structurally identical request (same lineage) gets the
     cached result, regardless of which tenant computed it first [19].
+    Coordinators build a request's lineage from the worker's
+    :attr:`interner`, so equal requests are one cache key.
     """
 
     def __init__(self, worker_id: int, config: FederatedConfig) -> None:
@@ -56,6 +58,8 @@ class FederatedWorker:
                         spill_to_disk=False),
             self.stats,
         )
+        #: canonical lineage items of this site's requests, all tenants'.
+        self.interner = LineageInterner()
         #: named data shards held at this site.
         self._shards: dict[str, np.ndarray] = {}
         #: busy-until time of this worker (workers execute in parallel).

@@ -1,6 +1,7 @@
 """The hierarchical multi-backend lineage cache (paper §3.3, Fig. 3).
 
-A hash map from lineage items to :class:`CacheEntry` objects whose
+A hash map from canonical lineage items (interned, so keyed by
+identity) to :class:`CacheEntry` objects whose
 payloads live in backend-local stores: in-memory matrices in the driver
 (budgeted by the driver cache size), distributed RDD handles (budgeted
 against Spark storage memory by the :class:`SparkCacheManager`), and GPU

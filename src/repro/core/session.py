@@ -136,8 +136,8 @@ class Session:
                 rt.analysis.register(self.memplanner)
         self.cache = self.substrate.cache
         #: hash-consing table: every item the session traces (op items,
-        #: literal and data leaves, function keys) is interned, so
-        #: repeated keys probe the cache by identity, not DAG comparison.
+        #: literal and data leaves, function keys) is interned, so a
+        #: repeated key is the same object and probes by identity.
         self.lineage_interner = self.substrate.interner
         self.cpu = CpuBackend(cfg.cpu, self.clock, self.stats)
         #: the Spark and GPU tiers, each built on first use; their

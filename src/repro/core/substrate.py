@@ -329,10 +329,8 @@ class Substrate:
         #: it, its fingerprint): one slot per name, and the slot does
         #: not keep its array alive.
         self._digests: dict[str, tuple[weakref.ref, str]] = {}
-        #: purity/shareability memo over lineage DAGs.  Keyed by the
-        #: item itself (structural hash): structurally equal DAGs have
-        #: equal purity and data-leaf names, and interning makes repeat
-        #: lookups identity hits.
+        #: purity/shareability memo over lineage DAGs, keyed by the
+        #: (canonical, so identity-hashed) item itself.
         self._dag_info: dict[LineageItem, tuple[bool, frozenset]] = {}
         self._next_uid = 1
 

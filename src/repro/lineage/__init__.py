@@ -6,8 +6,7 @@ from repro.lineage.item import (
     OP_LITERAL,
     LineageItem,
     dags_equal,
-    dataset,
-    literal,
+    structural_hashes,
 )
 from repro.lineage.query import (
     TraceDiff,
@@ -27,8 +26,7 @@ from repro.lineage.serialize import deserialize, serialize
 __all__ = [
     "LineageItem",
     "dags_equal",
-    "dataset",
-    "literal",
+    "structural_hashes",
     "serialize",
     "deserialize",
     "OP_DATA",

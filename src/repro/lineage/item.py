@@ -6,18 +6,20 @@ are deterministic given their lineage (random seeds are data items), a
 lineage DAG *uniquely identifies* an intermediate — the core property that
 makes lineage keys safe cache keys.
 
-Hashing and equality follow the paper exactly:
-
-* the hash combines the opcode, the data items, and the *hashes* of the
-  inputs (computed once, bottom-up, and memoized);
-* equality uses a non-recursive, queue-based traversal with sub-DAG
-  memoization and early-abort on hash mismatch, height difference, and
-  shared sub-DAGs (object identity).
+Identity is equality at run time.  Every item the runtime traces comes
+from its substrate's :class:`LineageInterner`, so two structurally equal
+runtime items are one object.  Items hash and compare by identity, so a
+cache probe or put hashes and compares its key in C.  Questions asked
+*across* substrates or of rebuilt logs are structural and go through
+:func:`dags_equal` (a non-recursive, queue-based traversal with sub-DAG
+memoization and early abort on height, opcode, data and arity, paper
+§3.2) and :func:`structural_hashes`.
 """
 
 from __future__ import annotations
 
 from math import copysign
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from repro.common.runtime import IdSpace, current as current_runtime
@@ -100,7 +102,7 @@ class LineageItem:
         context's).
     """
 
-    __slots__ = ("id", "opcode", "data", "inputs", "height", "_hash")
+    __slots__ = ("id", "opcode", "data", "inputs", "height")
 
     def __init__(self, opcode: str, data: tuple = (),
                  inputs: tuple["LineageItem", ...] = (),
@@ -113,31 +115,13 @@ class LineageItem:
         self.data = data if type(data) is tuple else tuple(data)
         inputs = inputs if type(inputs) is tuple else tuple(inputs)
         self.inputs = inputs
-        # explicit loop instead of two genexprs: item construction is on
+        # explicit loop instead of a genexpr: item construction is on
         # the TRACE hot path (one per interner miss)
-        if inputs:
-            hmax = -1
-            hashes = []
-            append = hashes.append
-            for inp in inputs:
-                if inp.height > hmax:
-                    hmax = inp.height
-                append(inp._hash)
-            self.height = 1 + hmax
-            self._hash = hash((opcode, self.data, tuple(hashes)))
-        else:
-            self.height = 0
-            self._hash = hash((opcode, self.data, ()))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, LineageItem):
-            return NotImplemented
-        return dags_equal(self, other)
+        hmax = -1
+        for inp in inputs:
+            if inp.height > hmax:
+                hmax = inp.height
+        self.height = 1 + hmax
 
     def __repr__(self) -> str:
         data = ",".join(map(str, self.data))
@@ -183,28 +167,23 @@ class LineageInterner:
 
     The interpreter's TRACE step (paper Fig. 4) constructs one lineage
     item per executed instruction.  Iterative workloads re-trace the
-    same instructions every iteration, so without interning each
-    iteration allocates a fresh — structurally equal — item, and every
-    cache probe pays a full :func:`dags_equal` structural comparison
-    when dict hashing collides equal keys.
+    same instructions every iteration; the interner hands back the item
+    built the first time.
 
     Every item the runtime traces comes from here: op items
     (:meth:`intern`), literal and dataset leaves (:meth:`literal`,
     :meth:`dataset`) and function-reuse keys (:meth:`function`).  Op
-    items key on ``(opcode, data, input identities)``; because their
-    inputs are canonical too, identity of inputs is equivalent to
-    structural equality of inputs, so structurally equal runtime items
-    are one object and cache probes, puts and namespacing hit the
-    dictionary's identity fast path instead of running ``dags_equal``.
-
-    Items built *outside* the interner (deserialized logs, hand-built
-    DAGs, the federated coordinator's items) simply miss the table and
-    fall back to structural equality — behaviour is unchanged, only
-    slower for that item.
+    items key on ``(opcode, data, inputs)``; because their inputs are
+    canonical too, identity of inputs is structural equality of inputs,
+    so structurally equal runtime items are one object, and identity is
+    the cache's key equality.  Two items built apart — one from
+    another interner, a deserialized log — are different keys;
+    :func:`dags_equal` compares them structurally.
 
     The interner belongs to the substrate (``Substrate.interner``): a
     private substrate's table lives as long as its one session, a
-    shared substrate's is common to every session attached to it.
+    shared substrate's is common to every session attached to it.  A
+    federated worker owns the table its tenants' requests key on.
     """
 
     __slots__ = ("_table", "_ids")
@@ -218,8 +197,13 @@ class LineageInterner:
 
     def intern(self, opcode: str, data: tuple,
                inputs: tuple[LineageItem, ...]) -> LineageItem:
-        """Canonical item for ``(opcode, data, inputs)`` (hash-consing)."""
-        key = (opcode, data, tuple(map(id, inputs)))
+        """Canonical item for ``(opcode, data, inputs)`` (hash-consing).
+
+        The key holds the caller's ``inputs`` tuple, which the new item
+        keeps as its ``inputs``: canonical inputs hash and compare by
+        identity, so the key costs no per-input allocation.
+        """
+        key = (opcode, data, inputs)
         item = self._table.get(key)
         if item is None:
             item = LineageItem(opcode, data, inputs, self._ids)
@@ -231,11 +215,12 @@ class LineageInterner:
         """Canonical ``opcode(item)`` — the item ``intern(opcode, (),
         (item,))`` returns, under the same table key — and whether this
         call created it."""
-        key = (opcode, (), (id(item),))
+        inputs = (item,)
+        key = (opcode, (), inputs)
         wrapper = self._table.get(key)
         if wrapper is not None:
             return wrapper, False
-        wrapper = self._table[key] = LineageItem(opcode, (), (item,),
+        wrapper = self._table[key] = LineageItem(opcode, (), inputs,
                                                  self._ids)
         return wrapper, True
 
@@ -269,29 +254,20 @@ class LineageInterner:
         return self.intern(f"{OP_FUNCTION}:{fname}", (0,), inputs)
 
 
-def literal(value: object, ids: Optional[IdSpace] = None) -> LineageItem:
-    """Lineage leaf for a scalar/string literal, outside any interner
-    (the runtime's come from :meth:`LineageInterner.literal`)."""
-    return LineageItem(OP_LITERAL, (value,), (), ids)
-
-
-def dataset(name: str, ids: Optional[IdSpace] = None) -> LineageItem:
-    """Lineage leaf for a named input dataset, outside any interner
-    (the runtime's come from :meth:`LineageInterner.dataset`)."""
-    return LineageItem(OP_DATA, (name,), (), ids)
-
-
 def dags_equal(a: LineageItem, b: LineageItem,
                memo: Optional[set[tuple[int, int]]] = None) -> bool:
-    """Non-recursive DAG equality with memoization and early aborts.
+    """Structural DAG equality: non-recursive, memoized, early-aborting.
 
-    Early-abort conditions (paper §3.2): hash mismatch, height difference,
-    and shared sub-DAGs (object identity short-circuits a subtree).  A
-    zero literal also compares its :func:`value_key`: ``0.0 == -0.0``.
+    Runtime items of one substrate are canonical, so there ``is``
+    decides; this answers the structural question across substrates
+    and for rebuilt logs.  Early-abort conditions (paper §3.2): height,
+    opcode, data or arity mismatch, and shared sub-DAGs (object
+    identity short-circuits a subtree).  A zero literal also compares
+    its :func:`value_key`: ``0.0 == -0.0``.
     """
     if a is b:
         return True
-    if a._hash != b._hash or a.height != b.height:
+    if a.height != b.height:
         return False
     if memo is None:
         memo = set()
@@ -304,8 +280,7 @@ def dags_equal(a: LineageItem, b: LineageItem,
         if key in memo:
             continue
         if (
-            x._hash != y._hash
-            or x.height != y.height
+            x.height != y.height
             or x.opcode != y.opcode
             or x.data != y.data
             or len(x.inputs) != len(y.inputs)
@@ -316,3 +291,15 @@ def dags_equal(a: LineageItem, b: LineageItem,
         memo.add(key)
         queue.extend(zip(x.inputs, y.inputs))
     return True
+
+
+def structural_hashes(root: LineageItem) -> dict[int, int]:
+    """``id(node) -> structural hash`` for every node of ``root``'s DAG,
+    bottom-up once per call: structurally equal nodes of different DAGs
+    hash alike.  Equal hashes are a bucket; :func:`dags_equal` decides.
+    """
+    hashes: dict[int, int] = {}
+    for node in sorted(root.iter_dag(), key=attrgetter("height")):
+        hashes[id(node)] = hash((node.opcode, node.data, tuple(
+            [hashes[id(inp)] for inp in node.inputs])))
+    return hashes

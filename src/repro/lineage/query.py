@@ -14,7 +14,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.lineage.item import OP_DATA, OP_LITERAL, LineageItem, dags_equal
+from repro.lineage.item import (
+    OP_DATA, OP_LITERAL, LineageItem, dags_equal, structural_hashes,
+)
 
 
 @dataclass
@@ -156,9 +158,11 @@ def common_subtraces(left: LineageItem, right: LineageItem,
     executing ``right`` after ``left``; exposing them makes reuse
     decisions explainable.
     """
+    left_hash = structural_hashes(left)
+    right_hash = structural_hashes(right)
     right_by_hash: dict[int, list[LineageItem]] = {}
     for node in right.iter_dag():
-        right_by_hash.setdefault(hash(node), []).append(node)
+        right_by_hash.setdefault(right_hash[id(node)], []).append(node)
 
     shared: list[LineageItem] = []
     covered: set[int] = set()
@@ -167,7 +171,7 @@ def common_subtraces(left: LineageItem, right: LineageItem,
     for node in nodes:
         if id(node) in covered or node.height < min_height:
             continue
-        candidates = right_by_hash.get(hash(node), ())
+        candidates = right_by_hash.get(left_hash[id(node)], ())
         if any(dags_equal(node, other) for other in candidates):
             shared.append(node)
             for inner in node.iter_dag():

@@ -20,19 +20,22 @@ _FLOAT64 = np.dtype(np.float64)
 class MatrixValue:
     """A dense 2-D double matrix with cached metadata."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "nbytes")
 
     def __init__(self, data: np.ndarray) -> None:
-        if data.__class__ is np.ndarray and data.dtype is _FLOAT64 \
-                and data.ndim == 2:  # what ``np.asarray`` would return
-            self.data = data
-            return
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(-1, 1)
-        if arr.ndim != 2:
-            raise ValueError(f"matrices must be 2-D, got shape {arr.shape}")
-        self.data = arr
+        if not (data.__class__ is np.ndarray and data.dtype is _FLOAT64
+                and data.ndim == 2):  # what ``np.asarray`` would return
+            data = np.asarray(data, dtype=np.float64)
+            if data.ndim == 1:
+                data = data.reshape(-1, 1)
+            if data.ndim != 2:
+                raise ValueError(
+                    f"matrices must be 2-D, got shape {data.shape}")
+        self.data = data
+        shape = data.shape
+        #: worst-case dense size (``s(o)`` of the eviction policies), set
+        #: once: a matrix value's array is never rebound
+        self.nbytes: int = shape[0] * shape[1] * DOUBLE_BYTES
 
     @property
     def nrow(self) -> int:
@@ -45,12 +48,6 @@ class MatrixValue:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape  # type: ignore[return-value]
-
-    @property
-    def nbytes(self) -> int:
-        """Worst-case dense size (used as ``s(o)`` by eviction policies)."""
-        shape = self.data.shape
-        return shape[0] * shape[1] * DOUBLE_BYTES
 
     def copy(self) -> "MatrixValue":
         return MatrixValue(self.data.copy())

@@ -1,6 +1,7 @@
 """Tests for the hierarchical lineage cache, policies, and Spark manager."""
 
 import numpy as np
+import pytest
 
 from repro.backends.gpu import GpuPointer
 from repro.backends.gpu.freelist import FreeList
@@ -22,13 +23,21 @@ from repro.core.policies import (
     make_policy,
 )
 from repro.core.spark_cache import SparkCacheManager
-from repro.lineage.item import LineageItem, dataset
+from repro.lineage.item import LineageInterner, LineageItem
 from repro.memory import REGION_SPARK_CACHE
 from repro.runtime.values import MatrixValue
 
 
+@pytest.fixture(autouse=True)
+def _fresh_interner():
+    """The cache keys on canonical items: each test takes its keys from
+    one interner."""
+    global _interner
+    _interner = LineageInterner()
+
+
 def key(tag: str) -> LineageItem:
-    return LineageItem("exp", (tag,), (dataset("X"),))
+    return _interner.intern("exp", (tag,), (_interner.dataset("X"),))
 
 
 def value(cells=100):
@@ -48,7 +57,7 @@ class TestLineageCacheBasics:
         k = key("a")
         assert cache.probe(k) is None
         cache.put(k, value(), BACKEND_CP, 800, 100.0)
-        entry = cache.probe(key("a"))  # structurally equal key
+        entry = cache.probe(key("a"))  # the same canonical key
         assert entry is not None
         assert entry.hits == 1
 

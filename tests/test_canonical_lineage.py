@@ -1,6 +1,7 @@
 """Canonical lineage: every item the runtime traces comes from the
-substrate's interner, so structurally equal runtime items are one object
-and probes, puts and namespacing never fall into a ``dags_equal`` walk
+substrate's interner, so structurally equal runtime items are one object.
+Items hash and compare by identity, so a repeated flow hits the cache
+only because its keys are canonical, and no flow calls ``dags_equal``
 (docs/PERFORMANCE.md §2).  The interner must not merge literals that
 replay or serialize differently.
 """
@@ -24,8 +25,8 @@ RNG = np.random.default_rng(7)
 
 @pytest.fixture
 def dags_equal_calls(monkeypatch):
-    """Count structural DAG comparisons (``LineageItem.__eq__`` calls the
-    module-level ``dags_equal`` whenever two distinct items meet)."""
+    """Count structural DAG comparisons: the runtime makes none, its
+    keys meet by identity."""
     calls = []
     original = item_mod.dags_equal
 

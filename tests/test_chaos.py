@@ -34,6 +34,7 @@ from repro.common.stats import (
 )
 from repro.core.cache import BACKEND_DISK, LineageCache
 from repro.core.entry import BACKEND_CP
+from repro.core.substrate import Substrate
 from repro.common.runtime import RuntimeContext, scope
 from repro.faults import FaultInjector, FaultPlan
 from repro.lineage.item import LineageItem
@@ -204,6 +205,61 @@ class TestCacheLossRecovery:
             if BACKEND_DISK in e.payloads
         )
         assert sess.cache.disk_bytes == cached_disk
+
+
+#: plans whose recovery paths the drain law runs through: two random
+#: plans of the chaos sweep, and lost cache entries with GPU allocation
+#: retries on the GPU lane
+DRAIN_PLANS = {
+    "random0": (lambda: FaultPlan.randomize(0), sp_config),
+    "random1": (lambda: FaultPlan.randomize(1), sp_config),
+    "lost+gpu": (lambda: FaultPlan.parse(
+        "cache_lost@2;gpu_alloc@1,count=2;cache_lost@6,count=2;seed=5"),
+        gpu_config),
+}
+
+
+class TestReservationsDrainAfterRecovery:
+    """After fault recovery every reservation drains to zero: each
+    arbiter's quiescent check and the cache's audit hold after every
+    ``evaluate``, on a private substrate and on a shared one that two
+    tenants' sessions attach to in turn."""
+
+    @pytest.mark.parametrize("shared", [False, True],
+                             ids=["private", "shared"])
+    @pytest.mark.parametrize("name", sorted(DRAIN_PLANS))
+    def test_every_evaluate_leaves_no_reservation(self, name, shared,
+                                                  monkeypatch):
+        make_plan, factory = DRAIN_PLANS[name]
+        expected = baseline(factory)
+        evaluate = Session.evaluate
+        audited = []
+
+        def evaluate_then_audit(sess, handles):
+            evaluate(sess, handles)
+            sess.arbiter.check()
+            sess.substrate.arbiter.check()  # the same one when private
+            sess.cache.audit()
+            audited.append(sess)
+
+        monkeypatch.setattr(Session, "evaluate", evaluate_then_audit)
+        plan = make_plan()
+        with RuntimeContext(faults=plan):
+            substrate = (Substrate.shared_substrate(factory())
+                         if shared else None)
+            for tenant in ("alpha", "beta") if shared else (None,):
+                sess = Session(factory(), substrate=substrate,
+                               tenant=tenant)
+                X = sess.read(RNG_DATA, "X")
+                y = sess.read(RNG_TARGET, "y")
+                w = sess.read(np.zeros((8, 1)), "w0")
+                for _ in range(3):
+                    w = w - 0.01 * (X.t() @ (X @ w) - X.t() @ y)
+                assert np.array_equal(w.compute(), expected), tenant
+                assert sess.stats.get(FAULTS_INJECTED) >= 1, tenant
+        assert audited
+        if shared:
+            substrate.audit()
 
 
 class TestSpillRestoreFaults:

@@ -1,6 +1,7 @@
 """Tests for disk spilling of evicted driver-cache entries (§3.3)."""
 
 import numpy as np
+import pytest
 
 from repro import MemphisConfig, Session
 from repro.common.config import CacheConfig
@@ -8,12 +9,20 @@ from repro.common.simclock import SimClock
 from repro.common.stats import Stats
 from repro.core.cache import BACKEND_DISK, LineageCache
 from repro.core.entry import BACKEND_CP, EntryStatus
-from repro.lineage.item import LineageItem, dataset
+from repro.lineage.item import LineageInterner, LineageItem
 from repro.runtime.values import MatrixValue
 
 
+@pytest.fixture(autouse=True)
+def _fresh_interner():
+    """The cache keys on canonical items: each test takes its keys from
+    one interner."""
+    global _interner
+    _interner = LineageInterner()
+
+
 def key(tag: str) -> LineageItem:
-    return LineageItem("exp", (tag,), (dataset("X"),))
+    return _interner.intern("exp", (tag,), (_interner.dataset("X"),))
 
 
 def make_cache(budget=2000, spill=True, disk_budget=100_000):

@@ -5,14 +5,25 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import LineageError
 from repro.lineage import (
+    OP_DATA,
+    OP_LITERAL,
     LineageItem,
     dags_equal,
-    dataset,
     deserialize,
-    literal,
     serialize,
+    structural_hashes,
 )
 from repro.lineage.item import LineageInterner
+
+
+def dataset(name: str) -> LineageItem:
+    """A dataset leaf built outside any interner."""
+    return LineageItem(OP_DATA, (name,))
+
+
+def literal(value: object) -> LineageItem:
+    """A literal leaf built outside any interner."""
+    return LineageItem(OP_LITERAL, (value,))
 
 
 def _chain(depth: int, leaf_name: str = "X") -> LineageItem:
@@ -27,29 +38,32 @@ class TestLineageItem:
         x = dataset("X")
         a = LineageItem("ba+*", (), (x, x))
         b = LineageItem("ba+*", (), (x, x))
-        assert a == b
-        assert hash(a) == hash(b)
+        assert dags_equal(a, b)
+        assert structural_hashes(a)[id(a)] == structural_hashes(b)[id(b)]
 
     def test_different_opcode_not_equal(self):
         x = dataset("X")
-        assert LineageItem("+", (), (x, x)) != LineageItem("-", (), (x, x))
+        assert not dags_equal(LineageItem("+", (), (x, x)),
+                              LineageItem("-", (), (x, x)))
 
     def test_different_data_not_equal(self):
         x = dataset("X")
         a = LineageItem("rand", ("seed", 1), (x,))
         b = LineageItem("rand", ("seed", 2), (x,))
-        assert a != b
+        assert not dags_equal(a, b)
 
     def test_different_leaf_not_equal(self):
         a = LineageItem("exp", (), (dataset("X"),))
         b = LineageItem("exp", (), (dataset("Y"),))
-        assert a != b
+        assert not dags_equal(a, b)
 
     def test_structurally_equal_distinct_leaves(self):
-        # distinct objects, same structure: equal by value
+        # distinct objects, same structure: structurally equal, yet two
+        # keys (a runtime item's identity is its equality)
         a = LineageItem("exp", (), (dataset("X"),))
         b = LineageItem("exp", (), (dataset("X"),))
-        assert a == b
+        assert dags_equal(a, b)
+        assert a != b and len({a, b}) == 2
 
     def test_height(self):
         x = dataset("X")
@@ -66,13 +80,13 @@ class TestLineageItem:
         # would blow the recursion limit with a recursive implementation
         a = _chain(5000)
         b = _chain(5000)
-        assert a == b
+        assert dags_equal(a, b)
 
     def test_shared_subdag_identity_shortcut(self):
         shared = _chain(50)
         a = LineageItem("+", (), (shared, shared))
         b = LineageItem("+", (), (shared, shared))
-        assert a == b
+        assert dags_equal(a, b)
 
     def test_dag_size_counts_shared_once(self):
         shared = _chain(3)  # 4 nodes
@@ -88,8 +102,10 @@ class TestLineageItem:
 
     def test_literal_leaf(self):
         assert literal(3.5).is_leaf
-        assert literal(3.5) == literal(3.5)
-        assert literal(3.5) != literal(4.5)
+        assert dags_equal(literal(3.5), literal(3.5))
+        assert not dags_equal(literal(3.5), literal(4.5))
+        interner = LineageInterner()
+        assert interner.literal(3.5) is interner.literal(3.5)
 
 
 class TestSerialization:
@@ -97,14 +113,14 @@ class TestSerialization:
         x = dataset("X")
         root = LineageItem("ba+*", (), (LineageItem("r'", (), (x,)), x))
         back = deserialize(serialize(root))
-        assert back == root
+        assert dags_equal(back, root)
 
     def test_roundtrip_with_data(self):
         root = LineageItem(
             "rand", ("rows", 10, "cols", 5, "seed", 42, "label", "a;b\\c"), ()
         )
         back = deserialize(serialize(root))
-        assert back == root
+        assert dags_equal(back, root)
         assert back.data == root.data
 
     def test_roundtrip_floats_bools(self):
@@ -116,7 +132,7 @@ class TestSerialization:
         shared = LineageItem("exp", (), (dataset("X"),))
         root = LineageItem("+", (), (shared, shared))
         back = deserialize(serialize(root))
-        assert back == root
+        assert dags_equal(back, root)
         assert back.inputs[0] is back.inputs[1]
 
     def test_empty_log_rejected(self):
@@ -143,10 +159,10 @@ class TestSerialization:
 ))
 def test_property_serialize_roundtrip(item):
     """Any lineage DAG round-trips through serialization."""
-    assert deserialize(serialize(item)) == item
+    assert dags_equal(deserialize(serialize(item)), item)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30))
 def test_property_chain_equality_iff_same_depth(d1, d2):
-    assert (_chain(d1) == _chain(d2)) == (d1 == d2)
+    assert dags_equal(_chain(d1), _chain(d2)) == (d1 == d2)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro import MemphisConfig, Session
-from repro.lineage.item import LineageItem, dataset, literal
+from repro.lineage.item import OP_DATA, OP_LITERAL, LineageItem
 from repro.lineage.query import (
     common_subtraces,
     data_sources,
@@ -14,6 +14,14 @@ from repro.lineage.query import (
     to_dot,
     trace_stats,
 )
+
+
+def dataset(name: str) -> LineageItem:
+    return LineageItem(OP_DATA, (name,))
+
+
+def literal(value: object) -> LineageItem:
+    return LineageItem(OP_LITERAL, (value,))
 
 
 def _trace(reg: float = 0.5) -> LineageItem:

@@ -31,7 +31,7 @@ from repro.common.stats import (
 from repro.core.cache import BACKEND_DISK, LineageCache
 from repro.core.entry import BACKEND_CP, EntryStatus
 from repro.core.policies import LruPolicy, make_policy
-from repro.lineage.item import LineageItem, dataset
+from repro.lineage.item import LineageInterner, LineageItem
 from repro.memory import (
     REGION_CP,
     REGION_DISK,
@@ -44,8 +44,16 @@ from repro.runtime.values import MatrixValue
 import numpy as np
 
 
+@pytest.fixture(autouse=True)
+def _fresh_interner():
+    """The cache keys on canonical items: each test takes its keys from
+    one interner."""
+    global _interner
+    _interner = LineageInterner()
+
+
 def key(tag: str) -> LineageItem:
-    return LineageItem("exp", (tag,), (dataset("X"),))
+    return _interner.intern("exp", (tag,), (_interner.dataset("X"),))
 
 
 def value(cells=100):

@@ -36,7 +36,7 @@ from repro.core.cache import BACKEND_DISK, LineageCache
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 from repro.core.policies import make_policy
 from repro.core.substrate import Substrate
-from repro.lineage.item import LineageItem, dataset
+from repro.lineage.item import LineageInterner, LineageItem
 from repro.memory import MemoryArbiter
 from repro.runtime.values import MatrixValue
 
@@ -76,6 +76,7 @@ class GpuAllocatorMachine(RuleBasedStateMachine):
         clock, stats = SimClock(), Stats()
         arbiter = MemoryArbiter(stats)
         self.cache = LineageCache(CacheConfig(), stats, arbiter=arbiter)
+        self.interner = LineageInterner()
         self.mgr = GpuMemoryManager(
             GpuDevice(cfg), GpuStream(cfg, clock, stats), clock, stats,
             MODE_MEMPHIS, on_invalidate=self.cache.on_gpu_invalidate,
@@ -84,9 +85,9 @@ class GpuAllocatorMachine(RuleBasedStateMachine):
         #: the size -> release-ordered list dict the Free list replaced
         self.model: dict[int, list] = {}
 
-    @staticmethod
-    def key(tag):
-        return LineageItem("exp", (str(tag),), (dataset("X"),))
+    def key(self, tag) -> LineageItem:
+        interner = self.interner
+        return interner.intern("exp", (str(tag),), (interner.dataset("X"),))
 
     def pointers(self):
         return self.live + self.mgr.free.pointers()
@@ -531,9 +532,9 @@ class LineageCacheMachine(RuleBasedStateMachine):
             self.scopes.append(ctx)
         self.next_ptr = 1
 
-    @staticmethod
-    def key(tag):
-        return LineageItem("exp", (str(tag),), (dataset("X"),))
+    def key(self, tag) -> LineageItem:
+        interner = self.sub.interner
+        return interner.intern("exp", (str(tag),), (interner.dataset("X"),))
 
     def entry(self, tag):
         return self.cache.get_entry(self.key(tag))

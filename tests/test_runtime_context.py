@@ -31,9 +31,14 @@ from repro.common.config import (
     SparkConfig,
 )
 from repro.common.runtime import RuntimeContext, current, scope
+from repro.common.stats import Stats
 from repro.compiler.ir import Hop
 from repro.compiler.plan import BlockPlan
+from repro.core.cache import LineageCache
+from repro.core.entry import BACKEND_CP
+from repro.lineage.item import LineageInterner, LineageItem
 from repro.obs import TraceCollector
+from repro.runtime.values import MatrixValue
 from repro.server import Scheduler, impure_program, pure_program, run_server_demo
 from repro.workloads.base import (
     SYSTEMS,
@@ -438,6 +443,45 @@ def test_no_compile_decision_is_a_hop_flag():
     assert {"prefetch", "async_broadcast", "checkpoint",
             "fused"} & set(Hop.__slots__) == set()
     assert "flagged" not in BlockPlan.__slots__
+
+
+def test_lineage_items_hash_and_compare_by_identity():
+    """Every item the runtime traces comes from its substrate's interner,
+    so structurally equal runtime items are one object and identity is
+    equality: ``LineageItem`` defines no ``__hash__``/``__eq__`` and
+    stores no hash, and a cache probe and put of an interned key run no
+    Python-level hash or equality frame."""
+    assert "__hash__" not in vars(LineageItem)
+    assert "__eq__" not in vars(LineageItem)
+    assert "_hash" not in LineageItem.__slots__
+    interner = LineageInterner()
+    x = interner.dataset("X")
+    assert interner.dataset("X") is x
+    item = interner.intern("exp", ("k",), (x,))
+    assert interner.intern("exp", ("k",), (x,)) is item
+    wrapper, created = interner.wrap("ns:1", item)
+    assert created
+    assert interner.wrap("ns:1", item) == (wrapper, False)
+    assert interner.intern("ns:1", (), (item,)) is wrapper
+
+    cache = LineageCache(CacheConfig(), Stats())
+    value = MatrixValue(np.ones((2, 2)))
+    frames: list[str] = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in ("__hash__",
+                                                        "__eq__"):
+            frames.append(frame.f_code.co_qualname)
+
+    sys.setprofile(profile)
+    try:
+        cache.probe(item)
+        cache.put(item, value, BACKEND_CP, value.nbytes, 1.0)
+        hit = cache.probe(item)
+    finally:
+        sys.setprofile(None)
+    assert hit is not None
+    assert frames == []
 
 
 def test_every_backend_opcode_has_a_cp_kernel():

@@ -20,7 +20,7 @@ from repro.common.stats import Stats
 from repro.core.cache import LineageCache
 from repro.core.entry import BACKEND_CP, BACKEND_SP, EntryStatus
 from repro.core.substrate import Substrate
-from repro.lineage.item import LineageItem, dataset
+from repro.lineage.item import LineageInterner, LineageItem
 from repro.ml.l2svm import l2svm_core_iteration
 from repro.runtime.values import MatrixValue
 from repro.server import Scheduler, run_server_demo
@@ -28,8 +28,16 @@ from repro.server import Scheduler, run_server_demo
 POLICIES = list(EvictionPolicyName)
 
 
+@pytest.fixture(autouse=True)
+def _fresh_interner():
+    """The cache keys on canonical items: each test takes its keys from
+    one interner."""
+    global _interner
+    _interner = LineageInterner()
+
+
 def key(tag) -> LineageItem:
-    return LineageItem("exp", (str(tag),), (dataset("X"),))
+    return _interner.intern("exp", (str(tag),), (_interner.dataset("X"),))
 
 
 def value():
