@@ -30,8 +30,8 @@ class AnalysisContext:
     ``cyclic`` short-circuits passes that require an acyclic graph.
     ``defuse`` holds the def-use chains of ``order``, built once for
     all stream passes; ``plan`` is the block's memory plan when the
-    caller (``Session.evaluate``) already computed it; ``flags`` the
-    block's §5 flags (:attr:`~repro.compiler.plan.CompiledBlock.flags`).
+    caller (``Session.evaluate``) already computed it; ``lowered`` the
+    ``(§5 flags, Spark operator)`` of its instructions, by hop id.
     """
 
     roots: list[Hop]
@@ -41,4 +41,4 @@ class AnalysisContext:
     cyclic: bool = False
     defuse: Optional[StreamDefUse] = None
     plan: Optional["BlockMemPlan"] = None
-    flags: dict[int, int] = field(default_factory=dict)
+    lowered: dict[int, tuple] = field(default_factory=dict)

@@ -160,7 +160,8 @@ def placement_legality(ctx: AnalysisContext) -> list[Diagnostic]:
         return []
     out: list[Diagnostic] = []
     for hop in ops:
-        out.extend(_check_op(hop, ctx.config, ctx.flags.get(hop.id, 0)))
+        flags = ctx.lowered.get(hop.id, (0,))[0]
+        out.extend(_check_op(hop, ctx.config, flags))
     for hop in ctx.nodes:
         if hop.kind == KIND_DATA:
             out.extend(_check_data(hop))
@@ -193,9 +194,8 @@ def _check_op(hop: Hop, cfg: MemphisConfig, flags: int) -> list[Diagnostic]:
                 f"no Spark physical operator for {hop.opcode!r} "
                 f"with input shapes "
                 f"{[h.shape for h in hop.inputs]}", hop,
-                hint="the runtime dispatch would raise "
-                     "PlacementError; place this op on CP or add "
-                     "a Spark operator",
+                hint="the interpreter would raise PlacementError; "
+                     "place this op on CP or add a Spark operator",
             ))
     elif hop.placement == BACKEND_GPU:
         if not cfg.gpu_enabled:

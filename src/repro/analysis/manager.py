@@ -59,7 +59,7 @@ def analyze(roots: Sequence[Hop],
             config: Optional[MemphisConfig] = None,
             passes: Sequence[Callable] = DEFAULT_PASS_ORDER,
             plan: Optional["BlockMemPlan"] = None,
-            flags: Optional[dict[int, int]] = None) -> DiagnosticReport:
+            lowered: Optional[dict[int, tuple]] = None) -> DiagnosticReport:
     """Run ``passes`` (default: all) over one compiled program.
 
     A pass is a plain function ``(AnalysisContext) -> list[Diagnostic]``.
@@ -80,7 +80,7 @@ def analyze(roots: Sequence[Hop],
         cyclic=bool(back_edges),
         defuse=StreamDefUse(stream, roots) if stream is not None else None,
         plan=plan,
-        flags=flags or {},
+        lowered=lowered or {},
     )
     report = DiagnosticReport()
     for pass_ in passes:
@@ -96,13 +96,13 @@ def verify_ir(roots: Sequence[Hop], order: Sequence[Hop],
               config: MemphisConfig, tracer=None, stats=None,
               collector=None,
               plan: Optional["BlockMemPlan"] = None,
-              flags: Optional[dict[int, int]] = None) -> DiagnosticReport:
+              lowered: Optional[dict[int, tuple]] = None) -> DiagnosticReport:
     """Compiler-pipeline verification (``runtime.scope(analysis=...)``).
 
     Runs the full pipeline and publishes diagnostics to the tracer /
     stats / context collector; the report is returned, never raised.
     """
-    report = analyze(roots, order, config, plan=plan, flags=flags)
+    report = analyze(roots, order, config, plan=plan, lowered=lowered)
     if stats is not None:
         stats.inc(IR_PASSES_RUN, len(DEFAULT_PASS_ORDER))
         if report:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from repro.analysis.base import AnalysisContext
 from repro.analysis.dataflow import StreamDefUse
 from repro.analysis.diagnostics import Diagnostic, Severity, diag
-from repro.backends.spark.backend import SPARK_OPCODES
 from repro.compiler.ir import BROADCAST, KIND_DATA, KIND_OP, PREFETCH
 from repro.core.entry import BACKEND_GPU, BACKEND_SP
 
@@ -131,16 +130,16 @@ def async_race(ctx: AnalysisContext) -> list[Diagnostic]:
             ctx.order[p] for p in du.uses(hop)
             if p > pos_of.get(hop.id, -1)
         ]
-        flags = ctx.flags.get(hop.id, 0)
+        flags, operator = ctx.lowered.get(hop.id, (0, None))
         if flags & PREFETCH:
-            out.extend(_check_prefetch(hop, consumers, du))
+            out.extend(_check_prefetch(hop, consumers, du, operator))
         if flags & BROADCAST:
             out.extend(_check_broadcast(hop, consumers))
     return out
 
 
-def _check_prefetch(hop, consumers,
-                    du: StreamDefUse) -> list[Diagnostic]:
+def _check_prefetch(hop, consumers, du: StreamDefUse,
+                    operator: str | None) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     first = du.first_use(hop)
     issued = du.def_pos.get(hop.id)
@@ -164,8 +163,8 @@ def _check_prefetch(hop, consumers,
             hint="either drop the prefetch flag or synchronize the "
                  "copy before the device consumer",
         ))
-    if (hop.placement == BACKEND_SP
-            and SPARK_OPCODES.get(hop.opcode) != "action"
+    # an async_action (a prefetched action) ends on the driver anyway
+    if (hop.placement == BACKEND_SP and operator != "async_action"
             and consumers
             and all(c.placement == BACKEND_SP for c in consumers)):
         out.append(diag(

@@ -45,16 +45,17 @@ AGGREGATE_ACTIONS: dict[str, tuple[str, str, bool]] = {
 #: it: ``cellwise`` (:meth:`SparkBackend.cellwise`), ``blockwise`` and
 #: ``row_aggregate`` (:meth:`SparkBackend.blockwise` — a row block holds
 #: whole rows), ``action`` (:meth:`SparkBackend.aggregate`), ``matmul``
-#: (a pattern of ``runtime.placement.matmul_pattern``) and ``reorg``
-#: (transpose, ``rbind``, slicing).  Placement, the dispatch, the
-#: prefetch rewrite and the analysis rules all read this table.
+#: (a pattern of ``runtime.placement.matmul_pattern``), ``transpose``,
+#: ``rbind`` and ``slice``.  Placement reads this table, and lowering
+#: picks each Spark instruction's physical operator by it
+#: (``runtime.placement.spark_operator``).
 SPARK_OPCODES: dict[str, str] = {
     **dict.fromkeys(BINARY_UFUNCS, "cellwise"),
     **dict.fromkeys(("exp", "log", "sqrt", "abs", "sign", "round", "relu",
                      "sigmoid", "tanh", "replace"), "blockwise"),
     **dict.fromkeys(("uark+", "uarmean", "uarmax"), "row_aggregate"),
     **dict.fromkeys(AGGREGATE_ACTIONS, "action"),
-    **dict.fromkeys(("r'", "rbind", "rightIndex"), "reorg"),
+    **{"r'": "transpose", "rbind": "rbind", "rightIndex": "slice"},
     "ba+*": "matmul",
 }
 

@@ -26,13 +26,18 @@ KIND_LITERAL = "literal"
 #: bits of a lowered instruction's ``flags`` (compiler/plan.py::lower):
 #: the §5.1 prefetch and broadcast and the §5.2 checkpoint rewrites.
 PREFETCH, BROADCAST, CHECKPOINT = 1, 2, 4
-#: lowering-only bits of compiler/plan.py::block_flags, never in a
-#: lowered instruction: a Spark ``tsmm``/``cpmm`` that reads through its
-#: left transpose, and a transpose only such a read consumes.
-READS_THROUGH, TRACE_ONLY = 8, 16
+#: lowering-only bit of compiler/plan.py::block_flags, never in an
+#: instruction: a transpose only a Spark ``tsmm``/``cpmm`` reads through.
+TRACE_ONLY = 8
 
 #: opcodes producing scalars.
 SCALAR_OPS = {"uak+", "uamean", "uamax", "uamin"}
+
+
+def index_bounds(attrs: dict, shape: tuple) -> tuple[int, int, int, int]:
+    """``rightIndex``'s 1-based inclusive bounds over an input ``shape``."""
+    return (int(attrs.get("rl", 1)), int(attrs.get("ru", shape[0])),
+            int(attrs.get("cl", 1)), int(attrs.get("cu", shape[1])))
 
 
 def infer_shape(opcode: str, in_shapes: list[tuple[int, int]],
@@ -57,10 +62,7 @@ def infer_shape(opcode: str, in_shapes: list[tuple[int, int]],
     if opcode in ("uack+", "uacmean", "uacmax", "uacmin"):
         return (1, in_shapes[0][1])
     if opcode == "rightIndex":
-        rl = int(attrs.get("rl", 1))
-        ru = int(attrs.get("ru", in_shapes[0][0]))
-        cl = int(attrs.get("cl", 1))
-        cu = int(attrs.get("cu", in_shapes[0][1]))
+        rl, ru, cl, cu = index_bounds(attrs, in_shapes[0])
         return (ru - rl + 1, cu - cl + 1)
     if opcode == "cbind":
         return (in_shapes[0][0], sum(s[1] for s in in_shapes))

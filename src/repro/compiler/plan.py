@@ -26,29 +26,27 @@ the second time a key is seen, the outcome is recorded as a frozen
 recorded placements onto the fresh hops and returns the order.  Either
 way the interpreter runs the block's *lowered* program (:func:`lower`):
 per instruction, the input-slot positions, the lineage attribute tuple,
-the static costs that depend only on shapes, the transpose fusion of
-the Spark ``tsmm``/``cpmm`` operators and the §5 rewrite flags
-(prefetch, broadcast, checkpoint), both decided by one walk of the
-block's consumer edges (:func:`block_flags`) — decisions of the
+the static costs that depend only on shapes, the §5 rewrite flags
+(prefetch, broadcast, checkpoint) and a Spark instruction's physical
+operator, which may read through a transpose, all decided by one walk
+of the block's consumer edges (:func:`block_flags`) — decisions of the
 program, so they end with their block.
 """
 
 from __future__ import annotations
 
-from repro.backends.spark.backend import SPARK_OPCODES
 from repro.common.costs import DOUBLE_BYTES, op_flops
 from repro.compiler.ir import (
     BROADCAST,
     CHECKPOINT,
     KIND_OP,
     PREFETCH,
-    READS_THROUGH,
     TRACE_ONLY,
     Hop,
 )
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 from repro.lineage.item import NAN_KEY, value_key
-from repro.runtime.placement import matmul_pattern
+from repro.runtime.placement import spark_operator
 
 #: the bits of :func:`block_flags` a lowered instruction keeps.
 _REWRITES = PREFETCH | BROADCAST | CHECKPOINT
@@ -108,9 +106,11 @@ class BlockShape:
         )
 
 
-def block_flags(roots: list[Hop], config, nodes: list[Hop]) -> dict[int, int]:
+def block_flags(roots: list[Hop], config,
+                nodes: list[Hop]) -> tuple[dict[int, int], dict[int, str]]:
     """Hop id -> the non-zero rewrite bits (:mod:`repro.compiler.ir`) of
-    a placed block's op hops, from its consumer edges.
+    a placed block's op hops, from its consumer edges, and hop id -> the
+    :func:`~repro.runtime.placement.spark_operator` of its Spark ops.
 
     ``nodes`` is the block's post-order, so walking it backwards visits
     every consumer of a hop before the hop: one walk counts each hop's
@@ -125,19 +125,18 @@ def block_flags(roots: list[Hop], config, nodes: list[Hop]) -> dict[int, int]:
       a Spark action ("this rewrite flags all other Spark actions for
       asynchronous execution"), or a consumer-less root of at most
       ``operation_memory_bytes // 8``, about to be collected; a GPU op
-      with a CP consumer.
+      with a CP consumer.  A prefetched Spark ``action`` runs as an
+      ``async_action``.
     * ``BROADCAST`` (§5.1, ``enable_async_ops``): a CP op of at most
       ``driver_memory // 4`` with a Spark consumer.
-    * ``READS_THROUGH``: a Spark ``ba+*`` whose
-      :func:`~repro.runtime.placement.matmul_pattern` is ``tsmm`` or
-      ``cpmm`` (SystemDS never materialises ``t(X)`` of
-      ``t(X) %*% X`` or ``t(X) %*% Y``).
-    * ``TRACE_ONLY``: a transpose whose one consumer edge is such a
-      matmul's left operand.  A root transpose never is: its handle is
-      bound to its value when the block ends.
+    * ``TRACE_ONLY``: a transpose whose one consumer edge is the left
+      operand of a Spark ``tsmm`` or ``cpmm`` (SystemDS never
+      materialises ``t(X)`` of ``t(X) %*% X`` or ``t(X) %*% Y``).  A
+      root transpose never is: its handle is bound to its value when
+      the block ends.
 
-    Only a block with an op on Spark or the GPU can get a bit, so the
-    compile pipeline calls this for those alone.
+    Only a block with an op on Spark or the GPU has any, so the compile
+    pipeline calls this for those alone.
     """
     checkpoint = config.enable_checkpoint_rewrite
     async_ops = config.enable_async_ops
@@ -151,6 +150,7 @@ def block_flags(roots: list[Hop], config, nodes: list[Hop]) -> dict[int, int]:
     user: dict[int, Hop] = {}
     cp_fed: set[int] = set()
     flags: dict[int, int] = {}
+    operators: dict[int, str] = {}
     for hop in reversed(nodes):
         if hop.kind != KIND_OP:
             continue
@@ -158,17 +158,18 @@ def block_flags(roots: list[Hop], config, nodes: list[Hop]) -> dict[int, int]:
         n = edges.get(hop_id, 0)
         bits = 0
         if placement == BACKEND_SP:
+            operator = spark_operator(hop, config)
             n_sp = sp_edges.get(hop_id, 0)
             if checkpoint and n_sp >= 2:
                 bits = CHECKPOINT
             if async_ops and (
-                    n > n_sp or SPARK_OPCODES.get(opcode) == "action"
+                    n > n_sp or operator == "action"
                     or (not n and hop_id in root_ids
                         and hop.output_bytes <= collect_limit)):
                 bits |= PREFETCH
-            if (opcode == "ba+*"
-                    and matmul_pattern(hop, config) in ("tsmm", "cpmm")):
-                bits |= READS_THROUGH
+                if operator == "action":
+                    operator = "async_action"
+            operators[hop_id] = operator  # None: PLC001, run time raises
         elif placement == BACKEND_GPU:
             if async_ops and hop_id in cp_fed:
                 bits = PREFETCH
@@ -179,7 +180,7 @@ def block_flags(roots: list[Hop], config, nodes: list[Hop]) -> dict[int, int]:
         if opcode == "r'" and n == 1 and hop_id not in root_ids:
             consumer = user[hop_id]
             if (consumer.inputs[0] is hop
-                    and flags.get(consumer.id, 0) & READS_THROUGH):
+                    and operators.get(consumer.id) in ("tsmm", "cpmm")):
                 bits |= TRACE_ONLY
         if bits:
             flags[hop_id] = bits
@@ -191,14 +192,14 @@ def block_flags(roots: list[Hop], config, nodes: list[Hop]) -> dict[int, int]:
                 sp_edges[inp_id] = sp_edges.get(inp_id, 0) + 1
             elif placement == BACKEND_CP:
                 cp_fed.add(inp_id)
-    return flags
+    return flags, operators
 
 
 def lower(order: list[Hop], flags: dict[int, int],
-          attrs: dict[int, tuple]) -> tuple:
+          operators: dict[int, str], attrs: dict[int, tuple]) -> tuple:
     """The lowered program of a linearized block, aligned with it:
     ``None`` per leaf and per op the instruction tuple
-    ``(inputs, attrs, cost, cp_flops, cp_nbytes, operands, flags)``.
+    ``(inputs, attrs, cost, cp_flops, cp_nbytes, operands, flags, op)``.
 
     ``inputs`` are the op's input positions in ``order``, ``attrs`` its
     lineage attribute tuple: the one the CSE walk keyed it with
@@ -209,10 +210,11 @@ def lower(order: list[Hop], flags: dict[int, int],
     bytes (inputs + output, dense; a scalar is 8 bytes).  Values take
     their hop's shape, so all of them are fixed per block shape.
 
-    ``flags`` is the block's :func:`block_flags` (empty for a block with
-    no op on Spark or the GPU).  An op with ``READS_THROUGH`` reads the
-    positions in ``operands`` — its left transpose's input and its
-    right operand; every other op has ``None`` there and reads
+    ``flags`` and ``operators`` are the block's :func:`block_flags`
+    (empty for a block with no op on Spark or the GPU).  ``op`` is a
+    Spark instruction's physical operator, else ``None``; a ``tsmm`` or
+    ``cpmm`` reads the positions in ``operands`` (its left transpose's
+    input, its right operand), every other op ``None`` there and reads
     ``inputs``.  A ``TRACE_ONLY`` transpose has ``cost`` ``None``: it is
     traced but never probed, executed or put.  The instruction's
     ``flags`` keeps the §5 bits (``PREFETCH``, ``BROADCAST``,
@@ -234,10 +236,11 @@ def lower(order: list[Hop], flags: dict[int, int],
         rewrites = bits & _REWRITES
         if bits & TRACE_ONLY:
             append((in_positions, op_attrs, None, None, None, None,
-                    rewrites))
+                    rewrites, None))
             continue
+        operator = operators.get(hop_id)
         operands = None
-        if bits & READS_THROUGH:
+        if operator == "tsmm" or operator == "cpmm":
             left, right = inputs
             operands = (index[left.inputs[0].id], index[right.id])
         in_shapes = [h.shape for h in inputs]
@@ -253,6 +256,7 @@ def lower(order: list[Hop], flags: dict[int, int],
             nbytes * DOUBLE_BYTES,
             operands,
             rewrites,
+            operator,
         ))
     return tuple(program)
 
@@ -328,7 +332,8 @@ class CompiledBlock(tuple):
                           if instr is not None and instr[2] is None])
 
     @property
-    def flags(self) -> dict[int, int]:
-        """Hop id -> the non-zero ``flags`` of its instruction."""
-        return {hop.id: instr[6] for hop, instr in zip(self[2], self.program)
-                if instr is not None and instr[6]}
+    def lowered(self) -> dict[int, tuple[int, str | None]]:
+        """Hop id -> ``(flags, operator)`` of each instruction with a §5
+        bit or a Spark operator, what the verifier reads."""
+        return {hop.id: instr[6:] for hop, instr in zip(self[2], self.program)
+                if instr is not None and (instr[6] or instr[7])}

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.common.errors import CompilationError
 from repro.compiler.ir import KIND_LITERAL, KIND_OP, Hop
 from repro.compiler.plan import BlockShape, attr_data
 from repro.lineage.item import value_key
@@ -30,7 +31,7 @@ def eliminate_common_subexpressions(
     merged away, so the interpreter can still bind them after execution.
     With ``shape``, the walk also fills it with the canonical hops, their
     structural tokens, the roots' positions and the attribute tuples it
-    keyed the ops with.
+    keyed the ops with.  A cycle raises :class:`CompilationError`.
     """
     #: hop id -> position of its canonical hop in ``hops``
     pos: dict[int, int] = {}
@@ -39,6 +40,9 @@ def eliminate_common_subexpressions(
     else:
         hops, record, attr_of = [], None, None
     claim = {}.setdefault  # CSE key -> position of its first hop
+    # an acyclic walk sends each hop back at most once, so one sent back
+    # twice is on a cycle; only a walk past 1024 pays to remember them
+    budget, sent_back = 1024, set()
     extra_handles: dict[int, list] = {}
     merged = False  # until a hop merges, every input is canonical
 
@@ -46,7 +50,7 @@ def eliminate_common_subexpressions(
     # popped hop whose inputs all have a canonical position is keyed
     # now; otherwise it goes back under its pending inputs (pushed in
     # order, so the last input is keyed first) and is keyed when popped
-    # again
+    # again (on a cycle an input is still pending then)
     for root in roots:
         stack = [root]
         push = stack.append
@@ -61,6 +65,11 @@ def eliminate_common_subexpressions(
             for inp in inputs:
                 if inp.id not in pos:
                     if not pending:
+                        budget -= 1
+                        if budget < 0:
+                            if nid in sent_back:
+                                raise CompilationError(f"cycle at {node!r}")
+                            sent_back.add(nid)
                         pending = True
                         push(node)
                     push(inp)

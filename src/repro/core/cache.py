@@ -579,18 +579,20 @@ class LineageCache:
 
         The byte ledgers equal what the entries say they charged — CP
         ``used`` (and each tenant's share) against ``cp_accounted``, DISK
-        ``used`` against the spilled entries' sizes — and the victim
-        index is redundant state that agrees with
-        its oracle: every CP-resident entry is reachable in it, and the
-        victim it yields *is* the full scan's, for the active scope and
-        for every tenant's quota-shrink view.  The GPU pointer index is
-        exactly the entries' GPU payloads, each marked ``cached``: the
-        GPU memory manager skips invalidating an uncached victim.  Every
-        probe counted is a hit or a miss.
+        ``used`` against the spilled entries' sizes, and an entry with no
+        CP payload has no CP charge — and the victim index is redundant
+        state that agrees with its oracle: every CP-resident entry is
+        reachable in it, and the victim it yields *is* the full scan's,
+        for the active scope and for every tenant's quota-shrink view.
+        The GPU pointer index is exactly the entries' GPU payloads, each
+        marked ``cached``: the GPU memory manager skips invalidating an
+        uncached victim.  Every probe counted is a hit or a miss.
         """
         entries = list(self._entries.values())
         gpu = {}
         for e in entries:
+            assert not e.cp_accounted or BACKEND_CP in e.payloads, \
+                f"{e.cp_accounted} B charged to {e.key.id} with no CP payload"
             ptr = getattr(e.payloads.get(BACKEND_GPU), "ptr", None)
             if ptr is not None:
                 assert ptr.cached, f"GPU payload {ptr!r} is not marked cached"

@@ -313,9 +313,9 @@ class Session:
         shared verbatim between :meth:`evaluate` and :meth:`explain` so
         a plan dump shows exactly what would execute.  One walk of the
         block's consumer edges (:func:`~repro.compiler.plan.block_flags`)
-        decides the checkpoint/prefetch/broadcast rewrites and the
-        transpose fusion of Spark ``tsmm``/``cpmm``; a block with no op
-        on Spark or the GPU, where none of them can apply, skips it.
+        decides the checkpoint/prefetch/broadcast rewrites and each
+        Spark op's physical operator; a block with no op on Spark or the
+        GPU, where none of them can apply, skips it.
         The CSE walk also keys the block's shape: a shape this session
         has compiled twice replays its recorded plan instead of running
         the passes after CSE (``compiler/plan.py``).  Returns a
@@ -343,10 +343,11 @@ class Session:
         config = self.config
         nodes = depth_first(root_hops)
         remote = assign_placements(nodes, config)
-        flags = block_flags(root_hops, config, nodes) if remote else {}
+        flags, operators = (block_flags(root_hops, config, nodes)
+                            if remote else ({}, {}))
         order = (max_parallelize(root_hops, flags, nodes)
                  if config.enable_max_parallelize else nodes)
-        program = lower(order, flags, shape.attrs)
+        program = lower(order, flags, operators, shape.attrs)
         self._plans.note(key, found, shape.hops, order, program)
         return CompiledBlock(roots, root_hops, order, extra, program)
 
@@ -404,7 +405,7 @@ class Session:
                 root_hops, order, self.config,
                 tracer=self.tracer, stats=self.stats,
                 collector=self.ir_collector, plan=plan,
-                flags=compiled.flags,
+                lowered=compiled.lowered,
             )
             if captured is not None and captured.executions == 1:
                 # the plan shows this block's findings, not every block's
@@ -670,7 +671,7 @@ class Session:
                 # this block's diagnostics, not those of every block so far
                 _, root_hops, order, _ = compiled
                 diagnostics = analyze(root_hops, order, self.config,
-                                      flags=compiled.flags)
+                                      lowered=compiled.lowered)
             rendered = render_plan(plan, level, diagnostics)
             if level != "hops":
                 rendered += "\n\n" + explain_memory(self, compiled)

@@ -3,11 +3,12 @@
 SystemDS pairs its ``-stats`` output with ``-explain`` plan dumps; this
 module is the reproduction's counterpart.  A plan is captured *after*
 rewrites (CSE, placement, checkpoint/prefetch/broadcast placement),
-linearization and lowering (transpose fusion), so what it shows is
-exactly what the interpreter will run: the post-rewrite HOP DAG, the
-operator placement decisions, the linearized instruction stream with
-reuse/prefetch/checkpoint/broadcast annotations, and per-hop cost
-estimates (output bytes, operation memory, FLOPs).
+linearization and lowering (transpose fusion, Spark operators), so what
+it shows is exactly what the interpreter will run: the post-rewrite HOP
+DAG, the placement and Spark physical operator (``SP tsmm``) decisions,
+the linearized instruction stream with reuse/prefetch/checkpoint/
+broadcast annotations, and per-hop cost estimates (output bytes,
+operation memory, FLOPs).
 
 Hop ids in the dump are the same ids ``repro.analysis`` diagnostics
 (``Diagnostic.hop``) and trace spans (``args["hop"]``) carry, making the
@@ -56,24 +57,20 @@ class HopSnapshot:
     output_bytes: int
     memory_estimate: int
     flops: float
-    prefetch: bool = False
-    broadcast: bool = False
-    checkpoint: bool = False
+    #: the instruction's §5 bits and, on Spark, its physical operator
+    flags: int = 0
+    operator: Optional[str] = None
     trace_only: bool = False
     probe: bool = False
 
     @property
     def annotations(self) -> list[str]:
         """Rewrite/runtime annotations shown in the instruction stream."""
-        out = []
-        if self.probe:
-            out.append("reuse")
-        if self.prefetch:
-            out.append("prefetch")
-        if self.broadcast:
-            out.append("broadcast")
-        if self.checkpoint:
-            out.append("checkpoint")
+        out = ["reuse"] if self.probe else []
+        out += [name for bit, name in ((PREFETCH, "prefetch"),
+                                       (BROADCAST, "broadcast"),
+                                       (CHECKPOINT, "checkpoint"))
+                if self.flags & bit]
         if self.trace_only:
             out.append("fused-skip")
         return out
@@ -96,18 +93,13 @@ class ExplainPlan:
     @property
     def signature(self) -> tuple:
         """Structural identity used to dedupe repeated loop bodies."""
+        local = {s.id: pos for pos, s in enumerate(self.order)}
         return tuple(
-            (s.opcode, s.kind, s.shape, s.placement, s.prefetch,
-             s.broadcast, s.checkpoint, s.trace_only, s.probe,
-             tuple(self._local(i) for i in s.input_ids))
+            (s.opcode, s.kind, s.shape, s.placement, s.flags, s.operator,
+             s.trace_only, s.probe,
+             tuple(local.get(i, -1) for i in s.input_ids))
             for s in self.order
         )
-
-    def _local(self, hop_id: int) -> int:
-        for pos, snap in enumerate(self.order):
-            if snap.id == hop_id:
-                return pos
-        return -1
 
     def by_id(self) -> dict[int, HopSnapshot]:
         return {s.id: s for s in self.order}
@@ -129,12 +121,10 @@ def snapshot_plan(block: "CompiledBlock",
     """Snapshot a compiled block right before execution."""
     _, root_hops, order, _ = block
     probing = config.reuse_mode.probes
-    skipped = block.trace_only
-    flagged = block.flags
     snaps = []
-    for pos, hop in enumerate(order):
-        trace_only = pos in skipped
-        flags = flagged.get(hop.id, 0)
+    for hop, instr in zip(order, block.program):
+        # a leaf has no instruction, a trace-only transpose no cost
+        trace_only = instr is not None and instr[2] is None
         snaps.append(HopSnapshot(
             id=hop.id,
             kind=hop.kind,
@@ -145,9 +135,8 @@ def snapshot_plan(block: "CompiledBlock",
             output_bytes=hop.output_bytes,
             memory_estimate=hop.memory_estimate,
             flops=hop.flops,
-            prefetch=bool(flags & PREFETCH),
-            broadcast=bool(flags & BROADCAST),
-            checkpoint=bool(flags & CHECKPOINT),
+            flags=instr[6] if instr else 0,
+            operator=instr[7] if instr else None,
             trace_only=trace_only,
             probe=probing and hop.kind == KIND_OP and not trace_only,
         ))
@@ -211,6 +200,8 @@ def _diags_by_hop(diagnostics) -> dict[int, list]:
 def _hop_line(snap: HopSnapshot) -> str:
     shape = f"[{snap.shape[0]}x{snap.shape[1]}]"
     place = snap.placement or ("-" if snap.kind != KIND_OP else "CP")
+    if snap.operator:
+        place += " " + snap.operator
     flags = ",".join(snap.annotations)
     cost = (f"{_size(snap.output_bytes)} out, "
             f"{_size(snap.memory_estimate)} op-mem, {_flops(snap.flops)}")

@@ -18,8 +18,9 @@ in :meth:`Interpreter.run`, over the block's *lowered* program
 (:func:`repro.compiler.plan.lower`, compiled once per block shape): per
 op, the input-slot positions, the lineage attribute tuple, the PUT cost,
 the CP roofline's FLOPs and bytes, the operand slots a Spark
-``tsmm``/``cpmm`` reads (the input of its left transpose) and the §5
-rewrite flags.  The stages it sequences are:
+``tsmm``/``cpmm`` reads (the input of its left transpose), the §5
+rewrite flags and the Spark physical operator.  The stages it
+sequences are:
 
 * **TRACE** (§3.2, fine-grained lineage): inline in the loop — interned
   lineage-item construction (inputs read from the slot list by
@@ -30,8 +31,9 @@ rewrite flags.  The stages it sequences are:
   is inline (``cache.probe`` after the probe-overhead charge); a hit is
   bound by :meth:`Interpreter._apply_reuse`.
 * **EXECUTE** (Table 2 operator set): ``_exec_cpu`` / ``_exec_gpu`` /
-  ``_exec_spark`` plus the exchange helpers (``_to_cp`` et al.)
-  implementing the paper's collect/broadcast/H2D/D2H edges.
+  ``_exec_spark`` (the lowered operator, from :data:`SPARK_OPERATORS`)
+  plus the exchange helpers (``_to_cp`` et al.) implementing the
+  paper's collect/broadcast/H2D/D2H edges.
 * **PUT** (§4.2, admission with delayed caching):
   :meth:`Interpreter._put`, at the instruction's static cost.
 * Async rewrites (§5.1): ``_issue_prefetch`` / ``_issue_broadcast``;
@@ -53,7 +55,7 @@ from typing import Optional, TYPE_CHECKING
 import numpy as np
 
 from repro.backends.gpu.backend import GpuData
-from repro.backends.spark.backend import SPARK_OPCODES, DistributedMatrix
+from repro.backends.spark.backend import DistributedMatrix
 from repro.backends.spark.broadcast import Broadcast
 from repro.common.config import ReuseMode
 from repro.common.errors import PlacementError
@@ -68,7 +70,8 @@ from repro.common.stats import (
     SPARK_ACTION_REUSE,
 )
 from repro.faults.plan import KIND_CACHE_LOST
-from repro.compiler.ir import BROADCAST, CHECKPOINT, KIND_LITERAL, PREFETCH, Hop
+from repro.compiler.ir import (BROADCAST, CHECKPOINT, KIND_LITERAL,
+                               PREFETCH, Hop, index_bounds)
 from repro.core.entry import (
     BACKEND_CP,
     BACKEND_GPU,
@@ -84,7 +87,6 @@ from repro.obs.events import (
     LANE_CP,
 )
 from repro.obs.metrics import SAMPLE_EVERY, sample as sample_gauges
-from repro.runtime.placement import matmul_pattern
 from repro.runtime.values import MatrixValue, ScalarValue, Value
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -229,7 +231,8 @@ class Interpreter:
             # instruction gets the canonical object and probes compare
             # by identity; with lineage active, the per-instruction
             # overhead of Fig. 2(c) is charged
-            inputs, attrs, cost, cp_flops, cp_nbytes, operands, flags = instr
+            (inputs, attrs, cost, cp_flops, cp_nbytes, operands, flags,
+             operator) = instr
             in_slots = [slots[i] for i in inputs]
             item = intern(hop.opcode, attrs,
                           tuple([s.lineage for s in in_slots]))
@@ -285,7 +288,7 @@ class Interpreter:
                     exec_cpu(hop, slot, in_slots, cp_flops, cp_nbytes)
                 elif backend == BACKEND_SP:
                     exec_spark(hop, slot, in_slots if operands is None
-                               else [slots[i] for i in operands], flags)
+                               else [slots[i] for i in operands], operator)
                 else:
                     exec_gpu(hop, slot, in_slots, acquired, cp_flops)
                 payloads = slot.payloads
@@ -555,130 +558,92 @@ class Interpreter:
     # ------------------------------------------------------------------------ Spark
 
     def _exec_spark(self, hop: Hop, slot: Slot, in_slots: list[Slot],
-                    flags: int) -> None:
-        """EXECUTE on the cluster (§4.2/§5): pick the physical operator
-        :data:`~repro.backends.spark.backend.SPARK_OPCODES` names for the
-        opcode — SystemDS's Spark instruction set, every cell value
-        computed by the CP kernels."""
-        sb = self.tiers.spark
-        op = hop.opcode
-        kind = SPARK_OPCODES.get(op)
-        if kind == "action":
-            self._exec_spark_aggregate(hop, slot, in_slots, flags)
-            return
-        if kind == "matmul":
-            out = self._exec_spark_matmul(hop, in_slots)
-        elif kind == "cellwise":
-            out = self._exec_spark_cellwise(hop, in_slots)
-        elif kind in ("blockwise", "row_aggregate"):
-            out = sb.blockwise(op, self._to_dm(in_slots[0]), hop.shape[1],
-                               hop.attrs)
-        elif op == "r'":
-            out = sb.transpose(self._to_dm(in_slots[0]))
-        elif op == "rbind":
-            out = sb.rbind(self._to_dm(in_slots[0]),
-                           self._to_dm(in_slots[1]))
-        elif op == "rightIndex":
-            out = self._exec_spark_slice(hop, in_slots[0])
+                    operator: Optional[str]) -> None:
+        """EXECUTE on the cluster (§4.2/§5): the lowered physical operator
+        (:data:`SPARK_OPERATORS`, cells computed by the CP kernels); an
+        action's value lands on the driver, an ``async_action``'s future
+        in ``slot.future``."""
+        if operator is None:  # placement forced an op with none (PLC001)
+            raise PlacementError(f"no Spark operator for {hop.opcode!r}")
+        out = SPARK_OPERATORS[operator](self, self.tiers.spark, hop, *in_slots)
+        if isinstance(out, DistributedMatrix):
+            slot.payloads[BACKEND_SP] = out
+        elif isinstance(out, SimFuture):
+            self._await(slot, out)
         else:
-            raise PlacementError(f"no Spark physical operator for {op!r}")
-        slot.payloads[BACKEND_SP] = out
-
-    def _exec_spark_cellwise(self, hop: Hop,
-                             in_slots: list[Slot]) -> DistributedMatrix:
-        """Operand forms of a cell-wise binary, by shape.
-
-        A 1x1 side is a driver scalar, a one-row side a broadcast row
-        vector, and two sides of equal row counts zip partition-aligned
-        (matrix-matrix and matrix-column-vector alike).  The side that
-        is not distributed is materialized first.
-        """
-        sb = self.tiers.spark
-        op = hop.opcode
-        left, right = hop.inputs
-        ls, rs = in_slots
-        if right.shape == (1, 1):
-            scalar = self._scalar_of(rs)
-            return sb.cellwise(op, self._to_dm(ls), scalar)
-        if left.shape == (1, 1):
-            scalar = self._scalar_of(ls)
-            return sb.cellwise(op, scalar, self._to_dm(rs))
-        if right.shape[0] == 1:
-            bc = self._to_bc(rs)
-            return sb.cellwise(op, self._to_dm(ls), bc)
-        if left.shape[0] == 1:
-            bc = self._to_bc(ls)
-            return sb.cellwise(op, bc, self._to_dm(rs))
-        return sb.cellwise(op, self._to_dm(ls), self._to_dm(rs))
-
-    def _exec_spark_slice(self, hop: Hop, in_slot: Slot) -> DistributedMatrix:
-        """``rightIndex``: a column slice is block-local, a row range
-        re-blocks through a shuffle; a combined slice does both, columns
-        first."""
-        sb = self.tiers.spark
-        nrow, ncol = hop.inputs[0].shape
-        rl = int(hop.attrs.get("rl", 1)) - 1
-        ru = int(hop.attrs.get("ru", nrow))
-        cl = int(hop.attrs.get("cl", 1))
-        cu = int(hop.attrs.get("cu", ncol))
-        dm = self._to_dm(in_slot)
-        if cl != 1 or cu != ncol:
-            dm = sb.blockwise("rightIndex", dm, cu - cl + 1,
-                              {"cl": cl, "cu": cu})
-        if rl != 0 or ru != nrow:
-            dm = sb.slice_rows(dm, rl, ru)
-        return dm
-
-    def _exec_spark_aggregate(self, hop: Hop, slot: Slot,
-                              in_slots: list[Slot], flags: int) -> None:
-        """Single-block aggregates execute as Spark actions.
-
-        When the prefetch rewrite flagged the action, the job runs
-        asynchronously and consumers wait on the returned future (§5.1:
-        "this rewrite flags all other Spark actions for asynchronous
-        execution").
-        """
-        out = self.tiers.spark.aggregate(
-            hop.opcode, self._to_dm(in_slots[0]),
-            asynchronous=bool(flags & PREFETCH),
-        )
-        if not isinstance(out, SimFuture):
             slot.payloads[BACKEND_CP] = out
-            return
-        slot.future = out
-        self.stats.inc(PREFETCH_ISSUED)
-        if self.tracer.enabled:
-            self.tracer.instant(EV_PREFETCH, LANE_CP, label=out.label,
-                                ready=out.ready_time)
 
-    def _exec_spark_matmul(self, hop: Hop,
-                           in_slots: list[Slot]) -> DistributedMatrix:
-        """Distributed matmul via SystemDS's physical patterns.
+    # The physical operators of :data:`SPARK_OPERATORS`: ``(Spark backend,
+    # hop, *input slots) -> payload``.  A ``tsmm``/``cpmm`` reads its left
+    # transpose's input and its right operand; the side that is not
+    # distributed (a driver scalar, a broadcast) is materialized first.
 
-        ``tsmm`` (transpose-self), ``cpmm`` (cross-product),
-        ``mapmm``/``bcmm`` (broadcast-side) — selection logic lives in
-        :func:`repro.runtime.placement.matmul_pattern`.  ``tsmm`` and
-        ``cpmm`` get the lowered instruction's operand slots: the input
-        of the left transpose, and the right operand.
-        """
-        sb = self.tiers.spark
-        pattern = matmul_pattern(hop, self.config)
-        left, right = hop.inputs
-        ls, rs = in_slots
-        if pattern == "tsmm":
-            return sb.tsmm(self._to_dm(ls))
-        if pattern == "cpmm":
-            return sb.cpmm(self._to_dm(ls), self._to_dm(rs))
-        if pattern == "mapmm":
-            bc = self._to_bc(rs)
-            return sb.mapmm(self._to_dm(ls), bc, right.shape[1])
-        if pattern == "bcmm":
-            bc = self._to_bc(ls)
-            return sb.bcmm_left(bc, left.shape[0], self._to_dm(rs))
-        raise PlacementError(
-            f"no Spark matmul pattern for shapes "
-            f"{left.shape} x {right.shape}"
-        )
+    def _sp_tsmm(self, sb, hop: Hop, x: Slot, _: Slot):
+        return sb.tsmm(self._to_dm(x))
+
+    def _sp_cpmm(self, sb, hop: Hop, x: Slot, y: Slot):
+        return sb.cpmm(self._to_dm(x), self._to_dm(y))
+
+    def _sp_mapmm(self, sb, hop: Hop, x: Slot, y: Slot):
+        bc = self._to_bc(y)
+        return sb.mapmm(self._to_dm(x), bc, hop.shape[1])
+
+    def _sp_bcmm(self, sb, hop: Hop, x: Slot, y: Slot):
+        return sb.bcmm_left(self._to_bc(x), hop.shape[0], self._to_dm(y))
+
+    def _sp_zip(self, sb, hop: Hop, x: Slot, y: Slot):
+        # equal row counts (matrix-matrix, matrix-column-vector)
+        return sb.cellwise(hop.opcode, self._to_dm(x), self._to_dm(y))
+
+    def _sp_scalar_left(self, sb, hop: Hop, x: Slot, y: Slot):
+        return sb.cellwise(hop.opcode, self._scalar_of(x), self._to_dm(y))
+
+    def _sp_scalar_right(self, sb, hop: Hop, x: Slot, y: Slot):
+        value = self._scalar_of(y)
+        return sb.cellwise(hop.opcode, self._to_dm(x), value)
+
+    def _sp_broadcast_left(self, sb, hop: Hop, x: Slot, y: Slot):
+        return sb.cellwise(hop.opcode, self._to_bc(x), self._to_dm(y))
+
+    def _sp_broadcast_right(self, sb, hop: Hop, x: Slot, y: Slot):
+        bc = self._to_bc(y)
+        return sb.cellwise(hop.opcode, self._to_dm(x), bc)
+
+    def _sp_blockwise(self, sb, hop: Hop, x: Slot):
+        return sb.blockwise(hop.opcode, self._to_dm(x), hop.shape[1],
+                            hop.attrs)
+
+    _sp_row_aggregate = _sp_blockwise  # a row block holds whole rows
+
+    def _sp_slice_cols(self, sb, hop: Hop, x: Slot):
+        # block-local; a row range re-blocks through a shuffle
+        _, _, cl, cu = index_bounds(hop.attrs, hop.inputs[0].shape)
+        return sb.blockwise("rightIndex", self._to_dm(x), cu - cl + 1,
+                            {"cl": cl, "cu": cu})
+
+    def _sp_slice_rows(self, sb, hop: Hop, x: Slot):
+        rl, ru, _, _ = index_bounds(hop.attrs, hop.inputs[0].shape)
+        return sb.slice_rows(self._to_dm(x), rl - 1, ru)
+
+    def _sp_slice_both(self, sb, hop: Hop, x: Slot):
+        rl, ru, _, _ = index_bounds(hop.attrs, hop.inputs[0].shape)
+        return sb.slice_rows(self._sp_slice_cols(sb, hop, x), rl - 1, ru)
+
+    def _sp_slice_none(self, sb, hop: Hop, x: Slot):
+        return self._to_dm(x)
+
+    def _sp_transpose(self, sb, hop: Hop, x: Slot):
+        return sb.transpose(self._to_dm(x))
+
+    def _sp_rbind(self, sb, hop: Hop, x: Slot, y: Slot):
+        return sb.rbind(self._to_dm(x), self._to_dm(y))
+
+    def _sp_action(self, sb, hop: Hop, x: Slot):
+        return sb.aggregate(hop.opcode, self._to_dm(x))
+
+    def _sp_async_action(self, sb, hop: Hop, x: Slot):
+        # §5.1: "flags all other Spark actions for asynchronous execution"
+        return sb.aggregate(hop.opcode, self._to_dm(x), asynchronous=True)
 
     def _scalar_of(self, slot: Slot) -> float:
         """Driver-side python float of a 1x1 value (scalar operands)."""
@@ -701,21 +666,20 @@ class Interpreter:
             return
         if BACKEND_SP in slot.payloads:
             dm: DistributedMatrix = slot.payloads[BACKEND_SP]
-            slot.future = self.tiers.spark_context.collect_async(dm.rdd)
-            self.stats.inc(PREFETCH_ISSUED)
-            if self.tracer.enabled:
-                self.tracer.instant(EV_PREFETCH, LANE_CP,
-                                    label=slot.future.label,
-                                    ready=slot.future.ready_time)
+            self._await(slot, self.tiers.spark_context.collect_async(dm.rdd))
         elif BACKEND_GPU in slot.payloads:
             data: GpuData = slot.payloads[BACKEND_GPU]
             ready = self.tiers.gpu.to_host_async(data)
-            slot.future = SimFuture(self.clock, ready, data.value,
-                                    label="gpu_prefetch")
-            self.stats.inc(PREFETCH_ISSUED)
-            if self.tracer.enabled:
-                self.tracer.instant(EV_PREFETCH, LANE_CP,
-                                    label="gpu_prefetch", ready=ready)
+            self._await(slot, SimFuture(self.clock, ready, data.value,
+                                        label="gpu_prefetch"))
+
+    def _await(self, slot: Slot, future: SimFuture) -> None:
+        """Consumers of ``slot`` wait on ``future``: a prefetch issued."""
+        slot.future = future
+        self.stats.inc(PREFETCH_ISSUED)
+        if self.tracer.enabled:
+            self.tracer.instant(EV_PREFETCH, LANE_CP, label=future.label,
+                                ready=future.ready_time)
 
     def _issue_broadcast(self, slot: Slot) -> None:
         """Asynchronously partition + register a broadcast variable."""
@@ -731,3 +695,8 @@ class Interpreter:
         if self.tracer.enabled:
             self.tracer.instant(EV_BROADCAST, LANE_CP, nbytes=value.nbytes)
 
+
+#: :func:`repro.runtime.placement.spark_operator`'s names -> the
+#: ``Interpreter._sp_<name>`` method that runs each.
+SPARK_OPERATORS = {name[4:]: run for name, run in vars(Interpreter).items()
+                   if name.startswith("_sp_")}

@@ -21,10 +21,8 @@ and a block that has none skips the walk that decides them
 walk over the shared post-order node list, and an op's inputs are read
 once for the scalar test, locality and the memory estimate — see
 docs/PERFORMANCE.md.
-:func:`matmul_pattern` also serves
-:func:`~repro.compiler.plan.block_flags`, which lets a Spark ``tsmm``/
-``cpmm`` read the input of its left transpose, and the Spark dispatch,
-which picks the physical operator by it.
+Lowering (:func:`~repro.compiler.plan.block_flags`) records each Spark
+op's :func:`spark_operator`; the interpreter runs the one it names.
 """
 
 from __future__ import annotations
@@ -32,24 +30,44 @@ from __future__ import annotations
 from repro.backends.gpu.backend import GPU_OPCODES
 from repro.backends.spark.backend import SPARK_OPCODES
 from repro.common.config import MemphisConfig
-from repro.compiler.ir import KIND_DATA, KIND_LITERAL, KIND_OP, Hop
+from repro.compiler.ir import (KIND_DATA, KIND_LITERAL, KIND_OP, Hop,
+                               index_bounds)
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 from repro.memory.budget import gpu_working_set
 
 
 def spark_supported(hop: Hop, config: MemphisConfig) -> bool:
-    """Whether a Spark physical operator exists for this hop
-    (:data:`~repro.backends.spark.backend.SPARK_OPCODES`; a matmul also
-    needs one of the four patterns)."""
-    kind = SPARK_OPCODES.get(hop.opcode)
-    if kind == "matmul":
-        return matmul_pattern(hop, config) is not None
-    return kind is not None
+    """Whether a Spark physical operator exists for this hop."""
+    return spark_operator(hop, config) is not None
+
+
+def spark_operator(hop: Hop, config: MemphisConfig) -> str | None:
+    """The physical operator of a Spark op (§4.2, Fig. 7), or ``None``:
+    its :data:`SPARK_OPCODES` kind, refined for a matmul, a cell-wise
+    binary (a 1x1 side is a scalar, a one-row side a broadcast, right
+    first) and a slice."""
+    operator = SPARK_OPCODES.get(hop.opcode)
+    if operator == "matmul":
+        return matmul_pattern(hop, config)
+    if operator == "cellwise":
+        left, right = [h.shape for h in hop.inputs]
+        return ("scalar_right" if right == (1, 1)
+                else "scalar_left" if left == (1, 1)
+                else "broadcast_right" if right[0] == 1
+                else "broadcast_left" if left[0] == 1 else "zip")
+    if operator == "slice":
+        shape = hop.inputs[0].shape
+        rl, ru, cl, cu = index_bounds(hop.attrs, shape)
+        cols = (cl, cu) != (1, shape[1])
+        if (rl, ru) != (1, shape[0]):
+            return "slice_both" if cols else "slice_rows"
+        return "slice_cols" if cols else "slice_none"
+    return operator
 
 
 def matmul_pattern(hop: Hop, config: MemphisConfig) -> str | None:
-    """Classify a distributed matrix multiply (mirrors SystemDS); also
-    what the Spark dispatch picks its physical operator by at runtime.
+    """Classify a distributed matrix multiply (mirrors SystemDS): a
+    Spark matmul's :func:`spark_operator`, chosen at compile time.
 
     Returns one of ``tsmm``/``cpmm``/``mapmm``/``bcmm`` or ``None``.
     "Distributed" sides are those above the operation-memory budget;

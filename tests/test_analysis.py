@@ -24,8 +24,9 @@ from repro.analysis import (
     verify_ir,
     walk_dag,
 )
+from repro import Session
 from repro.common.config import MemphisConfig
-from repro.common.errors import VerificationError
+from repro.common.errors import PlacementError, VerificationError
 from repro.common.runtime import current, scope
 from repro.compiler.ir import BROADCAST, PREFETCH, Hop, literal_hop, op_hop
 from repro.compiler.linearize import depth_first
@@ -230,14 +231,14 @@ class TestPlacementLegality:
         root = op_hop("exp", [leaf(4, 4)])
         root.placement = BACKEND_CP
         report = analyze([root], passes=(placement_legality,),
-                         flags={root.id: PREFETCH})
+                         lowered={root.id: (PREFETCH, None)})
         assert report.by_rule("PLC006")
 
     def test_plc007_broadcast_on_spark(self):
         root = op_hop("exp", [leaf(4, 4)])
         root.placement = BACKEND_SP
         report = analyze([root], passes=(placement_legality,),
-                         flags={root.id: BROADCAST})
+                         lowered={root.id: (BROADCAST, "blockwise")})
         assert report.by_rule("PLC007")
 
     def test_plc008_broadcast_over_driver_limit(self):
@@ -246,7 +247,7 @@ class TestPlacementLegality:
         root = op_hop("exp", [leaf(1, cols)])
         root.placement = BACKEND_CP
         report = analyze([root], config=cfg, passes=(placement_legality,),
-                         flags={root.id: BROADCAST})
+                         lowered={root.id: (BROADCAST, None)})
         assert {d.severity for d in report.by_rule("PLC008")} == \
             {Severity.WARNING}
         assert not analyze([root], config=cfg,
@@ -359,7 +360,7 @@ class TestLivenessLeak:
 class TestAsyncRace:
     def _sp_chain(self):
         """A Spark op ``s`` over leaf ``x``; tests pass ``s`` as
-        prefetched (``flags={s.id: PREFETCH}``)."""
+        prefetched (``lowered={s.id: (PREFETCH, "blockwise")}``)."""
         x = leaf(1000, 100)
         s = op_hop("exp", [x])
         s.placement = BACKEND_SP
@@ -374,7 +375,8 @@ class TestAsyncRace:
         root = op_hop("+", [other, c])
         root.placement = BACKEND_CP
         report = analyze([root], [x, s, other, c, root],
-                         passes=(async_race,), flags={s.id: PREFETCH})
+                         passes=(async_race,),
+                         lowered={s.id: (PREFETCH, "blockwise")})
         assert not report
 
     def test_asy001_zero_overlap(self):
@@ -382,7 +384,7 @@ class TestAsyncRace:
         c = op_hop("uak+", [s])
         c.placement = BACKEND_CP
         report = analyze([c], [x, s, c], passes=(async_race,),
-                         flags={s.id: PREFETCH})
+                         lowered={s.id: (PREFETCH, "blockwise")})
         assert {d.severity for d in report.by_rule("ASY001")} == \
             {Severity.INFO}
 
@@ -393,7 +395,7 @@ class TestAsyncRace:
         c = op_hop("relu", [g])
         c.placement = BACKEND_GPU
         report = analyze([c], [x, g, c], passes=(async_race,),
-                         flags={g.id: PREFETCH})
+                         lowered={g.id: (PREFETCH, None)})
         assert report.by_rule("ASY002")
 
     def test_asy003_spark_internal_prefetch(self):
@@ -401,8 +403,36 @@ class TestAsyncRace:
         c = op_hop("log", [s])
         c.placement = BACKEND_SP
         report = analyze([c], [x, s, c], passes=(async_race,),
-                         flags={s.id: PREFETCH})
+                         lowered={s.id: (PREFETCH, "blockwise")})
         assert report.by_rule("ASY003")
+
+    def test_prefetched_spark_action_with_a_spark_consumer_is_clean(self):
+        """A prefetched action (``async_action``) ends on the driver
+        anyway, whoever consumes it: ``X - sum(X)`` with ``X`` on Spark,
+        planted by hand and compiled by a session."""
+        x, _ = self._sp_chain()
+        s = op_hop("uak+", [x])
+        s.placement = BACKEND_SP
+        c = op_hop("-", [x, s])
+        c.placement = BACKEND_SP
+        report = analyze([c], [x, s, c], passes=(async_race,),
+                         lowered={s.id: (PREFETCH, "async_action"),
+                                  c.id: (0, "scalar_right")})
+        assert not report.by_rule("ASY003")
+
+        cfg = MemphisConfig.memphis()
+        cfg.cpu.operation_memory_bytes = 64 * 1024
+        with scope(analysis=AnalysisCollector()) as rt:
+            sess = Session(cfg)
+            X = sess.read(np.random.default_rng(5).random((20_000, 16)), "X")
+            out = X - X.sum()
+            total, minus = out.hop.inputs[1].id, out.hop.id
+            lowered = sess._compile([out]).lowered
+            out.compute()
+        assert lowered[total] == (PREFETCH, "async_action")
+        assert lowered[minus][1] == "scalar_right"
+        assert rt.analysis.merged().by_rule("ASY001")  # the pass ran
+        assert not rt.analysis.merged().by_rule("ASY003")
 
     def test_asy004_unconsumed_broadcast(self):
         x = leaf(4, 4)
@@ -411,7 +441,7 @@ class TestAsyncRace:
         c = op_hop("log", [b])
         c.placement = BACKEND_CP
         report = analyze([c], [x, b, c], passes=(async_race,),
-                         flags={b.id: BROADCAST})
+                         lowered={b.id: (BROADCAST, None)})
         assert report.by_rule("ASY004")
 
 
@@ -627,6 +657,21 @@ class TestSessionIntegration:
         with scope(analysis=AnalysisCollector()):
             verified = self._run_grid()
         assert np.isfinite(verified) and verified == self._run_grid()
+
+    def test_spark_op_without_an_operator_is_reported_not_compiled_away(
+            self):
+        """A Spark-placed op with no physical operator (PLC001) still
+        compiles: EXPLAIN renders its plan with the finding, and only
+        running the instruction raises."""
+        with scope(analysis=AnalysisCollector()):
+            sess = Session(MemphisConfig.base())
+            X = sess.read(np.ones((8, 4)), "X")
+            out = sess.cbind(X, X)
+            out.hop.placement = BACKEND_SP
+            text = sess.explain(out, level="runtime")
+            with pytest.raises(PlacementError, match="'cbind'"):
+                out.compute()
+        assert "PLC001" in text and "cbind" in text
 
     def test_ambient_collector_sees_blocks(self):
         collector = AnalysisCollector()

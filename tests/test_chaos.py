@@ -192,6 +192,25 @@ class TestCacheLossRecovery:
         assert sess.stats.get(FAULT_LINEAGE_RECOMPUTES) >= 1
         assert sess.stats.get(FAULTS_RECOVERED) >= 1
 
+    def test_audit_catches_a_cp_charge_a_lost_entry_kept(self, monkeypatch):
+        """A ``cache_lost`` invalidation that drops an entry's CP payload
+        but not its charge keeps the CP ledger equal to the summed
+        charges; the audit must still see the stale bytes."""
+        sess, _ = run_workload(cp_config())
+        sess.substrate.audit()
+        invalidate = LineageCache.invalidate_entry
+
+        def leaky(cache, entry, spark_mgr=None):
+            with monkeypatch.context() as m:
+                m.setattr(LineageCache, "_release_cp", lambda *_: None)
+                return invalidate(cache, entry, spark_mgr)
+
+        monkeypatch.setattr(LineageCache, "invalidate_entry", leaky)
+        entry = next(e for e in sess.cache.entries() if e.cp_accounted)
+        assert sess.tiers.invalidate(entry) == [BACKEND_CP]
+        with pytest.raises(AssertionError, match="no CP payload"):
+            sess.substrate.audit()
+
     def test_buffer_accounting_exact_after_chaos(self):
         sess, _ = run_workload(
             cp_config(), FaultPlan.parse("cache_lost@2;cache_lost@6;seed=2")

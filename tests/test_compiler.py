@@ -1,6 +1,12 @@
 """Tests for the compiler: IR, CSE, rewrites, linearization, tuning."""
 
+import contextlib
+import signal
+
+import numpy as np
 import pytest
+
+from repro import Session
 
 from repro.analysis import analyze, linearization_soundness
 from repro.common.config import MemphisConfig, StorageLevel
@@ -9,7 +15,6 @@ from repro.compiler.ir import (
     BROADCAST,
     CHECKPOINT,
     PREFETCH,
-    READS_THROUGH,
     TRACE_ONLY,
     Hop,
     infer_shape,
@@ -27,8 +32,28 @@ from repro.runtime.placement import matmul_pattern
 
 def flagged(roots, config, bit):
     """The ids of the op hops :func:`block_flags` gives ``bit``."""
-    flags = block_flags(roots, config, depth_first(roots))
+    flags, _ = block_flags(roots, config, depth_first(roots))
     return {hop_id for hop_id, bits in flags.items() if bits & bit}
+
+
+@contextlib.contextmanager
+def watchdog(seconds):
+    """Fail, instead of hanging, when the body runs past ``seconds``."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def lowered(roots, config):
+    """The physical operator :func:`block_flags` picks per Spark op."""
+    return block_flags(roots, config, depth_first(roots))[1]
 
 
 def prefetched(*hops):
@@ -121,6 +146,20 @@ class TestCse:
             node = op_hop("exp", [node])
         roots, _ = eliminate_common_subexpressions([node])
         assert roots[0] is node
+
+    def test_cycle_raises_instead_of_hanging(self):
+        """CSE walks a block before ``depth_first`` does, so on a cycle
+        it must raise as ``depth_first`` would, not spin."""
+        sess = Session(MemphisConfig.base())
+        a = sess.read(np.ones((4, 4)), "X") + 1.0
+        b = a * 2.0
+        a.hop.inputs[0] = b.hop
+        with watchdog(5.0), pytest.raises(CompilationError, match="cycle"):
+            b.compute()
+        loop = op_hop("exp", [literal_and(4, 4)])
+        loop.inputs[0] = loop
+        with watchdog(5.0), pytest.raises(CompilationError, match="cycle"):
+            eliminate_common_subexpressions([loop])
 
     def test_literals_merged_by_value(self):
         a = op_hop("+", [literal_hop(1.0), literal_hop(1.0)])
@@ -359,20 +398,20 @@ class TestReadThrough:
         cfg, x, t = self._transpose()
         mm = op_hop("ba+*", [t, x]); mm.placement = BACKEND_SP
         assert matmul_pattern(mm, cfg) == "tsmm"
-        assert flagged([mm], cfg, READS_THROUGH) == {mm.id}
+        assert lowered([mm], cfg) == {t.id: "transpose", mm.id: "tsmm"}
         assert flagged([mm], cfg, TRACE_ONLY) == {t.id}
 
     def test_transpose_read_twice_is_not_trace_only(self):
         cfg, x, t = self._transpose()
         mm = op_hop("ba+*", [t, t]); mm.placement = BACKEND_SP
         assert matmul_pattern(mm, cfg) == "cpmm"
-        assert flagged([mm], cfg, READS_THROUGH) == {mm.id}
+        assert lowered([mm], cfg) == {t.id: "transpose", mm.id: "cpmm"}
         assert flagged([mm], cfg, TRACE_ONLY) == set()
 
     def test_root_transpose_is_not_trace_only(self):
         cfg, x, t = self._transpose()
         mm = op_hop("ba+*", [t, x]); mm.placement = BACKEND_SP
-        assert flagged([mm, t], cfg, READS_THROUGH) == {mm.id}
+        assert lowered([mm, t], cfg) == {t.id: "transpose", mm.id: "tsmm"}
         assert flagged([mm, t], cfg, TRACE_ONLY) == set()
 
 

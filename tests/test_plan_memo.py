@@ -59,7 +59,8 @@ def plan_of(compiled) -> tuple:
     rebind CSE-merged handles."""
     _, root_hops, order, extra = compiled
     at = {hop.id: i for i, hop in enumerate(order)}
-    skipped, flags = compiled.trace_only, compiled.flags
+    skipped = compiled.trace_only
+    flags = {h: f for h, (f, _) in compiled.lowered.items()}
     hops = tuple(
         (hop.kind, hop.opcode, hop.shape, hop.placement,
          flags.get(hop.id, 0), i in skipped,

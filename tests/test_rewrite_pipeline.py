@@ -54,14 +54,16 @@ def _leaf(rows=8, cols=8, placement=None):
     return hop
 
 
-def _flags(roots, flags):
+def _flags(roots, flags, operators):
     """Per reachable hop, its lowered instruction's flags given the
     block's :func:`block_flags`, and whether the program only traces
     it."""
     nodes = depth_first(roots)
     block = CompiledBlock([], roots, nodes, {}, lower(
-        nodes, flags, {h.id: attr_data(h.attrs) for h in nodes if h.attrs}))
-    skipped, flags = block.trace_only, block.flags
+        nodes, flags, operators,
+        {h.id: attr_data(h.attrs) for h in nodes if h.attrs}))
+    skipped = block.trace_only
+    flags = {h: f for h, (f, _) in block.lowered.items()}
     return {(h.id, flags.get(h.id, 0), i in skipped)
             for i, h in enumerate(nodes)}
 
@@ -133,14 +135,14 @@ class TestRewriteIdempotence:
         roots = [c1, c2]
         nodes = depth_first(roots)
         hops = _hops(roots)
-        once = block_flags(roots, config, nodes)
+        once, operators = block_flags(roots, config, nodes)
         assert len(_ids(once, CHECKPOINT)) == 1
         assert shared.id in _ids(once, CHECKPOINT)
-        state = _flags(roots, once)
+        state = _flags(roots, once, operators)
         assert (shared.id, CHECKPOINT, False) in state
         twice = block_flags(roots, config, nodes)
-        assert twice == once
-        assert _flags(roots, twice) == state
+        assert twice == (once, operators)
+        assert _flags(roots, *twice) == state
         assert _hops(roots) == hops
 
     def test_async_ops_idempotent(self):
@@ -157,13 +159,14 @@ class TestRewriteIdempotence:
         roots = [collect]
         nodes = depth_first(roots)
         hops = _hops(roots)
-        once = block_flags(roots, config, nodes)
-        state = _flags(roots, once)
+        once, operators = block_flags(roots, config, nodes)
+        state = _flags(roots, once, operators)
         assert any(flags & PREFETCH for _, flags, _ in state)
-        twice = block_flags(roots, config, nodes)
+        twice, operators_twice = block_flags(roots, config, nodes)
         assert _ids(twice, PREFETCH) == _ids(once, PREFETCH)
         assert _ids(twice, BROADCAST) == _ids(once, BROADCAST)
-        assert _flags(roots, twice) == state
+        assert operators_twice == operators
+        assert _flags(roots, twice, operators) == state
         assert _hops(roots) == hops
 
     def test_tuning_idempotent(self):
@@ -208,10 +211,10 @@ def _full_passes(compiled, config):
     _, root_hops, _, _ = compiled
     nodes = depth_first(root_hops)
     assign_placements(nodes, config)  # all placed: a no-op
-    flags = block_flags(root_hops, config, nodes)
+    flags, operators = block_flags(root_hops, config, nodes)
     order = (max_parallelize(root_hops, flags, nodes)
              if config.enable_max_parallelize else nodes)
-    program = lower(order, flags,
+    program = lower(order, flags, operators,
                     {h.id: attr_data(h.attrs) for h in nodes if h.attrs})
     return (_ids(flags, CHECKPOINT), _ids(flags, PREFETCH),
             _ids(flags, BROADCAST), order, program)
@@ -236,7 +239,7 @@ def checked(monkeypatch):
         seen["remote" if _remote(compiled) else "cp_only"] += 1
         checkpoint, prefetch, broadcast, order, program = _full_passes(
             compiled, self.config)
-        flags = compiled.flags
+        flags = {h: f for h, (f, _) in compiled.lowered.items()}
         for bit, ids in ((CHECKPOINT, checkpoint), (PREFETCH, prefetch),
                          (BROADCAST, broadcast)):
             assert {i for i, f in flags.items() if f & bit} == set(ids)
@@ -313,5 +316,5 @@ class TestCpOnlyBlocksCompileExactly:
                if h.kind == KIND_OP and h.placement is None]
         compiled = sess._compile([later])
         assert new and all(h.placement == BACKEND_CP for h in new)
-        assert compiled.flags.get(z_hop.id, 0) & PREFETCH
+        assert compiled.lowered[z_hop.id][0] & PREFETCH
         assert checked["remote"] == 2

@@ -445,6 +445,26 @@ def test_no_compile_decision_is_a_hop_flag():
     assert "flagged" not in BlockPlan.__slots__
 
 
+def test_no_spark_operator_is_chosen_at_run_time():
+    """``lower`` records each Spark instruction's physical operator
+    (``runtime/placement.py::spark_operator``) and the interpreter runs it
+    from one table: it reads neither the opcode table nor the matmul
+    pattern, so nothing re-derives the operator per instruction."""
+    path = os.path.join(SRC, "repro", "runtime", "interpreter.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rsplit(".", 1)[-1]
+                         for alias in node.names)
+    assert {"matmul_pattern", "SPARK_OPCODES"} & names == set()
+
+
 def test_lineage_items_hash_and_compare_by_identity():
     """Every item the runtime traces comes from its substrate's interner,
     so structurally equal runtime items are one object and identity is

@@ -1,6 +1,7 @@
 """Tests for the Spark simulator: RDDs, scheduler, memory, broadcast."""
 
 import hashlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro import MemphisConfig, Session
 from repro.backends.spark import SPARK_OPCODES, SparkBackend, SparkContext
 from repro.backends.spark.backend import _stack_rows
 from repro.common.config import SparkConfig, StorageLevel
+from repro.common.runtime import scope
 from repro.common.simclock import CLUSTER, HOST, SimClock
 from repro.common.stats import (
     MEM_RESERVE_FAILURES,
@@ -21,6 +23,8 @@ from repro.common.stats import (
 )
 from repro.core.entry import BACKEND_SP
 from repro.memory import REGION_SPARK_STORAGE
+from repro.obs import ExplainCollector
+from repro.runtime.interpreter import Interpreter
 from repro.runtime.placement import matmul_pattern
 from repro.runtime.values import MatrixValue
 
@@ -211,69 +215,104 @@ def _opcodes(*kinds):
     return sorted(op for op, kind in SPARK_OPCODES.items() if kind in kinds)
 
 
-#: operand form -> (operands, suffix of the RDD the form builds)
+#: operand form -> (operands, suffix of the RDD the form builds, the
+#: physical operator lowering picks)
 CELLWISE_FORMS = {
-    "scalar_right": (("X", 3.0), "s"),
-    "scalar_left": ((3.0, "X"), "s"),
-    "zip": (("X", "Y"), ""),
-    "zip_column_right": (("X", "c"), ""),
-    "zip_column_left": (("c", "X"), ""),
-    "broadcast_right": (("X", "v"), "bc"),
-    "broadcast_left": (("v", "X"), "bc"),
+    "scalar_right": (("X", 3.0), "s", "scalar_right"),
+    "scalar_left": ((3.0, "X"), "s", "scalar_left"),
+    "zip": (("X", "Y"), "", "zip"),
+    "zip_column_right": (("X", "c"), "", "zip"),
+    "zip_column_left": (("c", "X"), "", "zip"),
+    "broadcast_right": (("X", "v"), "bc", "broadcast_right"),
+    "broadcast_left": (("v", "X"), "bc", "broadcast_left"),
 }
 
 
 class TestPlacementInvariance:
     """SP ≡ CP by construction: every opcode of the Spark table, in every
-    operand form the dispatcher selects, evaluated over three row blocks
-    equals the CP evaluation bit for bit."""
+    operand form lowering selects, evaluated over three row blocks
+    equals the CP evaluation bit for bit.  The block's lowered program
+    carries the physical operator, its runtime EXPLAIN line names it,
+    and running it derives no matmul pattern: the operator is chosen at
+    compile time only."""
 
     @pytest.fixture(autouse=True)
-    def _record_rdds(self, rdd_names):
+    def _record(self, rdd_names, monkeypatch):
         self.rdd_names = rdd_names
+        # matmul_pattern calls so far; (program, calls made inside) per run
+        self.patterns = [0]
+        self.runs = []
+        pattern, run = matmul_pattern, Interpreter.run
 
-    def _check(self, build, rdd_name=None, asynchronous=False):
+        def counted(*args):
+            self.patterns[0] += 1
+            return pattern(*args)
+
+        def recorded(interp, order, program):
+            before = self.patterns[0]
+            slots = run(interp, order, program)
+            self.runs.append((program, self.patterns[0] - before))
+            return slots
+
+        for module in list(sys.modules.values()):  # every importer
+            if getattr(module, "__dict__", {}).get("matmul_pattern") \
+                    is pattern:
+                monkeypatch.setattr(module, "matmul_pattern", counted)
+        monkeypatch.setattr(Interpreter, "run", recorded)
+
+    def _check(self, build, rdd_name, operator, asynchronous=False):
         expected, _ = _run(build, spark=False)
-        actual, sess = _run(build, spark=True, asynchronous=asynchronous)
+        del self.runs[:]
+        with scope(explain=ExplainCollector()) as rt:
+            actual, sess = _run(build, spark=True, asynchronous=asynchronous)
         assert sess.stats.get(SPARK_JOBS) > 0
         if rdd_name is not None:
             assert rdd_name in self.rdd_names
         assert actual.shape == expected.shape
         assert np.array_equal(actual, expected)
+        # one block, one root: the root is the last instruction
+        [(program, patterns_at_run_time)] = self.runs
+        assert program[-1][7] == operator
+        assert f" SP {operator} " in rt.explain.render(level="runtime")
+        assert patterns_at_run_time == 0
         return sess
 
     @pytest.mark.parametrize("form", sorted(CELLWISE_FORMS))
     @pytest.mark.parametrize("opcode", _opcodes("cellwise"))
     def test_cellwise(self, opcode, form):
-        operands, suffix = CELLWISE_FORMS[form]
-        self._check(_op(opcode, *operands), opcode + suffix)
+        operands, suffix, operator = CELLWISE_FORMS[form]
+        self._check(_op(opcode, *operands), opcode + suffix, operator)
 
     @pytest.mark.parametrize("opcode", _opcodes("blockwise", "row_aggregate"))
     def test_blockwise(self, opcode):
         attrs = {"pattern": 3.0, "replacement": -1.0} \
             if opcode == "replace" else {}
-        self._check(_op(opcode, "X", **attrs), opcode)
+        self._check(_op(opcode, "X", **attrs), opcode, SPARK_OPCODES[opcode])
 
     @pytest.mark.parametrize("asynchronous", [False, True],
                              ids=["sync", "async"])
     @pytest.mark.parametrize("opcode", _opcodes("action"))
     def test_action(self, opcode, asynchronous):
-        sess = self._check(_op(opcode, "X"), asynchronous=asynchronous)
+        sess = self._check(_op(opcode, "X"), None,
+                           "async_action" if asynchronous else "action",
+                           asynchronous=asynchronous)
         assert (sess.stats.get(PREFETCH_ISSUED) > 0) == asynchronous
 
-    @pytest.mark.parametrize("rows, cols, rdd_name", [
-        (slice(2, 17), slice(None), "sliceRows"),
-        (slice(None), slice(1, 3), "rightIndex"),
-        (slice(2, 17), slice(1, 3), "sliceRows"),
-    ], ids=["rows", "columns", "rows_and_columns"])
-    def test_right_index(self, rows, cols, rdd_name):
-        self._check(lambda sess, X, *_: X[rows, cols], rdd_name)
+    @pytest.mark.parametrize("rows, cols, rdd_name, operator", [
+        (slice(2, 17), slice(None), "sliceRows", "slice_rows"),
+        (slice(None), slice(1, 3), "rightIndex", "slice_cols"),
+        (slice(2, 17), slice(1, 3), "sliceRows", "slice_both"),
+        (slice(None), slice(None), None, "slice_none"),
+    ], ids=["rows", "columns", "rows_and_columns", "whole"])
+    def test_right_index(self, rows, cols, rdd_name, operator):
+        self._check(lambda sess, X, *_: X[rows, cols], rdd_name, operator)
 
     def test_transpose(self):
-        self._check(lambda sess, X, *_: X.t(), "r'")
+        self._check(lambda sess, X, *_: X.t(), "r'", "transpose")
 
     def test_rbind(self):
-        self._check(lambda sess, X, Y, *_: sess.rbind(X, Y), "rbind")
+        self._check(lambda sess, X, Y, *_: sess.rbind(X, Y), "rbind",
+                    "rbind")
 
     @pytest.mark.parametrize("pattern", ["tsmm", "cpmm", "mapmm", "bcmm"])
     def test_matmul(self, pattern):
@@ -289,7 +328,8 @@ class TestPlacementInvariance:
             assert matmul_pattern(out.hop, sess.config) == pattern
             return out
 
-        self._check(checked, pattern)
+        self._check(checked, pattern, pattern)
+        assert self.patterns[0] > 0  # the count sees placement's calls
 
     def test_matmul_of_two_dropped_leaves_is_not_tsmm(self):
         """``t(A) %*% B`` whose leaves nothing else references: both
